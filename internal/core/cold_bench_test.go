@@ -1,0 +1,288 @@
+package core
+
+import (
+	"sync"
+	"testing"
+
+	"plsh/internal/corpus"
+	"plsh/internal/lshhash"
+	"plsh/internal/sparse"
+)
+
+// coldFixture is the benchmark suite's static_query geometry
+// (benchmarks/suite/inputs.go): the 32 000-document tweet-like base set
+// over a 50 000-word vocabulary, K=16/M=16 → 120 tables, and 4096 distinct
+// queries drawn from the base set — enough that a pass over them finds the
+// 31 MB of offset arrays cold, as a client's next query does.
+var coldFixture = sync.OnceValue(func() (f struct {
+	st    *Static
+	store *sparse.Matrix
+	qs    []sparse.Vector
+}) {
+	fam, err := lshhash.NewFamily(lshhash.Params{Dim: 50000, K: 16, M: 16, Seed: 1})
+	if err != nil {
+		panic(err)
+	}
+	col := corpus.Generate(corpus.Twitter(32000, 50000, 1))
+	f.store = col.Mat
+	if f.st, err = Build(fam, col.Mat, Defaults()); err != nil {
+		panic(err)
+	}
+	f.qs = make([]sparse.Vector, 4096)
+	for i := range f.qs {
+		f.qs[i] = col.Mat.Row(i * 7919 % col.Mat.Rows()) // 7919 is prime to 32000: distinct rows
+	}
+	return f
+})
+
+// BenchmarkEngineSearchCold times one cold SearchAppend per dedup arm with
+// the Q2/Q3 split beside it, and the pre-kernel monolithic loop as the
+// reference the kernels are measured against: run it with
+//
+//	go test -run '^$' -bench EngineSearchCold -benchtime 4096x ./internal/core
+//
+// and an edit that re-slows the Q2 loop shows as Extract approaching
+// Monolithic. ns/op comes from an engine that does not collect phases, the
+// q2/q3 metrics from a second one that does, as in the suite's ladder.
+func BenchmarkEngineSearchCold(b *testing.B) {
+	f := coldFixture()
+	type searchFn func(dst []Neighbor, q sparse.Vector) ([]Neighbor, QueryStats)
+	kernels := func(opts QueryOptions) (searchFn, *Engine) {
+		e := NewEngine(f.st, f.store, opts)
+		return func(dst []Neighbor, q sparse.Vector) ([]Neighbor, QueryStats) {
+			return e.SearchAppend(dst, q, SearchParams{})
+		}, e
+	}
+	monolithic := func(opts QueryOptions) (searchFn, *Engine) {
+		m := newMonolith(f.st, f.store, opts)
+		return func(dst []Neighbor, q sparse.Vector) ([]Neighbor, QueryStats) {
+			return m.search(dst, q, SearchParams{})
+		}, m.Engine
+	}
+	for _, arm := range []struct {
+		name   string
+		engine func(QueryOptions) (searchFn, *Engine)
+		opts   QueryOptions
+	}{
+		{"Extract", kernels, QueryDefaults()},
+		{"Append", kernels, QueryOptions{UseBitvector: true, OptimizedDP: true}},
+		{"Set", kernels, QueryOptions{OptimizedDP: true}},
+		{"Monolithic", monolithic, QueryDefaults()},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			plain, _ := arm.engine(arm.opts)
+			arm.opts.CollectPhases = true
+			phased, eng := arm.engine(arm.opts)
+			var dst []Neighbor
+			for i := 0; i < b.N; i++ {
+				dst, _ = phased(dst[:0], f.qs[i%len(f.qs)])
+			}
+			ph := eng.Phases()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst, _ = plain(dst[:0], f.qs[i%len(f.qs)])
+			}
+			b.ReportMetric(float64(ph.Q2NS)/float64(b.N), "q2-ns/op")
+			b.ReportMetric(float64(ph.Q3NS)/float64(b.N), "q3-ns/op")
+		})
+	}
+}
+
+// monolith is the query path as it stood before the kernels of kernels.go:
+// all three dedup arms, the phase timing and Step Q3 in one function body,
+// options read through the engine inside the loops. It exists only as the
+// benchmark's reference.
+type monolith struct {
+	*Engine
+	pairs []lshhash.Pair
+}
+
+func newMonolith(st *Static, store sparse.Store, opts QueryOptions) *monolith {
+	return &monolith{Engine: NewEngine(st, store, opts), pairs: st.fam.Pairs()}
+}
+
+func (e *monolith) search(dst []Neighbor, q sparse.Vector, p SearchParams) ([]Neighbor, QueryStats) {
+	ws := e.wsPool.Get().(*Workspace)
+	defer e.wsPool.Put(ws)
+	var stats QueryStats
+	if e.st.Len() == 0 || q.NNZ() == 0 {
+		return dst, stats
+	}
+	hp := e.st.fam.Params()
+	half := uint(hp.K / 2)
+
+	e.st.fam.SketchInto(q, ws.scores, ws.sketch)
+
+	var t0 int64
+	if e.opts.CollectPhases {
+		t0 = now()
+	}
+
+	ws.cand = ws.cand[:0]
+	if e.opts.UseBitvector {
+		seen := ws.seen
+		if e.opts.ExtractCandidates {
+			for l := range e.st.tables {
+				pr := e.pairs[l]
+				key := ws.sketch[pr.A]<<half | ws.sketch[pr.B]
+				bucket := e.st.tables[l].Bucket(key)
+				stats.Collisions += len(bucket)
+				for _, id := range bucket {
+					seen.Set(int(id))
+				}
+			}
+			ws.cand = seen.AppendSet(ws.cand)
+		} else {
+			for l := range e.st.tables {
+				pr := e.pairs[l]
+				key := ws.sketch[pr.A]<<half | ws.sketch[pr.B]
+				bucket := e.st.tables[l].Bucket(key)
+				stats.Collisions += len(bucket)
+				for _, id := range bucket {
+					if seen.TestAndSet(int(id)) {
+						ws.cand = append(ws.cand, id)
+					}
+				}
+			}
+		}
+		seen.ResetList(ws.cand)
+	} else {
+		set := ws.set
+		for l := range e.st.tables {
+			pr := e.pairs[l]
+			key := ws.sketch[pr.A]<<half | ws.sketch[pr.B]
+			bucket := e.st.tables[l].Bucket(key)
+			stats.Collisions += len(bucket)
+			for _, id := range bucket {
+				set[id] = struct{}{}
+			}
+		}
+		for id := range set {
+			ws.cand = append(ws.cand, id)
+			delete(set, id)
+		}
+	}
+	if e.opts.CollectPhases {
+		t1 := now()
+		e.q2ns.Add(t1 - t0)
+		t0 = t1
+	}
+
+	radius := e.opts.Radius
+	if p.Radius > 0 {
+		radius = p.Radius
+	}
+	thr := sparse.CosThreshold(radius)
+	evaluated := 0
+	base := len(dst)
+	if e.opts.OptimizedDP {
+		ws.mask.Scatter(q)
+	}
+	for _, id := range ws.cand {
+		if e.deleted != nil && e.deleted.TestAtomic(int(id)) {
+			continue
+		}
+		if p.MaxCandidates > 0 && evaluated == p.MaxCandidates {
+			break
+		}
+		evaluated++
+		idx, val := e.store.Doc(int(id))
+		var dot float64
+		if e.opts.OptimizedDP {
+			dot = ws.mask.Dot(idx, val)
+		} else {
+			dot = sparse.Dot(q, sparse.Vector{Idx: idx, Val: val})
+		}
+		if dot >= thr {
+			dst = append(dst, Neighbor{ID: id, Dist: sparse.AngularDistance(dot)})
+		}
+	}
+	stats.Unique = evaluated
+	if e.opts.OptimizedDP {
+		ws.mask.Unscatter()
+	}
+	if e.opts.CollectPhases {
+		e.q3ns.Add(now() - t0)
+	}
+	stats.Results = len(dst) - base
+	return dst, stats
+}
+
+// BenchmarkProbeBisect is the evidence behind the rule that the probe is
+// staged (DESIGN.md "Q2/Q3 leaf kernels"). All four are leaf functions over
+// the same tables and the same cold sketches. Unstaged walks each bucket as
+// soon as its bounds load, as the monolithic loop did — and is 3–5× slower
+// than Staged or level with it depending on code that is not in the loop
+// (with or without the reslice on its first line, for one).
+// UnstagedNoStores keeps that loop but only sums the IDs — no bitvector, no
+// store of any kind — and is still slow, which rules out store-to-load
+// aliasing; UnstagedNoLoop touches one item per table with no loop on the
+// bucket length and is as fast as Staged, which rules the loop branch in:
+// it waits on a load that misses, and how the predictor happens to guess it
+// decides whether the next table's miss overlaps this one's.
+func BenchmarkProbeBisect(b *testing.B) {
+	f := coldFixture()
+	tables, pairs := f.st.tables, f.st.fam.Pairs()
+	sketches := make([][]uint32, len(f.qs))
+	for i, q := range f.qs {
+		sketches[i] = f.st.fam.Sketch(q)
+	}
+	words := make([]uint64, (f.st.Len()+63)/64)
+	lo, hi := make([]uint32, len(tables)), make([]uint32, len(tables))
+	for _, v := range []struct {
+		name  string
+		probe func(sketch []uint32) int
+	}{
+		{"Staged", func(s []uint32) int { return ProbeMark(tables, pairs, s, 8, lo, hi, words) }},
+		{"Unstaged", func(s []uint32) int { return probeUnstaged(tables, pairs, s, 8, words) }},
+		{"UnstagedNoStores", func(s []uint32) int { return probeUnstagedNoStores(tables, pairs, s, 8) }},
+		{"UnstagedNoLoop", func(s []uint32) int { return probeUnstagedNoLoop(tables, pairs, s, 8) }},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			n := 0
+			for i := 0; i < b.N; i++ {
+				n += v.probe(sketches[i%len(sketches)])
+				clear(words)
+			}
+			sink += n
+		})
+	}
+}
+
+var sink int
+
+//go:noinline
+func probeUnstaged(tables []Table, pairs []lshhash.Pair, sketch []uint32, half uint, words []uint64) int {
+	pairs = pairs[:len(tables)]
+	collisions := 0
+	for l := range tables {
+		bucket := tables[l].Bucket(pairs[l].Key(sketch, half))
+		collisions += len(bucket)
+		for _, id := range bucket {
+			words[id>>6] |= 1 << (id & 63)
+		}
+	}
+	return collisions
+}
+
+//go:noinline
+func probeUnstagedNoStores(tables []Table, pairs []lshhash.Pair, sketch []uint32, half uint) int {
+	sum := 0
+	for l := range tables {
+		for _, id := range tables[l].Bucket(pairs[l].Key(sketch, half)) {
+			sum += int(id)
+		}
+	}
+	return sum
+}
+
+//go:noinline
+func probeUnstagedNoLoop(tables []Table, pairs []lshhash.Pair, sketch []uint32, half uint) int {
+	sum := 0
+	for l := range tables {
+		t := &tables[l]
+		lo := t.Offsets[pairs[l].Key(sketch, half)]
+		sum += int(t.Items[min(int(lo), len(t.Items)-1)])
+	}
+	return sum
+}

@@ -1,0 +1,128 @@
+package core
+
+import (
+	"plsh/internal/bitvec"
+	"plsh/internal/lshhash"
+	"plsh/internal/sparse"
+)
+
+// The hot loops of Steps Q2 and Q3 live here, one small function each,
+// taking slices and scalars as arguments. Every option (dedup arm, dot
+// kernel, tombstones, candidate budget, radius) is resolved by the caller,
+// so a loop tests only values that sit in registers; DESIGN.md "Q2/Q3 leaf
+// kernels" has the measurements that put them here.
+
+// stageBuckets is pass 1 of every Q2 probe: it composes the L table keys
+// from the sketch and loads each selected bucket's bounds into lo and hi
+// (length ≥ len(tables); returned cut to it), touching no bucket. The loop has no branch that
+// depends on what it loads — bounds checks aside — so the L offset-array
+// misses are all in flight together: the structural stand-in for §5.2.2's
+// software prefetch. A probe that walked each bucket as soon as it had its
+// bounds would close every iteration with a loop branch on a value still in
+// flight from memory, and each misprediction of it serializes the next
+// table's miss behind this one's.
+func stageBuckets(tables []Table, pairs []lshhash.Pair, sketch []uint32, half uint, lo, hi []uint32) ([]uint32, []uint32) {
+	pairs = pairs[:len(tables)]
+	lo = lo[:len(tables)]
+	hi = hi[:len(tables)]
+	for l := range tables {
+		offs := tables[l].Offsets
+		key := pairs[l].Key(sketch, half)
+		lo[l], hi[l] = offs[key], offs[key+1]
+	}
+	return lo, hi
+}
+
+// ProbeMark is the default Q2 probe: it marks every item of the L buckets
+// the sketch selects into the dedup bitvector words and returns the
+// collision count (bucket entries, duplicates included). Pass 2 walks
+// Items[lo:hi] with trip counts already in cache, so a mispredicted bucket
+// length costs a pipeline refill, not a memory round trip. perfmodel
+// calibrates its Q2 constants by calling this same function, so the model
+// prices the loop the engine runs.
+func ProbeMark(tables []Table, pairs []lshhash.Pair, sketch []uint32, half uint, lo, hi []uint32, words []uint64) int {
+	lo, hi = stageBuckets(tables, pairs, sketch, half, lo, hi)
+	collisions := 0
+	for l := range tables {
+		bucket := tables[l].Items[lo[l]:hi[l]]
+		collisions += len(bucket)
+		for _, id := range bucket {
+			words[id>>6] |= 1 << (id & 63)
+		}
+	}
+	return collisions
+}
+
+// probeAppend is the Fig. 5 "+bitvector" arm without the sorted extraction:
+// test-and-set per bucket entry, first sightings appended to cand in
+// bucket-scan order.
+func probeAppend(tables []Table, pairs []lshhash.Pair, sketch []uint32, half uint, lo, hi []uint32, words []uint64, cand []uint32) ([]uint32, int) {
+	lo, hi = stageBuckets(tables, pairs, sketch, half, lo, hi)
+	collisions := 0
+	for l := range tables {
+		bucket := tables[l].Items[lo[l]:hi[l]]
+		collisions += len(bucket)
+		for _, id := range bucket {
+			w, bit := id>>6, uint64(1)<<(id&63)
+			if old := words[w]; old&bit == 0 {
+				words[w] = old | bit
+				cand = append(cand, id)
+			}
+		}
+	}
+	return cand, collisions
+}
+
+// probeSet is the unoptimized Fig. 5 baseline: a set container (the paper's
+// "C++ STL set" arm), drained into cand and left empty.
+func probeSet(tables []Table, pairs []lshhash.Pair, sketch []uint32, half uint, lo, hi []uint32, set map[uint32]struct{}, cand []uint32) ([]uint32, int) {
+	lo, hi = stageBuckets(tables, pairs, sketch, half, lo, hi)
+	collisions := 0
+	for l := range tables {
+		bucket := tables[l].Items[lo[l]:hi[l]]
+		collisions += len(bucket)
+		for _, id := range bucket {
+			set[id] = struct{}{}
+		}
+	}
+	for id := range set {
+		cand = append(cand, id)
+		delete(set, id)
+	}
+	return cand, collisions
+}
+
+// Verify is Steps Q3+Q4 over one candidate list: it computes the distance
+// from q to document base+id for each id of cand, in order, and appends
+// those within the cosine threshold thr to dst. It returns the extended
+// slice and the number of distances computed. Tombstoned candidates
+// (deleted may be nil) are skipped for free; limit bounds the distance
+// computations, the work a candidate budget exists to cap, so a
+// deletion-heavy list does not starve the budget unevaluated — pass
+// len(cand) or more for no bound. mask is q scattered (§5.2.3); nil selects
+// the merge-intersection dot product. The static engine verifies its own
+// candidates with it and the node verifies each delta segment's.
+func Verify(dst []Neighbor, cand []uint32, base uint32, store sparse.Store, deleted *bitvec.Vector, limit int, thr float64, mask *sparse.QueryMask, q sparse.Vector) ([]Neighbor, int) {
+	evaluated := 0
+	for _, id := range cand {
+		id += base
+		if deleted != nil && deleted.TestAtomic(int(id)) {
+			continue
+		}
+		if evaluated == limit {
+			break
+		}
+		evaluated++
+		idx, val := store.Doc(int(id))
+		var dot float64
+		if mask != nil {
+			dot = mask.Dot(idx, val)
+		} else {
+			dot = sparse.Dot(q, sparse.Vector{Idx: idx, Val: val})
+		}
+		if dot >= thr {
+			dst = append(dst, Neighbor{ID: id, Dist: sparse.AngularDistance(dot)})
+		}
+	}
+	return dst, evaluated
+}

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"plsh/internal/bitvec"
-	"plsh/internal/lshhash"
 	"plsh/internal/sched"
 	"plsh/internal/sparse"
 )
@@ -101,29 +100,35 @@ type Engine struct {
 	opts    QueryOptions
 	pool    *sched.Pool
 	deleted *bitvec.Vector
-	pairs   []tablePair // (a, b) per table, precomputed once
 	wsPool  sync.Pool
 	q2ns    atomic.Int64
 	q3ns    atomic.Int64
 }
 
-// tablePair caches PairForTable so the hot Q2 loop composes each table's
-// key with two array reads instead of an O(m) search.
-type tablePair struct {
-	a, b uint16
-}
-
-// workspace is one in-flight query's private state.
+// Workspace is one in-flight query's private state: the query's sketch and
+// scattered vocabulary mask (Step Q1, done once by Begin) plus the scratch
+// of Step Q2. The node layer reads Sketch and Mask to probe and verify its
+// delta segments under the same Begin, so a query is hashed and scattered
+// once however many structures it visits.
 //
 //plshvet:scratch owned per-query candidate/score buffers; nothing caller-visible is ever stored in them
-type workspace struct {
+type Workspace struct {
 	seen   *bitvec.Vector
 	cand   []uint32
+	lo, hi []uint32 // the probe's staged bucket bounds, one per table
 	set    map[uint32]struct{}
 	mask   *sparse.QueryMask
 	scores []float32
 	sketch []uint32
 }
+
+// Sketch returns the m half-hashes of the query the workspace was begun
+// with. Valid until End.
+func (ws *Workspace) Sketch() []uint32 { return ws.sketch }
+
+// Mask returns the query's scattered vocabulary mask for Verify, or nil
+// when the engine runs the merge-intersection dot product. Valid until End.
+func (ws *Workspace) Mask() *sparse.QueryMask { return ws.mask }
 
 // NewEngine builds a query engine. The store must hold exactly the
 // documents the index was built over (store row i ↔ index item i).
@@ -139,15 +144,12 @@ func NewEngine(st *Static, store sparse.Store, opts QueryOptions) *Engine {
 		store: store,
 		opts:  opts,
 		pool:  sched.NewPool(opts.Workers),
-		pairs: make([]tablePair, st.NumTables()),
-	}
-	for l := range e.pairs {
-		a, b := lshhash.PairForTable(l, st.fam.Params().M)
-		e.pairs[l] = tablePair{a: uint16(a), b: uint16(b)}
 	}
 	e.wsPool.New = func() any {
-		ws := &workspace{
+		ws := &Workspace{
 			seen:   bitvec.New(st.Len()),
+			lo:     make([]uint32, st.NumTables()),
+			hi:     make([]uint32, st.NumTables()),
 			scores: make([]float32, st.fam.Params().NumFuncs()),
 			sketch: make([]uint32, st.fam.Params().M),
 		}
@@ -219,10 +221,99 @@ func (e *Engine) SearchWithStats(q sparse.Vector, p SearchParams) ([]Neighbor, Q
 // are in bucket-scan order — callers wanting the canonical order apply
 // SortNeighbors or TopK to the appended suffix.
 func (e *Engine) SearchAppend(dst []Neighbor, q sparse.Vector, p SearchParams) ([]Neighbor, QueryStats) {
-	ws := e.wsPool.Get().(*workspace)
-	res, stats := e.queryOn(dst, q, ws, p)
-	e.wsPool.Put(ws)
+	if e.st.Len() == 0 || q.NNZ() == 0 {
+		return dst, QueryStats{}
+	}
+	ws := e.Begin(q)
+	res, stats := e.SearchOn(dst, ws, q, p)
+	e.End(ws)
 	return res, stats
+}
+
+// Begin takes a workspace from the engine's pool and runs Step Q1 on it:
+// q is hashed into the workspace's sketch and, under OptimizedDP, scattered
+// into its mask (cheap; the paper ignores its cost too). q must be
+// non-empty. Every Begin is paired with one End.
+func (e *Engine) Begin(q sparse.Vector) *Workspace {
+	ws := e.wsPool.Get().(*Workspace)
+	e.st.fam.SketchInto(q, ws.scores, ws.sketch)
+	if ws.mask != nil {
+		ws.mask.Scatter(q)
+	}
+	return ws
+}
+
+// End clears the mask Begin scattered and returns the workspace to the
+// pool. The caller must not touch ws, its sketch or its mask afterwards.
+func (e *Engine) End(ws *Workspace) {
+	if ws.mask != nil {
+		ws.mask.Unscatter()
+	}
+	e.wsPool.Put(ws)
+}
+
+// SearchOn runs Steps Q2–Q4 over the static index for the query ws was
+// begun with (q again, for the merge-intersection arm), appending answers
+// to dst. It is the thin driver over the kernels of kernels.go: it resolves
+// the engine's options and the request's parameters once, calls one probe
+// kernel and Verify, and — under CollectPhases — reads the clock around
+// each, so Phases reports exactly the kernels' time.
+func (e *Engine) SearchOn(dst []Neighbor, ws *Workspace, q sparse.Vector, p SearchParams) ([]Neighbor, QueryStats) {
+	var stats QueryStats
+	if e.st.Len() == 0 {
+		return dst, stats
+	}
+	var t0 int64
+	if e.opts.CollectPhases {
+		t0 = now()
+	}
+
+	// Step Q2: read buckets from all L tables and deduplicate.
+	stats.Collisions = e.probe(ws)
+	if e.opts.CollectPhases {
+		t1 := now()
+		e.q2ns.Add(t1 - t0)
+		t0 = t1
+	}
+
+	// Steps Q3+Q4: distance computation and radius filter, under the
+	// request's radius and candidate budget when given.
+	radius := e.opts.Radius
+	if p.Radius > 0 {
+		radius = p.Radius
+	}
+	limit := len(ws.cand)
+	if p.MaxCandidates > 0 {
+		limit = p.MaxCandidates
+	}
+	base := len(dst)
+	dst, stats.Unique = Verify(dst, ws.cand, 0, e.store, e.deleted, limit, sparse.CosThreshold(radius), ws.mask, q)
+	if e.opts.CollectPhases {
+		e.q3ns.Add(now() - t0)
+	}
+	stats.Results = len(dst) - base
+	return dst, stats
+}
+
+// probe runs the engine's configured Q2 arm, leaving the deduplicated
+// candidates in ws.cand and the dedup structure empty, and returns the
+// collision count.
+func (e *Engine) probe(ws *Workspace) (collisions int) {
+	tables, pairs := e.st.tables, e.st.fam.Pairs()
+	half := uint(e.st.fam.Params().K / 2)
+	switch {
+	case e.opts.ExtractCandidates:
+		// Mark-only pass, then scan to a sorted array (§5.2.2).
+		collisions = ProbeMark(tables, pairs, ws.sketch, half, ws.lo, ws.hi, ws.seen.Words())
+		ws.cand = ws.seen.AppendSet(ws.cand[:0])
+		ws.seen.ResetList(ws.cand)
+	case e.opts.UseBitvector:
+		ws.cand, collisions = probeAppend(tables, pairs, ws.sketch, half, ws.lo, ws.hi, ws.seen.Words(), ws.cand[:0])
+		ws.seen.ResetList(ws.cand)
+	default:
+		ws.cand, collisions = probeSet(tables, pairs, ws.sketch, half, ws.lo, ws.hi, ws.set, ws.cand[:0])
+	}
+	return collisions
 }
 
 // QueryBatch answers a batch in parallel with work stealing over queries
@@ -262,124 +353,6 @@ func (e *Engine) SearchBatchAppend(dst [][]Neighbor, qs []sparse.Vector, p Searc
 		dst[task], _ = e.SearchAppend(dst[task][:0], qs[task], p)
 	})
 	return dst
-}
-
-// queryOn runs the full Q1–Q4 pipeline on a private workspace, appending
-// answers to dst.
-func (e *Engine) queryOn(dst []Neighbor, q sparse.Vector, ws *workspace, p SearchParams) ([]Neighbor, QueryStats) {
-	var stats QueryStats
-	if e.st.Len() == 0 || q.NNZ() == 0 {
-		return dst, stats
-	}
-	hp := e.st.fam.Params()
-	half := uint(hp.K / 2)
-
-	// Step Q1: hash the query (cheap; the paper ignores its cost too).
-	e.st.fam.SketchInto(q, ws.scores, ws.sketch)
-
-	var t0 int64
-	if e.opts.CollectPhases {
-		t0 = now()
-	}
-
-	// Step Q2: read buckets from all L tables and deduplicate.
-	ws.cand = ws.cand[:0]
-	if e.opts.UseBitvector {
-		seen := ws.seen
-		if e.opts.ExtractCandidates {
-			// Mark-only pass, then scan to a sorted array (§5.2.2).
-			for l := range e.st.tables {
-				pr := e.pairs[l]
-				key := ws.sketch[pr.a]<<half | ws.sketch[pr.b]
-				bucket := e.st.tables[l].Bucket(key)
-				stats.Collisions += len(bucket)
-				for _, id := range bucket {
-					seen.Set(int(id))
-				}
-			}
-			ws.cand = seen.AppendSet(ws.cand)
-		} else {
-			// Mark-and-append: dedup without the sorted extraction.
-			for l := range e.st.tables {
-				pr := e.pairs[l]
-				key := ws.sketch[pr.a]<<half | ws.sketch[pr.b]
-				bucket := e.st.tables[l].Bucket(key)
-				stats.Collisions += len(bucket)
-				for _, id := range bucket {
-					if seen.TestAndSet(int(id)) {
-						ws.cand = append(ws.cand, id)
-					}
-				}
-			}
-		}
-		seen.ResetList(ws.cand)
-	} else {
-		// Unoptimized: a set container (the paper's "C++ STL set" arm).
-		set := ws.set
-		for l := range e.st.tables {
-			pr := e.pairs[l]
-			key := ws.sketch[pr.a]<<half | ws.sketch[pr.b]
-			bucket := e.st.tables[l].Bucket(key)
-			stats.Collisions += len(bucket)
-			for _, id := range bucket {
-				set[id] = struct{}{}
-			}
-		}
-		for id := range set {
-			ws.cand = append(ws.cand, id)
-			delete(set, id)
-		}
-	}
-	if e.opts.CollectPhases {
-		t1 := now()
-		e.q2ns.Add(t1 - t0)
-		t0 = t1
-	}
-
-	// Steps Q3+Q4: distance computation and radius filter, under the
-	// request's radius when one was given. The request-scoped candidate
-	// budget bounds distance computations, the work it exists to cap:
-	// tombstoned candidates are skipped for free, so a deletion-heavy
-	// candidate set does not starve the budget unevaluated, and
-	// stats.Unique is the true evaluation count either way.
-	radius := e.opts.Radius
-	if p.Radius > 0 {
-		radius = p.Radius
-	}
-	thr := sparse.CosThreshold(radius)
-	evaluated := 0
-	base := len(dst)
-	if e.opts.OptimizedDP {
-		ws.mask.Scatter(q)
-	}
-	for _, id := range ws.cand {
-		if e.deleted != nil && e.deleted.TestAtomic(int(id)) {
-			continue
-		}
-		if p.MaxCandidates > 0 && evaluated == p.MaxCandidates {
-			break
-		}
-		evaluated++
-		idx, val := e.store.Doc(int(id))
-		var dot float64
-		if e.opts.OptimizedDP {
-			dot = ws.mask.Dot(idx, val)
-		} else {
-			dot = sparse.Dot(q, sparse.Vector{Idx: idx, Val: val})
-		}
-		if dot >= thr {
-			dst = append(dst, Neighbor{ID: id, Dist: sparse.AngularDistance(dot)})
-		}
-	}
-	stats.Unique = evaluated
-	if e.opts.OptimizedDP {
-		ws.mask.Unscatter()
-	}
-	if e.opts.CollectPhases {
-		e.q3ns.Add(now() - t0)
-	}
-	stats.Results = len(dst) - base
-	return dst, stats
 }
 
 // SortNeighbors orders neighbors by ascending distance, breaking ties by ID

@@ -168,13 +168,11 @@ func (d *Table) Insert(vs []sparse.Vector) int {
 // The caller owns resetting seen; Candidates leaves exactly the returned
 // IDs set, so seen.ResetList(new portion) restores it.
 func (d *Table) Candidates(sketch []uint32, seen *bitvec.Vector, cand []uint32) ([]uint32, int) {
-	p := d.fam.Params()
-	half := uint(p.K / 2)
+	pairs := d.fam.Pairs()[:len(d.buckets)]
+	half := uint(d.fam.Params().K / 2)
 	collisions := 0
-	for l := range d.buckets {
-		a, b := lshhash.PairForTable(l, p.M)
-		key := sketch[a]<<half | sketch[b]
-		bucket := d.buckets[l][key]
+	for l, buckets := range d.buckets {
+		bucket := buckets[pairs[l].Key(sketch, half)]
 		collisions += len(bucket)
 		for _, id := range bucket {
 			if seen.TestAndSet(int(id)) {

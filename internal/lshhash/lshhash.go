@@ -69,7 +69,8 @@ func TableForPair(a, b, m int) int {
 	return a*(2*m-a-1)/2 + (b - a - 1)
 }
 
-// PairForTable inverts TableForPair.
+// PairForTable inverts TableForPair with an O(m) search — for cold callers
+// (builds, tests). Per-query code reads Family.Pairs instead.
 func PairForTable(l, m int) (a, b int) {
 	for a = 0; ; a++ {
 		rowLen := m - a - 1
@@ -80,6 +81,31 @@ func PairForTable(l, m int) (a, b int) {
 	}
 }
 
+// Pair names the two half-hash functions u_A, u_B (A < B) whose
+// concatenation keys one table.
+type Pair struct {
+	A, B uint16
+}
+
+// Key composes the table's K-bit key from a sketch (the m half-hashes of
+// one vector); half is K/2.
+func (p Pair) Key(sketch []uint32, half uint) uint32 {
+	return sketch[p.A]<<half | sketch[p.B]
+}
+
+// Pairs lists the Pair of every table 0..L−1 in TableForPair order:
+// Pairs(m)[l] equals PairForTable(l, m). A Family builds it once
+// (Family.Pairs); call it directly only where there is no family.
+func Pairs(m int) []Pair {
+	pairs := make([]Pair, 0, m*(m-1)/2)
+	for a := 0; a < m; a++ {
+		for b := a + 1; b < m; b++ {
+			pairs = append(pairs, Pair{A: uint16(a), B: uint16(b)})
+		}
+	}
+	return pairs
+}
+
 // Family holds the drawn hyperplanes. The dense plane matrix is stored
 // row-major by vocabulary entry — planes[c*NumFuncs+j] is hyperplane j's
 // coefficient for word c — so that hashing touches one contiguous slab per
@@ -88,6 +114,7 @@ func PairForTable(l, m int) (a, b int) {
 type Family struct {
 	p      Params
 	planes []float32
+	pairs  []Pair
 }
 
 // NewFamily draws a Family from p.Seed.
@@ -96,7 +123,7 @@ func NewFamily(p Params) (*Family, error) {
 		return nil, err
 	}
 	nf := p.NumFuncs()
-	f := &Family{p: p, planes: make([]float32, p.Dim*nf)}
+	f := &Family{p: p, planes: make([]float32, p.Dim*nf), pairs: Pairs(p.M)}
 	// Deterministic parallel fill: one split stream per vocabulary row.
 	master := rng.New(p.Seed)
 	rowSeeds := make([]uint64, p.Dim)
@@ -118,6 +145,11 @@ func NewFamily(p Params) (*Family, error) {
 
 // Params returns the family's parameters.
 func (f *Family) Params() Params { return f.p }
+
+// Pairs returns Pairs(M), computed once by NewFamily. The slice is shared
+// and read-only; the static engine's and the delta tables' per-query probe
+// loops both key their tables from it.
+func (f *Family) Pairs() []Pair { return f.pairs }
 
 // MemoryBytes reports the hyperplane storage footprint.
 func (f *Family) MemoryBytes() int64 { return int64(len(f.planes)) * 4 }

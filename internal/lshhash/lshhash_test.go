@@ -45,6 +45,7 @@ func TestParamsValidate(t *testing.T) {
 
 func TestPairTableRoundTrip(t *testing.T) {
 	for _, m := range []int{2, 3, 5, 16, 40} {
+		pairs := Pairs(m)
 		l := 0
 		for a := 0; a < m; a++ {
 			for b := a + 1; b < m; b++ {
@@ -55,11 +56,14 @@ func TestPairTableRoundTrip(t *testing.T) {
 				if ga != a || gb != b {
 					t.Fatalf("PairForTable(%d,%d) = (%d,%d), want (%d,%d)", l, m, ga, gb, a, b)
 				}
+				if want := (Pair{A: uint16(a), B: uint16(b)}); pairs[l] != want {
+					t.Fatalf("Pairs(%d)[%d] = %+v, want %+v", m, l, pairs[l], want)
+				}
 				l++
 			}
 		}
-		if l != m*(m-1)/2 {
-			t.Fatalf("enumerated %d pairs for m=%d", l, m)
+		if l != m*(m-1)/2 || len(pairs) != l {
+			t.Fatalf("enumerated %d pairs for m=%d, Pairs lists %d", l, m, len(pairs))
 		}
 	}
 }
@@ -175,6 +179,9 @@ func TestTableKey(t *testing.T) {
 	s := &Sketches{M: 3, Data: []uint32{0xA, 0xB, 0xC}}
 	if got := s.TableKey(0, 0, 2, 8); got != 0xA<<4|0xC {
 		t.Fatalf("TableKey = %#x", got)
+	}
+	if got := (Pair{A: 0, B: 2}).Key(s.Row(0), 4); got != 0xA<<4|0xC {
+		t.Fatalf("Pair.Key = %#x", got)
 	}
 }
 

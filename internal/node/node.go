@@ -43,6 +43,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"slices"
 	"sync"
@@ -285,15 +286,13 @@ type Node struct {
 	deletesServed  atomic.Uint64
 }
 
-// deltaWorkspace is one search's private delta-merge state.
+// deltaWorkspace is one search's private delta-segment scratch; the query's
+// sketch and mask live in the engine's workspace (core.Engine.Begin).
 //
-//plshvet:scratch owned per-search workspace (bitvec, candidate and score buffers); results are copied out before it returns to the pool
+//plshvet:scratch owned per-search workspace (segment dedup bitvec and candidate buffer); results are copied out before it returns to the pool
 type deltaWorkspace struct {
-	seen   *bitvec.Vector
-	cand   []uint32
-	mask   *sparse.QueryMask
-	scores []float32
-	sketch []uint32
+	seen *bitvec.Vector
+	cand []uint32
 }
 
 // newArena allocates a document arena for cfg: capacity rows with room
@@ -330,12 +329,7 @@ func Open(ctx context.Context, cfg Config) (*Node, error) {
 		deleted: bitvec.New(cfg.Capacity),
 	}
 	n.dwsPool.New = func() any {
-		return &deltaWorkspace{
-			seen:   bitvec.New(1024),
-			scores: make([]float32, cfg.Params.NumFuncs()),
-			sketch: make([]uint32, cfg.Params.M),
-			mask:   sparse.NewQueryMask(cfg.Params.Dim),
-		}
+		return &deltaWorkspace{seen: bitvec.New(1024)}
 	}
 	if cfg.Dir == "" {
 		n.initStaticLocked() // no readers yet; mu formality only
@@ -1218,19 +1212,23 @@ func (n *Node) QueryTopK(ctx context.Context, q sparse.Vector, k int) ([]core.Ne
 // searchOn runs the combined static+delta query against one immutable
 // snapshot under request-scoped parameters, appending raw answers to dst.
 // It takes no locks: the engine, segments and arena prefix are frozen,
-// and tombstones are read atomically. p.MaxCandidates bounds the total
-// distance computations across the static engine and the delta segments
-// combined; p.K is left to the caller (finishSearch) so the R-near set
-// stays intact for reuse.
+// and tombstones are read atomically. The query is hashed and scattered
+// once, into the engine's workspace, and the static index and every delta
+// segment are probed and verified under that one Begin. p.MaxCandidates
+// bounds the total distance computations across the static engine and the
+// delta segments combined; p.K is left to the caller (finishSearch) so the
+// R-near set stays intact for reuse.
 func (n *Node) searchOn(dst []core.Neighbor, s *snapshot, q sparse.Vector, p SearchParams) []core.Neighbor {
 	if q.NNZ() == 0 {
 		return dst
 	}
-	res, stats := s.eng.SearchAppend(dst, q, core.SearchParams{Radius: p.Radius, MaxCandidates: p.MaxCandidates})
+	ws := s.eng.Begin(q)
+	defer s.eng.End(ws)
+	res, stats := s.eng.SearchOn(dst, ws, q, core.SearchParams{Radius: p.Radius, MaxCandidates: p.MaxCandidates})
 	if len(s.segs) == 0 {
 		return res
 	}
-	budget := 0
+	budget := math.MaxInt
 	if p.MaxCandidates > 0 {
 		budget = p.MaxCandidates - stats.Unique
 		if budget <= 0 {
@@ -1241,43 +1239,18 @@ func (n *Node) searchOn(dst []core.Neighbor, s *snapshot, q sparse.Vector, p Sea
 	if p.Radius > 0 {
 		radius = p.Radius
 	}
-	ws := n.dwsPool.Get().(*deltaWorkspace)
-	defer n.dwsPool.Put(ws)
-	n.fam.SketchInto(q, ws.scores, ws.sketch)
 	thr := sparse.CosThreshold(radius)
-	useMask := n.cfg.Query.OptimizedDP
-	if useMask {
-		ws.mask.Scatter(q)
-	}
-segments:
+	dws := n.dwsPool.Get().(*deltaWorkspace)
+	defer n.dwsPool.Put(dws)
 	for _, sg := range s.segs {
-		ws.seen = ws.seen.Grow(sg.t.Len())
-		ws.cand, _ = sg.t.Candidates(ws.sketch, ws.seen, ws.cand[:0])
-		ws.seen.ResetList(ws.cand)
-		for _, localID := range ws.cand {
-			globalID := uint32(sg.base) + localID
-			if s.deleted.TestAtomic(int(globalID)) {
-				continue
-			}
-			idx, val := s.store.Doc(int(globalID))
-			var dot float64
-			if useMask {
-				dot = ws.mask.Dot(idx, val)
-			} else {
-				dot = sparse.Dot(q, sparse.Vector{Idx: idx, Val: val})
-			}
-			if dot >= thr {
-				res = append(res, core.Neighbor{ID: globalID, Dist: sparse.AngularDistance(dot)})
-			}
-			if p.MaxCandidates > 0 {
-				if budget--; budget == 0 {
-					break segments
-				}
-			}
+		dws.seen = dws.seen.Grow(sg.t.Len())
+		dws.cand, _ = sg.t.Candidates(ws.Sketch(), dws.seen, dws.cand[:0])
+		dws.seen.ResetList(dws.cand)
+		var evaluated int
+		res, evaluated = core.Verify(res, dws.cand, uint32(sg.base), s.store, s.deleted, budget, thr, ws.Mask(), q)
+		if budget -= evaluated; budget == 0 {
+			break
 		}
-	}
-	if useMask {
-		ws.mask.Unscatter()
 	}
 	return res
 }

@@ -8,6 +8,7 @@ import (
 
 	"plsh/internal/core"
 	"plsh/internal/corpus"
+	"plsh/internal/israce"
 	"plsh/internal/lshhash"
 	"plsh/internal/sparse"
 )
@@ -564,6 +565,55 @@ func TestQueryTopKNonPositiveK(t *testing.T) {
 		}
 		if len(res) != 0 {
 			t.Fatalf("k=%d returned %d answers, want 0", k, len(res))
+		}
+	}
+}
+
+// TestSearchAppendDoesNotAllocate: with the pools warm and dst at
+// capacity, a search over a static index plus frozen delta segments — the
+// engine's workspace, the segment scratch, the shared verify kernel, the
+// canonical sort — allocates nothing.
+func TestSearchAppendDoesNotAllocate(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("sync.Pool drops workspaces at random under -race")
+	}
+	cfg := testConfig(2000)
+	cfg.AutoMerge = false // hold the static/delta split open
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	docs := testDocs(600, 93)
+	if _, err := n.Insert(bg, docs[:300]); err != nil {
+		t.Fatal(err)
+	}
+	mustMerge(t, n)
+	// 200 then 40 rows: too uneven to coalesce, so two segments stay.
+	for _, batch := range [][]sparse.Vector{docs[300:500], docs[500:540]} {
+		if _, err := n.Insert(bg, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := n.Delete(7); err != nil {
+		t.Fatal(err)
+	}
+	if segs := len(n.snap.Load().segs); n.StaticLen() != 300 || segs != 2 {
+		t.Fatalf("want a static index plus two frozen segments, have static=%d segments=%d", n.StaticLen(), segs)
+	}
+	queries := docs[:540]
+	dst := make([]core.Neighbor, 0, len(docs))
+	search := func(p SearchParams) {
+		for i := 0; i < len(queries); i += 37 {
+			if _, err := n.SearchAppend(bg, dst, queries[i], p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	search(SearchParams{}) // warm both pools and grow the segment bitvector
+	for _, p := range []SearchParams{{}, {K: 5}, {MaxCandidates: 20, Radius: 1.1}} {
+		if allocs := testing.AllocsPerRun(50, func() { search(p) }); allocs != 0 {
+			t.Errorf("%+v: SearchAppend allocates %.1f times per pass, want 0", p, allocs)
 		}
 	}
 }

@@ -1,9 +1,12 @@
 package perfmodel
 
 import (
+	"slices"
 	"time"
 
 	"plsh/internal/bitvec"
+	"plsh/internal/core"
+	"plsh/internal/lshhash"
 	"plsh/internal/rng"
 	"plsh/internal/sparse"
 )
@@ -91,37 +94,19 @@ func CalibrateFor(cc CalibrationConfig) Costs {
 	}
 	halfB := cc.halfBuckets()
 	nFuncs := cc.numFuncs()
-	L := cc.M * (cc.M - 1) / 2
 
-	// --- Q2 variable part: mark a duplicated collision stream into an
-	// N-sized bitvector (the real dedup target), then recycle it.
-	{
-		bv := bitvec.New(cc.N)
-		hits := 1 << 13
-		ids := make([]uint32, hits)
-		for i := range ids {
-			ids[i] = uint32(src.Intn(cc.N))
-		}
-		var cand []uint32
-		t0 := time.Now()
-		reps := 40
-		for r := 0; r < reps; r++ {
-			cand = cand[:0]
-			for _, id := range ids {
-				if bv.TestAndSet(int(id)) {
-					cand = append(cand, id)
-				}
-			}
-			bv.ResetList(cand)
-		}
-		c.CollisionNS = float64(time.Since(t0).Nanoseconds()) / float64(reps*hits)
+	// Synthetic sketches for N documents, uniform over the 2^(k/2) values
+	// of each half-hash: the probe calibration indexes them and the
+	// construction passes partition them.
+	sk := make([]uint32, cc.N*cc.M)
+	for i := range sk {
+		sk[i] = uint32(src.Intn(halfB))
 	}
 
-	// --- Q2 fixed parts: the bitvector scan over N bits, and one bucket
-	// probe per table. The probe bench allocates the real table count L of
-	// 2^k-entry offset arrays and walks them in engine order (sequential
-	// over tables, random key per table), so the working set and access
-	// pattern match Step Q2's fixed cost.
+	// --- Q2: the engine's own staged probe kernel on a cold key stream.
+	c.TableProbeNS, c.CollisionNS = calibrateProbe(cc, sk, src)
+
+	// --- Q2 fixed part: the extraction scan over the N-bit dedup vector.
 	{
 		bv := bitvec.New(cc.N)
 		for i := 0; i < cc.N/512; i++ {
@@ -134,78 +119,38 @@ func CalibrateFor(cc CalibrationConfig) Costs {
 			out = bv.AppendSet(out[:0])
 		}
 		c.ScanNSPerWord = float64(time.Since(t0).Nanoseconds()) / float64(reps*((cc.N+63)/64))
-
-		tables := L
-		if tables > 256 {
-			tables = 256 // cap allocation; ≥ LLC-busting either way
-		}
-		offsets := make([][]uint32, tables)
-		items := make([][]uint32, tables)
-		for t := range offsets {
-			offs := make([]uint32, cc.buckets()+1)
-			var cum uint32
-			for b := range offs {
-				offs[b] = cum
-				if (b+t)%16 == 0 {
-					cum++ // sparse buckets, as at query time
-				}
-			}
-			offsets[t] = offs
-			items[t] = make([]uint32, cum+1)
-		}
-		queries := 64
-		keys := make([]uint32, queries*tables)
-		for i := range keys {
-			keys[i] = uint32(src.Intn(cc.buckets()))
-		}
-		var sink uint32
-		t0 = time.Now()
-		reps = 10
-		for r := 0; r < reps; r++ {
-			ki := 0
-			for q := 0; q < queries; q++ {
-				for t := 0; t < tables; t++ {
-					key := keys[ki]
-					ki++
-					lo, hi := offsets[t][key], offsets[t][key+1]
-					for _, it := range items[t][lo:hi] {
-						sink += it
-					}
-				}
-			}
-		}
-		c.TableProbeNS = float64(time.Since(t0).Nanoseconds()) / float64(reps*queries*tables)
-		_ = sink
 	}
 
-	// --- Q3: masked sparse dot products over an N-row document arena, so
-	// candidate loads miss caches exactly as the real Step Q3 does (the
-	// paper: ~4 cache lines of traffic per candidate).
+	// --- Q3: the engine's verify kernel over an N-row document arena, one
+	// pass in which every document is a candidate exactly once — in
+	// ascending runs, as extraction hands them over — so candidate loads
+	// miss caches exactly as the real Step Q3 does (the paper: ~4 cache
+	// lines of traffic per candidate).
 	{
-		docs := cc.N
-		mat := sparse.NewMatrix(cc.Dim, docs, docs*nnz)
-		for i := 0; i < docs; i++ {
+		mat := sparse.NewMatrix(cc.Dim, cc.N, cc.N*nnz)
+		for i := 0; i < cc.N; i++ {
 			mat.AppendRow(calDoc(draw, src, nnz))
 		}
 		q := calDoc(draw, src, nnz)
 		mask := sparse.NewQueryMask(cc.Dim)
 		mask.Scatter(q)
-		probes := 1 << 13
-		order := make([]int, probes)
-		for i := range order {
-			order[i] = src.Intn(docs)
+		order := make([]int, cc.N)
+		src.Perm(order)
+		cand := make([]uint32, cc.N)
+		for i, id := range order {
+			cand[i] = uint32(id)
 		}
-		var sink float64
+		const run = 64 // candidates per query, the order of E[#unique]
+		for lo := 0; lo < len(cand); lo += run {
+			slices.Sort(cand[lo:min(lo+run, len(cand))])
+		}
+		var dst []core.Neighbor
 		t0 := time.Now()
-		reps := 10
-		for r := 0; r < reps; r++ {
-			for _, i := range order {
-				idx, val := mat.Doc(i)
-				sink += mask.Dot(idx, val)
-			}
+		for lo := 0; lo < len(cand); lo += run {
+			ids := cand[lo:min(lo+run, len(cand))]
+			dst, _ = core.Verify(dst[:0], ids, 0, mat, nil, len(ids), sparse.CosThreshold(0.9), mask, q)
 		}
-		c.UniqueNS = float64(time.Since(t0).Nanoseconds()) / float64(reps*probes)
-		_ = sink
+		c.UniqueNS = float64(time.Since(t0).Nanoseconds()) / float64(len(cand))
 	}
 
 	// --- Hashing: the slab kernel over a pool of Zipf-skewed documents
@@ -241,10 +186,6 @@ func CalibrateFor(cc CalibrationConfig) Costs {
 	{
 		n := cc.N
 		mW := cc.M
-		sk := make([]uint32, n*mW)
-		for i := range sk {
-			sk[i] = uint32(src.Intn(halfB))
-		}
 
 		// I1: the histogram + prefix pass over sequential sketch reads
 		// (the fused build's scatter is measured separately as I2).
@@ -315,6 +256,78 @@ func CalibrateFor(cc CalibrationConfig) Costs {
 		c.SecondLevelNS = float64(time.Since(t0).Nanoseconds()) / float64(reps*n)
 	}
 	return c
+}
+
+// probeQueries is the length of each calibration key stream: distinct key
+// sets probed once each, so the probe finds the offset arrays as cold as a
+// client's next query does. (Replaying a few dozen key sets measures an
+// L2-resident probe — a fifth of the real cost at K=16/M=16.)
+const probeQueries = 4096
+
+// calibrateProbe prices Step Q2's two per-query quantities by running
+// core.ProbeMark — the kernel the engine runs — over synthetic tables of
+// the real shape: N documents with uniform sketches sk, partitioned into
+// min(L, 256) tables of 2^k buckets. Two key streams separate the
+// constants. Fresh random sketches land mostly in empty buckets (occupancy
+// N/2^k): nearly pure probe cost. The sketches of indexed documents find at
+// least themselves in every bucket, as a real query drawn from the data
+// does: about one more collision per table, and the bucket's first item
+// line with it. Solving the two totals for (per table, per collision)
+// prices a probe as the offset lookup and a collision as the item fetch
+// plus the mark.
+func calibrateProbe(cc CalibrationConfig, sk []uint32, src *rng.Source) (tableProbeNS, collisionNS float64) {
+	pairs := lshhash.Pairs(cc.M)
+	if len(pairs) > 256 {
+		pairs = pairs[:256] // cap allocation; ≥ LLC-busting either way
+	}
+	half := uint(cc.K / 2)
+	tables := make([]core.Table, len(pairs))
+	keys := make([]uint32, cc.N)
+	hist := make([]uint32, cc.buckets()+1)
+	for t, pr := range pairs {
+		for i := range keys {
+			keys[i] = pr.Key(sk[i*cc.M:(i+1)*cc.M], half)
+		}
+		tables[t] = core.Table{Offsets: make([]uint32, cc.buckets()+1), Items: make([]uint32, cc.N)}
+		partitionForCalibration(keys, hist, tables[t].Items, tables[t].Offsets)
+	}
+
+	seen := bitvec.New(cc.N)
+	lo, hi := make([]uint32, len(tables)), make([]uint32, len(tables))
+	fresh := make([]uint32, probeQueries*cc.M)
+	for i := range fresh {
+		fresh[i] = uint32(src.Intn(cc.halfBuckets()))
+	}
+	stride := max(1, cc.N/probeQueries)
+	var cand []uint32
+	// Stream 0 is the fresh sketches, stream 1 the indexed documents' own.
+	// They alternate query by query, so a change of machine speed during
+	// the pass lands on both.
+	var ns, collisions [2]float64
+	for i := 0; i < probeQueries; i++ {
+		doc := i * stride % cc.N
+		for s, sketch := range [2][]uint32{fresh[i*cc.M : (i+1)*cc.M], sk[doc*cc.M : (doc+1)*cc.M]} {
+			t0 := time.Now()
+			n := core.ProbeMark(tables, pairs, sketch, half, lo, hi, seen.Words())
+			ns[s] += float64(time.Since(t0).Nanoseconds())
+			collisions[s] += float64(n)
+			// Untimed: the engine's extraction and reset, which
+			// ScanNSPerWord prices.
+			cand = seen.AppendSet(cand[:0])
+			seen.ResetList(cand)
+		}
+	}
+
+	probes := float64(probeQueries * len(tables))
+	collisionNS = (ns[1] - ns[0]) / (collisions[1] - collisions[0])
+	tableProbeNS = (ns[0] - collisionNS*collisions[0]) / probes
+	if collisionNS <= 0 || tableProbeNS <= 0 {
+		// Timing noise swamped the split (buckets so full that one more
+		// collision per table is lost in them, or an N so small that
+		// nothing misses): charge half the self stream's time to each.
+		return ns[1] / probes / 2, ns[1] / collisions[1] / 2
+	}
+	return tableProbeNS, collisionNS
 }
 
 // secondLevelForCalibration mirrors core's second-level refinement pass,

@@ -8,6 +8,11 @@
 #                        atomicsnap, snapfreeze, lockorder, walorder
 #                        over every non-test package; analyzers run in
 #                        parallel and per-analyzer wall time is printed
+#   4. benchmark suite — benchmarks/suite is its own module (the benchmark
+#                        contract builds it from a bare checkout), so
+#                        ./... above does not reach it; go vet and
+#                        go test -short there catch an internal API change
+#                        that would break the benchmark
 #
 # Every failure prints file:line:col so CI annotations and editors can
 # jump straight to the site. Exits nonzero on the first failing stage.
@@ -33,5 +38,8 @@ bin="$(mktemp -d)/plsh-vet"
 trap 'rm -rf "$(dirname "$bin")"' EXIT
 go build -o "$bin" ./cmd/plsh-vet
 "$bin" -timing ${PLSH_VET_REPORT:+-report "$PLSH_VET_REPORT"} ./...
+
+echo "==> benchmark suite (own module)"
+(cd benchmarks/suite && go vet . && go test -short ./...)
 
 echo "static gate clean"
