@@ -16,10 +16,14 @@
 // at k=16, L=780 would spend tens of gigabytes on empty buckets. The map
 // preserves the structure's behaviour (append-only buckets, per-table
 // independence, slower-than-static queries) at memory proportional to
-// content; DESIGN.md records the substitution.
+// content. What the dense array gave for free — an empty bucket answers
+// without a hash lookup — comes back as one occupancy bitmap per table,
+// tested before the map is touched; DESIGN.md "Delta buckets" records both.
 package delta
 
 import (
+	"math/bits"
+
 	"plsh/internal/bitvec"
 	"plsh/internal/lshhash"
 	"plsh/internal/rng"
@@ -42,6 +46,13 @@ type Table struct {
 	sk      *lshhash.Sketches     // retained so merges reuse hashing work
 	n       int
 	frozen  bool
+
+	// Bucket occupancy, one bitmap per table: table l owns words
+	// occ[l*occWords:(l+1)*occWords], and bit key mod its length is set
+	// when bucket key of table l holds an item (a clear bit proves the
+	// bucket empty; a set bit may be another key's). occBits fixes the size.
+	occ      []uint64
+	occWords int
 
 	// Reservoir bucket bound (SLASH-style): when resCap > 0, every bucket
 	// holds at most resCap items, the survivors chosen by streaming
@@ -67,7 +78,46 @@ func New(fam *lshhash.Family, workers int) *Table {
 	for l := range d.buckets {
 		d.buckets[l] = make(map[uint32][]uint32)
 	}
+	d.sizeOcc(0)
 	return d
+}
+
+// occBits is the sizing rule of the occupancy bitmaps: bits per table for a
+// segment of rows rows over K-bit keys — the power of two holding at least
+// 16 bits per row, no fewer than one word, and no more than 2^K, where a
+// bit is a bucket and the bitmap is exact. A table has at most rows
+// occupied buckets, so under 2^K a probe of an empty bucket finds a set bit
+// less than once in 16 times.
+func occBits(rows, k int) int {
+	b := 1 << bits.Len(uint(max(16*rows, 64)-1))
+	return min(b, max(1<<k, 64))
+}
+
+// sizeOcc gives the bitmaps room for rows rows and reports whether it
+// replaced them (with zeroed ones: the caller re-marks the occupied
+// buckets). Bitmaps only ever grow, so a Reset table keeps its size.
+//
+//plshvet:prepublish called while building: New, and Insert and fromSketches before they fill buckets
+func (d *Table) sizeOcc(rows int) bool {
+	p := d.fam.Params()
+	words := occBits(rows, p.K) / 64
+	if words <= d.occWords {
+		return false
+	}
+	d.occ = make([]uint64, p.L()*words)
+	d.occWords = words
+	return true
+}
+
+// occOf returns table l's bitmap and the mask that takes a key to its bit.
+func (d *Table) occOf(l int) (words []uint64, mask uint32) {
+	return d.occ[l*d.occWords : (l+1)*d.occWords], uint32(d.occWords*64 - 1)
+}
+
+// markOcc records that bucket key of the table owning words is occupied.
+func markOcc(words []uint64, mask, key uint32) {
+	slot := key & mask
+	words[slot>>6] |= 1 << (slot & 63)
 }
 
 // SetReservoir bounds every bucket to at most r items via reservoir
@@ -149,12 +199,20 @@ func (d *Table) Insert(vs []sparse.Vector) int {
 	first := d.n
 	d.sk = d.fam.AppendSketches(d.sk, vs)
 	p := d.fam.Params()
+	regrown := d.sizeOcc(first + len(vs))
 	d.pool.Run(p.L(), func(l, _ int) {
 		a, b := lshhash.PairForTable(l, p.M)
 		m := d.buckets[l]
+		occ, mask := d.occOf(l)
+		if regrown {
+			for key := range m {
+				markOcc(occ, mask, key)
+			}
+		}
 		for i := range vs {
 			id := first + i
 			key := d.sk.TableKey(id, a, b, p.K)
+			markOcc(occ, mask, key)
 			d.offer(l, m, key, uint32(id))
 		}
 	})
@@ -167,21 +225,49 @@ func (d *Table) Insert(vs []sparse.Vector) int {
 // elimination, and returns the extended slice plus the raw collision count.
 // The caller owns resetting seen; Candidates leaves exactly the returned
 // IDs set, so seen.ResetList(new portion) restores it.
+//
+// The probe is staged like core's (DESIGN.md "Q2/Q3 leaf kernels"), a block
+// of tables at a time. Pass 1 composes each table's key and tests its
+// occupancy bit, writing the (table, key) pair into the block's scratch
+// unconditionally and advancing the write index by the bit — no branch on a
+// loaded word, so the bit tests of a block are all in flight together.
+// Pass 2 looks up the maps for the survivors only: a small segment occupies
+// a few percent of a table's buckets, and the lookups that cannot hit — each
+// a hash, a dependent cache miss and a branch on what it loads — are most of
+// what a delta probe used to cost.
 func (d *Table) Candidates(sketch []uint32, seen *bitvec.Vector, cand []uint32) ([]uint32, int) {
 	pairs := d.fam.Pairs()[:len(d.buckets)]
 	half := uint(d.fam.Params().K / 2)
+	occ, words := d.occ, d.occWords
+	mask := uint32(words*64 - 1)
+	var tables, keys [probeBlock]uint32
 	collisions := 0
-	for l, buckets := range d.buckets {
-		bucket := buckets[pairs[l].Key(sketch, half)]
-		collisions += len(bucket)
-		for _, id := range bucket {
-			if seen.TestAndSet(int(id)) {
-				cand = append(cand, id)
+	for l0 := 0; l0 < len(pairs); l0 += probeBlock {
+		n := 0
+		for i, pair := range pairs[l0:min(l0+probeBlock, len(pairs))] {
+			l := l0 + i
+			key := pair.Key(sketch, half)
+			slot := key & mask
+			tables[n], keys[n] = uint32(l), key
+			n += int(occ[l*words+int(slot>>6)] >> (slot & 63) & 1)
+		}
+		for i := 0; i < n; i++ {
+			bucket := d.buckets[tables[i]][keys[i]]
+			collisions += len(bucket)
+			for _, id := range bucket {
+				if seen.TestAndSet(int(id)) {
+					cand = append(cand, id)
+				}
 			}
 		}
 	}
 	return cand, collisions
 }
+
+// probeBlock is how many tables Candidates stages per pass: its scratch is
+// two arrays of this length on the stack, so the probe needs no workspace
+// and the default L = 120 is one block.
+const probeBlock = 128
 
 // FromSketches builds a frozen table over precomputed sketches: row i of sk
 // becomes delta-local ID i. Rows for which skip reports true are omitted
@@ -206,15 +292,18 @@ func fromSketches(fam *lshhash.Family, sk *lshhash.Sketches, workers int, skip f
 	}
 	d.sk = sk
 	d.n = sk.N()
+	d.sizeOcc(d.n)
 	p := fam.Params()
 	d.pool.Run(p.L(), func(l, _ int) {
 		a, b := lshhash.PairForTable(l, p.M)
 		m := d.buckets[l]
+		occ, mask := d.occOf(l)
 		for i := 0; i < d.n; i++ {
 			if skip != nil && skip(i) {
 				continue
 			}
 			key := sk.TableKey(i, a, b, p.K)
+			markOcc(occ, mask, key)
 			d.offer(l, m, key, uint32(i))
 		}
 	})
@@ -253,6 +342,15 @@ func (d *Table) Buckets(l int, fn func(key uint32, ids []uint32) bool) {
 	}
 }
 
+// Occupied reports table l's occupancy bit for key: false proves bucket key
+// empty, true sends Candidates to the map — the read-only view tests and
+// benchmarks count lookups with.
+func (d *Table) Occupied(l int, key uint32) bool {
+	words, mask := d.occOf(l)
+	slot := key & mask
+	return words[slot>>6]>>(slot&63)&1 != 0
+}
+
 // Reset empties the table (after a merge), retaining the allocated maps and
 // clearing any freeze.
 //
@@ -261,6 +359,7 @@ func (d *Table) Reset() {
 	for l := range d.buckets {
 		clear(d.buckets[l])
 	}
+	clear(d.occ)
 	for l := range d.offers {
 		clear(d.offers[l])
 		d.rngs[l] = rng.New(d.resSeed + uint64(l)*0x9e3779b97f4a7c15)
@@ -271,9 +370,9 @@ func (d *Table) Reset() {
 }
 
 // MemoryBytes approximates the structure's footprint: bucket contents plus
-// map bookkeeping plus retained sketches.
+// map bookkeeping plus occupancy bitmaps plus retained sketches.
 func (d *Table) MemoryBytes() int64 {
-	var b int64
+	b := int64(len(d.occ)) * 8
 	for l := range d.buckets {
 		for _, items := range d.buckets[l] {
 			b += int64(cap(items))*4 + 48 // slice payload + map entry overhead

@@ -2,10 +2,16 @@ package node
 
 import (
 	"context"
+	"math"
 	"slices"
 	"sync"
 	"testing"
 	"time"
+
+	"plsh/internal/core"
+	"plsh/internal/delta"
+	"plsh/internal/lshhash"
+	"plsh/internal/sparse"
 )
 
 // holdMerge installs test hooks that block n's background merge at the
@@ -326,6 +332,115 @@ func TestSegmentCoalescing(t *testing.T) {
 		if got := neighborIDs(mustQuery(t, n, vs[i])); !got[uint32(i)] {
 			t.Fatalf("doc %d lost in coalescing", i)
 		}
+	}
+}
+
+// unfilteredCandidates is the delta probe as it stood before the occupancy
+// bitmaps — every table's bucket fetched, in table order, first sightings
+// kept — rebuilt from the table's read-only bucket walk.
+func unfilteredCandidates(t *delta.Table, fam *lshhash.Family, sketch []uint32) []uint32 {
+	half := uint(fam.Params().K / 2)
+	seen := map[uint32]bool{}
+	var cand []uint32
+	for l, pair := range fam.Pairs() {
+		key := pair.Key(sketch, half)
+		t.Buckets(l, func(k uint32, ids []uint32) bool {
+			if k != key {
+				return true
+			}
+			for _, id := range ids {
+				if !seen[id] {
+					seen[id] = true
+					cand = append(cand, id)
+				}
+			}
+			return false
+		})
+	}
+	return cand
+}
+
+// TestSegmentChainAnswersMatchUnfilteredProbe pins the bitmaps' contract at
+// the node: over a live chain — coalesced segments of several sizes,
+// tombstones older and newer than the coalescing that compacts them, a
+// candidate budget that runs out mid-chain — searchOn returns exactly the
+// neighbours, in exactly the order, that the same loop returns when every
+// segment is probed without a filter.
+func TestSegmentChainAnswersMatchUnfilteredProbe(t *testing.T) {
+	cfg := testConfig(5000)
+	cfg.AutoMerge = false
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs := testDocs(1200, 47)
+	if _, err := n.Insert(bg, vs[:600]); err != nil {
+		t.Fatal(err)
+	}
+	mustMerge(t, n)
+	for _, id := range []uint32{3, 64, 599} {
+		if err := n.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for at := 600; at < 1100; { // 7-row batches: a binary-counter chain that coalesces as it grows
+		step := min(7, 1100-at)
+		if _, err := n.Insert(bg, vs[at:at+step]); err != nil {
+			t.Fatal(err)
+		}
+		if at%5 == 0 {
+			if err := n.Delete(uint32(at)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		at += step
+	}
+	for _, id := range []uint32{601, 777, 1000, 1099} {
+		if err := n.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := n.snap.Load()
+	if len(s.segs) < 3 {
+		t.Fatalf("only %d segments; the test wants a chain", len(s.segs))
+	}
+
+	reference := func(q sparse.Vector, p SearchParams) []core.Neighbor {
+		ws := s.eng.Begin(q)
+		defer s.eng.End(ws)
+		res, stats := s.eng.SearchOn(nil, ws, q, core.SearchParams{Radius: p.Radius, MaxCandidates: p.MaxCandidates})
+		budget := math.MaxInt
+		if p.MaxCandidates > 0 {
+			budget = p.MaxCandidates - stats.Unique
+		}
+		radius := cfg.Query.Radius
+		if p.Radius > 0 {
+			radius = p.Radius
+		}
+		for _, sg := range s.segs {
+			if budget <= 0 {
+				break
+			}
+			var evaluated int
+			res, evaluated = core.Verify(res, unfilteredCandidates(sg.t, n.fam, ws.Sketch()), uint32(sg.base),
+				s.store, s.deleted, budget, sparse.CosThreshold(radius), ws.Mask(), q)
+			budget -= evaluated
+		}
+		return res
+	}
+	answered := 0
+	for _, p := range []SearchParams{{}, {Radius: 1.2}, {MaxCandidates: 4}, {MaxCandidates: 25, Radius: 1.2}, {MaxCandidates: 200}} {
+		for qi := 0; qi < len(vs); qi += 13 {
+			got := n.searchOn(nil, s, vs[qi], p)
+			want := reference(vs[qi], p)
+			if !slices.Equal(got, want) {
+				t.Fatalf("params %+v, query %d:\n got %v\nwant %v", p, qi, got, want)
+			}
+			answered += len(got)
+		}
+	}
+	if answered == 0 {
+		t.Fatal("no query answered anything; the comparison is vacuous")
 	}
 }
 

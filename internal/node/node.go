@@ -250,10 +250,16 @@ type Node struct {
 	eng     *core.Engine
 	nStatic int
 
-	merging    bool
-	mergeUpTo  int           // arena rows the in-flight merge covers
-	mergeDone  chan struct{} // closed when the in-flight merge completes
-	coalescing bool          // a coalescer is rebuilding segments off-lock
+	merging   bool
+	mergeUpTo int // arena rows the in-flight merge covers
+	// A merge's done channel closes once its result is installed, its
+	// checkpoint is written, and every earlier merge's done has closed.
+	// mergeDone is the latest started merge's; installedDone is that of
+	// the merge that built the current static index, still open while its
+	// checkpoint is being written after merging has turned false.
+	mergeDone     chan struct{}
+	installedDone chan struct{}
+	coalescing    bool // a coalescer is rebuilding segments off-lock
 
 	merges       int
 	lastMergeDur time.Duration
@@ -678,8 +684,9 @@ func (n *Node) startMergeLocked(upTo int) {
 	}
 	n.merging = true
 	n.mergeUpTo = upTo
+	prev := n.mergeDone
 	n.mergeDone = make(chan struct{})
-	go n.runMerge(n.store.Prefix(upTo), n.deleted, upTo, token, n.mergeDone)
+	go n.runMerge(n.store.Prefix(upTo), n.deleted, upTo, token, prev, n.mergeDone)
 }
 
 // runMerge is the background merge pipeline: rebuild the static structure
@@ -687,9 +694,12 @@ func (n *Node) startMergeLocked(upTo int) {
 // with a brief critical section and an atomic snapshot swap. Queries and
 // inserts proceed throughout. On a durable node the merged state is then
 // checkpointed — snapshot written, sealed journal segments truncated —
-// still off-lock, before done closes (so Flush/MergeNow return with the
-// merge durable).
-func (n *Node) runMerge(prefix *sparse.Matrix, del *bitvec.Vector, upTo, token int, done chan struct{}) {
+// still off-lock, before done closes (so Flush/MergeNow/Close return with
+// the merge durable). A chained merge can start, and even finish, while
+// this one's checkpoint is being written; it waits for prev, this merge's
+// done, before closing its own, so a closed done channel means no older
+// checkpoint is in flight either.
+func (n *Node) runMerge(prefix *sparse.Matrix, del *bitvec.Vector, upTo, token int, prev, done chan struct{}) {
 	if h := testHookMergeStart; h != nil {
 		h()
 	}
@@ -715,6 +725,7 @@ func (n *Node) runMerge(prefix *sparse.Matrix, del *bitvec.Vector, upTo, token i
 	n.lastMergeDur = dur
 	n.totalMergeNS += int64(dur)
 	n.merging = false
+	n.installedDone = done
 	n.publishLocked()
 	// Sustained-ingest chaining: if the active delta outgrew η·C while this
 	// merge ran, immediately start the next one.
@@ -731,6 +742,9 @@ func (n *Node) runMerge(prefix *sparse.Matrix, del *bitvec.Vector, upTo, token i
 		if err := n.wal.Checkpoint(makeSnapshot(n.cfg, prefix, st, del, upTo), token); err != nil {
 			n.notePersistErr(err)
 		}
+	}
+	if prev != nil {
+		<-prev
 	}
 	close(done)
 }
@@ -776,20 +790,41 @@ func (n *Node) notePersistErr(err error) {
 func (n *Node) awaitMergeLocked(ctx context.Context) error {
 	done := n.mergeDone
 	n.mu.Unlock()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-done:
+	if err := awaitDone(ctx, done); err != nil {
+		return err
 	}
 	n.mu.Lock()
 	return nil
 }
 
+// awaitCheckpointLocked waits until the merge that built the current static
+// index — and so every merge before it — has written its checkpoint,
+// honoring ctx. Callers hold mu; it is released on return. With no merge
+// in flight this is what separates "the rows are static" from "the rows
+// are static and a restart will find them so".
+func (n *Node) awaitCheckpointLocked(ctx context.Context) error {
+	done := n.installedDone
+	n.mu.Unlock()
+	if done == nil {
+		return nil // nothing has merged since the node was opened
+	}
+	return awaitDone(ctx, done)
+}
+
+func awaitDone(ctx context.Context, done <-chan struct{}) error {
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-done:
+		return nil
+	}
+}
+
 // MergeNow forces every row present at the time of the call into the static
-// structure and returns once that state is reached (a quiesced merge): it
-// rotates the active delta, waits out or chains onto any in-flight merge,
-// and honors ctx while waiting. Queries and inserts are never blocked by
-// the work it triggers.
+// structure and returns once that state is reached and checkpointed (a
+// quiesced merge): it rotates the active delta, waits out or chains onto
+// any in-flight merge, and honors ctx while waiting. Queries and inserts
+// are never blocked by the work it triggers.
 func (n *Node) MergeNow(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -805,8 +840,7 @@ func (n *Node) MergeNow(ctx context.Context) error {
 			target = r
 		}
 		if n.nStatic >= target {
-			n.mu.Unlock()
-			return nil
+			return n.awaitCheckpointLocked(ctx)
 		}
 		if !n.merging {
 			n.startMergeLocked(n.store.Rows())
@@ -818,8 +852,9 @@ func (n *Node) MergeNow(ctx context.Context) error {
 }
 
 // Flush waits for any in-flight background merge (including auto-merge
-// chains) to finish without forcing one, honoring ctx. It returns nil
-// immediately when no merge is running.
+// chains) to finish, checkpoint included, without forcing one, honoring
+// ctx. It returns nil immediately when no merge is running and the last
+// one's checkpoint is on disk.
 func (n *Node) Flush(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -830,8 +865,7 @@ func (n *Node) Flush(ctx context.Context) error {
 			return err
 		}
 	}
-	n.mu.Unlock()
-	return nil
+	return n.awaitCheckpointLocked(ctx)
 }
 
 // Delete marks a node-local ID as deleted; it will not be returned by

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"plsh/internal/core"
@@ -267,6 +268,58 @@ func TestWALTruncationProperty(t *testing.T) {
 		}
 	}
 	check(0, 0)
+}
+
+// TestBarriersWaitForMergeCheckpoint: Flush, MergeNow and Close are the
+// node's "the merge is durable" barriers, so they must cover the window
+// between a background merge installing its result (MergeInFlight turns
+// false) and its checkpoint reaching the disk. Each round lands in that
+// window by polling Stats, then demands that the barrier returns with the
+// on-disk snapshot covering every static row, and that an immediate
+// Close→Open finds a snapshot and journal that agree — a checkpoint still
+// renaming the snapshot and unlinking journal segments under the replay is
+// what used to fail it with "insert at row N, expected M".
+func TestBarriersWaitForMergeCheckpoint(t *testing.T) {
+	const rounds, batch = 24, 500
+	dir := t.TempDir()
+	cfg := durableConfig(dir, rounds*batch)
+	cfg.DeltaFraction = 0.01 // every batch outgrows η·C and starts a merge
+	docs := testDocs(rounds*batch, 29)
+	for round := 0; round < rounds; round++ {
+		n, err := New(cfg)
+		if err != nil {
+			t.Fatalf("round %d: reopen: %v", round, err)
+		}
+		if n.Len() != round*batch {
+			t.Fatalf("round %d: recovered %d rows, want %d", round, n.Len(), round*batch)
+		}
+		if _, err := n.Insert(bg, docs[round*batch:(round+1)*batch]); err != nil {
+			t.Fatal(err)
+		}
+		for n.Stats().MergeInFlight {
+			runtime.Gosched()
+		}
+		barrier := []func() error{
+			func() error { return n.Flush(bg) },
+			func() error { return n.MergeNow(bg) },
+			func() error { return nil }, // Close alone
+		}[round%3]
+		if err := barrier(); err != nil {
+			t.Fatal(err)
+		}
+		if round%3 != 2 {
+			snap, err := persist.ReadSnapshot(dir)
+			if err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+			if snap.Rows != n.StaticLen() {
+				t.Fatalf("round %d: barrier returned with %d rows checkpointed, %d static", round, snap.Rows, n.StaticLen())
+			}
+		}
+		if err := n.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestSaveCheckpointTruncatesJournal: an explicit Save must leave a

@@ -259,3 +259,48 @@ func TestBucketReservoirRecall(t *testing.T) {
 		}
 	})
 }
+
+// TestStatsMemoryCountsDeltaBitmaps pins that Stats.MemoryBytes includes the
+// delta segments' occupancy bitmaps. One batch of 1025 copies of one
+// document makes a segment whose every other byte is known from outside: one
+// bucket per table holding 1025 IDs (4 bytes each, at most doubled by slice
+// growth, plus the 48-byte entry), 1025 sketches, and — 16 bits per row
+// rounded up to a power of two — 32768-bit bitmaps, 4096 bytes per table,
+// which is more than the ID slices' slack can hide.
+func TestStatsMemoryCountsDeltaBitmaps(t *testing.T) {
+	const n, k, m = 1025, 16, 16
+	const tables = m * (m - 1) / 2
+	s, err := NewStore(Config{Dim: 2000, K: k, M: m, Capacity: 20000, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	before, err := s.Stats(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := SyntheticTweets(1, 2000, 5)[0]
+	batch := make([]Vector, n)
+	for i := range batch {
+		batch[i] = doc
+	}
+	if _, err := s.Insert(bg, batch); err != nil {
+		t.Fatal(err)
+	}
+	after, err := s.Stats(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after[0].DeltaLen != n {
+		t.Fatalf("%d delta rows, want the whole batch unmerged", after[0].DeltaLen)
+	}
+	arena := int64(n * (4 + 8*doc.NNZ()))
+	buckets := int64(tables * (4*n + 48))
+	sketches := int64(n * m * 4)
+	bitmaps := int64(tables * 32768 / 8)
+	got := after[0].MemoryBytes - before[0].MemoryBytes
+	if want := arena + buckets + sketches + bitmaps; got < want {
+		t.Errorf("a %d-row segment adds %d bytes to Stats.MemoryBytes; arena %d + buckets %d + sketches %d + bitmaps %d = %d",
+			n, got, arena, buckets, sketches, bitmaps, want)
+	}
+}
