@@ -101,10 +101,10 @@ func BenchmarkTable2PLSH(b *testing.B) {
 	f := benchFixture(b)
 	st := f.static(b, 12, 10)
 	eng := core.NewEngine(st, f.col.Mat, core.QueryDefaults())
-	eng.QueryBatch(f.queries[:32])
+	eng.SearchBatchAppend(nil, f.queries[:32], core.SearchParams{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.QueryBatch(f.queries)
+		eng.SearchBatchAppend(nil, f.queries, core.SearchParams{})
 	}
 	reportPerQuery(b, len(f.queries))
 }
@@ -207,10 +207,10 @@ func BenchmarkFig7Params(b *testing.B) {
 		b.Run(fmt.Sprintf("k%dm%d", pt.k, pt.m), func(b *testing.B) {
 			st := f.static(b, pt.k, pt.m)
 			eng := core.NewEngine(st, f.col.Mat, core.QueryDefaults())
-			eng.QueryBatch(f.queries[:32])
+			eng.SearchBatchAppend(nil, f.queries[:32], core.SearchParams{})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eng.QueryBatch(f.queries)
+				eng.SearchBatchAppend(nil, f.queries, core.SearchParams{})
 			}
 			reportPerQuery(b, len(f.queries))
 		})
@@ -243,10 +243,10 @@ func BenchmarkFig8QueryThreads(b *testing.B) {
 			opts := core.QueryDefaults()
 			opts.Workers = threads
 			eng := core.NewEngine(st, f.col.Mat, opts)
-			eng.QueryBatch(f.queries[:32])
+			eng.SearchBatchAppend(nil, f.queries[:32], core.SearchParams{})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eng.QueryBatch(f.queries)
+				eng.SearchBatchAppend(nil, f.queries, core.SearchParams{})
 			}
 			reportPerQuery(b, len(f.queries))
 		})
@@ -274,12 +274,12 @@ func BenchmarkFig9Nodes(b *testing.B) {
 			if err := cl.Merge(bg); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := cl.QueryBatch(bg, f.queries[:32]); err != nil {
+			if _, _, err := cl.SearchBatch(bg, f.queries[:32]); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := cl.QueryBatch(bg, f.queries); err != nil {
+				if _, _, err := cl.SearchBatch(bg, f.queries); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -310,7 +310,7 @@ func BenchmarkClusterQueryTopK(b *testing.B) {
 		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, q := range f.queries[:32] {
-					if _, err := cl.QueryTopK(bg, q, k); err != nil {
+					if _, err := cl.Search(bg, q, WithK(k)); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -495,13 +495,13 @@ func BenchmarkFig10BatchSize(b *testing.B) {
 	st := f.static(b, 12, 10)
 	eng := core.NewEngine(st, f.col.Mat, core.QueryDefaults())
 	all := f.col.SampleQueries(1000, benchSeed+5)
-	eng.QueryBatch(all[:64])
+	eng.SearchBatchAppend(nil, all[:64], core.SearchParams{})
 	for _, bs := range []int{1, 10, 30, 100, 1000} {
 		b.Run(fmt.Sprintf("b%d", bs), func(b *testing.B) {
 			batch := all[:bs]
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eng.QueryBatch(batch)
+				eng.SearchBatchAppend(nil, batch, core.SearchParams{})
 			}
 			reportPerQuery(b, bs)
 		})
@@ -523,10 +523,17 @@ func BenchmarkFig11DeltaFill(b *testing.B) {
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			n := benchNode(b, cfg.staticN, cfg.deltaN)
-			n.QueryBatch(bg, f.queries[:32])
+			search := func(qs []sparse.Vector) {
+				res, err := n.SearchBatch(bg, qs, node.SearchParams{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				n.ReleaseResults(res)
+			}
+			search(f.queries[:32])
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				n.QueryBatch(bg, f.queries)
+				search(f.queries)
 			}
 			reportPerQuery(b, len(f.queries))
 		})
@@ -624,7 +631,7 @@ func BenchmarkQueryDuringMerge(b *testing.B) {
 	}()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := n.Query(bg, f.queries[i%len(f.queries)]); err != nil {
+		if _, err := n.Search(bg, f.queries[i%len(f.queries)], node.SearchParams{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -695,10 +702,10 @@ func BenchmarkDedupStrategy(b *testing.B) {
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			eng := core.NewEngine(st, f.col.Mat, cfg.opts)
-			eng.QueryBatch(f.queries[:32])
+			eng.SearchBatchAppend(nil, f.queries[:32], core.SearchParams{})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eng.QueryBatch(f.queries)
+				eng.SearchBatchAppend(nil, f.queries, core.SearchParams{})
 			}
 			reportPerQuery(b, len(f.queries))
 		})

@@ -54,26 +54,6 @@ func clusterOptions(cfg Config, windowM, groups int) (cluster.Options, error) {
 	return opts, nil
 }
 
-// ClusterNeighbor is a legacy cluster query answer: the replica-group
-// index (the node index when Replicas is 1), the group-local document ID,
-// and the angular distance. GlobalID packs the first two into one
-// identifier usable with Cluster.Delete.
-//
-// Deprecated: the unified Search surface answers with Match, which
-// carries the packed uint64 global ID directly. ClusterNeighbor remains
-// for the deprecated Query/QueryBatch/QueryBatchTimed/QueryTopK wrappers.
-type ClusterNeighbor = cluster.Neighbor
-
-// BatchOptions is the failure policy for a cluster broadcast: an optional
-// per-attempt timeout, whether partial results are acceptable, and the
-// replica hedge delay.
-type BatchOptions = cluster.BatchOptions
-
-// BatchReport describes how a broadcast went: per-group wall times and
-// errors plus the per-replica attempt trace, with Complete/Stragglers/
-// Failovers/HedgesWon helpers.
-type BatchReport = cluster.BatchReport
-
 // Attempt is one replica RPC of a broadcast: which group and member it
 // went to, whether it was a hedge, and how it ended. See Report.
 type Attempt = cluster.Attempt
@@ -344,37 +324,6 @@ func (cl *Cluster) SearchBatch(ctx context.Context, qs []Vector, opts ...SearchO
 	return out, report, nil
 }
 
-// Query broadcasts one query to all groups and merges the answers.
-//
-// Deprecated: use Search, which takes request-scoped options and answers
-// with global-ID Matches.
-func (cl *Cluster) Query(ctx context.Context, q Vector) ([]ClusterNeighbor, error) {
-	return cl.c.Query(ctx, q)
-}
-
-// QueryBatch broadcasts a batch, all-or-nothing: any group failure fails
-// the call (and cancels the rest of the broadcast).
-//
-// Deprecated: use SearchBatch.
-func (cl *Cluster) QueryBatch(ctx context.Context, qs []Vector) ([][]ClusterNeighbor, error) {
-	return cl.c.QueryBatch(ctx, qs)
-}
-
-// QueryBatchTimed broadcasts a batch under opts' failure policy and
-// reports per-group wall times and outcomes.
-//
-// Deprecated: use SearchBatch with WithNodeTimeout/AllowPartial.
-func (cl *Cluster) QueryBatchTimed(ctx context.Context, qs []Vector, opts BatchOptions) ([][]ClusterNeighbor, BatchReport, error) {
-	return cl.c.QueryBatchTimed(ctx, qs, opts)
-}
-
-// QueryTopK returns the k nearest of q's R-near neighbors cluster-wide.
-//
-// Deprecated: use Search with WithK.
-func (cl *Cluster) QueryTopK(ctx context.Context, q Vector, k int) ([]ClusterNeighbor, error) {
-	return cl.c.QueryTopK(ctx, q, k)
-}
-
 // Delete removes a document by its global ID from every member of its
 // replica group (a tombstone reaching only some mirrors would resurrect
 // the document on failover). An ID naming a nonexistent group or a
@@ -406,11 +355,6 @@ func (cl *Cluster) Doc(ctx context.Context, id uint64) (Vector, bool, error) {
 // without a data directory (plsh-node without -data) fail the call with
 // ErrNotDurable (possibly wrapped).
 func (cl *Cluster) Save(ctx context.Context) error { return cl.c.SaveAll(ctx) }
-
-// SaveAll checkpoints every node's data directory in parallel.
-//
-// Deprecated: renamed to Save, the uniform Index spelling.
-func (cl *Cluster) SaveAll(ctx context.Context) error { return cl.c.SaveAll(ctx) }
 
 // Merge drives every node to a fully static state, in parallel. Each
 // node's rebuild runs in the background on that node, so queries broadcast

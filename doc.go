@@ -36,9 +36,9 @@
 //		plsh.WithHedge(20*time.Millisecond))
 //
 // WithMaxCandidates bounds per-node distance computations for callers
-// that prefer a bounded answer over an exhaustive one. The legacy
-// Query/QueryBatch/QueryTopK/QueryBatchTimed methods remain as thin
-// deprecated wrappers over Search and answer identically.
+// that prefer a bounded answer over an exhaustive one. Search and
+// SearchBatch are the only query methods: a single query is a batch of
+// one, a top-k query is WithK.
 //
 // # The engine underneath
 //

@@ -87,30 +87,31 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 
 	// Identical seeds and routing → identical answers.
 	queries := docs[len(docs)-20:]
-	resR, err := remote.QueryBatch(bg, queries)
+	resR, _, err := remote.SearchBatch(bg, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resL, err := local.QueryBatch(bg, queries)
+	resL, _, err := local.SearchBatch(bg, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for qi := range queries {
-		if len(resR[qi]) != len(resL[qi]) {
-			t.Fatalf("query %d: TCP %d results, local %d", qi, len(resR[qi]), len(resL[qi]))
+		if len(resR[qi].Matches) != len(resL[qi].Matches) {
+			t.Fatalf("query %d: TCP %d results, local %d", qi, len(resR[qi].Matches), len(resL[qi].Matches))
 		}
 	}
 
 	// Top-K answers agree across transports too (identical merge input).
 	for qi, q := range queries[:5] {
-		topR, err := remote.QueryTopK(bg, q, 5)
+		resR, err := remote.Search(bg, q, WithK(5))
 		if err != nil {
 			t.Fatal(err)
 		}
-		topL, err := local.QueryTopK(bg, q, 5)
+		resL, err := local.Search(bg, q, WithK(5))
 		if err != nil {
 			t.Fatal(err)
 		}
+		topR, topL := resR.Matches, resL.Matches
 		if len(topR) != len(topL) {
 			t.Fatalf("top-k query %d: TCP %d results, local %d", qi, len(topR), len(topL))
 		}
@@ -124,16 +125,11 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 	// Newest doc findable over TCP; delete removes it.
 	last := len(docs) - 1
 	found := func() bool {
-		res, err := remote.Query(bg, docs[last])
+		res, err := remote.Search(bg, docs[last])
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, nb := range res {
-			if GlobalID(nb.Node, nb.ID) == idsR[last] {
-				return true
-			}
-		}
-		return false
+		return hasMatch(res.Matches, idsR[last])
 	}
 	if !found() {
 		t.Fatal("newest doc not found over TCP")
@@ -165,14 +161,6 @@ type slowBackend struct{}
 
 func (slowBackend) Insert(ctx context.Context, vs []sparse.Vector) ([]uint32, error) {
 	return make([]uint32, len(vs)), nil
-}
-func (slowBackend) QueryBatch(ctx context.Context, qs []sparse.Vector) ([][]core.Neighbor, error) {
-	<-ctx.Done()
-	return nil, ctx.Err()
-}
-func (slowBackend) QueryTopK(ctx context.Context, q sparse.Vector, k int) ([]core.Neighbor, error) {
-	<-ctx.Done()
-	return nil, ctx.Err()
 }
 func (slowBackend) Search(ctx context.Context, qs []sparse.Vector, p node.SearchParams) ([][]core.Neighbor, error) {
 	<-ctx.Done()
@@ -215,7 +203,7 @@ func TestDialClusterBroadcastHonorsCancellation(t *testing.T) {
 		cancel()
 	}()
 	t0 := time.Now()
-	_, err = cl.QueryBatch(ctx, docs[:5])
+	_, _, err = cl.SearchBatch(ctx, docs[:5])
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -226,17 +214,15 @@ func TestDialClusterBroadcastHonorsCancellation(t *testing.T) {
 	// A deadline works the same way.
 	dctx, dcancel := context.WithTimeout(bg, 50*time.Millisecond)
 	defer dcancel()
-	if _, err := cl.QueryBatch(dctx, docs[:5]); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, err := cl.SearchBatch(dctx, docs[:5]); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
 	}
 
 	// The same cluster answers fine when given room — but only partially,
 	// since the slow node still never replies: the partial-results policy
 	// returns the healthy node's answers and reports the straggler.
-	res, report, err := cl.QueryBatchTimed(bg, docs[:5], BatchOptions{
-		PerNodeTimeout: 100 * time.Millisecond,
-		Partial:        true,
-	})
+	res, report, err := cl.SearchBatch(bg, docs[:5],
+		WithNodeTimeout(100*time.Millisecond), AllowPartial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,14 +375,14 @@ func TestKillNineRecovery(t *testing.T) {
 	if total := st.StaticLen + st.DeltaLen; total < ackedTotal {
 		t.Fatalf("recovered %d documents, %d were acknowledged before kill -9", total, ackedTotal)
 	}
-	// Every acknowledged insert is returned by Query (ids are sequential:
+	// Every acknowledged insert is returned by Search (ids are sequential:
 	// one node, one ordered client).
 	step := 1
 	if ackedTotal > 400 {
 		step = ackedTotal / 400 // bound the wall time, still hundreds of probes
 	}
 	for i := 0; i < ackedTotal; i += step {
-		res, err := client2.QueryBatch(bg, []Vector{docs[i]})
+		res, err := client2.Search(bg, []Vector{docs[i]}, node.SearchParams{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,11 @@ package wireop
 // wire_golden_test.go pins at the byte level. Extending the protocol is
 // a two-line change reviewed together: append the op/field in wire.go,
 // append the matching lock entry here. Anything else (insertion,
-// reorder, renumber, type change, removal) fails plsh-vet.
+// reorder, renumber, type change, removal) fails plsh-vet. Retiring an
+// op is not a removal: opQueryBatch and opQueryTopK are no longer served
+// or emitted, but their constants, their numbers 2 and 3, and the
+// request.K / response.TopK fields they used stay locked here, so the
+// numbers are never reused and the gob frame layout never shifts.
 var TransportLock = Lock{
 	Path: "plsh/internal/transport",
 	Consts: []ConstLock{

@@ -149,7 +149,8 @@ func TestChainedMatchesOptimizedPLSH(t *testing.T) {
 	for qi, q := range queries {
 		res := ch.Query(q)
 		got := sortIDs(res.Neighbors)
-		want := sortIDs(eng.Query(q))
+		plsh, stats := eng.SearchAppend(nil, q, core.SearchParams{})
+		want := sortIDs(plsh)
 		if len(got) != len(want) {
 			t.Fatalf("query %d: chained %d vs plsh %d", qi, len(got), len(want))
 		}
@@ -159,7 +160,6 @@ func TestChainedMatchesOptimizedPLSH(t *testing.T) {
 			}
 		}
 		// Work accounting: distance computations equal PLSH's unique count.
-		_, stats := eng.QueryWithStats(q)
 		if res.DistComps != stats.Unique {
 			t.Fatalf("query %d: chained comps %d vs plsh unique %d", qi, res.DistComps, stats.Unique)
 		}

@@ -1,7 +1,8 @@
 // Package cluster implements the multi-node PLSH system of §4 and §5.3:
-// a coordinator that broadcasts queries to every replica group and merges
-// the partial answers, and a rolling window of M insert groups that gives
-// the system well-defined expiration of the oldest data.
+// a coordinator that sends queries to the replica groups that can hold
+// their neighbors — every group under the paper's scatter placement — and
+// merges the partial answers, and a rolling window of M insert groups that
+// gives the system well-defined expiration of the oldest data.
 //
 // Data is partitioned by document, not by table (§5.3's "second scheme"):
 // each group holds all L tables over its own subset, so queries need no
@@ -216,7 +217,7 @@ func (e *InsertError) Error() string {
 
 func (e *InsertError) Unwrap() error { return e.Err }
 
-// Cluster is the coordinator. Query methods may run concurrently with each
+// Cluster is the coordinator. Searches may run concurrently with each
 // other; Insert/Delete/Retire serialize behind an internal mutex (the
 // paper's coordinator is likewise a single insertion sequencer).
 type Cluster struct {
@@ -243,7 +244,7 @@ type Cluster struct {
 	// independent of opts.Trace, read through CoordStats. The soak harness
 	// correlates client-observed tails with these (failovers during kill
 	// windows, hedges fired under merge pressure).
-	searches       atomic.Uint64 // batches answered (Search + routed)
+	searches       atomic.Uint64 // batches answered
 	queriesServed  atomic.Uint64 // individual queries across those batches
 	failovers      atomic.Uint64 // attempts launched because a replica failed
 	hedgesLaunched atomic.Uint64 // attempts launched by the hedge timer
@@ -255,20 +256,6 @@ type Cluster struct {
 	// ReleaseResults for the ownership contract.
 	batchPool sync.Pool
 }
-
-// bcastScratch is the per-call fan-out state of Search — per-group
-// answer pointers and winning clients — recycled across broadcasts so a
-// warmed coordinator fans out without allocating. Entries are zeroed
-// before the scratch returns to the pool, so no node answer buffer is
-// retained past its release.
-//
-//plshvet:frame
-type bcastScratch struct {
-	perGroup [][][]core.Neighbor
-	winners  []transport.NodeClient
-}
-
-var bcastPool = sync.Pool{New: func() any { return new(bcastScratch) }}
 
 // New builds a single-copy coordinator (Replicas = 1) over the given
 // nodes with an insert window of windowM nodes (paper: M=4 of 100).
@@ -884,172 +871,23 @@ func (c *Cluster) drainAttempts(g, inflight int, results <-chan attemptResult) {
 	}()
 }
 
-// Search broadcasts a batch under request-scoped parameters and opts'
-// failure policy, and reports each group's wall time and outcome. It is
-// the one query path of the coordinator: every group answers the whole
-// batch through one member's Search entry point (per-query radius and
-// candidate budget applied node-side, answers pruned to p.K per group
-// when bounded) — with failover to sibling replicas on error/timeout and
-// an optional hedge against slow ones (see searchGroup) — and the
-// coordinator k-way-merges the per-group sorted partial lists per query:
-// bounded-heap selection of the global k best when p.K is set, a full
-// ordered merge otherwise. Answers come back in canonical ascending
-// (distance, group, id) order and are replica-agnostic (mirrors answer
-// identically, so which member won is visible only in the report).
-//
-// Cancellation of ctx aborts the whole broadcast early with ctx.Err().
-// Under the default all-or-nothing policy the first group failure (every
-// replica exhausted) cancels the remaining in-flight work; with
-// opts.Partial the broadcast runs to completion (each attempt bounded by
-// opts.PerNodeTimeout, if set), answers from responding groups are
-// merged, and stragglers show up only in the report — the production
-// trade of a complete answer for bounded latency.
-func (c *Cluster) Search(ctx context.Context, qs []sparse.Vector, p node.SearchParams, opts BatchOptions) ([][]Neighbor, BatchReport, error) {
-	if c.placement == PlacementPartitioned {
-		return c.searchRouted(ctx, qs, p, opts)
-	}
-	report := BatchReport{
-		Times: make([]time.Duration, c.groups),
-		Errs:  make([]error, c.groups),
-	}
-	bctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	bs := bcastPool.Get().(*bcastScratch)
-	for cap(bs.perGroup) < c.groups {
-		bs.perGroup = append(bs.perGroup[:cap(bs.perGroup)], nil)
-	}
-	for cap(bs.winners) < c.groups {
-		bs.winners = append(bs.winners[:cap(bs.winners)], nil)
-	}
-	perGroup := bs.perGroup[:c.groups]
-	winners := bs.winners[:c.groups]
-	// Registered before the ReleaseResults defer below, so it runs after
-	// it: answer buffers go back to their nodes first, then the (zeroed)
-	// scratch returns to its pool.
-	defer func() {
-		for g := range perGroup {
-			perGroup[g], winners[g] = nil, nil
-		}
-		bcastPool.Put(bs)
-	}()
-	var attempts [][]Attempt
-	if opts.Trace {
-		attempts = make([][]Attempt, c.groups)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < c.groups; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			t0 := time.Now()
-			res, winner, atts, err := c.searchGroup(bctx, g, qs, p, opts)
-			report.Times[g] = time.Since(t0)
-			if opts.Trace {
-				attempts[g] = atts
-			}
-			if err != nil {
-				report.Errs[g] = err
-				if !opts.Partial {
-					cancel() // abort the rest of the broadcast
-				}
-				return
-			}
-			perGroup[g], winners[g] = res, winner
-		}(g)
-	}
-	wg.Wait()
-	for _, atts := range attempts {
-		report.Attempts = append(report.Attempts, atts...)
-	}
-	// Whatever happens below, answered groups' result buffers go back to
-	// the members that produced them (a no-op for transports that don't
-	// pool) once the merge has copied what it needs.
-	defer func() {
-		for g, res := range perGroup {
-			if res == nil {
-				continue
-			}
-			if rel, ok := winners[g].(transport.Releaser); ok {
-				rel.ReleaseResults(res)
-			}
-		}
-	}()
-	if err := ctx.Err(); err != nil {
-		return nil, report, err
-	}
-	firstErr := firstError(report.Errs, "search", "group")
-	answered := 0
-	realFailure := false
-	for _, err := range report.Errs {
-		if err == nil {
-			answered++
-		} else if !errors.Is(err, context.Canceled) {
-			realFailure = true
-		}
-	}
-	// In all-or-nothing mode the first failure cancels its siblings; those
-	// induced cancellations are casualties, not stragglers — drop them so
-	// the report blames only the group that actually failed.
-	if !opts.Partial && realFailure {
-		for i, err := range report.Errs {
-			if err != nil && errors.Is(err, context.Canceled) {
-				report.Errs[i] = nil
-			}
-		}
-	}
-	if firstErr != nil && (!opts.Partial || answered == 0) {
-		return nil, report, firstErr
-	}
-	// Merge into recycled per-query buffers: each out entry keeps the
-	// backing capacity it grew to in earlier broadcasts, so a warmed
-	// coordinator merges a batch without allocating result storage. The
-	// caller may hand the batch back with ReleaseResults once done.
-	out := c.getBatchOut(len(qs))
-	ms := mergePool.Get().(*mergeState)
-	for qi := range qs {
-		ms.lists = ms.lists[:0]
-		ms.groups = ms.groups[:0]
-		total := 0
-		for g := 0; g < c.groups; g++ {
-			if perGroup[g] == nil || len(perGroup[g][qi]) == 0 {
-				continue
-			}
-			ms.lists = append(ms.lists, perGroup[g][qi])
-			ms.groups = append(ms.groups, g)
-			total += len(perGroup[g][qi])
-		}
-		if total == 0 {
-			continue
-		}
-		k := p.K
-		if k <= 0 {
-			k = total // unbounded: a full ordered merge
-		}
-		out[qi] = ms.mergeAppend(out[qi][:0], k)
-	}
-	ms.release()
-	c.searches.Add(1)
-	c.queriesServed.Add(uint64(len(qs)))
-	return out, report, nil
-}
-
 // probeRef locates one (query, group) probe's answer: group g's
-// sub-batch answers query j. The refs of one query are contiguous in
-// routedScratch.refs, delimited by offs.
+// sub-batch answers the query at position j. The refs of one query are
+// contiguous in searchScratch.refs, delimited by offs.
 type probeRef struct {
 	g, j int32
 }
 
-// routedScratch is the pooled per-call state of a routed search: the
-// per-group sub-batches (only the queries routed to each group), the
-// per-group answers and winning clients, and the flat probe-ref arena
-// that maps answers back to query positions. Entries holding caller or
-// node memory are zeroed before the scratch returns to the pool.
+// searchScratch is the pooled per-call state of Search: the per-group
+// sub-batches of the probe plan, the per-group answers and winning
+// clients, and the flat probe-ref arena that maps answers back to query
+// positions. Entries holding caller or node memory are zeroed before the
+// scratch returns to the pool.
 //
 //plshvet:frame
-type routedScratch struct {
-	qidx    [][]int           // per group: original query positions
-	subs    [][]sparse.Vector // per group: sub-batch, parallel to qidx
+type searchScratch struct {
+	subs    [][]sparse.Vector // per group: the sub-batch sent; empty = not contacted
+	count   []int32           // per group: routed queries so far, while planning
 	res     [][][]core.Neighbor
 	winners []transport.NodeClient
 	refs    []probeRef
@@ -1057,95 +895,122 @@ type routedScratch struct {
 	probes  []int   // router probe-set scratch
 }
 
-var routedPool = sync.Pool{New: func() any { return new(routedScratch) }}
+var searchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 
-// searchRouted is Search under partitioned placement: each query is
-// routed to the recall-bounded probe set of groups its in-radius
-// neighbors can live on (all groups when the probe set degenerates —
-// see Router.Probe), each contacted group answers only its share of the
-// batch through the same failover/hedge state machine as a scatter
-// broadcast (searchGroup — so the preferred member, failover, and
-// hedging all happen within the routed set), and pruned groups are
+// plan fills ss with the probe plan of one batch: per group the sub-batch
+// it must answer (empty = not contacted), and per query the contiguous
+// refs that find its answers again at merge time. It is the one place
+// placement is consulted. Under partitioned placement each query goes to
+// the recall-bounded probe set of groups its in-radius neighbors can live
+// on — every group when the probe set degenerates (see Router.Probe) — and
+// the sub-batches are routed copies of the query headers, sent with the
+// routing hint. Under scatter the probe set of every query is every
+// group, so each group's sub-batch is qs itself, aliased rather than
+// copied, and the frames carry no hint (they stay v1 on the wire). It
+// returns the parameters to send and the (query, group) pairs the router
+// kept and pruned — both zero on scatter, which routes nothing.
+func (c *Cluster) plan(ss *searchScratch, qs []sparse.Vector, p node.SearchParams) (_ node.SearchParams, routed, pruned int) {
+	subs, count := ss.subs, ss.count
+	ss.refs = ss.refs[:0]
+	ss.offs = append(ss.offs[:0], 0)
+	if c.router == nil {
+		for g := range subs {
+			subs[g] = qs
+		}
+		for qi := range qs {
+			for g := range subs {
+				ss.refs = append(ss.refs, probeRef{g: int32(g), j: int32(qi)})
+			}
+			ss.offs = append(ss.offs, int32(len(ss.refs)))
+		}
+		return p, 0, 0
+	}
+	for qi := range qs {
+		probes, ok := c.router.Probe(qs[qi], p.Radius, ss.probes[:0])
+		if !ok {
+			probes = probes[:0]
+			for g := range subs {
+				probes = append(probes, g)
+			}
+		}
+		for _, g := range probes {
+			ss.refs = append(ss.refs, probeRef{g: int32(g), j: count[g]})
+			count[g]++
+		}
+		ss.probes = probes[:0] // keep the grown capacity for the next query
+		ss.offs = append(ss.offs, int32(len(ss.refs)))
+	}
+	// The routed copies are carved from one fresh arena per batch, never
+	// recycled: a canceled attempt returns without waiting for its queued
+	// frame, so a transport may still be encoding a sub-batch after Search
+	// has returned.
+	arena := make([]sparse.Vector, len(ss.refs))
+	for g, n := range count {
+		subs[g], arena = arena[:n:n], arena[n:]
+	}
+	for qi := range qs {
+		for _, ref := range ss.refs[ss.offs[qi]:ss.offs[qi+1]] {
+			subs[ref.g][ref.j] = qs[qi]
+		}
+	}
+	p.Routing = node.RoutingPartitioned
+	return p, len(ss.refs), len(qs)*c.groups - len(ss.refs)
+}
+
+// Search answers a batch under request-scoped parameters and opts'
+// failure policy, and reports each group's wall time and outcome. It is
+// the one query path of the coordinator, whatever the placement: plan
+// the per-group sub-batches (see plan — a scatter broadcast is the plan
+// whose probe set is every group), fan each contacted group's sub-batch
+// out to one member's Search entry point (per-query radius and candidate
+// budget applied node-side, answers pruned to p.K per group when bounded)
+// — with failover to sibling replicas on error/timeout and an optional
+// hedge against slow ones (see searchGroup) — and k-way-merge the
+// per-group sorted partial lists back into query order through the
+// probe-ref arena: bounded-heap selection of the global k best when p.K
+// is set, a full ordered merge otherwise. Groups the plan gave nothing —
+// pruned by the router, or any group when the batch is empty — are
 // skipped entirely: zero wall time, nil error, nothing on the wire.
-// Answers merge back into query order through the probe-ref arena and
-// come out in the same canonical (distance, group, id) order as
-// scatter. The failure policy is unchanged — all-or-nothing fails the
-// batch on the first contacted group whose replicas are exhausted,
-// Partial merges what answered and names contacted stragglers — and the
-// per-batch routed/pruned totals land in the report under Trace.
-func (c *Cluster) searchRouted(ctx context.Context, qs []sparse.Vector, p node.SearchParams, opts BatchOptions) ([][]Neighbor, BatchReport, error) {
+// Answers come back in canonical ascending (distance, group, id) order
+// and are replica-agnostic (mirrors answer identically, so which member
+// won is visible only in the report). Under opts.Trace the report also
+// carries the attempt trace and, on a partitioned cluster, the routed
+// and pruned (query, group) totals.
+//
+// Cancellation of ctx aborts the whole fan-out early with ctx.Err().
+// Under the default all-or-nothing policy the first contacted group to
+// fail (every replica exhausted) cancels the remaining in-flight work;
+// with opts.Partial the fan-out runs to completion (each attempt bounded
+// by opts.PerNodeTimeout, if set), answers from responding groups are
+// merged, and stragglers show up only in the report — the production
+// trade of a complete answer for bounded latency.
+func (c *Cluster) Search(ctx context.Context, qs []sparse.Vector, p node.SearchParams, opts BatchOptions) ([][]Neighbor, BatchReport, error) {
 	report := BatchReport{
 		Times: make([]time.Duration, c.groups),
 		Errs:  make([]error, c.groups),
 	}
-	rs := routedPool.Get().(*routedScratch)
-	for cap(rs.qidx) < c.groups {
-		rs.qidx = append(rs.qidx[:cap(rs.qidx)], nil)
-	}
-	for cap(rs.subs) < c.groups {
-		rs.subs = append(rs.subs[:cap(rs.subs)], nil)
-	}
-	for cap(rs.res) < c.groups {
-		rs.res = append(rs.res[:cap(rs.res)], nil)
-	}
-	for cap(rs.winners) < c.groups {
-		rs.winners = append(rs.winners[:cap(rs.winners)], nil)
-	}
-	qidx := rs.qidx[:c.groups]
-	subs := rs.subs[:c.groups]
-	res := rs.res[:c.groups]
-	winners := rs.winners[:c.groups]
-	for g := range qidx {
-		qidx[g] = qidx[g][:0]
-		subs[g] = subs[g][:0]
-	}
+	ss := searchPool.Get().(*searchScratch)
+	ss.subs = slices.Grow(ss.subs[:0], c.groups)[:c.groups]
+	ss.count = slices.Grow(ss.count[:0], c.groups)[:c.groups]
+	ss.res = slices.Grow(ss.res[:0], c.groups)[:c.groups]
+	ss.winners = slices.Grow(ss.winners[:0], c.groups)[:c.groups]
+	subs, res, winners := ss.subs, ss.res, ss.winners
 	// Registered before the ReleaseResults defer below, so it runs after
 	// it: node answer buffers go back first, then the zeroed scratch.
 	defer func() {
-		for g := range qidx {
-			for i := range subs[g] {
-				subs[g][i] = sparse.Vector{}
-			}
-			subs[g] = subs[g][:0]
-			qidx[g] = qidx[g][:0]
-			res[g], winners[g] = nil, nil
+		for g := range subs {
+			subs[g], res[g], winners[g] = nil, nil, nil
 		}
-		routedPool.Put(rs)
+		clear(ss.count)
+		ss.refs, ss.offs, ss.probes = ss.refs[:0], ss.offs[:0], ss.probes[:0]
+		searchPool.Put(ss)
 	}()
 
-	// Build the probe plan: per-group sub-batches plus, per query, the
-	// contiguous refs that find its answers again at merge time.
-	rs.refs = rs.refs[:0]
-	rs.offs = append(rs.offs[:0], 0)
-	routedPairs := 0
-	add := func(qi, g int) {
-		rs.refs = append(rs.refs, probeRef{g: int32(g), j: int32(len(qidx[g]))})
-		qidx[g] = append(qidx[g], qi)
-		subs[g] = append(subs[g], qs[qi])
-	}
-	for qi := range qs {
-		probes, ok := c.router.Probe(qs[qi], p.Radius, rs.probes[:0])
-		if ok {
-			for _, g := range probes {
-				add(qi, g)
-			}
-			routedPairs += len(probes)
-		} else {
-			for g := 0; g < c.groups; g++ {
-				add(qi, g)
-			}
-			routedPairs += c.groups
-		}
-		rs.probes = probes[:0] // keep the grown capacity for the next query
-		rs.offs = append(rs.offs, int32(len(rs.refs)))
-	}
+	sp, routed, pruned := c.plan(ss, qs, p)
 	if opts.Trace {
-		report.RoutedGroups = routedPairs
-		report.PrunedGroups = len(qs)*c.groups - routedPairs
+		report.RoutedGroups, report.PrunedGroups = routed, pruned
 	}
 
-	rp := p
-	rp.Routing = node.RoutingPartitioned
 	bctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var attempts [][]Attempt
@@ -1154,14 +1019,14 @@ func (c *Cluster) searchRouted(ctx context.Context, qs []sparse.Vector, p node.S
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < c.groups; g++ {
-		if len(qidx[g]) == 0 {
+		if len(subs[g]) == 0 {
 			continue // pruned: zero time, nil error, nothing on the wire
 		}
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			t0 := time.Now()
-			r, winner, atts, err := c.searchGroup(bctx, g, subs[g], rp, opts)
+			r, winner, atts, err := c.searchGroup(bctx, g, subs[g], sp, opts)
 			report.Times[g] = time.Since(t0)
 			if opts.Trace {
 				attempts[g] = atts
@@ -1169,7 +1034,7 @@ func (c *Cluster) searchRouted(ctx context.Context, qs []sparse.Vector, p node.S
 			if err != nil {
 				report.Errs[g] = err
 				if !opts.Partial {
-					cancel()
+					cancel() // abort the rest of the fan-out
 				}
 				return
 			}
@@ -1180,6 +1045,9 @@ func (c *Cluster) searchRouted(ctx context.Context, qs []sparse.Vector, p node.S
 	for _, atts := range attempts {
 		report.Attempts = append(report.Attempts, atts...)
 	}
+	// Whatever happens below, answered groups' result buffers go back to
+	// the members that produced them (a no-op for transports that don't
+	// pool) once the merge has copied what it needs.
 	defer func() {
 		for g, r := range res {
 			if r == nil {
@@ -1195,19 +1063,18 @@ func (c *Cluster) searchRouted(ctx context.Context, qs []sparse.Vector, p node.S
 	}
 	firstErr := firstError(report.Errs, "search", "group")
 	answered := 0 // contacted groups that answered (pruned groups don't count)
-	realFailure := false
 	for g, err := range report.Errs {
-		if err == nil {
-			if len(qidx[g]) > 0 {
-				answered++
-			}
-		} else if !errors.Is(err, context.Canceled) {
-			realFailure = true
+		if err == nil && len(subs[g]) > 0 {
+			answered++
 		}
 	}
-	if !opts.Partial && realFailure {
+	// In all-or-nothing mode the first failure cancels its siblings; those
+	// induced cancellations are casualties, not stragglers — drop them so
+	// the report blames only the group that actually failed. (firstError
+	// prefers a real failure, so a canceled firstErr means there was none.)
+	if !opts.Partial && firstErr != nil && !errors.Is(firstErr, context.Canceled) {
 		for i, err := range report.Errs {
-			if err != nil && errors.Is(err, context.Canceled) {
+			if errors.Is(err, context.Canceled) {
 				report.Errs[i] = nil
 			}
 		}
@@ -1215,13 +1082,17 @@ func (c *Cluster) searchRouted(ctx context.Context, qs []sparse.Vector, p node.S
 	if firstErr != nil && (!opts.Partial || answered == 0) {
 		return nil, report, firstErr
 	}
+	// Merge into recycled per-query buffers: each out entry keeps the
+	// backing capacity it grew to in earlier batches, so a warmed
+	// coordinator merges a batch without allocating result storage. The
+	// caller may hand the batch back with ReleaseResults once done.
 	out := c.getBatchOut(len(qs))
 	ms := mergePool.Get().(*mergeState)
 	for qi := range qs {
 		ms.lists = ms.lists[:0]
 		ms.groups = ms.groups[:0]
 		total := 0
-		for _, ref := range rs.refs[rs.offs[qi]:rs.offs[qi+1]] {
+		for _, ref := range ss.refs[ss.offs[qi]:ss.offs[qi+1]] {
 			lists := res[ref.g]
 			if lists == nil || len(lists[ref.j]) == 0 {
 				continue
@@ -1235,7 +1106,7 @@ func (c *Cluster) searchRouted(ctx context.Context, qs []sparse.Vector, p node.S
 		}
 		k := p.K
 		if k <= 0 {
-			k = total
+			k = total // unbounded: a full ordered merge
 		}
 		out[qi] = ms.mergeAppend(out[qi][:0], k)
 	}
@@ -1274,57 +1145,6 @@ func (c *Cluster) ReleaseResults(out [][]Neighbor) {
 		return
 	}
 	c.batchPool.Put(&out)
-}
-
-// Query answers one query by broadcast.
-//
-// Deprecated: use Search.
-func (c *Cluster) Query(ctx context.Context, q sparse.Vector) ([]Neighbor, error) {
-	res, _, err := c.Search(ctx, []sparse.Vector{q}, node.SearchParams{}, BatchOptions{})
-	if err != nil {
-		return nil, err
-	}
-	// res is a pooled batch; the caller keeps the answer, so copy it out
-	// and recycle the batch instead of stranding the whole buffer behind
-	// a one-query alias.
-	out := append([]Neighbor(nil), res[0]...)
-	c.ReleaseResults(res)
-	return out, nil
-}
-
-// QueryBatch broadcasts the batch to every group in parallel and merges
-// the per-group answers, all-or-nothing.
-//
-// Deprecated: use Search.
-func (c *Cluster) QueryBatch(ctx context.Context, qs []sparse.Vector) ([][]Neighbor, error) {
-	res, _, err := c.Search(ctx, qs, node.SearchParams{}, BatchOptions{})
-	return res, err
-}
-
-// QueryBatchTimed broadcasts the batch under opts' failure policy and
-// reports each group's wall time and outcome.
-//
-// Deprecated: use Search, which carries the same policy plus the
-// request-scoped query parameters.
-func (c *Cluster) QueryBatchTimed(ctx context.Context, qs []sparse.Vector, opts BatchOptions) ([][]Neighbor, BatchReport, error) {
-	return c.Search(ctx, qs, node.SearchParams{}, opts)
-}
-
-// QueryTopK answers one query with the k nearest of its R-near neighbors
-// cluster-wide.
-//
-// Deprecated: use Search with SearchParams.K.
-func (c *Cluster) QueryTopK(ctx context.Context, q sparse.Vector, k int) ([]Neighbor, error) {
-	if k <= 0 {
-		return nil, nil
-	}
-	res, _, err := c.Search(ctx, []sparse.Vector{q}, node.SearchParams{K: k}, BatchOptions{})
-	if err != nil {
-		return nil, err
-	}
-	out := append([]Neighbor(nil), res[0]...)
-	c.ReleaseResults(res)
-	return out, nil
 }
 
 // Doc fetches the stored vector for a global ID from the group that holds
@@ -1456,21 +1276,6 @@ func (ms *mergeState) mergeAppend(dst []Neighbor, k int) []Neighbor {
 		}
 	}
 	return dst
-}
-
-// mergeTopK k-way-merges per-group ascending lists into the global top k.
-func mergeTopK(perGroup [][]core.Neighbor, k int) []Neighbor {
-	ms := mergePool.Get().(*mergeState)
-	ms.lists, ms.groups = ms.lists[:0], ms.groups[:0]
-	for g, list := range perGroup {
-		if len(list) > 0 {
-			ms.lists = append(ms.lists, list)
-			ms.groups = append(ms.groups, g)
-		}
-	}
-	out := ms.mergeAppend(make([]Neighbor, 0, min(k, 1024)), k)
-	ms.release()
-	return out
 }
 
 // Delete removes a document by global ID from every member of its group

@@ -8,7 +8,6 @@ import (
 
 	"plsh/internal/core"
 	"plsh/internal/corpus"
-	"plsh/internal/lshhash"
 	"plsh/internal/node"
 	"plsh/internal/sparse"
 	"plsh/internal/transport"
@@ -20,16 +19,7 @@ func testNodes(t *testing.T, count, capacity int) []transport.NodeClient {
 	t.Helper()
 	out := make([]transport.NodeClient, count)
 	for i := range out {
-		n, err := node.New(node.Config{
-			Params:   lshhash.Params{Dim: 2000, K: 8, M: 6, Seed: 42},
-			Capacity: capacity,
-			Build:    core.Defaults(),
-			Query:    core.QueryDefaults(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[i] = transport.NewLocal(n)
+		out[i] = transport.NewLocal(poolNode(t, capacity))
 	}
 	return out
 }
@@ -50,6 +40,19 @@ func findGlobal(ns []Neighbor, g uint64) bool {
 		}
 	}
 	return false
+}
+
+// searchOne answers one query all-or-nothing, copied out of the pooled
+// batch so the caller may keep it.
+func searchOne(t *testing.T, c *Cluster, q sparse.Vector, p node.SearchParams) []Neighbor {
+	t.Helper()
+	res, _, err := c.Search(bg, []sparse.Vector{q}, p, BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := append([]Neighbor(nil), res[0]...)
+	c.ReleaseResults(res)
+	return out
 }
 
 // fakeNode is a controllable NodeClient for failure-policy tests. Its
@@ -79,20 +82,6 @@ func (f *fakeNode) Insert(ctx context.Context, vs []sparse.Vector) ([]uint32, er
 		return nil, err
 	}
 	return make([]uint32, len(vs)), nil
-}
-
-func (f *fakeNode) QueryBatch(ctx context.Context, qs []sparse.Vector) ([][]core.Neighbor, error) {
-	if err := f.wait(ctx); err != nil {
-		return nil, err
-	}
-	return make([][]core.Neighbor, len(qs)), nil
-}
-
-func (f *fakeNode) QueryTopK(ctx context.Context, q sparse.Vector, k int) ([]core.Neighbor, error) {
-	if err := f.wait(ctx); err != nil {
-		return nil, err
-	}
-	return nil, nil
 }
 
 func (f *fakeNode) Search(ctx context.Context, qs []sparse.Vector, p node.SearchParams) ([][]core.Neighbor, error) {
@@ -180,8 +169,8 @@ func TestClusterEquivalentToSingleNode(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	singleRes, _ := single.QueryBatch(bg, queries)
-	clusterRes, err := c.QueryBatch(bg, queries)
+	singleRes, _ := single.Search(bg, queries, node.SearchParams{})
+	clusterRes, _, err := c.Search(bg, queries, node.SearchParams{}, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,10 +191,7 @@ func TestEveryInsertedDocFindable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < len(vs); i += 23 {
-		res, err := c.Query(bg, vs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := searchOne(t, c, vs[i], node.SearchParams{})
 		if !findGlobal(res, ids[i]) {
 			t.Fatalf("doc %d (gid %d) not found", i, ids[i])
 		}
@@ -225,10 +211,7 @@ func TestWindowAdvancesAndRetires(t *testing.T) {
 	if c.WindowStart() != 2 {
 		t.Fatalf("window start = %d, want 2", c.WindowStart())
 	}
-	firstBatchRes, err := c.Query(bg, vs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	firstBatchRes := searchOne(t, c, vs[0], node.SearchParams{})
 	if len(firstBatchRes) == 0 {
 		t.Fatal("doc 0 missing before wrap")
 	}
@@ -260,16 +243,13 @@ func TestOldestDataExpires(t *testing.T) {
 	}
 	// The first 200 docs lived on nodes 0-1, which were retired during the
 	// wrap; they must no longer be findable at their original identity.
-	res, err := c.Query(bg, vs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := searchOne(t, c, vs[0], node.SearchParams{})
 	if findGlobal(res, ids[0]) {
 		t.Fatal("expired doc still answers at its original global ID")
 	}
 	// The last docs must be findable.
 	last := len(vs) - 1
-	res, _ = c.Query(bg, vs[last])
+	res = searchOne(t, c, vs[last], node.SearchParams{})
 	if !findGlobal(res, ids[last]) {
 		t.Fatal("most recent doc not found")
 	}
@@ -283,7 +263,7 @@ func TestDeleteByGlobalID(t *testing.T) {
 	if err := c.Delete(bg, ids[42]); err != nil {
 		t.Fatal(err)
 	}
-	res, _ := c.Query(bg, vs[42])
+	res := searchOne(t, c, vs[42], node.SearchParams{})
 	if findGlobal(res, ids[42]) {
 		t.Fatal("deleted doc returned")
 	}
@@ -297,7 +277,7 @@ func TestQueryBatchTimedReportsAllNodes(t *testing.T) {
 	c, _ := New(bg, nodes, 5)
 	vs := testDocs(250, 15)
 	c.Insert(bg, vs)
-	_, report, err := c.QueryBatchTimed(bg, vs[:10], BatchOptions{})
+	_, report, err := c.Search(bg, vs[:10], node.SearchParams{}, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +311,7 @@ func TestCanceledContextAbortsBroadcast(t *testing.T) {
 		cancel()
 	}()
 	t0 := time.Now()
-	_, _, err = c.QueryBatchTimed(ctx, testDocs(3, 17), BatchOptions{})
+	_, _, err = c.Search(ctx, testDocs(3, 17), node.SearchParams{}, BatchOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -351,82 +331,13 @@ func TestDeadlineAbortsBroadcast(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(bg, 30*time.Millisecond)
 	defer cancel()
-	if _, _, err := c.QueryBatchTimed(ctx, testDocs(3, 17), BatchOptions{}); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, err := c.Search(ctx, testDocs(3, 17), node.SearchParams{}, BatchOptions{}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
 	}
 }
 
-// Partial policy: answers from healthy nodes come back; the failed node is
-// reported as a straggler instead of failing the batch.
-func TestPartialResultsPolicy(t *testing.T) {
-	real := testNodes(t, 2, 1000)
-	bad := &fakeNode{capacity: 100, err: errors.New("node down")}
-	nodes := []transport.NodeClient{real[0], bad, real[1]}
-	c, err := New(bg, nodes, 1) // window node 0 only → inserts land on real[0]
-	if err != nil {
-		t.Fatal(err)
-	}
-	vs := testDocs(100, 19)
-	ids, err := c.Insert(bg, vs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// All-or-nothing: the dead node fails the whole batch.
-	if _, _, err := c.QueryBatchTimed(bg, vs[:5], BatchOptions{}); err == nil {
-		t.Fatal("all-or-nothing broadcast succeeded with a dead node")
-	}
-
-	// Partial: healthy answers arrive, the dead node is reported.
-	res, report, err := c.QueryBatchTimed(bg, vs[:5], BatchOptions{Partial: true})
-	if err != nil {
-		t.Fatalf("partial broadcast failed: %v", err)
-	}
-	if report.Complete() {
-		t.Fatal("report claims completeness with a dead node")
-	}
-	if s := report.Stragglers(); len(s) != 1 || s[0] != 1 {
-		t.Fatalf("stragglers = %v, want [1]", s)
-	}
-	if !findGlobal(res[0], ids[0]) {
-		t.Fatal("healthy node's answer missing from partial results")
-	}
-}
-
-// Per-node timeout: a slow node is cut off and reported while the rest of
-// the broadcast completes.
-func TestPerNodeTimeoutReportsStraggler(t *testing.T) {
-	real := testNodes(t, 1, 1000)
-	slow := &fakeNode{capacity: 100, delay: time.Hour}
-	nodes := []transport.NodeClient{real[0], slow}
-	c, err := New(bg, nodes, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vs := testDocs(50, 21)
-	if _, err := c.Insert(bg, vs); err != nil {
-		t.Fatal(err)
-	}
-	res, report, err := c.QueryBatchTimed(bg, vs[:3], BatchOptions{
-		PerNodeTimeout: 50 * time.Millisecond,
-		Partial:        true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := report.Stragglers(); len(s) != 1 || s[0] != 1 {
-		t.Fatalf("stragglers = %v, want [1]", s)
-	}
-	if !errors.Is(report.Errs[1], context.DeadlineExceeded) {
-		t.Fatalf("straggler error = %v, want DeadlineExceeded", report.Errs[1])
-	}
-	if len(res) != 3 {
-		t.Fatalf("partial results missing: %d answer lists", len(res))
-	}
-}
-
-// QueryTopK must agree with sorting the full broadcast answer and keeping
-// the k best.
+// A K-bounded Search must agree with sorting the full broadcast answer and
+// keeping the k best.
 func TestQueryTopKMatchesBroadcast(t *testing.T) {
 	nodes := testNodes(t, 4, 200)
 	c, _ := New(bg, nodes, 2)
@@ -437,19 +348,13 @@ func TestQueryTopKMatchesBroadcast(t *testing.T) {
 	queries := testDocs(15, 25)
 	for _, k := range []int{1, 5, 20} {
 		for qi, q := range queries {
-			full, err := c.Query(bg, q)
-			if err != nil {
-				t.Fatal(err)
-			}
+			full := searchOne(t, c, q, node.SearchParams{})
 			want := append([]Neighbor(nil), full...)
 			sortClusterNeighbors(want)
 			if k < len(want) {
 				want = want[:k]
 			}
-			got, err := c.QueryTopK(bg, q, k)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := searchOne(t, c, q, node.SearchParams{K: k})
 			if len(got) != len(want) {
 				t.Fatalf("k=%d query %d: %d results, want %d", k, qi, len(got), len(want))
 			}
@@ -459,10 +364,6 @@ func TestQueryTopKMatchesBroadcast(t *testing.T) {
 				}
 			}
 		}
-	}
-	// k ≤ 0 yields nothing.
-	if res, err := c.QueryTopK(bg, queries[0], 0); err != nil || len(res) != 0 {
-		t.Fatalf("k=0: %v %v", res, err)
 	}
 }
 
@@ -530,7 +431,7 @@ func TestInsertLargerThanClusterWraps(t *testing.T) {
 	if len(ids) != 250 {
 		t.Fatalf("ids = %d", len(ids))
 	}
-	res, _ := c.Query(bg, vs[249])
+	res := searchOne(t, c, vs[249], node.SearchParams{})
 	if !findGlobal(res, ids[249]) {
 		t.Fatal("newest doc missing after wrap")
 	}
@@ -572,10 +473,7 @@ func TestMergeAllNonBlockingAndFlushAll(t *testing.T) {
 	// Broadcasts issued while the cluster-wide merge runs must answer from
 	// the nodes' snapshots, not buffer behind the rebuilds.
 	for i := 0; i < len(docs); i += 67 {
-		res, err := c.Query(bg, docs[i])
-		if err != nil {
-			t.Fatalf("query during MergeAll: %v", err)
-		}
+		res := searchOne(t, c, docs[i], node.SearchParams{})
 		if !findGlobal(res, ids[i]) {
 			t.Fatalf("doc %d missing during MergeAll", i)
 		}

@@ -11,7 +11,6 @@ import (
 	"plsh/internal/core"
 	"plsh/internal/lshhash"
 	"plsh/internal/node"
-	"plsh/internal/sparse"
 	"plsh/internal/transport"
 )
 
@@ -56,130 +55,21 @@ func waitOutstandingZero(t *testing.T, nodes ...*node.Node) {
 	}
 }
 
-// slowDeliver wraps a member: Search computes the answer first — checking
-// a pooled batch out of the member's pool — and only then sleeps, modeling
-// a replica that is healthy but slow to deliver. The sleep deliberately
-// ignores cancellation: the computed answer is already in flight, exactly
-// the late-loser shape that used to strand its buffers.
-type slowDeliver struct {
-	transport.NodeClient
-	delay time.Duration
-}
-
-func (s *slowDeliver) Search(ctx context.Context, qs []sparse.Vector, p node.SearchParams) ([][]core.Neighbor, error) {
-	res, err := s.NodeClient.Search(ctx, qs, p)
-	time.Sleep(s.delay)
-	return res, err
-}
-
-// ReleaseResults forwards to the wrapped member's pool. Embedding does not
-// provide it: Releaser is deliberately not part of NodeClient.
-func (s *slowDeliver) ReleaseResults(res [][]core.Neighbor) {
-	if rel, ok := s.NodeClient.(transport.Releaser); ok {
-		rel.ReleaseResults(res)
-	}
-}
-
-// TestHedgedLoserReleasesPooledBatch pins the searchGroup drain fix: a
-// hedged search whose preferred replica answers successfully but slowly
-// used to leave that loser's result sitting unread in the buffered
-// results channel, its pooled batch checked out of the node forever. The
-// group must drain resolved-but-late attempts and hand their buffers
-// back.
-func TestHedgedLoserReleasesPooledBatch(t *testing.T) {
-	n0, n1 := poolNode(t, 200), poolNode(t, 200)
-	clients := []transport.NodeClient{
-		// Replica 0 is first in rotation for the first search; it computes
-		// its answer immediately but delivers long after the hedge fires,
-		// so the hedged replica 1 wins and replica 0 is a late loser with
-		// a checked-out batch.
-		&slowDeliver{NodeClient: transport.NewLocal(n0), delay: 60 * time.Millisecond},
-		transport.NewLocal(n1),
-	}
-	c, err := NewReplicated(bg, clients, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vs := testDocs(50, 7)
-	if _, err := c.Insert(bg, vs); err != nil {
-		t.Fatal(err)
-	}
-	res, rep, err := c.Search(bg, vs[:4], node.SearchParams{}, BatchOptions{Hedge: time.Millisecond, Trace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.HedgesWon() == 0 {
-		t.Fatal("hedge did not win the group; the test lost its late loser")
-	}
-	c.ReleaseResults(res)
-	waitOutstandingZero(t, n0, n1)
-}
-
-// TestCallerCancelReleasesInflightBatches pins the ctx.Done() drain path:
-// when the caller gives up while replicas are still delivering, their
-// eventual successful answers must still be handed back to the pools.
-func TestCallerCancelReleasesInflightBatches(t *testing.T) {
-	n0, n1 := poolNode(t, 200), poolNode(t, 200)
-	clients := []transport.NodeClient{
-		&slowDeliver{NodeClient: transport.NewLocal(n0), delay: 50 * time.Millisecond},
-		&slowDeliver{NodeClient: transport.NewLocal(n1), delay: 50 * time.Millisecond},
-	}
-	c, err := NewReplicated(bg, clients, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vs := testDocs(50, 7)
-	if _, err := c.Insert(bg, vs); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(bg, 5*time.Millisecond)
-	defer cancel()
-	// Hedge well inside the caller's deadline so both replicas are in
-	// flight — both computed, both sleeping — when the caller gives up.
-	_, _, err = c.Search(ctx, vs[:4], node.SearchParams{}, BatchOptions{Hedge: time.Millisecond})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("search returned %v, want deadline exceeded", err)
-	}
-	waitOutstandingZero(t, n0, n1)
-}
-
-// flakyMember wraps a member with randomized delivery delay and injected
-// post-compute failures: Search checks a pooled batch out of the inner
-// member, sleeps, and then either delivers it or — modeling a transport
-// that computed an answer the caller never receives — releases it itself
-// and reports an error.
-type flakyMember struct {
-	transport.NodeClient
-	mu  sync.Mutex
-	rng *rand.Rand
-}
-
 var errInjected = errors.New("injected member failure")
 
-func (f *flakyMember) plan() (delay time.Duration, fail bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return time.Duration(f.rng.Intn(2000)) * time.Microsecond, f.rng.Intn(4) == 0
-}
-
-func (f *flakyMember) Search(ctx context.Context, qs []sparse.Vector, p node.SearchParams) ([][]core.Neighbor, error) {
-	delay, fail := f.plan()
-	res, err := f.NodeClient.Search(ctx, qs, p)
-	time.Sleep(delay)
-	if err != nil {
-		return nil, err
-	}
-	if fail {
-		f.ReleaseResults(res)
-		return nil, errInjected
-	}
-	return res, nil
-}
-
-func (f *flakyMember) ReleaseResults(res [][]core.Neighbor) {
-	if rel, ok := f.NodeClient.(transport.Releaser); ok {
-		rel.ReleaseResults(res)
-	}
+// flakyMember is a faultMember whose delivery delay and post-compute
+// failure are drawn afresh from rng on every search.
+func flakyMember(inner transport.NodeClient, rng *rand.Rand) *faultMember {
+	var mu sync.Mutex
+	return &faultMember{NodeClient: inner, roll: func() (time.Duration, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		delay := time.Duration(rng.Intn(2000)) * time.Microsecond
+		if rng.Intn(4) == 0 {
+			return delay, errInjected
+		}
+		return delay, nil
+	}}
 }
 
 // TestSearchGroupInterleavingsReleaseAllBatches drives the failover/hedge
@@ -196,10 +86,7 @@ func TestSearchGroupInterleavingsReleaseAllBatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := range nodes {
 		nodes[i] = poolNode(t, 200)
-		clients[i] = &flakyMember{
-			NodeClient: transport.NewLocal(nodes[i]),
-			rng:        rand.New(rand.NewSource(int64(i + 100))),
-		}
+		clients[i] = flakyMember(transport.NewLocal(nodes[i]), rand.New(rand.NewSource(int64(i+100))))
 	}
 	c, err := NewReplicated(bg, clients, 1, replicas)
 	if err != nil {

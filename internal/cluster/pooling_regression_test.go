@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"plsh/internal/core"
-	"plsh/internal/node"
-	"plsh/internal/sparse"
 )
 
 // TestMergeStateReleaseDropsReferences pins the fix plsh-vet's poolzero
@@ -48,52 +46,6 @@ func TestMergeStateReleaseDropsReferences(t *testing.T) {
 	for i, p := range ms.h[:nh] {
 		if p != nil {
 			t.Errorf("h[%d] still points into the cursor arena after release", i)
-		}
-	}
-}
-
-// TestQueryCopiesOutOfPooledBatch pins the fix releasecheck first
-// caught: Query returned res[0] — an alias into the pooled batch — so
-// it could neither release the batch (the alias would be recycled under
-// the caller) nor recycle the buffers. Query now copies the one answer
-// out and releases; the copy must stay intact while later broadcasts
-// reuse and overwrite the recycled buffers.
-func TestQueryCopiesOutOfPooledBatch(t *testing.T) {
-	nodes := testNodes(t, 2, 200)
-	c, err := New(bg, nodes, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vs := testDocs(100, 3)
-	if _, err := c.Insert(bg, vs); err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Query(bg, vs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) == 0 {
-		t.Fatal("doc 0 not found by its own query")
-	}
-	snapshot := append([]Neighbor(nil), res...)
-	// Hammer the recycled batch buffers: each broadcast gets the pooled
-	// storage back, and scribbling over its answers before releasing
-	// would show through any alias Query had kept.
-	for i := 0; i < 8; i++ {
-		batch, _, err := c.Search(bg, []sparse.Vector{vs[1], vs[2]}, node.SearchParams{}, BatchOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for qi := range batch {
-			for j := range batch[qi] {
-				batch[qi][j] = Neighbor{Node: -1, ID: 0xdead, Dist: -1}
-			}
-		}
-		c.ReleaseResults(batch)
-	}
-	for i := range res {
-		if res[i] != snapshot[i] {
-			t.Fatalf("Query answer %d mutated by later broadcasts: result aliases the pooled batch", i)
 		}
 	}
 }

@@ -75,10 +75,7 @@ func TestReplicatedInsertMirrors(t *testing.T) {
 	// group serve at least once.
 	for pass := 0; pass < 2; pass++ {
 		for i := 0; i < len(vs); i += 37 {
-			res, err := c.Query(bg, vs[i])
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := searchOne(t, c, vs[i], node.SearchParams{})
 			if !findGlobal(res, ids[i]) {
 				t.Fatalf("pass %d: doc %d (gid %d) not found", pass, i, ids[i])
 			}
@@ -129,62 +126,6 @@ func TestReplicatedSearchFailsOver(t *testing.T) {
 	// Exactly one of the two searches preferred the dead replica first.
 	if failovers != 1 {
 		t.Fatalf("failovers across both preference orders = %d, want 1", failovers)
-	}
-}
-
-// TestReplicatedSearchWholeGroupDown: when every replica of a group is
-// dead the group fails as a unit — all-or-nothing fails the call, and
-// AllowPartial degrades to the documented partial answer with that group
-// named in the report.
-func TestReplicatedSearchWholeGroupDown(t *testing.T) {
-	dead := errors.New("node down")
-	nodes := []transport.NodeClient{
-		&fakeNode{capacity: 100, err: dead}, // group 0
-		&fakeNode{capacity: 100, err: dead},
-		&fakeNode{capacity: 100}, // group 1
-		&fakeNode{capacity: 100},
-	}
-	c, err := NewReplicated(bg, nodes, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := testDocs(2, 45)
-
-	// All-or-nothing: the dead group fails the whole batch, blamed on it.
-	_, report, err := c.Search(bg, qs, node.SearchParams{}, BatchOptions{Trace: true})
-	if err == nil {
-		t.Fatal("all-or-nothing broadcast succeeded with a whole group dead")
-	}
-	if !errors.Is(err, dead) {
-		t.Fatalf("batch error does not carry the group failure: %v", err)
-	}
-
-	// Partial: group 1 answers; group 0 is the straggler, having tried
-	// both replicas.
-	res, report, err := c.Search(bg, qs, node.SearchParams{}, BatchOptions{Partial: true, Trace: true})
-	if err != nil {
-		t.Fatalf("partial broadcast failed: %v", err)
-	}
-	if len(res) != 2 {
-		t.Fatalf("%d answer lists", len(res))
-	}
-	if report.Complete() {
-		t.Fatal("report claims completeness with a dead group")
-	}
-	if s := report.Stragglers(); len(s) != 1 || s[0] != 0 {
-		t.Fatalf("stragglers = %v, want [0] (the dead group)", s)
-	}
-	tried := 0
-	for _, a := range report.Attempts {
-		if a.Group == 0 {
-			tried++
-			if a.Won {
-				t.Fatal("dead group recorded a winning attempt")
-			}
-		}
-	}
-	if tried != 2 {
-		t.Fatalf("dead group tried %d replicas, want 2 (both before giving up)", tried)
 	}
 }
 
@@ -344,10 +285,7 @@ func TestReplicatedDeleteReachesAllMirrors(t *testing.T) {
 	}
 	// Both passes: the rotating preference makes each replica serve once.
 	for pass := 0; pass < 2; pass++ {
-		res, err := c.Query(bg, vs[7])
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := searchOne(t, c, vs[7], node.SearchParams{})
 		if findGlobal(res, ids[7]) {
 			t.Fatalf("pass %d: deleted doc served by a mirror", pass)
 		}
@@ -418,18 +356,12 @@ func TestReplicatedWindowRetiresWholeGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Query(bg, vs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := searchOne(t, c, vs[0], node.SearchParams{})
 	if findGlobal(res, ids[0]) {
 		t.Fatal("expired doc still answers at its original global ID")
 	}
 	last := len(vs) - 1
-	res, err = c.Query(bg, vs[last])
-	if err != nil {
-		t.Fatal(err)
-	}
+	res = searchOne(t, c, vs[last], node.SearchParams{})
 	if !findGlobal(res, ids[last]) {
 		t.Fatal("most recent doc not found after wrap")
 	}
@@ -466,11 +398,11 @@ func TestReplicatedEquivalentToSingleCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	singleRes, err := single.QueryBatch(bg, queries)
+	singleRes, err := single.Search(bg, queries, node.SearchParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	clusterRes, err := c.QueryBatch(bg, queries)
+	clusterRes, _, err := c.Search(bg, queries, node.SearchParams{}, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -213,6 +213,30 @@ type Fleet struct {
 	Nodes []*Node
 }
 
+// reserveAddrs returns n pairwise distinct loopback TCP addresses. All n
+// listeners are held open until every address is recorded and only then
+// closed together: while a listener holds its port the kernel cannot hand
+// that port to a later listen-on-0, which closing inside the loop allowed
+// — two nodes of one fleet on one port, one process answering as both.
+func reserveAddrs(n int) ([]string, error) {
+	addrs := make([]string, n)
+	listeners := make([]net.Listener, 0, n)
+	defer func() {
+		for _, l := range listeners {
+			l.Close() // nothing was accepted or written; the port is all that was held
+		}
+	}()
+	for i := range addrs {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return nil, fmt.Errorf("clustertest: reserve address %d of %d: %w", i+1, n, err)
+		}
+		listeners = append(listeners, l)
+		addrs[i] = l.Addr().String()
+	}
+	return addrs, nil
+}
+
 // Spawn builds the node binary, reserves n TCP addresses, and launches n
 // durable node processes, each with its own data directory under
 // dataRoot plus the given extra flags (dimensions, seed, ...). On error,
@@ -223,14 +247,12 @@ func Spawn(n int, dataRoot string, extraArgs ...string) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
+	addrs, err := reserveAddrs(n)
+	if err != nil {
+		return nil, err
+	}
 	f := &Fleet{}
-	for i := 0; i < n; i++ {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		addr := l.Addr().String()
-		l.Close()
+	for i, addr := range addrs {
 		dir := filepath.Join(dataRoot, fmt.Sprintf("node-%02d", i))
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, err

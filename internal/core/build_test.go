@@ -149,7 +149,7 @@ func TestBuildEmptyMatrix(t *testing.T) {
 	}
 	// Queries against an empty index return nothing and do not panic.
 	eng := NewEngine(st, empty, QueryDefaults())
-	if res := eng.Query(sparse.Vector{Idx: []uint32{1}, Val: []float32{1}}); res != nil {
+	if res := searchOne(eng, sparse.Vector{Idx: []uint32{1}, Val: []float32{1}}); res != nil {
 		t.Fatalf("query on empty index returned %v", res)
 	}
 }

@@ -92,12 +92,12 @@ func TestCompactMatchesFiltering(t *testing.T) {
 	for qi := 0; qi < n; qi += 29 {
 		q := col.Mat.Row(qi)
 		var want []Neighbor
-		for _, nb := range plain.Query(q) {
+		for _, nb := range searchOne(plain, q) {
 			if !drop(nb.ID) {
 				want = append(want, nb)
 			}
 		}
-		got := ceng.Query(q)
+		got := searchOne(ceng, q)
 		SortNeighbors(want)
 		SortNeighbors(got)
 		if len(got) != len(want) {

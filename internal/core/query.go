@@ -190,29 +190,6 @@ func (e *Engine) ResetPhases() {
 	e.q3ns.Store(0)
 }
 
-// Query answers a single query with the engine's configured defaults.
-func (e *Engine) Query(q sparse.Vector) []Neighbor {
-	res, _ := e.QueryWithStats(q)
-	return res
-}
-
-// QueryWithStats answers a single query and reports work counts.
-func (e *Engine) QueryWithStats(q sparse.Vector) ([]Neighbor, QueryStats) {
-	return e.SearchWithStats(q, SearchParams{})
-}
-
-// Search answers a single query under request-scoped parameters.
-func (e *Engine) Search(q sparse.Vector, p SearchParams) []Neighbor {
-	res, _ := e.SearchWithStats(q, p)
-	return res
-}
-
-// SearchWithStats answers a single query under request-scoped parameters
-// and reports work counts.
-func (e *Engine) SearchWithStats(q sparse.Vector, p SearchParams) ([]Neighbor, QueryStats) {
-	return e.SearchAppend(nil, q, p)
-}
-
 // SearchAppend answers a single query under request-scoped parameters,
 // appending the answers to dst and returning the extended slice (the
 // append contract of strconv.AppendInt and friends). Passing a slice with
@@ -314,27 +291,6 @@ func (e *Engine) probe(ws *Workspace) (collisions int) {
 		ws.cand, collisions = probeSet(tables, pairs, ws.sketch, half, ws.lo, ws.hi, ws.set, ws.cand[:0])
 	}
 	return collisions
-}
-
-// QueryBatch answers a batch in parallel with work stealing over queries
-// (§5.2 "Parallelism": queries are independent tasks; batching trades
-// latency for throughput, Fig. 10).
-func (e *Engine) QueryBatch(qs []sparse.Vector) [][]Neighbor {
-	out := make([][]Neighbor, len(qs))
-	e.pool.Run(len(qs), func(task, worker int) {
-		out[task] = e.Query(qs[task])
-	})
-	return out
-}
-
-// QueryBatchStats answers a batch and reports per-query work counts.
-func (e *Engine) QueryBatchStats(qs []sparse.Vector) ([][]Neighbor, []QueryStats) {
-	out := make([][]Neighbor, len(qs))
-	stats := make([]QueryStats, len(qs))
-	e.pool.Run(len(qs), func(task, worker int) {
-		out[task], stats[task] = e.QueryWithStats(qs[task])
-	})
-	return out, stats
 }
 
 // SearchBatchAppend answers a batch in parallel, reusing dst: entry i is

@@ -36,6 +36,12 @@ func newQueryFixture(t *testing.T, nDocs, nQueries int) *queryFixture {
 	return &queryFixture{fam: fam, mat: c.Mat, st: st, queries: c.SampleQueries(nQueries, 99)}
 }
 
+// searchOne answers q with the engine's configured defaults.
+func searchOne(e *Engine, q sparse.Vector) []Neighbor {
+	res, _ := e.SearchAppend(nil, q, SearchParams{})
+	return res
+}
+
 // candidateSet computes, by brute force, the documents sharing at least one
 // bucket with q — the exact candidate set an LSH query must consider.
 func (f *queryFixture) candidateSet(q sparse.Vector) map[uint32]bool {
@@ -81,7 +87,7 @@ func TestQueryMatchesBruteForceCandidates(t *testing.T) {
 					want[id] = true
 				}
 			}
-			got := eng.Query(q)
+			got := searchOne(eng, q)
 			if len(got) != len(want) {
 				t.Fatalf("opts %+v query %d: got %d results, want %d", opts, qi, len(got), len(want))
 			}
@@ -109,10 +115,10 @@ func TestAllQueryOptionsAgree(t *testing.T) {
 		NewEngine(f.st, sparse.NewScatteredStore(f.mat), QueryDefaults()),
 	}
 	for qi, q := range f.queries {
-		want := base.Query(q)
+		want := searchOne(base, q)
 		SortNeighbors(want)
 		for vi, eng := range variants {
-			got := eng.Query(q)
+			got := searchOne(eng, q)
 			SortNeighbors(got)
 			if len(got) != len(want) {
 				t.Fatalf("variant %d query %d: %d vs %d results", vi, qi, len(got), len(want))
@@ -129,9 +135,9 @@ func TestAllQueryOptionsAgree(t *testing.T) {
 func TestQueryBatchMatchesSingles(t *testing.T) {
 	f := newQueryFixture(t, 300, 40)
 	eng := NewEngine(f.st, f.mat, QueryDefaults())
-	batch := eng.QueryBatch(f.queries)
+	batch := eng.SearchBatchAppend(nil, f.queries, SearchParams{})
 	for i, q := range f.queries {
-		single := eng.Query(q)
+		single := searchOne(eng, q)
 		SortNeighbors(single)
 		got := append([]Neighbor(nil), batch[i]...)
 		SortNeighbors(got)
@@ -152,7 +158,7 @@ func TestSelfQueryFindsSelf(t *testing.T) {
 	f := newQueryFixture(t, 200, 0)
 	eng := NewEngine(f.st, f.mat, QueryDefaults())
 	for i := 0; i < 200; i += 13 {
-		res := eng.Query(f.mat.Row(i))
+		res := searchOne(eng, f.mat.Row(i))
 		found := false
 		for _, nb := range res {
 			// acos is steep near dot=1, so float32 rounding inflates the
@@ -173,14 +179,14 @@ func TestDeletedExcluded(t *testing.T) {
 	del := bitvec.New(200)
 	del.Set(17)
 	eng.SetDeleted(del)
-	res := eng.Query(f.mat.Row(17))
+	res := searchOne(eng, f.mat.Row(17))
 	for _, nb := range res {
 		if nb.ID == 17 {
 			t.Fatal("deleted document returned")
 		}
 	}
 	eng.SetDeleted(nil)
-	res = eng.Query(f.mat.Row(17))
+	res = searchOne(eng, f.mat.Row(17))
 	found := false
 	for _, nb := range res {
 		if nb.ID == 17 {
@@ -196,7 +202,7 @@ func TestQueryStatsConsistent(t *testing.T) {
 	f := newQueryFixture(t, 300, 10)
 	eng := NewEngine(f.st, f.mat, QueryDefaults())
 	for _, q := range f.queries {
-		res, stats := eng.QueryWithStats(q)
+		res, stats := eng.SearchAppend(nil, q, SearchParams{})
 		if stats.Results != len(res) {
 			t.Fatalf("stats.Results = %d, len = %d", stats.Results, len(res))
 		}
@@ -219,9 +225,9 @@ func TestWorkspaceReuseAcrossQueries(t *testing.T) {
 	// different query must agree.
 	f := newQueryFixture(t, 300, 2)
 	eng := NewEngine(f.st, f.mat, QueryDefaults())
-	r1 := eng.Query(f.queries[0])
-	_ = eng.Query(f.queries[1])
-	r2 := eng.Query(f.queries[0])
+	r1 := searchOne(eng, f.queries[0])
+	_ = searchOne(eng, f.queries[1])
+	r2 := searchOne(eng, f.queries[0])
 	SortNeighbors(r1)
 	SortNeighbors(r2)
 	if len(r1) != len(r2) {
@@ -239,7 +245,7 @@ func TestPhaseCollection(t *testing.T) {
 	opts := QueryDefaults()
 	opts.CollectPhases = true
 	eng := NewEngine(f.st, f.mat, opts)
-	eng.QueryBatch(f.queries)
+	eng.SearchBatchAppend(nil, f.queries, SearchParams{})
 	ph := eng.Phases()
 	if ph.Q2NS <= 0 || ph.Q3NS <= 0 {
 		t.Fatalf("phases not collected: %+v", ph)
@@ -253,7 +259,7 @@ func TestPhaseCollection(t *testing.T) {
 func TestZeroQueryReturnsNothing(t *testing.T) {
 	f := newQueryFixture(t, 100, 0)
 	eng := NewEngine(f.st, f.mat, QueryDefaults())
-	if res := eng.Query(sparse.Vector{}); res != nil {
+	if res := searchOne(eng, sparse.Vector{}); res != nil {
 		t.Fatalf("zero query returned %v", res)
 	}
 }
@@ -287,7 +293,7 @@ func TestRecallMatchesRetrievalProb(t *testing.T) {
 	var expected, got float64
 	for _, q := range f.queries {
 		exact := ExactNeighbors(f.mat, q, 0.9)
-		res := eng.Query(q)
+		res := searchOne(eng, q)
 		found := map[uint32]bool{}
 		for _, nb := range res {
 			found[nb.ID] = true
@@ -326,7 +332,7 @@ func TestSearchBudgetIgnoresTombstones(t *testing.T) {
 	eng.SetDeleted(del)
 	live := uint32(f.mat.Rows() - 1)
 	q := f.mat.Row(int(live))
-	res, stats := eng.SearchWithStats(q, SearchParams{MaxCandidates: 1})
+	res, stats := eng.SearchAppend(nil, q, SearchParams{MaxCandidates: 1})
 	if stats.Unique != 1 {
 		t.Fatalf("Unique = %d, want 1 evaluation (tombstones are free)", stats.Unique)
 	}
@@ -341,7 +347,7 @@ func TestSearchBudgetIgnoresTombstones(t *testing.T) {
 	}
 	// Without deletions the budget caps evaluations exactly.
 	eng.SetDeleted(nil)
-	_, stats = eng.SearchWithStats(q, SearchParams{MaxCandidates: 3})
+	_, stats = eng.SearchAppend(nil, q, SearchParams{MaxCandidates: 3})
 	if stats.Unique > 3 {
 		t.Fatalf("Unique = %d exceeds the budget of 3", stats.Unique)
 	}

@@ -1,10 +1,10 @@
 package core
 
 // topk.go implements bounded top-k selection over neighbor lists — the
-// coordinator-side primitive behind the QueryTopK path. A node answers a
-// top-k query with its k best R-near candidates; the coordinator merges
-// the per-node partial lists without materializing the full concatenated
-// R-near answer set.
+// primitive behind a K-bounded Search. A node answers a top-k query with
+// its k best R-near candidates; the coordinator merges the per-node
+// partial lists without materializing the full concatenated R-near answer
+// set.
 
 // neighborLess is the canonical result order: ascending distance, ties by
 // ascending ID (matching SortNeighbors).

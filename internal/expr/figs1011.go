@@ -33,7 +33,7 @@ func Fig10(o Options, w io.Writer) error {
 	qOpts.Radius = o.Radius
 	qOpts.Workers = o.Workers
 	eng := core.NewEngine(st, c.Mat, qOpts)
-	eng.QueryBatch(allQueries[:64])
+	eng.SearchBatchAppend(nil, allQueries[:64], core.SearchParams{})
 
 	header(w, fmt.Sprintf("Figure 10: latency vs throughput (N=%d)", o.N))
 	tb := newTable(w)
@@ -46,7 +46,7 @@ func Fig10(o Options, w io.Writer) error {
 		t0 := time.Now()
 		for r := 0; r < reps; r++ {
 			off := (r * bs) % (len(allQueries) - bs + 1)
-			eng.QueryBatch(allQueries[off : off+bs])
+			eng.SearchBatchAppend(nil, allQueries[off:off+bs], core.SearchParams{})
 		}
 		total := time.Since(t0)
 		latency := total / time.Duration(reps)
@@ -130,13 +130,22 @@ func fig11Run(o Options, staticN, deltaN int, queries []sparse.Vector) (time.Dur
 			return 0, err
 		}
 	}
-	n.QueryBatch(ctx, queries[:min(32, len(queries))]) // warm up
+	search := func(qs []sparse.Vector) error {
+		res, err := n.SearchBatch(ctx, qs, node.SearchParams{})
+		n.ReleaseResults(res)
+		return err
+	}
+	if err := search(queries[:min(32, len(queries))]); err != nil { // warm up
+		return 0, err
+	}
 	// Best of three: GC from the node builds otherwise lands in arbitrary
 	// points of the sweep.
 	best := time.Duration(1<<62 - 1)
 	for r := 0; r < 3; r++ {
 		t0 := time.Now()
-		n.QueryBatch(ctx, queries)
+		if err := search(queries); err != nil {
+			return 0, err
+		}
 		if d := time.Since(t0); d < best {
 			best = d
 		}

@@ -106,9 +106,9 @@ func Fig5(o Options, w io.Writer) error {
 		s.opts.Radius = o.Radius
 		s.opts.Workers = o.Workers
 		eng := core.NewEngine(st, s.store, s.opts)
-		eng.QueryBatch(queries[:min(32, len(queries))]) // warm up workspaces
+		eng.SearchBatchAppend(nil, queries[:min(32, len(queries))], core.SearchParams{}) // warm up workspaces
 		t0 := time.Now()
-		eng.QueryBatch(queries)
+		eng.SearchBatchAppend(nil, queries, core.SearchParams{})
 		dur := time.Since(t0)
 		if i == 0 {
 			base = dur

@@ -75,7 +75,7 @@ func Fig6(o Options, w io.Writer) error {
 	qOpts.Workers = 1
 	qOpts.CollectPhases = true
 	eng := core.NewEngine(core.MustBuild(fam, c.Mat, core.Defaults()), c.Mat, qOpts)
-	eng.QueryBatch(queries[:min(32, len(queries))]) // warm up
+	eng.SearchBatchAppend(nil, queries[:min(32, len(queries))], core.SearchParams{}) // warm up
 	runtime.GC()
 	ph := bestPhases(eng, queries, 3)
 	qe := costs.EstimateQuery(wl, o.K, o.M)
@@ -97,7 +97,7 @@ func bestPhases(eng *core.Engine, queries []sparse.Vector, reps int) core.PhaseT
 	var best core.PhaseTimes
 	for r := 0; r < reps; r++ {
 		eng.ResetPhases()
-		eng.QueryBatch(queries)
+		eng.SearchBatchAppend(nil, queries, core.SearchParams{})
 		ph := eng.Phases()
 		if r == 0 || ph.Q2NS < best.Q2NS {
 			best.Q2NS = ph.Q2NS
@@ -155,7 +155,7 @@ func Fig7(o Options, w io.Writer) error {
 			qOpts.Workers = 1 // fitted constants are per-worker
 			qOpts.CollectPhases = true
 			eng := core.NewEngine(st, d.col.Mat, qOpts)
-			eng.QueryBatch(queries[:min(32, len(queries))])
+			eng.SearchBatchAppend(nil, queries[:min(32, len(queries))], core.SearchParams{})
 			runtime.GC()
 			ph := bestPhases(eng, queries, 3)
 			actual := float64(ph.Q2NS + ph.Q3NS) // summed CPU-phase time

@@ -42,9 +42,9 @@ func Fig8(o Options, w io.Writer) error {
 		qOpts.Radius = o.Radius
 		qOpts.Workers = threads
 		eng := core.NewEngine(st, c.Mat, qOpts)
-		eng.QueryBatch(queries[:min(32, len(queries))])
+		eng.SearchBatchAppend(nil, queries[:min(32, len(queries))], core.SearchParams{})
 		t0 := time.Now()
-		eng.QueryBatch(queries)
+		eng.SearchBatchAppend(nil, queries, core.SearchParams{})
 		queryDur := time.Since(t0)
 		if threads == 1 {
 			initBase, queryBase = initDur, queryDur
@@ -109,13 +109,16 @@ func Fig9(o Options, w io.Writer) error {
 			return err
 		}
 		queries := o.queries(o.twitterCorpus())
-		if _, _, err := cl.QueryBatchTimed(ctx, queries[:min(32, len(queries))], cluster.BatchOptions{}); err != nil {
-			return err
-		}
-		_, report, err := cl.QueryBatchTimed(ctx, queries, cluster.BatchOptions{})
+		warm, _, err := cl.Search(ctx, queries[:min(32, len(queries))], node.SearchParams{}, cluster.BatchOptions{})
 		if err != nil {
 			return err
 		}
+		cl.ReleaseResults(warm)
+		res, report, err := cl.Search(ctx, queries, node.SearchParams{}, cluster.BatchOptions{})
+		if err != nil {
+			return err
+		}
+		cl.ReleaseResults(res)
 		times := report.Times
 		iMn, iMx, iAvg := minMaxAvg(initTimes)
 		qMn, qMx, qAvg := minMaxAvg(times)

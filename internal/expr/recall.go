@@ -36,7 +36,8 @@ func Recall(o Options, w io.Writer) error {
 	for _, q := range queries {
 		exact := core.ExactNeighbors(c.Mat, q, o.Radius)
 		got := map[uint32]bool{}
-		for _, nb := range eng.Query(q) {
+		res, _ := eng.SearchAppend(nil, q, core.SearchParams{})
+		for _, nb := range res {
 			got[nb.ID] = true
 		}
 		for _, nb := range exact {

@@ -85,7 +85,7 @@ func Streaming(o Options, w io.Writer) error {
 			done = true
 		default:
 			q0 := time.Now()
-			if _, err := n.Query(ctx, queries[len(during)%len(queries)]); err != nil {
+			if _, err := n.Search(ctx, queries[len(during)%len(queries)], node.SearchParams{}); err != nil {
 				return err
 			}
 			during = append(during, time.Since(q0))

@@ -52,7 +52,10 @@ func Table2(o Options, w io.Writer) error {
 	invDur := time.Since(t0)
 
 	t0 = time.Now()
-	_, plshStats := eng.QueryBatchStats(queries)
+	plshStats := make([]core.QueryStats, len(queries))
+	eng.Pool().Run(len(queries), func(task, _ int) {
+		_, plshStats[task] = eng.SearchAppend(nil, queries[task], core.SearchParams{})
+	})
 	plshDur := time.Since(t0)
 
 	var exC, invC, plshC float64

@@ -241,7 +241,7 @@ func TestRetireRacesInFlightQueries(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := n.Query(bg, queries[(g+i)%len(queries)]); err != nil {
+				if _, err := n.Search(bg, queries[(g+i)%len(queries)], SearchParams{}); err != nil {
 					t.Errorf("query: %v", err)
 					return
 				}
@@ -471,7 +471,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := n.Query(bg, queries[(g+i)%len(queries)]); err != nil {
+				if _, err := n.Search(bg, queries[(g+i)%len(queries)], SearchParams{}); err != nil {
 					t.Errorf("query: %v", err)
 					return
 				}

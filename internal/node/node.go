@@ -1194,55 +1194,6 @@ func finishSearch(res []core.Neighbor, base int, p SearchParams) []core.Neighbor
 	return res
 }
 
-// Query answers one R-near-neighbor query over static + delta contents
-// with the node's configured defaults (answer order unspecified).
-//
-// Deprecated: use Search, which takes request-scoped parameters and
-// returns canonically ordered answers.
-func (n *Node) Query(ctx context.Context, q sparse.Vector) ([]core.Neighbor, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return n.searchOn(nil, n.snap.Load(), q, SearchParams{}), nil
-}
-
-// QueryBatch answers a batch in parallel with the node's configured
-// defaults (answer order unspecified).
-//
-// Deprecated: use SearchBatch.
-func (n *Node) QueryBatch(ctx context.Context, qs []sparse.Vector) ([][]core.Neighbor, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	s := n.snap.Load()
-	out := make([][]core.Neighbor, len(qs))
-	s.eng.Pool().Run(len(qs), func(task, _ int) {
-		if ctx.Err() != nil {
-			return
-		}
-		out[task] = n.searchOn(nil, s, qs[task], SearchParams{})
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// QueryTopK answers one query with at most k answers: the k nearest of the
-// R-near neighbors, sorted ascending by distance; k <= 0 answers empty
-// (SearchParams.K treats 0 as unbounded instead).
-//
-// Deprecated: use Search with SearchParams.K.
-func (n *Node) QueryTopK(ctx context.Context, q sparse.Vector, k int) ([]core.Neighbor, error) {
-	if k <= 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return nil, nil
-	}
-	return n.Search(ctx, q, SearchParams{K: k})
-}
-
 // searchOn runs the combined static+delta query against one immutable
 // snapshot under request-scoped parameters, appending raw answers to dst.
 // It takes no locks: the engine, segments and arena prefix are frozen,

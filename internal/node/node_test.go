@@ -37,7 +37,7 @@ func testDocs(n int, seed uint64) []sparse.Vector {
 
 func mustQuery(t *testing.T, n *Node, q sparse.Vector) []core.Neighbor {
 	t.Helper()
-	res, err := n.Query(bg, q)
+	res, err := n.Search(bg, q, SearchParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,14 +196,14 @@ func TestCanceledContextRejected(t *testing.T) {
 	if n.Len() != 5 {
 		t.Fatalf("canceled insert mutated node: Len = %d", n.Len())
 	}
-	if _, err := n.Query(ctx, vs[0]); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Query on canceled ctx: %v", err)
+	if _, err := n.Search(ctx, vs[0], SearchParams{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Search on canceled ctx: %v", err)
 	}
-	if _, err := n.QueryBatch(ctx, vs[:3]); !errors.Is(err, context.Canceled) {
-		t.Fatalf("QueryBatch on canceled ctx: %v", err)
+	if _, err := n.SearchBatch(ctx, vs[:3], SearchParams{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SearchBatch on canceled ctx: %v", err)
 	}
-	if _, err := n.QueryTopK(ctx, vs[0], 3); !errors.Is(err, context.Canceled) {
-		t.Fatalf("QueryTopK on canceled ctx: %v", err)
+	if _, err := n.Search(ctx, vs[0], SearchParams{K: 3}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("top-k Search on canceled ctx: %v", err)
 	}
 	if err := n.MergeNow(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("MergeNow on canceled ctx: %v", err)
@@ -278,7 +278,7 @@ func TestQueryBatchMatchesSingles(t *testing.T) {
 	mustMerge(t, n)
 	n.Insert(bg, vs[150:])
 	queries := testDocs(25, 17)
-	batch, err := n.QueryBatch(bg, queries)
+	batch, err := n.SearchBatch(bg, queries, SearchParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,8 +298,8 @@ func TestQueryBatchMatchesSingles(t *testing.T) {
 	}
 }
 
-// QueryTopK must equal the full R-near answer sorted by distance and
-// truncated to k — same candidates, bounded selection.
+// A K-bounded Search must equal the full R-near answer sorted by distance
+// and truncated to k — same candidates, bounded selection.
 func TestQueryTopKMatchesTruncatedQuery(t *testing.T) {
 	n, _ := New(testConfig(1000))
 	t.Cleanup(func() { n.Flush(bg) }) // quiesce triggered auto-merges
@@ -316,7 +316,7 @@ func TestQueryTopKMatchesTruncatedQuery(t *testing.T) {
 			if k < len(want) {
 				want = want[:k]
 			}
-			got, err := n.QueryTopK(bg, q, k)
+			got, err := n.Search(bg, q, SearchParams{K: k})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -347,7 +347,7 @@ func TestConcurrentQueriesAndInserts(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 20; rep++ {
 				q := queries[(g*20+rep)%len(queries)]
-				n.Query(bg, q)
+				n.Search(bg, q, SearchParams{})
 			}
 		}(g)
 	}
@@ -541,30 +541,6 @@ func TestNodeSearchParams(t *testing.T) {
 			if !inFull[nb.ID] {
 				t.Fatalf("budgeted search invented doc %d", nb.ID)
 			}
-		}
-	}
-}
-
-// TestQueryTopKNonPositiveK: the deprecated wrapper keeps its original
-// contract — k <= 0 answers empty — even though SearchParams.K treats 0
-// as unbounded (the opQueryTopK wire handler forwards K unguarded, so an
-// old client sending k=0 must not suddenly receive the full answer set).
-func TestQueryTopKNonPositiveK(t *testing.T) {
-	n, err := New(testConfig(100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	docs := testDocs(20, 95)
-	if _, err := n.Insert(bg, docs); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []int{0, -1} {
-		res, err := n.QueryTopK(bg, docs[0], k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res) != 0 {
-			t.Fatalf("k=%d returned %d answers, want 0", k, len(res))
 		}
 	}
 }

@@ -145,7 +145,7 @@ func (c Costs) referenceRun(sub *sparse.Matrix, k, m int, fc FitConfig) (refRun,
 	for i := range queries {
 		queries[i] = sub.Row((i * stride) % sub.Rows())
 	}
-	eng.QueryBatch(queries[:min(32, len(queries))]) // warm up
+	eng.SearchBatchAppend(nil, queries[:min(32, len(queries))], core.SearchParams{}) // warm up
 
 	// Best of three: GC pauses and scheduler interference inflate
 	// individual batches; the minimum is the interference-free cost.
@@ -153,10 +153,13 @@ func (c Costs) referenceRun(sub *sparse.Matrix, k, m int, fc FitConfig) (refRun,
 		queries: float64(len(queries)),
 		tables:  float64(m * (m - 1) / 2),
 	}
-	var stats []core.QueryStats
+	stats := make([]core.QueryStats, len(queries))
+	var buf []core.Neighbor
 	for rep := 0; rep < 3; rep++ {
 		eng.ResetPhases()
-		_, stats = eng.QueryBatchStats(queries)
+		for i, q := range queries {
+			buf, stats[i] = eng.SearchAppend(buf[:0], q, core.SearchParams{})
+		}
 		ph := eng.Phases()
 		if rep == 0 || float64(ph.Q2NS) < r.q2 {
 			r.q2 = float64(ph.Q2NS)

@@ -56,11 +56,11 @@ func TestFittedModelExtrapolates(t *testing.T) {
 	opts.CollectPhases = true
 	eng := core.NewEngine(st, col.Mat, opts)
 	queries := col.SampleQueries(150, 19)
-	eng.QueryBatch(queries[:32])
+	eng.SearchBatchAppend(nil, queries[:32], core.SearchParams{})
 	var bestQ2, bestQ3 int64
 	for r := 0; r < 3; r++ {
 		eng.ResetPhases()
-		eng.QueryBatch(queries)
+		eng.SearchBatchAppend(nil, queries, core.SearchParams{})
 		ph := eng.Phases()
 		if r == 0 || ph.Q2NS < bestQ2 {
 			bestQ2 = ph.Q2NS

@@ -105,7 +105,10 @@ func TestModelPredictsEngineWork(t *testing.T) {
 	}
 	eng := core.NewEngine(st, c.Mat, core.QueryDefaults())
 	queries := c.SampleQueries(200, 31)
-	_, stats := eng.QueryBatchStats(queries)
+	stats := make([]core.QueryStats, len(queries))
+	for i, q := range queries {
+		_, stats[i] = eng.SearchAppend(nil, q, core.SearchParams{})
+	}
 	var collisions, unique float64
 	for _, s := range stats {
 		collisions += float64(s.Collisions)

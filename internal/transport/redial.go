@@ -89,24 +89,6 @@ func (r *Redial) Search(ctx context.Context, qs []sparse.Vector, p node.SearchPa
 	return c.Search(ctx, qs, p)
 }
 
-// QueryBatch implements NodeClient.
-func (r *Redial) QueryBatch(ctx context.Context, qs []sparse.Vector) ([][]core.Neighbor, error) {
-	c, err := r.client(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return c.QueryBatch(ctx, qs)
-}
-
-// QueryTopK implements NodeClient.
-func (r *Redial) QueryTopK(ctx context.Context, q sparse.Vector, k int) ([]core.Neighbor, error) {
-	c, err := r.client(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return c.QueryTopK(ctx, q, k)
-}
-
 // Doc implements NodeClient.
 func (r *Redial) Doc(ctx context.Context, id uint32) (sparse.Vector, bool, error) {
 	c, err := r.client(ctx)

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"plsh/internal/node"
 )
 
 // killableServer is a node server whose process death is simulated by
@@ -85,7 +87,7 @@ func TestRedialReconnectsAfterServerRestart(t *testing.T) {
 	if _, err := r.Insert(bg, docs); err != nil {
 		t.Fatal(err)
 	}
-	before, err := r.QueryBatch(bg, docs[:4])
+	before, err := r.Search(bg, docs[:4], node.SearchParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +112,7 @@ func TestRedialReconnectsAfterServerRestart(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	res, err := r.QueryBatch(bg, docs[:4])
+	res, err := r.Search(bg, docs[:4], node.SearchParams{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,9 @@
 //
 // Both implementations satisfy NodeClient, so cluster code is
 // transport-agnostic — and Serve accepts any NodeClient as its backend,
-// which also makes proxying and test fakes trivial.
+// which also makes proxying and test fakes trivial. NodeClient has one
+// query method, Search, carried by opSearch; the two ops that predate it
+// are retired (their numbers stay reserved, see the op block in wire.go).
 package transport
 
 import (
@@ -40,16 +42,10 @@ type NodeClient interface {
 	// Search answers a batch of queries under one set of request-scoped
 	// parameters (per-query radius, top-k bound, candidate budget), each
 	// answer list in canonical ascending (distance, id) order. A
-	// successful reply always has exactly len(qs) entries. This is the
-	// one query entry point the unified Search path uses; QueryBatch and
-	// QueryTopK remain for the legacy surfaces.
+	// successful reply always has exactly len(qs) entries. It is the one
+	// query method of the interface: a single query is a batch of one, a
+	// top-k query sets p.K.
 	Search(ctx context.Context, qs []sparse.Vector, p node.SearchParams) ([][]core.Neighbor, error)
-	// QueryBatch answers a batch of R-near-neighbor queries. A successful
-	// reply always has exactly len(qs) entries.
-	QueryBatch(ctx context.Context, qs []sparse.Vector) ([][]core.Neighbor, error)
-	// QueryTopK answers one query with the node's k nearest R-near
-	// neighbors, sorted ascending by distance.
-	QueryTopK(ctx context.Context, q sparse.Vector, k int) ([]core.Neighbor, error)
 	// Doc fetches the stored vector for a node-local ID and the node's
 	// authoritative answer to whether that id was ever inserted.
 	Doc(ctx context.Context, id uint32) (sparse.Vector, bool, error)
@@ -110,11 +106,6 @@ func (l *Local) Search(ctx context.Context, qs []sparse.Vector, p node.SearchPar
 // batch pool for the next Search.
 func (l *Local) ReleaseResults(res [][]core.Neighbor) { l.N.ReleaseResults(res) }
 
-// QueryBatch implements NodeClient.
-func (l *Local) QueryBatch(ctx context.Context, qs []sparse.Vector) ([][]core.Neighbor, error) {
-	return l.N.QueryBatch(ctx, qs)
-}
-
 // Doc implements NodeClient.
 func (l *Local) Doc(ctx context.Context, id uint32) (sparse.Vector, bool, error) {
 	if err := ctx.Err(); err != nil {
@@ -122,11 +113,6 @@ func (l *Local) Doc(ctx context.Context, id uint32) (sparse.Vector, bool, error)
 	}
 	v, known := l.N.Doc(id)
 	return v, known, nil
-}
-
-// QueryTopK implements NodeClient.
-func (l *Local) QueryTopK(ctx context.Context, q sparse.Vector, k int) ([]core.Neighbor, error) {
-	return l.N.QueryTopK(ctx, q, k)
 }
 
 // Delete implements NodeClient.

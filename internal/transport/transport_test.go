@@ -2,8 +2,10 @@ package transport
 
 import (
 	"context"
+	"encoding/gob"
 	"errors"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -63,9 +65,9 @@ func startServer(t *testing.T, n *node.Node) (string, context.CancelFunc) {
 // stubBackend implements NodeClient with overridable behavior per method;
 // unset methods answer successfully with zero values.
 type stubBackend struct {
-	insert     func(ctx context.Context, vs []sparse.Vector) ([]uint32, error)
-	queryBatch func(ctx context.Context, qs []sparse.Vector) ([][]core.Neighbor, error)
-	stats      func(ctx context.Context) (node.Stats, error)
+	insert func(ctx context.Context, vs []sparse.Vector) ([]uint32, error)
+	search func(ctx context.Context, qs []sparse.Vector) ([][]core.Neighbor, error)
+	stats  func(ctx context.Context) (node.Stats, error)
 }
 
 func (s *stubBackend) Insert(ctx context.Context, vs []sparse.Vector) ([]uint32, error) {
@@ -75,18 +77,10 @@ func (s *stubBackend) Insert(ctx context.Context, vs []sparse.Vector) ([]uint32,
 	return make([]uint32, len(vs)), nil
 }
 
-func (s *stubBackend) QueryBatch(ctx context.Context, qs []sparse.Vector) ([][]core.Neighbor, error) {
-	if s.queryBatch != nil {
-		return s.queryBatch(ctx, qs)
-	}
-	return make([][]core.Neighbor, len(qs)), nil
-}
-
-func (s *stubBackend) QueryTopK(ctx context.Context, q sparse.Vector, k int) ([]core.Neighbor, error) {
-	return nil, nil
-}
-
 func (s *stubBackend) Search(ctx context.Context, qs []sparse.Vector, p node.SearchParams) ([][]core.Neighbor, error) {
+	if s.search != nil {
+		return s.search(ctx, qs)
+	}
 	return make([][]core.Neighbor, len(qs)), nil
 }
 
@@ -117,7 +111,7 @@ func TestLocalRoundTrip(t *testing.T) {
 	if len(ids) != 100 {
 		t.Fatalf("ids = %d", len(ids))
 	}
-	res, err := client.QueryBatch(bg, vs[:5])
+	res, err := client.Search(bg, vs[:5], node.SearchParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +170,8 @@ func TestTCPMatchesLocal(t *testing.T) {
 		}
 	}
 
-	resL, _ := local.QueryBatch(bg, queries)
-	resR, err := remote.QueryBatch(bg, queries)
+	resL, _ := local.Search(bg, queries, node.SearchParams{})
+	resR, err := remote.Search(bg, queries, node.SearchParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,14 +192,15 @@ func TestTCPMatchesLocal(t *testing.T) {
 
 	// Top-K answers must match across transports too.
 	for qi, q := range queries {
-		a, err := local.QueryTopK(bg, q, 5)
+		ra, err := local.Search(bg, []sparse.Vector{q}, node.SearchParams{K: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := remote.QueryTopK(bg, q, 5)
+		rb, err := remote.Search(bg, []sparse.Vector{q}, node.SearchParams{K: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
+		a, b := ra[0], rb[0]
 		if len(a) != len(b) {
 			t.Fatalf("top-k query %d: %d vs %d results", qi, len(a), len(b))
 		}
@@ -293,7 +288,7 @@ func TestConcurrentClients(t *testing.T) {
 			}
 			defer c.Close()
 			for rep := 0; rep < 10; rep++ {
-				if _, err := c.QueryBatch(bg, vs[:3]); err != nil {
+				if _, err := c.Search(bg, vs[:3], node.SearchParams{}); err != nil {
 					errCh <- err
 					return
 				}
@@ -309,7 +304,7 @@ func TestConcurrentClients(t *testing.T) {
 }
 
 // TestConcurrentInFlightSingleConn proves the protocol multiplexes: the
-// backend blocks every QueryBatch until `lanes` of them have arrived, so
+// backend blocks every Search until `lanes` of them have arrived, so
 // the test completes only if all `lanes` RPCs are simultaneously in flight
 // on ONE connection. A serial one-request-at-a-time protocol deadlocks
 // here (and trips the watchdog).
@@ -321,7 +316,7 @@ func TestConcurrentInFlightSingleConn(t *testing.T) {
 		release = make(chan struct{})
 	)
 	backend := &stubBackend{
-		queryBatch: func(ctx context.Context, qs []sparse.Vector) ([][]core.Neighbor, error) {
+		search: func(ctx context.Context, qs []sparse.Vector) ([][]core.Neighbor, error) {
 			mu.Lock()
 			arrived++
 			if arrived == lanes {
@@ -354,7 +349,7 @@ func TestConcurrentInFlightSingleConn(t *testing.T) {
 		go func(lane int) {
 			defer wg.Done()
 			q := sparse.Vector{Idx: []uint32{uint32(lane)}, Val: []float32{1}}
-			res, err := client.QueryBatch(ctx, []sparse.Vector{q})
+			res, err := client.Search(ctx, []sparse.Vector{q}, node.SearchParams{})
 			if err != nil {
 				errs[lane] = err
 				return
@@ -378,7 +373,7 @@ func TestConcurrentInFlightSingleConn(t *testing.T) {
 func TestServerShutdownMidRequest(t *testing.T) {
 	started := make(chan struct{}, 1)
 	backend := &stubBackend{
-		queryBatch: func(ctx context.Context, qs []sparse.Vector) ([][]core.Neighbor, error) {
+		search: func(ctx context.Context, qs []sparse.Vector) ([][]core.Neighbor, error) {
 			started <- struct{}{}
 			<-ctx.Done() // block until shutdown
 			return nil, ctx.Err()
@@ -393,7 +388,7 @@ func TestServerShutdownMidRequest(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := client.QueryBatch(bg, testDocs(1, 3))
+		_, err := client.Search(bg, testDocs(1, 3), node.SearchParams{})
 		done <- err
 	}()
 	<-started
@@ -412,7 +407,7 @@ func TestServerShutdownMidRequest(t *testing.T) {
 // waiting call with ctx.Err() even though the server never responds.
 func TestCanceledCallReturnsEarly(t *testing.T) {
 	backend := &stubBackend{
-		queryBatch: func(ctx context.Context, qs []sparse.Vector) ([][]core.Neighbor, error) {
+		search: func(ctx context.Context, qs []sparse.Vector) ([][]core.Neighbor, error) {
 			<-ctx.Done()
 			return nil, ctx.Err()
 		},
@@ -427,7 +422,7 @@ func TestCanceledCallReturnsEarly(t *testing.T) {
 	ctx, cancel := context.WithCancel(bg)
 	done := make(chan error, 1)
 	go func() {
-		_, err := client.QueryBatch(ctx, testDocs(1, 5))
+		_, err := client.Search(ctx, testDocs(1, 5), node.SearchParams{})
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -454,7 +449,7 @@ func TestCanceledCallReturnsEarly(t *testing.T) {
 func TestCancelPropagatesToServer(t *testing.T) {
 	aborted := make(chan struct{}, 1)
 	backend := &stubBackend{
-		queryBatch: func(ctx context.Context, qs []sparse.Vector) ([][]core.Neighbor, error) {
+		search: func(ctx context.Context, qs []sparse.Vector) ([][]core.Neighbor, error) {
 			<-ctx.Done()
 			select {
 			case aborted <- struct{}{}:
@@ -473,7 +468,7 @@ func TestCancelPropagatesToServer(t *testing.T) {
 	ctx, cancel := context.WithCancel(bg)
 	done := make(chan error, 1)
 	go func() {
-		_, err := client.QueryBatch(ctx, testDocs(1, 7))
+		_, err := client.Search(ctx, testDocs(1, 7), node.SearchParams{})
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -497,7 +492,7 @@ func TestClientDisconnectAbortsServerWork(t *testing.T) {
 	aborted := make(chan struct{}, 1)
 	started := make(chan struct{}, 1)
 	backend := &stubBackend{
-		queryBatch: func(ctx context.Context, qs []sparse.Vector) ([][]core.Neighbor, error) {
+		search: func(ctx context.Context, qs []sparse.Vector) ([][]core.Neighbor, error) {
 			started <- struct{}{}
 			<-ctx.Done()
 			select {
@@ -512,7 +507,7 @@ func TestClientDisconnectAbortsServerWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go client.QueryBatch(bg, testDocs(1, 11)) // fails when the client closes
+	go client.Search(bg, testDocs(1, 11), node.SearchParams{}) // fails when the client closes
 	<-started
 	client.Close()
 	select {
@@ -527,7 +522,7 @@ func TestClientDisconnectAbortsServerWork(t *testing.T) {
 func TestDeadlinePropagatesToServer(t *testing.T) {
 	sawDeadline := make(chan bool, 1)
 	backend := &stubBackend{
-		queryBatch: func(ctx context.Context, qs []sparse.Vector) ([][]core.Neighbor, error) {
+		search: func(ctx context.Context, qs []sparse.Vector) ([][]core.Neighbor, error) {
 			_, ok := ctx.Deadline()
 			select {
 			case sawDeadline <- ok:
@@ -545,11 +540,40 @@ func TestDeadlinePropagatesToServer(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(bg, 30*time.Second)
 	defer cancel()
-	if _, err := client.QueryBatch(ctx, testDocs(1, 9)); err != nil {
+	if _, err := client.Search(ctx, testDocs(1, 9), node.SearchParams{}); err != nil {
 		t.Fatal(err)
 	}
 	if ok := <-sawDeadline; !ok {
 		t.Fatal("caller deadline did not reach the server-side context")
+	}
+}
+
+// pastDeadlineCtx reports a deadline that has passed while its Done channel
+// never fires — the window in which the server, holding the same deadline,
+// notices the expiry before the caller's own timer does.
+type pastDeadlineCtx struct{ context.Context }
+
+func (pastDeadlineCtx) Deadline() (time.Time, bool) { return time.Now().Add(-time.Second), true }
+
+// TestServerSideExpiryIsDeadlineExceeded: when the server observes the
+// caller's deadline first and answers with its own expiry, the call still
+// reports context.DeadlineExceeded, not an opaque remote error string.
+func TestServerSideExpiryIsDeadlineExceeded(t *testing.T) {
+	backend := &stubBackend{
+		search: func(ctx context.Context, qs []sparse.Vector) ([][]core.Neighbor, error) {
+			<-ctx.Done() // expired on arrival: the frame carried a past deadline
+			return nil, ctx.Err()
+		},
+	}
+	addr, _ := startBackend(t, backend, nil)
+	client, err := Dial(bg, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	_, err = client.Search(pastDeadlineCtx{bg}, testDocs(1, 9), node.SearchParams{})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("server-side expiry surfaced as %v, want context.DeadlineExceeded", err)
 	}
 }
 
@@ -581,6 +605,109 @@ func TestDecodeErrorSurfaced(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("decode error never surfaced")
+	}
+}
+
+// TestSearchFrameVersionFollowsRoutingHint: a search without the routing
+// hint — every scatter sub-batch — goes out as a v1 frame carrying no
+// Routing field, so pre-routing servers keep decoding scatter traffic; only
+// a hinted search claims v2.
+func TestSearchFrameVersionFollowsRoutingHint(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	frames := make(chan searchParams, 2)
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		dec, enc := gob.NewDecoder(conn), gob.NewEncoder(conn)
+		for {
+			var req request
+			if dec.Decode(&req) != nil {
+				return
+			}
+			frames <- *req.Search
+			if enc.Encode(response{Seq: req.Seq, Results: make([][]core.Neighbor, len(req.Vectors))}) != nil {
+				return
+			}
+		}
+	}()
+	client, err := Dial(bg, l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	for _, tc := range []struct{ hint, version uint8 }{
+		{node.RoutingNone, searchVersionBase},
+		{node.RoutingPartitioned, searchVersion},
+	} {
+		if _, err := client.Search(bg, testDocs(2, 15), node.SearchParams{K: 3, Routing: tc.hint}); err != nil {
+			t.Fatal(err)
+		}
+		if got := <-frames; got.Version != tc.version || got.Routing != tc.hint {
+			t.Fatalf("hint %d went out as v%d with Routing %d, want v%d", tc.hint, got.Version, got.Routing, tc.version)
+		}
+	}
+}
+
+// TestRetiredOpsAnswerTypedError: the pinned opQueryBatch and opQueryTopK
+// frames — what a pre-retirement client sends — each get a codeError
+// response naming the retirement over real TCP, and the same connection
+// then serves an opSearch: the server neither panics nor hangs up.
+func TestRetiredOpsAnswerTypedError(t *testing.T) {
+	n := testNode(t, 100)
+	docs := testDocs(20, 13)
+	if _, err := n.Insert(bg, docs); err != nil {
+		t.Fatal(err)
+	}
+	addr, _ := startServer(t, n)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
+	retired := 0
+	for _, g := range goldenRequests() {
+		if g.req.Op != opQueryBatch && g.req.Op != opQueryTopK {
+			continue
+		}
+		retired++
+		if err := enc.Encode(g.req); err != nil {
+			t.Fatalf("%s: send: %v", g.name, err)
+		}
+		var resp response
+		if err := dec.Decode(&resp); err != nil {
+			t.Fatalf("%s: no response frame (connection dropped?): %v", g.name, err)
+		}
+		if resp.Seq != g.req.Seq || resp.Code != codeError || !strings.Contains(resp.Err, "retired") {
+			t.Fatalf("%s: response %+v, want codeError naming the retirement", g.name, resp)
+		}
+		if resp.Results != nil || resp.TopK != nil {
+			t.Fatalf("%s: retired op carried an answer: %+v", g.name, resp)
+		}
+	}
+	if retired != 2 {
+		t.Fatalf("golden frames carry %d retired ops, want 2", retired)
+	}
+	search := request{Seq: 99, Op: opSearch, Vectors: docs[:1], Search: &searchParams{Version: searchVersionBase}}
+	if err := enc.Encode(search); err != nil {
+		t.Fatal(err)
+	}
+	var resp response
+	if err := dec.Decode(&resp); err != nil {
+		t.Fatalf("search after retired ops: %v", err)
+	}
+	if resp.Seq != 99 || resp.Code != codeOK || len(resp.Results) != 1 {
+		t.Fatalf("search after retired ops: %+v", resp)
+	}
+	if len(resp.Results[0]) == 0 || resp.Results[0][0].ID != 0 {
+		t.Fatalf("search after retired ops lost doc 0's self-match: %+v", resp.Results[0])
 	}
 }
 

@@ -32,6 +32,9 @@ type op uint8
 
 const (
 	opInsert op = iota + 1
+	// opQueryBatch and opQueryTopK are retired; their numbers stay
+	// reserved. No client emits them — opSearch carries every query — and
+	// the server answers either with a codeError naming the retirement.
 	opQueryBatch
 	opQueryTopK
 	opDelete
@@ -97,7 +100,7 @@ type request struct {
 	Op      op
 	Vectors []sparse.Vector
 	ID      uint32 // Delete / Doc target
-	K       int    // QueryTopK bound
+	K       int    // retired with opQueryTopK; kept for the frame layout
 	// Search carries the request-scoped parameters of an opSearch frame.
 	// Nil on every other op (and on frames from pre-opSearch clients).
 	Search *searchParams
@@ -137,7 +140,7 @@ type response struct {
 	Err     string
 	IDs     []uint32
 	Results [][]core.Neighbor
-	TopK    []core.Neighbor
+	TopK    []core.Neighbor // retired with opQueryTopK; kept for the frame layout
 	Stats   node.Stats
 	// Doc and Known answer an opDoc request.
 	Doc   sparse.Vector
@@ -381,32 +384,8 @@ func handle(ctx context.Context, backend NodeClient, req *request, resp *respons
 			break
 		}
 		resp.IDs = ids
-	case opQueryBatch:
-		res, err := backend.QueryBatch(ctx, req.Vectors)
-		if err != nil {
-			fail(err)
-			break
-		}
-		// The decoded frame's vector count is the contract: a conforming
-		// backend answers every query exactly once, so a length mismatch
-		// is a backend bug to surface, not to paper over.
-		if len(res) != len(req.Vectors) {
-			fail(fmt.Errorf("transport: backend returned %d answer lists for %d queries",
-				len(res), len(req.Vectors)))
-			break
-		}
-		resp.Results = res
-	case opQueryTopK:
-		if len(req.Vectors) != 1 {
-			fail(fmt.Errorf("transport: top-k frame carries %d vectors, want 1", len(req.Vectors)))
-			break
-		}
-		res, err := backend.QueryTopK(ctx, req.Vectors[0], req.K)
-		if err != nil {
-			fail(err)
-			break
-		}
-		resp.TopK = res
+	case opQueryBatch, opQueryTopK:
+		fail(fmt.Errorf("transport: op %d is retired; use the search op (%d)", req.Op, opSearch))
 	case opSearch:
 		p := req.Search
 		if p == nil || p.Version == 0 {
@@ -667,6 +646,13 @@ func (c *Client) do(ctx context.Context, req *request) (*response, error) {
 		case codeError:
 			err := fmt.Errorf("transport: remote: %s", resp.Err)
 			putResponse(resp)
+			// The request carried the caller's deadline, so the server can
+			// observe its expiry first and answer before the local timer
+			// fires. Past the deadline the call's outcome is the deadline,
+			// whichever side noticed.
+			if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
+				return nil, context.DeadlineExceeded
+			}
 			return nil, err
 		}
 		return resp, nil
@@ -727,26 +713,6 @@ func (c *Client) Insert(ctx context.Context, vs []sparse.Vector) ([]uint32, erro
 	return ids, nil
 }
 
-// QueryBatch implements NodeClient.
-func (c *Client) QueryBatch(ctx context.Context, qs []sparse.Vector) ([][]core.Neighbor, error) {
-	req := getRequest()
-	req.Op = opQueryBatch
-	req.Vectors = qs
-	resp, err := c.do(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	res := resp.Results
-	putResponse(resp)
-	// The server guarantees one answer list per query; a mismatch means a
-	// corrupt or non-conforming peer, not something to paper over.
-	if len(res) != len(qs) {
-		return nil, fmt.Errorf("transport: reply carries %d answer lists for %d queries",
-			len(res), len(qs))
-	}
-	return res, nil
-}
-
 // Search implements NodeClient: one frame carries the batch and the
 // versioned request-scoped parameter struct.
 func (c *Client) Search(ctx context.Context, qs []sparse.Vector, p node.SearchParams) ([][]core.Neighbor, error) {
@@ -794,21 +760,6 @@ func (c *Client) Doc(ctx context.Context, id uint32) (sparse.Vector, bool, error
 	v, known := resp.Doc, resp.Known
 	putResponse(resp)
 	return v, known, nil
-}
-
-// QueryTopK implements NodeClient.
-func (c *Client) QueryTopK(ctx context.Context, q sparse.Vector, k int) ([]core.Neighbor, error) {
-	req := getRequest()
-	req.Op = opQueryTopK
-	req.Vectors = []sparse.Vector{q}
-	req.K = k
-	resp, err := c.do(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	res := resp.TopK
-	putResponse(resp)
-	return res, nil
 }
 
 // Delete implements NodeClient.

@@ -2,6 +2,8 @@ package plsh
 
 import (
 	"testing"
+
+	"plsh/internal/israce"
 )
 
 // The tests in this file pin the memory behavior of the search hot path:
@@ -77,6 +79,9 @@ func allocStore(t *testing.T, n int, reservoir int) (*Store, []Vector) {
 // within a small fixed allocation budget (the Result conversion plus pool
 // bookkeeping — not per-call workspaces, merge buffers, or traces).
 func TestStoreSearchAllocationCeiling(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("sync.Pool drops workspaces at random under -race")
+	}
 	s, docs := allocStore(t, 1000, 0)
 	defer s.Close()
 	opts := []SearchOption{WithK(10)}
@@ -106,6 +111,9 @@ func TestStoreSearchAllocationCeiling(t *testing.T) {
 // machinery, k-way merge, and Result conversion together must hold a
 // fixed budget once warm.
 func TestClusterSearchAllocationCeiling(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("sync.Pool drops workspaces at random under -race")
+	}
 	docs := SyntheticTweets(1000, 2000, 11)
 	cl, err := NewCluster(4, 0, Config{
 		Dim: 2000, K: 4, M: 16, Radius: 0.9,

@@ -22,14 +22,6 @@ type Vector = sparse.Vector
 // by index and summing duplicates.
 func NewVector(idx []uint32, val []float32) (Vector, error) { return sparse.NewVector(idx, val) }
 
-// Neighbor is one legacy query answer: the node-local document ID and its
-// angular distance in radians.
-//
-// Deprecated: the unified Search surface answers with Match, which
-// carries the uint64 global ID used everywhere else. Neighbor remains for
-// the deprecated Query/QueryBatch/QueryTopK wrappers.
-type Neighbor = core.Neighbor
-
 // Stats is a snapshot of a Store's state (sizes, merge/insert overheads,
 // memory use).
 type Stats = node.Stats
@@ -373,63 +365,6 @@ func (s *Store) searchBatch(ctx context.Context, qs []Vector, spec searchSpec) (
 	out := resultsFromLocal(0, res)
 	s.n.ReleaseResults(res)
 	return out, report, nil
-}
-
-// Query returns the R-near neighbors of q at the construction radius.
-//
-// Deprecated: use Search, which takes request-scoped options and answers
-// with global-ID Matches in canonical order.
-func (s *Store) Query(ctx context.Context, q Vector) ([]Neighbor, error) {
-	res, err := s.Search(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	return neighborsFromMatches(res.Matches), nil
-}
-
-// QueryBatch answers many queries in one parallel batch.
-//
-// Deprecated: use SearchBatch.
-func (s *Store) QueryBatch(ctx context.Context, qs []Vector) ([][]Neighbor, error) {
-	res, _, err := s.SearchBatch(ctx, qs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]Neighbor, len(res))
-	for i, r := range res {
-		out[i] = neighborsFromMatches(r.Matches)
-	}
-	return out, nil
-}
-
-// QueryTopK returns the k nearest of q's R-near neighbors, sorted
-// ascending by distance.
-//
-// Deprecated: use Search with WithK.
-func (s *Store) QueryTopK(ctx context.Context, q Vector, k int) ([]Neighbor, error) {
-	if k <= 0 {
-		// Keep the pre-Search contract on this fast path too: a canceled
-		// call reports cancellation, never silent success.
-		return nil, ctx.Err()
-	}
-	res, err := s.Search(ctx, q, WithK(k))
-	if err != nil {
-		return nil, err
-	}
-	return neighborsFromMatches(res.Matches), nil
-}
-
-// neighborsFromMatches converts unified Matches back to the legacy
-// node-local Neighbor shape for the deprecated Query wrappers.
-func neighborsFromMatches(ms []Match) []Neighbor {
-	if len(ms) == 0 {
-		return nil
-	}
-	out := make([]Neighbor, len(ms))
-	for i, m := range ms {
-		out[i] = Neighbor{ID: m.Local(), Dist: m.Dist}
-	}
-	return out
 }
 
 // Delete marks a document ID deleted; it will no longer be returned.

@@ -261,8 +261,8 @@ func TestOpenDurableLifecycle(t *testing.T) {
 }
 
 // TestClusterDurableSaveAllRecovery: a durable in-process cluster —
-// per-node subdirectories under one root — checkpoints with SaveAll and
-// a fresh cluster over the same root recovers identical answers.
+// per-node subdirectories under one root — checkpoints with Save and a
+// fresh cluster over the same root recovers identical answers.
 func TestClusterDurableSaveAllRecovery(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Capacity = 200
@@ -279,14 +279,14 @@ func TestClusterDurableSaveAllRecovery(t *testing.T) {
 	if err := cl.Delete(bg, ids[7]); err != nil {
 		t.Fatal(err)
 	}
-	want := make([][]ClusterNeighbor, 0, 20)
+	want := make([][]Match, 0, 20)
 	queries := docs[:20]
 	for _, q := range queries {
-		res, err := cl.Query(bg, q)
+		res, err := cl.Search(bg, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, res)
+		want = append(want, res.Matches)
 	}
 	if err := cl.Save(bg); err != nil {
 		t.Fatal(err)
@@ -301,25 +301,25 @@ func TestClusterDurableSaveAllRecovery(t *testing.T) {
 	}
 	defer re.Close()
 	for qi, q := range queries {
-		res, err := re.Query(bg, q)
+		res, err := re.Search(bg, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res) != len(want[qi]) {
-			t.Fatalf("query %d: %d results after cluster recovery, want %d", qi, len(res), len(want[qi]))
+		if len(res.Matches) != len(want[qi]) {
+			t.Fatalf("query %d: %d results after cluster recovery, want %d", qi, len(res.Matches), len(want[qi]))
 		}
 		seen := map[uint64]float64{}
-		for _, nb := range want[qi] {
-			seen[GlobalID(nb.Node, nb.ID)] = nb.Dist
+		for _, m := range want[qi] {
+			seen[m.ID] = m.Dist
 		}
-		for _, nb := range res {
-			if d, ok := seen[GlobalID(nb.Node, nb.ID)]; !ok || d != nb.Dist {
-				t.Fatalf("query %d: neighbor %+v differs after cluster recovery", qi, nb)
+		for _, m := range res.Matches {
+			if d, ok := seen[m.ID]; !ok || d != m.Dist {
+				t.Fatalf("query %d: match %+v differs after cluster recovery", qi, m)
 			}
 		}
 	}
 
-	// An in-memory cluster refuses SaveAll rather than pretending.
+	// An in-memory cluster refuses Save rather than pretending.
 	mem, err := NewCluster(2, 0, smallConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -3,15 +3,20 @@ package plsh
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
-
-	"plsh/internal/sparse"
 )
 
 var bg = context.Background()
 
 func smallConfig() Config {
 	return Config{Dim: 2000, K: 8, M: 6, Capacity: 2000}
+}
+
+// hasMatch reports whether ms contains the document with global ID id.
+func hasMatch(ms []Match, id uint64) bool {
+	return slices.ContainsFunc(ms, func(m Match) bool { return m.ID == id })
 }
 
 func TestStoreRoundTrip(t *testing.T) {
@@ -28,17 +33,11 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatalf("ids=%d Len=%d", len(ids), s.Len())
 	}
 	for i := 0; i < 300; i += 29 {
-		res, err := s.Query(bg, docs[i])
+		res, err := s.Search(bg, docs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		found := false
-		for _, nb := range res {
-			if nb.ID == uint32(i) {
-				found = true
-			}
-		}
-		if !found {
+		if !hasMatch(res.Matches, ids[i]) {
 			t.Fatalf("doc %d not found", i)
 		}
 	}
@@ -95,14 +94,14 @@ func TestStoreHonorsContext(t *testing.T) {
 	if _, err := s.Insert(ctx, docs[25:]); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Insert: %v", err)
 	}
-	if _, err := s.Query(ctx, docs[0]); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Query: %v", err)
+	if _, err := s.Search(ctx, docs[0]); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Search: %v", err)
 	}
-	if _, err := s.QueryBatch(ctx, docs[:5]); !errors.Is(err, context.Canceled) {
-		t.Fatalf("QueryBatch: %v", err)
+	if _, _, err := s.SearchBatch(ctx, docs[:5]); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SearchBatch: %v", err)
 	}
-	if _, err := s.QueryTopK(ctx, docs[0], 3); !errors.Is(err, context.Canceled) {
-		t.Fatalf("QueryTopK: %v", err)
+	if _, err := s.Search(ctx, docs[0], WithK(3)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Search WithK: %v", err)
 	}
 	if err := s.Delete(ctx, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Delete: %v", err)
@@ -159,8 +158,8 @@ func TestStoreDeleteMergeReset(t *testing.T) {
 func TestStoreQueryBatch(t *testing.T) {
 	s, _ := NewStore(smallConfig())
 	docs := SyntheticTweets(300, 2000, 13)
-	s.Insert(bg, docs)
-	res, err := s.QueryBatch(bg, docs[:10])
+	ids, _ := s.Insert(bg, docs)
+	res, _, err := s.SearchBatch(bg, docs[:10])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,49 +167,13 @@ func TestStoreQueryBatch(t *testing.T) {
 		t.Fatalf("batch size %d", len(res))
 	}
 	for i := range res {
-		found := false
-		for _, nb := range res[i] {
-			if nb.ID == uint32(i) {
-				found = true
-			}
-		}
-		if !found {
+		if !hasMatch(res[i].Matches, ids[i]) {
 			t.Fatalf("batch query %d missing self", i)
 		}
 	}
 }
 
-// oracleTopK is the exhaustive-scan reference: the exact k nearest among
-// the documents within radius, ordered ascending by (distance, ID).
-func oracleTopK(docs []Vector, q Vector, radius float64, k int) []Neighbor {
-	thr := sparse.CosThreshold(radius)
-	var in []Neighbor
-	for i, d := range docs {
-		if dot := sparse.Dot(q, d); dot >= thr {
-			in = append(in, Neighbor{ID: uint32(i), Dist: sparse.AngularDistance(dot)})
-		}
-	}
-	sortByDistThenID(in)
-	if k < len(in) {
-		in = in[:k]
-	}
-	return in
-}
-
-func sortByDistThenID(ns []Neighbor) {
-	for i := 1; i < len(ns); i++ {
-		for j := i; j > 0; j-- {
-			a, b := ns[j], ns[j-1]
-			if a.Dist < b.Dist || (a.Dist == b.Dist && a.ID < b.ID) {
-				ns[j], ns[j-1] = ns[j-1], ns[j]
-			} else {
-				break
-			}
-		}
-	}
-}
-
-// Store.QueryTopK must equal the exhaustive-scan oracle: the exact top-k
+// Store.Search WithK must equal the exhaustive-scan oracle: the exact top-k
 // among in-radius documents. K=4 bits over M=16 → L=120 tables drives
 // per-neighbor retrieval probability to ~1 even at the radius boundary,
 // and hashing is seeded, so the comparison is deterministic.
@@ -220,35 +183,24 @@ func TestStoreQueryTopKMatchesOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	docs := SyntheticTweets(250, 2000, 31)
-	if _, err := s.Insert(bg, docs); err != nil {
+	ids, err := s.Insert(bg, docs)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range []int{1, 5, 25} {
 		for qi := 0; qi < len(docs); qi += 17 {
 			q := docs[qi]
-			want := oracleTopK(docs, q, 1.1, k)
-			got, err := s.QueryTopK(bg, q, k)
+			got, err := s.Search(bg, q, WithK(k))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("k=%d query %d: %d results, oracle has %d", k, qi, len(got), len(want))
-			}
-			for i := range got {
-				if got[i].ID != want[i].ID {
-					t.Fatalf("k=%d query %d entry %d: doc %d, oracle says %d",
-						k, qi, i, got[i].ID, want[i].ID)
-				}
-				if d := got[i].Dist - want[i].Dist; d > 1e-6 || d < -1e-6 {
-					t.Fatalf("k=%d query %d entry %d: dist %v, oracle %v",
-						k, qi, i, got[i].Dist, want[i].Dist)
-				}
-			}
+			requireMatchesEqual(t, fmt.Sprintf("k=%d query %d", k, qi), got.Matches,
+				oracleMatches(docs, ids, q, 1.1, k))
 		}
 	}
 }
 
-// Cluster.QueryTopK must equal the same oracle computed over the global
+// Cluster.Search WithK must equal the same oracle computed over the global
 // ID space — the coordinator's bounded-heap merge of per-node partial
 // lists must reconstruct the exact cluster-wide top k.
 func TestClusterQueryTopKMatchesOracle(t *testing.T) {
@@ -263,57 +215,17 @@ func TestClusterQueryTopKMatchesOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Oracle over (global ID, distance), ordered by (dist, gid) — gid order
-	// coincides with the coordinator's (dist, node, local ID) merge order.
-	thr := sparse.CosThreshold(1.1)
-	oracle := func(q Vector, k int) []uint64 {
-		type cand struct {
-			gid  uint64
-			dist float64
-		}
-		var in []cand
-		for i, d := range docs {
-			if dot := sparse.Dot(q, d); dot >= thr {
-				in = append(in, cand{ids[i], sparse.AngularDistance(dot)})
-			}
-		}
-		for i := 1; i < len(in); i++ {
-			for j := i; j > 0; j-- {
-				a, b := in[j], in[j-1]
-				if a.dist < b.dist || (a.dist == b.dist && a.gid < b.gid) {
-					in[j], in[j-1] = in[j-1], in[j]
-				} else {
-					break
-				}
-			}
-		}
-		if k < len(in) {
-			in = in[:k]
-		}
-		out := make([]uint64, len(in))
-		for i, c := range in {
-			out[i] = c.gid
-		}
-		return out
-	}
-
+	// The oracle orders by (dist, gid) — gid order coincides with the
+	// coordinator's (dist, node, local ID) merge order.
 	for _, k := range []int{1, 7, 30} {
 		for qi := 0; qi < len(docs); qi += 19 {
 			q := docs[qi]
-			want := oracle(q, k)
-			got, err := cl.QueryTopK(bg, q, k)
+			got, err := cl.Search(bg, q, WithK(k))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("k=%d query %d: %d results, oracle has %d", k, qi, len(got), len(want))
-			}
-			for i, nb := range got {
-				if GlobalID(nb.Node, nb.ID) != want[i] {
-					t.Fatalf("k=%d query %d entry %d: gid %d, oracle says %d",
-						k, qi, i, GlobalID(nb.Node, nb.ID), want[i])
-				}
-			}
+			requireMatchesEqual(t, fmt.Sprintf("k=%d query %d", k, qi), got.Matches,
+				oracleMatches(docs, ids, q, 1.1, k))
 		}
 	}
 }
@@ -347,17 +259,11 @@ func TestClusterPublicAPI(t *testing.T) {
 	if len(ids) != 500 {
 		t.Fatalf("ids = %d", len(ids))
 	}
-	res, err := cl.Query(bg, docs[499])
+	res, err := cl.Search(bg, docs[499])
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, nb := range res {
-		if GlobalID(nb.Node, nb.ID) == ids[499] {
-			found = true
-		}
-	}
-	if !found {
+	if !hasMatch(res.Matches, ids[499]) {
 		t.Fatal("newest doc not found in cluster")
 	}
 	if err := cl.Delete(bg, ids[499]); err != nil {
@@ -472,13 +378,13 @@ func TestTextToNeighborsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	q, _ := e.Encode("quick brown fox and a lazy dog")
-	res, err := s.Query(bg, q)
+	res, err := s.Search(bg, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := map[uint32]bool{}
-	for _, nb := range res {
-		ids[nb.ID] = true
+	ids := map[uint64]bool{}
+	for _, m := range res.Matches {
+		ids[m.ID] = true
 	}
 	if !ids[0] && !ids[1] {
 		t.Fatalf("fox/dog documents not retrieved: %v", res)
@@ -550,17 +456,11 @@ func TestStoreQueriesConcurrentWithMerge(t *testing.T) {
 	mergeErr := make(chan error, 1)
 	go func() { mergeErr <- s.Merge(bg) }()
 	for i := 0; i < 1500; i += 97 {
-		res, err := s.Query(bg, docs[i])
+		res, err := s.Search(bg, docs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		found := false
-		for _, nb := range res {
-			if nb.ID == uint32(i) {
-				found = true
-			}
-		}
-		if !found {
+		if !hasMatch(res.Matches, uint64(i)) {
 			t.Fatalf("doc %d missing while merge in flight", i)
 		}
 	}

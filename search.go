@@ -87,7 +87,7 @@ type Result struct {
 // the per-replica attempt trace, with Complete/Stragglers/Failovers/
 // HedgesWon helpers. A Store reports itself as the single group 0 (with
 // one attempt when traced).
-type Report = BatchReport
+type Report = cluster.BatchReport
 
 // searchSpec is the resolved form of a SearchOption list: the per-query
 // parameter struct that flows to every node, plus the broadcast policy

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"net"
-	"reflect"
 	"testing"
 	"time"
 
@@ -159,117 +158,6 @@ func TestClusterSearchMatchesOracle(t *testing.T) {
 			}
 			requireMatchesEqual(t, "cluster top-k", bounded.Matches,
 				oracleMatches(docs, ids, q, 1.1, k))
-		}
-	}
-}
-
-// TestLegacyWrappersMatchSearch pins the compatibility contract: every
-// deprecated Query* method answers exactly what its Search equivalent
-// answers, on Store and Cluster alike.
-func TestLegacyWrappersMatchSearch(t *testing.T) {
-	s, err := NewStore(Config{Dim: 2000, K: 4, M: 16, Radius: 1.1, Capacity: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	docs := SyntheticTweets(200, 2000, 35)
-	if _, err := s.Insert(bg, docs); err != nil {
-		t.Fatal(err)
-	}
-	queries := docs[:12]
-	for qi, q := range queries {
-		res, err := s.Search(bg, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		legacy, err := s.Query(bg, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(legacy, neighborsFromMatches(res.Matches)) {
-			t.Fatalf("query %d: Query diverges from Search", qi)
-		}
-		topLegacy, err := s.QueryTopK(bg, q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		topNew, err := s.Search(bg, q, WithK(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(topLegacy, neighborsFromMatches(topNew.Matches)) {
-			t.Fatalf("query %d: QueryTopK diverges from Search+WithK", qi)
-		}
-	}
-	legacyBatch, err := s.QueryBatch(bg, queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newBatch, _, err := s.SearchBatch(bg, queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi := range queries {
-		if !reflect.DeepEqual(legacyBatch[qi], neighborsFromMatches(newBatch[qi].Matches)) {
-			t.Fatalf("query %d: QueryBatch diverges from SearchBatch", qi)
-		}
-	}
-
-	cl, err := NewCluster(4, 2, Config{Dim: 2000, K: 4, M: 16, Radius: 1.1, Capacity: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if _, err := cl.Insert(bg, docs); err != nil {
-		t.Fatal(err)
-	}
-	toMatches := func(ns []ClusterNeighbor) []Match {
-		var out []Match
-		for _, nb := range ns {
-			out = append(out, Match{ID: GlobalID(nb.Node, nb.ID), Dist: nb.Dist})
-		}
-		return out
-	}
-	for qi, q := range queries {
-		res, err := cl.Search(bg, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		legacy, err := cl.Query(bg, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(toMatches(legacy), res.Matches) {
-			t.Fatalf("query %d: cluster Query diverges from Search", qi)
-		}
-		topLegacy, err := cl.QueryTopK(bg, q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		topNew, err := cl.Search(bg, q, WithK(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(toMatches(topLegacy), topNew.Matches) {
-			t.Fatalf("query %d: cluster QueryTopK diverges from Search+WithK", qi)
-		}
-	}
-	legacyTimed, legacyReport, err := cl.QueryBatchTimed(bg, queries, BatchOptions{
-		PerNodeTimeout: time.Minute, Partial: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	newTimed, newReport, err := cl.SearchBatch(bg, queries,
-		WithNodeTimeout(time.Minute), AllowPartial())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !legacyReport.Complete() || !newReport.Complete() {
-		t.Fatal("healthy cluster reported stragglers")
-	}
-	for qi := range queries {
-		if !reflect.DeepEqual(toMatches(legacyTimed[qi]), newTimed[qi].Matches) {
-			t.Fatalf("query %d: QueryBatchTimed diverges from SearchBatch", qi)
 		}
 	}
 }
