@@ -85,8 +85,9 @@ func MustBuild(fam *lshhash.Family, mat *sparse.Matrix, opts BuildOptions) *Stat
 	return st
 }
 
-// BuildFromSketches constructs a Static index from precomputed sketches,
-// used by the streaming merge path where delta sketches already exist.
+// BuildFromSketches constructs a Static index from precomputed sketches.
+// No merge calls it yet: node.buildStatic goes through Build, which hashes
+// every row again (ROADMAP item 2).
 func BuildFromSketches(fam *lshhash.Family, sk *lshhash.Sketches, workers int) *Static {
 	pool := sched.NewPool(workers)
 	p := fam.Params()
@@ -107,22 +108,21 @@ func buildOneLevel(st *Static, sk *lshhash.Sketches, p lshhash.Params, pool *sch
 	type scratch struct {
 		keys []uint32
 		hist []uint32
+		tb   TableBuilder
 	}
 	ws := make([]scratch, pool.Workers())
 	pool.Run(p.L(), func(l, w int) {
-		if ws[w].keys == nil {
-			ws[w].keys = make([]uint32, n)
-			ws[w].hist = make([]uint32, buckets+1)
+		s := &ws[w]
+		if s.keys == nil {
+			s.keys = make([]uint32, n)
+			s.hist = make([]uint32, buckets)
 		}
 		a, b := lshhash.PairForTable(l, p.M)
-		keys := ws[w].keys
+		keys := s.keys
 		for i := 0; i < n; i++ {
 			keys[i] = sk.At(i, a)<<half | sk.At(i, b)
 		}
-		t := &st.tables[l]
-		t.Items = make([]uint32, n)
-		t.Offsets = make([]uint32, buckets+1)
-		partitionIdentity(keys, ws[w].hist, t.Items, t.Offsets)
+		st.tables[l] = s.tb.GroupByKey(keys, s.hist)
 	})
 }
 
@@ -131,6 +131,8 @@ func buildOneLevel(st *Static, sk *lshhash.Sketches, p lshhash.Params, pool *sch
 // through the scatter so no random gather is needed — then each
 // first-level segment by u_b. 2L partition passes, each over 2^(k/2)
 // partitions only (the TLB/cache argument of §5.1.2).
+//
+//plshvet:prepublish construction helper; fills the Static before Build returns it
 func buildTwoLevel(st *Static, sk *lshhash.Sketches, p lshhash.Params, pool *sched.Pool, tm *BuildTimings) {
 	n := sk.N()
 	halfB := p.HalfBuckets()
@@ -139,6 +141,7 @@ func buildTwoLevel(st *Static, sk *lshhash.Sketches, p lshhash.Params, pool *sch
 		perm1, kperm []uint32
 		offs1        []uint32
 		hist         []uint32
+		tb           TableBuilder
 	}
 	ws := make([]scratch, pool.Workers())
 	t0 := now()
@@ -160,7 +163,7 @@ func buildTwoLevel(st *Static, sk *lshhash.Sketches, p lshhash.Params, pool *sch
 		}
 		// First-level pass moves (item, key2) pairs together.
 		partitionPairs(s.keys1, s.keys2, s.hist, s.perm1, s.kperm, s.offs1)
-		secondLevel(&st.tables[l], s.perm1, s.kperm, s.offs1, s.hist, p)
+		st.tables[l] = secondLevel(&s.tb, s.perm1, s.kperm, s.offs1, s.hist, p)
 	})
 	// First- and second-level passes are fused per table; attribute the
 	// total evenly for reporting.
@@ -180,6 +183,8 @@ func buildTwoLevel(st *Static, sk *lshhash.Sketches, p lshhash.Params, pool *sch
 // costs no random gather — sketch rows are read sequentially exactly once
 // per first-level function, and each table (a, b) then reads its
 // second-level keys sequentially from the shared column buffer.
+//
+//plshvet:prepublish construction helper; fills the Static before Build returns it
 func buildShared(st *Static, sk *lshhash.Sketches, p lshhash.Params, pool *sched.Pool, tm *BuildTimings) {
 	n := sk.N()
 	halfB := p.HalfBuckets()
@@ -194,6 +199,7 @@ func buildShared(st *Static, sk *lshhash.Sketches, p lshhash.Params, pool *sched
 	}
 	type scratch struct {
 		hist []uint32
+		tb   TableBuilder
 	}
 	ws := make([]scratch, pool.Workers())
 
@@ -264,10 +270,10 @@ func buildShared(st *Static, sk *lshhash.Sketches, p lshhash.Params, pool *sched
 			b := a + 1 + i
 			s := &ws[wkr]
 			if s.hist == nil {
-				s.hist = make([]uint32, halfB+1)
+				s.hist = make([]uint32, halfB)
 			}
 			l := lshhash.TableForPair(a, b, m)
-			secondLevel(&st.tables[l], perm, cols[b], offs, s.hist, p)
+			st.tables[l] = secondLevel(&s.tb, perm, cols[b], offs, s.hist, p)
 		})
 		tm.I3NS += now() - t2
 	}
@@ -301,69 +307,34 @@ func partitionPairs(keys1, keys2, hist, outPerm, outKeys2, outOffs []uint32) {
 }
 
 // secondLevel refines each first-level segment of perm1 by the second-level
-// keys, writing the table's final Items and the full 2^k+1 Offsets.
-//
-//plshvet:prepublish construction helper; fills one table before Build returns the Static
-func secondLevel(t *Table, perm1, keys2, offs1, hist []uint32, p lshhash.Params) {
+// keys and returns the finished table, its directory emitted by tb segment
+// by segment. hist is scratch of len ≥ 2^(k/2).
+func secondLevel(tb *TableBuilder, perm1, keys2, offs1, hist []uint32, p lshhash.Params) Table {
 	n := len(perm1)
 	halfB := p.HalfBuckets()
-	half := uint(p.K / 2)
-	buckets := p.Buckets()
-	t.Items = make([]uint32, n)
-	t.Offsets = make([]uint32, buckets+1)
+	hist = hist[:halfB]
+	items := make([]uint32, n)
+	tb.Reset(p.Buckets(), n)
 	for part := 0; part < halfB; part++ {
 		segLo, segHi := offs1[part], offs1[part+1]
 		seg := keys2[segLo:segHi]
 		// Histogram of the segment's second-level keys.
-		for i := range hist {
-			hist[i] = 0
-		}
+		clear(hist)
 		for _, k2 := range seg {
 			hist[k2]++
 		}
-		// Prefix sum → absolute offsets for buckets (part, 0..halfB).
-		cum := segLo
-		base := uint32(part) << half
-		for q := 0; q < halfB; q++ {
-			t.Offsets[base+uint32(q)] = cum
-			c := hist[q]
-			hist[q] = cum // reuse as scatter cursor
-			cum += c
-		}
+		// Buckets (part, 0..halfB): counts become scatter cursors. The
+		// builder's running total stands at segLo, the segments being
+		// contiguous in key order.
+		tb.Add(hist)
 		// Scatter.
 		for i, k2 := range seg {
 			dst := hist[k2]
 			hist[k2]++
-			t.Items[dst] = perm1[segLo+uint32(i)]
+			items[dst] = perm1[segLo+uint32(i)]
 		}
 	}
-	t.Offsets[buckets] = uint32(n)
-}
-
-// partitionIdentity partitions the identity index sequence 0..len(keys)-1
-// by keys into outPerm with bucket boundaries in outOffs (len = nB+1,
-// where nB+1 == len(hist)). hist is scratch.
-func partitionIdentity(keys, hist, outPerm, outOffs []uint32) {
-	for i := range hist {
-		hist[i] = 0
-	}
-	for _, k := range keys {
-		hist[k]++
-	}
-	nB := len(hist) - 1
-	var cum uint32
-	for b := 0; b < nB; b++ {
-		outOffs[b] = cum
-		c := hist[b]
-		hist[b] = cum
-		cum += c
-	}
-	outOffs[nB] = cum
-	for i, k := range keys {
-		dst := hist[k]
-		hist[k]++
-		outPerm[dst] = uint32(i)
-	}
+	return tb.Finish(items)
 }
 
 // partitionParallel is the 3-step parallel partition of §5.1.2: each worker

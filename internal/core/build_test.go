@@ -21,26 +21,24 @@ func testSetup(t *testing.T, nDocs int) (*lshhash.Family, *sparse.Matrix) {
 }
 
 // checkTableInvariants asserts that every table is a valid partition: the
-// offsets are monotone, cover [0, N], and the items are a permutation of
-// 0..N-1 whose bucket assignment matches the brute-force key computation.
+// directory passes ValidateTables and covers [0, N], and the items are a
+// permutation of 0..N-1 whose bucket assignment matches the brute-force key
+// computation.
 func checkTableInvariants(t *testing.T, st *Static, sk *lshhash.Sketches) {
 	t.Helper()
 	p := st.fam.Params()
 	n := st.Len()
+	if err := ValidateTables(p, n, st.tables); err != nil {
+		t.Fatal(err)
+	}
 	for l := 0; l < st.NumTables(); l++ {
 		tbl := st.Table(l)
 		a, b := lshhash.PairForTable(l, p.M)
-		if len(tbl.Items) != n || len(tbl.Offsets) != p.Buckets()+1 {
-			t.Fatalf("table %d: bad shape items=%d offsets=%d", l, len(tbl.Items), len(tbl.Offsets))
-		}
-		if tbl.Offsets[0] != 0 || tbl.Offsets[p.Buckets()] != uint32(n) {
-			t.Fatalf("table %d: offsets do not cover [0,%d]", l, n)
+		if len(tbl.Items) != n {
+			t.Fatalf("table %d: %d items, want %d", l, len(tbl.Items), n)
 		}
 		seen := make([]bool, n)
 		for key := 0; key < p.Buckets(); key++ {
-			if tbl.Offsets[key] > tbl.Offsets[key+1] {
-				t.Fatalf("table %d: offsets not monotone at key %d", l, key)
-			}
 			for _, item := range tbl.Bucket(uint32(key)) {
 				if seen[item] {
 					t.Fatalf("table %d: item %d appears twice", l, item)
@@ -203,16 +201,6 @@ func TestBuildTimingsPopulated(t *testing.T) {
 	}
 }
 
-func TestMemoryBytes(t *testing.T) {
-	fam, mat := testSetup(t, 200)
-	st, _ := Build(fam, mat, Defaults())
-	p := fam.Params()
-	want := int64(p.L()) * (int64(p.Buckets()+1)*4 + int64(200)*4)
-	if got := st.MemoryBytes(); got != want {
-		t.Fatalf("MemoryBytes = %d, want %d", got, want)
-	}
-}
-
 func TestPartitionParallelMatchesSequential(t *testing.T) {
 	keys := make([]uint32, 1000)
 	for i := range keys {
@@ -251,5 +239,31 @@ func TestPartitionParallelEmpty(t *testing.T) {
 	perm, offs := partitionParallel(pool, 0, 8, func(i int) uint32 { return 0 })
 	if len(perm) != 0 || len(offs) != 9 {
 		t.Fatalf("empty partition: perm=%d offs=%d", len(perm), len(offs))
+	}
+}
+
+// partitionIdentity partitions the identity index sequence 0..len(keys)-1
+// by keys into outPerm with bucket boundaries in outOffs (len = nB+1,
+// where nB+1 == len(hist)). hist is scratch.
+func partitionIdentity(keys, hist, outPerm, outOffs []uint32) {
+	for i := range hist {
+		hist[i] = 0
+	}
+	for _, k := range keys {
+		hist[k]++
+	}
+	nB := len(hist) - 1
+	var cum uint32
+	for b := 0; b < nB; b++ {
+		outOffs[b] = cum
+		c := hist[b]
+		hist[b] = cum
+		cum += c
+	}
+	outOffs[nB] = cum
+	for i, k := range keys {
+		dst := hist[k]
+		hist[k]++
+		outPerm[dst] = uint32(i)
 	}
 }

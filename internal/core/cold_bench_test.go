@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -9,31 +10,36 @@ import (
 	"plsh/internal/sparse"
 )
 
-// coldFixture is the benchmark suite's static_query geometry
-// (benchmarks/suite/inputs.go): the 32 000-document tweet-like base set
-// over a 50 000-word vocabulary, K=16/M=16 → 120 tables, and 4096 distinct
-// queries drawn from the base set — enough that a pass over them finds the
-// 31 MB of offset arrays cold, as a client's next query does.
-var coldFixture = sync.OnceValue(func() (f struct {
+// coldSet is the benchmark suite's geometry (benchmarks/suite/inputs.go) at
+// n documents: the tweet-like base set over a 50 000-word vocabulary,
+// K=16/M=16 → 120 tables, and 4096 distinct queries drawn from the base
+// set — enough that a pass over them finds the tables' offsets and items
+// (12 MB and 15 MB at 32 000 rows) cold, as a client's next query does.
+type coldSet struct {
 	st    *Static
 	store *sparse.Matrix
 	qs    []sparse.Vector
-}) {
+}
+
+func newColdSet(n int) (f coldSet) {
 	fam, err := lshhash.NewFamily(lshhash.Params{Dim: 50000, K: 16, M: 16, Seed: 1})
 	if err != nil {
 		panic(err)
 	}
-	col := corpus.Generate(corpus.Twitter(32000, 50000, 1))
+	col := corpus.Generate(corpus.Twitter(n, 50000, 1))
 	f.store = col.Mat
 	if f.st, err = Build(fam, col.Mat, Defaults()); err != nil {
 		panic(err)
 	}
 	f.qs = make([]sparse.Vector, 4096)
 	for i := range f.qs {
-		f.qs[i] = col.Mat.Row(i * 7919 % col.Mat.Rows()) // 7919 is prime to 32000: distinct rows
+		f.qs[i] = col.Mat.Row(i * 7919 % col.Mat.Rows()) // 7919 is prime: distinct rows for any n above 4096
 	}
 	return f
-})
+}
+
+// coldFixture is static_query's base set, 32 000 documents.
+var coldFixture = sync.OnceValue(func() coldSet { return newColdSet(32000) })
 
 // BenchmarkEngineSearchCold times one cold SearchAppend per dedup arm with
 // the Q2/Q3 split beside it, and the pre-kernel monolithic loop as the
@@ -44,6 +50,15 @@ var coldFixture = sync.OnceValue(func() (f struct {
 // and an edit that re-slows the Q2 loop shows as Extract approaching
 // Monolithic. ns/op comes from an engine that does not collect phases, the
 // q2/q3 metrics from a second one that does, as in the suite's ladder.
+//
+// The N=…/Compact and N=…/Dense cases are the evidence for the table layout
+// (DESIGN.md "Static tables"): the default arm over the engine's tables and
+// over the dense 2^k+1-offsets reference of dense_test.go, on a fleet
+// node's share, on static_query's base set and at four items a bucket.
+// q2-ns/op is Step Q2 for queries drawn from the index, every one of whose
+// 120 buckets holds at least the query; q2-fresh-ns/op for documents the
+// index has never seen, most of whose buckets are empty;
+// directory-bytes/table is everything a table holds but its items.
 func BenchmarkEngineSearchCold(b *testing.B) {
 	f := coldFixture()
 	type searchFn func(dst []Neighbor, q sparse.Vector) ([]Neighbor, QueryStats)
@@ -86,6 +101,69 @@ func BenchmarkEngineSearchCold(b *testing.B) {
 			b.ReportMetric(float64(ph.Q3NS)/float64(b.N), "q3-ns/op")
 		})
 	}
+
+	for _, n := range []int{8000, 32000, 262144} {
+		var set coldSet // built by the first of the two arms that runs
+		for _, layout := range []string{"Compact", "Dense"} {
+			b.Run(fmt.Sprintf("N=%d/%s", n, layout), func(b *testing.B) {
+				if set.st == nil {
+					if set = f; n != f.st.Len() {
+						set = newColdSet(n)
+					}
+				}
+				benchLayout(b, set, layout == "Dense")
+			})
+		}
+	}
+}
+
+// benchLayout times the default search arm over set's tables, or over their
+// dense expansion, with Step Q2 clocked as SearchOn clocks it.
+func benchLayout(b *testing.B, set coldSet, dense bool) {
+	e := NewEngine(set.st, set.store, QueryDefaults())
+	p := set.st.fam.Params()
+	pairs, half := set.st.fam.Pairs(), uint(p.K/2)
+	probe := func(ws *Workspace) int {
+		return ProbeMark(set.st.tables, pairs, ws.sketch, half, ws.lo, ws.hi, ws.seen.Words())
+	}
+	tableBytes := float64(set.st.MemoryBytes()) / float64(p.L())
+	if dense {
+		tables := make([]denseTable, p.L())
+		for l := range tables {
+			tables[l] = denseOf(&set.st.tables[l], p.Buckets())
+		}
+		probe = func(ws *Workspace) int {
+			return probeMarkDense(tables, pairs, ws.sketch, half, ws.lo, ws.hi, ws.seen.Words())
+		}
+		tableBytes = float64(len(tables[0].Offsets)+len(tables[0].Items)) * 4
+	}
+	var dst []Neighbor
+	search := func(q sparse.Vector) (q2 int64) {
+		ws := e.Begin(q)
+		t0 := now()
+		sink += probe(ws)
+		ws.cand = ws.seen.AppendSet(ws.cand[:0])
+		ws.seen.ResetList(ws.cand)
+		q2 = now() - t0
+		dst, _ = Verify(dst[:0], ws.cand, 0, e.store, nil, len(ws.cand), sparse.CosThreshold(e.opts.Radius), ws.mask, q)
+		e.End(ws)
+		return q2
+	}
+	// Documents of another corpus seed: not in the index.
+	fresh := corpus.Generate(corpus.Twitter(len(set.qs), 50000, 2)).Mat
+	var q2Fresh int64
+	for i := 0; i < b.N; i++ {
+		q2Fresh += search(fresh.Row(i % fresh.Rows()))
+	}
+	var q2 int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q2 += search(set.qs[i%len(set.qs)])
+	}
+	b.ReportMetric(float64(q2)/float64(b.N), "q2-ns/op")
+	b.ReportMetric(float64(q2Fresh)/float64(b.N), "q2-fresh-ns/op")
+	b.ReportMetric(tableBytes-float64(set.st.Len())*4, "directory-bytes/table")
+	b.ReportMetric(tableBytes*float64(p.L())/float64(set.st.Len()), "bytes/doc")
 }
 
 // monolith is the query path as it stood before the kernels of kernels.go:
@@ -281,8 +359,8 @@ func probeUnstagedNoLoop(tables []Table, pairs []lshhash.Pair, sketch []uint32, 
 	sum := 0
 	for l := range tables {
 		t := &tables[l]
-		lo := t.Offsets[pairs[l].Key(sketch, half)]
-		sum += int(t.Items[min(int(lo), len(t.Items)-1)])
+		slot, _ := t.slot(pairs[l].Key(sketch, half))
+		sum += int(t.Items[min(int(t.Offsets[slot]), len(t.Items)-1)])
 	}
 	return sum
 }

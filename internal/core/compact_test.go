@@ -25,12 +25,13 @@ func TestStaticCompact(t *testing.T) {
 
 	// Expected bucket contents: the pre-compact buckets with dropped rows
 	// filtered out.
+	buckets := fam.Params().Buckets()
 	want := make([][][]uint32, st.NumTables())
 	for l := range want {
 		tab := st.Table(l)
-		want[l] = make([][]uint32, len(tab.Offsets)-1)
-		for b := 0; b < len(tab.Offsets)-1; b++ {
-			for _, id := range tab.Items[tab.Offsets[b]:tab.Offsets[b+1]] {
+		want[l] = make([][]uint32, buckets)
+		for b := 0; b < buckets; b++ {
+			for _, id := range tab.Bucket(uint32(b)) {
 				if !drop(id) {
 					want[l][b] = append(want[l][b], id)
 				}
@@ -43,16 +44,12 @@ func TestStaticCompact(t *testing.T) {
 	if st.Len() != n {
 		t.Fatalf("Compact changed Len: %d", st.Len())
 	}
+	if err := ValidateTables(fam.Params(), n, st.tables); err != nil {
+		t.Fatal(err)
+	}
 	for l := 0; l < st.NumTables(); l++ {
 		tab := st.Table(l)
-		if int(tab.Offsets[len(tab.Offsets)-1]) != len(tab.Items) {
-			t.Fatalf("table %d: final offset %d != items %d",
-				l, tab.Offsets[len(tab.Offsets)-1], len(tab.Items))
-		}
-		for b := 0; b < len(tab.Offsets)-1; b++ {
-			if tab.Offsets[b] > tab.Offsets[b+1] {
-				t.Fatalf("table %d bucket %d: offsets decreasing", l, b)
-			}
+		for b := 0; b < buckets; b++ {
 			got := tab.Bucket(uint32(b))
 			if len(got) != len(want[l][b]) {
 				t.Fatalf("table %d bucket %d: %d items, want %d", l, b, len(got), len(want[l][b]))

@@ -1,0 +1,364 @@
+package core
+
+import (
+	"fmt"
+	"reflect"
+	"slices"
+	"testing"
+
+	"plsh/internal/lshhash"
+	"plsh/internal/rng"
+	"plsh/internal/sched"
+)
+
+// denseTable is the layout Table had before the occupancy directory: the
+// paper's Fig. 3a, a 2^k+1 offsets array indexed by key. It lives in test
+// files only, as the reference the compact layout is checked against and
+// the other arm of the cold benchmark.
+type denseTable struct {
+	Offsets []uint32
+	Items   []uint32
+}
+
+func (t *denseTable) Bucket(key uint32) []uint32 {
+	return t.Items[t.Offsets[key]:t.Offsets[key+1]]
+}
+
+// denseFromKeys is a stable counting sort of 0..len(keys)-1 by key: the
+// specification of what every builder arm must produce.
+func denseFromKeys(keys []uint32, buckets int) denseTable {
+	t := denseTable{Offsets: make([]uint32, buckets+1), Items: make([]uint32, len(keys))}
+	for _, k := range keys {
+		t.Offsets[k+1]++
+	}
+	for b := 0; b < buckets; b++ {
+		t.Offsets[b+1] += t.Offsets[b]
+	}
+	cursor := slices.Clone(t.Offsets[:buckets])
+	for i, k := range keys {
+		t.Items[cursor[k]] = uint32(i)
+		cursor[k]++
+	}
+	return t
+}
+
+// denseOf expands a compact table to the dense layout, sharing its Items.
+func denseOf(t *Table, buckets int) denseTable {
+	d := denseTable{Offsets: make([]uint32, buckets+1), Items: t.Items}
+	var cum uint32
+	for b := 0; b < buckets; b++ {
+		d.Offsets[b] = cum
+		cum += uint32(len(t.Bucket(uint32(b))))
+	}
+	d.Offsets[buckets] = cum
+	return d
+}
+
+// compact and capBuckets are Static.Compact and Static.CapBuckets as they
+// ran over the dense layout, one table at a time.
+func (t *denseTable) compact(drop func(uint32) bool) {
+	var w uint32
+	for b := 0; b < len(t.Offsets)-1; b++ {
+		lo, hi := t.Offsets[b], t.Offsets[b+1]
+		t.Offsets[b] = w
+		for _, id := range t.Items[lo:hi] {
+			if !drop(id) {
+				t.Items[w] = id
+				w++
+			}
+		}
+	}
+	t.Offsets[len(t.Offsets)-1] = w
+	t.Items = t.Items[:w]
+}
+
+func (t *denseTable) capBuckets(r int, seed uint64, l int) {
+	src := rng.New(seed + uint64(l)*0x9e3779b97f4a7c15)
+	var w uint32
+	for b := 0; b < len(t.Offsets)-1; b++ {
+		lo, hi := t.Offsets[b], t.Offsets[b+1]
+		t.Offsets[b] = w
+		bucket := t.Items[lo:hi]
+		if len(bucket) > r {
+			res := bucket[:r]
+			for i := r; i < len(bucket); i++ {
+				if j := src.Intn(i + 1); j < r {
+					res[j] = bucket[i]
+				}
+			}
+			bucket = res
+		}
+		w += uint32(copy(t.Items[w:], bucket))
+	}
+	t.Offsets[len(t.Offsets)-1] = w
+	t.Items = t.Items[:w]
+}
+
+// probeMarkDense is ProbeMark as it ran over the dense layout: one staged
+// load of each bucket's two adjacent offsets, then the mark pass.
+func probeMarkDense(tables []denseTable, pairs []lshhash.Pair, sketch []uint32, half uint, lo, hi []uint32, words []uint64) int {
+	pairs = pairs[:len(tables)]
+	lo = lo[:len(tables)]
+	hi = hi[:len(tables)]
+	for l := range tables {
+		offs := tables[l].Offsets
+		key := pairs[l].Key(sketch, half)
+		lo[l], hi[l] = offs[key], offs[key+1]
+	}
+	collisions := 0
+	for l := range tables {
+		bucket := tables[l].Items[lo[l]:hi[l]]
+		collisions += len(bucket)
+		for _, id := range bucket {
+			words[id>>6] |= 1 << (id & 63)
+		}
+	}
+	return collisions
+}
+
+// layoutSketches draws n sketches of m half-hashes below halfB: uniform, or
+// with the cube of a uniform variate so a few values take most of the mass
+// and most buckets stay empty.
+func layoutSketches(n, m, halfB int, skewed bool, seed uint64) *lshhash.Sketches {
+	src := rng.New(seed)
+	sk := &lshhash.Sketches{M: m, Data: make([]uint32, n*m)}
+	for i := range sk.Data {
+		if u := src.Float64(); skewed {
+			sk.Data[i] = uint32(u * u * u * float64(halfB))
+		} else {
+			sk.Data[i] = uint32(u * float64(halfB))
+		}
+	}
+	return sk
+}
+
+// sameBuckets checks Bucket(key) against the dense reference for every one
+// of the 2^K keys of every table.
+func sameBuckets(t *testing.T, what string, st *Static, ref []denseTable) {
+	t.Helper()
+	buckets := st.fam.Params().Buckets()
+	for l := range ref {
+		for key := 0; key < buckets; key++ {
+			got, want := st.tables[l].Bucket(uint32(key)), ref[l].Bucket(uint32(key))
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: table %d bucket %d = %v, dense reference %v", what, l, key, got, want)
+			}
+		}
+	}
+}
+
+// TestLayoutMatchesDenseReference: for key multisets on both sides of full
+// occupancy, every builder arm, Compact and CapBuckets leave every bucket
+// exactly as the dense layout had it, under a directory that validates.
+func TestLayoutMatchesDenseReference(t *testing.T) {
+	p := lshhash.Params{Dim: 64, K: 8, M: 4, Seed: 5}
+	fam, err := lshhash.NewFamily(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buckets := p.Buckets()
+	arms := []struct {
+		name  string
+		build func(st *Static, sk *lshhash.Sketches, pool *sched.Pool)
+	}{
+		{"one-level", func(st *Static, sk *lshhash.Sketches, pool *sched.Pool) { buildOneLevel(st, sk, p, pool) }},
+		{"two-level", func(st *Static, sk *lshhash.Sketches, pool *sched.Pool) {
+			buildTwoLevel(st, sk, p, pool, &BuildTimings{})
+		}},
+		{"shared", func(st *Static, sk *lshhash.Sketches, pool *sched.Pool) {
+			buildShared(st, sk, p, pool, &BuildTimings{})
+		}},
+	}
+	for _, n := range []int{0, 1, buckets - 1, buckets, 4 * buckets} {
+		for _, skewed := range []bool{false, true} {
+			sk := layoutSketches(n, p.M, p.HalfBuckets(), skewed, uint64(n)+1)
+			reference := func() []denseTable {
+				ref := make([]denseTable, p.L())
+				keys := make([]uint32, n)
+				for l := range ref {
+					a, b := lshhash.PairForTable(l, p.M)
+					for i := range keys {
+						keys[i] = sk.TableKey(i, a, b, p.K)
+					}
+					ref[l] = denseFromKeys(keys, buckets)
+				}
+				return ref
+			}
+			for _, arm := range arms {
+				what := fmt.Sprintf("%s n=%d skewed=%v", arm.name, n, skewed)
+				build := func() *Static {
+					st := &Static{fam: fam, n: n, tables: make([]Table, p.L())}
+					arm.build(st, sk, sched.NewPool(3))
+					return st
+				}
+				check := func(step string, st *Static, ref []denseTable) {
+					t.Helper()
+					if err := ValidateTables(p, n, st.tables); err != nil {
+						t.Fatalf("%s, %s: %v", what, step, err)
+					}
+					sameBuckets(t, what+", "+step, st, ref)
+				}
+
+				st, ref := build(), reference()
+				check("built", st, ref)
+				if bound := TableMemoryBound(n, p.K, p.L()); st.MemoryBytes() > bound {
+					t.Fatalf("%s: MemoryBytes %d over TableMemoryBound %d", what, st.MemoryBytes(), bound)
+				}
+
+				tomb := rng.New(uint64(n) + 99)
+				dead := make([]bool, n)
+				for i := range dead {
+					dead[i] = tomb.Intn(3) == 0
+				}
+				drop := func(id uint32) bool { return dead[id] }
+				st.Compact(drop, 2)
+				for l := range ref {
+					ref[l].compact(drop)
+				}
+				check("compacted", st, ref)
+
+				// Capping the compacted tables, as a merge does, and fresh
+				// ones, where every set bit still has items.
+				for _, fresh := range []bool{false, true} {
+					if fresh {
+						st, ref = build(), reference()
+					}
+					st.CapBuckets(2, 77, 2)
+					for l := range ref {
+						ref[l].capBuckets(2, 77, l)
+					}
+					check(fmt.Sprintf("capped (fresh=%v)", fresh), st, ref)
+				}
+			}
+		}
+	}
+}
+
+// TestStaticFromTablesRejectsBadDirectory: each way a directory can
+// disagree with itself is an error from StaticFromTables, never a panic and
+// never an index.
+func TestStaticFromTablesRejectsBadDirectory(t *testing.T) {
+	p := lshhash.Params{Dim: 64, K: 8, M: 4, Seed: 5}
+	fam, err := lshhash.NewFamily(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 300
+	sk := layoutSketches(n, p.M, p.HalfBuckets(), true, 3)
+	good := func() []Table {
+		st := BuildFromSketches(fam, sk, 1)
+		return st.tables
+	}
+	if _, err := StaticFromTables(fam, n, good()); err != nil {
+		t.Fatalf("valid tables rejected: %v", err)
+	}
+	// A clear bit of the last bitmap word, so that setting it leaves every
+	// rank word counting correctly.
+	clearBit := func(tb *Table) uint {
+		last := tb.Occ[len(tb.Occ)-1]
+		for b := uint(0); b < 64; b++ {
+			if last>>b&1 == 0 {
+				return b
+			}
+		}
+		t.Fatal("fixture too dense: last bitmap word is full")
+		return 0
+	}
+	for _, bad := range []struct {
+		name    string
+		corrupt func(tb *Table)
+	}{
+		{"popcount over offset count", func(tb *Table) { tb.Occ[len(tb.Occ)-1] |= 1 << clearBit(tb) }},
+		{"popcount under offset count", func(tb *Table) { tb.Offsets = append(tb.Offsets, tb.Offsets[len(tb.Offsets)-1]) }},
+		{"rank directory decreases", func(tb *Table) { tb.Rank[2] = tb.Rank[1] - 1 }},
+		{"rank directory miscounts", func(tb *Table) { tb.Rank[len(tb.Rank)-1]++ }},
+		{"short bitmap", func(tb *Table) { tb.Occ, tb.Rank = tb.Occ[:1], tb.Rank[:1] }},
+		{"short rank directory", func(tb *Table) { tb.Rank = tb.Rank[:len(tb.Rank)-1] }},
+		{"offsets decrease", func(tb *Table) { tb.Offsets[2] = tb.Offsets[1] - 1 }},
+		{"first offset not zero", func(tb *Table) { tb.Offsets[0] = 1 }},
+		{"last offset short of items", func(tb *Table) { tb.Offsets[len(tb.Offsets)-1]-- }},
+		{"last offset past items", func(tb *Table) { tb.Items = tb.Items[:len(tb.Items)-1] }},
+		{"item id out of range", func(tb *Table) { tb.Items[7] = n }},
+		{"no offsets", func(tb *Table) { tb.Offsets = nil }},
+	} {
+		tables := good()
+		bad.corrupt(&tables[3])
+		if _, err := StaticFromTables(fam, n, tables); err == nil {
+			t.Errorf("%s: accepted", bad.name)
+		}
+	}
+	if _, err := StaticFromTables(fam, n, good()[:p.L()-1]); err == nil {
+		t.Error("missing table: accepted")
+	}
+}
+
+// sliceBytes sums cap × element size over every slice reachable from v.
+func sliceBytes(v reflect.Value) int64 {
+	var b int64
+	switch v.Kind() {
+	case reflect.Slice:
+		b = int64(v.Cap()) * int64(v.Type().Elem().Size())
+		for i := 0; i < v.Len(); i++ {
+			b += sliceBytes(v.Index(i))
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			b += sliceBytes(v.Field(i))
+		}
+	case reflect.Pointer:
+		if !v.IsNil() {
+			b = sliceBytes(v.Elem())
+		}
+	}
+	return b
+}
+
+// TestMemoryBytesCountsEverySlice: MemoryBytes is the capacity of every
+// slice a table holds, found by reflection so that a field added to Table
+// cannot go uncounted — before and after the in-place rewrites, which
+// shorten Items without giving its array back.
+func TestMemoryBytesCountsEverySlice(t *testing.T) {
+	fam, mat := testSetup(t, 200)
+	st, err := Build(fam, mat, Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reachable := func() int64 {
+		var b int64
+		for l := range st.tables {
+			b += sliceBytes(reflect.ValueOf(&st.tables[l]))
+		}
+		return b
+	}
+	if got, want := st.MemoryBytes(), reachable(); got != want {
+		t.Fatalf("MemoryBytes = %d, slices reachable from the tables hold %d", got, want)
+	}
+	if floor := int64(fam.Params().L()) * 200 * 4; st.MemoryBytes() < floor {
+		t.Fatalf("MemoryBytes = %d, below the items alone (%d)", st.MemoryBytes(), floor)
+	}
+	st.Compact(func(id uint32) bool { return id%2 == 0 }, 2)
+	if got, want := st.MemoryBytes(), reachable(); got != want {
+		t.Fatalf("after Compact: MemoryBytes = %d, slices hold %d", got, want)
+	}
+}
+
+// TestTableMemoryBoundIsTight: the footprint perfmodel.Select budgets with
+// is never under what a build of that size holds, and within 15 % of it,
+// below, at and past full occupancy.
+func TestTableMemoryBoundIsTight(t *testing.T) {
+	p := lshhash.Params{Dim: 64, K: 8, M: 6, Seed: 9}
+	fam, err := lshhash.NewFamily(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 120 documents leave more than half of the 256 buckets empty; the
+	// others are the issue's sizes.
+	for _, n := range []int{120, 1000, 32000, 4 * p.Buckets()} {
+		sk := layoutSketches(n, p.M, p.HalfBuckets(), false, uint64(n))
+		got := BuildFromSketches(fam, sk, 2).MemoryBytes()
+		bound := TableMemoryBound(n, p.K, p.L())
+		if bound < got || float64(bound) > 1.15*float64(got) {
+			t.Errorf("n=%d: TableMemoryBound %d, MemoryBytes %d (ratio %.3f)", n, bound, got, float64(bound)/float64(got))
+		}
+	}
+}

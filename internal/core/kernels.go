@@ -12,23 +12,31 @@ import (
 // so a loop tests only values that sit in registers; DESIGN.md "Q2/Q3 leaf
 // kernels" has the measurements that put them here.
 
-// stageBuckets is pass 1 of every Q2 probe: it composes the L table keys
-// from the sketch and loads each selected bucket's bounds into lo and hi
-// (length ≥ len(tables); returned cut to it), touching no bucket. The loop has no branch that
-// depends on what it loads — bounds checks aside — so the L offset-array
-// misses are all in flight together: the structural stand-in for §5.2.2's
-// software prefetch. A probe that walked each bucket as soon as it had its
-// bounds would close every iteration with a loop branch on a value still in
-// flight from memory, and each misprediction of it serializes the next
-// table's miss behind this one's.
+// stageBuckets is the staging of every Q2 probe: it composes the L table
+// keys from the sketch and loads each selected bucket's bounds into lo and
+// hi (length ≥ len(tables); returned cut to it), touching no bucket. Stage 1
+// reads each table's bitmap word and rank word — 12 KB a table at K=16, the
+// part of the index a cache can hold — and turns them into the bucket's
+// directory entry by arithmetic alone (Table.slot); a clear bit comes out as
+// entry 0 with zero length, so an empty bucket ends at a line every empty
+// probe of that table shares. Stage 2 loads the entries' offsets. Neither
+// loop has a branch that depends on what it loads — bounds checks aside —
+// so the L misses of each stage are all in flight together: the structural
+// stand-in for §5.2.2's software prefetch. A probe that walked each bucket
+// as soon as it had its bounds would close every iteration with a loop
+// branch on a value still in flight from memory, and each misprediction of
+// it serializes the next table's miss behind this one's.
 func stageBuckets(tables []Table, pairs []lshhash.Pair, sketch []uint32, half uint, lo, hi []uint32) ([]uint32, []uint32) {
 	pairs = pairs[:len(tables)]
 	lo = lo[:len(tables)]
 	hi = hi[:len(tables)]
 	for l := range tables {
+		lo[l], hi[l] = tables[l].slot(pairs[l].Key(sketch, half))
+	}
+	for l := range tables {
 		offs := tables[l].Offsets
-		key := pairs[l].Key(sketch, half)
-		lo[l], hi[l] = offs[key], offs[key+1]
+		slot := lo[l]
+		lo[l], hi[l] = offs[slot], offs[slot+hi[l]]
 	}
 	return lo, hi
 }

@@ -4,9 +4,12 @@
 //
 // A static PLSH instance is an immutable index over N documents. Each of
 // the L = m(m−1)/2 tables is a contiguous array of the N document indexes
-// partitioned by the table's k-bit key, plus a 2^k+1 offsets array — no
-// pointers, no per-bucket allocations, exactly enough space for every
-// bucket (Fig. 3a of the paper). Construction options reproduce the Fig. 4
+// partitioned by the table's k-bit key, plus a directory over the occupied
+// buckets only: a 2^k-bit occupancy bitmap, a rank directory over it and
+// one offset per occupied bucket — no pointers, no per-bucket allocations,
+// and nothing sized by the buckets a table does not use (Fig. 3a of the
+// paper keeps a dense 2^k+1 offsets array; DESIGN.md "Static tables" has
+// why this one does not). Construction options reproduce the Fig. 4
 // ablation (1-level → 2-level → shared first level → vectorized hashing);
 // query options reproduce the Fig. 5 ablation (set dedup → bitvector →
 // optimized sparse dot product → candidate extraction → arena layout).
@@ -14,6 +17,7 @@ package core
 
 import (
 	"errors"
+	"math/bits"
 
 	"plsh/internal/lshhash"
 	"plsh/internal/rng"
@@ -22,17 +26,140 @@ import (
 )
 
 // Table is one LSH hash table: Items holds the N document indexes grouped
-// by bucket; bucket b occupies Items[Offsets[b]:Offsets[b+1]].
+// by bucket, in key order. Only occupied buckets have a directory entry:
+// bit b of Occ is set when bucket b has one, Rank[w] counts the set bits
+// below word w, and the bucket with the j-th set bit occupies
+// Items[Offsets[j]:Offsets[j+1]]. A builder sets exactly the bits of the
+// non-empty buckets; Compact and CapBuckets may then empty a bucket whose
+// bit stays set, so a set bit promises an entry, not an item.
 //
 //plshvet:frozen tables are reached through a published snapshot; queries scan them lock-free
 type Table struct {
-	Offsets []uint32
+	Occ     []uint64 // ⌈2^k/64⌉ words
+	Rank    []uint32 // one per word of Occ
+	Offsets []uint32 // one per set bit of Occ, plus the closing len(Items)
 	Items   []uint32
+}
+
+// slot locates bucket key in the directory: the index of its entry in
+// Offsets and 1, or (0, 0) when its bit is clear — so that
+// Offsets[slot], Offsets[slot+set] bound the bucket either way, an empty
+// one by reading Offsets[0] twice. It is arithmetic on the two loaded words
+// only; the probe relies on it having no branch (see stageBuckets).
+func (t *Table) slot(key uint32) (slot, set uint32) {
+	w, bit := key>>6, key&63
+	word := t.Occ[w]
+	set = uint32(word>>bit) & 1
+	below := uint32(bits.OnesCount64(word & (1<<bit - 1)))
+	return (t.Rank[w] + below) & -set, set
 }
 
 // Bucket returns the document indexes in bucket key.
 func (t *Table) Bucket(key uint32) []uint32 {
-	return t.Items[t.Offsets[key]:t.Offsets[key+1]]
+	slot, set := t.slot(key)
+	return t.Items[t.Offsets[slot]:t.Offsets[slot+set]]
+}
+
+// TableBuilder assembles Tables from per-bucket item counts presented in
+// key order — the one place a directory is written. Reset starts a table,
+// Add takes the next run of buckets, Finish seals it. A builder owns an
+// offsets scratch buffer that it reuses from table to table, so building L
+// tables on one builder allocates each table's own arrays and nothing else.
+type TableBuilder struct {
+	occ  []uint64
+	offs []uint32 // start of every occupied bucket so far; scratch
+	nOcc uint32
+	key  uint32 // next bucket
+	cum  uint32 // items in the buckets before key
+}
+
+// Reset starts a table of the given bucket count that will hold at most
+// maxItems items.
+func (b *TableBuilder) Reset(buckets, maxItems int) {
+	b.occ = make([]uint64, (buckets+63)/64)
+	// One slot past the last possible entry: Add stores before it knows
+	// whether the bucket is occupied, and Finish appends the closing offset.
+	if need := min(buckets, maxItems) + 1; cap(b.offs) < need {
+		b.offs = make([]uint32, need)
+	}
+	b.offs = b.offs[:cap(b.offs)]
+	b.nOcc, b.key, b.cum = 0, 0, 0
+}
+
+// Add appends the next len(counts) buckets, counts[i] items in the i-th of
+// them, and overwrites each count with the position in Items at which that
+// bucket starts — the scatter cursors of a counting sort. The loop has no
+// branch on a count: at the occupancies a build sees (a tenth of the buckets
+// non-empty on a fleet node, nine tenths under stream_ingest) such a branch
+// mispredicts as often as not.
+func (b *TableBuilder) Add(counts []uint32) {
+	offs, nOcc, key, cum := b.offs, b.nOcc, b.key, b.cum
+	for len(counts) > 0 {
+		// The buckets that share one bitmap word.
+		run := counts[:min(len(counts), int(64-key&63))]
+		var word uint64
+		for i, c := range run {
+			run[i] = cum
+			offs[nOcc] = cum
+			occupied := (uint64(c) + 1<<32 - 1) >> 32 // 1 if c > 0
+			word |= occupied << uint(i)
+			nOcc += uint32(occupied)
+			cum += c
+		}
+		b.occ[key>>6] |= word << (key & 63)
+		key += uint32(len(run))
+		counts = counts[len(run):]
+	}
+	b.nOcc, b.key, b.cum = nOcc, key, cum
+}
+
+// Finish returns the table over items, which the caller has filled (or
+// will fill) at the positions Add handed out.
+func (b *TableBuilder) Finish(items []uint32) Table {
+	t := Table{
+		Occ:     b.occ,
+		Rank:    make([]uint32, len(b.occ)),
+		Offsets: make([]uint32, b.nOcc+1),
+		Items:   items,
+	}
+	var rank uint32
+	for w, word := range t.Occ {
+		t.Rank[w] = rank
+		rank += uint32(bits.OnesCount64(word))
+	}
+	copy(t.Offsets, b.offs[:b.nOcc])
+	t.Offsets[b.nOcc] = b.cum
+	return t
+}
+
+// GroupByKey builds the table of items 0..len(keys)-1, item i in bucket
+// keys[i], in one counting sort over hist — scratch with one entry per
+// bucket.
+func (b *TableBuilder) GroupByKey(keys, hist []uint32) Table {
+	clear(hist)
+	for _, k := range keys {
+		hist[k]++
+	}
+	b.Reset(len(hist), len(keys))
+	b.Add(hist)
+	items := make([]uint32, len(keys))
+	for i, k := range keys {
+		items[hist[k]] = uint32(i)
+		hist[k]++
+	}
+	return b.Finish(items)
+}
+
+// TableMemoryBound bounds the bytes of l tables of 2^k buckets over n
+// documents: the L·N·4 item bytes of Eq. 7.4, and in place of its 2^k·L·4 a
+// directory of the bitmap, its rank words and an offset per bucket that
+// can be occupied. MemoryBytes of a freshly built Static never exceeds it
+// and reaches it when min(n, 2^k) buckets are in use.
+func TableMemoryBound(n, k, l int) int64 {
+	buckets := int64(1) << uint(k)
+	words := (buckets + 63) / 64
+	perTable := int64(n)*4 + words*(8+4) + (min(int64(n), buckets)+1)*4
+	return int64(l) * perTable
 }
 
 // Static is an immutable PLSH index over n documents.
@@ -62,39 +189,66 @@ func (s *Static) Tables() []Table { return s.tables }
 
 // StaticFromTables reassembles a Static index from previously serialized
 // tables (see internal/persist), taking ownership of the slice. The tables
-// must describe n documents under fam's geometry: L = m(m−1)/2 tables,
-// each with 2^k+1 offsets delimiting exactly its item count, and every
-// item id below n — the shape checks that keep a corrupt snapshot from
-// becoming an index that reads out of bounds.
+// must pass ValidateTables for n documents under fam's geometry.
 func StaticFromTables(fam *lshhash.Family, n int, tables []Table) (*Static, error) {
-	p := fam.Params()
-	if len(tables) != p.L() {
-		return nil, errors.New("core: StaticFromTables: table count does not match family")
-	}
-	for l := range tables {
-		t := &tables[l]
-		if len(t.Offsets) != p.Buckets()+1 {
-			return nil, errors.New("core: StaticFromTables: bucket offset count does not match K")
-		}
-		if t.Offsets[0] != 0 || int(t.Offsets[len(t.Offsets)-1]) != len(t.Items) {
-			return nil, errors.New("core: StaticFromTables: offsets do not delimit items")
-		}
-		for b := 1; b < len(t.Offsets); b++ {
-			if t.Offsets[b] < t.Offsets[b-1] {
-				return nil, errors.New("core: StaticFromTables: offsets decrease")
-			}
-		}
-		for _, id := range t.Items {
-			if int(id) >= n {
-				return nil, errors.New("core: StaticFromTables: item id out of range")
-			}
-		}
+	if err := ValidateTables(fam.Params(), n, tables); err != nil {
+		return nil, err
 	}
 	return &Static{fam: fam, n: n, tables: tables}, nil
 }
 
+// ValidateTables reports whether tables describe n documents under p's
+// geometry: L = m(m−1)/2 tables, each with a 2^k-bit bitmap, the rank
+// directory that bitmap implies, one offset per set bit (plus one)
+// delimiting exactly its item count, and every item id below n — the shape
+// checks that keep a corrupt snapshot from becoming an index that reads out
+// of bounds.
+func ValidateTables(p lshhash.Params, n int, tables []Table) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	if len(tables) != p.L() {
+		return errors.New("core: table count does not match family")
+	}
+	words := (p.Buckets() + 63) / 64
+	for l := range tables {
+		t := &tables[l]
+		if len(t.Occ) != words || len(t.Rank) != words {
+			return errors.New("core: bucket bitmap or rank directory size does not match K")
+		}
+		if p.Buckets() < 64 && t.Occ[0]>>uint(p.Buckets()) != 0 {
+			return errors.New("core: bucket bitmap has bits past 2^K")
+		}
+		var rank uint32
+		for w, word := range t.Occ {
+			if t.Rank[w] != rank {
+				return errors.New("core: rank directory does not count the bitmap")
+			}
+			rank += uint32(bits.OnesCount64(word))
+		}
+		if len(t.Offsets) != int(rank)+1 {
+			return errors.New("core: offset count does not match occupied buckets")
+		}
+		if t.Offsets[0] != 0 || int(t.Offsets[rank]) != len(t.Items) {
+			return errors.New("core: offsets do not delimit items")
+		}
+		for b := 1; b < len(t.Offsets); b++ {
+			if t.Offsets[b] < t.Offsets[b-1] {
+				return errors.New("core: offsets decrease")
+			}
+		}
+		for _, id := range t.Items {
+			if int(id) >= n {
+				return errors.New("core: item id out of range")
+			}
+		}
+	}
+	return nil
+}
+
 // Compact removes every item for which drop reports true from every
-// bucket, in place, rewriting Offsets to stay consistent — the tombstone
+// bucket, in place, rewriting Offsets to stay consistent (a bucket emptied
+// here keeps its directory entry, now of zero length) — the tombstone
 // compaction step of a streaming merge: rows deleted before the rebuild
 // never become candidates again, instead of being filtered on every query
 // for the rest of the index's life. Len is unchanged (item IDs keep their
@@ -167,12 +321,14 @@ func (s *Static) CapBuckets(r int, seed uint64, workers int) {
 	})
 }
 
-// MemoryBytes reports the index footprint: the L·N·4 item bytes that
-// dominate Eq. 7.4's memory constraint plus the offset arrays' 2^k·L·4.
+// MemoryBytes reports the bytes the index holds: every table's items (the
+// L·N·4 of Eq. 7.4's memory constraint) and its bucket directory, counted
+// at capacity — a compacted table still owns the array it was built in.
 func (s *Static) MemoryBytes() int64 {
 	var b int64
 	for i := range s.tables {
-		b += int64(len(s.tables[i].Offsets))*4 + int64(len(s.tables[i].Items))*4
+		t := &s.tables[i]
+		b += int64(cap(t.Occ))*8 + int64(cap(t.Rank)+cap(t.Offsets)+cap(t.Items))*4
 	}
 	return b
 }

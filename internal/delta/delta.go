@@ -43,7 +43,7 @@ type Table struct {
 	fam     *lshhash.Family
 	pool    *sched.Pool
 	buckets []map[uint32][]uint32 // per table l: key → item IDs
-	sk      *lshhash.Sketches     // retained so merges reuse hashing work
+	sk      *lshhash.Sketches     // retained so Coalesce rebuckets without rehashing
 	n       int
 	frozen  bool
 
@@ -174,7 +174,9 @@ func (d *Table) offer(l int, m map[uint32][]uint32, key uint32, id uint32) {
 func (d *Table) Len() int { return d.n }
 
 // Sketches exposes the accumulated half-hashes (one row per inserted
-// document) for the merge path.
+// document). Coalesce reads them in place; the merge into the static index
+// does not — node.buildStatic hashes the whole prefix again through
+// core.Build (ROADMAP item 2 has the cost).
 func (d *Table) Sketches() *lshhash.Sketches { return d.sk }
 
 // Freeze marks the table immutable. Further Insert calls panic; reads need

@@ -765,8 +765,9 @@ func makeSnapshot(cfg Config, prefix *sparse.Matrix, st *core.Static, del *bitve
 	}
 	var tables []core.Table
 	if rows > 0 {
-		// An empty index's tables are all offsets and no items; rebuilding
-		// them on load is cheaper than serializing L·2^k zeros.
+		// An empty index's tables are all directory and no items;
+		// rebuilding them on load is cheaper than serializing L empty
+		// bitmaps.
 		tables = st.Tables()
 	}
 	return &persist.Snapshot{

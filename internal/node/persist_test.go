@@ -3,6 +3,7 @@ package node
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"plsh/internal/core"
+	"plsh/internal/lshhash"
 	"plsh/internal/persist"
 	"plsh/internal/sparse"
 )
@@ -541,5 +543,74 @@ func TestDocOutOfRange(t *testing.T) {
 	}
 	if err := n.Save(bg); !errors.Is(err, ErrNotDurable) {
 		t.Fatalf("Save on in-memory node: want ErrNotDurable, got %v", err)
+	}
+}
+
+// TestReadsVersion1Snapshot: a data directory holding a snapshot from
+// before the occupancy-directory layout (version 1: dense 2^k+1 offsets per
+// table; the committed 60-row fixture of internal/persist/testdata) opens,
+// answers every query exactly as a node rebuilt from the same documents
+// does, and its next checkpoint leaves a version-2 file behind.
+func TestReadsVersion1Snapshot(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "persist", "testdata", "snapshot-v1.plsh"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(raw[8:]); v != 1 {
+		t.Fatalf("fixture is version %d", v)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(persist.SnapshotPath(dir), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(128)
+	cfg.Params = lshhash.Params{Dim: 256, K: 6, M: 4, Seed: 21}
+	cfg.AutoMerge = false
+	rebuilt, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Dir = dir
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if n.Len() != 60 || n.StaticLen() != 60 {
+		t.Fatalf("opened %d rows, %d static; the fixture holds 60", n.Len(), n.StaticLen())
+	}
+
+	docs := make([]sparse.Vector, n.Len())
+	for i := range docs {
+		docs[i], _ = n.Doc(uint32(i))
+	}
+	if _, err := rebuilt.Insert(bg, docs); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []uint32{7, 41} { // the fixture's tombstones
+		if err := rebuilt.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustMerge(t, rebuilt)
+	answers := 0
+	for i, q := range docs {
+		got := mustQuery(t, n, q)
+		sameNeighbors(t, fmt.Sprintf("query %d", i), mustQuery(t, rebuilt, q), got)
+		answers += len(got)
+	}
+	if answers < len(docs)-2 {
+		t.Fatalf("%d answers over %d self-queries: the loaded tables find nothing", answers, len(docs))
+	}
+
+	if err := n.Save(bg); err != nil {
+		t.Fatal(err)
+	}
+	raw, err = os.ReadFile(persist.SnapshotPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(raw[8:]); v != 2 {
+		t.Fatalf("checkpoint wrote version %d, want 2", v)
 	}
 }

@@ -239,10 +239,10 @@ func CalibrateFor(cc CalibrationConfig) Costs {
 		c.GatherNS = float64(time.Since(t0).Nanoseconds()) / float64(reps*n)
 
 		// I3: the full second-level pass — per first-level partition, a
-		// histogram reset, offsets fill, and scatter — so the 2^k fixed
+		// histogram reset, directory fill, and scatter — so the 2^k fixed
 		// costs are amortized exactly as in the real table build.
 		itemsOut := make([]uint32, n)
-		tblOffs := make([]uint32, cc.buckets()+1)
+		var tb core.TableBuilder
 		keys2 := cols[0]
 		// Synthetic first-level offsets: even segments.
 		offs1 := make([]uint32, halfB+1)
@@ -251,7 +251,7 @@ func CalibrateFor(cc CalibrationConfig) Costs {
 		}
 		t0 = time.Now()
 		for r := 0; r < reps; r++ {
-			secondLevelForCalibration(perm, keys2, offs1, hist, itemsOut, tblOffs, cc.K)
+			secondLevelForCalibration(&tb, perm, keys2, offs1, hist[:halfB], itemsOut, cc.K)
 		}
 		c.SecondLevelNS = float64(time.Since(t0).Nanoseconds()) / float64(reps*n)
 	}
@@ -259,7 +259,7 @@ func CalibrateFor(cc CalibrationConfig) Costs {
 }
 
 // probeQueries is the length of each calibration key stream: distinct key
-// sets probed once each, so the probe finds the offset arrays as cold as a
+// sets probed once each, so the probe finds the bucket directories as cold as a
 // client's next query does. (Replaying a few dozen key sets measures an
 // L2-resident probe — a fifth of the real cost at K=16/M=16.)
 const probeQueries = 4096
@@ -273,8 +273,9 @@ const probeQueries = 4096
 // least themselves in every bucket, as a real query drawn from the data
 // does: about one more collision per table, and the bucket's first item
 // line with it. Solving the two totals for (per table, per collision)
-// prices a probe as the offset lookup and a collision as the item fetch
-// plus the mark.
+// prices a probe as the directory lookup and a collision as the item fetch
+// plus the mark. The tables come from core.TableBuilder, as the engine's
+// do, so the probe walks the layout the engine walks.
 func calibrateProbe(cc CalibrationConfig, sk []uint32, src *rng.Source) (tableProbeNS, collisionNS float64) {
 	pairs := lshhash.Pairs(cc.M)
 	if len(pairs) > 256 {
@@ -283,13 +284,13 @@ func calibrateProbe(cc CalibrationConfig, sk []uint32, src *rng.Source) (tablePr
 	half := uint(cc.K / 2)
 	tables := make([]core.Table, len(pairs))
 	keys := make([]uint32, cc.N)
-	hist := make([]uint32, cc.buckets()+1)
+	hist := make([]uint32, cc.buckets())
+	var tb core.TableBuilder
 	for t, pr := range pairs {
 		for i := range keys {
 			keys[i] = pr.Key(sk[i*cc.M:(i+1)*cc.M], half)
 		}
-		tables[t] = core.Table{Offsets: make([]uint32, cc.buckets()+1), Items: make([]uint32, cc.N)}
-		partitionForCalibration(keys, hist, tables[t].Items, tables[t].Offsets)
+		tables[t] = tb.GroupByKey(keys, hist)
 	}
 
 	seen := bitvec.New(cc.N)
@@ -332,32 +333,22 @@ func calibrateProbe(cc CalibrationConfig, sk []uint32, src *rng.Source) (tablePr
 
 // secondLevelForCalibration mirrors core's second-level refinement pass,
 // duplicated here so the calibration measures the same loop structure
-// without exporting core internals.
-func secondLevelForCalibration(perm1, keys2, offs1, hist, items, tblOffs []uint32, k int) {
-	halfB := 1 << uint(k/2)
-	half := uint(k / 2)
-	for part := 0; part < halfB; part++ {
+// without exporting core internals. hist has 2^(k/2) entries.
+func secondLevelForCalibration(tb *core.TableBuilder, perm1, keys2, offs1, hist, items []uint32, k int) {
+	tb.Reset(1<<uint(k), len(perm1))
+	for part := range hist {
 		segLo, segHi := offs1[part], offs1[part+1]
 		seg := keys2[segLo:segHi]
-		for i := range hist {
-			hist[i] = 0
-		}
+		clear(hist)
 		for _, k2 := range seg {
 			hist[k2]++
 		}
-		cum := segLo
-		base := uint32(part) << half
-		for q := 0; q < halfB; q++ {
-			tblOffs[base+uint32(q)] = cum
-			c := hist[q]
-			hist[q] = cum
-			cum += c
-		}
+		tb.Add(hist)
 		for i, k2 := range seg {
 			dst := hist[k2]
 			hist[k2]++
 			items[dst] = perm1[segLo+uint32(i)]
 		}
 	}
-	tblOffs[len(tblOffs)-1] = uint32(len(perm1))
+	tb.Finish(items)
 }

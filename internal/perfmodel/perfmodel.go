@@ -22,6 +22,7 @@ import (
 	"errors"
 	"math"
 
+	"plsh/internal/core"
 	"plsh/internal/lshhash"
 	"plsh/internal/rng"
 	"plsh/internal/sparse"
@@ -35,9 +36,9 @@ type Costs struct {
 	// ScanNSPerWord is the fixed Q2 scan term per 64-bit bitvector word
 	// (the paper's 1.75 cycles per 32 bits of N).
 	ScanNSPerWord float64
-	// TableProbeNS is the fixed Q2 cost of one bucket lookup (two
-	// dependent loads into a table's offset and item arrays), paid L
-	// times per query. The paper's regime (thousands of collisions per
+	// TableProbeNS is the fixed Q2 cost of one bucket lookup (dependent
+	// loads into a table's bucket directory, offsets and item array), paid
+	// L times per query. The paper's regime (thousands of collisions per
 	// query) hides this constant; at reduced scale it dominates Q2.
 	TableProbeNS float64
 	// UniqueNS is T_Q3: loading one candidate document and computing the
@@ -69,31 +70,6 @@ func Calibrate(dim int, meanNNZ float64, seed uint64) Costs {
 	cc := DefaultCalibration(dim, meanNNZ, 1<<16, 16, 16)
 	cc.Seed = seed
 	return CalibrateFor(cc)
-}
-
-// partitionForCalibration mirrors core's three-step partition (duplicated
-// here to keep the calibration honest about the measured primitive without
-// exporting core internals).
-func partitionForCalibration(keys, hist, outPerm, outOffs []uint32) {
-	for i := range hist {
-		hist[i] = 0
-	}
-	for _, k := range keys {
-		hist[k]++
-	}
-	nB := len(hist) - 1
-	var cum uint32
-	for b := 0; b < nB; b++ {
-		outOffs[b] = cum
-		c := hist[b]
-		hist[b] = cum
-		cum += c
-	}
-	outOffs[nB] = cum
-	for i, k := range keys {
-		outPerm[hist[k]] = uint32(i)
-		hist[k]++
-	}
 }
 
 // Workload summarizes a dataset for the model: its size, sparsity, and a
@@ -227,8 +203,9 @@ var ErrNoFeasible = errors.New("perfmodel: no feasible (k, m) under the given co
 
 // Select enumerates k = 2, 4, …, kMax and, per §7.3, picks for each k the
 // smallest m with P′(R, k, m) ≥ 1−δ, keeps candidates whose table memory
-// (L·N + 2^k·L)·4 fits memBudget, and returns the one minimizing the
-// estimated query time.
+// — core.TableMemoryBound, Eq. 7.4's (L·N + 2^k·L)·4 with the second term
+// replaced by the directory the tables actually carry — fits memBudget, and
+// returns the one minimizing the estimated query time.
 func Select(c Costs, w Workload, radius, delta float64, kMax, mMax int, memBudget int64) (Choice, error) {
 	if kMax > 40 {
 		kMax = 40 // p(R)^40 < 1e-6 at R=0.9; beyond is pointless (§7.3)
@@ -241,7 +218,7 @@ func Select(c Costs, w Workload, radius, delta float64, kMax, mMax int, memBudge
 			continue
 		}
 		L := m * (m - 1) / 2
-		mem := (int64(L)*int64(w.N) + int64(L)<<uint(k)) * 4
+		mem := core.TableMemoryBound(w.N, k, L)
 		if memBudget > 0 && mem > memBudget {
 			continue
 		}

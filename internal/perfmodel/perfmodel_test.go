@@ -156,7 +156,7 @@ func TestSelectRespectsConstraints(t *testing.T) {
 	if choice.L != choice.M*(choice.M-1)/2 {
 		t.Fatalf("L inconsistent: %+v", choice)
 	}
-	wantMem := (int64(choice.L)*int64(w.N) + int64(choice.L)<<uint(choice.K)) * 4
+	wantMem := core.TableMemoryBound(w.N, choice.K, choice.L)
 	if choice.MemoryBytes != wantMem {
 		t.Fatalf("memory accounting: %d vs %d", choice.MemoryBytes, wantMem)
 	}

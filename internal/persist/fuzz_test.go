@@ -1,0 +1,148 @@
+package persist
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"runtime"
+	"slices"
+	"testing"
+
+	"plsh/internal/core"
+	"plsh/internal/lshhash"
+)
+
+// The committed fixtures are one 60-row node (Dim 256, K 6, M 4, two
+// tombstones) saved twice: snapshot-v1.plsh by the last commit that wrote
+// dense 2^k+1 offsets, snapshot-v2.plsh by reading that file back and
+// writing it with this code.
+func fixture(t testing.TB, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+func decode(raw []byte) (*Snapshot, error) {
+	return readSnapshot(bytes.NewReader(raw), int64(len(raw)))
+}
+
+// TestReadsVersion1Fixture: a version-1 file loads as the tables a build
+// over its arena produces, bucket for bucket, and writing it back out
+// yields exactly the committed version-2 bytes — which pins the current
+// format against accidental change.
+func TestReadsVersion1Fixture(t *testing.T) {
+	v1, err := decode(fixture(t, "snapshot-v1.plsh"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v1.Rows != 60 || len(v1.Tables) != v1.Params.L() {
+		t.Fatalf("fixture: %d rows, %d tables", v1.Rows, len(v1.Tables))
+	}
+	fam, err := lshhash.NewFamily(v1.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := core.StaticFromTables(fam, v1.Rows, v1.Tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.Build(fam, v1.Arena, core.Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Compact(func(id uint32) bool { return v1.Deleted[id>>6]>>(id&63)&1 == 1 }, 1)
+	for l := 0; l < got.NumTables(); l++ {
+		for key := 0; key < v1.Params.Buckets(); key++ {
+			if g, w := got.Table(l).Bucket(uint32(key)), want.Table(l).Bucket(uint32(key)); !slices.Equal(g, w) {
+				t.Fatalf("table %d bucket %d: loaded %v, rebuilt %v", l, key, g, w)
+			}
+		}
+	}
+
+	dir := t.TempDir()
+	if err := WriteSnapshot(dir, v1); err != nil {
+		t.Fatal(err)
+	}
+	rewritten, err := os.ReadFile(SnapshotPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rewritten, fixture(t, "snapshot-v2.plsh")) {
+		t.Fatal("rewriting the version-1 fixture does not reproduce testdata/snapshot-v2.plsh: the on-disk format changed")
+	}
+}
+
+// withChecksum returns raw with its last four bytes replaced by the CRC of
+// the rest, so a mutated body gets past the trailer check and into the
+// section decoder.
+func withChecksum(raw []byte) []byte {
+	if len(raw) < 4 {
+		return raw
+	}
+	out := slices.Clone(raw)
+	body := out[:len(out)-4]
+	binary.LittleEndian.PutUint32(out[len(body):], crc32.Checksum(body, castagnoli))
+	return out
+}
+
+// FuzzReadSnapshot: whatever the bytes, decoding ends in an ErrCorrupt
+// error or in a snapshot core.StaticFromTables accepts and every bucket of
+// which can be read; it never panics, and it allocates in proportion to the
+// input, not to the lengths the input claims. Each input is tried as given
+// and with a corrected checksum.
+func FuzzReadSnapshot(f *testing.F) {
+	for _, name := range []string{"snapshot-v1.plsh", "snapshot-v2.plsh"} {
+		raw := fixture(f, name)
+		f.Add(raw)
+		for _, cut := range []int{0, 1, 7, 8, len(raw) / 2, len(raw) - 1} {
+			f.Add(raw[:cut])
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, raw := range [][]byte{data, withChecksum(data)} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			snap, err := decode(raw)
+			runtime.ReadMemStats(&after)
+			// 16 bytes a byte covers the widest section (a length word
+			// becoming a 96-byte core.Table) four times over; the constant
+			// is the runtime's own background allocation.
+			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+16*len(raw)); got > limit {
+				t.Fatalf("decoding %d bytes allocated %d, over %d", len(raw), got, limit)
+			}
+			if err != nil {
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("error does not wrap ErrCorrupt: %v", err)
+				}
+				continue
+			}
+			if snap.Arena.Rows() != snap.Rows {
+				t.Fatalf("accepted %d rows over a %d-row arena", snap.Rows, snap.Arena.Rows())
+			}
+			if len(snap.Tables) == 0 {
+				continue
+			}
+			// StaticFromTables wants the family; only its parameters
+			// matter to the shape checks, and drawing the hyperplanes of a
+			// fuzzed Dim is not this target's business.
+			if err := core.ValidateTables(snap.Params, snap.Rows, snap.Tables); err != nil {
+				t.Fatalf("accepted tables that do not validate: %v", err)
+			}
+			for l := range snap.Tables {
+				for key := 0; key < snap.Params.Buckets(); key++ {
+					for _, id := range snap.Tables[l].Bucket(uint32(key)) {
+						if int(id) >= snap.Rows {
+							t.Fatalf("table %d bucket %d holds id %d of %d rows", l, key, id, snap.Rows)
+						}
+					}
+				}
+			}
+		}
+	})
+}

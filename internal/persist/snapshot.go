@@ -20,7 +20,7 @@
 // Snapshots are written to a temporary file and atomically renamed, so a
 // crash mid-checkpoint leaves the previous snapshot intact. Readers verify
 // the magic, version, CRC, and structural shape (via sparse.FromRaw and
-// core.StaticFromTables) and refuse to load anything that fails — a
+// core.ValidateTables) and refuse to load anything that fails — a
 // corrupt file is an error, never garbage in the index.
 package persist
 
@@ -48,8 +48,12 @@ const snapshotName = "snapshot.plsh"
 // version field below covers compatible evolution).
 var snapshotMagic = [8]byte{'P', 'L', 'S', 'H', 'S', 'N', 'P', '1'}
 
-// snapshotVersion is the current format version.
-const snapshotVersion = 1
+// snapshotVersion is the format version WriteSnapshot emits: version 2
+// serialises each table's occupancy bitmap, rank directory and
+// occupied-bucket offsets as core.Table holds them. Version 1 wrote a dense
+// 2^k+1 offsets array per table instead; ReadSnapshot still loads it,
+// converting each table through core.TableBuilder.
+const snapshotVersion = 2
 
 // castagnoli is the CRC-32C table used for both snapshot and WAL framing.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -79,7 +83,7 @@ type Snapshot struct {
 	Arena *sparse.Matrix
 	// Tables are the static PLSH buckets over the arena. Empty when
 	// Rows == 0 (rebuilding an empty index is cheaper than serializing
-	// 2^k offsets per table).
+	// L empty bitmaps).
 	Tables []core.Table
 	// Deleted is the tombstone bitvector's backing words, trimmed to
 	// ⌈Rows/64⌉ words with bits ≥ Rows masked off.
@@ -132,6 +136,9 @@ func WriteSnapshot(dir string, s *Snapshot) (err error) {
 	w.u32(uint32(len(s.Tables)))
 	for i := range s.Tables {
 		t := &s.Tables[i]
+		w.u64(uint64(len(t.Occ)))
+		w.u64s(t.Occ)
+		w.u32s(t.Rank)
 		w.u64(uint64(len(t.Offsets)))
 		w.u32s(t.Offsets)
 		w.u64(uint64(len(t.Items)))
@@ -177,15 +184,26 @@ func ReadSnapshot(dir string) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
-	r := newCRCReader(f, fi.Size())
+	return readSnapshot(f, fi.Size())
+}
+
+// readSnapshot decodes a snapshot of size bytes from r. Every section
+// length is checked against the bytes left before anything is allocated for
+// it, so a decode allocates in proportion to size whatever the bytes say,
+// and everything it returns has passed sparse.FromRaw and
+// core.ValidateTables: the error is ErrCorrupt-wrapped or the snapshot
+// loads.
+func readSnapshot(src io.Reader, size int64) (*Snapshot, error) {
+	r := newCRCReader(src, size)
 
 	var magic [8]byte
 	r.bytes(magic[:])
 	if r.err == nil && magic != snapshotMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	if v := r.u32(); r.err == nil && v != snapshotVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, v)
+	version := r.u32()
+	if r.err == nil && version != 1 && version != snapshotVersion {
+		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, version)
 	}
 	s := &Snapshot{}
 	s.Params.Dim = int(r.u32())
@@ -207,14 +225,23 @@ func ReadSnapshot(dir string) (*Snapshot, error) {
 	if r.err == nil && nTables > 1<<20 {
 		return nil, fmt.Errorf("%w: impossible table count", ErrCorrupt)
 	}
-	tables := make([]core.Table, 0, max(nTables, 0))
+	if nTables > 0 && r.checkLen(nTables, 3*8) { // three length words at least
+		s.Tables = make([]core.Table, 0, nTables)
+	}
+	var tb core.TableBuilder
 	for i := 0; i < nTables && r.err == nil; i++ {
-		t := core.Table{}
+		if version == 1 {
+			s.Tables = append(s.Tables, r.denseTable(&tb))
+			continue
+		}
+		var t core.Table
+		words := int(r.u64())
+		t.Occ = r.u64s(words)
+		t.Rank = r.u32s(words)
 		t.Offsets = r.u32s(int(r.u64()))
 		t.Items = r.u32s(int(r.u64()))
-		tables = append(tables, t)
+		s.Tables = append(s.Tables, t)
 	}
-	s.Tables = tables
 
 	s.Deleted = r.u64s(int(r.u64()))
 
@@ -229,7 +256,39 @@ func ReadSnapshot(dir string) (*Snapshot, error) {
 	if want := (s.Rows + 63) / 64; len(s.Deleted) != want {
 		return nil, fmt.Errorf("%w: tombstone words do not cover rows", ErrCorrupt)
 	}
+	if len(s.Tables) > 0 {
+		if err := core.ValidateTables(s.Params, s.Rows, s.Tables); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+	}
 	return s, nil
+}
+
+// denseTable reads one table of a version-1 snapshot — 2^k+1 offsets
+// indexed by key, then the items — and rebuilds it in the current layout.
+// The offsets are checked to delimit the items in key order first: the
+// builder takes bucket sizes on trust.
+func (c *crcReader) denseTable(tb *core.TableBuilder) core.Table {
+	offs := c.u32s(int(c.u64()))
+	items := c.u32s(int(c.u64()))
+	if c.err != nil {
+		return core.Table{}
+	}
+	buckets := len(offs) - 1
+	if buckets < 1 || offs[0] != 0 || int(offs[buckets]) != len(items) {
+		c.fail(fmt.Errorf("%w: table offsets do not delimit items", ErrCorrupt))
+		return core.Table{}
+	}
+	for b := 0; b < buckets; b++ {
+		if offs[b+1] < offs[b] {
+			c.fail(fmt.Errorf("%w: table offsets decrease", ErrCorrupt))
+			return core.Table{}
+		}
+		offs[b] = offs[b+1] - offs[b]
+	}
+	tb.Reset(buckets, len(items))
+	tb.Add(offs[:buckets])
+	return tb.Finish(items)
 }
 
 // syncDir fsyncs a directory so renames and segment creations survive a
@@ -345,10 +404,13 @@ type crcReader struct {
 	remaining int64 // payload bytes left (file size minus trailer)
 	err       error
 	tmp       [8]byte
+	chunk     [1 << 12]byte // decode scratch for slice sections
 }
 
 func newCRCReader(r io.Reader, size int64) *crcReader {
-	return &crcReader{r: bufio.NewReaderSize(r, 1<<20), remaining: size - 4}
+	// No buffer larger than the file: a decode allocates in proportion to
+	// its input.
+	return &crcReader{r: bufio.NewReaderSize(r, int(min(size, 1<<20))), remaining: size - 4}
 }
 
 func (c *crcReader) fail(err error) {
@@ -395,7 +457,7 @@ func (c *crcReader) checkLen(n, width int) bool {
 	if c.err != nil {
 		return false
 	}
-	if n < 0 || int64(n)*int64(width) > c.remaining {
+	if n < 0 || int64(n) > c.remaining/int64(width) { // no product: n is untrusted and may overflow it
 		c.fail(fmt.Errorf("%w: impossible section length %d", ErrCorrupt, n))
 		return false
 	}
@@ -407,7 +469,7 @@ func (c *crcReader) u32s(n int) []uint32 {
 		return nil
 	}
 	out := make([]uint32, n)
-	var chunk [1 << 12]byte
+	chunk := c.chunk[:]
 	for i := 0; i < n; {
 		m := min(n-i, len(chunk)/4)
 		c.bytes(chunk[:m*4])
@@ -451,7 +513,7 @@ func (c *crcReader) u64s(n int) []uint64 {
 		return nil
 	}
 	out := make([]uint64, n)
-	var chunk [1 << 12]byte
+	chunk := c.chunk[:]
 	for i := 0; i < n; {
 		m := min(n-i, len(chunk)/8)
 		c.bytes(chunk[:m*8])

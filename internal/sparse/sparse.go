@@ -199,6 +199,9 @@ func FromRaw(dim int, offs []int32, cols []uint32, vals []float32) (*Matrix, err
 		if offs[i] < offs[i-1] {
 			return nil, errors.New("sparse: FromRaw: offsets decrease")
 		}
+		if int(offs[i]) > len(cols) {
+			return nil, errors.New("sparse: FromRaw: offset past the non-zero count")
+		}
 		for j := offs[i-1]; j < offs[i]; j++ {
 			if int(cols[j]) >= dim {
 				return nil, errors.New("sparse: FromRaw: column index out of range")

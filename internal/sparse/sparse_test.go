@@ -369,3 +369,31 @@ func TestMatrixPrefix(t *testing.T) {
 	}()
 	m.Prefix(6)
 }
+
+// FromRaw is handed bytes from disk: every malformed shape is an error,
+// including a row offset that overshoots the non-zeros before a later one
+// comes back down — which used to index cols out of range.
+func TestFromRawRejectsMalformed(t *testing.T) {
+	cols, vals := []uint32{1, 2, 3, 4, 5}, []float32{1, 1, 1, 1, 1}
+	if _, err := FromRaw(10, []int32{0, 2, 5}, cols, vals); err != nil {
+		t.Fatalf("well-formed arrays rejected: %v", err)
+	}
+	for name, offs := range map[string][]int32{
+		"no offsets":            {},
+		"first offset not zero": {1, 5},
+		"offsets decrease":      {0, 3, 2, 5},
+		"offset overshoots":     {0, 100, 5},
+		"final offset short":    {0, 2, 4},
+		"negative offset":       {0, -1, 5},
+	} {
+		if _, err := FromRaw(10, offs, cols, vals); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if _, err := FromRaw(10, []int32{0, 5}, []uint32{1, 2, 3, 4, 10}, vals); err == nil {
+		t.Error("column past dim: accepted")
+	}
+	if _, err := FromRaw(10, []int32{0, 5}, []uint32{1, 2, 2, 4, 5}, vals); err == nil {
+		t.Error("repeated column: accepted")
+	}
+}

@@ -312,3 +312,53 @@ func TestStatsMemoryCountsDeltaBitmaps(t *testing.T) {
 			n, got, arena, buckets, sketches, bitmaps, want)
 	}
 }
+
+// TestStatsMemoryCountsStaticDirectory pins both sides of what the static
+// tables add to Stats.MemoryBytes. An empty index is all directory — per
+// table a 2^k-bit bitmap and its rank words — and reports it. Merging 1025
+// copies of one document then fills one bucket a table: the items and one
+// more offset each, and nothing sized by the 65 535 buckets that stay empty
+// (a dense 2^k+1 offsets array per table would be 31 MB here).
+func TestStatsMemoryCountsStaticDirectory(t *testing.T) {
+	const n, k, m = 1025, 16, 16
+	const tables = m * (m - 1) / 2
+	s, err := NewStore(Config{Dim: 2000, K: k, M: m, Capacity: 20000, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	empty, err := s.Stats(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if directory := int64(tables * (1<<k/8 + 1<<k/64*4)); empty[0].MemoryBytes < directory {
+		t.Errorf("an empty index reports %d bytes, under the %d of its bitmaps and rank words", empty[0].MemoryBytes, directory)
+	}
+	doc := SyntheticTweets(1, 2000, 5)[0]
+	batch := make([]Vector, n)
+	for i := range batch {
+		batch[i] = doc
+	}
+	if _, err := s.Insert(bg, batch); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Merge(bg); err != nil {
+		t.Fatal(err)
+	}
+	merged, err := s.Stats(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged[0].StaticLen != n || merged[0].DeltaLen != 0 {
+		t.Fatalf("%d static + %d delta rows, want the whole batch merged", merged[0].StaticLen, merged[0].DeltaLen)
+	}
+	arena := int64(n * (4 + 8*doc.NNZ()))
+	items := int64(tables * 4 * n)
+	got := merged[0].MemoryBytes - empty[0].MemoryBytes
+	if got < arena+items {
+		t.Errorf("merging %d rows adds %d bytes to Stats.MemoryBytes; arena %d + items %d = %d", n, got, arena, items, arena+items)
+	}
+	if over := got - arena - items; over > tables*64 {
+		t.Errorf("merging %d rows into one bucket a table adds %d bytes beyond arena and items: the directory grew with something other than its occupied buckets", n, over)
+	}
+}
