@@ -357,7 +357,7 @@ func (cl *Cluster) Doc(ctx context.Context, id uint64) (Vector, bool, error) {
 func (cl *Cluster) Save(ctx context.Context) error { return cl.c.SaveAll(ctx) }
 
 // Merge drives every node to a fully static state, in parallel. Each
-// node's rebuild runs in the background on that node, so queries broadcast
+// node's merge runs in the background on that node, so queries broadcast
 // while Merge is in flight keep being answered from pre-merge snapshots;
 // only the Merge caller waits for quiescence.
 func (cl *Cluster) Merge(ctx context.Context) error { return cl.c.MergeAll(ctx) }

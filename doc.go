@@ -53,10 +53,10 @@
 //   - streaming inserts through an insert-optimized delta table that is
 //     periodically merged into the static structure by a background merge
 //     pipeline: queries run lock-free against immutable copy-on-write
-//     snapshots and are never buffered behind a rebuild (Merge waits for a
+//     snapshots and are never buffered behind a merge (Merge waits for a
 //     quiesced merge; Flush awaits an in-flight one; Stats surfaces
-//     MergeInFlight), with atomic-tombstone deletions that are compacted
-//     out of rebuilds, and well-defined expiration;
+//     MergeInFlight), with atomic-tombstone deletions that merges leave
+//     out of the buckets they write, and well-defined expiration;
 //   - an analytical performance model that selects the (k, m) parameters
 //     for a target recall and memory budget (see Tune);
 //   - a multi-node coordinator (in-process or TCP) with a rolling insert

@@ -85,9 +85,10 @@ func MustBuild(fam *lshhash.Family, mat *sparse.Matrix, opts BuildOptions) *Stat
 	return st
 }
 
-// BuildFromSketches constructs a Static index from precomputed sketches.
-// No merge calls it yet: node.buildStatic goes through Build, which hashes
-// every row again (ROADMAP item 2).
+// BuildFromSketches constructs a Static index from precomputed sketches, row
+// i of sk becoming document i — Build without its hashing phase. A streaming
+// merge builds the tables of its delta rows this way, from the sketches the
+// delta segments kept, before Merge folds them into the static index.
 func BuildFromSketches(fam *lshhash.Family, sk *lshhash.Sketches, workers int) *Static {
 	pool := sched.NewPool(workers)
 	p := fam.Params()

@@ -1,0 +1,177 @@
+package core
+
+import (
+	"math"
+	"math/bits"
+
+	"plsh/internal/sched"
+)
+
+// Merge returns the index over old's documents followed by add's — the
+// streaming merge of §6.2 as a copy, not a rebuild. Both sides already hold
+// their items grouped by key behind a directory of the occupied buckets, so
+// no row is hashed and nothing is sorted: the bucket of a key is old's
+// items, then add's with old.Len() added to every id, without the ids whose
+// bit is set in dead. Bucket(key) is, for every key, what Build over the
+// concatenated rows followed by Compact on dead would hold.
+//
+// The bookkeeping is proportional to add's buckets, not old's: between two
+// keys add occupies, old's buckets are adjacent in its item array and stay
+// adjacent in the result, so they move as one block — one copy of the items,
+// one constant added to their directory entries (mergeTable). Only a
+// tombstoned item splits a block.
+//
+// dead is a plain copy of the tombstone words, taken once by the caller and
+// covering every id of both sides. A table's item array is sized by a count
+// of its live items and then filled; the count and the fill must see the
+// same tombstones, and against the live bitmap a Delete landing between them
+// would leave the array a slot short. A tombstone newer than the copy is
+// the query path's to filter, as it is for any published index.
+//
+// The inputs are read, never written: old stays published while the merge
+// runs.
+func Merge(old, add *Static, dead []uint64, workers int) *Static {
+	st := &Static{fam: old.fam, n: old.n + add.n, tables: make([]Table, len(old.tables))}
+	pool := sched.NewPool(workers)
+	deadAt := make([][]uint32, pool.Workers()) // per-worker scratch
+	pool.Run(len(st.tables), func(l, w int) {
+		st.tables[l], deadAt[w] = mergeTable(&old.tables[l], &add.tables[l], uint32(old.n), dead, deadAt[w])
+	})
+	return st
+}
+
+func isDead(dead []uint64, id uint32) bool { return dead[id>>6]>>(id&63)&1 != 0 }
+
+// mergeTable merges one table. deadAt is scratch, handed back for the next
+// table.
+//
+// The result's directory has an entry for every bucket either side has one
+// for: a bucket the tombstones emptied keeps its entry, of zero length, as
+// after Compact.
+func mergeTable(old, add *Table, shift uint32, dead []uint64, deadAt []uint32) (Table, []uint32) {
+	// Where old's tombstoned items sit, in order, closed by a sentinel no
+	// position reaches; and how many items of both sides are live.
+	deadAt = deadAt[:0]
+	for pos, id := range old.Items {
+		if isDead(dead, id) {
+			deadAt = append(deadAt, uint32(pos))
+		}
+	}
+	live := len(old.Items) - len(deadAt) + len(add.Items)
+	deadAt = append(deadAt, math.MaxUint32)
+	for _, id := range add.Items {
+		if isDead(dead, id+shift) {
+			live--
+		}
+	}
+
+	t := Table{Occ: make([]uint64, len(old.Occ)), Rank: make([]uint32, len(old.Occ))}
+	var entries uint32
+	for w, ow := range old.Occ {
+		t.Occ[w] = ow | add.Occ[w]
+		t.Rank[w] = entries
+		entries += uint32(bits.OnesCount64(t.Occ[w]))
+	}
+	t.Offsets = make([]uint32, entries+1)
+	t.Items = make([]uint32, live)
+
+	var c mergeCursor
+	nextDead := deadAt // consumed from the front
+	aEnt, aPos := 0, uint32(0)
+	for w, aw := range add.Occ {
+		ow := old.Occ[w]
+		for ; aw != 0; aw &= aw - 1 {
+			// The next key add occupies. Everything old holds up to and
+			// including that key moves as a block; add's items follow old's
+			// in the key's bucket.
+			bit := uint(bits.TrailingZeros64(aw))
+			has := uint32(ow>>bit) & 1 // old has the key too
+			upTo := old.Rank[w] + uint32(bits.OnesCount64(ow&(1<<bit-1))) + has
+			if nextDead[0] < old.Offsets[upTo] {
+				c, nextDead = moveOldAroundDead(&t, old, c, upTo, nextDead)
+			}
+			c = moveOld(&t, old, c, upTo)
+			// If old has the key, its entry — just moved — serves the merged
+			// bucket; if not, the bucket starts a new entry here. The entry
+			// is written either way and kept only in the second case: which
+			// case it is is a coin toss no branch predictor calls, and a
+			// slot not kept is the next entry's to overwrite.
+			t.Offsets[c.e] = c.n
+			c.e += 1 - has
+			aEnt++
+			for end := add.Offsets[aEnt]; aPos < end; aPos++ {
+				if id := add.Items[aPos] + shift; !isDead(dead, id) {
+					t.Items[c.n] = id
+					c.n++
+				}
+			}
+		}
+	}
+	upTo := uint32(len(old.Offsets) - 1)
+	if nextDead[0] < old.Offsets[upTo] {
+		c, _ = moveOldAroundDead(&t, old, c, upTo, nextDead)
+	}
+	c = moveOld(&t, old, c, upTo)
+	t.Offsets[c.e] = c.n
+	return t, deadAt
+}
+
+// mergeCursor is how far one table's merge has come: old's next directory
+// entry and item, and the result's.
+type mergeCursor struct {
+	oEnt, oPos uint32
+	e, n       uint32
+}
+
+// moveOld moves old's directory entries below upTo that have not moved yet,
+// and their items, to t — none of them tombstoned: the items are one copy,
+// and every entry shifts by how far the block moved.
+//
+// A block is a few entries and a few items far more often than not, and a
+// loop of so few iterations, or a memmove of so few bytes, costs a
+// mispredicted branch each time. So a short block moves as a fixed 4
+// entries and 8 items wherever both arrays have that much room: the result
+// is written front to back, and what lands past the block's own length is
+// overwritten by whatever comes next.
+func moveOld(t, old *Table, c mergeCursor, upTo uint32) mergeCursor {
+	shift := c.n - c.oPos // may wrap; so does the sum below
+	ents, end := upTo-c.oEnt, old.Offsets[upTo]
+	if src, dst := old.Offsets[c.oEnt:], t.Offsets[c.e:]; ents <= 4 && len(src) >= 4 && len(dst) >= 4 {
+		s, d := (*[4]uint32)(src), (*[4]uint32)(dst)
+		d[0], d[1], d[2], d[3] = s[0]+shift, s[1]+shift, s[2]+shift, s[3]+shift
+	} else {
+		for i, off := range src[:ents] {
+			dst[i] = off + shift
+		}
+	}
+	if src, dst := old.Items[c.oPos:], t.Items[c.n:]; end-c.oPos <= 8 && len(src) >= 8 && len(dst) >= 8 {
+		s, d := (*[8]uint32)(src), (*[8]uint32)(dst)
+		d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
+	} else {
+		copy(dst, src[:end-c.oPos])
+	}
+	c.n += end - c.oPos
+	c.e += ents
+	c.oEnt, c.oPos = upTo, end
+	return c
+}
+
+// moveOldAroundDead is moveOld for a block that holds tombstoned items, the
+// positions at the front of deadAt: it moves the block up to the last of
+// them, dropping each, and leaves the clean rest to moveOld. The entries
+// that start at or before a dropped item keep the shift of the items before
+// it.
+func moveOldAroundDead(t, old *Table, c mergeCursor, upTo uint32, deadAt []uint32) (mergeCursor, []uint32) {
+	for end := old.Offsets[upTo]; deadAt[0] < end; deadAt = deadAt[1:] {
+		at := deadAt[0]
+		shift := c.n - c.oPos
+		for c.oEnt < upTo && old.Offsets[c.oEnt] <= at {
+			t.Offsets[c.e] = old.Offsets[c.oEnt] + shift
+			c.oEnt++
+			c.e++
+		}
+		c.n += uint32(copy(t.Items[c.n:], old.Items[c.oPos:at]))
+		c.oPos = at + 1
+	}
+	return c, deadAt
+}

@@ -30,8 +30,8 @@ import (
 // bit b of Occ is set when bucket b has one, Rank[w] counts the set bits
 // below word w, and the bucket with the j-th set bit occupies
 // Items[Offsets[j]:Offsets[j+1]]. A builder sets exactly the bits of the
-// non-empty buckets; Compact and CapBuckets may then empty a bucket whose
-// bit stays set, so a set bit promises an entry, not an item.
+// non-empty buckets; Merge, Compact and CapBuckets may then leave a bucket
+// empty whose bit stays set, so a set bit promises an entry, not an item.
 //
 //plshvet:frozen tables are reached through a published snapshot; queries scan them lock-free
 type Table struct {
@@ -248,17 +248,18 @@ func ValidateTables(p lshhash.Params, n int, tables []Table) error {
 
 // Compact removes every item for which drop reports true from every
 // bucket, in place, rewriting Offsets to stay consistent (a bucket emptied
-// here keeps its directory entry, now of zero length) — the tombstone
-// compaction step of a streaming merge: rows deleted before the rebuild
-// never become candidates again, instead of being filtered on every query
-// for the rest of the index's life. Len is unchanged (item IDs keep their
-// meaning); only bucket membership shrinks.
+// here keeps its directory entry, now of zero length), so that deleted rows
+// never become candidates again instead of being filtered on every query for
+// the rest of the index's life. Len is unchanged (item IDs keep their
+// meaning); only bucket membership shrinks. A streaming merge no longer
+// calls it — Merge leaves the tombstoned items out as it copies — and Build
+// followed by Compact is what Merge's results are tested against.
 //
 // Compact must run before the index is published to readers; it mutates
 // Items and Offsets. drop may be called concurrently from multiple
 // goroutines (tables compact in parallel).
 //
-//plshvet:prepublish documented pre-publish build step of a streaming merge
+//plshvet:prepublish in-place build step; documented to run before the index is published
 func (s *Static) Compact(drop func(id uint32) bool, workers int) {
 	pool := sched.NewPool(workers)
 	pool.Run(len(s.tables), func(l, _ int) {

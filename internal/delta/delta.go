@@ -95,7 +95,7 @@ func occBits(rows, k int) int {
 
 // sizeOcc gives the bitmaps room for rows rows and reports whether it
 // replaced them (with zeroed ones: the caller re-marks the occupied
-// buckets). Bitmaps only ever grow, so a Reset table keeps its size.
+// buckets). Bitmaps only ever grow.
 //
 //plshvet:prepublish called while building: New, and Insert and fromSketches before they fill buckets
 func (d *Table) sizeOcc(rows int) bool {
@@ -174,9 +174,9 @@ func (d *Table) offer(l int, m map[uint32][]uint32, key uint32, id uint32) {
 func (d *Table) Len() int { return d.n }
 
 // Sketches exposes the accumulated half-hashes (one row per inserted
-// document). Coalesce reads them in place; the merge into the static index
-// does not — node.buildStatic hashes the whole prefix again through
-// core.Build (ROADMAP item 2 has the cost).
+// document). They are why a document is hashed once: Coalesce rebuckets from
+// them, and the merge into the static index builds its delta-side tables
+// from them (ConcatSketches, then core.BuildFromSketches).
 func (d *Table) Sketches() *lshhash.Sketches { return d.sk }
 
 // Freeze marks the table immutable. Further Insert calls panic; reads need
@@ -318,18 +318,36 @@ func fromSketches(fam *lshhash.Family, sk *lshhash.Sketches, workers int, skip f
 // for which skip reports true. Both inputs must be frozen; they are read,
 // never mutated, so in-flight snapshot readers of a and b are unaffected.
 func Coalesce(fam *lshhash.Family, a, b *Table, workers int, skip func(localID int) bool) *Table {
-	if !a.frozen || !b.frozen {
-		panic("delta: Coalesce of unfrozen table")
+	return CoalesceRun(fam, []*Table{a, b}, workers, skip)
+}
+
+// CoalesceRun is Coalesce over a run of any length, oldest first: one frozen
+// table spanning every table's rows in order, each row rebucketed once
+// however long the run — where folding the run pair by pair rebuckets the
+// oldest rows once per fold.
+func CoalesceRun(fam *lshhash.Family, run []*Table, workers int, skip func(localID int) bool) *Table {
+	sk := ConcatSketches(run)
+	// The merged segment inherits the run's reservoir bound (segments under
+	// one node always share a configuration), reseeded by the combined
+	// length so repeated coalesces don't replay one sampling stream.
+	return fromSketches(fam, sk, workers, skip, run[0].resCap, run[0].resSeed+uint64(sk.N()))
+}
+
+// ConcatSketches returns a copy of the sketches of a run of frozen tables,
+// oldest first: row i of the result is the i-th document of the run.
+func ConcatSketches(run []*Table) *lshhash.Sketches {
+	words := 0
+	for _, t := range run {
+		if !t.frozen {
+			panic("delta: run holds an unfrozen table")
+		}
+		words += len(t.sk.Data)
 	}
-	m := fam.Params().M
-	data := make([]uint32, 0, len(a.sk.Data)+len(b.sk.Data))
-	data = append(data, a.sk.Data...)
-	data = append(data, b.sk.Data...)
-	// The merged segment inherits a's reservoir bound (segments under one
-	// node always share a configuration), reseeded by the combined length
-	// so repeated coalesces don't replay one sampling stream.
-	return fromSketches(fam, &lshhash.Sketches{M: m, Data: data}, workers, skip,
-		a.resCap, a.resSeed+uint64(a.n+b.n))
+	data := make([]uint32, 0, words)
+	for _, t := range run {
+		data = append(data, t.sk.Data...)
+	}
+	return &lshhash.Sketches{M: run[0].sk.M, Data: data}
 }
 
 // Buckets iterates table l's buckets (key, delta-local IDs) in unspecified
@@ -351,24 +369,6 @@ func (d *Table) Occupied(l int, key uint32) bool {
 	words, mask := d.occOf(l)
 	slot := key & mask
 	return words[slot>>6]>>(slot&63)&1 != 0
-}
-
-// Reset empties the table (after a merge), retaining the allocated maps and
-// clearing any freeze.
-//
-//plshvet:prepublish recycles a retired segment under the node mutex after readers have moved to the new snapshot
-func (d *Table) Reset() {
-	for l := range d.buckets {
-		clear(d.buckets[l])
-	}
-	clear(d.occ)
-	for l := range d.offers {
-		clear(d.offers[l])
-		d.rngs[l] = rng.New(d.resSeed + uint64(l)*0x9e3779b97f4a7c15)
-	}
-	d.sk = &lshhash.Sketches{M: d.fam.Params().M}
-	d.n = 0
-	d.frozen = false
 }
 
 // MemoryBytes approximates the structure's footprint: bucket contents plus

@@ -137,27 +137,6 @@ func TestInsertParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	fam := testFamily(t)
-	d := New(fam, 2)
-	vs := docs(50, 2000, 13)
-	d.Insert(vs)
-	d.Reset()
-	if d.Len() != 0 || d.Sketches().N() != 0 {
-		t.Fatal("Reset did not empty table")
-	}
-	seen := bitvec.New(64)
-	cand, collisions := d.Candidates(fam.Sketch(vs[0]), seen, nil)
-	if len(cand) != 0 || collisions != 0 {
-		t.Fatal("candidates survive Reset")
-	}
-	// Table must be reusable.
-	d.Insert(vs[:10])
-	if d.Len() != 10 {
-		t.Fatal("table unusable after Reset")
-	}
-}
-
 func TestSketchesMatchFamily(t *testing.T) {
 	fam := testFamily(t)
 	d := New(fam, 2)
@@ -224,12 +203,6 @@ func TestFreezeMakesTableImmutable(t *testing.T) {
 	if !found {
 		t.Fatal("frozen table lost a document")
 	}
-	// Reset clears the freeze.
-	d.Reset()
-	if d.IsFrozen() {
-		t.Fatal("Reset kept the freeze")
-	}
-	d.Insert(vs[:5])
 }
 
 // Coalesce(a, b) must answer candidate queries exactly like a table built
@@ -276,6 +249,102 @@ func TestCoalesceMatchesSequentialInsert(t *testing.T) {
 		for _, id := range cm {
 			if !want[id] {
 				t.Fatalf("query %d: unexpected candidate %d", qi, id)
+			}
+		}
+	}
+}
+
+// pairwiseCascade folds a run the way the node did before CoalesceRun: the
+// newest two tables first, the result with the next older, and so on — each
+// fold a two-table Coalesce. It is the reference the one-pass fold is checked
+// against. skip speaks the run's local IDs.
+func pairwiseCascade(fam *lshhash.Family, run []*Table, skip func(int) bool) *Table {
+	base := 0
+	for _, t := range run[:len(run)-1] {
+		base += t.Len()
+	}
+	acc := run[len(run)-1]
+	for i := len(run) - 2; i >= 0; i-- {
+		base -= run[i].Len()
+		at := base
+		acc = Coalesce(fam, run[i], acc, 2, func(j int) bool { return skip(at + j) })
+	}
+	return acc
+}
+
+// frozenRun splits vs into frozen tables of the given sizes, oldest first.
+func frozenRun(fam *lshhash.Family, vs []sparse.Vector, sizes []int, reservoir int) []*Table {
+	var run []*Table
+	for _, size := range sizes {
+		t := New(fam, 2)
+		if reservoir > 0 {
+			t.SetReservoir(reservoir, 7)
+		}
+		t.Insert(vs[:size])
+		t.Freeze()
+		vs = vs[size:]
+		run = append(run, t)
+	}
+	return run
+}
+
+// TestCoalesceRunMatchesPairwiseCascade: folding a run in one pass leaves
+// the table the pairwise cascade of the same run leaves — same Len, same
+// sketches, same buckets in the same order, same occupancy — with the
+// tombstoned rows in no bucket.
+func TestCoalesceRunMatchesPairwiseCascade(t *testing.T) {
+	fam := testFamily(t)
+	for _, sizes := range [][]int{{100, 100}, {64, 32, 16, 8, 4, 2, 1, 1}, {90, 50, 20, 11, 7}, {1, 1, 1}} {
+		total := 0
+		for _, size := range sizes {
+			total += size
+		}
+		run := frozenRun(fam, docs(total, 2000, 31), sizes, 0)
+		skip := func(i int) bool { return i%7 == 3 }
+		got := CoalesceRun(fam, run, 3, skip)
+		want := pairwiseCascade(fam, run, skip)
+		if !got.IsFrozen() || got.Len() != total || want.Len() != total {
+			t.Fatalf("run %v: frozen=%v Len=%d, cascade Len=%d, want %d", sizes, got.IsFrozen(), got.Len(), want.Len(), total)
+		}
+		if !reflect.DeepEqual(got.sk, want.sk) {
+			t.Fatalf("run %v: sketches differ from the cascade's", sizes)
+		}
+		if !reflect.DeepEqual(got.buckets, want.buckets) {
+			t.Fatalf("run %v: buckets differ from the cascade's", sizes)
+		}
+		if !reflect.DeepEqual(got.occ, want.occ) {
+			t.Fatalf("run %v: occupancy bitmaps differ from the cascade's", sizes)
+		}
+		for l, m := range got.buckets {
+			for key, ids := range m {
+				for _, id := range ids {
+					if skip(int(id)) {
+						t.Fatalf("run %v: table %d bucket %d kept tombstoned row %d", sizes, l, key, id)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCoalesceRunKeepsReservoirBound: a run of bounded tables folds into a
+// table under the same bound, whichever way it is folded.
+func TestCoalesceRunKeepsReservoirBound(t *testing.T) {
+	fam := testFamily(t)
+	const R = 3
+	run := frozenRun(fam, sameDocCopies(120), []int{60, 30, 20, 10}, R)
+	for name, folded := range map[string]*Table{
+		"one pass": CoalesceRun(fam, run, 2, nil),
+		"pairwise": pairwiseCascade(fam, run, func(int) bool { return false }),
+	} {
+		if folded.Len() != 120 {
+			t.Fatalf("%s: Len = %d", name, folded.Len())
+		}
+		for l, m := range folded.buckets {
+			for key, ids := range m {
+				if len(ids) > R {
+					t.Fatalf("%s: table %d bucket %d holds %d items, bound %d", name, l, key, len(ids), R)
+				}
 			}
 		}
 	}

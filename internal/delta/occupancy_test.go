@@ -128,31 +128,13 @@ func TestFilteredProbeMatchesReference(t *testing.T) {
 				}
 			}
 
-			// One unfrozen table grown batch by batch across every boundary,
-			// then emptied and refilled smaller: the bitmap keeps its size
-			// and must hold no bit of the rows Reset dropped.
+			// One unfrozen table grown batch by batch across every boundary.
 			grown := New(fam, 2)
 			prev := 0
 			for _, n := range sizes {
 				grown.Insert(vs[prev:n])
 				prev = n
 				requireProbeMatchesReference(t, grown, queries)
-			}
-			grown.Reset()
-			requireProbeMatchesReference(t, grown, queries)
-			grown.Insert(vs[7:12])
-			requireProbeMatchesReference(t, grown, queries)
-			if n := len(sizes) - 1; grown.occWords*64 != occBits(sizes[n], p.K) {
-				t.Fatalf("Reset resized the bitmaps: %d bits, want the %d of %d rows",
-					grown.occWords*64, occBits(sizes[n], p.K), sizes[n])
-			}
-			grown.Reset()
-			for key := uint32(0); key < 1<<p.K; key++ {
-				for l := range grown.buckets {
-					if grown.Occupied(l, key) {
-						t.Fatalf("bit of table %d key %#x survives Reset", l, key)
-					}
-				}
 			}
 
 			// A reservoir that overflows: replaced rows leave their bucket

@@ -1,10 +1,13 @@
 package node
 
 import (
+	"slices"
 	"testing"
 
+	"plsh/internal/bitvec"
 	"plsh/internal/core"
 	"plsh/internal/corpus"
+	"plsh/internal/delta"
 	"plsh/internal/lshhash"
 	"plsh/internal/sparse"
 )
@@ -33,11 +36,7 @@ func BenchmarkSearchColdStream(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	col := corpus.Generate(corpus.Twitter(cfg.Capacity, cfg.Params.Dim, 1))
-	docs := make([]sparse.Vector, col.Mat.Rows())
-	for i := range docs {
-		docs[i] = col.Mat.Row(i)
-	}
+	docs := coldDocs(cfg.Capacity, cfg.Params.Dim)
 	if _, err := n.Insert(bg, docs[:nStatic]); err != nil {
 		b.Fatal(err)
 	}
@@ -84,4 +83,193 @@ func BenchmarkSearchColdStream(b *testing.B) {
 		dst = n.searchOn(dst[:0], s, qs[i%nQueries], SearchParams{})
 	}
 	b.ReportMetric(float64(lookups)/nQueries, "map-lookups/op")
+}
+
+// coldDocs returns n documents of the benchmark suite's corpus.
+func coldDocs(n, dim int) []sparse.Vector {
+	col := corpus.Generate(corpus.Twitter(n, dim, 1))
+	docs := make([]sparse.Vector, col.Mat.Rows())
+	for i := range docs {
+		docs[i] = col.Mat.Row(i)
+	}
+	return docs
+}
+
+// rebuildStatic is the merge as it ran before mergeStatic: every row of the
+// prefix hashed and bucketed again by core.Build, then the tombstones
+// compacted out. It lives in this file only, as the other arm of
+// BenchmarkMerge.
+func (n *Node) rebuildStatic(prefix *sparse.Matrix, del *bitvec.Vector) (*core.Static, *core.Engine) {
+	st := core.MustBuild(n.fam, prefix, n.cfg.Build)
+	st.Compact(func(id uint32) bool { return del.TestAtomic(int(id)) }, n.cfg.Build.Workers)
+	eng := core.NewEngine(st, prefix, n.cfg.Query)
+	eng.SetDeleted(del)
+	return st, eng
+}
+
+// BenchmarkMerge times one merge of a delta chain into the static index, at
+// the benchmark suite's geometry, by the shipping path (Copy: tables of the
+// delta rows from the sketches their segments kept, then core.Merge)
+// and by the rebuild it replaced (Rebuild, above). 32k+20k is the ladder's
+// node.merge_ms rung — 200 batches of 100 over the 32 000-row base set —
+// and 131k+13k a stream_ingest merge late in a run: one merge trigger's
+// worth of rows into a static index that has absorbed seven. One row in a
+// hundred is tombstoned on either side. Neither arm installs its result, so
+// every iteration merges the same state. Run it with
+//
+//	go test -run '^$' -bench 'Merge/' -benchtime 5x ./internal/node
+//
+// merge-ms/op is what the node adds to Stats.TotalMergeNS per merge; B/op is
+// what a merge allocates, the new index included.
+func BenchmarkMerge(b *testing.B) {
+	for _, size := range []struct {
+		name          string
+		nStatic, nAdd int
+	}{
+		{"32k+20k", 32000, 20000},
+		{"131k+13k", 131000, 13100},
+	} {
+		b.Run(size.name, func(b *testing.B) {
+			cfg := Config{
+				Params:   lshhash.Params{Dim: 50000, K: 16, M: 16, Seed: 1},
+				Capacity: size.nStatic + size.nAdd,
+				Build:    core.Defaults(),
+				Query:    core.QueryDefaults(),
+			}
+			n, err := New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			docs := coldDocs(cfg.Capacity, cfg.Params.Dim)
+			insert := func(docs []sparse.Vector, batch int) {
+				for lo := 0; lo < len(docs); lo += batch {
+					if _, err := n.Insert(bg, docs[lo:min(lo+batch, len(docs))]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			insert(docs[:size.nStatic], 1000)
+			if err := n.MergeNow(bg); err != nil {
+				b.Fatal(err)
+			}
+			insert(docs[size.nStatic:], 100)
+			for id := 7; id < cfg.Capacity; id += 100 {
+				if err := n.Delete(uint32(id)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			n.mu.Lock()
+			old, segs, upTo, del := n.static, slices.Clone(n.segs), n.store.Rows(), n.deleted
+			prefix := n.store.Prefix(upTo)
+			n.mu.Unlock()
+
+			arm := func(merge func() *core.Static) func(b *testing.B) {
+				return func(b *testing.B) {
+					b.ReportAllocs()
+					var st *core.Static
+					for i := 0; i < b.N; i++ {
+						st = merge()
+					}
+					b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "merge-ms/op")
+					if st.Len() != upTo {
+						b.Fatalf("merged index covers %d rows, want %d", st.Len(), upTo)
+					}
+				}
+			}
+			b.Run("Copy", arm(func() *core.Static {
+				st, _ := n.mergeStatic(old, segs, prefix, del, upTo)
+				return st
+			}))
+			b.Run("Rebuild", arm(func() *core.Static {
+				st, _ := n.rebuildStatic(prefix, del)
+				return st
+			}))
+		})
+	}
+}
+
+// pairwiseFold is the coalescing loop as it ran before trailingRun: while the
+// older of the newest two segments is within 2× of the newer, the two are
+// rebuilt into one. It ends in the segments the one-pass fold ends in; it
+// lives in this file only, as the other arm of BenchmarkCoalesceChain. Both
+// return the rows they rebucketed.
+func pairwiseFold(n *Node, segs []segment) ([]segment, int) {
+	rows := 0
+	for len(segs) >= 2 {
+		a, b := segs[len(segs)-2], segs[len(segs)-1]
+		if a.t.Len() > 2*b.t.Len() {
+			break
+		}
+		merged := delta.Coalesce(n.fam, a.t, b.t, n.cfg.Build.Workers, nil)
+		segs = append(segs[:len(segs)-2], segment{base: a.base, t: merged})
+		rows += merged.Len()
+	}
+	return segs, rows
+}
+
+func onePassFold(n *Node, segs []segment) ([]segment, int) {
+	start := trailingRun(segs, 0)
+	if start == len(segs)-1 {
+		return segs, 0
+	}
+	merged := delta.CoalesceRun(n.fam, tablesOf(segs[start:]), n.cfg.Build.Workers, nil)
+	return append(segs[:start], segment{base: segs[start].base, t: merged}), merged.Len()
+}
+
+// BenchmarkCoalesceChain replays the segment chain of one merge cycle —
+// 131 batches of 100 documents, stream_ingest's writer up to a merge trigger,
+// and the 32 batches of 1 000 of a set-up — through the node's fold policy
+// (Fold: trailingRun, then one delta.CoalesceRun over the run) and through
+// the pairwise cascade it replaced (Pairwise). The batches' own tables are
+// built outside the timer; what is timed, and counted, is the folding.
+// rebuckets/row is how many times the chain re-bucketed a row after its
+// insert, per row — 4.35 and 3.0 folded, 6.15 and 3.94 pairwise: a count,
+// the same on every host.
+func BenchmarkCoalesceChain(b *testing.B) {
+	for _, size := range []struct {
+		name           string
+		batches, batch int
+	}{
+		{"131x100", 131, 100},
+		{"32x1000", 32, 1000},
+	} {
+		b.Run(size.name, func(b *testing.B) {
+			n, err := New(Config{
+				Params:   lshhash.Params{Dim: 50000, K: 16, M: 16, Seed: 1},
+				Capacity: size.batches * size.batch,
+				Build:    core.Defaults(),
+				Query:    core.QueryDefaults(),
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			docs := coldDocs(size.batches*size.batch, 50000)
+			batches := make([]segment, size.batches)
+			for i := range batches {
+				t := n.newDelta()
+				t.Insert(docs[i*size.batch : (i+1)*size.batch])
+				t.Freeze()
+				batches[i] = segment{base: i * size.batch, t: t}
+			}
+			for _, arm := range []struct {
+				name string
+				fold func(*Node, []segment) ([]segment, int)
+			}{{"Fold", onePassFold}, {"Pairwise", pairwiseFold}} {
+				b.Run(arm.name, func(b *testing.B) {
+					var chain []segment
+					rebucketed := 0
+					for i := 0; i < b.N; i++ {
+						chain, rebucketed = chain[:0], 0
+						for _, sg := range batches {
+							var rows int
+							chain, rows = arm.fold(n, append(chain, sg))
+							rebucketed += rows
+						}
+					}
+					b.ReportMetric(float64(rebucketed)/float64(size.batches*size.batch), "rebuckets/row")
+					b.ReportMetric(float64(len(chain)), "segments")
+				})
+			}
+		})
+	}
 }

@@ -2,12 +2,14 @@ package node
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"plsh/internal/bitvec"
 	"plsh/internal/core"
 	"plsh/internal/delta"
 	"plsh/internal/lshhash"
@@ -16,15 +18,17 @@ import (
 
 // holdMerge installs test hooks that block n's background merge at the
 // given phase until the returned release func is called. entered is closed
-// once the merge reaches the phase. Cleanup releases the hold, drains the
+// once a merge first reaches the phase; merges that reach it after the
+// release pass straight through. Cleanup releases the hold, drains the
 // node, and only then clears the hook — the hooks are plain globals, so no
 // merge goroutine may be left running when they are written.
 func holdMerge(t *testing.T, n *Node, phase *func()) (entered chan struct{}, release func()) {
 	t.Helper()
 	entered = make(chan struct{})
 	releaseCh := make(chan struct{})
+	var enter sync.Once
 	*phase = func() {
-		close(entered)
+		enter.Do(func() { close(entered) })
 		<-releaseCh
 	}
 	var once sync.Once
@@ -516,6 +520,305 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 		deleted := i < 100 && i%5 == 0
 		if got := neighborIDs(mustQuery(t, n, vs[i])); got[uint32(i)] == deleted {
 			t.Fatalf("doc %d: deleted=%v but found=%v", i, deleted, got[uint32(i)])
+		}
+	}
+}
+
+// requireStaticMatchesRebuild checks the node's static index, bucket by
+// bucket over every key of every table, against rebuildStatic (the merge as
+// it ran before core.Merge, kept in cold_bench_test.go) over the same rows
+// under the tombstones dead.
+func requireStaticMatchesRebuild(t *testing.T, what string, n *Node, dead *bitvec.Vector) {
+	t.Helper()
+	n.mu.Lock()
+	st, nStatic := n.static, n.nStatic
+	prefix := n.store.Prefix(nStatic)
+	n.mu.Unlock()
+	if st.Len() != nStatic {
+		t.Fatalf("%s: static index covers %d rows, node says %d", what, st.Len(), nStatic)
+	}
+	if err := core.ValidateTables(n.fam.Params(), nStatic, st.Tables()); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	want, _ := n.rebuildStatic(prefix, dead)
+	for l := 0; l < st.NumTables(); l++ {
+		for key := 0; key < n.fam.Params().Buckets(); key++ {
+			got, ref := st.Table(l).Bucket(uint32(key)), want.Table(l).Bucket(uint32(key))
+			if !slices.Equal(got, ref) {
+				t.Fatalf("%s: table %d bucket %d = %v, a rebuild has %v", what, l, key, got, ref)
+			}
+		}
+	}
+}
+
+// TestMergeChainMatchesRebuild: merges chained one behind the other — each
+// folding a fresh segment chain and fresh tombstones, on both sides of the
+// static boundary, into the index the one before it left — end in the index
+// a rebuild of the whole prefix produces, after every link.
+func TestMergeChainMatchesRebuild(t *testing.T) {
+	cfg := testConfig(5000)
+	cfg.AutoMerge = false
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs := testDocs(1600, 51)
+	at := 0
+	for link, rows := range []int{300, 1, 640, 77, 400} {
+		for end := at + rows; at < end; { // 9-row batches: a coalesced chain, not one segment
+			step := min(9, end-at)
+			if _, err := n.Insert(bg, vs[at:at+step]); err != nil {
+				t.Fatal(err)
+			}
+			at += step
+		}
+		for id := link; id < at; id += 13 {
+			if err := n.Delete(uint32(id)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mustMerge(t, n)
+		if n.StaticLen() != at || n.DeltaLen() != 0 {
+			t.Fatalf("link %d: split %d/%d, want %d/0", link, n.StaticLen(), n.DeltaLen(), at)
+		}
+		requireStaticMatchesRebuild(t, fmt.Sprintf("link %d", link), n, n.deleted)
+	}
+	if n.Stats().Merges != 5 {
+		t.Fatalf("Merges = %d, want 5", n.Stats().Merges)
+	}
+}
+
+// TestAutoMergeChainsBehindHeldMerge: inserts that outgrow η·C while a merge
+// is held open start the next merge the moment the first installs; the
+// second folds into the first's result, not into the index the first
+// started from.
+func TestAutoMergeChainsBehindHeldMerge(t *testing.T) {
+	cfg := testConfig(2000) // η·C = 200
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs := testDocs(700, 53)
+	entered, release := holdMerge(t, n, &testHookMergeBuilt)
+	defer release()
+	if _, err := n.Insert(bg, vs[:250]); err != nil { // starts merge 1, held before it installs
+		t.Fatal(err)
+	}
+	<-entered
+	for at := 250; at < 700; at += 50 { // 450 more rows: merge 2 must chain
+		if _, err := n.Insert(bg, vs[at:at+50]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	release()
+	if err := n.Flush(bg); err != nil {
+		t.Fatal(err)
+	}
+	st := n.Stats()
+	if st.Merges != 2 || st.StaticLen != 700 || st.DeltaLen != 0 {
+		t.Fatalf("after the chain: %+v", st)
+	}
+	requireStaticMatchesRebuild(t, "chained", n, n.deleted)
+}
+
+// TestMergeRacesCoalescerSplice: a merge that starts while the coalescer is
+// off-lock folding a run reads the run's own segments; the coalescer then
+// splices its fold over them, below the merge boundary, and the merge's
+// completion drops it. Nothing is lost or merged twice, whichever finishes
+// first — run many times, under -race, with the two orders interleaving.
+func TestMergeRacesCoalescerSplice(t *testing.T) {
+	vs := testDocs(1200, 55)
+	for round := 0; round < 8; round++ {
+		cfg := testConfig(4000)
+		cfg.AutoMerge = false
+		n, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.Insert(bg, vs[:400]); err != nil {
+			t.Fatal(err)
+		}
+		mustMerge(t, n)
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { // single-row inserts: the coalescer folds after almost every one
+			defer wg.Done()
+			for at := 400; at < 1200; at += 1 + at%3 {
+				if _, err := n.Insert(bg, vs[at:min(at+1+at%3, 1200)]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 6+round; i++ {
+				if err := n.MergeNow(bg); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		wg.Wait()
+		mustMerge(t, n)
+		if n.StaticLen() != 1200 || n.DeltaLen() != 0 {
+			t.Fatalf("round %d: split %d/%d", round, n.StaticLen(), n.DeltaLen())
+		}
+		requireStaticMatchesRebuild(t, fmt.Sprintf("round %d", round), n, n.deleted)
+	}
+}
+
+// TestMergeUsesTombstonesOfItsStart: a merge sizes each table's item array
+// from one count of the live items and then fills it; Deletes keep landing
+// while it does both. Every row deleted before the merge began is in no
+// bucket, every other row is in its bucket in every table — deleted
+// mid-merge or not — and no array comes out short or with a gap: the merge
+// works from one copy of the tombstone words, taken when it starts.
+func TestMergeUsesTombstonesOfItsStart(t *testing.T) {
+	cfg := testConfig(4000)
+	cfg.AutoMerge = false
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs := testDocs(3000, 57)
+	if _, err := n.Insert(bg, vs[:1500]); err != nil {
+		t.Fatal(err)
+	}
+	mustMerge(t, n)
+	for at := 1500; at < 3000; at += 60 {
+		if _, err := n.Insert(bg, vs[at:at+60]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := bitvec.New(cfg.Capacity)
+	for id := 5; id < 3000; id += 11 {
+		if err := n.Delete(uint32(id)); err != nil {
+			t.Fatal(err)
+		}
+		before.Set(id)
+	}
+
+	started, release := holdMerge(t, n, &testHookMergeStart)
+	done := make(chan error, 1)
+	go func() { done <- n.MergeNow(bg) }()
+	<-started
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // tombstones on both sides of the boundary, for as long as the merge runs
+		defer wg.Done()
+		for id := 0; ; id = (id + 7) % 3000 {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if id%11 != 5 {
+				n.Delete(uint32(id))
+			}
+		}
+	}()
+	release()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	wg.Wait()
+	// A Delete that landed after the hold was released but before the merge
+	// copied the words is compacted too: the merged index lies between the
+	// rebuild under `before` and the rebuild under every tombstone set now.
+	n.mu.Lock()
+	st := n.static
+	n.mu.Unlock()
+	if err := core.ValidateTables(n.fam.Params(), 3000, st.Tables()); err != nil {
+		t.Fatal(err)
+	}
+	floor, _ := n.rebuildStatic(n.store.Prefix(3000), n.deleted)
+	ceil, _ := n.rebuildStatic(n.store.Prefix(3000), before)
+	for l := 0; l < st.NumTables(); l++ {
+		for key := 0; key < n.fam.Params().Buckets(); key++ {
+			got := st.Table(l).Bucket(uint32(key))
+			lo, hi := floor.Table(l).Bucket(uint32(key)), ceil.Table(l).Bucket(uint32(key))
+			// got is hi minus some rows deleted mid-merge, and holds all of lo.
+			i, j := 0, 0
+			for _, id := range hi {
+				inGot := i < len(got) && got[i] == id
+				inLo := j < len(lo) && lo[j] == id
+				if inGot {
+					i++
+				}
+				if inLo {
+					j++
+				}
+				if inLo && !inGot {
+					t.Fatalf("table %d bucket %d lost live row %d: %v, want within %v", l, key, id, got, hi)
+				}
+			}
+			if i != len(got) {
+				t.Fatalf("table %d bucket %d = %v holds rows outside %v", l, key, got, hi)
+			}
+		}
+	}
+}
+
+// TestReservoirEvictionIsPermanentAcrossMerges pins the documented price of
+// merging by copy under a bucket bound: a merge caps the merged buckets, and
+// a row a full bucket lost in an earlier merge is not offered to it again —
+// where a rebuild offered every row of the prefix afresh each time. The
+// bound itself holds after every merge, and the outcome is a function of the
+// seed and the insert sequence.
+func TestReservoirEvictionIsPermanentAcrossMerges(t *testing.T) {
+	const r = 3
+	build := func() *Node {
+		cfg := testConfig(2000)
+		cfg.AutoMerge = false
+		cfg.BucketReservoir = r
+		n, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Forty copies of one document overflow one bucket of every table.
+		vs := testDocs(200, 59)
+		for i := 0; i < 40; i++ {
+			vs[i*5] = vs[0]
+		}
+		prev := map[int]map[uint32]bool{} // per table: what the hot bucket has held
+		for at := 0; at < 200; at += 50 {
+			if _, err := n.Insert(bg, vs[at:at+50]); err != nil {
+				t.Fatal(err)
+			}
+			mustMerge(t, n)
+			sketch := n.fam.Sketch(vs[0])
+			half := uint(n.fam.Params().K / 2)
+			for l, pair := range n.fam.Pairs() {
+				bucket := n.static.Table(l).Bucket(pair.Key(sketch, half))
+				if len(bucket) > r {
+					t.Fatalf("after %d rows: table %d hot bucket holds %d, bound %d", at+50, l, len(bucket), r)
+				}
+				if prev[l] == nil {
+					prev[l] = map[uint32]bool{}
+				}
+				for _, id := range bucket {
+					// A survivor is a row of this merge's delta or one the
+					// bucket still held after the last merge — never a row
+					// an earlier merge evicted.
+					if int(id) < at && !prev[l][id] {
+						t.Fatalf("after %d rows: table %d hot bucket regained evicted row %d", at+50, l, id)
+					}
+				}
+				clear(prev[l])
+				for _, id := range bucket {
+					prev[l][id] = true
+				}
+			}
+		}
+		return n
+	}
+	a, b := build(), build()
+	for l := 0; l < a.static.NumTables(); l++ {
+		if !slices.Equal(a.static.Table(l).Items, b.static.Table(l).Items) {
+			t.Fatalf("table %d differs between two nodes fed the same inserts", l)
 		}
 	}
 }

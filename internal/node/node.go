@@ -18,14 +18,17 @@
 //     segments are coalesced (Bentley–Saxe style) so the segment count
 //     stays logarithmic even under single-document inserts.
 //   - When the delta exceeds η·C, the segments are rotated out and a single
-//     background goroutine rebuilds the static structure over static+frozen
-//     rows — rebuild is within 2.67× of any possible merge scheme (§6.2) —
-//     then publishes the new snapshot with an atomic pointer swap. A fresh
+//     background goroutine merges them into the static structure: it
+//     buckets the delta rows from the sketches their segments kept (no
+//     document is hashed twice), copies the static tables and the new ones
+//     into one bucket by bucket (core.Merge — §6.2 prices a merge as
+//     streaming the bucket arrays through memory, and this is that), then
+//     publishes the new snapshot with an atomic pointer swap. A fresh
 //     active delta accepts inserts for the whole duration.
 //
 // Deletions set a tombstone bit with an atomic OR — safe concurrently with
-// lock-free readers — and merges compact tombstoned rows out of the rebuilt
-// buckets so they are dropped, not resurrected. Retirement (the rolling
+// lock-free readers — and a merge leaves tombstoned rows out of the buckets
+// it writes, so they are dropped, not resurrected. Retirement (the rolling
 // window of §6) drains any in-flight merge, then replaces the arena and
 // tombstones wholesale; in-flight snapshot queries keep reading the old,
 // now-immutable structures.
@@ -72,10 +75,10 @@ var ErrNotFound = errors.New("node: document not found")
 var ErrNotDurable = errors.New("node: no data directory configured")
 
 // testHookMergeStart and testHookMergeBuilt, when non-nil, run inside the
-// background merge goroutine: Start before the rebuild begins, Built after
-// the rebuild completes but before the new snapshot is published. Tests use
-// them to hold a merge open deterministically; they must be set while the
-// node is quiescent.
+// background merge goroutine: Start before the merge reads anything, Built
+// after the merged index is complete but before the new snapshot is
+// published. Tests use them to hold a merge open deterministically; they
+// must be set while the node is quiescent.
 var testHookMergeStart, testHookMergeBuilt func()
 
 // Config parameterizes a node.
@@ -91,7 +94,9 @@ type Config struct {
 	// AutoMerge, when false, disables the η trigger so experiments can
 	// hold a chosen static/delta split (Fig. 11). MergeNow still works.
 	AutoMerge bool
-	// Build configures static (re)construction.
+	// Build configures static construction. A node bulk-builds only its
+	// empty initial index; merges and segment rebuilds take Workers from
+	// here and nothing else.
 	Build core.BuildOptions
 	// Query configures the static query path; Radius also applies to the
 	// delta path.
@@ -102,8 +107,10 @@ type Config struct {
 	// delta) to at most this many entries, keeping the survivors by
 	// reservoir sampling — the SLASH-style cap that makes per-insert and
 	// per-bucket-scan cost independent of stream skew. Sampling is
-	// deterministic in the node's seed. 0 (the default) keeps buckets
-	// exact and unbounded.
+	// deterministic in the node's seed. Eviction is permanent: a merge
+	// re-caps the merged buckets, and a row a full bucket lost — in a delta
+	// segment or in an earlier merge — does not return to it. 0 (the
+	// default) keeps buckets exact and unbounded.
 	BucketReservoir int
 	// Dir, when non-empty, makes the node durable: Open recovers its state
 	// from Dir (latest snapshot + journal-tail replay), acknowledged
@@ -234,8 +241,8 @@ type snapshot struct {
 // Node is a single-node PLSH store. All exported methods are safe for
 // concurrent use: queries load the current snapshot atomically and run
 // lock-free; inserts, merges and retirement serialize behind a short
-// mutex that is never held across a rebuild, so a multi-second merge
-// stalls nobody.
+// mutex that is never held across a merge or a segment fold, so a long
+// merge stalls nobody.
 type Node struct {
 	cfg Config
 	fam *lshhash.Family
@@ -472,34 +479,45 @@ func (n *Node) newDelta() *delta.Table {
 	return t
 }
 
-// initStaticLocked (re)builds the static index and engine over the current
-// arena's first nStatic rows — used at construction and retirement, when
-// the delta is empty. Callers hold mu (or are in New).
+// initStaticLocked installs the static index and engine of a node with no
+// merged rows — at construction and retirement, when nStatic is 0. It is the
+// one place a node bulk-builds; every later index is a merge into this one.
+// Callers hold mu (or are in New).
 func (n *Node) initStaticLocked() {
-	st, eng := n.buildStatic(n.store.Prefix(n.nStatic), n.deleted)
+	prefix := n.store.Prefix(0)
+	// The store and family share Dim by construction, so MustBuild cannot
+	// fail absent memory corruption.
+	st := core.MustBuild(n.fam, prefix, n.cfg.Build)
+	eng := core.NewEngine(st, prefix, n.cfg.Query)
+	eng.SetDeleted(n.deleted)
 	n.static, n.eng = st, eng
 }
 
-// buildStatic constructs a static index plus query engine over an immutable
-// arena prefix. It takes no locks and touches no mutable node state, so the
-// background merge calls it while inserts and queries proceed.
-func (n *Node) buildStatic(prefix *sparse.Matrix, del *bitvec.Vector) (*core.Static, *core.Engine) {
-	st, err := core.Build(n.fam, prefix, n.cfg.Build)
-	if err != nil {
-		// The store and family share Dim by construction; this is
-		// unreachable absent memory corruption.
-		panic(fmt.Sprintf("node: rebuild failed: %v", err))
+// mergeStatic builds the static index and engine over arena rows [0, upTo)
+// from the index over its first old.Len() rows and the frozen segments
+// covering the rest. It takes no locks and touches no mutable node state, so
+// the background merge calls it while inserts and queries proceed.
+//
+// No row is hashed: the segments kept their sketches, BuildFromSketches
+// buckets the delta rows from them, and core.Merge copies the two table
+// sets into one, bucket by bucket. Rows deleted before this point are left
+// out of the copy and never become candidates again; later deletions are
+// caught by the engine's per-query tombstone filter.
+func (n *Node) mergeStatic(old *core.Static, segs []segment, prefix *sparse.Matrix, del *bitvec.Vector, upTo int) (*core.Static, *core.Engine) {
+	workers := n.cfg.Build.Workers
+	add := core.BuildFromSketches(n.fam, delta.ConcatSketches(tablesOf(segs)), workers)
+	if old.Len()+add.Len() != upTo {
+		// The segments tile [old.Len(), upTo); this is unreachable absent
+		// memory corruption.
+		panic(fmt.Sprintf("node: merging %d+%d rows, want %d", old.Len(), add.Len(), upTo))
 	}
-	if del.CountAtomic() > 0 {
-		// Tombstone compaction: rows deleted before this point never become
-		// candidates again. Later deletions are caught by the engine's
-		// per-query tombstone filter.
-		st.Compact(func(id uint32) bool { return del.TestAtomic(int(id)) }, n.cfg.Build.Workers)
-	}
+	st := core.Merge(old, add, tombstoneWords(del, upTo), workers)
 	if n.cfg.BucketReservoir > 0 {
-		// Cap after compaction so tombstoned rows never consume reservoir
-		// slots that live rows could have kept.
-		st.CapBuckets(n.cfg.BucketReservoir, n.cfg.Params.Seed^0xa5a3564e06f8e3c1, n.cfg.Build.Workers)
+		// Cap after the tombstones are gone, so deleted rows never consume
+		// reservoir slots that live rows could have kept; reseeded by the
+		// merged length so successive merges don't replay one sampling
+		// stream over the same bucket.
+		st.CapBuckets(n.cfg.BucketReservoir, (n.cfg.Params.Seed^0xa5a3564e06f8e3c1)+uint64(upTo), workers)
 	}
 	eng := core.NewEngine(st, prefix, n.cfg.Query)
 	eng.SetDeleted(del)
@@ -598,16 +616,19 @@ func (n *Node) Insert(ctx context.Context, vs []sparse.Vector) ([]uint32, error)
 	return ids, nil
 }
 
-// coalesceLoopLocked merges trailing delta segments while the next-older
-// one is within 2× of the newest (the Bentley–Saxe logarithmic scheme), so
-// the per-query segment walk stays O(log deltaLen) even under single-
-// document inserts, at amortized O(log) rebucketing per row.
+// coalesceLoopLocked folds the trailing delta segments while the next-older
+// one is within 2× of everything newer (the Bentley–Saxe logarithmic
+// scheme), so the per-query segment walk stays O(log deltaLen) even under
+// single-document inserts, at amortized O(log) rebucketing per row. The
+// whole run the rule reaches is rebuilt in one delta.CoalesceRun: folding it
+// pair by pair ends in the same segment but rebuckets the run's older rows
+// once per pair.
 //
-// Rebucketing depends only on the pair's immutable sketches and the
-// tombstones, so each step releases mu for the build and revalidates
+// Rebucketing depends only on the run's immutable sketches and the
+// tombstones, so each fold releases mu for the build and revalidates
 // before splicing — the mutex is never held across the expensive work. At
 // most one coalescer runs at a time; concurrent inserts skip and leave the
-// tail for the next round (a mid-list pair missed that way is absorbed no
+// tail for the next round (a mid-list run missed that way is absorbed no
 // later than the next merge). Entered and exited with mu held.
 func (n *Node) coalesceLoopLocked() {
 	if n.coalescing {
@@ -616,53 +637,63 @@ func (n *Node) coalesceLoopLocked() {
 	n.coalescing = true
 	defer func() { n.coalescing = false }()
 	for {
-		a, b, ok := n.coalesceCandidateLocked()
-		if !ok {
+		floor := n.nStatic
+		if n.merging {
+			floor = n.mergeUpTo
+		}
+		start := trailingRun(n.segs, floor)
+		if start == len(n.segs)-1 {
 			return
 		}
+		base, run := n.segs[start].base, tablesOf(n.segs[start:])
 		del := n.deleted
 		n.mu.Unlock()
-		merged := delta.Coalesce(n.fam, a.t, b.t, n.cfg.Build.Workers, func(i int) bool {
-			return del.TestAtomic(a.base + i)
+		merged := delta.CoalesceRun(n.fam, run, n.cfg.Build.Workers, func(i int) bool {
+			return del.TestAtomic(base + i)
 		})
 		n.mu.Lock()
 		// Revalidate: a completed background merge may have absorbed and
-		// dropped the pair while we rebuilt it. Segments never reorder, so
-		// the pair is identifiable by adjacency; splice in place (published
+		// dropped the run while we rebuilt it — all of it or none, a merge
+		// taking every segment below its boundary. Segments never reorder,
+		// so the run is where its first table is; splice in place (published
 		// snapshots hold clones and are unaffected), else discard.
-		for i := 0; i+1 < len(n.segs); i++ {
-			if n.segs[i].t == a.t && n.segs[i+1].t == b.t {
-				n.segs[i] = segment{base: a.base, t: merged}
-				n.segs = append(n.segs[:i+1], n.segs[i+2:]...)
-				break
-			}
+		if i := slices.IndexFunc(n.segs, func(sg segment) bool { return sg.t == run[0] }); i >= 0 {
+			n.segs = slices.Replace(n.segs, i, i+len(run), segment{base: base, t: merged})
 		}
 	}
 }
 
-// coalesceCandidateLocked returns the top two segments when they should
-// coalesce: both outside any in-flight merge's frozen range, with the
-// older within 2× of the newer. Callers hold mu.
-func (n *Node) coalesceCandidateLocked() (a, b segment, ok bool) {
-	if len(n.segs) < 2 {
-		return segment{}, segment{}, false
+// tablesOf returns the segments' tables, in order.
+func tablesOf(segs []segment) []*delta.Table {
+	run := make([]*delta.Table, len(segs))
+	for i, sg := range segs {
+		run[i] = sg.t
 	}
-	a = n.segs[len(n.segs)-2]
-	b = n.segs[len(n.segs)-1]
-	floor := n.nStatic
-	if n.merging {
-		floor = n.mergeUpTo
-	}
-	if a.base < floor || a.t.Len() > 2*b.t.Len() {
-		return segment{}, segment{}, false
-	}
-	return a, b, true
+	return run
 }
 
-// startMergeLocked freezes every segment below upTo and starts the single
-// background merge goroutine over arena rows [0, upTo). Callers hold mu,
-// have checked that no merge is in flight, and pass upTo equal to the
-// current row count — the rotation invariant below depends on it.
+// trailingRun returns where the run of segments that should fold into one
+// starts: the newest segment, extended over each older one that lies at or
+// above floor (the rows no merge has claimed) and holds at most twice the
+// rows newer than it. len(segs)-1 means the newest stands alone.
+func trailingRun(segs []segment, floor int) int {
+	i := len(segs) - 1
+	if i < 0 {
+		return i
+	}
+	rows := segs[i].t.Len()
+	for i > 0 && segs[i-1].base >= floor && segs[i-1].t.Len() <= 2*rows {
+		i--
+		rows += segs[i].t.Len()
+	}
+	return i
+}
+
+// startMergeLocked hands every segment — they are all below upTo — to the
+// single background merge goroutine, which folds them into the current
+// static index. Callers hold mu, have checked that no merge is in flight,
+// and pass upTo equal to the current row count — the rotation invariant
+// below depends on it.
 func (n *Node) startMergeLocked(upTo int) {
 	if upTo <= n.nStatic {
 		return // nothing to absorb
@@ -686,25 +717,28 @@ func (n *Node) startMergeLocked(upTo int) {
 	n.mergeUpTo = upTo
 	prev := n.mergeDone
 	n.mergeDone = make(chan struct{})
-	go n.runMerge(n.store.Prefix(upTo), n.deleted, upTo, token, prev, n.mergeDone)
+	// The merge reads the segments off-lock while the coalescer may splice
+	// n.segs in place, so it gets its own slice. The tables are frozen, and
+	// a splice below upTo only ever replaces them with their own fold.
+	go n.runMerge(n.static, slices.Clone(n.segs), n.store.Prefix(upTo), n.deleted, upTo, token, prev, n.mergeDone)
 }
 
-// runMerge is the background merge pipeline: rebuild the static structure
-// over the frozen prefix without holding any lock, then publish the result
-// with a brief critical section and an atomic snapshot swap. Queries and
-// inserts proceed throughout. On a durable node the merged state is then
-// checkpointed — snapshot written, sealed journal segments truncated —
-// still off-lock, before done closes (so Flush/MergeNow/Close return with
-// the merge durable). A chained merge can start, and even finish, while
-// this one's checkpoint is being written; it waits for prev, this merge's
-// done, before closing its own, so a closed done channel means no older
-// checkpoint is in flight either.
-func (n *Node) runMerge(prefix *sparse.Matrix, del *bitvec.Vector, upTo, token int, prev, done chan struct{}) {
+// runMerge is the background merge pipeline: merge the frozen segments into
+// the static index old (mergeStatic) without holding any lock, then publish
+// the result with a brief critical section and an atomic snapshot swap.
+// Queries and inserts proceed throughout. On a durable node the merged
+// state is then checkpointed — snapshot written, sealed journal segments
+// truncated — still off-lock, before done closes (so Flush/MergeNow/Close
+// return with the merge durable). A chained merge can start, and even
+// finish, while this one's checkpoint is being written; it waits for prev,
+// this merge's done, before closing its own, so a closed done channel means
+// no older checkpoint is in flight either.
+func (n *Node) runMerge(old *core.Static, segs []segment, prefix *sparse.Matrix, del *bitvec.Vector, upTo, token int, prev, done chan struct{}) {
 	if h := testHookMergeStart; h != nil {
 		h()
 	}
 	t0 := time.Now()
-	st, eng := n.buildStatic(prefix, del)
+	st, eng := n.mergeStatic(old, segs, prefix, del, upTo)
 	dur := time.Since(t0)
 	if h := testHookMergeBuilt; h != nil {
 		h()
@@ -754,15 +788,6 @@ func (n *Node) runMerge(prefix *sparse.Matrix, del *bitvec.Vector, upTo, token i
 // masked to exactly rows bits (stale bits past the row count would
 // otherwise pre-delete future inserts on recovery).
 func makeSnapshot(cfg Config, prefix *sparse.Matrix, st *core.Static, del *bitvec.Vector, rows int) *persist.Snapshot {
-	words := del.Words()
-	nw := (rows + 63) / 64
-	dw := make([]uint64, nw)
-	for i := range dw {
-		dw[i] = atomic.LoadUint64(&words[i])
-	}
-	if rows%64 != 0 {
-		dw[nw-1] &= 1<<(rows%64) - 1
-	}
 	var tables []core.Table
 	if rows > 0 {
 		// An empty index's tables are all directory and no items;
@@ -776,8 +801,24 @@ func makeSnapshot(cfg Config, prefix *sparse.Matrix, st *core.Static, del *bitve
 		Rows:     rows,
 		Arena:    prefix,
 		Tables:   tables,
-		Deleted:  dw,
+		Deleted:  tombstoneWords(del, rows),
 	}
+}
+
+// tombstoneWords copies the tombstones of the first rows rows out of the
+// live bitmap, one atomic load a word, trimmed and masked to exactly rows
+// bits.
+func tombstoneWords(del *bitvec.Vector, rows int) []uint64 {
+	words := del.Words()
+	nw := (rows + 63) / 64
+	dw := make([]uint64, nw)
+	for i := range dw {
+		dw[i] = atomic.LoadUint64(&words[i])
+	}
+	if rows%64 != 0 {
+		dw[nw-1] &= 1<<(rows%64) - 1
+	}
+	return dw
 }
 
 func (n *Node) notePersistErr(err error) {
@@ -873,10 +914,10 @@ func (n *Node) Flush(ctx context.Context) error {
 // queries, including queries running right now against older snapshots
 // (tombstones are shared and read atomically). Safe to call concurrently
 // with queries, inserts, and an in-flight merge: rows deleted before the
-// merge's rebuild are compacted out of the new buckets, rows deleted after
-// are filtered per query. Deleting an ID that was never inserted returns
-// ErrNotFound; on a durable node the tombstone is journaled before the
-// call returns.
+// merge copies the tombstones are left out of the new buckets, rows deleted
+// after are filtered per query. Deleting an ID that was never inserted
+// returns ErrNotFound; on a durable node the tombstone is journaled before
+// the call returns.
 func (n *Node) Delete(id uint32) error {
 	if n.wal == nil {
 		s := n.snap.Load()

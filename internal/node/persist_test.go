@@ -614,3 +614,86 @@ func TestReadsVersion1Snapshot(t *testing.T) {
 		t.Fatalf("checkpoint wrote version %d, want 2", v)
 	}
 }
+
+// TestReplayedDeltaMergesLikeARebuild: a recovered node's delta is the
+// segments journal replay built, its static index the tables the snapshot
+// held — neither came out of this process's own merges. Merging one into
+// the other yields the rebuild's buckets; the snapshot that merge
+// checkpoints re-opens into the same index, with nothing left to replay; and
+// every stage answers like an in-memory node that bulk-merged the same rows
+// in one go.
+func TestReplayedDeltaMergesLikeARebuild(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableConfig(dir, 3000)
+	cfg.AutoMerge = false
+	docs := testDocs(1500, 61)
+	dead := []uint32{4, 333, 599, 600, 1010, 1499}
+
+	oracle, err := New(testConfig(3000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := oracle.Insert(bg, docs); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range dead {
+		if err := oracle.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustMerge(t, oracle)
+	sameAsOracle := func(what string, n *Node) {
+		t.Helper()
+		for i := 0; i < len(docs); i += 13 {
+			sameNeighbors(t, what, mustQuery(t, oracle, docs[i]), mustQuery(t, n, docs[i]))
+		}
+	}
+
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Insert(bg, docs[:600]); err != nil {
+		t.Fatal(err)
+	}
+	mustMerge(t, n) // checkpoint: 600 rows of tables on disk
+	for at := 600; at < 1500; at += 45 {
+		if _, err := n.Insert(bg, docs[at:at+45]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range dead {
+		if err := n.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.StaticLen() != 600 || re.DeltaLen() != 900 {
+		t.Fatalf("recovered split %d/%d, want 600/900", re.StaticLen(), re.DeltaLen())
+	}
+	sameAsOracle("recovered, unmerged", re)
+	mustMerge(t, re)
+	requireStaticMatchesRebuild(t, "replayed delta into loaded tables", re, re.deleted)
+	sameAsOracle("recovered, merged", re)
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	again, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if again.StaticLen() != 1500 || again.DeltaLen() != 0 {
+		t.Fatalf("re-opened split %d/%d, want 1500/0", again.StaticLen(), again.DeltaLen())
+	}
+	requireStaticMatchesRebuild(t, "snapshot of a merged index", again, again.deleted)
+	sameAsOracle("re-opened", again)
+}

@@ -67,7 +67,10 @@ type Config struct {
 	// A document evicted from a bucket in one table usually survives in
 	// others (there are L = M(M−1)/2 of them), so modest caps cost little
 	// recall; exact-recall guarantees hold only at the default 0
-	// (unbounded, the paper's layout). Sampling is deterministic in Seed.
+	// (unbounded, the paper's layout). Eviction is permanent: each merge
+	// samples a full bucket's survivors together with the documents it
+	// merges in, so over many merges the sample leans towards recent
+	// documents. Sampling is deterministic in Seed.
 	BucketReservoir int
 	// Seed makes hashing deterministic (default 1). In a replicated
 	// cluster every node must share the seed: mirrored members answer
@@ -214,9 +217,10 @@ func (c Config) nodeConfig() node.Config {
 // the node-local IDs zero-extended). All methods are safe for concurrent
 // use. Queries run lock-free against immutable copy-on-write snapshots,
 // so they proceed concurrently with each other, with inserts, and with
-// merges: when the delta table exceeds DeltaFraction·Capacity the rebuild
-// happens on a background goroutine and is published with an atomic
-// pointer swap — queries are never buffered behind it. Use Merge to force
+// merges: when the delta table exceeds DeltaFraction·Capacity it is merged
+// into the static structure on a background goroutine and the result is
+// published with an atomic pointer swap — queries are never buffered
+// behind it. Use Merge to force
 // and await a fully merged state, Flush to just await any background
 // merge already in flight, and Stats' MergeInFlight to observe one.
 //
@@ -383,7 +387,7 @@ func (s *Store) Delete(ctx context.Context, id uint64) error {
 
 // Merge forces every document present at the time of the call into the
 // static structure and returns once that fully merged state is reached.
-// The rebuild itself runs on a background goroutine — concurrent queries
+// The merge itself runs on a background goroutine — concurrent queries
 // and inserts are never blocked by it; only the Merge caller waits.
 // Inserts trigger the same background merge automatically at the
 // configured DeltaFraction.
