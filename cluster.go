@@ -29,7 +29,10 @@ const (
 
 // clusterOptions translates a normalized Config into coordinator
 // options, building the signature router when placement is partitioned —
-// one shared construction so OpenCluster and DialCluster cannot drift.
+// one shared construction so OpenCluster and DialCluster cannot drift. The
+// family built here is only how the fleet's geometry reaches NewRouter,
+// which derives its own routing family from the Params; no table
+// hyperplane is ever drawn in the coordinator.
 func clusterOptions(cfg Config, windowM, groups int) (cluster.Options, error) {
 	opts := cluster.Options{
 		WindowM:   windowM,

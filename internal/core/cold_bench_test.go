@@ -51,8 +51,10 @@ var coldFixture = sync.OnceValue(func() coldSet { return newColdSet(32000) })
 // Monolithic. ns/op comes from an engine that does not collect phases, the
 // q2/q3 metrics from a second one that does, as in the suite's ladder.
 //
-// The N=…/Compact and N=…/Dense cases are the evidence for the table layout
-// (DESIGN.md "Static tables"): the default arm over the engine's tables and
+// The N=…/Compact, N=…/Wide and N=…/Dense cases are the evidence for the
+// table layout (DESIGN.md "Static tables"): the default arm over the engine's
+// tables, over the same tables with 32-bit entries forced on them (forcedWide
+// of wide_test.go — what a table was before its entries went to 16 bits) and
 // over the dense 2^k+1-offsets reference of dense_test.go, on a fleet
 // node's share, on static_query's base set and at four items a bucket.
 // q2-ns/op is Step Q2 for queries drawn from the index, every one of whose
@@ -103,31 +105,36 @@ func BenchmarkEngineSearchCold(b *testing.B) {
 	}
 
 	for _, n := range []int{8000, 32000, 262144} {
-		var set coldSet // built by the first of the two arms that runs
-		for _, layout := range []string{"Compact", "Dense"} {
+		var set coldSet // built by the first of the arms that runs
+		for _, layout := range []string{"Compact", "Wide", "Dense"} {
 			b.Run(fmt.Sprintf("N=%d/%s", n, layout), func(b *testing.B) {
 				if set.st == nil {
 					if set = f; n != f.st.Len() {
 						set = newColdSet(n)
 					}
 				}
-				benchLayout(b, set, layout == "Dense")
+				benchLayout(b, set, layout)
 			})
 		}
 	}
 }
 
-// benchLayout times the default search arm over set's tables, or over their
-// dense expansion, with Step Q2 clocked as SearchOn clocks it.
-func benchLayout(b *testing.B, set coldSet, dense bool) {
+// benchLayout times the default search arm over set's tables, over their
+// wide form or over their dense expansion, with Step Q2 clocked as SearchOn
+// clocks it.
+func benchLayout(b *testing.B, set coldSet, layout string) {
 	e := NewEngine(set.st, set.store, QueryDefaults())
 	p := set.st.fam.Params()
 	pairs, half := set.st.fam.Pairs(), uint(p.K/2)
-	probe := func(ws *Workspace) int {
-		return ProbeMark(set.st.tables, pairs, ws.sketch, half, ws.lo, ws.hi, ws.seen.Words())
+	st := set.st
+	if layout == "Wide" {
+		st = forcedWide(st)
 	}
-	tableBytes := float64(set.st.MemoryBytes()) / float64(p.L())
-	if dense {
+	probe := func(ws *Workspace) int {
+		return ProbeMark(st.tables, pairs, ws.sketch, half, ws.lo, ws.hi, ws.seen.Words())
+	}
+	tableBytes := float64(st.MemoryBytes()) / float64(p.L())
+	if layout == "Dense" {
 		tables := make([]denseTable, p.L())
 		for l := range tables {
 			tables[l] = denseOf(&set.st.tables[l], p.Buckets())
@@ -287,8 +294,10 @@ func (e *monolith) search(dst []Neighbor, q sparse.Vector, p SearchParams) ([]Ne
 }
 
 // BenchmarkProbeBisect is the evidence behind the rule that the probe is
-// staged (DESIGN.md "Q2/Q3 leaf kernels"). All four are leaf functions over
-// the same tables and the same cold sketches. Unstaged walks each bucket as
+// staged (DESIGN.md "Q2/Q3 leaf kernels"). All are leaf functions over
+// the same tables and the same cold sketches; StagedWide is Staged over the
+// tables with 32-bit entries forced on them, the price of the 16-bit ones
+// with nothing else of a query around it. Unstaged walks each bucket as
 // soon as its bounds load, as the monolithic loop did — and is 3–5× slower
 // than Staged or level with it depending on code that is not in the loop
 // (with or without the reslice on its first line, for one).
@@ -301,6 +310,7 @@ func (e *monolith) search(dst []Neighbor, q sparse.Vector, p SearchParams) ([]Ne
 func BenchmarkProbeBisect(b *testing.B) {
 	f := coldFixture()
 	tables, pairs := f.st.tables, f.st.fam.Pairs()
+	wide := forcedWide(f.st).tables
 	sketches := make([][]uint32, len(f.qs))
 	for i, q := range f.qs {
 		sketches[i] = f.st.fam.Sketch(q)
@@ -312,6 +322,7 @@ func BenchmarkProbeBisect(b *testing.B) {
 		probe func(sketch []uint32) int
 	}{
 		{"Staged", func(s []uint32) int { return ProbeMark(tables, pairs, s, 8, lo, hi, words) }},
+		{"StagedWide", func(s []uint32) int { return ProbeMark(wide, pairs, s, 8, lo, hi, words) }},
 		{"Unstaged", func(s []uint32) int { return probeUnstaged(tables, pairs, s, 8, words) }},
 		{"UnstagedNoStores", func(s []uint32) int { return probeUnstagedNoStores(tables, pairs, s, 8) }},
 		{"UnstagedNoLoop", func(s []uint32) int { return probeUnstagedNoLoop(tables, pairs, s, 8) }},
@@ -360,7 +371,7 @@ func probeUnstagedNoLoop(tables []Table, pairs []lshhash.Pair, sketch []uint32, 
 	for l := range tables {
 		t := &tables[l]
 		slot, _ := t.slot(pairs[l].Key(sketch, half))
-		sum += int(t.Items[min(int(t.Offsets[slot]), len(t.Items)-1)])
+		sum += int(t.Items[min(int(t.start(slot)), len(t.Items)-1)])
 	}
 	return sum
 }

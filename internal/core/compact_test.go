@@ -8,7 +8,7 @@ import (
 )
 
 // Compact must drop exactly the requested rows from every bucket of every
-// table, preserve intra-bucket order of the survivors, and leave Offsets
+// table, preserve intra-bucket order of the survivors, and leave the entries
 // consistent.
 func TestStaticCompact(t *testing.T) {
 	const n, dim = 500, 2000

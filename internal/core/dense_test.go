@@ -264,22 +264,29 @@ func TestStaticFromTablesRejectsBadDirectory(t *testing.T) {
 		t.Fatal("fixture too dense: last bitmap word is full")
 		return 0
 	}
+	// offsets edits the table's entries as the plain offsets a snapshot
+	// stores, the way a corrupt file reaches them.
+	offsets := func(edit func(offs []uint32) []uint32) func(tb *Table) {
+		return func(tb *Table) { tb.SetOffsets(edit(tb.AppendOffsets(nil))) }
+	}
 	for _, bad := range []struct {
 		name    string
 		corrupt func(tb *Table)
 	}{
 		{"popcount over offset count", func(tb *Table) { tb.Occ[len(tb.Occ)-1] |= 1 << clearBit(tb) }},
-		{"popcount under offset count", func(tb *Table) { tb.Offsets = append(tb.Offsets, tb.Offsets[len(tb.Offsets)-1]) }},
+		{"popcount under offset count", offsets(func(offs []uint32) []uint32 { return append(offs, offs[len(offs)-1]) })},
 		{"rank directory decreases", func(tb *Table) { tb.Rank[2] = tb.Rank[1] - 1 }},
 		{"rank directory miscounts", func(tb *Table) { tb.Rank[len(tb.Rank)-1]++ }},
 		{"short bitmap", func(tb *Table) { tb.Occ, tb.Rank = tb.Occ[:1], tb.Rank[:1] }},
 		{"short rank directory", func(tb *Table) { tb.Rank = tb.Rank[:len(tb.Rank)-1] }},
-		{"offsets decrease", func(tb *Table) { tb.Offsets[2] = tb.Offsets[1] - 1 }},
-		{"first offset not zero", func(tb *Table) { tb.Offsets[0] = 1 }},
-		{"last offset short of items", func(tb *Table) { tb.Offsets[len(tb.Offsets)-1]-- }},
+		{"offsets decrease", offsets(func(offs []uint32) []uint32 { offs[2] = offs[1] - 1; return offs })},
+		{"first offset not zero", offsets(func(offs []uint32) []uint32 { offs[0] = 1; return offs })},
+		{"last offset short of items", offsets(func(offs []uint32) []uint32 { offs[len(offs)-1]--; return offs })},
 		{"last offset past items", func(tb *Table) { tb.Items = tb.Items[:len(tb.Items)-1] }},
 		{"item id out of range", func(tb *Table) { tb.Items[7] = n }},
-		{"no offsets", func(tb *Table) { tb.Offsets = nil }},
+		{"no offsets", offsets(func([]uint32) []uint32 { return nil })},
+		{"a base short", func(tb *Table) { tb.base = tb.base[:len(tb.base)-1] }},
+		{"a base too many", func(tb *Table) { tb.base = append(tb.base, 0) }},
 	} {
 		tables := good()
 		bad.corrupt(&tables[3])

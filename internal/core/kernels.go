@@ -19,13 +19,17 @@ import (
 // part of the index a cache can hold — and turns them into the bucket's
 // directory entry by arithmetic alone (Table.slot); a clear bit comes out as
 // entry 0 with zero length, so an empty bucket ends at a line every empty
-// probe of that table shares. Stage 2 loads the entries' offsets. Neither
-// loop has a branch that depends on what it loads — bounds checks aside —
-// so the L misses of each stage are all in flight together: the structural
-// stand-in for §5.2.2's software prefetch. A probe that walked each bucket
-// as soon as it had its bounds would close every iteration with a loop
-// branch on a value still in flight from memory, and each misprediction of
-// it serializes the next table's miss behind this one's.
+// probe of that table shares. Stage 2 loads where that entry and the next
+// one start (Table.bounds): two adjacent 16-bit offsets and their base,
+// which at one base per 64 entries is a thirty-second of the offsets and as
+// resident as the rank words. Neither loop has a branch that depends on what
+// it loads — bounds checks aside; stage 2's one test is of the table's form,
+// a header word — so the L misses of each stage are all in flight together:
+// the structural stand-in for §5.2.2's software prefetch. A probe that
+// walked each bucket as soon as it had its bounds would close every
+// iteration with a loop branch on a value still in flight from memory, and
+// each misprediction of it serializes the next table's miss behind this
+// one's.
 func stageBuckets(tables []Table, pairs []lshhash.Pair, sketch []uint32, half uint, lo, hi []uint32) ([]uint32, []uint32) {
 	pairs = pairs[:len(tables)]
 	lo = lo[:len(tables)]
@@ -34,9 +38,7 @@ func stageBuckets(tables []Table, pairs []lshhash.Pair, sketch []uint32, half ui
 		lo[l], hi[l] = tables[l].slot(pairs[l].Key(sketch, half))
 	}
 	for l := range tables {
-		offs := tables[l].Offsets
-		slot := lo[l]
-		lo[l], hi[l] = offs[slot], offs[slot+hi[l]]
+		lo[l], hi[l] = tables[l].bounds(lo[l], hi[l])
 	}
 	return lo, hi
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/bits"
+	"slices"
 
 	"plsh/internal/sched"
 )
@@ -33,25 +34,33 @@ import (
 func Merge(old, add *Static, dead []uint64, workers int) *Static {
 	st := &Static{fam: old.fam, n: old.n + add.n, tables: make([]Table, len(old.tables))}
 	pool := sched.NewPool(workers)
-	deadAt := make([][]uint32, pool.Workers()) // per-worker scratch
+	scratch := make([]mergeScratch, pool.Workers())
 	pool.Run(len(st.tables), func(l, w int) {
-		st.tables[l], deadAt[w] = mergeTable(&old.tables[l], &add.tables[l], uint32(old.n), dead, deadAt[w])
+		st.tables[l] = mergeTable(&old.tables[l], &add.tables[l], uint32(old.n), dead, &scratch[w])
 	})
 	return st
 }
 
+// mergeScratch is what one worker keeps from table to table: where the
+// tombstoned items of old sit, and the entries of old and of the result as
+// plain offsets — the merge shifts and copies them by the block, which the
+// 16-bit encoding does not allow, so it reads old's through one widening
+// pass and narrows the result's once they are final.
+type mergeScratch struct {
+	deadAt, oldOffs, offs []uint32
+}
+
 func isDead(dead []uint64, id uint32) bool { return dead[id>>6]>>(id&63)&1 != 0 }
 
-// mergeTable merges one table. deadAt is scratch, handed back for the next
-// table.
+// mergeTable merges one table.
 //
 // The result's directory has an entry for every bucket either side has one
 // for: a bucket the tombstones emptied keeps its entry, of zero length, as
 // after Compact.
-func mergeTable(old, add *Table, shift uint32, dead []uint64, deadAt []uint32) (Table, []uint32) {
+func mergeTable(old, add *Table, shift uint32, dead []uint64, scratch *mergeScratch) Table {
 	// Where old's tombstoned items sit, in order, closed by a sentinel no
 	// position reaches; and how many items of both sides are live.
-	deadAt = deadAt[:0]
+	deadAt := scratch.deadAt[:0]
 	for pos, id := range old.Items {
 		if isDead(dead, id) {
 			deadAt = append(deadAt, uint32(pos))
@@ -65,6 +74,10 @@ func mergeTable(old, add *Table, shift uint32, dead []uint64, deadAt []uint32) (
 		}
 	}
 
+	// Both sides in the wide form, old's a copy: the block moves below index
+	// .wide directly.
+	wideOld := Table{Occ: old.Occ, Rank: old.Rank, Items: old.Items, wide: old.AppendOffsets(scratch.oldOffs[:0])}
+	old = &wideOld
 	t := Table{Occ: make([]uint64, len(old.Occ)), Rank: make([]uint32, len(old.Occ))}
 	var entries uint32
 	for w, ow := range old.Occ {
@@ -72,12 +85,12 @@ func mergeTable(old, add *Table, shift uint32, dead []uint64, deadAt []uint32) (
 		t.Rank[w] = entries
 		entries += uint32(bits.OnesCount64(t.Occ[w]))
 	}
-	t.Offsets = make([]uint32, entries+1)
+	t.wide = slices.Grow(scratch.offs[:0], int(entries)+1)[:entries+1] // every entry is written below
 	t.Items = make([]uint32, live)
 
 	var c mergeCursor
 	nextDead := deadAt // consumed from the front
-	aEnt, aPos := 0, uint32(0)
+	aEnt, aPos := uint32(0), uint32(0)
 	for w, aw := range add.Occ {
 		ow := old.Occ[w]
 		for ; aw != 0; aw &= aw - 1 {
@@ -87,7 +100,7 @@ func mergeTable(old, add *Table, shift uint32, dead []uint64, deadAt []uint32) (
 			bit := uint(bits.TrailingZeros64(aw))
 			has := uint32(ow>>bit) & 1 // old has the key too
 			upTo := old.Rank[w] + uint32(bits.OnesCount64(ow&(1<<bit-1))) + has
-			if nextDead[0] < old.Offsets[upTo] {
+			if nextDead[0] < old.wide[upTo] {
 				c, nextDead = moveOldAroundDead(&t, old, c, upTo, nextDead)
 			}
 			c = moveOld(&t, old, c, upTo)
@@ -96,10 +109,10 @@ func mergeTable(old, add *Table, shift uint32, dead []uint64, deadAt []uint32) (
 			// is written either way and kept only in the second case: which
 			// case it is is a coin toss no branch predictor calls, and a
 			// slot not kept is the next entry's to overwrite.
-			t.Offsets[c.e] = c.n
+			t.wide[c.e] = c.n
 			c.e += 1 - has
 			aEnt++
-			for end := add.Offsets[aEnt]; aPos < end; aPos++ {
+			for end := add.start(aEnt); aPos < end; aPos++ {
 				if id := add.Items[aPos] + shift; !isDead(dead, id) {
 					t.Items[c.n] = id
 					c.n++
@@ -107,13 +120,15 @@ func mergeTable(old, add *Table, shift uint32, dead []uint64, deadAt []uint32) (
 			}
 		}
 	}
-	upTo := uint32(len(old.Offsets) - 1)
-	if nextDead[0] < old.Offsets[upTo] {
+	upTo := uint32(len(old.wide) - 1)
+	if nextDead[0] < old.wide[upTo] {
 		c, _ = moveOldAroundDead(&t, old, c, upTo, nextDead)
 	}
 	c = moveOld(&t, old, c, upTo)
-	t.Offsets[c.e] = c.n
-	return t, deadAt
+	t.wide[c.e] = c.n
+	scratch.deadAt, scratch.oldOffs, scratch.offs = deadAt, old.wide, t.wide
+	t.SetOffsets(t.wide)
+	return t
 }
 
 // mergeCursor is how far one table's merge has come: old's next directory
@@ -135,8 +150,8 @@ type mergeCursor struct {
 // overwritten by whatever comes next.
 func moveOld(t, old *Table, c mergeCursor, upTo uint32) mergeCursor {
 	shift := c.n - c.oPos // may wrap; so does the sum below
-	ents, end := upTo-c.oEnt, old.Offsets[upTo]
-	if src, dst := old.Offsets[c.oEnt:], t.Offsets[c.e:]; ents <= 4 && len(src) >= 4 && len(dst) >= 4 {
+	ents, end := upTo-c.oEnt, old.wide[upTo]
+	if src, dst := old.wide[c.oEnt:], t.wide[c.e:]; ents <= 4 && len(src) >= 4 && len(dst) >= 4 {
 		s, d := (*[4]uint32)(src), (*[4]uint32)(dst)
 		d[0], d[1], d[2], d[3] = s[0]+shift, s[1]+shift, s[2]+shift, s[3]+shift
 	} else {
@@ -162,11 +177,11 @@ func moveOld(t, old *Table, c mergeCursor, upTo uint32) mergeCursor {
 // that start at or before a dropped item keep the shift of the items before
 // it.
 func moveOldAroundDead(t, old *Table, c mergeCursor, upTo uint32, deadAt []uint32) (mergeCursor, []uint32) {
-	for end := old.Offsets[upTo]; deadAt[0] < end; deadAt = deadAt[1:] {
+	for end := old.wide[upTo]; deadAt[0] < end; deadAt = deadAt[1:] {
 		at := deadAt[0]
 		shift := c.n - c.oPos
-		for c.oEnt < upTo && old.Offsets[c.oEnt] <= at {
-			t.Offsets[c.e] = old.Offsets[c.oEnt] + shift
+		for c.oEnt < upTo && old.wide[c.oEnt] <= at {
+			t.wide[c.e] = old.wide[c.oEnt] + shift
 			c.oEnt++
 			c.e++
 		}

@@ -9,11 +9,19 @@
 // O(NNZ·k·L) to O(NNZ·k·√L + L) and — crucially for the 2-level table
 // construction of §5.1.2 — making every table's k-bit key the concatenation
 // of two reusable k/2-bit halves.
+//
+// The hyperplanes are a Dim × M·k/2 matrix by definition, but a Family holds
+// only the rows of the words it has hashed: each vocabulary row is its own
+// random stream off the seed, drawn the first time a sketch touches the word
+// (Family). A family over a 500 000-word vocabulary costs a pointer a word
+// until documents arrive, and then 2·M·k bytes per distinct word seen.
 package lshhash
 
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
+	"unsafe"
 
 	"plsh/internal/rng"
 	"plsh/internal/sched"
@@ -106,41 +114,68 @@ func Pairs(m int) []Pair {
 	return pairs
 }
 
-// Family holds the drawn hyperplanes. The dense plane matrix is stored
-// row-major by vocabulary entry — planes[c*NumFuncs+j] is hyperplane j's
-// coefficient for word c — so that hashing touches one contiguous slab per
-// document non-zero (§5.1.1's access-pattern argument: the sparse matrix is
-// read consecutively and at least one dense row is read consecutively).
+// Family is the hash family of one Params: M·K/2 Gaussian hyperplanes over
+// a Dim-word vocabulary, stored by vocabulary row — row c holds every
+// hyperplane's coefficient for word c, contiguously, so that hashing reads
+// one contiguous row per document non-zero (§5.1.1's access-pattern
+// argument: the sparse matrix is read consecutively and at least one dense
+// row is read consecutively).
+//
+// A row exists once some sketch has touched its word. Row c is the stream
+// rng.New(rowSeed(Seed, c)) whoever draws it and whenever, so two families
+// of equal Params hash identically whatever each has seen; rows holds one
+// pointer per word, nil until the row is drawn and never changed after.
+// All methods are safe for concurrent use.
 type Family struct {
-	p      Params
-	planes []float32
-	pairs  []Pair
+	p     Params
+	pairs []Pair
+	rows  []atomic.Pointer[float32] // first coefficient of each drawn row
+	drawn atomic.Int64              // rows drawn, for MemoryBytes
 }
 
-// NewFamily draws a Family from p.Seed.
+// NewFamily returns the Family of p. It draws nothing: see Family.
 func NewFamily(p Params) (*Family, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	nf := p.NumFuncs()
-	f := &Family{p: p, planes: make([]float32, p.Dim*nf), pairs: Pairs(p.M)}
-	// Deterministic parallel fill: one split stream per vocabulary row.
-	master := rng.New(p.Seed)
-	rowSeeds := make([]uint64, p.Dim)
-	for c := range rowSeeds {
-		rowSeeds[c] = master.Uint64()
+	return &Family{p: p, pairs: Pairs(p.M), rows: make([]atomic.Pointer[float32], p.Dim)}, nil
+}
+
+// rowSeed is the seed of vocabulary row c's stream: output c of the master
+// stream rng.New(seed), which is what drawing every row's seed in order
+// hands row c.
+func rowSeed(seed uint64, c uint32) uint64 {
+	master := rng.New(seed)
+	master.Skip(uint64(c))
+	return master.Uint64()
+}
+
+// row returns the NumFuncs coefficients of word c.
+func (f *Family) row(c uint32) []float32 {
+	first := f.rows[c].Load()
+	if first == nil {
+		first = f.drawRow(c)
 	}
-	pool := sched.NewPool(0)
-	pool.Static(p.Dim, func(lo, hi, _ int) {
-		for c := lo; c < hi; c++ {
-			src := rng.New(rowSeeds[c])
-			row := f.planes[c*nf : (c+1)*nf]
-			for j := range row {
-				row[j] = float32(src.Norm())
-			}
-		}
-	})
-	return f, nil
+	return unsafe.Slice(first, f.p.NumFuncs())
+}
+
+// drawRow draws and publishes row c — the cold side of row, kept out of line
+// so that a sketch over drawn rows allocates nothing. Two sketches meeting a
+// new word at once both draw it, identically; the first to publish wins and
+// the other's copy is garbage.
+//
+//go:noinline
+func (f *Family) drawRow(c uint32) *float32 {
+	row := make([]float32, f.p.NumFuncs())
+	src := rng.New(rowSeed(f.p.Seed, c))
+	for j := range row {
+		row[j] = float32(src.Norm())
+	}
+	if f.rows[c].CompareAndSwap(nil, &row[0]) {
+		f.drawn.Add(1)
+		return &row[0]
+	}
+	return f.rows[c].Load()
 }
 
 // Params returns the family's parameters.
@@ -151,32 +186,38 @@ func (f *Family) Params() Params { return f.p }
 // loops both key their tables from it.
 func (f *Family) Pairs() []Pair { return f.pairs }
 
-// MemoryBytes reports the hyperplane storage footprint.
-func (f *Family) MemoryBytes() int64 { return int64(len(f.planes)) * 4 }
+// MemoryBytes reports the hyperplane storage footprint: the rows drawn so
+// far and the pointer per vocabulary word that finds them. It grows with the
+// distinct words hashed — documents' and queries' alike — up to the
+// Dim·NumFuncs·4 of the whole matrix.
+func (f *Family) MemoryBytes() int64 {
+	return f.drawn.Load()*int64(f.p.NumFuncs())*4 + int64(len(f.rows))*8
+}
 
 // SketchInto computes the m half-hashes u_1..u_m of v into out (length ≥ M),
 // using scores (length ≥ NumFuncs) as scratch. The vectorized kernel
-// processes all hyperplane columns per non-zero with 4-way unrolling.
+// accumulates all hyperplane columns per non-zero, 4-way unrolled
+// (sparse.Axpy).
 func (f *Family) SketchInto(v sparse.Vector, scores []float32, out []uint32) {
-	nf := f.p.NumFuncs()
-	scores = scores[:nf]
-	for j := range scores {
-		scores[j] = 0
+	scores = scores[:f.p.NumFuncs()]
+	clear(scores)
+	for i, c := range v.Idx {
+		sparse.Axpy(v.Val[i], f.row(c), scores)
 	}
-	sparse.DotSparseDenseStride(v.Idx, v.Val, f.planes, nf, nf, scores)
 	packSigns(scores, f.p.K/2, out[:f.p.M])
 }
 
-// SketchScalarInto is the unoptimized hashing kernel: one strided pass over
-// the plane matrix per elementary hash function, exactly how a naive
-// implementation computes each dot product independently. It exists as the
-// pre-"+vectorization" arm of the Fig. 4 ablation.
+// SketchScalarInto is the unoptimized hashing kernel: one pass over the
+// document per elementary hash function, reading a single coefficient of
+// each row, exactly how a naive implementation computes each dot product
+// independently. It exists as the pre-"+vectorization" arm of the Fig. 4
+// ablation.
 func (f *Family) SketchScalarInto(v sparse.Vector, scores []float32, out []uint32) {
 	nf := f.p.NumFuncs()
 	for j := 0; j < nf; j++ {
 		var s float32
 		for i, c := range v.Idx {
-			s += v.Val[i] * f.planes[int(c)*nf+j]
+			s += v.Val[i] * f.row(c)[j]
 		}
 		scores[j] = s
 	}

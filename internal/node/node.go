@@ -216,6 +216,13 @@ type Stats struct {
 	WALAppendP99NS int64
 	WALFsyncP50NS  int64
 	WALFsyncP99NS  int64
+	// FamilyBytes is what the hash family holds: the hyperplane rows of the
+	// distinct words the node has hashed so far — documents' and queries'
+	// alike — and a pointer per vocabulary word (lshhash.Family.MemoryBytes).
+	// It grows with the vocabulary seen, not with the rows held, so it is
+	// reported beside MemoryBytes, which is per-document state, and not in
+	// it. Gob-appended like the counters above.
+	FamilyBytes int64
 }
 
 // segment is one frozen delta table covering arena rows
@@ -1129,6 +1136,7 @@ func (n *Node) Stats() Stats {
 		st.WALFsyncP50NS = int64(n.wal.SyncQuantile(0.50))
 		st.WALFsyncP99NS = int64(n.wal.SyncQuantile(0.99))
 	}
+	st.FamilyBytes = n.fam.MemoryBytes()
 	return st
 }
 

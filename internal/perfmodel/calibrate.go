@@ -26,7 +26,7 @@ type CalibrationConfig struct {
 	// arena, and the sketch arrays the partition benchmarks walk).
 	N int
 	// K and M are the LSH parameters; they size the partition fan-outs,
-	// the hyperplane slab, and the probe targets.
+	// the hyperplane rows, and the probe targets.
 	K, M int
 	// ZipfAlpha reproduces the corpus's word skew in the synthetic
 	// calibration documents (hot hyperplane rows cache, §5.1.1); <= 1
@@ -153,29 +153,31 @@ func CalibrateFor(cc CalibrationConfig) Costs {
 		c.UniqueNS = float64(time.Since(t0).Nanoseconds()) / float64(len(cand))
 	}
 
-	// --- Hashing: the slab kernel over a pool of Zipf-skewed documents
-	// against the real-size plane, reproducing §5.1.1's cache behaviour
-	// (hot words keep their hyperplane rows resident).
+	// --- Hashing: the family's own kernel over a pool of Zipf-skewed
+	// documents at the real geometry, reproducing §5.1.1's cache behaviour
+	// (hot words keep their hyperplane rows resident). The first pass is
+	// untimed: it draws the rows the pool touches.
 	{
-		plane := make([]float32, cc.Dim*nFuncs)
-		for i := range plane {
-			plane[i] = float32(src.Norm())
+		fam, err := lshhash.NewFamily(lshhash.Params{Dim: cc.Dim, K: cc.K, M: cc.M, Seed: cc.Seed})
+		if err != nil {
+			panic("perfmodel: calibration geometry: " + err.Error())
 		}
 		poolSize := 4096
 		pool := make([]sparse.Vector, poolSize)
 		for i := range pool {
 			pool[i] = calDoc(draw, src, nnz)
 		}
-		out := make([]float32, nFuncs)
+		scores := make([]float32, nFuncs)
+		sketch := make([]uint32, cc.M)
+		for _, v := range pool {
+			fam.SketchInto(v, scores, sketch)
+		}
 		var totalNNZ int
 		t0 := time.Now()
 		reps := 3
 		for r := 0; r < reps; r++ {
 			for _, v := range pool {
-				for j := range out {
-					out[j] = 0
-				}
-				sparse.DotSparseDenseStride(v.Idx, v.Val, plane, nFuncs, nFuncs, out)
+				fam.SketchInto(v, scores, sketch)
 				totalNNZ += len(v.Idx)
 			}
 		}

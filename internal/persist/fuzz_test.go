@@ -13,6 +13,7 @@ import (
 
 	"plsh/internal/core"
 	"plsh/internal/lshhash"
+	"plsh/internal/sparse"
 )
 
 // The committed fixtures are one 60-row node (Dim 256, K 6, M 4, two
@@ -78,6 +79,100 @@ func TestReadsVersion1Fixture(t *testing.T) {
 	}
 }
 
+// encode returns the bytes WriteSnapshot makes of s.
+func encode(t testing.TB, s *Snapshot) []byte {
+	t.Helper()
+	dir := t.TempDir()
+	if err := WriteSnapshot(dir, s); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(SnapshotPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// stormSnapshot is the smallest snapshot with a bucket of the given size:
+// one document, one table of four buckets, the document listed items times
+// in the first. At 2^16−1 items the table's two entries fit 16 bits, at 2^16
+// they do not (core.Table).
+func stormSnapshot(t testing.TB, items int) *Snapshot {
+	t.Helper()
+	arena := sparse.NewMatrix(8, 1, 1)
+	arena.AppendRow(sparse.Vector{Idx: []uint32{3}, Val: []float32{1}})
+	table := core.Table{Occ: []uint64{1}, Rank: []uint32{0}, Items: make([]uint32, items)}
+	table.SetOffsets([]uint32{0, uint32(items)})
+	return &Snapshot{
+		Params:   lshhash.Params{Dim: 8, K: 2, M: 2, Seed: 1},
+		Capacity: 1,
+		Rows:     1,
+		Arena:    arena,
+		Tables:   []core.Table{table},
+		Deleted:  []uint64{0},
+	}
+}
+
+// badOffsets returns a 60-row snapshot after edit has had its way with the
+// offsets of one table — which WriteSnapshot stores as it finds them.
+func badOffsets(t testing.TB, edit func(offs []uint32)) *Snapshot {
+	t.Helper()
+	s := testSnapshot(t, 60)
+	offs := s.Tables[1].AppendOffsets(nil)
+	edit(offs)
+	s.Tables[1].SetOffsets(offs)
+	return s
+}
+
+// entryCorpus is what the 16-bit entries add to the decoder's inputs: a
+// table on either side of the width boundary, which must load, and offsets
+// no table can have, which must not.
+func entryCorpus(t testing.TB) (valid, corrupt [][]byte) {
+	valid = [][]byte{encode(t, stormSnapshot(t, 1<<16-1)), encode(t, stormSnapshot(t, 1<<16))}
+	corrupt = [][]byte{
+		encode(t, badOffsets(t, func(offs []uint32) { offs[3], offs[4] = offs[4]+1, offs[3] })), // decrease inside a block
+		encode(t, badOffsets(t, func(offs []uint32) { offs[2] = offs[1] - 1<<20 })),             // wraps below its base
+		encode(t, badOffsets(t, func(offs []uint32) { offs[len(offs)-1]++ })),                   // closes past the items
+		encode(t, badOffsets(t, func(offs []uint32) { offs[len(offs)-1]-- })),                   // closes short of them
+		encode(t, badOffsets(t, func(offs []uint32) { offs[len(offs)-1] += 1 << 16 })),          // and 2^16 past
+	}
+	return valid, corrupt
+}
+
+// TestEntryWidthsOnDisk: the file holds 32-bit offsets whichever width the
+// table keeps, so a table on either side of the boundary loads, answers and
+// goes back to disk as the same bytes; offsets that decrease or do not close
+// at the items are ErrCorrupt, not a table.
+func TestEntryWidthsOnDisk(t *testing.T) {
+	valid, corrupt := entryCorpus(t)
+	for i, raw := range valid {
+		snap, err := decode(raw)
+		if err != nil {
+			t.Fatalf("valid snapshot %d: %v", i, err)
+		}
+		if got, want := len(snap.Tables[0].Bucket(0)), 1<<16-1+i; got != want {
+			t.Fatalf("valid snapshot %d: bucket 0 holds %d items, want %d", i, got, want)
+		}
+		if !bytes.Equal(encode(t, snap), raw) {
+			t.Fatalf("valid snapshot %d: writing what was read changes the file", i)
+		}
+	}
+	for i, raw := range corrupt {
+		if _, err := decode(raw); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("corrupt snapshot %d: err = %v, want ErrCorrupt", i, err)
+		}
+	}
+	// A real index round-trips byte for byte too, through 16-bit entries.
+	raw := encode(t, testSnapshot(t, 100))
+	snap, err := decode(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encode(t, snap), raw) {
+		t.Fatal("writing a snapshot that was read changes the file")
+	}
+}
+
 // withChecksum returns raw with its last four bytes replaced by the CRC of
 // the rest, so a mutated body gets past the trailer check and into the
 // section decoder.
@@ -104,15 +199,20 @@ func FuzzReadSnapshot(f *testing.F) {
 			f.Add(raw[:cut])
 		}
 	}
+	valid, corrupt := entryCorpus(f)
+	for _, raw := range slices.Concat(valid, corrupt) {
+		f.Add(raw)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, raw := range [][]byte{data, withChecksum(data)} {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			snap, err := decode(raw)
 			runtime.ReadMemStats(&after)
-			// 16 bytes a byte covers the widest section (a length word
-			// becoming a 96-byte core.Table) four times over; the constant
-			// is the runtime's own background allocation.
+			// 16 bytes a byte covers the widest sections (a length word
+			// becoming a 144-byte core.Table; a 4-byte offset kept, narrowed
+			// to 2 bytes and widened again for validation) twice over; the
+			// constant is the runtime's own background allocation.
 			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+16*len(raw)); got > limit {
 				t.Fatalf("decoding %d bytes allocated %d, over %d", len(raw), got, limit)
 			}

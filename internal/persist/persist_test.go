@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"plsh/internal/core"
@@ -18,7 +19,7 @@ func testParams() lshhash.Params {
 
 // testSnapshot builds a small but fully populated snapshot: real documents,
 // real static tables, and a few tombstones.
-func testSnapshot(t *testing.T, n int) *Snapshot {
+func testSnapshot(t testing.TB, n int) *Snapshot {
 	t.Helper()
 	p := testParams()
 	fam, err := lshhash.NewFamily(p)
@@ -76,13 +77,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	for l := range s.Tables {
 		a, b := &s.Tables[l], &got.Tables[l]
-		if len(a.Offsets) != len(b.Offsets) || len(a.Items) != len(b.Items) {
-			t.Fatalf("table %d shape mismatch", l)
+		if !slices.Equal(a.AppendOffsets(nil), b.AppendOffsets(nil)) {
+			t.Fatalf("table %d offsets mismatch", l)
 		}
-		for i := range a.Items {
-			if a.Items[i] != b.Items[i] {
-				t.Fatalf("table %d item %d mismatch", l, i)
-			}
+		if !slices.Equal(a.Items, b.Items) {
+			t.Fatalf("table %d items mismatch", l)
 		}
 	}
 	if len(got.Deleted) != len(s.Deleted) || got.Deleted[0] != s.Deleted[0] {

@@ -49,8 +49,11 @@ const snapshotName = "snapshot.plsh"
 var snapshotMagic = [8]byte{'P', 'L', 'S', 'H', 'S', 'N', 'P', '1'}
 
 // snapshotVersion is the format version WriteSnapshot emits: version 2
-// serialises each table's occupancy bitmap, rank directory and
-// occupied-bucket offsets as core.Table holds them. Version 1 wrote a dense
+// serialises each table's occupancy bitmap and rank directory as core.Table
+// holds them and its occupied-bucket offsets as 32-bit words, whatever width
+// the table keeps them in (core.Table.AppendOffsets writes, SetOffsets
+// reads; what the offsets say is ValidateTables' to judge, after the CRC).
+// Version 1 wrote a dense
 // 2^k+1 offsets array per table instead; ReadSnapshot still loads it,
 // converting each table through core.TableBuilder.
 const snapshotVersion = 2
@@ -134,13 +137,15 @@ func WriteSnapshot(dir string, s *Snapshot) (err error) {
 	w.f32s(vals)
 
 	w.u32(uint32(len(s.Tables)))
+	var entries []uint32 // each table's in turn, as the 32-bit offsets the format stores
 	for i := range s.Tables {
 		t := &s.Tables[i]
 		w.u64(uint64(len(t.Occ)))
 		w.u64s(t.Occ)
 		w.u32s(t.Rank)
-		w.u64(uint64(len(t.Offsets)))
-		w.u32s(t.Offsets)
+		entries = t.AppendOffsets(entries[:0])
+		w.u64(uint64(len(entries)))
+		w.u32s(entries)
 		w.u64(uint64(len(t.Items)))
 		w.u32s(t.Items)
 	}
@@ -238,7 +243,7 @@ func readSnapshot(src io.Reader, size int64) (*Snapshot, error) {
 		words := int(r.u64())
 		t.Occ = r.u64s(words)
 		t.Rank = r.u32s(words)
-		t.Offsets = r.u32s(int(r.u64()))
+		t.SetOffsets(r.u32s(int(r.u64())))
 		t.Items = r.u32s(int(r.u64()))
 		s.Tables = append(s.Tables, t)
 	}

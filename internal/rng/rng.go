@@ -45,6 +45,16 @@ func (s *Source) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
+// Skip advances the stream past its next n Uint64 outputs in O(1): the
+// state is a counter, so the n-th output of a seed is computable without the
+// n−1 before it. Callers that fork one stream per item from a master seed
+// (lshhash draws a hyperplane row per vocabulary word) can therefore fork
+// item n alone.
+func (s *Source) Skip(n uint64) {
+	s.state += n * golden
+	s.hasSpare = false
+}
+
 // Uint32 returns the next 32 uniformly distributed bits.
 func (s *Source) Uint32() uint32 { return uint32(s.Uint64() >> 32) }
 

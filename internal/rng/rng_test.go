@@ -16,6 +16,20 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// Skip(n) lands exactly where n draws would have.
+func TestSkipMatchesDrawing(t *testing.T) {
+	for _, seed := range []uint64{0, 42, 1<<63 + 7} {
+		seq := New(seed)
+		for n := uint64(0); n < 300; n++ {
+			jump := New(seed)
+			jump.Skip(n)
+			if got, want := jump.Uint64(), seq.Uint64(); got != want {
+				t.Fatalf("seed %d: output after Skip(%d) = %#x, the sequence has %#x", seed, n, got, want)
+			}
+		}
+	}
+}
+
 func TestDifferentSeedsDiffer(t *testing.T) {
 	a, b := New(1), New(2)
 	same := 0

@@ -84,26 +84,22 @@ func DotSparseDense4(idx []uint32, val []float32, d0, d1, d2, d3 []float32) (s0,
 	return
 }
 
-// DotSparseDenseStride computes a sparse vector against nCols dense columns
-// stored row-major in one plane slab: plane[c*stride+j] is column j of
-// vocabulary row c. Touching one contiguous slab row per non-zero maximizes
-// spatial locality exactly as §5.1.1 prescribes ("at least one row of the
-// dense matrix is read consecutively"). Results are accumulated into out,
-// which must have length ≥ nCols and arrive zeroed.
-func DotSparseDenseStride(idx []uint32, val []float32, plane []float32, stride, nCols int, out []float32) {
-	// Four-way unrolled across columns; handles the tail scalar-wise.
-	for i, c := range idx {
-		v := val[i]
-		row := plane[int(c)*stride : int(c)*stride+nCols]
-		j := 0
-		for ; j+4 <= nCols; j += 4 {
-			out[j] += v * row[j]
-			out[j+1] += v * row[j+1]
-			out[j+2] += v * row[j+2]
-			out[j+3] += v * row[j+3]
-		}
-		for ; j < nCols; j++ {
-			out[j] += v * row[j]
-		}
+// Axpy adds a·x to y element by element (len(y) ≥ len(x)): one non-zero's
+// contribution to every hash function's score at once. x is the non-zero's
+// row of the hyperplane matrix, contiguous — the spatial locality §5.1.1
+// prescribes ("at least one row of the dense matrix is read consecutively")
+// — and the four-way unroll across columns is the portable stand-in for the
+// paper's SIMD hashing (Fig. 4, "+vectorization").
+func Axpy(a float32, x, y []float32) {
+	y = y[:len(x)]
+	j := 0
+	for ; j+4 <= len(x); j += 4 {
+		y[j] += a * x[j]
+		y[j+1] += a * x[j+1]
+		y[j+2] += a * x[j+2]
+		y[j+3] += a * x[j+3]
+	}
+	for ; j < len(x); j++ {
+		y[j] += a * x[j]
 	}
 }

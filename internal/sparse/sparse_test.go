@@ -144,7 +144,7 @@ func TestDotSparseDense4MatchesScalar(t *testing.T) {
 	}
 }
 
-func TestDotSparseDenseStrideMatchesScalar(t *testing.T) {
+func TestAxpyRowsMatchScalar(t *testing.T) {
 	src := rng.New(4)
 	dim, nCols := 300, 7
 	plane := make([]float32, dim*nCols)
@@ -161,7 +161,9 @@ func TestDotSparseDenseStrideMatchesScalar(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		v := randVector(src, dim, 1+src.Intn(10))
 		out := make([]float32, nCols)
-		DotSparseDenseStride(v.Idx, v.Val, plane, nCols, nCols, out)
+		for i, c := range v.Idx {
+			Axpy(v.Val[i], plane[int(c)*nCols:(int(c)+1)*nCols], out)
+		}
 		for j := 0; j < nCols; j++ {
 			want := DotSparseDense(v.Idx, v.Val, col(j))
 			if math.Abs(float64(out[j]-want)) > 1e-4 {

@@ -362,3 +362,61 @@ func TestStatsMemoryCountsStaticDirectory(t *testing.T) {
 		t.Errorf("merging %d rows into one bucket a table adds %d bytes beyond arena and items: the directory grew with something other than its occupied buckets", n, over)
 	}
 }
+
+// TestStatsFamilyBytes pins the hash family's rung of the footprint: a pointer
+// per vocabulary word before anything is hashed, then one hyperplane row per
+// distinct word seen — a query's words as well as a document's — reported in
+// Stats.FamilyBytes and never in Stats.MemoryBytes, which stays per-document
+// state.
+func TestStatsFamilyBytes(t *testing.T) {
+	const dim, k, m = 2000, 16, 16
+	const rowBytes = m * k / 2 * 4
+	s, err := NewStore(Config{Dim: dim, K: k, M: m, Capacity: 2000, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	stats := func() Stats {
+		t.Helper()
+		st, err := s.Stats(bg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st[0]
+	}
+	if got := stats().FamilyBytes; got != dim*8 {
+		t.Fatalf("a store that has hashed nothing reports a family of %d bytes, want the %d of its pointer table", got, dim*8)
+	}
+	docs := SyntheticTweets(300, dim, 5)
+	words := map[uint32]bool{}
+	for _, d := range docs {
+		for _, c := range d.Idx {
+			words[c] = true
+		}
+	}
+	if _, err := s.Insert(bg, docs); err != nil {
+		t.Fatal(err)
+	}
+	inserted := stats()
+	if want := int64(dim*8 + len(words)*rowBytes); inserted.FamilyBytes != want {
+		t.Fatalf("FamilyBytes = %d after %d distinct words, want %d", inserted.FamilyBytes, len(words), want)
+	}
+	var unseen uint32
+	for words[unseen] {
+		unseen++
+	}
+	q, err := NewVector([]uint32{unseen}, []float32{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Search(bg, q); err != nil {
+		t.Fatal(err)
+	}
+	queried := stats()
+	if got := queried.FamilyBytes - inserted.FamilyBytes; got != rowBytes {
+		t.Errorf("a query with one unseen word grew the family by %d bytes, want one row (%d)", got, rowBytes)
+	}
+	if queried.MemoryBytes != inserted.MemoryBytes {
+		t.Errorf("MemoryBytes moved %d → %d on a query: the family is counted in it", inserted.MemoryBytes, queried.MemoryBytes)
+	}
+}
