@@ -379,8 +379,7 @@ func BenchmarkSearchTopK(b *testing.B) {
 // cluster (replicas=1), an R=2 cluster (one member answers per group —
 // the mirroring costs inserts, not searches), and an R=2 cluster with
 // the tail hedge armed (on a healthy cluster the hedge timer virtually
-// never fires, so its cost should be noise). Surfaced in
-// benchmarks/latest.json as search_replicated_*_ns via plsh-bench2json.
+// never fires, so its cost should be noise).
 func BenchmarkSearchReplicated(b *testing.B) {
 	f := benchFixture(b)
 	const endpoints = 4
@@ -429,7 +428,7 @@ func BenchmarkSearchReplicated(b *testing.B) {
 // in-radius candidates (RoutingRecall 0.7 at the default radius), so
 // they should beat their scatter twins on both ns and B/op — the win
 // grows with the group count, since scatter pays every group on every
-// query. Tracked in benchmarks/latest.json as search_routed_*.
+// query.
 func BenchmarkSearchRouted(b *testing.B) {
 	f := benchFixture(b)
 	const docsN = 8000

@@ -39,9 +39,8 @@
 // soak.
 //
 // The run ends with a JSON report (CoordStats, per-node server counters,
-// WAL fsync quantiles, client latency quantiles, recall) and go-bench
-// formatted lines on stdout so scripts/soak.sh can pipe the result
-// through plsh-bench2json next to the microbenchmark snapshots.
+// WAL fsync quantiles, client latency quantiles, recall) and a human
+// summary on stdout.
 package main
 
 import (
@@ -812,9 +811,8 @@ func (s *soak) checkSLOs(rep report) []string {
 	return fails
 }
 
-// printSummary emits the human summary plus go-bench formatted lines, so
-// `plsh-soak ... | plsh-bench2json` yields a machine-readable snapshot
-// with soak_search_p999_ns and soak_error_rate as top-level fields.
+// printSummary emits the human summary; the JSON report carries the same
+// quantiles for machines.
 func printSummary(rep report) {
 	fmt.Printf("soak: %.0fs wall, %d kills, %d stalls, %d inserted, %d deleted, %d search batches (%d queries), %d merges\n",
 		rep.WallSec, rep.Kills, rep.Stalls, rep.Inserted, rep.Deleted, rep.Searches, rep.Queries, rep.Merges)
@@ -824,15 +822,6 @@ func printSummary(rep report) {
 	fmt.Printf("soak: recall %.3f over %d samples, error rate %.5f, coord failovers=%d hedges won=%d, wal fsync p99=%v\n",
 		rep.Recall, rep.Samples, rep.ErrorRate, rep.Coord.Failovers, rep.Coord.HedgesWon,
 		time.Duration(rep.WALFsyncP99NS))
-	if rep.Searches > 0 {
-		fmt.Printf("BenchmarkSoakSearch %d %d ns/op %d soak-search-p99-ns %d soak-search-p999-ns\n",
-			rep.Searches, rep.SearchP50NS, rep.SearchP99NS, rep.SearchP999NS)
-	}
-	if rep.Inserted > 0 {
-		fmt.Printf("BenchmarkSoakInsert %d %d ns/op %d soak-insert-p99-ns\n",
-			rep.Inserted, rep.InsertP50NS, rep.InsertP99NS)
-	}
-	fmt.Printf("BenchmarkSoakHealth 1 %.6f soak-error-rate %.4f soak-recall\n", rep.ErrorRate, rep.Recall)
 }
 
 func writeReport(path string, rep report) error {

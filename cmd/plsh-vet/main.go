@@ -1,96 +1,48 @@
 // Command plsh-vet is the repository's custom static-analysis suite:
-// eight analyzers that enforce the invariants the runtime tests can
-// only catch after the fact — pooled-frame zeroing (poolzero),
-// pooled-result release on every path (releasecheck), context threading
-// (ctxcheck), append-only wire protocol with its lock-extension
-// workflow (wireop), atomic-only snapshot access (atomicsnap),
-// write-once published structs (snapfreeze), mutex acquisition order
-// and no blocking under hot-path locks (lockorder), and
-// journal-before-ack durability ordering (walorder). The framework
+// four analyzers for invariants no test pins — context threading
+// (ctxcheck), write-once published structs (snapfreeze), mutex
+// acquisition order and no blocking under hot-path locks (lockorder),
+// and journal-before-ack durability ordering (walorder). The framework
 // also rejects stale //plshvet:ignore directives that no longer
 // suppress anything. See internal/analysis/README.md.
 //
-// Two modes:
-//
 //	plsh-vet [-json] [-timing] [-report FILE] [packages]
-//	    Standalone: load and check the named packages (default ./...)
-//	    in the current module. Analyzers run in parallel; -timing
-//	    prints per-analyzer wall time, -report also writes the text
-//	    report (findings + timings) to FILE for CI artifacts. Exits 1
-//	    if any finding survives its suppressions.
 //
-//	go vet -vettool=$(which plsh-vet) ./...
-//	    Vet-tool: speaks the cmd/go unitchecker protocol (-V=full,
-//	    -flags, and *.cfg units), so the suite composes with the
-//	    standard vet drivers and the build cache.
+// loads and checks the named packages (default ./...) in the current
+// module. Analyzers run in parallel; -timing prints per-analyzer wall
+// time, -report also writes the text report (findings + timings) to FILE
+// for CI artifacts. Exits 1 if any finding survives its suppressions.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"io"
 	"os"
 	"strings"
 	"time"
 
-	"plsh/internal/analysis/atomicsnap"
 	"plsh/internal/analysis/ctxcheck"
 	"plsh/internal/analysis/framework"
 	"plsh/internal/analysis/lockorder"
-	"plsh/internal/analysis/poolzero"
-	"plsh/internal/analysis/releasecheck"
 	"plsh/internal/analysis/snapfreeze"
 	"plsh/internal/analysis/walorder"
-	"plsh/internal/analysis/wireop"
 )
 
 func analyzers() []*framework.Analyzer {
 	return []*framework.Analyzer{
-		atomicsnap.Analyzer,
 		ctxcheck.Analyzer,
 		lockorder.Analyzer,
-		poolzero.Analyzer,
-		releasecheck.Analyzer,
 		snapfreeze.Analyzer,
 		walorder.Analyzer,
-		wireop.Analyzer,
 	}
 }
 
 func main() {
-	// The cmd/go vettool protocol probes the tool before handing it
-	// work: -V=full must print a single line ending in a build ID
-	// (cache key material), -flags must print the tool's flag schema as
-	// JSON, and a lone *.cfg argument is one package unit to check.
-	args := os.Args[1:]
-	if len(args) == 1 {
-		switch {
-		case args[0] == "-V=full" || args[0] == "--V=full":
-			fmt.Printf("plsh-vet version devel buildID=%s\n", buildID)
-			return
-		case args[0] == "-flags" || args[0] == "--flags":
-			fmt.Println("[]")
-			return
-		case strings.HasSuffix(args[0], ".cfg"):
-			os.Exit(unitCheck(args[0]))
-		}
-	}
-	os.Exit(standalone(args))
+	os.Exit(run(os.Args[1:]))
 }
 
-// buildID feeds the go vet action cache: bump it when analyzer
-// behavior changes so cached "clean" verdicts are invalidated.
-// plshvet-2: lockorder/snapfreeze/walorder added, wireop enforces the
-// lock-extension workflow, stale ignores rejected.
-const buildID = "plshvet-2"
-
-func standalone(args []string) int {
+func run(args []string) int {
 	fs := flag.NewFlagSet("plsh-vet", flag.ExitOnError)
 	jsonOut := fs.Bool("json", false, "emit findings as JSON")
 	dir := fs.String("dir", ".", "directory to resolve patterns from")
@@ -146,117 +98,6 @@ func standalone(args []string) int {
 	if len(findings) > 0 {
 		fmt.Fprintf(os.Stderr, "plsh-vet: %d finding(s)\n", len(findings))
 		return 1
-	}
-	return 0
-}
-
-// vetConfig is the unit description cmd/go writes for a vettool, per
-// golang.org/x/tools/go/analysis/unitchecker.
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-func unitCheck(cfgFile string) int {
-	data, err := os.ReadFile(cfgFile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "plsh-vet: %v\n", err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "plsh-vet: parsing %s: %v\n", cfgFile, err)
-		return 2
-	}
-	// The driver requires the facts file to exist even though this
-	// suite exports none.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fmt.Fprintf(os.Stderr, "plsh-vet: %v\n", err)
-			return 2
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	// The suite checks library paths only: test binaries and test
-	// variants of a package (cmd/go presents them as "pkg.test",
-	// "pkg [pkg.test]", and "pkg_test [pkg.test]" units) are skipped —
-	// tests own their root contexts and may drop pooled batches, which
-	// ReleaseResults documents as legal. The plain unit still covers
-	// the package's library files.
-	if strings.HasSuffix(cfg.ImportPath, ".test") || strings.Contains(cfg.ImportPath, " [") {
-		return 0
-	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, gf := range cfg.GoFiles {
-		if !strings.HasSuffix(gf, ".go") || strings.HasSuffix(gf, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, gf, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return 0
-			}
-			fmt.Fprintf(os.Stderr, "plsh-vet: %v\n", err)
-			return 2
-		}
-		files = append(files, f)
-	}
-	imp := importer.ForCompiler(fset, cfg.Compiler, func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		f, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(f)
-	})
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
-	}
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(os.Stderr, "plsh-vet: typechecking %s: %v\n", cfg.ImportPath, err)
-		return 2
-	}
-	pkg := &framework.Package{
-		ImportPath: cfg.ImportPath,
-		Dir:        cfg.Dir,
-		Fset:       fset,
-		Files:      files,
-		Pkg:        tpkg,
-		TypesInfo:  info,
-	}
-	findings, err := framework.Run([]*framework.Package{pkg}, analyzers())
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "plsh-vet: %v\n", err)
-		return 2
-	}
-	for _, f := range findings {
-		fmt.Fprintln(os.Stderr, f)
-	}
-	if len(findings) > 0 {
-		return 2
 	}
 	return 0
 }

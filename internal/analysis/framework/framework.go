@@ -16,8 +16,8 @@
 // The reason is mandatory — a directive without one is itself reported —
 // so every suppression in the tree documents why the invariant does not
 // apply at that site. Analyzer-specific classification directives
-// (poolzero's //plshvet:frame and //plshvet:scratch) follow the same
-// one-line shape; see ParseDirectives.
+// (snapfreeze's //plshvet:frozen and //plshvet:prepublish) follow the
+// same one-line shape; see ParseDirectives.
 package framework
 
 import (
@@ -77,27 +77,10 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 	return p.TypesInfo.ObjectOf(id)
 }
 
-// WalkStack walks the file like ast.Inspect but hands fn the stack of
-// enclosing nodes (outermost first, not including n itself). Analyzers
-// use it where a node's legality depends on its context — e.g. whether
-// a selector is the receiver of a method call.
-func WalkStack(root ast.Node, fn func(n ast.Node, stack []ast.Node)) {
-	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		fn(n, stack)
-		stack = append(stack, n)
-		return true
-	})
-}
-
 // Directive is one parsed //plshvet:... comment.
 type Directive struct {
 	Pos  token.Pos
-	Verb string // "ignore", "frame", "scratch", ...
+	Verb string // "ignore", "frozen", "prepublish"
 	Args string // remainder after the verb, space-trimmed
 }
 

@@ -1,10 +1,8 @@
-// The selfcheck is the suite's own tier-1 gate: the eight analyzers run
+// The selfcheck is the suite's own tier-1 gate: the four analyzers run
 // over the entire repository must be silent. It is the same run
-// scripts/vet.sh performs in CI, so a violation — a new pool without a
-// classification, a leaked batch, a minted context, a wire-protocol
-// edit that disagrees with the lock, a direct snapshot read, a write to
-// a published snapshot, a blocking call under a hot-path mutex, an
-// insert path that skips its journal append — fails `go test ./...`
+// scripts/vet.sh performs in CI, so a violation — a minted context, a
+// write to a published snapshot, a blocking call under a hot-path mutex,
+// an insert path that skips its journal append — fails `go test ./...`
 // locally before it ever reaches a reviewer. Stale suppressions fail it
 // too: an //plshvet:ignore that no longer matches a finding is itself a
 // finding.
@@ -13,15 +11,11 @@ package analysis_test
 import (
 	"testing"
 
-	"plsh/internal/analysis/atomicsnap"
 	"plsh/internal/analysis/ctxcheck"
 	"plsh/internal/analysis/framework"
 	"plsh/internal/analysis/lockorder"
-	"plsh/internal/analysis/poolzero"
-	"plsh/internal/analysis/releasecheck"
 	"plsh/internal/analysis/snapfreeze"
 	"plsh/internal/analysis/walorder"
-	"plsh/internal/analysis/wireop"
 )
 
 func TestRepoIsClean(t *testing.T) {
@@ -33,14 +27,10 @@ func TestRepoIsClean(t *testing.T) {
 		t.Fatalf("loaded only %d packages; the repo sweep is not covering the tree", len(pkgs))
 	}
 	findings, err := framework.Run(pkgs, []*framework.Analyzer{
-		atomicsnap.Analyzer,
 		ctxcheck.Analyzer,
 		lockorder.Analyzer,
-		poolzero.Analyzer,
-		releasecheck.Analyzer,
 		snapfreeze.Analyzer,
 		walorder.Analyzer,
-		wireop.Analyzer,
 	})
 	if err != nil {
 		t.Fatalf("running analyzers: %v", err)

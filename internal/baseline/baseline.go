@@ -75,9 +75,8 @@ type Inverted struct {
 	wsPool   sync.Pool
 }
 
-// invWorkspace is one query's private inverted-index probe state.
-//
-//plshvet:scratch owned per-query accumulator buffers; answers are copied out before reuse
+// invWorkspace is one query's private inverted-index probe state: owned
+// accumulator buffers; answers are copied out before reuse.
 type invWorkspace struct {
 	seen *bitvec.Vector
 	cand []uint32

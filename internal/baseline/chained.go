@@ -24,9 +24,8 @@ type Chained struct {
 	wsPool sync.Pool
 }
 
-// chainedWorkspace is one query's private chained-hash probe state.
-//
-//plshvet:scratch owned per-query candidate buffers; answers are copied out before reuse
+// chainedWorkspace is one query's private chained-hash probe state: owned
+// candidate buffers; answers are copied out before reuse.
 type chainedWorkspace struct {
 	set    map[uint32]struct{}
 	scores []float32

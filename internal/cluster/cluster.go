@@ -567,6 +567,11 @@ func (c *Cluster) insertPartitioned(ctx context.Context, vs []sparse.Vector) ([]
 	ids := make([]uint64, len(vs))
 	placed := make([]bool, len(vs))
 	fail := func(err error) error { return &InsertError{IDs: ids, Placed: placed, Err: err} }
+	// The router hashes every document before any node sees it, so the
+	// check the nodes make on arrival is made here first.
+	if err := sparse.CheckAll(vs, c.router.Dim()); err != nil {
+		return nil, fail(fmt.Errorf("cluster: insert: %w", err))
+	}
 	// Route first — placement is a pure function of each document — then
 	// write group by group so each mirrored batch is one insertGroup call.
 	perGroup := make([][]int, c.groups)
@@ -873,33 +878,33 @@ func (c *Cluster) drainAttempts(g, inflight int, results <-chan attemptResult) {
 
 // probeRef locates one (query, group) probe's answer: group g's
 // sub-batch answers the query at position j. The refs of one query are
-// contiguous in searchScratch.refs, delimited by offs.
+// contiguous in searchPlan.refs, delimited by offs.
 type probeRef struct {
 	g, j int32
 }
 
-// searchScratch is the pooled per-call state of Search: the per-group
-// sub-batches of the probe plan, the per-group answers and winning
-// clients, and the flat probe-ref arena that maps answers back to query
-// positions. Entries holding caller or node memory are zeroed before the
-// scratch returns to the pool.
-//
-//plshvet:frame
-type searchScratch struct {
-	subs    [][]sparse.Vector // per group: the sub-batch sent; empty = not contacted
-	count   []int32           // per group: routed queries so far, while planning
-	res     [][][]core.Neighbor
-	winners []transport.NodeClient
-	refs    []probeRef
-	offs    []int32 // per query: refs[offs[qi]:offs[qi+1]]
-	probes  []int   // router probe-set scratch
+// groupPlan is one group's share of a Search call: the sub-batch it is
+// sent (empty = not contacted), then the answer and the member that gave
+// it.
+type groupPlan struct {
+	sub    []sparse.Vector
+	res    [][]core.Neighbor
+	winner transport.NodeClient
 }
 
-var searchPool = sync.Pool{New: func() any { return new(searchScratch) }}
+// searchPlan is the per-call state of Search, a local of that call: the
+// per-group shares and the flat probe-ref arena that maps answers back to
+// query positions. It aliases the caller's queries and the nodes' answer
+// buffers, so it lives exactly as long as the request does.
+type searchPlan struct {
+	groups []groupPlan
+	refs   []probeRef
+	offs   []int32 // per query: refs[offs[qi]:offs[qi+1]]
+}
 
-// plan fills ss with the probe plan of one batch: per group the sub-batch
-// it must answer (empty = not contacted), and per query the contiguous
-// refs that find its answers again at merge time. It is the one place
+// plan builds the probe plan of one batch: per group the sub-batch it
+// must answer (empty = not contacted), and per query the contiguous refs
+// that find its answers again at merge time. It is the one place
 // placement is consulted. Under partitioned placement each query goes to
 // the recall-bounded probe set of groups its in-radius neighbors can live
 // on — every group when the probe set degenerates (see Router.Probe) — and
@@ -907,54 +912,53 @@ var searchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 // routing hint. Under scatter the probe set of every query is every
 // group, so each group's sub-batch is qs itself, aliased rather than
 // copied, and the frames carry no hint (they stay v1 on the wire). It
-// returns the parameters to send and the (query, group) pairs the router
-// kept and pruned — both zero on scatter, which routes nothing.
-func (c *Cluster) plan(ss *searchScratch, qs []sparse.Vector, p node.SearchParams) (_ node.SearchParams, routed, pruned int) {
-	subs, count := ss.subs, ss.count
-	ss.refs = ss.refs[:0]
-	ss.offs = append(ss.offs[:0], 0)
+// returns the plan and the parameters to send.
+func (c *Cluster) plan(qs []sparse.Vector, p node.SearchParams) (searchPlan, node.SearchParams) {
+	sp := searchPlan{
+		groups: make([]groupPlan, c.groups),
+		refs:   make([]probeRef, 0, len(qs)*c.groups),
+		offs:   make([]int32, 1, len(qs)+1),
+	}
 	if c.router == nil {
-		for g := range subs {
-			subs[g] = qs
+		for g := range sp.groups {
+			sp.groups[g].sub = qs
 		}
 		for qi := range qs {
-			for g := range subs {
-				ss.refs = append(ss.refs, probeRef{g: int32(g), j: int32(qi)})
+			for g := range sp.groups {
+				sp.refs = append(sp.refs, probeRef{g: int32(g), j: int32(qi)})
 			}
-			ss.offs = append(ss.offs, int32(len(ss.refs)))
+			sp.offs = append(sp.offs, int32(len(sp.refs)))
 		}
-		return p, 0, 0
+		return sp, p
 	}
+	count := make([]int32, c.groups) // per group: routed queries so far
+	probes := make([]int, 0, c.groups)
 	for qi := range qs {
-		probes, ok := c.router.Probe(qs[qi], p.Radius, ss.probes[:0])
+		var ok bool
+		probes, ok = c.router.Probe(qs[qi], p.Radius, probes[:0])
 		if !ok {
 			probes = probes[:0]
-			for g := range subs {
+			for g := range sp.groups {
 				probes = append(probes, g)
 			}
 		}
 		for _, g := range probes {
-			ss.refs = append(ss.refs, probeRef{g: int32(g), j: count[g]})
+			sp.refs = append(sp.refs, probeRef{g: int32(g), j: count[g]})
 			count[g]++
 		}
-		ss.probes = probes[:0] // keep the grown capacity for the next query
-		ss.offs = append(ss.offs, int32(len(ss.refs)))
+		sp.offs = append(sp.offs, int32(len(sp.refs)))
 	}
-	// The routed copies are carved from one fresh arena per batch, never
-	// recycled: a canceled attempt returns without waiting for its queued
-	// frame, so a transport may still be encoding a sub-batch after Search
-	// has returned.
-	arena := make([]sparse.Vector, len(ss.refs))
+	arena := make([]sparse.Vector, len(sp.refs))
 	for g, n := range count {
-		subs[g], arena = arena[:n:n], arena[n:]
+		sp.groups[g].sub, arena = arena[:n:n], arena[n:]
 	}
 	for qi := range qs {
-		for _, ref := range ss.refs[ss.offs[qi]:ss.offs[qi+1]] {
-			subs[ref.g][ref.j] = qs[qi]
+		for _, ref := range sp.refs[sp.offs[qi]:sp.offs[qi+1]] {
+			sp.groups[ref.g].sub[ref.j] = qs[qi]
 		}
 	}
 	p.Routing = node.RoutingPartitioned
-	return p, len(ss.refs), len(qs)*c.groups - len(ss.refs)
+	return sp, p
 }
 
 // Search answers a batch under request-scoped parameters and opts'
@@ -983,32 +987,27 @@ func (c *Cluster) plan(ss *searchScratch, qs []sparse.Vector, p node.SearchParam
 // with opts.Partial the fan-out runs to completion (each attempt bounded
 // by opts.PerNodeTimeout, if set), answers from responding groups are
 // merged, and stragglers show up only in the report — the production
-// trade of a complete answer for bounded latency.
+// trade of a complete answer for bounded latency. On a partitioned
+// cluster a query that does not fit the router's dimension is refused
+// with an error wrapping sparse.ErrInvalid before anything is routed; on
+// scatter the nodes refuse it.
 func (c *Cluster) Search(ctx context.Context, qs []sparse.Vector, p node.SearchParams, opts BatchOptions) ([][]Neighbor, BatchReport, error) {
 	report := BatchReport{
 		Times: make([]time.Duration, c.groups),
 		Errs:  make([]error, c.groups),
 	}
-	ss := searchPool.Get().(*searchScratch)
-	ss.subs = slices.Grow(ss.subs[:0], c.groups)[:c.groups]
-	ss.count = slices.Grow(ss.count[:0], c.groups)[:c.groups]
-	ss.res = slices.Grow(ss.res[:0], c.groups)[:c.groups]
-	ss.winners = slices.Grow(ss.winners[:0], c.groups)[:c.groups]
-	subs, res, winners := ss.subs, ss.res, ss.winners
-	// Registered before the ReleaseResults defer below, so it runs after
-	// it: node answer buffers go back first, then the zeroed scratch.
-	defer func() {
-		for g := range subs {
-			subs[g], res[g], winners[g] = nil, nil, nil
+	if c.router != nil {
+		if err := sparse.CheckAll(qs, c.router.Dim()); err != nil {
+			return nil, report, fmt.Errorf("cluster: search: %w", err)
 		}
-		clear(ss.count)
-		ss.refs, ss.offs, ss.probes = ss.refs[:0], ss.offs[:0], ss.probes[:0]
-		searchPool.Put(ss)
-	}()
-
-	sp, routed, pruned := c.plan(ss, qs, p)
-	if opts.Trace {
-		report.RoutedGroups, report.PrunedGroups = routed, pruned
+	}
+	plan, sp := c.plan(qs, p)
+	groups := plan.groups
+	if opts.Trace && c.router != nil {
+		// The (query, group) pairs the router kept and pruned; scatter
+		// routes nothing and reports both as zero.
+		report.RoutedGroups = len(plan.refs)
+		report.PrunedGroups = len(qs)*c.groups - len(plan.refs)
 	}
 
 	bctx, cancel := context.WithCancel(ctx)
@@ -1018,15 +1017,15 @@ func (c *Cluster) Search(ctx context.Context, qs []sparse.Vector, p node.SearchP
 		attempts = make([][]Attempt, c.groups)
 	}
 	var wg sync.WaitGroup
-	for g := 0; g < c.groups; g++ {
-		if len(subs[g]) == 0 {
+	for g := range groups {
+		if len(groups[g].sub) == 0 {
 			continue // pruned: zero time, nil error, nothing on the wire
 		}
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			t0 := time.Now()
-			r, winner, atts, err := c.searchGroup(bctx, g, subs[g], sp, opts)
+			r, winner, atts, err := c.searchGroup(bctx, g, groups[g].sub, sp, opts)
 			report.Times[g] = time.Since(t0)
 			if opts.Trace {
 				attempts[g] = atts
@@ -1038,7 +1037,7 @@ func (c *Cluster) Search(ctx context.Context, qs []sparse.Vector, p node.SearchP
 				}
 				return
 			}
-			res[g], winners[g] = r, winner
+			groups[g].res, groups[g].winner = r, winner
 		}(g)
 	}
 	wg.Wait()
@@ -1049,12 +1048,9 @@ func (c *Cluster) Search(ctx context.Context, qs []sparse.Vector, p node.SearchP
 	// the members that produced them (a no-op for transports that don't
 	// pool) once the merge has copied what it needs.
 	defer func() {
-		for g, r := range res {
-			if r == nil {
-				continue
-			}
-			if rel, ok := winners[g].(transport.Releaser); ok {
-				rel.ReleaseResults(r)
+		for _, gp := range groups {
+			if rel, ok := gp.winner.(transport.Releaser); ok && gp.res != nil {
+				rel.ReleaseResults(gp.res)
 			}
 		}
 	}()
@@ -1064,7 +1060,7 @@ func (c *Cluster) Search(ctx context.Context, qs []sparse.Vector, p node.SearchP
 	firstErr := firstError(report.Errs, "search", "group")
 	answered := 0 // contacted groups that answered (pruned groups don't count)
 	for g, err := range report.Errs {
-		if err == nil && len(subs[g]) > 0 {
+		if err == nil && len(groups[g].sub) > 0 {
 			answered++
 		}
 	}
@@ -1087,18 +1083,16 @@ func (c *Cluster) Search(ctx context.Context, qs []sparse.Vector, p node.SearchP
 	// coordinator merges a batch without allocating result storage. The
 	// caller may hand the batch back with ReleaseResults once done.
 	out := c.getBatchOut(len(qs))
-	ms := mergePool.Get().(*mergeState)
+	ms := mergeState{cursors: make([]topkCursor, 0, c.groups), h: make(topkHeap, 0, c.groups)}
 	for qi := range qs {
-		ms.lists = ms.lists[:0]
-		ms.groups = ms.groups[:0]
+		ms.cursors = ms.cursors[:0]
 		total := 0
-		for _, ref := range ss.refs[ss.offs[qi]:ss.offs[qi+1]] {
-			lists := res[ref.g]
+		for _, ref := range plan.refs[plan.offs[qi]:plan.offs[qi+1]] {
+			lists := groups[ref.g].res
 			if lists == nil || len(lists[ref.j]) == 0 {
 				continue
 			}
-			ms.lists = append(ms.lists, lists[ref.j])
-			ms.groups = append(ms.groups, int(ref.g))
+			ms.cursors = append(ms.cursors, topkCursor{group: int(ref.g), list: lists[ref.j]})
 			total += len(lists[ref.j])
 		}
 		if total == 0 {
@@ -1110,7 +1104,6 @@ func (c *Cluster) Search(ctx context.Context, qs []sparse.Vector, p node.SearchP
 		}
 		out[qi] = ms.mergeAppend(out[qi][:0], k)
 	}
-	ms.release()
 	c.searches.Add(1)
 	c.queriesServed.Add(uint64(len(qs)))
 	return out, report, nil
@@ -1200,74 +1193,28 @@ func (h topkHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *topkHeap) Push(x any)   { *h = append(*h, x.(*topkCursor)) }
 func (h *topkHeap) Pop() any     { old := *h; x := old[len(old)-1]; *h = old[:len(old)-1]; return x }
 
-// mergeState is the recycled scratch of one k-way merge: the non-empty
-// input lists with their group indexes, the cursor arena, and the heap of
-// cursor pointers. One state serves a whole batch, query after query, and
-// returns to mergePool — via release, which drops every reference to the
-// per-group answer buffers — when the batch's Search call finishes.
-//
-//plshvet:frame
+// mergeState is the scratch of one Search call's k-way merges, a local of
+// that call serving its queries one after another: a cursor per non-empty
+// input list and the heap of pointers to them, each with room for one
+// entry per group.
 type mergeState struct {
-	lists   [][]core.Neighbor
-	groups  []int
 	cursors []topkCursor
 	h       topkHeap
 }
 
-var mergePool = sync.Pool{New: func() any { return new(mergeState) }}
-
-// release hands the merge scratch back to mergePool with every
-// reference into per-group answer buffers dropped. lists aliases node
-// result memory and each cursor (and the heap's pointers into the
-// cursor arena) aliases one of those lists; a state pooled with them
-// intact would pin released answer buffers across requests — and read
-// recycled memory if a stale cursor were ever walked.
-func (ms *mergeState) release() {
-	// Clear the full capacity, not just the length: a batch truncates
-	// and refills these per query, so slots past the last query's
-	// length still hold earlier queries' references, and heap.Pop
-	// leaves popped cursor pointers beyond the heap's final length.
-	lists := ms.lists[:cap(ms.lists)]
-	for i := range lists {
-		lists[i] = nil
-	}
-	ms.lists = ms.lists[:0]
-	ms.groups = ms.groups[:0]
-	cursors := ms.cursors[:cap(ms.cursors)]
-	for i := range cursors {
-		cursors[i] = topkCursor{}
-	}
-	ms.cursors = ms.cursors[:0]
-	h := ms.h[:cap(ms.h)]
-	for i := range h {
-		h[i] = nil
-	}
-	ms.h = ms.h[:0]
-	mergePool.Put(ms)
-}
-
-// mergeAppend k-way-merges ms.lists (per-group ascending partial lists,
-// parallel to ms.groups) into dst, emitting at most k entries, and
-// returns the extended slice. It allocates only if dst or the recycled
-// scratch must grow.
+// mergeAppend k-way-merges the cursors' lists (per-group ascending partial
+// lists) into dst, emitting at most k entries, and returns the extended
+// slice.
 func (ms *mergeState) mergeAppend(dst []Neighbor, k int) []Neighbor {
-	// Fill the cursor arena first, then point the heap at it — appending
-	// could move the arena, so pointers are taken only once it is sized.
-	ms.cursors = ms.cursors[:0]
-	for i, list := range ms.lists {
-		ms.cursors = append(ms.cursors, topkCursor{group: ms.groups[i], list: list})
-	}
 	ms.h = ms.h[:0]
 	for i := range ms.cursors {
 		ms.h = append(ms.h, &ms.cursors[i])
 	}
 	heap.Init(&ms.h)
-	emitted := 0
-	for len(ms.h) > 0 && emitted < k {
+	for emitted := 0; len(ms.h) > 0 && emitted < k; emitted++ {
 		cur := ms.h[0]
 		nb := cur.head()
 		dst = append(dst, Neighbor{Node: cur.group, ID: nb.ID, Dist: nb.Dist})
-		emitted++
 		cur.pos++
 		if cur.pos == len(cur.list) {
 			heap.Pop(&ms.h)

@@ -126,9 +126,9 @@ type Router struct {
 	scratch     sync.Pool
 }
 
-// routerScratch is the pooled per-call workspace of GroupFor/Probe.
-//
-//plshvet:scratch per-call sketch and probe-enumeration buffers owned by the router; no caller or node memory is ever stored in them
+// routerScratch is the pooled per-call workspace of GroupFor/Probe: sketch
+// and probe-enumeration buffers the router owns; no caller or node memory
+// is ever stored in them.
 type routerScratch struct {
 	scores []float32
 	halves []uint32
@@ -216,6 +216,10 @@ func NewRouter(fam *lshhash.Family, cfg RouterConfig) (*Router, error) {
 	}
 	return r, nil
 }
+
+// Dim returns the dimension of the vector space the router hashes in;
+// GroupFor and Probe take only vectors that pass sparse.Vector.Check(Dim).
+func (r *Router) Dim() int { return r.rfam.Params().Dim }
 
 // Groups returns the group count the router places for.
 func (r *Router) Groups() int { return r.groups }

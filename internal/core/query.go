@@ -107,11 +107,11 @@ type Engine struct {
 
 // Workspace is one in-flight query's private state: the query's sketch and
 // scattered vocabulary mask (Step Q1, done once by Begin) plus the scratch
-// of Step Q2. The node layer reads Sketch and Mask to probe and verify its
-// delta segments under the same Begin, so a query is hashed and scattered
-// once however many structures it visits.
-//
-//plshvet:scratch owned per-query candidate/score buffers; nothing caller-visible is ever stored in them
+// of Step Q2. The node layer reads Sketch and Mask, and probes its delta
+// segments through Probe, under the same Begin — so a query is hashed and
+// scattered once and deduplicates in one private bitvector however many
+// structures it visits. Every field is the workspace's own memory; nothing
+// caller-visible is ever stored in it.
 type Workspace struct {
 	seen   *bitvec.Vector
 	cand   []uint32
@@ -129,6 +129,27 @@ func (ws *Workspace) Sketch() []uint32 { return ws.sketch }
 // Mask returns the query's scattered vocabulary mask for Verify, or nil
 // when the engine runs the merge-intersection dot product. Valid until End.
 func (ws *Workspace) Mask() *sparse.QueryMask { return ws.mask }
+
+// Segment is a further structure probed under a workspace's Begin: the
+// node's delta segments. Candidates appends the deduplicated local ids of
+// the rows colliding with sketch to cand, marking each in seen (at least
+// Len bits, all zero on entry).
+type Segment interface {
+	Len() int
+	Candidates(sketch []uint32, seen *bitvec.Vector, cand []uint32) ([]uint32, int)
+}
+
+// Probe gathers t's candidates for the query ws was begun with into the
+// workspace's own Step Q2 scratch and returns them, valid until the next
+// Probe, SearchOn or End. Between probes the dedup bitvector is all zero —
+// SearchOn and Probe each clear exactly the bits they set — which is what
+// lets one bitvector serve the static index and every segment in turn.
+func (ws *Workspace) Probe(t Segment) []uint32 {
+	ws.seen = ws.seen.Grow(t.Len())
+	ws.cand, _ = t.Candidates(ws.sketch, ws.seen, ws.cand[:0])
+	ws.seen.ResetList(ws.cand)
+	return ws.cand
+}
 
 // NewEngine builds a query engine. The store must hold exactly the
 // documents the index was built over (store row i ↔ index item i).

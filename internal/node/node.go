@@ -285,9 +285,6 @@ type Node struct {
 	wal        *persist.WAL
 	persistErr atomic.Pointer[string]
 
-	// dwsPool recycles delta-side query workspaces, mirroring the static
-	// engine's private-bitvector-per-query design.
-	dwsPool sync.Pool
 	// batchPool recycles SearchBatch answer buffers (the [][]Neighbor and
 	// each per-query entry's backing array) between batches; see
 	// ReleaseResults for the ownership contract.
@@ -304,15 +301,6 @@ type Node struct {
 	searchesServed atomic.Uint64
 	insertsServed  atomic.Uint64
 	deletesServed  atomic.Uint64
-}
-
-// deltaWorkspace is one search's private delta-segment scratch; the query's
-// sketch and mask live in the engine's workspace (core.Engine.Begin).
-//
-//plshvet:scratch owned per-search workspace (segment dedup bitvec and candidate buffer); results are copied out before it returns to the pool
-type deltaWorkspace struct {
-	seen *bitvec.Vector
-	cand []uint32
 }
 
 // newArena allocates a document arena for cfg: capacity rows with room
@@ -347,9 +335,6 @@ func Open(ctx context.Context, cfg Config) (*Node, error) {
 		fam:     fam,
 		store:   newArena(cfg),
 		deleted: bitvec.New(cfg.Capacity),
-	}
-	n.dwsPool.New = func() any {
-		return &deltaWorkspace{seen: bitvec.New(1024)}
 	}
 	if cfg.Dir == "" {
 		n.initStaticLocked() // no readers yet; mu formality only
@@ -572,6 +557,8 @@ func (n *Node) Family() *lshhash.Family { return n.fam }
 //
 // Cancellation is checked before any state changes; once the batch starts
 // it runs to completion so the index never holds a partially applied batch.
+// A document that does not fit the node's dimension (sparse.ErrInvalid)
+// rejects the whole batch before anything is hashed.
 func (n *Node) Insert(ctx context.Context, vs []sparse.Vector) ([]uint32, error) {
 	if len(vs) == 0 {
 		//plshvet:ignore walorder an empty batch mutates nothing, so there is nothing to journal before acknowledging it
@@ -579,6 +566,9 @@ func (n *Node) Insert(ctx context.Context, vs []sparse.Vector) ([]uint32, error)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if err := sparse.CheckAll(vs, n.cfg.Params.Dim); err != nil {
+		return nil, fmt.Errorf("node: insert: %w", err)
 	}
 	t0 := time.Now()
 	// Hash the batch and build its frozen segment before taking the mutex:
@@ -1157,9 +1147,13 @@ func (n *Node) Search(ctx context.Context, q sparse.Vector, p SearchParams) ([]c
 // bounded and canonically ordered — over the appended suffix only) and
 // the extended slice is returned. A caller that reuses dst across calls
 // makes the whole node-level search allocation-free in steady state; the
-// caller owns dst and everything returned.
+// caller owns dst and everything returned. A query that does not fit the
+// node's dimension is refused with an error wrapping sparse.ErrInvalid.
 func (n *Node) SearchAppend(ctx context.Context, dst []core.Neighbor, q sparse.Vector, p SearchParams) ([]core.Neighbor, error) {
 	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := q.Check(n.cfg.Params.Dim); err != nil {
 		return nil, err
 	}
 	return finishSearch(n.searchOn(dst, n.snap.Load(), q, p), len(dst), p), nil
@@ -1170,9 +1164,14 @@ func (n *Node) SearchAppend(ctx context.Context, dst []core.Neighbor, q sparse.V
 // running against one consistent snapshot. Cancellation is cooperative:
 // workers check ctx between queries, so an expired deadline abandons the
 // remainder of the batch promptly and the whole call reports ctx.Err().
+// One query that does not fit the node's dimension (sparse.ErrInvalid)
+// refuses the batch.
 func (n *Node) SearchBatch(ctx context.Context, qs []sparse.Vector, p SearchParams) ([][]core.Neighbor, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if err := sparse.CheckAll(qs, n.cfg.Params.Dim); err != nil {
+		return nil, fmt.Errorf("node: search: %w", err)
 	}
 	s := n.snap.Load()
 	out := n.getBatchOut(len(qs))
@@ -1275,14 +1274,9 @@ func (n *Node) searchOn(dst []core.Neighbor, s *snapshot, q sparse.Vector, p Sea
 		radius = p.Radius
 	}
 	thr := sparse.CosThreshold(radius)
-	dws := n.dwsPool.Get().(*deltaWorkspace)
-	defer n.dwsPool.Put(dws)
 	for _, sg := range s.segs {
-		dws.seen = dws.seen.Grow(sg.t.Len())
-		dws.cand, _ = sg.t.Candidates(ws.Sketch(), dws.seen, dws.cand[:0])
-		dws.seen.ResetList(dws.cand)
 		var evaluated int
-		res, evaluated = core.Verify(res, dws.cand, uint32(sg.base), s.store, s.deleted, budget, thr, ws.Mask(), q)
+		res, evaluated = core.Verify(res, ws.Probe(sg.t), uint32(sg.base), s.store, s.deleted, budget, thr, ws.Mask(), q)
 		if budget -= evaluated; budget == 0 {
 			break
 		}

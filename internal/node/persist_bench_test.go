@@ -9,8 +9,7 @@ import (
 
 // BenchmarkSave measures snapshot serialization: a quiesced 20k-document
 // node is checkpointed to disk repeatedly, reporting throughput in
-// snapshot megabytes per second (surfaced in benchmarks/latest.json as
-// snapshot_save_mb_per_s).
+// snapshot megabytes per second.
 func BenchmarkSave(b *testing.B) {
 	n, err := New(testConfig(30000))
 	if err != nil {
@@ -40,7 +39,7 @@ func BenchmarkSave(b *testing.B) {
 // BenchmarkRecover measures crash recovery when everything lives in the
 // journal (the worst case: no snapshot to load, every document replayed
 // and rehashed into delta segments), reporting replayed documents per
-// second (surfaced in benchmarks/latest.json as wal_replay_docs_per_s).
+// second.
 func BenchmarkRecover(b *testing.B) {
 	const nDocs = 10000
 	dir := b.TempDir()

@@ -17,6 +17,7 @@ package sparse
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 )
@@ -58,6 +59,37 @@ func (v Vector) Normalize() (ok bool) {
 // Clone returns a deep copy of v.
 func (v Vector) Clone() Vector {
 	return Vector{Idx: append([]uint32(nil), v.Idx...), Val: append([]float32(nil), v.Val...)}
+}
+
+// ErrInvalid is wrapped by Check's errors: the vector cannot be hashed or
+// stored, whatever the index holds.
+var ErrInvalid = errors.New("sparse: invalid vector")
+
+// Check reports whether v is addressable in a dim-dimensional space: one
+// value per index and every column below dim. Vectors arrive from callers
+// and off the wire, and everything past the entry points — hashing, the
+// vocabulary mask, the arena — indexes by column without looking again.
+func (v Vector) Check(dim int) error {
+	if len(v.Idx) != len(v.Val) {
+		return fmt.Errorf("%w: %d indexes, %d values", ErrInvalid, len(v.Idx), len(v.Val))
+	}
+	for _, c := range v.Idx {
+		if uint64(c) >= uint64(dim) {
+			return fmt.Errorf("%w: column %d outside dimension %d", ErrInvalid, c, dim)
+		}
+	}
+	return nil
+}
+
+// CheckAll applies Check to every vector of a batch, naming the first
+// offender by position.
+func CheckAll(vs []Vector, dim int) error {
+	for i := range vs {
+		if err := vs[i].Check(dim); err != nil {
+			return fmt.Errorf("vector %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // NewVector builds a Vector from unordered (index, value) pairs, sorting by

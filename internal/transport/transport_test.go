@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -674,18 +675,18 @@ func TestRetiredOpsAnswerTypedError(t *testing.T) {
 	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
 	retired := 0
 	for _, g := range goldenRequests() {
-		if g.req.Op != opQueryBatch && g.req.Op != opQueryTopK {
+		if g.frame.Op != opQueryBatch && g.frame.Op != opQueryTopK {
 			continue
 		}
 		retired++
-		if err := enc.Encode(g.req); err != nil {
+		if err := enc.Encode(g.frame); err != nil {
 			t.Fatalf("%s: send: %v", g.name, err)
 		}
 		var resp response
 		if err := dec.Decode(&resp); err != nil {
 			t.Fatalf("%s: no response frame (connection dropped?): %v", g.name, err)
 		}
-		if resp.Seq != g.req.Seq || resp.Code != codeError || !strings.Contains(resp.Err, "retired") {
+		if resp.Seq != g.frame.Seq || resp.Code != codeError || !strings.Contains(resp.Err, "retired") {
 			t.Fatalf("%s: response %+v, want codeError naming the retirement", g.name, resp)
 		}
 		if resp.Results != nil || resp.TopK != nil {
@@ -708,6 +709,159 @@ func TestRetiredOpsAnswerTypedError(t *testing.T) {
 	}
 	if len(resp.Results[0]) == 0 || resp.Results[0][0].ID != 0 {
 		t.Fatalf("search after retired ops lost doc 0's self-match: %+v", resp.Results[0])
+	}
+}
+
+// TestMalformedVectorsAnswerError: a search or insert frame whose vector
+// names a column past the node's dimension, or carries more indexes than
+// values, gets a codeError response over real TCP — hashing it would index
+// out of range and, in a handler goroutine, take the process down — and
+// the same connection then serves the next request.
+func TestMalformedVectorsAnswerError(t *testing.T) {
+	n := testNode(t, 100)
+	docs := testDocs(20, 13)
+	if _, err := n.Insert(bg, docs); err != nil {
+		t.Fatal(err)
+	}
+	addr, _ := startServer(t, n)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
+	outside := sparse.Vector{Idx: []uint32{1, 2500}, Val: []float32{0.6, 0.8}} // Dim is 2000
+	ragged := sparse.Vector{Idx: []uint32{1, 2, 3}, Val: []float32{1}}
+	seq := uint64(0)
+	for _, bad := range []sparse.Vector{outside, ragged} {
+		for _, req := range []request{
+			{Op: opSearch, Vectors: []sparse.Vector{docs[0], bad}, Search: &searchParams{Version: searchVersionBase}},
+			{Op: opInsert, Vectors: []sparse.Vector{docs[0], bad}},
+		} {
+			seq++
+			req.Seq = seq
+			if err := enc.Encode(req); err != nil {
+				t.Fatal(err)
+			}
+			var resp response
+			if err := dec.Decode(&resp); err != nil {
+				t.Fatalf("op %d with %v: no response frame (server died?): %v", req.Op, bad, err)
+			}
+			if resp.Seq != seq || resp.Code != codeError || !strings.Contains(resp.Err, sparse.ErrInvalid.Error()) {
+				t.Fatalf("op %d with %v: response %+v, want codeError wrapping %q", req.Op, bad, resp, sparse.ErrInvalid)
+			}
+		}
+	}
+	if got := n.Len(); got != len(docs) {
+		t.Fatalf("a refused insert batch left %d documents, want %d", got, len(docs))
+	}
+	search := request{Seq: 99, Op: opSearch, Vectors: docs[:1], Search: &searchParams{Version: searchVersionBase}}
+	if err := enc.Encode(search); err != nil {
+		t.Fatal(err)
+	}
+	var resp response
+	if err := dec.Decode(&resp); err != nil {
+		t.Fatalf("search after malformed frames: %v", err)
+	}
+	if resp.Seq != 99 || resp.Code != codeOK || len(resp.Results) != 1 || len(resp.Results[0]) == 0 {
+		t.Fatalf("search after malformed frames: %+v", resp)
+	}
+}
+
+// TestCanceledQueuedSearchLeavesQueryAlone: a Search whose caller gives up
+// while its frame still sits in the write queue — the writer is stalled
+// behind a frame the server is not reading — returns at once, never
+// writes the caller's vectors, and leaves the connection serving: the
+// queued frame goes out when the stall ends, and later calls are answered.
+// The frame is the call's own value, so there is nothing for the abandoned
+// call and the writer to hand back and forth.
+func TestCanceledQueuedSearchLeavesQueryAlone(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	sctx, stop := context.WithCancel(bg)
+	release := make(chan struct{})
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		select {
+		case <-release: // until then nobody reads: the client's writer fills the socket and blocks
+			serveConn(sctx, sctx, conn, &stubBackend{}, nil)
+		case <-sctx.Done():
+			conn.Close()
+		}
+	}()
+	defer func() { stop(); <-served }()
+	client, err := Dial(bg, l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	// One frame larger than the loopback socket buffers, handed straight
+	// to the writer, stalls it mid-write; its answer will match no pending
+	// call and be dropped.
+	big := sparse.Vector{Idx: make([]uint32, 1<<21), Val: make([]float32, 1<<21)}
+	for i := range big.Idx {
+		big.Idx[i], big.Val[i] = uint32(i), float32(i)
+	}
+	client.writeCh <- &request{Seq: 1 << 40, Op: opSearch, Vectors: []sparse.Vector{big},
+		Search: &searchParams{Version: searchVersionBase}}
+	waitQueue := func(n int) {
+		t.Helper()
+		for deadline := time.Now().Add(30 * time.Second); len(client.writeCh) != n; {
+			if time.Now().After(deadline) {
+				t.Fatalf("write queue holds %d frames, want %d", len(client.writeCh), n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	waitQueue(0) // the writer has taken the big frame
+
+	qs := testDocs(3, 5)
+	want := make([]sparse.Vector, len(qs))
+	for i := range qs {
+		want[i] = qs[i].Clone()
+	}
+	ctx, cancel := context.WithCancel(bg)
+	done := make(chan error, 1)
+	go func() {
+		_, err := client.Search(ctx, qs, node.SearchParams{K: 3})
+		done <- err
+	}()
+	waitQueue(1)
+	time.Sleep(50 * time.Millisecond)
+	if len(client.writeCh) != 1 {
+		t.Fatal("the writer drained the queue; the big frame did not stall it")
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("want context.Canceled, got %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("canceled call did not return while its frame was queued")
+	}
+	if !reflect.DeepEqual(qs, want) {
+		t.Fatal("the canceled call's query vectors were modified")
+	}
+
+	close(release)
+	if _, err := client.Stats(bg); err != nil {
+		t.Fatalf("call after the canceled one failed: %v", err)
+	}
+	if client.Broken() {
+		t.Fatal("connection broken after a canceled queued call")
+	}
+	if !reflect.DeepEqual(qs, want) {
+		t.Fatal("the canceled call's query vectors were modified after its frame was sent")
 	}
 }
 

@@ -91,10 +91,8 @@ type searchParams struct {
 	Routing uint8
 }
 
-// request is the client→server frame. Pooled; putRequest zeroes it
-// wholesale before Put, because gob decodes into retained capacity.
-//
-//plshvet:frame
+// request is the client→server frame: a plain value made for one RPC (or
+// decoded from one frame) and garbage once that RPC is done.
 type request struct {
 	Seq     uint64
 	Op      op
@@ -110,11 +108,6 @@ type request struct {
 	// never arrives. Assumes loosely synchronized clocks; skew only moves
 	// when the server gives up, never the client-side outcome.
 	Deadline int64
-
-	// sp is client-side scratch: Search points at it so an opSearch frame
-	// costs no separate searchParams allocation. Unexported, so gob never
-	// sees it — the wire encoding is unchanged (pinned by the golden test).
-	sp searchParams
 }
 
 // respCode distinguishes sentinel errors across the wire.
@@ -130,10 +123,8 @@ const (
 	codeNotFound
 )
 
-// response is the server→client frame. Pooled; putResponse zeroes it
-// wholesale before Put.
-//
-//plshvet:frame
+// response is the server→client frame, a plain per-RPC value like
+// request.
 type response struct {
 	Seq     uint64
 	Code    respCode
@@ -145,36 +136,6 @@ type response struct {
 	// Doc and Known answer an opDoc request.
 	Doc   sparse.Vector
 	Known bool
-}
-
-// Frame structs are pooled on both ends of the connection: every RPC
-// reuses a request and a response instead of allocating fresh ones. The
-// invariant is "pool contents are zeroed" — put* clears the struct before
-// Put, so a Get always hands gob a blank frame and decoded slices that
-// escaped into the backend (inserted vectors, returned answer lists) are
-// never aliased by a later decode: gob allocates fresh backing arrays
-// into zeroed fields.
-var (
-	reqPool  = sync.Pool{New: func() any { return new(request) }}
-	respPool = sync.Pool{New: func() any { return new(response) }}
-	// respChPool recycles the per-call response channel. Only channels
-	// that completed a normal receive are returned: a channel closed by
-	// connection failure, or one a canceled call abandoned (a late
-	// response may still land in it), is left to the GC.
-	respChPool = sync.Pool{New: func() any { return make(chan *response, 1) }}
-)
-
-func getRequest() *request   { return reqPool.Get().(*request) }
-func getResponse() *response { return respPool.Get().(*response) }
-
-func putRequest(r *request) {
-	*r = request{}
-	reqPool.Put(r)
-}
-
-func putResponse(r *response) {
-	*r = response{}
-	respPool.Put(r)
 }
 
 // Serve answers requests for backend on l until ctx is canceled (clean
@@ -283,9 +244,11 @@ func serveConn(ctx, hardCtx context.Context, conn net.Conn, backend NodeClient, 
 	inflight := map[uint64]context.CancelFunc{}
 	var wg sync.WaitGroup
 	for {
-		req := getRequest()
+		// A fresh frame per decode: gob fills what the bytes carry and
+		// leaves the rest zero, and the vectors it allocates are the
+		// request's alone (an insert's escape into the backend).
+		req := new(request)
 		if err := dec.Decode(req); err != nil {
-			putRequest(req)
 			// EOF is a clean client close and shutdown races are expected;
 			// anything else is a protocol/peer failure worth surfacing.
 			if err != io.EOF && ctx.Err() == nil && !errors.Is(err, net.ErrClosed) && onError != nil {
@@ -300,7 +263,6 @@ func serveConn(ctx, hardCtx context.Context, conn net.Conn, backend NodeClient, 
 			if cancel != nil {
 				cancel()
 			}
-			putRequest(req)
 			continue
 		}
 		var rctx context.Context
@@ -316,15 +278,13 @@ func serveConn(ctx, hardCtx context.Context, conn net.Conn, backend NodeClient, 
 		wg.Add(1)
 		go func(req *request, rctx context.Context) {
 			defer wg.Done()
-			seq := req.Seq // survives the frame's return to the pool
 			defer func() {
 				inflightMu.Lock()
-				delete(inflight, seq)
+				delete(inflight, req.Seq)
 				inflightMu.Unlock()
 				rcancel()
 			}()
-			resp := getResponse()
-			resp.Seq = seq
+			resp := &response{Seq: req.Seq}
 			handle(rctx, backend, req, resp)
 			writeMu.Lock()
 			//plshvet:ignore lockorder one stateful gob encoder per connection: frame writes must serialize on it, and contention is bounded by frame size
@@ -336,12 +296,10 @@ func serveConn(ctx, hardCtx context.Context, conn net.Conn, backend NodeClient, 
 			writeMu.Unlock()
 			// The answer lists are on the wire; hand them back to the
 			// backend's buffer pool when it recycles (the in-process
-			// Local does), then recycle both frames.
+			// Local does).
 			if rel, ok := backend.(Releaser); ok && resp.Results != nil {
 				rel.ReleaseResults(resp.Results)
 			}
-			putResponse(resp)
-			putRequest(req)
 			if err != nil && ctx.Err() == nil && !errors.Is(err, net.ErrClosed) && onError != nil {
 				onError(fmt.Errorf("transport: encode to %v: %w", conn.RemoteAddr(), err))
 			}
@@ -500,17 +458,17 @@ func Dial(ctx context.Context, addr string) (*Client, error) {
 }
 
 // writeLoop is the single writer: it drains queued frames onto the gob
-// encoder until the connection dies, recycling each frame once it is
-// encoded. Callers never block on a slow send — they wait on their
-// response channel (or their context) instead. The write buffer is
-// flushed only when the queue drains, so a burst of concurrent calls
-// coalesces into fewer, larger writes.
+// encoder until the connection dies. Callers never block on a slow send —
+// they wait on their response channel (or their context) instead; a frame
+// whose caller gave up meanwhile is still sent (the cancel frame follows
+// it), reading the caller's vectors but never writing them. The write
+// buffer is flushed only when the queue drains, so a burst of concurrent
+// calls coalesces into fewer, larger writes.
 func (c *Client) writeLoop(enc *gob.Encoder, bw *bufio.Writer) {
 	for {
 		select {
 		case req := <-c.writeCh:
 			err := enc.Encode(req)
-			putRequest(req)
 			if err == nil && len(c.writeCh) == 0 {
 				err = bw.Flush()
 			}
@@ -525,14 +483,13 @@ func (c *Client) writeLoop(enc *gob.Encoder, bw *bufio.Writer) {
 }
 
 // readLoop dispatches response frames to pending calls until the
-// connection dies, then fails whatever is still waiting. Each frame is a
-// pooled response struct; ownership passes to the waiting call, which
-// recycles it after extracting the answer.
+// connection dies, then fails whatever is still waiting. Each frame is
+// decoded into a fresh response the waiting call then owns; one for a
+// call that was canceled, or a stray, is dropped.
 func (c *Client) readLoop(dec *gob.Decoder) {
 	for {
-		resp := getResponse()
+		resp := new(response)
 		if err := dec.Decode(resp); err != nil {
-			putResponse(resp)
 			c.fail(fmt.Errorf("transport: receive: %w", err))
 			return
 		}
@@ -542,9 +499,6 @@ func (c *Client) readLoop(dec *gob.Decoder) {
 		c.mu.Unlock()
 		if ch != nil {
 			ch <- resp // buffered; never blocks
-		} else {
-			// The call was canceled or the frame is stray — recycle it.
-			putResponse(resp)
 		}
 	}
 }
@@ -581,33 +535,27 @@ func (c *Client) terminalErr() error {
 	return errClosed
 }
 
-// do sends req — a pooled frame the caller filled via getRequest — and
-// waits for its answer. Ownership of req passes to writeLoop on a
-// successful enqueue (it recycles the frame after encoding); on the early
-// abort paths do recycles it itself. A successful return hands the caller
-// a pooled response to release with putResponse once the answer is
-// extracted.
+// do sends req and waits for its answer. It fills in the sequence number
+// and the deadline; the frame is the call's own, read by writeLoop and
+// nobody else.
 func (c *Client) do(ctx context.Context, req *request) (*response, error) {
 	if err := ctx.Err(); err != nil {
-		putRequest(req)
 		return nil, err
 	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		putRequest(req)
 		return nil, errClosed
 	}
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
-		putRequest(req)
 		return nil, err
 	}
 	c.seq++
 	seq := c.seq
 	req.Seq = seq
-	ch := respChPool.Get().(chan *response)
+	ch := make(chan *response, 1)
 	c.pending[seq] = ch
 	c.mu.Unlock()
 
@@ -621,31 +569,23 @@ func (c *Client) do(ctx context.Context, req *request) (*response, error) {
 	case c.writeCh <- req:
 	case <-ctx.Done():
 		c.forget(seq)
-		putRequest(req)
 		return nil, ctx.Err()
 	case <-c.dead:
 		c.forget(seq)
-		putRequest(req)
 		return nil, c.terminalErr()
 	}
 
 	select {
 	case resp, ok := <-ch:
 		if !ok {
-			// Closed by fail(); a closed channel cannot be reused.
-			return nil, c.terminalErr()
+			return nil, c.terminalErr() // closed by fail()
 		}
-		respChPool.Put(ch) // drained, and seq is out of pending: safe to reuse
 		switch resp.Code {
 		case codeFull:
-			putResponse(resp)
 			return nil, node.ErrFull
 		case codeNotFound:
-			putResponse(resp)
 			return nil, node.ErrNotFound
 		case codeError:
-			err := fmt.Errorf("transport: remote: %s", resp.Err)
-			putResponse(resp)
 			// The request carried the caller's deadline, so the server can
 			// observe its expiry first and answer before the local timer
 			// fires. Past the deadline the call's outcome is the deadline,
@@ -653,11 +593,10 @@ func (c *Client) do(ctx context.Context, req *request) (*response, error) {
 			if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
 				return nil, context.DeadlineExceeded
 			}
-			return nil, err
+			return nil, fmt.Errorf("transport: remote: %s", resp.Err)
 		}
 		return resp, nil
 	case <-ctx.Done():
-		// A late response may still land in ch; leave both to the GC.
 		c.forget(seq)
 		c.sendCancel(seq)
 		return nil, ctx.Err()
@@ -677,48 +616,30 @@ func (c *Client) forget(seq uint64) {
 // the deadline carried in the original request still bounds the
 // server-side work.
 func (c *Client) sendCancel(seq uint64) {
-	req := getRequest()
-	req.Op = opCancel
-	req.Seq = seq
 	select {
-	case c.writeCh <- req:
-	case <-c.dead:
-		putRequest(req)
+	case c.writeCh <- &request{Op: opCancel, Seq: seq}:
 	default:
-		putRequest(req)
 	}
 }
 
 // doEmpty runs an RPC whose response carries no payload beyond its code.
 func (c *Client) doEmpty(ctx context.Context, req *request) error {
-	resp, err := c.do(ctx, req)
-	if err != nil {
-		return err
-	}
-	putResponse(resp)
-	return nil
+	_, err := c.do(ctx, req)
+	return err
 }
 
 // Insert implements NodeClient.
 func (c *Client) Insert(ctx context.Context, vs []sparse.Vector) ([]uint32, error) {
-	req := getRequest()
-	req.Op = opInsert
-	req.Vectors = vs
-	resp, err := c.do(ctx, req)
+	resp, err := c.do(ctx, &request{Op: opInsert, Vectors: vs})
 	if err != nil {
 		return nil, err
 	}
-	ids := resp.IDs
-	putResponse(resp)
-	return ids, nil
+	return resp.IDs, nil
 }
 
 // Search implements NodeClient: one frame carries the batch and the
 // versioned request-scoped parameter struct.
 func (c *Client) Search(ctx context.Context, qs []sparse.Vector, p node.SearchParams) ([][]core.Neighbor, error) {
-	req := getRequest()
-	req.Op = opSearch
-	req.Vectors = qs
 	// Scatter searches declare the base revision so their frames stay
 	// byte-identical to pre-routing clients; only a frame that actually
 	// carries the routing hint claims v2 (and is rejected, loudly, by a
@@ -727,88 +648,56 @@ func (c *Client) Search(ctx context.Context, qs []sparse.Vector, p node.SearchPa
 	if p.Routing != node.RoutingNone {
 		v = searchVersion
 	}
-	req.sp = searchParams{
+	resp, err := c.do(ctx, &request{Op: opSearch, Vectors: qs, Search: &searchParams{
 		Version:       v,
 		Radius:        p.Radius,
 		K:             p.K,
 		MaxCandidates: p.MaxCandidates,
 		Routing:       p.Routing,
-	}
-	req.Search = &req.sp
-	resp, err := c.do(ctx, req)
+	}})
 	if err != nil {
 		return nil, err
 	}
-	res := resp.Results
-	putResponse(resp)
-	if len(res) != len(qs) {
+	if len(resp.Results) != len(qs) {
 		return nil, fmt.Errorf("transport: reply carries %d answer lists for %d queries",
-			len(res), len(qs))
+			len(resp.Results), len(qs))
 	}
-	return res, nil
+	return resp.Results, nil
 }
 
 // Doc implements NodeClient.
 func (c *Client) Doc(ctx context.Context, id uint32) (sparse.Vector, bool, error) {
-	req := getRequest()
-	req.Op = opDoc
-	req.ID = id
-	resp, err := c.do(ctx, req)
+	resp, err := c.do(ctx, &request{Op: opDoc, ID: id})
 	if err != nil {
 		return sparse.Vector{}, false, err
 	}
-	v, known := resp.Doc, resp.Known
-	putResponse(resp)
-	return v, known, nil
+	return resp.Doc, resp.Known, nil
 }
 
 // Delete implements NodeClient.
 func (c *Client) Delete(ctx context.Context, id uint32) error {
-	req := getRequest()
-	req.Op = opDelete
-	req.ID = id
-	return c.doEmpty(ctx, req)
+	return c.doEmpty(ctx, &request{Op: opDelete, ID: id})
 }
 
 // MergeNow implements NodeClient.
-func (c *Client) MergeNow(ctx context.Context) error {
-	req := getRequest()
-	req.Op = opMerge
-	return c.doEmpty(ctx, req)
-}
+func (c *Client) MergeNow(ctx context.Context) error { return c.doEmpty(ctx, &request{Op: opMerge}) }
 
 // Flush implements NodeClient.
-func (c *Client) Flush(ctx context.Context) error {
-	req := getRequest()
-	req.Op = opFlush
-	return c.doEmpty(ctx, req)
-}
+func (c *Client) Flush(ctx context.Context) error { return c.doEmpty(ctx, &request{Op: opFlush}) }
 
 // Retire implements NodeClient.
-func (c *Client) Retire(ctx context.Context) error {
-	req := getRequest()
-	req.Op = opRetire
-	return c.doEmpty(ctx, req)
-}
+func (c *Client) Retire(ctx context.Context) error { return c.doEmpty(ctx, &request{Op: opRetire}) }
 
 // Save implements NodeClient.
-func (c *Client) Save(ctx context.Context) error {
-	req := getRequest()
-	req.Op = opSave
-	return c.doEmpty(ctx, req)
-}
+func (c *Client) Save(ctx context.Context) error { return c.doEmpty(ctx, &request{Op: opSave}) }
 
 // Stats implements NodeClient.
 func (c *Client) Stats(ctx context.Context) (node.Stats, error) {
-	req := getRequest()
-	req.Op = opStats
-	resp, err := c.do(ctx, req)
+	resp, err := c.do(ctx, &request{Op: opStats})
 	if err != nil {
 		return node.Stats{}, err
 	}
-	st := resp.Stats
-	putResponse(resp)
-	return st, nil
+	return resp.Stats, nil
 }
 
 // Broken reports whether the connection has failed terminally — every

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/gob"
 	"encoding/hex"
+	"errors"
+	"io"
 	"net"
 	"reflect"
 	"testing"
@@ -71,9 +73,21 @@ func TestOpcodeValuesStable(t *testing.T) {
 	}
 }
 
-type goldenReq struct {
-	name string
-	req  request
+// gob numbers types process-wide in order of first encoding. On a real
+// connection the client's request always goes first; fix that order for
+// this test binary, so the golden streams below do not depend on which
+// test happens to run first.
+func init() {
+	enc := gob.NewEncoder(io.Discard)
+	if err := errors.Join(enc.Encode(request{}), enc.Encode(response{})); err != nil {
+		panic(err)
+	}
+}
+
+// golden is one named canonical frame of a golden stream.
+type golden[T any] struct {
+	name  string
+	frame T
 }
 
 func goldenVec() sparse.Vector {
@@ -81,8 +95,8 @@ func goldenVec() sparse.Vector {
 }
 
 // goldenRequests is one canonical frame per opcode, in opcode order.
-func goldenRequests() []goldenReq {
-	return []goldenReq{
+func goldenRequests() []golden[request] {
+	return []golden[request]{
 		{"insert", request{Seq: 1, Op: opInsert, Vectors: []sparse.Vector{goldenVec()}}},
 		{"queryBatch", request{Seq: 2, Op: opQueryBatch, Vectors: []sparse.Vector{goldenVec()}, Deadline: 12345}},
 		{"queryTopK", request{Seq: 3, Op: opQueryTopK, Vectors: []sparse.Vector{goldenVec()}, K: 7}},
@@ -136,39 +150,121 @@ const goldenStream = "" +
 	"01fef43f011201ffc8000009ff80010c010c02630028ff80010d010b01010102" +
 	"01050102fee03ffed03f0003010201f8cdccccccccccec3f010a02010000"
 
-// TestWireFramesGolden re-encodes the canonical frame sequence and
-// requires the byte-exact golden stream, then decodes the golden bytes
-// back and requires the canonical requests — so both directions of the
-// frame layout are pinned.
-func TestWireFramesGolden(t *testing.T) {
-	reqs := goldenRequests()
+// goldenStats is a node.Stats with every field set to a distinct nonzero
+// value — by reflection, so a field appended to the struct joins the
+// golden stream (as an append to its bytes) without this function being
+// remembered.
+func goldenStats(t testing.TB) node.Stats {
+	var st node.Stats
+	v := reflect.ValueOf(&st).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(i + 1))
+		case reflect.Uint64:
+			f.SetUint(uint64(i + 1))
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.String:
+			f.SetString("disk full")
+		default:
+			t.Fatalf("node.Stats.%s has kind %v; teach goldenStats to set it", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	return st
+}
+
+// goldenResponses is one canonical frame per response code, then one per
+// payload field: the ids of an insert, the answer lists of a search (one
+// of them empty), the retired TopK field, a Stats with every field set,
+// and a Doc answer.
+func goldenResponses(t testing.TB) []golden[response] {
+	return []golden[response]{
+		{"ok", response{Seq: 1}},
+		{"full", response{Seq: 2, Code: codeFull}},
+		{"error", response{Seq: 3, Code: codeError, Err: "transport: unknown op 99"}},
+		{"notFound", response{Seq: 4, Code: codeNotFound}},
+		{"ids", response{Seq: 5, IDs: []uint32{0, 1, 7}}},
+		{"results", response{Seq: 6, Results: [][]core.Neighbor{
+			{{ID: 3, Dist: 0.25}, {ID: 9, Dist: 0.5}}, nil, {{ID: 1, Dist: 1.25}}}}},
+		{"topK", response{Seq: 7, TopK: []core.Neighbor{{ID: 2, Dist: 0.75}}}},
+		{"stats", response{Seq: 8, Stats: goldenStats(t)}},
+		{"doc", response{Seq: 9, Doc: goldenVec(), Known: true}},
+	}
+}
+
+// goldenRespStream is goldenStream's counterpart for the other direction:
+// the byte-exact gob encoding of goldenResponses on one encoder, as
+// serveConn writes them. It pins the response struct, the response codes
+// and node.Stats — which rides inside every frame's type descriptor and
+// grows by appended fields — so a renamed, retyped or reordered field on
+// either struct is a diff here.
+const goldenRespStream = "" +
+	"6dff8b03010108726573706f6e736501ff8c0001090103536571010600010443" +
+	"6f64650106000103457272010c00010349447301ff84000107526573756c7473" +
+	"01ff92000104546f704b01ff90000105537461747301ff94000103446f6301ff" +
+	"820001054b6e6f776e010200000016ff83020101085b5d75696e74333201ff84" +
+	"000106000020ff91020101115b5d5b5d636f72652e4e65696768626f7201ff92" +
+	"0001ff9000000dff8f020102ff900001ff8e000026ff8d030101084e65696768" +
+	"626f7201ff8e000102010249440106000104446973740108000000fe0158ff93" +
+	"03010105537461747301ff9400011401095374617469634c656e010400010844" +
+	"656c74614c656e01040001084361706163697479010400010744656c65746564" +
+	"01040001064d6572676573010400010d4d65726765496e466c69676874010200" +
+	"01104d6572676550656e64696e67526f7773010400010c4c6173744d65726765" +
+	"447572010400010c546f74616c4d657267654e530104000108496e736572744e" +
+	"53010400010b4d656d6f72794279746573010400010a50657273697374457272" +
+	"010c00010e5365617263686573536572766564010600010d496e736572747353" +
+	"6572766564010600010d44656c65746573536572766564010600010e57414c41" +
+	"7070656e645035304e53010400010e57414c417070656e645039394e53010400" +
+	"010d57414c4673796e635035304e53010400010d57414c4673796e635039394e" +
+	"53010400010b46616d696c794279746573010400000026ff8103010106566563" +
+	"746f7201ff82000102010349647801ff8400010356616c01ff8600000017ff85" +
+	"020101095b5d666c6f6174333201ff86000108000009ff8c010106000100000b" +
+	"ff8c01020101050001000025ff8c0103010201187472616e73706f72743a2075" +
+	"6e6b6e6f776e206f7020393904000100000bff8c0104010305000100000eff8c" +
+	"01050303000107030001000023ff8c0106040302010301fed03f00010901fee0" +
+	"3f000001010101fef43f00020001000012ff8c01070501010201fee83f000100" +
+	"0100003aff8c0108060102010401060108010a0101010e011001120114011601" +
+	"096469736b2066756c6c010d010e010f012001220124012601280001000017ff" +
+	"8c0109060001010201050102fee03ffed03f00010100"
+
+// checkGolden encodes frames on one encoder and requires the byte-exact
+// golden stream, then decodes the golden bytes back into fresh values of
+// the same type and requires the canonical frames — so both directions of
+// the layout are pinned.
+func checkGolden[T any](t *testing.T, stream string, frames []golden[T]) {
+	t.Helper()
 	var buf bytes.Buffer
 	enc := gob.NewEncoder(&buf)
-	for _, tc := range reqs {
-		if err := enc.Encode(tc.req); err != nil {
+	for _, g := range frames {
+		if err := enc.Encode(g.frame); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got := hex.EncodeToString(buf.Bytes())
-	if got != goldenStream {
+	if got := hex.EncodeToString(buf.Bytes()); got != stream {
 		t.Fatalf("wire frame encoding changed; this breaks mixed-version clusters.\ngot:  %s\nwant: %s",
-			got, goldenStream)
+			got, stream)
 	}
-
-	raw, err := hex.DecodeString(goldenStream)
+	raw, err := hex.DecodeString(stream)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dec := gob.NewDecoder(bytes.NewReader(raw))
-	for _, tc := range reqs {
-		var back request
+	for _, g := range frames {
+		var back T
 		if err := dec.Decode(&back); err != nil {
-			t.Fatalf("%s: decoding golden bytes: %v", tc.name, err)
+			t.Fatalf("%s: decoding golden bytes: %v", g.name, err)
 		}
-		if !reflect.DeepEqual(back, tc.req) {
-			t.Fatalf("%s: golden bytes decode to %+v, want %+v", tc.name, back, tc.req)
+		if !reflect.DeepEqual(back, g.frame) {
+			t.Fatalf("%s: golden bytes decode to %+v, want %+v", g.name, back, g.frame)
 		}
 	}
+}
+
+// TestWireFramesGolden pins both frame structs to their golden streams.
+func TestWireFramesGolden(t *testing.T) {
+	t.Run("request", func(t *testing.T) { checkGolden(t, goldenStream, goldenRequests()) })
+	t.Run("response", func(t *testing.T) { checkGolden(t, goldenRespStream, goldenResponses(t)) })
 }
 
 // TestSearchIdenticalAcrossTransports is the mixed-path satellite: the

@@ -35,6 +35,11 @@ var ErrFull = node.ErrFull
 // can distinguish a no-op from a real tombstone.
 var ErrNotFound = node.ErrNotFound
 
+// ErrInvalidVector is returned (wrapped) by Insert, Search and SearchBatch
+// for a vector the index cannot address: a column at or past Config.Dim,
+// or index and value slices of different lengths.
+var ErrInvalidVector = sparse.ErrInvalid
+
 // ErrNotDurable is returned (possibly wrapped) by Save on an index
 // configured without a data directory.
 var ErrNotDurable = node.ErrNotDurable

@@ -70,6 +70,55 @@ func TestStoreRejectsEmptyDoc(t *testing.T) {
 	}
 }
 
+// TestRejectsVectorsOutsideDim: a vector naming a column at or past Dim, or
+// carrying more indexes than values, is refused with ErrInvalidVector on
+// every path — Store, a scatter Cluster (the nodes refuse it) and a
+// partitioned one (the router would hash it first) — instead of indexing
+// out of range in the hash family; the index then keeps serving.
+func TestRejectsVectorsOutsideDim(t *testing.T) {
+	cfg := smallConfig()
+	docs := SyntheticTweets(40, cfg.Dim, 3)
+	outside := Vector{Idx: []uint32{1, uint32(cfg.Dim) + 150}, Val: []float32{0.6, 0.8}}
+	ragged := Vector{Idx: []uint32{1, 2, 3}, Val: []float32{1}}
+
+	indexes := map[string]Index{}
+	s, err := NewStore(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	indexes["store"] = s
+	for name, placement := range map[string]Placement{"scatter": PlacementScatter, "partitioned": PlacementPartitioned} {
+		ccfg := cfg
+		ccfg.Placement = placement
+		c, err := NewCluster(2, 0, ccfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		indexes[name] = c
+	}
+	for name, ix := range indexes {
+		t.Cleanup(func() { ix.Close() })
+		if _, err := ix.Insert(bg, docs); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, bad := range []Vector{outside, ragged} {
+			if _, err := ix.Search(bg, bad); !errors.Is(err, ErrInvalidVector) {
+				t.Errorf("%s: Search(%v) = %v, want ErrInvalidVector", name, bad, err)
+			}
+			if _, _, err := ix.SearchBatch(bg, []Vector{docs[0], bad}); !errors.Is(err, ErrInvalidVector) {
+				t.Errorf("%s: SearchBatch with %v = %v, want ErrInvalidVector", name, bad, err)
+			}
+			if _, err := ix.Insert(bg, []Vector{docs[1], bad}); !errors.Is(err, ErrInvalidVector) {
+				t.Errorf("%s: Insert with %v = %v, want ErrInvalidVector", name, bad, err)
+			}
+		}
+		res, err := ix.Search(bg, docs[0])
+		if err != nil || len(res.Matches) == 0 {
+			t.Errorf("%s: search after refused vectors: %v, %d matches", name, err, len(res.Matches))
+		}
+	}
+}
+
 func TestStoreCapacity(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Capacity = 100

@@ -9,11 +9,9 @@
 #   scripts/soak.sh -duration 5m -slo-search-p99 100ms   # tighter, longer
 #
 # All arguments are passed through to plsh-soak (see -h for the full
-# set). The JSON report lands in benchmarks/soak-latest.json and the
-# stdout bench lines in benchmarks/soak-latest.txt, which pipes through
-# plsh-bench2json into benchmarks/soak-latest-bench.json so
-# soak_search_p999_ns and soak_error_rate sit next to the
-# microbenchmark snapshots.
+# set). The JSON report (latency quantiles, error rate, recall, fault and
+# coordinator counters) lands in benchmarks/soak-latest.json and the
+# harness's stdout summary in benchmarks/soak-latest.txt.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,7 +22,6 @@ go build -o "$bin" ./cmd/plsh-soak
 
 status=0
 "$bin" -report benchmarks/soak-latest.json "$@" | tee benchmarks/soak-latest.txt || status=$?
-go run ./cmd/plsh-bench2json < benchmarks/soak-latest.txt > benchmarks/soak-latest-bench.json
 if [ "$status" -ne 0 ]; then
   echo "soak FAILED (exit $status); see benchmarks/soak-latest.json" >&2
   exit "$status"

@@ -4,9 +4,8 @@
 #   1. go vet          — the toolchain's standard checks
 #   2. gofmt           — formatting drift fails, never auto-fixes
 #   3. plsh-vet        — the custom invariant suite (internal/analysis):
-#                        poolzero, releasecheck, ctxcheck, wireop,
-#                        atomicsnap, snapfreeze, lockorder, walorder
-#                        over every non-test package; analyzers run in
+#                        ctxcheck, snapfreeze, lockorder, walorder over
+#                        every non-test package; analyzers run in
 #                        parallel and per-analyzer wall time is printed
 #   4. benchmark suite — benchmarks/suite is its own module (the benchmark
 #                        contract builds it from a bare checkout), so
