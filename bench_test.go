@@ -523,11 +523,9 @@ func BenchmarkFig11DeltaFill(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			n := benchNode(b, cfg.staticN, cfg.deltaN)
 			search := func(qs []sparse.Vector) {
-				res, err := n.SearchBatch(bg, qs, node.SearchParams{})
-				if err != nil {
+				if _, err := n.SearchBatch(bg, qs, node.SearchParams{}); err != nil {
 					b.Fatal(err)
 				}
-				n.ReleaseResults(res)
 			}
 			search(f.queries[:32])
 			b.ResetTimer()
@@ -549,7 +547,7 @@ func benchNode(b *testing.B, staticN, deltaN int) *node.Node {
 		Build:     core.Defaults(),
 		Query:     core.QueryDefaults(),
 	}
-	n, err := node.New(cfg)
+	n, err := node.Open(bg, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -588,7 +586,7 @@ func BenchmarkQueryDuringMerge(b *testing.B) {
 		Build:     core.Defaults(),
 		Query:     core.QueryDefaults(),
 	}
-	n, err := node.New(cfg)
+	n, err := node.Open(bg, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

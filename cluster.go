@@ -322,9 +322,7 @@ func (cl *Cluster) SearchBatch(ctx context.Context, qs []Vector, opts ...SearchO
 	if err != nil {
 		return nil, report, err
 	}
-	out := resultsFromCluster(res)
-	cl.c.ReleaseResults(res) // results fully copied into out's Match arena
-	return out, report, nil
+	return resultsFromCluster(res), report, nil
 }
 
 // Delete removes a document by its global ID from every member of its

@@ -90,7 +90,7 @@ func main() {
 	query := core.QueryDefaults()
 	query.Radius = *radius
 	query.Workers = *workers
-	n, err := node.New(node.Config{
+	n, err := node.Open(context.Background(), node.Config{
 		Params:        lshhash.Params{Dim: *dim, K: *k, M: *m, Seed: *seed},
 		Capacity:      *capacity,
 		DeltaFraction: *eta,

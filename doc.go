@@ -85,12 +85,12 @@
 //     recover every acknowledged document (Save checkpoints on demand;
 //     see DESIGN.md for the on-disk format);
 //   - runtime observability for long-running deployments: Stats carries
-//     each node's served-operation counters (SearchesServed,
-//     InsertsServed, DeletesServed) and its WAL write/fsync latency
-//     quantiles, and Cluster.CoordStats counts the coordinator's
-//     failovers, hedges launched/won, and group failures — the numbers
-//     the SLO-gated soak harness (cmd/plsh-soak, scripts/soak.sh)
-//     checks against injected faults.
+//     each node's served-operation counters (SearchesServed — every
+//     query answered, single or batched — InsertsServed, DeletesServed)
+//     and its WAL write/fsync latency quantiles, and Cluster.CoordStats
+//     counts the coordinator's failovers, hedges launched/won, and group
+//     failures — the numbers the SLO-gated soak harness (cmd/plsh-soak,
+//     scripts/soak.sh) checks against injected faults.
 //
 // Every operation takes a context.Context end to end — public API,
 // coordinator, transport, node — so deadlines and cancellation abort a

@@ -37,7 +37,7 @@ func serveBackend(t *testing.T, backend transport.NodeClient) string {
 // startTestNode serves a fresh node over TCP on an ephemeral port.
 func startTestNode(t *testing.T, capacity int) string {
 	t.Helper()
-	n, err := node.New(node.Config{
+	n, err := node.Open(bg, node.Config{
 		Params:   lshhash.Params{Dim: 2000, K: 8, M: 6, Seed: 42},
 		Capacity: capacity,
 		Build:    core.Defaults(),

@@ -36,6 +36,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -250,33 +251,11 @@ type Cluster struct {
 	hedgesLaunched atomic.Uint64 // attempts launched by the hedge timer
 	hedgesWon      atomic.Uint64 // hedged attempts whose answer won the group
 	groupFailures  atomic.Uint64 // groups that exhausted every replica
-
-	// batchPool recycles Search answer buffers (the [][]Neighbor and the
-	// per-query backing arrays inside) between broadcasts; see
-	// ReleaseResults for the ownership contract.
-	batchPool sync.Pool
 }
 
-// New builds a single-copy coordinator (Replicas = 1) over the given
-// nodes with an insert window of windowM nodes (paper: M=4 of 100).
-func New(ctx context.Context, nodes []transport.NodeClient, windowM int) (*Cluster, error) {
-	return NewReplicated(ctx, nodes, windowM, 1)
-}
-
-// NewReplicated builds a coordinator that arranges the endpoints into
-// len(nodes)/replicas groups of replicas mirrored members each — members
-// of one group are adjacent (group-major), and windowM counts groups.
-// len(nodes) must be divisible by replicas. Group capacities are read
-// from member Stats, in parallel, under ctx: a group's capacity is its
-// smallest member's, and its occupancy the largest member's, so a drifted
-// fleet is never over-filled.
-func NewReplicated(ctx context.Context, nodes []transport.NodeClient, windowM, replicas int) (*Cluster, error) {
-	return NewWithOptions(ctx, nodes, Options{WindowM: windowM, Replicas: replicas})
-}
-
-// Options configures a coordinator beyond the basic replicated layout.
-// The zero value reproduces New's defaults: scatter placement, one
-// replica per group, a window of min(4, groups).
+// Options configures a coordinator. The zero value is the paper's
+// layout: scatter placement, one replica per group, a window of
+// min(4, groups) (paper: M=4 of 100).
 type Options struct {
 	// WindowM is the rolling insert window width, in groups; out-of-range
 	// values fall back to min(4, groups). Unused under partitioned
@@ -293,8 +272,13 @@ type Options struct {
 	Router *Router
 }
 
-// NewWithOptions builds a coordinator under opts; see NewReplicated for
-// the layout and capacity-discovery rules it shares.
+// NewWithOptions builds a coordinator that arranges the endpoints into
+// len(nodes)/Replicas groups of Replicas mirrored members each — members
+// of one group are adjacent (group-major), and WindowM counts groups.
+// len(nodes) must be divisible by Replicas. Group capacities are read
+// from member Stats, in parallel, under ctx: a group's capacity is its
+// smallest member's, and its occupancy the largest member's, so a drifted
+// fleet is never over-filled.
 func NewWithOptions(ctx context.Context, nodes []transport.NodeClient, opts Options) (*Cluster, error) {
 	if len(nodes) == 0 {
 		return nil, errors.New("cluster: no nodes")
@@ -623,9 +607,6 @@ func (c *Cluster) insertPartitioned(ctx context.Context, vs []sparse.Vector) ([]
 // insert, and the batch may then be held by some members but not others —
 // the drift Insert's *InsertError makes visible to the caller.
 func (c *Cluster) insertGroup(ctx context.Context, g int, vs []sparse.Vector) ([]uint32, error) {
-	if c.r == 1 {
-		return c.member(g, 0).Insert(ctx, vs)
-	}
 	perMember := make([][]uint32, c.r)
 	errs := make([]error, c.r)
 	var wg sync.WaitGroup
@@ -701,7 +682,7 @@ func (c *Cluster) advanceWindow(ctx context.Context) error {
 }
 
 // resyncUsed refreshes a group's occupancy as the maximum over every
-// member that answers — the same rule NewReplicated applies, and it only
+// member that answers — the same rule NewWithOptions applies, and it only
 // matters here, on the drift path, where mirrors disagree: counting the
 // emptiest member would keep the group looking insertable while its
 // fullest member keeps rejecting.
@@ -729,55 +710,25 @@ type attemptResult struct {
 }
 
 // searchGroup answers one group's share of a broadcast through its
-// failover/hedge state machine: the sub-query goes to the preferred
-// replica (rotated across searches for load spread); a failure launches
-// the next replica; with opts.Hedge set, a replica that is merely slow is
-// raced by the next one after the hedge delay and the first complete
-// answer wins. Losers are canceled on resolution. The group fails only
-// when every replica has been tried and failed. On success the winning
-// member's client is returned alongside its answer so the caller can hand
-// the answer buffers back to it (transport.Releaser) after the merge; the
-// attempt trace is recorded only under opts.Trace.
-func (c *Cluster) searchGroup(ctx context.Context, g int, qs []sparse.Vector, p node.SearchParams, opts BatchOptions) ([][]core.Neighbor, transport.NodeClient, []Attempt, error) {
-	if c.r == 1 && opts.Hedge <= 0 {
-		// Single-copy fast path: no failover state machine to run, so the
-		// member is called inline — no extra goroutine, channel, or cancel
-		// context per group.
-		actx := ctx
-		if opts.PerNodeTimeout > 0 {
-			var acancel context.CancelFunc
-			actx, acancel = context.WithTimeout(ctx, opts.PerNodeTimeout)
-			defer acancel()
-		}
-		member := c.member(g, 0)
-		t0 := time.Now()
-		res, err := member.Search(actx, qs, p)
-		var attempts []Attempt
-		if opts.Trace {
-			attempts = []Attempt{{Group: g, Node: g, Won: err == nil, Time: time.Since(t0), Err: err}}
-		}
-		if err != nil {
-			c.groupFailures.Add(1)
-			return nil, nil, attempts, err
-		}
-		return res, member, attempts, nil
-	}
+// failover/hedge state machine — the only read path of a group, whatever
+// the replica count: the sub-query goes to the preferred replica (rotated
+// across searches for load spread); a failure launches the next replica;
+// with opts.Hedge set, a replica that is merely slow is raced by the next
+// one after the hedge delay and the first complete answer wins. Losers
+// are canceled on resolution and whatever they answer later is garbage.
+// The group fails only when every replica has been tried and failed — on
+// the first error when it has one member, which also never arms the
+// hedge. The attempt trace is recorded only under opts.Trace.
+func (c *Cluster) searchGroup(ctx context.Context, g int, qs []sparse.Vector, p node.SearchParams, opts BatchOptions) ([][]core.Neighbor, []Attempt, error) {
 	gctx, cancel := context.WithCancel(ctx)
 	defer cancel() // reap the losing attempts once the group resolves
-	order := make([]int, c.r)
-	pref := 0
-	if c.r > 1 {
-		pref = int(c.rr.Add(1)-1) % c.r
-	}
-	for j := range order {
-		order[j] = (pref + j) % c.r
-	}
+	pref := int((c.rr.Add(1) - 1) % uint32(c.r))
 	// Buffered to the maximum attempt count: a late loser's send never
 	// blocks, so no goroutine outlives the group unobserved.
 	results := make(chan attemptResult, c.r)
 	next, inflight := 0, 0
 	launch := func(hedged bool) {
-		replica := order[next]
+		replica := (pref + next) % c.r
 		next++
 		inflight++
 		go func() {
@@ -800,41 +751,31 @@ func (c *Cluster) searchGroup(ctx context.Context, g int, qs []sparse.Vector, p 
 		hedgeC = timer.C
 	}
 	var attempts []Attempt
-	record := func(a Attempt) {
-		if opts.Trace {
-			attempts = append(attempts, a)
-		}
-	}
-	var lastErr error
 	for {
 		select {
 		case ar := <-results:
 			inflight--
-			a := Attempt{
-				Group: g, Replica: ar.replica, Node: c.nodeIndex(g, ar.replica),
-				Hedged: ar.hedged, Time: ar.dur, Err: ar.err,
+			if opts.Trace {
+				attempts = append(attempts, Attempt{
+					Group: g, Replica: ar.replica, Node: c.nodeIndex(g, ar.replica),
+					Hedged: ar.hedged, Won: ar.err == nil, Time: ar.dur, Err: ar.err,
+				})
 			}
 			if ar.err == nil {
-				a.Won = true
-				record(a)
 				if ar.hedged {
 					c.hedgesWon.Add(1)
 				}
-				c.drainAttempts(g, inflight, results)
-				return ar.res, c.member(g, ar.replica), attempts, nil
+				return ar.res, attempts, nil
 			}
-			record(a)
-			lastErr = ar.err
 			if err := ctx.Err(); err != nil {
-				c.drainAttempts(g, inflight, results)
-				return nil, nil, attempts, err // the caller gave up; failing over is pointless
+				return nil, attempts, err // the caller gave up; failing over is pointless
 			}
 			if next < c.r {
 				c.failovers.Add(1)
 				launch(false) // failover to the next replica
 			} else if inflight == 0 {
 				c.groupFailures.Add(1)
-				return nil, nil, attempts, lastErr // every replica tried and failed
+				return nil, attempts, ar.err // every replica tried and failed
 			}
 		case <-hedgeC:
 			hedgeC = nil // one hedge per group
@@ -843,37 +784,9 @@ func (c *Cluster) searchGroup(ctx context.Context, g int, qs []sparse.Vector, p 
 				launch(true)
 			}
 		case <-ctx.Done():
-			c.drainAttempts(g, inflight, results)
-			return nil, nil, attempts, ctx.Err()
+			return nil, attempts, ctx.Err()
 		}
 	}
-}
-
-// drainAttempts reaps the attempts still in flight when a group resolves
-// early — a winner returned, or the caller gave up — so a late loser's
-// successful answer is not stranded unread in the results channel with
-// its pooled buffers checked out forever. Sends into results are buffered
-// to the maximum attempt count, so the drain runs asynchronously: it
-// receives exactly inflight more outcomes and hands each successful
-// answer back to its member's pool. In-process members implement
-// transport.Releaser; remote clients' results are plain GC memory and
-// need no release. The group context is canceled as searchGroup returns,
-// so losers finish promptly and the drain goroutine is bounded by the
-// slowest outstanding attempt.
-func (c *Cluster) drainAttempts(g, inflight int, results <-chan attemptResult) {
-	if inflight == 0 {
-		return
-	}
-	go func() {
-		for i := 0; i < inflight; i++ {
-			ar := <-results
-			if ar.err == nil && ar.res != nil {
-				if rel, ok := c.member(g, ar.replica).(transport.Releaser); ok {
-					rel.ReleaseResults(ar.res)
-				}
-			}
-		}
-	}()
 }
 
 // probeRef locates one (query, group) probe's answer: group g's
@@ -884,18 +797,16 @@ type probeRef struct {
 }
 
 // groupPlan is one group's share of a Search call: the sub-batch it is
-// sent (empty = not contacted), then the answer and the member that gave
-// it.
+// sent (empty = not contacted), then the answer.
 type groupPlan struct {
-	sub    []sparse.Vector
-	res    [][]core.Neighbor
-	winner transport.NodeClient
+	sub []sparse.Vector
+	res [][]core.Neighbor
 }
 
 // searchPlan is the per-call state of Search, a local of that call: the
 // per-group shares and the flat probe-ref arena that maps answers back to
-// query positions. It aliases the caller's queries and the nodes' answer
-// buffers, so it lives exactly as long as the request does.
+// query positions. It aliases the caller's queries and holds the groups'
+// answers, so it lives exactly as long as the request does.
 type searchPlan struct {
 	groups []groupPlan
 	refs   []probeRef
@@ -1025,7 +936,7 @@ func (c *Cluster) Search(ctx context.Context, qs []sparse.Vector, p node.SearchP
 		go func(g int) {
 			defer wg.Done()
 			t0 := time.Now()
-			r, winner, atts, err := c.searchGroup(bctx, g, groups[g].sub, sp, opts)
+			r, atts, err := c.searchGroup(bctx, g, groups[g].sub, sp, opts)
 			report.Times[g] = time.Since(t0)
 			if opts.Trace {
 				attempts[g] = atts
@@ -1037,23 +948,13 @@ func (c *Cluster) Search(ctx context.Context, qs []sparse.Vector, p node.SearchP
 				}
 				return
 			}
-			groups[g].res, groups[g].winner = r, winner
+			groups[g].res = r
 		}(g)
 	}
 	wg.Wait()
 	for _, atts := range attempts {
 		report.Attempts = append(report.Attempts, atts...)
 	}
-	// Whatever happens below, answered groups' result buffers go back to
-	// the members that produced them (a no-op for transports that don't
-	// pool) once the merge has copied what it needs.
-	defer func() {
-		for _, gp := range groups {
-			if rel, ok := gp.winner.(transport.Releaser); ok && gp.res != nil {
-				rel.ReleaseResults(gp.res)
-			}
-		}
-	}()
 	if err := ctx.Err(); err != nil {
 		return nil, report, err
 	}
@@ -1078,67 +979,48 @@ func (c *Cluster) Search(ctx context.Context, qs []sparse.Vector, p node.SearchP
 	if firstErr != nil && (!opts.Partial || answered == 0) {
 		return nil, report, firstErr
 	}
-	// Merge into recycled per-query buffers: each out entry keeps the
-	// backing capacity it grew to in earlier batches, so a warmed
-	// coordinator merges a batch without allocating result storage. The
-	// caller may hand the batch back with ReleaseResults once done.
-	out := c.getBatchOut(len(qs))
+	// Every merged list is carved from one arena. Each answer list belongs
+	// to one query, and a query emits at most its k best, so the lists'
+	// total length — or k a query, when that is less — bounds the arena. The
+	// comparison divides: k is the caller's and len(qs)*k may overflow.
+	size := 0
+	for _, gp := range groups {
+		for _, list := range gp.res {
+			size += len(list)
+		}
+	}
+	k := math.MaxInt // unbounded: a full ordered merge
+	if p.K > 0 {
+		k = p.K
+		if size > 0 && k <= size/len(qs) {
+			size = len(qs) * k
+		}
+	}
+	out := make([][]Neighbor, len(qs))
+	arena := make([]Neighbor, 0, size)
 	ms := mergeState{cursors: make([]topkCursor, 0, c.groups), h: make(topkHeap, 0, c.groups)}
 	for qi := range qs {
 		ms.cursors = ms.cursors[:0]
-		total := 0
 		for _, ref := range plan.refs[plan.offs[qi]:plan.offs[qi+1]] {
-			lists := groups[ref.g].res
-			if lists == nil || len(lists[ref.j]) == 0 {
-				continue
+			if lists := groups[ref.g].res; lists != nil && len(lists[ref.j]) > 0 {
+				ms.cursors = append(ms.cursors, topkCursor{group: int(ref.g), list: lists[ref.j]})
 			}
-			ms.cursors = append(ms.cursors, topkCursor{group: int(ref.g), list: lists[ref.j]})
-			total += len(lists[ref.j])
 		}
-		if total == 0 {
-			continue
-		}
-		k := p.K
-		if k <= 0 {
-			k = total // unbounded: a full ordered merge
-		}
-		out[qi] = ms.mergeAppend(out[qi][:0], k)
+		base := len(arena)
+		arena = ms.mergeAppend(arena, k)
+		out[qi] = arena[base:len(arena):len(arena)]
 	}
 	c.searches.Add(1)
 	c.queriesServed.Add(uint64(len(qs)))
 	return out, report, nil
 }
 
-// getBatchOut fetches a recycled broadcast answer buffer of exactly nq
-// entries, each truncated to length 0 but keeping its grown capacity.
-func (c *Cluster) getBatchOut(nq int) [][]Neighbor {
-	var out [][]Neighbor
-	if p, _ := c.batchPool.Get().(*[][]Neighbor); p != nil {
-		out = *p
-	}
-	for cap(out) < nq {
-		out = append(out[:cap(out)], nil)
-	}
-	out = out[:nq]
-	for i := range out {
-		out[i] = out[i][:0]
-	}
-	return out
-}
-
-// ReleaseResults recycles a batch answer returned by Search. It is
-// optional — an un-released batch is simply garbage collected — but a
-// caller that releases once per batch, after it has finished reading
-// every entry, lets the coordinator reuse the buffers for the next
-// broadcast. The caller must not touch the slices afterwards and must
-// not release a batch twice. Neighbors hold no pointers, so recycling
-// retains no document memory.
-func (c *Cluster) ReleaseResults(out [][]Neighbor) {
-	if out == nil {
-		return
-	}
-	c.batchPool.Put(&out)
-}
+// ReleaseResults does nothing: a Search answer is an ordinary value its
+// caller owns, and nothing is handed back. The method exists only because
+// benchmarks/suite/ladder.go calls it at three sites and a PR outside the
+// benchmark's own may not edit that directory; the next benchmark PR
+// deletes those calls and this method together (ROADMAP item 5).
+func (c *Cluster) ReleaseResults([][]Neighbor) {}
 
 // Doc fetches the stored vector for a global ID from the group that holds
 // it — any live member, failing over to the next on a transport error —
@@ -1237,9 +1119,6 @@ func (c *Cluster) Delete(ctx context.Context, gid uint64) error {
 	group, local := SplitGlobalID(gid)
 	if group < 0 || group >= c.groups {
 		return fmt.Errorf("cluster: no group %d: %w", group, node.ErrNotFound)
-	}
-	if c.r == 1 {
-		return c.member(group, 0).Delete(ctx, local)
 	}
 	errs := make([]error, c.r)
 	var wg sync.WaitGroup

@@ -8,6 +8,7 @@ import (
 
 	"plsh/internal/core"
 	"plsh/internal/corpus"
+	"plsh/internal/lshhash"
 	"plsh/internal/node"
 	"plsh/internal/sparse"
 	"plsh/internal/transport"
@@ -15,11 +16,27 @@ import (
 
 var bg = context.Background()
 
+// realNode builds a real in-process node, so the fault tests race real
+// answers rather than a fake's empty ones.
+func realNode(t *testing.T, capacity int) *node.Node {
+	t.Helper()
+	n, err := node.Open(bg, node.Config{
+		Params:   lshhash.Params{Dim: 2000, K: 8, M: 6, Seed: 42},
+		Capacity: capacity,
+		Build:    core.Defaults(),
+		Query:    core.QueryDefaults(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 func testNodes(t *testing.T, count, capacity int) []transport.NodeClient {
 	t.Helper()
 	out := make([]transport.NodeClient, count)
 	for i := range out {
-		out[i] = transport.NewLocal(poolNode(t, capacity))
+		out[i] = transport.NewLocal(realNode(t, capacity))
 	}
 	return out
 }
@@ -42,17 +59,14 @@ func findGlobal(ns []Neighbor, g uint64) bool {
 	return false
 }
 
-// searchOne answers one query all-or-nothing, copied out of the pooled
-// batch so the caller may keep it.
+// searchOne answers one query all-or-nothing.
 func searchOne(t *testing.T, c *Cluster, q sparse.Vector, p node.SearchParams) []Neighbor {
 	t.Helper()
 	res, _, err := c.Search(bg, []sparse.Vector{q}, p, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := append([]Neighbor(nil), res[0]...)
-	c.ReleaseResults(res)
-	return out
+	return res[0]
 }
 
 // fakeNode is a controllable NodeClient for failure-policy tests. Its
@@ -123,7 +137,7 @@ func TestGlobalIDRoundTrip(t *testing.T) {
 
 func TestInsertDistributesOverWindow(t *testing.T) {
 	nodes := testNodes(t, 6, 1000)
-	c, err := New(bg, nodes, 3)
+	c, err := NewWithOptions(bg, nodes, Options{WindowM: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +175,7 @@ func TestClusterEquivalentToSingleNode(t *testing.T) {
 	}
 
 	nodes := testNodes(t, 4, 200)
-	c, err := New(bg, nodes, 2)
+	c, err := NewWithOptions(bg, nodes, Options{WindowM: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +198,7 @@ func TestClusterEquivalentToSingleNode(t *testing.T) {
 
 func TestEveryInsertedDocFindable(t *testing.T) {
 	nodes := testNodes(t, 4, 150)
-	c, _ := New(bg, nodes, 2)
+	c, _ := NewWithOptions(bg, nodes, Options{WindowM: 2})
 	vs := testDocs(300, 5)
 	ids, err := c.Insert(bg, vs)
 	if err != nil {
@@ -203,7 +217,7 @@ func TestWindowAdvancesAndRetires(t *testing.T) {
 	// 0-1 (200), advances to 2-3 (150). Inserting 250 more fills 2-3 and
 	// wraps: nodes 0-1 retire and receive the rest.
 	nodes := testNodes(t, 4, 100)
-	c, _ := New(bg, nodes, 2)
+	c, _ := NewWithOptions(bg, nodes, Options{WindowM: 2})
 	vs := testDocs(600, 7)
 	if _, err := c.Insert(bg, vs[:350]); err != nil {
 		t.Fatal(err)
@@ -235,7 +249,7 @@ func TestWindowAdvancesAndRetires(t *testing.T) {
 
 func TestOldestDataExpires(t *testing.T) {
 	nodes := testNodes(t, 4, 100)
-	c, _ := New(bg, nodes, 2)
+	c, _ := NewWithOptions(bg, nodes, Options{WindowM: 2})
 	vs := testDocs(600, 11)
 	ids, err := c.Insert(bg, vs)
 	if err != nil {
@@ -257,7 +271,7 @@ func TestOldestDataExpires(t *testing.T) {
 
 func TestDeleteByGlobalID(t *testing.T) {
 	nodes := testNodes(t, 3, 200)
-	c, _ := New(bg, nodes, 3)
+	c, _ := NewWithOptions(bg, nodes, Options{WindowM: 3})
 	vs := testDocs(150, 13)
 	ids, _ := c.Insert(bg, vs)
 	if err := c.Delete(bg, ids[42]); err != nil {
@@ -274,7 +288,7 @@ func TestDeleteByGlobalID(t *testing.T) {
 
 func TestQueryBatchTimedReportsAllNodes(t *testing.T) {
 	nodes := testNodes(t, 5, 200)
-	c, _ := New(bg, nodes, 5)
+	c, _ := NewWithOptions(bg, nodes, Options{WindowM: 5})
 	vs := testDocs(250, 15)
 	c.Insert(bg, vs)
 	_, report, err := c.Search(bg, vs[:10], node.SearchParams{}, BatchOptions{})
@@ -301,7 +315,7 @@ func TestCanceledContextAbortsBroadcast(t *testing.T) {
 		&fakeNode{capacity: 100},
 		&fakeNode{capacity: 100, delay: time.Hour}, // would stall forever
 	}
-	c, err := New(bg, nodes, 2)
+	c, err := NewWithOptions(bg, nodes, Options{WindowM: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +339,7 @@ func TestDeadlineAbortsBroadcast(t *testing.T) {
 	nodes := []transport.NodeClient{
 		&fakeNode{capacity: 100, delay: time.Hour},
 	}
-	c, err := New(bg, nodes, 1)
+	c, err := NewWithOptions(bg, nodes, Options{WindowM: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +354,7 @@ func TestDeadlineAbortsBroadcast(t *testing.T) {
 // keeping the k best.
 func TestQueryTopKMatchesBroadcast(t *testing.T) {
 	nodes := testNodes(t, 4, 200)
-	c, _ := New(bg, nodes, 2)
+	c, _ := NewWithOptions(bg, nodes, Options{WindowM: 2})
 	vs := testDocs(400, 23)
 	if _, err := c.Insert(bg, vs); err != nil {
 		t.Fatal(err)
@@ -389,7 +403,7 @@ func clusterLess(a, b Neighbor) bool {
 
 func TestMergeAll(t *testing.T) {
 	nodes := testNodes(t, 3, 500)
-	c, _ := New(bg, nodes, 3)
+	c, _ := NewWithOptions(bg, nodes, Options{WindowM: 3})
 	vs := testDocs(90, 17)
 	c.Insert(bg, vs)
 	if err := c.MergeAll(bg); err != nil {
@@ -404,12 +418,12 @@ func TestMergeAll(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(bg, nil, 2); err == nil {
+	if _, err := NewWithOptions(bg, nil, Options{WindowM: 2}); err == nil {
 		t.Fatal("empty cluster accepted")
 	}
 	// Window clamped when out of range.
 	nodes := testNodes(t, 2, 100)
-	c, err := New(bg, nodes, 99)
+	c, err := NewWithOptions(bg, nodes, Options{WindowM: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +436,7 @@ func TestInsertLargerThanClusterWraps(t *testing.T) {
 	// Total capacity 200; inserting 250 must succeed by expiring the
 	// oldest — the cluster is a sliding window over the stream.
 	nodes := testNodes(t, 2, 100)
-	c, _ := New(bg, nodes, 1)
+	c, _ := NewWithOptions(bg, nodes, Options{WindowM: 1})
 	vs := testDocs(250, 19)
 	ids, err := c.Insert(bg, vs)
 	if err != nil {
@@ -439,7 +453,7 @@ func TestInsertLargerThanClusterWraps(t *testing.T) {
 
 func TestEmptyInsert(t *testing.T) {
 	nodes := testNodes(t, 2, 100)
-	c, _ := New(bg, nodes, 1)
+	c, _ := NewWithOptions(bg, nodes, Options{WindowM: 1})
 	ids, err := c.Insert(bg, nil)
 	if err != nil || ids != nil {
 		t.Fatalf("empty insert: %v %v", ids, err)
@@ -448,7 +462,7 @@ func TestEmptyInsert(t *testing.T) {
 
 func TestCanceledInsertRejected(t *testing.T) {
 	nodes := testNodes(t, 2, 100)
-	c, _ := New(bg, nodes, 1)
+	c, _ := NewWithOptions(bg, nodes, Options{WindowM: 1})
 	ctx, cancel := context.WithCancel(bg)
 	cancel()
 	if _, err := c.Insert(ctx, testDocs(10, 27)); !errors.Is(err, context.Canceled) {
@@ -459,7 +473,7 @@ func TestCanceledInsertRejected(t *testing.T) {
 // MergeAll drives every node static while broadcasts keep answering;
 // FlushAll is the no-force barrier and reports clean merge state after.
 func TestMergeAllNonBlockingAndFlushAll(t *testing.T) {
-	c, err := New(bg, testNodes(t, 3, 1000), 3)
+	c, err := NewWithOptions(bg, testNodes(t, 3, 1000), Options{WindowM: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,17 +15,17 @@ import (
 // divide evenly into groups, r ≤ 0 means single-copy, and the insert
 // window is clamped in group units.
 func TestNewReplicatedValidation(t *testing.T) {
-	if _, err := NewReplicated(bg, testNodes(t, 5, 100), 2, 2); err == nil {
+	if _, err := NewWithOptions(bg, testNodes(t, 5, 100), Options{WindowM: 2, Replicas: 2}); err == nil {
 		t.Fatal("5 nodes accepted for groups of 2 replicas")
 	}
-	c, err := NewReplicated(bg, testNodes(t, 4, 100), 99, 0)
+	c, err := NewWithOptions(bg, testNodes(t, 4, 100), Options{WindowM: 99, Replicas: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.Replicas() != 1 || c.NumGroups() != 4 || c.m != 4 {
 		t.Fatalf("r=0 cluster: replicas=%d groups=%d window=%d", c.Replicas(), c.NumGroups(), c.m)
 	}
-	c, err = NewReplicated(bg, testNodes(t, 6, 100), 99, 3)
+	c, err = NewWithOptions(bg, testNodes(t, 6, 100), Options{WindowM: 99, Replicas: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestNewReplicatedValidation(t *testing.T) {
 // preferred member rotates across searches.
 func TestReplicatedInsertMirrors(t *testing.T) {
 	nodes := testNodes(t, 4, 1000) // 2 groups × 2 replicas
-	c, err := NewReplicated(bg, nodes, 2, 2)
+	c, err := NewWithOptions(bg, nodes, Options{WindowM: 2, Replicas: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestReplicatedInsertMirrors(t *testing.T) {
 func TestReplicatedSearchFailsOver(t *testing.T) {
 	down := &fakeNode{capacity: 100, err: errors.New("replica down")}
 	up := &fakeNode{capacity: 100}
-	c, err := NewReplicated(bg, []transport.NodeClient{down, up}, 1, 2)
+	c, err := NewWithOptions(bg, []transport.NodeClient{down, up}, Options{WindowM: 1, Replicas: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestReplicatedSearchFailsOver(t *testing.T) {
 func TestHedgeRacesSlowReplica(t *testing.T) {
 	slow := &fakeNode{capacity: 100, delay: time.Hour}
 	fast := &fakeNode{capacity: 100}
-	c, err := NewReplicated(bg, []transport.NodeClient{slow, fast}, 1, 2)
+	c, err := NewWithOptions(bg, []transport.NodeClient{slow, fast}, Options{WindowM: 1, Replicas: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestHedgeRacesSlowReplica(t *testing.T) {
 
 	// Without replicas to race, the hedge is inert and the slow node
 	// stalls the search until its deadline.
-	single, err := NewReplicated(bg, []transport.NodeClient{&fakeNode{capacity: 100, delay: time.Hour}}, 1, 1)
+	single, err := NewWithOptions(bg, []transport.NodeClient{&fakeNode{capacity: 100, delay: time.Hour}}, Options{WindowM: 1, Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestInsertErrorReportsPlaced(t *testing.T) {
 	cause := errors.New("node down mid-batch")
 	real := testNodes(t, 1, 1000)[0]
 	nodes := []transport.NodeClient{real, &fakeNode{capacity: 1000, err: cause}}
-	c, err := New(bg, nodes, 2)
+	c, err := NewWithOptions(bg, nodes, Options{WindowM: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestInsertErrorReportsPlaced(t *testing.T) {
 func TestPartialFullGroupIsDriftNotRetry(t *testing.T) {
 	okMember := &fakeNode{capacity: 100}
 	fullMember := &fakeNode{capacity: 100, err: node.ErrFull}
-	c, err := NewReplicated(bg, []transport.NodeClient{okMember, fullMember}, 1, 2)
+	c, err := NewWithOptions(bg, []transport.NodeClient{okMember, fullMember}, Options{WindowM: 1, Replicas: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestPartialFullGroupIsDriftNotRetry(t *testing.T) {
 // member of the group, so the document stays gone no matter which replica
 // serves the next search; never-inserted IDs stay ErrNotFound.
 func TestReplicatedDeleteReachesAllMirrors(t *testing.T) {
-	c, err := NewReplicated(bg, testNodes(t, 2, 500), 1, 2)
+	c, err := NewWithOptions(bg, testNodes(t, 2, 500), Options{WindowM: 1, Replicas: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestReplicatedDeleteReachesAllMirrors(t *testing.T) {
 // failure of every member is an error.
 func TestDocFailsOverToSibling(t *testing.T) {
 	// Real pair: the doc comes back from a replicated group.
-	c, err := NewReplicated(bg, testNodes(t, 2, 500), 1, 2)
+	c, err := NewWithOptions(bg, testNodes(t, 2, 500), Options{WindowM: 1, Replicas: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,10 +317,10 @@ func TestDocFailsOverToSibling(t *testing.T) {
 	}
 
 	// One dead member: the sibling answers authoritatively.
-	mixed, err := NewReplicated(bg, []transport.NodeClient{
+	mixed, err := NewWithOptions(bg, []transport.NodeClient{
 		&fakeNode{capacity: 100, err: errors.New("down")},
 		&fakeNode{capacity: 100},
-	}, 1, 2)
+	}, Options{WindowM: 1, Replicas: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,10 +329,10 @@ func TestDocFailsOverToSibling(t *testing.T) {
 	}
 
 	// Every member dead: an error, not a silent unknown.
-	dead, err := NewReplicated(bg, []transport.NodeClient{
+	dead, err := NewWithOptions(bg, []transport.NodeClient{
 		&fakeNode{capacity: 100, err: errors.New("down")},
 		&fakeNode{capacity: 100, err: errors.New("down")},
-	}, 1, 2)
+	}, Options{WindowM: 1, Replicas: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestDocFailsOverToSibling(t *testing.T) {
 func TestReplicatedWindowRetiresWholeGroups(t *testing.T) {
 	// 2 groups × 2 replicas, 100 docs/group capacity, window 1 group:
 	// 300 docs force a wrap through both groups and back onto group 0.
-	c, err := NewReplicated(bg, testNodes(t, 4, 100), 1, 2)
+	c, err := NewWithOptions(bg, testNodes(t, 4, 100), Options{WindowM: 1, Replicas: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +390,7 @@ func TestReplicatedEquivalentToSingleCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c, err := NewReplicated(bg, testNodes(t, 4, 200), 2, 2)
+	c, err := NewWithOptions(bg, testNodes(t, 4, 200), Options{WindowM: 2, Replicas: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,5 +411,73 @@ func TestReplicatedEquivalentToSingleCopy(t *testing.T) {
 			t.Fatalf("query %d: single %d vs replicated cluster %d results",
 				qi, len(singleRes[qi]), len(clusterRes[qi]))
 		}
+	}
+}
+
+// TestOneMemberGroupsRunTheSameStateMachine: Replicas = 1 is not a code
+// path. A one-member group goes through searchGroup's failover/hedge
+// state machine like any other — it traces one attempt per group (replica
+// 0 of the group, so Node equals Group), never arms the hedge, fails on
+// the first error and counts it, honours the per-node timeout — and its
+// writes go through the same mirrored insert and delete, so a full or
+// unknowing member still surfaces as the sentinel callers test for.
+func TestOneMemberGroupsRunTheSameStateMachine(t *testing.T) {
+	c, err := NewWithOptions(bg, []transport.NodeClient{
+		&fakeNode{capacity: 100},
+		&fakeNode{capacity: 100, err: errDown},
+		&fakeNode{capacity: 100, delay: time.Hour},
+	}, Options{WindowM: 1, Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Now()
+	res, rep, err := c.Search(bg, testDocs(2, 59), node.SearchParams{}, BatchOptions{
+		Partial: true, Trace: true, Hedge: time.Millisecond, PerNodeTimeout: 30 * time.Millisecond,
+	})
+	if err != nil || len(res) != 2 {
+		t.Fatalf("partial search over one live group: res=%d err=%v", len(res), err)
+	}
+	if elapsed := time.Since(t0); elapsed > 10*time.Second {
+		t.Fatalf("search took %v; the per-node timeout never cut the stalled member off", elapsed)
+	}
+	if len(rep.Attempts) != 3 {
+		t.Fatalf("%d attempts traced, want one per group: %+v", len(rep.Attempts), rep.Attempts)
+	}
+	for g, a := range rep.Attempts {
+		a.Time = 0
+		want := Attempt{Group: g, Replica: 0, Node: g, Won: g == 0}
+		switch g {
+		case 1:
+			want.Err = errDown
+		case 2:
+			want.Err = context.DeadlineExceeded
+		}
+		if a != want {
+			t.Fatalf("group %d traced %+v, want %+v", g, a, want)
+		}
+	}
+	if !errors.Is(rep.Errs[1], errDown) || !errors.Is(rep.Errs[2], context.DeadlineExceeded) || rep.Errs[0] != nil {
+		t.Fatalf("report errors = %v", rep.Errs)
+	}
+	if st := c.CoordStats(); st.GroupFailures != 2 || st.Failovers != 0 || st.HedgesLaunched != 0 {
+		t.Fatalf("coordinator counted %+v, want 2 group failures and nothing to fail over or hedge to", st)
+	}
+
+	real, err := NewWithOptions(bg, testNodes(t, 1, 2), Options{Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := real.insertGroup(bg, 0, testDocs(3, 61)); !errors.Is(err, node.ErrFull) {
+		t.Fatalf("three documents into a member of capacity 2: %v, want ErrFull", err)
+	}
+	ids, err := real.insertGroup(bg, 0, testDocs(2, 61))
+	if err != nil || len(ids) != 2 {
+		t.Fatalf("insert on a one-member group: ids=%v err=%v", ids, err)
+	}
+	if err := real.Delete(bg, GlobalID(0, ids[1])); err != nil {
+		t.Fatal(err)
+	}
+	if err := real.Delete(bg, GlobalID(0, 7)); !errors.Is(err, node.ErrNotFound) {
+		t.Fatalf("deleting a never-inserted id: %v, want ErrNotFound", err)
 	}
 }

@@ -18,10 +18,9 @@ import (
 // faultMember wraps a real in-process member with the faults the fan-out
 // table injects. before blocks ahead of the search and honors ctx — a
 // stalled replica that cancellation and per-node timeouts cut off with no
-// answer computed. after sleeps once the answer is computed, a pooled
-// batch checked out, and ignores ctx — a healthy replica slow to deliver,
-// the late-loser shape. err, when set, then fails the call, handing the
-// computed batch back itself like a transport that lost the reply. roll,
+// answer computed. after sleeps once the answer is computed and ignores
+// ctx — a healthy replica slow to deliver, the late-loser shape. err, when
+// set, then fails the call like a transport that lost the reply. roll,
 // when set, draws after and err per call instead. Every search's routing
 // hint is recorded, and its sub-batch retained beside a copy — the way a
 // transport still encoding an abandoned attempt's frame retains it.
@@ -58,16 +57,9 @@ func (m *faultMember) Search(ctx context.Context, qs []sparse.Vector, p node.Sea
 	res, err := m.NodeClient.Search(ctx, qs, p)
 	time.Sleep(after)
 	if err == nil && fail != nil {
-		m.ReleaseResults(res)
 		return nil, fail
 	}
 	return res, err
-}
-
-// ReleaseResults forwards to the wrapped member's pool. Embedding does not
-// provide it: Releaser is deliberately not part of NodeClient.
-func (m *faultMember) ReleaseResults(res [][]core.Neighbor) {
-	m.NodeClient.(transport.Releaser).ReleaseResults(res)
 }
 
 // fanoutFleet is one 8-group × 2-replica coordinator over real nodes
@@ -75,7 +67,6 @@ func (m *faultMember) ReleaseResults(res [][]core.Neighbor) {
 // doubles as the query batch.
 type fanoutFleet struct {
 	c       *Cluster
-	nodes   []*node.Node
 	members []*faultMember
 	qs      []sparse.Vector
 	ids     []uint64 // ids[i] is qs[i]'s own global ID
@@ -88,9 +79,8 @@ func newFanoutFleet(t *testing.T, placement Placement) *fanoutFleet {
 	f := &fanoutFleet{}
 	clients := make([]transport.NodeClient, fanoutGroups*fanoutReplicas)
 	for i := range clients {
-		n := poolNode(t, 200)
-		m := &faultMember{NodeClient: transport.NewLocal(n)}
-		f.nodes, f.members, clients[i] = append(f.nodes, n), append(f.members, m), m
+		m := &faultMember{NodeClient: transport.NewLocal(realNode(t, 200))}
+		f.members, clients[i] = append(f.members, m), m
 	}
 	opts := Options{WindowM: fanoutGroups, Replicas: fanoutReplicas, Placement: placement}
 	if placement == PlacementPartitioned {
@@ -155,9 +145,7 @@ var errDown = errors.New("member down")
 // TestSearchFanOutBothPlacements drives the coordinator's one fan-out
 // through its failure policy under scatter and partitioned placement from
 // one table: the same cases, the same assertions, only the probe plan
-// differs. After every case each node's pooled answer buffers must be
-// back — released exactly once on the success, error, hedge-lost and
-// caller-gave-up paths alike — every frame must have carried the
+// differs. After every case every frame must have carried the
 // placement's routing hint: none under scatter (which transport encodes
 // as a v1 frame, pinned by TestSearchFrameVersionFollowsRoutingHint),
 // RoutingPartitioned under routing — and no sub-batch a member was handed
@@ -197,9 +185,8 @@ func TestSearchFanOutBothPlacements(t *testing.T) {
 		},
 		{
 			// The failing group fails late, after its healthy siblings have
-			// answered (their buffers are checked out when the batch fails)
-			// and while one sibling is still stalled (it dies of the induced
-			// cancellation, which the report must not blame).
+			// answered and while one sibling is still stalled (it dies of the
+			// induced cancellation, which the report must not blame).
 			name: "all-or-nothing blames only the failed group",
 			arm: func(t *testing.T, f *fanoutFleet) {
 				dead := f.home(0)
@@ -270,8 +257,8 @@ func TestSearchFanOutBothPlacements(t *testing.T) {
 			// Replica 0 of every group computes at once but delivers long
 			// after the hedge fires. Preference rotates per contacted group,
 			// so some group prefers it, is hedged, and leaves it a late loser
-			// holding a checked-out batch the group must drain and release.
-			name: "hedged-out loser's batch is released",
+			// whose answer nobody reads.
+			name: "hedged-out loser is left behind",
 			arm: func(t *testing.T, f *fanoutFleet) {
 				for g := 0; g < fanoutGroups; g++ {
 					f.members[g*fanoutReplicas].after = 60 * time.Millisecond
@@ -291,7 +278,7 @@ func TestSearchFanOutBothPlacements(t *testing.T) {
 		{
 			// Hedge well inside the caller's deadline so both replicas are in
 			// flight — computed, sleeping — when the caller gives up.
-			name: "caller deadline releases in-flight batches",
+			name: "caller deadline abandons in-flight attempts",
 			arm: func(t *testing.T, f *fanoutFleet) {
 				for _, m := range f.members {
 					m.after = 50 * time.Millisecond
@@ -325,8 +312,6 @@ func TestSearchFanOutBothPlacements(t *testing.T) {
 				}
 				res, rep, err := f.c.Search(ctx, f.qs, node.SearchParams{}, tc.opts)
 				tc.check(t, f, res, rep, err)
-				f.c.ReleaseResults(res)
-				waitOutstandingZero(t, f.nodes...)
 				served := 0
 				for i, m := range f.members {
 					m.mu.Lock() // a canceled straggler may still be arriving

@@ -337,53 +337,3 @@ func secondLevel(tb *TableBuilder, perm1, keys2, offs1, hist []uint32, p lshhash
 	}
 	return tb.Finish(items)
 }
-
-// partitionParallel is the 3-step parallel partition of §5.1.2: each worker
-// histograms its chunk, one thread prefix-sums the per-worker histograms
-// into global scatter offsets, then workers scatter their chunks. Returns
-// the permuted index array and the nB+1 bucket offsets.
-func partitionParallel(pool *sched.Pool, n, nB int, key func(int) uint32) ([]uint32, []uint32) {
-	w := pool.Workers()
-	if w > n {
-		w = n
-	}
-	if n == 0 {
-		return nil, make([]uint32, nB+1)
-	}
-	perm := make([]uint32, n)
-	offs := make([]uint32, nB+1)
-	hists := make([][]uint32, w)
-
-	// Pass 1: local histograms.
-	pool.Static(n, func(lo, hi, self int) {
-		h := make([]uint32, nB)
-		for i := lo; i < hi; i++ {
-			h[key(i)]++
-		}
-		hists[self] = h
-	})
-
-	// Prefix sum in bucket-major, worker-minor order so each bucket's
-	// output region is contiguous and workers write disjoint sub-ranges.
-	var cum uint32
-	for b := 0; b < nB; b++ {
-		offs[b] = cum
-		for t := 0; t < w; t++ {
-			c := hists[t][b]
-			hists[t][b] = cum
-			cum += c
-		}
-	}
-	offs[nB] = cum
-
-	// Pass 2: scatter.
-	pool.Static(n, func(lo, hi, self int) {
-		h := hists[self]
-		for i := lo; i < hi; i++ {
-			b := key(i)
-			perm[h[b]] = uint32(i)
-			h[b]++
-		}
-	})
-	return perm, offs
-}

@@ -200,70 +200,3 @@ func TestBuildTimingsPopulated(t *testing.T) {
 		t.Fatalf("timings not populated: %+v", tm)
 	}
 }
-
-func TestPartitionParallelMatchesSequential(t *testing.T) {
-	keys := make([]uint32, 1000)
-	for i := range keys {
-		keys[i] = uint32((i * 2654435761) % 16)
-	}
-	permSeq := make([]uint32, len(keys))
-	offsSeq := make([]uint32, 17)
-	hist := make([]uint32, 17)
-	partitionIdentity(keys, hist, permSeq, offsSeq)
-
-	for _, workers := range []int{1, 3, 8} {
-		pool := sched.NewPool(workers)
-		perm, offs := partitionParallel(pool, len(keys), 16, func(i int) uint32 { return keys[i] })
-		for b := 0; b <= 16; b++ {
-			if offs[b] != offsSeq[b] {
-				t.Fatalf("workers=%d: offs[%d] = %d, want %d", workers, b, offs[b], offsSeq[b])
-			}
-		}
-		// Same bucket membership (order within bucket may differ).
-		for b := 0; b < 16; b++ {
-			want := map[uint32]bool{}
-			for _, x := range permSeq[offsSeq[b]:offsSeq[b+1]] {
-				want[x] = true
-			}
-			for _, x := range perm[offs[b]:offs[b+1]] {
-				if !want[x] {
-					t.Fatalf("workers=%d bucket %d: unexpected item %d", workers, b, x)
-				}
-			}
-		}
-	}
-}
-
-func TestPartitionParallelEmpty(t *testing.T) {
-	pool := sched.NewPool(4)
-	perm, offs := partitionParallel(pool, 0, 8, func(i int) uint32 { return 0 })
-	if len(perm) != 0 || len(offs) != 9 {
-		t.Fatalf("empty partition: perm=%d offs=%d", len(perm), len(offs))
-	}
-}
-
-// partitionIdentity partitions the identity index sequence 0..len(keys)-1
-// by keys into outPerm with bucket boundaries in outOffs (len = nB+1,
-// where nB+1 == len(hist)). hist is scratch.
-func partitionIdentity(keys, hist, outPerm, outOffs []uint32) {
-	for i := range hist {
-		hist[i] = 0
-	}
-	for _, k := range keys {
-		hist[k]++
-	}
-	nB := len(hist) - 1
-	var cum uint32
-	for b := 0; b < nB; b++ {
-		outOffs[b] = cum
-		c := hist[b]
-		hist[b] = cum
-		cum += c
-	}
-	outOffs[nB] = cum
-	for i, k := range keys {
-		dst := hist[k]
-		hist[k]++
-		outPerm[dst] = uint32(i)
-	}
-}

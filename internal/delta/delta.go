@@ -271,7 +271,7 @@ func (d *Table) Candidates(sketch []uint32, seen *bitvec.Vector, cand []uint32) 
 // and the default L = 120 is one block.
 const probeBlock = 128
 
-// FromSketches builds a frozen table over precomputed sketches: row i of sk
+// fromSketches builds a frozen table over precomputed sketches: row i of sk
 // becomes delta-local ID i. Rows for which skip reports true are omitted
 // from every bucket (tombstone compaction) but still count toward Len, so
 // local IDs stay aligned with sketch rows and with the owning arena. The
@@ -279,14 +279,9 @@ const probeBlock = 128
 //
 // This is the segment-coalescing path: rebucketing reuses the hashing work
 // retained in the source tables' sketches instead of rehashing documents.
-func FromSketches(fam *lshhash.Family, sk *lshhash.Sketches, workers int, skip func(localID int) bool) *Table {
-	return fromSketches(fam, sk, workers, skip, 0, 0)
-}
-
-// fromSketches is FromSketches with an optional reservoir bound, applied
-// per bucket over the rows' ID order — the rebucketing analogue of the
-// streaming bound, so a coalesced segment obeys the same cap as the
-// segments it replaces.
+// A reservoir bound (resCap > 0) is applied per bucket over the rows' ID
+// order — the rebucketing analogue of the streaming bound, so a coalesced
+// segment obeys the same cap as the segments it replaces.
 func fromSketches(fam *lshhash.Family, sk *lshhash.Sketches, workers int, skip func(localID int) bool, resCap int, resSeed uint64) *Table {
 	d := New(fam, workers)
 	if resCap > 0 {

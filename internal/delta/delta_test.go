@@ -356,7 +356,7 @@ func TestFromSketchesReusesHashes(t *testing.T) {
 	src := New(fam, 2)
 	src.Insert(vs)
 	src.Freeze()
-	rebuilt := FromSketches(fam, src.Sketches(), 2, nil)
+	rebuilt := fromSketches(fam, src.Sketches(), 2, nil, 0, 0)
 	if rebuilt.Len() != 80 {
 		t.Fatalf("Len = %d", rebuilt.Len())
 	}

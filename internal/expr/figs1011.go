@@ -110,11 +110,11 @@ func fig11Run(o Options, staticN, deltaN int, queries []sparse.Vector) (time.Dur
 	cfg.Build.Workers = o.Workers
 	cfg.Query.Workers = o.Workers
 	cfg.Query.Radius = o.Radius
-	n, err := node.New(cfg)
+	ctx := context.Background()
+	n, err := node.Open(ctx, cfg)
 	if err != nil {
 		return 0, err
 	}
-	ctx := context.Background()
 	data := Options{N: staticN + deltaN + 1, Dim: o.Dim, Seed: o.Seed + 33}.twitterCorpus()
 	vs := docsOf(data)
 	if staticN > 0 {
@@ -131,8 +131,7 @@ func fig11Run(o Options, staticN, deltaN int, queries []sparse.Vector) (time.Dur
 		}
 	}
 	search := func(qs []sparse.Vector) error {
-		res, err := n.SearchBatch(ctx, qs, node.SearchParams{})
-		n.ReleaseResults(res)
+		_, err := n.SearchBatch(ctx, qs, node.SearchParams{})
 		return err
 	}
 	if err := search(queries[:min(32, len(queries))]); err != nil { // warm up

@@ -70,6 +70,7 @@ func Fig9(o Options, w io.Writer) error {
 	header(w, fmt.Sprintf("Figure 9: node scaling, %d docs/node, %d queries", o.N, o.Queries))
 	tb := newTable(w)
 	tb.row("nodes", "init min/avg/max (ms)", "query min/avg/max (ms)", "imbalance (max/avg)")
+	ctx := context.Background()
 	for _, nn := range fig9NodeCounts {
 		clients := make([]transport.NodeClient, nn)
 		initTimes := make([]time.Duration, nn)
@@ -84,7 +85,7 @@ func Fig9(o Options, w io.Writer) error {
 			cfg.Build.Workers = o.Workers
 			cfg.Query.Workers = o.Workers
 			cfg.Query.Radius = o.Radius
-			n, err := node.New(cfg)
+			n, err := node.Open(ctx, cfg)
 			if err != nil {
 				return err
 			}
@@ -93,7 +94,6 @@ func Fig9(o Options, w io.Writer) error {
 			docs := shard.twitterCorpus()
 			vs := docsOf(docs)
 			t0 := time.Now()
-			ctx := context.Background()
 			if _, err := n.Insert(ctx, vs); err != nil {
 				return err
 			}
@@ -103,22 +103,18 @@ func Fig9(o Options, w io.Writer) error {
 			initTimes[i] = time.Since(t0)
 			clients[i] = transport.NewLocal(n)
 		}
-		ctx := context.Background()
-		cl, err := cluster.New(ctx, clients, nn)
+		cl, err := cluster.NewWithOptions(ctx, clients, cluster.Options{WindowM: nn})
 		if err != nil {
 			return err
 		}
 		queries := o.queries(o.twitterCorpus())
-		warm, _, err := cl.Search(ctx, queries[:min(32, len(queries))], node.SearchParams{}, cluster.BatchOptions{})
+		if _, _, err := cl.Search(ctx, queries[:min(32, len(queries))], node.SearchParams{}, cluster.BatchOptions{}); err != nil {
+			return err
+		}
+		_, report, err := cl.Search(ctx, queries, node.SearchParams{}, cluster.BatchOptions{})
 		if err != nil {
 			return err
 		}
-		cl.ReleaseResults(warm)
-		res, report, err := cl.Search(ctx, queries, node.SearchParams{}, cluster.BatchOptions{})
-		if err != nil {
-			return err
-		}
-		cl.ReleaseResults(res)
 		times := report.Times
 		iMn, iMx, iAvg := minMaxAvg(initTimes)
 		qMn, qMx, qAvg := minMaxAvg(times)

@@ -34,13 +34,13 @@ func Streaming(o Options, w io.Writer) error {
 	cfg.Build.Workers = o.Workers
 	cfg.Query.Workers = o.Workers
 	cfg.Query.Radius = o.Radius
-	n, err := node.New(cfg)
+	ctx := context.Background()
+	n, err := node.Open(ctx, cfg)
 	if err != nil {
 		return err
 	}
 
 	// Fill static to 90% (the worst case of §6.3).
-	ctx := context.Background()
 	stream := corpus.NewStream(corpus.Twitter(0, o.Dim, o.Seed+77))
 	fill := capacity * 9 / 10
 	static := collectVecs(stream, fill)

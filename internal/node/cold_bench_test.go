@@ -32,7 +32,7 @@ func BenchmarkSearchColdStream(b *testing.B) {
 		Build:    core.Defaults(),
 		Query:    core.QueryDefaults(),
 	}
-	n, err := New(cfg)
+	n, err := Open(bg, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func BenchmarkMerge(b *testing.B) {
 				Build:    core.Defaults(),
 				Query:    core.QueryDefaults(),
 			}
-			n, err := New(cfg)
+			n, err := Open(bg, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -234,7 +234,7 @@ func BenchmarkCoalesceChain(b *testing.B) {
 		{"32x1000", 32, 1000},
 	} {
 		b.Run(size.name, func(b *testing.B) {
-			n, err := New(Config{
+			n, err := Open(bg, Config{
 				Params:   lshhash.Params{Dim: 50000, K: 16, M: 16, Seed: 1},
 				Capacity: size.batches * size.batch,
 				Build:    core.Defaults(),

@@ -49,7 +49,7 @@ func holdMerge(t *testing.T, n *Node, phase *func()) (entered chan struct{}, rel
 func TestQueriesCompleteDuringMerge(t *testing.T) {
 	cfg := testConfig(2000)
 	cfg.AutoMerge = false
-	n, err := New(cfg)
+	n, err := Open(bg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestQueriesCompleteDuringMerge(t *testing.T) {
 func TestDeleteMidMergeNotResurrected(t *testing.T) {
 	cfg := testConfig(2000)
 	cfg.AutoMerge = false
-	n, err := New(cfg)
+	n, err := Open(bg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestDeleteMidMergeNotResurrected(t *testing.T) {
 func TestRetireDrainsInFlightMerge(t *testing.T) {
 	cfg := testConfig(2000)
 	cfg.AutoMerge = false
-	n, err := New(cfg)
+	n, err := Open(bg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestRetireDrainsInFlightMerge(t *testing.T) {
 // node is empty afterwards.
 func TestRetireRacesInFlightQueries(t *testing.T) {
 	cfg := testConfig(3000) // η·C = 300: inserts below also trigger merges
-	n, err := New(cfg)
+	n, err := Open(bg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestRetireRacesInFlightQueries(t *testing.T) {
 func TestMergeNowReturnsDespiteConcurrentRetire(t *testing.T) {
 	cfg := testConfig(2000)
 	cfg.AutoMerge = false
-	n, err := New(cfg)
+	n, err := Open(bg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestMergeNowReturnsDespiteConcurrentRetire(t *testing.T) {
 func TestSegmentCoalescing(t *testing.T) {
 	cfg := testConfig(5000)
 	cfg.AutoMerge = false
-	n, err := New(cfg)
+	n, err := Open(bg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func unfilteredCandidates(t *delta.Table, fam *lshhash.Family, sketch []uint32) 
 func TestSegmentChainAnswersMatchUnfilteredProbe(t *testing.T) {
 	cfg := testConfig(5000)
 	cfg.AutoMerge = false
-	n, err := New(cfg)
+	n, err := Open(bg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +453,7 @@ func TestSegmentChainAnswersMatchUnfilteredProbe(t *testing.T) {
 // consistency sweep at the end.
 func TestConcurrentMixedWorkload(t *testing.T) {
 	cfg := testConfig(4000) // η·C = 400 → background merges fire mid-run
-	n, err := New(cfg)
+	n, err := Open(bg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,7 +558,7 @@ func requireStaticMatchesRebuild(t *testing.T, what string, n *Node, dead *bitve
 func TestMergeChainMatchesRebuild(t *testing.T) {
 	cfg := testConfig(5000)
 	cfg.AutoMerge = false
-	n, err := New(cfg)
+	n, err := Open(bg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,7 +594,7 @@ func TestMergeChainMatchesRebuild(t *testing.T) {
 // started from.
 func TestAutoMergeChainsBehindHeldMerge(t *testing.T) {
 	cfg := testConfig(2000) // η·C = 200
-	n, err := New(cfg)
+	n, err := Open(bg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -631,7 +631,7 @@ func TestMergeRacesCoalescerSplice(t *testing.T) {
 	for round := 0; round < 8; round++ {
 		cfg := testConfig(4000)
 		cfg.AutoMerge = false
-		n, err := New(cfg)
+		n, err := Open(bg, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -677,7 +677,7 @@ func TestMergeRacesCoalescerSplice(t *testing.T) {
 func TestMergeUsesTombstonesOfItsStart(t *testing.T) {
 	cfg := testConfig(4000)
 	cfg.AutoMerge = false
-	n, err := New(cfg)
+	n, err := Open(bg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -774,7 +774,7 @@ func TestReservoirEvictionIsPermanentAcrossMerges(t *testing.T) {
 		cfg := testConfig(2000)
 		cfg.AutoMerge = false
 		cfg.BucketReservoir = r
-		n, err := New(cfg)
+		n, err := Open(bg, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

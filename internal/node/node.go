@@ -203,8 +203,8 @@ type Stats struct {
 	// Operation counters, accumulated since construction (gob-appended
 	// after PersistErr — the wire response carries Stats whole, and a
 	// peer that predates these fields reads/serves zeros). Searches
-	// counts queries answered by SearchBatch, Inserts documents
-	// accepted, Deletes tombstones acknowledged.
+	// counts queries answered, by Search, SearchAppend or SearchBatch
+	// alike; Inserts documents accepted, Deletes tombstones acknowledged.
 	SearchesServed uint64
 	InsertsServed  uint64
 	DeletesServed  uint64
@@ -285,16 +285,6 @@ type Node struct {
 	wal        *persist.WAL
 	persistErr atomic.Pointer[string]
 
-	// batchPool recycles SearchBatch answer buffers (the [][]Neighbor and
-	// each per-query entry's backing array) between batches; see
-	// ReleaseResults for the ownership contract.
-	batchPool sync.Pool
-	// outstanding counts batch answer buffers checked out of batchPool and
-	// not yet released. Tests use it to prove the release-exactly-once
-	// contract (a strand leaves it positive, a double release drives it
-	// negative); it costs one atomic add per batch on each side.
-	outstanding atomic.Int64
-
 	// Operation counters behind Stats (one atomic add per op; survive
 	// Retire, unlike the maintenance counters, because they describe
 	// served traffic, not current contents).
@@ -308,12 +298,6 @@ type Node struct {
 func newArena(cfg Config) *sparse.Matrix {
 	return sparse.NewMatrix(cfg.Params.Dim, cfg.Capacity, cfg.Capacity*8)
 }
-
-// New builds an empty node — or, when cfg.Dir is set, recovers one from
-// its data directory (see Open).
-//
-//plshvet:ignore ctxcheck ctx-less compatibility shim; Open is the ctx-aware form
-func New(cfg Config) (*Node, error) { return Open(context.Background(), cfg) }
 
 // Open builds a node. With cfg.Dir set it is the durable boot path: load
 // the latest snapshot (rejecting checksum and parameter mismatches),
@@ -431,12 +415,8 @@ func (n *Node) applyRecordLocked(rec *persist.Record) error {
 			return fmt.Errorf("node: journal replay: %d rows exceed capacity %d",
 				rec.Base+len(rec.Docs), n.cfg.Capacity)
 		}
-		for _, v := range rec.Docs {
-			for _, c := range v.Idx {
-				if int(c) >= n.cfg.Params.Dim {
-					return fmt.Errorf("node: journal replay: column %d out of dimension %d", c, n.cfg.Params.Dim)
-				}
-			}
+		if err := sparse.CheckAll(rec.Docs, n.cfg.Params.Dim); err != nil {
+			return fmt.Errorf("node: journal replay: %w", err)
 		}
 		t := n.newDelta()
 		t.Insert(rec.Docs)
@@ -1156,6 +1136,7 @@ func (n *Node) SearchAppend(ctx context.Context, dst []core.Neighbor, q sparse.V
 	if err := q.Check(n.cfg.Params.Dim); err != nil {
 		return nil, err
 	}
+	n.searchesServed.Add(1)
 	return finishSearch(n.searchOn(dst, n.snap.Load(), q, p), len(dst), p), nil
 }
 
@@ -1165,7 +1146,8 @@ func (n *Node) SearchAppend(ctx context.Context, dst []core.Neighbor, q sparse.V
 // workers check ctx between queries, so an expired deadline abandons the
 // remainder of the batch promptly and the whole call reports ctx.Err().
 // One query that does not fit the node's dimension (sparse.ErrInvalid)
-// refuses the batch.
+// refuses the batch. The answer matrix is made per call and belongs to
+// the caller.
 func (n *Node) SearchBatch(ctx context.Context, qs []sparse.Vector, p SearchParams) ([][]core.Neighbor, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -1174,62 +1156,19 @@ func (n *Node) SearchBatch(ctx context.Context, qs []sparse.Vector, p SearchPara
 		return nil, fmt.Errorf("node: search: %w", err)
 	}
 	s := n.snap.Load()
-	out := n.getBatchOut(len(qs))
+	out := make([][]core.Neighbor, len(qs))
 	s.eng.Pool().Run(len(qs), func(task, _ int) {
 		if ctx.Err() != nil {
 			return
 		}
-		out[task] = finishSearch(n.searchOn(out[task][:0], s, qs[task], p), 0, p)
+		out[task] = finishSearch(n.searchOn(nil, s, qs[task], p), 0, p)
 	})
 	if err := ctx.Err(); err != nil {
-		n.ReleaseResults(out)
 		return nil, err
 	}
 	n.searchesServed.Add(uint64(len(qs)))
 	return out, nil
 }
-
-// getBatchOut fetches a recycled batch answer buffer of exactly nq
-// entries. Entries keep the backing-array capacity they grew to in
-// earlier batches (truncated to length 0), so a warmed node answers
-// batches without allocating result storage.
-func (n *Node) getBatchOut(nq int) [][]core.Neighbor {
-	n.outstanding.Add(1)
-	var out [][]core.Neighbor
-	if p, _ := n.batchPool.Get().(*[][]core.Neighbor); p != nil {
-		out = *p
-	}
-	for cap(out) < nq {
-		out = append(out[:cap(out)], nil)
-	}
-	out = out[:nq]
-	for i := range out {
-		out[i] = out[i][:0]
-	}
-	return out
-}
-
-// ReleaseResults recycles a batch answer returned by SearchBatch (and by
-// transport.Local.Search over it). It is optional — an un-released batch
-// is simply garbage collected — but a caller on the hot path that calls
-// it once per batch, after it has finished reading every entry, lets the
-// node reuse the buffers for the next batch. The caller must not touch
-// the slices afterwards, and must not release a batch twice. Neighbors
-// hold no pointers, so recycling retains no document memory.
-func (n *Node) ReleaseResults(out [][]core.Neighbor) {
-	if out == nil {
-		return
-	}
-	n.outstanding.Add(-1)
-	n.batchPool.Put(&out)
-}
-
-// OutstandingBatches reports how many SearchBatch answer buffers are
-// currently checked out (returned to a caller and not yet released). It
-// is a test hook for the release-exactly-once contract: after every
-// in-flight search has resolved and released, it must read 0 — positive
-// means a strand, negative a double release.
-func (n *Node) OutstandingBatches() int64 { return n.outstanding.Load() }
 
 // finishSearch imposes the answer contract of Search on the raw
 // candidates appended past res[:base]: top-k selection when bounded,

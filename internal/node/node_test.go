@@ -60,7 +60,7 @@ func neighborIDs(ns []core.Neighbor) map[uint32]bool {
 }
 
 func TestInsertQueryRoundTrip(t *testing.T) {
-	n, err := New(testConfig(1000))
+	n, err := Open(bg, testConfig(1000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestStaticDeltaSplitEquivalence(t *testing.T) {
 	queries := testDocs(30, 9)
 
 	// Reference: everything static.
-	ref, _ := New(testConfig(1000))
+	ref, _ := Open(bg, testConfig(1000))
 	if _, err := ref.Insert(bg, vs); err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestStaticDeltaSplitEquivalence(t *testing.T) {
 	// Subject: half static, half delta (AutoMerge off to hold the split).
 	cfg := testConfig(1000)
 	cfg.AutoMerge = false
-	sub, _ := New(cfg)
+	sub, _ := Open(bg, cfg)
 	if _, err := sub.Insert(bg, vs[:200]); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestStaticDeltaSplitEquivalence(t *testing.T) {
 
 func TestAutoMergeTriggers(t *testing.T) {
 	cfg := testConfig(1000) // η·C = 100
-	n, _ := New(cfg)
+	n, _ := Open(bg, cfg)
 	vs := testDocs(250, 5)
 	if _, err := n.Insert(bg, vs[:90]); err != nil {
 		t.Fatal(err)
@@ -166,7 +166,7 @@ func TestAutoMergeTriggers(t *testing.T) {
 }
 
 func TestCapacityEnforced(t *testing.T) {
-	n, _ := New(testConfig(100))
+	n, _ := Open(bg, testConfig(100))
 	vs := testDocs(150, 7)
 	if _, err := n.Insert(bg, vs[:100]); err != nil {
 		t.Fatal(err)
@@ -183,7 +183,7 @@ func TestCapacityEnforced(t *testing.T) {
 }
 
 func TestCanceledContextRejected(t *testing.T) {
-	n, _ := New(testConfig(100))
+	n, _ := Open(bg, testConfig(100))
 	vs := testDocs(10, 7)
 	if _, err := n.Insert(bg, vs[:5]); err != nil {
 		t.Fatal(err)
@@ -222,7 +222,7 @@ func TestCanceledContextRejected(t *testing.T) {
 func TestDeleteExcludesFromBothStructures(t *testing.T) {
 	cfg := testConfig(1000)
 	cfg.AutoMerge = false
-	n, _ := New(cfg)
+	n, _ := Open(bg, cfg)
 	vs := testDocs(100, 11)
 	n.Insert(bg, vs[:50])
 	mustMerge(t, n) // ids 0..49 static
@@ -248,7 +248,7 @@ func TestDeleteExcludesFromBothStructures(t *testing.T) {
 }
 
 func TestRetire(t *testing.T) {
-	n, _ := New(testConfig(500))
+	n, _ := Open(bg, testConfig(500))
 	vs := testDocs(200, 13)
 	n.Insert(bg, vs)
 	n.Delete(5)
@@ -272,7 +272,7 @@ func TestRetire(t *testing.T) {
 func TestQueryBatchMatchesSingles(t *testing.T) {
 	cfg := testConfig(1000)
 	cfg.AutoMerge = false
-	n, _ := New(cfg)
+	n, _ := Open(bg, cfg)
 	vs := testDocs(300, 15)
 	n.Insert(bg, vs[:150])
 	mustMerge(t, n)
@@ -301,7 +301,7 @@ func TestQueryBatchMatchesSingles(t *testing.T) {
 // A K-bounded Search must equal the full R-near answer sorted by distance
 // and truncated to k — same candidates, bounded selection.
 func TestQueryTopKMatchesTruncatedQuery(t *testing.T) {
-	n, _ := New(testConfig(1000))
+	n, _ := Open(bg, testConfig(1000))
 	t.Cleanup(func() { n.Flush(bg) }) // quiesce triggered auto-merges
 	vs := testDocs(400, 27)
 	if _, err := n.Insert(bg, vs); err != nil {
@@ -334,7 +334,7 @@ func TestQueryTopKMatchesTruncatedQuery(t *testing.T) {
 
 func TestConcurrentQueriesAndInserts(t *testing.T) {
 	cfg := testConfig(5000)
-	n, _ := New(cfg)
+	n, _ := Open(bg, cfg)
 	t.Cleanup(func() { n.Flush(bg) }) // quiesce triggered auto-merges
 	vs := testDocs(2000, 19)
 	n.Insert(bg, vs[:500])
@@ -374,7 +374,7 @@ func TestConcurrentQueriesAndInserts(t *testing.T) {
 }
 
 func TestStatsTrackMaintenance(t *testing.T) {
-	n, _ := New(testConfig(1000))
+	n, _ := Open(bg, testConfig(1000))
 	vs := testDocs(300, 23)
 	n.Insert(bg, vs) // triggers ≥1 background auto-merge (η·C = 100)
 	if err := n.Flush(bg); err != nil {
@@ -393,7 +393,7 @@ func TestStatsTrackMaintenance(t *testing.T) {
 }
 
 func TestDocReturnsStoredVector(t *testing.T) {
-	n, _ := New(testConfig(100))
+	n, _ := Open(bg, testConfig(100))
 	vs := testDocs(10, 25)
 	ids, _ := n.Insert(bg, vs)
 	for i, id := range ids {
@@ -412,13 +412,13 @@ func TestDocReturnsStoredVector(t *testing.T) {
 func TestInvalidConfigRejected(t *testing.T) {
 	cfg := testConfig(100)
 	cfg.Params.K = 7 // odd
-	if _, err := New(cfg); err == nil {
+	if _, err := Open(bg, cfg); err == nil {
 		t.Fatal("invalid params accepted")
 	}
 }
 
 func TestEmptyInsertNoop(t *testing.T) {
-	n, _ := New(testConfig(100))
+	n, _ := Open(bg, testConfig(100))
 	ids, err := n.Insert(bg, nil)
 	if err != nil || ids != nil {
 		t.Fatalf("empty insert: ids=%v err=%v", ids, err)
@@ -432,7 +432,7 @@ func TestEmptyInsertNoop(t *testing.T) {
 // known, and a never-inserted id reports unknown even though both have
 // zero NNZ.
 func TestDocKnownForEmptyDocument(t *testing.T) {
-	n, err := New(testConfig(100))
+	n, err := Open(bg, testConfig(100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +459,7 @@ func TestDocKnownForEmptyDocument(t *testing.T) {
 func TestNodeSearchParams(t *testing.T) {
 	cfg := testConfig(2000)
 	cfg.AutoMerge = false // hold a static/delta split open
-	n, err := New(cfg)
+	n, err := Open(bg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,7 +555,7 @@ func TestSearchAppendDoesNotAllocate(t *testing.T) {
 	}
 	cfg := testConfig(2000)
 	cfg.AutoMerge = false // hold the static/delta split open
-	n, err := New(cfg)
+	n, err := Open(bg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 // node is checkpointed to disk repeatedly, reporting throughput in
 // snapshot megabytes per second.
 func BenchmarkSave(b *testing.B) {
-	n, err := New(testConfig(30000))
+	n, err := Open(bg, testConfig(30000))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func BenchmarkRecover(b *testing.B) {
 	cfg := testConfig(2 * nDocs)
 	cfg.Dir = dir
 	cfg.AutoMerge = false // keep every write in the journal
-	n, err := New(cfg)
+	n, err := Open(bg, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func BenchmarkRecover(b *testing.B) {
 		b.Fatal(err)
 	}
 	for b.Loop() {
-		re, err := New(cfg)
+		re, err := Open(bg, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -52,11 +52,11 @@ func TestDurableJournalOnlyRecovery(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableConfig(dir, 1000)
 	cfg.AutoMerge = false
-	n, err := New(cfg)
+	n, err := Open(bg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := New(testConfig(1000)) // same params, in-memory
+	oracle, err := Open(bg, testConfig(1000)) // same params, in-memory
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestDurableJournalOnlyRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := New(cfg)
+	re, err := Open(bg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +100,11 @@ func TestDurableJournalOnlyRecovery(t *testing.T) {
 func TestDurableSnapshotPlusTailRecovery(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableConfig(dir, 2000)
-	n, err := New(cfg)
+	n, err := Open(bg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := New(testConfig(2000))
+	oracle, err := Open(bg, testConfig(2000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestDurableSnapshotPlusTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := New(cfg)
+	re, err := Open(bg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestWALTruncationProperty(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableConfig(dir, 500)
 	cfg.AutoMerge = false
-	n, err := New(cfg)
+	n, err := Open(bg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestWALTruncationProperty(t *testing.T) {
 		}
 		subCfg := cfg
 		subCfg.Dir = sub
-		re, err := New(subCfg)
+		re, err := Open(bg, subCfg)
 		if err != nil {
 			t.Fatalf("cut %d: recovery failed: %v", cut, err)
 		}
@@ -288,7 +288,7 @@ func TestBarriersWaitForMergeCheckpoint(t *testing.T) {
 	cfg.DeltaFraction = 0.01 // every batch outgrows η·C and starts a merge
 	docs := testDocs(rounds*batch, 29)
 	for round := 0; round < rounds; round++ {
-		n, err := New(cfg)
+		n, err := Open(bg, cfg)
 		if err != nil {
 			t.Fatalf("round %d: reopen: %v", round, err)
 		}
@@ -330,7 +330,7 @@ func TestSaveCheckpointTruncatesJournal(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableConfig(dir, 500)
 	cfg.AutoMerge = false
-	n, err := New(cfg)
+	n, err := Open(bg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestSaveCheckpointTruncatesJournal(t *testing.T) {
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := New(cfg)
+	re, err := Open(bg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestSaveCheckpointTruncatesJournal(t *testing.T) {
 func TestDurableRetireNoResurrection(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableConfig(dir, 500)
-	n, err := New(cfg)
+	n, err := Open(bg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +394,7 @@ func TestDurableRetireNoResurrection(t *testing.T) {
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := New(cfg)
+	re, err := Open(bg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +416,7 @@ func TestDurableRetireNoResurrection(t *testing.T) {
 // TestSaveToExportRoundTrip: SaveTo writes a portable snapshot a fresh
 // node opens with bit-identical query behavior.
 func TestSaveToExportRoundTrip(t *testing.T) {
-	n, err := New(testConfig(500)) // in-memory node
+	n, err := Open(bg, testConfig(500)) // in-memory node
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +431,7 @@ func TestSaveToExportRoundTrip(t *testing.T) {
 	if err := n.SaveTo(bg, dir); err != nil {
 		t.Fatal(err)
 	}
-	re, err := New(durableConfig(dir, 500))
+	re, err := Open(bg, durableConfig(dir, 500))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +446,7 @@ func TestSaveToExportRoundTrip(t *testing.T) {
 // parameters must be refused, not loaded as garbage.
 func TestOpenRejectsParamMismatch(t *testing.T) {
 	dir := t.TempDir()
-	n, err := New(durableConfig(dir, 500))
+	n, err := Open(bg, durableConfig(dir, 500))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +459,7 @@ func TestOpenRejectsParamMismatch(t *testing.T) {
 	n.Close()
 	bad := durableConfig(dir, 500)
 	bad.Params.Seed = 999
-	if _, err := New(bad); err == nil {
+	if _, err := Open(bg, bad); err == nil {
 		t.Fatal("param mismatch accepted")
 	}
 }
@@ -469,7 +469,7 @@ func TestOpenRejectsParamMismatch(t *testing.T) {
 func TestOpenRejectsCorruptSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableConfig(dir, 500)
-	n, err := New(cfg)
+	n, err := Open(bg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,14 +489,14 @@ func TestOpenRejectsCorruptSnapshot(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(cfg); !errors.Is(err, persist.ErrCorrupt) {
+	if _, err := Open(bg, cfg); !errors.Is(err, persist.ErrCorrupt) {
 		t.Fatalf("corrupt snapshot: want ErrCorrupt, got %v", err)
 	}
 }
 
 // TestDeleteNeverInserted: the ErrNotFound satellite at the node layer.
 func TestDeleteNeverInserted(t *testing.T) {
-	n, err := New(testConfig(100))
+	n, err := Open(bg, testConfig(100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,7 +513,7 @@ func TestDeleteNeverInserted(t *testing.T) {
 		t.Fatalf("huge delete: want ErrNotFound, got %v", err)
 	}
 	// Durable path agrees.
-	d, err := New(durableConfig(t.TempDir(), 100))
+	d, err := Open(bg, durableConfig(t.TempDir(), 100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +525,7 @@ func TestDeleteNeverInserted(t *testing.T) {
 
 // TestDocOutOfRange: the Doc-panic satellite at the node layer.
 func TestDocOutOfRange(t *testing.T) {
-	n, err := New(testConfig(100))
+	n, err := Open(bg, testConfig(100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,12 +566,12 @@ func TestReadsVersion1Snapshot(t *testing.T) {
 	cfg := testConfig(128)
 	cfg.Params = lshhash.Params{Dim: 256, K: 6, M: 4, Seed: 21}
 	cfg.AutoMerge = false
-	rebuilt, err := New(cfg)
+	rebuilt, err := Open(bg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Dir = dir
-	n, err := New(cfg)
+	n, err := Open(bg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -629,7 +629,7 @@ func TestReplayedDeltaMergesLikeARebuild(t *testing.T) {
 	docs := testDocs(1500, 61)
 	dead := []uint32{4, 333, 599, 600, 1010, 1499}
 
-	oracle, err := New(testConfig(3000))
+	oracle, err := Open(bg, testConfig(3000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -649,7 +649,7 @@ func TestReplayedDeltaMergesLikeARebuild(t *testing.T) {
 		}
 	}
 
-	n, err := New(cfg)
+	n, err := Open(bg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -671,7 +671,7 @@ func TestReplayedDeltaMergesLikeARebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := New(cfg)
+	re, err := Open(bg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -686,7 +686,7 @@ func TestReplayedDeltaMergesLikeARebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	again, err := New(cfg)
+	again, err := Open(bg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

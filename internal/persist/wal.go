@@ -371,23 +371,28 @@ func replaySegment(path string, fn func(*Record) error) error {
 		return fmt.Errorf("persist: %w", err)
 	}
 	defer f.Close() // read-only; a close error carries no data-loss signal
+	st, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("persist: %w", err)
+	}
+	left := st.Size() // bytes of the segment not yet consumed
 	r := bufio.NewReaderSize(f, 1<<16)
 	var hdr [8]byte
 	var payload []byte
 	for {
-		if _, err := io.ReadFull(r, hdr[:1]); err == io.EOF {
-			return nil // clean end of segment
-		} else if err != nil {
-			return nil // torn header
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return nil // clean end of segment, or a torn header
 		}
-		if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-			return nil
-		}
+		left -= int64(len(hdr))
 		n := binary.LittleEndian.Uint32(hdr[0:])
 		want := binary.LittleEndian.Uint32(hdr[4:])
-		if int(n) > maxRecordLen {
-			return nil // length field from a torn/garbage frame
+		if int(n) > maxRecordLen || int64(n) > left {
+			// A length field from a torn/garbage frame: no acknowledged
+			// frame is longer than the limit, or than the file that holds
+			// it — so the payload buffer is never sized past the file.
+			return nil
 		}
+		left -= int64(n)
 		if cap(payload) < int(n) {
 			payload = make([]byte, n)
 		}
@@ -408,9 +413,10 @@ func replaySegment(path string, fn func(*Record) error) error {
 	}
 }
 
+var errMalformed = fmt.Errorf("%w: malformed journal record", ErrCorrupt)
+
 // decodeRecord parses one CRC-verified payload.
 func decodeRecord(p []byte) (*Record, error) {
-	errMalformed := fmt.Errorf("%w: malformed journal record", ErrCorrupt)
 	if len(p) < 1 {
 		return nil, errMalformed
 	}
@@ -424,7 +430,9 @@ func decodeRecord(p []byte) (*Record, error) {
 		rec.Base = int(binary.LittleEndian.Uint64(p))
 		count := int(binary.LittleEndian.Uint32(p[8:]))
 		p = p[12:]
-		if rec.Base < 0 || count < 0 || count > maxRecordLen/4 {
+		// Every document carries at least its 4-byte nnz, so the payload
+		// bounds the count before anything is sized by it.
+		if rec.Base < 0 || count < 0 || count > len(p)/4 {
 			return nil, errMalformed
 		}
 		rec.Docs = make([]sparse.Vector, 0, count)
@@ -434,7 +442,7 @@ func decodeRecord(p []byte) (*Record, error) {
 			}
 			nnz := int(binary.LittleEndian.Uint32(p))
 			p = p[4:]
-			if nnz < 0 || len(p) < nnz*8 {
+			if nnz < 0 || nnz > len(p)/8 {
 				return nil, errMalformed
 			}
 			v := sparse.Vector{Idx: make([]uint32, nnz), Val: make([]float32, nnz)}

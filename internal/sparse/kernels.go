@@ -57,33 +57,6 @@ func (qm *QueryMask) Dot(idx []uint32, val []float32) float64 {
 	return s
 }
 
-// DotSparseDense computes the dot product of a sparse vector (idx, val)
-// against a dense column vector. This is the inner kernel of LSH hashing
-// (§5.1.1): each hash bit is sign(sparse · hyperplane).
-func DotSparseDense(idx []uint32, val []float32, dense []float32) float32 {
-	var s float32
-	for i, c := range idx {
-		s += val[i] * dense[c]
-	}
-	return s
-}
-
-// DotSparseDense4 computes four sparse×dense dot products against four
-// dense vectors simultaneously. Processing hyperplanes in groups of four
-// amortizes the sparse-side loads and lets the compiler keep accumulators
-// in registers — the portable stand-in for the paper's AVX vectorization of
-// the hashing phase (Fig. 4, "+vectorization").
-func DotSparseDense4(idx []uint32, val []float32, d0, d1, d2, d3 []float32) (s0, s1, s2, s3 float32) {
-	for i, c := range idx {
-		v := val[i]
-		s0 += v * d0[c]
-		s1 += v * d1[c]
-		s2 += v * d2[c]
-		s3 += v * d3[c]
-	}
-	return
-}
-
 // Axpy adds a·x to y element by element (len(y) ≥ len(x)): one non-zero's
 // contribution to every hash function's score at once. x is the non-zero's
 // row of the hyperplane matrix, contiguous — the spatial locality §5.1.1

@@ -118,45 +118,12 @@ func TestQueryMaskRescatterReplaces(t *testing.T) {
 	}
 }
 
-func TestDotSparseDense4MatchesScalar(t *testing.T) {
-	src := rng.New(3)
-	dim := 500
-	mk := func() []float32 {
-		d := make([]float32, dim)
-		for i := range d {
-			d[i] = float32(src.Norm())
-		}
-		return d
-	}
-	d0, d1, d2, d3 := mk(), mk(), mk(), mk()
-	for trial := 0; trial < 50; trial++ {
-		v := randVector(src, dim, 1+src.Intn(12))
-		s0, s1, s2, s3 := DotSparseDense4(v.Idx, v.Val, d0, d1, d2, d3)
-		for i, pair := range []struct {
-			got  float32
-			dcol []float32
-		}{{s0, d0}, {s1, d1}, {s2, d2}, {s3, d3}} {
-			want := DotSparseDense(v.Idx, v.Val, pair.dcol)
-			if math.Abs(float64(pair.got-want)) > 1e-4 {
-				t.Fatalf("lane %d: got %v want %v", i, pair.got, want)
-			}
-		}
-	}
-}
-
 func TestAxpyRowsMatchScalar(t *testing.T) {
 	src := rng.New(4)
 	dim, nCols := 300, 7
 	plane := make([]float32, dim*nCols)
 	for i := range plane {
 		plane[i] = float32(src.Norm())
-	}
-	col := func(j int) []float32 {
-		d := make([]float32, dim)
-		for c := 0; c < dim; c++ {
-			d[c] = plane[c*nCols+j]
-		}
-		return d
 	}
 	for trial := 0; trial < 30; trial++ {
 		v := randVector(src, dim, 1+src.Intn(10))
@@ -165,7 +132,10 @@ func TestAxpyRowsMatchScalar(t *testing.T) {
 			Axpy(v.Val[i], plane[int(c)*nCols:(int(c)+1)*nCols], out)
 		}
 		for j := 0; j < nCols; j++ {
-			want := DotSparseDense(v.Idx, v.Val, col(j))
+			var want float32
+			for i, c := range v.Idx {
+				want += v.Val[i] * plane[int(c)*nCols+j]
+			}
 			if math.Abs(float64(out[j]-want)) > 1e-4 {
 				t.Fatalf("col %d: got %v want %v", j, out[j], want)
 			}

@@ -17,7 +17,7 @@ import (
 // 16, so the golden vector (columns 1 and 5) fits and most mutated
 // columns do not.
 func fuzzNode(t testing.TB) *node.Node {
-	n, err := node.New(node.Config{
+	n, err := node.Open(context.Background(), node.Config{
 		Params:   lshhash.Params{Dim: 16, K: 4, M: 4, Seed: 7},
 		Capacity: 64,
 		Build:    core.Defaults(),
@@ -62,9 +62,6 @@ func FuzzDecodeFrame(f *testing.F) {
 			}
 			resp := &response{Seq: req.Seq}
 			handle(context.Background(), backend, req, resp)
-			if resp.Results != nil {
-				backend.ReleaseResults(resp.Results)
-			}
 		}
 		dec = gob.NewDecoder(bytes.NewReader(raw))
 		for dec.Decode(new(response)) == nil {

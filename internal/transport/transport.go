@@ -44,7 +44,8 @@ type NodeClient interface {
 	// answer list in canonical ascending (distance, id) order. A
 	// successful reply always has exactly len(qs) entries. It is the one
 	// query method of the interface: a single query is a batch of one, a
-	// top-k query sets p.K.
+	// top-k query sets p.K. The answer is an ordinary value the caller
+	// owns; nothing is handed back.
 	Search(ctx context.Context, qs []sparse.Vector, p node.SearchParams) ([][]core.Neighbor, error)
 	// Doc fetches the stored vector for a node-local ID and the node's
 	// authoritative answer to whether that id was ever inserted.
@@ -71,17 +72,6 @@ type NodeClient interface {
 	Close() error
 }
 
-// Releaser is the optional buffer-recycling extension of NodeClient: a
-// transport whose Search answers come from a pool implements it, and a
-// caller that has finished reading a Search result may hand the buffers
-// back — exactly once, touching nothing afterwards. Callers must treat it
-// as best-effort (type-assert and skip when absent): Local implements it
-// by returning the node's pooled batch buffers; the TCP client does not,
-// since its decoded results are ordinary garbage-collected memory.
-type Releaser interface {
-	ReleaseResults(res [][]core.Neighbor)
-}
-
 // Local adapts a *node.Node to NodeClient with direct calls. Context is
 // checked on entry even for the constant-time operations so a canceled
 // coordinator sees uniform behavior across transports.
@@ -101,10 +91,6 @@ func (l *Local) Insert(ctx context.Context, vs []sparse.Vector) ([]uint32, error
 func (l *Local) Search(ctx context.Context, qs []sparse.Vector, p node.SearchParams) ([][]core.Neighbor, error) {
 	return l.N.SearchBatch(ctx, qs, p)
 }
-
-// ReleaseResults implements Releaser: buffers go back to the node's
-// batch pool for the next Search.
-func (l *Local) ReleaseResults(res [][]core.Neighbor) { l.N.ReleaseResults(res) }
 
 // Doc implements NodeClient.
 func (l *Local) Doc(ctx context.Context, id uint32) (sparse.Vector, bool, error) {
@@ -156,10 +142,7 @@ func (l *Local) Stats(ctx context.Context) (node.Stats, error) {
 // are untouched. Idempotent.
 func (l *Local) Close() error { return l.N.Close() }
 
-var (
-	_ NodeClient = (*Local)(nil)
-	_ Releaser   = (*Local)(nil)
-)
+var _ NodeClient = (*Local)(nil)
 
 // errClosed is returned by remote clients after Close.
 var errClosed = errors.New("transport: client closed")

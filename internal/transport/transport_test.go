@@ -23,7 +23,7 @@ var bg = context.Background()
 
 func testNode(t *testing.T, capacity int) *node.Node {
 	t.Helper()
-	n, err := node.New(node.Config{
+	n, err := node.Open(context.Background(), node.Config{
 		Params:   lshhash.Params{Dim: 2000, K: 8, M: 6, Seed: 42},
 		Capacity: capacity,
 		Build:    core.Defaults(),
@@ -904,7 +904,7 @@ func TestTCPMergeAndFlush(t *testing.T) {
 // a generic remote error.
 func TestTCPSaveAndNotFound(t *testing.T) {
 	dir := t.TempDir()
-	n, err := node.New(node.Config{
+	n, err := node.Open(context.Background(), node.Config{
 		Params:   lshhash.Params{Dim: 2000, K: 8, M: 6, Seed: 42},
 		Capacity: 500,
 		Build:    core.Defaults(),

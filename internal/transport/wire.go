@@ -294,12 +294,6 @@ func serveConn(ctx, hardCtx context.Context, conn net.Conn, backend NodeClient, 
 				err = bw.Flush()
 			}
 			writeMu.Unlock()
-			// The answer lists are on the wire; hand them back to the
-			// backend's buffer pool when it recycles (the in-process
-			// Local does).
-			if rel, ok := backend.(Releaser); ok && resp.Results != nil {
-				rel.ReleaseResults(resp.Results)
-			}
 			if err != nil && ctx.Err() == nil && !errors.Is(err, net.ErrClosed) && onError != nil {
 				onError(fmt.Errorf("transport: encode to %v: %w", conn.RemoteAddr(), err))
 			}

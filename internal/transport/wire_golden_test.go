@@ -273,7 +273,7 @@ func TestWireFramesGolden(t *testing.T) {
 // and through a real TCP Client — the serialization layer may not perturb
 // parameters or results.
 func TestSearchIdenticalAcrossTransports(t *testing.T) {
-	n, err := node.New(node.Config{
+	n, err := node.Open(context.Background(), node.Config{
 		Params:   lshhash.Params{Dim: 2000, K: 4, M: 16, Seed: 7},
 		Capacity: 1000,
 		Build:    core.Defaults(),

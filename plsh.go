@@ -371,9 +371,7 @@ func (s *Store) searchBatch(ctx context.Context, qs []Vector, spec searchSpec) (
 		}
 		return nil, report, err
 	}
-	out := resultsFromLocal(0, res)
-	s.n.ReleaseResults(res)
-	return out, report, nil
+	return resultsFromLocal(0, res), report, nil
 }
 
 // Delete marks a document ID deleted; it will no longer be returned.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 )
@@ -277,6 +278,19 @@ func TestClusterQueryTopKMatchesOracle(t *testing.T) {
 				oracleMatches(docs, ids, q, 1.1, k))
 		}
 	}
+
+	// A "give me everything" k over a batch: the coordinator sizes its
+	// answers from what the groups returned, never from queries × k (two
+	// queries × MaxInt wraps negative).
+	batch := docs[:2]
+	res, _, err := cl.SearchBatch(bg, batch, WithK(math.MaxInt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for qi, q := range batch {
+		requireMatchesEqual(t, fmt.Sprintf("k=MaxInt batch query %d", qi), res[qi].Matches,
+			oracleMatches(docs, ids, q, 1.1, 0))
+	}
 }
 
 func TestNewVector(t *testing.T) {
@@ -324,6 +338,56 @@ func TestClusterPublicAPI(t *testing.T) {
 	stats, err := cl.Stats(bg)
 	if err != nil || len(stats) != 4 {
 		t.Fatalf("stats: %v %v", stats, err)
+	}
+}
+
+// Stats.SearchesServed counts every query a node answers, whichever entry
+// point it came in by: Store.Search lands on node.SearchAppend, SearchBatch
+// and the coordinator's fan-out on node.SearchBatch, and each must count.
+func TestSearchesServedCountsEveryEntryPoint(t *testing.T) {
+	s, _ := NewStore(smallConfig())
+	docs := SyntheticTweets(60, 2000, 17)
+	if _, err := s.Insert(bg, docs); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range docs[:5] {
+		if _, err := s.Search(bg, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.StatsNow().SearchesServed; got != 5 {
+		t.Fatalf("SearchesServed after 5 Store.Search calls = %d, want 5", got)
+	}
+	if _, _, err := s.SearchBatch(bg, docs[:7]); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.StatsNow().SearchesServed; got != 12 {
+		t.Fatalf("SearchesServed after a 7-query batch more = %d, want 12", got)
+	}
+
+	cfg := smallConfig()
+	cfg.Capacity = 200
+	cl, err := NewCluster(3, 3, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.Insert(bg, docs); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range docs[:4] {
+		if _, err := cl.Search(bg, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats, err := cl.Stats(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, st := range stats { // scatter: every node answers every query
+		if st.SearchesServed != 4 {
+			t.Fatalf("node %d SearchesServed after 4 Cluster.Search calls = %d, want 4", i, st.SearchesServed)
+		}
 	}
 }
 

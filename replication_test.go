@@ -31,7 +31,7 @@ type killableTCPNode struct {
 
 func startKillableTCPNode(t *testing.T, capacity int) *killableTCPNode {
 	t.Helper()
-	nd, err := node.New(node.Config{
+	nd, err := node.Open(bg, node.Config{
 		Params:   lshhash.Params{Dim: 2000, K: 4, M: 16, Seed: 42},
 		Capacity: capacity,
 		Build:    core.Defaults(),

@@ -107,7 +107,7 @@ func searchTestAddrs(t *testing.T, n, capacity int) []string {
 	t.Helper()
 	addrs := make([]string, n)
 	for i := range addrs {
-		nd, err := node.New(node.Config{
+		nd, err := node.Open(bg, node.Config{
 			Params:   lshhash.Params{Dim: 2000, K: 4, M: 16, Seed: 42},
 			Capacity: capacity,
 			Build:    core.Defaults(),
