@@ -10,8 +10,9 @@
 // Scale flags (-n, -d, -k, -m, -q) trade fidelity to the paper's operating
 // point (N=10.5M, D=500K, k=16, m=40, 1000 queries per node) against wall
 // time; the defaults run each experiment in seconds-to-minutes on a laptop
-// while preserving every comparison's shape. EXPERIMENTS.md records the
-// paper-vs-measured numbers.
+// while preserving every comparison's shape. Each experiment prints its
+// measured table followed by a "paper:" line with the numbers the paper
+// reports, so the output is the paper-vs-measured record.
 package main
 
 import (

@@ -79,7 +79,7 @@ func main() {
 	eta := flag.Float64("eta", 0.1, "delta fraction before automatic merge")
 	radius := flag.Float64("r", 0.9, "default query radius in radians (requests override per query via search options)")
 	workers := flag.Int("workers", 0, "worker threads (0 = GOMAXPROCS)")
-	seed := flag.Uint64("seed", 1, "hash-family seed (must match across coordinated nodes only if you rely on reproducibility)")
+	seed := flag.Uint64("seed", 1, "hash-family seed; every node of a fleet must share it: replicas mirror each other only with identical hyperplanes, and a partitioned coordinator derives its routing from it")
 	data := flag.String("data", "", "data directory: recover on boot, journal writes, checkpoint on merge and shutdown (empty = in-memory only)")
 	fsync := flag.Bool("fsync", false, "fsync every journal append (survive machine crash, not just process death)")
 	drain := flag.Duration("drain", 5*time.Second, "graceful-shutdown window for in-flight requests on SIGINT/SIGTERM (0 = abort them immediately)")

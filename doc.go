@@ -47,7 +47,9 @@
 //   - an all-pairs LSH scheme: m half-width hash functions composed into
 //     L = m(m−1)/2 tables, cutting hashing cost to O(NNZ·k·√L);
 //   - cache-conscious static tables built by two-level parallel
-//     partitioning with shared first-level partitions;
+//     partitioning with shared first-level partitions; their buckets, like
+//     the delta table's, are exact — every row that hashes to a bucket is
+//     in it, with no sampling or cap;
 //   - a batched query engine with bitvector duplicate elimination, sorted
 //     candidate extraction, and masked sparse dot products;
 //   - streaming inserts through an insert-optimized delta table that is

@@ -818,13 +818,11 @@ type searchPlan struct {
 // that find its answers again at merge time. It is the one place
 // placement is consulted. Under partitioned placement each query goes to
 // the recall-bounded probe set of groups its in-radius neighbors can live
-// on — every group when the probe set degenerates (see Router.Probe) — and
-// the sub-batches are routed copies of the query headers, sent with the
-// routing hint. Under scatter the probe set of every query is every
-// group, so each group's sub-batch is qs itself, aliased rather than
-// copied, and the frames carry no hint (they stay v1 on the wire). It
-// returns the plan and the parameters to send.
-func (c *Cluster) plan(qs []sparse.Vector, p node.SearchParams) (searchPlan, node.SearchParams) {
+// on at the request's radius — every group when the probe set degenerates
+// (see Router.Probe) — and the sub-batches are routed copies of the query
+// headers. Under scatter the probe set of every query is every group, so
+// each group's sub-batch is qs itself, aliased rather than copied.
+func (c *Cluster) plan(qs []sparse.Vector, radius float64) searchPlan {
 	sp := searchPlan{
 		groups: make([]groupPlan, c.groups),
 		refs:   make([]probeRef, 0, len(qs)*c.groups),
@@ -840,13 +838,13 @@ func (c *Cluster) plan(qs []sparse.Vector, p node.SearchParams) (searchPlan, nod
 			}
 			sp.offs = append(sp.offs, int32(len(sp.refs)))
 		}
-		return sp, p
+		return sp
 	}
 	count := make([]int32, c.groups) // per group: routed queries so far
 	probes := make([]int, 0, c.groups)
 	for qi := range qs {
 		var ok bool
-		probes, ok = c.router.Probe(qs[qi], p.Radius, probes[:0])
+		probes, ok = c.router.Probe(qs[qi], radius, probes[:0])
 		if !ok {
 			probes = probes[:0]
 			for g := range sp.groups {
@@ -868,8 +866,7 @@ func (c *Cluster) plan(qs []sparse.Vector, p node.SearchParams) (searchPlan, nod
 			sp.groups[ref.g].sub[ref.j] = qs[qi]
 		}
 	}
-	p.Routing = node.RoutingPartitioned
-	return sp, p
+	return sp
 }
 
 // Search answers a batch under request-scoped parameters and opts'
@@ -912,7 +909,7 @@ func (c *Cluster) Search(ctx context.Context, qs []sparse.Vector, p node.SearchP
 			return nil, report, fmt.Errorf("cluster: search: %w", err)
 		}
 	}
-	plan, sp := c.plan(qs, p)
+	plan := c.plan(qs, p.Radius)
 	groups := plan.groups
 	if opts.Trace && c.router != nil {
 		// The (query, group) pairs the router kept and pruned; scatter
@@ -936,7 +933,7 @@ func (c *Cluster) Search(ctx context.Context, qs []sparse.Vector, p node.SearchP
 		go func(g int) {
 			defer wg.Done()
 			t0 := time.Now()
-			r, atts, err := c.searchGroup(bctx, g, groups[g].sub, sp, opts)
+			r, atts, err := c.searchGroup(bctx, g, groups[g].sub, p, opts)
 			report.Times[g] = time.Since(t0)
 			if opts.Trace {
 				attempts[g] = atts

@@ -94,16 +94,6 @@ type RouterConfig struct {
 	// (over the draw of the hyperplanes). Higher values probe more
 	// groups. Default 0.9.
 	Recall float64
-	// Bits is the routing-signature width B; 2^B signature cells are
-	// spread evenly over the groups. 0 picks ceil(log2(Groups)) clamped
-	// to [1, 8] — the narrowest signature that still maps onto every
-	// group, keeping probe sets small. Explicit values are clamped to
-	// [1, 16].
-	Bits int
-	// MaxPatterns bounds the multiprobe enumeration per query; a query
-	// that cannot reach the recall target within the budget falls back
-	// to scatter. Default 64 (and never more than 2^Bits).
-	MaxPatterns int
 }
 
 // Router maps documents to replica groups and queries to probe sets, as
@@ -162,11 +152,10 @@ func NewRouter(fam *lshhash.Family, cfg RouterConfig) (*Router, error) {
 		return nil, fmt.Errorf("cluster: routing radius %v must not be negative", cfg.Radius)
 	}
 	p := fam.Params()
-	bits := cfg.Bits
-	if bits == 0 {
-		bits = min(bitsFor(cfg.Groups), 8)
-	}
-	bits = max(1, min(bits, 16))
+	// The signature is B = ceil(log2(Groups)) bits, at most 8: the narrowest
+	// that still maps onto every group, keeping probe sets small; 2^B
+	// signature cells are spread evenly over the groups.
+	bits := min(bitsFor(cfg.Groups), 8)
 	radius := cfg.Radius
 	if radius == 0 {
 		radius = 0.9
@@ -175,13 +164,9 @@ func NewRouter(fam *lshhash.Family, cfg RouterConfig) (*Router, error) {
 	if recall == 0 {
 		recall = 0.9
 	}
-	maxPatterns := cfg.MaxPatterns
-	if maxPatterns <= 0 {
-		maxPatterns = 64
-	}
-	if lim := 1 << bits; maxPatterns > lim {
-		maxPatterns = lim
-	}
+	// A query that cannot reach the recall target within 64 flip patterns
+	// (or every pattern, when there are fewer) falls back to scatter.
+	maxPatterns := min(64, 1<<bits)
 	// The dedicated routing family: K=2 makes each "half" a single sign
 	// bit, so M half-hashes are exactly M elementary functions; the seed
 	// is scrambled away from the fleet seed so the planes are disjoint

@@ -173,7 +173,8 @@ func TestProbeDegeneratesToScatter(t *testing.T) {
 	}
 	// An unreachable recall target within one pattern must also fall back
 	// rather than silently under-probing.
-	one := testRouter(t, RouterConfig{Groups: 8, Recall: 0.999999, MaxPatterns: 1})
+	one := testRouter(t, RouterConfig{Groups: 8, Recall: 0.999999})
+	one.maxPatterns = 1
 	if _, ok := one.Probe(d, 0.9, nil); ok {
 		t.Error("recall target unreachable within budget: expected scatter fallback")
 	}

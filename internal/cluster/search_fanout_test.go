@@ -21,9 +21,9 @@ import (
 // answer computed. after sleeps once the answer is computed and ignores
 // ctx — a healthy replica slow to deliver, the late-loser shape. err, when
 // set, then fails the call like a transport that lost the reply. roll,
-// when set, draws after and err per call instead. Every search's routing
-// hint is recorded, and its sub-batch retained beside a copy — the way a
-// transport still encoding an abandoned attempt's frame retains it.
+// when set, draws after and err per call instead. Every search's sub-batch
+// is retained beside a copy — the way a transport still encoding an
+// abandoned attempt's frame retains it.
 type faultMember struct {
 	transport.NodeClient
 	before, after time.Duration
@@ -35,13 +35,12 @@ type faultMember struct {
 }
 
 type servedBatch struct {
-	hint     uint8
 	qs, copy []sparse.Vector
 }
 
 func (m *faultMember) Search(ctx context.Context, qs []sparse.Vector, p node.SearchParams) ([][]core.Neighbor, error) {
 	m.mu.Lock()
-	m.served = append(m.served, servedBatch{hint: p.Routing, qs: qs, copy: slices.Clone(qs)})
+	m.served = append(m.served, servedBatch{qs: qs, copy: slices.Clone(qs)})
 	m.mu.Unlock()
 	if m.before > 0 {
 		select {
@@ -145,12 +144,8 @@ var errDown = errors.New("member down")
 // TestSearchFanOutBothPlacements drives the coordinator's one fan-out
 // through its failure policy under scatter and partitioned placement from
 // one table: the same cases, the same assertions, only the probe plan
-// differs. After every case every frame must have carried the
-// placement's routing hint: none under scatter (which transport encodes
-// as a v1 frame, pinned by TestSearchFrameVersionFollowsRoutingHint),
-// RoutingPartitioned under routing — and no sub-batch a member was handed
-// may have been rewritten since: an abandoned attempt can still be
-// reading it.
+// differs. After every case no sub-batch a member was handed may have been
+// rewritten since: an abandoned attempt can still be reading it.
 func TestSearchFanOutBothPlacements(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -294,10 +289,6 @@ func TestSearchFanOutBothPlacements(t *testing.T) {
 		},
 	}
 	for _, placement := range []Placement{PlacementScatter, PlacementPartitioned} {
-		wantHint := uint8(node.RoutingNone)
-		if placement == PlacementPartitioned {
-			wantHint = node.RoutingPartitioned
-		}
 		for _, tc := range cases {
 			t.Run(placement.String()+"/"+tc.name, func(t *testing.T) {
 				f := newFanoutFleet(t, placement)
@@ -317,9 +308,6 @@ func TestSearchFanOutBothPlacements(t *testing.T) {
 					m.mu.Lock() // a canceled straggler may still be arriving
 					for _, b := range m.served {
 						served++
-						if b.hint != wantHint {
-							t.Errorf("member %d served a search with routing hint %d, want %d", i, b.hint, wantHint)
-						}
 						if !reflect.DeepEqual(b.qs, b.copy) {
 							t.Errorf("member %d's sub-batch was rewritten after it was handed over", i)
 						}

@@ -54,8 +54,8 @@ func denseOf(t *Table, buckets int) denseTable {
 	return d
 }
 
-// compact and capBuckets are Static.Compact and Static.CapBuckets as they
-// ran over the dense layout, one table at a time.
+// compact is Static.Compact as it ran over the dense layout, one table at a
+// time.
 func (t *denseTable) compact(drop func(uint32) bool) {
 	var w uint32
 	for b := 0; b < len(t.Offsets)-1; b++ {
@@ -67,28 +67,6 @@ func (t *denseTable) compact(drop func(uint32) bool) {
 				w++
 			}
 		}
-	}
-	t.Offsets[len(t.Offsets)-1] = w
-	t.Items = t.Items[:w]
-}
-
-func (t *denseTable) capBuckets(r int, seed uint64, l int) {
-	src := rng.New(seed + uint64(l)*0x9e3779b97f4a7c15)
-	var w uint32
-	for b := 0; b < len(t.Offsets)-1; b++ {
-		lo, hi := t.Offsets[b], t.Offsets[b+1]
-		t.Offsets[b] = w
-		bucket := t.Items[lo:hi]
-		if len(bucket) > r {
-			res := bucket[:r]
-			for i := r; i < len(bucket); i++ {
-				if j := src.Intn(i + 1); j < r {
-					res[j] = bucket[i]
-				}
-			}
-			bucket = res
-		}
-		w += uint32(copy(t.Items[w:], bucket))
 	}
 	t.Offsets[len(t.Offsets)-1] = w
 	t.Items = t.Items[:w]
@@ -148,8 +126,8 @@ func sameBuckets(t *testing.T, what string, st *Static, ref []denseTable) {
 }
 
 // TestLayoutMatchesDenseReference: for key multisets on both sides of full
-// occupancy, every builder arm, Compact and CapBuckets leave every bucket
-// exactly as the dense layout had it, under a directory that validates.
+// occupancy, every builder arm and Compact leave every bucket exactly as the
+// dense layout had it, under a directory that validates.
 func TestLayoutMatchesDenseReference(t *testing.T) {
 	p := lshhash.Params{Dim: 64, K: 8, M: 4, Seed: 5}
 	fam, err := lshhash.NewFamily(p)
@@ -172,7 +150,18 @@ func TestLayoutMatchesDenseReference(t *testing.T) {
 	for _, n := range []int{0, 1, buckets - 1, buckets, 4 * buckets} {
 		for _, skewed := range []bool{false, true} {
 			sk := layoutSketches(n, p.M, p.HalfBuckets(), skewed, uint64(n)+1)
-			reference := func() []denseTable {
+			for _, arm := range arms {
+				what := fmt.Sprintf("%s n=%d skewed=%v", arm.name, n, skewed)
+				check := func(step string, st *Static, ref []denseTable) {
+					t.Helper()
+					if err := ValidateTables(p, n, st.tables); err != nil {
+						t.Fatalf("%s, %s: %v", what, step, err)
+					}
+					sameBuckets(t, what+", "+step, st, ref)
+				}
+
+				st := &Static{fam: fam, n: n, tables: make([]Table, p.L())}
+				arm.build(st, sk, sched.NewPool(3))
 				ref := make([]denseTable, p.L())
 				keys := make([]uint32, n)
 				for l := range ref {
@@ -182,24 +171,6 @@ func TestLayoutMatchesDenseReference(t *testing.T) {
 					}
 					ref[l] = denseFromKeys(keys, buckets)
 				}
-				return ref
-			}
-			for _, arm := range arms {
-				what := fmt.Sprintf("%s n=%d skewed=%v", arm.name, n, skewed)
-				build := func() *Static {
-					st := &Static{fam: fam, n: n, tables: make([]Table, p.L())}
-					arm.build(st, sk, sched.NewPool(3))
-					return st
-				}
-				check := func(step string, st *Static, ref []denseTable) {
-					t.Helper()
-					if err := ValidateTables(p, n, st.tables); err != nil {
-						t.Fatalf("%s, %s: %v", what, step, err)
-					}
-					sameBuckets(t, what+", "+step, st, ref)
-				}
-
-				st, ref := build(), reference()
 				check("built", st, ref)
 				if bound := TableMemoryBound(n, p.K, p.L()); st.MemoryBytes() > bound {
 					t.Fatalf("%s: MemoryBytes %d over TableMemoryBound %d", what, st.MemoryBytes(), bound)
@@ -216,19 +187,6 @@ func TestLayoutMatchesDenseReference(t *testing.T) {
 					ref[l].compact(drop)
 				}
 				check("compacted", st, ref)
-
-				// Capping the compacted tables, as a merge does, and fresh
-				// ones, where every set bit still has items.
-				for _, fresh := range []bool{false, true} {
-					if fresh {
-						st, ref = build(), reference()
-					}
-					st.CapBuckets(2, 77, 2)
-					for l := range ref {
-						ref[l].capBuckets(2, 77, l)
-					}
-					check(fmt.Sprintf("capped (fresh=%v)", fresh), st, ref)
-				}
 			}
 		}
 	}

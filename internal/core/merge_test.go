@@ -128,52 +128,3 @@ func TestMergeMatchesBuild(t *testing.T) {
 	}
 	sameBucketsAs(t, "head+tail", got.tables, want)
 }
-
-// TestMergeThenCapBuckets: with a bucket bound the merged tables are
-// capped again, as the node does after every merge — every bucket obeys the
-// bound, every survivor is a live id, and the outcome depends on the seed and
-// nothing else.
-func TestMergeThenCapBuckets(t *testing.T) {
-	const r = 3
-	p := lshhash.Params{Dim: 64, K: 8, M: 4, Seed: 5}
-	fam, err := lshhash.NewFamily(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const nOld, nAdd = 2000, 700
-	skOld := layoutSketches(nOld, p.M, p.HalfBuckets(), true, 1)
-	skAdd := layoutSketches(nAdd, p.M, p.HalfBuckets(), true, 2)
-	dead := randomDead(nOld+nAdd, 7, 3)
-	merge := func(workers int, seed uint64) *Static {
-		old := BuildFromSketches(fam, skOld, workers)
-		old.CapBuckets(r, 11, workers) // the static side is capped already
-		st := Merge(old, BuildFromSketches(fam, skAdd, workers), dead, workers)
-		st.CapBuckets(r, seed, workers)
-		return st
-	}
-	a, b, c := merge(1, 77), merge(4, 77), merge(1, 78)
-	if err := ValidateTables(p, nOld+nAdd, a.tables); err != nil {
-		t.Fatal(err)
-	}
-	differs := false
-	for l := range a.tables {
-		for key := 0; key < p.Buckets(); key++ {
-			bucket := a.tables[l].Bucket(uint32(key))
-			if len(bucket) > r {
-				t.Fatalf("table %d bucket %d holds %d items, bound %d", l, key, len(bucket), r)
-			}
-			for _, id := range bucket {
-				if dead[id>>6]>>(id&63)&1 != 0 {
-					t.Fatalf("table %d bucket %d kept tombstoned id %d", l, key, id)
-				}
-			}
-			if !slices.Equal(bucket, b.tables[l].Bucket(uint32(key))) {
-				t.Fatalf("table %d bucket %d differs between worker counts", l, key)
-			}
-			differs = differs || !slices.Equal(bucket, c.tables[l].Bucket(uint32(key)))
-		}
-	}
-	if !differs {
-		t.Fatal("another seed sampled the same survivors everywhere; the skewed corpus no longer overflows the bound")
-	}
-}

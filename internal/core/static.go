@@ -22,7 +22,6 @@ import (
 	"slices"
 
 	"plsh/internal/lshhash"
-	"plsh/internal/rng"
 	"plsh/internal/sched"
 	"plsh/internal/sparse"
 )
@@ -33,7 +32,7 @@ import (
 // below word w, and the bucket with the j-th set bit occupies Items from
 // where entry j starts to where entry j+1 does, one closing entry at
 // len(Items) ending the last. A builder sets exactly the bits of the
-// non-empty buckets; Merge, Compact and CapBuckets may then leave a bucket
+// non-empty buckets; Merge and Compact may then leave a bucket
 // empty whose bit stays set, so a set bit promises an entry, not an item.
 //
 // An entry is 16 bits: entry e starts at base[e>>6]+off[e], base holding
@@ -374,49 +373,6 @@ func (s *Static) Compact(drop func(id uint32) bool, workers int) {
 					w++
 				}
 			}
-		}
-		offs[len(offs)-1] = w
-		t.Items = t.Items[:w]
-		t.SetOffsets(offs)
-	})
-}
-
-// CapBuckets bounds every bucket to at most r items, in place, choosing
-// the survivors of an oversized bucket by reservoir sampling over the
-// bucket's insertion order — the SLASH-style bound that keeps the cost of
-// scanning a skew-heavy bucket O(r) instead of O(bucket). Sampling is
-// deterministic in (seed, table index), so two builds over the same rows
-// cap identically. Like Compact, CapBuckets must run before the index is
-// published to readers; r <= 0 is a no-op.
-//
-//plshvet:prepublish documented pre-publish build step; runs before the snapshot swap
-func (s *Static) CapBuckets(r int, seed uint64, workers int) {
-	if r <= 0 {
-		return
-	}
-	pool := sched.NewPool(workers)
-	pool.Run(len(s.tables), func(l, _ int) {
-		t := &s.tables[l]
-		src := rng.New(seed + uint64(l)*0x9e3779b97f4a7c15)
-		offs := t.AppendOffsets(nil)
-		var w uint32
-		for b := 0; b < len(offs)-1; b++ {
-			lo, hi := offs[b], offs[b+1]
-			offs[b] = w
-			bucket := t.Items[lo:hi]
-			if len(bucket) > r {
-				// Reservoir over the bucket: slot j of the first r is
-				// replaced by item i with probability r/(i+1).
-				res := bucket[:r]
-				for i := r; i < len(bucket); i++ {
-					if j := src.Intn(i + 1); j < r {
-						res[j] = bucket[i]
-					}
-				}
-				bucket = res
-			}
-			// w never exceeds the read cursor, so the in-place copy is safe.
-			w += uint32(copy(t.Items[w:], bucket))
 		}
 		offs[len(offs)-1] = w
 		t.Items = t.Items[:w]

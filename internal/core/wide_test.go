@@ -123,7 +123,7 @@ func deadFunc(dead []uint64) func(uint32) bool {
 }
 
 // TestNarrowMatchesWideReference: out of every writer — Build, hashing
-// included, BuildFromSketches, Merge under tombstones, Compact, CapBuckets —
+// included, BuildFromSketches, Merge under tombstones, Compact —
 // at 4, 8 and 16 key bits, below and past full occupancy, the 16-bit entries
 // answer every key as the 32-bit reference does.
 func TestNarrowMatchesWideReference(t *testing.T) {
@@ -161,14 +161,6 @@ func TestNarrowMatchesWideReference(t *testing.T) {
 			compacted := BuildFromSketches(fam, sk, 2)
 			compacted.Compact(deadFunc(dead), 2)
 			checkAgainstWide(t, what+" Compact", compacted, ref)
-
-			ref = wideReference(sk, p)
-			for l := range ref {
-				ref[l].capBuckets(3, 77, l)
-			}
-			capped := BuildFromSketches(fam, sk, 2)
-			capped.CapBuckets(3, 77, 2)
-			checkAgainstWide(t, what+" CapBuckets", capped, ref)
 
 			// Merge: the first two thirds as the static side, the rest as the
 			// delta, tombstones on both. The reference is the whole prefix
@@ -251,7 +243,7 @@ func TestEntryFormFollowsTheData(t *testing.T) {
 // TestRetweetStormTakesTheWideForm: 70 000 copies of one document must still
 // index. Every writer that meets them keeps 32-bit entries, every writer that
 // sees them go narrows again, and the buckets are the reference's throughout:
-// through Build, BuildFromSketches, Compact, CapBuckets, a merge that takes a
+// through Build, BuildFromSketches, Compact, a merge that takes a
 // narrow index wide and one that brings it back.
 func TestRetweetStormTakesTheWideForm(t *testing.T) {
 	const quiet, storm = 900, 70000
@@ -293,17 +285,6 @@ func TestRetweetStormTakesTheWideForm(t *testing.T) {
 		t.Fatal("the storm compacted away and the entries stayed wide")
 	}
 	checkAgainstWide(t, "compacted", built, ref)
-
-	ref = wideReference(sk, p)
-	for l := range ref {
-		ref[l].capBuckets(50, 1, l)
-	}
-	capped := BuildFromSketches(fam, sk, 2)
-	capped.CapBuckets(50, 1, 2)
-	if formOf(t, "capped", capped) {
-		t.Fatal("buckets capped at 50 items and the entries stayed wide")
-	}
-	checkAgainstWide(t, "capped", capped, ref)
 
 	// Narrow + the storm → wide; wide + a few rows, the storm tombstoned →
 	// narrow.

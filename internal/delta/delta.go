@@ -26,7 +26,6 @@ import (
 
 	"plsh/internal/bitvec"
 	"plsh/internal/lshhash"
-	"plsh/internal/rng"
 	"plsh/internal/sched"
 	"plsh/internal/sparse"
 )
@@ -53,17 +52,6 @@ type Table struct {
 	// bucket empty; a set bit may be another key's). occBits fixes the size.
 	occ      []uint64
 	occWords int
-
-	// Reservoir bucket bound (SLASH-style): when resCap > 0, every bucket
-	// holds at most resCap items, the survivors chosen by streaming
-	// reservoir sampling so each offered item is retained with equal
-	// probability regardless of skew. offers[l][key] counts items ever
-	// offered to a bucket once it is full; rngs[l] is the table's private
-	// deterministic sampling stream.
-	resCap  int
-	resSeed uint64
-	offers  []map[uint32]int
-	rngs    []*rng.Source
 }
 
 // New returns an empty delta table over the family.
@@ -120,56 +108,6 @@ func markOcc(words []uint64, mask, key uint32) {
 	words[slot>>6] |= 1 << (slot & 63)
 }
 
-// SetReservoir bounds every bucket to at most r items via reservoir
-// sampling (r <= 0 disables the bound, the default). Sampling is
-// deterministic in (seed, table index). Must be called before the first
-// Insert; panics on a non-empty or frozen table so a bound can never be
-// applied retroactively to half of a stream.
-//
-//plshvet:prepublish configuration step; panics on a non-empty or frozen table
-func (d *Table) SetReservoir(r int, seed uint64) {
-	if d.n > 0 || d.frozen {
-		panic("delta: SetReservoir on non-empty table")
-	}
-	d.resCap = r
-	d.resSeed = seed
-	if r <= 0 {
-		d.offers = nil
-		d.rngs = nil
-		return
-	}
-	L := d.fam.Params().L()
-	d.offers = make([]map[uint32]int, L)
-	d.rngs = make([]*rng.Source, L)
-	for l := 0; l < L; l++ {
-		d.offers[l] = make(map[uint32]int)
-		d.rngs[l] = rng.New(seed + uint64(l)*0x9e3779b97f4a7c15)
-	}
-}
-
-// offer appends id to table l's bucket under the reservoir discipline:
-// plain append while the bucket is under resCap, then replacement with
-// probability resCap/t for the t-th offered item. With no bound set it is
-// a plain append.
-//
-//plshvet:prepublish insert-path helper; reached only from Insert, which panics on a frozen table
-func (d *Table) offer(l int, m map[uint32][]uint32, key uint32, id uint32) {
-	ids := m[key]
-	if d.resCap <= 0 || len(ids) < d.resCap {
-		m[key] = append(ids, id)
-		return
-	}
-	t := d.offers[l][key]
-	if t == 0 {
-		t = d.resCap // first overflow: resCap items offered so far
-	}
-	t++
-	if j := d.rngs[l].Intn(t); j < d.resCap {
-		ids[j] = id
-	}
-	d.offers[l][key] = t
-}
-
 // Len returns the number of inserted documents.
 func (d *Table) Len() int { return d.n }
 
@@ -215,7 +153,7 @@ func (d *Table) Insert(vs []sparse.Vector) int {
 			id := first + i
 			key := d.sk.TableKey(id, a, b, p.K)
 			markOcc(occ, mask, key)
-			d.offer(l, m, key, uint32(id))
+			m[key] = append(m[key], uint32(id))
 		}
 	})
 	d.n += len(vs)
@@ -279,14 +217,8 @@ const probeBlock = 128
 //
 // This is the segment-coalescing path: rebucketing reuses the hashing work
 // retained in the source tables' sketches instead of rehashing documents.
-// A reservoir bound (resCap > 0) is applied per bucket over the rows' ID
-// order — the rebucketing analogue of the streaming bound, so a coalesced
-// segment obeys the same cap as the segments it replaces.
-func fromSketches(fam *lshhash.Family, sk *lshhash.Sketches, workers int, skip func(localID int) bool, resCap int, resSeed uint64) *Table {
+func fromSketches(fam *lshhash.Family, sk *lshhash.Sketches, workers int, skip func(localID int) bool) *Table {
 	d := New(fam, workers)
-	if resCap > 0 {
-		d.SetReservoir(resCap, resSeed)
-	}
 	d.sk = sk
 	d.n = sk.N()
 	d.sizeOcc(d.n)
@@ -301,7 +233,7 @@ func fromSketches(fam *lshhash.Family, sk *lshhash.Sketches, workers int, skip f
 			}
 			key := sk.TableKey(i, a, b, p.K)
 			markOcc(occ, mask, key)
-			d.offer(l, m, key, uint32(i))
+			m[key] = append(m[key], uint32(i))
 		}
 	})
 	d.Freeze()
@@ -321,11 +253,7 @@ func Coalesce(fam *lshhash.Family, a, b *Table, workers int, skip func(localID i
 // however long the run — where folding the run pair by pair rebuckets the
 // oldest rows once per fold.
 func CoalesceRun(fam *lshhash.Family, run []*Table, workers int, skip func(localID int) bool) *Table {
-	sk := ConcatSketches(run)
-	// The merged segment inherits the run's reservoir bound (segments under
-	// one node always share a configuration), reseeded by the combined
-	// length so repeated coalesces don't replay one sampling stream.
-	return fromSketches(fam, sk, workers, skip, run[0].resCap, run[0].resSeed+uint64(sk.N()))
+	return fromSketches(fam, ConcatSketches(run), workers, skip)
 }
 
 // ConcatSketches returns a copy of the sketches of a run of frozen tables,

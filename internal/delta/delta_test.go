@@ -273,13 +273,10 @@ func pairwiseCascade(fam *lshhash.Family, run []*Table, skip func(int) bool) *Ta
 }
 
 // frozenRun splits vs into frozen tables of the given sizes, oldest first.
-func frozenRun(fam *lshhash.Family, vs []sparse.Vector, sizes []int, reservoir int) []*Table {
+func frozenRun(fam *lshhash.Family, vs []sparse.Vector, sizes []int) []*Table {
 	var run []*Table
 	for _, size := range sizes {
 		t := New(fam, 2)
-		if reservoir > 0 {
-			t.SetReservoir(reservoir, 7)
-		}
 		t.Insert(vs[:size])
 		t.Freeze()
 		vs = vs[size:]
@@ -299,7 +296,7 @@ func TestCoalesceRunMatchesPairwiseCascade(t *testing.T) {
 		for _, size := range sizes {
 			total += size
 		}
-		run := frozenRun(fam, docs(total, 2000, 31), sizes, 0)
+		run := frozenRun(fam, docs(total, 2000, 31), sizes)
 		skip := func(i int) bool { return i%7 == 3 }
 		got := CoalesceRun(fam, run, 3, skip)
 		want := pairwiseCascade(fam, run, skip)
@@ -327,36 +324,13 @@ func TestCoalesceRunMatchesPairwiseCascade(t *testing.T) {
 	}
 }
 
-// TestCoalesceRunKeepsReservoirBound: a run of bounded tables folds into a
-// table under the same bound, whichever way it is folded.
-func TestCoalesceRunKeepsReservoirBound(t *testing.T) {
-	fam := testFamily(t)
-	const R = 3
-	run := frozenRun(fam, sameDocCopies(120), []int{60, 30, 20, 10}, R)
-	for name, folded := range map[string]*Table{
-		"one pass": CoalesceRun(fam, run, 2, nil),
-		"pairwise": pairwiseCascade(fam, run, func(int) bool { return false }),
-	} {
-		if folded.Len() != 120 {
-			t.Fatalf("%s: Len = %d", name, folded.Len())
-		}
-		for l, m := range folded.buckets {
-			for key, ids := range m {
-				if len(ids) > R {
-					t.Fatalf("%s: table %d bucket %d holds %d items, bound %d", name, l, key, len(ids), R)
-				}
-			}
-		}
-	}
-}
-
 func TestFromSketchesReusesHashes(t *testing.T) {
 	fam := testFamily(t)
 	vs := docs(80, 2000, 27)
 	src := New(fam, 2)
 	src.Insert(vs)
 	src.Freeze()
-	rebuilt := fromSketches(fam, src.Sketches(), 2, nil, 0, 0)
+	rebuilt := fromSketches(fam, src.Sketches(), 2, nil)
 	if rebuilt.Len() != 80 {
 		t.Fatalf("Len = %d", rebuilt.Len())
 	}
@@ -375,105 +349,4 @@ func TestFromSketchesReusesHashes(t *testing.T) {
 	if got, want := count(rebuilt), count(src); got != want {
 		t.Fatalf("bucket entries %d, want %d", got, want)
 	}
-}
-
-// sameDocCopies returns n copies of one document — every copy lands in
-// the same bucket of every table, the worst-case skew the reservoir
-// bound exists for.
-func sameDocCopies(n int) []sparse.Vector {
-	v := docs(1, 2000, 5)[0]
-	out := make([]sparse.Vector, n)
-	for i := range out {
-		out[i] = v
-	}
-	return out
-}
-
-// TestReservoirBoundsBuckets: under maximal skew no bucket exceeds the
-// reservoir capacity, survivors are genuine inserted IDs, and queries
-// still surface survivors.
-func TestReservoirBoundsBuckets(t *testing.T) {
-	fam := testFamily(t)
-	const R = 4
-	d := New(fam, 2)
-	d.SetReservoir(R, 99)
-	vs := sameDocCopies(64)
-	d.Insert(vs)
-	for l, m := range d.buckets {
-		for key, ids := range m {
-			if len(ids) > R {
-				t.Fatalf("table %d bucket %d holds %d items, reservoir bound %d", l, key, len(ids), R)
-			}
-			for _, id := range ids {
-				if id >= 64 {
-					t.Fatalf("table %d bucket %d: invented id %d", l, key, id)
-				}
-			}
-		}
-	}
-	seen := bitvec.New(d.Len())
-	cand, _ := d.Candidates(fam.Sketch(vs[0]), seen, nil)
-	if len(cand) == 0 {
-		t.Fatal("reservoir-bounded table answers nothing for its own documents")
-	}
-	if max := R * len(d.buckets); len(cand) > max {
-		t.Fatalf("%d candidates from buckets bounded to %d each across %d tables", len(cand), R, len(d.buckets))
-	}
-}
-
-// TestReservoirDeterministic: the sampling stream is seeded per table, so
-// identical inserts under different worker counts produce identical
-// buckets — reservoir capping never makes a node nondeterministic.
-func TestReservoirDeterministic(t *testing.T) {
-	fam := testFamily(t)
-	vs := docs(200, 2000, 3)
-	build := func(workers int) *Table {
-		d := New(fam, workers)
-		d.SetReservoir(3, 7)
-		d.Insert(vs[:120])
-		d.Insert(vs[120:])
-		return d
-	}
-	a, b := build(1), build(4)
-	if !reflect.DeepEqual(a.buckets, b.buckets) {
-		t.Fatal("reservoir sampling differs across worker counts")
-	}
-}
-
-// TestReservoirSurvivesCoalesce: the Bentley–Saxe merge re-samples under
-// the inherited bound, so coalesced segments stay bounded too.
-func TestReservoirSurvivesCoalesce(t *testing.T) {
-	fam := testFamily(t)
-	const R = 3
-	vs := sameDocCopies(80)
-	a := New(fam, 2)
-	a.SetReservoir(R, 7)
-	a.Insert(vs[:40])
-	a.Freeze()
-	b := New(fam, 2)
-	b.SetReservoir(R, 8)
-	b.Insert(vs[40:])
-	b.Freeze()
-	m := Coalesce(fam, a, b, 2, func(int) bool { return false })
-	for l, tm := range m.buckets {
-		for key, ids := range tm {
-			if len(ids) > R {
-				t.Fatalf("coalesced table %d bucket %d holds %d items, bound %d", l, key, len(ids), R)
-			}
-		}
-	}
-}
-
-// TestSetReservoirRejectsLateArming: the bound must be set before any
-// insert — arming it afterwards would leave earlier buckets uncapped.
-func TestSetReservoirRejectsLateArming(t *testing.T) {
-	fam := testFamily(t)
-	d := New(fam, 2)
-	d.Insert(docs(1, 2000, 5))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetReservoir on a non-empty table did not panic")
-		}
-	}()
-	d.SetReservoir(2, 1)
 }

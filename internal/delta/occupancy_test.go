@@ -136,20 +136,6 @@ func TestFilteredProbeMatchesReference(t *testing.T) {
 				prev = n
 				requireProbeMatchesReference(t, grown, queries)
 			}
-
-			// A reservoir that overflows: replaced rows leave their bucket
-			// occupied, on the streaming path and through Coalesce.
-			copies := append(sameDocCopies(30), vs[:70]...)
-			a, b := New(fam, 2), New(fam, 2)
-			a.SetReservoir(2, 99)
-			b.SetReservoir(2, 99)
-			a.Insert(copies[:50])
-			b.Insert(copies[50:])
-			queries = append(queries, copies[0])
-			requireProbeMatchesReference(t, a, queries)
-			a.Freeze()
-			b.Freeze()
-			requireProbeMatchesReference(t, Coalesce(fam, a, b, 2, nil), queries)
 		})
 	}
 }

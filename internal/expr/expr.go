@@ -6,7 +6,8 @@
 // paper's single-node point is N=10.5M, D=500K, k=16, m=40). Absolute
 // times differ from the paper's Xeon cluster; the comparisons preserved are
 // the *shapes*: who wins, by what rough factor, and where curves cross.
-// EXPERIMENTS.md records paper-vs-measured for each.
+// Each runner prints the paper's reported values on a "paper:" line under
+// its measured table, so one run of cmd/plsh-bench is the side-by-side.
 package expr
 
 import (

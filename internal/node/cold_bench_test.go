@@ -48,7 +48,7 @@ func BenchmarkSearchColdStream(b *testing.B) {
 	n.mu.Lock()
 	for size := maxSeg; size >= minSeg; size /= 2 {
 		base := n.store.Rows()
-		t := n.newDelta()
+		t := delta.New(n.fam, n.cfg.Build.Workers)
 		t.Insert(docs[base : base+size])
 		t.Freeze()
 		for _, v := range docs[base : base+size] {
@@ -246,7 +246,7 @@ func BenchmarkCoalesceChain(b *testing.B) {
 			docs := coldDocs(size.batches*size.batch, 50000)
 			batches := make([]segment, size.batches)
 			for i := range batches {
-				t := n.newDelta()
+				t := delta.New(n.fam, n.cfg.Build.Workers)
 				t.Insert(docs[i*size.batch : (i+1)*size.batch])
 				t.Freeze()
 				batches[i] = segment{base: i * size.batch, t: t}

@@ -761,64 +761,3 @@ func TestMergeUsesTombstonesOfItsStart(t *testing.T) {
 		}
 	}
 }
-
-// TestReservoirEvictionIsPermanentAcrossMerges pins the documented price of
-// merging by copy under a bucket bound: a merge caps the merged buckets, and
-// a row a full bucket lost in an earlier merge is not offered to it again —
-// where a rebuild offered every row of the prefix afresh each time. The
-// bound itself holds after every merge, and the outcome is a function of the
-// seed and the insert sequence.
-func TestReservoirEvictionIsPermanentAcrossMerges(t *testing.T) {
-	const r = 3
-	build := func() *Node {
-		cfg := testConfig(2000)
-		cfg.AutoMerge = false
-		cfg.BucketReservoir = r
-		n, err := Open(bg, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Forty copies of one document overflow one bucket of every table.
-		vs := testDocs(200, 59)
-		for i := 0; i < 40; i++ {
-			vs[i*5] = vs[0]
-		}
-		prev := map[int]map[uint32]bool{} // per table: what the hot bucket has held
-		for at := 0; at < 200; at += 50 {
-			if _, err := n.Insert(bg, vs[at:at+50]); err != nil {
-				t.Fatal(err)
-			}
-			mustMerge(t, n)
-			sketch := n.fam.Sketch(vs[0])
-			half := uint(n.fam.Params().K / 2)
-			for l, pair := range n.fam.Pairs() {
-				bucket := n.static.Table(l).Bucket(pair.Key(sketch, half))
-				if len(bucket) > r {
-					t.Fatalf("after %d rows: table %d hot bucket holds %d, bound %d", at+50, l, len(bucket), r)
-				}
-				if prev[l] == nil {
-					prev[l] = map[uint32]bool{}
-				}
-				for _, id := range bucket {
-					// A survivor is a row of this merge's delta or one the
-					// bucket still held after the last merge — never a row
-					// an earlier merge evicted.
-					if int(id) < at && !prev[l][id] {
-						t.Fatalf("after %d rows: table %d hot bucket regained evicted row %d", at+50, l, id)
-					}
-				}
-				clear(prev[l])
-				for _, id := range bucket {
-					prev[l][id] = true
-				}
-			}
-		}
-		return n
-	}
-	a, b := build(), build()
-	for l := 0; l < a.static.NumTables(); l++ {
-		if !slices.Equal(a.static.Table(l).Items, b.static.Table(l).Items) {
-			t.Fatalf("table %d differs between two nodes fed the same inserts", l)
-		}
-	}
-}

@@ -101,17 +101,6 @@ type Config struct {
 	// Query configures the static query path; Radius also applies to the
 	// delta path.
 	Query core.QueryOptions
-	// Seed feeds the hash family if Params.Seed is zero.
-	Seed uint64
-	// BucketReservoir, when > 0, bounds every hash bucket (static and
-	// delta) to at most this many entries, keeping the survivors by
-	// reservoir sampling — the SLASH-style cap that makes per-insert and
-	// per-bucket-scan cost independent of stream skew. Sampling is
-	// deterministic in the node's seed. Eviction is permanent: a merge
-	// re-caps the merged buckets, and a row a full bucket lost — in a delta
-	// segment or in an earlier merge — does not return to it. 0 (the
-	// default) keeps buckets exact and unbounded.
-	BucketReservoir int
 	// Dir, when non-empty, makes the node durable: Open recovers its state
 	// from Dir (latest snapshot + journal-tail replay), acknowledged
 	// writes are journaled there first, and background merges checkpoint
@@ -124,21 +113,28 @@ type Config struct {
 	SyncWrites bool
 }
 
-// withDefaults normalizes cfg.
-func (cfg Config) withDefaults() Config {
-	if cfg.Capacity <= 0 {
+// normalize rejects out-of-range settings and fills the zero ones with
+// their defaults, so a value that passes is the value in effect.
+func (cfg Config) normalize() (Config, error) {
+	if cfg.Capacity < 0 {
+		return cfg, fmt.Errorf("node: Config.Capacity = %d must not be negative", cfg.Capacity)
+	}
+	if !(cfg.DeltaFraction >= 0 && cfg.DeltaFraction <= 1) {
+		return cfg, fmt.Errorf("node: Config.DeltaFraction = %v outside [0, 1]", cfg.DeltaFraction)
+	}
+	if !(cfg.Query.Radius >= 0) {
+		return cfg, fmt.Errorf("node: Config.Query.Radius = %v must not be negative", cfg.Query.Radius)
+	}
+	if cfg.Capacity == 0 {
 		cfg.Capacity = 1 << 20
 	}
-	if cfg.DeltaFraction <= 0 || cfg.DeltaFraction > 1 {
+	if cfg.DeltaFraction == 0 {
 		cfg.DeltaFraction = 0.1
 	}
-	if cfg.Params.Seed == 0 {
-		cfg.Params.Seed = cfg.Seed
-	}
-	if cfg.Query.Radius <= 0 {
+	if cfg.Query.Radius == 0 {
 		cfg.Query.Radius = 0.9
 	}
-	return cfg
+	return cfg, nil
 }
 
 // SearchParams are the request-scoped knobs of one search — the
@@ -157,25 +153,7 @@ type SearchParams struct {
 	// engine plus delta segments combined) this query evaluates distances
 	// for — a per-request latency/recall trade.
 	MaxCandidates int
-	// Routing, when nonzero, tags the batch as a routed sub-batch from a
-	// partitioned-placement coordinator (RoutingPartitioned). Nodes answer
-	// identically either way today — the hint versions the wire protocol,
-	// so a pre-routing server rejects routed traffic loudly instead of
-	// silently mis-serving it, and reserves room for node-side routing
-	// awareness later.
-	Routing uint8
 }
-
-// Routing hint values for SearchParams.Routing.
-const (
-	// RoutingNone marks an ordinary (scatter/broadcast or single-node)
-	// search. The zero value, and byte-stable on the wire with peers that
-	// predate routing.
-	RoutingNone uint8 = 0
-	// RoutingPartitioned marks a routed sub-batch: the coordinator sent
-	// this node only the queries whose probe sets include its group.
-	RoutingPartitioned uint8 = 1
-)
 
 // Stats summarizes a node's state and accumulated maintenance costs.
 type Stats struct {
@@ -306,7 +284,10 @@ func newArena(cfg Config) *sparse.Matrix {
 // ctx bounds the replay. Without cfg.Dir it returns an empty in-memory
 // node.
 func Open(ctx context.Context, cfg Config) (*Node, error) {
-	cfg = cfg.withDefaults()
+	cfg, err := cfg.normalize()
+	if err != nil {
+		return nil, err
+	}
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
 	}
@@ -418,7 +399,7 @@ func (n *Node) applyRecordLocked(rec *persist.Record) error {
 		if err := sparse.CheckAll(rec.Docs, n.cfg.Params.Dim); err != nil {
 			return fmt.Errorf("node: journal replay: %w", err)
 		}
-		t := n.newDelta()
+		t := delta.New(n.fam, n.cfg.Build.Workers)
 		t.Insert(rec.Docs)
 		t.Freeze()
 		for _, v := range rec.Docs {
@@ -437,18 +418,6 @@ func (n *Node) applyRecordLocked(rec *persist.Record) error {
 		return fmt.Errorf("node: journal replay: unknown record kind %d", rec.Kind)
 	}
 	return nil
-}
-
-// newDelta builds an empty delta segment under the node's configuration,
-// bucket-reservoir bound included. Segments share one sampling seed: the
-// stream each segment's reservoir sees is its own insert order, so the
-// bound stays deterministic for a given insert sequence.
-func (n *Node) newDelta() *delta.Table {
-	t := delta.New(n.fam, n.cfg.Build.Workers)
-	if n.cfg.BucketReservoir > 0 {
-		t.SetReservoir(n.cfg.BucketReservoir, n.cfg.Params.Seed^0xd6e8feb86659fd93)
-	}
-	return t
 }
 
 // initStaticLocked installs the static index and engine of a node with no
@@ -484,13 +453,6 @@ func (n *Node) mergeStatic(old *core.Static, segs []segment, prefix *sparse.Matr
 		panic(fmt.Sprintf("node: merging %d+%d rows, want %d", old.Len(), add.Len(), upTo))
 	}
 	st := core.Merge(old, add, tombstoneWords(del, upTo), workers)
-	if n.cfg.BucketReservoir > 0 {
-		// Cap after the tombstones are gone, so deleted rows never consume
-		// reservoir slots that live rows could have kept; reseeded by the
-		// merged length so successive merges don't replay one sampling
-		// stream over the same bucket.
-		st.CapBuckets(n.cfg.BucketReservoir, (n.cfg.Params.Seed^0xa5a3564e06f8e3c1)+uint64(upTo), workers)
-	}
 	eng := core.NewEngine(st, prefix, n.cfg.Query)
 	eng.SetDeleted(del)
 	return st, eng
@@ -556,7 +518,7 @@ func (n *Node) Insert(ctx context.Context, vs []sparse.Vector) ([]uint32, error)
 	// they land, so the expensive per-batch work never blocks concurrent
 	// Stats/Flush/MergeNow or other inserts. (A batch that then fails the
 	// capacity check wastes this work — rare and terminal for the node.)
-	t := n.newDelta()
+	t := delta.New(n.fam, n.cfg.Build.Workers)
 	t.Insert(vs)
 	t.Freeze()
 	n.mu.Lock()

@@ -3,6 +3,7 @@ package node
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 
@@ -57,6 +58,41 @@ func neighborIDs(ns []core.Neighbor) map[uint32]bool {
 		m[nb.ID] = true
 	}
 	return m
+}
+
+// TestOpenRejectsOutOfRangeConfig: a setting outside its range is an error
+// from Open, never silently replaced by its default — zero alone means
+// "default" — so a node runs at the capacity, η and radius it was given.
+func TestOpenRejectsOutOfRangeConfig(t *testing.T) {
+	for name, edit := range map[string]func(*Config){
+		"negative capacity":       func(c *Config) { c.Capacity = -1 },
+		"delta fraction above 1":  func(c *Config) { c.DeltaFraction = 1.5 },
+		"negative delta fraction": func(c *Config) { c.DeltaFraction = -0.1 },
+		"NaN delta fraction":      func(c *Config) { c.DeltaFraction = math.NaN() },
+		"negative radius":         func(c *Config) { c.Query.Radius = -0.5 },
+	} {
+		cfg := testConfig(100)
+		edit(&cfg)
+		if n, err := Open(bg, cfg); err == nil {
+			t.Errorf("%s: accepted, running at capacity %d, η %v, radius %v",
+				name, n.cfg.Capacity, n.cfg.DeltaFraction, n.cfg.Query.Radius)
+		}
+	}
+	for _, c := range []struct{ eta, radius, wantEta, wantRadius float64 }{
+		{0, 0, 0.1, 0.9},
+		{1, 1.2, 1, 1.2},
+	} {
+		cfg := testConfig(100)
+		cfg.DeltaFraction, cfg.Query.Radius = c.eta, c.radius
+		n, err := Open(bg, cfg)
+		if err != nil {
+			t.Fatalf("η %v, radius %v: %v", c.eta, c.radius, err)
+		}
+		if n.cfg.DeltaFraction != c.wantEta || n.cfg.Query.Radius != c.wantRadius {
+			t.Fatalf("η %v, radius %v: running at η %v, radius %v; want %v, %v",
+				c.eta, c.radius, n.cfg.DeltaFraction, n.cfg.Query.Radius, c.wantEta, c.wantRadius)
+		}
+	}
 }
 
 func TestInsertQueryRoundTrip(t *testing.T) {

@@ -37,8 +37,8 @@ func fuzzNode(t testing.TB) *node.Node {
 // both decoders end in an error or a frame — never a panic — and a request
 // that decodes is answered by handle, with an error or an answer, against a
 // real node. Seeds are the two golden streams and their truncations, which
-// carry every op (retired ones included), both searchParams revisions and
-// every response field.
+// carry every op (retired ones included), the search parameters and every
+// response field.
 func FuzzDecodeFrame(f *testing.F) {
 	for _, golden := range []string{goldenStream, goldenRespStream} {
 		raw, err := hex.DecodeString(golden)

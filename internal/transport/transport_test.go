@@ -609,53 +609,6 @@ func TestDecodeErrorSurfaced(t *testing.T) {
 	}
 }
 
-// TestSearchFrameVersionFollowsRoutingHint: a search without the routing
-// hint — every scatter sub-batch — goes out as a v1 frame carrying no
-// Routing field, so pre-routing servers keep decoding scatter traffic; only
-// a hinted search claims v2.
-func TestSearchFrameVersionFollowsRoutingHint(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	frames := make(chan searchParams, 2)
-	go func() {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		dec, enc := gob.NewDecoder(conn), gob.NewEncoder(conn)
-		for {
-			var req request
-			if dec.Decode(&req) != nil {
-				return
-			}
-			frames <- *req.Search
-			if enc.Encode(response{Seq: req.Seq, Results: make([][]core.Neighbor, len(req.Vectors))}) != nil {
-				return
-			}
-		}
-	}()
-	client, err := Dial(bg, l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	for _, tc := range []struct{ hint, version uint8 }{
-		{node.RoutingNone, searchVersionBase},
-		{node.RoutingPartitioned, searchVersion},
-	} {
-		if _, err := client.Search(bg, testDocs(2, 15), node.SearchParams{K: 3, Routing: tc.hint}); err != nil {
-			t.Fatal(err)
-		}
-		if got := <-frames; got.Version != tc.version || got.Routing != tc.hint {
-			t.Fatalf("hint %d went out as v%d with Routing %d, want v%d", tc.hint, got.Version, got.Routing, tc.version)
-		}
-	}
-}
-
 // TestRetiredOpsAnswerTypedError: the pinned opQueryBatch and opQueryTopK
 // frames — what a pre-retirement client sends — each get a codeError
 // response naming the retirement over real TCP, and the same connection

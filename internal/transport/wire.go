@@ -60,18 +60,17 @@ const (
 	opDoc
 )
 
-// searchVersion is the highest searchParams revision this binary speaks.
-// The version rides inside every opSearch frame; a server that receives a
-// newer revision than it knows rejects the request instead of silently
-// dropping parameters it cannot interpret.
+// The searchParams revision rides inside every opSearch frame. Every frame
+// this binary sends declares searchVersionBase; a server rejects a revision
+// above searchVersionMax instead of silently dropping parameters it cannot
+// interpret.
 //
-// v2 added the Routing hint. A search without the hint still declares
-// searchVersionBase, so scatter traffic stays decodable by — and
-// byte-identical to — pre-routing servers; only frames that actually
-// carry routing claim v2, which a pre-routing server rejects loudly.
+// Revision 2 added a routing hint that no node ever read, and the hint is
+// gone: a v2 frame from an older coordinator is answered like a v1 frame,
+// gob skipping the field searchParams no longer has.
 const (
 	searchVersionBase = 1
-	searchVersion     = 2
+	searchVersionMax  = 2
 )
 
 // searchParams is the wire form of node.SearchParams. It is a separate
@@ -85,10 +84,6 @@ type searchParams struct {
 	Radius        float64
 	K             int
 	MaxCandidates int
-	// Routing is the v2 placement-routing hint (node.RoutingPartitioned
-	// on routed sub-batches); zero — and absent from the frame's bytes,
-	// gob omits zero fields — on ordinary searches.
-	Routing uint8
 }
 
 // request is the client→server frame: a plain value made for one RPC (or
@@ -344,20 +339,15 @@ func handle(ctx context.Context, backend NodeClient, req *request, resp *respons
 			fail(errors.New("transport: search frame carries no parameters"))
 			break
 		}
-		if p.Version > searchVersion {
-			fail(fmt.Errorf("transport: search parameters v%d from peer, this server speaks v%d",
-				p.Version, searchVersion))
-			break
-		}
-		if p.Routing != 0 && p.Version < 2 {
-			fail(fmt.Errorf("transport: search frame carries a routing hint but declares v%d", p.Version))
+		if p.Version > searchVersionMax {
+			fail(fmt.Errorf("transport: search parameters v%d from peer, this server speaks up to v%d",
+				p.Version, searchVersionMax))
 			break
 		}
 		res, err := backend.Search(ctx, req.Vectors, node.SearchParams{
 			Radius:        p.Radius,
 			K:             p.K,
 			MaxCandidates: p.MaxCandidates,
-			Routing:       p.Routing,
 		})
 		if err != nil {
 			fail(err)
@@ -634,20 +624,11 @@ func (c *Client) Insert(ctx context.Context, vs []sparse.Vector) ([]uint32, erro
 // Search implements NodeClient: one frame carries the batch and the
 // versioned request-scoped parameter struct.
 func (c *Client) Search(ctx context.Context, qs []sparse.Vector, p node.SearchParams) ([][]core.Neighbor, error) {
-	// Scatter searches declare the base revision so their frames stay
-	// byte-identical to pre-routing clients; only a frame that actually
-	// carries the routing hint claims v2 (and is rejected, loudly, by a
-	// server too old to interpret it).
-	v := uint8(searchVersionBase)
-	if p.Routing != node.RoutingNone {
-		v = searchVersion
-	}
 	resp, err := c.do(ctx, &request{Op: opSearch, Vectors: qs, Search: &searchParams{
-		Version:       v,
+		Version:       searchVersionBase,
 		Radius:        p.Radius,
 		K:             p.K,
 		MaxCandidates: p.MaxCandidates,
-		Routing:       p.Routing,
 	}})
 	if err != nil {
 		return nil, err

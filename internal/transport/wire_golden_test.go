@@ -61,15 +61,14 @@ func TestOpcodeValuesStable(t *testing.T) {
 			t.Errorf("%s = %d, must stay %d (response codes are append-only)", tc.name, tc.got, tc.want)
 		}
 	}
-	// v2 added the Routing hint; v1 frames are still decoded (gob fills
-	// the missing field with zero = RoutingNone), so every older revision
-	// stays servable. Frames without routing keep declaring v1, pinned by
-	// the "search" golden frame below.
+	// Every frame declares v1, pinned by the "search" golden frame below;
+	// v2 frames from older coordinators are still answered
+	// (TestSearchFramesAcrossRevisions).
 	if searchVersionBase != 1 {
 		t.Errorf("searchVersionBase = %d; the base revision never moves", searchVersionBase)
 	}
-	if searchVersion != 2 {
-		t.Errorf("searchVersion = %d; bump only with a compatible server-side decoder for every older revision", searchVersion)
+	if searchVersionMax != 2 {
+		t.Errorf("searchVersionMax = %d; raise it only with a server-side decoder for every revision up to it", searchVersionMax)
 	}
 }
 
@@ -110,11 +109,6 @@ func goldenRequests() []golden[request] {
 		{"search", request{Seq: 11, Op: opSearch, Vectors: []sparse.Vector{goldenVec()},
 			Search: &searchParams{Version: 1, Radius: 1.25, K: 9, MaxCandidates: 100}}},
 		{"doc", request{Seq: 12, Op: opDoc, ID: 99}},
-		// The v2 routed-search frame: identical layout plus the Routing
-		// hint. Scatter searches never emit it — the v1 "search" frame
-		// above stays their exact wire form.
-		{"searchRouted", request{Seq: 13, Op: opSearch, Vectors: []sparse.Vector{goldenVec()},
-			Search: &searchParams{Version: 2, Radius: 0.9, K: 5, Routing: 1}}},
 	}
 }
 
@@ -125,13 +119,11 @@ func goldenRequests() []golden[request] {
 // retyped field, renumbered opcode — shows up as a diff here and must be
 // made as a backward-compatible append instead.
 //
-// Regenerated when searchParams grew the v2 Routing field: gob's
-// one-time type descriptor for the struct names every field, so the
-// descriptor block changed. The per-frame bytes of every pre-existing
-// frame — including the v1 "search" frame — are unchanged (gob omits
-// zero fields), which is what keeps scatter traffic byte-identical to
-// pre-routing clients; the only new payload bytes are the appended
-// "searchRouted" frame.
+// Regenerated when searchParams lost the v2 Routing field: gob's one-time
+// type descriptor for the struct names every field, so the descriptor block
+// changed, and the "searchRouted" frame went with the field. Every other
+// frame's bytes are unchanged (gob omits zero fields), and the stream is
+// again the one clients sent before the field was added.
 const goldenStream = "" +
 	"567f030101077265717565737401ff80000107010353657101060001024f7001" +
 	"06000107566563746f727301ff88000102494401060001014b01040001065365" +
@@ -139,16 +131,15 @@ const goldenStream = "" +
 	"7370617273652e566563746f7201ff880001ff82000026ff8103010106566563" +
 	"746f7201ff82000102010349647801ff8400010356616c01ff8600000016ff83" +
 	"020101085b5d75696e74333201ff84000106000017ff85020101095b5d666c6f" +
-	"6174333201ff86000108000055ff890301010c736561726368506172616d7301" +
-	"ff8a000105010756657273696f6e010600010652616469757301080001014b01" +
-	"0400010d4d617843616e646964617465730104000107526f7574696e67010600" +
-	"000016ff80010101010101010201050102fee03ffed03f00001aff8001020102" +
-	"0101010201050102fee03ffed03f0004fe60720018ff80010301030101010201" +
-	"050102fee03ffed03f00020e0009ff8001040104022a0007ff80010501050007" +
-	"ff80010601060007ff80010701070007ff80010801080007ff80010901090007" +
-	"ff80010a010a0023ff80010b010b0101010201050102fee03ffed03f00030101" +
-	"01fef43f011201ffc8000009ff80010c010c02630028ff80010d010b01010102" +
-	"01050102fee03ffed03f0003010201f8cdccccccccccec3f010a02010000"
+	"6174333201ff86000108000049ff890301010c736561726368506172616d7301" +
+	"ff8a000104010756657273696f6e010600010652616469757301080001014b01" +
+	"0400010d4d617843616e64696461746573010400000016ff8001010101010101" +
+	"0201050102fee03ffed03f00001aff80010201020101010201050102fee03ffe" +
+	"d03f0004fe60720018ff80010301030101010201050102fee03ffed03f00020e" +
+	"0009ff8001040104022a0007ff80010501050007ff80010601060007ff800107" +
+	"01070007ff80010801080007ff80010901090007ff80010a010a0023ff80010b" +
+	"010b0101010201050102fee03ffed03f0003010101fef43f011201ffc8000009" +
+	"ff80010c010c026300"
 
 // goldenStats is a node.Stats with every field set to a distinct nonzero
 // value — by reflection, so a field appended to the struct joins the

@@ -7,8 +7,8 @@ import (
 )
 
 // The tests in this file pin the memory behavior of the search hot path:
-// the opt-in-only trace, the allocation ceilings the pooled path must stay
-// under, and the recall contract of the SLASH-style bucket reservoir.
+// the opt-in-only trace, the allocation ceilings the query path must stay
+// under, and what Stats counts as memory.
 
 // TestTraceOptInOnly pins the default: a Search/SearchBatch without
 // WithTrace records no per-replica attempts — the trace costs nothing
@@ -55,12 +55,12 @@ func TestTraceOptInOnly(t *testing.T) {
 
 // allocStore builds a merged store over n synthetic tweets for the
 // allocation-ceiling guards.
-func allocStore(t *testing.T, n int, reservoir int) (*Store, []Vector) {
+func allocStore(t *testing.T, n int) (*Store, []Vector) {
 	t.Helper()
 	docs := SyntheticTweets(n, 2000, 11)
 	s, err := NewStore(Config{
 		Dim: 2000, K: 4, M: 16, Radius: 0.9,
-		Capacity: n + 1, Seed: 42, BucketReservoir: reservoir,
+		Capacity: n + 1, Seed: 42,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestStoreSearchAllocationCeiling(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("sync.Pool drops workspaces at random under -race")
 	}
-	s, docs := allocStore(t, 1000, 0)
+	s, docs := allocStore(t, 1000)
 	defer s.Close()
 	opts := []SearchOption{WithK(10)}
 	q := docs[17]
@@ -148,124 +148,6 @@ func TestClusterSearchAllocationCeiling(t *testing.T) {
 	if allocs > ceiling {
 		t.Errorf("Cluster.Search allocates %.1f/op warm; ceiling %d", allocs, ceiling)
 	}
-}
-
-// TestBucketReservoirRecall pins the reservoir's recall contract on the
-// public surface. A reservoir at least as large as the biggest bucket is
-// provably a no-op: answers equal the exhaustive-scan oracle exactly, on
-// the delta path (pre-merge), the static path (post-merge), and across a
-// replicated cluster. A tight reservoir may drop in-radius documents but
-// must never invent or misprice one: answers are a subset of the oracle
-// with exact distances.
-func TestBucketReservoirRecall(t *testing.T) {
-	docs := SyntheticTweets(240, 2000, 67)
-	var queries []Vector
-	for i := 0; i < len(docs); i += 29 {
-		queries = append(queries, docs[i])
-	}
-	radii := []float64{0.8, 0.9, 1.1}
-
-	t.Run("roomy reservoir is exact", func(t *testing.T) {
-		s, err := NewStore(Config{
-			Dim: 2000, K: 4, M: 16, Radius: 0.9,
-			Capacity: len(docs) + 1, Seed: 42, BucketReservoir: len(docs),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		ids, err := s.Insert(bg, docs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, phase := range []string{"delta", "static"} {
-			if phase == "static" {
-				if err := s.Merge(bg); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, r := range radii {
-				for qi, q := range queries {
-					res, err := s.Search(bg, q, WithRadius(r))
-					if err != nil {
-						t.Fatal(err)
-					}
-					requireMatchesEqual(t, phase, res.Matches, oracleMatches(docs, ids, q, r, 0))
-					_ = qi
-				}
-			}
-		}
-	})
-
-	t.Run("roomy reservoir is exact replicated", func(t *testing.T) {
-		cl, err := NewCluster(6, 0, Config{
-			Dim: 2000, K: 4, M: 16, Radius: 0.9,
-			Capacity: 200, Replicas: 2, Seed: 42, BucketReservoir: len(docs),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cl.Close()
-		ids, err := cl.Insert(bg, docs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := cl.Merge(bg); err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range radii {
-			res, report, err := cl.SearchBatch(bg, queries, WithRadius(r))
-			if err != nil || !report.Complete() {
-				t.Fatalf("radius %v: err=%v complete=%v", r, err, report.Complete())
-			}
-			for qi, q := range queries {
-				requireMatchesEqual(t, "replicated", res[qi].Matches, oracleMatches(docs, ids, q, r, 0))
-			}
-		}
-	})
-
-	t.Run("tight reservoir answers subset of oracle", func(t *testing.T) {
-		s, err := NewStore(Config{
-			Dim: 2000, K: 4, M: 16, Radius: 0.9,
-			Capacity: len(docs) + 1, Seed: 42, BucketReservoir: 2,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		ids, err := s.Insert(bg, docs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, phase := range []string{"delta", "static"} {
-			if phase == "static" {
-				if err := s.Merge(bg); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, r := range radii {
-				for _, q := range queries {
-					res, err := s.Search(bg, q, WithRadius(r))
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := map[uint64]float64{}
-					for _, m := range oracleMatches(docs, ids, q, r, 0) {
-						want[m.ID] = m.Dist
-					}
-					for _, m := range res.Matches {
-						d, ok := want[m.ID]
-						if !ok {
-							t.Fatalf("%s radius %v: reservoir invented match %d", phase, r, m.ID)
-						}
-						if diff := m.Dist - d; diff > 1e-9 || diff < -1e-9 {
-							t.Fatalf("%s radius %v: match %d dist %v, oracle %v", phase, r, m.ID, m.Dist, d)
-						}
-					}
-				}
-			}
-		}
-	})
 }
 
 // TestStatsMemoryCountsDeltaBitmaps pins that Stats.MemoryBytes includes the

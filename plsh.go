@@ -65,18 +65,6 @@ type Config struct {
 	DeltaFraction float64
 	// Workers bounds parallelism (default GOMAXPROCS).
 	Workers int
-	// BucketReservoir, when > 0, bounds every hash bucket (static and
-	// streaming delta) to at most this many entries, keeping a uniform
-	// reservoir sample of the bucket's documents — the SLASH-style cap
-	// that makes insert and bucket-scan cost independent of stream skew.
-	// A document evicted from a bucket in one table usually survives in
-	// others (there are L = M(M−1)/2 of them), so modest caps cost little
-	// recall; exact-recall guarantees hold only at the default 0
-	// (unbounded, the paper's layout). Eviction is permanent: each merge
-	// samples a full bucket's survivors together with the documents it
-	// merges in, so over many merges the sample leans towards recent
-	// documents. Sampling is deterministic in Seed.
-	BucketReservoir int
 	// Seed makes hashing deterministic (default 1). In a replicated
 	// cluster every node must share the seed: mirrored members answer
 	// replica-agnostically only when they draw identical hyperplanes.
@@ -158,9 +146,6 @@ func (c Config) normalize() (Config, error) {
 	if c.Replicas < 0 {
 		return c, fmt.Errorf("plsh: Config.Replicas = %d must not be negative", c.Replicas)
 	}
-	if c.BucketReservoir < 0 {
-		return c, fmt.Errorf("plsh: Config.BucketReservoir = %d must not be negative", c.BucketReservoir)
-	}
 	if c.Placement != PlacementScatter && c.Placement != PlacementPartitioned {
 		return c, fmt.Errorf("plsh: unknown Config.Placement %d", c.Placement)
 	}
@@ -205,15 +190,14 @@ func (c Config) nodeConfig() node.Config {
 	query.Radius = c.Radius
 	query.Workers = c.Workers
 	return node.Config{
-		Params:          lshhash.Params{Dim: c.Dim, K: c.K, M: c.M, Seed: c.Seed},
-		Capacity:        c.Capacity,
-		DeltaFraction:   c.DeltaFraction,
-		AutoMerge:       true,
-		Build:           build,
-		Query:           query,
-		BucketReservoir: c.BucketReservoir,
-		Dir:             c.Dir,
-		SyncWrites:      c.SyncWrites,
+		Params:        lshhash.Params{Dim: c.Dim, K: c.K, M: c.M, Seed: c.Seed},
+		Capacity:      c.Capacity,
+		DeltaFraction: c.DeltaFraction,
+		AutoMerge:     true,
+		Build:         build,
+		Query:         query,
+		Dir:           c.Dir,
+		SyncWrites:    c.SyncWrites,
 	}
 }
 
