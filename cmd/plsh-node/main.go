@@ -53,13 +53,24 @@
 // frames. Note that partitioned clusters have no rolling insert window:
 // documents live where their signature says, so size -capacity for the
 // whole stream.
+//
+// -debug-addr serves net/http/pprof on a second listener, and nothing else:
+//
+//	plsh-node -addr :7070 -debug-addr 127.0.0.1:6060
+//	go tool pprof http://127.0.0.1:6060/debug/pprof/profile?seconds=10
+//
+// profiles a running node without a rebuild. It is off by default; the
+// listener closes when the node shuts down.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"log"
 	"net"
+	"net/http"
+	"net/http/pprof"
 	"os/signal"
 	"syscall"
 	"time"
@@ -83,6 +94,7 @@ func main() {
 	data := flag.String("data", "", "data directory: recover on boot, journal writes, checkpoint on merge and shutdown (empty = in-memory only)")
 	fsync := flag.Bool("fsync", false, "fsync every journal append (survive machine crash, not just process death)")
 	drain := flag.Duration("drain", 5*time.Second, "graceful-shutdown window for in-flight requests on SIGINT/SIGTERM (0 = abort them immediately)")
+	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof under /debug/pprof/ on this address (empty = off)")
 	flag.Parse()
 
 	build := core.Defaults()
@@ -112,6 +124,12 @@ func main() {
 	if err != nil {
 		log.Fatalf("plsh-node: %v", err)
 	}
+	stopDebug := func() error { return nil }
+	if *debugAddr != "" {
+		if stopDebug, err = serveDebug(*debugAddr); err != nil {
+			log.Fatalf("plsh-node: %v", err)
+		}
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	log.Printf("plsh-node: serving on %s (dim=%d k=%d m=%d L=%d capacity=%d)",
@@ -120,6 +138,10 @@ func main() {
 	opts := transport.ServeOptions{Drain: *drain, OnError: onError}
 	if err := transport.ServeWithOptions(ctx, l, transport.NewLocal(n), opts); err != nil {
 		log.Fatalf("plsh-node: %v", err)
+	}
+	// Profiles in progress are cut off: the node they profile is gone.
+	if err := stopDebug(); err != nil {
+		log.Printf("plsh-node: close debug listener: %v", err)
 	}
 	if *data != "" {
 		// Serve has drained every handler, so the node is quiescent: the
@@ -132,4 +154,35 @@ func main() {
 		}
 	}
 	log.Printf("plsh-node: shut down")
+}
+
+// serveDebug serves net/http/pprof's handlers on addr from a mux of their
+// own — not http.DefaultServeMux, on which any imported package may have
+// registered something. The returned stop closes the listener and every
+// open connection and returns once the server has exited.
+func serveDebug(addr string) (stop func() error, err error) {
+	l, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index) // and every named profile under it
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if err := srv.Serve(l); !errors.Is(err, http.ErrServerClosed) {
+			log.Printf("plsh-node: debug listener: %v", err)
+		}
+	}()
+	log.Printf("plsh-node: pprof on http://%s/debug/pprof/", l.Addr())
+	return func() error {
+		err := srv.Close()
+		<-done
+		return err
+	}, nil
 }

@@ -27,7 +27,7 @@
 // The check is package-local: a frozen type's fields must be unexported
 // or treated as read-only by convention across packages (the analyzer
 // cannot see foreign writes without cross-package facts). Element
-// writes through slice fields (t.Items[i] = x) are likewise out of
+// writes through slice fields (t.Rank[i] = x) are likewise out of
 // scope — the invariant enforced here is that the struct's own fields
 // never change after the pointer swap.
 package snapfreeze

@@ -142,6 +142,7 @@ func buildTwoLevel(st *Static, sk *lshhash.Sketches, p lshhash.Params, pool *sch
 		perm1, kperm []uint32
 		offs1        []uint32
 		hist         []uint32
+		items        []uint32
 		tb           TableBuilder
 	}
 	ws := make([]scratch, pool.Workers())
@@ -155,6 +156,7 @@ func buildTwoLevel(st *Static, sk *lshhash.Sketches, p lshhash.Params, pool *sch
 			s.kperm = make([]uint32, n)
 			s.offs1 = make([]uint32, halfB+1)
 			s.hist = make([]uint32, halfB+1)
+			s.items = make([]uint32, n)
 		}
 		a, b := lshhash.PairForTable(l, p.M)
 		// Sequential sketch read: both keys come from one cache line.
@@ -164,7 +166,7 @@ func buildTwoLevel(st *Static, sk *lshhash.Sketches, p lshhash.Params, pool *sch
 		}
 		// First-level pass moves (item, key2) pairs together.
 		partitionPairs(s.keys1, s.keys2, s.hist, s.perm1, s.kperm, s.offs1)
-		st.tables[l] = secondLevel(&s.tb, s.perm1, s.kperm, s.offs1, s.hist, p)
+		st.tables[l] = secondLevel(&s.tb, s.perm1, s.kperm, s.offs1, s.hist, s.items, p)
 	})
 	// First- and second-level passes are fused per table; attribute the
 	// total evenly for reporting.
@@ -199,8 +201,9 @@ func buildShared(st *Static, sk *lshhash.Sketches, p lshhash.Params, pool *sched
 		cols[j] = make([]uint32, n)
 	}
 	type scratch struct {
-		hist []uint32
-		tb   TableBuilder
+		hist  []uint32
+		items []uint32
+		tb    TableBuilder
 	}
 	ws := make([]scratch, pool.Workers())
 
@@ -272,9 +275,10 @@ func buildShared(st *Static, sk *lshhash.Sketches, p lshhash.Params, pool *sched
 			s := &ws[wkr]
 			if s.hist == nil {
 				s.hist = make([]uint32, halfB)
+				s.items = make([]uint32, n)
 			}
 			l := lshhash.TableForPair(a, b, m)
-			st.tables[l] = secondLevel(&s.tb, perm, cols[b], offs, s.hist, p)
+			st.tables[l] = secondLevel(&s.tb, perm, cols[b], offs, s.hist, s.items, p)
 		})
 		tm.I3NS += now() - t2
 	}
@@ -309,12 +313,13 @@ func partitionPairs(keys1, keys2, hist, outPerm, outKeys2, outOffs []uint32) {
 
 // secondLevel refines each first-level segment of perm1 by the second-level
 // keys and returns the finished table, its directory emitted by tb segment
-// by segment. hist is scratch of len ≥ 2^(k/2).
-func secondLevel(tb *TableBuilder, perm1, keys2, offs1, hist []uint32, p lshhash.Params) Table {
+// by segment. hist is scratch of len ≥ 2^(k/2), items scratch of len(perm1)
+// that the items are scattered into before Finish packs them.
+func secondLevel(tb *TableBuilder, perm1, keys2, offs1, hist, items []uint32, p lshhash.Params) Table {
 	n := len(perm1)
 	halfB := p.HalfBuckets()
 	hist = hist[:halfB]
-	items := make([]uint32, n)
+	items = items[:n]
 	tb.Reset(p.Buckets(), n)
 	for part := 0; part < halfB; part++ {
 		segLo, segHi := offs1[part], offs1[part+1]

@@ -34,12 +34,12 @@ func checkTableInvariants(t *testing.T, st *Static, sk *lshhash.Sketches) {
 	for l := 0; l < st.NumTables(); l++ {
 		tbl := st.Table(l)
 		a, b := lshhash.PairForTable(l, p.M)
-		if len(tbl.Items) != n {
-			t.Fatalf("table %d: %d items, want %d", l, len(tbl.Items), n)
+		if tbl.n != uint32(n) {
+			t.Fatalf("table %d: %d items, want %d", l, tbl.n, n)
 		}
 		seen := make([]bool, n)
 		for key := 0; key < p.Buckets(); key++ {
-			for _, item := range tbl.Bucket(uint32(key)) {
+			for _, item := range tbl.Bucket(nil, uint32(key)) {
 				if seen[item] {
 					t.Fatalf("table %d: item %d appears twice", l, item)
 				}
@@ -115,7 +115,7 @@ func TestBuildStrategiesEquivalentBuckets(t *testing.T) {
 
 func bucketSet(t *Table, key uint32) map[uint32]bool {
 	m := make(map[uint32]bool)
-	for _, id := range t.Bucket(key) {
+	for _, id := range t.Bucket(nil, key) {
 		m[id] = true
 	}
 	return m

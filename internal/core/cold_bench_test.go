@@ -51,12 +51,15 @@ var coldFixture = sync.OnceValue(func() coldSet { return newColdSet(32000) })
 // Monolithic. ns/op comes from an engine that does not collect phases, the
 // q2/q3 metrics from a second one that does, as in the suite's ladder.
 //
-// The N=…/Compact, N=…/Wide and N=…/Dense cases are the evidence for the
-// table layout (DESIGN.md "Static tables"): the default arm over the engine's
-// tables, over the same tables with 32-bit entries forced on them (forcedWide
-// of wide_test.go — what a table was before its entries went to 16 bits) and
-// over the dense 2^k+1-offsets reference of dense_test.go, on a fleet
-// node's share, on static_query's base set and at four items a bucket.
+// The N=…/Compact, N=…/Items32, N=…/Wide and N=…/Dense cases are the
+// evidence for the table layout (DESIGN.md "Static tables"): the default arm
+// over the engine's tables, over the same directories with the items
+// unpacked to 32 bits each (items32Of of items_test.go — what a table was
+// before its items were packed), over the same tables with 32-bit entries
+// forced on them (forcedWide of wide_test.go — what a table was before its
+// entries went to 16 bits) and over the dense 2^k+1-offsets reference of
+// dense_test.go, with 32-bit items too, on a fleet node's share, on
+// static_query's base set and at four items a bucket.
 // q2-ns/op is Step Q2 for queries drawn from the index, every one of whose
 // 120 buckets holds at least the query; q2-fresh-ns/op for documents the
 // index has never seen, most of whose buckets are empty;
@@ -106,7 +109,7 @@ func BenchmarkEngineSearchCold(b *testing.B) {
 
 	for _, n := range []int{8000, 32000, 262144} {
 		var set coldSet // built by the first of the arms that runs
-		for _, layout := range []string{"Compact", "Wide", "Dense"} {
+		for _, layout := range []string{"Compact", "Items32", "Wide", "Dense"} {
 			b.Run(fmt.Sprintf("N=%d/%s", n, layout), func(b *testing.B) {
 				if set.st == nil {
 					if set = f; n != f.st.Len() {
@@ -119,9 +122,9 @@ func BenchmarkEngineSearchCold(b *testing.B) {
 	}
 }
 
-// benchLayout times the default search arm over set's tables, over their
-// wide form or over their dense expansion, with Step Q2 clocked as SearchOn
-// clocks it.
+// benchLayout times the default search arm over set's tables, over them with
+// 32-bit items, over their wide form or over their dense expansion, with
+// Step Q2 clocked as SearchOn clocks it.
 func benchLayout(b *testing.B, set coldSet, layout string) {
 	e := NewEngine(set.st, set.store, QueryDefaults())
 	p := set.st.fam.Params()
@@ -134,7 +137,16 @@ func benchLayout(b *testing.B, set coldSet, layout string) {
 		return ProbeMark(st.tables, pairs, ws.sketch, half, ws.lo, ws.hi, ws.seen.Words())
 	}
 	tableBytes := float64(st.MemoryBytes()) / float64(p.L())
-	if layout == "Dense" {
+	itemBytes := float64(cap(st.tables[0].items.buf))
+	switch layout {
+	case "Items32":
+		items := items32Of(st)
+		probe = func(ws *Workspace) int {
+			return probeMarkItems32(st.tables, items, pairs, ws.sketch, half, ws.lo, ws.hi, ws.seen.Words())
+		}
+		tableBytes += float64(st.Len())*4 - itemBytes
+		itemBytes = float64(st.Len()) * 4
+	case "Dense":
 		tables := make([]denseTable, p.L())
 		for l := range tables {
 			tables[l] = denseOf(&set.st.tables[l], p.Buckets())
@@ -143,6 +155,7 @@ func benchLayout(b *testing.B, set coldSet, layout string) {
 			return probeMarkDense(tables, pairs, ws.sketch, half, ws.lo, ws.hi, ws.seen.Words())
 		}
 		tableBytes = float64(len(tables[0].Offsets)+len(tables[0].Items)) * 4
+		itemBytes = float64(len(tables[0].Items)) * 4
 	}
 	var dst []Neighbor
 	search := func(q sparse.Vector) (q2 int64) {
@@ -169,7 +182,7 @@ func benchLayout(b *testing.B, set coldSet, layout string) {
 	}
 	b.ReportMetric(float64(q2)/float64(b.N), "q2-ns/op")
 	b.ReportMetric(float64(q2Fresh)/float64(b.N), "q2-fresh-ns/op")
-	b.ReportMetric(tableBytes-float64(set.st.Len())*4, "directory-bytes/table")
+	b.ReportMetric(tableBytes-itemBytes, "directory-bytes/table")
 	b.ReportMetric(tableBytes*float64(p.L())/float64(set.st.Len()), "bytes/doc")
 }
 
@@ -210,10 +223,11 @@ func (e *monolith) search(dst []Neighbor, q sparse.Vector, p SearchParams) ([]Ne
 			for l := range e.st.tables {
 				pr := e.pairs[l]
 				key := ws.sketch[pr.A]<<half | ws.sketch[pr.B]
-				bucket := e.st.tables[l].Bucket(key)
-				stats.Collisions += len(bucket)
-				for _, id := range bucket {
-					seen.Set(int(id))
+				t := &e.st.tables[l]
+				lo, hi := t.bounds(t.slot(key))
+				stats.Collisions += int(hi - lo)
+				for i := lo; i < hi; i++ {
+					seen.Set(int(t.items.at(i)))
 				}
 			}
 			ws.cand = seen.AppendSet(ws.cand)
@@ -221,10 +235,11 @@ func (e *monolith) search(dst []Neighbor, q sparse.Vector, p SearchParams) ([]Ne
 			for l := range e.st.tables {
 				pr := e.pairs[l]
 				key := ws.sketch[pr.A]<<half | ws.sketch[pr.B]
-				bucket := e.st.tables[l].Bucket(key)
-				stats.Collisions += len(bucket)
-				for _, id := range bucket {
-					if seen.TestAndSet(int(id)) {
+				t := &e.st.tables[l]
+				lo, hi := t.bounds(t.slot(key))
+				stats.Collisions += int(hi - lo)
+				for i := lo; i < hi; i++ {
+					if id := t.items.at(i); seen.TestAndSet(int(id)) {
 						ws.cand = append(ws.cand, id)
 					}
 				}
@@ -236,10 +251,11 @@ func (e *monolith) search(dst []Neighbor, q sparse.Vector, p SearchParams) ([]Ne
 		for l := range e.st.tables {
 			pr := e.pairs[l]
 			key := ws.sketch[pr.A]<<half | ws.sketch[pr.B]
-			bucket := e.st.tables[l].Bucket(key)
-			stats.Collisions += len(bucket)
-			for _, id := range bucket {
-				set[id] = struct{}{}
+			t := &e.st.tables[l]
+			lo, hi := t.bounds(t.slot(key))
+			stats.Collisions += int(hi - lo)
+			for i := lo; i < hi; i++ {
+				set[t.items.at(i)] = struct{}{}
 			}
 		}
 		for id := range set {
@@ -297,7 +313,8 @@ func (e *monolith) search(dst []Neighbor, q sparse.Vector, p SearchParams) ([]Ne
 // staged (DESIGN.md "Q2/Q3 leaf kernels"). All are leaf functions over
 // the same tables and the same cold sketches; StagedWide is Staged over the
 // tables with 32-bit entries forced on them, the price of the 16-bit ones
-// with nothing else of a query around it. Unstaged walks each bucket as
+// with nothing else of a query around it, and StagedItems32 is Staged over
+// the items unpacked to 32 bits, the price of the packing likewise. Unstaged walks each bucket as
 // soon as its bounds load, as the monolithic loop did — and is 3–5× slower
 // than Staged or level with it depending on code that is not in the loop
 // (with or without the reslice on its first line, for one).
@@ -310,7 +327,7 @@ func (e *monolith) search(dst []Neighbor, q sparse.Vector, p SearchParams) ([]Ne
 func BenchmarkProbeBisect(b *testing.B) {
 	f := coldFixture()
 	tables, pairs := f.st.tables, f.st.fam.Pairs()
-	wide := forcedWide(f.st).tables
+	wide, items32 := forcedWide(f.st).tables, items32Of(f.st)
 	sketches := make([][]uint32, len(f.qs))
 	for i, q := range f.qs {
 		sketches[i] = f.st.fam.Sketch(q)
@@ -323,6 +340,7 @@ func BenchmarkProbeBisect(b *testing.B) {
 	}{
 		{"Staged", func(s []uint32) int { return ProbeMark(tables, pairs, s, 8, lo, hi, words) }},
 		{"StagedWide", func(s []uint32) int { return ProbeMark(wide, pairs, s, 8, lo, hi, words) }},
+		{"StagedItems32", func(s []uint32) int { return probeMarkItems32(tables, items32, pairs, s, 8, lo, hi, words) }},
 		{"Unstaged", func(s []uint32) int { return probeUnstaged(tables, pairs, s, 8, words) }},
 		{"UnstagedNoStores", func(s []uint32) int { return probeUnstagedNoStores(tables, pairs, s, 8) }},
 		{"UnstagedNoLoop", func(s []uint32) int { return probeUnstagedNoLoop(tables, pairs, s, 8) }},
@@ -345,9 +363,11 @@ func probeUnstaged(tables []Table, pairs []lshhash.Pair, sketch []uint32, half u
 	pairs = pairs[:len(tables)]
 	collisions := 0
 	for l := range tables {
-		bucket := tables[l].Bucket(pairs[l].Key(sketch, half))
-		collisions += len(bucket)
-		for _, id := range bucket {
+		t := &tables[l]
+		lo, hi := t.bounds(t.slot(pairs[l].Key(sketch, half)))
+		collisions += int(hi - lo)
+		for i := lo; i < hi; i++ {
+			id := t.items.at(i)
 			words[id>>6] |= 1 << (id & 63)
 		}
 	}
@@ -358,8 +378,10 @@ func probeUnstaged(tables []Table, pairs []lshhash.Pair, sketch []uint32, half u
 func probeUnstagedNoStores(tables []Table, pairs []lshhash.Pair, sketch []uint32, half uint) int {
 	sum := 0
 	for l := range tables {
-		for _, id := range tables[l].Bucket(pairs[l].Key(sketch, half)) {
-			sum += int(id)
+		t := &tables[l]
+		lo, hi := t.bounds(t.slot(pairs[l].Key(sketch, half)))
+		for i := lo; i < hi; i++ {
+			sum += int(t.items.at(i))
 		}
 	}
 	return sum
@@ -371,7 +393,7 @@ func probeUnstagedNoLoop(tables []Table, pairs []lshhash.Pair, sketch []uint32, 
 	for l := range tables {
 		t := &tables[l]
 		slot, _ := t.slot(pairs[l].Key(sketch, half))
-		sum += int(t.Items[min(int(t.start(slot)), len(t.Items)-1)])
+		sum += int(t.items.at(min(t.start(slot), max(t.n, 1)-1)))
 	}
 	return sum
 }

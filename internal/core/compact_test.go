@@ -31,7 +31,7 @@ func TestStaticCompact(t *testing.T) {
 		tab := st.Table(l)
 		want[l] = make([][]uint32, buckets)
 		for b := 0; b < buckets; b++ {
-			for _, id := range tab.Bucket(uint32(b)) {
+			for _, id := range tab.Bucket(nil, uint32(b)) {
 				if !drop(id) {
 					want[l][b] = append(want[l][b], id)
 				}
@@ -50,7 +50,7 @@ func TestStaticCompact(t *testing.T) {
 	for l := 0; l < st.NumTables(); l++ {
 		tab := st.Table(l)
 		for b := 0; b < buckets; b++ {
-			got := tab.Bucket(uint32(b))
+			got := tab.Bucket(nil, uint32(b))
 			if len(got) != len(want[l][b]) {
 				t.Fatalf("table %d bucket %d: %d items, want %d", l, b, len(got), len(want[l][b]))
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"reflect"
 	"slices"
 	"testing"
@@ -42,13 +43,14 @@ func denseFromKeys(keys []uint32, buckets int) denseTable {
 	return t
 }
 
-// denseOf expands a compact table to the dense layout, sharing its Items.
+// denseOf expands a compact table to the dense layout, its items unpacked.
 func denseOf(t *Table, buckets int) denseTable {
-	d := denseTable{Offsets: make([]uint32, buckets+1), Items: t.Items}
+	d := denseTable{Offsets: make([]uint32, buckets+1), Items: t.AppendItems(nil)}
 	var cum uint32
 	for b := 0; b < buckets; b++ {
 		d.Offsets[b] = cum
-		cum += uint32(len(t.Bucket(uint32(b))))
+		lo, hi := t.bounds(t.slot(uint32(b)))
+		cum += hi - lo
 	}
 	d.Offsets[buckets] = cum
 	return d
@@ -117,7 +119,7 @@ func sameBuckets(t *testing.T, what string, st *Static, ref []denseTable) {
 	buckets := st.fam.Params().Buckets()
 	for l := range ref {
 		for key := 0; key < buckets; key++ {
-			got, want := st.tables[l].Bucket(uint32(key)), ref[l].Bucket(uint32(key))
+			got, want := st.tables[l].Bucket(nil, uint32(key)), ref[l].Bucket(uint32(key))
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s: table %d bucket %d = %v, dense reference %v", what, l, key, got, want)
 			}
@@ -227,6 +229,10 @@ func TestStaticFromTablesRejectsBadDirectory(t *testing.T) {
 	offsets := func(edit func(offs []uint32) []uint32) func(tb *Table) {
 		return func(tb *Table) { tb.SetOffsets(edit(tb.AppendOffsets(nil))) }
 	}
+	// items does the same to the items.
+	items := func(edit func(ids []uint32) []uint32) func(tb *Table) {
+		return func(tb *Table) { tb.SetItems(edit(tb.AppendItems(nil))) }
+	}
 	for _, bad := range []struct {
 		name    string
 		corrupt func(tb *Table)
@@ -240,9 +246,14 @@ func TestStaticFromTablesRejectsBadDirectory(t *testing.T) {
 		{"offsets decrease", offsets(func(offs []uint32) []uint32 { offs[2] = offs[1] - 1; return offs })},
 		{"first offset not zero", offsets(func(offs []uint32) []uint32 { offs[0] = 1; return offs })},
 		{"last offset short of items", offsets(func(offs []uint32) []uint32 { offs[len(offs)-1]--; return offs })},
-		{"last offset past items", func(tb *Table) { tb.Items = tb.Items[:len(tb.Items)-1] }},
-		{"item id out of range", func(tb *Table) { tb.Items[7] = n }},
+		{"last offset past items", items(func(ids []uint32) []uint32 { return ids[:len(ids)-1] })},
+		{"item id out of range", items(func(ids []uint32) []uint32 { ids[7] = n; return ids })},
+		// One past the ids ⌈log2 n⌉ bits hold: packed at the width n needs,
+		// it would wrap to 0, which is in range.
+		{"item id 2^⌈log2 n⌉", items(func(ids []uint32) []uint32 { ids[7] = 1 << bits.Len(n-1); return ids })},
 		{"no offsets", offsets(func([]uint32) []uint32 { return nil })},
+		{"no item array", func(tb *Table) { tb.items = packed{} }},
+		{"item array short", func(tb *Table) { tb.items.buf = tb.items.buf[:len(tb.items.buf)-1] }},
 		{"a base short", func(tb *Table) { tb.base = tb.base[:len(tb.base)-1] }},
 		{"a base too many", func(tb *Table) { tb.base = append(tb.base, 0) }},
 	} {
@@ -280,8 +291,8 @@ func sliceBytes(v reflect.Value) int64 {
 
 // TestMemoryBytesCountsEverySlice: MemoryBytes is the capacity of every
 // slice a table holds, found by reflection so that a field added to Table
-// cannot go uncounted — before and after the in-place rewrites, which
-// shorten Items without giving its array back.
+// cannot go uncounted — the packed items' array among them — before and
+// after the in-place rewrites.
 func TestMemoryBytesCountsEverySlice(t *testing.T) {
 	fam, mat := testSetup(t, 200)
 	st, err := Build(fam, mat, Defaults())
@@ -298,7 +309,7 @@ func TestMemoryBytesCountsEverySlice(t *testing.T) {
 	if got, want := st.MemoryBytes(), reachable(); got != want {
 		t.Fatalf("MemoryBytes = %d, slices reachable from the tables hold %d", got, want)
 	}
-	if floor := int64(fam.Params().L()) * 200 * 4; st.MemoryBytes() < floor {
+	if floor := int64(fam.Params().L()) * int64(packedBytes(200, 8)); st.MemoryBytes() < floor {
 		t.Fatalf("MemoryBytes = %d, below the items alone (%d)", st.MemoryBytes(), floor)
 	}
 	st.Compact(func(id uint32) bool { return id%2 == 0 }, 2)
@@ -309,21 +320,30 @@ func TestMemoryBytesCountsEverySlice(t *testing.T) {
 
 // TestTableMemoryBoundIsTight: the footprint perfmodel.Select budgets with
 // is never under what a build of that size holds, and within 15 % of it,
-// below, at and past full occupancy.
+// below, at and past full occupancy — at K = 8, and at K = 16 on a fleet
+// node's share, static_query's base set and four items a bucket, whose item
+// widths are 13, 15 and 18 bits.
 func TestTableMemoryBoundIsTight(t *testing.T) {
-	p := lshhash.Params{Dim: 64, K: 8, M: 6, Seed: 9}
-	fam, err := lshhash.NewFamily(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 120 documents leave more than half of the 256 buckets empty; the
-	// others are the issue's sizes.
-	for _, n := range []int{120, 1000, 32000, 4 * p.Buckets()} {
-		sk := layoutSketches(n, p.M, p.HalfBuckets(), false, uint64(n))
-		got := BuildFromSketches(fam, sk, 2).MemoryBytes()
-		bound := TableMemoryBound(n, p.K, p.L())
-		if bound < got || float64(bound) > 1.15*float64(got) {
-			t.Errorf("n=%d: TableMemoryBound %d, MemoryBytes %d (ratio %.3f)", n, bound, got, float64(bound)/float64(got))
+	for _, c := range []struct {
+		k  int
+		ns []int
+	}{
+		// 120 documents leave more than half of the 256 buckets empty.
+		{8, []int{120, 1000, 1024, 32000}},
+		{16, []int{8000, 32000, 262144}},
+	} {
+		p := lshhash.Params{Dim: 64, K: c.k, M: 6, Seed: 9}
+		fam, err := lshhash.NewFamily(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range c.ns {
+			sk := layoutSketches(n, p.M, p.HalfBuckets(), false, uint64(n))
+			got := BuildFromSketches(fam, sk, 2).MemoryBytes()
+			bound := TableMemoryBound(n, p.K, p.L())
+			if bound < got || float64(bound) > 1.15*float64(got) {
+				t.Errorf("K=%d n=%d: TableMemoryBound %d, MemoryBytes %d (ratio %.3f)", c.k, n, bound, got, float64(bound)/float64(got))
+			}
 		}
 	}
 }

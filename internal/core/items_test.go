@@ -1,0 +1,171 @@
+package core
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"plsh/internal/lshhash"
+	"plsh/internal/rng"
+)
+
+// items32Of unpacks every table of st to one 32-bit word an item: the items
+// as a table held them before they were packed. It lives in test files only,
+// as the other arm of the cold benchmark.
+func items32Of(st *Static) [][]uint32 {
+	out := make([][]uint32, len(st.tables))
+	for l := range st.tables {
+		out[l] = st.tables[l].AppendItems(nil)
+	}
+	return out
+}
+
+// probeMarkItems32 is ProbeMark as it ran over 32-bit items: the same staged
+// directory lookups, then the mark pass over items[l][lo:hi].
+func probeMarkItems32(tables []Table, items [][]uint32, pairs []lshhash.Pair, sketch []uint32, half uint, lo, hi []uint32, words []uint64) int {
+	lo, hi = stageBuckets(tables, pairs, sketch, half, lo, hi)
+	collisions := 0
+	for l := range tables {
+		bucket := items[l][lo[l]:hi[l]]
+		collisions += len(bucket)
+		for _, id := range bucket {
+			words[id>>6] |= 1 << (id & 63)
+		}
+	}
+	return collisions
+}
+
+// TestItemsAtEveryWidth: at every width from 1 to 32 bits, ids up to
+// 2^w − 1 pack in w bits and 2^w takes one more; every id reads back through
+// the probe's accessor and through AppendItems, the last one included
+// whatever bit of its byte it starts at; the array is exactly the packed bits
+// plus the zero padding. An empty table and a table of id 0 alone hold no
+// bits at all.
+func TestItemsAtEveryWidth(t *testing.T) {
+	check := func(what string, ids []uint32, width uint) {
+		t.Helper()
+		var tb Table
+		tb.SetItems(ids)
+		if tb.items.width != width {
+			t.Fatalf("%s: width %d, want %d", what, tb.items.width, width)
+		}
+		if tb.n != uint32(len(ids)) {
+			t.Fatalf("%s: %d items, want %d", what, tb.n, len(ids))
+		}
+		packedLen := (uint(len(ids))*width + 7) / 8
+		if len(tb.items.buf) != int(packedLen)+itemPad || cap(tb.items.buf) != len(tb.items.buf) {
+			t.Fatalf("%s: array of %d bytes (cap %d), want %d packed + %d padding", what, len(tb.items.buf), cap(tb.items.buf), packedLen, itemPad)
+		}
+		for _, b := range tb.items.buf[packedLen:] {
+			if b != 0 {
+				t.Fatalf("%s: padding % x is not zero", what, tb.items.buf[packedLen:])
+			}
+		}
+		for i, id := range ids {
+			if got := tb.items.at(uint32(i)); got != id {
+				t.Fatalf("%s: item %d reads %d, want %d", what, i, got, id)
+			}
+		}
+		if got := tb.AppendItems(nil); !slices.Equal(got, ids) {
+			t.Fatalf("%s: AppendItems = %v, want %v", what, got, ids)
+		}
+		if got := tb.AppendItems([]uint32{7}); len(got) != len(ids)+1 || got[0] != 7 {
+			t.Fatalf("%s: AppendItems does not append", what)
+		}
+	}
+	check("empty", nil, 0)
+	check("id 0 alone", []uint32{0, 0, 0}, 0)
+
+	src := rng.New(1)
+	for w := uint(1); w <= 32; w++ {
+		top := uint32(1<<w - 1)
+		// Nine lengths put the last id at nine different bit offsets of its
+		// byte at an odd width, and the largest id last puts its high bits as
+		// far into the padding as they reach.
+		for n := 1; n <= 9; n++ {
+			ids := make([]uint32, n)
+			for i := range ids {
+				ids[i] = src.Uint32() & top
+			}
+			ids[n-1] = top
+			check(fmt.Sprintf("w=%d n=%d, 2^w-1 last", w, n), ids, w)
+			ids[n-1] = src.Uint32() & top
+			ids[src.Intn(n)] = top
+			check(fmt.Sprintf("w=%d n=%d", w, n), ids, w)
+			if w < 32 {
+				ids[n-1] = top + 1
+				check(fmt.Sprintf("w=%d n=%d, 2^w last", w, n), ids, w+1)
+			}
+		}
+	}
+}
+
+// TestMergeCrossesAPowerOfTwo: the items of a merge are as wide as its
+// largest live id, not as its inputs were — a merge that takes the ids past
+// 2^10 widens them from 10 bits to 11, and one whose new rows are all
+// tombstoned keeps 10 — and its buckets are the rebuild's either way.
+func TestMergeCrossesAPowerOfTwo(t *testing.T) {
+	p := lshhash.Params{Dim: 64, K: 8, M: 4, Seed: 5}
+	fam, err := lshhash.NewFamily(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nOld, nAdd = 1000, 100
+	skOld := layoutSketches(nOld, p.M, p.HalfBuckets(), false, 1)
+	skAdd := layoutSketches(nAdd, p.M, p.HalfBuckets(), false, 2)
+	old, add := BuildFromSketches(fam, skOld, 2), BuildFromSketches(fam, skAdd, 2)
+	for l := range old.tables {
+		if w := old.tables[l].items.width; w != 10 {
+			t.Fatalf("fixture: table %d of %d rows packs %d bits", l, nOld, w)
+		}
+	}
+	addDead := make([]uint64, (nOld+nAdd+63)/64)
+	for id := nOld; id < nOld+nAdd; id++ {
+		addDead[id>>6] |= 1 << (id & 63)
+	}
+	for _, c := range []struct {
+		name  string
+		dead  []uint64
+		width uint
+	}{
+		{"past 2^10", randomDead(nOld+nAdd, 5, 3), 11},
+		{"new rows all tombstoned", addDead, 10},
+	} {
+		merged := Merge(old, add, c.dead, 2)
+		if err := ValidateTables(p, nOld+nAdd, merged.tables); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for l := range merged.tables {
+			if w := merged.tables[l].items.width; w != c.width {
+				t.Fatalf("%s: table %d packs %d bits, want %d", c.name, l, w, c.width)
+			}
+		}
+		sameBucketsAs(t, c.name, merged.tables, rebuildReference(fam, concatSketches(skOld, skAdd), c.dead))
+	}
+}
+
+// TestProbeMarkMatchesItems32: the probe over packed items marks the same
+// bits and counts the same collisions as the same probe over 32-bit items,
+// for queries from the index and for fresh ones.
+func TestProbeMarkMatchesItems32(t *testing.T) {
+	f := newQueryFixture(t, 1500, 64)
+	tables, pairs := f.st.tables, f.fam.Pairs()
+	items := items32Of(f.st)
+	half := uint(f.fam.Params().K / 2)
+	lo, hi := make([]uint32, len(tables)), make([]uint32, len(tables))
+	got, want := make([]uint64, (f.st.Len()+63)/64), make([]uint64, (f.st.Len()+63)/64)
+	queries := slices.Clone(f.queries)
+	for i := 0; i < f.mat.Rows(); i += 97 {
+		queries = append(queries, f.mat.Row(i))
+	}
+	for i, q := range queries {
+		sketch := f.fam.Sketch(q)
+		clear(got)
+		clear(want)
+		n := ProbeMark(tables, pairs, sketch, half, lo, hi, got)
+		n32 := probeMarkItems32(tables, items, pairs, sketch, half, lo, hi, want)
+		if n != n32 || !slices.Equal(got, want) {
+			t.Fatalf("query %d: %d collisions over packed items, %d over 32-bit ones, same marks: %v", i, n, n32, slices.Equal(got, want))
+		}
+	}
+}

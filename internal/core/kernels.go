@@ -46,17 +46,22 @@ func stageBuckets(tables []Table, pairs []lshhash.Pair, sketch []uint32, half ui
 // ProbeMark is the default Q2 probe: it marks every item of the L buckets
 // the sketch selects into the dedup bitvector words and returns the
 // collision count (bucket entries, duplicates included). Pass 2 walks
-// Items[lo:hi] with trip counts already in cache, so a mispredicted bucket
-// length costs a pipeline refill, not a memory round trip. perfmodel
+// items lo to hi with trip counts already in cache, so a mispredicted bucket
+// length costs a pipeline refill, not a memory round trip; each item is one
+// load, a shift and a mask behind one bounds check a bucket (packed.span).
+// The bounds and the header are copied to locals first, so that the loop's
+// stores do not make it reload them. perfmodel
 // calibrates its Q2 constants by calling this same function, so the model
 // prices the loop the engine runs.
 func ProbeMark(tables []Table, pairs []lshhash.Pair, sketch []uint32, half uint, lo, hi []uint32, words []uint64) int {
 	lo, hi = stageBuckets(tables, pairs, sketch, half, lo, hi)
 	collisions := 0
 	for l := range tables {
-		bucket := tables[l].Items[lo[l]:hi[l]]
-		collisions += len(bucket)
-		for _, id := range bucket {
+		items, from, to := tables[l].items, lo[l], hi[l]
+		base, mask := items.span(uint(to))
+		collisions += int(to - from)
+		for i := from; i < to; i++ {
+			id := load(base, uint(i)*items.width, mask)
 			words[id>>6] |= 1 << (id & 63)
 		}
 	}
@@ -70,9 +75,11 @@ func probeAppend(tables []Table, pairs []lshhash.Pair, sketch []uint32, half uin
 	lo, hi = stageBuckets(tables, pairs, sketch, half, lo, hi)
 	collisions := 0
 	for l := range tables {
-		bucket := tables[l].Items[lo[l]:hi[l]]
-		collisions += len(bucket)
-		for _, id := range bucket {
+		items, from, to := tables[l].items, lo[l], hi[l]
+		base, mask := items.span(uint(to))
+		collisions += int(to - from)
+		for i := from; i < to; i++ {
+			id := load(base, uint(i)*items.width, mask)
 			w, bit := id>>6, uint64(1)<<(id&63)
 			if old := words[w]; old&bit == 0 {
 				words[w] = old | bit
@@ -89,10 +96,11 @@ func probeSet(tables []Table, pairs []lshhash.Pair, sketch []uint32, half uint, 
 	lo, hi = stageBuckets(tables, pairs, sketch, half, lo, hi)
 	collisions := 0
 	for l := range tables {
-		bucket := tables[l].Items[lo[l]:hi[l]]
-		collisions += len(bucket)
-		for _, id := range bucket {
-			set[id] = struct{}{}
+		items, from, to := tables[l].items, lo[l], hi[l]
+		base, mask := items.span(uint(to))
+		collisions += int(to - from)
+		for i := from; i < to; i++ {
+			set[load(base, uint(i)*items.width, mask)] = struct{}{}
 		}
 	}
 	for id := range set {

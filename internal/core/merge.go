@@ -42,12 +42,22 @@ func Merge(old, add *Static, dead []uint64, workers int) *Static {
 }
 
 // mergeScratch is what one worker keeps from table to table: where the
-// tombstoned items of old sit, and the entries of old and of the result as
-// plain offsets — the merge shifts and copies them by the block, which the
-// 16-bit encoding does not allow, so it reads old's through one widening
-// pass and narrows the result's once they are final.
+// tombstoned items of old sit, and old's, add's and the result's entries and
+// items as plain 32-bit words — the merge shifts and copies them by the
+// block, which neither the 16-bit entries nor the packed items allow, so it
+// reads the inputs through one widening pass each and narrows the result's
+// once they are final.
 type mergeScratch struct {
-	deadAt, oldOffs, offs []uint32
+	deadAt            []uint32
+	oldOffs, oldItems []uint32
+	addItems          []uint32
+	offs, items       []uint32
+}
+
+// flatTable is a table's entries and items widened to 32 bits, the form
+// the merge's block moves read and write.
+type flatTable struct {
+	offs, items []uint32
 }
 
 func isDead(dead []uint64, id uint32) bool { return dead[id>>6]>>(id&63)&1 != 0 }
@@ -58,26 +68,25 @@ func isDead(dead []uint64, id uint32) bool { return dead[id>>6]>>(id&63)&1 != 0 
 // for: a bucket the tombstones emptied keeps its entry, of zero length, as
 // after Compact.
 func mergeTable(old, add *Table, shift uint32, dead []uint64, scratch *mergeScratch) Table {
+	from := flatTable{offs: old.AppendOffsets(scratch.oldOffs[:0]), items: old.AppendItems(scratch.oldItems[:0])}
+	addItems := add.AppendItems(scratch.addItems[:0])
+
 	// Where old's tombstoned items sit, in order, closed by a sentinel no
 	// position reaches; and how many items of both sides are live.
 	deadAt := scratch.deadAt[:0]
-	for pos, id := range old.Items {
+	for pos, id := range from.items {
 		if isDead(dead, id) {
 			deadAt = append(deadAt, uint32(pos))
 		}
 	}
-	live := len(old.Items) - len(deadAt) + len(add.Items)
+	live := len(from.items) - len(deadAt) + len(addItems)
 	deadAt = append(deadAt, math.MaxUint32)
-	for _, id := range add.Items {
+	for _, id := range addItems {
 		if isDead(dead, id+shift) {
 			live--
 		}
 	}
 
-	// Both sides in the wide form, old's a copy: the block moves below index
-	// .wide directly.
-	wideOld := Table{Occ: old.Occ, Rank: old.Rank, Items: old.Items, wide: old.AppendOffsets(scratch.oldOffs[:0])}
-	old = &wideOld
 	t := Table{Occ: make([]uint64, len(old.Occ)), Rank: make([]uint32, len(old.Occ))}
 	var entries uint32
 	for w, ow := range old.Occ {
@@ -85,8 +94,11 @@ func mergeTable(old, add *Table, shift uint32, dead []uint64, scratch *mergeScra
 		t.Rank[w] = entries
 		entries += uint32(bits.OnesCount64(t.Occ[w]))
 	}
-	t.wide = slices.Grow(scratch.offs[:0], int(entries)+1)[:entries+1] // every entry is written below
-	t.Items = make([]uint32, live)
+	// Every entry and every item is written below.
+	to := flatTable{
+		offs:  slices.Grow(scratch.offs[:0], int(entries)+1)[:entries+1],
+		items: slices.Grow(scratch.items[:0], live)[:live],
+	}
 
 	var c mergeCursor
 	nextDead := deadAt // consumed from the front
@@ -100,34 +112,36 @@ func mergeTable(old, add *Table, shift uint32, dead []uint64, scratch *mergeScra
 			bit := uint(bits.TrailingZeros64(aw))
 			has := uint32(ow>>bit) & 1 // old has the key too
 			upTo := old.Rank[w] + uint32(bits.OnesCount64(ow&(1<<bit-1))) + has
-			if nextDead[0] < old.wide[upTo] {
-				c, nextDead = moveOldAroundDead(&t, old, c, upTo, nextDead)
+			if nextDead[0] < from.offs[upTo] {
+				c, nextDead = moveOldAroundDead(&to, &from, c, upTo, nextDead)
 			}
-			c = moveOld(&t, old, c, upTo)
+			c = moveOld(&to, &from, c, upTo)
 			// If old has the key, its entry — just moved — serves the merged
 			// bucket; if not, the bucket starts a new entry here. The entry
 			// is written either way and kept only in the second case: which
 			// case it is is a coin toss no branch predictor calls, and a
 			// slot not kept is the next entry's to overwrite.
-			t.wide[c.e] = c.n
+			to.offs[c.e] = c.n
 			c.e += 1 - has
 			aEnt++
 			for end := add.start(aEnt); aPos < end; aPos++ {
-				if id := add.Items[aPos] + shift; !isDead(dead, id) {
-					t.Items[c.n] = id
+				if id := addItems[aPos] + shift; !isDead(dead, id) {
+					to.items[c.n] = id
 					c.n++
 				}
 			}
 		}
 	}
-	upTo := uint32(len(old.wide) - 1)
-	if nextDead[0] < old.wide[upTo] {
-		c, _ = moveOldAroundDead(&t, old, c, upTo, nextDead)
+	upTo := uint32(len(from.offs) - 1)
+	if nextDead[0] < from.offs[upTo] {
+		c, _ = moveOldAroundDead(&to, &from, c, upTo, nextDead)
 	}
-	c = moveOld(&t, old, c, upTo)
-	t.wide[c.e] = c.n
-	scratch.deadAt, scratch.oldOffs, scratch.offs = deadAt, old.wide, t.wide
-	t.SetOffsets(t.wide)
+	c = moveOld(&to, &from, c, upTo)
+	to.offs[c.e] = c.n
+	scratch.deadAt, scratch.oldOffs, scratch.oldItems, scratch.addItems = deadAt, from.offs, from.items, addItems
+	scratch.offs, scratch.items = to.offs, to.items
+	t.SetOffsets(to.offs)
+	t.SetItems(to.items)
 	return t
 }
 
@@ -148,10 +162,10 @@ type mergeCursor struct {
 // entries and 8 items wherever both arrays have that much room: the result
 // is written front to back, and what lands past the block's own length is
 // overwritten by whatever comes next.
-func moveOld(t, old *Table, c mergeCursor, upTo uint32) mergeCursor {
+func moveOld(t, old *flatTable, c mergeCursor, upTo uint32) mergeCursor {
 	shift := c.n - c.oPos // may wrap; so does the sum below
-	ents, end := upTo-c.oEnt, old.wide[upTo]
-	if src, dst := old.wide[c.oEnt:], t.wide[c.e:]; ents <= 4 && len(src) >= 4 && len(dst) >= 4 {
+	ents, end := upTo-c.oEnt, old.offs[upTo]
+	if src, dst := old.offs[c.oEnt:], t.offs[c.e:]; ents <= 4 && len(src) >= 4 && len(dst) >= 4 {
 		s, d := (*[4]uint32)(src), (*[4]uint32)(dst)
 		d[0], d[1], d[2], d[3] = s[0]+shift, s[1]+shift, s[2]+shift, s[3]+shift
 	} else {
@@ -159,7 +173,7 @@ func moveOld(t, old *Table, c mergeCursor, upTo uint32) mergeCursor {
 			dst[i] = off + shift
 		}
 	}
-	if src, dst := old.Items[c.oPos:], t.Items[c.n:]; end-c.oPos <= 8 && len(src) >= 8 && len(dst) >= 8 {
+	if src, dst := old.items[c.oPos:], t.items[c.n:]; end-c.oPos <= 8 && len(src) >= 8 && len(dst) >= 8 {
 		s, d := (*[8]uint32)(src), (*[8]uint32)(dst)
 		d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
 	} else {
@@ -176,16 +190,16 @@ func moveOld(t, old *Table, c mergeCursor, upTo uint32) mergeCursor {
 // them, dropping each, and leaves the clean rest to moveOld. The entries
 // that start at or before a dropped item keep the shift of the items before
 // it.
-func moveOldAroundDead(t, old *Table, c mergeCursor, upTo uint32, deadAt []uint32) (mergeCursor, []uint32) {
-	for end := old.wide[upTo]; deadAt[0] < end; deadAt = deadAt[1:] {
+func moveOldAroundDead(t, old *flatTable, c mergeCursor, upTo uint32, deadAt []uint32) (mergeCursor, []uint32) {
+	for end := old.offs[upTo]; deadAt[0] < end; deadAt = deadAt[1:] {
 		at := deadAt[0]
 		shift := c.n - c.oPos
-		for c.oEnt < upTo && old.wide[c.oEnt] <= at {
-			t.wide[c.e] = old.wide[c.oEnt] + shift
+		for c.oEnt < upTo && old.offs[c.oEnt] <= at {
+			t.offs[c.e] = old.offs[c.oEnt] + shift
 			c.oEnt++
 			c.e++
 		}
-		c.n += uint32(copy(t.Items[c.n:], old.Items[c.oPos:at]))
+		c.n += uint32(copy(t.items[c.n:], old.items[c.oPos:at]))
 		c.oPos = at + 1
 	}
 	return c, deadAt

@@ -42,7 +42,7 @@ func sameBucketsAs(t *testing.T, what string, got []Table, want *Static) {
 	buckets := want.fam.Params().Buckets()
 	for l := range got {
 		for key := 0; key < buckets; key++ {
-			g, w := got[l].Bucket(uint32(key)), want.tables[l].Bucket(uint32(key))
+			g, w := got[l].Bucket(nil, uint32(key)), want.tables[l].Bucket(nil, uint32(key))
 			if !slices.Equal(g, w) {
 				t.Fatalf("%s: table %d bucket %d = %v, rebuild has %v", what, l, key, g, w)
 			}
@@ -89,9 +89,10 @@ func TestMergeMatchesRebuild(t *testing.T) {
 					want := rebuildReference(fam, concatSketches(skOld, skAdd), dead)
 					sameBucketsAs(t, what, got, want)
 					for l := range got {
-						if len(got[l].Items) != cap(got[l].Items) || len(got[l].Items) != len(want.tables[l].Items) {
-							t.Fatalf("%s: table %d holds %d items in an array of %d, rebuild keeps %d",
-								what, l, len(got[l].Items), cap(got[l].Items), len(want.tables[l].Items))
+						g := &got[l]
+						if cap(g.items.buf) != packedBytes(uint(g.n), g.items.width) || g.n != want.tables[l].n {
+							t.Fatalf("%s: table %d holds %d items in an array of %d bytes, rebuild keeps %d",
+								what, l, g.n, cap(g.items.buf), want.tables[l].n)
 						}
 					}
 				}

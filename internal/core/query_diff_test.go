@@ -24,7 +24,7 @@ func naiveSearch(f *queryFixture, q sparse.Vector, ascending bool, del *bitvec.V
 	var cand []uint32
 	for l := 0; l < f.st.NumTables(); l++ {
 		a, b := lshhash.PairForTable(l, hp.M)
-		bucket := f.st.Table(l).Bucket(sketch[a]<<uint(hp.K/2) | sketch[b])
+		bucket := f.st.Table(l).Bucket(nil, sketch[a]<<uint(hp.K/2)|sketch[b])
 		stats.Collisions += len(bucket)
 		for _, id := range bucket {
 			if !seen[id] {

@@ -3,35 +3,38 @@
 // (§5.1) and the optimized batched query engine (§5.2).
 //
 // A static PLSH instance is an immutable index over N documents. Each of
-// the L = m(m−1)/2 tables is a contiguous array of the N document indexes
-// partitioned by the table's k-bit key, plus a directory over the occupied
-// buckets only: a 2^k-bit occupancy bitmap, a rank directory over it and
-// one 16-bit offset per occupied bucket against a 32-bit base per 64 of
-// them — no pointers, no per-bucket allocations, and nothing sized by the
-// buckets a table does not use or by the items it could address (Fig. 3a of
-// the paper keeps a dense 2^k+1 offsets array; DESIGN.md "Static tables" has
-// why this one does not). Construction options reproduce the Fig. 4
-// ablation (1-level → 2-level → shared first level → vectorized hashing);
-// query options reproduce the Fig. 5 ablation (set dedup → bitvector →
-// optimized sparse dot product → candidate extraction → arena layout).
+// the L = m(m−1)/2 tables is a contiguous array of the N document indexes,
+// ⌈log2 N⌉ bits each, partitioned by the table's k-bit key, plus a directory
+// over the occupied buckets only: a 2^k-bit occupancy bitmap, a rank
+// directory over it and one 16-bit offset per occupied bucket against a
+// 32-bit base per 64 of them — no pointers, no per-bucket allocations, and
+// nothing sized by the buckets a table does not use or by the ids it could
+// hold (Fig. 3a of the paper keeps a dense 2^k+1 offsets array and 32-bit
+// ids; DESIGN.md "Static tables" has why this one does not). Construction
+// options reproduce the Fig. 4 ablation (1-level → 2-level → shared first
+// level → vectorized hashing); query options reproduce the Fig. 5 ablation
+// (set dedup → bitvector → optimized sparse dot product → candidate
+// extraction → arena layout).
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/bits"
 	"slices"
+	"unsafe"
 
 	"plsh/internal/lshhash"
 	"plsh/internal/sched"
 	"plsh/internal/sparse"
 )
 
-// Table is one LSH hash table: Items holds the N document indexes grouped
+// Table is one LSH hash table: its items are the N document indexes grouped
 // by bucket, in key order. Only occupied buckets have a directory entry:
 // bit b of Occ is set when bucket b has one, Rank[w] counts the set bits
-// below word w, and the bucket with the j-th set bit occupies Items from
-// where entry j starts to where entry j+1 does, one closing entry at
-// len(Items) ending the last. A builder sets exactly the bits of the
+// below word w, and the bucket with the j-th set bit holds the items from
+// where entry j starts to where entry j+1 does, one closing entry at the
+// item count ending the last. A builder sets exactly the bits of the
 // non-empty buckets; Merge and Compact may then leave a bucket
 // empty whose bit stays set, so a set bit promises an entry, not an item.
 //
@@ -43,17 +46,73 @@ import (
 // instead. SetOffsets, the one writer of the three, picks the form from the
 // offsets it is given; start and bounds, the readers, serve both.
 //
+// An item is as wide as the table's largest id needs — ⌈log2 N⌉ bits for a
+// table over N documents, 13 at a fleet node's 8 000 and 24 at the paper's
+// 10.5 M — packed end to end (see packed). SetItems is its one writer; the
+// probe kernels (through span and load), Bucket and AppendItems are its
+// readers.
+//
 //plshvet:frozen tables are reached through a published snapshot; queries scan them lock-free
 type Table struct {
-	Occ   []uint64 // ⌈2^k/64⌉ words
-	Rank  []uint32 // one per word of Occ
-	Items []uint32
+	Occ  []uint64 // ⌈2^k/64⌉ words
+	Rank []uint32 // one per word of Occ
+
+	items packed
+	n     uint32 // the item count
 
 	// The entries, one per set bit of Occ plus the closing one: base and off,
 	// or wide.
 	base []uint32 // one per 64 entries
 	off  []uint16
 	wide []uint32 // nil but for a table off cannot address
+}
+
+// packed is an array of ids of width bits each, id i at bits
+// [i·width, (i+1)·width) of buf read as one little-endian bit string,
+// followed by itemPad bytes: an 8-byte load at the byte an id starts in —
+// the last id's included — never leaves buf. A width is at most 32 and an id
+// starts at most 7 bits into its byte, so that one load holds the whole id.
+// The header is four words, which the compiler keeps in registers; a fifth —
+// a stored mask — made it copy the header through the stack at every read.
+type packed struct {
+	buf   []byte
+	width uint
+}
+
+// itemPad is the tail padding of a packed array.
+const itemPad = 8
+
+// span checks, once, that reading ids below end stays inside the array, and
+// returns the array's address and the mask that load takes. An id's load
+// ends at most 8 bytes past the byte it starts in, and end·width>>3 + 7 is
+// past every such byte, so that one bounds check — which the padding makes
+// pass for any end up to the item count — stands for every load of a
+// bucket; it panics, like any bounds check, for an end past it.
+func (p packed) span(end uint) (base unsafe.Pointer, mask uint64) {
+	_ = p.buf[(end*p.width)>>3+7]
+	return unsafe.Pointer(unsafe.SliceData(p.buf)), 1<<(p.width&63) - 1
+}
+
+// load returns the id that starts at bit of the array at base, given the
+// array's mask: one unaligned 8-byte load, a shift and a mask — the same
+// three steps, and no branch, at every width. The caller has checked the
+// load against the array with span. (Read through a [8]byte, the load
+// compiles to one instruction on a little-endian machine, with none of the
+// two checks and the pointer masking of a slice expression, which cost the
+// probe a fifth of its time at 32 000 rows.)
+func load(base unsafe.Pointer, bit uint, mask uint64) uint32 {
+	return uint32(binary.LittleEndian.Uint64((*[8]byte)(unsafe.Add(base, bit>>3))[:]) >> (bit & 7) & mask)
+}
+
+// at returns id i.
+func (p packed) at(i uint32) uint32 {
+	base, mask := p.span(uint(i) + 1)
+	return load(base, uint(i)*p.width, mask)
+}
+
+// packedBytes is the length of the packed array of n ids of width bits.
+func packedBytes(n, width uint) int {
+	return int((n*width+7)/8 + itemPad)
 }
 
 // entryBlock is how many directory entries share one base: 2^entryShift.
@@ -78,8 +137,8 @@ func (t *Table) slot(key uint32) (slot, set uint32) {
 	return (t.Rank[w] + below) & -set, set
 }
 
-// bounds returns where entries slot and slot+set start: the bounds in Items
-// of the bucket slot located. Its one branch is on the table's form, the
+// bounds returns where entries slot and slot+set start: the bounds in the
+// items of the bucket slot located. Its one branch is on the table's form, the
 // same way for every table of every index but a pathological one — not on a
 // directory word, which the probe must not wait for (see stageBuckets).
 func (t *Table) bounds(slot, set uint32) (lo, hi uint32) {
@@ -90,7 +149,7 @@ func (t *Table) bounds(slot, set uint32) (lo, hi uint32) {
 	return t.base[slot>>entryShift] + uint32(t.off[slot]), t.base[next>>entryShift] + uint32(t.off[next])
 }
 
-// start returns where entry e starts in Items.
+// start returns where entry e starts in the items.
 func (t *Table) start(e uint32) uint32 {
 	lo, _ := t.bounds(e, 0)
 	return lo
@@ -104,10 +163,62 @@ func (t *Table) entries() int {
 	return len(t.off)
 }
 
-// Bucket returns the document indexes in bucket key.
-func (t *Table) Bucket(key uint32) []uint32 {
+// Bucket appends the document indexes in bucket key to dst.
+func (t *Table) Bucket(dst []uint32, key uint32) []uint32 {
 	lo, hi := t.bounds(t.slot(key))
-	return t.Items[lo:hi]
+	for i := lo; i < hi; i++ {
+		dst = append(dst, t.items.at(i))
+	}
+	return dst
+}
+
+// AppendItems appends every item, in key order, to dst: the items with the
+// packing undone, as a snapshot stores them and as Merge and Compact edit
+// them.
+func (t *Table) AppendItems(dst []uint32) []uint32 {
+	if t.n == 0 {
+		return dst // and a zero Table, which has no array to span, has none
+	}
+	dst = slices.Grow(dst, int(t.n))
+	items := t.items
+	base, mask := items.span(uint(t.n))
+	for i := range uint(t.n) {
+		dst = append(dst, load(base, i*items.width, mask))
+	}
+	return dst
+}
+
+// SetItems makes ids the table's items, each in as many bits as the largest
+// of them needs. The width follows the ids, not their count or any row count,
+// and SetItems keeps no reference to ids: a decoder may pack what it read and
+// let ValidateTables judge it, since an id out of range stays out of range
+// rather than wrapping into it.
+//
+//plshvet:prepublish the one writer of the item array; every builder and in-place rewrite ends here, before the table is published
+func (t *Table) SetItems(ids []uint32) {
+	var union uint32 // its highest bit is the largest id's
+	for _, id := range ids {
+		union |= id
+	}
+	width := uint(bits.Len32(union))
+	buf := make([]byte, packedBytes(uint(len(ids)), width))
+	// acc holds the nb bits that do not yet fill a 32-bit word, which starts
+	// at byte at. Nothing stored is read back: an OR into the array would
+	// load bytes the previous store has just half-written, which the store
+	// buffer cannot forward, and that made packing twice as slow.
+	var acc uint64
+	var nb, at uint
+	for _, id := range ids {
+		acc |= uint64(id) << (nb & 31) // nb < 32 and width ≤ 32: acc holds the id
+		nb += width
+		if nb >= 32 {
+			binary.LittleEndian.PutUint32(buf[at:], uint32(acc))
+			at, acc, nb = at+4, acc>>32, nb-32
+		}
+	}
+	binary.LittleEndian.PutUint64(buf[at:], acc) // the last word, begun
+	t.items = packed{buf: buf, width: width}
+	t.n = uint32(len(ids))
 }
 
 // AppendOffsets appends the start of every entry, the closing one included,
@@ -184,7 +295,7 @@ func (b *TableBuilder) Reset(buckets, maxItems int) {
 }
 
 // Add appends the next len(counts) buckets, counts[i] items in the i-th of
-// them, and overwrites each count with the position in Items at which that
+// them, and overwrites each count with the position in the items at which that
 // bucket starts — the scatter cursors of a counting sort. The loop has no
 // branch on a count: at the occupancies a build sees (a tenth of the buckets
 // non-empty on a fleet node, nine tenths under stream_ingest) such a branch
@@ -210,10 +321,10 @@ func (b *TableBuilder) Add(counts []uint32) {
 	b.nOcc, b.key, b.cum = nOcc, key, cum
 }
 
-// Finish returns the table over items, which the caller has filled (or
-// will fill) at the positions Add handed out.
+// Finish returns the table over items, which the caller has filled at the
+// positions Add handed out. The table keeps no reference to items.
 func (b *TableBuilder) Finish(items []uint32) Table {
-	t := Table{Occ: b.occ, Rank: make([]uint32, len(b.occ)), Items: items}
+	t := Table{Occ: b.occ, Rank: make([]uint32, len(b.occ))}
 	var rank uint32
 	for w, word := range t.Occ {
 		t.Rank[w] = rank
@@ -221,6 +332,7 @@ func (b *TableBuilder) Finish(items []uint32) Table {
 	}
 	b.offs[b.nOcc] = b.cum
 	t.SetOffsets(b.offs[:b.nOcc+1])
+	t.SetItems(items)
 	return t
 }
 
@@ -243,17 +355,19 @@ func (b *TableBuilder) GroupByKey(keys, hist []uint32) Table {
 }
 
 // TableMemoryBound bounds the bytes of l tables of 2^k buckets over n
-// documents: the L·N·4 item bytes of Eq. 7.4, and in place of its 2^k·L·4 a
-// directory of the bitmap, its rank words, and two bytes an entry plus four
-// per 64 entries for every bucket that can be occupied. MemoryBytes of a
-// freshly built Static never exceeds it and reaches it when min(n, 2^k)
-// buckets are in use — a table forced into 32-bit entries aside (see Table),
-// which no sizing rule should budget for.
+// documents. Eq. 7.4 charges (L·N + 2^k·L)·4; here an item costs the
+// ⌈log2 n⌉ bits the largest id needs, plus 8 bytes of padding a table, and
+// in place of the 2^k·L·4 is a directory of the bitmap, its rank words, and
+// two bytes an entry plus four per 64 entries for every bucket that can be
+// occupied. MemoryBytes of a freshly built Static never exceeds it and
+// reaches it when min(n, 2^k) buckets are in use — a table forced into 32-bit
+// entries aside (see Table), which no sizing rule should budget for.
 func TableMemoryBound(n, k, l int) int64 {
 	buckets := int64(1) << uint(k)
 	words := (buckets + 63) / 64
 	entries := min(int64(n), buckets) + 1
-	perTable := int64(n)*4 + words*(8+4) + entries*2 + (entries+entryBlock-1)/entryBlock*4
+	width := uint(bits.Len(uint(max(n, 1) - 1))) // ⌈log2 n⌉
+	perTable := int64(packedBytes(uint(n), width)) + words*(8+4) + entries*2 + (entries+entryBlock-1)/entryBlock*4
 	return int64(l) * perTable
 }
 
@@ -326,7 +440,7 @@ func ValidateTables(p lshhash.Params, n int, tables []Table) error {
 			return errors.New("core: offset count does not match occupied buckets")
 		}
 		offs = t.AppendOffsets(offs[:0])
-		if offs[0] != 0 || int(offs[rank]) != len(t.Items) {
+		if offs[0] != 0 || offs[rank] != t.n {
 			return errors.New("core: offsets do not delimit items")
 		}
 		for b := 1; b < len(offs); b++ {
@@ -334,8 +448,13 @@ func ValidateTables(p lshhash.Params, n int, tables []Table) error {
 				return errors.New("core: offsets decrease")
 			}
 		}
-		for _, id := range t.Items {
-			if int(id) >= n {
+		items := t.items
+		if items.width > 32 || len(items.buf) != packedBytes(uint(t.n), items.width) {
+			return errors.New("core: item array does not hold its item count")
+		}
+		base, mask := items.span(uint(t.n))
+		for i := range uint(t.n) {
+			if int(load(base, i*items.width, mask)) >= n {
 				return errors.New("core: item id out of range")
 			}
 		}
@@ -352,8 +471,8 @@ func ValidateTables(p lshhash.Params, n int, tables []Table) error {
 // calls it — Merge leaves the tombstoned items out as it copies — and Build
 // followed by Compact is what Merge's results are tested against.
 //
-// Compact must run before the index is published to readers; it mutates
-// Items and the entries. drop may be called concurrently from multiple
+// Compact must run before the index is published to readers; it replaces
+// the items and the entries. drop may be called concurrently from multiple
 // goroutines (tables compact in parallel).
 //
 //plshvet:prepublish in-place build step; documented to run before the index is published
@@ -361,33 +480,33 @@ func (s *Static) Compact(drop func(id uint32) bool, workers int) {
 	pool := sched.NewPool(workers)
 	pool.Run(len(s.tables), func(l, _ int) {
 		t := &s.tables[l]
-		offs := t.AppendOffsets(nil)
+		offs, items := t.AppendOffsets(nil), t.AppendItems(nil)
 		var w uint32
 		for b := 0; b < len(offs)-1; b++ {
 			lo, hi := offs[b], offs[b+1]
 			offs[b] = w
 			// w never exceeds the read cursor, so the in-place copy is safe.
-			for _, id := range t.Items[lo:hi] {
+			for _, id := range items[lo:hi] {
 				if !drop(id) {
-					t.Items[w] = id
+					items[w] = id
 					w++
 				}
 			}
 		}
 		offs[len(offs)-1] = w
-		t.Items = t.Items[:w]
+		t.SetItems(items[:w])
 		t.SetOffsets(offs)
 	})
 }
 
-// MemoryBytes reports the bytes the index holds: every table's items (the
-// L·N·4 of Eq. 7.4's memory constraint) and its bucket directory, counted
-// at capacity — a compacted table still owns the array it was built in.
+// MemoryBytes reports the bytes the index holds: every table's packed items
+// (the L·N·4 of Eq. 7.4's memory constraint, at ⌈log2 N⌉ bits an item) and
+// its bucket directory, counted at capacity.
 func (s *Static) MemoryBytes() int64 {
 	var b int64
 	for i := range s.tables {
 		t := &s.tables[i]
-		b += int64(cap(t.Occ))*8 + int64(cap(t.Rank)+cap(t.Items)+cap(t.base)+cap(t.wide))*4 + int64(cap(t.off))*2
+		b += int64(cap(t.Occ))*8 + int64(cap(t.Rank)+cap(t.base)+cap(t.wide))*4 + int64(cap(t.off))*2 + int64(cap(t.items.buf))
 	}
 	return b
 }

@@ -78,7 +78,8 @@ func forcedWide(st *Static) *Static {
 
 // checkAgainstWide checks that st validates and answers Bucket(key) as ref
 // does for every one of the 2^K keys of every table, in the form the data
-// calls for and in the wide form alike, and that MemoryBytes counts what the
+// calls for and in the wide form alike; that its items unpack to ref's, in
+// the bits the largest of them needs; and that MemoryBytes counts what the
 // form holds.
 func checkAgainstWide(t *testing.T, what string, st *Static, ref []wideTable) {
 	t.Helper()
@@ -95,18 +96,28 @@ func checkAgainstWide(t *testing.T, what string, st *Static, ref []wideTable) {
 		tb := &st.tables[l]
 		for key := 0; key < p.Buckets(); key++ {
 			want := ref[l].Bucket(uint32(key))
-			if got := tb.Bucket(uint32(key)); !slices.Equal(got, want) {
+			if got := tb.Bucket(nil, uint32(key)); !slices.Equal(got, want) {
 				t.Fatalf("%s: table %d bucket %d = %v, wide reference %v", what, l, key, got, want)
 			}
-			if got := wide.tables[l].Bucket(uint32(key)); !slices.Equal(got, want) {
+			if got := wide.tables[l].Bucket(nil, uint32(key)); !slices.Equal(got, want) {
 				t.Fatalf("%s, forced wide: table %d bucket %d = %v, wide reference %v", what, l, key, got, want)
 			}
 		}
 		if !slices.Equal(tb.AppendOffsets(nil), ref[l].Offsets) {
 			t.Fatalf("%s: table %d widens to other offsets than the reference's", what, l)
 		}
+		if !slices.Equal(tb.AppendItems(nil), ref[l].Items) {
+			t.Fatalf("%s: table %d unpacks to other items than the reference's", what, l)
+		}
+		var union uint32
+		for _, id := range ref[l].Items {
+			union |= id
+		}
+		if want := uint(bits.Len32(union)); tb.items.width != want {
+			t.Fatalf("%s: table %d packs its items in %d bits, its largest id needs %d", what, l, tb.items.width, want)
+		}
 		entries := int64(len(ref[l].Offsets))
-		mem += int64(cap(tb.Occ))*8 + int64(cap(tb.Rank)+cap(tb.Items))*4
+		mem += int64(cap(tb.Occ))*8 + int64(cap(tb.Rank))*4 + int64(packedBytes(uint(len(ref[l].Items)), tb.items.width))
 		if tb.wide != nil {
 			mem += entries * 4
 		} else {
@@ -122,10 +133,26 @@ func deadFunc(dead []uint64) func(uint32) bool {
 	return func(id uint32) bool { return isDead(dead, id) }
 }
 
+// reread is st as the snapshot reader rebuilds it: each table's bitmap and
+// rank words, then its entries and its items handed over as the plain 32-bit
+// words a snapshot stores them as.
+func reread(st *Static) *Static {
+	out := &Static{fam: st.fam, n: st.n, tables: make([]Table, len(st.tables))}
+	for l := range st.tables {
+		t, r := &st.tables[l], &out.tables[l]
+		r.Occ, r.Rank = slices.Clone(t.Occ), slices.Clone(t.Rank)
+		r.SetOffsets(t.AppendOffsets(nil))
+		r.SetItems(t.AppendItems(nil))
+	}
+	return out
+}
+
 // TestNarrowMatchesWideReference: out of every writer — Build, hashing
-// included, BuildFromSketches, Merge under tombstones, Compact —
-// at 4, 8 and 16 key bits, below and past full occupancy, the 16-bit entries
-// answer every key as the 32-bit reference does.
+// included (TableBuilder.Finish), BuildFromSketches, the one-level build
+// (GroupByKey), Merge under tombstones, Compact, and the snapshot reader's
+// SetOffsets and SetItems — at 4, 8 and 16 key bits, below and past full
+// occupancy, the 16-bit entries and the packed items answer every key as the
+// 32-bit reference does.
 func TestNarrowMatchesWideReference(t *testing.T) {
 	for _, k := range []int{4, 8, 16} {
 		p := lshhash.Params{Dim: 300, K: k, M: 4, Seed: 5}
@@ -152,6 +179,10 @@ func TestNarrowMatchesWideReference(t *testing.T) {
 			}
 			checkAgainstWide(t, what+" Build", built, wideReference(sk, p))
 			checkAgainstWide(t, what+" BuildFromSketches", BuildFromSketches(fam, sk, 2), wideReference(sk, p))
+			oneLevel := &Static{fam: fam, n: n, tables: make([]Table, p.L())}
+			buildOneLevel(oneLevel, sk, p, sched.NewPool(2))
+			checkAgainstWide(t, what+" GroupByKey", oneLevel, wideReference(sk, p))
+			checkAgainstWide(t, what+" snapshot reader", reread(built), wideReference(sk, p))
 
 			dead := randomDead(n, 3, uint64(n)+9)
 			ref := wideReference(sk, p)
@@ -161,6 +192,7 @@ func TestNarrowMatchesWideReference(t *testing.T) {
 			compacted := BuildFromSketches(fam, sk, 2)
 			compacted.Compact(deadFunc(dead), 2)
 			checkAgainstWide(t, what+" Compact", compacted, ref)
+			checkAgainstWide(t, what+" Compact, snapshot reader", reread(compacted), ref)
 
 			// Merge: the first two thirds as the static side, the rest as the
 			// delta, tombstones on both. The reference is the whole prefix
@@ -174,7 +206,9 @@ func TestNarrowMatchesWideReference(t *testing.T) {
 			}
 			// A merge keeps an entry for every bucket either side had one
 			// for; the reference drops none either.
-			checkAgainstWide(t, what+" Merge", Merge(old, add, dead, 2), ref)
+			merged := Merge(old, add, dead, 2)
+			checkAgainstWide(t, what+" Merge", merged, ref)
+			checkAgainstWide(t, what+" Merge, snapshot reader", reread(merged), ref)
 		}
 	}
 }

@@ -149,7 +149,7 @@ func TestDeleteMidMergeNotResurrected(t *testing.T) {
 	// White-box: the pre-rebuild tombstone was compacted out of every
 	// static bucket, not merely filtered.
 	for l := 0; l < n.static.NumTables(); l++ {
-		if slices.Contains(n.static.Table(l).Items, 7) {
+		if slices.Contains(n.static.Table(l).AppendItems(nil), 7) {
 			t.Fatal("compaction left tombstoned row in a static bucket")
 		}
 	}
@@ -543,7 +543,7 @@ func requireStaticMatchesRebuild(t *testing.T, what string, n *Node, dead *bitve
 	want, _ := n.rebuildStatic(prefix, dead)
 	for l := 0; l < st.NumTables(); l++ {
 		for key := 0; key < n.fam.Params().Buckets(); key++ {
-			got, ref := st.Table(l).Bucket(uint32(key)), want.Table(l).Bucket(uint32(key))
+			got, ref := st.Table(l).Bucket(nil, uint32(key)), want.Table(l).Bucket(nil, uint32(key))
 			if !slices.Equal(got, ref) {
 				t.Fatalf("%s: table %d bucket %d = %v, a rebuild has %v", what, l, key, got, ref)
 			}
@@ -738,8 +738,8 @@ func TestMergeUsesTombstonesOfItsStart(t *testing.T) {
 	ceil, _ := n.rebuildStatic(n.store.Prefix(3000), before)
 	for l := 0; l < st.NumTables(); l++ {
 		for key := 0; key < n.fam.Params().Buckets(); key++ {
-			got := st.Table(l).Bucket(uint32(key))
-			lo, hi := floor.Table(l).Bucket(uint32(key)), ceil.Table(l).Bucket(uint32(key))
+			got := st.Table(l).Bucket(nil, uint32(key))
+			lo, hi := floor.Table(l).Bucket(nil, uint32(key)), ceil.Table(l).Bucket(nil, uint32(key))
 			// got is hi minus some rows deleted mid-merge, and holds all of lo.
 			i, j := 0, 0
 			for _, id := range hi {

@@ -5,10 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"plsh/internal/core"
@@ -60,7 +62,7 @@ func TestReadsVersion1Fixture(t *testing.T) {
 	want.Compact(func(id uint32) bool { return v1.Deleted[id>>6]>>(id&63)&1 == 1 }, 1)
 	for l := 0; l < got.NumTables(); l++ {
 		for key := 0; key < v1.Params.Buckets(); key++ {
-			if g, w := got.Table(l).Bucket(uint32(key)), want.Table(l).Bucket(uint32(key)); !slices.Equal(g, w) {
+			if g, w := got.Table(l).Bucket(nil, uint32(key)), want.Table(l).Bucket(nil, uint32(key)); !slices.Equal(g, w) {
 				t.Fatalf("table %d bucket %d: loaded %v, rebuilt %v", l, key, g, w)
 			}
 		}
@@ -101,8 +103,9 @@ func stormSnapshot(t testing.TB, items int) *Snapshot {
 	t.Helper()
 	arena := sparse.NewMatrix(8, 1, 1)
 	arena.AppendRow(sparse.Vector{Idx: []uint32{3}, Val: []float32{1}})
-	table := core.Table{Occ: []uint64{1}, Rank: []uint32{0}, Items: make([]uint32, items)}
+	table := core.Table{Occ: []uint64{1}, Rank: []uint32{0}}
 	table.SetOffsets([]uint32{0, uint32(items)})
+	table.SetItems(make([]uint32, items))
 	return &Snapshot{
 		Params:   lshhash.Params{Dim: 8, K: 2, M: 2, Seed: 1},
 		Capacity: 1,
@@ -150,7 +153,7 @@ func TestEntryWidthsOnDisk(t *testing.T) {
 		if err != nil {
 			t.Fatalf("valid snapshot %d: %v", i, err)
 		}
-		if got, want := len(snap.Tables[0].Bucket(0)), 1<<16-1+i; got != want {
+		if got, want := len(snap.Tables[0].Bucket(nil, 0)), 1<<16-1+i; got != want {
 			t.Fatalf("valid snapshot %d: bucket 0 holds %d items, want %d", i, got, want)
 		}
 		if !bytes.Equal(encode(t, snap), raw) {
@@ -170,6 +173,55 @@ func TestEntryWidthsOnDisk(t *testing.T) {
 	}
 	if !bytes.Equal(encode(t, snap), raw) {
 		t.Fatal("writing a snapshot that was read changes the file")
+	}
+}
+
+// itemsAt returns where, in the version-2 snapshot raw, the items of table l
+// start: past the header, the arena, and every earlier table's bitmap, rank
+// words, offsets and items, each behind its length word.
+func itemsAt(t testing.TB, raw []byte, l int) int {
+	t.Helper()
+	u64 := func(at int) int { return int(binary.LittleEndian.Uint64(raw[at:])) }
+	at := 8 + 4 + 3*4 + 8 + 8 // magic, version, Dim/K/M, seed, capacity
+	rows := u64(at)
+	nnz := u64(at + 8)
+	at += 8 + 8 + (rows+1)*4 + 2*nnz*4 // rows, nnz, offsets, columns, values
+	if tables := int(binary.LittleEndian.Uint32(raw[at:])); l >= tables {
+		t.Fatalf("snapshot has %d tables, no table %d", tables, l)
+	}
+	at += 4
+	for ; ; l-- {
+		words := u64(at)
+		at += 8 + words*(8+4)
+		at += 8 + u64(at)*4 // offsets
+		if l == 0 {
+			return at + 8
+		}
+		at += 8 + u64(at)*4 // items
+	}
+}
+
+// wrappingSnapshot is the committed 60-row version-2 fixture with one item of
+// table 1 set to 64 = 2^⌈log2 60⌉ and the checksum made good: an id the
+// ⌈log2 60⌉ = 6 bits of a table over 60 rows would wrap to 0, in range.
+func wrappingSnapshot(t testing.TB) []byte {
+	raw := slices.Clone(fixture(t, "snapshot-v2.plsh"))
+	at := itemsAt(t, raw, 1) + 5*4
+	binary.LittleEndian.PutUint32(raw[at:], 1<<bits.Len(60-1))
+	return withChecksum(raw)
+}
+
+// TestReaderWidensItems: the reader packs the ids a snapshot holds in the
+// bits the largest of them needs, not in the bits its row count needs, so an
+// id at or past the row count reaches ValidateTables as it is and the file is
+// ErrCorrupt — never a table that wrapped it into range and loads.
+func TestReaderWidensItems(t *testing.T) {
+	if _, err := decode(fixture(t, "snapshot-v2.plsh")); err != nil {
+		t.Fatalf("fixture: %v", err)
+	}
+	_, err := decode(wrappingSnapshot(t))
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "item id out of range") {
+		t.Fatalf("a snapshot holding item 64 of 60 rows: err = %v, want ErrCorrupt from ValidateTables", err)
 	}
 }
 
@@ -203,16 +255,18 @@ func FuzzReadSnapshot(f *testing.F) {
 	for _, raw := range slices.Concat(valid, corrupt) {
 		f.Add(raw)
 	}
+	f.Add(wrappingSnapshot(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, raw := range [][]byte{data, withChecksum(data)} {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			snap, err := decode(raw)
 			runtime.ReadMemStats(&after)
-			// 16 bytes a byte covers the widest sections (a length word
-			// becoming a 144-byte core.Table; a 4-byte offset kept, narrowed
-			// to 2 bytes and widened again for validation) twice over; the
-			// constant is the runtime's own background allocation.
+			// 16 bytes a byte covers the widest sections (a table's three
+			// length words becoming a 160-byte core.Table; a 4-byte offset
+			// kept, narrowed to 2 bytes and widened again for validation; a
+			// 4-byte item kept and packed into at most 4 more) twice over;
+			// the constant is the runtime's own background allocation.
 			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+16*len(raw)); got > limit {
 				t.Fatalf("decoding %d bytes allocated %d, over %d", len(raw), got, limit)
 			}
@@ -236,7 +290,7 @@ func FuzzReadSnapshot(f *testing.F) {
 			}
 			for l := range snap.Tables {
 				for key := 0; key < snap.Params.Buckets(); key++ {
-					for _, id := range snap.Tables[l].Bucket(uint32(key)) {
+					for _, id := range snap.Tables[l].Bucket(nil, uint32(key)) {
 						if int(id) >= snap.Rows {
 							t.Fatalf("table %d bucket %d holds id %d of %d rows", l, key, id, snap.Rows)
 						}

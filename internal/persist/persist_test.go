@@ -80,7 +80,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if !slices.Equal(a.AppendOffsets(nil), b.AppendOffsets(nil)) {
 			t.Fatalf("table %d offsets mismatch", l)
 		}
-		if !slices.Equal(a.Items, b.Items) {
+		if !slices.Equal(a.AppendItems(nil), b.AppendItems(nil)) {
 			t.Fatalf("table %d items mismatch", l)
 		}
 	}

@@ -34,6 +34,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"plsh/internal/core"
 	"plsh/internal/lshhash"
@@ -50,9 +51,10 @@ var snapshotMagic = [8]byte{'P', 'L', 'S', 'H', 'S', 'N', 'P', '1'}
 
 // snapshotVersion is the format version WriteSnapshot emits: version 2
 // serialises each table's occupancy bitmap and rank directory as core.Table
-// holds them and its occupied-bucket offsets as 32-bit words, whatever width
-// the table keeps them in (core.Table.AppendOffsets writes, SetOffsets
-// reads; what the offsets say is ValidateTables' to judge, after the CRC).
+// holds them, and its occupied-bucket offsets and its items as 32-bit words,
+// whatever width the table keeps them in (core.Table.AppendOffsets and
+// AppendItems write, SetOffsets and SetItems read; what the words say is
+// ValidateTables' to judge, after the CRC).
 // Version 1 wrote a dense
 // 2^k+1 offsets array per table instead; ReadSnapshot still loads it,
 // converting each table through core.TableBuilder.
@@ -137,7 +139,7 @@ func WriteSnapshot(dir string, s *Snapshot) (err error) {
 	w.f32s(vals)
 
 	w.u32(uint32(len(s.Tables)))
-	var entries []uint32 // each table's in turn, as the 32-bit offsets the format stores
+	var entries, items []uint32 // each table's in turn, as the 32-bit words the format stores
 	for i := range s.Tables {
 		t := &s.Tables[i]
 		w.u64(uint64(len(t.Occ)))
@@ -146,8 +148,9 @@ func WriteSnapshot(dir string, s *Snapshot) (err error) {
 		entries = t.AppendOffsets(entries[:0])
 		w.u64(uint64(len(entries)))
 		w.u32s(entries)
-		w.u64(uint64(len(t.Items)))
-		w.u32s(t.Items)
+		items = t.AppendItems(items[:0])
+		w.u64(uint64(len(items)))
+		w.u32s(items)
 	}
 
 	w.u64(uint64(len(s.Deleted)))
@@ -234,6 +237,7 @@ func readSnapshot(src io.Reader, size int64) (*Snapshot, error) {
 		s.Tables = make([]core.Table, 0, nTables)
 	}
 	var tb core.TableBuilder
+	var words32 []uint32 // each table's offsets, then its items, as decoded; scratch
 	for i := 0; i < nTables && r.err == nil; i++ {
 		if version == 1 {
 			s.Tables = append(s.Tables, r.denseTable(&tb))
@@ -243,8 +247,10 @@ func readSnapshot(src io.Reader, size int64) (*Snapshot, error) {
 		words := int(r.u64())
 		t.Occ = r.u64s(words)
 		t.Rank = r.u32s(words)
-		t.SetOffsets(r.u32s(int(r.u64())))
-		t.Items = r.u32s(int(r.u64()))
+		words32 = r.u32sInto(words32, int(r.u64()))
+		t.SetOffsets(words32)
+		words32 = r.u32sInto(words32, int(r.u64()))
+		t.SetItems(words32)
 		s.Tables = append(s.Tables, t)
 	}
 
@@ -469,11 +475,14 @@ func (c *crcReader) checkLen(n, width int) bool {
 	return true
 }
 
-func (c *crcReader) u32s(n int) []uint32 {
+func (c *crcReader) u32s(n int) []uint32 { return c.u32sInto(nil, n) }
+
+// u32sInto is u32s decoding into dst's array, grown if it is short.
+func (c *crcReader) u32sInto(dst []uint32, n int) []uint32 {
 	if !c.checkLen(n, 4) {
 		return nil
 	}
-	out := make([]uint32, n)
+	out := slices.Grow(dst[:0], n)[:n]
 	chunk := c.chunk[:]
 	for i := 0; i < n; {
 		m := min(n-i, len(chunk)/4)

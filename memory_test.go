@@ -198,9 +198,11 @@ func TestStatsMemoryCountsDeltaBitmaps(t *testing.T) {
 // TestStatsMemoryCountsStaticDirectory pins both sides of what the static
 // tables add to Stats.MemoryBytes. An empty index is all directory — per
 // table a 2^k-bit bitmap and its rank words — and reports it. Merging 1025
-// copies of one document then fills one bucket a table: the items and one
-// more offset each, and nothing sized by the 65 535 buckets that stay empty
-// (a dense 2^k+1 offsets array per table would be 31 MB here).
+// copies of one document then fills one bucket a table: the items, at the
+// ⌈log2 1025⌉ = 11 bits an id needs (the 8 bytes of padding after them the
+// empty table had already), and one more offset each, and nothing sized by
+// the 65 535 buckets that stay empty (a dense 2^k+1 offsets array per table
+// would be 31 MB here).
 func TestStatsMemoryCountsStaticDirectory(t *testing.T) {
 	const n, k, m = 1025, 16, 16
 	const tables = m * (m - 1) / 2
@@ -235,7 +237,7 @@ func TestStatsMemoryCountsStaticDirectory(t *testing.T) {
 		t.Fatalf("%d static + %d delta rows, want the whole batch merged", merged[0].StaticLen, merged[0].DeltaLen)
 	}
 	arena := int64(n * (4 + 8*doc.NNZ()))
-	items := int64(tables * 4 * n)
+	items := int64(tables * ((n*11 + 7) / 8))
 	got := merged[0].MemoryBytes - empty[0].MemoryBytes
 	if got < arena+items {
 		t.Errorf("merging %d rows adds %d bytes to Stats.MemoryBytes; arena %d + items %d = %d", n, got, arena, items, arena+items)

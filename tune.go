@@ -14,7 +14,8 @@ type TuneOptions struct {
 	// Delta is the acceptable miss probability per true neighbor
 	// (default 0.1 → ≥90% recall at the radius boundary).
 	Delta float64
-	// MemoryBudget caps the hash-table footprint in bytes, Eq. 7.4
+	// MemoryBudget caps the hash-table footprint in bytes, Eq. 7.4 as the
+	// tables lay it out: ⌈log2 N⌉ bits an item plus the bucket directory
 	// (default 1 GiB).
 	MemoryBudget int64
 	// TargetN is the dataset size to optimize for; defaults to the sample
