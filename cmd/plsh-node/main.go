@@ -84,7 +84,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":7070", "listen address")
 	dim := flag.Int("dim", 500000, "vector-space dimensionality; costs 8 bytes a word up front, a word's hyperplane row (m·k/2 floats) when it is first seen")
-	k := flag.Int("k", 16, "bits per hash table (even)")
+	k := flag.Int("k", 16, "bits per hash table (even, 2 to 32)")
 	m := flag.Int("m", 16, "half-width hash functions (L = m(m-1)/2)")
 	capacity := flag.Int("capacity", 1<<20, "maximum documents held")
 	eta := flag.Float64("eta", 0.1, "delta fraction before automatic merge")

@@ -51,15 +51,13 @@ var coldFixture = sync.OnceValue(func() coldSet { return newColdSet(32000) })
 // Monolithic. ns/op comes from an engine that does not collect phases, the
 // q2/q3 metrics from a second one that does, as in the suite's ladder.
 //
-// The N=…/Compact, N=…/Items32, N=…/Wide and N=…/Dense cases are the
-// evidence for the table layout (DESIGN.md "Static tables"): the default arm
-// over the engine's tables, over the same directories with the items
-// unpacked to 32 bits each (items32Of of items_test.go — what a table was
-// before its items were packed), over the same tables with 32-bit entries
-// forced on them (forcedWide of wide_test.go — what a table was before its
-// entries went to 16 bits) and over the dense 2^k+1-offsets reference of
-// dense_test.go, with 32-bit items too, on a fleet node's share, on
-// static_query's base set and at four items a bucket.
+// The N=…/Compact, N=…/Items32 and N=…/Dense cases are the evidence for the
+// table layout (DESIGN.md "Static tables"): the default arm over the
+// engine's tables, over the same directories with the items unpacked to 32
+// bits each (items32Of of items_test.go — what a table was before its items
+// were packed) and over the dense 2^k+1-offsets reference of dense_test.go,
+// with 32-bit items too, on a fleet node's share, on static_query's base set
+// and at four items a bucket.
 // q2-ns/op is Step Q2 for queries drawn from the index, every one of whose
 // 120 buckets holds at least the query; q2-fresh-ns/op for documents the
 // index has never seen, most of whose buckets are empty;
@@ -109,7 +107,7 @@ func BenchmarkEngineSearchCold(b *testing.B) {
 
 	for _, n := range []int{8000, 32000, 262144} {
 		var set coldSet // built by the first of the arms that runs
-		for _, layout := range []string{"Compact", "Items32", "Wide", "Dense"} {
+		for _, layout := range []string{"Compact", "Items32", "Dense"} {
 			b.Run(fmt.Sprintf("N=%d/%s", n, layout), func(b *testing.B) {
 				if set.st == nil {
 					if set = f; n != f.st.Len() {
@@ -123,16 +121,13 @@ func BenchmarkEngineSearchCold(b *testing.B) {
 }
 
 // benchLayout times the default search arm over set's tables, over them with
-// 32-bit items, over their wide form or over their dense expansion, with
-// Step Q2 clocked as SearchOn clocks it.
+// 32-bit items or over their dense expansion, with Step Q2 clocked as
+// SearchOn clocks it.
 func benchLayout(b *testing.B, set coldSet, layout string) {
-	e := NewEngine(set.st, set.store, QueryDefaults())
-	p := set.st.fam.Params()
-	pairs, half := set.st.fam.Pairs(), uint(p.K/2)
 	st := set.st
-	if layout == "Wide" {
-		st = forcedWide(st)
-	}
+	e := NewEngine(st, set.store, QueryDefaults())
+	p := st.fam.Params()
+	pairs, half := st.fam.Pairs(), uint(p.K/2)
 	probe := func(ws *Workspace) int {
 		return ProbeMark(st.tables, pairs, ws.sketch, half, ws.lo, ws.hi, ws.seen.Words())
 	}
@@ -149,7 +144,7 @@ func benchLayout(b *testing.B, set coldSet, layout string) {
 	case "Dense":
 		tables := make([]denseTable, p.L())
 		for l := range tables {
-			tables[l] = denseOf(&set.st.tables[l], p.Buckets())
+			tables[l] = denseOf(&st.tables[l], p.Buckets())
 		}
 		probe = func(ws *Workspace) int {
 			return probeMarkDense(tables, pairs, ws.sketch, half, ws.lo, ws.hi, ws.seen.Words())
@@ -183,7 +178,7 @@ func benchLayout(b *testing.B, set coldSet, layout string) {
 	b.ReportMetric(float64(q2)/float64(b.N), "q2-ns/op")
 	b.ReportMetric(float64(q2Fresh)/float64(b.N), "q2-fresh-ns/op")
 	b.ReportMetric(tableBytes-itemBytes, "directory-bytes/table")
-	b.ReportMetric(tableBytes*float64(p.L())/float64(set.st.Len()), "bytes/doc")
+	b.ReportMetric(tableBytes*float64(p.L())/float64(st.Len()), "bytes/doc")
 }
 
 // monolith is the query path as it stood before the kernels of kernels.go:
@@ -311,10 +306,9 @@ func (e *monolith) search(dst []Neighbor, q sparse.Vector, p SearchParams) ([]Ne
 
 // BenchmarkProbeBisect is the evidence behind the rule that the probe is
 // staged (DESIGN.md "Q2/Q3 leaf kernels"). All are leaf functions over
-// the same tables and the same cold sketches; StagedWide is Staged over the
-// tables with 32-bit entries forced on them, the price of the 16-bit ones
-// with nothing else of a query around it, and StagedItems32 is Staged over
-// the items unpacked to 32 bits, the price of the packing likewise. Unstaged walks each bucket as
+// the same tables and the same cold sketches; StagedItems32 is Staged over
+// the items unpacked to 32 bits, the price of the packing with nothing else
+// of a query around it. Unstaged walks each bucket as
 // soon as its bounds load, as the monolithic loop did — and is 3–5× slower
 // than Staged or level with it depending on code that is not in the loop
 // (with or without the reslice on its first line, for one).
@@ -327,7 +321,7 @@ func (e *monolith) search(dst []Neighbor, q sparse.Vector, p SearchParams) ([]Ne
 func BenchmarkProbeBisect(b *testing.B) {
 	f := coldFixture()
 	tables, pairs := f.st.tables, f.st.fam.Pairs()
-	wide, items32 := forcedWide(f.st).tables, items32Of(f.st)
+	items32 := items32Of(f.st)
 	sketches := make([][]uint32, len(f.qs))
 	for i, q := range f.qs {
 		sketches[i] = f.st.fam.Sketch(q)
@@ -339,7 +333,6 @@ func BenchmarkProbeBisect(b *testing.B) {
 		probe func(sketch []uint32) int
 	}{
 		{"Staged", func(s []uint32) int { return ProbeMark(tables, pairs, s, 8, lo, hi, words) }},
-		{"StagedWide", func(s []uint32) int { return ProbeMark(wide, pairs, s, 8, lo, hi, words) }},
 		{"StagedItems32", func(s []uint32) int { return probeMarkItems32(tables, items32, pairs, s, 8, lo, hi, words) }},
 		{"Unstaged", func(s []uint32) int { return probeUnstaged(tables, pairs, s, 8, words) }},
 		{"UnstagedNoStores", func(s []uint32) int { return probeUnstagedNoStores(tables, pairs, s, 8) }},

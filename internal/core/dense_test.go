@@ -254,8 +254,21 @@ func TestStaticFromTablesRejectsBadDirectory(t *testing.T) {
 		{"no offsets", offsets(func([]uint32) []uint32 { return nil })},
 		{"no item array", func(tb *Table) { tb.items = packed{} }},
 		{"item array short", func(tb *Table) { tb.items.buf = tb.items.buf[:len(tb.items.buf)-1] }},
-		{"a base short", func(tb *Table) { tb.base = tb.base[:len(tb.base)-1] }},
-		{"a base too many", func(tb *Table) { tb.base = append(tb.base, 0) }},
+		{"entry array short", func(tb *Table) { tb.entries.buf = tb.entries.buf[:len(tb.entries.buf)-1] }},
+		{"entry array long", func(tb *Table) { tb.entries.buf = append(tb.entries.buf, 0) }},
+		// The same offsets, each in 33 bits, in an array of the length 33
+		// bits take: only the width is wrong.
+		{"entry width 33", func(tb *Table) {
+			offs := tb.AppendOffsets(nil)
+			buf := make([]byte, packedBytes(uint(len(offs)), 33))
+			for i, o := range offs {
+				for b := range 32 {
+					at := i*33 + b
+					buf[at>>3] |= byte(o>>b&1) << (at & 7)
+				}
+			}
+			tb.entries = packed{buf: buf, width: 33}
+		}},
 	} {
 		tables := good()
 		bad.corrupt(&tables[3])
@@ -321,8 +334,8 @@ func TestMemoryBytesCountsEverySlice(t *testing.T) {
 // TestTableMemoryBoundIsTight: the footprint perfmodel.Select budgets with
 // is never under what a build of that size holds, and within 15 % of it,
 // below, at and past full occupancy — at K = 8, and at K = 16 on a fleet
-// node's share, static_query's base set and four items a bucket, whose item
-// widths are 13, 15 and 18 bits.
+// node's share, static_query's base set and four items a bucket, whose items
+// take 13, 15 and 18 bits and entries 13, 15 and 19.
 func TestTableMemoryBoundIsTight(t *testing.T) {
 	for _, c := range []struct {
 		k  int

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"testing"
 
@@ -35,6 +36,29 @@ func probeMarkItems32(tables []Table, items [][]uint32, pairs []lshhash.Pair, sk
 	return collisions
 }
 
+// checkPacked checks that p is vals packed in width bits: exactly the packed
+// bits plus the zero padding, every value reading back through at.
+func checkPacked(t *testing.T, what string, p packed, vals []uint32, width uint) {
+	t.Helper()
+	if p.width != width {
+		t.Fatalf("%s: width %d, want %d", what, p.width, width)
+	}
+	packedLen := (uint(len(vals))*width + 7) / 8
+	if len(p.buf) != int(packedLen)+packedPad || cap(p.buf) != len(p.buf) {
+		t.Fatalf("%s: array of %d bytes (cap %d), want %d packed + %d padding", what, len(p.buf), cap(p.buf), packedLen, packedPad)
+	}
+	for _, b := range p.buf[packedLen:] {
+		if b != 0 {
+			t.Fatalf("%s: padding % x is not zero", what, p.buf[packedLen:])
+		}
+	}
+	for i, v := range vals {
+		if got := p.at(uint32(i)); got != v {
+			t.Fatalf("%s: value %d reads %d, want %d", what, i, got, v)
+		}
+	}
+}
+
 // TestItemsAtEveryWidth: at every width from 1 to 32 bits, ids up to
 // 2^w − 1 pack in w bits and 2^w takes one more; every id reads back through
 // the probe's accessor and through AppendItems, the last one included
@@ -46,26 +70,10 @@ func TestItemsAtEveryWidth(t *testing.T) {
 		t.Helper()
 		var tb Table
 		tb.SetItems(ids)
-		if tb.items.width != width {
-			t.Fatalf("%s: width %d, want %d", what, tb.items.width, width)
-		}
 		if tb.n != uint32(len(ids)) {
 			t.Fatalf("%s: %d items, want %d", what, tb.n, len(ids))
 		}
-		packedLen := (uint(len(ids))*width + 7) / 8
-		if len(tb.items.buf) != int(packedLen)+itemPad || cap(tb.items.buf) != len(tb.items.buf) {
-			t.Fatalf("%s: array of %d bytes (cap %d), want %d packed + %d padding", what, len(tb.items.buf), cap(tb.items.buf), packedLen, itemPad)
-		}
-		for _, b := range tb.items.buf[packedLen:] {
-			if b != 0 {
-				t.Fatalf("%s: padding % x is not zero", what, tb.items.buf[packedLen:])
-			}
-		}
-		for i, id := range ids {
-			if got := tb.items.at(uint32(i)); got != id {
-				t.Fatalf("%s: item %d reads %d, want %d", what, i, got, id)
-			}
-		}
+		checkPacked(t, what, tb.items, ids, width)
 		if got := tb.AppendItems(nil); !slices.Equal(got, ids) {
 			t.Fatalf("%s: AppendItems = %v, want %v", what, got, ids)
 		}
@@ -95,6 +103,63 @@ func TestItemsAtEveryWidth(t *testing.T) {
 			if w < 32 {
 				ids[n-1] = top + 1
 				check(fmt.Sprintf("w=%d n=%d, 2^w last", w, n), ids, w+1)
+			}
+		}
+	}
+}
+
+// TestEntriesAtEveryWidth: at every width from 0 to 32 bits, a directory
+// closing at 2^w − 1 packs its entries in w bits and one closing at 2^w in
+// one more; every entry reads back through start, every bucket's bounds —
+// and an empty probe's, entry 0 twice — through bounds, and the whole
+// directory through AppendOffsets.
+func TestEntriesAtEveryWidth(t *testing.T) {
+	check := func(what string, offs []uint32, width uint) {
+		t.Helper()
+		var tb Table
+		tb.SetOffsets(offs)
+		if tb.nEntries != uint32(len(offs)) {
+			t.Fatalf("%s: %d entries, want %d", what, tb.nEntries, len(offs))
+		}
+		checkPacked(t, what, tb.entries, offs, width)
+		for e, want := range offs {
+			if got := tb.start(uint32(e)); got != want {
+				t.Fatalf("%s: entry %d starts at %d, want %d", what, e, got, want)
+			}
+			if lo, hi := tb.bounds(uint32(e), 0); lo != want || hi != want {
+				t.Fatalf("%s: bounds(%d, 0) = [%d, %d), want [%d, %d)", what, e, lo, hi, want, want)
+			}
+			if e+1 < len(offs) {
+				if lo, hi := tb.bounds(uint32(e), 1); lo != want || hi != offs[e+1] {
+					t.Fatalf("%s: bounds(%d, 1) = [%d, %d), want [%d, %d)", what, e, lo, hi, want, offs[e+1])
+				}
+			}
+		}
+		if got := tb.AppendOffsets(nil); !slices.Equal(got, offs) {
+			t.Fatalf("%s: AppendOffsets = %v, want %v", what, got, offs)
+		}
+		if got := tb.AppendOffsets([]uint32{7}); len(got) != len(offs)+1 || got[0] != 7 {
+			t.Fatalf("%s: AppendOffsets does not append", what)
+		}
+	}
+
+	src := rng.New(2)
+	for w := uint(0); w <= 32; w++ {
+		closings := []uint64{1<<w - 1, 1 << w}
+		if w == 32 {
+			closings = closings[:1]
+		}
+		for _, closing := range closings {
+			// Two to ten entries put the closing one at nine different bit
+			// offsets of its byte at an odd width.
+			for n := 2; n <= 10; n++ {
+				offs := make([]uint32, n)
+				for i := 1; i < n-1; i++ {
+					offs[i] = uint32(src.Uint64() % (closing + 1))
+				}
+				offs[n-1] = uint32(closing)
+				slices.Sort(offs)
+				check(fmt.Sprintf("w=%d n=%d closing at %d", w, n, closing), offs, uint(bits.Len64(closing)))
 			}
 		}
 	}

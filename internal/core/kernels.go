@@ -20,11 +20,9 @@ import (
 // directory entry by arithmetic alone (Table.slot); a clear bit comes out as
 // entry 0 with zero length, so an empty bucket ends at a line every empty
 // probe of that table shares. Stage 2 loads where that entry and the next
-// one start (Table.bounds): two adjacent 16-bit offsets and their base,
-// which at one base per 64 entries is a thirty-second of the offsets and as
-// resident as the rank words. Neither loop has a branch that depends on what
-// it loads — bounds checks aside; stage 2's one test is of the table's form,
-// a header word — so the L misses of each stage are all in flight together:
+// one start (Table.bounds): two adjacent packed entries, the same load, shift
+// and mask as an item's. Neither loop has a branch — bounds checks aside —
+// so the L misses of each stage are all in flight together:
 // the structural stand-in for §5.2.2's software prefetch. A probe that
 // walked each bucket as soon as it had its bounds would close every
 // iteration with a loop branch on a value still in flight from memory, and

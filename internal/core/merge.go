@@ -44,9 +44,8 @@ func Merge(old, add *Static, dead []uint64, workers int) *Static {
 // mergeScratch is what one worker keeps from table to table: where the
 // tombstoned items of old sit, and old's, add's and the result's entries and
 // items as plain 32-bit words — the merge shifts and copies them by the
-// block, which neither the 16-bit entries nor the packed items allow, so it
-// reads the inputs through one widening pass each and narrows the result's
-// once they are final.
+// block, which packed arrays do not allow, so it reads the inputs through
+// one unpacking pass each and packs the result's once they are final.
 type mergeScratch struct {
 	deadAt            []uint32
 	oldOffs, oldItems []uint32
@@ -54,7 +53,7 @@ type mergeScratch struct {
 	offs, items       []uint32
 }
 
-// flatTable is a table's entries and items widened to 32 bits, the form
+// flatTable is a table's entries and items unpacked to 32 bits, the form
 // the merge's block moves read and write.
 type flatTable struct {
 	offs, items []uint32

@@ -189,9 +189,6 @@ func NewEngine(st *Static, store sparse.Store, opts QueryOptions) *Engine {
 // schedule combined static+delta batches on it.
 func (e *Engine) Pool() *sched.Pool { return e.pool }
 
-// Options returns the engine's query options.
-func (e *Engine) Options() QueryOptions { return e.opts }
-
 // SetDeleted installs the deletion bitvector consulted before distance
 // computation (§6.2). Pass nil to clear. The vector is read, not copied,
 // and is consulted with atomic loads, so callers may keep setting bits

@@ -1,0 +1,258 @@
+package core
+
+import (
+	"fmt"
+	"math/bits"
+	"slices"
+	"testing"
+
+	"plsh/internal/lshhash"
+	"plsh/internal/rng"
+	"plsh/internal/sched"
+	"plsh/internal/sparse"
+)
+
+// table32 is Table with nothing packed: the bitmap, the rank words, one
+// uint32 offset per occupied bucket plus the closing one, and one uint32 an
+// item. It lives in test files only, as the reference the packed entries and
+// items are checked against; its in-place rewrites are denseTable's, which
+// walk whatever entries Offsets holds.
+type table32 struct {
+	Occ  []uint64
+	Rank []uint32
+	denseTable
+}
+
+func (t *table32) Bucket(key uint32) []uint32 {
+	word, bit := t.Occ[key>>6], key&63
+	if word>>bit&1 == 0 {
+		return nil
+	}
+	e := t.Rank[key>>6] + uint32(bits.OnesCount64(word&(1<<bit-1)))
+	return t.Items[t.Offsets[e]:t.Offsets[e+1]]
+}
+
+// table32FromKeys is denseFromKeys with the empty buckets' entries left out.
+func table32FromKeys(keys []uint32, buckets int) table32 {
+	dense := denseFromKeys(keys, buckets)
+	t := table32{Occ: make([]uint64, (buckets+63)/64), Rank: make([]uint32, (buckets+63)/64)}
+	t.Items = dense.Items
+	for b := 0; b < buckets; b++ {
+		if b&63 == 0 {
+			t.Rank[b>>6] = uint32(len(t.Offsets))
+		}
+		if dense.Offsets[b+1] > dense.Offsets[b] {
+			t.Occ[b>>6] |= 1 << (b & 63)
+			t.Offsets = append(t.Offsets, dense.Offsets[b])
+		}
+	}
+	t.Offsets = append(t.Offsets, uint32(len(keys)))
+	return t
+}
+
+// reference32 builds the reference tables of the documents sk sketches.
+func reference32(sk *lshhash.Sketches, p lshhash.Params) []table32 {
+	ref := make([]table32, p.L())
+	keys := make([]uint32, sk.N())
+	for l := range ref {
+		a, b := lshhash.PairForTable(l, p.M)
+		for i := range keys {
+			keys[i] = sk.TableKey(i, a, b, p.K)
+		}
+		ref[l] = table32FromKeys(keys, p.Buckets())
+	}
+	return ref
+}
+
+// widthOf is the bits the largest of vals needs.
+func widthOf(vals []uint32) uint {
+	var union uint32
+	for _, v := range vals {
+		union |= v
+	}
+	return uint(bits.Len32(union))
+}
+
+// checkAgainst32 checks that st validates and answers Bucket(key) as ref does
+// for every one of the 2^K keys of every table; that its entries and items
+// unpack to ref's, each in the bits the largest of them needs; and that
+// MemoryBytes counts what the two packed arrays hold.
+func checkAgainst32(t *testing.T, what string, st *Static, ref []table32) {
+	t.Helper()
+	p := st.fam.Params()
+	if err := ValidateTables(p, st.n, st.tables); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	var mem int64
+	for l := range ref {
+		tb, r := &st.tables[l], &ref[l]
+		for key := 0; key < p.Buckets(); key++ {
+			want := r.Bucket(uint32(key))
+			if got := tb.Bucket(nil, uint32(key)); !slices.Equal(got, want) {
+				t.Fatalf("%s: table %d bucket %d = %v, 32-bit reference %v", what, l, key, got, want)
+			}
+		}
+		if !slices.Equal(tb.AppendOffsets(nil), r.Offsets) {
+			t.Fatalf("%s: table %d unpacks to other offsets than the reference's", what, l)
+		}
+		if !slices.Equal(tb.AppendItems(nil), r.Items) {
+			t.Fatalf("%s: table %d unpacks to other items than the reference's", what, l)
+		}
+		if want := widthOf(r.Offsets); tb.entries.width != want {
+			t.Fatalf("%s: table %d packs its entries in %d bits, its closing one needs %d", what, l, tb.entries.width, want)
+		}
+		if want := widthOf(r.Items); tb.items.width != want {
+			t.Fatalf("%s: table %d packs its items in %d bits, its largest id needs %d", what, l, tb.items.width, want)
+		}
+		mem += int64(cap(tb.Occ))*8 + int64(cap(tb.Rank))*4 +
+			int64(packedBytes(uint(len(r.Offsets)), tb.entries.width)+packedBytes(uint(len(r.Items)), tb.items.width))
+	}
+	if got := st.MemoryBytes(); got != mem {
+		t.Fatalf("%s: MemoryBytes = %d, the layout holds %d", what, got, mem)
+	}
+}
+
+func deadFunc(dead []uint64) func(uint32) bool {
+	return func(id uint32) bool { return isDead(dead, id) }
+}
+
+// reread is st as the snapshot reader rebuilds it: each table's bitmap and
+// rank words, then its entries and its items handed over as the plain 32-bit
+// words a snapshot stores them as.
+func reread(st *Static) *Static {
+	out := &Static{fam: st.fam, n: st.n, tables: make([]Table, len(st.tables))}
+	for l := range st.tables {
+		t, r := &st.tables[l], &out.tables[l]
+		r.Occ, r.Rank = slices.Clone(t.Occ), slices.Clone(t.Rank)
+		r.SetOffsets(t.AppendOffsets(nil))
+		r.SetItems(t.AppendItems(nil))
+	}
+	return out
+}
+
+// TestPackedMatches32BitReference: out of every writer — Build, hashing
+// included (TableBuilder.Finish), BuildFromSketches, the one-level build
+// (GroupByKey), Merge under tombstones, Compact, and the snapshot reader's
+// SetOffsets and SetItems — at 4, 8 and 16 key bits, below and past full
+// occupancy, the packed entries and items answer every key as the 32-bit
+// reference does.
+func TestPackedMatches32BitReference(t *testing.T) {
+	for _, k := range []int{4, 8, 16} {
+		p := lshhash.Params{Dim: 300, K: k, M: 4, Seed: 5}
+		fam, err := lshhash.NewFamily(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{1, 700, 3 * p.Buckets() / 2} {
+			what := fmt.Sprintf("K=%d n=%d", k, n)
+			src := rng.New(uint64(k*n) + 1)
+			mat := sparse.NewMatrix(p.Dim, n, 4*n)
+			for i := 0; i < n; i++ {
+				// n/8 distinct documents, some repeated many times: buckets
+				// from one item to dozens.
+				doc := rng.New(uint64(src.Intn(1 + n/8)))
+				idx := []uint32{uint32(doc.Intn(100)), 100 + uint32(doc.Intn(100)), 200 + uint32(doc.Intn(100))}
+				mat.AppendRow(sparse.Vector{Idx: idx, Val: []float32{0.5, 0.7, 0.5}})
+			}
+			sk := fam.SketchAll(mat, sched.NewPool(2), true)
+
+			built, err := Build(fam, mat, Defaults())
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkAgainst32(t, what+" Build", built, reference32(sk, p))
+			checkAgainst32(t, what+" BuildFromSketches", BuildFromSketches(fam, sk, 2), reference32(sk, p))
+			oneLevel := &Static{fam: fam, n: n, tables: make([]Table, p.L())}
+			buildOneLevel(oneLevel, sk, p, sched.NewPool(2))
+			checkAgainst32(t, what+" GroupByKey", oneLevel, reference32(sk, p))
+			checkAgainst32(t, what+" snapshot reader", reread(built), reference32(sk, p))
+
+			dead := randomDead(n, 3, uint64(n)+9)
+			ref := reference32(sk, p)
+			for l := range ref {
+				ref[l].compact(deadFunc(dead))
+			}
+			compacted := BuildFromSketches(fam, sk, 2)
+			compacted.Compact(deadFunc(dead), 2)
+			checkAgainst32(t, what+" Compact", compacted, ref)
+			checkAgainst32(t, what+" Compact, snapshot reader", reread(compacted), ref)
+
+			// Merge: the first two thirds as the static side, the rest as the
+			// delta, tombstones on both. The reference is the whole prefix
+			// built at once, then compacted.
+			head := n * 2 / 3
+			old := BuildFromSketches(fam, &lshhash.Sketches{M: sk.M, Data: sk.Data[:head*sk.M]}, 2)
+			add := BuildFromSketches(fam, &lshhash.Sketches{M: sk.M, Data: sk.Data[head*sk.M:]}, 2)
+			ref = reference32(sk, p)
+			for l := range ref {
+				ref[l].compact(deadFunc(dead))
+			}
+			// A merge keeps an entry for every bucket either side had one
+			// for; the reference drops none either.
+			merged := Merge(old, add, dead, 2)
+			checkAgainst32(t, what+" Merge", merged, ref)
+			checkAgainst32(t, what+" Merge, snapshot reader", reread(merged), ref)
+		}
+	}
+}
+
+// TestRetweetStormIndexes: 70 000 copies of one document must still index,
+// its bucket's 70 000 items putting every table's entries at 17 bits, and
+// the buckets are the reference's through Build, BuildFromSketches, Compact,
+// a merge that brings the storm in and one that tombstones it out.
+func TestRetweetStormIndexes(t *testing.T) {
+	const quiet, storm = 900, 70000
+	p := lshhash.Params{Dim: 300, K: 8, M: 4, Seed: 5}
+	fam, err := lshhash.NewFamily(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := rng.New(3)
+	mat := sparse.NewMatrix(p.Dim, quiet+storm, 3*(quiet+storm))
+	for i := 0; i < quiet; i++ {
+		idx := []uint32{uint32(src.Intn(100)), 100 + uint32(src.Intn(100)), 200 + uint32(src.Intn(100))}
+		mat.AppendRow(sparse.Vector{Idx: idx, Val: []float32{0.5, 0.7, 0.5}})
+	}
+	for i := 0; i < storm; i++ {
+		mat.AppendRow(sparse.Vector{Idx: []uint32{7, 150, 299}, Val: []float32{0.6, 0.6, 0.5}})
+	}
+	sk := fam.SketchAll(mat, sched.NewPool(2), true)
+	isStorm := func(id uint32) bool { return id >= quiet }
+
+	built, err := Build(fam, mat, Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []*Static{built, BuildFromSketches(fam, sk, 2)} {
+		if w := st.tables[0].entries.width; w != 17 {
+			t.Fatalf("built: entries of %d bits over %d items, want 17", w, quiet+storm)
+		}
+		checkAgainst32(t, "built", st, reference32(sk, p))
+	}
+
+	ref := reference32(sk, p)
+	for l := range ref {
+		ref[l].compact(isStorm)
+	}
+	built.Compact(isStorm, 2)
+	checkAgainst32(t, "compacted", built, ref)
+
+	old := BuildFromSketches(fam, &lshhash.Sketches{M: sk.M, Data: sk.Data[:quiet*sk.M]}, 2)
+	add := BuildFromSketches(fam, &lshhash.Sketches{M: sk.M, Data: sk.Data[quiet*sk.M:]}, 2)
+	none := make([]uint64, (quiet+storm+63)/64)
+	merged := Merge(old, add, none, 2)
+	checkAgainst32(t, "quiet+storm", merged, reference32(sk, p))
+
+	const more = 40
+	moreSk := layoutSketches(more, p.M, p.HalfBuckets(), false, 8)
+	all := concatSketches(sk, moreSk)
+	dead := make([]uint64, (quiet+storm+more+63)/64)
+	for id := quiet; id < quiet+storm; id++ {
+		dead[id>>6] |= 1 << (id & 63)
+	}
+	ref = reference32(all, p)
+	for l := range ref {
+		ref[l].compact(deadFunc(dead))
+	}
+	checkAgainst32(t, "storm tombstoned", Merge(merged, BuildFromSketches(fam, moreSk, 2), dead, 2), ref)
+}

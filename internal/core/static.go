@@ -6,15 +6,15 @@
 // the L = m(m−1)/2 tables is a contiguous array of the N document indexes,
 // ⌈log2 N⌉ bits each, partitioned by the table's k-bit key, plus a directory
 // over the occupied buckets only: a 2^k-bit occupancy bitmap, a rank
-// directory over it and one 16-bit offset per occupied bucket against a
-// 32-bit base per 64 of them — no pointers, no per-bucket allocations, and
-// nothing sized by the buckets a table does not use or by the ids it could
-// hold (Fig. 3a of the paper keeps a dense 2^k+1 offsets array and 32-bit
-// ids; DESIGN.md "Static tables" has why this one does not). Construction
-// options reproduce the Fig. 4 ablation (1-level → 2-level → shared first
-// level → vectorized hashing); query options reproduce the Fig. 5 ablation
-// (set dedup → bitvector → optimized sparse dot product → candidate
-// extraction → arena layout).
+// directory over it and one offset per occupied bucket, packed like the ids
+// in the bits the largest offset needs — no pointers, no per-bucket
+// allocations, and nothing sized by the buckets a table does not use or by
+// the values it could hold (Fig. 3a of the paper keeps a dense 2^k+1 offsets
+// array and 32-bit ids; DESIGN.md "Static tables" has why this one does
+// not). Construction options reproduce the Fig. 4 ablation (1-level →
+// 2-level → shared first level → vectorized hashing); query options
+// reproduce the Fig. 5 ablation (set dedup → bitvector → optimized sparse
+// dot product → candidate extraction → arena layout).
 package core
 
 import (
@@ -38,18 +38,12 @@ import (
 // non-empty buckets; Merge and Compact may then leave a bucket
 // empty whose bit stays set, so a set bit promises an entry, not an item.
 //
-// An entry is 16 bits: entry e starts at base[e>>6]+off[e], base holding
-// the start of every 64th entry in full. Sixty-four consecutive occupied
-// buckets hold a few hundred items, so the 16 bits are never short in
-// practice; a table in which some 64 entries do span 2^16 items or more — one
-// document repeated 70 000 times — keeps full 32-bit entries in wide
-// instead. SetOffsets, the one writer of the three, picks the form from the
-// offsets it is given; start and bounds, the readers, serve both.
-//
-// An item is as wide as the table's largest id needs — ⌈log2 N⌉ bits for a
-// table over N documents, 13 at a fleet node's 8 000 and 24 at the paper's
-// 10.5 M — packed end to end (see packed). SetItems is its one writer; the
-// probe kernels (through span and load), Bucket and AppendItems are its
+// Items and entries are one encoding used twice: a packed array as wide as
+// its largest value needs. An item takes ⌈log2 N⌉ bits in a table over N
+// documents — 13 at a fleet node's 8 000, 24 at the paper's 10.5 M — and an
+// entry the bit length of the item count, the closing entry being the
+// largest. SetItems and SetOffsets are the writers; the probe kernels
+// (through span and load), Bucket, AppendItems and AppendOffsets are the
 // readers.
 //
 //plshvet:frozen tables are reached through a published snapshot; queries scan them lock-free
@@ -60,40 +54,68 @@ type Table struct {
 	items packed
 	n     uint32 // the item count
 
-	// The entries, one per set bit of Occ plus the closing one: base and off,
-	// or wide.
-	base []uint32 // one per 64 entries
-	off  []uint16
-	wide []uint32 // nil but for a table off cannot address
+	entries  packed // one per set bit of Occ, then the closing one
+	nEntries uint32
 }
 
-// packed is an array of ids of width bits each, id i at bits
+// packed is an array of values of width bits each, value i at bits
 // [i·width, (i+1)·width) of buf read as one little-endian bit string,
-// followed by itemPad bytes: an 8-byte load at the byte an id starts in —
-// the last id's included — never leaves buf. A width is at most 32 and an id
-// starts at most 7 bits into its byte, so that one load holds the whole id.
-// The header is four words, which the compiler keeps in registers; a fifth —
-// a stored mask — made it copy the header through the stack at every read.
+// followed by packedPad bytes: an 8-byte load at the byte a value starts in
+// — the last value's included — never leaves buf. A width is at most 32 and
+// a value starts at most 7 bits into its byte, so that one load holds the
+// whole value. The header is four words, which the compiler keeps in
+// registers; a fifth — a stored mask — made it copy the header through the
+// stack at every read.
 type packed struct {
 	buf   []byte
 	width uint
 }
 
-// itemPad is the tail padding of a packed array.
-const itemPad = 8
+// packedPad is the tail padding of a packed array.
+const packedPad = 8
 
-// span checks, once, that reading ids below end stays inside the array, and
-// returns the array's address and the mask that load takes. An id's load
-// ends at most 8 bytes past the byte it starts in, and end·width>>3 + 7 is
-// past every such byte, so that one bounds check — which the padding makes
-// pass for any end up to the item count — stands for every load of a
+// pack returns vals packed in as many bits as the largest of them needs. The
+// width follows the values, not their count, and nothing of them is lost
+// whatever they hold: a decoder may pack what it read and let ValidateTables
+// judge it, since a value out of range stays out of range rather than
+// wrapping into it.
+func pack(vals []uint32) packed {
+	var union uint32 // its highest bit is the largest value's
+	for _, v := range vals {
+		union |= v
+	}
+	width := uint(bits.Len32(union))
+	buf := make([]byte, packedBytes(uint(len(vals)), width))
+	// acc holds the nb bits that do not yet fill a 32-bit word, which starts
+	// at byte at. Nothing stored is read back: an OR into the array would
+	// load bytes the previous store has just half-written, which the store
+	// buffer cannot forward, and that made packing twice as slow.
+	var acc uint64
+	var nb, at uint
+	for _, v := range vals {
+		acc |= uint64(v) << (nb & 31) // nb < 32 and width ≤ 32: acc holds the value
+		nb += width
+		if nb >= 32 {
+			binary.LittleEndian.PutUint32(buf[at:], uint32(acc))
+			at, acc, nb = at+4, acc>>32, nb-32
+		}
+	}
+	binary.LittleEndian.PutUint64(buf[at:], acc) // the last word, begun
+	return packed{buf: buf, width: width}
+}
+
+// span checks, once, that reading values below end stays inside the array,
+// and returns the array's address and the mask that load takes. A value's
+// load ends at most 8 bytes past the byte it starts in, and end·width>>3 + 7
+// is past every such byte, so that one bounds check — which the padding
+// makes pass for any end up to the value count — stands for every load of a
 // bucket; it panics, like any bounds check, for an end past it.
 func (p packed) span(end uint) (base unsafe.Pointer, mask uint64) {
 	_ = p.buf[(end*p.width)>>3+7]
 	return unsafe.Pointer(unsafe.SliceData(p.buf)), 1<<(p.width&63) - 1
 }
 
-// load returns the id that starts at bit of the array at base, given the
+// load returns the value that starts at bit of the array at base, given the
 // array's mask: one unaligned 8-byte load, a shift and a mask — the same
 // three steps, and no branch, at every width. The caller has checked the
 // load against the array with span. (Read through a [8]byte, the load
@@ -104,25 +126,34 @@ func load(base unsafe.Pointer, bit uint, mask uint64) uint32 {
 	return uint32(binary.LittleEndian.Uint64((*[8]byte)(unsafe.Add(base, bit>>3))[:]) >> (bit & 7) & mask)
 }
 
-// at returns id i.
+// at returns value i.
 func (p packed) at(i uint32) uint32 {
 	base, mask := p.span(uint(i) + 1)
 	return load(base, uint(i)*p.width, mask)
 }
 
-// packedBytes is the length of the packed array of n ids of width bits.
-func packedBytes(n, width uint) int {
-	return int((n*width+7)/8 + itemPad)
+// appendTo appends the first n values, unpacked, to dst.
+func (p packed) appendTo(dst []uint32, n uint32) []uint32 {
+	if n == 0 {
+		return dst // and a zero Table, which has no array to span, has none
+	}
+	dst = slices.Grow(dst, int(n))
+	base, mask := p.span(uint(n))
+	for i := range uint(n) {
+		dst = append(dst, load(base, i*p.width, mask))
+	}
+	return dst
 }
 
-// entryBlock is how many directory entries share one base: 2^entryShift.
-// At 64 the bases add half a bit to an entry's sixteen, and the largest span
-// 64 entries cover in the suite's corpus — under 700 items, at any N it is
-// run at — is a hundredth of what sixteen bits address.
-const (
-	entryShift = 6
-	entryBlock = 1 << entryShift
-)
+// holds reports whether p is shaped as the packed array of n values.
+func (p packed) holds(n uint32) bool {
+	return p.width <= 32 && len(p.buf) == packedBytes(uint(n), p.width)
+}
+
+// packedBytes is the length of the packed array of n values of width bits.
+func packedBytes(n, width uint) int {
+	return int((n*width+7)/8 + packedPad)
+}
 
 // slot locates bucket key in the directory: the index of its entry and 1,
 // or (0, 0) when its bit is clear — so that entries slot and slot+set bound
@@ -138,30 +169,18 @@ func (t *Table) slot(key uint32) (slot, set uint32) {
 }
 
 // bounds returns where entries slot and slot+set start: the bounds in the
-// items of the bucket slot located. Its one branch is on the table's form, the
-// same way for every table of every index but a pathological one — not on a
-// directory word, which the probe must not wait for (see stageBuckets).
+// items of the bucket slot located. It is two loads behind one bounds check
+// and has no branch — on a directory word, which the probe must not wait
+// for (see stageBuckets), or on anything else.
 func (t *Table) bounds(slot, set uint32) (lo, hi uint32) {
 	next := slot + set
-	if t.wide != nil {
-		return t.wide[slot], t.wide[next]
-	}
-	return t.base[slot>>entryShift] + uint32(t.off[slot]), t.base[next>>entryShift] + uint32(t.off[next])
+	w := t.entries.width
+	base, mask := t.entries.span(uint(next) + 1)
+	return load(base, uint(slot)*w, mask), load(base, uint(next)*w, mask)
 }
 
 // start returns where entry e starts in the items.
-func (t *Table) start(e uint32) uint32 {
-	lo, _ := t.bounds(e, 0)
-	return lo
-}
-
-// entries returns the number of directory entries, the closing one included.
-func (t *Table) entries() int {
-	if t.wide != nil {
-		return len(t.wide)
-	}
-	return len(t.off)
-}
+func (t *Table) start(e uint32) uint32 { return t.entries.at(e) }
 
 // Bucket appends the document indexes in bucket key to dst.
 func (t *Table) Bucket(dst []uint32, key uint32) []uint32 {
@@ -175,96 +194,29 @@ func (t *Table) Bucket(dst []uint32, key uint32) []uint32 {
 // AppendItems appends every item, in key order, to dst: the items with the
 // packing undone, as a snapshot stores them and as Merge and Compact edit
 // them.
-func (t *Table) AppendItems(dst []uint32) []uint32 {
-	if t.n == 0 {
-		return dst // and a zero Table, which has no array to span, has none
-	}
-	dst = slices.Grow(dst, int(t.n))
-	items := t.items
-	base, mask := items.span(uint(t.n))
-	for i := range uint(t.n) {
-		dst = append(dst, load(base, i*items.width, mask))
-	}
-	return dst
-}
+func (t *Table) AppendItems(dst []uint32) []uint32 { return t.items.appendTo(dst, t.n) }
 
-// SetItems makes ids the table's items, each in as many bits as the largest
-// of them needs. The width follows the ids, not their count or any row count,
-// and SetItems keeps no reference to ids: a decoder may pack what it read and
-// let ValidateTables judge it, since an id out of range stays out of range
-// rather than wrapping into it.
+// SetItems makes ids the table's items, packed (see pack). It keeps no
+// reference to ids.
 //
 //plshvet:prepublish the one writer of the item array; every builder and in-place rewrite ends here, before the table is published
 func (t *Table) SetItems(ids []uint32) {
-	var union uint32 // its highest bit is the largest id's
-	for _, id := range ids {
-		union |= id
-	}
-	width := uint(bits.Len32(union))
-	buf := make([]byte, packedBytes(uint(len(ids)), width))
-	// acc holds the nb bits that do not yet fill a 32-bit word, which starts
-	// at byte at. Nothing stored is read back: an OR into the array would
-	// load bytes the previous store has just half-written, which the store
-	// buffer cannot forward, and that made packing twice as slow.
-	var acc uint64
-	var nb, at uint
-	for _, id := range ids {
-		acc |= uint64(id) << (nb & 31) // nb < 32 and width ≤ 32: acc holds the id
-		nb += width
-		if nb >= 32 {
-			binary.LittleEndian.PutUint32(buf[at:], uint32(acc))
-			at, acc, nb = at+4, acc>>32, nb-32
-		}
-	}
-	binary.LittleEndian.PutUint64(buf[at:], acc) // the last word, begun
-	t.items = packed{buf: buf, width: width}
-	t.n = uint32(len(ids))
+	t.items, t.n = pack(ids), uint32(len(ids))
 }
 
 // AppendOffsets appends the start of every entry, the closing one included,
-// to dst: the directory with the entry encoding undone, as a snapshot stores
-// it and as the in-place rewrites edit it.
-func (t *Table) AppendOffsets(dst []uint32) []uint32 {
-	if t.wide != nil {
-		return append(dst, t.wide...)
-	}
-	dst = slices.Grow(dst, len(t.off))
-	for b, base := range t.base {
-		for _, d := range t.off[b*entryBlock : min((b+1)*entryBlock, len(t.off))] {
-			dst = append(dst, base+uint32(d))
-		}
-	}
-	return dst
-}
+// to dst: the entries with the packing undone, as a snapshot stores them and
+// as the in-place rewrites edit them.
+func (t *Table) AppendOffsets(dst []uint32) []uint32 { return t.entries.appendTo(dst, t.nEntries) }
 
-// SetOffsets makes offsets — one per set bit of Occ, then len(Items) — the
-// table's entries, in 16 bits each if every block of 64 allows it. It keeps
-// no reference to offsets and loses nothing of them whatever they hold, so a
-// decoder may narrow first and let ValidateTables judge the result.
+// SetOffsets makes offsets — one per set bit of Occ, then the item count —
+// the table's entries, packed as SetItems packs ids: in the bit length of
+// the largest, which in a table is the closing one. It keeps no reference to
+// offsets.
 //
-//plshvet:prepublish the one writer of the entry arrays; every builder and in-place rewrite ends here, before the table is published
+//plshvet:prepublish the one writer of the entry array; every builder and in-place rewrite ends here, before the table is published
 func (t *Table) SetOffsets(offsets []uint32) {
-	base := make([]uint32, (len(offsets)+entryBlock-1)>>entryShift)
-	off := make([]uint16, len(offsets))
-	var over uint32 // bits 16 and up are set in it once some entry does not fit
-	for b := range base {
-		block := offsets[b*entryBlock : min((b+1)*entryBlock, len(offsets))]
-		narrow := off[b*entryBlock:][:len(block)]
-		first := block[0]
-		base[b] = first
-		for i, o := range block {
-			d := o - first // wraps past 2^16 if the offsets decrease
-			over |= d
-			narrow[i] = uint16(d)
-		}
-	}
-	var wide []uint32
-	if over>>16 != 0 {
-		base, off = nil, nil
-		wide = make([]uint32, len(offsets)) // not slices.Clone: MemoryBytes counts capacity
-		copy(wide, offsets)
-	}
-	t.base, t.off, t.wide = base, off, wide
+	t.entries, t.nEntries = pack(offsets), uint32(len(offsets))
 }
 
 // TableBuilder assembles Tables from per-bucket item counts presented in
@@ -356,18 +308,17 @@ func (b *TableBuilder) GroupByKey(keys, hist []uint32) Table {
 
 // TableMemoryBound bounds the bytes of l tables of 2^k buckets over n
 // documents. Eq. 7.4 charges (L·N + 2^k·L)·4; here an item costs the
-// ⌈log2 n⌉ bits the largest id needs, plus 8 bytes of padding a table, and
-// in place of the 2^k·L·4 is a directory of the bitmap, its rank words, and
-// two bytes an entry plus four per 64 entries for every bucket that can be
-// occupied. MemoryBytes of a freshly built Static never exceeds it and
-// reaches it when min(n, 2^k) buckets are in use — a table forced into 32-bit
-// entries aside (see Table), which no sizing rule should budget for.
+// ⌈log2 n⌉ bits the largest id needs, and in place of the 2^k·L·4 is a
+// directory of the bitmap, its rank words and an entry of bits.Len(n) bits —
+// the closing one's — for every bucket that can be occupied, each packed
+// array plus its 8 bytes of padding. MemoryBytes of a freshly built Static
+// never exceeds it and reaches it when min(n, 2^k) buckets are in use.
 func TableMemoryBound(n, k, l int) int64 {
 	buckets := int64(1) << uint(k)
 	words := (buckets + 63) / 64
 	entries := min(int64(n), buckets) + 1
-	width := uint(bits.Len(uint(max(n, 1) - 1))) // ⌈log2 n⌉
-	perTable := int64(packedBytes(uint(n), width)) + words*(8+4) + entries*2 + (entries+entryBlock-1)/entryBlock*4
+	itemWidth := uint(bits.Len(uint(max(n, 1) - 1))) // ⌈log2 n⌉
+	perTable := int64(packedBytes(uint(n), itemWidth)+packedBytes(uint(entries), uint(bits.Len(uint(n))))) + words*(8+4)
 	return int64(l) * perTable
 }
 
@@ -408,10 +359,10 @@ func StaticFromTables(fam *lshhash.Family, n int, tables []Table) (*Static, erro
 
 // ValidateTables reports whether tables describe n documents under p's
 // geometry: L = m(m−1)/2 tables, each with a 2^k-bit bitmap, the rank
-// directory that bitmap implies, one entry per set bit (plus one), in either
-// form, delimiting exactly its item count, and every item id below n — the
-// shape checks that keep a corrupt snapshot from becoming an index that reads
-// out of bounds.
+// directory that bitmap implies, one entry per set bit (plus one) delimiting
+// exactly its item count, both packed arrays sized for their counts, and
+// every item id below n — the shape checks that keep a corrupt snapshot from
+// becoming an index that reads out of bounds.
 func ValidateTables(p lshhash.Params, n int, tables []Table) error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -420,7 +371,7 @@ func ValidateTables(p lshhash.Params, n int, tables []Table) error {
 		return errors.New("core: table count does not match family")
 	}
 	words := (p.Buckets() + 63) / 64
-	var offs []uint32 // each table's entries in turn, widened
+	var offs []uint32 // each table's entries in turn, unpacked
 	for l := range tables {
 		t := &tables[l]
 		if len(t.Occ) != words || len(t.Rank) != words {
@@ -436,8 +387,11 @@ func ValidateTables(p lshhash.Params, n int, tables []Table) error {
 			}
 			rank += uint32(bits.OnesCount64(word))
 		}
-		if t.entries() != int(rank)+1 || t.wide == nil && len(t.base) != (len(t.off)+entryBlock-1)>>entryShift {
+		if int(t.nEntries) != int(rank)+1 {
 			return errors.New("core: offset count does not match occupied buckets")
+		}
+		if !t.entries.holds(t.nEntries) {
+			return errors.New("core: entry array does not hold its entry count")
 		}
 		offs = t.AppendOffsets(offs[:0])
 		if offs[0] != 0 || offs[rank] != t.n {
@@ -449,7 +403,7 @@ func ValidateTables(p lshhash.Params, n int, tables []Table) error {
 			}
 		}
 		items := t.items
-		if items.width > 32 || len(items.buf) != packedBytes(uint(t.n), items.width) {
+		if !items.holds(t.n) {
 			return errors.New("core: item array does not hold its item count")
 		}
 		base, mask := items.span(uint(t.n))
@@ -506,7 +460,7 @@ func (s *Static) MemoryBytes() int64 {
 	var b int64
 	for i := range s.tables {
 		t := &s.tables[i]
-		b += int64(cap(t.Occ))*8 + int64(cap(t.Rank)+cap(t.base)+cap(t.wide))*4 + int64(cap(t.off))*2 + int64(cap(t.items.buf))
+		b += int64(cap(t.Occ))*8 + int64(cap(t.Rank))*4 + int64(cap(t.entries.buf)) + int64(cap(t.items.buf))
 	}
 	return b
 }

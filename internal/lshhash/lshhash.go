@@ -35,8 +35,7 @@ type Params struct {
 	// Dim is the dimensionality D of the vector space.
 	Dim int
 	// K is the number of bits indexing one hash table; must be even and in
-	// [2, 40] (2^(K/2) first-level partitions must fit comfortably in
-	// memory; the paper uses K = 16).
+	// [2, 32] — a table key is a uint32 (Pair.Key) — and the paper uses 16.
 	K int
 	// M is the number of K/2-bit functions u_i; L = M(M−1)/2 tables.
 	M int
@@ -56,13 +55,17 @@ func (p Params) Buckets() int { return 1 << uint(p.K) }
 // HalfBuckets returns the number of first-level partitions, 2^(K/2).
 func (p Params) HalfBuckets() int { return 1 << uint(p.K/2) }
 
+// keyBits is the width of a table key, and so the largest K: Pair.Key and
+// Sketches.TableKey compose the key in a uint32.
+const keyBits = 32
+
 // Validate reports whether the parameters are usable.
 func (p Params) Validate() error {
 	switch {
 	case p.Dim <= 0:
 		return errors.New("lshhash: Dim must be positive")
-	case p.K < 2 || p.K > 40:
-		return fmt.Errorf("lshhash: K = %d out of range [2, 40]", p.K)
+	case p.K < 2 || p.K > keyBits:
+		return fmt.Errorf("lshhash: K = %d out of range [2, %d]", p.K, keyBits)
 	case p.K%2 != 0:
 		return fmt.Errorf("lshhash: K = %d must be even", p.K)
 	case p.M < 2:

@@ -31,6 +31,8 @@ func TestParamsValidate(t *testing.T) {
 		{Dim: 10, K: 7, M: 4},  // odd K
 		{Dim: 10, K: 0, M: 4},  // K too small
 		{Dim: 10, K: 42, M: 4}, // K too large
+		{Dim: 10, K: 40, M: 4}, // K past a key's 32 bits
+		{Dim: 10, K: 34, M: 4}, // the first even K that is
 		{Dim: 10, K: 8, M: 1},  // M too small
 	}
 	for _, p := range bad {
@@ -38,8 +40,10 @@ func TestParamsValidate(t *testing.T) {
 			t.Errorf("Validate accepted %+v", p)
 		}
 	}
-	if err := (Params{Dim: 10, K: 8, M: 4}).Validate(); err != nil {
-		t.Errorf("Validate rejected good params: %v", err)
+	for _, p := range []Params{{Dim: 10, K: 8, M: 4}, {Dim: 10, K: 32, M: 4}} {
+		if err := p.Validate(); err != nil {
+			t.Errorf("Validate rejected good params %+v: %v", p, err)
+		}
 	}
 }
 

@@ -486,9 +486,6 @@ func (n *Node) DeltaLen() int {
 	return s.rows - s.nStatic
 }
 
-// Capacity returns C.
-func (n *Node) Capacity() int { return n.cfg.Capacity }
-
 // Family exposes the node's hash family (shared with tests and the model).
 func (n *Node) Family() *lshhash.Family { return n.fam }
 

@@ -204,17 +204,16 @@ var ErrNoFeasible = errors.New("perfmodel: no feasible (k, m) under the given co
 // Select enumerates k = 2, 4, …, kMax and, per §7.3, picks for each k the
 // smallest m with P′(R, k, m) ≥ 1−δ, keeps candidates whose table memory
 // — core.TableMemoryBound: Eq. 7.4's (L·N + 2^k·L)·4 with an item at the
-// ⌈log2 N⌉ bits the tables pack it in rather than 4 bytes, plus 8 bytes of
-// padding a table, and the second term replaced by the directory the tables
-// actually carry — fits memBudget, and returns the one minimizing the
-// estimated query time.
+// ⌈log2 N⌉ bits the tables pack it in rather than 4 bytes, and the second
+// term replaced by the directory the tables actually carry, its entries
+// packed the same way — fits memBudget, and returns the one minimizing the
+// estimated query time. k stops where lshhash.Params.Validate stops it, at
+// the width of a table key (p(R)^32 < 1e-4 at R=0.9; beyond is pointless,
+// §7.3).
 func Select(c Costs, w Workload, radius, delta float64, kMax, mMax int, memBudget int64) (Choice, error) {
-	if kMax > 40 {
-		kMax = 40 // p(R)^40 < 1e-6 at R=0.9; beyond is pointless (§7.3)
-	}
 	best := Choice{}
 	found := false
-	for k := 2; k <= kMax; k += 2 {
+	for k := 2; k <= kMax && (lshhash.Params{Dim: 1, K: k, M: 2}).Validate() == nil; k += 2 {
 		m, ok := lshhash.MinMForRecall(radius, delta, k, mMax)
 		if !ok {
 			continue

@@ -97,8 +97,8 @@ func encode(t testing.TB, s *Snapshot) []byte {
 
 // stormSnapshot is the smallest snapshot with a bucket of the given size:
 // one document, one table of four buckets, the document listed items times
-// in the first. At 2^16−1 items the table's two entries fit 16 bits, at 2^16
-// they do not (core.Table).
+// in the first. The table's two entries take the bit length of items
+// (core.Table): 8 bits at 255, 9 at 256, 16 at 2^16−1 and 17 at 2^16.
 func stormSnapshot(t testing.TB, items int) *Snapshot {
 	t.Helper()
 	arena := sparse.NewMatrix(8, 1, 1)
@@ -127,14 +127,21 @@ func badOffsets(t testing.TB, edit func(offs []uint32)) *Snapshot {
 	return s
 }
 
-// entryCorpus is what the 16-bit entries add to the decoder's inputs: a
-// table on either side of the width boundary, which must load, and offsets
-// no table can have, which must not.
+// stormSizes are the bucket sizes of entryCorpus's valid snapshots: two
+// pairs that straddle a step of the packed entries' width, a small one and
+// one at 2^16.
+var stormSizes = []int{255, 256, 1<<16 - 1, 1 << 16}
+
+// entryCorpus is what the packed entries add to the decoder's inputs: a
+// table on either side of two width steps, which must load, and offsets no
+// table can have, which must not.
 func entryCorpus(t testing.TB) (valid, corrupt [][]byte) {
-	valid = [][]byte{encode(t, stormSnapshot(t, 1<<16-1)), encode(t, stormSnapshot(t, 1<<16))}
+	for _, items := range stormSizes {
+		valid = append(valid, encode(t, stormSnapshot(t, items)))
+	}
 	corrupt = [][]byte{
-		encode(t, badOffsets(t, func(offs []uint32) { offs[3], offs[4] = offs[4]+1, offs[3] })), // decrease inside a block
-		encode(t, badOffsets(t, func(offs []uint32) { offs[2] = offs[1] - 1<<20 })),             // wraps below its base
+		encode(t, badOffsets(t, func(offs []uint32) { offs[3], offs[4] = offs[4]+1, offs[3] })), // two out of order
+		encode(t, badOffsets(t, func(offs []uint32) { offs[2] = offs[1] - 1<<20 })),             // wraps below 0: 32 bits wide
 		encode(t, badOffsets(t, func(offs []uint32) { offs[len(offs)-1]++ })),                   // closes past the items
 		encode(t, badOffsets(t, func(offs []uint32) { offs[len(offs)-1]-- })),                   // closes short of them
 		encode(t, badOffsets(t, func(offs []uint32) { offs[len(offs)-1] += 1 << 16 })),          // and 2^16 past
@@ -143,9 +150,9 @@ func entryCorpus(t testing.TB) (valid, corrupt [][]byte) {
 }
 
 // TestEntryWidthsOnDisk: the file holds 32-bit offsets whichever width the
-// table keeps, so a table on either side of the boundary loads, answers and
-// goes back to disk as the same bytes; offsets that decrease or do not close
-// at the items are ErrCorrupt, not a table.
+// table packs them in, so a table on either side of a width step loads,
+// answers and goes back to disk as the same bytes; offsets that decrease or
+// do not close at the items are ErrCorrupt, not a table.
 func TestEntryWidthsOnDisk(t *testing.T) {
 	valid, corrupt := entryCorpus(t)
 	for i, raw := range valid {
@@ -153,7 +160,7 @@ func TestEntryWidthsOnDisk(t *testing.T) {
 		if err != nil {
 			t.Fatalf("valid snapshot %d: %v", i, err)
 		}
-		if got, want := len(snap.Tables[0].Bucket(nil, 0)), 1<<16-1+i; got != want {
+		if got, want := len(snap.Tables[0].Bucket(nil, 0)), stormSizes[i]; got != want {
 			t.Fatalf("valid snapshot %d: bucket 0 holds %d items, want %d", i, got, want)
 		}
 		if !bytes.Equal(encode(t, snap), raw) {
@@ -165,7 +172,7 @@ func TestEntryWidthsOnDisk(t *testing.T) {
 			t.Errorf("corrupt snapshot %d: err = %v, want ErrCorrupt", i, err)
 		}
 	}
-	// A real index round-trips byte for byte too, through 16-bit entries.
+	// A real index round-trips byte for byte too, through packed entries.
 	raw := encode(t, testSnapshot(t, 100))
 	snap, err := decode(raw)
 	if err != nil {
@@ -263,9 +270,9 @@ func FuzzReadSnapshot(f *testing.F) {
 			snap, err := decode(raw)
 			runtime.ReadMemStats(&after)
 			// 16 bytes a byte covers the widest sections (a table's three
-			// length words becoming a 160-byte core.Table; a 4-byte offset
-			// kept, narrowed to 2 bytes and widened again for validation; a
-			// 4-byte item kept and packed into at most 4 more) twice over;
+			// length words becoming a 128-byte core.Table; a 4-byte offset
+			// or item kept, packed into at most 4 more and, for an offset,
+			// unpacked again for validation) twice over;
 			// the constant is the runtime's own background allocation.
 			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+16*len(raw)); got > limit {
 				t.Fatalf("decoding %d bytes allocated %d, over %d", len(raw), got, limit)

@@ -49,7 +49,8 @@ type Config struct {
 	// Dim is the dimensionality of the vector space (vocabulary size).
 	// Required.
 	Dim int
-	// K is the bits per hash table (even; default 16, the paper's value).
+	// K is the bits per hash table: even, 2 to 32 (default 16, the paper's
+	// value).
 	K int
 	// M is the number of half-width hash functions; L = M(M−1)/2 tables
 	// (default 16 → 120 tables; the paper's 10.5M-document nodes use 40).

@@ -62,6 +62,11 @@ func TestStoreConfigValidation(t *testing.T) {
 	if _, err := NewStore(Config{Dim: 100, K: 7}); err == nil {
 		t.Fatal("odd K accepted")
 	}
+	// A table key is 32 bits: K = 34 would collide keys, and before that
+	// allocate a 2^34-bit bitmap a table.
+	if _, err := NewStore(Config{Dim: 100, K: 34}); err == nil {
+		t.Fatal("K = 34 accepted")
+	}
 }
 
 func TestStoreRejectsEmptyDoc(t *testing.T) {
