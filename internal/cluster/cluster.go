@@ -1016,7 +1016,7 @@ func (c *Cluster) Search(ctx context.Context, qs []sparse.Vector, p node.SearchP
 // caller owns, and nothing is handed back. The method exists only because
 // benchmarks/suite/ladder.go calls it at three sites and a PR outside the
 // benchmark's own may not edit that directory; the next benchmark PR
-// deletes those calls and this method together (ROADMAP item 5).
+// deletes those calls and this method together (ROADMAP item 1A(d)).
 func (c *Cluster) ReleaseResults([][]Neighbor) {}
 
 // Doc fetches the stored vector for a global ID from the group that holds

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"reflect"
@@ -194,9 +195,10 @@ func TestLayoutMatchesDenseReference(t *testing.T) {
 	}
 }
 
-// TestStaticFromTablesRejectsBadDirectory: each way a directory can
-// disagree with itself is an error from StaticFromTables, never a panic and
-// never an index.
+// TestStaticFromTablesRejectsBadDirectory: each way a table can disagree
+// with itself, edited into the table or into its encoding, is an error from
+// DecodeTable or from StaticFromTables over what it decodes — the path a
+// snapshot's tables take — never a panic and never an index.
 func TestStaticFromTablesRejectsBadDirectory(t *testing.T) {
 	p := lshhash.Params{Dim: 64, K: 8, M: 4, Seed: 5}
 	fam, err := lshhash.NewFamily(p)
@@ -209,13 +211,27 @@ func TestStaticFromTablesRejectsBadDirectory(t *testing.T) {
 		st := BuildFromSketches(fam, sk, 1)
 		return st.tables
 	}
-	if _, err := StaticFromTables(fam, n, good()); err != nil {
+	// load is what a snapshot reader does with the encoding of table 3 of
+	// tables: decode it, then reassemble the index.
+	load := func(tables []Table, enc []byte) error {
+		var err error
+		if tables[3], err = DecodeTable(enc); err != nil {
+			return err
+		}
+		_, err = StaticFromTables(fam, n, tables)
+		return err
+	}
+	tables := good()
+	if err := load(tables, tables[3].AppendEncoded(nil)); err != nil {
 		t.Fatalf("valid tables rejected: %v", err)
 	}
-	// A clear bit of the last bitmap word, so that setting it leaves every
-	// rank word counting correctly.
+	// Validation reads the arrays where they lie.
+	if allocs := testing.AllocsPerRun(10, func() { _ = ValidateTables(p, n, tables) }); allocs != 0 {
+		t.Fatalf("ValidateTables allocates %v times over valid tables", allocs)
+	}
+	// A clear bit of the last bitmap word.
 	clearBit := func(tb *Table) uint {
-		last := tb.Occ[len(tb.Occ)-1]
+		last := tb.occ[len(tb.occ)-1]
 		for b := uint(0); b < 64; b++ {
 			if last>>b&1 == 0 {
 				return b
@@ -224,42 +240,46 @@ func TestStaticFromTablesRejectsBadDirectory(t *testing.T) {
 		t.Fatal("fixture too dense: last bitmap word is full")
 		return 0
 	}
-	// offsets edits the table's entries as the plain offsets a snapshot
-	// stores, the way a corrupt file reaches them.
+	// offsets edits the table's entries as plain offsets, which
+	// TableFromWords packs as it finds them.
 	offsets := func(edit func(offs []uint32) []uint32) func(tb *Table) {
-		return func(tb *Table) { tb.SetOffsets(edit(tb.AppendOffsets(nil))) }
+		return func(tb *Table) { *tb = TableFromWords(tb.occ, edit(tb.appendOffsets(nil)), tb.AppendItems(nil)) }
 	}
 	// items does the same to the items.
 	items := func(edit func(ids []uint32) []uint32) func(tb *Table) {
-		return func(tb *Table) { tb.SetItems(edit(tb.AppendItems(nil))) }
+		return func(tb *Table) { *tb = TableFromWords(tb.occ, tb.appendOffsets(nil), edit(tb.AppendItems(nil))) }
 	}
 	for _, bad := range []struct {
 		name    string
-		corrupt func(tb *Table)
+		corrupt func(tb *Table)                    // the table, before it is encoded
+		encoded func(tb *Table, enc []byte) []byte // or its encoding
 	}{
-		{"popcount over offset count", func(tb *Table) { tb.Occ[len(tb.Occ)-1] |= 1 << clearBit(tb) }},
-		{"popcount under offset count", offsets(func(offs []uint32) []uint32 { return append(offs, offs[len(offs)-1]) })},
-		{"rank directory decreases", func(tb *Table) { tb.Rank[2] = tb.Rank[1] - 1 }},
-		{"rank directory miscounts", func(tb *Table) { tb.Rank[len(tb.Rank)-1]++ }},
-		{"short bitmap", func(tb *Table) { tb.Occ, tb.Rank = tb.Occ[:1], tb.Rank[:1] }},
-		{"short rank directory", func(tb *Table) { tb.Rank = tb.Rank[:len(tb.Rank)-1] }},
-		{"offsets decrease", offsets(func(offs []uint32) []uint32 { offs[2] = offs[1] - 1; return offs })},
-		{"first offset not zero", offsets(func(offs []uint32) []uint32 { offs[0] = 1; return offs })},
-		{"last offset short of items", offsets(func(offs []uint32) []uint32 { offs[len(offs)-1]--; return offs })},
-		{"last offset past items", items(func(ids []uint32) []uint32 { return ids[:len(ids)-1] })},
-		{"item id out of range", items(func(ids []uint32) []uint32 { ids[7] = n; return ids })},
+		{name: "popcount over offset count", corrupt: func(tb *Table) { tb.occ[len(tb.occ)-1] |= 1 << clearBit(tb) }},
+		{name: "popcount under offset count", corrupt: offsets(func(offs []uint32) []uint32 { return append(offs, offs[len(offs)-1]) })},
+		{name: "short bitmap", corrupt: func(tb *Table) { tb.occ = tb.occ[:1] }},
+		{name: "long bitmap", corrupt: func(tb *Table) { tb.occ = append(tb.occ, 0) }},
+		{name: "bitmap past the bytes", encoded: func(_ *Table, enc []byte) []byte {
+			binary.LittleEndian.PutUint32(enc, 1<<29)
+			return enc
+		}},
+		{name: "offsets decrease", corrupt: offsets(func(offs []uint32) []uint32 { offs[2] = offs[1] - 1; return offs })},
+		{name: "first offset not zero", corrupt: offsets(func(offs []uint32) []uint32 { offs[0] = 1; return offs })},
+		{name: "last offset short of items", corrupt: offsets(func(offs []uint32) []uint32 { offs[len(offs)-1]--; return offs })},
+		{name: "last offset past items", corrupt: items(func(ids []uint32) []uint32 { return ids[:len(ids)-1] })},
+		{name: "item id out of range", corrupt: items(func(ids []uint32) []uint32 { ids[7] = n; return ids })},
 		// One past the ids ⌈log2 n⌉ bits hold: packed at the width n needs,
 		// it would wrap to 0, which is in range.
-		{"item id 2^⌈log2 n⌉", items(func(ids []uint32) []uint32 { ids[7] = 1 << bits.Len(n-1); return ids })},
-		{"no offsets", offsets(func([]uint32) []uint32 { return nil })},
-		{"no item array", func(tb *Table) { tb.items = packed{} }},
-		{"item array short", func(tb *Table) { tb.items.buf = tb.items.buf[:len(tb.items.buf)-1] }},
-		{"entry array short", func(tb *Table) { tb.entries.buf = tb.entries.buf[:len(tb.entries.buf)-1] }},
-		{"entry array long", func(tb *Table) { tb.entries.buf = append(tb.entries.buf, 0) }},
+		{name: "item id 2^⌈log2 n⌉", corrupt: items(func(ids []uint32) []uint32 { ids[7] = 1 << bits.Len(n-1); return ids })},
+		{name: "no offsets", corrupt: offsets(func([]uint32) []uint32 { return nil })},
+		{name: "no item array", corrupt: func(tb *Table) { tb.items = packed{} }},
+		{name: "item array one byte short", encoded: func(_ *Table, enc []byte) []byte { return enc[:len(enc)-1] }},
+		{name: "item array one byte long", encoded: func(_ *Table, enc []byte) []byte { return append(enc, 0) }},
+		{name: "entry array one byte short", corrupt: func(tb *Table) { tb.entries.buf = tb.entries.buf[:len(tb.entries.buf)-1] }},
+		{name: "entry array one byte long", corrupt: func(tb *Table) { tb.entries.buf = append(tb.entries.buf, 0) }},
 		// The same offsets, each in 33 bits, in an array of the length 33
 		// bits take: only the width is wrong.
-		{"entry width 33", func(tb *Table) {
-			offs := tb.AppendOffsets(nil)
+		{name: "entry width 33", corrupt: func(tb *Table) {
+			offs := tb.appendOffsets(nil)
 			buf := make([]byte, packedBytes(uint(len(offs)), 33))
 			for i, o := range offs {
 				for b := range 32 {
@@ -269,10 +289,23 @@ func TestStaticFromTablesRejectsBadDirectory(t *testing.T) {
 			}
 			tb.entries = packed{buf: buf, width: 33}
 		}},
+		// The items' width, the word just before their bytes, read as 33
+		// and the array lengthened to what 33 bits an item take.
+		{name: "item width 33", encoded: func(tb *Table, enc []byte) []byte {
+			binary.LittleEndian.PutUint32(enc[len(enc)-len(tb.items.buf)-4:], 33)
+			return append(enc, make([]byte, packedBytes(uint(tb.n), 33)-len(tb.items.buf))...)
+		}},
 	} {
 		tables := good()
-		bad.corrupt(&tables[3])
-		if _, err := StaticFromTables(fam, n, tables); err == nil {
+		tb := &tables[3]
+		if bad.corrupt != nil {
+			bad.corrupt(tb)
+		}
+		enc := tb.AppendEncoded(nil)
+		if bad.encoded != nil {
+			enc = bad.encoded(tb, enc)
+		}
+		if err := load(tables, enc); err == nil {
 			t.Errorf("%s: accepted", bad.name)
 		}
 	}

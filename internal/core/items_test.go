@@ -59,26 +59,38 @@ func checkPacked(t *testing.T, what string, p packed, vals []uint32, width uint)
 	}
 }
 
+// packedAndDecoded returns tb and the table DecodeTable makes of its
+// encoding, each with its name: the two every width test checks alike.
+func packedAndDecoded(t *testing.T, what string, tb Table) map[string]Table {
+	t.Helper()
+	decoded, err := DecodeTable(tb.AppendEncoded(nil))
+	if err != nil {
+		t.Fatalf("%s: decoding its encoding: %v", what, err)
+	}
+	return map[string]Table{what: tb, what + ", encoded and decoded": decoded}
+}
+
 // TestItemsAtEveryWidth: at every width from 1 to 32 bits, ids up to
 // 2^w − 1 pack in w bits and 2^w takes one more; every id reads back through
 // the probe's accessor and through AppendItems, the last one included
 // whatever bit of its byte it starts at; the array is exactly the packed bits
-// plus the zero padding. An empty table and a table of id 0 alone hold no
-// bits at all.
+// plus the zero padding, and so is the array DecodeTable makes of the
+// table's encoding. An empty table and a table of id 0 alone hold no bits at
+// all.
 func TestItemsAtEveryWidth(t *testing.T) {
 	check := func(what string, ids []uint32, width uint) {
 		t.Helper()
-		var tb Table
-		tb.SetItems(ids)
-		if tb.n != uint32(len(ids)) {
-			t.Fatalf("%s: %d items, want %d", what, tb.n, len(ids))
-		}
-		checkPacked(t, what, tb.items, ids, width)
-		if got := tb.AppendItems(nil); !slices.Equal(got, ids) {
-			t.Fatalf("%s: AppendItems = %v, want %v", what, got, ids)
-		}
-		if got := tb.AppendItems([]uint32{7}); len(got) != len(ids)+1 || got[0] != 7 {
-			t.Fatalf("%s: AppendItems does not append", what)
+		for what, tb := range packedAndDecoded(t, what, TableFromWords(nil, nil, ids)) {
+			if tb.n != uint32(len(ids)) {
+				t.Fatalf("%s: %d items, want %d", what, tb.n, len(ids))
+			}
+			checkPacked(t, what, tb.items, ids, width)
+			if got := tb.AppendItems(nil); !slices.Equal(got, ids) {
+				t.Fatalf("%s: AppendItems = %v, want %v", what, got, ids)
+			}
+			if got := tb.AppendItems([]uint32{7}); len(got) != len(ids)+1 || got[0] != 7 {
+				t.Fatalf("%s: AppendItems does not append", what)
+			}
 		}
 	}
 	check("empty", nil, 0)
@@ -112,34 +124,35 @@ func TestItemsAtEveryWidth(t *testing.T) {
 // closing at 2^w − 1 packs its entries in w bits and one closing at 2^w in
 // one more; every entry reads back through start, every bucket's bounds —
 // and an empty probe's, entry 0 twice — through bounds, and the whole
-// directory through AppendOffsets.
+// directory through appendOffsets; all of it again in the table DecodeTable
+// makes of the table's encoding.
 func TestEntriesAtEveryWidth(t *testing.T) {
 	check := func(what string, offs []uint32, width uint) {
 		t.Helper()
-		var tb Table
-		tb.SetOffsets(offs)
-		if tb.nEntries != uint32(len(offs)) {
-			t.Fatalf("%s: %d entries, want %d", what, tb.nEntries, len(offs))
-		}
-		checkPacked(t, what, tb.entries, offs, width)
-		for e, want := range offs {
-			if got := tb.start(uint32(e)); got != want {
-				t.Fatalf("%s: entry %d starts at %d, want %d", what, e, got, want)
+		for what, tb := range packedAndDecoded(t, what, TableFromWords(nil, offs, nil)) {
+			if tb.nEntries != uint32(len(offs)) {
+				t.Fatalf("%s: %d entries, want %d", what, tb.nEntries, len(offs))
 			}
-			if lo, hi := tb.bounds(uint32(e), 0); lo != want || hi != want {
-				t.Fatalf("%s: bounds(%d, 0) = [%d, %d), want [%d, %d)", what, e, lo, hi, want, want)
-			}
-			if e+1 < len(offs) {
-				if lo, hi := tb.bounds(uint32(e), 1); lo != want || hi != offs[e+1] {
-					t.Fatalf("%s: bounds(%d, 1) = [%d, %d), want [%d, %d)", what, e, lo, hi, want, offs[e+1])
+			checkPacked(t, what, tb.entries, offs, width)
+			for e, want := range offs {
+				if got := tb.start(uint32(e)); got != want {
+					t.Fatalf("%s: entry %d starts at %d, want %d", what, e, got, want)
+				}
+				if lo, hi := tb.bounds(uint32(e), 0); lo != want || hi != want {
+					t.Fatalf("%s: bounds(%d, 0) = [%d, %d), want [%d, %d)", what, e, lo, hi, want, want)
+				}
+				if e+1 < len(offs) {
+					if lo, hi := tb.bounds(uint32(e), 1); lo != want || hi != offs[e+1] {
+						t.Fatalf("%s: bounds(%d, 1) = [%d, %d), want [%d, %d)", what, e, lo, hi, want, offs[e+1])
+					}
 				}
 			}
-		}
-		if got := tb.AppendOffsets(nil); !slices.Equal(got, offs) {
-			t.Fatalf("%s: AppendOffsets = %v, want %v", what, got, offs)
-		}
-		if got := tb.AppendOffsets([]uint32{7}); len(got) != len(offs)+1 || got[0] != 7 {
-			t.Fatalf("%s: AppendOffsets does not append", what)
+			if got := tb.appendOffsets(nil); !slices.Equal(got, offs) {
+				t.Fatalf("%s: appendOffsets = %v, want %v", what, got, offs)
+			}
+			if got := tb.appendOffsets([]uint32{7}); len(got) != len(offs)+1 || got[0] != 7 {
+				t.Fatalf("%s: appendOffsets does not append", what)
+			}
 		}
 	}
 

@@ -67,7 +67,7 @@ func isDead(dead []uint64, id uint32) bool { return dead[id>>6]>>(id&63)&1 != 0 
 // for: a bucket the tombstones emptied keeps its entry, of zero length, as
 // after Compact.
 func mergeTable(old, add *Table, shift uint32, dead []uint64, scratch *mergeScratch) Table {
-	from := flatTable{offs: old.AppendOffsets(scratch.oldOffs[:0]), items: old.AppendItems(scratch.oldItems[:0])}
+	from := flatTable{offs: old.appendOffsets(scratch.oldOffs[:0]), items: old.AppendItems(scratch.oldItems[:0])}
 	addItems := add.AppendItems(scratch.addItems[:0])
 
 	// Where old's tombstoned items sit, in order, closed by a sentinel no
@@ -86,12 +86,11 @@ func mergeTable(old, add *Table, shift uint32, dead []uint64, scratch *mergeScra
 		}
 	}
 
-	t := Table{Occ: make([]uint64, len(old.Occ)), Rank: make([]uint32, len(old.Occ))}
+	occ := make([]uint64, len(old.occ))
 	var entries uint32
-	for w, ow := range old.Occ {
-		t.Occ[w] = ow | add.Occ[w]
-		t.Rank[w] = entries
-		entries += uint32(bits.OnesCount64(t.Occ[w]))
+	for w, ow := range old.occ {
+		occ[w] = ow | add.occ[w]
+		entries += uint32(bits.OnesCount64(occ[w]))
 	}
 	// Every entry and every item is written below.
 	to := flatTable{
@@ -102,15 +101,15 @@ func mergeTable(old, add *Table, shift uint32, dead []uint64, scratch *mergeScra
 	var c mergeCursor
 	nextDead := deadAt // consumed from the front
 	aEnt, aPos := uint32(0), uint32(0)
-	for w, aw := range add.Occ {
-		ow := old.Occ[w]
+	for w, aw := range add.occ {
+		ow := old.occ[w]
 		for ; aw != 0; aw &= aw - 1 {
 			// The next key add occupies. Everything old holds up to and
 			// including that key moves as a block; add's items follow old's
 			// in the key's bucket.
 			bit := uint(bits.TrailingZeros64(aw))
 			has := uint32(ow>>bit) & 1 // old has the key too
-			upTo := old.Rank[w] + uint32(bits.OnesCount64(ow&(1<<bit-1))) + has
+			upTo := old.rank[w] + uint32(bits.OnesCount64(ow&(1<<bit-1))) + has
 			if nextDead[0] < from.offs[upTo] {
 				c, nextDead = moveOldAroundDead(&to, &from, c, upTo, nextDead)
 			}
@@ -139,9 +138,7 @@ func mergeTable(old, add *Table, shift uint32, dead []uint64, scratch *mergeScra
 	to.offs[c.e] = c.n
 	scratch.deadAt, scratch.oldOffs, scratch.oldItems, scratch.addItems = deadAt, from.offs, from.items, addItems
 	scratch.offs, scratch.items = to.offs, to.items
-	t.SetOffsets(to.offs)
-	t.SetItems(to.items)
-	return t
+	return TableFromWords(occ, to.offs, to.items)
 }
 
 // mergeCursor is how far one table's merge has come: old's next directory

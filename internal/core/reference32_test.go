@@ -92,7 +92,7 @@ func checkAgainst32(t *testing.T, what string, st *Static, ref []table32) {
 				t.Fatalf("%s: table %d bucket %d = %v, 32-bit reference %v", what, l, key, got, want)
 			}
 		}
-		if !slices.Equal(tb.AppendOffsets(nil), r.Offsets) {
+		if !slices.Equal(tb.appendOffsets(nil), r.Offsets) {
 			t.Fatalf("%s: table %d unpacks to other offsets than the reference's", what, l)
 		}
 		if !slices.Equal(tb.AppendItems(nil), r.Items) {
@@ -104,7 +104,7 @@ func checkAgainst32(t *testing.T, what string, st *Static, ref []table32) {
 		if want := widthOf(r.Items); tb.items.width != want {
 			t.Fatalf("%s: table %d packs its items in %d bits, its largest id needs %d", what, l, tb.items.width, want)
 		}
-		mem += int64(cap(tb.Occ))*8 + int64(cap(tb.Rank))*4 +
+		mem += int64(cap(tb.occ))*8 + int64(cap(tb.rank))*4 +
 			int64(packedBytes(uint(len(r.Offsets)), tb.entries.width)+packedBytes(uint(len(r.Items)), tb.items.width))
 	}
 	if got := st.MemoryBytes(); got != mem {
@@ -116,16 +116,20 @@ func deadFunc(dead []uint64) func(uint32) bool {
 	return func(id uint32) bool { return isDead(dead, id) }
 }
 
-// reread is st as the snapshot reader rebuilds it: each table's bitmap and
-// rank words, then its entries and its items handed over as the plain 32-bit
-// words a snapshot stores them as.
-func reread(st *Static) *Static {
+// reread is st as a node that upgrades its snapshot reads it back: each
+// table handed over as the bitmap and the plain 32-bit words snapshot
+// version 2 stores (TableFromWords), then encoded as version 3 stores it and
+// decoded (AppendEncoded, DecodeTable).
+func reread(t *testing.T, st *Static) *Static {
+	t.Helper()
 	out := &Static{fam: st.fam, n: st.n, tables: make([]Table, len(st.tables))}
 	for l := range st.tables {
-		t, r := &st.tables[l], &out.tables[l]
-		r.Occ, r.Rank = slices.Clone(t.Occ), slices.Clone(t.Rank)
-		r.SetOffsets(t.AppendOffsets(nil))
-		r.SetItems(t.AppendItems(nil))
+		tb := &st.tables[l]
+		v2 := TableFromWords(slices.Clone(tb.occ), tb.appendOffsets(nil), tb.AppendItems(nil))
+		var err error
+		if out.tables[l], err = DecodeTable(v2.AppendEncoded(nil)); err != nil {
+			t.Fatalf("table %d: %v", l, err)
+		}
 	}
 	return out
 }
@@ -133,9 +137,9 @@ func reread(st *Static) *Static {
 // TestPackedMatches32BitReference: out of every writer — Build, hashing
 // included (TableBuilder.Finish), BuildFromSketches, the one-level build
 // (GroupByKey), Merge under tombstones, Compact, and the snapshot reader's
-// SetOffsets and SetItems — at 4, 8 and 16 key bits, below and past full
-// occupancy, the packed entries and items answer every key as the 32-bit
-// reference does.
+// TableFromWords and DecodeTable — at 4, 8 and 16 key bits, below and past
+// full occupancy, the packed entries and items answer every key as the
+// 32-bit reference does.
 func TestPackedMatches32BitReference(t *testing.T) {
 	for _, k := range []int{4, 8, 16} {
 		p := lshhash.Params{Dim: 300, K: k, M: 4, Seed: 5}
@@ -165,7 +169,7 @@ func TestPackedMatches32BitReference(t *testing.T) {
 			oneLevel := &Static{fam: fam, n: n, tables: make([]Table, p.L())}
 			buildOneLevel(oneLevel, sk, p, sched.NewPool(2))
 			checkAgainst32(t, what+" GroupByKey", oneLevel, reference32(sk, p))
-			checkAgainst32(t, what+" snapshot reader", reread(built), reference32(sk, p))
+			checkAgainst32(t, what+" snapshot reader", reread(t, built), reference32(sk, p))
 
 			dead := randomDead(n, 3, uint64(n)+9)
 			ref := reference32(sk, p)
@@ -175,7 +179,7 @@ func TestPackedMatches32BitReference(t *testing.T) {
 			compacted := BuildFromSketches(fam, sk, 2)
 			compacted.Compact(deadFunc(dead), 2)
 			checkAgainst32(t, what+" Compact", compacted, ref)
-			checkAgainst32(t, what+" Compact, snapshot reader", reread(compacted), ref)
+			checkAgainst32(t, what+" Compact, snapshot reader", reread(t, compacted), ref)
 
 			// Merge: the first two thirds as the static side, the rest as the
 			// delta, tombstones on both. The reference is the whole prefix
@@ -191,7 +195,7 @@ func TestPackedMatches32BitReference(t *testing.T) {
 			// for; the reference drops none either.
 			merged := Merge(old, add, dead, 2)
 			checkAgainst32(t, what+" Merge", merged, ref)
-			checkAgainst32(t, what+" Merge, snapshot reader", reread(merged), ref)
+			checkAgainst32(t, what+" Merge, snapshot reader", reread(t, merged), ref)
 		}
 	}
 }

@@ -31,30 +31,32 @@ import (
 
 // Table is one LSH hash table: its items are the N document indexes grouped
 // by bucket, in key order. Only occupied buckets have a directory entry:
-// bit b of Occ is set when bucket b has one, Rank[w] counts the set bits
+// bit b of occ is set when bucket b has one, rank[w] counts the set bits
 // below word w, and the bucket with the j-th set bit holds the items from
 // where entry j starts to where entry j+1 does, one closing entry at the
 // item count ending the last. A builder sets exactly the bits of the
 // non-empty buckets; Merge and Compact may then leave a bucket
 // empty whose bit stays set, so a set bit promises an entry, not an item.
+// The rank words are derived, never stored: every constructor counts them
+// from the bitmap (rankOf).
 //
 // Items and entries are one encoding used twice: a packed array as wide as
 // its largest value needs. An item takes ⌈log2 N⌉ bits in a table over N
 // documents — 13 at a fleet node's 8 000, 24 at the paper's 10.5 M — and an
 // entry the bit length of the item count, the closing entry being the
-// largest. SetItems and SetOffsets are the writers; the probe kernels
-// (through span and load), Bucket, AppendItems and AppendOffsets are the
-// readers.
+// largest. TableFromWords packs both, DecodeTable copies them as
+// AppendEncoded wrote them; the probe kernels (through span and load),
+// Bucket, AppendItems and appendOffsets are the readers.
 //
 //plshvet:frozen tables are reached through a published snapshot; queries scan them lock-free
 type Table struct {
-	Occ  []uint64 // ⌈2^k/64⌉ words
-	Rank []uint32 // one per word of Occ
+	occ  []uint64 // ⌈2^k/64⌉ words
+	rank []uint32 // one per word of occ
 
 	items packed
 	n     uint32 // the item count
 
-	entries  packed // one per set bit of Occ, then the closing one
+	entries  packed // one per set bit of occ, then the closing one
 	nEntries uint32
 }
 
@@ -145,11 +147,6 @@ func (p packed) appendTo(dst []uint32, n uint32) []uint32 {
 	return dst
 }
 
-// holds reports whether p is shaped as the packed array of n values.
-func (p packed) holds(n uint32) bool {
-	return p.width <= 32 && len(p.buf) == packedBytes(uint(n), p.width)
-}
-
 // packedBytes is the length of the packed array of n values of width bits.
 func packedBytes(n, width uint) int {
 	return int((n*width+7)/8 + packedPad)
@@ -162,10 +159,10 @@ func packedBytes(n, width uint) int {
 // branch (see stageBuckets).
 func (t *Table) slot(key uint32) (slot, set uint32) {
 	w, bit := key>>6, key&63
-	word := t.Occ[w]
+	word := t.occ[w]
 	set = uint32(word>>bit) & 1
 	below := uint32(bits.OnesCount64(word & (1<<bit - 1)))
-	return (t.Rank[w] + below) & -set, set
+	return (t.rank[w] + below) & -set, set
 }
 
 // bounds returns where entries slot and slot+set start: the bounds in the
@@ -192,39 +189,116 @@ func (t *Table) Bucket(dst []uint32, key uint32) []uint32 {
 }
 
 // AppendItems appends every item, in key order, to dst: the items with the
-// packing undone, as a snapshot stores them and as Merge and Compact edit
-// them.
+// packing undone, as Merge and Compact edit them.
 func (t *Table) AppendItems(dst []uint32) []uint32 { return t.items.appendTo(dst, t.n) }
 
-// SetItems makes ids the table's items, packed (see pack). It keeps no
-// reference to ids.
-//
-//plshvet:prepublish the one writer of the item array; every builder and in-place rewrite ends here, before the table is published
-func (t *Table) SetItems(ids []uint32) {
-	t.items, t.n = pack(ids), uint32(len(ids))
+// appendOffsets appends the start of every entry, the closing one included,
+// to dst: the entries with the packing undone, as Merge and Compact edit
+// them.
+func (t *Table) appendOffsets(dst []uint32) []uint32 { return t.entries.appendTo(dst, t.nEntries) }
+
+// TableFromWords returns the table over the bitmap occ, which it keeps, with
+// offsets — one per set bit of occ, then the item count — as its entries and
+// ids as its items, each packed in the bits the largest of them needs (see
+// pack; neither slice is kept). Every builder and in-place rewrite ends
+// here, and so does a table that was stored as 32-bit words, as snapshot
+// version 2 stored them: what the words say is ValidateTables' to judge.
+func TableFromWords(occ []uint64, offsets, ids []uint32) Table {
+	return Table{
+		occ: occ, rank: rankOf(occ),
+		entries: pack(offsets), nEntries: uint32(len(offsets)),
+		items: pack(ids), n: uint32(len(ids)),
+	}
 }
 
-// AppendOffsets appends the start of every entry, the closing one included,
-// to dst: the entries with the packing undone, as a snapshot stores them and
-// as the in-place rewrites edit them.
-func (t *Table) AppendOffsets(dst []uint32) []uint32 { return t.entries.appendTo(dst, t.nEntries) }
+// rankOf returns the rank words of the bitmap occ: for each word, the set
+// bits in the words before it.
+func rankOf(occ []uint64) []uint32 {
+	rank := make([]uint32, len(occ))
+	var below uint32
+	for w, word := range occ {
+		rank[w] = below
+		below += uint32(bits.OnesCount64(word))
+	}
+	return rank
+}
 
-// SetOffsets makes offsets — one per set bit of Occ, then the item count —
-// the table's entries, packed as SetItems packs ids: in the bit length of
-// the largest, which in a table is the closing one. It keeps no reference to
-// offsets.
-//
-//plshvet:prepublish the one writer of the entry array; every builder and in-place rewrite ends here, before the table is published
-func (t *Table) SetOffsets(offsets []uint32) {
-	t.entries, t.nEntries = pack(offsets), uint32(len(offsets))
+// AppendEncoded appends the table's encoding to dst: the bitmap, as its word
+// count and then its words, followed by the entries and the items, each as
+// its value count, its width and its packed bytes verbatim, padding
+// included — every integer little-endian, the byte order pack lays values
+// out in. The rank words are left out; DecodeTable counts them again. A
+// snapshot stores a table as this, so the file holds a table at the bits it
+// takes in memory.
+func (t *Table) AppendEncoded(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(t.occ)))
+	for _, word := range t.occ {
+		dst = binary.LittleEndian.AppendUint64(dst, word)
+	}
+	dst = t.entries.appendEncoded(dst, t.nEntries)
+	return t.items.appendEncoded(dst, t.n)
+}
+
+// appendEncoded appends n, the width and the array to dst.
+func (p packed) appendEncoded(dst []byte, n uint32) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, n)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(p.width))
+	return append(dst, p.buf...)
+}
+
+// errEncoding is DecodeTable's error for bytes that are not shaped as a
+// table's encoding.
+var errEncoding = errors.New("core: table encoding is malformed")
+
+// DecodeTable returns the table AppendEncoded encoded as b. Each array is
+// copied into an allocation of exactly its size, so b is not kept, and the
+// rank words are counted from the bitmap. It checks the shape: every array
+// as long as its count and width say, no width past 32, nothing after the
+// items. What the arrays hold is ValidateTables' to judge.
+func DecodeTable(b []byte) (Table, error) {
+	if len(b) < 4 {
+		return Table{}, errEncoding
+	}
+	words := int(binary.LittleEndian.Uint32(b))
+	if b = b[4:]; len(b)/8 < words {
+		return Table{}, errEncoding
+	}
+	occ := make([]uint64, words)
+	for w := range occ {
+		occ[w] = binary.LittleEndian.Uint64(b[8*w:])
+	}
+	t := Table{occ: occ, rank: rankOf(occ)}
+	var ok bool
+	if t.entries, t.nEntries, b, ok = cutPacked(b[8*words:]); !ok {
+		return Table{}, errEncoding
+	}
+	if t.items, t.n, b, ok = cutPacked(b); !ok || len(b) != 0 {
+		return Table{}, errEncoding
+	}
+	return t, nil
+}
+
+// cutPacked decodes the packed array appendEncoded wrote at the front of b,
+// and returns it, its value count and the bytes after it; ok is false when
+// b is too short to hold it or its width is past 32.
+func cutPacked(b []byte) (p packed, n uint32, rest []byte, ok bool) {
+	if len(b) < 8 {
+		return packed{}, 0, nil, false
+	}
+	n, width := binary.LittleEndian.Uint32(b), uint(binary.LittleEndian.Uint32(b[4:]))
+	if b = b[8:]; width > 32 || len(b) < packedBytes(uint(n), width) {
+		return packed{}, 0, nil, false
+	}
+	buf := make([]byte, packedBytes(uint(n), width))
+	copy(buf, b)
+	return packed{buf: buf, width: width}, n, b[len(buf):], true
 }
 
 // TableBuilder assembles Tables from per-bucket item counts presented in
-// key order — the one place a bitmap and its rank words are written. Reset
-// starts a table, Add takes the next run of buckets, Finish seals it. A
-// builder owns an offsets scratch buffer that it reuses from table to table,
-// so building L tables on one builder allocates each table's own arrays and
-// nothing else.
+// key order. Reset starts a table, Add takes the next run of buckets, Finish
+// seals it. A builder owns an offsets scratch buffer that it reuses from
+// table to table, so building L tables on one builder allocates each table's
+// own arrays and nothing else.
 type TableBuilder struct {
 	occ  []uint64
 	offs []uint32 // start of every occupied bucket so far; scratch
@@ -276,16 +350,8 @@ func (b *TableBuilder) Add(counts []uint32) {
 // Finish returns the table over items, which the caller has filled at the
 // positions Add handed out. The table keeps no reference to items.
 func (b *TableBuilder) Finish(items []uint32) Table {
-	t := Table{Occ: b.occ, Rank: make([]uint32, len(b.occ))}
-	var rank uint32
-	for w, word := range t.Occ {
-		t.Rank[w] = rank
-		rank += uint32(bits.OnesCount64(word))
-	}
 	b.offs[b.nOcc] = b.cum
-	t.SetOffsets(b.offs[:b.nOcc+1])
-	t.SetItems(items)
-	return t
+	return TableFromWords(b.occ, b.offs[:b.nOcc+1], items)
 }
 
 // GroupByKey builds the table of items 0..len(keys)-1, item i in bucket
@@ -358,11 +424,13 @@ func StaticFromTables(fam *lshhash.Family, n int, tables []Table) (*Static, erro
 }
 
 // ValidateTables reports whether tables describe n documents under p's
-// geometry: L = m(m−1)/2 tables, each with a 2^k-bit bitmap, the rank
-// directory that bitmap implies, one entry per set bit (plus one) delimiting
-// exactly its item count, both packed arrays sized for their counts, and
-// every item id below n — the shape checks that keep a corrupt snapshot from
-// becoming an index that reads out of bounds.
+// geometry: L = m(m−1)/2 tables, each with a 2^k-bit bitmap, one entry per
+// set bit (plus one) running from 0 up to exactly its item count, and every
+// item id below n — the checks that keep a corrupt snapshot from becoming an
+// index that reads out of bounds. That each packed array is as long as its
+// count and width take is its constructor's to ensure (DecodeTable checks a
+// decoded one); the entries and the items are read where they lie, so
+// validating allocates nothing.
 func ValidateTables(p lshhash.Params, n int, tables []Table) error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -371,42 +439,35 @@ func ValidateTables(p lshhash.Params, n int, tables []Table) error {
 		return errors.New("core: table count does not match family")
 	}
 	words := (p.Buckets() + 63) / 64
-	var offs []uint32 // each table's entries in turn, unpacked
 	for l := range tables {
 		t := &tables[l]
-		if len(t.Occ) != words || len(t.Rank) != words {
-			return errors.New("core: bucket bitmap or rank directory size does not match K")
+		if len(t.occ) != words {
+			return errors.New("core: bucket bitmap size does not match K")
 		}
-		if p.Buckets() < 64 && t.Occ[0]>>uint(p.Buckets()) != 0 {
+		if p.Buckets() < 64 && t.occ[0]>>uint(p.Buckets()) != 0 {
 			return errors.New("core: bucket bitmap has bits past 2^K")
 		}
-		var rank uint32
-		for w, word := range t.Occ {
-			if t.Rank[w] != rank {
-				return errors.New("core: rank directory does not count the bitmap")
-			}
-			rank += uint32(bits.OnesCount64(word))
-		}
-		if int(t.nEntries) != int(rank)+1 {
+		if occupied := int(t.rank[words-1]) + bits.OnesCount64(t.occ[words-1]); int(t.nEntries) != occupied+1 {
 			return errors.New("core: offset count does not match occupied buckets")
 		}
-		if !t.entries.holds(t.nEntries) {
-			return errors.New("core: entry array does not hold its entry count")
-		}
-		offs = t.AppendOffsets(offs[:0])
-		if offs[0] != 0 || offs[rank] != t.n {
+		entries := t.entries
+		base, mask := entries.span(uint(t.nEntries))
+		off := load(base, 0, mask)
+		if off != 0 {
 			return errors.New("core: offsets do not delimit items")
 		}
-		for b := 1; b < len(offs); b++ {
-			if offs[b] < offs[b-1] {
+		for e := uint(1); e < uint(t.nEntries); e++ {
+			next := load(base, e*entries.width, mask)
+			if next < off {
 				return errors.New("core: offsets decrease")
 			}
+			off = next
+		}
+		if off != t.n {
+			return errors.New("core: offsets do not delimit items")
 		}
 		items := t.items
-		if !items.holds(t.n) {
-			return errors.New("core: item array does not hold its item count")
-		}
-		base, mask := items.span(uint(t.n))
+		base, mask = items.span(uint(t.n))
 		for i := range uint(t.n) {
 			if int(load(base, i*items.width, mask)) >= n {
 				return errors.New("core: item id out of range")
@@ -426,7 +487,7 @@ func ValidateTables(p lshhash.Params, n int, tables []Table) error {
 // followed by Compact is what Merge's results are tested against.
 //
 // Compact must run before the index is published to readers; it replaces
-// the items and the entries. drop may be called concurrently from multiple
+// every table. drop may be called concurrently from multiple
 // goroutines (tables compact in parallel).
 //
 //plshvet:prepublish in-place build step; documented to run before the index is published
@@ -434,7 +495,7 @@ func (s *Static) Compact(drop func(id uint32) bool, workers int) {
 	pool := sched.NewPool(workers)
 	pool.Run(len(s.tables), func(l, _ int) {
 		t := &s.tables[l]
-		offs, items := t.AppendOffsets(nil), t.AppendItems(nil)
+		offs, items := t.appendOffsets(nil), t.AppendItems(nil)
 		var w uint32
 		for b := 0; b < len(offs)-1; b++ {
 			lo, hi := offs[b], offs[b+1]
@@ -448,8 +509,7 @@ func (s *Static) Compact(drop func(id uint32) bool, workers int) {
 			}
 		}
 		offs[len(offs)-1] = w
-		t.SetItems(items[:w])
-		t.SetOffsets(offs)
+		*t = TableFromWords(t.occ, offs, items[:w])
 	})
 }
 
@@ -460,7 +520,7 @@ func (s *Static) MemoryBytes() int64 {
 	var b int64
 	for i := range s.tables {
 		t := &s.tables[i]
-		b += int64(cap(t.Occ))*8 + int64(cap(t.Rank))*4 + int64(cap(t.entries.buf)) + int64(cap(t.items.buf))
+		b += int64(cap(t.occ))*8 + int64(cap(t.rank))*4 + int64(cap(t.entries.buf)) + int64(cap(t.items.buf))
 	}
 	return b
 }

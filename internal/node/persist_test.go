@@ -1,6 +1,7 @@
 package node
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,6 +12,8 @@ import (
 	"testing"
 
 	"plsh/internal/core"
+	"plsh/internal/corpus"
+	"plsh/internal/israce"
 	"plsh/internal/lshhash"
 	"plsh/internal/persist"
 	"plsh/internal/sparse"
@@ -546,17 +549,22 @@ func TestDocOutOfRange(t *testing.T) {
 	}
 }
 
-// TestReadsVersion1Snapshot: a data directory holding a snapshot from
-// before the occupancy-directory layout (version 1: dense 2^k+1 offsets per
-// table; the committed 60-row fixture of internal/persist/testdata) opens,
-// answers every query exactly as a node rebuilt from the same documents
-// does, and its next checkpoint leaves a version-2 file behind.
-func TestReadsVersion1Snapshot(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("..", "persist", "testdata", "snapshot-v1.plsh"))
-	if err != nil {
-		t.Fatal(err)
+// TestReadsVersion2Snapshot: a data directory holding a snapshot from
+// before tables were stored as they are held (version 2: the rank words,
+// and 32-bit offsets and items; the committed 60-row fixture of
+// internal/persist/testdata) opens, answers every query exactly as a node
+// rebuilt from the same documents does, and its next checkpoint writes the
+// committed version-3 fixture byte for byte.
+func TestReadsVersion2Snapshot(t *testing.T) {
+	fixture := func(name string) []byte {
+		raw, err := os.ReadFile(filepath.Join("..", "persist", "testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
 	}
-	if v := binary.LittleEndian.Uint32(raw[8:]); v != 1 {
+	raw := fixture("snapshot-v2.plsh")
+	if v := binary.LittleEndian.Uint32(raw[8:]); v != 2 {
 		t.Fatalf("fixture is version %d", v)
 	}
 	dir := t.TempDir()
@@ -610,8 +618,77 @@ func TestReadsVersion1Snapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint32(raw[8:]); v != 2 {
-		t.Fatalf("checkpoint wrote version %d, want 2", v)
+	if !bytes.Equal(raw, fixture("snapshot-v3.plsh")) {
+		t.Fatal("the checkpoint of the version-2 fixture is not testdata/snapshot-v3.plsh")
+	}
+}
+
+// TestSnapshotRoundTripAtSuiteGeometry: a node of the benchmark suite's
+// geometry (K 16, M 16: 120 tables over the tweet corpus), with tombstones,
+// at a fleet node's 8 000 rows and static_query's 32 000, goes through Save
+// and Open into a node that answers every query as it did and reports the
+// same Stats.MemoryBytes — which a reader that sliced every table's arrays
+// out of one shared buffer would over-report.
+func TestSnapshotRoundTripAtSuiteGeometry(t *testing.T) {
+	rows := []int{8000, 32000}
+	if testing.Short() || israce.Enabled {
+		rows = rows[:1]
+	}
+	const queries = 1000
+	for _, nRows := range rows {
+		t.Run(fmt.Sprint(nRows), func(t *testing.T) {
+			cfg := durableConfig(t.TempDir(), nRows)
+			cfg.Params = lshhash.Params{Dim: 50000, K: 16, M: 16, Seed: 1}
+			cfg.AutoMerge = false
+			c := corpus.Generate(corpus.Twitter(nRows+queries, cfg.Params.Dim, 1))
+			docs := make([]sparse.Vector, nRows)
+			for i := range docs {
+				docs[i] = c.Mat.Row(i)
+			}
+			n, err := Open(bg, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := n.Insert(bg, docs); err != nil {
+				t.Fatal(err)
+			}
+			for id := 0; id < nRows; id += 97 {
+				if err := n.Delete(uint32(id)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := n.Save(bg); err != nil {
+				t.Fatal(err)
+			}
+			before := make([][]core.Neighbor, queries)
+			answers := 0
+			for i := range before {
+				before[i] = mustQuery(t, n, c.Mat.Row(nRows-queries/2+i)) // half stored rows, half fresh
+				answers += len(before[i])
+			}
+			if answers < queries/2-queries/97-1 {
+				t.Fatalf("%d answers to %d queries, half of them stored rows", answers, queries)
+			}
+			mem := n.Stats().MemoryBytes
+			if err := n.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			re, err := Open(bg, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if re.StaticLen() != nRows || re.DeltaLen() != 0 {
+				t.Fatalf("reopened %d static + %d delta rows, want %d + 0", re.StaticLen(), re.DeltaLen(), nRows)
+			}
+			if got := re.Stats().MemoryBytes; got != mem {
+				t.Fatalf("MemoryBytes %d after Save → Open, %d before", got, mem)
+			}
+			for i, want := range before {
+				sameNeighbors(t, fmt.Sprintf("query %d", i), want, mustQuery(t, re, c.Mat.Row(nRows-queries/2+i)))
+			}
+		})
 	}
 }
 

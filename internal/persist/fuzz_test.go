@@ -19,8 +19,8 @@ import (
 )
 
 // The committed fixtures are one 60-row node (Dim 256, K 6, M 4, two
-// tombstones) saved twice: snapshot-v1.plsh by the last commit that wrote
-// dense 2^k+1 offsets, snapshot-v2.plsh by reading that file back and
+// tombstones) saved twice: snapshot-v2.plsh by the last commit that wrote
+// 32-bit offsets and items, snapshot-v3.plsh by reading that file back and
 // writing it with this code.
 func fixture(t testing.TB, name string) []byte {
 	t.Helper()
@@ -35,49 +35,40 @@ func decode(raw []byte) (*Snapshot, error) {
 	return readSnapshot(bytes.NewReader(raw), int64(len(raw)))
 }
 
-// TestReadsVersion1Fixture: a version-1 file loads as the tables a build
+// TestReadsVersion2Fixture: a version-2 file loads as the tables a build
 // over its arena produces, bucket for bucket, and writing it back out
-// yields exactly the committed version-2 bytes — which pins the current
+// yields exactly the committed version-3 bytes — which pins the current
 // format against accidental change.
-func TestReadsVersion1Fixture(t *testing.T) {
-	v1, err := decode(fixture(t, "snapshot-v1.plsh"))
+func TestReadsVersion2Fixture(t *testing.T) {
+	v2, err := decode(fixture(t, "snapshot-v2.plsh"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v1.Rows != 60 || len(v1.Tables) != v1.Params.L() {
-		t.Fatalf("fixture: %d rows, %d tables", v1.Rows, len(v1.Tables))
+	if v2.Rows != 60 || len(v2.Tables) != v2.Params.L() {
+		t.Fatalf("fixture: %d rows, %d tables", v2.Rows, len(v2.Tables))
 	}
-	fam, err := lshhash.NewFamily(v1.Params)
+	fam, err := lshhash.NewFamily(v2.Params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := core.StaticFromTables(fam, v1.Rows, v1.Tables)
+	got, err := core.StaticFromTables(fam, v2.Rows, v2.Tables)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.Build(fam, v1.Arena, core.Defaults())
+	want, err := core.Build(fam, v2.Arena, core.Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want.Compact(func(id uint32) bool { return v1.Deleted[id>>6]>>(id&63)&1 == 1 }, 1)
+	want.Compact(func(id uint32) bool { return v2.Deleted[id>>6]>>(id&63)&1 == 1 }, 1)
 	for l := 0; l < got.NumTables(); l++ {
-		for key := 0; key < v1.Params.Buckets(); key++ {
+		for key := 0; key < v2.Params.Buckets(); key++ {
 			if g, w := got.Table(l).Bucket(nil, uint32(key)), want.Table(l).Bucket(nil, uint32(key)); !slices.Equal(g, w) {
 				t.Fatalf("table %d bucket %d: loaded %v, rebuilt %v", l, key, g, w)
 			}
 		}
 	}
-
-	dir := t.TempDir()
-	if err := WriteSnapshot(dir, v1); err != nil {
-		t.Fatal(err)
-	}
-	rewritten, err := os.ReadFile(SnapshotPath(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rewritten, fixture(t, "snapshot-v2.plsh")) {
-		t.Fatal("rewriting the version-1 fixture does not reproduce testdata/snapshot-v2.plsh: the on-disk format changed")
+	if !bytes.Equal(encode(t, v2), fixture(t, "snapshot-v3.plsh")) {
+		t.Fatal("rewriting the version-2 fixture does not reproduce testdata/snapshot-v3.plsh: the on-disk format changed")
 	}
 }
 
@@ -103,56 +94,75 @@ func stormSnapshot(t testing.TB, items int) *Snapshot {
 	t.Helper()
 	arena := sparse.NewMatrix(8, 1, 1)
 	arena.AppendRow(sparse.Vector{Idx: []uint32{3}, Val: []float32{1}})
-	table := core.Table{Occ: []uint64{1}, Rank: []uint32{0}}
-	table.SetOffsets([]uint32{0, uint32(items)})
-	table.SetItems(make([]uint32, items))
 	return &Snapshot{
 		Params:   lshhash.Params{Dim: 8, K: 2, M: 2, Seed: 1},
 		Capacity: 1,
 		Rows:     1,
 		Arena:    arena,
-		Tables:   []core.Table{table},
+		Tables:   []core.Table{core.TableFromWords([]uint64{1}, []uint32{0, uint32(items)}, make([]uint32, items))},
 		Deleted:  []uint64{0},
 	}
 }
 
-// badOffsets returns a 60-row snapshot after edit has had its way with the
-// offsets of one table — which WriteSnapshot stores as it finds them.
-func badOffsets(t testing.TB, edit func(offs []uint32)) *Snapshot {
+// wideSnapshot is stormSnapshot's file with its table replaced by one
+// written by hand as core.Table.AppendEncoded lays a table out: a bucket for
+// each offset but the closing one, in bitmap bits 0 up, over ids, both
+// arrays width bits a value. At 32 bits a value is one little-endian word,
+// more bits than the values need but a width a table may hold; at 33 the
+// array is as long as that width takes, all zero, and the width is one no
+// table holds.
+func wideSnapshot(t testing.TB, offsets, ids []uint32, width int) []byte {
 	t.Helper()
-	s := testSnapshot(t, 60)
-	offs := s.Tables[1].AppendOffsets(nil)
-	edit(offs)
-	s.Tables[1].SetOffsets(offs)
-	return s
+	enc := binary.LittleEndian.AppendUint32(nil, 1)                    // one bitmap word
+	enc = binary.LittleEndian.AppendUint64(enc, 1<<(len(offsets)-1)-1) // its bits
+	for _, vals := range [][]uint32{offsets, ids} {
+		enc = binary.LittleEndian.AppendUint32(enc, uint32(len(vals)))
+		enc = binary.LittleEndian.AppendUint32(enc, uint32(width))
+		array := make([]byte, (len(vals)*width+7)/8+8)
+		if width == 32 {
+			for i, v := range vals {
+				binary.LittleEndian.PutUint32(array[4*i:], v)
+			}
+		}
+		enc = append(enc, array...)
+	}
+	s := stormSnapshot(t, 1)
+	raw, table := encode(t, s), s.Tables[0].AppendEncoded(nil)
+	at := bytes.LastIndex(raw, table) - 8 // the table's length word
+	return withChecksum(slices.Concat(raw[:at], binary.LittleEndian.AppendUint64(nil, uint64(len(enc))), enc, raw[at+8+len(table):]))
 }
 
-// stormSizes are the bucket sizes of entryCorpus's valid snapshots: two
+// stormSizes are the bucket sizes of entryCorpus's packed snapshots: two
 // pairs that straddle a step of the packed entries' width, a small one and
 // one at 2^16.
 var stormSizes = []int{255, 256, 1<<16 - 1, 1 << 16}
 
-// entryCorpus is what the packed entries add to the decoder's inputs: a
-// table on either side of two width steps, which must load, and offsets no
-// table can have, which must not.
+// entryCorpus is what storing the packed arrays as they are held adds to
+// the decoder's inputs: a table on either side of two width steps of its
+// entries, and one held at 32 bits a value, which must load; and entries no
+// table can have, or a width past 32, which must not.
 func entryCorpus(t testing.TB) (valid, corrupt [][]byte) {
 	for _, items := range stormSizes {
 		valid = append(valid, encode(t, stormSnapshot(t, items)))
 	}
+	three := make([]uint32, 3)
+	valid = append(valid, wideSnapshot(t, []uint32{0, 3}, three, 32))
 	corrupt = [][]byte{
-		encode(t, badOffsets(t, func(offs []uint32) { offs[3], offs[4] = offs[4]+1, offs[3] })), // two out of order
-		encode(t, badOffsets(t, func(offs []uint32) { offs[2] = offs[1] - 1<<20 })),             // wraps below 0: 32 bits wide
-		encode(t, badOffsets(t, func(offs []uint32) { offs[len(offs)-1]++ })),                   // closes past the items
-		encode(t, badOffsets(t, func(offs []uint32) { offs[len(offs)-1]-- })),                   // closes short of them
-		encode(t, badOffsets(t, func(offs []uint32) { offs[len(offs)-1] += 1 << 16 })),          // and 2^16 past
+		wideSnapshot(t, []uint32{0, 2, 1, 3}, three, 32),          // two out of order
+		wideSnapshot(t, []uint32{0, 1<<32 - 1<<20, 3}, three, 32), // wraps below 0: 32 bits wide
+		wideSnapshot(t, []uint32{0, 4}, three, 32),                // closes past the items
+		wideSnapshot(t, []uint32{0, 2}, three, 32),                // closes short of them
+		wideSnapshot(t, []uint32{0, 3 + 1<<16}, three, 32),        // and 2^16 past
+		wideSnapshot(t, []uint32{0, 3}, three, 33),                // a width no table holds
 	}
 	return valid, corrupt
 }
 
-// TestEntryWidthsOnDisk: the file holds 32-bit offsets whichever width the
-// table packs them in, so a table on either side of a width step loads,
-// answers and goes back to disk as the same bytes; offsets that decrease or
-// do not close at the items are ErrCorrupt, not a table.
+// TestEntryWidthsOnDisk: the file holds a table's arrays at the width the
+// table holds them in, so a table on either side of a width step, and one
+// held at 32 bits a value, loads, answers and goes back to disk as the same
+// bytes; entries that decrease or do not close at the items, and a width
+// past 32, are ErrCorrupt, not a table.
 func TestEntryWidthsOnDisk(t *testing.T) {
 	valid, corrupt := entryCorpus(t)
 	for i, raw := range valid {
@@ -160,8 +170,9 @@ func TestEntryWidthsOnDisk(t *testing.T) {
 		if err != nil {
 			t.Fatalf("valid snapshot %d: %v", i, err)
 		}
-		if got, want := len(snap.Tables[0].Bucket(nil, 0)), stormSizes[i]; got != want {
-			t.Fatalf("valid snapshot %d: bucket 0 holds %d items, want %d", i, got, want)
+		// Every valid table is one bucket of all its items.
+		if got, all := len(snap.Tables[0].Bucket(nil, 0)), len(snap.Tables[0].AppendItems(nil)); got != all || got == 0 {
+			t.Fatalf("valid snapshot %d: bucket 0 holds %d of %d items", i, got, all)
 		}
 		if !bytes.Equal(encode(t, snap), raw) {
 			t.Fatalf("valid snapshot %d: writing what was read changes the file", i)
@@ -172,7 +183,7 @@ func TestEntryWidthsOnDisk(t *testing.T) {
 			t.Errorf("corrupt snapshot %d: err = %v, want ErrCorrupt", i, err)
 		}
 	}
-	// A real index round-trips byte for byte too, through packed entries.
+	// A real index round-trips byte for byte too.
 	raw := encode(t, testSnapshot(t, 100))
 	snap, err := decode(raw)
 	if err != nil {
@@ -218,8 +229,8 @@ func wrappingSnapshot(t testing.TB) []byte {
 	return withChecksum(raw)
 }
 
-// TestReaderWidensItems: the reader packs the ids a snapshot holds in the
-// bits the largest of them needs, not in the bits its row count needs, so an
+// TestReaderWidensItems: the version-2 reader packs the ids a snapshot holds
+// in the bits the largest of them needs, not in the bits its row count needs, so an
 // id at or past the row count reaches ValidateTables as it is and the file is
 // ErrCorrupt — never a table that wrapped it into range and loads.
 func TestReaderWidensItems(t *testing.T) {
@@ -251,7 +262,7 @@ func withChecksum(raw []byte) []byte {
 // input, not to the lengths the input claims. Each input is tried as given
 // and with a corrected checksum.
 func FuzzReadSnapshot(f *testing.F) {
-	for _, name := range []string{"snapshot-v1.plsh", "snapshot-v2.plsh"} {
+	for _, name := range []string{"snapshot-v2.plsh", "snapshot-v3.plsh"} {
 		raw := fixture(f, name)
 		f.Add(raw)
 		for _, cut := range []int{0, 1, 7, 8, len(raw) / 2, len(raw) - 1} {
@@ -269,11 +280,13 @@ func FuzzReadSnapshot(f *testing.F) {
 			runtime.ReadMemStats(&before)
 			snap, err := decode(raw)
 			runtime.ReadMemStats(&after)
-			// 16 bytes a byte covers the widest sections (a table's three
-			// length words becoming a 128-byte core.Table; a 4-byte offset
-			// or item kept, packed into at most 4 more and, for an offset,
-			// unpacked again for validation) twice over;
-			// the constant is the runtime's own background allocation.
+			// 16 bytes a byte covers the widest sections twice over: a
+			// version-2 table's three length words becoming a 128-byte
+			// core.Table and two 8-byte array paddings (6 bytes a byte); a
+			// version-3 table's bytes read into scratch that may double as
+			// it grows, then copied into the table's arrays, each bitmap
+			// word adding a rank word (under 4). The constant is the
+			// runtime's own background allocation.
 			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+16*len(raw)); got > limit {
 				t.Fatalf("decoding %d bytes allocated %d, over %d", len(raw), got, limit)
 			}

@@ -1,10 +1,10 @@
 package persist
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
-	"slices"
 	"testing"
 
 	"plsh/internal/core"
@@ -76,12 +76,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("table count %d vs %d", len(got.Tables), len(s.Tables))
 	}
 	for l := range s.Tables {
-		a, b := &s.Tables[l], &got.Tables[l]
-		if !slices.Equal(a.AppendOffsets(nil), b.AppendOffsets(nil)) {
-			t.Fatalf("table %d offsets mismatch", l)
-		}
-		if !slices.Equal(a.AppendItems(nil), b.AppendItems(nil)) {
-			t.Fatalf("table %d items mismatch", l)
+		if !bytes.Equal(s.Tables[l].AppendEncoded(nil), got.Tables[l].AppendEncoded(nil)) {
+			t.Fatalf("table %d mismatch", l)
 		}
 	}
 	if len(got.Deleted) != len(s.Deleted) || got.Deleted[0] != s.Deleted[0] {

@@ -11,17 +11,19 @@
 //     bitvector, and the hash-family parameters — behind a versioned
 //     header and a whole-file CRC. It is exactly the immutable state a
 //     copy-on-write publish produces, so writing one needs no locks and
-//     loading one needs no rehashing: the bucket arrays go straight back
-//     into a core.Static.
+//     loading one needs no rehashing: each table is stored as core.Table
+//     encodes itself, its arrays as it holds them in memory, and goes
+//     straight back into a core.Static. This package knows nothing of a
+//     table's layout.
 //   - The WAL (wal.go) journals every acknowledged Insert/Delete between
 //     checkpoints; replaying it on top of the latest snapshot recovers
 //     every acknowledged write after a crash.
 //
 // Snapshots are written to a temporary file and atomically renamed, so a
 // crash mid-checkpoint leaves the previous snapshot intact. Readers verify
-// the magic, version, CRC, and structural shape (via sparse.FromRaw and
-// core.ValidateTables) and refuse to load anything that fails — a
-// corrupt file is an error, never garbage in the index.
+// the magic, version, CRC, and structural shape (via sparse.FromRaw,
+// core.DecodeTable and core.ValidateTables) and refuse to load anything
+// that fails — a corrupt file is an error, never garbage in the index.
 package persist
 
 import (
@@ -49,16 +51,15 @@ const snapshotName = "snapshot.plsh"
 // version field below covers compatible evolution).
 var snapshotMagic = [8]byte{'P', 'L', 'S', 'H', 'S', 'N', 'P', '1'}
 
-// snapshotVersion is the format version WriteSnapshot emits: version 2
-// serialises each table's occupancy bitmap and rank directory as core.Table
-// holds them, and its occupied-bucket offsets and its items as 32-bit words,
-// whatever width the table keeps them in (core.Table.AppendOffsets and
-// AppendItems write, SetOffsets and SetItems read; what the words say is
-// ValidateTables' to judge, after the CRC).
-// Version 1 wrote a dense
-// 2^k+1 offsets array per table instead; ReadSnapshot still loads it,
-// converting each table through core.TableBuilder.
-const snapshotVersion = 2
+// snapshotVersion is the format version WriteSnapshot emits: version 3
+// stores each table as a byte length and core.Table.AppendEncoded's bytes —
+// the bitmap and the two packed arrays verbatim, no rank words — and
+// ReadSnapshot hands those bytes to core.DecodeTable. Version 2 stored the
+// bitmap, the rank words, and the offsets and the items as 32-bit words;
+// ReadSnapshot still loads it (table32), the rank words skipped and the rest
+// packed by core.TableFromWords. What a table holds is ValidateTables' to
+// judge, after the CRC, whichever version it came from.
+const snapshotVersion = 3
 
 // castagnoli is the CRC-32C table used for both snapshot and WAL framing.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -139,18 +140,11 @@ func WriteSnapshot(dir string, s *Snapshot) (err error) {
 	w.f32s(vals)
 
 	w.u32(uint32(len(s.Tables)))
-	var entries, items []uint32 // each table's in turn, as the 32-bit words the format stores
+	var enc []byte // each table's encoding in turn
 	for i := range s.Tables {
-		t := &s.Tables[i]
-		w.u64(uint64(len(t.Occ)))
-		w.u64s(t.Occ)
-		w.u32s(t.Rank)
-		entries = t.AppendOffsets(entries[:0])
-		w.u64(uint64(len(entries)))
-		w.u32s(entries)
-		items = t.AppendItems(items[:0])
-		w.u64(uint64(len(items)))
-		w.u32s(items)
+		enc = s.Tables[i].AppendEncoded(enc[:0])
+		w.u64(uint64(len(enc)))
+		w.bytes(enc)
 	}
 
 	w.u64(uint64(len(s.Deleted)))
@@ -210,7 +204,7 @@ func readSnapshot(src io.Reader, size int64) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	version := r.u32()
-	if r.err == nil && version != 1 && version != snapshotVersion {
+	if r.err == nil && version != 2 && version != snapshotVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, version)
 	}
 	s := &Snapshot{}
@@ -233,24 +227,27 @@ func readSnapshot(src io.Reader, size int64) (*Snapshot, error) {
 	if r.err == nil && nTables > 1<<20 {
 		return nil, fmt.Errorf("%w: impossible table count", ErrCorrupt)
 	}
-	if nTables > 0 && r.checkLen(nTables, 3*8) { // three length words at least
+	if nTables > 0 && r.checkLen(nTables, 3*8) { // 24 bytes a table at least, in either version
 		s.Tables = make([]core.Table, 0, nTables)
 	}
-	var tb core.TableBuilder
-	var words32 []uint32 // each table's offsets, then its items, as decoded; scratch
+	var enc []byte // each table's encoding in turn; scratch
 	for i := 0; i < nTables && r.err == nil; i++ {
-		if version == 1 {
-			s.Tables = append(s.Tables, r.denseTable(&tb))
+		if version == 2 {
+			s.Tables = append(s.Tables, r.table32())
 			continue
 		}
-		var t core.Table
-		words := int(r.u64())
-		t.Occ = r.u64s(words)
-		t.Rank = r.u32s(words)
-		words32 = r.u32sInto(words32, int(r.u64()))
-		t.SetOffsets(words32)
-		words32 = r.u32sInto(words32, int(r.u64()))
-		t.SetItems(words32)
+		n := int(r.u64())
+		if !r.checkLen(n, 1) {
+			break
+		}
+		enc = slices.Grow(enc[:0], n)[:n]
+		if r.bytes(enc); r.err != nil {
+			break
+		}
+		t, err := core.DecodeTable(enc)
+		if err != nil {
+			r.fail(fmt.Errorf("%w: %v", ErrCorrupt, err))
+		}
 		s.Tables = append(s.Tables, t)
 	}
 
@@ -275,31 +272,15 @@ func readSnapshot(src io.Reader, size int64) (*Snapshot, error) {
 	return s, nil
 }
 
-// denseTable reads one table of a version-1 snapshot — 2^k+1 offsets
-// indexed by key, then the items — and rebuilds it in the current layout.
-// The offsets are checked to delimit the items in key order first: the
-// builder takes bucket sizes on trust.
-func (c *crcReader) denseTable(tb *core.TableBuilder) core.Table {
-	offs := c.u32s(int(c.u64()))
-	items := c.u32s(int(c.u64()))
-	if c.err != nil {
-		return core.Table{}
-	}
-	buckets := len(offs) - 1
-	if buckets < 1 || offs[0] != 0 || int(offs[buckets]) != len(items) {
-		c.fail(fmt.Errorf("%w: table offsets do not delimit items", ErrCorrupt))
-		return core.Table{}
-	}
-	for b := 0; b < buckets; b++ {
-		if offs[b+1] < offs[b] {
-			c.fail(fmt.Errorf("%w: table offsets decrease", ErrCorrupt))
-			return core.Table{}
-		}
-		offs[b] = offs[b+1] - offs[b]
-	}
-	tb.Reset(buckets, len(items))
-	tb.Add(offs[:buckets])
-	return tb.Finish(items)
+// table32 reads one table of a version-2 snapshot: the bitmap, the rank
+// words, which it skips (a table counts its own), then the offsets and the
+// items as 32-bit words, which core.TableFromWords packs.
+func (c *crcReader) table32() core.Table {
+	words := int(c.u64())
+	occ := c.u64s(words)
+	c.u32s(words)
+	offsets := c.u32s(int(c.u64()))
+	return core.TableFromWords(occ, offsets, c.u32s(int(c.u64())))
 }
 
 // syncDir fsyncs a directory so renames and segment creations survive a
@@ -475,14 +456,11 @@ func (c *crcReader) checkLen(n, width int) bool {
 	return true
 }
 
-func (c *crcReader) u32s(n int) []uint32 { return c.u32sInto(nil, n) }
-
-// u32sInto is u32s decoding into dst's array, grown if it is short.
-func (c *crcReader) u32sInto(dst []uint32, n int) []uint32 {
+func (c *crcReader) u32s(n int) []uint32 {
 	if !c.checkLen(n, 4) {
 		return nil
 	}
-	out := slices.Grow(dst[:0], n)[:n]
+	out := make([]uint32, n)
 	chunk := c.chunk[:]
 	for i := 0; i < n; {
 		m := min(n-i, len(chunk)/4)
