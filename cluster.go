@@ -97,7 +97,6 @@ type Cluster struct {
 // context.Background() — unbounded, uncancelable; use OpenCluster to
 // bound it.
 func NewCluster(nodes int, windowM int, cfg Config) (*Cluster, error) {
-	//plshvet:ignore ctxcheck ctx-less compatibility shim; OpenCluster is the ctx-aware form
 	return OpenCluster(context.Background(), nodes, windowM, cfg)
 }
 

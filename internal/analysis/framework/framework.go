@@ -2,11 +2,10 @@
 // the golang.org/x/tools/go/analysis driver surface, built on the
 // standard library alone (go/ast, go/types, and export data produced by
 // `go list -export`). The repository vendors no third-party modules, so
-// the checkers under internal/analysis target this package instead of
+// the checker under internal/analysis targets this package instead of
 // x/tools; the Analyzer/Pass/Diagnostic shapes are kept deliberately
-// identical to go/analysis so the suite can be rebased onto the real
-// framework by changing one import when a vendored x/tools becomes
-// available.
+// identical to go/analysis so it can be rebased onto the real framework
+// by changing one import when a vendored x/tools becomes available.
 //
 // Suppression convention: a diagnostic is suppressed by a directive
 // comment on the same line, or the line immediately above:
@@ -15,9 +14,8 @@
 //
 // The reason is mandatory — a directive without one is itself reported —
 // so every suppression in the tree documents why the invariant does not
-// apply at that site. Analyzer-specific classification directives
-// (snapfreeze's //plshvet:frozen and //plshvet:prepublish) follow the
-// same one-line shape; see ParseDirectives.
+// apply at that site. It is the only directive: any other //plshvet:
+// comment is reported too.
 package framework
 
 import (
@@ -30,12 +28,12 @@ import (
 
 // An Analyzer describes one invariant checker. The shape mirrors
 // golang.org/x/tools/go/analysis.Analyzer minus facts and requires:
-// every checker in this suite is package-local and self-contained.
+// a checker here is package-local and self-contained.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// //plshvet:ignore directives. Lowercase, no spaces.
 	Name string
-	// Doc is the one-paragraph description printed by plsh-vet -help.
+	// Doc is a one-paragraph description.
 	Doc string
 	// Run applies the analyzer to one package.
 	Run func(*Pass) error
@@ -80,7 +78,7 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 // Directive is one parsed //plshvet:... comment.
 type Directive struct {
 	Pos  token.Pos
-	Verb string // "ignore", "frozen", "prepublish"
+	Verb string // "ignore" is the only one Run accepts
 	Args string // remainder after the verb, space-trimmed
 }
 
@@ -103,72 +101,6 @@ func ParseDirectives(f *ast.File) []Directive {
 				Verb: strings.TrimSpace(verb),
 				Args: strings.TrimSpace(args),
 			})
-		}
-	}
-	return out
-}
-
-// TypeDirective returns the directive of the given verbs attached to the
-// type declaration of named — in the TypeSpec's doc comment or the
-// enclosing GenDecl's — or nil. decls maps type names to their specs for
-// the current package (see CollectTypeSpecs).
-func TypeDirective(decls map[string]*TypeDecl, typeName string, verbs ...string) *Directive {
-	td := decls[typeName]
-	if td == nil {
-		return nil
-	}
-	for _, d := range td.Directives {
-		for _, v := range verbs {
-			if d.Verb == v {
-				return &d
-			}
-		}
-	}
-	return nil
-}
-
-// TypeDecl is a type declaration plus the //plshvet: directives in its
-// doc comments.
-type TypeDecl struct {
-	Spec       *ast.TypeSpec
-	Directives []Directive
-}
-
-// CollectTypeSpecs indexes the package's type declarations by name,
-// capturing the //plshvet: directives written in the TypeSpec doc or the
-// enclosing GenDecl doc.
-func CollectTypeSpecs(files []*ast.File) map[string]*TypeDecl {
-	out := map[string]*TypeDecl{}
-	for _, f := range files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.TYPE {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				td := &TypeDecl{Spec: ts}
-				for _, cg := range []*ast.CommentGroup{gd.Doc, ts.Doc, ts.Comment} {
-					if cg == nil {
-						continue
-					}
-					for _, c := range cg.List {
-						if strings.HasPrefix(c.Text, directivePrefix) {
-							rest := strings.TrimPrefix(c.Text, directivePrefix)
-							verb, args, _ := strings.Cut(rest, " ")
-							td.Directives = append(td.Directives, Directive{
-								Pos:  c.Pos(),
-								Verb: strings.TrimSpace(verb),
-								Args: strings.TrimSpace(args),
-							})
-						}
-					}
-				}
-				out[ts.Name.Name] = td
-			}
 		}
 	}
 	return out

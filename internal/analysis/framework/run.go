@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"go/token"
 	"sort"
-	"sync"
-	"time"
 )
 
 // A Finding is one diagnostic bound to its analyzer and resolved
@@ -18,14 +16,6 @@ type Finding struct {
 
 func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Analyzer, f.Message)
-}
-
-// A Timing records how long one analyzer took across every package of a
-// run. Surfaced by plsh-vet -timing and scripts/vet.sh so a slow
-// analyzer is caught when it lands, not when CI crawls.
-type Timing struct {
-	Analyzer string
-	Elapsed  time.Duration
 }
 
 // ignoreEntry is one well-formed //plshvet:ignore directive. used flips
@@ -42,53 +32,39 @@ type ignoreEntry struct {
 // findings, sorted by position. Diagnostics carrying a matching
 // //plshvet:ignore directive on their line — or the line above — are
 // dropped; malformed directives (no analyzer name, or no reason),
-// directives naming unknown analyzers, and stale directives that
+// directives naming unknown analyzers or verbs, and stale directives that
 // suppressed nothing are themselves reported under the "plshvet" name so
 // suppressions stay auditable.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
-	findings, _, err := RunTimed(pkgs, analyzers)
-	return findings, err
-}
-
-// RunTimed is Run plus per-analyzer wall-clock timings. Analyzers run
-// concurrently — each walks every package in its own goroutine, which is
-// safe because passes only read the shared ASTs and type information —
-// and the suppression/stale bookkeeping happens in a single sequential
-// pass afterwards so the reported findings stay deterministic.
-func RunTimed(pkgs []*Package, analyzers []*Analyzer) ([]Finding, []Timing, error) {
 	known := map[string]bool{}
 	for _, a := range analyzers {
 		known[a.Name] = true
 	}
 
-	// Index every directive up front. Malformed and unknown-name
-	// directives never suppress, so they are findings immediately;
-	// well-formed ones enter the ignores table keyed by file:line.
+	// Index every directive up front. Malformed and unknown directives
+	// never suppress, so they are findings immediately; well-formed ones
+	// enter the ignores table keyed by file:line.
 	var findings []Finding
 	ignores := map[string][]*ignoreEntry{}
 	var entries []*ignoreEntry
+	directive := func(pos token.Position, format string, args ...any) {
+		findings = append(findings, Finding{Analyzer: "plshvet", Pos: pos, Message: fmt.Sprintf(format, args...)})
+	}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, d := range ParseDirectives(f) {
+				pos := pkg.Fset.Position(d.Pos)
 				if d.Verb != "ignore" {
+					directive(pos, "unknown directive //plshvet:%s; //plshvet:ignore is the only one", d.Verb)
 					continue
 				}
-				pos := pkg.Fset.Position(d.Pos)
 				name, reason := splitArg(d.Args)
 				if name == "" || reason == "" {
-					findings = append(findings, Finding{
-						Analyzer: "plshvet",
-						Pos:      pos,
-						Message:  "malformed //plshvet:ignore: want \"//plshvet:ignore <analyzer> <reason>\"",
-					})
+					directive(pos, "malformed //plshvet:ignore: want \"//plshvet:ignore <analyzer> <reason>\"")
 					continue
 				}
 				if !known[name] && name != "all" {
-					findings = append(findings, Finding{
-						Analyzer: "plshvet",
-						Pos:      pos,
-						Message:  fmt.Sprintf("//plshvet:ignore names unknown analyzer %q", name),
-					})
+					directive(pos, "//plshvet:ignore names unknown analyzer %q", name)
 					continue
 				}
 				e := &ignoreEntry{name: name, pos: pos}
@@ -99,63 +75,40 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer) ([]Finding, []Timing, erro
 		}
 	}
 
-	// Collect raw diagnostics, one goroutine per analyzer. token.FileSet
-	// position resolution is internally locked, so resolving Positions
-	// from several goroutines is fine; each goroutine appends only to its
-	// own slot.
-	raw := make([][]Finding, len(analyzers))
-	timings := make([]Timing, len(analyzers))
-	errs := make([]error, len(analyzers))
-	var wg sync.WaitGroup
-	for i, a := range analyzers {
-		wg.Add(1)
-		go func(i int, a *Analyzer) {
-			defer wg.Done()
-			start := time.Now()
-			for _, pkg := range pkgs {
-				pass := &Pass{
-					Analyzer:  a,
-					Fset:      pkg.Fset,
-					Files:     pkg.Files,
-					Pkg:       pkg.Pkg,
-					TypesInfo: pkg.TypesInfo,
-				}
-				fset := pkg.Fset
-				pass.report = func(d Diagnostic) {
-					raw[i] = append(raw[i], Finding{Analyzer: a.Name, Pos: fset.Position(d.Pos), Message: d.Message})
-				}
-				if err := a.Run(pass); err != nil {
-					errs[i] = fmt.Errorf("%s on %s: %w", a.Name, pkg.ImportPath, err)
-					return
-				}
+	// Collect raw diagnostics, then drop each one a directive on its line,
+	// or the line above, names (by analyzer or "all"); every directive that
+	// does the dropping is marked used.
+	var raw []Finding
+	for _, a := range analyzers {
+		for _, pkg := range pkgs {
+			fset := pkg.Fset
+			pass := &Pass{
+				Analyzer:  a,
+				Fset:      fset,
+				Files:     pkg.Files,
+				Pkg:       pkg.Pkg,
+				TypesInfo: pkg.TypesInfo,
+				report: func(d Diagnostic) {
+					raw = append(raw, Finding{Analyzer: a.Name, Pos: fset.Position(d.Pos), Message: d.Message})
+				},
 			}
-			timings[i] = Timing{Analyzer: a.Name, Elapsed: time.Since(start)}
-		}(i, a)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
+			if err := a.Run(pass); err != nil {
+				return nil, fmt.Errorf("%s on %s: %w", a.Name, pkg.ImportPath, err)
+			}
 		}
 	}
-
-	// Sequential suppression pass: a finding is dropped when a directive
-	// on its line, or the line above, names its analyzer (or "all");
-	// every directive that does the dropping is marked used.
-	for _, diags := range raw {
-		for _, f := range diags {
-			suppressed := false
-			for _, line := range []int{f.Pos.Line, f.Pos.Line - 1} {
-				for _, e := range ignores[fmt.Sprintf("%s:%d", f.Pos.Filename, line)] {
-					if e.name == f.Analyzer || e.name == "all" {
-						e.used = true
-						suppressed = true
-					}
+	for _, f := range raw {
+		suppressed := false
+		for _, line := range []int{f.Pos.Line, f.Pos.Line - 1} {
+			for _, e := range ignores[fmt.Sprintf("%s:%d", f.Pos.Filename, line)] {
+				if e.name == f.Analyzer || e.name == "all" {
+					e.used = true
+					suppressed = true
 				}
 			}
-			if !suppressed {
-				findings = append(findings, f)
-			}
+		}
+		if !suppressed {
+			findings = append(findings, f)
 		}
 	}
 
@@ -163,11 +116,7 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer) ([]Finding, []Timing, erro
 	// the violation it excused is gone — delete the directive.
 	for _, e := range entries {
 		if !e.used {
-			findings = append(findings, Finding{
-				Analyzer: "plshvet",
-				Pos:      e.pos,
-				Message:  fmt.Sprintf("stale //plshvet:ignore: no %s finding here to suppress; delete the directive", e.name),
-			})
+			directive(e.pos, "stale //plshvet:ignore: no %s finding here to suppress; delete the directive", e.name)
 		}
 	}
 
@@ -184,7 +133,7 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer) ([]Finding, []Timing, erro
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	return findings, timings, nil
+	return findings, nil
 }
 
 // splitArg splits a directive's argument into its first word and the

@@ -39,14 +39,16 @@ func TestSuppression(t *testing.T) {
 		got = append(got, f.Analyzer+": "+f.Message)
 	}
 	want := []string{
-		// Suppressed sites must be absent; malformed, unknown-name, and
-		// stale directives do not suppress and are reported themselves.
+		// Suppressed sites must be absent; malformed, unknown-name, stale
+		// and unknown-verb directives do not suppress and are reported
+		// themselves.
 		"dummy: function triggerPlain triggers",
 		"plshvet: malformed //plshvet:ignore: want \"//plshvet:ignore <analyzer> <reason>\"",
 		"dummy: function triggerMalformed triggers",
 		"plshvet: //plshvet:ignore names unknown analyzer \"nonexistent\"",
 		"dummy: function triggerUnknown triggers",
 		"plshvet: stale //plshvet:ignore: no dummy finding here to suppress; delete the directive",
+		"plshvet: unknown directive //plshvet:immutable; //plshvet:ignore is the only one",
 	}
 	if len(got) != len(want) {
 		t.Fatalf("got %d findings, want %d:\n%s", len(got), len(want), strings.Join(got, "\n"))

@@ -1,7 +1,7 @@
 // Package ignorefix exercises the suppression machinery: the dummy
 // analyzer in run_test.go reports every function whose name starts with
 // "trigger", and the directives below must silence exactly the right
-// ones — and be reported themselves when malformed.
+// ones — and be reported themselves when malformed, stale or unknown.
 package ignorefix
 
 func triggerPlain() {}
@@ -25,3 +25,9 @@ func triggerAll() {}
 //
 //plshvet:ignore dummy this suppression matches no finding
 func quiet() {}
+
+// quietImmutable carries a verb no analyzer reads: the directive is reported,
+// not silently ignored.
+//
+//plshvet:immutable write-once after publication
+func quietImmutable() {}

@@ -20,3 +20,11 @@ func TestExcludedPackage(t *testing.T) {
 	})
 	testutil.Run(t, "testdata/excl", a)
 }
+
+// TestBlockingPolicy proves a call is blocking because Policy.Blocking
+// names its callee, though nothing in the callee's body blocks and it lives
+// in another package: a checkpoint under the node mutex, made directly or
+// through a helper, is a finding.
+func TestBlockingPolicy(t *testing.T) {
+	testutil.Run(t, "testdata/policy", New(Policy{Blocking: []string{"(*journal.WAL).Checkpoint"}}))
+}

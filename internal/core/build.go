@@ -99,9 +99,8 @@ func BuildFromSketches(fam *lshhash.Family, sk *lshhash.Sketches, workers int) *
 }
 
 // buildOneLevel is the unoptimized baseline: every table partitions all N
-// items by its full k-bit key in one 2^k-way pass.
-//
-//plshvet:prepublish construction helper; fills the Static before Build returns it
+// items by its full k-bit key in one 2^k-way pass. Like the two below, it
+// fills the tables of the st its caller is about to return.
 func buildOneLevel(st *Static, sk *lshhash.Sketches, p lshhash.Params, pool *sched.Pool) {
 	n := sk.N()
 	buckets := p.Buckets()
@@ -132,8 +131,6 @@ func buildOneLevel(st *Static, sk *lshhash.Sketches, p lshhash.Params, pool *sch
 // through the scatter so no random gather is needed — then each
 // first-level segment by u_b. 2L partition passes, each over 2^(k/2)
 // partitions only (the TLB/cache argument of §5.1.2).
-//
-//plshvet:prepublish construction helper; fills the Static before Build returns it
 func buildTwoLevel(st *Static, sk *lshhash.Sketches, p lshhash.Params, pool *sched.Pool, tm *BuildTimings) {
 	n := sk.N()
 	halfB := p.HalfBuckets()
@@ -186,8 +183,6 @@ func buildTwoLevel(st *Static, sk *lshhash.Sketches, p lshhash.Params, pool *sch
 // costs no random gather — sketch rows are read sequentially exactly once
 // per first-level function, and each table (a, b) then reads its
 // second-level keys sequentially from the shared column buffer.
-//
-//plshvet:prepublish construction helper; fills the Static before Build returns it
 func buildShared(st *Static, sk *lshhash.Sketches, p lshhash.Params, pool *sched.Pool, tm *BuildTimings) {
 	n := sk.N()
 	halfB := p.HalfBuckets()

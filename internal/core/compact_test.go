@@ -5,7 +5,38 @@ import (
 
 	"plsh/internal/corpus"
 	"plsh/internal/lshhash"
+	"plsh/internal/sched"
 )
+
+// Compact removes every item for which drop reports true from every bucket,
+// in place, rewriting the entries to stay consistent (a bucket emptied here
+// keeps its directory entry, now of zero length). Len is unchanged: item IDs
+// keep their meaning, only bucket membership shrinks. It is the reference
+// Merge is checked against — Build followed by Compact is what a merge of
+// the same rows under the same tombstones must hold — and so lives in test
+// files only: no production code writes an index after it is returned. drop
+// may be called concurrently (tables compact in parallel).
+func (s *Static) Compact(drop func(id uint32) bool, workers int) {
+	pool := sched.NewPool(workers)
+	pool.Run(len(s.tables), func(l, _ int) {
+		t := &s.tables[l]
+		offs, items := t.appendOffsets(nil), t.AppendItems(nil)
+		var w uint32
+		for b := 0; b < len(offs)-1; b++ {
+			lo, hi := offs[b], offs[b+1]
+			offs[b] = w
+			// w never exceeds the read cursor, so the in-place copy is safe.
+			for _, id := range items[lo:hi] {
+				if !drop(id) {
+					items[w] = id
+					w++
+				}
+			}
+		}
+		offs[len(offs)-1] = w
+		*t = TableFromWords(t.occ, offs, items[:w])
+	})
+}
 
 // Compact must drop exactly the requested rows from every bucket of every
 // table, preserve intra-bucket order of the survivors, and leave the entries

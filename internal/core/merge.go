@@ -14,7 +14,9 @@ import (
 // no row is hashed and nothing is sorted: the bucket of a key is old's
 // items, then add's with old.Len() added to every id, without the ids whose
 // bit is set in dead. Bucket(key) is, for every key, what Build over the
-// concatenated rows followed by Compact on dead would hold.
+// concatenated rows would hold with the ids set in dead removed (the test
+// files' Compact, the reference Merge is checked against). A Merge against
+// an add of no rows is that removal alone.
 //
 // The bookkeeping is proportional to add's buckets, not old's: between two
 // keys add occupies, old's buckets are adjacent in its item array and stay
@@ -64,8 +66,7 @@ func isDead(dead []uint64, id uint32) bool { return dead[id>>6]>>(id&63)&1 != 0 
 // mergeTable merges one table.
 //
 // The result's directory has an entry for every bucket either side has one
-// for: a bucket the tombstones emptied keeps its entry, of zero length, as
-// after Compact.
+// for: a bucket the tombstones emptied keeps its entry, of zero length.
 func mergeTable(old, add *Table, shift uint32, dead []uint64, scratch *mergeScratch) Table {
 	from := flatTable{offs: old.appendOffsets(scratch.oldOffs[:0]), items: old.AppendItems(scratch.oldItems[:0])}
 	addItems := add.AppendItems(scratch.addItems[:0])

@@ -51,7 +51,7 @@ func sameBucketsAs(t *testing.T, what string, got []Table, want *Static) {
 }
 
 // TestMergeMatchesRebuild: for static sides from empty to four rows a
-// bucket, delta sides from one row to a merge trigger's worth, uniform and
+// bucket, delta sides from none to a merge trigger's worth, uniform and
 // skewed keys, and tombstones on both sides — some old enough to have been
 // compacted out of the static side already, leaving set bits over empty
 // buckets — the merged tables validate, hold exactly the live items, and
@@ -65,7 +65,7 @@ func TestMergeMatchesRebuild(t *testing.T) {
 		}
 		buckets := p.Buckets()
 		for _, nOld := range []int{0, 1, buckets, 4 * buckets} {
-			for _, nAdd := range []int{1, 100, 13107} {
+			for _, nAdd := range []int{0, 1, 100, 13107} {
 				for _, skewed := range []bool{false, true} {
 					what := fmt.Sprintf("K=%d old=%d add=%d skewed=%v", k, nOld, nAdd, skewed)
 					n := nOld + nAdd

@@ -25,7 +25,6 @@ import (
 	"unsafe"
 
 	"plsh/internal/lshhash"
-	"plsh/internal/sched"
 	"plsh/internal/sparse"
 )
 
@@ -35,8 +34,8 @@ import (
 // below word w, and the bucket with the j-th set bit holds the items from
 // where entry j starts to where entry j+1 does, one closing entry at the
 // item count ending the last. A builder sets exactly the bits of the
-// non-empty buckets; Merge and Compact may then leave a bucket
-// empty whose bit stays set, so a set bit promises an entry, not an item.
+// non-empty buckets; Merge may then leave a bucket empty whose bit stays
+// set, so a set bit promises an entry, not an item.
 // The rank words are derived, never stored: every constructor counts them
 // from the bitmap (rankOf).
 //
@@ -48,7 +47,10 @@ import (
 // AppendEncoded wrote them; the probe kernels (through span and load),
 // Bucket, AppendItems and appendOffsets are the readers.
 //
-//plshvet:frozen tables are reached through a published snapshot; queries scan them lock-free
+// A Table is written once. Its fields are unexported, only the functions
+// that return a Table (TableFromWords, DecodeTable, TableBuilder's Finish
+// and GroupByKey, Merge's per-table copy) set them, and no method writes
+// them, so the tables of a published index are scanned lock-free.
 type Table struct {
 	occ  []uint64 // ⌈2^k/64⌉ words
 	rank []uint32 // one per word of occ
@@ -189,12 +191,11 @@ func (t *Table) Bucket(dst []uint32, key uint32) []uint32 {
 }
 
 // AppendItems appends every item, in key order, to dst: the items with the
-// packing undone, as Merge and Compact edit them.
+// packing undone, as Merge edits them.
 func (t *Table) AppendItems(dst []uint32) []uint32 { return t.items.appendTo(dst, t.n) }
 
 // appendOffsets appends the start of every entry, the closing one included,
-// to dst: the entries with the packing undone, as Merge and Compact edit
-// them.
+// to dst: the entries with the packing undone, as Merge edits them.
 func (t *Table) appendOffsets(dst []uint32) []uint32 { return t.entries.appendTo(dst, t.nEntries) }
 
 // TableFromWords returns the table over the bitmap occ, which it keeps, with
@@ -388,9 +389,10 @@ func TableMemoryBound(n, k, l int) int64 {
 	return int64(l) * perTable
 }
 
-// Static is an immutable PLSH index over n documents.
-//
-//plshvet:frozen published inside the node snapshot; queries scan it lock-free
+// Static is an immutable PLSH index over n documents. Its fields are
+// unexported and set only by the functions that return one — Build,
+// BuildFromSketches, Merge and StaticFromTables — so the index a node's
+// snapshot publishes is scanned lock-free by every query.
 type Static struct {
 	fam    *lshhash.Family
 	n      int
@@ -475,42 +477,6 @@ func ValidateTables(p lshhash.Params, n int, tables []Table) error {
 		}
 	}
 	return nil
-}
-
-// Compact removes every item for which drop reports true from every bucket,
-// in place, rewriting the entries to stay consistent (a bucket emptied here
-// keeps its directory entry, now of zero length), so that deleted rows
-// never become candidates again instead of being filtered on every query for
-// the rest of the index's life. Len is unchanged (item IDs keep their
-// meaning); only bucket membership shrinks. A streaming merge no longer
-// calls it — Merge leaves the tombstoned items out as it copies — and Build
-// followed by Compact is what Merge's results are tested against.
-//
-// Compact must run before the index is published to readers; it replaces
-// every table. drop may be called concurrently from multiple
-// goroutines (tables compact in parallel).
-//
-//plshvet:prepublish in-place build step; documented to run before the index is published
-func (s *Static) Compact(drop func(id uint32) bool, workers int) {
-	pool := sched.NewPool(workers)
-	pool.Run(len(s.tables), func(l, _ int) {
-		t := &s.tables[l]
-		offs, items := t.appendOffsets(nil), t.AppendItems(nil)
-		var w uint32
-		for b := 0; b < len(offs)-1; b++ {
-			lo, hi := offs[b], offs[b+1]
-			offs[b] = w
-			// w never exceeds the read cursor, so the in-place copy is safe.
-			for _, id := range items[lo:hi] {
-				if !drop(id) {
-					items[w] = id
-					w++
-				}
-			}
-		}
-		offs[len(offs)-1] = w
-		*t = TableFromWords(t.occ, offs, items[:w])
-	})
 }
 
 // MemoryBytes reports the bytes the index holds: every table's packed items

@@ -35,9 +35,10 @@ import (
 // the owning node serializes inserts. Once Freeze is called the table is
 // immutable and every read-side method (Candidates, Buckets, Sketches,
 // MemoryBytes) is safe for arbitrary concurrent use — frozen tables are
-// the building blocks of the node's copy-on-write query snapshots.
-//
-//plshvet:frozen frozen segments are published inside node snapshots; the mutators below carry //plshvet:prepublish and are runtime-gated by the frozen flag
+// the building blocks of the node's copy-on-write query snapshots. The
+// frozen flag is what keeps a published table write-once: Insert, the one
+// method that fills buckets, panics on a frozen table, and the other
+// writers (sizeOcc, fromSketches) run only on a table still being built.
 type Table struct {
 	fam     *lshhash.Family
 	pool    *sched.Pool
@@ -83,9 +84,8 @@ func occBits(rows, k int) int {
 
 // sizeOcc gives the bitmaps room for rows rows and reports whether it
 // replaced them (with zeroed ones: the caller re-marks the occupied
-// buckets). Bitmaps only ever grow.
-//
-//plshvet:prepublish called while building: New, and Insert and fromSketches before they fill buckets
+// buckets). Bitmaps only ever grow. Its callers are New, and Insert and
+// fromSketches before they fill buckets: a table still being built.
 func (d *Table) sizeOcc(rows int) bool {
 	p := d.fam.Params()
 	words := occBits(rows, p.K) / 64
@@ -118,9 +118,9 @@ func (d *Table) Len() int { return d.n }
 func (d *Table) Sketches() *lshhash.Sketches { return d.sk }
 
 // Freeze marks the table immutable. Further Insert calls panic; reads need
-// no synchronization. Freezing is idempotent.
-//
-//plshvet:prepublish the freeze itself is the publish barrier: it runs under the node mutex before the snapshot swap
+// no synchronization. Freezing is idempotent. The node freezes a table
+// before it joins the segment list, so a snapshot publishes frozen tables
+// only.
 func (d *Table) Freeze() { d.frozen = true }
 
 // IsFrozen reports whether Freeze has been called.
@@ -129,9 +129,8 @@ func (d *Table) IsFrozen() bool { return d.frozen }
 // Insert hashes the batch once and appends every document to its bucket in
 // all L tables, parallelized over tables (each worker owns a disjoint set
 // of tables, so no locks are needed). It returns the delta-local ID of the
-// first inserted document. Insert panics on a frozen table.
-//
-//plshvet:prepublish single-writer insert path; runtime-gated by the frozen flag
+// first inserted document. Insert panics on a frozen table; one writer at
+// a time may call it on a table not yet frozen.
 func (d *Table) Insert(vs []sparse.Vector) int {
 	if d.frozen {
 		panic("delta: Insert on frozen table")

@@ -2,8 +2,8 @@
 // whose record path is wait-free and allocation-free: one bucket-index
 // computation (two shifts and a bits.Len64) plus two atomic adds. That is
 // what lets the soak harness and the WAL keep per-operation latency
-// distributions on hot paths that the allocgate budget pins to zero
-// escapes.
+// distributions on hot paths that must not allocate
+// (TestRecordDoesNotAllocate pins it).
 //
 // Geometry: values are nanoseconds. The first 2^subBits buckets are exact
 // (one bucket per nanosecond); above that, each power-of-two range splits

@@ -97,11 +97,12 @@ func coldDocs(n, dim int) []sparse.Vector {
 
 // rebuildStatic is the merge as it ran before mergeStatic: every row of the
 // prefix hashed and bucketed again by core.Build, then the tombstones
-// compacted out. It lives in this file only, as the other arm of
-// BenchmarkMerge.
+// left out by a core.Merge that adds no rows. It lives in this file only,
+// as the other arm of BenchmarkMerge.
 func (n *Node) rebuildStatic(prefix *sparse.Matrix, del *bitvec.Vector) (*core.Static, *core.Engine) {
-	st := core.MustBuild(n.fam, prefix, n.cfg.Build)
-	st.Compact(func(id uint32) bool { return del.TestAtomic(int(id)) }, n.cfg.Build.Workers)
+	workers := n.cfg.Build.Workers
+	none := core.BuildFromSketches(n.fam, &lshhash.Sketches{M: n.cfg.Params.M}, workers)
+	st := core.Merge(core.MustBuild(n.fam, prefix, n.cfg.Build), none, tombstoneWords(del, prefix.Rows()), workers)
 	eng := core.NewEngine(st, prefix, n.cfg.Query)
 	eng.SetDeleted(del)
 	return st, eng

@@ -191,11 +191,20 @@ func TestRetireDrainsInFlightMerge(t *testing.T) {
 		t.Fatal("query failed while Retire drained the merge")
 	}
 	// A deadline-bound Retire must give up instead of waiting out the held
-	// merge, leaving the node unretired.
+	// merge, leaving the node unretired. One that ignores its deadline would
+	// wait for a release that comes only after it returns, so it is given
+	// a few seconds, not the package timeout.
 	dctx, cancel := context.WithTimeout(bg, 30*time.Millisecond)
 	defer cancel()
-	if err := n.Retire(dctx); err != context.DeadlineExceeded {
-		t.Fatalf("deadline-bound Retire during merge: %v", err)
+	bounded := make(chan error, 1)
+	go func() { bounded <- n.Retire(dctx) }()
+	select {
+	case err := <-bounded:
+		if err != context.DeadlineExceeded {
+			t.Fatalf("deadline-bound Retire during merge: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Retire ignored its deadline")
 	}
 	if n.Len() != 300 {
 		t.Fatalf("canceled Retire erased state: Len = %d", n.Len())

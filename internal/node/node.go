@@ -500,7 +500,6 @@ func (n *Node) Family() *lshhash.Family { return n.fam }
 // rejects the whole batch before anything is hashed.
 func (n *Node) Insert(ctx context.Context, vs []sparse.Vector) ([]uint32, error) {
 	if len(vs) == 0 {
-		//plshvet:ignore walorder an empty batch mutates nothing, so there is nothing to journal before acknowledging it
 		return nil, nil
 	}
 	if err := ctx.Err(); err != nil {
@@ -1022,7 +1021,8 @@ func (n *Node) Close() error {
 	if n.wal == nil {
 		return nil
 	}
-	//plshvet:ignore ctxcheck Close implements io.Closer and cannot take a ctx; the final flush must run to completion
+	// Close implements io.Closer and cannot take a ctx: the final flush
+	// runs to completion.
 	if err := n.Flush(context.Background()); err != nil {
 		return err
 	}

@@ -50,7 +50,8 @@ func sameNeighbors(t *testing.T, what string, a, b []core.Neighbor) {
 
 // TestDurableJournalOnlyRecovery: with merges disabled, everything lives
 // in the journal; reopening must replay it to a node answering exactly
-// like one that never restarted.
+// like one that never restarted. The batches are of 1, 2, 3 and 50 rows in
+// turn, so every batch size reaches the journal, a single row included.
 func TestDurableJournalOnlyRecovery(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableConfig(dir, 1000)
@@ -64,12 +65,15 @@ func TestDurableJournalOnlyRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	docs := testDocs(300, 5)
-	for off := 0; off < len(docs); off += 50 {
+	sizes := []int{1, 2, 3, 50}
+	for off, i := 0, 0; off < len(docs); i++ {
+		end := min(off+sizes[i%len(sizes)], len(docs))
 		for _, tgt := range []*Node{n, oracle} {
-			if _, err := tgt.Insert(bg, docs[off:off+50]); err != nil {
+			if _, err := tgt.Insert(bg, docs[off:end]); err != nil {
 				t.Fatal(err)
 			}
 		}
+		off = end
 	}
 	for _, id := range []uint32{3, 77, 250} {
 		if err := n.Delete(id); err != nil {
@@ -95,6 +99,42 @@ func TestDurableJournalOnlyRecovery(t *testing.T) {
 		sameNeighbors(t, "journal-only recovery",
 			mustQuery(t, oracle, docs[i]), mustQuery(t, re, docs[i]))
 	}
+}
+
+// TestJournalFailureLeavesNodeUntouched: a durable node journals a write
+// before it applies it. With the journal closed underneath it, Insert,
+// Delete and Retire each fail, and none has changed the node: not the
+// published length, not the arena behind it (an insert that appended its
+// rows before journaling shows only there) and not the tombstones.
+func TestJournalFailureLeavesNodeUntouched(t *testing.T) {
+	cfg := durableConfig(t.TempDir(), 1000)
+	cfg.AutoMerge = false
+	n, err := Open(bg, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	docs := testDocs(60, 13)
+	if _, err := n.Insert(bg, docs[:50]); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	untouched := func(op string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s succeeded with the journal closed", op)
+		}
+		if n.Len() != 50 || n.store.Rows() != 50 || n.deleted.TestAtomic(3) {
+			t.Fatalf("%s failed but changed the node: Len %d, arena rows %d, row 3 deleted %v",
+				op, n.Len(), n.store.Rows(), n.deleted.TestAtomic(3))
+		}
+	}
+	_, err = n.Insert(bg, docs[50:])
+	untouched("Insert", err)
+	untouched("Delete", n.Delete(3))
+	untouched("Retire", n.Retire(bg))
 }
 
 // TestDurableSnapshotPlusTailRecovery: merges checkpoint snapshots and

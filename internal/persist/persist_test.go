@@ -360,6 +360,65 @@ func TestWALRotateCheckpointTruncates(t *testing.T) {
 	}
 }
 
+// TestWALCheckpointFailureKeepsJournal: a checkpoint whose snapshot cannot
+// be published fails, and the segments it would have truncated stay, so
+// every record from before its token still replays.
+func TestWALCheckpointFailureKeepsJournal(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenWAL(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if err := w.AppendInsert(0, walDocs(4, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendDelete(2); err != nil {
+		t.Fatal(err)
+	}
+	token, err := w.Rotate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A non-empty directory where the snapshot goes: renaming a file over
+	// it fails whoever runs the test, root included.
+	if err := os.MkdirAll(filepath.Join(SnapshotPath(dir), "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Checkpoint(testSnapshot(t, 4), token); err == nil {
+		t.Fatal("checkpoint succeeded without publishing its snapshot")
+	}
+	got := replayAll(t, dir)
+	if len(got) != 2 || got[0].Kind != RecordInsert || got[1].Kind != RecordDelete {
+		t.Fatalf("after a failed checkpoint the journal replays %+v, want the insert and the delete", got)
+	}
+}
+
+// TestWALSyncWritesFsyncsEachAppend: on a journal opened with SyncWrites
+// each append is fsynced before it returns, one fsync a record.
+func TestWALSyncWritesFsyncsEachAppend(t *testing.T) {
+	w, err := OpenWAL(t.TempDir(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	for i, app := range []struct {
+		name string
+		do   func() error
+	}{
+		{"AppendInsert", func() error { return w.AppendInsert(0, walDocs(2, 1)) }},
+		{"AppendDelete", func() error { return w.AppendDelete(1) }},
+		{"AppendRetire", w.AppendRetire},
+	} {
+		if err := app.do(); err != nil {
+			t.Fatal(err)
+		}
+		if got := w.syncHist.Count(); got != uint64(i+1) {
+			t.Fatalf("%s: %d fsyncs after %d appends", app.name, got, i+1)
+		}
+	}
+}
+
 // TestWALReopenAppendsNewSegment: reopening never appends to an old
 // (possibly torn) segment.
 func TestWALReopenAppendsNewSegment(t *testing.T) {

@@ -214,8 +214,6 @@ func (w *WAL) appendFrameLocked() error {
 
 // WriteQuantile returns an upper bound for the q-quantile of per-record
 // segment-write latency over the WAL's lifetime; 0 before any append.
-// (Not named Append*: those are the journal-mutation methods the
-// walorder analyzer holds to the fsync-reachability contract.)
 func (w *WAL) WriteQuantile(q float64) time.Duration { return w.appendHist.Quantile(q) }
 
 // SyncQuantile is WriteQuantile for the per-record fsync; always 0 on a

@@ -171,10 +171,6 @@ type ServeOptions struct {
 // window. Like Serve it returns only after every in-flight handler has
 // finished, so the backend is quiescent — checkpointable — when it does.
 func ServeWithOptions(ctx context.Context, l net.Listener, backend NodeClient, opts ServeOptions) error {
-	if ctx == nil {
-		//plshvet:ignore ctxcheck nil-ctx fallback at the public serve boundary; Serve owns its root context when the caller passes none
-		ctx = context.Background()
-	}
 	// Request contexts derive from hardCtx, which outlives the serve
 	// context by the drain window: canceling ctx stops intake (soft stop)
 	// while in-flight requests keep running until they finish or the

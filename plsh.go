@@ -239,7 +239,6 @@ type Store struct {
 // Callers that need to bound or abort recovery of a large data directory
 // must use Open, the ctx-aware form, instead.
 func NewStore(cfg Config) (*Store, error) {
-	//plshvet:ignore ctxcheck ctx-less compatibility shim; Open is the ctx-aware form
 	return Open(context.Background(), cfg.Dir, cfg)
 }
 

@@ -3,10 +3,9 @@
 #
 #   1. go vet          — the toolchain's standard checks
 #   2. gofmt           — formatting drift fails, never auto-fixes
-#   3. plsh-vet        — the custom invariant suite (internal/analysis):
-#                        ctxcheck, snapfreeze, lockorder, walorder over
-#                        every non-test package; analyzers run in
-#                        parallel and per-analyzer wall time is printed
+#   3. plsh-vet        — the repository's one custom analyzer
+#                        (internal/analysis): lockorder, over every
+#                        non-test package
 #   4. benchmark suite — benchmarks/suite is its own module (the benchmark
 #                        contract builds it from a bare checkout), so
 #                        ./... above does not reach it; go vet and
@@ -15,8 +14,6 @@
 #
 # Every failure prints file:line:col so CI annotations and editors can
 # jump straight to the site. Exits nonzero on the first failing stage.
-# Set PLSH_VET_REPORT to a path to also capture the findings + timing
-# report there (CI uploads it as a build artifact).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,7 +33,7 @@ echo "==> plsh-vet"
 bin="$(mktemp -d)/plsh-vet"
 trap 'rm -rf "$(dirname "$bin")"' EXIT
 go build -o "$bin" ./cmd/plsh-vet
-"$bin" -timing ${PLSH_VET_REPORT:+-report "$PLSH_VET_REPORT"} ./...
+"$bin" ./...
 
 echo "==> benchmark suite (own module)"
 (cd benchmarks/suite && go vet . && go test -short ./...)
