@@ -211,8 +211,9 @@ func WithPartitioned(cfg Config) DialOption {
 // Connections self-heal: a node that dies mid-run fails its in-flight
 // calls (replica failover masks that when WithReplicas(r>1) is set), and
 // once the process is back — recovered from its journal — the next call
-// re-dials it, so a restarted replica rejoins without rebuilding the
-// coordinator. windowM counts replica groups.
+// to it dials a fresh connection under that call's ctx, so a restarted
+// replica rejoins without rebuilding the coordinator. windowM counts
+// replica groups.
 func DialCluster(ctx context.Context, addrs []string, windowM int, opts ...DialOption) (*Cluster, error) {
 	spec := dialSpec{replicas: 1}
 	for _, o := range opts {
@@ -228,7 +229,7 @@ func DialCluster(ctx context.Context, addrs []string, windowM int, opts ...DialO
 		wg.Add(1)
 		go func(i int, addr string) {
 			defer wg.Done()
-			c, err := transport.NewRedial(ctx, addr)
+			c, err := transport.Dial(ctx, addr)
 			if err != nil {
 				errs[i] = fmt.Errorf("plsh: dial %s: %w", addr, err)
 				return

@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -232,6 +233,89 @@ func TestDialClusterBroadcastHonorsCancellation(t *testing.T) {
 	if s := report.Stragglers(); len(s) != 1 || s[0] != 1 {
 		t.Fatalf("stragglers = %v, want [1]", s)
 	}
+}
+
+// TestDialClusterRefusesDeadAddress pins dial-time intolerance (DESIGN.md
+// "Not guaranteed"): DialCluster over two live servers and one address
+// nobody listens on fails naming the dead address, and closes the
+// connections it opened to the live ones — each server sees EOF.
+func TestDialClusterRefusesDeadAddress(t *testing.T) {
+	var addrs []string
+	var eofs []chan struct{}
+	for range 2 {
+		n, err := node.Open(bg, node.Config{
+			Params:   lshhash.Params{Dim: 2000, K: 8, M: 6, Seed: 42},
+			Capacity: 100,
+			Build:    core.Defaults(),
+			Query:    core.QueryDefaults(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(bg)
+		t.Cleanup(cancel)
+		eof := make(chan struct{}, 1)
+		go transport.Serve(ctx, eofListener{l, eof}, transport.NewLocal(n), nil)
+		addrs = append(addrs, l.Addr().String())
+		eofs = append(eofs, eof)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := l.Addr().String()
+	l.Close()
+
+	cl, err := DialCluster(bg, []string{addrs[0], dead, addrs[1]}, 1)
+	if err == nil {
+		cl.Close()
+		t.Fatal("DialCluster succeeded with a dead endpoint")
+	}
+	if !strings.Contains(err.Error(), dead) {
+		t.Fatalf("error %q does not name the dead address %s", err, dead)
+	}
+	for i, eof := range eofs {
+		select {
+		case <-eof:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("live server %s never saw its connection closed", addrs[i])
+		}
+	}
+}
+
+// eofListener signals eof once a connection it accepted reads end of
+// stream: the peer closed it.
+type eofListener struct {
+	net.Listener
+	eof chan struct{}
+}
+
+func (l eofListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return eofConn{c, l.eof}, nil
+}
+
+type eofConn struct {
+	net.Conn
+	eof chan struct{}
+}
+
+func (c eofConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if err == io.EOF {
+		select {
+		case c.eof <- struct{}{}:
+		default:
+		}
+	}
+	return n, err
 }
 
 // TestStoreStreamsPastDeltaThreshold verifies the public Store merges

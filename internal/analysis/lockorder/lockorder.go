@@ -50,9 +50,6 @@ type Policy struct {
 	// (e.g. "(*os.File).Sync", "time.Sleep"). An entry ending in ".*"
 	// matches every method of the receiver type it names.
 	Blocking []string
-	// NonBlocking lists exact FullNames exempted from a wildcard
-	// Blocking entry (flag reads on an otherwise-blocking RPC client).
-	NonBlocking []string
 	// ExcludeBlocking lists import paths where blocking while holding a
 	// mutex is the package's job (the WAL serializes file I/O under its
 	// mutex by design). Acquisition-order cycles are still checked there.
@@ -83,9 +80,7 @@ var DefaultPolicy = Policy{
 		"(*plsh/internal/persist.WAL).Checkpoint",
 		"(plsh/internal/transport.NodeClient).*",
 		"(*plsh/internal/transport.Client).*",
-	},
-	NonBlocking: []string{
-		"(*plsh/internal/transport.Client).Broken", // reads a failure flag under the client's own mutex
+		"(*plsh/internal/transport.conn).*",
 	},
 	ExcludeBlocking: []string{
 		"plsh/internal/persist",

@@ -363,18 +363,10 @@ func (w *walker) classifyCall(call *ast.CallExpr, st *state) {
 		return
 	}
 	full := fn.FullName()
-	exempt := false
-	for _, nb := range w.policy.NonBlocking {
-		if full == nb {
-			exempt = true
-		}
-	}
-	if !exempt {
-		for _, b := range w.policy.Blocking {
-			if full == b || (strings.HasSuffix(b, ".*") && strings.HasPrefix(full, strings.TrimSuffix(b, "*"))) {
-				w.block(call.Pos(), "call to "+full, st)
-				return
-			}
+	for _, b := range w.policy.Blocking {
+		if full == b || (strings.HasSuffix(b, ".*") && strings.HasPrefix(full, strings.TrimSuffix(b, "*"))) {
+			w.block(call.Pos(), "call to "+full, st)
+			return
 		}
 	}
 	if fn.Pkg() == w.pass.Pkg && fn.Name() != w.funcName {

@@ -145,10 +145,10 @@ func NewRouter(fam *lshhash.Family, cfg RouterConfig) (*Router, error) {
 	if cfg.Groups < 1 {
 		return nil, fmt.Errorf("cluster: router groups = %d, need at least 1", cfg.Groups)
 	}
-	if cfg.Recall < 0 || cfg.Recall > 1 {
+	if !(cfg.Recall >= 0 && cfg.Recall <= 1) {
 		return nil, fmt.Errorf("cluster: routing recall %v outside (0, 1]", cfg.Recall)
 	}
-	if cfg.Radius < 0 {
+	if !(cfg.Radius >= 0) {
 		return nil, fmt.Errorf("cluster: routing radius %v must not be negative", cfg.Radius)
 	}
 	p := fam.Params()

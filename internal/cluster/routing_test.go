@@ -40,6 +40,12 @@ func TestRouterConfigValidation(t *testing.T) {
 	if _, err := NewRouter(fam, RouterConfig{Groups: 4, Radius: -1}); err == nil {
 		t.Error("negative radius accepted")
 	}
+	if _, err := NewRouter(fam, RouterConfig{Groups: 4, Recall: math.NaN()}); err == nil {
+		t.Error("NaN recall accepted")
+	}
+	if _, err := NewRouter(fam, RouterConfig{Groups: 4, Radius: math.NaN()}); err == nil {
+		t.Error("NaN radius accepted")
+	}
 	r, err := NewRouter(fam, RouterConfig{Groups: 16})
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,8 @@
 //   - Client/Serve: a request-ID-multiplexed gob-over-TCP wire protocol
 //     (cmd/plsh-node is the server binary) that sustains many concurrent
 //     RPCs per connection, exercising real serialization on localhost or
-//     a LAN.
+//     a LAN. A Client re-dials its node once its connection dies, so a
+//     restarted node rejoins without the coordinator being rebuilt.
 //
 // Every RPC takes a context.Context: deadlines and cancellation are
 // enforced at the caller (a canceled call stops waiting immediately; its

@@ -756,6 +756,7 @@ func TestCanceledQueuedSearchLeavesQueryAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
+	cn := current(client)
 
 	// One frame larger than the loopback socket buffers, handed straight
 	// to the writer, stalls it mid-write; its answer will match no pending
@@ -764,13 +765,13 @@ func TestCanceledQueuedSearchLeavesQueryAlone(t *testing.T) {
 	for i := range big.Idx {
 		big.Idx[i], big.Val[i] = uint32(i), float32(i)
 	}
-	client.writeCh <- &request{Seq: 1 << 40, Op: opSearch, Vectors: []sparse.Vector{big},
+	cn.writeCh <- &request{Seq: 1 << 40, Op: opSearch, Vectors: []sparse.Vector{big},
 		Search: &searchParams{Version: searchVersionBase}}
 	waitQueue := func(n int) {
 		t.Helper()
-		for deadline := time.Now().Add(30 * time.Second); len(client.writeCh) != n; {
+		for deadline := time.Now().Add(30 * time.Second); len(cn.writeCh) != n; {
 			if time.Now().After(deadline) {
-				t.Fatalf("write queue holds %d frames, want %d", len(client.writeCh), n)
+				t.Fatalf("write queue holds %d frames, want %d", len(cn.writeCh), n)
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -790,7 +791,7 @@ func TestCanceledQueuedSearchLeavesQueryAlone(t *testing.T) {
 	}()
 	waitQueue(1)
 	time.Sleep(50 * time.Millisecond)
-	if len(client.writeCh) != 1 {
+	if len(cn.writeCh) != 1 {
 		t.Fatal("the writer drained the queue; the big frame did not stall it")
 	}
 	cancel()
@@ -810,7 +811,7 @@ func TestCanceledQueuedSearchLeavesQueryAlone(t *testing.T) {
 	if _, err := client.Stats(bg); err != nil {
 		t.Fatalf("call after the canceled one failed: %v", err)
 	}
-	if client.Broken() {
+	if cn.broken() || current(client) != cn {
 		t.Fatal("connection broken after a canceled queued call")
 	}
 	if !reflect.DeepEqual(qs, want) {

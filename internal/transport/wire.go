@@ -395,46 +395,127 @@ func handle(ctx context.Context, backend NodeClient, req *request, resp *respons
 	}
 }
 
-// Client is a NodeClient over one TCP connection. Any number of calls may
-// be in flight concurrently: each is assigned a sequence number, a writer
-// goroutine serializes frames onto the wire, and a reader goroutine
-// dispatches responses to waiting calls by sequence number. A canceled
-// call returns ctx.Err() immediately — even while its frame is still
-// queued behind a stalled send — and tells the server to abandon the
-// request (best-effort cancel frame, plus the deadline carried in the
-// request itself); its late response, if any, is discarded on arrival.
+// Client is a NodeClient over TCP to one node address. Any number of
+// calls may be in flight concurrently over its connection: each is
+// assigned a sequence number, a writer goroutine serializes frames onto
+// the wire, and a reader goroutine dispatches responses to waiting calls
+// by sequence number. A canceled call returns ctx.Err() immediately —
+// even while its frame is still queued behind a stalled send — and tells
+// the server to abandon the request (best-effort cancel frame, plus the
+// deadline carried in the request itself); its late response, if any, is
+// discarded on arrival.
+//
+// The client survives connection loss. The call that observes the death
+// of its connection (a crashed peer, a dropped link) still fails: retry
+// belongs to the caller, whose replica failover decides whether to try a
+// sibling instead. The next call dials a fresh connection under its own
+// ctx, so a SIGKILLed node that restarted from its journal rejoins a
+// running cluster without the coordinator being rebuilt, and no call ever
+// waits on another call's dial: concurrent callers may dial at once, the
+// first to finish installs its connection, and the others close theirs
+// and use it.
 type Client struct {
-	conn net.Conn
+	addr   string
+	dialer net.Dialer // the zero Dialer; tests hold a dial open through ControlContext
 
-	writeCh chan *request // consumed by writeLoop in FIFO order
-	dead    chan struct{} // closed when the connection is torn down
-
-	mu      sync.Mutex // guards seq, pending, err, closed, down
-	seq     uint64
-	pending map[uint64]chan *response
-	err     error // first terminal connection error
-	closed  bool
-	down    bool // dead already closed
+	mu     sync.Mutex // guards cur and closed; never held across a dial or a close
+	cur    *conn
+	closed bool
 }
 
 // Dial connects to a node server at addr, honoring ctx for the dial
-// itself.
+// itself. The dial is eager, so an unreachable node fails construction.
 func Dial(ctx context.Context, addr string) (*Client, error) {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
+	c := &Client{addr: addr}
+	cn, err := c.dial(ctx)
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{
-		conn:    conn,
+	c.cur = cn
+	return c, nil
+}
+
+// dial opens a fresh connection to the client's address.
+func (c *Client) dial(ctx context.Context) (*conn, error) {
+	nc, err := c.dialer.DialContext(ctx, "tcp", c.addr)
+	if err != nil {
+		return nil, err
+	}
+	cn := &conn{
+		nc:      nc,
 		writeCh: make(chan *request, 16),
 		dead:    make(chan struct{}),
 		pending: map[uint64]chan *response{},
 	}
-	bw := bufio.NewWriter(conn)
-	go c.writeLoop(gob.NewEncoder(bw), bw)
-	go c.readLoop(gob.NewDecoder(bufio.NewReader(conn)))
-	return c, nil
+	bw := bufio.NewWriter(nc)
+	go cn.writeLoop(gob.NewEncoder(bw), bw)
+	go cn.readLoop(gob.NewDecoder(bufio.NewReader(nc)))
+	return cn, nil
+}
+
+// live returns the connection a call should use, replacing one that has
+// failed terminally. The replacement is dialed under the caller's ctx with
+// no lock held, and installed only if no other caller installed one
+// first; otherwise it is closed and the installed one is used.
+func (c *Client) live(ctx context.Context) (*conn, error) {
+	c.mu.Lock()
+	cur, closed := c.cur, c.closed
+	c.mu.Unlock()
+	if closed {
+		return nil, errClosed
+	}
+	if !cur.broken() {
+		return cur, nil
+	}
+	fresh, err := c.dial(ctx)
+	if err != nil {
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		return nil, err
+	}
+	c.mu.Lock()
+	installed, closed := c.cur, c.closed
+	if !closed && installed == cur {
+		c.cur = fresh
+	}
+	c.mu.Unlock()
+	switch {
+	case closed:
+		fresh.close()
+		return nil, errClosed
+	case installed != cur:
+		fresh.close()
+		return installed, nil
+	}
+	// The replaced connection needs no close: its failure tore it down.
+	return fresh, nil
+}
+
+// do sends req over the live connection and waits for its answer.
+func (c *Client) do(ctx context.Context, req *request) (*response, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	cn, err := c.live(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return cn.do(ctx, req)
+}
+
+// conn is one TCP connection of a Client, dead for good once it fails.
+type conn struct {
+	nc net.Conn
+
+	writeCh chan *request // consumed by writeLoop in FIFO order
+	dead    chan struct{} // closed when the connection is torn down
+
+	mu      sync.Mutex // guards seq, pending, err, down
+	seq     uint64
+	pending map[uint64]chan *response
+	err     error // first terminal connection error
+	down    bool  // dead already closed
 }
 
 // writeLoop is the single writer: it drains queued frames onto the gob
@@ -444,7 +525,7 @@ func Dial(ctx context.Context, addr string) (*Client, error) {
 // it), reading the caller's vectors but never writing them. The write
 // buffer is flushed only when the queue drains, so a burst of concurrent
 // calls coalesces into fewer, larger writes.
-func (c *Client) writeLoop(enc *gob.Encoder, bw *bufio.Writer) {
+func (c *conn) writeLoop(enc *gob.Encoder, bw *bufio.Writer) {
 	for {
 		select {
 		case req := <-c.writeCh:
@@ -466,7 +547,7 @@ func (c *Client) writeLoop(enc *gob.Encoder, bw *bufio.Writer) {
 // connection dies, then fails whatever is still waiting. Each frame is
 // decoded into a fresh response the waiting call then owns; one for a
 // call that was canceled, or a stray, is dropped.
-func (c *Client) readLoop(dec *gob.Decoder) {
+func (c *conn) readLoop(dec *gob.Decoder) {
 	for {
 		resp := new(response)
 		if err := dec.Decode(resp); err != nil {
@@ -486,7 +567,7 @@ func (c *Client) readLoop(dec *gob.Decoder) {
 // fail records the connection's terminal error once, tears the
 // connection down, and wakes every pending call. Idempotent; returns the
 // underlying close error for Close's benefit.
-func (c *Client) fail(err error) error {
+func (c *conn) fail(err error) error {
 	c.mu.Lock()
 	if c.err == nil {
 		c.err = err
@@ -501,32 +582,37 @@ func (c *Client) fail(err error) error {
 	if !down {
 		close(c.dead)
 	}
-	return c.conn.Close()
+	return c.nc.Close()
+}
+
+// close tears the connection down; calls still on it fail with a
+// closed-client error.
+func (c *conn) close() error { return c.fail(errClosed) }
+
+// broken reports whether the connection has failed terminally. A call
+// that merely hit its context deadline leaves it healthy.
+func (c *conn) broken() bool {
+	select {
+	case <-c.dead:
+		return true
+	default:
+		return false
+	}
 }
 
 // terminalErr returns the error pending calls should report after their
 // channel was closed without a response.
-func (c *Client) terminalErr() error {
+func (c *conn) terminalErr() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.err != nil {
-		return c.err
-	}
-	return errClosed
+	return c.err
 }
 
 // do sends req and waits for its answer. It fills in the sequence number
 // and the deadline; the frame is the call's own, read by writeLoop and
 // nobody else.
-func (c *Client) do(ctx context.Context, req *request) (*response, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+func (c *conn) do(ctx context.Context, req *request) (*response, error) {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, errClosed
-	}
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
@@ -585,7 +671,7 @@ func (c *Client) do(ctx context.Context, req *request) (*response, error) {
 
 // forget abandons a pending call (cancellation or send failure); a late
 // response for it will be discarded by readLoop.
-func (c *Client) forget(seq uint64) {
+func (c *conn) forget(seq uint64) {
 	c.mu.Lock()
 	delete(c.pending, seq)
 	c.mu.Unlock()
@@ -595,7 +681,7 @@ func (c *Client) forget(seq uint64) {
 // queue is saturated or the connection is down the frame is dropped —
 // the deadline carried in the original request still bounds the
 // server-side work.
-func (c *Client) sendCancel(seq uint64) {
+func (c *conn) sendCancel(seq uint64) {
 	select {
 	case c.writeCh <- &request{Op: opCancel, Seq: seq}:
 	default:
@@ -671,28 +757,18 @@ func (c *Client) Stats(ctx context.Context) (node.Stats, error) {
 	return resp.Stats, nil
 }
 
-// Broken reports whether the connection has failed terminally — every
-// future call on this Client will fail without touching the network.
-// Redial uses it to decide when a fresh dial is needed; a call that
-// merely hit its context deadline leaves the connection healthy and
-// Broken false.
-func (c *Client) Broken() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err != nil || c.closed
-}
-
-// Close implements NodeClient. In-flight calls fail with a closed-client
-// error; Close is idempotent.
+// Close implements NodeClient: the connection is torn down, in-flight
+// calls fail with a closed-client error, and no further dial is
+// attempted. Idempotent.
 func (c *Client) Close() error {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	cur, closed := c.cur, c.closed
+	c.cur, c.closed = nil, true
+	c.mu.Unlock()
+	if closed {
 		return nil
 	}
-	c.closed = true
-	c.mu.Unlock()
-	return c.fail(errClosed)
+	return cur.close()
 }
 
 var _ NodeClient = (*Client)(nil)

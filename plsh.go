@@ -135,13 +135,13 @@ func (c Config) normalize() (Config, error) {
 	if c.Dim <= 0 {
 		return c, errors.New("plsh: Config.Dim is required")
 	}
-	if c.Radius < 0 {
+	if !(c.Radius >= 0) {
 		return c, fmt.Errorf("plsh: Config.Radius = %v must not be negative", c.Radius)
 	}
 	if c.Capacity < 0 {
 		return c, fmt.Errorf("plsh: Config.Capacity = %d must not be negative", c.Capacity)
 	}
-	if c.DeltaFraction < 0 || c.DeltaFraction > 1 {
+	if !(c.DeltaFraction >= 0 && c.DeltaFraction <= 1) {
 		return c, fmt.Errorf("plsh: Config.DeltaFraction = %v outside [0, 1]", c.DeltaFraction)
 	}
 	if c.Replicas < 0 {
@@ -150,7 +150,7 @@ func (c Config) normalize() (Config, error) {
 	if c.Placement != PlacementScatter && c.Placement != PlacementPartitioned {
 		return c, fmt.Errorf("plsh: unknown Config.Placement %d", c.Placement)
 	}
-	if c.RoutingRecall < 0 || c.RoutingRecall > 1 {
+	if !(c.RoutingRecall >= 0 && c.RoutingRecall <= 1) {
 		return c, fmt.Errorf("plsh: Config.RoutingRecall = %v outside (0, 1]", c.RoutingRecall)
 	}
 	if c.RoutingRecall == 0 {

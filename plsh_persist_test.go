@@ -22,6 +22,9 @@ func TestConfigRejectsNegatives(t *testing.T) {
 		{"negative capacity", func(c *Config) { c.Capacity = -1 }},
 		{"negative delta fraction", func(c *Config) { c.DeltaFraction = -0.1 }},
 		{"delta fraction over 1", func(c *Config) { c.DeltaFraction = 1.5 }},
+		{"NaN radius", func(c *Config) { c.Radius = math.NaN() }},
+		{"NaN delta fraction", func(c *Config) { c.DeltaFraction = math.NaN() }},
+		{"NaN routing recall", func(c *Config) { c.RoutingRecall = math.NaN() }},
 	}
 	for _, tc := range cases {
 		cfg := base
@@ -31,6 +34,18 @@ func TestConfigRejectsNegatives(t *testing.T) {
 		}
 		if _, err := NewCluster(2, 0, cfg); err == nil {
 			t.Errorf("%s accepted by NewCluster", tc.name)
+		}
+	}
+	// A NaN would otherwise reach the router, whose probe sets then never
+	// meet the recall target, and every query would silently scatter.
+	addr := startTestNode(t, 100)
+	for _, cfg := range []Config{
+		{Dim: 2000, K: 8, M: 6, Seed: 42, RoutingRecall: math.NaN()},
+		{Dim: 2000, K: 8, M: 6, Seed: 42, Radius: math.NaN()},
+	} {
+		if cl, err := DialCluster(bg, []string{addr}, 1, WithPartitioned(cfg)); err == nil {
+			cl.Close()
+			t.Errorf("partitioned dial accepted %+v", cfg)
 		}
 	}
 }

@@ -87,7 +87,7 @@ func (k *killableTCPNode) restart() {
 // version of the acceptance criterion: on a 6-node Replicas=2 cluster,
 // killing any single node leaves every SearchBatch Complete with answers
 // identical to the no-failure oracle; a killed node that comes back
-// rejoins (the Redial transport re-dials it) and serves the group alone
+// rejoins (its transport.Client re-dials it) and serves the group alone
 // when its sibling dies next.
 func TestReplicatedFailoverTCP(t *testing.T) {
 	servers := make([]*killableTCPNode, 6)
