@@ -62,15 +62,16 @@ func BuildTimed(fam *lshhash.Family, mat *sparse.Matrix, opts BuildOptions) (*St
 	tm.HashNS = now() - t0
 
 	st := &Static{fam: fam, n: n, tables: make([]Table, p.L())}
+	r := uint(p.K - DirectoryBits(n, p.K))
 	switch {
 	case !opts.TwoLevel:
 		t1 := now()
 		buildOneLevel(st, sk, p, pool)
 		tm.I3NS = now() - t1 // the single monolithic partition pass
 	case !opts.ShareFirstLevel:
-		buildTwoLevel(st, sk, p, pool, &tm)
+		buildTwoLevel(st, sk, p, r, pool, &tm)
 	default:
-		buildShared(st, sk, p, pool, &tm)
+		buildShared(st, sk, p, r, pool, &tm)
 	}
 	return st, tm, nil
 }
@@ -86,21 +87,27 @@ func MustBuild(fam *lshhash.Family, mat *sparse.Matrix, opts BuildOptions) *Stat
 }
 
 // BuildFromSketches constructs a Static index from precomputed sketches, row
-// i of sk becoming document i — Build without its hashing phase. A streaming
-// merge builds the tables of its delta rows this way, from the sketches the
-// delta segments kept, before Merge folds them into the static index.
+// i of sk becoming document i — Build without its hashing phase. (Merge
+// builds the tables of a streaming merge's delta rows the same way, from the
+// sketches the delta segments kept.)
 func BuildFromSketches(fam *lshhash.Family, sk *lshhash.Sketches, workers int) *Static {
+	p := fam.Params()
+	return buildSketches(fam, sk, uint(p.K-DirectoryBits(sk.N(), p.K)), workers)
+}
+
+// buildSketches is BuildFromSketches at a given r.
+func buildSketches(fam *lshhash.Family, sk *lshhash.Sketches, r uint, workers int) *Static {
 	pool := sched.NewPool(workers)
 	p := fam.Params()
 	st := &Static{fam: fam, n: sk.N(), tables: make([]Table, p.L())}
 	var tm BuildTimings
-	buildShared(st, sk, p, pool, &tm)
+	buildShared(st, sk, p, r, pool, &tm)
 	return st
 }
 
 // buildOneLevel is the unoptimized baseline: every table partitions all N
-// items by its full k-bit key in one 2^k-way pass. Like the two below, it
-// fills the tables of the st its caller is about to return.
+// items by its directory bits in one 2^b-way pass (GroupByKey). Like the two
+// below, it fills the tables of the st its caller is about to return.
 func buildOneLevel(st *Static, sk *lshhash.Sketches, p lshhash.Params, pool *sched.Pool) {
 	n := sk.N()
 	buckets := p.Buckets()
@@ -122,16 +129,16 @@ func buildOneLevel(st *Static, sk *lshhash.Sketches, p lshhash.Params, pool *sch
 		for i := 0; i < n; i++ {
 			keys[i] = sk.At(i, a)<<half | sk.At(i, b)
 		}
-		st.tables[l] = s.tb.GroupByKey(keys, s.hist)
+		st.tables[l] = s.tb.GroupByKey(keys, p.K, s.hist)
 	})
 }
 
-// buildTwoLevel partitions each table independently in two k/2-bit passes
-// (no sharing): first by u_a — carrying each item's second-level key
-// through the scatter so no random gather is needed — then each
-// first-level segment by u_b. 2L partition passes, each over 2^(k/2)
-// partitions only (the TLB/cache argument of §5.1.2).
-func buildTwoLevel(st *Static, sk *lshhash.Sketches, p lshhash.Params, pool *sched.Pool, tm *BuildTimings) {
+// buildTwoLevel partitions each table independently in two passes of at
+// most k/2 bits (no sharing): first by u_a — carrying each item's
+// second-level key through the scatter so no random gather is needed — then
+// each first-level segment by u_b's top k/2 − r bits. 2L partition passes,
+// each over 2^(k/2) partitions at most (the TLB/cache argument of §5.1.2).
+func buildTwoLevel(st *Static, sk *lshhash.Sketches, p lshhash.Params, r uint, pool *sched.Pool, tm *BuildTimings) {
 	n := sk.N()
 	halfB := p.HalfBuckets()
 	type scratch struct {
@@ -163,7 +170,7 @@ func buildTwoLevel(st *Static, sk *lshhash.Sketches, p lshhash.Params, pool *sch
 		}
 		// First-level pass moves (item, key2) pairs together.
 		partitionPairs(s.keys1, s.keys2, s.hist, s.perm1, s.kperm, s.offs1)
-		st.tables[l] = secondLevel(&s.tb, s.perm1, s.kperm, s.offs1, s.hist, s.items, p)
+		st.tables[l] = secondLevel(&s.tb, s.perm1, s.kperm, s.offs1, s.hist, s.items, p, r)
 	})
 	// First- and second-level passes are fused per table; attribute the
 	// total evenly for reporting.
@@ -174,8 +181,8 @@ func buildTwoLevel(st *Static, sk *lshhash.Sketches, p lshhash.Params, pool *sch
 
 // buildShared is the paper's full algorithm (Steps I1–I3 of §5.1.2): one
 // first-level partition per hash function u_a, shared by all tables (a, ·),
-// then per-table second-level refinement — m−1 first-level passes + L
-// second-level passes instead of 2L.
+// then per-table second-level refinement by u_b's top k/2 − r bits — m−1
+// first-level passes + L second-level passes instead of 2L.
 //
 // Steps I1 and I2 are fused: the first-level scatter carries every
 // remaining hash column u_{a+1..m} along with the data index, so the
@@ -183,7 +190,7 @@ func buildTwoLevel(st *Static, sk *lshhash.Sketches, p lshhash.Params, pool *sch
 // costs no random gather — sketch rows are read sequentially exactly once
 // per first-level function, and each table (a, b) then reads its
 // second-level keys sequentially from the shared column buffer.
-func buildShared(st *Static, sk *lshhash.Sketches, p lshhash.Params, pool *sched.Pool, tm *BuildTimings) {
+func buildShared(st *Static, sk *lshhash.Sketches, p lshhash.Params, r uint, pool *sched.Pool, tm *BuildTimings) {
 	n := sk.N()
 	halfB := p.HalfBuckets()
 	m := p.M
@@ -273,7 +280,7 @@ func buildShared(st *Static, sk *lshhash.Sketches, p lshhash.Params, pool *sched
 				s.items = make([]uint32, n)
 			}
 			l := lshhash.TableForPair(a, b, m)
-			st.tables[l] = secondLevel(&s.tb, perm, cols[b], offs, s.hist, s.items, p)
+			st.tables[l] = secondLevel(&s.tb, perm, cols[b], offs, s.hist, s.items, p, r)
 		})
 		tm.I3NS += now() - t2
 	}
@@ -306,33 +313,38 @@ func partitionPairs(keys1, keys2, hist, outPerm, outKeys2, outOffs []uint32) {
 	}
 }
 
-// secondLevel refines each first-level segment of perm1 by the second-level
-// keys and returns the finished table, its directory emitted by tb segment
-// by segment. hist is scratch of len ≥ 2^(k/2), items scratch of len(perm1)
-// that the items are scattered into before Finish packs them.
-func secondLevel(tb *TableBuilder, perm1, keys2, offs1, hist, items []uint32, p lshhash.Params) Table {
+// secondLevel refines each first-level segment of perm1 by the top k/2 − r
+// bits of the second-level keys and returns the finished table, its
+// directory emitted by tb segment by segment, each item carrying its key's
+// low r bits — r ≤ k/2, so they are all u_b's. hist is scratch of len
+// ≥ 2^(k/2), items scratch of len(perm1) that the items are scattered into
+// before Finish packs them.
+func secondLevel(tb *TableBuilder, perm1, keys2, offs1, hist, items []uint32, p lshhash.Params, r uint) Table {
 	n := len(perm1)
 	halfB := p.HalfBuckets()
-	hist = hist[:halfB]
+	hist = hist[:halfB>>r]
 	items = items[:n]
-	tb.Reset(p.Buckets(), n)
+	// k2>>r and id<<r as multiplies (as Table.keyMatch explains): the
+	// high word of k2·2^(32−r), and id·2^r.
+	low, down, up := uint32(1)<<r-1, uint64(1)<<(32-r), uint32(1)<<r
+	tb.Reset(p.Buckets()>>r, n, r)
 	for part := 0; part < halfB; part++ {
 		segLo, segHi := offs1[part], offs1[part+1]
 		seg := keys2[segLo:segHi]
-		// Histogram of the segment's second-level keys.
+		// Histogram of the segment's second-level directory bits.
 		clear(hist)
 		for _, k2 := range seg {
-			hist[k2]++
+			hist[uint64(k2)*down>>32]++
 		}
-		// Buckets (part, 0..halfB): counts become scatter cursors. The
-		// builder's running total stands at segLo, the segments being
-		// contiguous in key order.
+		// Directory buckets (part, 0..len(hist)): counts become scatter
+		// cursors. The builder's running total stands at segLo, the
+		// segments being contiguous in key order.
 		tb.Add(hist)
 		// Scatter.
 		for i, k2 := range seg {
-			dst := hist[k2]
-			hist[k2]++
-			items[dst] = perm1[segLo+uint32(i)]
+			d := uint64(k2) * down >> 32
+			items[hist[d]] = perm1[segLo+uint32(i)]*up | k2&low
+			hist[d]++
 		}
 	}
 	return tb.Finish(items)

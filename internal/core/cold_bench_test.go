@@ -129,7 +129,7 @@ func benchLayout(b *testing.B, set coldSet, layout string) {
 	p := st.fam.Params()
 	pairs, half := st.fam.Pairs(), uint(p.K/2)
 	probe := func(ws *Workspace) int {
-		return ProbeMark(st.tables, pairs, ws.sketch, half, ws.lo, ws.hi, ws.seen.Words())
+		return ProbeMark(st.tables, pairs, ws.sketch, half, ws.lo, ws.hi, ws.first, ws.seen.Words())
 	}
 	tableBytes := float64(st.MemoryBytes()) / float64(p.L())
 	itemBytes := float64(cap(st.tables[0].items.buf))
@@ -220,9 +220,12 @@ func (e *monolith) search(dst []Neighbor, q sparse.Vector, p SearchParams) ([]Ne
 				key := ws.sketch[pr.A]<<half | ws.sketch[pr.B]
 				t := &e.st.tables[l]
 				lo, hi := t.bounds(t.slot(key))
-				stats.Collisions += int(hi - lo)
+				mul, want := t.keyMatch(key)
 				for i := lo; i < hi; i++ {
-					seen.Set(int(t.items.at(i)))
+					if item := uint64(t.items.at(i)) * mul; uint32(item) == want {
+						stats.Collisions++
+						seen.Set(int(item >> 32))
+					}
 				}
 			}
 			ws.cand = seen.AppendSet(ws.cand)
@@ -232,10 +235,13 @@ func (e *monolith) search(dst []Neighbor, q sparse.Vector, p SearchParams) ([]Ne
 				key := ws.sketch[pr.A]<<half | ws.sketch[pr.B]
 				t := &e.st.tables[l]
 				lo, hi := t.bounds(t.slot(key))
-				stats.Collisions += int(hi - lo)
+				mul, want := t.keyMatch(key)
 				for i := lo; i < hi; i++ {
-					if id := t.items.at(i); seen.TestAndSet(int(id)) {
-						ws.cand = append(ws.cand, id)
+					if item := uint64(t.items.at(i)) * mul; uint32(item) == want {
+						stats.Collisions++
+						if id := uint32(item >> 32); seen.TestAndSet(int(id)) {
+							ws.cand = append(ws.cand, id)
+						}
 					}
 				}
 			}
@@ -248,9 +254,12 @@ func (e *monolith) search(dst []Neighbor, q sparse.Vector, p SearchParams) ([]Ne
 			key := ws.sketch[pr.A]<<half | ws.sketch[pr.B]
 			t := &e.st.tables[l]
 			lo, hi := t.bounds(t.slot(key))
-			stats.Collisions += int(hi - lo)
+			mul, want := t.keyMatch(key)
 			for i := lo; i < hi; i++ {
-				set[t.items.at(i)] = struct{}{}
+				if item := uint64(t.items.at(i)) * mul; uint32(item) == want {
+					stats.Collisions++
+					set[uint32(item>>32)] = struct{}{}
+				}
 			}
 		}
 		for id := range set {
@@ -327,12 +336,12 @@ func BenchmarkProbeBisect(b *testing.B) {
 		sketches[i] = f.st.fam.Sketch(q)
 	}
 	words := make([]uint64, (f.st.Len()+63)/64)
-	lo, hi := make([]uint32, len(tables)), make([]uint32, len(tables))
+	lo, hi, first := make([]uint32, len(tables)), make([]uint32, len(tables)), make([]uint32, len(tables))
 	for _, v := range []struct {
 		name  string
 		probe func(sketch []uint32) int
 	}{
-		{"Staged", func(s []uint32) int { return ProbeMark(tables, pairs, s, 8, lo, hi, words) }},
+		{"Staged", func(s []uint32) int { return ProbeMark(tables, pairs, s, 8, lo, hi, first, words) }},
 		{"StagedItems32", func(s []uint32) int { return probeMarkItems32(tables, items32, pairs, s, 8, lo, hi, words) }},
 		{"Unstaged", func(s []uint32) int { return probeUnstaged(tables, pairs, s, 8, words) }},
 		{"UnstagedNoStores", func(s []uint32) int { return probeUnstagedNoStores(tables, pairs, s, 8) }},
@@ -357,11 +366,14 @@ func probeUnstaged(tables []Table, pairs []lshhash.Pair, sketch []uint32, half u
 	collisions := 0
 	for l := range tables {
 		t := &tables[l]
-		lo, hi := t.bounds(t.slot(pairs[l].Key(sketch, half)))
-		collisions += int(hi - lo)
+		key := pairs[l].Key(sketch, half)
+		mul, want := t.keyMatch(key)
+		lo, hi := t.bounds(t.slot(key))
 		for i := lo; i < hi; i++ {
-			id := t.items.at(i)
-			words[id>>6] |= 1 << (id & 63)
+			item := uint64(t.items.at(i)) * mul
+			id, hit := uint32(item>>32), matches(uint32(item), want)
+			words[id>>6] |= hit << (id & 63)
+			collisions += int(hit)
 		}
 	}
 	return collisions

@@ -26,15 +26,15 @@ func (s *Static) Compact(drop func(id uint32) bool, workers int) {
 			lo, hi := offs[b], offs[b+1]
 			offs[b] = w
 			// w never exceeds the read cursor, so the in-place copy is safe.
-			for _, id := range items[lo:hi] {
-				if !drop(id) {
-					items[w] = id
+			for _, item := range items[lo:hi] {
+				if !drop(item >> t.r) {
+					items[w] = item
 					w++
 				}
 			}
 		}
 		offs[len(offs)-1] = w
-		*t = TableFromWords(t.occ, offs, items[:w])
+		*t = TableFromWords(t.occ, offs, items[:w], t.r)
 	})
 }
 

@@ -44,16 +44,15 @@ func denseFromKeys(keys []uint32, buckets int) denseTable {
 	return t
 }
 
-// denseOf expands a compact table to the dense layout, its items unpacked.
+// denseOf expands a compact table to the dense layout over every one of its
+// 2^k keys, its items unpacked to their ids.
 func denseOf(t *Table, buckets int) denseTable {
-	d := denseTable{Offsets: make([]uint32, buckets+1), Items: t.AppendItems(nil)}
-	var cum uint32
-	for b := 0; b < buckets; b++ {
-		d.Offsets[b] = cum
-		lo, hi := t.bounds(t.slot(uint32(b)))
-		cum += hi - lo
+	d := denseTable{Offsets: make([]uint32, buckets+1)}
+	for key := 0; key < buckets; key++ {
+		d.Offsets[key] = uint32(len(d.Items))
+		d.Items = t.Bucket(d.Items, uint32(key))
 	}
-	d.Offsets[buckets] = cum
+	d.Offsets[buckets] = uint32(len(d.Items))
 	return d
 }
 
@@ -144,10 +143,10 @@ func TestLayoutMatchesDenseReference(t *testing.T) {
 	}{
 		{"one-level", func(st *Static, sk *lshhash.Sketches, pool *sched.Pool) { buildOneLevel(st, sk, p, pool) }},
 		{"two-level", func(st *Static, sk *lshhash.Sketches, pool *sched.Pool) {
-			buildTwoLevel(st, sk, p, pool, &BuildTimings{})
+			buildTwoLevel(st, sk, p, uint(p.K-DirectoryBits(sk.N(), p.K)), pool, &BuildTimings{})
 		}},
 		{"shared", func(st *Static, sk *lshhash.Sketches, pool *sched.Pool) {
-			buildShared(st, sk, p, pool, &BuildTimings{})
+			buildShared(st, sk, p, uint(p.K-DirectoryBits(sk.N(), p.K)), pool, &BuildTimings{})
 		}},
 	}
 	for _, n := range []int{0, 1, buckets - 1, buckets, 4 * buckets} {
@@ -196,122 +195,207 @@ func TestLayoutMatchesDenseReference(t *testing.T) {
 }
 
 // TestStaticFromTablesRejectsBadDirectory: each way a table can disagree
-// with itself, edited into the table or into its encoding, is an error from
-// DecodeTable or from StaticFromTables over what it decodes — the path a
-// snapshot's tables take — never a panic and never an index.
+// with itself or with the index's geometry, edited into the table or into
+// its encoding, is an error from DecodeTable or from StaticFromTables over
+// what it decodes — the path a snapshot's tables take — never a panic and
+// never an index: over 300 rows, whose directory indexes all 8 key bits,
+// and over 20, whose directory indexes 5 and whose items carry 3. Arbitrary
+// low key bits on an item are not an error: they only decide which key of
+// its directory bucket it answers.
 func TestStaticFromTablesRejectsBadDirectory(t *testing.T) {
 	p := lshhash.Params{Dim: 64, K: 8, M: 4, Seed: 5}
 	fam, err := lshhash.NewFamily(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 300
-	sk := layoutSketches(n, p.M, p.HalfBuckets(), true, 3)
-	good := func() []Table {
-		st := BuildFromSketches(fam, sk, 1)
-		return st.tables
-	}
-	// load is what a snapshot reader does with the encoding of table 3 of
-	// tables: decode it, then reassemble the index.
-	load := func(tables []Table, enc []byte) error {
-		var err error
-		if tables[3], err = DecodeTable(enc); err != nil {
+	for _, n := range []int{300, 20} {
+		sk := layoutSketches(n, p.M, p.HalfBuckets(), true, 3)
+		r := uint(p.K - DirectoryBits(n, p.K))
+		good := func() []Table {
+			st := BuildFromSketches(fam, sk, 1)
+			return st.tables
+		}
+		// load is what a snapshot reader does with the encoding of table 0
+		// of tables, the one the others are held to: decode it, then
+		// reassemble the index.
+		load := func(tables []Table, enc []byte) error {
+			var err error
+			if tables[0], err = DecodeTable(enc); err != nil {
+				return err
+			}
+			_, err = StaticFromTables(fam, n, tables)
 			return err
 		}
-		_, err = StaticFromTables(fam, n, tables)
-		return err
-	}
-	tables := good()
-	if err := load(tables, tables[3].AppendEncoded(nil)); err != nil {
-		t.Fatalf("valid tables rejected: %v", err)
-	}
-	// Validation reads the arrays where they lie.
-	if allocs := testing.AllocsPerRun(10, func() { _ = ValidateTables(p, n, tables) }); allocs != 0 {
-		t.Fatalf("ValidateTables allocates %v times over valid tables", allocs)
-	}
-	// A clear bit of the last bitmap word.
-	clearBit := func(tb *Table) uint {
-		last := tb.occ[len(tb.occ)-1]
-		for b := uint(0); b < 64; b++ {
-			if last>>b&1 == 0 {
-				return b
-			}
+		tables := good()
+		if err := load(tables, tables[0].AppendEncoded(nil)); err != nil {
+			t.Fatalf("n=%d: valid tables rejected: %v", n, err)
 		}
-		t.Fatal("fixture too dense: last bitmap word is full")
-		return 0
-	}
-	// offsets edits the table's entries as plain offsets, which
-	// TableFromWords packs as it finds them.
-	offsets := func(edit func(offs []uint32) []uint32) func(tb *Table) {
-		return func(tb *Table) { *tb = TableFromWords(tb.occ, edit(tb.appendOffsets(nil)), tb.AppendItems(nil)) }
-	}
-	// items does the same to the items.
-	items := func(edit func(ids []uint32) []uint32) func(tb *Table) {
-		return func(tb *Table) { *tb = TableFromWords(tb.occ, tb.appendOffsets(nil), edit(tb.AppendItems(nil))) }
-	}
-	for _, bad := range []struct {
-		name    string
-		corrupt func(tb *Table)                    // the table, before it is encoded
-		encoded func(tb *Table, enc []byte) []byte // or its encoding
-	}{
-		{name: "popcount over offset count", corrupt: func(tb *Table) { tb.occ[len(tb.occ)-1] |= 1 << clearBit(tb) }},
-		{name: "popcount under offset count", corrupt: offsets(func(offs []uint32) []uint32 { return append(offs, offs[len(offs)-1]) })},
-		{name: "short bitmap", corrupt: func(tb *Table) { tb.occ = tb.occ[:1] }},
-		{name: "long bitmap", corrupt: func(tb *Table) { tb.occ = append(tb.occ, 0) }},
-		{name: "bitmap past the bytes", encoded: func(_ *Table, enc []byte) []byte {
-			binary.LittleEndian.PutUint32(enc, 1<<29)
-			return enc
-		}},
-		{name: "offsets decrease", corrupt: offsets(func(offs []uint32) []uint32 { offs[2] = offs[1] - 1; return offs })},
-		{name: "first offset not zero", corrupt: offsets(func(offs []uint32) []uint32 { offs[0] = 1; return offs })},
-		{name: "last offset short of items", corrupt: offsets(func(offs []uint32) []uint32 { offs[len(offs)-1]--; return offs })},
-		{name: "last offset past items", corrupt: items(func(ids []uint32) []uint32 { return ids[:len(ids)-1] })},
-		{name: "item id out of range", corrupt: items(func(ids []uint32) []uint32 { ids[7] = n; return ids })},
-		// One past the ids ⌈log2 n⌉ bits hold: packed at the width n needs,
-		// it would wrap to 0, which is in range.
-		{name: "item id 2^⌈log2 n⌉", corrupt: items(func(ids []uint32) []uint32 { ids[7] = 1 << bits.Len(n-1); return ids })},
-		{name: "no offsets", corrupt: offsets(func([]uint32) []uint32 { return nil })},
-		{name: "no item array", corrupt: func(tb *Table) { tb.items = packed{} }},
-		{name: "item array one byte short", encoded: func(_ *Table, enc []byte) []byte { return enc[:len(enc)-1] }},
-		{name: "item array one byte long", encoded: func(_ *Table, enc []byte) []byte { return append(enc, 0) }},
-		{name: "entry array one byte short", corrupt: func(tb *Table) { tb.entries.buf = tb.entries.buf[:len(tb.entries.buf)-1] }},
-		{name: "entry array one byte long", corrupt: func(tb *Table) { tb.entries.buf = append(tb.entries.buf, 0) }},
-		// The same offsets, each in 33 bits, in an array of the length 33
-		// bits take: only the width is wrong.
-		{name: "entry width 33", corrupt: func(tb *Table) {
-			offs := tb.appendOffsets(nil)
-			buf := make([]byte, packedBytes(uint(len(offs)), 33))
-			for i, o := range offs {
-				for b := range 32 {
-					at := i*33 + b
-					buf[at>>3] |= byte(o>>b&1) << (at & 7)
+		// Validation reads the arrays where they lie.
+		if allocs := testing.AllocsPerRun(10, func() { _ = ValidateTables(p, n, tables) }); allocs != 0 {
+			t.Fatalf("n=%d: ValidateTables allocates %v times over valid tables", n, allocs)
+		}
+		// A clear bit of the last bitmap word, inside the directory's 2^b.
+		clearBit := func(tb *Table) uint {
+			last := tb.occ[len(tb.occ)-1]
+			for b := uint(0); b < min(64, uint(1)<<(uint(p.K)-r)); b++ {
+				if last>>b&1 == 0 {
+					return b
 				}
 			}
-			tb.entries = packed{buf: buf, width: 33}
-		}},
-		// The items' width, the word just before their bytes, read as 33
-		// and the array lengthened to what 33 bits an item take.
-		{name: "item width 33", encoded: func(tb *Table, enc []byte) []byte {
-			binary.LittleEndian.PutUint32(enc[len(enc)-len(tb.items.buf)-4:], 33)
-			return append(enc, make([]byte, packedBytes(uint(tb.n), 33)-len(tb.items.buf))...)
-		}},
-	} {
-		tables := good()
-		tb := &tables[3]
-		if bad.corrupt != nil {
-			bad.corrupt(tb)
+			t.Fatal("fixture too dense: last bitmap word is full")
+			return 0
 		}
-		enc := tb.AppendEncoded(nil)
-		if bad.encoded != nil {
-			enc = bad.encoded(tb, enc)
+		// offsets edits the table's entries as plain offsets, which
+		// TableFromWords packs as it finds them.
+		offsets := func(edit func(offs []uint32) []uint32) func(tb *Table) {
+			return func(tb *Table) {
+				*tb = TableFromWords(tb.occ, edit(tb.appendOffsets(nil)), tb.AppendItems(nil), tb.r)
+			}
 		}
-		if err := load(tables, enc); err == nil {
-			t.Errorf("%s: accepted", bad.name)
+		// items does the same to the items.
+		items := func(edit func(items []uint32) []uint32) func(tb *Table) {
+			return func(tb *Table) {
+				*tb = TableFromWords(tb.occ, tb.appendOffsets(nil), edit(tb.AppendItems(nil)), tb.r)
+			}
+		}
+		// at returns table 0 built over the same rows with its items carrying
+		// rAt key bits: a table valid in itself.
+		at := func(rAt uint) func(tb *Table) {
+			return func(tb *Table) {
+				a, b := lshhash.PairForTable(0, p.M)
+				keys := make([]uint32, n)
+				for i := range keys {
+					keys[i] = sk.TableKey(i, a, b, p.K)
+				}
+				*tb = groupAt(keys, p.K, rAt)
+			}
+		}
+		type row struct {
+			name    string
+			corrupt func(tb *Table)                    // the table, before it is encoded
+			encoded func(tb *Table, enc []byte) []byte // or its encoding
+		}
+		rows := []row{
+			{name: "popcount over offset count", corrupt: func(tb *Table) { tb.occ[len(tb.occ)-1] |= 1 << clearBit(tb) }},
+			{name: "popcount under offset count", corrupt: offsets(func(offs []uint32) []uint32 { return append(offs, offs[len(offs)-1]) })},
+			{name: "short bitmap", corrupt: func(tb *Table) { tb.occ = tb.occ[:len(tb.occ)-1] }},
+			{name: "long bitmap", corrupt: func(tb *Table) { tb.occ = append(tb.occ, 0) }},
+			{name: "bitmap past the bytes", encoded: func(_ *Table, enc []byte) []byte {
+				binary.LittleEndian.PutUint32(enc[4:], 1<<29)
+				return enc
+			}},
+			{name: "offsets decrease", corrupt: offsets(func(offs []uint32) []uint32 { offs[2] = offs[1] - 1; return offs })},
+			{name: "first offset not zero", corrupt: offsets(func(offs []uint32) []uint32 { offs[0] = 1; return offs })},
+			{name: "last offset short of items", corrupt: offsets(func(offs []uint32) []uint32 { offs[len(offs)-1]--; return offs })},
+			{name: "last offset past items", corrupt: items(func(items []uint32) []uint32 { return items[:len(items)-1] })},
+			{name: "item id out of range", corrupt: items(func(items []uint32) []uint32 { items[7] = uint32(n) << r; return items })},
+			// One past the ids ⌈log2 n⌉ bits hold: packed at the width n needs,
+			// it would wrap to 0, which is in range.
+			{name: "item id 2^⌈log2 n⌉", corrupt: items(func(items []uint32) []uint32 {
+				items[7] = 1 << bits.Len(uint(n-1)) << r
+				return items
+			})},
+			{name: "no offsets", corrupt: offsets(func([]uint32) []uint32 { return nil })},
+			{name: "no item array", corrupt: func(tb *Table) { tb.items = packed{} }},
+			{name: "item array one byte short", encoded: func(_ *Table, enc []byte) []byte { return enc[:len(enc)-1] }},
+			{name: "item array one byte long", encoded: func(_ *Table, enc []byte) []byte { return append(enc, 0) }},
+			{name: "entry array one byte short", corrupt: func(tb *Table) { tb.entries.buf = tb.entries.buf[:len(tb.entries.buf)-1] }},
+			{name: "entry array one byte long", corrupt: func(tb *Table) { tb.entries.buf = append(tb.entries.buf, 0) }},
+			// The same offsets, each in 33 bits, in an array of the length 33
+			// bits take: only the width is wrong.
+			{name: "entry width 33", corrupt: func(tb *Table) {
+				offs := tb.appendOffsets(nil)
+				buf := make([]byte, packedBytes(uint(len(offs)), 33))
+				for i, o := range offs {
+					for b := range 32 {
+						at := i*33 + b
+						buf[at>>3] |= byte(o>>b&1) << (at & 7)
+					}
+				}
+				tb.entries = packed{buf: buf, width: 33}
+			}},
+			// The items' width, the word just before their bytes, read as 33
+			// and the array lengthened to what 33 bits an item take.
+			{name: "item width 33", encoded: func(tb *Table, enc []byte) []byte {
+				binary.LittleEndian.PutUint32(enc[len(enc)-len(tb.items.buf)-4:], 33)
+				return append(enc, make([]byte, packedBytes(uint(tb.n), 33)-len(tb.items.buf))...)
+			}},
+			// A table valid in itself whose directory indexes one key bit
+			// fewer than the other tables'.
+			{name: "tables with different b, one fewer", corrupt: at(r + 1)},
+			// A table valid in itself at b = K/2 − 1.
+			{name: "b below K/2", corrupt: at(uint(p.K/2 + 1))},
+			// r read as 2^32 − 1: b = K − r is K + 1 in 32 bits, and the
+			// directory's 2^b buckets no bitmap can hold.
+			{name: "b above K", encoded: func(_ *Table, enc []byte) []byte {
+				binary.LittleEndian.PutUint32(enc, 1<<32-1)
+				return enc
+			}},
+		}
+		if r > 0 {
+			// Or one more: no table indexes more than K.
+			rows = append(rows, row{name: "tables with different b, one more", corrupt: at(r - 1)})
+		}
+		if b := uint(p.K) - r; b < 6 {
+			// A bit past 2^b in the one bitmap word, with the entry it
+			// promises: only where the bit lies is wrong.
+			rows = append(rows, row{name: "bitmap bit past 2^b", corrupt: func(tb *Table) {
+				offs := tb.appendOffsets(nil)
+				occ := slices.Clone(tb.occ)
+				occ[0] |= 1 << (1 << b)
+				*tb = TableFromWords(occ, append(offs, offs[len(offs)-1]), tb.AppendItems(nil), tb.r)
+			}})
+		}
+		for _, bad := range rows {
+			tables := good()
+			tb := &tables[0]
+			if bad.corrupt != nil {
+				bad.corrupt(tb)
+			}
+			enc := tb.AppendEncoded(nil)
+			if bad.encoded != nil {
+				enc = bad.encoded(tb, enc)
+			}
+			if err := load(tables, enc); err == nil {
+				t.Errorf("n=%d: %s: accepted", n, bad.name)
+			}
+		}
+		if _, err := StaticFromTables(fam, n, good()[:p.L()-1]); err == nil {
+			t.Errorf("n=%d: missing table: accepted", n)
+		}
+		// Every item of table 0 given other low key bits: a valid table whose
+		// items answer other keys.
+		tables = good()
+		low := uint32(1)<<r - 1
+		items(func(items []uint32) []uint32 {
+			for i := range items {
+				items[i] ^= uint32(i) & low
+			}
+			return items
+		})(&tables[0])
+		if err := load(tables, tables[0].AppendEncoded(nil)); err != nil {
+			t.Errorf("n=%d: items with other low key bits rejected: %v", n, err)
 		}
 	}
-	if _, err := StaticFromTables(fam, n, good()[:p.L()-1]); err == nil {
-		t.Error("missing table: accepted")
+}
+
+// groupAt is GroupByKey at a given r: the table of items 0..len(keys)-1
+// under k-bit keys whose directory indexes k − r bits.
+func groupAt(keys []uint32, k int, r uint) Table {
+	low := uint32(1)<<r - 1
+	hist := make([]uint32, 1<<(uint(k)-r))
+	for _, key := range keys {
+		hist[key>>r]++
 	}
+	var tb TableBuilder
+	tb.Reset(len(hist), len(keys), r)
+	tb.Add(hist)
+	items := make([]uint32, len(keys))
+	for i, key := range keys {
+		items[hist[key>>r]] = uint32(i)<<r | key&low
+		hist[key>>r]++
+	}
+	return tb.Finish(items)
 }
 
 // sliceBytes sums cap × element size over every slice reachable from v.
@@ -365,16 +449,17 @@ func TestMemoryBytesCountsEverySlice(t *testing.T) {
 }
 
 // TestTableMemoryBoundIsTight: the footprint perfmodel.Select budgets with
-// is never under what a build of that size holds, and within 15 % of it,
-// below, at and past full occupancy — at K = 8, and at K = 16 on a fleet
-// node's share, static_query's base set and four items a bucket, whose items
-// take 13, 15 and 18 bits and entries 13, 15 and 19.
+// is never under what a build of that size over random keys holds, and
+// within 15 % of it, below, at and past full occupancy — at K = 8, and at
+// K = 16 on a fleet node's share, static_query's base set and four items a
+// bucket, whose directories index 13, 15 and 16 key bits, items take 16, 16
+// and 18 bits and entries 13, 15 and 19.
 func TestTableMemoryBoundIsTight(t *testing.T) {
 	for _, c := range []struct {
 		k  int
 		ns []int
 	}{
-		// 120 documents leave more than half of the 256 buckets empty.
+		// 120 documents leave more than half of the 128 buckets empty.
 		{8, []int{120, 1000, 1024, 32000}},
 		{16, []int{8000, 32000, 262144}},
 	} {

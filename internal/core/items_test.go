@@ -8,11 +8,13 @@ import (
 
 	"plsh/internal/lshhash"
 	"plsh/internal/rng"
+	"plsh/internal/sched"
 )
 
 // items32Of unpacks every table of st to one 32-bit word an item: the items
-// as a table held them before they were packed. It lives in test files only,
-// as the other arm of the cold benchmark.
+// as a table held them before they were packed, each still carrying its
+// table's low key bits. It lives in test files only, as the other arm of the
+// cold benchmark.
 func items32Of(st *Static) [][]uint32 {
 	out := make([][]uint32, len(st.tables))
 	for l := range st.tables {
@@ -22,16 +24,21 @@ func items32Of(st *Static) [][]uint32 {
 }
 
 // probeMarkItems32 is ProbeMark as it ran over 32-bit items: the same staged
-// directory lookups, then the mark pass over items[l][lo:hi].
+// directory lookups, then the mark pass over items[l][lo:hi], with the same
+// computed match on the low key bits.
 func probeMarkItems32(tables []Table, items [][]uint32, pairs []lshhash.Pair, sketch []uint32, half uint, lo, hi []uint32, words []uint64) int {
 	lo, hi = stageBuckets(tables, pairs, sketch, half, lo, hi)
 	collisions := 0
 	for l := range tables {
-		bucket := items[l][lo[l]:hi[l]]
-		collisions += len(bucket)
-		for _, id := range bucket {
-			words[id>>6] |= 1 << (id & 63)
+		mul, want := tables[l].keyMatch(pairs[l].Key(sketch, half))
+		var n uint64
+		for _, item := range items[l][lo[l]:hi[l]] {
+			prod := uint64(item) * mul
+			id, hit := uint32(prod>>32), matches(uint32(prod), want)
+			words[id>>6] |= hit << (id & 63)
+			n += hit
 		}
+		collisions += int(n)
 	}
 	return collisions
 }
@@ -80,7 +87,7 @@ func packedAndDecoded(t *testing.T, what string, tb Table) map[string]Table {
 func TestItemsAtEveryWidth(t *testing.T) {
 	check := func(what string, ids []uint32, width uint) {
 		t.Helper()
-		for what, tb := range packedAndDecoded(t, what, TableFromWords(nil, nil, ids)) {
+		for what, tb := range packedAndDecoded(t, what, TableFromWords(nil, nil, ids, 0)) {
 			if tb.n != uint32(len(ids)) {
 				t.Fatalf("%s: %d items, want %d", what, tb.n, len(ids))
 			}
@@ -129,7 +136,7 @@ func TestItemsAtEveryWidth(t *testing.T) {
 func TestEntriesAtEveryWidth(t *testing.T) {
 	check := func(what string, offs []uint32, width uint) {
 		t.Helper()
-		for what, tb := range packedAndDecoded(t, what, TableFromWords(nil, offs, nil)) {
+		for what, tb := range packedAndDecoded(t, what, TableFromWords(nil, offs, nil, 0)) {
 			if tb.nEntries != uint32(len(offs)) {
 				t.Fatalf("%s: %d entries, want %d", what, tb.nEntries, len(offs))
 			}
@@ -179,9 +186,15 @@ func TestEntriesAtEveryWidth(t *testing.T) {
 }
 
 // TestMergeCrossesAPowerOfTwo: the items of a merge are as wide as its
-// largest live id, not as its inputs were — a merge that takes the ids past
+// largest live item, not as its inputs were — under K = 8, where every table
+// over 1 000 rows indexes all 8 key bits, a merge that takes the ids past
 // 2^10 widens them from 10 bits to 11, and one whose new rows are all
-// tombstoned keeps 10 — and its buckets are the rebuild's either way.
+// tombstoned keeps 10 — and its buckets are the rebuild's either way. Under
+// K = 16 the directory follows the rows across the power of two: 1 000 rows
+// index 10 key bits, and a merge to 1 100 refines them to 11, tombstones on
+// both sides, into the buckets a build over the live rows holds; a static
+// whose tables index all 16 bits — a snapshot of version 3, which stored no
+// key bits — keeps them through a merge.
 func TestMergeCrossesAPowerOfTwo(t *testing.T) {
 	p := lshhash.Params{Dim: 64, K: 8, M: 4, Seed: 5}
 	fam, err := lshhash.NewFamily(p)
@@ -191,7 +204,7 @@ func TestMergeCrossesAPowerOfTwo(t *testing.T) {
 	const nOld, nAdd = 1000, 100
 	skOld := layoutSketches(nOld, p.M, p.HalfBuckets(), false, 1)
 	skAdd := layoutSketches(nAdd, p.M, p.HalfBuckets(), false, 2)
-	old, add := BuildFromSketches(fam, skOld, 2), BuildFromSketches(fam, skAdd, 2)
+	old := BuildFromSketches(fam, skOld, 2)
 	for l := range old.tables {
 		if w := old.tables[l].items.width; w != 10 {
 			t.Fatalf("fixture: table %d of %d rows packs %d bits", l, nOld, w)
@@ -209,7 +222,7 @@ func TestMergeCrossesAPowerOfTwo(t *testing.T) {
 		{"past 2^10", randomDead(nOld+nAdd, 5, 3), 11},
 		{"new rows all tombstoned", addDead, 10},
 	} {
-		merged := Merge(old, add, c.dead, 2)
+		merged := Merge(old, skAdd, c.dead, 2)
 		if err := ValidateTables(p, nOld+nAdd, merged.tables); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -219,6 +232,53 @@ func TestMergeCrossesAPowerOfTwo(t *testing.T) {
 			}
 		}
 		sameBucketsAs(t, c.name, merged.tables, rebuildReference(fam, concatSketches(skOld, skAdd), c.dead))
+	}
+
+	p16 := lshhash.Params{Dim: 64, K: 16, M: 4, Seed: 5}
+	fam16, err := lshhash.NewFamily(p16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skOld = layoutSketches(nOld, p16.M, p16.HalfBuckets(), false, 3)
+	skAdd = layoutSketches(nAdd, p16.M, p16.HalfBuckets(), false, 4)
+	// The static side as an earlier merge left it, then more deletions on
+	// both sides.
+	earlier := randomDead(nOld, 5, 6)
+	dead := randomDead(nOld+nAdd, 4, 5)
+	for w, word := range earlier {
+		dead[w] |= word
+	}
+	want := rebuildReference(fam16, concatSketches(skOld, skAdd), dead)
+	// A v3 static: the same rows at b = K, encoded as version 3 stored a
+	// table — AppendEncoded's encoding without r — and decoded.
+	full := buildSketches(fam16, skOld, 0, 2)
+	for l := range full.tables {
+		var err error
+		if full.tables[l], err = DecodeTableV3(full.tables[l].AppendEncoded(nil)[4:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name         string
+		old          *Static
+		rOld, rMerge uint
+	}{
+		{"b grows from 10 to 11", rebuildReference(fam16, skOld, earlier), 6, 5},
+		{"v3 static at b = K", full, 0, 0},
+	} {
+		if c.old.tables[0].r != c.rOld {
+			t.Fatalf("%s: fixture's items carry %d key bits, want %d", c.name, c.old.tables[0].r, c.rOld)
+		}
+		merged := Merge(c.old, skAdd, dead, 2)
+		if err := ValidateTables(p16, nOld+nAdd, merged.tables); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for l := range merged.tables {
+			if got := merged.tables[l].r; got != c.rMerge {
+				t.Fatalf("%s: table %d's items carry %d key bits, want %d", c.name, l, got, c.rMerge)
+			}
+		}
+		sameBucketsAs(t, c.name, merged.tables, want)
 	}
 }
 
@@ -230,7 +290,7 @@ func TestProbeMarkMatchesItems32(t *testing.T) {
 	tables, pairs := f.st.tables, f.fam.Pairs()
 	items := items32Of(f.st)
 	half := uint(f.fam.Params().K / 2)
-	lo, hi := make([]uint32, len(tables)), make([]uint32, len(tables))
+	lo, hi, first := make([]uint32, len(tables)), make([]uint32, len(tables)), make([]uint32, len(tables))
 	got, want := make([]uint64, (f.st.Len()+63)/64), make([]uint64, (f.st.Len()+63)/64)
 	queries := slices.Clone(f.queries)
 	for i := 0; i < f.mat.Rows(); i += 97 {
@@ -240,10 +300,76 @@ func TestProbeMarkMatchesItems32(t *testing.T) {
 		sketch := f.fam.Sketch(q)
 		clear(got)
 		clear(want)
-		n := ProbeMark(tables, pairs, sketch, half, lo, hi, got)
+		n := ProbeMark(tables, pairs, sketch, half, lo, hi, first, got)
 		n32 := probeMarkItems32(tables, items, pairs, sketch, half, lo, hi, want)
 		if n != n32 || !slices.Equal(got, want) {
 			t.Fatalf("query %d: %d collisions over packed items, %d over 32-bit ones, same marks: %v", i, n, n32, slices.Equal(got, want))
+		}
+	}
+}
+
+// TestProbeKernelsMatchNaiveAtEveryShift: over tables whose items carry 0,
+// 1, 3 and K/2 key bits, ProbeMark, probeAppend and probeSet count the
+// collisions and find the candidates a scan of every row's table keys does,
+// for queries from the index and for fresh ones.
+func TestProbeKernelsMatchNaiveAtEveryShift(t *testing.T) {
+	f := newQueryFixture(t, 600, 40)
+	p := f.fam.Params()
+	half := uint(p.K / 2)
+	sk := f.fam.SketchAll(f.mat, sched.NewPool(2), true)
+	queries := slices.Clone(f.queries)
+	for i := 0; i < f.mat.Rows(); i += 53 {
+		queries = append(queries, f.mat.Row(i))
+	}
+	for _, r := range []uint{0, 1, 3, half} {
+		st := buildSketches(f.fam, sk, r, 2)
+		pairs := f.fam.Pairs()
+		lo, hi, first := make([]uint32, len(st.tables)), make([]uint32, len(st.tables)), make([]uint32, len(st.tables))
+		words := make([]uint64, (st.Len()+63)/64)
+		set := map[uint32]struct{}{}
+		for qi, q := range queries {
+			sketch := f.fam.Sketch(q)
+			var want []uint32
+			collisions := 0
+			for i := 0; i < sk.N(); i++ {
+				hit := false
+				for l, pr := range pairs {
+					a, b := lshhash.PairForTable(l, p.M)
+					if sk.TableKey(i, a, b, p.K) == pr.Key(sketch, half) {
+						collisions++
+						hit = true
+					}
+				}
+				if hit {
+					want = append(want, uint32(i))
+				}
+			}
+			what := fmt.Sprintf("r=%d query %d", r, qi)
+
+			n := ProbeMark(st.tables, pairs, sketch, half, lo, hi, first, words)
+			var got []uint32
+			for w, word := range words {
+				for ; word != 0; word &= word - 1 {
+					got = append(got, uint32(w<<6+bits.TrailingZeros64(word)))
+				}
+			}
+			clear(words)
+			if n != collisions || !slices.Equal(got, want) {
+				t.Fatalf("%s: ProbeMark counts %d collisions and finds %v; the scan, %d and %v", what, n, got, collisions, want)
+			}
+
+			got, n = probeAppend(st.tables, pairs, sketch, half, lo, hi, words, nil)
+			clear(words)
+			slices.Sort(got)
+			if n != collisions || !slices.Equal(got, want) {
+				t.Fatalf("%s: probeAppend counts %d collisions and finds %v; the scan, %d and %v", what, n, got, collisions, want)
+			}
+
+			got, n = probeSet(st.tables, pairs, sketch, half, lo, hi, set, nil)
+			slices.Sort(got)
+			if n != collisions || !slices.Equal(got, want) {
+				t.Fatalf("%s: probeSet counts %d collisions and finds %v; the scan, %d and %v", what, n, got, collisions, want)
+			}
 		}
 	}
 }

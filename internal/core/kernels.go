@@ -13,21 +13,22 @@ import (
 // kernels" has the measurements that put them here.
 
 // stageBuckets is the staging of every Q2 probe: it composes the L table
-// keys from the sketch and loads each selected bucket's bounds into lo and
-// hi (length ≥ len(tables); returned cut to it), touching no bucket. Stage 1
-// reads each table's bitmap word and rank word — 12 KB a table at K=16, the
-// part of the index a cache can hold — and turns them into the bucket's
-// directory entry by arithmetic alone (Table.slot); a clear bit comes out as
-// entry 0 with zero length, so an empty bucket ends at a line every empty
-// probe of that table shares. Stage 2 loads where that entry and the next
-// one start (Table.bounds): two adjacent packed entries, the same load, shift
-// and mask as an item's. Neither loop has a branch — bounds checks aside —
-// so the L misses of each stage are all in flight together:
-// the structural stand-in for §5.2.2's software prefetch. A probe that
-// walked each bucket as soon as it had its bounds would close every
-// iteration with a loop branch on a value still in flight from memory, and
-// each misprediction of it serializes the next table's miss behind this
-// one's.
+// keys from the sketch and loads the bounds of each selected directory
+// bucket — the key's top b bits — into lo and hi (length ≥ len(tables);
+// returned cut to it), touching no bucket. Stage 1 reads each table's
+// bitmap word and rank word — 1.5 to 3 bits a document, 1.5 KB a table at
+// 8 000 documents and 12 KB from 2^15 on under K=16, the part of the index a
+// cache can hold — and turns them into the directory bucket's entry by
+// arithmetic alone (Table.slot); a clear bit comes out as entry 0 with zero
+// length, so an empty bucket ends at a line every empty probe of that table
+// shares. Stage 2 loads where that entry and the next one start
+// (Table.bounds): two adjacent packed entries, the same load, shift and mask
+// as an item's. Neither loop has a branch — bounds checks aside — so the L
+// misses of each stage are all in flight together: the structural stand-in
+// for §5.2.2's software prefetch. A probe that walked each bucket as soon
+// as it had its bounds would close every iteration with a loop branch on a
+// value still in flight from memory, and each misprediction of it
+// serializes the next table's miss behind this one's.
 func stageBuckets(tables []Table, pairs []lshhash.Pair, sketch []uint32, half uint, lo, hi []uint32) ([]uint32, []uint32) {
 	pairs = pairs[:len(tables)]
 	lo = lo[:len(tables)]
@@ -43,43 +44,83 @@ func stageBuckets(tables []Table, pairs []lshhash.Pair, sketch []uint32, half ui
 
 // ProbeMark is the default Q2 probe: it marks every item of the L buckets
 // the sketch selects into the dedup bitvector words and returns the
-// collision count (bucket entries, duplicates included). Pass 2 walks
-// items lo to hi with trip counts already in cache, so a mispredicted bucket
-// length costs a pipeline refill, not a memory round trip; each item is one
-// load, a shift and a mask behind one bounds check a bucket (packed.span).
-// The bounds and the header are copied to locals first, so that the loop's
-// stores do not make it reload them. perfmodel
-// calibrates its Q2 constants by calling this same function, so the model
-// prices the loop the engine runs.
-func ProbeMark(tables []Table, pairs []lshhash.Pair, sketch []uint32, half uint, lo, hi []uint32, words []uint64) int {
+// collision count (bucket entries, duplicates included). After
+// stageBuckets, a third staging loop loads the item at each bucket's start
+// into first (length ≥ len(tables)) — the line every walk of the bucket
+// begins with, which a directory bucket of about one item a document has
+// more often than not; for an empty bucket it is whatever lies there,
+// inside the array, which the walk masks — so those L misses overlap too.
+// Pass 2 then walks each directory bucket with trip counts already in
+// cache, beginning from its staged item, so a mispredicted bucket length
+// costs a pipeline refill, not a memory round trip; each further item is
+// one load, a shift and a mask behind one bounds check a bucket
+// (packed.span). Every item is then split by one multiply into its id and
+// its key bits (Table.keyMatch), and it is in the key's bucket when those
+// key bits are the key's. That match is computed, not branched on: it is a
+// 0 or 1 that the mark is shifted by and the count adds, so an item of the
+// directory bucket under another key marks nothing and counts nothing, and
+// a table whose items carry no key bits (r = 0) matches every item through
+// the same instructions. An empty bucket's staged item is masked the same
+// way, its id to 0 — so words holds at least one word. The bounds and the
+// header are copied to locals first, so that the loop's stores do not make
+// it reload them. perfmodel calibrates its Q2 constants by calling this
+// same function, so the model prices the loop the engine runs.
+func ProbeMark(tables []Table, pairs []lshhash.Pair, sketch []uint32, half uint, lo, hi, first []uint32, words []uint64) int {
 	lo, hi = stageBuckets(tables, pairs, sketch, half, lo, hi)
+	first = first[:len(tables)]
+	for l := range tables {
+		items := tables[l].items
+		base, mask := items.span(uint(hi[l]))
+		first[l] = load(base, uint(lo[l])*items.width, mask)
+	}
 	collisions := 0
 	for l := range tables {
 		items, from, to := tables[l].items, lo[l], hi[l]
+		mul, want := tables[l].keyMatch(pairs[l].Key(sketch, half))
+		some := 1 - uint32(matches(from, to)) // the bucket has a first item
+		item := uint64(first[l]) * mul
+		id, hit := uint32(item>>32)&-some, matches(uint32(item), want)&uint64(some)
+		words[id>>6] |= hit << (id & 63)
+		n := hit
 		base, mask := items.span(uint(to))
-		collisions += int(to - from)
-		for i := from; i < to; i++ {
-			id := load(base, uint(i)*items.width, mask)
-			words[id>>6] |= 1 << (id & 63)
+		for i := from + some; i < to; i++ {
+			item := uint64(load(base, uint(i)*items.width, mask)) * mul
+			id, hit := uint32(item>>32), matches(uint32(item), want)
+			words[id>>6] |= hit << (id & 63)
+			n += hit
 		}
+		collisions += int(n)
 	}
 	return collisions
 }
 
+// matches is 1 when a equals b and 0 otherwise, as a value: it compiles to
+// a compare and a set, no branch.
+func matches(a, b uint32) uint64 {
+	var m uint64
+	if a == b {
+		m = 1
+	}
+	return m
+}
+
 // probeAppend is the Fig. 5 "+bitvector" arm without the sorted extraction:
 // test-and-set per bucket entry, first sightings appended to cand in
-// bucket-scan order.
+// bucket-scan order. An item under another key of its directory bucket
+// tests and sets nothing.
 func probeAppend(tables []Table, pairs []lshhash.Pair, sketch []uint32, half uint, lo, hi []uint32, words []uint64, cand []uint32) ([]uint32, int) {
 	lo, hi = stageBuckets(tables, pairs, sketch, half, lo, hi)
 	collisions := 0
 	for l := range tables {
 		items, from, to := tables[l].items, lo[l], hi[l]
+		mul, want := tables[l].keyMatch(pairs[l].Key(sketch, half))
 		base, mask := items.span(uint(to))
-		collisions += int(to - from)
 		for i := from; i < to; i++ {
-			id := load(base, uint(i)*items.width, mask)
-			w, bit := id>>6, uint64(1)<<(id&63)
-			if old := words[w]; old&bit == 0 {
+			item := uint64(load(base, uint(i)*items.width, mask)) * mul
+			id, hit := uint32(item>>32), matches(uint32(item), want)
+			collisions += int(hit)
+			w, bit := id>>6, hit<<(id&63)
+			if old := words[w]; ^old&bit != 0 {
 				words[w] = old | bit
 				cand = append(cand, id)
 			}
@@ -89,16 +130,20 @@ func probeAppend(tables []Table, pairs []lshhash.Pair, sketch []uint32, half uin
 }
 
 // probeSet is the unoptimized Fig. 5 baseline: a set container (the paper's
-// "C++ STL set" arm), drained into cand and left empty.
+// "C++ STL set" arm), drained into cand and left empty. An item under
+// another key of its directory bucket is not inserted.
 func probeSet(tables []Table, pairs []lshhash.Pair, sketch []uint32, half uint, lo, hi []uint32, set map[uint32]struct{}, cand []uint32) ([]uint32, int) {
 	lo, hi = stageBuckets(tables, pairs, sketch, half, lo, hi)
 	collisions := 0
 	for l := range tables {
 		items, from, to := tables[l].items, lo[l], hi[l]
+		mul, want := tables[l].keyMatch(pairs[l].Key(sketch, half))
 		base, mask := items.span(uint(to))
-		collisions += int(to - from)
 		for i := from; i < to; i++ {
-			set[load(base, uint(i)*items.width, mask)] = struct{}{}
+			if item := uint64(load(base, uint(i)*items.width, mask)) * mul; uint32(item) == want {
+				set[uint32(item>>32)] = struct{}{}
+				collisions++
+			}
 		}
 	}
 	for id := range set {

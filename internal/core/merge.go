@@ -5,24 +5,33 @@ import (
 	"math/bits"
 	"slices"
 
+	"plsh/internal/lshhash"
 	"plsh/internal/sched"
 )
 
-// Merge returns the index over old's documents followed by add's — the
-// streaming merge of §6.2 as a copy, not a rebuild. Both sides already hold
-// their items grouped by key behind a directory of the occupied buckets, so
-// no row is hashed and nothing is sorted: the bucket of a key is old's
-// items, then add's with old.Len() added to every id, without the ids whose
-// bit is set in dead. Bucket(key) is, for every key, what Build over the
-// concatenated rows would hold with the ids set in dead removed (the test
-// files' Compact, the reference Merge is checked against). A Merge against
-// an add of no rows is that removal alone.
+// Merge returns the index over old's documents followed by the rows add
+// sketches — the streaming merge of §6.2 as a copy, not a rebuild. No row is
+// hashed: add's tables are built from its sketches (as BuildFromSketches
+// builds them), at the directory bits of the merged index, and old already
+// holds its items grouped by key behind a directory of the occupied
+// buckets, so the bucket of a key is old's items, then add's with old.Len()
+// added to every id, without the ids whose bit is set in dead. Bucket(key)
+// is, for every key, what Build over the concatenated rows would hold with
+// the ids set in dead removed (the test files' Compact, the reference Merge
+// is checked against). A Merge of no rows is that removal alone.
+//
+// The merged index indexes b = max(DirectoryBits(n), old's b) key bits over
+// its n rows: b never shrinks, so a merge whose rows stay under the next
+// power of two builds add at old's b and copies old as it is, and one that
+// crosses it first refines old's tables to the new b, one stable counting
+// pass each (refine) — at most once per power of two of the rows, and never
+// once b = K.
 //
 // The bookkeeping is proportional to add's buckets, not old's: between two
-// keys add occupies, old's buckets are adjacent in its item array and stay
-// adjacent in the result, so they move as one block — one copy of the items,
-// one constant added to their directory entries (mergeTable). Only a
-// tombstoned item splits a block.
+// directory buckets add occupies, old's buckets are adjacent in its item
+// array and stay adjacent in the result, so they move as one block — one
+// copy of the items, one constant added to their directory entries
+// (mergeTable). Only a tombstoned item splits a block.
 //
 // dead is a plain copy of the tombstone words, taken once by the caller and
 // covering every id of both sides. A table's item array is sized by a count
@@ -33,12 +42,16 @@ import (
 //
 // The inputs are read, never written: old stays published while the merge
 // runs.
-func Merge(old, add *Static, dead []uint64, workers int) *Static {
-	st := &Static{fam: old.fam, n: old.n + add.n, tables: make([]Table, len(old.tables))}
+func Merge(old *Static, add *lshhash.Sketches, dead []uint64, workers int) *Static {
+	k := old.fam.Params().K
+	n := old.n + add.N()
+	r := min(uint(k-DirectoryBits(n, k)), old.tables[0].r)
+	delta := buildSketches(old.fam, add, r, workers)
+	st := &Static{fam: old.fam, n: n, tables: make([]Table, len(old.tables))}
 	pool := sched.NewPool(workers)
 	scratch := make([]mergeScratch, pool.Workers())
 	pool.Run(len(st.tables), func(l, w int) {
-		st.tables[l] = mergeTable(&old.tables[l], &add.tables[l], uint32(old.n), dead, &scratch[w])
+		st.tables[l] = mergeTable(&old.tables[l], &delta.tables[l], uint32(old.n), k, r, dead, &scratch[w])
 	})
 	return st
 }
@@ -47,12 +60,16 @@ func Merge(old, add *Static, dead []uint64, workers int) *Static {
 // tombstoned items of old sit, and old's, add's and the result's entries and
 // items as plain 32-bit words — the merge shifts and copies them by the
 // block, which packed arrays do not allow, so it reads the inputs through
-// one unpacking pass each and packs the result's once they are final.
+// one unpacking pass each and packs the result's once they are final — and
+// what refine splits old's buckets with.
 type mergeScratch struct {
 	deadAt            []uint32
 	oldOffs, oldItems []uint32
 	addItems          []uint32
 	offs, items       []uint32
+
+	keys, hist, fineItems []uint32
+	tb                    TableBuilder
 }
 
 // flatTable is a table's entries and items unpacked to 32 bits, the form
@@ -63,33 +80,47 @@ type flatTable struct {
 
 func isDead(dead []uint64, id uint32) bool { return dead[id>>6]>>(id&63)&1 != 0 }
 
-// mergeTable merges one table.
+// mergeTable merges one table under k-bit keys, its items carrying r of
+// them: add's do already, and old's are refined to r first if they carry
+// more.
 //
 // The result's directory has an entry for every bucket either side has one
-// for: a bucket the tombstones emptied keeps its entry, of zero length.
-func mergeTable(old, add *Table, shift uint32, dead []uint64, scratch *mergeScratch) Table {
+// for: a bucket the tombstones emptied keeps its entry, of zero length
+// (unless refine split it: a bucket with no items has nothing to split).
+func mergeTable(old, add *Table, shift uint32, k int, r uint, dead []uint64, scratch *mergeScratch) Table {
 	from := flatTable{offs: old.appendOffsets(scratch.oldOffs[:0]), items: old.AppendItems(scratch.oldItems[:0])}
+	scratch.oldOffs, scratch.oldItems = from.offs, from.items
+	oldOcc, oldRank := old.occ, old.rank
+	if old.r != r {
+		oldOcc, from = refine(old.occ, from, k, old.r, r, scratch)
+		oldRank = rankOf(oldOcc)
+	}
 	addItems := add.AppendItems(scratch.addItems[:0])
+	shift <<= r // added to an item, the shift moves its id
+	// An item's id is the high word of the item times mul, as in
+	// Table.keyMatch: a multiply, where a shift by r would take CL from the
+	// shifts isDead makes.
+	mul := uint64(1) << (32 - r)
 
 	// Where old's tombstoned items sit, in order, closed by a sentinel no
 	// position reaches; and how many items of both sides are live.
 	deadAt := scratch.deadAt[:0]
-	for pos, id := range from.items {
-		if isDead(dead, id) {
+	for pos, item := range from.items {
+		if isDead(dead, uint32(uint64(item)*mul>>32)) {
 			deadAt = append(deadAt, uint32(pos))
 		}
 	}
 	live := len(from.items) - len(deadAt) + len(addItems)
 	deadAt = append(deadAt, math.MaxUint32)
-	for _, id := range addItems {
-		if isDead(dead, id+shift) {
+	for _, item := range addItems {
+		if isDead(dead, uint32(uint64(item+shift)*mul>>32)) {
 			live--
 		}
 	}
 
-	occ := make([]uint64, len(old.occ))
+	occ := make([]uint64, len(oldOcc))
 	var entries uint32
-	for w, ow := range old.occ {
+	for w, ow := range oldOcc {
 		occ[w] = ow | add.occ[w]
 		entries += uint32(bits.OnesCount64(occ[w]))
 	}
@@ -103,14 +134,14 @@ func mergeTable(old, add *Table, shift uint32, dead []uint64, scratch *mergeScra
 	nextDead := deadAt // consumed from the front
 	aEnt, aPos := uint32(0), uint32(0)
 	for w, aw := range add.occ {
-		ow := old.occ[w]
+		ow := oldOcc[w]
 		for ; aw != 0; aw &= aw - 1 {
-			// The next key add occupies. Everything old holds up to and
-			// including that key moves as a block; add's items follow old's
-			// in the key's bucket.
+			// The next directory bucket add occupies. Everything old holds up
+			// to and including that bucket moves as a block; add's items
+			// follow old's in the bucket.
 			bit := uint(bits.TrailingZeros64(aw))
-			has := uint32(ow>>bit) & 1 // old has the key too
-			upTo := old.rank[w] + uint32(bits.OnesCount64(ow&(1<<bit-1))) + has
+			has := uint32(ow>>bit) & 1 // old has the bucket too
+			upTo := oldRank[w] + uint32(bits.OnesCount64(ow&(1<<bit-1))) + has
 			if nextDead[0] < from.offs[upTo] {
 				c, nextDead = moveOldAroundDead(&to, &from, c, upTo, nextDead)
 			}
@@ -124,8 +155,8 @@ func mergeTable(old, add *Table, shift uint32, dead []uint64, scratch *mergeScra
 			c.e += 1 - has
 			aEnt++
 			for end := add.start(aEnt); aPos < end; aPos++ {
-				if id := addItems[aPos] + shift; !isDead(dead, id) {
-					to.items[c.n] = id
+				if item := addItems[aPos] + shift; !isDead(dead, uint32(uint64(item)*mul>>32)) {
+					to.items[c.n] = item
 					c.n++
 				}
 			}
@@ -137,9 +168,9 @@ func mergeTable(old, add *Table, shift uint32, dead []uint64, scratch *mergeScra
 	}
 	c = moveOld(&to, &from, c, upTo)
 	to.offs[c.e] = c.n
-	scratch.deadAt, scratch.oldOffs, scratch.oldItems, scratch.addItems = deadAt, from.offs, from.items, addItems
+	scratch.deadAt, scratch.addItems = deadAt, addItems
 	scratch.offs, scratch.items = to.offs, to.items
-	return TableFromWords(occ, to.offs, to.items)
+	return TableFromWords(occ, to.offs, to.items, r)
 }
 
 // mergeCursor is how far one table's merge has come: old's next directory
@@ -200,4 +231,55 @@ func moveOldAroundDead(t, old *flatTable, c mergeCursor, upTo uint32, deadAt []u
 		c.oPos = at + 1
 	}
 	return c, deadAt
+}
+
+// refine returns the directory and the items of from — a table whose items
+// carry rOld key bits, over the bitmap occ — at r < rOld under k-bit keys,
+// by one stable counting pass over the items, keyed by the directory bucket
+// each falls in at r: its old bucket's bits, then the top rOld − r of the
+// key bits it carries. Each old bucket splits into adjacent new ones in key
+// order, so the result is what a build at r would hold for the same items;
+// an old bucket the tombstones emptied has nothing to split and drops out.
+// Nothing in it branches on an item or a bucket length: an item's old
+// bucket is a running sum over the items of what each occupied bucket adds
+// where it starts. A merge calls it only when its b grows.
+func refine(occ []uint64, from flatTable, k int, rOld, r uint, s *mergeScratch) ([]uint64, flatTable) {
+	split := rOld - r
+	lowOld, low := uint32(1)<<rOld-1, uint32(1)<<r-1
+	n := len(from.items)
+	keys := slices.Grow(s.keys[:0], n+1)[:n+1]
+	clear(keys)
+	var e int
+	var prev uint32
+	for w, word := range occ {
+		for ; word != 0; word &= word - 1 {
+			d := uint32(w<<6 + bits.TrailingZeros64(word))
+			keys[from.offs[e]] += d - prev
+			prev = d
+			e++
+		}
+	}
+	var d uint32
+	for p, item := range from.items {
+		d += keys[p]
+		keys[p] = d<<split | item&lowOld>>r
+	}
+	keys = keys[:n]
+	buckets := 1 << (uint(k) - r)
+	hist := slices.Grow(s.hist[:0], buckets)[:buckets]
+	clear(hist)
+	for _, key := range keys {
+		hist[key]++
+	}
+	s.tb.Reset(buckets, n, r)
+	s.tb.Add(hist)
+	items := slices.Grow(s.fineItems[:0], n)[:n]
+	for p, key := range keys {
+		item := from.items[p]
+		items[hist[key]] = item>>rOld<<r | item&low
+		hist[key]++
+	}
+	s.keys, s.hist, s.fineItems = keys, hist, items
+	fine, offs := s.tb.seal()
+	return fine, flatTable{offs: offs, items: items}
 }

@@ -80,9 +80,7 @@ func TestMergeMatchesRebuild(t *testing.T) {
 					for w, word := range earlier {
 						dead[w] |= word
 					}
-					add := BuildFromSketches(fam, skAdd, 2)
-
-					got := Merge(old, add, dead, 3).tables
+					got := Merge(old, skAdd, dead, 3).tables
 					if err := ValidateTables(p, n, got); err != nil {
 						t.Fatalf("%s: %v", what, err)
 					}
@@ -119,8 +117,7 @@ func TestMergeMatchesBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	add := BuildFromSketches(fam, &lshhash.Sketches{M: sk.M, Data: sk.Data[head*sk.M:]}, 2)
-	got := Merge(old, add, dead, 2)
+	got := Merge(old, &lshhash.Sketches{M: sk.M, Data: sk.Data[head*sk.M:]}, dead, 2)
 	if err := ValidateTables(fam.Params(), n, got.tables); err != nil {
 		t.Fatal(err)
 	}

@@ -116,6 +116,7 @@ type Workspace struct {
 	seen   *bitvec.Vector
 	cand   []uint32
 	lo, hi []uint32 // the probe's staged bucket bounds, one per table
+	first  []uint32 // and each bucket's staged first item
 	set    map[uint32]struct{}
 	mask   *sparse.QueryMask
 	scores []float32
@@ -171,6 +172,7 @@ func NewEngine(st *Static, store sparse.Store, opts QueryOptions) *Engine {
 			seen:   bitvec.New(st.Len()),
 			lo:     make([]uint32, st.NumTables()),
 			hi:     make([]uint32, st.NumTables()),
+			first:  make([]uint32, st.NumTables()),
 			scores: make([]float32, st.fam.Params().NumFuncs()),
 			sketch: make([]uint32, st.fam.Params().M),
 		}
@@ -299,7 +301,7 @@ func (e *Engine) probe(ws *Workspace) (collisions int) {
 	switch {
 	case e.opts.ExtractCandidates:
 		// Mark-only pass, then scan to a sorted array (§5.2.2).
-		collisions = ProbeMark(tables, pairs, ws.sketch, half, ws.lo, ws.hi, ws.seen.Words())
+		collisions = ProbeMark(tables, pairs, ws.sketch, half, ws.lo, ws.hi, ws.first, ws.seen.Words())
 		ws.cand = ws.seen.AppendSet(ws.cand[:0])
 		ws.seen.ResetList(ws.cand)
 	case e.opts.UseBitvector:

@@ -12,30 +12,56 @@ import (
 	"plsh/internal/sparse"
 )
 
-// table32 is Table with nothing packed: the bitmap, the rank words, one
-// uint32 offset per occupied bucket plus the closing one, and one uint32 an
-// item. It lives in test files only, as the reference the packed entries and
-// items are checked against; its in-place rewrites are denseTable's, which
-// walk whatever entries Offsets holds.
-type table32 struct {
+// ref32 is Table with nothing packed: the bitmap, the rank words, one
+// uint32 offset per occupied directory bucket plus the closing one, and one
+// uint32 an item, each id<<r | the key's low r bits. It lives in test files
+// only, as the reference the packed entries and items are checked against;
+// its in-place rewrites are denseTable's, which walk whatever entries
+// Offsets holds.
+type ref32 struct {
 	Occ  []uint64
 	Rank []uint32
+	r    uint
 	denseTable
 }
 
-func (t *table32) Bucket(key uint32) []uint32 {
-	word, bit := t.Occ[key>>6], key&63
+// Bucket returns the ids in bucket key: the items of directory bucket key>>r
+// whose low r bits are key's.
+func (t *ref32) Bucket(key uint32) []uint32 {
+	d := key >> t.r
+	word, bit := t.Occ[d>>6], d&63
 	if word>>bit&1 == 0 {
 		return nil
 	}
-	e := t.Rank[key>>6] + uint32(bits.OnesCount64(word&(1<<bit-1)))
-	return t.Items[t.Offsets[e]:t.Offsets[e+1]]
+	e := t.Rank[d>>6] + uint32(bits.OnesCount64(word&(1<<bit-1)))
+	low := uint32(1)<<t.r - 1
+	var ids []uint32
+	for _, item := range t.Items[t.Offsets[e]:t.Offsets[e+1]] {
+		if item&low == key&low {
+			ids = append(ids, item>>t.r)
+		}
+	}
+	return ids
 }
 
-// table32FromKeys is denseFromKeys with the empty buckets' entries left out.
-func table32FromKeys(keys []uint32, buckets int) table32 {
-	dense := denseFromKeys(keys, buckets)
-	t := table32{Occ: make([]uint64, (buckets+63)/64), Rank: make([]uint32, (buckets+63)/64)}
+// compact is denseTable's compact over the ids the items carry.
+func (t *ref32) compact(drop func(uint32) bool) {
+	t.denseTable.compact(func(item uint32) bool { return drop(item >> t.r) })
+}
+
+// ref32FromKeys is denseFromKeys over the directory bits of keys, the items
+// carrying the rest and the empty buckets' entries left out.
+func ref32FromKeys(keys []uint32, k int, r uint) ref32 {
+	buckets := 1 << (uint(k) - r)
+	dir := make([]uint32, len(keys))
+	for i, key := range keys {
+		dir[i] = key >> r
+	}
+	dense := denseFromKeys(dir, buckets)
+	t := ref32{Occ: make([]uint64, (buckets+63)/64), Rank: make([]uint32, (buckets+63)/64), r: r}
+	for i, id := range dense.Items {
+		dense.Items[i] = id<<r | keys[id]&(1<<r-1)
+	}
 	t.Items = dense.Items
 	for b := 0; b < buckets; b++ {
 		if b&63 == 0 {
@@ -50,16 +76,17 @@ func table32FromKeys(keys []uint32, buckets int) table32 {
 	return t
 }
 
-// reference32 builds the reference tables of the documents sk sketches.
-func reference32(sk *lshhash.Sketches, p lshhash.Params) []table32 {
-	ref := make([]table32, p.L())
+// reference32 builds the reference tables of the documents sk sketches, at
+// the directory bits of n documents.
+func reference32(sk *lshhash.Sketches, p lshhash.Params, n int) []ref32 {
+	ref := make([]ref32, p.L())
 	keys := make([]uint32, sk.N())
 	for l := range ref {
 		a, b := lshhash.PairForTable(l, p.M)
 		for i := range keys {
 			keys[i] = sk.TableKey(i, a, b, p.K)
 		}
-		ref[l] = table32FromKeys(keys, p.Buckets())
+		ref[l] = ref32FromKeys(keys, p.K, uint(p.K-DirectoryBits(n, p.K)))
 	}
 	return ref
 }
@@ -74,10 +101,11 @@ func widthOf(vals []uint32) uint {
 }
 
 // checkAgainst32 checks that st validates and answers Bucket(key) as ref does
-// for every one of the 2^K keys of every table; that its entries and items
-// unpack to ref's, each in the bits the largest of them needs; and that
-// MemoryBytes counts what the two packed arrays hold.
-func checkAgainst32(t *testing.T, what string, st *Static, ref []table32) {
+// for every one of the 2^K keys of every table; that its items carry as many
+// key bits as ref's, and its entries and items unpack to ref's, each in the
+// bits the largest of them needs; and that MemoryBytes counts what the two
+// packed arrays hold.
+func checkAgainst32(t *testing.T, what string, st *Static, ref []ref32) {
 	t.Helper()
 	p := st.fam.Params()
 	if err := ValidateTables(p, st.n, st.tables); err != nil {
@@ -86,11 +114,17 @@ func checkAgainst32(t *testing.T, what string, st *Static, ref []table32) {
 	var mem int64
 	for l := range ref {
 		tb, r := &st.tables[l], &ref[l]
+		if tb.r != r.r {
+			t.Fatalf("%s: table %d's items carry %d key bits, the reference's %d", what, l, tb.r, r.r)
+		}
 		for key := 0; key < p.Buckets(); key++ {
 			want := r.Bucket(uint32(key))
 			if got := tb.Bucket(nil, uint32(key)); !slices.Equal(got, want) {
 				t.Fatalf("%s: table %d bucket %d = %v, 32-bit reference %v", what, l, key, got, want)
 			}
+		}
+		if !slices.Equal(tb.occ, r.Occ) {
+			t.Fatalf("%s: table %d has another bitmap than the reference's", what, l)
 		}
 		if !slices.Equal(tb.appendOffsets(nil), r.Offsets) {
 			t.Fatalf("%s: table %d unpacks to other offsets than the reference's", what, l)
@@ -102,7 +136,7 @@ func checkAgainst32(t *testing.T, what string, st *Static, ref []table32) {
 			t.Fatalf("%s: table %d packs its entries in %d bits, its closing one needs %d", what, l, tb.entries.width, want)
 		}
 		if want := widthOf(r.Items); tb.items.width != want {
-			t.Fatalf("%s: table %d packs its items in %d bits, its largest id needs %d", what, l, tb.items.width, want)
+			t.Fatalf("%s: table %d packs its items in %d bits, its largest needs %d", what, l, tb.items.width, want)
 		}
 		mem += int64(cap(tb.occ))*8 + int64(cap(tb.rank))*4 +
 			int64(packedBytes(uint(len(r.Offsets)), tb.entries.width)+packedBytes(uint(len(r.Items)), tb.items.width))
@@ -116,30 +150,39 @@ func deadFunc(dead []uint64) func(uint32) bool {
 	return func(id uint32) bool { return isDead(dead, id) }
 }
 
-// reread is st as a node that upgrades its snapshot reads it back: each
-// table handed over as the bitmap and the plain 32-bit words snapshot
-// version 2 stores (TableFromWords), then encoded as version 3 stores it and
-// decoded (AppendEncoded, DecodeTable).
+// reread is st as a node that reads its snapshot back: each table encoded as
+// a snapshot stores it and decoded (AppendEncoded, DecodeTable).
 func reread(t *testing.T, st *Static) *Static {
 	t.Helper()
 	out := &Static{fam: st.fam, n: st.n, tables: make([]Table, len(st.tables))}
 	for l := range st.tables {
-		tb := &st.tables[l]
-		v2 := TableFromWords(slices.Clone(tb.occ), tb.appendOffsets(nil), tb.AppendItems(nil))
 		var err error
-		if out.tables[l], err = DecodeTable(v2.AppendEncoded(nil)); err != nil {
+		if out.tables[l], err = DecodeTable(st.tables[l].AppendEncoded(nil)); err != nil {
 			t.Fatalf("table %d: %v", l, err)
 		}
 	}
 	return out
 }
 
+// refSizes are the row counts TestPackedMatches32BitReference builds at
+// under k-bit keys: one row, and 2^j − 1, 2^j and 2^j + 1 rows for j = k/2,
+// 3k/4 and k, so that the directory indexes k/2 key bits, a middle count
+// and all k, and each triple crosses a power of two.
+func refSizes(k int) []int {
+	ns := []int{1}
+	for _, j := range []int{k / 2, 3 * k / 4, k} {
+		ns = append(ns, 1<<j-1, 1<<j, 1<<j+1)
+	}
+	return ns
+}
+
 // TestPackedMatches32BitReference: out of every writer — Build, hashing
 // included (TableBuilder.Finish), BuildFromSketches, the one-level build
 // (GroupByKey), Merge under tombstones, Compact, and the snapshot reader's
-// TableFromWords and DecodeTable — at 4, 8 and 16 key bits, below and past
-// full occupancy, the packed entries and items answer every key as the
-// 32-bit reference does.
+// DecodeTable — at 4, 8 and 16 key bits, at row counts that put the
+// directory at K/2 key bits, between, and at K, the packed entries and items
+// answer every key as the 32-bit reference does, directory and item for
+// directory and item.
 func TestPackedMatches32BitReference(t *testing.T) {
 	for _, k := range []int{4, 8, 16} {
 		p := lshhash.Params{Dim: 300, K: k, M: 4, Seed: 5}
@@ -147,8 +190,8 @@ func TestPackedMatches32BitReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, n := range []int{1, 700, 3 * p.Buckets() / 2} {
-			what := fmt.Sprintf("K=%d n=%d", k, n)
+		for _, n := range refSizes(k) {
+			what := fmt.Sprintf("K=%d n=%d b=%d", k, n, DirectoryBits(n, k))
 			src := rng.New(uint64(k*n) + 1)
 			mat := sparse.NewMatrix(p.Dim, n, 4*n)
 			for i := 0; i < n; i++ {
@@ -164,15 +207,15 @@ func TestPackedMatches32BitReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkAgainst32(t, what+" Build", built, reference32(sk, p))
-			checkAgainst32(t, what+" BuildFromSketches", BuildFromSketches(fam, sk, 2), reference32(sk, p))
+			checkAgainst32(t, what+" Build", built, reference32(sk, p, n))
+			checkAgainst32(t, what+" BuildFromSketches", BuildFromSketches(fam, sk, 2), reference32(sk, p, n))
 			oneLevel := &Static{fam: fam, n: n, tables: make([]Table, p.L())}
 			buildOneLevel(oneLevel, sk, p, sched.NewPool(2))
-			checkAgainst32(t, what+" GroupByKey", oneLevel, reference32(sk, p))
-			checkAgainst32(t, what+" snapshot reader", reread(t, built), reference32(sk, p))
+			checkAgainst32(t, what+" GroupByKey", oneLevel, reference32(sk, p, n))
+			checkAgainst32(t, what+" snapshot reader", reread(t, built), reference32(sk, p, n))
 
 			dead := randomDead(n, 3, uint64(n)+9)
-			ref := reference32(sk, p)
+			ref := reference32(sk, p, n)
 			for l := range ref {
 				ref[l].compact(deadFunc(dead))
 			}
@@ -181,19 +224,14 @@ func TestPackedMatches32BitReference(t *testing.T) {
 			checkAgainst32(t, what+" Compact", compacted, ref)
 			checkAgainst32(t, what+" Compact, snapshot reader", reread(t, compacted), ref)
 
-			// Merge: the first two thirds as the static side, the rest as the
-			// delta, tombstones on both. The reference is the whole prefix
-			// built at once, then compacted.
+			// Merge: the first two thirds as the static side, at their own
+			// directory bits, the rest as the delta, tombstones on both. The
+			// reference is the whole prefix built at once, then compacted.
 			head := n * 2 / 3
 			old := BuildFromSketches(fam, &lshhash.Sketches{M: sk.M, Data: sk.Data[:head*sk.M]}, 2)
-			add := BuildFromSketches(fam, &lshhash.Sketches{M: sk.M, Data: sk.Data[head*sk.M:]}, 2)
-			ref = reference32(sk, p)
-			for l := range ref {
-				ref[l].compact(deadFunc(dead))
-			}
 			// A merge keeps an entry for every bucket either side had one
 			// for; the reference drops none either.
-			merged := Merge(old, add, dead, 2)
+			merged := Merge(old, &lshhash.Sketches{M: sk.M, Data: sk.Data[head*sk.M:]}, dead, 2)
 			checkAgainst32(t, what+" Merge", merged, ref)
 			checkAgainst32(t, what+" Merge, snapshot reader", reread(t, merged), ref)
 		}
@@ -231,10 +269,10 @@ func TestRetweetStormIndexes(t *testing.T) {
 		if w := st.tables[0].entries.width; w != 17 {
 			t.Fatalf("built: entries of %d bits over %d items, want 17", w, quiet+storm)
 		}
-		checkAgainst32(t, "built", st, reference32(sk, p))
+		checkAgainst32(t, "built", st, reference32(sk, p, quiet+storm))
 	}
 
-	ref := reference32(sk, p)
+	ref := reference32(sk, p, quiet+storm)
 	for l := range ref {
 		ref[l].compact(isStorm)
 	}
@@ -242,10 +280,9 @@ func TestRetweetStormIndexes(t *testing.T) {
 	checkAgainst32(t, "compacted", built, ref)
 
 	old := BuildFromSketches(fam, &lshhash.Sketches{M: sk.M, Data: sk.Data[:quiet*sk.M]}, 2)
-	add := BuildFromSketches(fam, &lshhash.Sketches{M: sk.M, Data: sk.Data[quiet*sk.M:]}, 2)
 	none := make([]uint64, (quiet+storm+63)/64)
-	merged := Merge(old, add, none, 2)
-	checkAgainst32(t, "quiet+storm", merged, reference32(sk, p))
+	merged := Merge(old, &lshhash.Sketches{M: sk.M, Data: sk.Data[quiet*sk.M:]}, none, 2)
+	checkAgainst32(t, "quiet+storm", merged, reference32(sk, p, quiet+storm))
 
 	const more = 40
 	moreSk := layoutSketches(more, p.M, p.HalfBuckets(), false, 8)
@@ -254,9 +291,9 @@ func TestRetweetStormIndexes(t *testing.T) {
 	for id := quiet; id < quiet+storm; id++ {
 		dead[id>>6] |= 1 << (id & 63)
 	}
-	ref = reference32(all, p)
+	ref = reference32(all, p, quiet+storm+more)
 	for l := range ref {
 		ref[l].compact(deadFunc(dead))
 	}
-	checkAgainst32(t, "storm tombstoned", Merge(merged, BuildFromSketches(fam, moreSk, 2), dead, 2), ref)
+	checkAgainst32(t, "storm tombstoned", Merge(merged, moreSk, dead, 2), ref)
 }

@@ -4,22 +4,25 @@
 //
 // A static PLSH instance is an immutable index over N documents. Each of
 // the L = m(m−1)/2 tables is a contiguous array of the N document indexes,
-// ⌈log2 N⌉ bits each, partitioned by the table's k-bit key, plus a directory
-// over the occupied buckets only: a 2^k-bit occupancy bitmap, a rank
-// directory over it and one offset per occupied bucket, packed like the ids
-// in the bits the largest offset needs — no pointers, no per-bucket
-// allocations, and nothing sized by the buckets a table does not use or by
-// the values it could hold (Fig. 3a of the paper keeps a dense 2^k+1 offsets
-// array and 32-bit ids; DESIGN.md "Static tables" has why this one does
-// not). Construction options reproduce the Fig. 4 ablation (1-level →
-// 2-level → shared first level → vectorized hashing); query options
-// reproduce the Fig. 5 ablation (set dedup → bitvector → optimized sparse
-// dot product → candidate extraction → arena layout).
+// partitioned by the top b = clamp(⌈log2 N⌉, k/2, k) bits of the table's
+// k-bit key, each index carrying the key's other r = k − b bits below it,
+// plus a directory over the occupied buckets only: a 2^b-bit occupancy
+// bitmap, a rank directory over it and one offset per occupied bucket,
+// packed like the items in the bits the largest offset needs — no pointers,
+// no per-bucket allocations, and nothing sized by the buckets a table does
+// not use, by the keys N documents cannot tell apart or by the values it
+// could hold (Fig. 3a of the paper keeps a dense 2^k+1 offsets array and
+// 32-bit ids; DESIGN.md "Static tables" has why this one does not).
+// Construction options reproduce the Fig. 4 ablation (1-level → 2-level →
+// shared first level → vectorized hashing); query options reproduce the
+// Fig. 5 ablation (set dedup → bitvector → optimized sparse dot product →
+// candidate extraction → arena layout).
 package core
 
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 	"math/bits"
 	"slices"
 	"unsafe"
@@ -28,22 +31,31 @@ import (
 	"plsh/internal/sparse"
 )
 
-// Table is one LSH hash table: its items are the N document indexes grouped
-// by bucket, in key order. Only occupied buckets have a directory entry:
-// bit b of occ is set when bucket b has one, rank[w] counts the set bits
-// below word w, and the bucket with the j-th set bit holds the items from
-// where entry j starts to where entry j+1 does, one closing entry at the
-// item count ending the last. A builder sets exactly the bits of the
-// non-empty buckets; Merge may then leave a bucket empty whose bit stays
-// set, so a set bit promises an entry, not an item.
+// Table is one LSH hash table. Its directory indexes the top b bits of the
+// k-bit key, and its items are the N document indexes grouped by directory
+// bucket — the 2^r keys that share those b bits, r = k − b — in key order,
+// each stored as id<<r | key&(2^r − 1): the index with the key bits the
+// directory does not hold below it. Bucket key is the items of directory
+// bucket key>>r whose low r bits equal key's. Only occupied directory
+// buckets have an entry: bit d of occ is set when directory bucket d has
+// one, rank[w] counts the set bits below word w, and the bucket with the
+// j-th set bit holds the items from where entry j starts to where entry j+1
+// does, one closing entry at the item count ending the last. A builder sets
+// exactly the bits of the non-empty buckets; Merge may then leave a bucket
+// empty whose bit stays set, so a set bit promises an entry, not an item.
 // The rank words are derived, never stored: every constructor counts them
 // from the bitmap (rankOf).
 //
+// b follows N as the widths do (DirectoryBits): clamp(⌈log2 N⌉, k/2, k), so
+// a directory bucket holds about one item whatever k is, the bitmap and its
+// rank words are 1.5 to 3 bits a document, and from 2^(k−1) documents on
+// r = 0 and an item is its id alone.
+//
 // Items and entries are one encoding used twice: a packed array as wide as
-// its largest value needs. An item takes ⌈log2 N⌉ bits in a table over N
-// documents — 13 at a fleet node's 8 000, 24 at the paper's 10.5 M — and an
-// entry the bit length of the item count, the closing entry being the
-// largest. TableFromWords packs both, DecodeTable copies them as
+// its largest value needs. An item takes ⌈log2 N⌉ + r bits in a table over N
+// documents — k from 2^(k/2) documents up to 2^k, 24 at the paper's 10.5 M
+// — and an entry the bit length of the item count, the closing entry being
+// the largest. TableFromWords packs both, DecodeTable copies them as
 // AppendEncoded wrote them; the probe kernels (through span and load),
 // Bucket, AppendItems and appendOffsets are the readers.
 //
@@ -52,14 +64,21 @@ import (
 // and GroupByKey, Merge's per-table copy) set them, and no method writes
 // them, so the tables of a published index are scanned lock-free.
 type Table struct {
-	occ  []uint64 // ⌈2^k/64⌉ words
+	occ  []uint64 // ⌈2^b/64⌉ words
 	rank []uint32 // one per word of occ
+	r    uint     // the key bits each item carries below its id
 
-	items packed
-	n     uint32 // the item count
-
+	items    packed
 	entries  packed // one per set bit of occ, then the closing one
+	n        uint32 // the item count
 	nEntries uint32
+}
+
+// DirectoryBits is b, the key bits a table over n documents under k-bit
+// keys indexes: ⌈log2 n⌉, held to at least k/2 — the first-level key, which
+// every build partitions by whole — and at most k.
+func DirectoryBits(n, k int) int {
+	return min(max(bits.Len(uint(max(n, 1)-1)), k/2), k)
 }
 
 // packed is an array of values of width bits each, value i at bits
@@ -84,23 +103,35 @@ const packedPad = 8
 // judge it, since a value out of range stays out of range rather than
 // wrapping into it.
 func pack(vals []uint32) packed {
-	var union uint32 // its highest bit is the largest value's
-	for _, v := range vals {
-		union |= v
+	// The union of the values, its highest bit the largest value's, in four
+	// running ORs: one waits on the OR before it, four do not.
+	var u0, u1, u2, u3 uint32
+	i := 0
+	for ; i+4 <= len(vals); i += 4 {
+		v := vals[i : i+4 : i+4]
+		u0, u1, u2, u3 = u0|v[0], u1|v[1], u2|v[2], u3|v[3]
 	}
-	width := uint(bits.Len32(union))
+	for _, v := range vals[i:] {
+		u0 |= v
+	}
+	width := uint(bits.Len32(u0 | u1 | u2 | u3))
 	buf := make([]byte, packedBytes(uint(len(vals)), width))
 	// acc holds the nb bits that do not yet fill a 32-bit word, which starts
 	// at byte at. Nothing stored is read back: an OR into the array would
 	// load bytes the previous store has just half-written, which the store
-	// buffer cannot forward, and that made packing twice as slow.
+	// buffer cannot forward, and that made packing twice as slow. A word is
+	// stored only once 32 bits of values fill it, so it ends at or before
+	// byte len(vals)·width/8, inside buf: the stores go through base and a
+	// [4]byte, with no check, as load reads — a store to a slice of buf
+	// spent a fifth of the packing on its checks.
+	base := unsafe.Pointer(unsafe.SliceData(buf))
 	var acc uint64
 	var nb, at uint
 	for _, v := range vals {
 		acc |= uint64(v) << (nb & 31) // nb < 32 and width ≤ 32: acc holds the value
 		nb += width
 		if nb >= 32 {
-			binary.LittleEndian.PutUint32(buf[at:], uint32(acc))
+			binary.LittleEndian.PutUint32((*[4]byte)(unsafe.Add(base, at))[:], uint32(acc))
 			at, acc, nb = at+4, acc>>32, nb-32
 		}
 	}
@@ -141,12 +172,13 @@ func (p packed) appendTo(dst []uint32, n uint32) []uint32 {
 	if n == 0 {
 		return dst // and a zero Table, which has no array to span, has none
 	}
-	dst = slices.Grow(dst, int(n))
 	base, mask := p.span(uint(n))
-	for i := range uint(n) {
-		dst = append(dst, load(base, i*p.width, mask))
+	dst = slices.Grow(dst, int(n))
+	out := dst[len(dst) : len(dst)+int(n)] // stored by index: an append checks the capacity at every value
+	for i := range out {
+		out[i] = load(base, uint(i)*p.width, mask)
 	}
-	return dst
+	return dst[:len(dst)+int(n)]
 }
 
 // packedBytes is the length of the packed array of n values of width bits.
@@ -154,13 +186,14 @@ func packedBytes(n, width uint) int {
 	return int((n*width+7)/8 + packedPad)
 }
 
-// slot locates bucket key in the directory: the index of its entry and 1,
-// or (0, 0) when its bit is clear — so that entries slot and slot+set bound
-// the bucket either way, an empty one by reading entry 0 twice. It is
+// slot locates the directory bucket of key, key>>r: the index of its entry
+// and 1, or (0, 0) when its bit is clear — so that entries slot and slot+set
+// bound the bucket either way, an empty one by reading entry 0 twice. It is
 // arithmetic on the two loaded words only; the probe relies on it having no
 // branch (see stageBuckets).
 func (t *Table) slot(key uint32) (slot, set uint32) {
-	w, bit := key>>6, key&63
+	d := key >> t.r
+	w, bit := d>>6, d&63
 	word := t.occ[w]
 	set = uint32(word>>bit) & 1
 	below := uint32(bits.OnesCount64(word & (1<<bit - 1)))
@@ -181,17 +214,34 @@ func (t *Table) bounds(slot, set uint32) (lo, hi uint32) {
 // start returns where entry e starts in the items.
 func (t *Table) start(e uint32) uint32 { return t.entries.at(e) }
 
+// keyMatch returns what the probe kernels test the items of directory
+// bucket key>>r against. An item times mul is the item shifted left by
+// 32 − r: the high word is its id, the low word its r key bits at the top,
+// and want is that low word for key — so an item is in bucket key when the
+// low words are equal. (A multiply, not a shift by r: a shift by a count in
+// a register takes CL on amd64, which the load's shift holds too, and
+// measured a quarter slower on a cold probe.) At r = 0 the low words are
+// both 0 and every item matches.
+func (t *Table) keyMatch(key uint32) (mul uint64, want uint32) {
+	mul = 1 << (32 - t.r)
+	return mul, uint32(uint64(key) * mul)
+}
+
 // Bucket appends the document indexes in bucket key to dst.
 func (t *Table) Bucket(dst []uint32, key uint32) []uint32 {
 	lo, hi := t.bounds(t.slot(key))
+	mul, want := t.keyMatch(key)
 	for i := lo; i < hi; i++ {
-		dst = append(dst, t.items.at(i))
+		if item := uint64(t.items.at(i)) * mul; uint32(item) == want {
+			dst = append(dst, uint32(item>>32))
+		}
 	}
 	return dst
 }
 
 // AppendItems appends every item, in key order, to dst: the items with the
-// packing undone, as Merge edits them.
+// packing undone, as Merge edits them — each an id<<r with the key's low r
+// bits below it.
 func (t *Table) AppendItems(dst []uint32) []uint32 { return t.items.appendTo(dst, t.n) }
 
 // appendOffsets appends the start of every entry, the closing one included,
@@ -200,15 +250,15 @@ func (t *Table) appendOffsets(dst []uint32) []uint32 { return t.entries.appendTo
 
 // TableFromWords returns the table over the bitmap occ, which it keeps, with
 // offsets — one per set bit of occ, then the item count — as its entries and
-// ids as its items, each packed in the bits the largest of them needs (see
-// pack; neither slice is kept). Every builder and in-place rewrite ends
-// here, and so does a table that was stored as 32-bit words, as snapshot
-// version 2 stored them: what the words say is ValidateTables' to judge.
-func TableFromWords(occ []uint64, offsets, ids []uint32) Table {
+// items — each id<<r | the key's low r bits — as its items, each packed in
+// the bits the largest of them needs (see pack; neither slice is kept).
+// Every builder and in-place rewrite ends here; what the words say is
+// ValidateTables' to judge.
+func TableFromWords(occ []uint64, offsets, items []uint32, r uint) Table {
 	return Table{
-		occ: occ, rank: rankOf(occ),
+		occ: occ, rank: rankOf(occ), r: r,
 		entries: pack(offsets), nEntries: uint32(len(offsets)),
-		items: pack(ids), n: uint32(len(ids)),
+		items: pack(items), n: uint32(len(items)),
 	}
 }
 
@@ -224,14 +274,15 @@ func rankOf(occ []uint64) []uint32 {
 	return rank
 }
 
-// AppendEncoded appends the table's encoding to dst: the bitmap, as its word
-// count and then its words, followed by the entries and the items, each as
-// its value count, its width and its packed bytes verbatim, padding
-// included — every integer little-endian, the byte order pack lays values
-// out in. The rank words are left out; DecodeTable counts them again. A
-// snapshot stores a table as this, so the file holds a table at the bits it
-// takes in memory.
+// AppendEncoded appends the table's encoding to dst: the key bits its items
+// carry (r), then the bitmap, as its word count and then its words,
+// followed by the entries and the items, each as its value count, its width
+// and its packed bytes verbatim, padding included — every integer
+// little-endian, the byte order pack lays values out in. The rank words are
+// left out; DecodeTable counts them again. A snapshot stores a table as
+// this, so the file holds a table at the bits it takes in memory.
 func (t *Table) AppendEncoded(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(t.r))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(t.occ)))
 	for _, word := range t.occ {
 		dst = binary.LittleEndian.AppendUint64(dst, word)
@@ -255,8 +306,21 @@ var errEncoding = errors.New("core: table encoding is malformed")
 // copied into an allocation of exactly its size, so b is not kept, and the
 // rank words are counted from the bitmap. It checks the shape: every array
 // as long as its count and width say, no width past 32, nothing after the
-// items. What the arrays hold is ValidateTables' to judge.
+// items. What the arrays and r hold is ValidateTables' to judge.
 func DecodeTable(b []byte) (Table, error) {
+	if len(b) < 4 {
+		return Table{}, errEncoding
+	}
+	return decodeTable(b[4:], uint(binary.LittleEndian.Uint32(b)))
+}
+
+// DecodeTableV3 returns the table snapshot version 3 stored as b:
+// AppendEncoded's encoding before it began with r, of a table whose
+// directory indexes the whole key (r = 0).
+func DecodeTableV3(b []byte) (Table, error) { return decodeTable(b, 0) }
+
+// decodeTable decodes the encoding that follows r.
+func decodeTable(b []byte, r uint) (Table, error) {
 	if len(b) < 4 {
 		return Table{}, errEncoding
 	}
@@ -268,7 +332,7 @@ func DecodeTable(b []byte) (Table, error) {
 	for w := range occ {
 		occ[w] = binary.LittleEndian.Uint64(b[8*w:])
 	}
-	t := Table{occ: occ, rank: rankOf(occ)}
+	t := Table{occ: occ, rank: rankOf(occ), r: r}
 	var ok bool
 	if t.entries, t.nEntries, b, ok = cutPacked(b[8*words:]); !ok {
 		return Table{}, errEncoding
@@ -296,21 +360,23 @@ func cutPacked(b []byte) (p packed, n uint32, rest []byte, ok bool) {
 }
 
 // TableBuilder assembles Tables from per-bucket item counts presented in
-// key order. Reset starts a table, Add takes the next run of buckets, Finish
-// seals it. A builder owns an offsets scratch buffer that it reuses from
-// table to table, so building L tables on one builder allocates each table's
-// own arrays and nothing else.
+// key order, a bucket being a directory bucket. Reset starts a table, Add
+// takes the next run of buckets, Finish seals it. A builder owns an offsets
+// scratch buffer that it reuses from table to table, so building L tables on
+// one builder allocates each table's own arrays and nothing else.
 type TableBuilder struct {
 	occ  []uint64
 	offs []uint32 // start of every occupied bucket so far; scratch
 	nOcc uint32
 	key  uint32 // next bucket
 	cum  uint32 // items in the buckets before key
+	r    uint
 }
 
-// Reset starts a table of the given bucket count that will hold at most
-// maxItems items.
-func (b *TableBuilder) Reset(buckets, maxItems int) {
+// Reset starts a table of the given directory bucket count, whose items
+// carry r key bits, that will hold at most maxItems items.
+func (b *TableBuilder) Reset(buckets, maxItems int, r uint) {
+	b.r = r
 	b.occ = make([]uint64, (buckets+63)/64)
 	// One slot past the last possible entry: Add stores before it knows
 	// whether the bucket is occupied, and Finish adds the closing offset.
@@ -349,42 +415,65 @@ func (b *TableBuilder) Add(counts []uint32) {
 }
 
 // Finish returns the table over items, which the caller has filled at the
-// positions Add handed out. The table keeps no reference to items.
+// positions Add handed out, each id<<r | the key's low r bits. The table
+// keeps no reference to items.
 func (b *TableBuilder) Finish(items []uint32) Table {
-	b.offs[b.nOcc] = b.cum
-	return TableFromWords(b.occ, b.offs[:b.nOcc+1], items)
+	occ, offs := b.seal()
+	return TableFromWords(occ, offs, items, b.r)
 }
 
-// GroupByKey builds the table of items 0..len(keys)-1, item i in bucket
-// keys[i], in one counting sort over hist — scratch with one entry per
-// bucket.
-func (b *TableBuilder) GroupByKey(keys, hist []uint32) Table {
+// seal closes the directory and returns its bitmap and its offsets, the
+// closing one included; the offsets are the builder's scratch.
+func (b *TableBuilder) seal() ([]uint64, []uint32) {
+	b.offs[b.nOcc] = b.cum
+	return b.occ, b.offs[:b.nOcc+1]
+}
+
+// GroupByKey builds the table of items 0..len(keys)-1 under k-bit keys, item
+// i under key keys[i], at the directory bits DirectoryBits gives for
+// len(keys) items, in one stable counting sort over hist — scratch of at
+// least 2^k entries.
+func (b *TableBuilder) GroupByKey(keys []uint32, k int, hist []uint32) Table {
+	r := uint(k - DirectoryBits(len(keys), k))
+	low := uint32(1)<<r - 1
+	hist = hist[:1<<(uint(k)-r)]
 	clear(hist)
-	for _, k := range keys {
-		hist[k]++
+	for _, key := range keys {
+		hist[key>>r]++
 	}
-	b.Reset(len(hist), len(keys))
+	b.Reset(len(hist), len(keys), r)
 	b.Add(hist)
 	items := make([]uint32, len(keys))
-	for i, k := range keys {
-		items[hist[k]] = uint32(i)
-		hist[k]++
+	for i, key := range keys {
+		items[hist[key>>r]] = uint32(i)<<r | key&low
+		hist[key>>r]++
 	}
 	return b.Finish(items)
 }
 
-// TableMemoryBound bounds the bytes of l tables of 2^k buckets over n
-// documents. Eq. 7.4 charges (L·N + 2^k·L)·4; here an item costs the
-// ⌈log2 n⌉ bits the largest id needs, and in place of the 2^k·L·4 is a
-// directory of the bitmap, its rank words and an entry of bits.Len(n) bits —
-// the closing one's — for every bucket that can be occupied, each packed
-// array plus its 8 bytes of padding. MemoryBytes of a freshly built Static
-// never exceeds it and reaches it when min(n, 2^k) buckets are in use.
+// TableMemoryBound bounds the bytes of l tables under k-bit keys over n
+// documents. Eq. 7.4 charges (L·N + 2^k·L)·4; here the directory indexes
+// b = DirectoryBits(n, k) key bits, an item costs the ⌈log2 n⌉ + k − b bits
+// the largest of them needs — max(k, ⌈log2 n⌉) from 2^(k/2) documents on —
+// and in place of the 2^k·L·4 is a directory of the 2^b-bit bitmap, its rank
+// words and an entry of bits.Len(n) bits — the closing one's — for every
+// directory bucket the keys occupy, each packed array plus its 8 bytes of
+// padding. The occupied buckets are charged as uniformly random keys fill
+// them, 2^b·(1 − e^(−n/2^b)) on average with a spread under √(2^b)/3, plus
+// a margin of 2·√(2^b) — six spreads — and never more than min(n, 2^b),
+// all that can be occupied; LSH keys, which cluster, occupy fewer. (Where b
+// follows n that cap alone charged about 1.6 entries for each one a build
+// keeps.) So MemoryBytes of a fresh build never exceeds the bound unless
+// its keys spread wider than random ones, and comes within a few percent
+// of it over random ones.
 func TableMemoryBound(n, k, l int) int64 {
-	buckets := int64(1) << uint(k)
+	b := DirectoryBits(n, k)
+	buckets := int64(1) << uint(b)
 	words := (buckets + 63) / 64
-	entries := min(int64(n), buckets) + 1
-	itemWidth := uint(bits.Len(uint(max(n, 1) - 1))) // ⌈log2 n⌉
+	fill := float64(buckets) * -math.Expm1(-float64(n)/float64(buckets))
+	occupied := int64(math.Ceil(fill + 2*math.Sqrt(float64(buckets))))
+	entries := min(int64(n), buckets, occupied) + 1
+	itemWidth := uint(bits.Len(uint(max(n, 1)-1)) + k - b) // ⌈log2 n⌉ + r
 	perTable := int64(packedBytes(uint(n), itemWidth)+packedBytes(uint(entries), uint(bits.Len(uint(n))))) + words*(8+4)
 	return int64(l) * perTable
 }
@@ -426,13 +515,15 @@ func StaticFromTables(fam *lshhash.Family, n int, tables []Table) (*Static, erro
 }
 
 // ValidateTables reports whether tables describe n documents under p's
-// geometry: L = m(m−1)/2 tables, each with a 2^k-bit bitmap, one entry per
-// set bit (plus one) running from 0 up to exactly its item count, and every
-// item id below n — the checks that keep a corrupt snapshot from becoming an
-// index that reads out of bounds. That each packed array is as long as its
-// count and width take is its constructor's to ensure (DecodeTable checks a
-// decoded one); the entries and the items are read where they lie, so
-// validating allocates nothing.
+// geometry: L = m(m−1)/2 tables, all indexing the same b key bits with
+// K/2 ≤ b ≤ K, each with a 2^b-bit bitmap, one entry per set bit (plus one)
+// running from 0 up to exactly its item count, and every item's id below n
+// — the checks that keep a corrupt snapshot from becoming an index that
+// reads out of bounds. An item's low key bits may hold anything: they only
+// decide which key of its directory bucket it answers. That each packed
+// array is as long as its count and width take is its constructor's to
+// ensure (DecodeTable checks a decoded one); the entries and the items are
+// read where they lie, so validating allocates nothing.
 func ValidateTables(p lshhash.Params, n int, tables []Table) error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -440,14 +531,22 @@ func ValidateTables(p lshhash.Params, n int, tables []Table) error {
 	if len(tables) != p.L() {
 		return errors.New("core: table count does not match family")
 	}
-	words := (p.Buckets() + 63) / 64
+	r := tables[0].r
+	if r > uint(p.K/2) {
+		return errors.New("core: directory indexes fewer than K/2 key bits")
+	}
+	buckets := 1 << (uint(p.K) - r)
+	words := (buckets + 63) / 64
 	for l := range tables {
 		t := &tables[l]
-		if len(t.occ) != words {
-			return errors.New("core: bucket bitmap size does not match K")
+		if t.r != r {
+			return errors.New("core: tables index different key bits")
 		}
-		if p.Buckets() < 64 && t.occ[0]>>uint(p.Buckets()) != 0 {
-			return errors.New("core: bucket bitmap has bits past 2^K")
+		if len(t.occ) != words {
+			return errors.New("core: bucket bitmap size does not match its key bits")
+		}
+		if buckets < 64 && t.occ[0]>>uint(buckets) != 0 {
+			return errors.New("core: bucket bitmap has bits past 2^b")
 		}
 		if occupied := int(t.rank[words-1]) + bits.OnesCount64(t.occ[words-1]); int(t.nEntries) != occupied+1 {
 			return errors.New("core: offset count does not match occupied buckets")
@@ -468,10 +567,10 @@ func ValidateTables(p lshhash.Params, n int, tables []Table) error {
 		if off != t.n {
 			return errors.New("core: offsets do not delimit items")
 		}
-		items := t.items
+		items, limit := t.items, uint64(n)<<r // an item's id is below n when the item is below n<<r
 		base, mask = items.span(uint(t.n))
 		for i := range uint(t.n) {
-			if int(load(base, i*items.width, mask)) >= n {
+			if uint64(load(base, i*items.width, mask)) >= limit {
 				return errors.New("core: item id out of range")
 			}
 		}
@@ -480,7 +579,7 @@ func ValidateTables(p lshhash.Params, n int, tables []Table) error {
 }
 
 // MemoryBytes reports the bytes the index holds: every table's packed items
-// (the L·N·4 of Eq. 7.4's memory constraint, at ⌈log2 N⌉ bits an item) and
+// (the L·N·4 of Eq. 7.4's memory constraint, at ⌈log2 N⌉ + r bits an item) and
 // its bucket directory, counted at capacity.
 func (s *Static) MemoryBytes() int64 {
 	var b int64

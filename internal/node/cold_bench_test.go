@@ -101,7 +101,7 @@ func coldDocs(n, dim int) []sparse.Vector {
 // as the other arm of BenchmarkMerge.
 func (n *Node) rebuildStatic(prefix *sparse.Matrix, del *bitvec.Vector) (*core.Static, *core.Engine) {
 	workers := n.cfg.Build.Workers
-	none := core.BuildFromSketches(n.fam, &lshhash.Sketches{M: n.cfg.Params.M}, workers)
+	none := &lshhash.Sketches{M: n.cfg.Params.M}
 	st := core.Merge(core.MustBuild(n.fam, prefix, n.cfg.Build), none, tombstoneWords(del, prefix.Rows()), workers)
 	eng := core.NewEngine(st, prefix, n.cfg.Query)
 	eng.SetDeleted(del)
@@ -109,8 +109,8 @@ func (n *Node) rebuildStatic(prefix *sparse.Matrix, del *bitvec.Vector) (*core.S
 }
 
 // BenchmarkMerge times one merge of a delta chain into the static index, at
-// the benchmark suite's geometry, by the shipping path (Copy: tables of the
-// delta rows from the sketches their segments kept, then core.Merge)
+// the benchmark suite's geometry, by the shipping path (Copy: core.Merge,
+// which builds the delta rows' tables from the sketches their segments kept)
 // and by the rebuild it replaced (Rebuild, above). 32k+20k is the ladder's
 // node.merge_ms rung — 200 batches of 100 over the 32 000-row base set —
 // and 131k+13k a stream_ingest merge late in a run: one merge trigger's

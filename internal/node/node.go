@@ -439,18 +439,18 @@ func (n *Node) initStaticLocked() {
 // covering the rest. It takes no locks and touches no mutable node state, so
 // the background merge calls it while inserts and queries proceed.
 //
-// No row is hashed: the segments kept their sketches, BuildFromSketches
-// buckets the delta rows from them, and core.Merge copies the two table
-// sets into one, bucket by bucket. Rows deleted before this point are left
-// out of the copy and never become candidates again; later deletions are
-// caught by the engine's per-query tombstone filter.
+// No row is hashed: the segments kept their sketches, core.Merge buckets
+// the delta rows from them at the merged index's directory bits and copies
+// the two table sets into one, bucket by bucket. Rows deleted before this
+// point are left out of the copy and never become candidates again; later
+// deletions are caught by the engine's per-query tombstone filter.
 func (n *Node) mergeStatic(old *core.Static, segs []segment, prefix *sparse.Matrix, del *bitvec.Vector, upTo int) (*core.Static, *core.Engine) {
 	workers := n.cfg.Build.Workers
-	add := core.BuildFromSketches(n.fam, delta.ConcatSketches(tablesOf(segs)), workers)
-	if old.Len()+add.Len() != upTo {
+	add := delta.ConcatSketches(tablesOf(segs))
+	if old.Len()+add.N() != upTo {
 		// The segments tile [old.Len(), upTo); this is unreachable absent
 		// memory corruption.
-		panic(fmt.Sprintf("node: merging %d+%d rows, want %d", old.Len(), add.Len(), upTo))
+		panic(fmt.Sprintf("node: merging %d+%d rows, want %d", old.Len(), add.N(), upTo))
 	}
 	st := core.Merge(old, add, tombstoneWords(del, upTo), workers)
 	eng := core.NewEngine(st, prefix, n.cfg.Query)

@@ -3,6 +3,7 @@ package node
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -627,5 +628,75 @@ func TestSearchAppendDoesNotAllocate(t *testing.T) {
 		if allocs := testing.AllocsPerRun(50, func() { search(p) }); allocs != 0 {
 			t.Errorf("%+v: SearchAppend allocates %.1f times per pass, want 0", p, allocs)
 		}
+	}
+}
+
+// TestFleetShareMemoryAndAnswers: a node of the benchmark suite's geometry
+// (K 16, M 16, the tweet corpus) holding as many rows as the smallest and
+// the largest group fleet_routed_batch's router makes of that corpus, 7 199
+// and 8 878, reports at most 460 and 505 bytes a row — its tables' bucket
+// directories index 13 and 14 key bits, not all 16 — and answers 1 000
+// queries, half of them stored rows, exactly as a scan of every row's
+// sketch does: the rows sharing a table key with the query, within the
+// radius. The bytes are a count: this test cannot flake on a slow host.
+func TestFleetShareMemoryAndAnswers(t *testing.T) {
+	const queries = 1000
+	for _, c := range []struct {
+		rows  int
+		limit float64
+	}{
+		{7199, 460},
+		{8878, 505},
+	} {
+		t.Run(fmt.Sprint(c.rows), func(t *testing.T) {
+			cfg := testConfig(c.rows)
+			cfg.Params = lshhash.Params{Dim: 50000, K: 16, M: 16, Seed: 1}
+			cfg.AutoMerge = false
+			col := corpus.Generate(corpus.Twitter(c.rows+queries/2, cfg.Params.Dim, 1))
+			docs := make([]sparse.Vector, c.rows)
+			for i := range docs {
+				docs[i] = col.Mat.Row(i)
+			}
+			n, err := Open(bg, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := n.Insert(bg, docs); err != nil {
+				t.Fatal(err)
+			}
+			mustMerge(t, n)
+			perRow := float64(n.Stats().MemoryBytes) / float64(c.rows)
+			t.Logf("%d rows: %.1f B a row", c.rows, perRow)
+			if perRow > c.limit {
+				t.Errorf("%d rows: %.1f B a row, want at most %v", c.rows, perRow, c.limit)
+			}
+
+			p := cfg.Params
+			sketches := make([][]uint32, c.rows)
+			for i, d := range docs {
+				sketches[i] = n.fam.Sketch(d)
+			}
+			thr := sparse.CosThreshold(cfg.Query.Radius)
+			for i := 0; i < queries; i++ {
+				q := col.Mat.Row(c.rows - queries/2 + i)
+				qs := n.fam.Sketch(q)
+				var want []core.Neighbor
+				for id, s := range sketches {
+					// Two rows share the key of table (a, b) when they agree
+					// on both half-hashes: some table, when on two of the m.
+					agree := 0
+					for j := 0; j < p.M; j++ {
+						if s[j] == qs[j] {
+							agree++
+						}
+					}
+					if dot := sparse.Dot(q, docs[id]); agree >= 2 && dot >= thr {
+						want = append(want, core.Neighbor{ID: uint32(id), Dist: sparse.AngularDistance(dot)})
+					}
+				}
+				core.SortNeighbors(want)
+				sameNeighbors(t, fmt.Sprintf("%d rows, query %d", c.rows, i), want, mustQuery(t, n, q))
+			}
+		})
 	}
 }

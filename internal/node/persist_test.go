@@ -589,13 +589,13 @@ func TestDocOutOfRange(t *testing.T) {
 	}
 }
 
-// TestReadsVersion2Snapshot: a data directory holding a snapshot from
-// before tables were stored as they are held (version 2: the rank words,
-// and 32-bit offsets and items; the committed 60-row fixture of
+// TestReadsVersion3Snapshot: a data directory holding a snapshot from
+// before a table stored the key bits its items carry (version 3, whose
+// tables index every key bit; the committed 60-row fixture of
 // internal/persist/testdata) opens, answers every query exactly as a node
 // rebuilt from the same documents does, and its next checkpoint writes the
-// committed version-3 fixture byte for byte.
-func TestReadsVersion2Snapshot(t *testing.T) {
+// committed version-4 fixture byte for byte.
+func TestReadsVersion3Snapshot(t *testing.T) {
 	fixture := func(name string) []byte {
 		raw, err := os.ReadFile(filepath.Join("..", "persist", "testdata", name))
 		if err != nil {
@@ -603,8 +603,8 @@ func TestReadsVersion2Snapshot(t *testing.T) {
 		}
 		return raw
 	}
-	raw := fixture("snapshot-v2.plsh")
-	if v := binary.LittleEndian.Uint32(raw[8:]); v != 2 {
+	raw := fixture("snapshot-v3.plsh")
+	if v := binary.LittleEndian.Uint32(raw[8:]); v != 3 {
 		t.Fatalf("fixture is version %d", v)
 	}
 	dir := t.TempDir()
@@ -658,8 +658,8 @@ func TestReadsVersion2Snapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(raw, fixture("snapshot-v3.plsh")) {
-		t.Fatal("the checkpoint of the version-2 fixture is not testdata/snapshot-v3.plsh")
+	if !bytes.Equal(raw, fixture("snapshot-v4.plsh")) {
+		t.Fatal("the checkpoint of the version-3 fixture is not testdata/snapshot-v4.plsh")
 	}
 }
 

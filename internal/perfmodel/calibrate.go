@@ -241,7 +241,7 @@ func CalibrateFor(cc CalibrationConfig) Costs {
 		c.GatherNS = float64(time.Since(t0).Nanoseconds()) / float64(reps*n)
 
 		// I3: the full second-level pass — per first-level partition, a
-		// histogram reset, directory fill, and scatter — so the 2^k fixed
+		// histogram reset, directory fill, and scatter — so the 2^b fixed
 		// costs are amortized exactly as in the real table build.
 		itemsOut := make([]uint32, n)
 		var tb core.TableBuilder
@@ -253,7 +253,7 @@ func CalibrateFor(cc CalibrationConfig) Costs {
 		}
 		t0 = time.Now()
 		for r := 0; r < reps; r++ {
-			secondLevelForCalibration(&tb, perm, keys2, offs1, hist[:halfB], itemsOut, cc.K)
+			secondLevelForCalibration(&tb, perm, keys2, offs1, hist[:halfB], itemsOut, cc.K, core.DirectoryBits(n, cc.K))
 		}
 		c.SecondLevelNS = float64(time.Since(t0).Nanoseconds()) / float64(reps*n)
 	}
@@ -269,9 +269,11 @@ const probeQueries = 4096
 // calibrateProbe prices Step Q2's two per-query quantities by running
 // core.ProbeMark — the kernel the engine runs — over synthetic tables of
 // the real shape: N documents with uniform sketches sk, partitioned into
-// min(L, 256) tables of 2^k buckets. Two key streams separate the
-// constants. Fresh random sketches land mostly in empty buckets (occupancy
-// N/2^k): nearly pure probe cost. The sketches of indexed documents find at
+// min(L, 256) tables whose directories index the key bits core gives N
+// documents (core.DirectoryBits). Two key streams separate the
+// constants. Fresh random sketches land in buckets that are empty, and in
+// directory buckets of N/2^b ≤ 1 item of other keys: nearly pure probe
+// cost. The sketches of indexed documents find at
 // least themselves in every bucket, as a real query drawn from the data
 // does: about one more collision per table, and the bucket's first item
 // line with it. Solving the two totals for (per table, per collision)
@@ -292,11 +294,11 @@ func calibrateProbe(cc CalibrationConfig, sk []uint32, src *rng.Source) (tablePr
 		for i := range keys {
 			keys[i] = pr.Key(sk[i*cc.M:(i+1)*cc.M], half)
 		}
-		tables[t] = tb.GroupByKey(keys, hist)
+		tables[t] = tb.GroupByKey(keys, cc.K, hist)
 	}
 
 	seen := bitvec.New(cc.N)
-	lo, hi := make([]uint32, len(tables)), make([]uint32, len(tables))
+	lo, hi, first := make([]uint32, len(tables)), make([]uint32, len(tables)), make([]uint32, len(tables))
 	fresh := make([]uint32, probeQueries*cc.M)
 	for i := range fresh {
 		fresh[i] = uint32(src.Intn(cc.halfBuckets()))
@@ -311,7 +313,7 @@ func calibrateProbe(cc CalibrationConfig, sk []uint32, src *rng.Source) (tablePr
 		doc := i * stride % cc.N
 		for s, sketch := range [2][]uint32{fresh[i*cc.M : (i+1)*cc.M], sk[doc*cc.M : (doc+1)*cc.M]} {
 			t0 := time.Now()
-			n := core.ProbeMark(tables, pairs, sketch, half, lo, hi, seen.Words())
+			n := core.ProbeMark(tables, pairs, sketch, half, lo, hi, first, seen.Words())
 			ns[s] += float64(time.Since(t0).Nanoseconds())
 			collisions[s] += float64(n)
 			// Untimed: the engine's extraction and reset, which
@@ -333,23 +335,29 @@ func calibrateProbe(cc CalibrationConfig, sk []uint32, src *rng.Source) (tablePr
 	return tableProbeNS, collisionNS
 }
 
-// secondLevelForCalibration mirrors core's second-level refinement pass,
-// duplicated here so the calibration measures the same loop structure
-// without exporting core internals. hist has 2^(k/2) entries.
-func secondLevelForCalibration(tb *core.TableBuilder, perm1, keys2, offs1, hist, items []uint32, k int) {
-	tb.Reset(1<<uint(k), len(perm1))
-	for part := range hist {
+// secondLevelForCalibration mirrors core's second-level refinement pass at
+// b directory bits, duplicated here so the calibration measures the same
+// loop without exporting core internals — k2>>r and id<<r as the same
+// multiplies core's pass uses (the high word of k2·2^(32−r), and id·2^r).
+// hist has 2^(k/2) entries, one per first-level partition.
+func secondLevelForCalibration(tb *core.TableBuilder, perm1, keys2, offs1, hist, items []uint32, k, b int) {
+	r := uint(k - b)
+	low, down, up := uint32(1)<<r-1, uint64(1)<<(32-r), uint32(1)<<r
+	parts := len(hist)
+	tb.Reset(1<<uint(b), len(perm1), r)
+	hist = hist[:parts>>r]
+	for part := 0; part < parts; part++ {
 		segLo, segHi := offs1[part], offs1[part+1]
 		seg := keys2[segLo:segHi]
 		clear(hist)
 		for _, k2 := range seg {
-			hist[k2]++
+			hist[uint64(k2)*down>>32]++
 		}
 		tb.Add(hist)
 		for i, k2 := range seg {
-			dst := hist[k2]
-			hist[k2]++
-			items[dst] = perm1[segLo+uint32(i)]
+			d := uint64(k2) * down >> 32
+			items[hist[d]] = perm1[segLo+uint32(i)]*up | k2&low
+			hist[d]++
 		}
 	}
 	tb.Finish(items)

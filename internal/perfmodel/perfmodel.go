@@ -204,9 +204,11 @@ var ErrNoFeasible = errors.New("perfmodel: no feasible (k, m) under the given co
 // Select enumerates k = 2, 4, …, kMax and, per §7.3, picks for each k the
 // smallest m with P′(R, k, m) ≥ 1−δ, keeps candidates whose table memory
 // — core.TableMemoryBound: Eq. 7.4's (L·N + 2^k·L)·4 with an item at the
-// ⌈log2 N⌉ bits the tables pack it in rather than 4 bytes, and the second
-// term replaced by the directory the tables actually carry, its entries
-// packed the same way — fits memBudget, and returns the one minimizing the
+// bits the tables pack it in (its id's ⌈log2 N⌉ and the key bits the
+// directory leaves it) rather than 4 bytes, and the second term replaced by
+// the directory the tables actually carry, over the key bits N documents
+// tell apart, its entries packed the same way — fits memBudget, and
+// returns the one minimizing the
 // estimated query time. k stops where lshhash.Params.Validate stops it, at
 // the width of a table key (p(R)^32 < 1e-4 at R=0.9; beyond is pointless,
 // §7.3).

@@ -5,12 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"math/bits"
 	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
-	"strings"
 	"testing"
 
 	"plsh/internal/core"
@@ -19,9 +17,9 @@ import (
 )
 
 // The committed fixtures are one 60-row node (Dim 256, K 6, M 4, two
-// tombstones) saved twice: snapshot-v2.plsh by the last commit that wrote
-// 32-bit offsets and items, snapshot-v3.plsh by reading that file back and
-// writing it with this code.
+// tombstones) saved twice: snapshot-v3.plsh by the last commit that wrote
+// tables without the key bits their items carry, snapshot-v4.plsh by
+// reading that file back and writing it with this code.
 func fixture(t testing.TB, name string) []byte {
 	t.Helper()
 	raw, err := os.ReadFile(filepath.Join("testdata", name))
@@ -35,42 +33,41 @@ func decode(raw []byte) (*Snapshot, error) {
 	return readSnapshot(bytes.NewReader(raw), int64(len(raw)))
 }
 
-// TestReadsVersion2Fixture: a version-2 file loads as the tables a build
+// TestReadsVersion3Fixture: a version-3 file loads as the tables a build
 // over its arena produces, bucket for bucket, and writing it back out
-// yields exactly the committed version-3 bytes — which pins the current
+// yields exactly the committed version-4 bytes — which pins the current
 // format against accidental change.
-func TestReadsVersion2Fixture(t *testing.T) {
-	v2, err := decode(fixture(t, "snapshot-v2.plsh"))
+func TestReadsVersion3Fixture(t *testing.T) {
+	v3, err := decode(fixture(t, "snapshot-v3.plsh"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v2.Rows != 60 || len(v2.Tables) != v2.Params.L() {
-		t.Fatalf("fixture: %d rows, %d tables", v2.Rows, len(v2.Tables))
+	if v3.Rows != 60 || len(v3.Tables) != v3.Params.L() {
+		t.Fatalf("fixture: %d rows, %d tables", v3.Rows, len(v3.Tables))
 	}
-	fam, err := lshhash.NewFamily(v2.Params)
+	fam, err := lshhash.NewFamily(v3.Params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := core.StaticFromTables(fam, v2.Rows, v2.Tables)
+	got, err := core.StaticFromTables(fam, v3.Rows, v3.Tables)
 	if err != nil {
 		t.Fatal(err)
 	}
-	built, err := core.Build(fam, v2.Arena, core.Defaults())
+	built, err := core.Build(fam, v3.Arena, core.Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A merge that adds no rows is the build with the tombstones left out.
-	none := core.BuildFromSketches(fam, &lshhash.Sketches{M: v2.Params.M}, 1)
-	want := core.Merge(built, none, v2.Deleted, 1)
+	want := core.Merge(built, &lshhash.Sketches{M: v3.Params.M}, v3.Deleted, 1)
 	for l := 0; l < got.NumTables(); l++ {
-		for key := 0; key < v2.Params.Buckets(); key++ {
+		for key := 0; key < v3.Params.Buckets(); key++ {
 			if g, w := got.Table(l).Bucket(nil, uint32(key)), want.Table(l).Bucket(nil, uint32(key)); !slices.Equal(g, w) {
 				t.Fatalf("table %d bucket %d: loaded %v, rebuilt %v", l, key, g, w)
 			}
 		}
 	}
-	if !bytes.Equal(encode(t, v2), fixture(t, "snapshot-v3.plsh")) {
-		t.Fatal("rewriting the version-2 fixture does not reproduce testdata/snapshot-v3.plsh: the on-disk format changed")
+	if !bytes.Equal(encode(t, v3), fixture(t, "snapshot-v4.plsh")) {
+		t.Fatal("rewriting the version-3 fixture does not reproduce testdata/snapshot-v4.plsh: the on-disk format changed")
 	}
 }
 
@@ -101,21 +98,22 @@ func stormSnapshot(t testing.TB, items int) *Snapshot {
 		Capacity: 1,
 		Rows:     1,
 		Arena:    arena,
-		Tables:   []core.Table{core.TableFromWords([]uint64{1}, []uint32{0, uint32(items)}, make([]uint32, items))},
+		Tables:   []core.Table{core.TableFromWords([]uint64{1}, []uint32{0, uint32(items)}, make([]uint32, items), 0)},
 		Deleted:  []uint64{0},
 	}
 }
 
 // wideSnapshot is stormSnapshot's file with its table replaced by one
-// written by hand as core.Table.AppendEncoded lays a table out: a bucket for
-// each offset but the closing one, in bitmap bits 0 up, over ids, both
-// arrays width bits a value. At 32 bits a value is one little-endian word,
-// more bits than the values need but a width a table may hold; at 33 the
-// array is as long as that width takes, all zero, and the width is one no
-// table holds.
+// written by hand as core.Table.AppendEncoded lays a table out: items that
+// carry no key bits, a bucket for each offset but the closing one, in bitmap
+// bits 0 up, over ids, both arrays width bits a value. At 32 bits a value is
+// one little-endian word, more bits than the values need but a width a table
+// may hold; at 33 the array is as long as that width takes, all zero, and
+// the width is one no table holds.
 func wideSnapshot(t testing.TB, offsets, ids []uint32, width int) []byte {
 	t.Helper()
-	enc := binary.LittleEndian.AppendUint32(nil, 1)                    // one bitmap word
+	enc := binary.LittleEndian.AppendUint32(nil, 0)                    // no key bits on the items
+	enc = binary.LittleEndian.AppendUint32(enc, 1)                     // one bitmap word
 	enc = binary.LittleEndian.AppendUint64(enc, 1<<(len(offsets)-1)-1) // its bits
 	for _, vals := range [][]uint32{offsets, ids} {
 		enc = binary.LittleEndian.AppendUint32(enc, uint32(len(vals)))
@@ -196,55 +194,6 @@ func TestEntryWidthsOnDisk(t *testing.T) {
 	}
 }
 
-// itemsAt returns where, in the version-2 snapshot raw, the items of table l
-// start: past the header, the arena, and every earlier table's bitmap, rank
-// words, offsets and items, each behind its length word.
-func itemsAt(t testing.TB, raw []byte, l int) int {
-	t.Helper()
-	u64 := func(at int) int { return int(binary.LittleEndian.Uint64(raw[at:])) }
-	at := 8 + 4 + 3*4 + 8 + 8 // magic, version, Dim/K/M, seed, capacity
-	rows := u64(at)
-	nnz := u64(at + 8)
-	at += 8 + 8 + (rows+1)*4 + 2*nnz*4 // rows, nnz, offsets, columns, values
-	if tables := int(binary.LittleEndian.Uint32(raw[at:])); l >= tables {
-		t.Fatalf("snapshot has %d tables, no table %d", tables, l)
-	}
-	at += 4
-	for ; ; l-- {
-		words := u64(at)
-		at += 8 + words*(8+4)
-		at += 8 + u64(at)*4 // offsets
-		if l == 0 {
-			return at + 8
-		}
-		at += 8 + u64(at)*4 // items
-	}
-}
-
-// wrappingSnapshot is the committed 60-row version-2 fixture with one item of
-// table 1 set to 64 = 2^⌈log2 60⌉ and the checksum made good: an id the
-// ⌈log2 60⌉ = 6 bits of a table over 60 rows would wrap to 0, in range.
-func wrappingSnapshot(t testing.TB) []byte {
-	raw := slices.Clone(fixture(t, "snapshot-v2.plsh"))
-	at := itemsAt(t, raw, 1) + 5*4
-	binary.LittleEndian.PutUint32(raw[at:], 1<<bits.Len(60-1))
-	return withChecksum(raw)
-}
-
-// TestReaderWidensItems: the version-2 reader packs the ids a snapshot holds
-// in the bits the largest of them needs, not in the bits its row count needs, so an
-// id at or past the row count reaches ValidateTables as it is and the file is
-// ErrCorrupt — never a table that wrapped it into range and loads.
-func TestReaderWidensItems(t *testing.T) {
-	if _, err := decode(fixture(t, "snapshot-v2.plsh")); err != nil {
-		t.Fatalf("fixture: %v", err)
-	}
-	_, err := decode(wrappingSnapshot(t))
-	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "item id out of range") {
-		t.Fatalf("a snapshot holding item 64 of 60 rows: err = %v, want ErrCorrupt from ValidateTables", err)
-	}
-}
-
 // withChecksum returns raw with its last four bytes replaced by the CRC of
 // the rest, so a mutated body gets past the trailer check and into the
 // section decoder.
@@ -264,7 +213,7 @@ func withChecksum(raw []byte) []byte {
 // input, not to the lengths the input claims. Each input is tried as given
 // and with a corrected checksum.
 func FuzzReadSnapshot(f *testing.F) {
-	for _, name := range []string{"snapshot-v2.plsh", "snapshot-v3.plsh"} {
+	for _, name := range []string{"snapshot-v3.plsh", "snapshot-v4.plsh"} {
 		raw := fixture(f, name)
 		f.Add(raw)
 		for _, cut := range []int{0, 1, 7, 8, len(raw) / 2, len(raw) - 1} {
@@ -275,7 +224,6 @@ func FuzzReadSnapshot(f *testing.F) {
 	for _, raw := range slices.Concat(valid, corrupt) {
 		f.Add(raw)
 	}
-	f.Add(wrappingSnapshot(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, raw := range [][]byte{data, withChecksum(data)} {
 			var before, after runtime.MemStats
@@ -283,12 +231,13 @@ func FuzzReadSnapshot(f *testing.F) {
 			snap, err := decode(raw)
 			runtime.ReadMemStats(&after)
 			// 16 bytes a byte covers the widest sections twice over: a
-			// version-2 table's three length words becoming a 128-byte
-			// core.Table and two 8-byte array paddings (6 bytes a byte); a
-			// version-3 table's bytes read into scratch that may double as
-			// it grows, then copied into the table's arrays, each bitmap
-			// word adding a rank word (under 4). The constant is the
-			// runtime's own background allocation.
+			// table's bytes read into scratch that may double as it grows,
+			// then copied into the table's arrays, each bitmap word adding a
+			// rank word (under 4), and the shortest table a 136-byte
+			// core.Table over 44 bytes at least (its length word, the
+			// smallest encoding's five words and two paddings: about 3 a
+			// byte). The constant is the runtime's own background
+			// allocation.
 			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+16*len(raw)); got > limit {
 				t.Fatalf("decoding %d bytes allocated %d, over %d", len(raw), got, limit)
 			}

@@ -51,15 +51,15 @@ const snapshotName = "snapshot.plsh"
 // version field below covers compatible evolution).
 var snapshotMagic = [8]byte{'P', 'L', 'S', 'H', 'S', 'N', 'P', '1'}
 
-// snapshotVersion is the format version WriteSnapshot emits: version 3
+// snapshotVersion is the format version WriteSnapshot emits: version 4
 // stores each table as a byte length and core.Table.AppendEncoded's bytes —
-// the bitmap and the two packed arrays verbatim, no rank words — and
-// ReadSnapshot hands those bytes to core.DecodeTable. Version 2 stored the
-// bitmap, the rank words, and the offsets and the items as 32-bit words;
-// ReadSnapshot still loads it (table32), the rank words skipped and the rest
-// packed by core.TableFromWords. What a table holds is ValidateTables' to
-// judge, after the CRC, whichever version it came from.
-const snapshotVersion = 3
+// the key bits its items carry, then the bitmap and the two packed arrays
+// verbatim, no rank words — and ReadSnapshot hands those bytes to
+// core.DecodeTable. Version 3 stored the same bytes without the key bits,
+// every table's items being ids alone; ReadSnapshot still loads it, through
+// core.DecodeTableV3. What a table holds is ValidateTables' to judge, after
+// the CRC, whichever version it came from.
+const snapshotVersion = 4
 
 // castagnoli is the CRC-32C table used for both snapshot and WAL framing.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -204,7 +204,7 @@ func readSnapshot(src io.Reader, size int64) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	version := r.u32()
-	if r.err == nil && version != 2 && version != snapshotVersion {
+	if r.err == nil && version != 3 && version != snapshotVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, version)
 	}
 	s := &Snapshot{}
@@ -227,15 +227,15 @@ func readSnapshot(src io.Reader, size int64) (*Snapshot, error) {
 	if r.err == nil && nTables > 1<<20 {
 		return nil, fmt.Errorf("%w: impossible table count", ErrCorrupt)
 	}
-	if nTables > 0 && r.checkLen(nTables, 3*8) { // 24 bytes a table at least, in either version
+	if nTables > 0 && r.checkLen(nTables, 3*8) { // a length word and more than 16 bytes of encoding a table
 		s.Tables = make([]core.Table, 0, nTables)
+	}
+	decode := core.DecodeTable
+	if version == 3 {
+		decode = core.DecodeTableV3
 	}
 	var enc []byte // each table's encoding in turn; scratch
 	for i := 0; i < nTables && r.err == nil; i++ {
-		if version == 2 {
-			s.Tables = append(s.Tables, r.table32())
-			continue
-		}
 		n := int(r.u64())
 		if !r.checkLen(n, 1) {
 			break
@@ -244,7 +244,7 @@ func readSnapshot(src io.Reader, size int64) (*Snapshot, error) {
 		if r.bytes(enc); r.err != nil {
 			break
 		}
-		t, err := core.DecodeTable(enc)
+		t, err := decode(enc)
 		if err != nil {
 			r.fail(fmt.Errorf("%w: %v", ErrCorrupt, err))
 		}
@@ -270,17 +270,6 @@ func readSnapshot(src io.Reader, size int64) (*Snapshot, error) {
 		}
 	}
 	return s, nil
-}
-
-// table32 reads one table of a version-2 snapshot: the bitmap, the rank
-// words, which it skips (a table counts its own), then the offsets and the
-// items as 32-bit words, which core.TableFromWords packs.
-func (c *crcReader) table32() core.Table {
-	words := int(c.u64())
-	occ := c.u64s(words)
-	c.u32s(words)
-	offsets := c.u32s(int(c.u64()))
-	return core.TableFromWords(occ, offsets, c.u32s(int(c.u64())))
 }
 
 // syncDir fsyncs a directory so renames and segment creations survive a

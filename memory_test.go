@@ -197,12 +197,15 @@ func TestStatsMemoryCountsDeltaBitmaps(t *testing.T) {
 
 // TestStatsMemoryCountsStaticDirectory pins both sides of what the static
 // tables add to Stats.MemoryBytes. An empty index is all directory — per
-// table a 2^k-bit bitmap and its rank words — and reports it. Merging 1025
-// copies of one document then fills one bucket a table: the items, at the
-// ⌈log2 1025⌉ = 11 bits an id needs (the 8 bytes of padding after them the
-// empty table had already), and one more offset each, and nothing sized by
-// the 65 535 buckets that stay empty (a dense 2^k+1 offsets array per table
-// would be 31 MB here).
+// table a bitmap over the k/2 key bits the smallest directory indexes, and
+// its rank words — and reports it. Merging 1025 copies of one document then
+// fills one bucket a table: the directory now indexes ⌈log2 1025⌉ = 11 key
+// bits, so the bitmap and rank words grow to 2^11 bits' worth; the items
+// take the 11 bits an id needs and the 5 key bits the directory does not
+// index (the 8 bytes of padding after them the empty table had already);
+// one more offset each; and nothing sized by the buckets that stay empty
+// past their bitmap bits (a dense 2^k+1 offsets array per table would be
+// 31 MB here).
 func TestStatsMemoryCountsStaticDirectory(t *testing.T) {
 	const n, k, m = 1025, 16, 16
 	const tables = m * (m - 1) / 2
@@ -215,8 +218,10 @@ func TestStatsMemoryCountsStaticDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if directory := int64(tables * (1<<k/8 + 1<<k/64*4)); empty[0].MemoryBytes < directory {
-		t.Errorf("an empty index reports %d bytes, under the %d of its bitmaps and rank words", empty[0].MemoryBytes, directory)
+	// The bitmap and rank words of a directory over b key bits.
+	directory := func(b int) int64 { return int64(tables * (1<<b/8 + (1<<b+63)/64*4)) }
+	if empty[0].MemoryBytes < directory(k/2) {
+		t.Errorf("an empty index reports %d bytes, under the %d of its bitmaps and rank words", empty[0].MemoryBytes, directory(k/2))
 	}
 	doc := SyntheticTweets(1, 2000, 5)[0]
 	batch := make([]Vector, n)
@@ -237,13 +242,14 @@ func TestStatsMemoryCountsStaticDirectory(t *testing.T) {
 		t.Fatalf("%d static + %d delta rows, want the whole batch merged", merged[0].StaticLen, merged[0].DeltaLen)
 	}
 	arena := int64(n * (4 + 8*doc.NNZ()))
-	items := int64(tables * ((n*11 + 7) / 8))
+	items := int64(tables * ((n*(11+5) + 7) / 8))
+	grown := directory(11) - directory(k/2)
 	got := merged[0].MemoryBytes - empty[0].MemoryBytes
-	if got < arena+items {
-		t.Errorf("merging %d rows adds %d bytes to Stats.MemoryBytes; arena %d + items %d = %d", n, got, arena, items, arena+items)
+	if got < arena+items+grown {
+		t.Errorf("merging %d rows adds %d bytes to Stats.MemoryBytes; arena %d + items %d + bitmap growth %d = %d", n, got, arena, items, grown, arena+items+grown)
 	}
-	if over := got - arena - items; over > tables*64 {
-		t.Errorf("merging %d rows into one bucket a table adds %d bytes beyond arena and items: the directory grew with something other than its occupied buckets", n, over)
+	if over := got - arena - items - grown; over > tables*64 {
+		t.Errorf("merging %d rows into one bucket a table adds %d bytes beyond arena, items and bitmap: the directory grew with something other than its occupied buckets", n, over)
 	}
 }
 
