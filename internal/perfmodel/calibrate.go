@@ -1,6 +1,7 @@
 package perfmodel
 
 import (
+	"runtime"
 	"slices"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"plsh/internal/core"
 	"plsh/internal/lshhash"
 	"plsh/internal/rng"
+	"plsh/internal/sched"
 	"plsh/internal/sparse"
 )
 
@@ -23,48 +25,52 @@ type CalibrationConfig struct {
 	// MeanNNZ is the average non-zeros per document.
 	MeanNNZ float64
 	// N is the dataset size (sizes the dedup bitvector, the document
-	// arena, and the sketch arrays the partition benchmarks walk).
+	// arena, the sketches the probe tables index, and CalibrateBuild's
+	// corpus).
 	N int
-	// K and M are the LSH parameters; they size the partition fan-outs,
-	// the hyperplane rows, and the probe targets.
+	// K and M are the LSH parameters of the probe tables and of
+	// CalibrateBuild's build.
 	K, M int
-	// ZipfAlpha reproduces the corpus's word skew in the synthetic
-	// calibration documents (hot hyperplane rows cache, §5.1.1); <= 1
-	// means uniform.
-	ZipfAlpha float64
 	// Seed drives the synthetic inputs.
 	Seed uint64
 }
+
+// zipfAlpha is the word skew of the synthetic calibration documents, the
+// tweet corpus's (corpus.Twitter): hot words keep their hyperplane rows
+// resident (§5.1.1) as they do in the real phases.
+const zipfAlpha = 1.07
 
 // DefaultCalibration fills a config from the core workload parameters.
 func DefaultCalibration(dim int, meanNNZ float64, n, k, m int) CalibrationConfig {
 	if n < 1024 {
 		n = 1024
 	}
-	return CalibrationConfig{
-		Dim:       dim,
-		MeanNNZ:   meanNNZ,
-		N:         n,
-		K:         k,
-		M:         m,
-		ZipfAlpha: 1.07,
-		Seed:      42,
-	}
+	return CalibrationConfig{Dim: dim, MeanNNZ: meanNNZ, N: n, K: k, M: m, Seed: 42}
 }
 
-func (cc CalibrationConfig) numFuncs() int    { return cc.M * cc.K / 2 }
 func (cc CalibrationConfig) halfBuckets() int { return 1 << uint(cc.K/2) }
 func (cc CalibrationConfig) buckets() int     { return 1 << uint(cc.K) }
 
-// wordDraw returns a word sampler matching the configured skew.
+// nnz is the non-zeros of each synthetic document.
+func (cc CalibrationConfig) nnz() int { return max(1, int(cc.MeanNNZ+0.5)) }
+
+// wordDraw returns a Zipf-skewed word sampler over the vocabulary.
 func (cc CalibrationConfig) wordDraw(src *rng.Source) func() uint32 {
-	if cc.ZipfAlpha <= 1 {
-		return func() uint32 { return uint32(src.Intn(cc.Dim)) }
-	}
-	z := rng.NewZipf(src.Split(), cc.ZipfAlpha, cc.Dim)
+	z := rng.NewZipf(src.Split(), zipfAlpha, cc.Dim)
 	perm := make([]int, cc.Dim)
 	src.Split().Perm(perm)
 	return func() uint32 { return uint32(perm[z.Next()]) }
+}
+
+// docs draws the N synthetic documents: the document arena Step Q3's
+// calibration verifies against, and the corpus CalibrateBuild builds.
+func (cc CalibrationConfig) docs(draw func() uint32, src *rng.Source) *sparse.Matrix {
+	nnz := cc.nnz()
+	mat := sparse.NewMatrix(cc.Dim, cc.N, cc.N*nnz)
+	for i := 0; i < cc.N; i++ {
+		mat.AppendRow(calDoc(draw, src, nnz))
+	}
+	return mat
 }
 
 func calDoc(draw func() uint32, src *rng.Source, nnz int) sparse.Vector {
@@ -81,23 +87,19 @@ func calDoc(draw func() uint32, src *rng.Source, nnz int) sparse.Vector {
 	return v
 }
 
-// CalibrateFor measures the cost constants with workload-shaped
-// microbenchmarks. Runtime is tens to hundreds of milliseconds depending
-// on N.
+// CalibrateFor measures the query constants EstimateQuery and Select read
+// (CollisionNS, TableProbeNS, ScanNSPerWord, UniqueNS) by running the
+// engine's own Q2 and Q3 kernels on workload-shaped inputs. Runtime is tens
+// to hundreds of milliseconds depending on N. The construction constants
+// stay zero: CalibrateBuild fills them.
 func CalibrateFor(cc CalibrationConfig) Costs {
 	src := rng.New(cc.Seed)
 	draw := cc.wordDraw(src)
 	var c Costs
-	nnz := int(cc.MeanNNZ + 0.5)
-	if nnz < 1 {
-		nnz = 1
-	}
 	halfB := cc.halfBuckets()
-	nFuncs := cc.numFuncs()
 
 	// Synthetic sketches for N documents, uniform over the 2^(k/2) values
-	// of each half-hash: the probe calibration indexes them and the
-	// construction passes partition them.
+	// of each half-hash, which the probe calibration indexes.
 	sk := make([]uint32, cc.N*cc.M)
 	for i := range sk {
 		sk[i] = uint32(src.Intn(halfB))
@@ -127,11 +129,8 @@ func CalibrateFor(cc CalibrationConfig) Costs {
 	// miss caches exactly as the real Step Q3 does (the paper: ~4 cache
 	// lines of traffic per candidate).
 	{
-		mat := sparse.NewMatrix(cc.Dim, cc.N, cc.N*nnz)
-		for i := 0; i < cc.N; i++ {
-			mat.AppendRow(calDoc(draw, src, nnz))
-		}
-		q := calDoc(draw, src, nnz)
+		mat := cc.docs(draw, src)
+		q := calDoc(draw, src, cc.nnz())
 		mask := sparse.NewQueryMask(cc.Dim)
 		mask.Scatter(q)
 		order := make([]int, cc.N)
@@ -152,111 +151,45 @@ func CalibrateFor(cc CalibrationConfig) Costs {
 		}
 		c.UniqueNS = float64(time.Since(t0).Nanoseconds()) / float64(len(cand))
 	}
+	return c
+}
 
-	// --- Hashing: the family's own kernel over a pool of Zipf-skewed
-	// documents at the real geometry, reproducing §5.1.1's cache behaviour
-	// (hot words keep their hyperplane rows resident). The first pass is
-	// untimed: it draws the rows the pool touches.
-	{
-		fam, err := lshhash.NewFamily(lshhash.Params{Dim: cc.Dim, K: cc.K, M: cc.M, Seed: cc.Seed})
-		if err != nil {
-			panic("perfmodel: calibration geometry: " + err.Error())
-		}
-		poolSize := 4096
-		pool := make([]sparse.Vector, poolSize)
-		for i := range pool {
-			pool[i] = calDoc(draw, src, nnz)
-		}
-		scores := make([]float32, nFuncs)
-		sketch := make([]uint32, cc.M)
-		for _, v := range pool {
-			fam.SketchInto(v, scores, sketch)
-		}
-		var totalNNZ int
-		t0 := time.Now()
-		reps := 3
-		for r := 0; r < reps; r++ {
-			for _, v := range pool {
-				fam.SketchInto(v, scores, sketch)
-				totalNNZ += len(v.Idx)
-			}
-		}
-		c.HashNS = float64(time.Since(t0).Nanoseconds()) / float64(totalNNZ*nFuncs)
+// CalibrateBuild returns c with the construction constants EstimateBuild
+// reads (HashNS, PartitionNS, GatherNS, SecondLevelNS) filled by timing
+// core's own build: one core.BuildTimed on one worker over cc's N synthetic
+// documents, each phase divided by the operations the shared build makes.
+// The family has sketched the documents once already, untimed, so the
+// timed hashing finds the hyperplane rows drawn (lshhash draws a row on its
+// word's first use, which would otherwise more than double the phase).
+func (c Costs) CalibrateBuild(cc CalibrationConfig) Costs {
+	src := rng.New(cc.Seed)
+	mat := cc.docs(cc.wordDraw(src), src)
+	fam, err := lshhash.NewFamily(lshhash.Params{Dim: cc.Dim, K: cc.K, M: cc.M, Seed: cc.Seed})
+	if err != nil {
+		panic("perfmodel: calibration geometry: " + err.Error())
 	}
-
-	// --- Construction passes, shaped like Steps I1–I3 at (N, k, m).
-	{
-		n := cc.N
-		mW := cc.M
-
-		// I1: the histogram + prefix pass over sequential sketch reads
-		// (the fused build's scatter is measured separately as I2).
-		hist := make([]uint32, halfB+1)
-		offs := make([]uint32, halfB+1)
-		perm := make([]uint32, n)
-		t0 := time.Now()
-		reps := 4
-		const col = 0 // both passes key on one column; skew is uniform
-		for r := 0; r < reps; r++ {
-			for i := range hist {
-				hist[i] = 0
-			}
-			for i := 0; i < n; i++ {
-				hist[sk[i*mW+col]]++
-			}
-			var cum uint32
-			for b := 0; b < halfB; b++ {
-				offs[b] = cum
-				cc := hist[b]
-				hist[b] = cum
-				cum += cc
-			}
-			offs[halfB] = cum
-		}
-		c.PartitionNS = float64(time.Since(t0).Nanoseconds()) / float64(reps*n)
-
-		// I2: the fused first-level scatter — sequential sketch-row reads,
-		// one perm write plus ~m/2 column writes per item into 2^(k/2)
-		// partition streams.
-		cols := make([][]uint32, mW)
-		for j := range cols {
-			cols[j] = make([]uint32, n)
-		}
-		writeCols := (mW + 1) / 2
-		cursor := make([]uint32, halfB)
-		t0 = time.Now()
-		for r := 0; r < reps; r++ {
-			copy(cursor, offs[:halfB])
-			for i := 0; i < n; i++ {
-				row := sk[i*mW : i*mW+mW]
-				p := row[col]
-				dst := cursor[p]
-				cursor[p]++
-				perm[dst] = uint32(i)
-				for j := 0; j < writeCols; j++ {
-					cols[j][dst] = row[j]
-				}
-			}
-		}
-		c.GatherNS = float64(time.Since(t0).Nanoseconds()) / float64(reps*n)
-
-		// I3: the full second-level pass — per first-level partition, a
-		// histogram reset, directory fill, and scatter — so the 2^b fixed
-		// costs are amortized exactly as in the real table build.
-		itemsOut := make([]uint32, n)
-		var tb core.TableBuilder
-		keys2 := cols[0]
-		// Synthetic first-level offsets: even segments.
-		offs1 := make([]uint32, halfB+1)
-		for p := 0; p <= halfB; p++ {
-			offs1[p] = uint32(p * n / halfB)
-		}
-		t0 = time.Now()
-		for r := 0; r < reps; r++ {
-			secondLevelForCalibration(&tb, perm, keys2, offs1, hist[:halfB], itemsOut, cc.K, core.DirectoryBits(n, cc.K))
-		}
-		c.SecondLevelNS = float64(time.Since(t0).Nanoseconds()) / float64(reps*n)
+	fam.SketchAll(mat, sched.NewPool(1), true)
+	opts := core.Defaults()
+	opts.Workers = 1
+	runtime.GC() // so the timed build pays for no collection of the set-up's garbage
+	_, tm, err := core.BuildTimed(fam, mat, opts)
+	if err != nil {
+		panic("perfmodel: calibration build: " + err.Error())
 	}
+	return c.withBuild(tm, cc.N, mat.NNZ(), cc.K, cc.M)
+}
+
+// withBuild sets the construction constants from the phase times of one
+// worker's shared build (core.Defaults) of n documents with nnz non-zeros
+// in all at (k, m): hashing is n·NNZ·(m·k/2) kernel operations, Steps I1 and
+// I2 each make one pass over the n items per first-level function u_0 …
+// u_(m−2), and Step I3 one per table. It is EstimateBuild's inverse.
+func (c Costs) withBuild(tm core.BuildTimings, n, nnz, k, m int) Costs {
+	passes := float64(n) * float64(m-1)
+	c.HashNS = float64(tm.HashNS) / (float64(nnz) * float64(m*k/2))
+	c.PartitionNS = float64(tm.I1NS) / passes
+	c.GatherNS = float64(tm.I2NS) / passes
+	c.SecondLevelNS = float64(tm.I3NS) / (float64(n) * float64(m*(m-1)/2))
 	return c
 }
 
@@ -333,32 +266,4 @@ func calibrateProbe(cc CalibrationConfig, sk []uint32, src *rng.Source) (tablePr
 		return ns[1] / probes / 2, ns[1] / collisions[1] / 2
 	}
 	return tableProbeNS, collisionNS
-}
-
-// secondLevelForCalibration mirrors core's second-level refinement pass at
-// b directory bits, duplicated here so the calibration measures the same
-// loop without exporting core internals — k2>>r and id<<r as the same
-// multiplies core's pass uses (the high word of k2·2^(32−r), and id·2^r).
-// hist has 2^(k/2) entries, one per first-level partition.
-func secondLevelForCalibration(tb *core.TableBuilder, perm1, keys2, offs1, hist, items []uint32, k, b int) {
-	r := uint(k - b)
-	low, down, up := uint32(1)<<r-1, uint64(1)<<(32-r), uint32(1)<<r
-	parts := len(hist)
-	tb.Reset(1<<uint(b), len(perm1), r)
-	hist = hist[:parts>>r]
-	for part := 0; part < parts; part++ {
-		segLo, segHi := offs1[part], offs1[part+1]
-		seg := keys2[segLo:segHi]
-		clear(hist)
-		for _, k2 := range seg {
-			hist[uint64(k2)*down>>32]++
-		}
-		tb.Add(hist)
-		for i, k2 := range seg {
-			d := uint64(k2) * down >> 32
-			items[hist[d]] = perm1[segLo+uint32(i)]*up | k2&low
-			hist[d]++
-		}
-	}
-	tb.Finish(items)
 }

@@ -8,48 +8,22 @@ import (
 
 // FitConfig describes the reference runs used by FitQuery.
 type FitConfig struct {
-	// RefN is the subsample size (default: all rows).
-	RefN int
-	// The two reference parameter points (defaults (12, 8) and (14, 12))
-	// — deliberately away from typical production points so predictions
-	// extrapolate across (k, m) rather than interpolate.
-	RefK1, RefM1 int
-	RefK2, RefM2 int
 	// Queries is the per-run reference query count (default 200).
 	Queries int
-	// Radius is the query radius (default 0.9).
-	Radius float64
-	// Seed drives sampling.
+	// Seed drives the reference families (default 42).
 	Seed uint64
 }
 
-func (fc FitConfig) withDefaults(rows int) FitConfig {
-	if fc.RefN <= 0 || fc.RefN > rows {
-		fc.RefN = rows
-	}
-	if fc.RefN < 2048 {
-		fc.RefN = 2048
-	}
-	if fc.RefN > rows {
-		fc.RefN = rows
-	}
-	if fc.RefK1 == 0 {
-		fc.RefK1 = 12
-	}
-	if fc.RefM1 == 0 {
-		fc.RefM1 = 8
-	}
-	if fc.RefK2 == 0 {
-		fc.RefK2 = 14
-	}
-	if fc.RefM2 == 0 {
-		fc.RefM2 = 12
-	}
+// refPoints are FitQuery's two reference (k, m) points, deliberately away
+// from typical production points so predictions extrapolate across (k, m)
+// rather than interpolate; refRadius is their query radius.
+var refPoints = [2]struct{ k, m int }{{12, 8}, {14, 12}}
+
+const refRadius = 0.9
+
+func (fc FitConfig) withDefaults() FitConfig {
 	if fc.Queries == 0 {
 		fc.Queries = 200
-	}
-	if fc.Radius == 0 {
-		fc.Radius = 0.9
 	}
 	if fc.Seed == 0 {
 		fc.Seed = 42
@@ -78,20 +52,10 @@ type refRun struct {
 // paper, §2) in place of datasheet cycle counts; the reference points stay
 // away from production parameters so Fig. 6/7 remain extrapolations.
 func (c Costs) FitQuery(mat *sparse.Matrix, fc FitConfig) (Costs, error) {
-	fc = fc.withDefaults(mat.Rows())
-
-	sub := mat
-	if fc.RefN < mat.Rows() {
-		sub = sparse.NewMatrix(mat.Dim, fc.RefN, fc.RefN*8)
-		for i := 0; i < fc.RefN; i++ {
-			sub.AppendRow(mat.Row(i))
-		}
-	}
-
-	points := [2]struct{ k, m int }{{fc.RefK1, fc.RefM1}, {fc.RefK2, fc.RefM2}}
+	fc = fc.withDefaults()
 	var runs [2]refRun
-	for i, pt := range points {
-		r, err := c.referenceRun(sub, pt.k, pt.m, fc)
+	for i, pt := range refPoints {
+		r, err := c.referenceRun(mat, pt.k, pt.m, fc)
 		if err != nil {
 			return c, err
 		}
@@ -102,7 +66,7 @@ func (c Costs) FitQuery(mat *sparse.Matrix, fc FitConfig) (Costs, error) {
 	// small, credible terms) and fit the per-table probe cost by least
 	// squares over the reference runs — an exact 2×2 solve would amplify
 	// measurement noise through subtractive cancellation.
-	scanW := c.ScanNSPerWord * float64((fc.RefN+63)/64)
+	scanW := c.ScanNSPerWord * float64((mat.Rows()+63)/64)
 	var num, den float64
 	for _, r := range runs {
 		resid := r.q2 - c.CollisionNS*r.collisions - scanW*r.queries
@@ -125,25 +89,25 @@ func (c Costs) FitQuery(mat *sparse.Matrix, fc FitConfig) (Costs, error) {
 	return c, nil
 }
 
-func (c Costs) referenceRun(sub *sparse.Matrix, k, m int, fc FitConfig) (refRun, error) {
-	fam, err := lshhash.NewFamily(lshhash.Params{Dim: sub.Dim, K: k, M: m, Seed: fc.Seed})
+func (c Costs) referenceRun(mat *sparse.Matrix, k, m int, fc FitConfig) (refRun, error) {
+	fam, err := lshhash.NewFamily(lshhash.Params{Dim: mat.Dim, K: k, M: m, Seed: fc.Seed})
 	if err != nil {
 		return refRun{}, err
 	}
-	st, err := core.Build(fam, sub, core.Defaults())
+	st, err := core.Build(fam, mat, core.Defaults())
 	if err != nil {
 		return refRun{}, err
 	}
 	opts := core.QueryDefaults()
-	opts.Radius = fc.Radius
+	opts.Radius = refRadius
 	opts.Workers = 1 // contention-free constants; parallelism is modeled separately
 	opts.CollectPhases = true
-	eng := core.NewEngine(st, sub, opts)
+	eng := core.NewEngine(st, mat, opts)
 
 	queries := make([]sparse.Vector, fc.Queries)
-	stride := max(1, sub.Rows()/fc.Queries)
+	stride := max(1, mat.Rows()/fc.Queries)
 	for i := range queries {
-		queries[i] = sub.Row((i * stride) % sub.Rows())
+		queries[i] = mat.Row((i * stride) % mat.Rows())
 	}
 	eng.SearchBatchAppend(nil, queries[:min(32, len(queries))], core.SearchParams{}) // warm up
 

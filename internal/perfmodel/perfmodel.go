@@ -10,12 +10,13 @@
 //
 // Where the paper derives its cost constants from hardware datasheets
 // (cycles per op, bytes per cache line, achieved bandwidth on a Xeon
-// E5-2670), this package calibrates them at runtime with targeted
-// microbenchmarks of the same primitive operations — bitvector marking,
-// bitvector scanning, masked sparse dot products, hashing kernels, and
-// partition passes. The formulas are the paper's; only the constants are
-// machine-specific, exactly as intended ("allows us to determine the
-// optimal setting of PLSH parameters on different hardware").
+// E5-2670), this package calibrates them at runtime by timing the engine's
+// own code: the query constants from core's probe, bitvector-scan and
+// verify kernels on workload-shaped inputs (CalibrateFor), the
+// construction constants from core's timed build (CalibrateBuild). The
+// formulas are the paper's; only the constants are machine-specific,
+// exactly as intended ("allows us to determine the optimal setting of PLSH
+// parameters on different hardware").
 package perfmodel
 
 import (
@@ -47,15 +48,16 @@ type Costs struct {
 	// HashNS is the hashing kernel cost per (non-zero × elementary hash
 	// function) pair.
 	HashNS float64
-	// PartitionNS is one first-level partition pass per item (histogram +
-	// prefix + scatter, with the key-closure indirection).
+	// PartitionNS is Step I1 per item and first-level function: the
+	// histogram over u_a and its share of the prefix sum.
 	PartitionNS float64
-	// GatherNS is one Step-I2 transpose pass per item (random sketch-row
-	// read plus the shared column writes).
+	// GatherNS is Step I2 per item and first-level function: the fused
+	// scatter of the data index and its remaining hash columns, averaged
+	// over the passes (pass a writes m−1−a columns).
 	GatherNS float64
-	// SecondLevelNS is one per-table second-level refinement per item,
-	// including the 2^k fixed per-bucket costs amortized at the
-	// calibration's N/2^k ratio.
+	// SecondLevelNS is Step I3 per item and table: the second-level
+	// refinement, including the directory's fixed per-bucket costs
+	// amortized at the calibration's N.
 	SecondLevelNS float64
 	// Q3FixedNS is the per-query fixed cost of Step Q3 (query-mask
 	// scatter, result allocation); fitted by FitQuery, zero from the
@@ -63,7 +65,7 @@ type Costs struct {
 	Q3FixedNS float64
 }
 
-// Calibrate measures the cost constants with a generic mid-size working
+// Calibrate measures the query constants with a generic mid-size working
 // set. Prefer CalibrateFor with a workload-shaped CalibrationConfig; this
 // convenience form serves parameter tuning where (k, m) are not yet known.
 func Calibrate(dim int, meanNNZ float64, seed uint64) Costs {
@@ -174,15 +176,16 @@ type BuildEstimate struct {
 }
 
 // EstimateBuild predicts construction cost for (k, m) on w with the shared
-// 2-level algorithm: hashing N·NNZ·(m·k/2) kernel ops, m first-level
-// partition passes, m−1 transpose passes (the shared Step I2), and L
-// second-level refinements.
+// 2-level algorithm (core.Defaults): hashing N·NNZ·(m·k/2) kernel ops, one
+// Step I1 histogram and one Step I2 scatter per first-level function u_0 …
+// u_(m−2), and L second-level refinements. It reads the constants
+// CalibrateBuild fills.
 func (c Costs) EstimateBuild(w Workload, k, m int) BuildEstimate {
 	n := float64(w.N)
 	L := float64(m * (m - 1) / 2)
 	e := BuildEstimate{
 		HashNS: c.HashNS * n * w.MeanNNZ * float64(m*k/2),
-		I1NS:   c.PartitionNS * n * float64(m),
+		I1NS:   c.PartitionNS * n * float64(m-1),
 		I2NS:   c.GatherNS * n * float64(m-1),
 		I3NS:   c.SecondLevelNS * n * L,
 	}

@@ -16,17 +16,10 @@ func testWorkload(t *testing.T, nDocs int) (Workload, *corpus.Collection) {
 	return SampleWorkload(c.Mat, 50, 200, 11), c
 }
 
-func TestCalibratePositive(t *testing.T) {
-	c := Calibrate(2000, 7.2, 1)
-	for name, v := range map[string]float64{
-		"CollisionNS":   c.CollisionNS,
-		"ScanNSPerWord": c.ScanNSPerWord,
-		"TableProbeNS":  c.TableProbeNS,
-		"UniqueNS":      c.UniqueNS,
-		"HashNS":        c.HashNS,
-		"PartitionNS":   c.PartitionNS,
-		"GatherNS":      c.GatherNS,
-	} {
+// checkPlausible fails t for each constant outside (0, 1e5] ns.
+func checkPlausible(t *testing.T, consts map[string]float64) {
+	t.Helper()
+	for name, v := range consts {
 		if v <= 0 {
 			t.Errorf("%s = %v, want > 0", name, v)
 		}
@@ -34,10 +27,71 @@ func TestCalibratePositive(t *testing.T) {
 			t.Errorf("%s = %v ns, implausibly large", name, v)
 		}
 	}
+}
+
+func TestCalibratePositive(t *testing.T) {
+	c := Calibrate(2000, 7.2, 1)
+	checkPlausible(t, map[string]float64{
+		"CollisionNS":   c.CollisionNS,
+		"ScanNSPerWord": c.ScanNSPerWord,
+		"TableProbeNS":  c.TableProbeNS,
+		"UniqueNS":      c.UniqueNS,
+	})
 	// Sanity ordering: a masked dot over a whole document costs more than
 	// marking one bit.
 	if c.UniqueNS < c.CollisionNS {
 		t.Errorf("UniqueNS %v < CollisionNS %v", c.UniqueNS, c.CollisionNS)
+	}
+}
+
+func TestCalibrateBuildPositive(t *testing.T) {
+	c := Costs{}.CalibrateBuild(DefaultCalibration(2000, 7.2, 8192, 12, 8))
+	checkPlausible(t, map[string]float64{
+		"HashNS":        c.HashNS,
+		"PartitionNS":   c.PartitionNS,
+		"GatherNS":      c.GatherNS,
+		"SecondLevelNS": c.SecondLevelNS,
+	})
+	if c.CollisionNS != 0 || c.TableProbeNS != 0 || c.ScanNSPerWord != 0 || c.UniqueNS != 0 {
+		t.Errorf("CalibrateBuild set a query constant: %+v", c)
+	}
+}
+
+// The build constants are the measured phases divided by the operations
+// the shared build makes, so EstimateBuild at the same (N, k, m) gives the
+// phases back: the conversion and the estimate are inverses.
+func TestEstimateBuildInvertsBuildTimings(t *testing.T) {
+	tm := core.BuildTimings{HashNS: 91_000_000, I1NS: 4_300_000, I2NS: 38_000_000, I3NS: 97_000_000}
+	for _, pt := range []struct{ n, nnz, k, m int }{
+		{50_000, 360_000, 16, 16},
+		{8_192, 57_000, 12, 8},
+		{1_024, 1_024, 4, 2},
+	} {
+		c := Costs{}.withBuild(tm, pt.n, pt.nnz, pt.k, pt.m)
+		w := Workload{N: pt.n, MeanNNZ: float64(pt.nnz) / float64(pt.n)}
+		e := c.EstimateBuild(w, pt.k, pt.m)
+		for _, ph := range []struct {
+			name      string
+			est, want float64
+		}{
+			{"hashing", e.HashNS, float64(tm.HashNS)},
+			{"I1", e.I1NS, float64(tm.I1NS)},
+			{"I2", e.I2NS, float64(tm.I2NS)},
+			{"I3", e.I3NS, float64(tm.I3NS)},
+		} {
+			if RelativeError(ph.est, ph.want) > 1e-12 {
+				t.Errorf("(N, k, m) = (%d, %d, %d): %s estimated %v ns, timed %v", pt.n, pt.k, pt.m, ph.name, ph.est, ph.want)
+			}
+		}
+	}
+}
+
+// BenchmarkCalibrate is what plsh.Tune pays for its constants: one
+// Calibrate over a 50 000-word vocabulary at the tweet corpus's mean of 7.2
+// words a document.
+func BenchmarkCalibrate(b *testing.B) {
+	for b.Loop() {
+		Calibrate(50000, 7.2, 1)
 	}
 }
 
