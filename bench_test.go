@@ -288,7 +288,8 @@ func BenchmarkFig9Nodes(b *testing.B) {
 	}
 }
 
-// Top-K broadcast: per-node pruning + bounded-heap coordinator merge.
+// Top-K broadcast: each node sorts its answers and cuts them at k, and the
+// coordinator sorts the gathered group lists and cuts them at k again.
 func BenchmarkClusterQueryTopK(b *testing.B) {
 	f := benchFixture(b)
 	perNode := 4000
@@ -639,7 +640,7 @@ func BenchmarkQueryDuringMerge(b *testing.B) {
 	b.ReportMetric(float64(elapsed.Nanoseconds())/float64(b.N), "ns/query-during-merge")
 }
 
-// --- §8.6: streaming insert and merge costs ------------------------------
+// --- §8.6: streaming insert costs ----------------------------------------
 
 func BenchmarkStreamingInsertChunk(b *testing.B) {
 	f := benchFixture(b)
@@ -653,17 +654,6 @@ func BenchmarkStreamingInsertChunk(b *testing.B) {
 		dt.Insert(chunk)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(chunk)), "ns/doc")
-}
-
-func BenchmarkStreamingMerge(b *testing.B) {
-	f := benchFixture(b)
-	fam := f.family(b, 12, 10)
-	for i := 0; i < b.N; i++ {
-		// Merge = rebuild over all rows (§6.2); this is the dominant cost.
-		if _, err := core.Build(fam, f.col.Mat, core.Defaults()); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // --- Ablations beyond the figures ----------------------------------------

@@ -322,7 +322,9 @@ func (cl *Cluster) SearchBatch(ctx context.Context, qs []Vector, opts ...SearchO
 	if err != nil {
 		return nil, report, err
 	}
-	return resultsFromCluster(res), report, nil
+	return carveResults(res, func(nb cluster.Neighbor) Match {
+		return Match{ID: GlobalID(nb.Node, nb.ID), Dist: nb.Dist}
+	}), report, nil
 }
 
 // Delete removes a document by its global ID from every member of its

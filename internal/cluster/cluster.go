@@ -32,11 +32,10 @@
 package cluster
 
 import (
-	"container/heap"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -55,6 +54,18 @@ type Neighbor struct {
 	Node int // replica-group index (node index when Replicas = 1)
 	ID   uint32
 	Dist float64
+}
+
+// compareNeighbors is the cluster-wide presentation order: ascending
+// distance, ties by group, then by group-local ID.
+func compareNeighbors(a, b Neighbor) int {
+	if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Node, b.Node); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // GlobalID packs (group, local ID) into one opaque identifier. With
@@ -877,12 +888,12 @@ func (c *Cluster) plan(qs []sparse.Vector, radius float64) searchPlan {
 // out to one member's Search entry point (per-query radius and candidate
 // budget applied node-side, answers pruned to p.K per group when bounded)
 // — with failover to sibling replicas on error/timeout and an optional
-// hedge against slow ones (see searchGroup) — and k-way-merge the
-// per-group sorted partial lists back into query order through the
-// probe-ref arena: bounded-heap selection of the global k best when p.K
-// is set, a full ordered merge otherwise. Groups the plan gave nothing —
-// pruned by the router, or any group when the batch is empty — are
-// skipped entirely: zero wall time, nil error, nothing on the wire.
+// hedge against slow ones (see searchGroup) — and gather each query's
+// per-group lists through the probe refs into its span of one arena,
+// sorted into the canonical order and cut at p.K when it is set. Groups
+// the plan gave nothing — pruned by the router, or any group when the
+// batch is empty — are skipped entirely: zero wall time, nil error,
+// nothing on the wire.
 // Answers come back in canonical ascending (distance, group, id) order
 // and are replica-agnostic (mirrors answer identically, so which member
 // won is visible only in the report). Under opts.Trace the report also
@@ -976,36 +987,31 @@ func (c *Cluster) Search(ctx context.Context, qs []sparse.Vector, p node.SearchP
 	if firstErr != nil && (!opts.Partial || answered == 0) {
 		return nil, report, firstErr
 	}
-	// Every merged list is carved from one arena. Each answer list belongs
-	// to one query, and a query emits at most its k best, so the lists'
-	// total length — or k a query, when that is less — bounds the arena. The
-	// comparison divides: k is the caller's and len(qs)*k may overflow.
+	// Every query's answer is a span of one arena sized by the group lists'
+	// total.
 	size := 0
 	for _, gp := range groups {
 		for _, list := range gp.res {
 			size += len(list)
 		}
 	}
-	k := math.MaxInt // unbounded: a full ordered merge
-	if p.K > 0 {
-		k = p.K
-		if size > 0 && k <= size/len(qs) {
-			size = len(qs) * k
-		}
-	}
 	out := make([][]Neighbor, len(qs))
 	arena := make([]Neighbor, 0, size)
-	ms := mergeState{cursors: make([]topkCursor, 0, c.groups), h: make(topkHeap, 0, c.groups)}
 	for qi := range qs {
-		ms.cursors = ms.cursors[:0]
+		base := len(arena)
 		for _, ref := range plan.refs[plan.offs[qi]:plan.offs[qi+1]] {
-			if lists := groups[ref.g].res; lists != nil && len(lists[ref.j]) > 0 {
-				ms.cursors = append(ms.cursors, topkCursor{group: int(ref.g), list: lists[ref.j]})
+			if lists := groups[ref.g].res; lists != nil {
+				for _, nb := range lists[ref.j] {
+					arena = append(arena, Neighbor{Node: int(ref.g), ID: nb.ID, Dist: nb.Dist})
+				}
 			}
 		}
-		base := len(arena)
-		arena = ms.mergeAppend(arena, k)
-		out[qi] = arena[base:len(arena):len(arena)]
+		ans := arena[base:]
+		slices.SortFunc(ans, compareNeighbors)
+		if p.K > 0 && len(ans) > p.K {
+			ans = ans[:p.K]
+		}
+		out[qi] = ans[:len(ans):len(ans)]
 	}
 	c.searches.Add(1)
 	c.queriesServed.Add(uint64(len(qs)))
@@ -1042,66 +1048,6 @@ func (c *Cluster) Doc(ctx context.Context, gid uint64) (sparse.Vector, bool, err
 		}
 	}
 	return sparse.Vector{}, false, fmt.Errorf("cluster: doc on group %d: %w", group, lastErr)
-}
-
-// topkCursor walks one group's sorted partial list during the merge.
-type topkCursor struct {
-	group int
-	list  []core.Neighbor
-	pos   int
-}
-
-func (c *topkCursor) head() core.Neighbor { return c.list[c.pos] }
-
-// topkHeap is a min-heap of cursors ordered by their heads' (Dist, Group,
-// ID) — the cluster-wide presentation order.
-type topkHeap []*topkCursor
-
-func (h topkHeap) Len() int { return len(h) }
-func (h topkHeap) Less(i, j int) bool {
-	a, b := h[i].head(), h[j].head()
-	if a.Dist != b.Dist {
-		return a.Dist < b.Dist
-	}
-	if h[i].group != h[j].group {
-		return h[i].group < h[j].group
-	}
-	return a.ID < b.ID
-}
-func (h topkHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *topkHeap) Push(x any)   { *h = append(*h, x.(*topkCursor)) }
-func (h *topkHeap) Pop() any     { old := *h; x := old[len(old)-1]; *h = old[:len(old)-1]; return x }
-
-// mergeState is the scratch of one Search call's k-way merges, a local of
-// that call serving its queries one after another: a cursor per non-empty
-// input list and the heap of pointers to them, each with room for one
-// entry per group.
-type mergeState struct {
-	cursors []topkCursor
-	h       topkHeap
-}
-
-// mergeAppend k-way-merges the cursors' lists (per-group ascending partial
-// lists) into dst, emitting at most k entries, and returns the extended
-// slice.
-func (ms *mergeState) mergeAppend(dst []Neighbor, k int) []Neighbor {
-	ms.h = ms.h[:0]
-	for i := range ms.cursors {
-		ms.h = append(ms.h, &ms.cursors[i])
-	}
-	heap.Init(&ms.h)
-	for emitted := 0; len(ms.h) > 0 && emitted < k; emitted++ {
-		cur := ms.h[0]
-		nb := cur.head()
-		dst = append(dst, Neighbor{Node: cur.group, ID: nb.ID, Dist: nb.Dist})
-		cur.pos++
-		if cur.pos == len(cur.list) {
-			heap.Pop(&ms.h)
-		} else {
-			heap.Fix(&ms.h, 0)
-		}
-	}
-	return dst
 }
 
 // Delete removes a document by global ID from every member of its group

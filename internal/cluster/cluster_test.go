@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -376,6 +377,67 @@ func TestQueryTopKMatchesBroadcast(t *testing.T) {
 				if got[i] != want[i] {
 					t.Fatalf("k=%d query %d entry %d: %+v, want %+v", k, qi, i, got[i], want[i])
 				}
+			}
+		}
+	}
+}
+
+// tiedNode answers every query with one fixed list in the node contract's
+// (distance, id) order, cut at p.K like a real node's.
+type tiedNode struct {
+	fakeNode
+	answer []core.Neighbor
+}
+
+func (f *tiedNode) Search(ctx context.Context, qs []sparse.Vector, p node.SearchParams) ([][]core.Neighbor, error) {
+	out := make([][]core.Neighbor, len(qs))
+	for i := range out {
+		out[i] = slices.Clone(f.answer)
+		if p.K > 0 && len(out[i]) > p.K {
+			out[i] = out[i][:p.K]
+		}
+	}
+	return out, nil
+}
+
+// TestSearchBreaksTiesByGroup: groups that answer at equal distances come
+// out in (distance, group, id) order — group 2's ids are lower than group
+// 0's, so an order by id alone would differ — and a p.K that cuts inside
+// the tie keeps the lower groups.
+func TestSearchBreaksTiesByGroup(t *testing.T) {
+	answers := [][]core.Neighbor{
+		{{ID: 5, Dist: 0.5}, {ID: 9, Dist: 0.5}, {ID: 1, Dist: 0.75}},
+		{{ID: 2, Dist: 0.25}, {ID: 3, Dist: 0.5}},
+		{{ID: 0, Dist: 0.5}, {ID: 4, Dist: 0.5}},
+	}
+	nodes := make([]transport.NodeClient, len(answers))
+	for g, a := range answers {
+		nodes[g] = &tiedNode{fakeNode: fakeNode{capacity: 10}, answer: a}
+	}
+	c, err := NewWithOptions(bg, nodes, Options{WindowM: len(nodes)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := []Neighbor{
+		{Node: 1, ID: 2, Dist: 0.25},
+		{Node: 0, ID: 5, Dist: 0.5}, {Node: 0, ID: 9, Dist: 0.5},
+		{Node: 1, ID: 3, Dist: 0.5},
+		{Node: 2, ID: 0, Dist: 0.5}, {Node: 2, ID: 4, Dist: 0.5},
+		{Node: 0, ID: 1, Dist: 0.75},
+	}
+	qs := testDocs(2, 41)
+	for _, k := range []int{0, 1, 2, 3, 4, 5, 7, 10} {
+		want := all
+		if k > 0 && k < len(want) {
+			want = want[:k]
+		}
+		res, _, err := c.Search(bg, qs, node.SearchParams{K: k}, BatchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for qi, got := range res {
+			if !slices.Equal(got, want) {
+				t.Fatalf("k=%d query %d: %+v, want %+v", k, qi, got, want)
 			}
 		}
 	}

@@ -1130,14 +1130,14 @@ func (n *Node) SearchBatch(ctx context.Context, qs []sparse.Vector, p SearchPara
 }
 
 // finishSearch imposes the answer contract of Search on the raw
-// candidates appended past res[:base]: top-k selection when bounded,
-// canonical (distance, id) order either way. Entries before base are the
-// caller's and are left untouched.
+// candidates appended past res[:base]: canonical (distance, id) order,
+// cut at p.K when bounded. Entries before base are the caller's and are
+// left untouched.
 func finishSearch(res []core.Neighbor, base int, p SearchParams) []core.Neighbor {
-	if p.K > 0 {
-		return res[:base+len(core.TopK(res[base:], p.K))]
-	}
 	core.SortNeighbors(res[base:])
+	if p.K > 0 && len(res)-base > p.K {
+		res = res[:base+p.K]
+	}
 	return res
 }
 

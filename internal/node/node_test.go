@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -366,6 +367,34 @@ func TestQueryTopKMatchesTruncatedQuery(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	// A cut inside an equal-distance run: four copies of a near neighbor
+	// of q tie behind q's own copy, inserted after them, and K = 3 keeps q
+	// and the two lowest ids of the tie. The caller's entries ahead of the
+	// appended span are left as they were, though one of them would sort
+	// first.
+	q := testDocs(1, 31)[0]
+	near := q.Clone()
+	near.Val[0] *= 0.8
+	near.Normalize()
+	ids, err := n.Insert(bg, []sparse.Vector{near, near, near, near, q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := []core.Neighbor{{ID: 99999, Dist: 9}, {ID: 88888, Dist: -1}}
+	dst := append(make([]core.Neighbor, 0, 64), prefix...)
+	got, err := n.SearchAppend(bg, dst, q, SearchParams{K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(prefix)+3 || !slices.Equal(got[:len(prefix)], prefix) {
+		t.Fatalf("K=3 appended to %+v: %+v", prefix, got)
+	}
+	ans := got[len(prefix):]
+	if ans[0].ID != ids[4] || ans[1].ID != ids[0] || ans[2].ID != ids[1] ||
+		ans[1].Dist != ans[2].Dist || ans[0].Dist >= ans[1].Dist {
+		t.Fatalf("K=3 over q (id %d) and a tie of ids %v: %+v", ids[4], ids[:4], ans)
 	}
 }
 

@@ -20,8 +20,9 @@
 // Both implementations satisfy NodeClient, so cluster code is
 // transport-agnostic — and Serve accepts any NodeClient as its backend,
 // which also makes proxying and test fakes trivial. NodeClient has one
-// query method, Search, carried by opSearch; the two ops that predate it
-// are retired (their numbers stay reserved, see the op block in wire.go).
+// query method, Search, carried by opSearch. The two query ops that
+// predate it are gone: their numbers stay reserved as blank placeholders
+// in wire.go's op block, and a server answers them as unknown ops.
 package transport
 
 import (

@@ -609,9 +609,9 @@ func TestDecodeErrorSurfaced(t *testing.T) {
 	}
 }
 
-// TestRetiredOpsAnswerTypedError: the pinned opQueryBatch and opQueryTopK
-// frames — what a pre-retirement client sends — each get a codeError
-// response naming the retirement over real TCP, and the same connection
+// TestRetiredOpsAnswerTypedError: the pinned frames of the retired opcodes
+// 2 and 3 — what a pre-retirement client sends — each get a codeError
+// response naming an unknown op over real TCP, and the same connection
 // then serves an opSearch: the server neither panics nor hangs up.
 func TestRetiredOpsAnswerTypedError(t *testing.T) {
 	n := testNode(t, 100)
@@ -628,7 +628,7 @@ func TestRetiredOpsAnswerTypedError(t *testing.T) {
 	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
 	retired := 0
 	for _, g := range goldenRequests() {
-		if g.frame.Op != opQueryBatch && g.frame.Op != opQueryTopK {
+		if g.frame.Op != 2 && g.frame.Op != 3 {
 			continue
 		}
 		retired++
@@ -639,10 +639,10 @@ func TestRetiredOpsAnswerTypedError(t *testing.T) {
 		if err := dec.Decode(&resp); err != nil {
 			t.Fatalf("%s: no response frame (connection dropped?): %v", g.name, err)
 		}
-		if resp.Seq != g.frame.Seq || resp.Code != codeError || !strings.Contains(resp.Err, "retired") {
-			t.Fatalf("%s: response %+v, want codeError naming the retirement", g.name, resp)
+		if resp.Seq != g.frame.Seq || resp.Code != codeError || !strings.Contains(resp.Err, "unknown op") {
+			t.Fatalf("%s: response %+v, want codeError naming an unknown op", g.name, resp)
 		}
-		if resp.Results != nil || resp.TopK != nil {
+		if resp.Results != nil {
 			t.Fatalf("%s: retired op carried an answer: %+v", g.name, resp)
 		}
 	}

@@ -32,11 +32,11 @@ type op uint8
 
 const (
 	opInsert op = iota + 1
-	// opQueryBatch and opQueryTopK are retired; their numbers stay
-	// reserved. No client emits them — opSearch carries every query — and
-	// the server answers either with a codeError naming the retirement.
-	opQueryBatch
-	opQueryTopK
+	// Opcodes 2 and 3 (a batch query and a top-k query) are retired, their
+	// numbers reserved: opSearch carries every query, and the server
+	// answers either as an unknown op.
+	_
+	_
 	opDelete
 	opMerge
 	opRetire
@@ -93,7 +93,6 @@ type request struct {
 	Op      op
 	Vectors []sparse.Vector
 	ID      uint32 // Delete / Doc target
-	K       int    // retired with opQueryTopK; kept for the frame layout
 	// Search carries the request-scoped parameters of an opSearch frame.
 	// Nil on every other op (and on frames from pre-opSearch clients).
 	Search *searchParams
@@ -126,7 +125,6 @@ type response struct {
 	Err     string
 	IDs     []uint32
 	Results [][]core.Neighbor
-	TopK    []core.Neighbor // retired with opQueryTopK; kept for the frame layout
 	Stats   node.Stats
 	// Doc and Known answer an opDoc request.
 	Doc   sparse.Vector
@@ -327,8 +325,6 @@ func handle(ctx context.Context, backend NodeClient, req *request, resp *respons
 			break
 		}
 		resp.IDs = ids
-	case opQueryBatch, opQueryTopK:
-		fail(fmt.Errorf("transport: op %d is retired; use the search op (%d)", req.Op, opSearch))
 	case opSearch:
 		p := req.Search
 		if p == nil || p.Version == 0 {

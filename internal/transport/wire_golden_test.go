@@ -21,7 +21,8 @@ import (
 // The opcode block is append-only: a reordered or renumbered constant
 // breaks mixed-version clusters silently (an old peer would run the
 // wrong operation), so any diff here must be an append — this table
-// grows, existing rows never change.
+// grows, existing rows never change. Opcodes 2 and 3 are retired and stay
+// reserved: opDelete remaining 4 pins their placeholders.
 func TestOpcodeValuesStable(t *testing.T) {
 	ops := []struct {
 		name string
@@ -29,8 +30,6 @@ func TestOpcodeValuesStable(t *testing.T) {
 		want uint8
 	}{
 		{"opInsert", opInsert, 1},
-		{"opQueryBatch", opQueryBatch, 2},
-		{"opQueryTopK", opQueryTopK, 3},
 		{"opDelete", opDelete, 4},
 		{"opMerge", opMerge, 5},
 		{"opRetire", opRetire, 6},
@@ -97,8 +96,8 @@ func goldenVec() sparse.Vector {
 func goldenRequests() []golden[request] {
 	return []golden[request]{
 		{"insert", request{Seq: 1, Op: opInsert, Vectors: []sparse.Vector{goldenVec()}}},
-		{"queryBatch", request{Seq: 2, Op: opQueryBatch, Vectors: []sparse.Vector{goldenVec()}, Deadline: 12345}},
-		{"queryTopK", request{Seq: 3, Op: opQueryTopK, Vectors: []sparse.Vector{goldenVec()}, K: 7}},
+		{"queryBatch", request{Seq: 2, Op: 2, Vectors: []sparse.Vector{goldenVec()}, Deadline: 12345}}, // retired
+		{"queryTopK", request{Seq: 3, Op: 3, Vectors: []sparse.Vector{goldenVec()}}},                   // retired
 		{"delete", request{Seq: 4, Op: opDelete, ID: 42}},
 		{"merge", request{Seq: 5, Op: opMerge}},
 		{"retire", request{Seq: 6, Op: opRetire}},
@@ -124,22 +123,27 @@ func goldenRequests() []golden[request] {
 // changed, and the "searchRouted" frame went with the field. Every other
 // frame's bytes are unchanged (gob omits zero fields), and the stream is
 // again the one clients sent before the field was added.
+//
+// Regenerated again when request lost the K field of the retired top-k op:
+// the descriptor block changed, and so did the "queryTopK" frame, which
+// carried K = 7. A frame from an older client that still sets K decodes
+// here, gob skipping the field request no longer has.
 const goldenStream = "" +
-	"567f030101077265717565737401ff80000107010353657101060001024f7001" +
-	"06000107566563746f727301ff88000102494401060001014b01040001065365" +
-	"6172636801ff8a000108446561646c696e6501040000001eff870201010f5b5d" +
-	"7370617273652e566563746f7201ff880001ff82000026ff8103010106566563" +
-	"746f7201ff82000102010349647801ff8400010356616c01ff8600000016ff83" +
-	"020101085b5d75696e74333201ff84000106000017ff85020101095b5d666c6f" +
-	"6174333201ff86000108000049ff890301010c736561726368506172616d7301" +
-	"ff8a000104010756657273696f6e010600010652616469757301080001014b01" +
-	"0400010d4d617843616e64696461746573010400000016ff8001010101010101" +
-	"0201050102fee03ffed03f00001aff80010201020101010201050102fee03ffe" +
-	"d03f0004fe60720018ff80010301030101010201050102fee03ffed03f00020e" +
-	"0009ff8001040104022a0007ff80010501050007ff80010601060007ff800107" +
-	"01070007ff80010801080007ff80010901090007ff80010a010a0023ff80010b" +
-	"010b0101010201050102fee03ffed03f0003010101fef43f011201ffc8000009" +
-	"ff80010c010c026300"
+	"507f030101077265717565737401ff80000106010353657101060001024f7001" +
+	"06000107566563746f727301ff880001024944010600010653656172636801ff" +
+	"8a000108446561646c696e6501040000001eff870201010f5b5d737061727365" +
+	"2e566563746f7201ff880001ff82000026ff8103010106566563746f7201ff82" +
+	"000102010349647801ff8400010356616c01ff8600000016ff83020101085b5d" +
+	"75696e74333201ff84000106000017ff85020101095b5d666c6f6174333201ff" +
+	"86000108000049ff890301010c736561726368506172616d7301ff8a00010401" +
+	"0756657273696f6e010600010652616469757301080001014b010400010d4d61" +
+	"7843616e64696461746573010400000016ff80010101010101010201050102fe" +
+	"e03ffed03f00001aff80010201020101010201050102fee03ffed03f0003fe60" +
+	"720016ff80010301030101010201050102fee03ffed03f000009ff8001040104" +
+	"022a0007ff80010501050007ff80010601060007ff80010701070007ff800108" +
+	"01080007ff80010901090007ff80010a010a0023ff80010b010b010101020105" +
+	"0102fee03ffed03f0002010101fef43f011201ffc8000009ff80010c010c0263" +
+	"00"
 
 // goldenStats is a node.Stats with every field set to a distinct nonzero
 // value — by reflection, so a field appended to the struct joins the
@@ -167,8 +171,7 @@ func goldenStats(t testing.TB) node.Stats {
 
 // goldenResponses is one canonical frame per response code, then one per
 // payload field: the ids of an insert, the answer lists of a search (one
-// of them empty), the retired TopK field, a Stats with every field set,
-// and a Doc answer.
+// of them empty), a Stats with every field set, and a Doc answer.
 func goldenResponses(t testing.TB) []golden[response] {
 	return []golden[response]{
 		{"ok", response{Seq: 1}},
@@ -178,9 +181,8 @@ func goldenResponses(t testing.TB) []golden[response] {
 		{"ids", response{Seq: 5, IDs: []uint32{0, 1, 7}}},
 		{"results", response{Seq: 6, Results: [][]core.Neighbor{
 			{{ID: 3, Dist: 0.25}, {ID: 9, Dist: 0.5}}, nil, {{ID: 1, Dist: 1.25}}}}},
-		{"topK", response{Seq: 7, TopK: []core.Neighbor{{ID: 2, Dist: 0.75}}}},
-		{"stats", response{Seq: 8, Stats: goldenStats(t)}},
-		{"doc", response{Seq: 9, Doc: goldenVec(), Known: true}},
+		{"stats", response{Seq: 7, Stats: goldenStats(t)}},
+		{"doc", response{Seq: 8, Doc: goldenVec(), Known: true}},
 	}
 }
 
@@ -189,35 +191,35 @@ func goldenResponses(t testing.TB) []golden[response] {
 // serveConn writes them. It pins the response struct, the response codes
 // and node.Stats — which rides inside every frame's type descriptor and
 // grows by appended fields — so a renamed, retyped or reordered field on
-// either struct is a diff here.
+// either struct is a diff here. Regenerated when response lost the TopK
+// field of the retired top-k op, and the "topK" frame with it.
 const goldenRespStream = "" +
-	"6dff8b03010108726573706f6e736501ff8c0001090103536571010600010443" +
+	"63ff8b03010108726573706f6e736501ff8c0001080103536571010600010443" +
 	"6f64650106000103457272010c00010349447301ff84000107526573756c7473" +
-	"01ff92000104546f704b01ff90000105537461747301ff94000103446f6301ff" +
-	"820001054b6e6f776e010200000016ff83020101085b5d75696e74333201ff84" +
-	"000106000020ff91020101115b5d5b5d636f72652e4e65696768626f7201ff92" +
-	"0001ff9000000dff8f020102ff900001ff8e000026ff8d030101084e65696768" +
-	"626f7201ff8e000102010249440106000104446973740108000000fe0158ff93" +
-	"03010105537461747301ff9400011401095374617469634c656e010400010844" +
-	"656c74614c656e01040001084361706163697479010400010744656c65746564" +
-	"01040001064d6572676573010400010d4d65726765496e466c69676874010200" +
-	"01104d6572676550656e64696e67526f7773010400010c4c6173744d65726765" +
-	"447572010400010c546f74616c4d657267654e530104000108496e736572744e" +
-	"53010400010b4d656d6f72794279746573010400010a50657273697374457272" +
-	"010c00010e5365617263686573536572766564010600010d496e736572747353" +
-	"6572766564010600010d44656c65746573536572766564010600010e57414c41" +
-	"7070656e645035304e53010400010e57414c417070656e645039394e53010400" +
-	"010d57414c4673796e635035304e53010400010d57414c4673796e635039394e" +
-	"53010400010b46616d696c794279746573010400000026ff8103010106566563" +
-	"746f7201ff82000102010349647801ff8400010356616c01ff8600000017ff85" +
-	"020101095b5d666c6f6174333201ff86000108000009ff8c010106000100000b" +
-	"ff8c01020101050001000025ff8c0103010201187472616e73706f72743a2075" +
-	"6e6b6e6f776e206f7020393904000100000bff8c0104010305000100000eff8c" +
-	"01050303000107030001000023ff8c0106040302010301fed03f00010901fee0" +
-	"3f000001010101fef43f00020001000012ff8c01070501010201fee83f000100" +
-	"0100003aff8c0108060102010401060108010a0101010e011001120114011601" +
-	"096469736b2066756c6c010d010e010f012001220124012601280001000017ff" +
-	"8c0109060001010201050102fee03ffed03f00010100"
+	"01ff92000105537461747301ff94000103446f6301ff820001054b6e6f776e01" +
+	"0200000016ff83020101085b5d75696e74333201ff84000106000020ff910201" +
+	"01115b5d5b5d636f72652e4e65696768626f7201ff920001ff9000000dff8f02" +
+	"0102ff900001ff8e000026ff8d030101084e65696768626f7201ff8e00010201" +
+	"0249440106000104446973740108000000fe0158ff9303010105537461747301" +
+	"ff9400011401095374617469634c656e010400010844656c74614c656e010400" +
+	"01084361706163697479010400010744656c6574656401040001064d65726765" +
+	"73010400010d4d65726765496e466c6967687401020001104d6572676550656e" +
+	"64696e67526f7773010400010c4c6173744d65726765447572010400010c546f" +
+	"74616c4d657267654e530104000108496e736572744e53010400010b4d656d6f" +
+	"72794279746573010400010a50657273697374457272010c00010e5365617263" +
+	"686573536572766564010600010d496e7365727473536572766564010600010d" +
+	"44656c65746573536572766564010600010e57414c417070656e645035304e53" +
+	"010400010e57414c417070656e645039394e53010400010d57414c4673796e63" +
+	"5035304e53010400010d57414c4673796e635039394e53010400010b46616d69" +
+	"6c794279746573010400000026ff8103010106566563746f7201ff8200010201" +
+	"0349647801ff8400010356616c01ff8600000017ff85020101095b5d666c6f61" +
+	"74333201ff86000108000009ff8c010105000100000bff8c0102010104000100" +
+	"0025ff8c0103010201187472616e73706f72743a20756e6b6e6f776e206f7020" +
+	"393903000100000bff8c0104010304000100000eff8c01050303000107020001" +
+	"000023ff8c0106040302010301fed03f00010901fee03f000001010101fef43f" +
+	"0001000100003aff8c0107050102010401060108010a0101010e011001120114" +
+	"011601096469736b2066756c6c010d010e010f01200122012401260128000100" +
+	"0017ff8c0108050001010201050102fee03ffed03f00010100"
 
 // checkGolden encodes frames on one encoder and requires the byte-exact
 // golden stream, then decodes the golden bytes back into fresh values of

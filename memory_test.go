@@ -108,8 +108,8 @@ func TestStoreSearchAllocationCeiling(t *testing.T) {
 
 // TestClusterSearchAllocationCeiling guards the broadcast path end to
 // end on an in-process replicated cluster: fan-out, per-group failover
-// machinery, k-way merge, and Result conversion together must hold a
-// fixed budget once warm.
+// machinery, the coordinator's sort and cut, and Result conversion
+// together must hold a fixed budget once warm.
 func TestClusterSearchAllocationCeiling(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("sync.Pool drops workspaces at random under -race")

@@ -355,7 +355,9 @@ func (s *Store) searchBatch(ctx context.Context, qs []Vector, spec searchSpec) (
 		}
 		return nil, report, err
 	}
-	return resultsFromLocal(0, res), report, nil
+	return carveResults(res, func(nb core.Neighbor) Match {
+		return Match{ID: GlobalID(0, nb.ID), Dist: nb.Dist}
+	}), report, nil
 }
 
 // Delete marks a document ID deleted; it will no longer be returned.

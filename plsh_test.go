@@ -256,8 +256,8 @@ func TestStoreQueryTopKMatchesOracle(t *testing.T) {
 }
 
 // Cluster.Search WithK must equal the same oracle computed over the global
-// ID space — the coordinator's bounded-heap merge of per-node partial
-// lists must reconstruct the exact cluster-wide top k.
+// ID space — the coordinator's sort and cut of the gathered per-node
+// top-k lists must reconstruct the exact cluster-wide top k.
 func TestClusterQueryTopKMatchesOracle(t *testing.T) {
 	cl, err := NewCluster(4, 2, Config{Dim: 2000, K: 4, M: 16, Radius: 1.1, Capacity: 100})
 	if err != nil {

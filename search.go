@@ -223,10 +223,11 @@ func matchesFromLocal(nodeIdx int, ns []core.Neighbor) []Match {
 	return out
 }
 
-// resultsFromLocal converts a node's batch answers to Results, carving
-// every query's Matches from one flat arena sized by a counting pass — a
-// 200-query batch costs two allocations of result storage, not 200.
-func resultsFromLocal(nodeIdx int, res [][]core.Neighbor) []Result {
+// carveResults converts batch answers to Results, carving every query's
+// Matches from one flat arena sized by a counting pass — a 200-query batch
+// costs two allocations of result storage, not 200. match converts one
+// answer; a Store's are node 0's, a Cluster's carry their group.
+func carveResults[N any](res [][]N, match func(N) Match) []Result {
 	out := make([]Result, len(res))
 	total := 0
 	for _, ns := range res {
@@ -242,32 +243,7 @@ func resultsFromLocal(nodeIdx int, res [][]core.Neighbor) []Result {
 		}
 		base := len(arena)
 		for _, nb := range ns {
-			arena = append(arena, Match{ID: GlobalID(nodeIdx, nb.ID), Dist: nb.Dist})
-		}
-		out[i] = Result{Matches: arena[base:len(arena):len(arena)]}
-	}
-	return out
-}
-
-// resultsFromCluster converts coordinator batch answers to Results with
-// the same flat-arena carving as resultsFromLocal.
-func resultsFromCluster(res [][]cluster.Neighbor) []Result {
-	out := make([]Result, len(res))
-	total := 0
-	for _, ns := range res {
-		total += len(ns)
-	}
-	if total == 0 {
-		return out
-	}
-	arena := make([]Match, 0, total)
-	for i, ns := range res {
-		if len(ns) == 0 {
-			continue
-		}
-		base := len(arena)
-		for _, nb := range ns {
-			arena = append(arena, Match{ID: GlobalID(nb.Node, nb.ID), Dist: nb.Dist})
+			arena = append(arena, match(nb))
 		}
 		out[i] = Result{Matches: arena[base:len(arena):len(arena)]}
 	}
