@@ -129,16 +129,6 @@ func BenchmarkTable2Exhaustive(b *testing.B) {
 	reportPerQuery(b, len(f.queries))
 }
 
-func BenchmarkTable2ChainedLSH(b *testing.B) {
-	f := benchFixture(b)
-	ch := baseline.NewChained(f.family(b, 12, 10), f.col.Mat, 0.9, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ch.QueryBatch(f.queries)
-	}
-	reportPerQuery(b, len(f.queries))
-}
-
 // --- Figure 4: construction optimization breakdown -----------------------
 
 func BenchmarkFig4Construction(b *testing.B) {

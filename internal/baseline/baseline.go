@@ -1,22 +1,15 @@
 // Package baseline implements the comparison algorithms of the paper's
-// evaluation (§8.1, Table 2): exhaustive search, an inverted index, and a
-// naive chained-bucket LSH.
+// evaluation (§8.1, Table 2): exhaustive search and an inverted index.
 //
-// Exhaustive search and the inverted index are the deterministic
-// comparators: both return the exact R-near-neighbor set, at the cost of
-// one distance computation per document (exhaustive) or per candidate
-// containing at least one query word (inverted index). The chained LSH is
-// the "basic implementation" PLSH's 3.7×/8.3× speedups are measured
-// against: dynamically grown buckets, per-table key computation, set-based
-// duplicate elimination, and merge-intersection dot products.
+// Both are deterministic comparators: they return the exact R-near-neighbor
+// set, at the cost of one distance computation per document (exhaustive)
+// or per candidate containing at least one query word (inverted index).
 //
-// All three are parallelized over queries, as the paper notes ("all
-// algorithms have been parallelized to use multiple cores").
+// Both are parallelized over queries, as the paper notes ("all algorithms
+// have been parallelized to use multiple cores").
 package baseline
 
 import (
-	"sync"
-
 	"plsh/internal/bitvec"
 	"plsh/internal/core"
 	"plsh/internal/sched"
@@ -44,17 +37,7 @@ func NewExhaustive(store sparse.Store, radius float64, workers int) *Exhaustive 
 
 // Query scans all documents.
 func (e *Exhaustive) Query(q sparse.Vector) Result {
-	thr := sparse.CosThreshold(e.radius)
-	var out []core.Neighbor
-	n := e.store.Rows()
-	for i := 0; i < n; i++ {
-		idx, val := e.store.Doc(i)
-		dot := sparse.Dot(q, sparse.Vector{Idx: idx, Val: val})
-		if dot >= thr {
-			out = append(out, core.Neighbor{ID: uint32(i), Dist: sparse.AngularDistance(dot)})
-		}
-	}
-	return Result{Neighbors: out, DistComps: n}
+	return Result{Neighbors: core.ExactNeighbors(e.store, q, e.radius), DistComps: e.store.Rows()}
 }
 
 // QueryBatch answers the batch in parallel over queries.
@@ -72,11 +55,10 @@ type Inverted struct {
 	postings [][]uint32 // per word: sorted doc IDs
 	radius   float64
 	pool     *sched.Pool
-	wsPool   sync.Pool
 }
 
-// invWorkspace is one query's private inverted-index probe state: owned
-// accumulator buffers; answers are copied out before reuse.
+// invWorkspace is one query thread's private inverted-index probe state:
+// owned accumulator buffers; answers are copied out before reuse.
 type invWorkspace struct {
 	seen *bitvec.Vector
 	cand []uint32
@@ -97,13 +79,14 @@ func NewInverted(store sparse.Store, radius float64, workers int) *Inverted {
 			inv.postings[w] = append(inv.postings[w], uint32(i))
 		}
 	}
-	inv.wsPool.New = func() any {
-		return &invWorkspace{
-			seen: bitvec.New(store.Rows()),
-			mask: sparse.NewQueryMask(store.Dimension()),
-		}
-	}
 	return inv
+}
+
+func (inv *Inverted) newWorkspace() *invWorkspace {
+	return &invWorkspace{
+		seen: bitvec.New(inv.store.Rows()),
+		mask: sparse.NewQueryMask(inv.store.Dimension()),
+	}
 }
 
 // PostingsFor returns the documents containing word w (shared storage).
@@ -115,8 +98,11 @@ func (inv *Inverted) PostingsFor(w uint32) []uint32 { return inv.postings[w] }
 // excludes candidate-generation time for the inverted index, so the
 // distance-filter phase is also what our harness times).
 func (inv *Inverted) Query(q sparse.Vector) Result {
-	ws := inv.wsPool.Get().(*invWorkspace)
-	defer inv.wsPool.Put(ws)
+	return inv.query(inv.newWorkspace(), q)
+}
+
+// query answers q in the caller's workspace.
+func (inv *Inverted) query(ws *invWorkspace, q sparse.Vector) Result {
 	ws.cand = ws.cand[:0]
 	for _, w := range q.Idx {
 		for _, id := range inv.postings[w] {
@@ -141,10 +127,17 @@ func (inv *Inverted) Query(q sparse.Vector) Result {
 	return Result{Neighbors: out, DistComps: len(ws.cand)}
 }
 
-// QueryBatch answers the batch in parallel over queries.
+// QueryBatch answers the batch in parallel over queries, each worker in
+// its own workspace, made on that worker's first query.
 func (inv *Inverted) QueryBatch(qs []sparse.Vector) []Result {
 	out := make([]Result, len(qs))
-	inv.pool.Run(len(qs), func(task, _ int) { out[task] = inv.Query(qs[task]) })
+	ws := make([]*invWorkspace, inv.pool.Workers())
+	inv.pool.Run(len(qs), func(task, worker int) {
+		if ws[worker] == nil {
+			ws[worker] = inv.newWorkspace()
+		}
+		out[task] = inv.query(ws[worker], qs[task])
+	})
 	return out
 }
 

@@ -131,44 +131,8 @@ func TestPostingsComplete(t *testing.T) {
 	}
 }
 
-// Chained LSH must return exactly the same answers as optimized PLSH built
-// with the same family: both consider precisely the candidates sharing ≥1
-// table bucket.
-func TestChainedMatchesOptimizedPLSH(t *testing.T) {
-	mat, queries := fixture(t, 400)
-	fam, err := lshhash.NewFamily(lshhash.Params{Dim: 2000, K: 8, M: 6, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch := NewChained(fam, mat, testRadius, 2)
-	st, err := core.Build(fam, mat, core.Defaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := core.NewEngine(st, mat, core.QueryDefaults())
-	for qi, q := range queries {
-		res := ch.Query(q)
-		got := sortIDs(res.Neighbors)
-		plsh, stats := eng.SearchAppend(nil, q, core.SearchParams{})
-		want := sortIDs(plsh)
-		if len(got) != len(want) {
-			t.Fatalf("query %d: chained %d vs plsh %d", qi, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].ID != want[i].ID {
-				t.Fatalf("query %d neighbor %d differs", qi, i)
-			}
-		}
-		// Work accounting: distance computations equal PLSH's unique count.
-		if res.DistComps != stats.Unique {
-			t.Fatalf("query %d: chained comps %d vs plsh unique %d", qi, res.DistComps, stats.Unique)
-		}
-	}
-}
-
 func TestBatchVariantsMatchSingles(t *testing.T) {
 	mat, queries := fixture(t, 250)
-	fam, _ := lshhash.NewFamily(lshhash.Params{Dim: 2000, K: 8, M: 6, Seed: 42})
 	type batcher interface {
 		QueryBatch([]sparse.Vector) []Result
 		Query(sparse.Vector) Result
@@ -176,7 +140,6 @@ func TestBatchVariantsMatchSingles(t *testing.T) {
 	for name, b := range map[string]batcher{
 		"exhaustive": NewExhaustive(mat, testRadius, 4),
 		"inverted":   NewInverted(mat, testRadius, 4),
-		"chained":    NewChained(fam, mat, testRadius, 4),
 	} {
 		batch := b.QueryBatch(queries)
 		for i, q := range queries {
@@ -199,18 +162,24 @@ func TestBatchVariantsMatchSingles(t *testing.T) {
 }
 
 // The Table 2 ordering: distance computations must rank
-// exhaustive > inverted > LSH for typical short-document corpora.
+// exhaustive > inverted > LSH for typical short-document corpora. LSH's
+// distance computations are the engine's unique candidates.
 func TestTable2WorkOrdering(t *testing.T) {
 	mat, queries := fixture(t, 1000)
 	fam, _ := lshhash.NewFamily(lshhash.Params{Dim: 2000, K: 8, M: 6, Seed: 42})
 	ex := NewExhaustive(mat, testRadius, 2)
 	inv := NewInverted(mat, testRadius, 2)
-	ch := NewChained(fam, mat, testRadius, 2)
+	st, err := core.Build(fam, mat, core.Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := core.NewEngine(st, mat, core.QueryDefaults())
 	var exC, invC, lshC int
 	for _, q := range queries {
 		exC += ex.Query(q).DistComps
 		invC += inv.Query(q).DistComps
-		lshC += ch.Query(q).DistComps
+		_, stats := eng.SearchAppend(nil, q, core.SearchParams{Radius: testRadius})
+		lshC += stats.Unique
 	}
 	if !(exC > invC && invC > lshC) {
 		t.Fatalf("work ordering violated: exhaustive=%d inverted=%d lsh=%d", exC, invC, lshC)

@@ -43,7 +43,6 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"plsh/internal/lshhash"
 	"plsh/internal/sparse"
@@ -113,19 +112,27 @@ type Router struct {
 	maxPatterns int
 	maxProbe    int // probe sets larger than this fall back to scatter
 	mulA, mulB  uint32
-	scratch     sync.Pool
 }
 
-// routerScratch is the pooled per-call workspace of GroupFor/Probe: sketch
-// and probe-enumeration buffers the router owns; no caller or node memory
-// is ever stored in them.
+const (
+	// maxRouteBits caps the routing signature width B.
+	maxRouteBits = 8
+	// patternBudget is the most flip patterns a probe enumerates before it
+	// falls back to scatter.
+	patternBudget = 64
+)
+
+// routerScratch is the per-call workspace of GroupFor/Probe, a stack
+// value: B ≤ maxRouteBits bounds the sketch and per-bit buffers, and the
+// enumeration holds at most patternBudget+2 heap states (each pop pushes
+// at most two).
 type routerScratch struct {
-	scores []float32
-	halves []uint32
-	eps    []float64
-	odds   []float64
-	order  []int
-	heap   []probeState
+	scores [maxRouteBits]float32
+	halves [maxRouteBits]uint32
+	eps    [maxRouteBits]float64
+	odds   [maxRouteBits]float64
+	order  [maxRouteBits]int
+	heap   [patternBudget + 2]probeState
 }
 
 // probeState is one pending flip pattern of the multiprobe enumeration:
@@ -155,7 +162,7 @@ func NewRouter(fam *lshhash.Family, cfg RouterConfig) (*Router, error) {
 	// The signature is B = ceil(log2(Groups)) bits, at most 8: the narrowest
 	// that still maps onto every group, keeping probe sets small; 2^B
 	// signature cells are spread evenly over the groups.
-	bits := min(bitsFor(cfg.Groups), 8)
+	bits := min(bitsFor(cfg.Groups), maxRouteBits)
 	radius := cfg.Radius
 	if radius == 0 {
 		radius = 0.9
@@ -164,9 +171,9 @@ func NewRouter(fam *lshhash.Family, cfg RouterConfig) (*Router, error) {
 	if recall == 0 {
 		recall = 0.9
 	}
-	// A query that cannot reach the recall target within 64 flip patterns
+	// A query that cannot reach the recall target within the pattern budget
 	// (or every pattern, when there are fewer) falls back to scatter.
-	maxPatterns := min(64, 1<<bits)
+	maxPatterns := min(patternBudget, 1<<bits)
 	// The dedicated routing family: K=2 makes each "half" a single sign
 	// bit, so M half-hashes are exactly M elementary functions; the seed
 	// is scrambled away from the fleet seed so the planes are disjoint
@@ -188,16 +195,6 @@ func NewRouter(fam *lshhash.Family, cfg RouterConfig) (*Router, error) {
 		maxProbe:    max(1, cfg.Groups/2),
 		mulA:        uint32(mix64(p.Seed^0x8f1bbcdc)) | 1,
 		mulB:        uint32(mix64(p.Seed^0x5a827999)) | 1,
-	}
-	r.scratch.New = func() any {
-		return &routerScratch{
-			scores: make([]float32, rp.NumFuncs()),
-			halves: make([]uint32, rp.M),
-			eps:    make([]float64, bits),
-			odds:   make([]float64, bits),
-			order:  make([]int, bits),
-			heap:   make([]probeState, 0, maxPatterns+2),
-		}
 	}
 	return r, nil
 }
@@ -262,11 +259,9 @@ func (r *Router) sigOf(halves []uint32) uint32 {
 // partitioned placement. Deterministic in (v, family seed): mirrored
 // coordinators and restarts agree without coordination.
 func (r *Router) GroupFor(v sparse.Vector) int {
-	s := r.scratch.Get().(*routerScratch)
-	r.rfam.SketchInto(v, s.scores, s.halves)
-	g := r.groupOf(r.sigOf(s.halves))
-	r.scratch.Put(s)
-	return g
+	var s routerScratch
+	r.rfam.SketchInto(v, s.scores[:], s.halves[:])
+	return r.groupOf(r.sigOf(s.halves[:]))
 }
 
 // Probe appends the probe set for query q at the given radius (0 = the
@@ -289,10 +284,9 @@ func (r *Router) Probe(q sparse.Vector, radius float64, dst []int) ([]int, bool)
 	if cot < 1e-3 {
 		return dst, false
 	}
-	s := r.scratch.Get().(*routerScratch)
-	defer r.scratch.Put(s)
-	r.rfam.SketchInto(q, s.scores, s.halves)
-	sig := r.sigOf(s.halves)
+	var s routerScratch
+	r.rfam.SketchInto(q, s.scores[:], s.halves[:])
+	sig := r.sigOf(s.halves[:])
 
 	// Per-bit worst-case flip probabilities at the radius, most uncertain
 	// first: ε_j = Φ(−|s_j|·cot R), clamped away from the degenerate 0.5
@@ -306,8 +300,8 @@ func (r *Router) Probe(q sparse.Vector, radius float64, dst []int) ([]int, bool)
 		s.eps[j] = min(max(e, 1e-12), 0.5)
 		s.order[j] = j
 	}
-	// Insertion sort, most uncertain bit first: bits ≤ 16 and sort.Slice
-	// would allocate its swapper on every probe of the hot path.
+	// Insertion sort, most uncertain bit first: bits ≤ maxRouteBits, and
+	// sort.Slice would allocate its swapper on every probe of the hot path.
 	for i := 1; i < r.bits; i++ {
 		j, o := i, s.order[i]
 		for j > 0 && s.eps[s.order[j-1]] < s.eps[o] {
@@ -367,12 +361,10 @@ func (r *Router) Probe(q sparse.Vector, radius float64, dst []int) ([]int, bool)
 		st := h[0]
 		h = popState(h)
 		if !visit(sig ^ xorFor(st.mask)) {
-			s.heap = h
 			return dst[:start], false
 		}
 		mass += st.mass
 		if mass >= r.recall {
-			s.heap = h
 			return dst, true
 		}
 		if next := int(st.last) + 1; next < r.bits {
@@ -388,7 +380,6 @@ func (r *Router) Probe(q sparse.Vector, radius float64, dst []int) ([]int, bool)
 			})
 		}
 	}
-	s.heap = h
 	return dst[:start], false // budget exhausted below the recall target
 }
 

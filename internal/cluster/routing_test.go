@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"plsh/internal/israce"
 	"plsh/internal/lshhash"
 	"plsh/internal/node"
 )
@@ -55,6 +56,33 @@ func TestRouterConfigValidation(t *testing.T) {
 	}
 	if r.Recall() != 0.9 {
 		t.Errorf("default recall = %v, want 0.9", r.Recall())
+	}
+}
+
+// GroupFor and Probe run on every insert and every routed query, and their
+// scratch is a stack value: once the family has drawn the queries' rows,
+// neither allocates, at any group count.
+func TestRouterDoesNotAllocate(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	docs := testDocs(50, 9)
+	for _, groups := range []int{2, 4, 16, 256} {
+		r := testRouter(t, RouterConfig{Groups: groups})
+		dst := make([]int, 0, groups)
+		for _, d := range docs { // draw every hyperplane row the docs use
+			r.GroupFor(d)
+			r.Probe(d, 0, dst)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			for _, d := range docs {
+				r.GroupFor(d)
+				dst, _ = r.Probe(d, 0, dst[:0])
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%d groups: GroupFor+Probe allocate %.1f per %d docs, want 0", groups, allocs, len(docs))
+		}
 	}
 }
 

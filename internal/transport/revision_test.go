@@ -10,6 +10,7 @@ import (
 	"encoding/gob"
 	"encoding/hex"
 	"io"
+	"math"
 	"net"
 	"slices"
 	"strings"
@@ -277,6 +278,19 @@ func TestSearchFramesAcrossRevisions(t *testing.T) {
 		})
 		if resp.Seq != 14 || resp.Code != codeError || !strings.Contains(resp.Err, "v3") || resp.Results != nil {
 			t.Fatalf("v3 frame answered %+v, want codeError naming the revision", resp)
+		}
+	})
+
+	t.Run("non-finite radius frame is refused", func(t *testing.T) {
+		for i, r := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			seq := uint64(15 + i)
+			resp := roundTrip(t, addr, func(w io.Writer) error {
+				return gob.NewEncoder(w).Encode(wireRequest{Seq: seq, Op: opSearch, Vectors: []sparse.Vector{routedQuery},
+					Search: &wireSearch{Version: 1, Radius: r, K: 5}})
+			})
+			if resp.Seq != seq || resp.Code != codeError || !strings.Contains(resp.Err, "radius") || resp.Results != nil {
+				t.Fatalf("radius %v frame answered %+v, want codeError naming the radius", r, resp)
+			}
 		}
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -334,6 +335,10 @@ func handle(ctx context.Context, backend NodeClient, req *request, resp *respons
 		if p.Version > searchVersionMax {
 			fail(fmt.Errorf("transport: search parameters v%d from peer, this server speaks up to v%d",
 				p.Version, searchVersionMax))
+			break
+		}
+		if math.IsNaN(p.Radius) || math.IsInf(p.Radius, 0) {
+			fail(fmt.Errorf("transport: search radius %v is not finite", p.Radius))
 			break
 		}
 		res, err := backend.Search(ctx, req.Vectors, node.SearchParams{

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
+	"math"
 	"time"
 
 	"plsh/internal/core"
@@ -135,8 +135,8 @@ func (c Config) normalize() (Config, error) {
 	if c.Dim <= 0 {
 		return c, errors.New("plsh: Config.Dim is required")
 	}
-	if !(c.Radius >= 0) {
-		return c, fmt.Errorf("plsh: Config.Radius = %v must not be negative", c.Radius)
+	if !(c.Radius >= 0) || math.IsInf(c.Radius, 1) {
+		return c, fmt.Errorf("plsh: Config.Radius = %v must be finite and not negative", c.Radius)
 	}
 	if c.Capacity < 0 {
 		return c, fmt.Errorf("plsh: Config.Capacity = %d must not be negative", c.Capacity)
@@ -227,10 +227,6 @@ func (c Config) nodeConfig() node.Config {
 type Store struct {
 	cfg Config
 	n   *node.Node
-	// resPool recycles the single-query Search scratch buffer (the raw
-	// []core.Neighbor the node appends into); the only per-call result
-	// allocation left is the []Match handed to the caller.
-	resPool sync.Pool
 }
 
 // NewStore creates a Store: empty when cfg.Dir is unset, recovered from
@@ -294,28 +290,24 @@ func (s *Store) Search(ctx context.Context, q Vector, opts ...SearchOption) (Res
 		return Result{}, err
 	}
 	// Single-query fast path: no batch wrapper, no Report machinery —
-	// the node appends into a recycled scratch buffer and the only result
-	// allocation is the caller's []Match.
+	// the node appends into a stack buffer and the only result allocation
+	// is the caller's []Match (plus one growth when more than 32 documents
+	// are in radius).
 	nctx := ctx
 	if spec.policy.PerNodeTimeout > 0 {
 		var cancel context.CancelFunc
 		nctx, cancel = context.WithTimeout(ctx, spec.policy.PerNodeTimeout)
 		defer cancel()
 	}
-	var buf []core.Neighbor
-	if p, _ := s.resPool.Get().(*[]core.Neighbor); p != nil {
-		buf = (*p)[:0]
-	}
-	ns, err := s.n.SearchAppend(nctx, buf, q, spec.params)
+	var buf [32]core.Neighbor
+	ns, err := s.n.SearchAppend(nctx, buf[:0], q, spec.params)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return Result{}, cerr
 		}
 		return Result{}, err
 	}
-	matches := matchesFromLocal(0, ns)
-	s.resPool.Put(&ns)
-	return Result{Matches: matches}, nil
+	return Result{Matches: matchesFromLocal(0, ns)}, nil
 }
 
 // SearchBatch answers many queries in one parallel batch under one set of

@@ -23,6 +23,7 @@ func TestConfigRejectsNegatives(t *testing.T) {
 		{"negative delta fraction", func(c *Config) { c.DeltaFraction = -0.1 }},
 		{"delta fraction over 1", func(c *Config) { c.DeltaFraction = 1.5 }},
 		{"NaN radius", func(c *Config) { c.Radius = math.NaN() }},
+		{"+Inf radius", func(c *Config) { c.Radius = math.Inf(1) }},
 		{"NaN delta fraction", func(c *Config) { c.DeltaFraction = math.NaN() }},
 		{"NaN routing recall", func(c *Config) { c.RoutingRecall = math.NaN() }},
 	}

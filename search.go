@@ -2,6 +2,7 @@ package plsh
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"context"
@@ -110,13 +111,14 @@ func (s *searchSpec) fail(err error) {
 }
 
 // WithRadius overrides the construction-time Config.Radius for this query
-// (radians, > 0). The hash tables are radius-agnostic — only candidate
-// filtering consults it — so any radius is answerable by any index;
-// recall guarantees still assume the tuned (K, M) geometry suits it.
+// (radians, positive and finite). The hash tables are radius-agnostic —
+// only candidate filtering consults it — so any radius is answerable by
+// any index; recall guarantees still assume the tuned (K, M) geometry
+// suits it.
 func WithRadius(r float64) SearchOption {
 	return func(s *searchSpec) {
-		if r <= 0 {
-			s.fail(fmt.Errorf("plsh: WithRadius(%v): radius must be positive", r))
+		if !(r > 0) || math.IsInf(r, 1) {
+			s.fail(fmt.Errorf("plsh: WithRadius(%v): radius must be positive and finite", r))
 			return
 		}
 		s.params.Radius = r

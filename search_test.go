@@ -3,6 +3,7 @@ package plsh
 import (
 	"context"
 	"errors"
+	"math"
 	"net"
 	"testing"
 	"time"
@@ -176,6 +177,8 @@ func TestSearchOptionValidation(t *testing.T) {
 	for name, opt := range map[string]SearchOption{
 		"zero radius":       WithRadius(0),
 		"negative radius":   WithRadius(-1),
+		"NaN radius":        WithRadius(math.NaN()),
+		"+Inf radius":       WithRadius(math.Inf(1)),
 		"zero k":            WithK(0),
 		"negative k":        WithK(-3),
 		"zero candidates":   WithMaxCandidates(0),
