@@ -668,7 +668,8 @@ func (s *soak) chaosLoop(ctx context.Context, harnessErr chan<- error) {
 			fmt.Fprintf(os.Stderr, "plsh-soak: chaos: SIGKILL %s for %v\n", victim.Addr, s.cfg.Downtime)
 			victim.Kill()
 			s.kills.Add(1)
-			//plshvet:ignore lockorder the gate must stay held for the whole downtime: any write while a member is down diverges the group's mirrors
+			// The gate stays held for the whole downtime: any write while a
+			// member is down diverges the group's mirrors.
 			time.Sleep(s.cfg.Downtime)
 			err := victim.Start()
 			s.writeGate.Unlock()

@@ -229,9 +229,12 @@ func (e *InsertError) Error() string {
 
 func (e *InsertError) Unwrap() error { return e.Err }
 
-// Cluster is the coordinator. Searches may run concurrently with each
-// other; Insert/Delete/Retire serialize behind an internal mutex (the
-// paper's coordinator is likewise a single insertion sequencer).
+// Cluster is the coordinator. Insert — with the window advance and the
+// group retirements it triggers — holds an internal mutex for the whole
+// call, member RPCs included, so inserts serialize (the paper's
+// coordinator is likewise a single insertion sequencer). Search, Doc,
+// Delete and Stats take no lock: they run concurrently with each other and
+// answer while an Insert is in flight, even one parked inside a member.
 type Cluster struct {
 	mu     sync.Mutex
 	nodes  []transport.NodeClient // group-major: group g is nodes[g·r : (g+1)·r]
@@ -445,7 +448,8 @@ func (c *Cluster) Insert(ctx context.Context, vs []sparse.Vector) ([]uint64, err
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.placement == PlacementPartitioned {
-		//plshvet:ignore lockorder single insertion sequencer: c.mu serializes inserts and their replica RPCs by design; the query path never takes it
+		// Single insertion sequencer: c.mu serializes inserts and their
+		// replica RPCs by design; the query path never takes it.
 		return c.insertPartitioned(ctx, vs)
 	}
 	ids := make([]uint64, len(vs))
@@ -470,7 +474,8 @@ func (c *Cluster) Insert(ctx context.Context, vs []sparse.Vector) ([]uint64, err
 			free += c.caps[w] - c.used[w]
 		}
 		if free == 0 {
-			//plshvet:ignore lockorder single insertion sequencer: retirement RPCs run under c.mu so the window advances atomically against other inserts
+			// Retirement RPCs run under c.mu so the window advances
+			// atomically against other inserts.
 			if err := c.advanceWindow(ctx); err != nil {
 				return nil, fail(err)
 			}
@@ -517,12 +522,13 @@ func (c *Cluster) Insert(ctx context.Context, vs []sparse.Vector) ([]uint64, err
 			for _, pos := range part {
 				scratch = append(scratch, vs[pos])
 			}
-			//plshvet:ignore lockorder single insertion sequencer: replica broadcast RPCs run under c.mu by design; queries never take this lock
+			// Replica broadcast RPCs run under c.mu by design; queries never
+			// take this lock.
 			local, err := c.insertGroup(ctx, w, scratch)
 			if errors.Is(err, node.ErrFull) {
 				// Bookkeeping drift (shouldn't happen): resync and retry
-				// this part in a later round.
-				//plshvet:ignore lockorder single insertion sequencer: stats resync must see a quiesced used-count, so it stays under c.mu
+				// this part in a later round. The resync must see a
+				// quiesced used-count, so it stays under c.mu.
 				c.resyncUsed(ctx, w)
 				requeue = append(requeue, part...)
 				continue

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"maps"
 	"slices"
 	"testing"
 	"time"
@@ -568,5 +569,84 @@ func TestMergeAllNonBlockingAndFlushAll(t *testing.T) {
 		if st.DeltaLen != 0 || st.MergeInFlight {
 			t.Fatalf("node %d not quiesced after MergeAll+FlushAll: %+v", i, st)
 		}
+	}
+}
+
+// parkingNode is a fakeNode whose Insert closes entered, then parks until
+// its ctx ends.
+type parkingNode struct {
+	fakeNode
+	entered chan struct{}
+}
+
+func (p *parkingNode) Insert(ctx context.Context, vs []sparse.Vector) ([]uint32, error) {
+	close(p.entered)
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+// DESIGN's audit row l4: Insert holds the coordinator's mutex for its whole
+// run, member RPCs included, and nothing else takes it. So while an Insert
+// is parked inside a member, Search, Doc, Delete and Stats still answer.
+// A read that took the mutex would wait out the parked Insert; it fails
+// here after a few seconds instead.
+func TestReadsAnswerDuringParkedInsert(t *testing.T) {
+	member := &parkingNode{fakeNode: fakeNode{capacity: 100}, entered: make(chan struct{})}
+	c, err := NewWithOptions(bg, []transport.NodeClient{member}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ictx, unpark := context.WithCancel(bg)
+	defer unpark()
+	inserted := make(chan error, 1)
+	go func() {
+		_, err := c.Insert(ictx, testDocs(2, 41))
+		inserted <- err
+	}()
+	select {
+	case <-member.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Insert never reached the member")
+	}
+
+	q := testDocs(1, 43)
+	ops := map[string]func() error{
+		"Search": func() error {
+			_, _, err := c.Search(bg, q, node.SearchParams{}, BatchOptions{})
+			return err
+		},
+		"Doc": func() error {
+			_, _, err := c.Doc(bg, GlobalID(0, 0))
+			return err
+		},
+		"Delete": func() error { return c.Delete(bg, GlobalID(0, 0)) },
+		"Stats": func() error {
+			_, err := c.Stats(bg)
+			return err
+		},
+	}
+	type result struct {
+		name string
+		err  error
+	}
+	done := make(chan result, len(ops))
+	for name, op := range ops {
+		go func() { done <- result{name, op()} }()
+	}
+	timeout := time.After(5 * time.Second)
+	for range len(ops) {
+		select {
+		case r := <-done:
+			delete(ops, r.name)
+			if r.err != nil {
+				t.Errorf("%s during a parked Insert: %v", r.name, r.err)
+			}
+		case <-timeout:
+			t.Fatalf("%v blocked behind an Insert parked inside a member", slices.Sorted(maps.Keys(ops)))
+		}
+	}
+	unpark()
+	if err := <-inserted; !errors.Is(err, context.Canceled) {
+		t.Fatalf("unparked Insert returned %v, want context.Canceled", err)
 	}
 }

@@ -155,8 +155,8 @@ func NewRouter(fam *lshhash.Family, cfg RouterConfig) (*Router, error) {
 	if !(cfg.Recall >= 0 && cfg.Recall <= 1) {
 		return nil, fmt.Errorf("cluster: routing recall %v outside (0, 1]", cfg.Recall)
 	}
-	if !(cfg.Radius >= 0) {
-		return nil, fmt.Errorf("cluster: routing radius %v must not be negative", cfg.Radius)
+	if !(cfg.Radius >= 0) || math.IsInf(cfg.Radius, 1) {
+		return nil, fmt.Errorf("cluster: routing radius %v must be finite and not negative", cfg.Radius)
 	}
 	p := fam.Params()
 	// The signature is B = ceil(log2(Groups)) bits, at most 8: the narrowest

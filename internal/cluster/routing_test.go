@@ -47,6 +47,9 @@ func TestRouterConfigValidation(t *testing.T) {
 	if _, err := NewRouter(fam, RouterConfig{Groups: 4, Radius: math.NaN()}); err == nil {
 		t.Error("NaN radius accepted")
 	}
+	if _, err := NewRouter(fam, RouterConfig{Groups: 4, Radius: math.Inf(1)}); err == nil {
+		t.Error("+Inf radius accepted")
+	}
 	r, err := NewRouter(fam, RouterConfig{Groups: 16})
 	if err != nil {
 		t.Fatal(err)

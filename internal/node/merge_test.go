@@ -16,12 +16,15 @@ import (
 	"plsh/internal/sparse"
 )
 
-// holdMerge installs test hooks that block n's background merge at the
-// given phase until the returned release func is called. entered is closed
-// once a merge first reaches the phase; merges that reach it after the
-// release pass straight through. Cleanup releases the hold, drains the
-// node, and only then clears the hook — the hooks are plain globals, so no
-// merge goroutine may be left running when they are written.
+// holdMerge installs a test hook that blocks n's background merge — or,
+// given &testHookCheckpoint, any checkpoint — at the given phase until the
+// returned release func is called. entered is closed once the phase is
+// first reached; later arrivals after the release pass straight through.
+// Cleanup releases the hold, drains the node, and only then clears the
+// hook — the hooks are plain globals, so no merge goroutine may be left
+// running when they are written. A failed test is not drained: its failure
+// may be a lock held across the very merge the drain would wait for, so the
+// released hook stays in place rather than hang the package.
 func holdMerge(t *testing.T, n *Node, phase *func()) (entered chan struct{}, release func()) {
 	t.Helper()
 	entered = make(chan struct{})
@@ -35,6 +38,9 @@ func holdMerge(t *testing.T, n *Node, phase *func()) (entered chan struct{}, rel
 	release = func() { once.Do(func() { close(releaseCh) }) }
 	t.Cleanup(func() {
 		release()
+		if t.Failed() {
+			return
+		}
 		if err := n.Flush(bg); err != nil {
 			t.Error(err)
 		}

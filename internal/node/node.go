@@ -77,9 +77,11 @@ var ErrNotDurable = errors.New("node: no data directory configured")
 // testHookMergeStart and testHookMergeBuilt, when non-nil, run inside the
 // background merge goroutine: Start before the merge reads anything, Built
 // after the merged index is complete but before the new snapshot is
-// published. Tests use them to hold a merge open deterministically; they
-// must be set while the node is quiescent.
-var testHookMergeStart, testHookMergeBuilt func()
+// published. testHookCheckpoint runs at the start of every checkpoint — a
+// merge's, Retire's and Save's — before the journal is touched. Tests use
+// them to hold a merge or a checkpoint open deterministically; they must be
+// set while the node is quiescent.
+var testHookMergeStart, testHookMergeBuilt, testHookCheckpoint func()
 
 // Config parameterizes a node.
 type Config struct {
@@ -122,8 +124,8 @@ func (cfg Config) normalize() (Config, error) {
 	if !(cfg.DeltaFraction >= 0 && cfg.DeltaFraction <= 1) {
 		return cfg, fmt.Errorf("node: Config.DeltaFraction = %v outside [0, 1]", cfg.DeltaFraction)
 	}
-	if !(cfg.Query.Radius >= 0) {
-		return cfg, fmt.Errorf("node: Config.Query.Radius = %v must not be negative", cfg.Query.Radius)
+	if !(cfg.Query.Radius >= 0) || math.IsInf(cfg.Query.Radius, 1) {
+		return cfg, fmt.Errorf("node: Config.Query.Radius = %v must be finite and not negative", cfg.Query.Radius)
 	}
 	if cfg.Capacity == 0 {
 		cfg.Capacity = 1 << 20
@@ -527,8 +529,9 @@ func (n *Node) Insert(ctx context.Context, vs []sparse.Vector) ([]uint32, error)
 		// Write-ahead: the batch is journaled — at the base the mutex just
 		// assigned, keeping journal order equal to arena order — before any
 		// in-memory state changes, and acknowledged only after the journal
-		// accepts it. A journal failure leaves the node untouched.
-		//plshvet:ignore lockorder journal-before-ack: the append must commit under the insert mutex so journal order equals arena order; queries never take n.mu
+		// accepts it. A journal failure leaves the node untouched. The
+		// append commits under the insert mutex so journal order equals
+		// arena order; queries never take n.mu.
 		if err := n.wal.AppendInsert(base, vs); err != nil {
 			n.mu.Unlock()
 			return nil, err
@@ -708,7 +711,7 @@ func (n *Node) runMerge(old *core.Static, segs []segment, prefix *sparse.Matrix,
 		// checkpoint serializes them without any lock. WAL.Checkpoint
 		// discards this write if a chained merge's newer checkpoint
 		// already landed, so the on-disk snapshot never regresses.
-		if err := n.wal.Checkpoint(makeSnapshot(n.cfg, prefix, st, del, upTo), token); err != nil {
+		if err := n.checkpoint(makeSnapshot(n.cfg, prefix, st, del, upTo), token); err != nil {
 			n.notePersistErr(err)
 		}
 	}
@@ -754,6 +757,16 @@ func tombstoneWords(del *bitvec.Vector, rows int) []uint64 {
 		dw[nw-1] &= 1<<(rows%64) - 1
 	}
 	return dw
+}
+
+// checkpoint writes snap and truncates the journal segments token sealed.
+// Callers hold no lock: queries, inserts and deletes run on while it
+// writes.
+func (n *Node) checkpoint(snap *persist.Snapshot, token int) error {
+	if h := testHookCheckpoint; h != nil {
+		h()
+	}
+	return n.wal.Checkpoint(snap, token)
 }
 
 func (n *Node) notePersistErr(err error) {
@@ -873,7 +886,8 @@ func (n *Node) Delete(id uint32) error {
 	if int(id) >= n.store.Rows() {
 		return ErrNotFound
 	}
-	//plshvet:ignore lockorder journal-before-ack: the tombstone is journaled under n.mu so recovery replays deletes in mutation order
+	// Journal-before-ack: the tombstone is journaled under n.mu so recovery
+	// replays deletes in mutation order.
 	if err := n.wal.AppendDelete(id); err != nil {
 		return err
 	}
@@ -903,7 +917,8 @@ func (n *Node) Retire(ctx context.Context) error {
 		}
 	}
 	if n.wal != nil {
-		//plshvet:ignore lockorder journal-before-ack: retirement is journaled under n.mu so recovery cannot resurrect retired rows
+		// Journal-before-ack: retirement is journaled under n.mu so recovery
+		// cannot resurrect retired rows.
 		if err := n.wal.AppendRetire(); err != nil {
 			n.mu.Unlock()
 			return err
@@ -927,7 +942,7 @@ func (n *Node) Retire(ctx context.Context) error {
 	}
 	n.mu.Unlock()
 	if token > 0 {
-		if err := n.wal.Checkpoint(snap, token); err != nil {
+		if err := n.checkpoint(snap, token); err != nil {
 			n.notePersistErr(err)
 		}
 	}
@@ -998,7 +1013,7 @@ func (n *Node) save(ctx context.Context, dir string, checkpoint bool) error {
 		}
 		snap := makeSnapshot(n.cfg, n.store.Prefix(n.nStatic), n.static, n.deleted, n.nStatic)
 		n.mu.Unlock()
-		return n.wal.Checkpoint(snap, token)
+		return n.checkpoint(snap, token)
 	}
 	snap := makeSnapshot(n.cfg, n.store.Prefix(n.nStatic), n.static, n.deleted, n.nStatic)
 	n.mu.Unlock()

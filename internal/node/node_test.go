@@ -72,6 +72,7 @@ func TestOpenRejectsOutOfRangeConfig(t *testing.T) {
 		"negative delta fraction": func(c *Config) { c.DeltaFraction = -0.1 },
 		"NaN delta fraction":      func(c *Config) { c.DeltaFraction = math.NaN() },
 		"negative radius":         func(c *Config) { c.Query.Radius = -0.5 },
+		"+Inf radius":             func(c *Config) { c.Query.Radius = math.Inf(1) },
 	} {
 		cfg := testConfig(100)
 		edit(&cfg)

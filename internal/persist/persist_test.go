@@ -5,7 +5,9 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
+	"time"
 
 	"plsh/internal/core"
 	"plsh/internal/corpus"
@@ -391,6 +393,75 @@ func TestWALCheckpointFailureKeepsJournal(t *testing.T) {
 	got := replayAll(t, dir)
 	if len(got) != 2 || got[0].Kind != RecordInsert || got[1].Kind != RecordDelete {
 		t.Fatalf("after a failed checkpoint the journal replays %+v, want the insert and the delete", got)
+	}
+}
+
+// DESIGN's audit row l5: a checkpoint serializes on its own lock, never on
+// the append lock, and a rotation never takes the checkpoint lock. So while
+// a checkpoint is held open before its snapshot write, AppendInsert,
+// AppendDelete and Rotate all return; a lock taken across the two would
+// park them behind the snapshot write, and this fails after a few seconds
+// instead. The records appended meanwhile sit at or past the checkpoint's
+// token, so its truncation keeps them.
+func TestWALAppendsAndRotateRunDuringHeldCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenWAL(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if err := w.AppendInsert(0, walDocs(4, 1)); err != nil {
+		t.Fatal(err)
+	}
+	token, err := w.Rotate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := testSnapshot(t, 4)
+
+	entered, hold := make(chan struct{}), make(chan struct{})
+	testHookCheckpoint = func() { close(entered); <-hold }
+	var once sync.Once
+	release := func() { once.Do(func() { close(hold) }) }
+	defer release() // before w.Close, which may wait on the held checkpoint
+	checkpointed := make(chan error, 1)
+	go func() { checkpointed <- w.Checkpoint(snap, token) }()
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Checkpoint never reached its hold")
+	}
+	// The checkpoint has read the hook, so clearing it races nothing.
+	testHookCheckpoint = nil
+
+	appended := make(chan error, 1)
+	go func() {
+		if err := w.AppendInsert(4, walDocs(2, 2)); err != nil {
+			appended <- err
+			return
+		}
+		if err := w.AppendDelete(5); err != nil {
+			appended <- err
+			return
+		}
+		_, err := w.Rotate()
+		appended <- err
+	}()
+	select {
+	case err := <-appended:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("AppendInsert, AppendDelete or Rotate blocked behind a held checkpoint")
+	}
+	release()
+	if err := <-checkpointed; err != nil {
+		t.Fatal(err)
+	}
+	got := replayAll(t, dir)
+	if len(got) != 2 || got[0].Kind != RecordInsert || got[0].Base != 4 || got[1].Kind != RecordDelete {
+		t.Fatalf("after the checkpoint the journal replays %+v, want the insert at 4 and the delete appended during it", got)
 	}
 }
 

@@ -77,6 +77,11 @@ type Record struct {
 // allocations.
 var maxRecordLen = 1 << 30
 
+// testHookCheckpoint, when non-nil, runs inside Checkpoint with the
+// checkpoint lock held, just before the snapshot is written. Tests use it to
+// hold a checkpoint open; production code never sets it.
+var testHookCheckpoint func()
+
 // errWALClosed is returned by appends after Close.
 var errWALClosed = errors.New("persist: journal closed")
 
@@ -304,6 +309,9 @@ func (w *WAL) Checkpoint(s *Snapshot, token int) error {
 	defer w.cpMu.Unlock()
 	if token <= w.cpToken {
 		return nil // a newer checkpoint already covers this state
+	}
+	if h := testHookCheckpoint; h != nil {
+		h()
 	}
 	if err := WriteSnapshot(w.dir, s); err != nil {
 		return err

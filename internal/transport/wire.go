@@ -277,10 +277,12 @@ func serveConn(ctx, hardCtx context.Context, conn net.Conn, backend NodeClient, 
 			resp := &response{Seq: req.Seq}
 			handle(rctx, backend, req, resp)
 			writeMu.Lock()
-			//plshvet:ignore lockorder one stateful gob encoder per connection: frame writes must serialize on it, and contention is bounded by frame size
+			// One stateful gob encoder per connection: frame writes must
+			// serialize on it, and contention is bounded by frame size.
 			err := enc.Encode(resp)
 			if err == nil {
-				//plshvet:ignore lockorder the flush belongs to the same serialized frame write as the encode above
+				// The flush belongs to the same serialized frame write as the
+				// encode above.
 				err = bw.Flush()
 			}
 			writeMu.Unlock()

@@ -1,16 +1,14 @@
 #!/usr/bin/env bash
-# The repository's full static gate, run identically by CI and by hand:
+# The repository's static gate, run identically by CI and by hand:
 #
 #   1. go vet          — the toolchain's standard checks
 #   2. gofmt           — formatting drift fails, never auto-fixes
-#   3. plsh-vet        — the repository's one custom analyzer
-#                        (internal/analysis): lockorder, over every
-#                        non-test package
-#   4. benchmark suite — benchmarks/suite is its own module (the benchmark
+#   3. benchmark suite — benchmarks/suite is its own module (the benchmark
 #                        contract builds it from a bare checkout), so
-#                        ./... above does not reach it; go vet and
-#                        go test -short there catch an internal API change
-#                        that would break the benchmark
+#                        ./... above does not reach it; go vet there
+#                        catches an internal API change that would break
+#                        the benchmark. Its tests start fleets and run in
+#                        CI's suite job, not here.
 #
 # Every failure prints file:line:col so CI annotations and editors can
 # jump straight to the site. Exits nonzero on the first failing stage.
@@ -29,13 +27,7 @@ if [ -n "$unformatted" ]; then
   exit 1
 fi
 
-echo "==> plsh-vet"
-bin="$(mktemp -d)/plsh-vet"
-trap 'rm -rf "$(dirname "$bin")"' EXIT
-go build -o "$bin" ./cmd/plsh-vet
-"$bin" ./...
-
-echo "==> benchmark suite (own module)"
-(cd benchmarks/suite && go vet . && go test -short ./...)
+echo "==> benchmark suite (own module): go vet"
+(cd benchmarks/suite && go vet .)
 
 echo "static gate clean"

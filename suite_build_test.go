@@ -9,8 +9,8 @@ import (
 // tree. benchmarks/suite has its own go.mod (BENCHMARK.json's contract
 // builds it from a bare checkout), so the root's ./... never reaches it and
 // an internal API change could break the benchmark with tier-1 green; this
-// is tier-1's signal. The suite's own tests stay with scripts/vet.sh and
-// the CI suite job — they start fleets.
+// is tier-1's signal. The suite's own tests run in the CI suite job alone —
+// they start fleets.
 func TestBenchmarkSuiteBuilds(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("no go toolchain on PATH")
