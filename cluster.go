@@ -293,12 +293,12 @@ func (cl *Cluster) Insert(ctx context.Context, docs []Vector) ([]uint64, error) 
 // Search answers one query under request-scoped options, broadcast to
 // every replica group: one member answers for its group — failing over
 // to sibling replicas on error, racing one with WithHedge — applying the
-// effective radius (WithRadius, or the construction Config.Radius) and
-// candidate budget locally, pruned to the k best with WithK, and the
-// coordinator merges the bounded sorted partial lists. Matches come back
-// ascending by (distance, ID) and are replica-agnostic. WithNodeTimeout
-// and AllowPartial trade completeness for bounded latency; use
-// SearchBatch to also observe the per-group, per-attempt Report.
+// effective radius (WithRadius, or the construction Config.Radius)
+// locally, pruned to the k best with WithK, and the coordinator merges the
+// bounded sorted partial lists. Matches come back ascending by (distance,
+// ID) and are replica-agnostic. WithNodeTimeout and AllowPartial trade
+// completeness for bounded latency; use SearchBatch to also observe the
+// per-group, per-attempt Report.
 func (cl *Cluster) Search(ctx context.Context, q Vector, opts ...SearchOption) (Result, error) {
 	res, _, err := cl.SearchBatch(ctx, []Vector{q}, opts...)
 	if err != nil {

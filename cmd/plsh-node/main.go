@@ -2,9 +2,9 @@
 // a multi-node deployment (the paper's 100-node cluster, §5.3). A
 // coordinator connects with plsh.DialCluster and drives the unified
 // Search surface: the versioned opSearch wire op carries each request's
-// radius, top-k bound, and candidate budget to this node, and opDoc
-// fetches stored vectors by id. The -r flag is therefore only the
-// node-side default radius — requests override it per query.
+// radius and top-k bound to this node, and opDoc fetches stored vectors
+// by id. The -r flag is therefore only the node-side default radius —
+// requests override it per query.
 //
 // Usage:
 //

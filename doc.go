@@ -35,10 +35,10 @@
 //	res, _ = idx.Search(ctx, q,                        // race a slow replica
 //		plsh.WithHedge(20*time.Millisecond))
 //
-// WithMaxCandidates bounds per-node distance computations for callers
-// that prefer a bounded answer over an exhaustive one. Search and
-// SearchBatch are the only query methods: a single query is a batch of
-// one, a top-k query is WithK.
+// Every search checks the distance of every unique candidate its LSH
+// buckets yield (§5.2, Steps Q2–Q4), so its answer set is fixed by the
+// sketches, the radius and k. Search and SearchBatch are the only query
+// methods: a single query is a batch of one, a top-k query is WithK.
 //
 // # The engine underneath
 //

@@ -160,7 +160,7 @@ func benchLayout(b *testing.B, set coldSet, layout string) {
 		ws.cand = ws.seen.AppendSet(ws.cand[:0])
 		ws.seen.ResetList(ws.cand)
 		q2 = now() - t0
-		dst, _ = Verify(dst[:0], ws.cand, 0, e.store, nil, len(ws.cand), sparse.CosThreshold(e.opts.Radius), ws.mask, q)
+		dst, _ = Verify(dst[:0], ws.cand, 0, e.store, nil, sparse.CosThreshold(e.opts.Radius), ws.mask, q)
 		e.End(ws)
 		return q2
 	}
@@ -286,9 +286,6 @@ func (e *monolith) search(dst []Neighbor, q sparse.Vector, p SearchParams) ([]Ne
 	for _, id := range ws.cand {
 		if e.deleted != nil && e.deleted.TestAtomic(int(id)) {
 			continue
-		}
-		if p.MaxCandidates > 0 && evaluated == p.MaxCandidates {
-			break
 		}
 		evaluated++
 		idx, val := e.store.Doc(int(id))

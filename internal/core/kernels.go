@@ -8,9 +8,9 @@ import (
 
 // The hot loops of Steps Q2 and Q3 live here, one small function each,
 // taking slices and scalars as arguments. Every option (dedup arm, dot
-// kernel, tombstones, candidate budget, radius) is resolved by the caller,
-// so a loop tests only values that sit in registers; DESIGN.md "Q2/Q3 leaf
-// kernels" has the measurements that put them here.
+// kernel, tombstones, radius) is resolved by the caller, so a loop tests
+// only values that sit in registers; DESIGN.md "Q2/Q3 leaf kernels" has
+// the measurements that put them here.
 
 // stageBuckets is the staging of every Q2 probe: it composes the L table
 // keys from the sketch and loads the bounds of each selected directory
@@ -157,21 +157,16 @@ func probeSet(tables []Table, pairs []lshhash.Pair, sketch []uint32, half uint, 
 // from q to document base+id for each id of cand, in order, and appends
 // those within the cosine threshold thr to dst. It returns the extended
 // slice and the number of distances computed. Tombstoned candidates
-// (deleted may be nil) are skipped for free; limit bounds the distance
-// computations, the work a candidate budget exists to cap, so a
-// deletion-heavy list does not starve the budget unevaluated — pass
-// len(cand) or more for no bound. mask is q scattered (§5.2.3); nil selects
-// the merge-intersection dot product. The static engine verifies its own
-// candidates with it and the node verifies each delta segment's.
-func Verify(dst []Neighbor, cand []uint32, base uint32, store sparse.Store, deleted *bitvec.Vector, limit int, thr float64, mask *sparse.QueryMask, q sparse.Vector) ([]Neighbor, int) {
+// (deleted may be nil) are skipped for free and not counted. mask is q
+// scattered (§5.2.3); nil selects the merge-intersection dot product. The
+// static engine verifies its own candidates with it and the node verifies
+// each delta segment's.
+func Verify(dst []Neighbor, cand []uint32, base uint32, store sparse.Store, deleted *bitvec.Vector, thr float64, mask *sparse.QueryMask, q sparse.Vector) ([]Neighbor, int) {
 	evaluated := 0
 	for _, id := range cand {
 		id += base
 		if deleted != nil && deleted.TestAtomic(int(id)) {
 			continue
-		}
-		if evaluated == limit {
-			break
 		}
 		evaluated++
 		idx, val := store.Doc(int(id))

@@ -52,7 +52,7 @@ func QueryDefaults() QueryOptions {
 
 // SearchParams are the request-scoped knobs of one query. The engine's
 // QueryOptions fix the structural choices (dedup strategy, dot-product
-// kernel, workers) at construction; SearchParams override the two values
+// kernel, workers) at construction; SearchParams override the one value
 // that heterogeneous traffic wants to vary per request without rebuilding
 // anything. The zero value means "use the engine's configured defaults".
 type SearchParams struct {
@@ -61,20 +61,13 @@ type SearchParams struct {
 	// so any radius is answerable by any engine; recall guarantees still
 	// assume the (k, m) geometry was tuned for a radius near this one.
 	Radius float64
-	// MaxCandidates, when > 0, bounds how many unique candidates this
-	// query evaluates distances for — the latency/recall trade for callers
-	// that prefer a bounded answer over an exhaustive one. Candidates past
-	// the bound are dropped unevaluated; QueryStats.Unique reports the
-	// evaluated count.
-	MaxCandidates int
 }
 
 // QueryStats counts the work a query performed, matching the quantities of
 // the §7 model: Collisions is the total bucket-entry count over all L
 // tables (duplicates included); Unique is the number of distance
-// computations actually performed (deduplicated candidates, minus
-// tombstoned ones and anything past the request's candidate budget);
-// Results is the answer count.
+// computations actually performed (deduplicated candidates minus
+// tombstoned ones); Results is the answer count.
 type QueryStats struct {
 	Collisions int
 	Unique     int
@@ -274,17 +267,13 @@ func (e *Engine) SearchOn(dst []Neighbor, ws *Workspace, q sparse.Vector, p Sear
 	}
 
 	// Steps Q3+Q4: distance computation and radius filter, under the
-	// request's radius and candidate budget when given.
+	// request's radius when given.
 	radius := e.opts.Radius
 	if p.Radius > 0 {
 		radius = p.Radius
 	}
-	limit := len(ws.cand)
-	if p.MaxCandidates > 0 {
-		limit = p.MaxCandidates
-	}
 	base := len(dst)
-	dst, stats.Unique = Verify(dst, ws.cand, 0, e.store, e.deleted, limit, sparse.CosThreshold(radius), ws.mask, q)
+	dst, stats.Unique = Verify(dst, ws.cand, 0, e.store, e.deleted, sparse.CosThreshold(radius), ws.mask, q)
 	if e.opts.CollectPhases {
 		e.q3ns.Add(now() - t0)
 	}

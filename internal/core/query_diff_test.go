@@ -14,8 +14,8 @@ import (
 // naiveSearch is the reference the kernels are differenced against: it
 // unions the query's L buckets with a map, orders the candidates (ascending
 // ID, or first-seen bucket-scan order), and verifies them one by one with
-// the merge dot product under the same tombstone, budget and radius rules
-// the engine documents. It shares no code with kernels.go.
+// the merge dot product under the same tombstone and radius rules the
+// engine documents. It shares no code with kernels.go.
 func naiveSearch(f *queryFixture, q sparse.Vector, ascending bool, del *bitvec.Vector, p SearchParams, radius float64) ([]Neighbor, QueryStats) {
 	var stats QueryStats
 	hp := f.fam.Params()
@@ -44,9 +44,6 @@ func naiveSearch(f *queryFixture, q sparse.Vector, ascending bool, del *bitvec.V
 		if del != nil && del.TestAtomic(int(id)) {
 			continue
 		}
-		if p.MaxCandidates > 0 && stats.Unique == p.MaxCandidates {
-			break
-		}
 		stats.Unique++
 		if dot := sparse.Dot(q, f.mat.Row(int(id))); dot >= sparse.CosThreshold(radius) {
 			out = append(out, Neighbor{ID: id, Dist: sparse.AngularDistance(dot)})
@@ -57,15 +54,14 @@ func naiveSearch(f *queryFixture, q sparse.Vector, ascending bool, del *bitvec.V
 }
 
 // TestSearchMatchesNaiveReference: for every dedup/dot arm × {no
-// tombstones, 10 % tombstones} × {no budget, MaxCandidates 8} × {engine
-// radius, request radius}, SearchAppend returns exactly the reference's
-// neighbours — IDs, distances, order and QueryStats. The reference verifies
-// in the arm's own candidate order (ascending ID after extraction,
-// first-seen order for mark-and-append); the set arm drains a map in random
-// order, so under a budget it is held to what order cannot change: the
-// counts, and every answer being one of the unbudgeted reference's. Each
-// engine is shared by 8 goroutines, so `go test -race` also checks that the
-// pooled workspaces keep concurrent queries apart.
+// tombstones, 10 % tombstones} × {engine radius, request radius},
+// SearchAppend returns exactly the reference's neighbours — IDs, distances,
+// order and QueryStats. The reference verifies in the arm's own candidate
+// order (ascending ID after extraction, first-seen order for
+// mark-and-append); the set arm drains a map in random order, so its
+// answers are compared sorted. Each engine is shared by 8 goroutines, so
+// `go test -race` also checks that the pooled workspaces keep concurrent
+// queries apart.
 func TestSearchMatchesNaiveReference(t *testing.T) {
 	f := newQueryFixture(t, 400, 24)
 	const R = 0.9
@@ -90,11 +86,9 @@ func TestSearchMatchesNaiveReference(t *testing.T) {
 		q int
 	}
 	var requests []request
-	for _, maxCand := range []int{0, 8} {
-		for _, radius := range []float64{0, 1.2} {
-			for qi := range f.queries {
-				requests = append(requests, request{SearchParams{Radius: radius, MaxCandidates: maxCand}, qi})
-			}
+	for _, radius := range []float64{0, 1.2} {
+		for qi := range f.queries {
+			requests = append(requests, request{SearchParams{Radius: radius}, qi})
 		}
 	}
 	for _, arm := range arms {
@@ -114,19 +108,6 @@ func TestSearchMatchesNaiveReference(t *testing.T) {
 						q := f.queries[rq.q]
 						var got QueryStats
 						dst, got = eng.SearchAppend(dst[:0], q, rq.p)
-						if arm.unordered && rq.p.MaxCandidates > 0 {
-							full, fullStats := naiveSearch(f, q, true, del, SearchParams{Radius: rq.p.Radius}, R)
-							want := QueryStats{Collisions: fullStats.Collisions, Unique: min(fullStats.Unique, rq.p.MaxCandidates), Results: len(dst)}
-							if got != want {
-								t.Errorf("%s del=%v %+v query %d: stats %+v, want %+v", arm.name, del != nil, rq.p, rq.q, got, want)
-							}
-							for _, nb := range dst {
-								if !slices.Contains(full, nb) {
-									t.Errorf("%s del=%v %+v query %d: answer %+v not in the unbudgeted reference", arm.name, del != nil, rq.p, rq.q, nb)
-								}
-							}
-							continue
-						}
 						want, wantStats := naiveSearch(f, q, arm.ascending, del, rq.p, R)
 						if arm.unordered {
 							SortNeighbors(dst)
@@ -163,7 +144,7 @@ func TestSearchAppendDoesNotAllocate(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(100, func() {
 			for _, q := range f.queries {
-				eng.SearchAppend(dst, q, SearchParams{MaxCandidates: 50})
+				eng.SearchAppend(dst, q, SearchParams{})
 			}
 		}); n != 0 {
 			t.Errorf("%+v: SearchAppend allocates %.1f times per %d queries, want 0", opts, n, len(f.queries))

@@ -363,41 +363,3 @@ func TestRecallMatchesRetrievalProb(t *testing.T) {
 		t.Fatalf("retrieved %v true neighbors, model expects %v (ratio %v)", got, expected, ratio)
 	}
 }
-
-// TestSearchBudgetIgnoresTombstones: the request-scoped candidate budget
-// caps distance computations, so tombstoned candidates must be skipped
-// for free — a deletion-heavy candidate set cannot eat the budget
-// unevaluated — and QueryStats.Unique reports the true evaluation count.
-func TestSearchBudgetIgnoresTombstones(t *testing.T) {
-	f := newQueryFixture(t, 300, 0)
-	eng := NewEngine(f.st, f.mat, QueryOptions{Radius: 1.2, UseBitvector: true, ExtractCandidates: true})
-	// Tombstone every document except the last; its self-query still has
-	// itself as a live candidate, possibly behind hundreds of deleted
-	// ones in sorted candidate order.
-	del := bitvec.New(f.mat.Rows())
-	for i := 0; i < f.mat.Rows()-1; i++ {
-		del.Set(i)
-	}
-	eng.SetDeleted(del)
-	live := uint32(f.mat.Rows() - 1)
-	q := f.mat.Row(int(live))
-	res, stats := eng.SearchAppend(nil, q, SearchParams{MaxCandidates: 1})
-	if stats.Unique != 1 {
-		t.Fatalf("Unique = %d, want 1 evaluation (tombstones are free)", stats.Unique)
-	}
-	found := false
-	for _, nb := range res {
-		if nb.ID == live {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("budget 1 starved by tombstoned candidates: live self-match missing from %v", res)
-	}
-	// Without deletions the budget caps evaluations exactly.
-	eng.SetDeleted(nil)
-	_, stats = eng.SearchAppend(nil, q, SearchParams{MaxCandidates: 3})
-	if stats.Unique > 3 {
-		t.Fatalf("Unique = %d exceeds the budget of 3", stats.Unique)
-	}
-}

@@ -122,13 +122,3 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	// last is still the best answer available.
 	return time.Duration(bucketMax(nBuckets - 1))
 }
-
-// Reset zeroes the histogram. Not atomic with respect to concurrent
-// recorders: increments in flight during a reset may survive it.
-func (h *Histogram) Reset() {
-	h.count.Store(0)
-	h.sum.Store(0)
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-}

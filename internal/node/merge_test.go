@@ -3,7 +3,6 @@ package node
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -384,9 +383,9 @@ func unfilteredCandidates(t *delta.Table, fam *lshhash.Family, sketch []uint32) 
 // TestSegmentChainAnswersMatchUnfilteredProbe pins the bitmaps' contract at
 // the node: over a live chain — coalesced segments of several sizes,
 // tombstones older and newer than the coalescing that compacts them, a
-// candidate budget that runs out mid-chain — searchOn returns exactly the
-// neighbours, in exactly the order, that the same loop returns when every
-// segment is probed without a filter.
+// request radius — searchOn returns exactly the neighbours, in exactly the
+// order, that the same loop returns when every segment is probed without a
+// filter.
 func TestSegmentChainAnswersMatchUnfilteredProbe(t *testing.T) {
 	cfg := testConfig(5000)
 	cfg.AutoMerge = false
@@ -429,28 +428,19 @@ func TestSegmentChainAnswersMatchUnfilteredProbe(t *testing.T) {
 	reference := func(q sparse.Vector, p SearchParams) []core.Neighbor {
 		ws := s.eng.Begin(q)
 		defer s.eng.End(ws)
-		res, stats := s.eng.SearchOn(nil, ws, q, core.SearchParams{Radius: p.Radius, MaxCandidates: p.MaxCandidates})
-		budget := math.MaxInt
-		if p.MaxCandidates > 0 {
-			budget = p.MaxCandidates - stats.Unique
-		}
+		res, _ := s.eng.SearchOn(nil, ws, q, core.SearchParams{Radius: p.Radius})
 		radius := cfg.Query.Radius
 		if p.Radius > 0 {
 			radius = p.Radius
 		}
 		for _, sg := range s.segs {
-			if budget <= 0 {
-				break
-			}
-			var evaluated int
-			res, evaluated = core.Verify(res, unfilteredCandidates(sg.t, n.fam, ws.Sketch()), uint32(sg.base),
-				s.store, s.deleted, budget, sparse.CosThreshold(radius), ws.Mask(), q)
-			budget -= evaluated
+			res, _ = core.Verify(res, unfilteredCandidates(sg.t, n.fam, ws.Sketch()), uint32(sg.base),
+				s.store, s.deleted, sparse.CosThreshold(radius), ws.Mask(), q)
 		}
 		return res
 	}
 	answered := 0
-	for _, p := range []SearchParams{{}, {Radius: 1.2}, {MaxCandidates: 4}, {MaxCandidates: 25, Radius: 1.2}, {MaxCandidates: 200}} {
+	for _, p := range []SearchParams{{}, {Radius: 1.2}} {
 		for qi := 0; qi < len(vs); qi += 13 {
 			got := n.searchOn(nil, s, vs[qi], p)
 			want := reference(vs[qi], p)

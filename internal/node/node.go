@@ -151,10 +151,6 @@ type SearchParams struct {
 	// K, when > 0, bounds the answer to the k nearest in-radius documents,
 	// sorted ascending by (distance, id).
 	K int
-	// MaxCandidates, when > 0, bounds how many unique candidates (static
-	// engine plus delta segments combined) this query evaluates distances
-	// for — a per-request latency/recall trade.
-	MaxCandidates int
 }
 
 // Stats summarizes a node's state and accumulated maintenance costs.
@@ -1161,38 +1157,22 @@ func finishSearch(res []core.Neighbor, base int, p SearchParams) []core.Neighbor
 // It takes no locks: the engine, segments and arena prefix are frozen,
 // and tombstones are read atomically. The query is hashed and scattered
 // once, into the engine's workspace, and the static index and every delta
-// segment are probed and verified under that one Begin. p.MaxCandidates
-// bounds the total distance computations across the static engine and the
-// delta segments combined; p.K is left to the caller (finishSearch) so the
-// R-near set stays intact for reuse.
+// segment are probed and verified under that one Begin. p.K is left to the
+// caller (finishSearch) so the R-near set stays intact for reuse.
 func (n *Node) searchOn(dst []core.Neighbor, s *snapshot, q sparse.Vector, p SearchParams) []core.Neighbor {
 	if q.NNZ() == 0 {
 		return dst
 	}
 	ws := s.eng.Begin(q)
 	defer s.eng.End(ws)
-	res, stats := s.eng.SearchOn(dst, ws, q, core.SearchParams{Radius: p.Radius, MaxCandidates: p.MaxCandidates})
-	if len(s.segs) == 0 {
-		return res
-	}
-	budget := math.MaxInt
-	if p.MaxCandidates > 0 {
-		budget = p.MaxCandidates - stats.Unique
-		if budget <= 0 {
-			return res
-		}
-	}
+	res, _ := s.eng.SearchOn(dst, ws, q, core.SearchParams{Radius: p.Radius})
 	radius := n.cfg.Query.Radius
 	if p.Radius > 0 {
 		radius = p.Radius
 	}
 	thr := sparse.CosThreshold(radius)
 	for _, sg := range s.segs {
-		var evaluated int
-		res, evaluated = core.Verify(res, ws.Probe(sg.t), uint32(sg.base), s.store, s.deleted, budget, thr, ws.Mask(), q)
-		if budget -= evaluated; budget == 0 {
-			break
-		}
+		res, _ = core.Verify(res, ws.Probe(sg.t), uint32(sg.base), s.store, s.deleted, thr, ws.Mask(), q)
 	}
 	return res
 }

@@ -584,30 +584,13 @@ func TestNodeSearchParams(t *testing.T) {
 				}
 			}
 		}
-		// K bounds and orders; MaxCandidates never invents answers.
+		// K bounds and orders.
 		topk, err := n.Search(bg, q, SearchParams{K: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(topk) > 3 {
 			t.Fatalf("K=3 answered %d", len(topk))
-		}
-		full, err := n.Search(bg, q, SearchParams{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		inFull := map[uint32]bool{}
-		for _, nb := range full {
-			inFull[nb.ID] = true
-		}
-		bounded, err := n.Search(bg, q, SearchParams{MaxCandidates: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, nb := range bounded {
-			if !inFull[nb.ID] {
-				t.Fatalf("budgeted search invented doc %d", nb.ID)
-			}
 		}
 	}
 }
@@ -654,7 +637,7 @@ func TestSearchAppendDoesNotAllocate(t *testing.T) {
 		}
 	}
 	search(SearchParams{}) // warm both pools and grow the segment bitvector
-	for _, p := range []SearchParams{{}, {K: 5}, {MaxCandidates: 20, Radius: 1.1}} {
+	for _, p := range []SearchParams{{}, {K: 5}, {Radius: 1.1}} {
 		if allocs := testing.AllocsPerRun(50, func() { search(p) }); allocs != 0 {
 			t.Errorf("%+v: SearchAppend allocates %.1f times per pass, want 0", p, allocs)
 		}

@@ -147,7 +147,7 @@ func CalibrateFor(cc CalibrationConfig) Costs {
 		t0 := time.Now()
 		for lo := 0; lo < len(cand); lo += run {
 			ids := cand[lo:min(lo+run, len(cand))]
-			dst, _ = core.Verify(dst[:0], ids, 0, mat, nil, len(ids), sparse.CosThreshold(0.9), mask, q)
+			dst, _ = core.Verify(dst[:0], ids, 0, mat, nil, sparse.CosThreshold(0.9), mask, q)
 		}
 		c.UniqueNS = float64(time.Since(t0).Nanoseconds()) / float64(len(cand))
 	}

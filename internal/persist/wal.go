@@ -136,9 +136,6 @@ func OpenWAL(dir string, syncWrites bool) (*WAL, error) {
 	return w, nil
 }
 
-// Dir returns the journal's directory.
-func (w *WAL) Dir() string { return w.dir }
-
 func segmentPath(dir string, seq int) string {
 	return filepath.Join(dir, fmt.Sprintf("wal-%08d.log", seq))
 }

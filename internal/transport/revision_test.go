@@ -8,7 +8,7 @@ package transport_test
 import (
 	"context"
 	"encoding/gob"
-	"encoding/hex"
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -26,14 +26,13 @@ import (
 	"plsh/internal/transport"
 )
 
-// wireSearch mirrors the search-parameter struct of every revision,
-// including the routing hint revision 2 carried, so a frame that still
-// carries one shows it.
+// wireSearch mirrors the search-parameter struct of revision 3. A frame
+// declaring another revision in this layout decodes on the server as one
+// from a peer of that revision that set no parameter revision 3 lacks.
 type wireSearch struct {
 	Version uint8
 	Radius  float64
 	K       int
-	Routing uint8
 }
 
 type wireRequest struct {
@@ -58,24 +57,7 @@ const (
 	codeError = 2
 )
 
-// routedV2Frame is what a coordinator built while search frames carried the
-// routing hint sent on a fresh connection for a routed search: gob's type
-// descriptors, then one revision-2 frame — Seq 13, Radius 0.9, K 5,
-// Routing 1 — whose one query is routedQuery.
-const routedV2Frame = "" +
-	"567f030101077265717565737401ff80000107010353657101060001024f7001" +
-	"06000107566563746f727301ff88000102494401060001014b01040001065365" +
-	"6172636801ff8a000108446561646c696e6501040000001eff870201010f5b5d" +
-	"7370617273652e566563746f7201ff880001ff82000026ff8103010106566563" +
-	"746f7201ff82000102010349647801ff8400010356616c01ff8600000016ff83" +
-	"020101085b5d75696e74333201ff84000106000017ff85020101095b5d666c6f" +
-	"6174333201ff86000108000055ff890301010c736561726368506172616d7301" +
-	"ff8a000105010756657273696f6e010600010652616469757301080001014b01" +
-	"0400010d4d617843616e646964617465730104000107526f7574696e67010600" +
-	"000028ff80010d010b0101010201050102fee03ffed03f0003010201f8cdcccc" +
-	"ccccccec3f010a02010000"
-
-var routedQuery = sparse.Vector{Idx: []uint32{1, 5}, Val: []float32{0.5, 0.25}}
+var query = sparse.Vector{Idx: []uint32{1, 5}, Val: []float32{0.5, 0.25}}
 
 func revisionNode(t *testing.T, docs []sparse.Vector) *node.Node {
 	t.Helper()
@@ -191,16 +173,15 @@ func roundTrip(t *testing.T, addr string, send func(w io.Writer) error) wireResp
 }
 
 // TestSearchFramesAcrossRevisions: every search frame this binary sends —
-// a partitioned coordinator's routed sub-batches included — declares the
-// base revision and carries no routing hint; a revision-2 frame from an
-// older coordinator is still answered, as the same search is in process;
-// and a revision above 2 is refused with an error rather than served with
-// parameters the server cannot read.
+// a partitioned coordinator's routed sub-batches included — declares
+// revision 3; a revision-3 frame is answered as the same search is in
+// process; and a frame declaring any other revision, 0 included, is
+// refused with an error rather than served with parameters dropped.
 func TestSearchFramesAcrossRevisions(t *testing.T) {
 	ctx := context.Background()
 	docs := revisionDocs(240)
 
-	t.Run("partitioned coordinator sends the base revision", func(t *testing.T) {
+	t.Run("partitioned coordinator sends revision 3", func(t *testing.T) {
 		const groups = 4
 		var (
 			clients []transport.NodeClient
@@ -240,8 +221,8 @@ func TestSearchFramesAcrossRevisions(t *testing.T) {
 		for _, wait := range waits {
 			for _, f := range wait() {
 				seen++
-				if f.Version != 1 || f.Routing != 0 {
-					t.Errorf("search frame went out as v%d with routing hint %d, want v1 with none", f.Version, f.Routing)
+				if f.Version != 3 {
+					t.Errorf("search frame went out as v%d, want v3", f.Version)
 				}
 			}
 		}
@@ -252,42 +233,45 @@ func TestSearchFramesAcrossRevisions(t *testing.T) {
 
 	n := revisionNode(t, docs)
 	addr := serveNode(t, n)
+	send := func(seq uint64, p wireSearch) wireResponse {
+		return roundTrip(t, addr, func(w io.Writer) error {
+			return gob.NewEncoder(w).Encode(wireRequest{Seq: seq, Op: opSearch, Vectors: []sparse.Vector{query}, Search: &p})
+		})
+	}
 
-	t.Run("v2 routed frame is answered", func(t *testing.T) {
-		raw, err := hex.DecodeString(routedV2Frame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp := roundTrip(t, addr, func(w io.Writer) error { _, err := w.Write(raw); return err })
+	t.Run("v3 frame is answered", func(t *testing.T) {
+		resp := send(13, wireSearch{Version: 3, Radius: 0.9, K: 5})
 		if resp.Seq != 13 || resp.Code != codeOK || len(resp.Results) != 1 {
-			t.Fatalf("v2 frame answered %+v, want Seq 13, codeOK and one answer list", resp)
+			t.Fatalf("v3 frame answered %+v, want Seq 13, codeOK and one answer list", resp)
 		}
-		want, err := transport.NewLocal(n).Search(ctx, []sparse.Vector{routedQuery}, node.SearchParams{Radius: 0.9, K: 5})
+		want, err := transport.NewLocal(n).Search(ctx, []sparse.Vector{query}, node.SearchParams{Radius: 0.9, K: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(resp.Results[0], want[0]) {
-			t.Fatalf("v2 frame answered %v, the same search in process %v", resp.Results[0], want[0])
+			t.Fatalf("v3 frame answered %v, the same search in process %v", resp.Results[0], want[0])
 		}
 	})
 
-	t.Run("v3 frame is refused", func(t *testing.T) {
-		resp := roundTrip(t, addr, func(w io.Writer) error {
-			return gob.NewEncoder(w).Encode(wireRequest{Seq: 14, Op: opSearch, Vectors: []sparse.Vector{routedQuery},
-				Search: &wireSearch{Version: 3, K: 5}})
-		})
-		if resp.Seq != 14 || resp.Code != codeError || !strings.Contains(resp.Err, "v3") || resp.Results != nil {
-			t.Fatalf("v3 frame answered %+v, want codeError naming the revision", resp)
+	t.Run("every other revision is refused", func(t *testing.T) {
+		for i, p := range []wireSearch{
+			{Version: 0, K: 5},
+			{Version: 1, K: 5},
+			{Version: 2, K: 5},
+			{Version: 4, K: 5},
+		} {
+			seq := uint64(20 + i)
+			resp := send(seq, p)
+			if resp.Seq != seq || resp.Code != codeError || !strings.Contains(resp.Err, fmt.Sprintf("v%d", p.Version)) || resp.Results != nil {
+				t.Errorf("%+v frame answered %+v, want codeError naming the revision", p, resp)
+			}
 		}
 	})
 
 	t.Run("non-finite radius frame is refused", func(t *testing.T) {
 		for i, r := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-			seq := uint64(15 + i)
-			resp := roundTrip(t, addr, func(w io.Writer) error {
-				return gob.NewEncoder(w).Encode(wireRequest{Seq: seq, Op: opSearch, Vectors: []sparse.Vector{routedQuery},
-					Search: &wireSearch{Version: 1, Radius: r, K: 5}})
-			})
+			seq := uint64(30 + i)
+			resp := send(seq, wireSearch{Version: 3, Radius: r, K: 5})
 			if resp.Seq != seq || resp.Code != codeError || !strings.Contains(resp.Err, "radius") || resp.Results != nil {
 				t.Fatalf("radius %v frame answered %+v, want codeError naming the radius", r, resp)
 			}

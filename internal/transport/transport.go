@@ -42,12 +42,12 @@ type NodeClient interface {
 	// node.ErrFull (possibly wrapped) if capacity would be exceeded.
 	Insert(ctx context.Context, vs []sparse.Vector) ([]uint32, error)
 	// Search answers a batch of queries under one set of request-scoped
-	// parameters (per-query radius, top-k bound, candidate budget), each
-	// answer list in canonical ascending (distance, id) order. A
-	// successful reply always has exactly len(qs) entries. It is the one
-	// query method of the interface: a single query is a batch of one, a
-	// top-k query sets p.K. The answer is an ordinary value the caller
-	// owns; nothing is handed back.
+	// parameters (per-query radius, top-k bound), each answer list in
+	// canonical ascending (distance, id) order. A successful reply always
+	// has exactly len(qs) entries. It is the one query method of the
+	// interface: a single query is a batch of one, a top-k query sets p.K.
+	// The answer is an ordinary value the caller owns; nothing is handed
+	// back.
 	Search(ctx context.Context, qs []sparse.Vector, p node.SearchParams) ([][]core.Neighbor, error)
 	// Doc fetches the stored vector for a node-local ID and the node's
 	// authoritative answer to whether that id was ever inserted.

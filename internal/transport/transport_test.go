@@ -649,7 +649,7 @@ func TestRetiredOpsAnswerTypedError(t *testing.T) {
 	if retired != 2 {
 		t.Fatalf("golden frames carry %d retired ops, want 2", retired)
 	}
-	search := request{Seq: 99, Op: opSearch, Vectors: docs[:1], Search: &searchParams{Version: searchVersionBase}}
+	search := request{Seq: 99, Op: opSearch, Vectors: docs[:1], Search: &searchParams{Version: searchVersion}}
 	if err := enc.Encode(search); err != nil {
 		t.Fatal(err)
 	}
@@ -688,7 +688,7 @@ func TestMalformedVectorsAnswerError(t *testing.T) {
 	seq := uint64(0)
 	for _, bad := range []sparse.Vector{outside, ragged} {
 		for _, req := range []request{
-			{Op: opSearch, Vectors: []sparse.Vector{docs[0], bad}, Search: &searchParams{Version: searchVersionBase}},
+			{Op: opSearch, Vectors: []sparse.Vector{docs[0], bad}, Search: &searchParams{Version: searchVersion}},
 			{Op: opInsert, Vectors: []sparse.Vector{docs[0], bad}},
 		} {
 			seq++
@@ -708,7 +708,7 @@ func TestMalformedVectorsAnswerError(t *testing.T) {
 	if got := n.Len(); got != len(docs) {
 		t.Fatalf("a refused insert batch left %d documents, want %d", got, len(docs))
 	}
-	search := request{Seq: 99, Op: opSearch, Vectors: docs[:1], Search: &searchParams{Version: searchVersionBase}}
+	search := request{Seq: 99, Op: opSearch, Vectors: docs[:1], Search: &searchParams{Version: searchVersion}}
 	if err := enc.Encode(search); err != nil {
 		t.Fatal(err)
 	}
@@ -766,7 +766,7 @@ func TestCanceledQueuedSearchLeavesQueryAlone(t *testing.T) {
 		big.Idx[i], big.Val[i] = uint32(i), float32(i)
 	}
 	cn.writeCh <- &request{Seq: 1 << 40, Op: opSearch, Vectors: []sparse.Vector{big},
-		Search: &searchParams{Version: searchVersionBase}}
+		Search: &searchParams{Version: searchVersion}}
 	waitQueue := func(n int) {
 		t.Helper()
 		for deadline := time.Now().Add(30 * time.Second); len(cn.writeCh) != n; {

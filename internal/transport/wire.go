@@ -52,9 +52,9 @@ const (
 	// truncation).
 	opSave
 	// opSearch is the unified query op: a batch of vectors plus a
-	// versioned request-scoped parameter struct (radius, top-k bound,
-	// candidate budget). Older servers answer it with an unknown-op
-	// error, so mixed-version clusters fail loud, not wrong.
+	// versioned request-scoped parameter struct (radius, top-k bound).
+	// Older servers answer it with an unknown-op error, so mixed-version
+	// clusters fail loud, not wrong.
 	opSearch
 	// opDoc fetches one stored vector by node-local id, plus the node's
 	// authoritative known/unknown answer.
@@ -62,29 +62,21 @@ const (
 )
 
 // The searchParams revision rides inside every opSearch frame. Every frame
-// this binary sends declares searchVersionBase; a server rejects a revision
-// above searchVersionMax instead of silently dropping parameters it cannot
-// interpret.
-//
-// Revision 2 added a routing hint that no node ever read, and the hint is
-// gone: a v2 frame from an older coordinator is answered like a v1 frame,
-// gob skipping the field searchParams no longer has.
-const (
-	searchVersionBase = 1
-	searchVersionMax  = 2
-)
+// this binary sends declares searchVersion, and a server answers that one
+// revision only: a frame declaring any other — 0 included — is refused
+// with an error. Gob matches fields by name and skips the ones it does not
+// know, so serving another revision would silently drop the parameters
+// this one cannot read.
+const searchVersion = 3
 
 // searchParams is the wire form of node.SearchParams. It is a separate
 // struct so the wire encoding is owned here: node-side fields can evolve
-// independently, and appends to this struct keep old frames decodable
-// (gob fills missing fields with zero values, which all mean "default").
+// independently, and the frame layout changes only with searchVersion.
 type searchParams struct {
-	// Version is the revision of this struct the client encoded;
-	// required (an opSearch frame with Version 0 is malformed).
-	Version       uint8
-	Radius        float64
-	K             int
-	MaxCandidates int
+	// Version is the revision of this struct the client encoded.
+	Version uint8
+	Radius  float64
+	K       int
 }
 
 // request is the client→server frame: a plain value made for one RPC (or
@@ -330,24 +322,20 @@ func handle(ctx context.Context, backend NodeClient, req *request, resp *respons
 		resp.IDs = ids
 	case opSearch:
 		p := req.Search
-		if p == nil || p.Version == 0 {
+		if p == nil {
 			fail(errors.New("transport: search frame carries no parameters"))
 			break
 		}
-		if p.Version > searchVersionMax {
-			fail(fmt.Errorf("transport: search parameters v%d from peer, this server speaks up to v%d",
-				p.Version, searchVersionMax))
+		if p.Version != searchVersion {
+			fail(fmt.Errorf("transport: search parameters v%d from peer, this server speaks only v%d",
+				p.Version, searchVersion))
 			break
 		}
 		if math.IsNaN(p.Radius) || math.IsInf(p.Radius, 0) {
 			fail(fmt.Errorf("transport: search radius %v is not finite", p.Radius))
 			break
 		}
-		res, err := backend.Search(ctx, req.Vectors, node.SearchParams{
-			Radius:        p.Radius,
-			K:             p.K,
-			MaxCandidates: p.MaxCandidates,
-		})
+		res, err := backend.Search(ctx, req.Vectors, node.SearchParams{Radius: p.Radius, K: p.K})
 		if err != nil {
 			fail(err)
 			break
@@ -710,10 +698,9 @@ func (c *Client) Insert(ctx context.Context, vs []sparse.Vector) ([]uint32, erro
 // versioned request-scoped parameter struct.
 func (c *Client) Search(ctx context.Context, qs []sparse.Vector, p node.SearchParams) ([][]core.Neighbor, error) {
 	resp, err := c.do(ctx, &request{Op: opSearch, Vectors: qs, Search: &searchParams{
-		Version:       searchVersionBase,
-		Radius:        p.Radius,
-		K:             p.K,
-		MaxCandidates: p.MaxCandidates,
+		Version: searchVersion,
+		Radius:  p.Radius,
+		K:       p.K,
 	}})
 	if err != nil {
 		return nil, err

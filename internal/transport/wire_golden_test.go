@@ -60,14 +60,10 @@ func TestOpcodeValuesStable(t *testing.T) {
 			t.Errorf("%s = %d, must stay %d (response codes are append-only)", tc.name, tc.got, tc.want)
 		}
 	}
-	// Every frame declares v1, pinned by the "search" golden frame below;
-	// v2 frames from older coordinators are still answered
-	// (TestSearchFramesAcrossRevisions).
-	if searchVersionBase != 1 {
-		t.Errorf("searchVersionBase = %d; the base revision never moves", searchVersionBase)
-	}
-	if searchVersionMax != 2 {
-		t.Errorf("searchVersionMax = %d; raise it only with a server-side decoder for every revision up to it", searchVersionMax)
+	// Every frame declares v3, pinned by the "search" golden frame below;
+	// a server answers no other revision (TestSearchFramesAcrossRevisions).
+	if searchVersion != 3 {
+		t.Errorf("searchVersion = %d; a new revision changes the frame layout, and the golden stream with it", searchVersion)
 	}
 }
 
@@ -106,7 +102,7 @@ func goldenRequests() []golden[request] {
 		{"flush", request{Seq: 9, Op: opFlush}},
 		{"save", request{Seq: 10, Op: opSave}},
 		{"search", request{Seq: 11, Op: opSearch, Vectors: []sparse.Vector{goldenVec()},
-			Search: &searchParams{Version: 1, Radius: 1.25, K: 9, MaxCandidates: 100}}},
+			Search: &searchParams{Version: 3, Radius: 1.25, K: 9}}},
 		{"doc", request{Seq: 12, Op: opDoc, ID: 99}},
 	}
 }
@@ -128,6 +124,14 @@ func goldenRequests() []golden[request] {
 // the descriptor block changed, and so did the "queryTopK" frame, which
 // carried K = 7. A frame from an older client that still sets K decodes
 // here, gob skipping the field request no longer has.
+//
+// Regenerated a third time when searchParams lost the candidate budget
+// field and the revision moved to 3: the descriptor block no longer names
+// the budget, and the "search" frame declares Version 3 and carries none.
+// Every other frame's bytes are unchanged. Unlike the two changes above,
+// this one is refused rather than decoded across revisions: a server
+// answers revision 3 only, so an older client's budget is never silently
+// dropped.
 const goldenStream = "" +
 	"507f030101077265717565737401ff80000106010353657101060001024f7001" +
 	"06000107566563746f727301ff880001024944010600010653656172636801ff" +
@@ -135,15 +139,14 @@ const goldenStream = "" +
 	"2e566563746f7201ff880001ff82000026ff8103010106566563746f7201ff82" +
 	"000102010349647801ff8400010356616c01ff8600000016ff83020101085b5d" +
 	"75696e74333201ff84000106000017ff85020101095b5d666c6f6174333201ff" +
-	"86000108000049ff890301010c736561726368506172616d7301ff8a00010401" +
-	"0756657273696f6e010600010652616469757301080001014b010400010d4d61" +
-	"7843616e64696461746573010400000016ff80010101010101010201050102fe" +
-	"e03ffed03f00001aff80010201020101010201050102fee03ffed03f0003fe60" +
-	"720016ff80010301030101010201050102fee03ffed03f000009ff8001040104" +
-	"022a0007ff80010501050007ff80010601060007ff80010701070007ff800108" +
-	"01080007ff80010901090007ff80010a010a0023ff80010b010b010101020105" +
-	"0102fee03ffed03f0002010101fef43f011201ffc8000009ff80010c010c0263" +
-	"00"
+	"86000108000037ff890301010c736561726368506172616d7301ff8a00010301" +
+	"0756657273696f6e010600010652616469757301080001014b010400000016ff" +
+	"80010101010101010201050102fee03ffed03f00001aff800102010201010102" +
+	"01050102fee03ffed03f0003fe60720016ff80010301030101010201050102fe" +
+	"e03ffed03f000009ff8001040104022a0007ff80010501050007ff8001060106" +
+	"0007ff80010701070007ff80010801080007ff80010901090007ff80010a010a" +
+	"0020ff80010b010b0101010201050102fee03ffed03f0002010301fef43f0112" +
+	"000009ff80010c010c026300"
 
 // goldenStats is a node.Stats with every field set to a distinct nonzero
 // value — by reflection, so a field appended to the struct joins the
@@ -261,7 +264,7 @@ func TestWireFramesGolden(t *testing.T) {
 }
 
 // TestSearchIdenticalAcrossTransports is the mixed-path satellite: the
-// same Search (radius override, top-k bound, candidate budget) against
+// same Search (radius override, top-k bound) against
 // the same node must answer byte-identically through transport.NewLocal
 // and through a real TCP Client — the serialization layer may not perturb
 // parameters or results.
@@ -300,7 +303,6 @@ func TestSearchIdenticalAcrossTransports(t *testing.T) {
 		{Radius: 1.2},
 		{K: 5},
 		{Radius: 1.1, K: 3},
-		{Radius: 1.3, MaxCandidates: 10},
 	} {
 		a, err := local.Search(context.Background(), queries, p)
 		if err != nil {

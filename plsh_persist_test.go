@@ -153,6 +153,11 @@ func TestStoreSaveOpenOracle(t *testing.T) {
 		deleted[ids[i]] = true
 	}
 
+	// An in-memory Store refuses Save; SaveTo exports it, and the Store
+	// opened over the export is durable, so Save checkpoints it.
+	if err := s.Save(bg); !errors.Is(err, ErrNotDurable) {
+		t.Fatalf("Save on in-memory store: want ErrNotDurable, got %v", err)
+	}
 	dir := t.TempDir()
 	if err := s.SaveTo(bg, dir); err != nil {
 		t.Fatal(err)
@@ -162,6 +167,9 @@ func TestStoreSaveOpenOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
+	if err := re.Save(bg); err != nil {
+		t.Fatalf("Save on durable store: %v", err)
+	}
 	if re.Len() != s.Len() {
 		t.Fatalf("reopened Len %d vs %d", re.Len(), s.Len())
 	}
@@ -277,8 +285,9 @@ func TestOpenDurableLifecycle(t *testing.T) {
 }
 
 // TestClusterDurableSaveAllRecovery: a durable in-process cluster —
-// per-node subdirectories under one root — checkpoints with Save and a
-// fresh cluster over the same root recovers identical answers.
+// per-node subdirectories under one root — settles with Flush,
+// checkpoints with Save, and a fresh cluster over the same root recovers
+// identical answers.
 func TestClusterDurableSaveAllRecovery(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Capacity = 200
@@ -294,6 +303,19 @@ func TestClusterDurableSaveAllRecovery(t *testing.T) {
 	}
 	if err := cl.Delete(bg, ids[7]); err != nil {
 		t.Fatal(err)
+	}
+	// Flush waits out every node's background merge.
+	if err := cl.Flush(bg); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := cl.Stats(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, st := range stats {
+		if st.MergeInFlight || st.MergePendingRows != 0 {
+			t.Fatalf("node %d after Flush: merge in flight %v, %d rows pending", i, st.MergeInFlight, st.MergePendingRows)
+		}
 	}
 	want := make([][]Match, 0, 20)
 	queries := docs[:20]

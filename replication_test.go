@@ -3,10 +3,12 @@ package plsh
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -288,10 +290,12 @@ func TestWithHedgeTCP(t *testing.T) {
 }
 
 // TestReplicatedClusterEquivalence is the seeded randomized property
-// test: sweeping (radius, k, max-candidates, replicas ∈ {1,2,3}), Search
-// on a replicated cluster must equal the single-copy cluster and the
-// exhaustive-scan oracle. The whole suite runs under -race in CI, so the
-// replicated fan-out is exercised for data races too. Replica placement
+// test: sweeping (radius, k, replicas ∈ {1,2,3}), Search on a replicated
+// cluster must equal the single-copy cluster and the exhaustive-scan
+// oracle, each match's Node and Local must be its ID's replica group and
+// local ID, and each SearchBatch counts once in CoordStats. The whole
+// suite runs under -race in CI, so the replicated fan-out is exercised for
+// data races too. Replica placement
 // moves documents between groups, so results are compared by document
 // identity (via each cluster's own ID map) and by distance sequence, both
 // of which are placement-invariant.
@@ -303,16 +307,14 @@ func TestReplicatedClusterEquivalence(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(71))
 	type trial struct {
-		radius  float64
-		k       int
-		maxCand int // 0 = unbounded; len(docs) = roomy (provably a no-op)
+		radius float64
+		k      int
 	}
-	trials := []trial{{0.9, 0, 0}} // the default shape, always covered
+	trials := []trial{{0.9, 0}} // the default shape, always covered
 	for i := 0; i < 5; i++ {
 		trials = append(trials, trial{
-			radius:  0.8 + 0.4*rng.Float64(),
-			k:       []int{0, 1, 5, 20}[rng.Intn(4)],
-			maxCand: []int{0, len(docs)}[rng.Intn(2)],
+			radius: 0.8 + 0.4*rng.Float64(),
+			k:      []int{0, 1, 5, 20}[rng.Intn(4)],
 		})
 	}
 
@@ -360,9 +362,7 @@ func TestReplicatedClusterEquivalence(t *testing.T) {
 			if tr.k > 0 {
 				opts = append(opts, WithK(tr.k))
 			}
-			if tr.maxCand > 0 {
-				opts = append(opts, WithMaxCandidates(tr.maxCand))
-			}
+			before := cl.CoordStats()
 			res, report, err := cl.SearchBatch(bg, queries, opts...)
 			if err != nil {
 				t.Fatalf("replicas=%d trial %d: %v", replicas, ti, err)
@@ -370,39 +370,28 @@ func TestReplicatedClusterEquivalence(t *testing.T) {
 			if !report.Complete() {
 				t.Fatalf("replicas=%d trial %d: incomplete on a healthy cluster", replicas, ti)
 			}
+			if after := cl.CoordStats(); after.Searches != before.Searches+1 || after.Queries != before.Queries+uint64(len(queries)) {
+				t.Fatalf("replicas=%d trial %d: CoordStats moved from %+v to %+v, want one search of %d queries", replicas, ti, before, after, len(queries))
+			}
 			// ≡ exhaustive-scan oracle, in this cluster's own ID space.
 			for qi, q := range queries {
 				requireMatchesEqual(t, "replicated vs oracle", res[qi].Matches,
 					oracleMatches(docs, ids, q, tr.radius, tr.k))
+				// Node and Local unpack the replica group, not a node.
+				for _, m := range res[qi].Matches {
+					if g, l := SplitGlobalID(m.ID); m.Node() != g || m.Local() != l || g >= cl.NumGroups() {
+						t.Fatalf("replicas=%d: match %#x has Node %d, Local %d; want group %d < %d, local %d",
+							replicas, m.ID, m.Node(), m.Local(), g, cl.NumGroups(), l)
+					}
+				}
 			}
 			// ≡ the single-copy cluster, placement-invariantly.
 			sig := signature(res, pos, tr.k)
 			if replicas == 1 {
 				baseline = append(baseline, sig)
 			} else if !reflect.DeepEqual(sig, baseline[ti]) {
-				t.Fatalf("replicas=%d trial %d (r=%.3f k=%d cand=%d): diverges from single-copy cluster",
-					replicas, ti, tr.radius, tr.k, tr.maxCand)
-			}
-		}
-		// A tight candidate budget cannot be placement-invariant (it is
-		// per-node), but it must stay a subset of the unbounded answer.
-		full, _, err := cl.SearchBatch(bg, queries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tight, _, err := cl.SearchBatch(bg, queries, WithMaxCandidates(3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for qi := range queries {
-			in := map[uint64]bool{}
-			for _, m := range full[qi].Matches {
-				in[m.ID] = true
-			}
-			for _, m := range tight[qi].Matches {
-				if !in[m.ID] {
-					t.Fatalf("replicas=%d: budgeted search invented match %d", replicas, m.ID)
-				}
+				t.Fatalf("replicas=%d trial %d (r=%.3f k=%d): diverges from single-copy cluster",
+					replicas, ti, tr.radius, tr.k)
 			}
 		}
 		cl.Close()
@@ -411,7 +400,7 @@ func TestReplicatedClusterEquivalence(t *testing.T) {
 
 // TestPartitionedRoutingRecallSweep is the routed arm of the seeded
 // randomized sweep: under partitioned placement, Search across random
-// (radius, k, max-candidates) trials and replica counts must return only
+// (radius, k) trials and replica counts must return only
 // true in-radius neighbors (a subset of the exhaustive oracle, exact
 // distances, canonical order) and find at least the configured
 // RoutingRecall fraction of the oracle's matches in aggregate. The
@@ -428,16 +417,14 @@ func TestPartitionedRoutingRecallSweep(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(73))
 	type trial struct {
-		radius  float64
-		k       int
-		maxCand int
+		radius float64
+		k      int
 	}
-	trials := []trial{{0.9, 0, 0}}
+	trials := []trial{{0.9, 0}}
 	for i := 0; i < 5; i++ {
 		trials = append(trials, trial{
-			radius:  0.8 + 0.4*rng.Float64(),
-			k:       []int{0, 1, 5, 20}[rng.Intn(4)],
-			maxCand: []int{0, len(docs)}[rng.Intn(2)],
+			radius: 0.8 + 0.4*rng.Float64(),
+			k:      []int{0, 1, 5, 20}[rng.Intn(4)],
 		})
 	}
 	for _, replicas := range []int{1, 2} {
@@ -460,9 +447,6 @@ func TestPartitionedRoutingRecallSweep(t *testing.T) {
 			opts := []SearchOption{WithRadius(tr.radius)}
 			if tr.k > 0 {
 				opts = append(opts, WithK(tr.k))
-			}
-			if tr.maxCand > 0 {
-				opts = append(opts, WithMaxCandidates(tr.maxCand))
 			}
 			res, report, err := cl.SearchBatch(bg, queries, opts...)
 			if err != nil {
@@ -717,7 +701,8 @@ func TestReplicasConfigValidation(t *testing.T) {
 }
 
 // TestInsertErrorSurfacesThroughPublicAPI: the mid-batch insert contract
-// crosses the public wrapper intact.
+// crosses the public wrapper intact, and its message names the cause and
+// the placed count.
 func TestInsertErrorSurfacesThroughPublicAPI(t *testing.T) {
 	servers := make([]*killableTCPNode, 2)
 	addrs := make([]string, 2)
@@ -751,5 +736,8 @@ func TestInsertErrorSurfacesThroughPublicAPI(t *testing.T) {
 	}
 	if placed == 0 || placed == len(docs) {
 		t.Fatalf("placed = %d of %d, want a strict mid-batch prefix", placed, len(docs))
+	}
+	if msg := ie.Error(); !strings.Contains(msg, ie.Err.Error()) || !strings.Contains(msg, fmt.Sprintf("%d/%d", placed, len(docs))) {
+		t.Fatalf("InsertError message %q names neither the cause %q nor %d/%d placed", msg, ie.Err, placed, len(docs))
 	}
 }

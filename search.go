@@ -23,9 +23,9 @@ import (
 // matters.
 //
 // Request-scoped behavior — radius, top-k bound, per-node time budget,
-// partial-result policy, candidate budget — travels with each Search call
-// as SearchOptions rather than being frozen at construction, so one index
-// serves heterogeneous traffic.
+// partial-result policy — travels with each Search call as SearchOptions
+// rather than being frozen at construction, so one index serves
+// heterogeneous traffic.
 type Index interface {
 	// Insert appends documents, returning their global IDs (parallel to
 	// docs). Documents should be unit-normalized and non-empty.
@@ -63,17 +63,21 @@ var (
 
 // Match is one Search answer: the document's global ID and its angular
 // distance from the query in radians. On a Store the ID is the node-local
-// ID zero-extended; on a Cluster it packs (node, local ID) — use Node and
-// Local (or SplitGlobalID) when placement matters.
+// ID zero-extended; on a Cluster it packs (replica group, local ID), as
+// GlobalID does — use Node and Local (or SplitGlobalID) when placement
+// matters.
 type Match struct {
 	ID   uint64
 	Dist float64
 }
 
-// Node returns the index of the node holding the document.
+// Node returns the index of the replica group holding the document: every
+// member of that group stores it, and it is below Cluster.NumGroups. With
+// Replicas = 1 a group is one node, so this is the node index.
 func (m Match) Node() int { n, _ := SplitGlobalID(m.ID); return n }
 
-// Local returns the document's node-local ID.
+// Local returns the document's local ID, the same on every member of its
+// replica group.
 func (m Match) Local() uint32 { _, l := SplitGlobalID(m.ID); return l }
 
 // Result is the answer to one query: every reported document is truly
@@ -135,19 +139,6 @@ func WithK(k int) SearchOption {
 			return
 		}
 		s.params.K = k
-	}
-}
-
-// WithMaxCandidates bounds how many unique candidates each node evaluates
-// distances for on this query (n > 0) — the latency/recall trade for
-// callers that prefer a bounded answer over an exhaustive one.
-func WithMaxCandidates(n int) SearchOption {
-	return func(s *searchSpec) {
-		if n <= 0 {
-			s.fail(fmt.Errorf("plsh: WithMaxCandidates(%d): bound must be positive", n))
-			return
-		}
-		s.params.MaxCandidates = n
 	}
 }
 

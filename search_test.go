@@ -1,10 +1,12 @@
 package plsh
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"math"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -27,20 +29,18 @@ func oracleMatches(docs []Vector, ids []uint64, q Vector, radius float64, k int)
 			in = append(in, Match{ID: ids[i], Dist: sparse.AngularDistance(dot)})
 		}
 	}
-	for i := 1; i < len(in); i++ {
-		for j := i; j > 0; j-- {
-			a, b := in[j], in[j-1]
-			if a.Dist < b.Dist || (a.Dist == b.Dist && a.ID < b.ID) {
-				in[j], in[j-1] = in[j-1], in[j]
-			} else {
-				break
-			}
-		}
-	}
+	sortMatches(in)
 	if k > 0 && k < len(in) {
 		in = in[:k]
 	}
 	return in
+}
+
+// sortMatches puts ms in Search's order, ascending by (distance, ID).
+func sortMatches(ms []Match) {
+	slices.SortFunc(ms, func(a, b Match) int {
+		return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.ID, b.ID))
+	})
 }
 
 func requireMatchesEqual(t *testing.T, label string, got, want []Match) {
@@ -181,7 +181,6 @@ func TestSearchOptionValidation(t *testing.T) {
 		"+Inf radius":       WithRadius(math.Inf(1)),
 		"zero k":            WithK(0),
 		"negative k":        WithK(-3),
-		"zero candidates":   WithMaxCandidates(0),
 		"zero node timeout": WithNodeTimeout(0),
 		"zero hedge":        WithHedge(0),
 		"negative hedge":    WithHedge(-time.Second),
@@ -191,48 +190,6 @@ func TestSearchOptionValidation(t *testing.T) {
 		}
 		if _, _, err := s.SearchBatch(bg, docs[:2], opt); err == nil {
 			t.Errorf("%s accepted by SearchBatch", name)
-		}
-	}
-}
-
-// TestSearchMaxCandidates: the candidate budget bounds work without
-// breaking the answer contract — a budget at least the corpus size is a
-// no-op, and any budget yields a subset of the unbounded answer.
-func TestSearchMaxCandidates(t *testing.T) {
-	s, err := NewStore(Config{Dim: 2000, K: 4, M: 16, Radius: 1.1, Capacity: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	docs := SyntheticTweets(300, 2000, 39)
-	if _, err := s.Insert(bg, docs); err != nil {
-		t.Fatal(err)
-	}
-	for qi := 0; qi < len(docs); qi += 41 {
-		q := docs[qi]
-		full, err := s.Search(bg, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		roomy, err := s.Search(bg, q, WithMaxCandidates(len(docs)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireMatchesEqual(t, "roomy budget", roomy.Matches, full.Matches)
-		inFull := map[uint64]bool{}
-		for _, m := range full.Matches {
-			inFull[m.ID] = true
-		}
-		tight, err := s.Search(bg, q, WithMaxCandidates(3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(tight.Matches) > 3 {
-			t.Fatalf("budget 3 answered %d matches", len(tight.Matches))
-		}
-		for _, m := range tight.Matches {
-			if !inFull[m.ID] {
-				t.Fatalf("budgeted search invented match %d", m.ID)
-			}
 		}
 	}
 }

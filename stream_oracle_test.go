@@ -2,9 +2,13 @@ package plsh
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"plsh/internal/lshhash"
+	"plsh/internal/sparse"
 )
 
 // TestStreamingMergesMatchOracle drives the whole streaming write path at
@@ -124,5 +128,88 @@ func TestStreamingMergesMatchOracle(t *testing.T) {
 					oracleMatches(live, liveIDs, docs[qi], r, 0))
 			}
 		}
+	}
+}
+
+// sketchOracle is the answer set the sketches fix (§5.2, Steps Q2–Q4): the
+// live rows within radius of q that share some table key with it, i.e.
+// agree with its sketch on at least two of the M half-keys. It reads no
+// table and no core code — only each row's sketch and its dot product —
+// and returns the rows in Search's (distance, ID) order.
+func sketchOracle(docs []Vector, sketches [][]uint32, deleted []bool, q Vector, qSketch []uint32, radius float64) []Match {
+	thr := sparse.CosThreshold(radius)
+	var in []Match
+	for i, d := range docs {
+		agree := 0
+		for j, h := range sketches[i] {
+			if h == qSketch[j] {
+				agree++
+			}
+		}
+		if agree < 2 || deleted[i] {
+			continue
+		}
+		if dot := sparse.Dot(q, d); dot >= thr {
+			in = append(in, Match{ID: uint64(i), Dist: sparse.AngularDistance(dot)})
+		}
+	}
+	sortMatches(in)
+	return in
+}
+
+// TestStreamingAnswersMatchSketchOracle: at the benchmark suite's geometry
+// (K 16, M 16, radius 0.9), where an in-radius row is often an LSH miss, a
+// Store fed 30 000 tweets 100 at a time, with 3 random deletes a batch and
+// its background merges running, answers every query with exactly the
+// sketch-exact set: no search skips a candidate, so what the sketches
+// predict is what comes back — no more, no fewer.
+func TestStreamingAnswersMatchSketchOracle(t *testing.T) {
+	const total, batch, dim, radius = 30000, 100, 50000, 0.9
+	s, err := NewStore(Config{Dim: dim, K: 16, M: 16, Radius: radius, Capacity: 32768})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	cfg := s.Config() // the Store's effective seed draws the same hyperplanes
+	fam, err := lshhash.NewFamily(lshhash.Params{Dim: dim, K: cfg.K, M: cfg.M, Seed: cfg.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := SyntheticTweets(total, dim, 1)
+	sketches := make([][]uint32, total)
+	deleted := make([]bool, total)
+	rng := rand.New(rand.NewSource(5))
+	for at := 0; at < total; at += batch {
+		if _, err := s.Insert(bg, docs[at:at+batch]); err != nil {
+			t.Fatal(err)
+		}
+		for i := at; i < at+batch; i++ {
+			sketches[i] = fam.Sketch(docs[i])
+		}
+		for range 3 {
+			id := rng.Intn(at + batch)
+			if err := s.Delete(bg, uint64(id)); err != nil {
+				t.Fatal(err)
+			}
+			deleted[id] = true
+		}
+	}
+	answers := 0
+	for qi := 0; qi < total; qi += 64 {
+		res, err := s.Search(bg, docs[qi])
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireMatchesEqual(t, fmt.Sprintf("query %d", qi), res.Matches,
+			sketchOracle(docs, sketches, deleted, docs[qi], sketches[qi], radius))
+		answers += len(res.Matches)
+	}
+	if err := s.Flush(bg); err != nil {
+		t.Fatal(err)
+	}
+	st := s.StatsNow()
+	t.Logf("%d answers, %d merges, %d tombstones", answers, st.Merges, st.Deleted)
+	if st.Merges < 8 || answers < 500 {
+		t.Fatalf("%d merges and %d answers; the test wants at least 8 and 500", st.Merges, answers)
 	}
 }
