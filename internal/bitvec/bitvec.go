@@ -36,9 +36,6 @@ func (v *Vector) Len() int { return v.n }
 // Set sets bit i.
 func (v *Vector) Set(i int) { v.words[i>>6] |= 1 << (uint(i) & 63) }
 
-// Clear clears bit i.
-func (v *Vector) Clear(i int) { v.words[i>>6] &^= 1 << (uint(i) & 63) }
-
 // Test reports whether bit i is set.
 func (v *Vector) Test(i int) bool { return v.words[i>>6]&(1<<(uint(i)&63)) != 0 }
 
@@ -124,15 +121,6 @@ func (v *Vector) AppendSet(dst []uint32) []uint32 {
 // Words exposes the backing words (read-only use intended); needed by
 // snapshot/restore and by tests asserting layout properties.
 func (v *Vector) Words() []uint64 { return v.words }
-
-// LoadWords overwrites the vector content from a snapshot produced by Words.
-// The snapshot must describe a vector of identical capacity.
-func (v *Vector) LoadWords(words []uint64) {
-	if len(words) != len(v.words) {
-		panic("bitvec: snapshot size mismatch")
-	}
-	copy(v.words, words)
-}
 
 // Grow returns a vector with capacity at least n bits, preserving contents.
 // If the receiver already suffices it is returned unchanged. Delta tables

@@ -21,9 +21,7 @@ func TestSetTestClear(t *testing.T) {
 			t.Fatalf("Test(%d) = %v, want %v", i, v.Test(i), want)
 		}
 	}
-	for i := 0; i < 200; i += 3 {
-		v.Clear(i)
-	}
+	v.ResetList(v.AppendSet(nil))
 	if v.Count() != 0 {
 		t.Fatalf("Count after clearing = %d, want 0", v.Count())
 	}
@@ -132,30 +130,6 @@ func TestGrowPreserves(t *testing.T) {
 	if v.Grow(5).Len() != 1000 {
 		t.Fatal("Grow shrank the vector")
 	}
-}
-
-func TestSnapshotRoundTrip(t *testing.T) {
-	v := New(200)
-	for i := 0; i < 200; i += 11 {
-		v.Set(i)
-	}
-	snap := append([]uint64(nil), v.Words()...)
-	v2 := New(200)
-	v2.LoadWords(snap)
-	for i := 0; i < 200; i++ {
-		if v.Test(i) != v2.Test(i) {
-			t.Fatalf("bit %d differs after snapshot round trip", i)
-		}
-	}
-}
-
-func TestLoadWordsSizeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("LoadWords with wrong size did not panic")
-		}
-	}()
-	New(200).LoadWords(make([]uint64, 1))
 }
 
 func TestNewNegativePanics(t *testing.T) {

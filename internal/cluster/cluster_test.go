@@ -76,6 +76,7 @@ func searchOne(t *testing.T, c *Cluster, q sparse.Vector, p node.SearchParams) [
 // an empty answer.
 type fakeNode struct {
 	capacity int
+	rows     int // what Stats reports the node holds
 	delay    time.Duration
 	err      error
 }
@@ -120,7 +121,7 @@ func (f *fakeNode) Flush(ctx context.Context) error             { return f.wait(
 func (f *fakeNode) Retire(ctx context.Context) error            { return f.wait(ctx) }
 func (f *fakeNode) Save(ctx context.Context) error              { return f.wait(ctx) }
 func (f *fakeNode) Stats(ctx context.Context) (node.Stats, error) {
-	return node.Stats{Capacity: f.capacity}, nil
+	return node.Stats{Capacity: f.capacity, StaticLen: f.rows}, nil
 }
 func (f *fakeNode) Close() error { return nil }
 
@@ -163,6 +164,32 @@ func TestInsertDistributesOverWindow(t *testing.T) {
 		if stats[i].StaticLen+stats[i].DeltaLen != 0 {
 			t.Fatalf("node %d outside window received inserts", i)
 		}
+	}
+}
+
+// TestInsertResyncsDriftedGroup: when a group the coordinator counts as
+// having room refuses a batch with ErrFull, Insert resyncs the group's
+// count from its Stats and places the whole batch on the group that has
+// room.
+func TestInsertResyncsDriftedGroup(t *testing.T) {
+	full, spare := &fakeNode{capacity: 100}, &fakeNode{capacity: 100}
+	c, err := NewWithOptions(bg, []transport.NodeClient{full, spare}, Options{WindowM: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Group 0 fills behind the coordinator's back.
+	full.err, full.rows = node.ErrFull, full.capacity
+	ids, err := c.Insert(bg, testDocs(10, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range ids {
+		if g, _ := SplitGlobalID(id); g != 1 {
+			t.Fatalf("doc %d placed on group %d, want 1", i, g)
+		}
+	}
+	if c.used[0] != full.capacity {
+		t.Fatalf("group 0 counted as holding %d rows after the resync, want %d", c.used[0], full.capacity)
 	}
 }
 

@@ -310,13 +310,13 @@ func TestProbeMarkMatchesItems32(t *testing.T) {
 
 // TestProbeKernelsMatchNaiveAtEveryShift: over tables whose items carry 0,
 // 1, 3 and K/2 key bits, ProbeMark, probeAppend and probeSet count the
-// collisions and find the candidates a scan of every row's table keys does,
-// for queries from the index and for fresh ones.
+// collisions and find the candidates the sketch oracle does, for queries
+// from the index and for fresh ones.
 func TestProbeKernelsMatchNaiveAtEveryShift(t *testing.T) {
 	f := newQueryFixture(t, 600, 40)
-	p := f.fam.Params()
-	half := uint(p.K / 2)
+	half := uint(f.fam.Params().K / 2)
 	sk := f.fam.SketchAll(f.mat, sched.NewPool(2), true)
+	o := f.oracle()
 	queries := slices.Clone(f.queries)
 	for i := 0; i < f.mat.Rows(); i += 53 {
 		queries = append(queries, f.mat.Row(i))
@@ -329,21 +329,7 @@ func TestProbeKernelsMatchNaiveAtEveryShift(t *testing.T) {
 		set := map[uint32]struct{}{}
 		for qi, q := range queries {
 			sketch := f.fam.Sketch(q)
-			var want []uint32
-			collisions := 0
-			for i := 0; i < sk.N(); i++ {
-				hit := false
-				for l, pr := range pairs {
-					a, b := lshhash.PairForTable(l, p.M)
-					if sk.TableKey(i, a, b, p.K) == pr.Key(sketch, half) {
-						collisions++
-						hit = true
-					}
-				}
-				if hit {
-					want = append(want, uint32(i))
-				}
-			}
+			want, collisions := o.Candidates(q)
 			what := fmt.Sprintf("r=%d query %d", r, qi)
 
 			n := ProbeMark(st.tables, pairs, sketch, half, lo, hi, first, words)

@@ -208,7 +208,7 @@ func (e *Engine) ResetPhases() {
 // append contract of strconv.AppendInt and friends). Passing a slice with
 // spare capacity makes the call allocation-free once the engine's pooled
 // workspace is warm; the caller owns dst and everything returned. Answers
-// are in bucket-scan order — callers wanting the canonical order apply
+// come in no promised order — callers wanting the canonical order apply
 // SortNeighbors to the appended suffix, and cut it at k if bounded.
 func (e *Engine) SearchAppend(dst []Neighbor, q sparse.Vector, p SearchParams) ([]Neighbor, QueryStats) {
 	if e.st.Len() == 0 || q.NNZ() == 0 {

@@ -1,85 +1,47 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 	"sync"
 	"testing"
 
 	"plsh/internal/bitvec"
 	"plsh/internal/israce"
-	"plsh/internal/lshhash"
+	"plsh/internal/oracle"
 	"plsh/internal/sparse"
 )
 
-// naiveSearch is the reference the kernels are differenced against: it
-// unions the query's L buckets with a map, orders the candidates (ascending
-// ID, or first-seen bucket-scan order), and verifies them one by one with
-// the merge dot product under the same tombstone and radius rules the
-// engine documents. It shares no code with kernels.go.
-func naiveSearch(f *queryFixture, q sparse.Vector, ascending bool, del *bitvec.Vector, p SearchParams, radius float64) ([]Neighbor, QueryStats) {
-	var stats QueryStats
-	hp := f.fam.Params()
-	sketch := f.fam.Sketch(q)
-	seen := map[uint32]bool{}
-	var cand []uint32
-	for l := 0; l < f.st.NumTables(); l++ {
-		a, b := lshhash.PairForTable(l, hp.M)
-		bucket := f.st.Table(l).Bucket(nil, sketch[a]<<uint(hp.K/2)|sketch[b])
-		stats.Collisions += len(bucket)
-		for _, id := range bucket {
-			if !seen[id] {
-				seen[id] = true
-				cand = append(cand, id)
-			}
-		}
-	}
-	if ascending {
-		slices.Sort(cand)
-	}
-	if p.Radius > 0 {
-		radius = p.Radius
-	}
-	var out []Neighbor
-	for _, id := range cand {
-		if del != nil && del.TestAtomic(int(id)) {
-			continue
-		}
-		stats.Unique++
-		if dot := sparse.Dot(q, f.mat.Row(int(id))); dot >= sparse.CosThreshold(radius) {
-			out = append(out, Neighbor{ID: id, Dist: sparse.AngularDistance(dot)})
-		}
-	}
-	stats.Results = len(out)
-	return out, stats
-}
-
-// TestSearchMatchesNaiveReference: for every dedup/dot arm × {no
-// tombstones, 10 % tombstones} × {engine radius, request radius},
-// SearchAppend returns exactly the reference's neighbours — IDs, distances,
-// order and QueryStats. The reference verifies in the arm's own candidate
-// order (ascending ID after extraction, first-seen order for
-// mark-and-append); the set arm drains a map in random order, so its
-// answers are compared sorted. Each engine is shared by 8 goroutines, so
-// `go test -race` also checks that the pooled workspaces keep concurrent
-// queries apart.
+// TestSearchMatchesNaiveReference: for every dedup/dot arm, and over a
+// scattered store, × {no tombstones, 10 % tombstones} × {engine radius,
+// request radius}, SearchAppend returns exactly the sketch oracle's
+// neighbours, compared in (distance, ID) order, and its QueryStats: Unique
+// and Results from the oracle over the live rows, Collisions from the one
+// over every row (a tombstone filters answers; the table still holds the
+// row). The extracting arms must also answer in ascending ID order, the
+// order they verify in (§5.2.2's sequential access to the store). Each
+// engine is shared by 8 goroutines, so `go test -race` also checks that the
+// pooled workspaces keep concurrent queries apart.
 func TestSearchMatchesNaiveReference(t *testing.T) {
 	f := newQueryFixture(t, 400, 24)
 	const R = 0.9
+	all, live := f.oracle(), f.oracle()
 	tombstones := bitvec.New(f.mat.Rows())
 	for id := 3; id < f.mat.Rows(); id += 10 {
 		tombstones.SetAtomic(id)
+		live.Delete(uint32(id))
 	}
 	arms := []struct {
-		name      string
-		opts      QueryOptions
-		ascending bool // candidate order: ascending ID, else first-seen
-		unordered bool // candidate order is random (map drain)
+		name  string
+		store sparse.Store
+		opts  QueryOptions
 	}{
-		{"set+merge", QueryOptions{Radius: R}, false, true},
-		{"set+mask", QueryOptions{Radius: R, OptimizedDP: true}, false, true},
-		{"append+merge", QueryOptions{Radius: R, UseBitvector: true}, false, false},
-		{"append+mask", QueryOptions{Radius: R, UseBitvector: true, OptimizedDP: true}, false, false},
-		{"extract+mask", QueryOptions{Radius: R, UseBitvector: true, OptimizedDP: true, ExtractCandidates: true}, true, false},
+		{"set+merge", f.mat, QueryOptions{Radius: R}},
+		{"set+mask", f.mat, QueryOptions{Radius: R, OptimizedDP: true}},
+		{"append+merge", f.mat, QueryOptions{Radius: R, UseBitvector: true}},
+		{"append+mask", f.mat, QueryOptions{Radius: R, UseBitvector: true, OptimizedDP: true}},
+		{"extract+mask", f.mat, QueryDefaults()},
+		{"extract+mask scattered", sparse.NewScatteredStore(f.mat), QueryDefaults()},
 	}
 	type request struct {
 		p SearchParams
@@ -93,7 +55,11 @@ func TestSearchMatchesNaiveReference(t *testing.T) {
 	}
 	for _, arm := range arms {
 		for _, del := range []*bitvec.Vector{nil, tombstones} {
-			eng := NewEngine(f.st, f.mat, arm.opts)
+			o := all
+			if del != nil {
+				o = live
+			}
+			eng := NewEngine(f.st, arm.store, arm.opts)
 			eng.SetDeleted(del)
 			var wg sync.WaitGroup
 			for g := 0; g < 8; g++ {
@@ -108,12 +74,18 @@ func TestSearchMatchesNaiveReference(t *testing.T) {
 						q := f.queries[rq.q]
 						var got QueryStats
 						dst, got = eng.SearchAppend(dst[:0], q, rq.p)
-						want, wantStats := naiveSearch(f, q, arm.ascending, del, rq.p, R)
-						if arm.unordered {
-							SortNeighbors(dst)
-							SortNeighbors(want)
+						if arm.opts.ExtractCandidates && !slices.IsSortedFunc(dst, func(a, b Neighbor) int { return cmp.Compare(a.ID, b.ID) }) {
+							t.Errorf("%s del=%v %+v query %d: answers not in ascending ID order: %v", arm.name, del != nil, rq.p, rq.q, dst)
 						}
-						if got != wantStats || !slices.Equal(dst, want) {
+						radius := R
+						if rq.p.Radius > 0 {
+							radius = rq.p.Radius
+						}
+						want, st := o.Answers(q, radius, 0)
+						_, collisions := all.Candidates(q)
+						wantStats := QueryStats{Collisions: collisions, Unique: st.Unique, Results: st.Results}
+						SortNeighbors(dst)
+						if got != wantStats || !slices.EqualFunc(dst, want, func(a Neighbor, b oracle.Neighbor) bool { return a == Neighbor(b) }) {
 							t.Errorf("%s del=%v %+v query %d:\n got %v %+v\nwant %v %+v", arm.name, del != nil, rq.p, rq.q, dst, got, want, wantStats)
 						}
 					}

@@ -7,6 +7,7 @@ import (
 	"plsh/internal/bitvec"
 	"plsh/internal/corpus"
 	"plsh/internal/lshhash"
+	"plsh/internal/oracle"
 	"plsh/internal/sparse"
 )
 
@@ -43,94 +44,13 @@ func searchOne(e *Engine, q sparse.Vector) []Neighbor {
 	return res
 }
 
-// candidateSet computes, by brute force, the documents sharing at least one
-// bucket with q — the exact candidate set an LSH query must consider.
-func (f *queryFixture) candidateSet(q sparse.Vector) map[uint32]bool {
-	p := f.fam.Params()
-	qsk := f.fam.Sketch(q)
-	out := map[uint32]bool{}
+// oracle mirrors the fixture's rows for the sketch oracle.
+func (f *queryFixture) oracle() *oracle.Oracle {
+	o := oracle.New(f.fam)
 	for i := 0; i < f.mat.Rows(); i++ {
-		dsk := f.fam.Sketch(f.mat.Row(i))
-		matches := 0
-		for j := 0; j < p.M; j++ {
-			if qsk[j] == dsk[j] {
-				matches++
-			}
-		}
-		// g_{a,b} collides iff both u_a and u_b collide; any pair of
-		// matching functions yields a shared bucket.
-		if matches >= 2 {
-			out[uint32(i)] = true
-		}
+		o.Add(f.mat.Row(i))
 	}
-	return out
-}
-
-// TestQueryMatchesBruteForceCandidates is the core correctness theorem: the
-// engine returns exactly the candidates within radius R, for every
-// combination of optimization toggles.
-func TestQueryMatchesBruteForceCandidates(t *testing.T) {
-	f := newQueryFixture(t, 300, 20)
-	const R = 0.9
-	for _, opts := range []QueryOptions{
-		{Radius: R}, // fully unoptimized
-		{Radius: R, UseBitvector: true},
-		{Radius: R, UseBitvector: true, OptimizedDP: true},
-		{Radius: R, UseBitvector: true, OptimizedDP: true, ExtractCandidates: true},
-		{Radius: R, OptimizedDP: true},
-	} {
-		eng := NewEngine(f.st, f.mat, opts)
-		for qi, q := range f.queries {
-			want := map[uint32]bool{}
-			for id := range f.candidateSet(q) {
-				d := sparse.Dot(q, f.mat.Row(int(id)))
-				if sparse.AngularDistance(d) <= R {
-					want[id] = true
-				}
-			}
-			got := searchOne(eng, q)
-			if len(got) != len(want) {
-				t.Fatalf("opts %+v query %d: got %d results, want %d", opts, qi, len(got), len(want))
-			}
-			for _, nb := range got {
-				if !want[nb.ID] {
-					t.Fatalf("opts %+v query %d: unexpected result %d", opts, qi, nb.ID)
-				}
-				d := sparse.Dot(q, f.mat.Row(int(nb.ID)))
-				if diff := sparse.AngularDistance(d) - nb.Dist; diff > 1e-9 || diff < -1e-9 {
-					t.Fatalf("opts %+v query %d: distance mismatch", opts, qi)
-				}
-			}
-		}
-	}
-}
-
-// All optimization combinations must agree with each other exactly.
-func TestAllQueryOptionsAgree(t *testing.T) {
-	f := newQueryFixture(t, 400, 30)
-	base := NewEngine(f.st, f.mat, QueryOptions{Radius: 0.9})
-	variants := []*Engine{
-		NewEngine(f.st, f.mat, QueryOptions{Radius: 0.9, UseBitvector: true}),
-		NewEngine(f.st, f.mat, QueryOptions{Radius: 0.9, UseBitvector: true, ExtractCandidates: true}),
-		NewEngine(f.st, f.mat, QueryDefaults()),
-		NewEngine(f.st, sparse.NewScatteredStore(f.mat), QueryDefaults()),
-	}
-	for qi, q := range f.queries {
-		want := searchOne(base, q)
-		SortNeighbors(want)
-		for vi, eng := range variants {
-			got := searchOne(eng, q)
-			SortNeighbors(got)
-			if len(got) != len(want) {
-				t.Fatalf("variant %d query %d: %d vs %d results", vi, qi, len(got), len(want))
-			}
-			for i := range want {
-				if got[i].ID != want[i].ID {
-					t.Fatalf("variant %d query %d: result %d differs", vi, qi, i)
-				}
-			}
-		}
-	}
+	return o
 }
 
 func TestQueryBatchMatchesSingles(t *testing.T) {
@@ -202,6 +122,7 @@ func TestDeletedExcluded(t *testing.T) {
 func TestQueryStatsConsistent(t *testing.T) {
 	f := newQueryFixture(t, 300, 10)
 	eng := NewEngine(f.st, f.mat, QueryDefaults())
+	o := f.oracle()
 	for _, q := range f.queries {
 		res, stats := eng.SearchAppend(nil, q, SearchParams{})
 		if stats.Results != len(res) {
@@ -213,9 +134,8 @@ func TestQueryStatsConsistent(t *testing.T) {
 		if stats.Results > stats.Unique {
 			t.Fatalf("results %d > unique %d", stats.Results, stats.Unique)
 		}
-		want := len(f.candidateSet(q))
-		if stats.Unique != want {
-			t.Fatalf("unique = %d, brute force says %d", stats.Unique, want)
+		if cand, _ := o.Candidates(q); stats.Unique != len(cand) {
+			t.Fatalf("unique = %d, the sketch oracle says %d", stats.Unique, len(cand))
 		}
 	}
 }

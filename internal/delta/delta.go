@@ -33,7 +33,7 @@ import (
 // Table is a streaming LSH structure. Inserted documents get delta-local
 // IDs 0..Len()-1 in arrival order. Table is not internally synchronized;
 // the owning node serializes inserts. Once Freeze is called the table is
-// immutable and every read-side method (Candidates, Buckets, Sketches,
+// immutable and every read-side method (Candidates, Occupied, Sketches,
 // MemoryBytes) is safe for arbitrary concurrent use — frozen tables are
 // the building blocks of the node's copy-on-write query snapshots. The
 // frozen flag is what keeps a published table write-once: Insert, the one
@@ -270,18 +270,6 @@ func ConcatSketches(run []*Table) *lshhash.Sketches {
 		data = append(data, t.sk.Data...)
 	}
 	return &lshhash.Sketches{M: run[0].sk.M, Data: data}
-}
-
-// Buckets iterates table l's buckets (key, delta-local IDs) in unspecified
-// order, stopping early if fn returns false — the read-only walk used by
-// tests and diagnostics over frozen tables. The callback must not retain or
-// modify ids.
-func (d *Table) Buckets(l int, fn func(key uint32, ids []uint32) bool) {
-	for key, ids := range d.buckets[l] {
-		if !fn(key, ids) {
-			return
-		}
-	}
 }
 
 // Occupied reports table l's occupancy bit for key: false proves bucket key

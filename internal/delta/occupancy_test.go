@@ -7,31 +7,15 @@ import (
 
 	"plsh/internal/bitvec"
 	"plsh/internal/lshhash"
+	"plsh/internal/oracle"
 	"plsh/internal/sparse"
 )
 
-// referenceCandidates is the probe without the occupancy bitmaps — one map
-// lookup per table, in table order — kept as the law Candidates is held to.
-func referenceCandidates(d *Table, sketch []uint32, seen *bitvec.Vector, cand []uint32) ([]uint32, int) {
-	half := uint(d.fam.Params().K / 2)
-	collisions := 0
-	for l, buckets := range d.buckets {
-		bucket := buckets[d.fam.Pairs()[l].Key(sketch, half)]
-		collisions += len(bucket)
-		for _, id := range bucket {
-			if seen.TestAndSet(int(id)) {
-				cand = append(cand, id)
-			}
-		}
-	}
-	return cand, collisions
-}
-
-// requireProbeMatchesReference holds d to the bitmap's two contracts: every
-// occupied bucket's bit is set (and, once the bitmap has a bit per bucket,
-// no other), and the filtered probe returns the unfiltered one's candidates
-// in the same order with the same collision count.
-func requireProbeMatchesReference(t *testing.T, d *Table, queries []sparse.Vector) {
+// requireProbeMatchesReference holds d to the bitmap's contract, every
+// occupied bucket's bit set (and, once the bitmap has a bit per bucket, no
+// other), and the filtered probe to the sketch oracle o over d's rows: the
+// same candidates and the same collision count.
+func requireProbeMatchesReference(t *testing.T, d *Table, o *oracle.Oracle, queries []sparse.Vector) {
 	t.Helper()
 	p := d.fam.Params()
 	if want := occBits(d.n, p.K); d.occWords*64 < want {
@@ -55,10 +39,10 @@ func requireProbeMatchesReference(t *testing.T, d *Table, queries []sparse.Vecto
 		sketch := d.fam.Sketch(q)
 		got, gotColl := d.Candidates(sketch, seen, nil)
 		seen.ResetList(got)
-		want, wantColl := referenceCandidates(d, sketch, seen, nil)
-		seen.ResetList(want)
+		slices.Sort(got)
+		want, wantColl := o.Candidates(q)
 		if !slices.Equal(got, want) || gotColl != wantColl {
-			t.Fatalf("%d rows, query %d: filtered probe %v (%d collisions), reference %v (%d)",
+			t.Fatalf("%d rows, query %d: filtered probe %v (%d collisions), oracle %v (%d)",
 				d.n, qi, got, gotColl, want, wantColl)
 		}
 	}
@@ -76,10 +60,10 @@ func TestOccBits(t *testing.T) {
 	}
 }
 
-// TestFilteredProbeMatchesReference is the differential test of the
-// two-pass probe: every way a table comes to hold rows, at sizes on both
-// sides of each bitmap-size step and of the 2^K cap, must answer exactly as
-// the unfiltered loop does.
+// TestFilteredProbeMatchesReference is the oracle test of the two-pass
+// probe: every way a table comes to hold rows, at sizes on both sides of
+// each bitmap-size step and of the 2^K cap, must find exactly the
+// candidates the sketches fix.
 func TestFilteredProbeMatchesReference(t *testing.T) {
 	for _, p := range []lshhash.Params{
 		{Dim: 2000, K: 8, M: 6, Seed: 42},   // cap 2^8 bits, reached at 16 rows
@@ -106,7 +90,7 @@ func TestFilteredProbeMatchesReference(t *testing.T) {
 				once := New(fam, 2)
 				once.Insert(vs[:n])
 				once.Freeze()
-				requireProbeMatchesReference(t, once, queries)
+				requireProbeMatchesReference(t, once, oracle.New(fam, vs[:n]...), queries)
 
 				skip := func(i int) bool { return i%3 == 1 }
 				half := New(fam, 2)
@@ -116,7 +100,13 @@ func TestFilteredProbeMatchesReference(t *testing.T) {
 				head.Insert(vs[:n/2])
 				head.Freeze()
 				merged := Coalesce(fam, head, half, 2, skip)
-				requireProbeMatchesReference(t, merged, queries)
+				live := oracle.New(fam, vs[:n]...)
+				for i := 0; i < n; i++ {
+					if skip(i) {
+						live.Delete(uint32(i))
+					}
+				}
+				requireProbeMatchesReference(t, merged, live, queries)
 				for l := range merged.buckets {
 					for _, ids := range merged.buckets[l] {
 						for _, id := range ids {
@@ -129,12 +119,13 @@ func TestFilteredProbeMatchesReference(t *testing.T) {
 			}
 
 			// One unfrozen table grown batch by batch across every boundary.
-			grown := New(fam, 2)
+			grown, mirror := New(fam, 2), oracle.New(fam)
 			prev := 0
 			for _, n := range sizes {
 				grown.Insert(vs[prev:n])
+				mirror.Add(vs[prev:n]...)
 				prev = n
-				requireProbeMatchesReference(t, grown, queries)
+				requireProbeMatchesReference(t, grown, mirror, queries)
 			}
 		})
 	}

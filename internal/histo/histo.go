@@ -38,7 +38,6 @@ const (
 // share a pointer.
 type Histogram struct {
 	count   atomic.Uint64
-	sum     atomic.Uint64
 	buckets [nBuckets]atomic.Uint64
 }
 
@@ -76,21 +75,11 @@ func (h *Histogram) Record(d time.Duration) {
 		v = uint64(d)
 	}
 	h.buckets[bucketIndex(v)].Add(1)
-	h.sum.Add(v)
 	h.count.Add(1)
 }
 
 // Count returns the number of recorded observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Mean returns the mean recorded duration, 0 when empty.
-func (h *Histogram) Mean() time.Duration {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(h.sum.Load() / n)
-}
 
 // Quantile returns an upper bound for the q-quantile (q in [0,1]) of the
 // recorded distribution: the max value of the bucket holding the

@@ -69,15 +69,12 @@ func TestQuantileErrorBound(t *testing.T) {
 
 func TestEmptyAndSmall(t *testing.T) {
 	var h Histogram
-	if h.Quantile(0.99) != 0 || h.Count() != 0 || h.Mean() != 0 {
+	if h.Quantile(0.99) != 0 || h.Count() != 0 {
 		t.Fatal("empty histogram must report zeros")
 	}
 	h.Record(7)
 	if got := h.Quantile(1); got != 7 {
 		t.Fatalf("single exact-range value: quantile %d, want 7", got)
-	}
-	if got := h.Mean(); got != 7 {
-		t.Fatalf("mean %d, want 7", got)
 	}
 	h.Record(-time.Second) // clock step: clamps to 0, must not panic
 	if h.Count() != 2 {
@@ -86,7 +83,7 @@ func TestEmptyAndSmall(t *testing.T) {
 }
 
 // TestConcurrentRecord hammers one histogram from many goroutines (run
-// under -race in CI) and checks nothing is lost: count and sum are exact
+// under -race in CI) and checks nothing is lost: the count is exact
 // even though quantile reads race the writers.
 func TestConcurrentRecord(t *testing.T) {
 	var h Histogram

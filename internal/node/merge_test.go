@@ -10,8 +10,7 @@ import (
 
 	"plsh/internal/bitvec"
 	"plsh/internal/core"
-	"plsh/internal/delta"
-	"plsh/internal/lshhash"
+	"plsh/internal/oracle"
 	"plsh/internal/sparse"
 )
 
@@ -355,103 +354,114 @@ func TestSegmentCoalescing(t *testing.T) {
 	}
 }
 
-// unfilteredCandidates is the delta probe as it stood before the occupancy
-// bitmaps — every table's bucket fetched, in table order, first sightings
-// kept — rebuilt from the table's read-only bucket walk.
-func unfilteredCandidates(t *delta.Table, fam *lshhash.Family, sketch []uint32) []uint32 {
-	half := uint(fam.Params().K / 2)
-	seen := map[uint32]bool{}
-	var cand []uint32
-	for l, pair := range fam.Pairs() {
-		key := pair.Key(sketch, half)
-		t.Buckets(l, func(k uint32, ids []uint32) bool {
-			if k != key {
-				return true
+// requireMatchesOracle holds n's answers to every fifth row of vs to o, at
+// the configured radius, a wider request radius and a cut at k, and returns
+// how many answers were not the query row itself.
+func requireMatchesOracle(t *testing.T, phase string, n *Node, o *oracle.Oracle, vs []sparse.Vector) int {
+	t.Helper()
+	nonSelf := 0
+	for _, p := range []SearchParams{{}, {Radius: 1.2}, {K: 3}} {
+		radius := n.cfg.Query.Radius
+		if p.Radius > 0 {
+			radius = p.Radius
+		}
+		for qi := 0; qi < len(vs); qi += 5 {
+			got, err := n.Search(bg, vs[qi], p)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, id := range ids {
-				if !seen[id] {
-					seen[id] = true
-					cand = append(cand, id)
+			want, _ := o.Answers(vs[qi], radius, p.K)
+			if !slices.EqualFunc(got, want, func(a core.Neighbor, b oracle.Neighbor) bool { return a == core.Neighbor(b) }) {
+				t.Fatalf("%s, params %+v, query %d:\n got %v\nwant %v", phase, p, qi, got, want)
+			}
+			for _, nb := range got {
+				if nb.ID != uint32(qi) {
+					nonSelf++
 				}
 			}
-			return false
-		})
+		}
 	}
-	return cand
+	return nonSelf
 }
 
-// TestSegmentChainAnswersMatchUnfilteredProbe pins the bitmaps' contract at
-// the node: over a live chain — coalesced segments of several sizes,
-// tombstones older and newer than the coalescing that compacts them, a
-// request radius — searchOn returns exactly the neighbours, in exactly the
-// order, that the same loop returns when every segment is probed without a
-// filter.
-func TestSegmentChainAnswersMatchUnfilteredProbe(t *testing.T) {
-	cfg := testConfig(5000)
+// TestSegmentChainMatchesOracle is the node's oracle test. A durable node
+// holds a static index and a live chain — coalesced segments of several
+// sizes, tombstones older and newer than the merges and coalescings that
+// compact them — and answers exactly what the sketches fix: after the
+// chain, after MergeNow folds it, after Retire and a new chain, and after
+// Close and Open recover that chain from the journal.
+func TestSegmentChainMatchesOracle(t *testing.T) {
+	cfg := durableConfig(t.TempDir(), 5000)
 	cfg.AutoMerge = false
 	n, err := Open(bg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer func() { n.Close() }()
 	vs := testDocs(1200, 47)
+	o := oracle.New(n.fam)
+	del := func(id uint32) {
+		t.Helper()
+		if err := n.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+		o.Delete(id)
+	}
+	// chain inserts vs[from:to] in 7-row batches, a binary-counter chain
+	// that coalesces as it grows, deleting every row a multiple of 5 as a
+	// batch begins there.
+	chain := func(from, to int) {
+		t.Helper()
+		for at := from; at < to; {
+			step := min(7, to-at)
+			if _, err := n.Insert(bg, vs[at:at+step]); err != nil {
+				t.Fatal(err)
+			}
+			o.Add(vs[at : at+step]...)
+			if at%5 == 0 {
+				del(uint32(at))
+			}
+			at += step
+		}
+	}
 	if _, err := n.Insert(bg, vs[:600]); err != nil {
 		t.Fatal(err)
 	}
+	o.Add(vs[:600]...)
 	mustMerge(t, n)
 	for _, id := range []uint32{3, 64, 599} {
-		if err := n.Delete(id); err != nil {
-			t.Fatal(err)
-		}
+		del(id)
 	}
-	for at := 600; at < 1100; { // 7-row batches: a binary-counter chain that coalesces as it grows
-		step := min(7, 1100-at)
-		if _, err := n.Insert(bg, vs[at:at+step]); err != nil {
-			t.Fatal(err)
-		}
-		if at%5 == 0 {
-			if err := n.Delete(uint32(at)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		at += step
-	}
+	chain(600, 1100)
 	for _, id := range []uint32{601, 777, 1000, 1099} {
-		if err := n.Delete(id); err != nil {
-			t.Fatal(err)
-		}
+		del(id)
 	}
-	s := n.snap.Load()
-	if len(s.segs) < 3 {
-		t.Fatalf("only %d segments; the test wants a chain", len(s.segs))
+	if segs := len(n.snap.Load().segs); segs < 3 {
+		t.Fatalf("only %d segments; the test wants a chain", segs)
 	}
+	nonSelf := requireMatchesOracle(t, "chain", n, o, vs[:1100])
 
-	reference := func(q sparse.Vector, p SearchParams) []core.Neighbor {
-		ws := s.eng.Begin(q)
-		defer s.eng.End(ws)
-		res, _ := s.eng.SearchOn(nil, ws, q, core.SearchParams{Radius: p.Radius})
-		radius := cfg.Query.Radius
-		if p.Radius > 0 {
-			radius = p.Radius
-		}
-		for _, sg := range s.segs {
-			res, _ = core.Verify(res, unfilteredCandidates(sg.t, n.fam, ws.Sketch()), uint32(sg.base),
-				s.store, s.deleted, sparse.CosThreshold(radius), ws.Mask(), q)
-		}
-		return res
+	mustMerge(t, n)
+	nonSelf += requireMatchesOracle(t, "merged", n, o, vs[:1100])
+
+	if err := n.Retire(bg); err != nil {
+		t.Fatal(err)
 	}
-	answered := 0
-	for _, p := range []SearchParams{{}, {Radius: 1.2}} {
-		for qi := 0; qi < len(vs); qi += 13 {
-			got := n.searchOn(nil, s, vs[qi], p)
-			want := reference(vs[qi], p)
-			if !slices.Equal(got, want) {
-				t.Fatalf("params %+v, query %d:\n got %v\nwant %v", p, qi, got, want)
-			}
-			answered += len(got)
-		}
+	o = oracle.New(n.fam)
+	chain(0, 400)
+	del(17)
+	nonSelf += requireMatchesOracle(t, "retired and refilled", n, o, vs[:400])
+
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if answered == 0 {
-		t.Fatal("no query answered anything; the comparison is vacuous")
+	if n, err = Open(bg, cfg); err != nil {
+		t.Fatal(err)
+	}
+	nonSelf += requireMatchesOracle(t, "reopened", n, o, vs[:400])
+	t.Logf("%d answers other than the query", nonSelf)
+	if nonSelf < 25 {
+		t.Fatalf("%d answers other than the query; the test wants at least 25", nonSelf)
 	}
 }
 

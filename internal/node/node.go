@@ -663,7 +663,8 @@ func (n *Node) startMergeLocked(upTo int) {
 // Queries and inserts proceed throughout. On a durable node the merged
 // state is then checkpointed — snapshot written, sealed journal segments
 // truncated — still off-lock, before done closes (so Flush/MergeNow/Close
-// return with the merge durable). A chained merge can start, and even
+// return after the checkpoint; one that fails is noted in Stats.PersistErr
+// and leaves the journal whole). A chained merge can start, and even
 // finish, while this one's checkpoint is being written; it waits for prev,
 // this merge's done, before closing its own, so a closed done channel means
 // no older checkpoint is in flight either.
@@ -807,10 +808,12 @@ func awaitDone(ctx context.Context, done <-chan struct{}) error {
 }
 
 // MergeNow forces every row present at the time of the call into the static
-// structure and returns once that state is reached and checkpointed (a
-// quiesced merge): it rotates the active delta, waits out or chains onto
-// any in-flight merge, and honors ctx while waiting. Queries and inserts
-// are never blocked by the work it triggers.
+// structure and returns once that state is reached and its checkpoint has
+// run (a quiesced merge): it rotates the active delta, waits out or chains
+// onto any in-flight merge, and honors ctx while waiting. A checkpoint that
+// fails is not MergeNow's error: it surfaces only in Stats.PersistErr, the
+// journal keeps every row, and Save is the call that returns such an
+// error. Queries and inserts are never blocked by the work it triggers.
 func (n *Node) MergeNow(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -840,7 +843,8 @@ func (n *Node) MergeNow(ctx context.Context) error {
 // Flush waits for any in-flight background merge (including auto-merge
 // chains) to finish, checkpoint included, without forcing one, honoring
 // ctx. It returns nil immediately when no merge is running and the last
-// one's checkpoint is on disk.
+// one's checkpoint has run. Like MergeNow it does not return a failed
+// checkpoint: that surfaces only in Stats.PersistErr, and Save returns it.
 func (n *Node) Flush(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"plsh/internal/core"
@@ -135,6 +136,60 @@ func TestJournalFailureLeavesNodeUntouched(t *testing.T) {
 	untouched("Insert", err)
 	untouched("Delete", n.Delete(3))
 	untouched("Retire", n.Retire(bg))
+}
+
+// TestFailedCheckpointSurfacesInStats: a background checkpoint that cannot
+// publish its snapshot — a directory stands where the rename would put it —
+// fails into Stats.PersistErr alone. MergeNow still returns nil and later
+// writes are still acknowledged; Save is the call that returns the error.
+// The journal, never truncated, recovers every row once the directory is
+// gone.
+func TestFailedCheckpointSurfacesInStats(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableConfig(dir, 1000)
+	cfg.AutoMerge = false
+	n, err := Open(bg, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := testDocs(310, 19)
+	if err := os.MkdirAll(filepath.Join(persist.SnapshotPath(dir), "obstacle"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Insert(bg, docs[:300]); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.MergeNow(bg); err != nil {
+		t.Fatalf("MergeNow returned %v; a failed checkpoint belongs in Stats.PersistErr", err)
+	}
+	if pe := n.Stats().PersistErr; !strings.Contains(pe, "publish snapshot") {
+		t.Fatalf("PersistErr %q, want the failed publish named", pe)
+	}
+	if _, err := n.Insert(bg, docs[300:]); err != nil {
+		t.Fatalf("insert after a failed checkpoint: %v", err)
+	}
+	if err := n.Save(bg); err == nil || !strings.Contains(err.Error(), "publish snapshot") {
+		t.Fatalf("Save returned %v, want the failed publish", err)
+	}
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(persist.SnapshotPath(dir)); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(bg, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.Len() != len(docs) {
+		t.Fatalf("recovered %d of %d rows", re.Len(), len(docs))
+	}
+	for i := 0; i < len(docs); i += 31 {
+		if !neighborIDs(mustQuery(t, re, docs[i]))[uint32(i)] {
+			t.Fatalf("recovered row %d does not find itself", i)
+		}
+	}
 }
 
 // TestDurableSnapshotPlusTailRecovery: merges checkpoint snapshots and

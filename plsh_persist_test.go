@@ -3,10 +3,9 @@ package plsh
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
-
-	"plsh/internal/sparse"
 )
 
 // TestConfigRejectsNegatives: normalize must refuse values the node layer
@@ -130,13 +129,13 @@ func TestStoreDeleteNotFound(t *testing.T) {
 	}
 }
 
-// TestStoreSaveOpenOracle is the acceptance round-trip: Save → Open must
-// reproduce query results bit-identically, and both stores' answers are
-// verified against an exhaustive-scan oracle (every reported neighbor is
-// truly within the radius at its reported distance, and a store always
-// finds the query document itself).
+// TestStoreSaveOpenOracle is the acceptance round-trip at the suite's
+// geometry (K 16, M 16): Save → Open must keep every answer, and both
+// stores answer every document as the query exactly as the sketch oracle
+// does, tombstones included.
 func TestStoreSaveOpenOracle(t *testing.T) {
-	s, err := NewStore(smallConfig())
+	cfg := Config{Dim: 2000, K: 16, M: 16, Capacity: 2000}
+	s, err := NewStore(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,12 +144,12 @@ func TestStoreSaveOpenOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deleted := map[uint64]bool{}
+	o := newOracle(t, cfg, docs)
 	for _, i := range []int{3, 111, 222} {
 		if err := s.Delete(bg, ids[i]); err != nil {
 			t.Fatal(err)
 		}
-		deleted[ids[i]] = true
+		o.Delete(uint32(i))
 	}
 
 	// An in-memory Store refuses Save; SaveTo exports it, and the Store
@@ -162,7 +161,7 @@ func TestStoreSaveOpenOracle(t *testing.T) {
 	if err := s.SaveTo(bg, dir); err != nil {
 		t.Fatal(err)
 	}
-	re, err := Open(bg, dir, smallConfig())
+	re, err := Open(bg, dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,54 +174,22 @@ func TestStoreSaveOpenOracle(t *testing.T) {
 	}
 
 	radius := s.Config().Radius
-	for qi := 0; qi < len(docs); qi += 13 {
-		q := docs[qi]
-		a, err := s.Search(bg, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := re.Search(bg, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Bit-identical round trip.
-		if len(a.Matches) != len(b.Matches) {
-			t.Fatalf("query %d: %d vs %d results after reopen", qi, len(a.Matches), len(b.Matches))
-		}
-		seen := map[uint64]float64{}
-		for _, m := range a.Matches {
-			seen[m.ID] = m.Dist
-		}
-		for _, m := range b.Matches {
-			if d, ok := seen[m.ID]; !ok || d != m.Dist {
-				t.Fatalf("query %d: neighbor %d differs after reopen", qi, m.ID)
+	answers := 0
+	for _, st := range []struct {
+		name  string
+		store *Store
+	}{{"saved", s}, {"reopened", re}} {
+		for qi, q := range docs {
+			got, err := st.store.Search(bg, q)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		// Exhaustive-scan oracle: reported distances are the true angular
-		// distances, within radius, never deleted; the query doc itself
-		// (distance 0) is always reported unless deleted.
-		for _, m := range b.Matches {
-			if deleted[m.ID] {
-				t.Fatalf("query %d: deleted doc %d returned", qi, m.ID)
-			}
-			v, known, err := re.Doc(bg, m.ID)
-			if err != nil || !known {
-				t.Fatalf("query %d: neighbor %d has no document", qi, m.ID)
-			}
-			want := sparse.AngularDistance(sparse.Dot(q, v))
-			if math.Abs(m.Dist-want) > 1e-9 {
-				t.Fatalf("query %d: neighbor %d distance %v, oracle %v", qi, m.ID, m.Dist, want)
-			}
-			if m.Dist > radius {
-				t.Fatalf("query %d: neighbor %d outside radius", qi, m.ID)
-			}
-		}
-		if !deleted[ids[qi]] {
-			if _, ok := seen[ids[qi]]; !ok {
-				t.Fatalf("query %d: self not found", qi)
-			}
+			requireMatchesEqual(t, fmt.Sprintf("%s, query %d", st.name, qi), got.Matches,
+				wantMatches(o, nil, q, radius, 0))
+			answers += nonSelf(got.Matches, ids[qi])
 		}
 	}
+	requireNonSelfFloor(t, answers, 120)
 }
 
 // TestOpenDurableLifecycle: the ctx-aware public open/journal/reopen path,

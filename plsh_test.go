@@ -3,8 +3,6 @@ package plsh
 import (
 	"context"
 	"errors"
-	"fmt"
-	"math"
 	"slices"
 	"testing"
 )
@@ -225,76 +223,6 @@ func TestStoreQueryBatch(t *testing.T) {
 		if !hasMatch(res[i].Matches, ids[i]) {
 			t.Fatalf("batch query %d missing self", i)
 		}
-	}
-}
-
-// Store.Search WithK must equal the exhaustive-scan oracle: the exact top-k
-// among in-radius documents. K=4 bits over M=16 → L=120 tables drives
-// per-neighbor retrieval probability to ~1 even at the radius boundary,
-// and hashing is seeded, so the comparison is deterministic.
-func TestStoreQueryTopKMatchesOracle(t *testing.T) {
-	s, err := NewStore(Config{Dim: 2000, K: 4, M: 16, Radius: 1.1, Capacity: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	docs := SyntheticTweets(250, 2000, 31)
-	ids, err := s.Insert(bg, docs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []int{1, 5, 25} {
-		for qi := 0; qi < len(docs); qi += 17 {
-			q := docs[qi]
-			got, err := s.Search(bg, q, WithK(k))
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireMatchesEqual(t, fmt.Sprintf("k=%d query %d", k, qi), got.Matches,
-				oracleMatches(docs, ids, q, 1.1, k))
-		}
-	}
-}
-
-// Cluster.Search WithK must equal the same oracle computed over the global
-// ID space — the coordinator's sort and cut of the gathered per-node
-// top-k lists must reconstruct the exact cluster-wide top k.
-func TestClusterQueryTopKMatchesOracle(t *testing.T) {
-	cl, err := NewCluster(4, 2, Config{Dim: 2000, K: 4, M: 16, Radius: 1.1, Capacity: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	docs := SyntheticTweets(250, 2000, 33)
-	ids, err := cl.Insert(bg, docs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The oracle orders by (dist, gid) — gid order coincides with the
-	// coordinator's (dist, node, local ID) merge order.
-	for _, k := range []int{1, 7, 30} {
-		for qi := 0; qi < len(docs); qi += 19 {
-			q := docs[qi]
-			got, err := cl.Search(bg, q, WithK(k))
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireMatchesEqual(t, fmt.Sprintf("k=%d query %d", k, qi), got.Matches,
-				oracleMatches(docs, ids, q, 1.1, k))
-		}
-	}
-
-	// A "give me everything" k over a batch: the coordinator sizes its
-	// answers from what the groups returned, never from queries × k (two
-	// queries × MaxInt wraps negative).
-	batch := docs[:2]
-	res, _, err := cl.SearchBatch(bg, batch, WithK(math.MaxInt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi, q := range batch {
-		requireMatchesEqual(t, fmt.Sprintf("k=MaxInt batch query %d", qi), res[qi].Matches,
-			oracleMatches(docs, ids, q, 1.1, 0))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"slices"
@@ -13,27 +14,65 @@ import (
 	"plsh/internal/core"
 	"plsh/internal/lshhash"
 	"plsh/internal/node"
-	"plsh/internal/sparse"
+	"plsh/internal/oracle"
 	"plsh/internal/transport"
 )
 
-// oracleMatches is the exhaustive-scan reference for the unified Search
-// surface: every document within radius, as Matches in canonical
-// ascending (distance, global ID) order, bounded to k when k > 0. ids
-// maps document position to its global ID (identity for a Store).
-func oracleMatches(docs []Vector, ids []uint64, q Vector, radius float64, k int) []Match {
-	thr := sparse.CosThreshold(radius)
-	var in []Match
-	for i, d := range docs {
-		if dot := sparse.Dot(q, d); dot >= thr {
-			in = append(in, Match{ID: ids[i], Dist: sparse.AngularDistance(dot)})
+// newOracle mirrors docs, as rows 0 to len(docs)-1, for the sketch oracle
+// of an index configured by cfg: the same hyperplanes, so the same
+// sketches.
+func newOracle(t *testing.T, cfg Config, docs []Vector) *oracle.Oracle {
+	t.Helper()
+	cfg, err := cfg.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fam, err := lshhash.NewFamily(lshhash.Params{Dim: cfg.Dim, K: cfg.K, M: cfg.M, Seed: cfg.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return oracle.New(fam, docs...)
+}
+
+// wantMatches is o's answer to q as Search gives it: row i as ids[i] (as i
+// itself when ids is nil, a Store's IDs), in (distance, ID) order, cut at k
+// when k > 0.
+func wantMatches(o *oracle.Oracle, ids []uint64, q Vector, radius float64, k int) []Match {
+	ans, _ := o.Answers(q, radius, 0)
+	ms := make([]Match, len(ans))
+	for i, a := range ans {
+		ms[i] = Match{ID: uint64(a.ID), Dist: a.Dist}
+		if ids != nil {
+			ms[i].ID = ids[a.ID]
 		}
 	}
-	sortMatches(in)
-	if k > 0 && k < len(in) {
-		in = in[:k]
+	sortMatches(ms)
+	if k > 0 && k < len(ms) {
+		ms = ms[:k]
 	}
-	return in
+	return ms
+}
+
+// nonSelf counts the matches other than the query document, self.
+func nonSelf(ms []Match, self uint64) int {
+	n := 0
+	for _, m := range ms {
+		if m.ID != self {
+			n++
+		}
+	}
+	return n
+}
+
+// requireNonSelfFloor fails t when its comparisons saw fewer than floor
+// answers other than the query: a comparison of self-matches alone pins
+// almost nothing.
+func requireNonSelfFloor(t *testing.T, n, floor int) {
+	t.Helper()
+	t.Logf("%d answers other than the query", n)
+	if n < floor {
+		t.Fatalf("%d answers other than the query; the test wants at least %d", n, floor)
+	}
 }
 
 // sortMatches puts ms in Search's order, ascending by (distance, ID).
@@ -58,48 +97,47 @@ func requireMatchesEqual(t *testing.T, label string, got, want []Match) {
 	}
 }
 
-// TestStoreSearchMatchesOracle is half of the acceptance criterion:
-// Search with WithRadius and WithK must equal the exhaustive-scan oracle
-// on a Store — including a per-request radius wider than the one the
-// Store was constructed with, which the frozen-config API could not
-// answer at all. K=4 bits over M=16 → L=120 tables drives per-neighbor
-// retrieval probability to ~1, and hashing is seeded, so the comparison
-// is deterministic.
+// TestStoreSearchMatchesOracle: on a Store at the suite's geometry (K 16,
+// M 16), Search with WithRadius and WithK must equal the sketch oracle for
+// every row as the query: the exact R-near set, and its exact top k. That
+// includes request radii other than the one the Store was constructed
+// with, since every radius is request-scoped.
 func TestStoreSearchMatchesOracle(t *testing.T) {
-	// Construction radius 0.8 is NOT what most requests below use: every
-	// radius is request-scoped.
-	s, err := NewStore(Config{Dim: 2000, K: 4, M: 16, Radius: 0.8, Capacity: 500})
+	cfg := Config{Dim: 2000, K: 16, M: 16, Radius: 0.8, Capacity: 500}
+	s, err := NewStore(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	docs := SyntheticTweets(250, 2000, 31)
-	ids, err := s.Insert(bg, docs)
-	if err != nil {
+	if _, err := s.Insert(bg, docs); err != nil {
 		t.Fatal(err)
 	}
-	for _, radius := range []float64{0.8, 1.0, 1.15} {
+	o := newOracle(t, cfg, docs)
+	answers := 0
+	for _, radius := range []float64{0.8, 1.0, 1.1, 1.15} {
 		var opts []SearchOption
-		if radius != 0.8 {
+		if radius != cfg.Radius {
 			opts = []SearchOption{WithRadius(radius)}
 		}
-		for qi := 0; qi < len(docs); qi += 17 {
-			q := docs[qi]
-			got, err := s.Search(bg, q, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireMatchesEqual(t, "store r-near", got.Matches,
-				oracleMatches(docs, ids, q, radius, 0))
-			for _, k := range []int{1, 5} {
-				bounded, err := s.Search(bg, q, append(opts[:len(opts):len(opts)], WithK(k))...)
+		for qi, q := range docs {
+			for _, k := range []int{0, 1, 5, 25} {
+				kopts := opts
+				if k > 0 {
+					kopts = append(opts[:len(opts):len(opts)], WithK(k))
+				}
+				got, err := s.Search(bg, q, kopts...)
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireMatchesEqual(t, "store top-k", bounded.Matches,
-					oracleMatches(docs, ids, q, radius, k))
+				requireMatchesEqual(t, fmt.Sprintf("radius %v k=%d query %d", radius, k, qi), got.Matches,
+					wantMatches(o, nil, q, radius, k))
+				if k == 0 {
+					answers += nonSelf(got.Matches, uint64(qi))
+				}
 			}
 		}
 	}
+	requireNonSelfFloor(t, answers, 200)
 }
 
 // searchTestAddrs serves n fresh TCP nodes with identical seeded hash
@@ -109,7 +147,7 @@ func searchTestAddrs(t *testing.T, n, capacity int) []string {
 	addrs := make([]string, n)
 	for i := range addrs {
 		nd, err := node.Open(bg, node.Config{
-			Params:   lshhash.Params{Dim: 2000, K: 4, M: 16, Seed: 42},
+			Params:   lshhash.Params{Dim: 2000, K: 16, M: 16, Seed: 42},
 			Capacity: capacity,
 			Build:    core.Defaults(),
 			Query:    core.QueryDefaults(),
@@ -129,37 +167,66 @@ func searchTestAddrs(t *testing.T, n, capacity int) []string {
 	return addrs
 }
 
-// TestClusterSearchMatchesOracle is the other half of the acceptance
-// criterion: Search with WithRadius/WithK on a 4-node DialCluster (real
-// TCP, so the request-scoped parameters cross the versioned opSearch
-// frame) must equal the exhaustive-scan oracle over the global ID space.
+// TestClusterSearchMatchesOracle: a 4-node cluster at the suite's geometry
+// — in process, and over real TCP, where the request-scoped parameters
+// cross the versioned opSearch frame — answers Search with WithRadius and
+// WithK exactly as the sketch oracle does over the global ID space, for
+// every document as the query: the coordinator's sort and cut of the
+// gathered per-node lists reconstruct the exact cluster-wide top k.
 func TestClusterSearchMatchesOracle(t *testing.T) {
-	cl, err := DialCluster(bg, searchTestAddrs(t, 4, 100), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	docs := SyntheticTweets(250, 2000, 33)
-	ids, err := cl.Insert(bg, docs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi := 0; qi < len(docs); qi += 19 {
-		q := docs[qi]
-		got, err := cl.Search(bg, q, WithRadius(1.1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireMatchesEqual(t, "cluster r-near", got.Matches,
-			oracleMatches(docs, ids, q, 1.1, 0))
-		for _, k := range []int{1, 7, 30} {
-			bounded, err := cl.Search(bg, q, WithRadius(1.1), WithK(k))
+	const radius = 1.1
+	cfg := Config{Dim: 2000, K: 16, M: 16, Radius: radius, Capacity: 100, Seed: 42}
+	for _, tr := range []struct {
+		name string
+		open func() (*Cluster, error)
+	}{
+		{"in-process", func() (*Cluster, error) { return NewCluster(4, 2, cfg) }},
+		{"tcp", func() (*Cluster, error) { return DialCluster(bg, searchTestAddrs(t, 4, cfg.Capacity), 2) }},
+	} {
+		t.Run(tr.name, func(t *testing.T) {
+			cl, err := tr.open()
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireMatchesEqual(t, "cluster top-k", bounded.Matches,
-				oracleMatches(docs, ids, q, 1.1, k))
-		}
+			defer cl.Close()
+			docs := SyntheticTweets(250, 2000, 33)
+			ids, err := cl.Insert(bg, docs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := newOracle(t, cfg, docs)
+			answers := 0
+			for qi, q := range docs {
+				for _, k := range []int{0, 1, 7, 30} {
+					opts := []SearchOption{WithRadius(radius)}
+					if k > 0 {
+						opts = append(opts, WithK(k))
+					}
+					got, err := cl.Search(bg, q, opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireMatchesEqual(t, fmt.Sprintf("k=%d query %d", k, qi), got.Matches,
+						wantMatches(o, ids, q, radius, k))
+					if k == 0 {
+						answers += nonSelf(got.Matches, ids[qi])
+					}
+				}
+			}
+			requireNonSelfFloor(t, answers, 40)
+
+			// A "give me everything" k over a batch: the coordinator sizes
+			// its answers from what the groups returned, never from
+			// queries × k (two queries × MaxInt wraps negative).
+			res, _, err := cl.SearchBatch(bg, docs, WithRadius(radius), WithK(math.MaxInt))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for qi, q := range docs {
+				requireMatchesEqual(t, fmt.Sprintf("k=MaxInt batch query %d", qi), res[qi].Matches,
+					wantMatches(o, ids, q, radius, 0))
+			}
+		})
 	}
 }
 

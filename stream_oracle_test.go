@@ -6,33 +6,29 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"plsh/internal/lshhash"
-	"plsh/internal/sparse"
 )
 
 // TestStreamingMergesMatchOracle drives the whole streaming write path at
 // once — a writer whose batches keep the segment chain folding and push the
 // delta past η·C again and again, a deleter tombstoning rows on both sides
-// of the static boundary, searchers in between — and holds every answer to
-// the exhaustive-scan oracle. K=4 over M=16 makes retrieval all but certain,
-// so the oracle is exact: while the writers run an answer may miss a row
-// (not inserted yet, or deleted meanwhile) but never invents or misprices
-// one; once they stop and the merges settle, answers equal the oracle over
-// the rows still live. Run under -race it is also the proof that merges
-// read published tables and frozen segments and write neither.
+// of the static boundary, searchers in between — at the suite's geometry
+// (K 16, M 16), and holds every answer to the sketch oracle. While the
+// writers run an answer may miss a row (not inserted yet, or deleted
+// meanwhile) but never invents or misprices one: every match is in the
+// oracle over all the documents. Once they stop and the merges settle,
+// answers equal the oracle over the rows still live, for every document as
+// the query. Run under -race it is also the proof that merges read
+// published tables and frozen segments and write neither.
 func TestStreamingMergesMatchOracle(t *testing.T) {
 	const total, batch, radius = 1800, 30, 1.1
-	s, err := NewStore(Config{Dim: 2000, K: 4, M: 16, Radius: radius, Capacity: 2000, DeltaFraction: 0.06})
+	cfg := Config{Dim: 2000, K: 16, M: 16, Radius: radius, Capacity: 2000, DeltaFraction: 0.06}
+	s, err := NewStore(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	docs := SyntheticTweets(total, 2000, 71)
-	ids := make([]uint64, total)
-	for i := range ids {
-		ids[i] = uint64(i)
-	}
+	o := newOracle(t, cfg, docs)
 	var inserted atomic.Int64 // rows acknowledged so far
 	deleted := make([]atomic.Bool, total)
 
@@ -55,7 +51,7 @@ func TestStreamingMergesMatchOracle(t *testing.T) {
 					return
 				}
 				want := map[uint64]float64{}
-				for _, m := range oracleMatches(docs, ids, q, radius, 0) {
+				for _, m := range wantMatches(o, nil, q, radius, 0) {
 					want[m.ID] = m.Dist
 				}
 				for _, m := range res.Matches {
@@ -105,56 +101,38 @@ func TestStreamingMergesMatchOracle(t *testing.T) {
 		t.Fatalf("the stream did not exercise merges: %+v", st)
 	}
 
-	var live []Vector
-	var liveIDs []uint64
-	for i, d := range docs {
-		if !deleted[i].Load() {
-			live, liveIDs = append(live, d), append(liveIDs, uint64(i))
+	for i := range deleted {
+		if deleted[i].Load() {
+			o.Delete(uint32(i))
 		}
 	}
+	radii := []float64{0.8, radius}
+	want := make([][]Match, len(docs)*len(radii)) // the same rows are live in both phases
+	for qi, q := range docs {
+		for ri, r := range radii {
+			want[qi*len(radii)+ri] = wantMatches(o, nil, q, r, 0)
+		}
+	}
+	answers := 0
 	for _, phase := range []string{"settled", "fully merged"} {
 		if phase == "fully merged" {
 			if err := s.Merge(bg); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for qi := 0; qi < total; qi += 23 {
-			for _, r := range []float64{0.8, radius} {
-				res, err := s.Search(bg, docs[qi], WithRadius(r))
+		for qi, q := range docs {
+			for ri, r := range radii {
+				res, err := s.Search(bg, q, WithRadius(r))
 				if err != nil {
 					t.Fatal(err)
 				}
 				requireMatchesEqual(t, fmt.Sprintf("%s, query %d radius %v", phase, qi, r), res.Matches,
-					oracleMatches(live, liveIDs, docs[qi], r, 0))
+					want[qi*len(radii)+ri])
+				answers += nonSelf(res.Matches, uint64(qi))
 			}
 		}
 	}
-}
-
-// sketchOracle is the answer set the sketches fix (§5.2, Steps Q2–Q4): the
-// live rows within radius of q that share some table key with it, i.e.
-// agree with its sketch on at least two of the M half-keys. It reads no
-// table and no core code — only each row's sketch and its dot product —
-// and returns the rows in Search's (distance, ID) order.
-func sketchOracle(docs []Vector, sketches [][]uint32, deleted []bool, q Vector, qSketch []uint32, radius float64) []Match {
-	thr := sparse.CosThreshold(radius)
-	var in []Match
-	for i, d := range docs {
-		agree := 0
-		for j, h := range sketches[i] {
-			if h == qSketch[j] {
-				agree++
-			}
-		}
-		if agree < 2 || deleted[i] {
-			continue
-		}
-		if dot := sparse.Dot(q, d); dot >= thr {
-			in = append(in, Match{ID: uint64(i), Dist: sparse.AngularDistance(dot)})
-		}
-	}
-	sortMatches(in)
-	return in
+	requireNonSelfFloor(t, answers, 2000)
 }
 
 // TestStreamingAnswersMatchSketchOracle: at the benchmark suite's geometry
@@ -170,28 +148,20 @@ func TestStreamingAnswersMatchSketchOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	cfg := s.Config() // the Store's effective seed draws the same hyperplanes
-	fam, err := lshhash.NewFamily(lshhash.Params{Dim: dim, K: cfg.K, M: cfg.M, Seed: cfg.Seed})
-	if err != nil {
-		t.Fatal(err)
-	}
 	docs := SyntheticTweets(total, dim, 1)
-	sketches := make([][]uint32, total)
-	deleted := make([]bool, total)
+	o := newOracle(t, s.Config(), nil)
 	rng := rand.New(rand.NewSource(5))
 	for at := 0; at < total; at += batch {
 		if _, err := s.Insert(bg, docs[at:at+batch]); err != nil {
 			t.Fatal(err)
 		}
-		for i := at; i < at+batch; i++ {
-			sketches[i] = fam.Sketch(docs[i])
-		}
+		o.Add(docs[at : at+batch]...)
 		for range 3 {
 			id := rng.Intn(at + batch)
 			if err := s.Delete(bg, uint64(id)); err != nil {
 				t.Fatal(err)
 			}
-			deleted[id] = true
+			o.Delete(uint32(id))
 		}
 	}
 	answers := 0
@@ -201,7 +171,7 @@ func TestStreamingAnswersMatchSketchOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireMatchesEqual(t, fmt.Sprintf("query %d", qi), res.Matches,
-			sketchOracle(docs, sketches, deleted, docs[qi], sketches[qi], radius))
+			wantMatches(o, nil, docs[qi], radius, 0))
 		answers += len(res.Matches)
 	}
 	if err := s.Flush(bg); err != nil {
