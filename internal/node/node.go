@@ -176,11 +176,11 @@ type Stats struct {
 	// recovery still sees every acknowledged write.
 	PersistErr string
 
-	// Operation counters, accumulated since construction (gob-appended
-	// after PersistErr — the wire response carries Stats whole, and a
-	// peer that predates these fields reads/serves zeros). Searches
+	// Operation counters, accumulated since construction. Searches
 	// counts queries answered, by Search, SearchAppend or SearchBatch
 	// alike; Inserts documents accepted, Deletes tombstones acknowledged.
+	// The wire carries Stats whole, field by field: a field added here
+	// needs a line in the transport codec (TestStatsSurviveCodec).
 	SearchesServed uint64
 	InsertsServed  uint64
 	DeletesServed  uint64
@@ -197,7 +197,7 @@ type Stats struct {
 	// alike — and a pointer per vocabulary word (lshhash.Family.MemoryBytes).
 	// It grows with the vocabulary seen, not with the rows held, so it is
 	// reported beside MemoryBytes, which is per-document state, and not in
-	// it. Gob-appended like the counters above.
+	// it.
 	FamilyBytes int64
 }
 

@@ -1,9 +1,9 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"context"
-	"encoding/gob"
 	"encoding/hex"
 	"testing"
 
@@ -33,12 +33,15 @@ func fuzzNode(t testing.TB) *node.Node {
 	return n
 }
 
-// FuzzDecodeFrame: frame bytes come from the network, so whatever they say,
-// both decoders end in an error or a frame — never a panic — and a request
-// that decodes is answered by handle, with an error or an answer, against a
-// real node. Seeds are the two golden streams and their truncations, which
-// carry every op (retired ones included), the search parameters and every
-// response field.
+// FuzzDecodeFrame: frame bytes come from the network, so whatever they
+// say, reading them as a connection does — preamble, then frames — ends in
+// an error or frames, never a panic, in either direction. A request that
+// decodes is answered by handle against a real node, with an error or an
+// answer, and that answer's frame decodes. The whole input is also tried
+// as one payload of each kind. Seeds are the two golden streams and their
+// truncations, which carry the preamble, every op (retired ones included),
+// the search parameters and every response payload, then each golden
+// frame's payload alone.
 func FuzzDecodeFrame(f *testing.F) {
 	for _, golden := range []string{goldenStream, goldenRespStream} {
 		raw, err := hex.DecodeString(golden)
@@ -49,22 +52,50 @@ func FuzzDecodeFrame(f *testing.F) {
 			f.Add(raw[:n])
 		}
 	}
+	for _, g := range goldenRequests() {
+		f.Add(appendRequest(nil, &g.frame)[4:])
+	}
+	for _, g := range goldenResponses(f) {
+		f.Add(appendResponse(nil, &g.frame)[4:])
+	}
 	backend := NewLocal(fuzzNode(f))
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		dec := gob.NewDecoder(bytes.NewReader(raw))
-		for {
-			req := new(request)
-			if dec.Decode(req) != nil {
-				break
+		r := bufio.NewReader(bytes.NewReader(raw))
+		if readPreamble(r) == nil {
+			var buf []byte
+			for {
+				payload, err := readFrame(r, buf)
+				if err != nil {
+					break
+				}
+				req, err := decodeRequest(payload)
+				buf = keep(payload)
+				if err != nil {
+					break
+				}
+				if req.Op == opCancel {
+					continue // serveConn answers no frame for it
+				}
+				resp := &response{Seq: req.Seq, Op: req.Op}
+				handle(context.Background(), backend, req, resp)
+				if _, err := decodeResponse(appendResponse(nil, resp)[4:]); err != nil {
+					t.Fatalf("the answer to %+v does not decode: %v", req, err)
+				}
 			}
-			if req.Op == opCancel {
-				continue // serveConn answers no frame for it
+		}
+		r = bufio.NewReader(bytes.NewReader(raw))
+		if readPreamble(r) == nil {
+			for {
+				payload, err := readFrame(r, nil)
+				if err != nil {
+					break
+				}
+				if _, err := decodeResponse(payload); err != nil {
+					break
+				}
 			}
-			resp := &response{Seq: req.Seq}
-			handle(context.Background(), backend, req, resp)
 		}
-		dec = gob.NewDecoder(bytes.NewReader(raw))
-		for dec.Decode(new(response)) == nil {
-		}
+		decodeRequest(raw)
+		decodeResponse(raw)
 	})
 }

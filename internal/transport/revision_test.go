@@ -1,13 +1,16 @@
 package transport_test
 
 // The test in this file speaks to the wire as peers of other revisions do:
-// through gob frames whose structs mirror the frame layout by field name —
-// all gob matches on — rather than through the package's own frame types,
-// which can only ever encode this revision.
+// by hand, through preambles declaring other revisions, a gob stream like
+// the one binaries before the binary codec sent, and frames of this
+// revision written and read one at a time.
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -16,6 +19,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"plsh/internal/cluster"
 	"plsh/internal/core"
@@ -25,29 +29,6 @@ import (
 	"plsh/internal/sparse"
 	"plsh/internal/transport"
 )
-
-// wireSearch mirrors the search-parameter struct of revision 3. A frame
-// declaring another revision in this layout decodes on the server as one
-// from a peer of that revision that set no parameter revision 3 lacks.
-type wireSearch struct {
-	Version uint8
-	Radius  float64
-	K       int
-}
-
-type wireRequest struct {
-	Seq     uint64
-	Op      uint8
-	Vectors []sparse.Vector
-	Search  *wireSearch
-}
-
-type wireResponse struct {
-	Seq     uint64
-	Code    uint8
-	Err     string
-	Results [][]core.Neighbor
-}
 
 // The search opcode and two response codes, as TestOpcodeValuesStable pins
 // them.
@@ -98,21 +79,24 @@ func listen(t *testing.T, serve func(net.Listener)) string {
 	return l.Addr().String()
 }
 
-func serveNode(t *testing.T, n *node.Node) string {
+func serveNode(t *testing.T, n *node.Node, onError func(error)) string {
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
-	return listen(t, func(l net.Listener) { transport.Serve(ctx, l, transport.NewLocal(n), nil) })
+	return listen(t, func(l net.Listener) { transport.Serve(ctx, l, transport.NewLocal(n), onError) })
 }
 
-// frameTap forwards every connection made to it to upstream and decodes a
-// copy of each client frame on the way. Once the clients have closed their
-// connections, wait returns the search parameters of every frame seen.
-func frameTap(t *testing.T, upstream string) (addr string, wait func() []wireSearch) {
+// frameTap forwards every connection made to it to upstream and reads a
+// copy of each client stream on the way: the revision its preamble
+// declares, then its frames. Once the clients have closed their
+// connections, wait returns, for every search frame seen, the revision of
+// the connection it went out on.
+func frameTap(t *testing.T, upstream string) (addr string, wait func() []byte) {
 	var (
-		wg     sync.WaitGroup
-		mu     sync.Mutex
-		frames []wireSearch
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		versions []byte
 	)
+	magic := transport.Preamble(0)[:len(transport.Preamble(0))-1]
 	addr = listen(t, func(l net.Listener) {
 		for {
 			conn, err := l.Accept()
@@ -130,53 +114,57 @@ func frameTap(t *testing.T, upstream string) (addr string, wait func() []wireSea
 				defer wg.Done()
 				defer conn.Close()
 				defer up.Close()
-				dec := gob.NewDecoder(io.TeeReader(conn, up))
+				r := bufio.NewReader(io.TeeReader(conn, up))
+				pre := make([]byte, len(magic)+1)
+				if _, err := io.ReadFull(r, pre); err != nil || !bytes.Equal(pre[:len(magic)], magic) {
+					return
+				}
 				for {
-					var req wireRequest
-					if dec.Decode(&req) != nil {
+					req, err := transport.ReadRequest(r)
+					if err != nil {
 						return
 					}
-					if req.Search != nil {
+					if req.Op == opSearch {
 						mu.Lock()
-						frames = append(frames, *req.Search)
+						versions = append(versions, pre[len(magic)])
 						mu.Unlock()
 					}
 				}
 			}()
 		}
 	})
-	return addr, func() []wireSearch {
+	return addr, func() []byte {
 		wg.Wait()
 		mu.Lock()
 		defer mu.Unlock()
-		return frames
+		return versions
 	}
 }
 
-// roundTrip writes raw on a fresh connection to addr and decodes one
-// response.
-func roundTrip(t *testing.T, addr string, send func(w io.Writer) error) wireResponse {
+// exchange sends out on a fresh connection to addr and returns a reader
+// over what the server sends back.
+func exchange(t *testing.T, addr string, out []byte) *bufio.Reader {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	if err := send(conn); err != nil {
+	t.Cleanup(func() { conn.Close() })
+	if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	var resp wireResponse
-	if err := gob.NewDecoder(conn).Decode(&resp); err != nil {
-		t.Fatalf("no response frame: %v", err)
+	if _, err := conn.Write(out); err != nil {
+		t.Fatal(err)
 	}
-	return resp
+	return bufio.NewReader(conn)
 }
 
-// TestSearchFramesAcrossRevisions: every search frame this binary sends —
-// a partitioned coordinator's routed sub-batches included — declares
-// revision 3; a revision-3 frame is answered as the same search is in
-// process; and a frame declaring any other revision, 0 included, is
-// refused with an error rather than served with parameters dropped.
+// TestSearchFramesAcrossRevisions: every connection this binary opens — a
+// partitioned coordinator's, carrying routed sub-batches, included —
+// declares revision 3; a search frame on a revision-3 connection is
+// answered as the same search is in process; and a connection declaring
+// any other revision, 0 included, or none (a gob peer), is closed
+// unanswered, the server reporting ErrPreamble naming what it saw.
 func TestSearchFramesAcrossRevisions(t *testing.T) {
 	ctx := context.Background()
 	docs := revisionDocs(240)
@@ -185,13 +173,13 @@ func TestSearchFramesAcrossRevisions(t *testing.T) {
 		const groups = 4
 		var (
 			clients []transport.NodeClient
-			waits   []func() []wireSearch
+			waits   []func() []byte
 			fam     *lshhash.Family
 		)
 		for range groups {
 			n := revisionNode(t, nil)
 			fam = n.Family()
-			addr, wait := frameTap(t, serveNode(t, n))
+			addr, wait := frameTap(t, serveNode(t, n, nil))
 			c, err := transport.Dial(ctx, addr)
 			if err != nil {
 				t.Fatal(err)
@@ -219,10 +207,10 @@ func TestSearchFramesAcrossRevisions(t *testing.T) {
 		c.Close()
 		seen := 0
 		for _, wait := range waits {
-			for _, f := range wait() {
+			for _, v := range wait() {
 				seen++
-				if f.Version != 3 {
-					t.Errorf("search frame went out as v%d, want v3", f.Version)
+				if v != 3 {
+					t.Errorf("search frame went out on a v%d connection, want v3", v)
 				}
 			}
 		}
@@ -232,15 +220,31 @@ func TestSearchFramesAcrossRevisions(t *testing.T) {
 	})
 
 	n := revisionNode(t, docs)
-	addr := serveNode(t, n)
-	send := func(seq uint64, p wireSearch) wireResponse {
-		return roundTrip(t, addr, func(w io.Writer) error {
-			return gob.NewEncoder(w).Encode(wireRequest{Seq: seq, Op: opSearch, Vectors: []sparse.Vector{query}, Search: &p})
-		})
+	errs := make(chan error, 16)
+	addr := serveNode(t, n, func(err error) {
+		select {
+		case errs <- err:
+		default:
+		}
+	})
+	search := func(seq uint64, p node.SearchParams) []byte {
+		return transport.AppendRequest(nil, &transport.Request{Seq: seq, Op: opSearch, Vectors: []sparse.Vector{query}, Params: p})
+	}
+	answer := func(t *testing.T, frame []byte) *transport.Response {
+		t.Helper()
+		r := exchange(t, addr, append(transport.Preamble(3), frame...))
+		if err := transport.ReadPreamble(r); err != nil {
+			t.Fatalf("server preamble: %v", err)
+		}
+		resp, err := transport.ReadResponse(r)
+		if err != nil {
+			t.Fatalf("no response frame: %v", err)
+		}
+		return resp
 	}
 
 	t.Run("v3 frame is answered", func(t *testing.T) {
-		resp := send(13, wireSearch{Version: 3, Radius: 0.9, K: 5})
+		resp := answer(t, search(13, node.SearchParams{Radius: 0.9, K: 5}))
 		if resp.Seq != 13 || resp.Code != codeOK || len(resp.Results) != 1 {
 			t.Fatalf("v3 frame answered %+v, want Seq 13, codeOK and one answer list", resp)
 		}
@@ -254,16 +258,48 @@ func TestSearchFramesAcrossRevisions(t *testing.T) {
 	})
 
 	t.Run("every other revision is refused", func(t *testing.T) {
-		for i, p := range []wireSearch{
-			{Version: 0, K: 5},
-			{Version: 1, K: 5},
-			{Version: 2, K: 5},
-			{Version: 4, K: 5},
-		} {
-			seq := uint64(20 + i)
-			resp := send(seq, p)
-			if resp.Seq != seq || resp.Code != codeError || !strings.Contains(resp.Err, fmt.Sprintf("v%d", p.Version)) || resp.Results != nil {
-				t.Errorf("%+v frame answered %+v, want codeError naming the revision", p, resp)
+		// The frame a binary of the gob wire sent for this search: gob
+		// matches fields by name, so these structs stand for its own.
+		type gobSearch struct {
+			Version uint8
+			Radius  float64
+			K       int
+		}
+		type gobRequest struct {
+			Seq     uint64
+			Op      uint8
+			Vectors []sparse.Vector
+			Search  *gobSearch
+		}
+		var old bytes.Buffer
+		if err := gob.NewEncoder(&old).Encode(gobRequest{Seq: 19, Op: opSearch, Vectors: []sparse.Vector{query},
+			Search: &gobSearch{Version: 3, K: 5}}); err != nil {
+			t.Fatal(err)
+		}
+		type peer struct {
+			name string
+			out  []byte
+			want string // in the server's report
+		}
+		peers := []peer{{"gob peer", old.Bytes(), "opened with"}}
+		for i, v := range []byte{0, 1, 2, 4} {
+			name := fmt.Sprintf("v%d", v)
+			peers = append(peers, peer{name, append(transport.Preamble(v), search(uint64(20+i), node.SearchParams{K: 5})...), name})
+		}
+		for _, p := range peers {
+			r := exchange(t, addr, p.out)
+			if transport.ReadPreamble(r) == nil {
+				if resp, err := transport.ReadResponse(r); err == nil {
+					t.Errorf("%s: answered %+v, want the connection closed", p.name, resp)
+				}
+			}
+			select {
+			case err := <-errs:
+				if !errors.Is(err, transport.ErrPreamble) || !strings.Contains(err.Error(), p.want) {
+					t.Errorf("%s: server reported %v, want ErrPreamble naming %q", p.name, err, p.want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s: the server reported nothing", p.name)
 			}
 		}
 	})
@@ -271,7 +307,7 @@ func TestSearchFramesAcrossRevisions(t *testing.T) {
 	t.Run("non-finite radius frame is refused", func(t *testing.T) {
 		for i, r := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 			seq := uint64(30 + i)
-			resp := send(seq, wireSearch{Version: 3, Radius: r, K: 5})
+			resp := answer(t, search(seq, node.SearchParams{Radius: r, K: 5}))
 			if resp.Seq != seq || resp.Code != codeError || !strings.Contains(resp.Err, "radius") || resp.Results != nil {
 				t.Fatalf("radius %v frame answered %+v, want codeError naming the radius", r, resp)
 			}

@@ -6,11 +6,13 @@
 //
 //   - Local: direct in-process calls to a *node.Node — zero-copy, used by
 //     the in-process cluster simulation and most experiments;
-//   - Client/Serve: a request-ID-multiplexed gob-over-TCP wire protocol
-//     (cmd/plsh-node is the server binary) that sustains many concurrent
-//     RPCs per connection, exercising real serialization on localhost or
-//     a LAN. A Client re-dials its node once its connection dies, so a
-//     restarted node rejoins without the coordinator being rebuilt.
+//   - Client/Serve: a request-ID-multiplexed TCP wire protocol of
+//     length-prefixed binary frames, one hand-written codec for every op
+//     (codec.go; cmd/plsh-node is the server binary), that sustains many
+//     concurrent RPCs per connection, exercising real serialization on
+//     localhost or a LAN. A Client re-dials its node once its connection
+//     dies, so a restarted node rejoins without the coordinator being
+//     rebuilt.
 //
 // Every RPC takes a context.Context: deadlines and cancellation are
 // enforced at the caller (a canceled call stops waiting immediately; its

@@ -1,9 +1,12 @@
 package transport
 
 import (
+	"bufio"
+	"bytes"
 	"context"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"reflect"
 	"strings"
@@ -61,6 +64,55 @@ func startBackend(t *testing.T, backend NodeClient, onError func(error)) (string
 func startServer(t *testing.T, n *node.Node) (string, context.CancelFunc) {
 	t.Helper()
 	return startBackend(t, NewLocal(n), nil)
+}
+
+// rawPeer speaks the wire by hand over one connection, frame by frame, as
+// a client of this revision does — but lets a test send any frame, and
+// read each answer as it comes.
+type rawPeer struct {
+	conn     net.Conn
+	r        *bufio.Reader
+	answered bool // the server's preamble has been read
+}
+
+// dialRaw opens a connection to addr and sends the preamble.
+func dialRaw(t *testing.T, addr string) *rawPeer {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if _, err := conn.Write(appendPreamble(nil)); err != nil {
+		t.Fatal(err)
+	}
+	return &rawPeer{conn: conn, r: bufio.NewReader(conn)}
+}
+
+func (p *rawPeer) send(t *testing.T, req *request) {
+	t.Helper()
+	if _, err := p.conn.Write(appendRequest(nil, req)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// recv reads one response frame — the first preceded by the server's
+// preamble — waiting at most 10 s.
+func (p *rawPeer) recv() (*response, error) {
+	if err := p.conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		return nil, err
+	}
+	if !p.answered {
+		if err := readPreamble(p.r); err != nil {
+			return nil, err
+		}
+		p.answered = true
+	}
+	payload, err := readFrame(p.r, nil)
+	if err != nil {
+		return nil, err
+	}
+	return decodeResponse(payload)
 }
 
 // stubBackend implements NodeClient with overridable behavior per method;
@@ -578,8 +630,10 @@ func TestServerSideExpiryIsDeadlineExceeded(t *testing.T) {
 	}
 }
 
-// TestDecodeErrorSurfaced: garbage on the wire must reach the server's
-// error callback instead of silently dropping the connection.
+// TestDecodeErrorSurfaced: bytes that are not this binary's preamble, and
+// a frame that does not decode after a good one, reach the server's error
+// callback — as ErrPreamble and as a malformed frame — instead of silently
+// dropping the connection.
 func TestDecodeErrorSurfaced(t *testing.T) {
 	errCh := make(chan error, 1)
 	addr, _ := startBackend(t, &stubBackend{}, func(err error) {
@@ -588,24 +642,38 @@ func TestDecodeErrorSurfaced(t *testing.T) {
 		default:
 		}
 	})
+	surfaced := func(want error) {
+		t.Helper()
+		select {
+		case err := <-errCh:
+			if !errors.Is(err, want) {
+				t.Fatalf("surfaced %v, want %v", err, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%v never surfaced", want)
+		}
+	}
+
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.Write([]byte("this is not a gob stream")); err != nil {
+	defer conn.Close()
+	if _, err := conn.Write([]byte("this is not a plsh stream")); err != nil {
 		t.Fatal(err)
 	}
-	// Close mid-"frame": the garbage length prefix promises more bytes than
-	// ever arrive, so the decoder fails with an unexpected EOF (not the
-	// clean io.EOF of an idle close).
-	conn.Close()
-	select {
-	case err := <-errCh:
-		if err == nil {
-			t.Fatal("nil error surfaced")
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("decode error never surfaced")
+	surfaced(ErrPreamble)
+
+	p := dialRaw(t, addr)
+	frame := appendRequest(nil, &request{Seq: 1, Op: opDelete, ID: 7})
+	frame = append(frame, 0xff) // a trailing byte, counted in the length
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
+	if _, err := p.conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	surfaced(errFrame)
+	if _, err := p.recv(); err != io.EOF {
+		t.Fatalf("after a malformed frame the connection answered %v, want it closed", err)
 	}
 }
 
@@ -620,23 +688,16 @@ func TestRetiredOpsAnswerTypedError(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr, _ := startServer(t, n)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
+	p := dialRaw(t, addr)
 	retired := 0
 	for _, g := range goldenRequests() {
 		if g.frame.Op != 2 && g.frame.Op != 3 {
 			continue
 		}
 		retired++
-		if err := enc.Encode(g.frame); err != nil {
-			t.Fatalf("%s: send: %v", g.name, err)
-		}
-		var resp response
-		if err := dec.Decode(&resp); err != nil {
+		p.send(t, &g.frame)
+		resp, err := p.recv()
+		if err != nil {
 			t.Fatalf("%s: no response frame (connection dropped?): %v", g.name, err)
 		}
 		if resp.Seq != g.frame.Seq || resp.Code != codeError || !strings.Contains(resp.Err, "unknown op") {
@@ -649,12 +710,9 @@ func TestRetiredOpsAnswerTypedError(t *testing.T) {
 	if retired != 2 {
 		t.Fatalf("golden frames carry %d retired ops, want 2", retired)
 	}
-	search := request{Seq: 99, Op: opSearch, Vectors: docs[:1], Search: &searchParams{Version: searchVersion}}
-	if err := enc.Encode(search); err != nil {
-		t.Fatal(err)
-	}
-	var resp response
-	if err := dec.Decode(&resp); err != nil {
+	p.send(t, &request{Seq: 99, Op: opSearch, Vectors: docs[:1]})
+	resp, err := p.recv()
+	if err != nil {
 		t.Fatalf("search after retired ops: %v", err)
 	}
 	if resp.Seq != 99 || resp.Code != codeOK || len(resp.Results) != 1 {
@@ -677,27 +735,20 @@ func TestMalformedVectorsAnswerError(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr, _ := startServer(t, n)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
+	p := dialRaw(t, addr)
 	outside := sparse.Vector{Idx: []uint32{1, 2500}, Val: []float32{0.6, 0.8}} // Dim is 2000
 	ragged := sparse.Vector{Idx: []uint32{1, 2, 3}, Val: []float32{1}}
 	seq := uint64(0)
 	for _, bad := range []sparse.Vector{outside, ragged} {
 		for _, req := range []request{
-			{Op: opSearch, Vectors: []sparse.Vector{docs[0], bad}, Search: &searchParams{Version: searchVersion}},
+			{Op: opSearch, Vectors: []sparse.Vector{docs[0], bad}},
 			{Op: opInsert, Vectors: []sparse.Vector{docs[0], bad}},
 		} {
 			seq++
 			req.Seq = seq
-			if err := enc.Encode(req); err != nil {
-				t.Fatal(err)
-			}
-			var resp response
-			if err := dec.Decode(&resp); err != nil {
+			p.send(t, &req)
+			resp, err := p.recv()
+			if err != nil {
 				t.Fatalf("op %d with %v: no response frame (server died?): %v", req.Op, bad, err)
 			}
 			if resp.Seq != seq || resp.Code != codeError || !strings.Contains(resp.Err, sparse.ErrInvalid.Error()) {
@@ -708,18 +759,23 @@ func TestMalformedVectorsAnswerError(t *testing.T) {
 	if got := n.Len(); got != len(docs) {
 		t.Fatalf("a refused insert batch left %d documents, want %d", got, len(docs))
 	}
-	search := request{Seq: 99, Op: opSearch, Vectors: docs[:1], Search: &searchParams{Version: searchVersion}}
-	if err := enc.Encode(search); err != nil {
-		t.Fatal(err)
-	}
-	var resp response
-	if err := dec.Decode(&resp); err != nil {
+	p.send(t, &request{Seq: 99, Op: opSearch, Vectors: docs[:1]})
+	resp, err := p.recv()
+	if err != nil {
 		t.Fatalf("search after malformed frames: %v", err)
 	}
 	if resp.Seq != 99 || resp.Code != codeOK || len(resp.Results) != 1 || len(resp.Results[0]) == 0 {
 		t.Fatalf("search after malformed frames: %+v", resp)
 	}
 }
+
+// replayConn reads r, which replays bytes already read from Conn.
+type replayConn struct {
+	net.Conn
+	r io.Reader
+}
+
+func (c *replayConn) Read(p []byte) (int, error) { return c.r.Read(p) }
 
 // TestCanceledQueuedSearchLeavesQueryAlone: a Search whose caller gives up
 // while its frame still sits in the write queue — the writer is stalled
@@ -736,6 +792,7 @@ func TestCanceledQueuedSearchLeavesQueryAlone(t *testing.T) {
 	defer l.Close()
 	sctx, stop := context.WithCancel(bg)
 	release := make(chan struct{})
+	writing := make(chan struct{})
 	served := make(chan struct{})
 	go func() {
 		defer close(served)
@@ -743,9 +800,17 @@ func TestCanceledQueuedSearchLeavesQueryAlone(t *testing.T) {
 		if err != nil {
 			return
 		}
+		// The preamble and the first frame's length prefix: once they are
+		// here, the writer has encoded the big frame and is writing it.
+		head := make([]byte, preambleLen+4)
+		if _, err := io.ReadFull(conn, head); err != nil {
+			conn.Close()
+			return
+		}
+		close(writing)
 		select {
 		case <-release: // until then nobody reads: the client's writer fills the socket and blocks
-			serveConn(sctx, sctx, conn, &stubBackend{}, nil)
+			serveConn(sctx, sctx, &replayConn{conn, io.MultiReader(bytes.NewReader(head), conn)}, &stubBackend{}, nil)
 		case <-sctx.Done():
 			conn.Close()
 		}
@@ -765,8 +830,7 @@ func TestCanceledQueuedSearchLeavesQueryAlone(t *testing.T) {
 	for i := range big.Idx {
 		big.Idx[i], big.Val[i] = uint32(i), float32(i)
 	}
-	cn.writeCh <- &request{Seq: 1 << 40, Op: opSearch, Vectors: []sparse.Vector{big},
-		Search: &searchParams{Version: searchVersion}}
+	cn.writeCh <- &request{Seq: 1 << 40, Op: opSearch, Vectors: []sparse.Vector{big}}
 	waitQueue := func(n int) {
 		t.Helper()
 		for deadline := time.Now().Add(30 * time.Second); len(cn.writeCh) != n; {
@@ -776,7 +840,7 @@ func TestCanceledQueuedSearchLeavesQueryAlone(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	waitQueue(0) // the writer has taken the big frame
+	<-writing
 
 	qs := testDocs(3, 5)
 	want := make([]sparse.Vector, len(qs))
@@ -903,5 +967,54 @@ func TestTCPSaveAndNotFound(t *testing.T) {
 	defer remote2.Close()
 	if err := remote2.Save(bg); err == nil {
 		t.Fatal("Save on in-memory node succeeded over TCP")
+	}
+}
+
+// TestDuplicateInFlightSeqRefused: a frame whose Seq is already in flight
+// on its connection is answered with an error and not run, so the first
+// request keeps its own cancel: a cancel frame for that Seq, and a
+// disconnect, each still abort it.
+func TestDuplicateInFlightSeqRefused(t *testing.T) {
+	started := make(chan struct{}, 4)
+	aborted := make(chan struct{}, 4)
+	backend := &stubBackend{
+		search: func(ctx context.Context, qs []sparse.Vector) ([][]core.Neighbor, error) {
+			started <- struct{}{}
+			<-ctx.Done()
+			aborted <- struct{}{}
+			return nil, ctx.Err()
+		},
+	}
+	addr, _ := startBackend(t, backend, nil)
+	wait := func(ch chan struct{}, what string) {
+		t.Helper()
+		select {
+		case <-ch:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("the first request never %s", what)
+		}
+	}
+	q := []sparse.Vector{{Idx: []uint32{1}, Val: []float32{1}}}
+	for _, end := range []string{"cancel frame", "disconnect"} {
+		p := dialRaw(t, addr)
+		p.send(t, &request{Seq: 7, Op: opSearch, Vectors: q})
+		wait(started, "started")
+		p.send(t, &request{Seq: 7, Op: opSearch, Vectors: q})
+		resp, err := p.recv()
+		if err != nil {
+			t.Fatalf("%s: the duplicate got no answer: %v", end, err)
+		}
+		if resp.Seq != 7 || resp.Code != codeError || !strings.Contains(resp.Err, "in flight") {
+			t.Fatalf("%s: the duplicate was answered %+v, want codeError naming it in flight", end, resp)
+		}
+		if len(started) != 0 {
+			t.Fatalf("%s: the duplicate ran", end)
+		}
+		if end == "cancel frame" {
+			p.send(t, &request{Seq: 7, Op: opCancel})
+		} else {
+			p.conn.Close()
+		}
+		wait(aborted, "aborted")
 	}
 }

@@ -3,7 +3,6 @@ package transport
 import (
 	"bufio"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -17,8 +16,9 @@ import (
 	"plsh/internal/sparse"
 )
 
-// The wire protocol is a sequence of gob frames in each direction over one
-// TCP connection. Every request carries a client-assigned sequence number;
+// The wire protocol is a sequence of binary frames in each direction over
+// one TCP connection (codec.go has the layout). Every request carries a
+// client-assigned sequence number;
 // the server handles each request in its own goroutine and writes the
 // response — tagged with the same sequence number — as soon as it is
 // ready, so responses may arrive out of order and many RPCs are in flight
@@ -61,34 +61,14 @@ const (
 	opDoc
 )
 
-// The searchParams revision rides inside every opSearch frame. Every frame
-// this binary sends declares searchVersion, and a server answers that one
-// revision only: a frame declaring any other — 0 included — is refused
-// with an error. Gob matches fields by name and skips the ones it does not
-// know, so serving another revision would silently drop the parameters
-// this one cannot read.
-const searchVersion = 3
-
-// searchParams is the wire form of node.SearchParams. It is a separate
-// struct so the wire encoding is owned here: node-side fields can evolve
-// independently, and the frame layout changes only with searchVersion.
-type searchParams struct {
-	// Version is the revision of this struct the client encoded.
-	Version uint8
-	Radius  float64
-	K       int
-}
-
 // request is the client→server frame: a plain value made for one RPC (or
 // decoded from one frame) and garbage once that RPC is done.
 type request struct {
 	Seq     uint64
 	Op      op
-	Vectors []sparse.Vector
-	ID      uint32 // Delete / Doc target
-	// Search carries the request-scoped parameters of an opSearch frame.
-	// Nil on every other op (and on frames from pre-opSearch clients).
-	Search *searchParams
+	Vectors []sparse.Vector   // Insert / Search
+	Params  node.SearchParams // Search
+	ID      uint32            // Delete / Doc target
 	// Deadline is the caller's context deadline as Unix nanoseconds (0 =
 	// none). The server bounds the backend call with it, so an expired
 	// client deadline stops costing server CPU even if the cancel frame
@@ -111,9 +91,10 @@ const (
 )
 
 // response is the server→client frame, a plain per-RPC value like
-// request.
+// request. Op echoes the request's, and selects the payload on the wire.
 type response struct {
 	Seq     uint64
+	Op      op
 	Code    respCode
 	Err     string
 	IDs     []uint32
@@ -133,9 +114,10 @@ type response struct {
 // every connection's handlers have finished, so the backend is quiescent
 // when it does.
 //
-// onError, if non-nil, receives connection-level failures (frame decode
-// errors, response encode errors) that would otherwise be silent; it may
-// be called from multiple goroutines.
+// onError, if non-nil, receives connection-level failures (a peer that
+// does not open with this binary's preamble, ErrPreamble; frame decode
+// errors; response write errors) that would otherwise be silent; it may be
+// called from multiple goroutines.
 func Serve(ctx context.Context, l net.Listener, backend NodeClient, onError func(error)) error {
 	return ServeWithOptions(ctx, l, backend, ServeOptions{OnError: onError})
 }
@@ -151,9 +133,9 @@ type ServeOptions struct {
 	// of the window are hard-canceled. Zero reproduces the legacy
 	// behavior: cancellation aborts in-flight requests at once.
 	Drain time.Duration
-	// OnError, if non-nil, receives connection-level failures (frame
-	// decode errors, response encode errors) that would otherwise be
-	// silent; it may be called from multiple goroutines.
+	// OnError, if non-nil, receives connection-level failures (a wrong
+	// preamble, frame decode errors, response write errors) that would
+	// otherwise be silent; it may be called from multiple goroutines.
 	OnError func(error)
 }
 
@@ -210,32 +192,61 @@ func serveConn(ctx, hardCtx context.Context, conn net.Conn, backend NodeClient, 
 	defer stopSoft()
 	stop := context.AfterFunc(hardCtx, func() { conn.Close() })
 	defer stop()
-	// One decoder, one encoder, one write buffer per connection — frames
-	// reuse them for the connection's whole life instead of paying
-	// per-RPC setup. The decoder reads through its own buffer (gob wraps
-	// non-ByteReaders in one); the encoder writes through bw, flushed
-	// per frame under writeMu so a response hits the wire as soon as its
-	// frame is complete.
-	dec := gob.NewDecoder(bufio.NewReader(conn))
-	bw := bufio.NewWriter(conn)
-	enc := gob.NewEncoder(bw)
-	var writeMu sync.Mutex // gob encoders are stateful: one frame at a time
+	report := func(what string, err error) {
+		// EOF is a clean client close and shutdown races are expected;
+		// anything else is a protocol/peer failure worth surfacing.
+		if err != io.EOF && ctx.Err() == nil && !errors.Is(err, net.ErrClosed) && onError != nil {
+			onError(fmt.Errorf("transport: %s %v: %w", what, conn.RemoteAddr(), err))
+		}
+	}
+	br := bufio.NewReader(conn)
+	if err := readPreamble(br); err != nil {
+		report("preamble from", err)
+		return
+	}
+	// Each response is encoded into its own buffer before writeMu is
+	// taken: the lock covers one Write of a finished frame. The server's
+	// preamble goes out ahead of its first frame, not at accept: a client
+	// that closes a connection holding bytes it never read resets it, and
+	// the server would read that reset where an idle close reads EOF.
+	var writeMu sync.Mutex
+	preamble := appendPreamble(nil) // guarded by writeMu; nil once sent
+	reply := func(resp *response) {
+		frame := appendResponse(nil, resp)
+		if len(frame)-4 > maxFrame {
+			frame = appendResponse(nil, &response{Seq: resp.Seq, Op: resp.Op, Code: codeError,
+				Err: fmt.Sprintf("transport: %d-byte reply past the %d-byte frame ceiling", len(frame)-4, maxFrame)})
+		}
+		var err error
+		writeMu.Lock()
+		if preamble != nil {
+			_, err = conn.Write(preamble)
+			preamble = nil
+		}
+		if err == nil {
+			_, err = conn.Write(frame)
+		}
+		writeMu.Unlock()
+		if err != nil {
+			report("write to", err)
+		}
+	}
 	// inflight maps request Seq → cancel func, so an opCancel frame from
 	// the client aborts the matching backend call.
 	var inflightMu sync.Mutex
 	inflight := map[uint64]context.CancelFunc{}
 	var wg sync.WaitGroup
+	var buf []byte // the frame buffer; decoding copies everything out of it
 	for {
-		// A fresh frame per decode: gob fills what the bytes carry and
-		// leaves the rest zero, and the vectors it allocates are the
-		// request's alone (an insert's escape into the backend).
-		req := new(request)
-		if err := dec.Decode(req); err != nil {
-			// EOF is a clean client close and shutdown races are expected;
-			// anything else is a protocol/peer failure worth surfacing.
-			if err != io.EOF && ctx.Err() == nil && !errors.Is(err, net.ErrClosed) && onError != nil {
-				onError(fmt.Errorf("transport: decode from %v: %w", conn.RemoteAddr(), err))
-			}
+		payload, err := readFrame(br, buf)
+		if err != nil {
+			report("read from", err)
+			break
+		}
+		req, err := decodeRequest(payload)
+		buf = keep(payload)
+		if err != nil {
+			report("decode from", err)
 			break
 		}
 		if req.Op == opCancel {
@@ -254,10 +265,25 @@ func serveConn(ctx, hardCtx context.Context, conn net.Conn, backend NodeClient, 
 		} else {
 			rctx, rcancel = context.WithCancel(hardCtx)
 		}
+		// A Seq already in flight is refused, not run: its cancel func would
+		// replace the first request's, and the first one's exit would then
+		// drop the second's, leaving neither cancelable.
 		inflightMu.Lock()
-		inflight[req.Seq] = rcancel
+		_, dup := inflight[req.Seq]
+		if !dup {
+			inflight[req.Seq] = rcancel
+		}
 		inflightMu.Unlock()
 		wg.Add(1)
+		if dup {
+			rcancel()
+			go func(req *request) {
+				defer wg.Done()
+				reply(&response{Seq: req.Seq, Op: req.Op, Code: codeError,
+					Err: fmt.Sprintf("transport: request %d is already in flight", req.Seq)})
+			}(req)
+			continue
+		}
 		go func(req *request, rctx context.Context) {
 			defer wg.Done()
 			defer func() {
@@ -266,21 +292,9 @@ func serveConn(ctx, hardCtx context.Context, conn net.Conn, backend NodeClient, 
 				inflightMu.Unlock()
 				rcancel()
 			}()
-			resp := &response{Seq: req.Seq}
+			resp := &response{Seq: req.Seq, Op: req.Op}
 			handle(rctx, backend, req, resp)
-			writeMu.Lock()
-			// One stateful gob encoder per connection: frame writes must
-			// serialize on it, and contention is bounded by frame size.
-			err := enc.Encode(resp)
-			if err == nil {
-				// The flush belongs to the same serialized frame write as the
-				// encode above.
-				err = bw.Flush()
-			}
-			writeMu.Unlock()
-			if err != nil && ctx.Err() == nil && !errors.Is(err, net.ErrClosed) && onError != nil {
-				onError(fmt.Errorf("transport: encode to %v: %w", conn.RemoteAddr(), err))
-			}
+			reply(resp)
 		}(req, rctx)
 	}
 	// The decode loop is done. On a real peer disconnect nobody will read
@@ -321,21 +335,11 @@ func handle(ctx context.Context, backend NodeClient, req *request, resp *respons
 		}
 		resp.IDs = ids
 	case opSearch:
-		p := req.Search
-		if p == nil {
-			fail(errors.New("transport: search frame carries no parameters"))
+		if r := req.Params.Radius; math.IsNaN(r) || math.IsInf(r, 0) {
+			fail(fmt.Errorf("transport: search radius %v is not finite", r))
 			break
 		}
-		if p.Version != searchVersion {
-			fail(fmt.Errorf("transport: search parameters v%d from peer, this server speaks only v%d",
-				p.Version, searchVersion))
-			break
-		}
-		if math.IsNaN(p.Radius) || math.IsInf(p.Radius, 0) {
-			fail(fmt.Errorf("transport: search radius %v is not finite", p.Radius))
-			break
-		}
-		res, err := backend.Search(ctx, req.Vectors, node.SearchParams{Radius: p.Radius, K: p.K})
+		res, err := backend.Search(ctx, req.Vectors, req.Params)
 		if err != nil {
 			fail(err)
 			break
@@ -432,15 +436,19 @@ func (c *Client) dial(ctx context.Context) (*conn, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The preamble goes out at once: a 5-byte write to a fresh socket.
+	if _, err := nc.Write(appendPreamble(nil)); err != nil {
+		nc.Close()
+		return nil, err
+	}
 	cn := &conn{
 		nc:      nc,
 		writeCh: make(chan *request, 16),
 		dead:    make(chan struct{}),
 		pending: map[uint64]chan *response{},
 	}
-	bw := bufio.NewWriter(nc)
-	go cn.writeLoop(gob.NewEncoder(bw), bw)
-	go cn.readLoop(gob.NewDecoder(bufio.NewReader(nc)))
+	go cn.writeLoop()
+	go cn.readLoop()
 	return cn, nil
 }
 
@@ -509,21 +517,24 @@ type conn struct {
 	down    bool  // dead already closed
 }
 
-// writeLoop is the single writer: it drains queued frames onto the gob
-// encoder until the connection dies. Callers never block on a slow send —
-// they wait on their response channel (or their context) instead; a frame
-// whose caller gave up meanwhile is still sent (the cancel frame follows
-// it), reading the caller's vectors but never writing them. The write
-// buffer is flushed only when the queue drains, so a burst of concurrent
-// calls coalesces into fewer, larger writes.
-func (c *conn) writeLoop(enc *gob.Encoder, bw *bufio.Writer) {
+// writeLoop is the single writer: it encodes queued frames into one
+// buffer it owns until the connection dies. Callers never block on a slow
+// send — they wait on their response channel (or their context) instead;
+// a frame whose caller gave up meanwhile is still sent (the cancel frame
+// follows it), reading the caller's vectors but never writing them. The
+// buffer is written out only when the queue drains, so a burst of
+// concurrent calls coalesces into fewer, larger writes.
+func (c *conn) writeLoop() {
+	var b []byte
 	for {
 		select {
 		case req := <-c.writeCh:
-			err := enc.Encode(req)
-			if err == nil && len(c.writeCh) == 0 {
-				err = bw.Flush()
+			b = appendRequest(b, req)
+			if len(c.writeCh) > 0 {
+				continue
 			}
+			_, err := c.nc.Write(b)
+			b = keep(b)
 			if err != nil {
 				c.fail(fmt.Errorf("transport: send: %w", err))
 				return
@@ -534,16 +545,25 @@ func (c *conn) writeLoop(enc *gob.Encoder, bw *bufio.Writer) {
 	}
 }
 
-// readLoop dispatches response frames to pending calls until the
-// connection dies, then fails whatever is still waiting. Each frame is
-// decoded into a fresh response the waiting call then owns; one for a
-// call that was canceled, or a stray, is dropped.
-func (c *conn) readLoop(dec *gob.Decoder) {
-	for {
-		resp := new(response)
-		if err := dec.Decode(resp); err != nil {
-			c.fail(fmt.Errorf("transport: receive: %w", err))
-			return
+// readLoop checks the server's preamble, then dispatches response frames
+// to pending calls until the connection dies, and then fails whatever is
+// still waiting. Each frame is decoded into a fresh response the waiting
+// call then owns; one for a call that was canceled, or a stray, is
+// dropped.
+func (c *conn) readLoop() {
+	r := bufio.NewReader(c.nc)
+	err := readPreamble(r)
+	var buf []byte
+	for err == nil {
+		var payload []byte
+		if payload, err = readFrame(r, buf); err != nil {
+			break
+		}
+		var resp *response
+		resp, err = decodeResponse(payload)
+		buf = keep(payload)
+		if err != nil {
+			break
 		}
 		c.mu.Lock()
 		ch := c.pending[resp.Seq]
@@ -553,6 +573,7 @@ func (c *conn) readLoop(dec *gob.Decoder) {
 			ch <- resp // buffered; never blocks
 		}
 	}
+	c.fail(fmt.Errorf("transport: receive: %w", err))
 }
 
 // fail records the connection's terminal error once, tears the
@@ -601,8 +622,12 @@ func (c *conn) terminalErr() error {
 
 // do sends req and waits for its answer. It fills in the sequence number
 // and the deadline; the frame is the call's own, read by writeLoop and
-// nobody else.
+// nobody else. A frame the server would refuse as too big is refused here,
+// before it can cost the connection.
 func (c *conn) do(ctx context.Context, req *request) (*response, error) {
+	if err := checkSize(req); err != nil {
+		return nil, err
+	}
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
@@ -695,13 +720,9 @@ func (c *Client) Insert(ctx context.Context, vs []sparse.Vector) ([]uint32, erro
 }
 
 // Search implements NodeClient: one frame carries the batch and the
-// versioned request-scoped parameter struct.
+// request-scoped parameters.
 func (c *Client) Search(ctx context.Context, qs []sparse.Vector, p node.SearchParams) ([][]core.Neighbor, error) {
-	resp, err := c.do(ctx, &request{Op: opSearch, Vectors: qs, Search: &searchParams{
-		Version: searchVersion,
-		Radius:  p.Radius,
-		K:       p.K,
-	}})
+	resp, err := c.do(ctx, &request{Op: opSearch, Vectors: qs, Params: p})
 	if err != nil {
 		return nil, err
 	}
