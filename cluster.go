@@ -27,36 +27,6 @@ const (
 	PlacementPartitioned = cluster.PlacementPartitioned
 )
 
-// clusterOptions translates a normalized Config into coordinator
-// options, building the signature router when placement is partitioned —
-// one shared construction so OpenCluster and DialCluster cannot drift. The
-// family built here is only how the fleet's geometry reaches NewRouter,
-// which derives its own routing family from the Params; no table
-// hyperplane is ever drawn in the coordinator.
-func clusterOptions(cfg Config, windowM, groups int) (cluster.Options, error) {
-	opts := cluster.Options{
-		WindowM:   windowM,
-		Replicas:  cfg.Replicas,
-		Placement: cfg.Placement,
-	}
-	if cfg.Placement != PlacementPartitioned {
-		return opts, nil
-	}
-	fam, err := lshhash.NewFamily(lshhash.Params{Dim: cfg.Dim, K: cfg.K, M: cfg.M, Seed: cfg.Seed})
-	if err != nil {
-		return opts, fmt.Errorf("plsh: %w", err)
-	}
-	opts.Router, err = cluster.NewRouter(fam, cluster.RouterConfig{
-		Groups: groups,
-		Radius: cfg.Radius,
-		Recall: cfg.RoutingRecall,
-	})
-	if err != nil {
-		return opts, fmt.Errorf("plsh: %w", err)
-	}
-	return opts, nil
-}
-
 // Attempt is one replica RPC of a broadcast: which group and member it
 // went to, whether it was a hedge, and how it ended. See Report.
 type Attempt = cluster.Attempt
@@ -122,16 +92,6 @@ func OpenCluster(ctx context.Context, nodes int, windowM int, cfg Config) (*Clus
 		return nil, fmt.Errorf("plsh: %d nodes cannot form groups of %d replicas", nodes, cfg.Replicas)
 	}
 	clients := make([]transport.NodeClient, nodes)
-	// On any failure, release the nodes already opened: durable nodes
-	// hold journal file handles that would otherwise leak for the
-	// process lifetime (mid-fleet cancellation is an advertised use).
-	closeAll := func() {
-		for _, c := range clients {
-			if c != nil {
-				c.Close()
-			}
-		}
-	}
 	for i := range clients {
 		ncfg := cfg.nodeConfig()
 		if cfg.Dir != "" {
@@ -139,32 +99,72 @@ func OpenCluster(ctx context.Context, nodes int, windowM int, cfg Config) (*Clus
 		}
 		n, err := node.Open(ctx, ncfg)
 		if err != nil {
-			closeAll()
+			// Durable nodes hold journal file handles that would otherwise
+			// leak for the process lifetime (mid-fleet cancellation is an
+			// advertised use).
+			closeClients(clients)
 			return nil, fmt.Errorf("plsh: node %d: %w", i, err)
 		}
 		clients[i] = transport.NewLocal(n)
 	}
-	copts, err := clusterOptions(cfg, windowM, nodes/cfg.Replicas)
-	if err != nil {
-		closeAll()
-		return nil, err
+	return newCluster(ctx, clients, windowM, cfg)
+}
+
+// newCluster is the tail OpenCluster and DialCluster share, one
+// construction so the two cannot drift: it coordinates clients under the
+// normalized cfg — cfg.Replicas groups them, and under
+// PlacementPartitioned cfg's geometry builds the signature router — and
+// closes every client when that fails. The family built here is only how
+// the fleet's geometry reaches NewRouter, which derives its own routing
+// family from the Params; no table hyperplane is ever drawn in the
+// coordinator.
+func newCluster(ctx context.Context, clients []transport.NodeClient, windowM int, cfg Config) (_ *Cluster, err error) {
+	defer func() {
+		if err != nil {
+			closeClients(clients)
+		}
+	}()
+	opts := cluster.Options{WindowM: windowM, Replicas: cfg.Replicas, Placement: cfg.Placement}
+	if cfg.Placement == PlacementPartitioned {
+		fam, err := lshhash.NewFamily(lshhash.Params{Dim: cfg.Dim, K: cfg.K, M: cfg.M, Seed: cfg.Seed})
+		if err != nil {
+			return nil, fmt.Errorf("plsh: %w", err)
+		}
+		opts.Router, err = cluster.NewRouter(fam, cluster.RouterConfig{
+			Groups: len(clients) / cfg.Replicas,
+			Radius: cfg.Radius,
+			Recall: cfg.RoutingRecall,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("plsh: %w", err)
+		}
 	}
-	c, err := cluster.NewWithOptions(ctx, clients, copts)
+	c, err := cluster.NewWithOptions(ctx, clients, opts)
 	if err != nil {
-		closeAll()
 		return nil, fmt.Errorf("plsh: %w", err)
 	}
 	return &Cluster{c: c}, nil
 }
 
+// closeClients closes every client that was opened.
+func closeClients(clients []transport.NodeClient) {
+	for _, c := range clients {
+		if c != nil {
+			c.Close()
+		}
+	}
+}
+
 // DialOption configures DialCluster.
 type DialOption func(*dialSpec)
 
+// dialSpec is what the DialOptions set: the Config DialCluster
+// coordinates under. WithReplicas sets its Replicas; WithPartitioned
+// replaces the rest with the fleet's normalized geometry and
+// PlacementPartitioned.
 type dialSpec struct {
-	replicas    int
-	partitioned bool
-	routeCfg    Config
-	err         error
+	cfg Config
+	err error
 }
 
 // WithReplicas arranges the dialed endpoints into groups of r mirrored
@@ -178,7 +178,7 @@ func WithReplicas(r int) DialOption {
 			s.err = fmt.Errorf("plsh: WithReplicas(%d): replicas must be positive", r)
 			return
 		}
-		s.replicas = r
+		s.cfg.Replicas = r
 	}
 }
 
@@ -198,8 +198,8 @@ func WithPartitioned(cfg Config) DialOption {
 			return
 		}
 		cfg.Placement = PlacementPartitioned
-		s.partitioned = true
-		s.routeCfg = cfg
+		cfg.Replicas = s.cfg.Replicas
+		s.cfg = cfg
 	}
 }
 
@@ -215,7 +215,7 @@ func WithPartitioned(cfg Config) DialOption {
 // replica rejoins without rebuilding the coordinator. windowM counts
 // replica groups.
 func DialCluster(ctx context.Context, addrs []string, windowM int, opts ...DialOption) (*Cluster, error) {
-	spec := dialSpec{replicas: 1}
+	spec := dialSpec{cfg: Config{Replicas: 1}}
 	for _, o := range opts {
 		o(&spec)
 	}
@@ -238,40 +238,13 @@ func DialCluster(ctx context.Context, addrs []string, windowM int, opts ...DialO
 		}(i, addr)
 	}
 	wg.Wait()
-	closeAll := func() {
-		for _, done := range clients {
-			if done != nil {
-				done.Close()
-			}
-		}
-	}
 	for _, err := range errs {
 		if err != nil {
-			closeAll()
+			closeClients(clients)
 			return nil, err
 		}
 	}
-	copts := cluster.Options{WindowM: windowM, Replicas: spec.replicas}
-	if spec.partitioned {
-		if len(addrs)%spec.replicas != 0 {
-			closeAll()
-			return nil, fmt.Errorf("plsh: %d nodes cannot form groups of %d replicas", len(addrs), spec.replicas)
-		}
-		rcfg := spec.routeCfg
-		rcfg.Replicas = spec.replicas
-		o, cerr := clusterOptions(rcfg, windowM, len(addrs)/spec.replicas)
-		if cerr != nil {
-			closeAll()
-			return nil, cerr
-		}
-		copts = o
-	}
-	c, err := cluster.NewWithOptions(ctx, clients, copts)
-	if err != nil {
-		closeAll()
-		return nil, fmt.Errorf("plsh: %w", err)
-	}
-	return &Cluster{c: c}, nil
+	return newCluster(ctx, clients, windowM, spec.cfg)
 }
 
 // Insert distributes documents over the insert window, expiring the

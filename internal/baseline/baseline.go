@@ -89,9 +89,6 @@ func (inv *Inverted) newWorkspace() *invWorkspace {
 	}
 }
 
-// PostingsFor returns the documents containing word w (shared storage).
-func (inv *Inverted) PostingsFor(w uint32) []uint32 { return inv.postings[w] }
-
 // Query gathers candidates from the query words' postings lists,
 // deduplicates, and filters by distance. DistComps counts the unique
 // candidates — the quantity Table 2 reports (the paper deliberately

@@ -115,7 +115,7 @@ func TestPostingsComplete(t *testing.T) {
 		row := mat.Row(i)
 		for _, w := range row.Idx {
 			found := false
-			for _, id := range inv.PostingsFor(w) {
+			for _, id := range inv.postings[w] {
 				if id == uint32(i) {
 					found = true
 					break

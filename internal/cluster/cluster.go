@@ -12,6 +12,15 @@
 // it advances onto — necessarily holding the oldest data — are retired
 // (erased) before accepting new inserts (§6, Fig. 1).
 //
+// Placement is one step per direction: assign on the write side, once per
+// Insert round, and plan on the read side, once per Search. Under scatter
+// assign fills the window as above and plan sends every query to every
+// group; under partitioned placement (routing.go) assign sends each
+// document to the group its signature names — refusing, before anything
+// of the round is written, a routed share larger than its group's room —
+// and plan sends each query to its probe set. One insert loop and one
+// search path serve both.
+//
 // The paper runs every shard single-copy and simply loses a dead node's
 // documents (§6). This coordinator instead arranges its N endpoints into
 // N/R replica groups of R mirrored members each (R = 1 reproduces the
@@ -245,11 +254,11 @@ type Cluster struct {
 	m      int                    // insert-window width M, in groups
 	start  int                    // first group of the current window
 
-	// placement/router select the data-placement mode; router is non-nil
-	// exactly when placement is PlacementPartitioned. Both are immutable
-	// after construction, so the search path reads them without the lock.
-	placement Placement
-	router    *Router
+	// router is the data-placement mode: non-nil exactly under
+	// PlacementPartitioned, which assign and plan consult, and nil under
+	// scatter. Immutable after construction, so the search path reads it
+	// without the lock.
+	router *Router
 
 	// rr rotates the preferred replica across searches so read load
 	// spreads over a group's members.
@@ -310,18 +319,15 @@ func NewWithOptions(ctx context.Context, nodes []transport.NodeClient, opts Opti
 		windowM = min(4, groups)
 	}
 	c := &Cluster{
-		nodes:     nodes,
-		r:         replicas,
-		groups:    groups,
-		caps:      make([]int, groups),
-		used:      make([]int, groups),
-		m:         windowM,
-		placement: opts.Placement,
-		router:    opts.Router,
+		nodes:  nodes,
+		r:      replicas,
+		groups: groups,
+		caps:   make([]int, groups),
+		used:   make([]int, groups),
+		m:      windowM,
 	}
 	switch opts.Placement {
-	case PlacementScatter:
-		c.router = nil // scatter never routes, whatever the caller passed
+	case PlacementScatter: // scatter never routes, whatever the caller passed
 	case PlacementPartitioned:
 		if opts.Router == nil {
 			return nil, errors.New("cluster: partitioned placement needs a Router")
@@ -330,6 +336,7 @@ func NewWithOptions(ctx context.Context, nodes []transport.NodeClient, opts Opti
 			return nil, fmt.Errorf("cluster: router placed for %d groups, cluster has %d",
 				opts.Router.Groups(), groups)
 		}
+		c.router = opts.Router
 	default:
 		return nil, fmt.Errorf("cluster: unknown placement %d", opts.Placement)
 	}
@@ -421,198 +428,162 @@ func (c *Cluster) NumGroups() int { return c.groups }
 func (c *Cluster) Replicas() int { return c.r }
 
 // Placement returns the cluster's data-placement mode.
-func (c *Cluster) Placement() Placement { return c.placement }
-
-// WindowStart returns the index of the first group in the current insert
-// window (exposed for tests and monitoring).
-func (c *Cluster) WindowStart() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.start
+func (c *Cluster) Placement() Placement {
+	if c.router != nil {
+		return PlacementPartitioned
+	}
+	return PlacementScatter
 }
 
-// Insert distributes the batch round-robin over the insert window,
-// advancing the window — and retiring the oldest groups on wrap-around —
-// as groups fill (§6). Every document is written to all members of its
-// target group (journal-before-ack on each durable member), so a later
-// single-member loss costs no answers. The returned IDs parallel vs.
+// Insert places the batch through assign, the write side of placement —
+// round-robin over the insert window under scatter, advancing it and
+// retiring the oldest groups on wrap-around as groups fill (§6); on the
+// group each document's signature names under partitioned placement —
+// and writes every document to all members of its group (journal-before-
+// ack on each durable member), so a later single-member loss costs no
+// answers. The returned IDs parallel vs.
 //
-// A failure midway — a member error, a canceled context between per-group
-// RPCs — returns an *InsertError whose Placed/IDs report exactly which
-// documents were durably accepted by their whole group before the error,
-// so the caller knows what the cluster holds instead of guessing.
+// Each round assigns the pending documents and writes each group's part
+// in ascending group order; a part its group refuses as full is resynced
+// and requeued, and a round that places nothing fails the insert. A
+// failure midway — a member error, a full routed group, a canceled
+// context between rounds — returns an *InsertError whose Placed/IDs
+// report exactly which documents were durably accepted by their whole
+// group before the error, so the caller knows what the cluster holds
+// instead of guessing.
 func (c *Cluster) Insert(ctx context.Context, vs []sparse.Vector) ([]uint64, error) {
 	if len(vs) == 0 {
 		return nil, nil
 	}
+	// Single insertion sequencer: c.mu serializes inserts, their replica
+	// RPCs and the window's retirements by design; the query path never
+	// takes it.
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.placement == PlacementPartitioned {
-		// Single insertion sequencer: c.mu serializes inserts and their
-		// replica RPCs by design; the query path never takes it.
-		return c.insertPartitioned(ctx, vs)
-	}
 	ids := make([]uint64, len(vs))
 	placed := make([]bool, len(vs))
 	fail := func(err error) error { return &InsertError{IDs: ids, Placed: placed, Err: err} }
+	if c.router != nil {
+		// The router hashes every document before any node sees it, so the
+		// check the nodes make on arrival is made here first.
+		if err := sparse.CheckAll(vs, c.router.Dim()); err != nil {
+			return nil, fail(fmt.Errorf("cluster: insert: %w", err))
+		}
+	}
 	// pending holds positions into vs still awaiting placement.
 	pending := make([]int, len(vs))
 	for i := range pending {
 		pending[i] = i
 	}
 	scratch := make([]sparse.Vector, 0, len(vs))
-	// Each round either places documents or advances the window (which
-	// retires old data, freeing capacity). A round that does neither means
-	// the cluster has no usable capacity at all.
 	for len(pending) > 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, fail(err)
 		}
-		window := c.windowGroups()
-		free := 0
-		for _, w := range window {
-			free += c.caps[w] - c.used[w]
+		parts, rest, err := c.assign(ctx, vs, pending)
+		if err != nil {
+			return nil, fail(err)
 		}
-		if free == 0 {
-			// Retirement RPCs run under c.mu so the window advances
-			// atomically against other inserts.
-			if err := c.advanceWindow(ctx); err != nil {
-				return nil, fail(err)
-			}
-			window = c.windowGroups()
-			free = 0
-			for _, w := range window {
-				free += c.caps[w] - c.used[w]
-			}
-			if free == 0 {
-				return nil, fail(errors.New("cluster: no insertable capacity (all group capacities zero?)"))
-			}
-		}
-		// Round-robin shares: split what fits evenly over the window's
-		// non-full groups; anything a group cannot take (its even share
-		// exceeds its space) stays pending for the next round.
-		fit := min(len(pending), free)
-		batch := pending[:fit]
-		rest := pending[fit:]
-		live := 0
-		for _, w := range window {
-			if c.caps[w] > c.used[w] {
-				live++
-			}
-		}
-		offset := 0
-		placedThisRound := 0
 		var requeue []int
-		for _, w := range window {
-			space := c.caps[w] - c.used[w]
-			if space == 0 || offset == len(batch) {
+		var refused error
+		progress := false
+		for g, part := range parts {
+			if len(part) == 0 {
 				continue
 			}
-			share := (len(batch) - offset + live - 1) / live
-			live--
-			if share > space {
-				share = space
-			}
-			if share == 0 {
-				continue
-			}
-			part := batch[offset : offset+share]
-			offset += share
 			scratch = scratch[:0]
 			for _, pos := range part {
 				scratch = append(scratch, vs[pos])
 			}
-			// Replica broadcast RPCs run under c.mu by design; queries never
-			// take this lock.
-			local, err := c.insertGroup(ctx, w, scratch)
+			local, err := c.insertGroup(ctx, g, scratch)
 			if errors.Is(err, node.ErrFull) {
-				// Bookkeeping drift (shouldn't happen): resync and retry
-				// this part in a later round. The resync must see a
-				// quiesced used-count, so it stays under c.mu.
-				c.resyncUsed(ctx, w)
+				// Bookkeeping drift: the group holds more than we thought.
+				// Resync it — under c.mu, so the count is quiesced — and
+				// let the next round assign this part again.
+				c.resyncUsed(ctx, g)
 				requeue = append(requeue, part...)
+				refused = fmt.Errorf("cluster: group %d refused %d documents: %w", g, len(part), err)
 				continue
 			}
 			if err != nil {
-				return nil, fail(fmt.Errorf("cluster: insert on group %d: %w", w, err))
+				return nil, fail(fmt.Errorf("cluster: insert on group %d: %w", g, err))
 			}
-			c.used[w] += len(part)
-			placedThisRound += len(part)
+			c.used[g] += len(part)
+			progress = true
 			for i, l := range local {
-				ids[part[i]] = GlobalID(w, l)
+				ids[part[i]] = GlobalID(g, l)
 				placed[part[i]] = true
 			}
 		}
-		// Keep the capped tail and any ErrFull retries pending.
-		requeue = append(requeue, batch[offset:]...)
-		pending = append(requeue, rest...)
-		if placedThisRound == 0 {
-			// No progress this round despite free > 0: bookkeeping and
-			// reality disagree irrecoverably.
-			return nil, fail(errors.New("cluster: insert made no progress"))
+		if !progress {
+			// Every part was refused, the resynced counts notwithstanding:
+			// bookkeeping and reality disagree irrecoverably.
+			return nil, fail(fmt.Errorf("cluster: insert made no progress: %w", refused))
 		}
+		pending = append(requeue, rest...)
 	}
 	return ids, nil
 }
 
-// insertPartitioned places each document on the group its LSH signature
-// names (Router.GroupFor) instead of round-robin over the window — the
-// invariant routed searches depend on, so there is no spill-over: a full
-// target group fails the insert with an *InsertError wrapping
-// node.ErrFull that names the group, and already-written groups stay
-// placed (Placed/IDs report them exactly). Partitioned placement has no
-// rolling window and never retires old groups; capacity is per group,
-// so provision headroom above the expected hash balance. Called with
-// c.mu held.
-func (c *Cluster) insertPartitioned(ctx context.Context, vs []sparse.Vector) ([]uint64, error) {
-	ids := make([]uint64, len(vs))
-	placed := make([]bool, len(vs))
-	fail := func(err error) error { return &InsertError{IDs: ids, Placed: placed, Err: err} }
-	// The router hashes every document before any node sees it, so the
-	// check the nodes make on arrival is made here first.
-	if err := sparse.CheckAll(vs, c.router.Dim()); err != nil {
-		return nil, fail(fmt.Errorf("cluster: insert: %w", err))
+// assign is placement on the write side, consulted once per Insert round:
+// it splits the pending positions into per-group parts, indexed by group,
+// and the remainder the round leaves pending. Under partitioned placement
+// each document goes to the group its signature names (Router.GroupFor) —
+// the invariant routed searches depend on, so nothing spills: a routed
+// share larger than its group's known room fails the round, before any
+// of it is written, with an error wrapping node.ErrFull that names the
+// group. There is no window and no retirement, so provision headroom
+// above the expected hash balance. Under scatter the window's room is
+// split into even shares over its non-full groups, each capped at its
+// group's room, and what does not fit stays pending; a full window first
+// advances (see advanceWindow). Called with c.mu held.
+func (c *Cluster) assign(ctx context.Context, vs []sparse.Vector, pending []int) (parts [][]int, rest []int, err error) {
+	parts = make([][]int, c.groups)
+	if c.router != nil {
+		for _, pos := range pending {
+			g := c.router.GroupFor(vs[pos])
+			parts[g] = append(parts[g], pos)
+		}
+		for g, part := range parts {
+			if c.used[g]+len(part) > c.caps[g] {
+				return nil, nil, fmt.Errorf("cluster: group %d cannot take %d routed documents (%d/%d used): %w",
+					g, len(part), c.used[g], c.caps[g], node.ErrFull)
+			}
+		}
+		return parts, nil, nil
 	}
-	// Route first — placement is a pure function of each document — then
-	// write group by group so each mirrored batch is one insertGroup call.
-	perGroup := make([][]int, c.groups)
-	for i := range vs {
-		g := c.router.GroupFor(vs[i])
-		perGroup[g] = append(perGroup[g], i)
+	room := func() (free, live int) {
+		for i := 0; i < c.m; i++ {
+			if w := c.windowGroup(i); c.caps[w] > c.used[w] {
+				free += c.caps[w] - c.used[w]
+				live++
+			}
+		}
+		return free, live
 	}
-	scratch := make([]sparse.Vector, 0, len(vs))
-	for g, part := range perGroup {
-		if len(part) == 0 {
+	free, live := room()
+	if free == 0 {
+		if err := c.advanceWindow(ctx); err != nil {
+			return nil, nil, err
+		}
+		if free, live = room(); free == 0 {
+			return nil, nil, errors.New("cluster: no insertable capacity (all group capacities zero?)")
+		}
+	}
+	fit := min(len(pending), free)
+	offset := 0
+	for i := 0; i < c.m && offset < fit; i++ {
+		w := c.windowGroup(i)
+		space := c.caps[w] - c.used[w]
+		if space == 0 {
 			continue
 		}
-		if err := ctx.Err(); err != nil {
-			return nil, fail(err)
-		}
-		if c.used[g]+len(part) > c.caps[g] {
-			return nil, fail(fmt.Errorf(
-				"cluster: group %d cannot take %d routed documents (%d/%d used): %w",
-				g, len(part), c.used[g], c.caps[g], node.ErrFull))
-		}
-		scratch = scratch[:0]
-		for _, pos := range part {
-			scratch = append(scratch, vs[pos])
-		}
-		local, err := c.insertGroup(ctx, g, scratch)
-		if errors.Is(err, node.ErrFull) {
-			// Bookkeeping drift: the group holds more than we thought.
-			c.resyncUsed(ctx, g)
-			return nil, fail(fmt.Errorf("cluster: insert on group %d: %w", g, err))
-		}
-		if err != nil {
-			return nil, fail(fmt.Errorf("cluster: insert on group %d: %w", g, err))
-		}
-		c.used[g] += len(part)
-		for i, l := range local {
-			ids[part[i]] = GlobalID(g, l)
-			placed[part[i]] = true
-		}
+		share := min((fit-offset+live-1)/live, space)
+		live--
+		parts[w] = pending[offset : offset+share]
+		offset += share
 	}
-	return ids, nil
+	return parts, pending[offset:], nil
 }
 
 // insertGroup mirrors one batch onto every member of group g in parallel
@@ -668,13 +639,8 @@ func (c *Cluster) insertGroup(ctx context.Context, g int, vs []sparse.Vector) ([
 	return perMember[0], nil
 }
 
-func (c *Cluster) windowGroups() []int {
-	out := make([]int, 0, c.m)
-	for i := 0; i < c.m; i++ {
-		out = append(out, (c.start+i)%c.groups)
-	}
-	return out
-}
+// windowGroup returns the i-th group of the current insert window.
+func (c *Cluster) windowGroup(i int) int { return (c.start + i) % c.groups }
 
 // advanceWindow moves the insert window forward by M groups, retiring
 // every member of any group in the new window that still holds (old)
@@ -684,7 +650,7 @@ func (c *Cluster) windowGroups() []int {
 func (c *Cluster) advanceWindow(ctx context.Context) error {
 	c.start = (c.start + c.m) % c.groups
 	for i := 0; i < c.m; i++ {
-		w := (c.start + i) % c.groups
+		w := c.windowGroup(i)
 		if c.used[w] == 0 {
 			continue
 		}
@@ -830,32 +796,19 @@ type searchPlan struct {
 	offs   []int32 // per query: refs[offs[qi]:offs[qi+1]]
 }
 
-// plan builds the probe plan of one batch: per group the sub-batch it
-// must answer (empty = not contacted), and per query the contiguous refs
-// that find its answers again at merge time. It is the one place
-// placement is consulted. Under partitioned placement each query goes to
-// the recall-bounded probe set of groups its in-radius neighbors can live
-// on at the request's radius — every group when the probe set degenerates
-// (see Router.Probe) — and the sub-batches are routed copies of the query
-// headers. Under scatter the probe set of every query is every group, so
-// each group's sub-batch is qs itself, aliased rather than copied.
+// plan is placement on the read side, the one place a search consults it:
+// per group the sub-batch it must answer (empty = not contacted), and per
+// query the contiguous refs that find its answers again at merge time. A
+// query's probe set is Router.Probe's at the request's radius — the
+// recall-bounded set of groups its in-radius neighbors can live on under
+// partitioned placement — or every group when there is no router (scatter)
+// or the probe set degenerates. The sub-batches are copies of the query
+// headers, one arena for the whole plan.
 func (c *Cluster) plan(qs []sparse.Vector, radius float64) searchPlan {
 	sp := searchPlan{
 		groups: make([]groupPlan, c.groups),
 		refs:   make([]probeRef, 0, len(qs)*c.groups),
 		offs:   make([]int32, 1, len(qs)+1),
-	}
-	if c.router == nil {
-		for g := range sp.groups {
-			sp.groups[g].sub = qs
-		}
-		for qi := range qs {
-			for g := range sp.groups {
-				sp.refs = append(sp.refs, probeRef{g: int32(g), j: int32(qi)})
-			}
-			sp.offs = append(sp.offs, int32(len(sp.refs)))
-		}
-		return sp
 	}
 	count := make([]int32, c.groups) // per group: routed queries so far
 	probes := make([]int, 0, c.groups)

@@ -3,8 +3,10 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"maps"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -193,6 +195,128 @@ func TestInsertResyncsDriftedGroup(t *testing.T) {
 	}
 }
 
+// refusingNode reports room in its Stats but refuses every insert as
+// full, counting the attempts. With rows raised to capacity after the
+// coordinator is built, it is a group that filled behind its back.
+type refusingNode struct {
+	fakeNode
+	inserts int
+}
+
+func (f *refusingNode) Insert(ctx context.Context, vs []sparse.Vector) ([]uint32, error) {
+	f.inserts++
+	return nil, node.ErrFull
+}
+
+// checkRefusedInsert asserts the contract of an insert that group g
+// refused as full: an *InsertError wrapping node.ErrFull that names g,
+// whose Placed/IDs are exact — every placed ID fetches its own document,
+// and the placed count is what the other groups' members report holding.
+// Every group must have one member.
+func checkRefusedInsert(t *testing.T, c *Cluster, vs []sparse.Vector, err error, g int) {
+	t.Helper()
+	var ie *InsertError
+	if !errors.As(err, &ie) || !errors.Is(err, node.ErrFull) {
+		t.Fatalf("want an *InsertError wrapping ErrFull, got %T: %v", err, err)
+	}
+	if want := fmt.Sprintf("group %d ", g); !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not name group %d", err, g)
+	}
+	placed := 0
+	for i, ok := range ie.Placed {
+		if !ok {
+			continue
+		}
+		placed++
+		if gg, _ := SplitGlobalID(ie.IDs[i]); gg == g {
+			t.Fatalf("doc %d reported placed on the refusing group %d", i, g)
+		}
+		v, known, err := c.Doc(bg, ie.IDs[i])
+		if err != nil || !known || !slices.Equal(v.Idx, vs[i].Idx) || !slices.Equal(v.Val, vs[i].Val) {
+			t.Fatalf("doc %d: its reported ID %d holds another document (known %v, err %v)", i, ie.IDs[i], known, err)
+		}
+	}
+	stats, err := c.Stats(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := 0
+	for gg, st := range stats { // one member per group
+		if gg != g {
+			held += st.StaticLen + st.DeltaLen
+		}
+	}
+	if placed != held {
+		t.Errorf("%d documents reported placed, the other groups hold %d", placed, held)
+	}
+}
+
+// TestInsertFailsOnRefusingGroup: a group whose Stats show room but that
+// keeps refusing as full fails the insert after one round that places
+// nothing — on scatter, once the other window group has taken every share
+// it was given; on partitioned, in the round after the refusal — instead
+// of looping.
+func TestInsertFailsOnRefusingGroup(t *testing.T) {
+	t.Run("scatter", func(t *testing.T) {
+		liar := &refusingNode{fakeNode: fakeNode{capacity: 100}}
+		c, err := NewWithOptions(bg, []transport.NodeClient{liar, transport.NewLocal(realNode(t, 100))}, Options{WindowM: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vs := testDocs(10, 61)
+		_, err = c.Insert(bg, vs)
+		checkRefusedInsert(t, c, vs, err, 0)
+		// Each round halves what group 0 is offered; the last offers it
+		// one document and nothing else.
+		if liar.inserts != 5 {
+			t.Errorf("the refusing group was tried %d times, want 5", liar.inserts)
+		}
+	})
+	t.Run("partitioned", func(t *testing.T) {
+		r := testRouter(t, RouterConfig{Groups: 4})
+		vs := testDocs(40, 61)
+		g := r.GroupFor(vs[0])
+		liar := &refusingNode{fakeNode: fakeNode{capacity: 100}}
+		nodes := testNodes(t, 4, 100)
+		nodes[g] = liar
+		c, err := NewWithOptions(bg, nodes, Options{Placement: PlacementPartitioned, Router: r})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = c.Insert(bg, vs)
+		checkRefusedInsert(t, c, vs, err, g)
+		if liar.inserts != 2 {
+			t.Errorf("the refusing group was tried %d times, want 2", liar.inserts)
+		}
+	})
+}
+
+// TestPartitionedInsertResyncsFilledGroup: a routed group that filled
+// behind the coordinator's back refuses its part; Insert resyncs the
+// group's count from its Stats, and the next round fails before writing
+// to it again — no document spills to another group.
+func TestPartitionedInsertResyncsFilledGroup(t *testing.T) {
+	r := testRouter(t, RouterConfig{Groups: 4})
+	vs := testDocs(40, 67)
+	g := r.GroupFor(vs[0])
+	filled := &refusingNode{fakeNode: fakeNode{capacity: 100}}
+	nodes := testNodes(t, 4, 100)
+	nodes[g] = filled
+	c, err := NewWithOptions(bg, nodes, Options{Placement: PlacementPartitioned, Router: r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	filled.rows = filled.capacity
+	_, err = c.Insert(bg, vs)
+	checkRefusedInsert(t, c, vs, err, g)
+	if c.used[g] != filled.capacity {
+		t.Errorf("group %d counted as holding %d rows after the resync, want %d", g, c.used[g], filled.capacity)
+	}
+	if filled.inserts != 1 {
+		t.Errorf("the filled group was written %d times, want 1", filled.inserts)
+	}
+}
+
 // Cluster queries must equal a single node holding the whole corpus.
 func TestClusterEquivalentToSingleNode(t *testing.T) {
 	vs := testDocs(400, 3)
@@ -251,8 +375,8 @@ func TestWindowAdvancesAndRetires(t *testing.T) {
 	if _, err := c.Insert(bg, vs[:350]); err != nil {
 		t.Fatal(err)
 	}
-	if c.WindowStart() != 2 {
-		t.Fatalf("window start = %d, want 2", c.WindowStart())
+	if c.start != 2 {
+		t.Fatalf("window start = %d, want 2", c.start)
 	}
 	firstBatchRes := searchOne(t, c, vs[0], node.SearchParams{})
 	if len(firstBatchRes) == 0 {
@@ -262,8 +386,8 @@ func TestWindowAdvancesAndRetires(t *testing.T) {
 	if _, err := c.Insert(bg, vs[350:]); err != nil {
 		t.Fatal(err)
 	}
-	if c.WindowStart() != 0 {
-		t.Fatalf("window start after wrap = %d, want 0", c.WindowStart())
+	if c.start != 0 {
+		t.Fatalf("window start after wrap = %d, want 0", c.start)
 	}
 	stats, _ := c.Stats(bg)
 	total := 0

@@ -206,9 +206,6 @@ func (r *Router) Dim() int { return r.rfam.Params().Dim }
 // Groups returns the group count the router places for.
 func (r *Router) Groups() int { return r.groups }
 
-// Bits returns the routing-signature width B.
-func (r *Router) Bits() int { return r.bits }
-
 // Recall returns the configured probe-mass target.
 func (r *Router) Recall() float64 { return r.recall }
 
@@ -270,10 +267,14 @@ func (r *Router) GroupFor(v sparse.Vector) int {
 // document within the radius. ok = false means the probe set degenerated
 // — too many distinct groups, enumeration budget exhausted, or a radius
 // too close to π/2 to discriminate — and the caller must fall back to
-// the full broadcast. The set always contains GroupFor(q)'s group (the
-// zero-flip signature is enumerated first), so exact duplicates are
-// never routed away from.
+// the full broadcast; a nil Router, the scatter placement's, routes
+// nothing and always reports false. The set always contains GroupFor(q)'s
+// group (the zero-flip signature is enumerated first), so exact
+// duplicates are never routed away from.
 func (r *Router) Probe(q sparse.Vector, radius float64, dst []int) ([]int, bool) {
+	if r == nil {
+		return dst, false
+	}
 	if radius <= 0 {
 		radius = r.radius
 	}

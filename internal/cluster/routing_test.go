@@ -54,8 +54,8 @@ func TestRouterConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Bits() != 4 {
-		t.Errorf("default bits for 16 groups = %d, want 4", r.Bits())
+	if r.bits != 4 {
+		t.Errorf("default bits for 16 groups = %d, want 4", r.bits)
 	}
 	if r.Recall() != 0.9 {
 		t.Errorf("default recall = %v, want 0.9", r.Recall())
@@ -126,7 +126,7 @@ func TestRouterSignatureMapCoversEveryGroup(t *testing.T) {
 	for _, groups := range []int{2, 3, 4, 6, 8, 16} {
 		r := testRouter(t, RouterConfig{Groups: groups})
 		seen := make([]bool, groups)
-		for sig := uint32(0); sig < 1<<r.Bits(); sig++ {
+		for sig := uint32(0); sig < 1<<r.bits; sig++ {
 			g := r.groupOf(sig)
 			if g < 0 || g >= groups {
 				t.Fatalf("groups=%d: signature %d maps to group %d", groups, sig, g)

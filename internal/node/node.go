@@ -370,10 +370,7 @@ func (n *Node) recover(ctx context.Context) error {
 	}
 	n.wal = wal
 	// A fat recovered delta merges in the background like any other.
-	if cfg.AutoMerge &&
-		float64(n.store.Rows()-n.nStatic) > cfg.DeltaFraction*float64(cfg.Capacity) {
-		n.startMergeLocked(n.store.Rows())
-	}
+	n.maybeMergeLocked()
 	return nil
 }
 
@@ -400,11 +397,7 @@ func (n *Node) applyRecordLocked(rec *persist.Record) error {
 		t := delta.New(n.fam, n.cfg.Build.Workers)
 		t.Insert(rec.Docs)
 		t.Freeze()
-		for _, v := range rec.Docs {
-			n.store.AppendRow(v)
-		}
-		n.segs = append(n.segs, segment{base: rec.Base, t: t})
-		n.coalesceLoopLocked()
+		n.appendSegmentLocked(rec.Docs, t)
 	case persist.RecordDelete:
 		if int(rec.ID) >= n.store.Rows() {
 			return fmt.Errorf("node: journal replay: delete of unknown row %d", rec.ID)
@@ -533,21 +526,40 @@ func (n *Node) Insert(ctx context.Context, vs []sparse.Vector) ([]uint32, error)
 			return nil, err
 		}
 	}
+	n.appendSegmentLocked(vs, t)
+	n.insertNS += int64(time.Since(t0))
+	n.publishLocked()
+	n.maybeMergeLocked()
+	n.mu.Unlock()
+	n.insertsServed.Add(uint64(len(vs)))
 	ids := make([]uint32, len(vs))
-	for i, v := range vs {
-		ids[i] = uint32(n.store.AppendRow(v))
+	for i := range ids {
+		ids[i] = uint32(base + i)
+	}
+	return ids, nil
+}
+
+// appendSegmentLocked appends vs at the arena tail with t, their frozen
+// segment, and folds the trailing run (coalesceLoopLocked) — the one
+// write of a batch, live or replayed. Called with mu held.
+func (n *Node) appendSegmentLocked(vs []sparse.Vector, t *delta.Table) {
+	base := n.store.Rows()
+	for _, v := range vs {
+		n.store.AppendRow(v)
 	}
 	n.segs = append(n.segs, segment{base: base, t: t})
 	n.coalesceLoopLocked()
-	n.insertNS += int64(time.Since(t0))
-	n.publishLocked()
+}
+
+// maybeMergeLocked is the η trigger: with AutoMerge on and no merge in
+// flight, a delta grown past η·C starts a background merge of every row
+// inserted so far. Called with mu held — after an insert, a replayed
+// journal, or a merge whose delta outgrew η·C while it ran.
+func (n *Node) maybeMergeLocked() {
 	if n.cfg.AutoMerge && !n.merging &&
 		float64(n.store.Rows()-n.nStatic) > n.cfg.DeltaFraction*float64(n.cfg.Capacity) {
 		n.startMergeLocked(n.store.Rows())
 	}
-	n.mu.Unlock()
-	n.insertsServed.Add(uint64(len(vs)))
-	return ids, nil
 }
 
 // coalesceLoopLocked folds the trailing delta segments while the next-older
@@ -698,10 +710,7 @@ func (n *Node) runMerge(old *core.Static, segs []segment, prefix *sparse.Matrix,
 	n.publishLocked()
 	// Sustained-ingest chaining: if the active delta outgrew η·C while this
 	// merge ran, immediately start the next one.
-	if n.cfg.AutoMerge &&
-		float64(n.store.Rows()-n.nStatic) > n.cfg.DeltaFraction*float64(n.cfg.Capacity) {
-		n.startMergeLocked(n.store.Rows())
-	}
+	n.maybeMergeLocked()
 	n.mu.Unlock()
 	if token > 0 {
 		// st, prefix and the tombstones are immutable/atomic, so the
