@@ -545,7 +545,7 @@ func (c *Cluster) assign(ctx context.Context, vs []sparse.Vector, pending []int)
 			parts[g] = append(parts[g], pos)
 		}
 		for g, part := range parts {
-			if c.used[g]+len(part) > c.caps[g] {
+			if len(part) > 0 && c.used[g]+len(part) > c.caps[g] {
 				return nil, nil, fmt.Errorf("cluster: group %d cannot take %d routed documents (%d/%d used): %w",
 					g, len(part), c.used[g], c.caps[g], node.ErrFull)
 			}
@@ -802,7 +802,8 @@ type searchPlan struct {
 // query's probe set is Router.Probe's at the request's radius — the
 // recall-bounded set of groups its in-radius neighbors can live on under
 // partitioned placement — or every group when there is no router (scatter)
-// or the probe set degenerates. The sub-batches are copies of the query
+// or the probe set degenerates. A sub-batch is the caller's batch when
+// every query probes every group, else a copy of the routed query
 // headers, one arena for the whole plan.
 func (c *Cluster) plan(qs []sparse.Vector, radius float64) searchPlan {
 	sp := searchPlan{
@@ -810,8 +811,9 @@ func (c *Cluster) plan(qs []sparse.Vector, radius float64) searchPlan {
 		refs:   make([]probeRef, 0, len(qs)*c.groups),
 		offs:   make([]int32, 1, len(qs)+1),
 	}
-	count := make([]int32, c.groups) // per group: routed queries so far
-	probes := make([]int, 0, c.groups)
+	work := make([]int, 2*c.groups)
+	count := work[:c.groups] // per group: routed queries so far
+	probes := work[c.groups:c.groups]
 	for qi := range qs {
 		var ok bool
 		probes, ok = c.router.Probe(qs[qi], radius, probes[:0])
@@ -822,10 +824,19 @@ func (c *Cluster) plan(qs []sparse.Vector, radius float64) searchPlan {
 			}
 		}
 		for _, g := range probes {
-			sp.refs = append(sp.refs, probeRef{g: int32(g), j: count[g]})
+			sp.refs = append(sp.refs, probeRef{g: int32(g), j: int32(count[g])})
 			count[g]++
 		}
 		sp.offs = append(sp.offs, int32(len(sp.refs)))
+	}
+	if len(sp.refs) == len(qs)*c.groups {
+		// Every query probes every group — scatter, or a router that
+		// pruned nothing — so ref j is the query's own position and every
+		// group's sub-batch is the caller's batch itself.
+		for g := range sp.groups {
+			sp.groups[g].sub = qs
+		}
+		return sp
 	}
 	arena := make([]sparse.Vector, len(sp.refs))
 	for g, n := range count {

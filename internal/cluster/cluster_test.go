@@ -317,6 +317,46 @@ func TestPartitionedInsertResyncsFilledGroup(t *testing.T) {
 	}
 }
 
+// TestPartitionedInsertSkipsUnroutedOvercountedGroup: a group counted as
+// holding more than its capacity — drifted mirrors of unequal capacity
+// count as the smallest capacity and the largest row count — refuses only
+// documents routed to it; a batch that routes nothing there inserts.
+func TestPartitionedInsertSkipsUnroutedOvercountedGroup(t *testing.T) {
+	r := testRouter(t, RouterConfig{Groups: 4})
+	vs := testDocs(80, 71)
+	g := r.GroupFor(vs[0])
+	nodes := testNodes(t, 8, 100)
+	nodes[2*g] = &fakeNode{capacity: 100, rows: 50}
+	nodes[2*g+1] = &fakeNode{capacity: 20, rows: 10}
+	c, err := NewWithOptions(bg, nodes, Options{Replicas: 2, Placement: PlacementPartitioned, Router: r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.used[g] <= c.caps[g] {
+		t.Fatalf("group %d counted as %d/%d, want more rows than capacity", g, c.used[g], c.caps[g])
+	}
+	var batch []sparse.Vector
+	for _, v := range vs {
+		if r.GroupFor(v) != g {
+			batch = append(batch, v)
+		}
+	}
+	ids, err := c.Insert(bg, batch)
+	if err != nil {
+		t.Fatalf("a batch routing nothing to group %d: %v", g, err)
+	}
+	for i, id := range ids {
+		if gg, _ := SplitGlobalID(id); gg != r.GroupFor(batch[i]) {
+			t.Fatalf("doc %d placed on group %d, routed to %d", i, gg, r.GroupFor(batch[i]))
+		}
+	}
+	_, err = c.Insert(bg, vs[:1])
+	var ie *InsertError
+	if !errors.As(err, &ie) || !errors.Is(err, node.ErrFull) {
+		t.Fatalf("a document routed to group %d: want an *InsertError wrapping ErrFull, got %v", g, err)
+	}
+}
+
 // Cluster queries must equal a single node holding the whole corpus.
 func TestClusterEquivalentToSingleNode(t *testing.T) {
 	vs := testDocs(400, 3)
