@@ -811,7 +811,11 @@ func (c *Cluster) plan(qs []sparse.Vector, radius float64) searchPlan {
 		refs:   make([]probeRef, 0, len(qs)*c.groups),
 		offs:   make([]int32, 1, len(qs)+1),
 	}
-	work := make([]int, 2*c.groups)
+	var buf [64]int // small clusters keep the plan's counters off the heap
+	work := buf[:min(2*c.groups, len(buf))]
+	if 2*c.groups > len(buf) {
+		work = make([]int, 2*c.groups)
+	}
 	count := work[:c.groups] // per group: routed queries so far
 	probes := work[c.groups:c.groups]
 	for qi := range qs {
