@@ -532,7 +532,7 @@ func (c *Cluster) Insert(ctx context.Context, vs []sparse.Vector) ([]uint64, err
 // the invariant routed searches depend on, so nothing spills: a routed
 // share larger than its group's known room fails the round, before any
 // of it is written, with an error wrapping node.ErrFull that names the
-// group. There is no window and no retirement, so provision headroom
+// group; a group routed nothing is not checked. There is no window and no retirement, so provision headroom
 // above the expected hash balance. Under scatter the window's room is
 // split into even shares over its non-full groups, each capped at its
 // group's room, and what does not fit stays pending; a full window first
