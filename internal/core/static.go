@@ -27,6 +27,7 @@ import (
 	"slices"
 	"unsafe"
 
+	"plsh/internal/codec"
 	"plsh/internal/lshhash"
 	"plsh/internal/sparse"
 )
@@ -308,55 +309,51 @@ var errEncoding = errors.New("core: table encoding is malformed")
 // as long as its count and width say, no width past 32, nothing after the
 // items. What the arrays and r hold is ValidateTables' to judge.
 func DecodeTable(b []byte) (Table, error) {
-	if len(b) < 4 {
-		return Table{}, errEncoding
-	}
-	return decodeTable(b[4:], uint(binary.LittleEndian.Uint32(b)))
+	d := codec.NewDecoder(b, errEncoding)
+	r := d.U32("r")
+	return decodeTable(d, uint(r))
 }
 
 // DecodeTableV3 returns the table snapshot version 3 stored as b:
 // AppendEncoded's encoding before it began with r, of a table whose
 // directory indexes the whole key (r = 0).
-func DecodeTableV3(b []byte) (Table, error) { return decodeTable(b, 0) }
+func DecodeTableV3(b []byte) (Table, error) { return decodeTable(codec.NewDecoder(b, errEncoding), 0) }
 
-// decodeTable decodes the encoding that follows r.
-func decodeTable(b []byte, r uint) (Table, error) {
-	if len(b) < 4 {
-		return Table{}, errEncoding
-	}
-	words := int(binary.LittleEndian.Uint32(b))
-	if b = b[4:]; len(b)/8 < words {
-		return Table{}, errEncoding
+// decodeTable decodes the encoding that follows r, read through d.
+func decodeTable(d codec.Decoder, r uint) (Table, error) {
+	words := int(d.U32("bitmap words"))
+	raw := d.Take(8*words, "bitmap")
+	if d.Err() != nil {
+		return Table{}, d.Err()
 	}
 	occ := make([]uint64, words)
 	for w := range occ {
-		occ[w] = binary.LittleEndian.Uint64(b[8*w:])
+		occ[w] = binary.LittleEndian.Uint64(raw[8*w:])
 	}
 	t := Table{occ: occ, rank: rankOf(occ), r: r}
-	var ok bool
-	if t.entries, t.nEntries, b, ok = cutPacked(b[8*words:]); !ok {
-		return Table{}, errEncoding
-	}
-	if t.items, t.n, b, ok = cutPacked(b); !ok || len(b) != 0 {
-		return Table{}, errEncoding
+	t.entries, t.nEntries = decodePacked(&d)
+	t.items, t.n = decodePacked(&d)
+	if err := d.Done(); err != nil {
+		return Table{}, err
 	}
 	return t, nil
 }
 
-// cutPacked decodes the packed array appendEncoded wrote at the front of b,
-// and returns it, its value count and the bytes after it; ok is false when
-// b is too short to hold it or its width is past 32.
-func cutPacked(b []byte) (p packed, n uint32, rest []byte, ok bool) {
-	if len(b) < 8 {
-		return packed{}, 0, nil, false
+// decodePacked reads the packed array appendEncoded wrote, and returns it
+// and its value count.
+func decodePacked(d *codec.Decoder) (packed, uint32) {
+	n, width := d.U32("value count"), uint(d.U32("width"))
+	if width > 32 {
+		d.Fail("%d-bit values", width)
+		return packed{}, 0
 	}
-	n, width := binary.LittleEndian.Uint32(b), uint(binary.LittleEndian.Uint32(b[4:]))
-	if b = b[8:]; width > 32 || len(b) < packedBytes(uint(n), width) {
-		return packed{}, 0, nil, false
+	raw := d.Take(packedBytes(uint(n), width), "packed array")
+	if d.Err() != nil {
+		return packed{}, 0
 	}
-	buf := make([]byte, packedBytes(uint(n), width))
-	copy(buf, b)
-	return packed{buf: buf, width: width}, n, b[len(buf):], true
+	buf := make([]byte, len(raw))
+	copy(buf, raw)
+	return packed{buf: buf, width: width}, n
 }
 
 // TableBuilder assembles Tables from per-bucket item counts presented in

@@ -7,15 +7,14 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"time"
 
+	"plsh/internal/codec"
 	"plsh/internal/histo"
-
 	"plsh/internal/sparse"
 )
 
@@ -46,17 +45,28 @@ import (
 // older segments is covered by the snapshot the token's checkpoint will
 // write.
 
-// RecordKind enumerates journal record types.
+// RecordKind enumerates journal record types. A record's payload is its
+// kind byte and then:
+//
+//	RecordInsert  base u64, the batch as internal/codec's vectors block —
+//	              the bytes the wire's opInsert frame carries it in
+//	RecordDelete  id u32
+//	RecordRetire  nothing
+//
+// Kind 1 was an insert in an earlier layout (a u32 count, then each
+// document as its nnz u32, indexes and values). Replay refuses it as
+// corruption rather than misread it: Save before swapping the binary of a
+// durable node, and the journal it recovers from is empty.
 type RecordKind uint8
 
 const (
-	// RecordInsert is an acknowledged batch insert at a known arena base.
-	RecordInsert RecordKind = 1
 	// RecordDelete is an acknowledged tombstone.
 	RecordDelete RecordKind = 2
 	// RecordRetire marks a node erasure (rolling-window expiration):
 	// replay resets to empty before applying later records.
 	RecordRetire RecordKind = 3
+	// RecordInsert is an acknowledged batch insert at a known arena base.
+	RecordInsert RecordKind = 4
 )
 
 // Record is one replayed journal entry.
@@ -224,33 +234,19 @@ func (w *WAL) SyncQuantile(q float64) time.Duration { return w.syncHist.Quantile
 
 // AppendInsert journals an acknowledged insert batch landing at arena row
 // base. It must complete before the insert is acknowledged to the caller.
-// A batch whose encoding would exceed the frame limit is refused before
-// anything is built or written — the caller must split it.
+// A batch whose encoding may exceed the frame limit (codec.VectorsBound
+// says) is refused before anything is built or written — the caller must
+// split it.
 func (w *WAL) AppendInsert(base int, vs []sparse.Vector) error {
-	size := 1 + 8 + 4
-	for _, v := range vs {
-		size += 4 + 8*v.NNZ()
-	}
-	if size > maxRecordLen {
-		return fmt.Errorf("persist: insert batch encodes to %d bytes, over the %d journal frame limit (split the batch)",
+	if size := 1 + 8 + codec.VectorsBound(vs); size > maxRecordLen {
+		return fmt.Errorf("persist: insert batch may encode to %d bytes, over the %d journal frame limit (split the batch)",
 			size, maxRecordLen)
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	b := w.buf[:8]
-	b = append(b, byte(RecordInsert))
+	b := append(w.buf[:8], byte(RecordInsert))
 	b = binary.LittleEndian.AppendUint64(b, uint64(base))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(vs)))
-	for _, v := range vs {
-		b = binary.LittleEndian.AppendUint32(b, uint32(v.NNZ()))
-		for _, c := range v.Idx {
-			b = binary.LittleEndian.AppendUint32(b, c)
-		}
-		for _, x := range v.Val {
-			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(x))
-		}
-	}
-	w.buf = b
+	w.buf = codec.AppendVectors(b, vs)
 	return w.appendFrameLocked()
 }
 
@@ -420,59 +416,24 @@ var errMalformed = fmt.Errorf("%w: malformed journal record", ErrCorrupt)
 
 // decodeRecord parses one CRC-verified payload.
 func decodeRecord(p []byte) (*Record, error) {
-	if len(p) < 1 {
-		return nil, errMalformed
-	}
-	rec := &Record{Kind: RecordKind(p[0])}
-	p = p[1:]
+	d := codec.NewDecoder(p, errMalformed)
+	rec := &Record{Kind: RecordKind(d.U8("kind"))}
 	switch rec.Kind {
 	case RecordInsert:
-		if len(p) < 12 {
-			return nil, errMalformed
+		if rec.Base = int(d.U64("base")); rec.Base < 0 {
+			d.Fail("negative base %d", rec.Base)
 		}
-		rec.Base = int(binary.LittleEndian.Uint64(p))
-		count := int(binary.LittleEndian.Uint32(p[8:]))
-		p = p[12:]
-		// Every document carries at least its 4-byte nnz, so the payload
-		// bounds the count before anything is sized by it.
-		if rec.Base < 0 || count < 0 || count > len(p)/4 {
-			return nil, errMalformed
-		}
-		rec.Docs = make([]sparse.Vector, 0, count)
-		for i := 0; i < count; i++ {
-			if len(p) < 4 {
-				return nil, errMalformed
-			}
-			nnz := int(binary.LittleEndian.Uint32(p))
-			p = p[4:]
-			if nnz < 0 || nnz > len(p)/8 {
-				return nil, errMalformed
-			}
-			v := sparse.Vector{Idx: make([]uint32, nnz), Val: make([]float32, nnz)}
-			for j := 0; j < nnz; j++ {
-				v.Idx[j] = binary.LittleEndian.Uint32(p[j*4:])
-			}
-			p = p[nnz*4:]
-			for j := 0; j < nnz; j++ {
-				v.Val[j] = math.Float32frombits(binary.LittleEndian.Uint32(p[j*4:]))
-			}
-			p = p[nnz*4:]
-			rec.Docs = append(rec.Docs, v)
-		}
-		if len(p) != 0 {
-			return nil, errMalformed
-		}
+		rec.Docs = d.Vectors()
 	case RecordDelete:
-		if len(p) != 4 {
-			return nil, errMalformed
-		}
-		rec.ID = binary.LittleEndian.Uint32(p)
+		rec.ID = d.U32("id")
 	case RecordRetire:
-		if len(p) != 0 {
-			return nil, errMalformed
-		}
+	case 1:
+		d.Fail("record kind 1, an insert in the layout before the vectors block")
 	default:
-		return nil, errMalformed
+		d.Fail("unknown record kind %d", rec.Kind)
+	}
+	if err := d.Done(); err != nil {
+		return nil, err
 	}
 	return rec, nil
 }

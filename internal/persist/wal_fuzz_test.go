@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"plsh/internal/core"
@@ -31,12 +33,14 @@ func frame(payload []byte) []byte {
 }
 
 // replayAllocLimit is what replaying a journal of n bytes may allocate. A
-// decoded document header is 48 bytes for the 4 of its nnz word and a
-// 9-byte retire frame becomes a 64-byte Record, so 16 bytes a byte is
-// every section twice over. The constant is slack, not a measurement: the
-// reader's 64 KB buffer plus whatever else the process allocates meanwhile
-// (TotalAlloc is process-wide, so tests in this package stay serial — no
-// t.Parallel). The frames this guards against cost 1 GB and up.
+// decoded document header is 48 bytes for the 2 of its lengths in the
+// vectors block and a 9-byte retire frame becomes a 64-byte Record, 24
+// bytes a byte at the most, which 16 a byte and the 1 MB of slack cover
+// up to a 120 KB journal, far past what the fuzzer writes. The constant is
+// slack, not a measurement: the reader's 64 KB buffer plus whatever else
+// the process allocates meanwhile (TotalAlloc is process-wide, so tests in
+// this package stay serial — no t.Parallel). The frames this guards
+// against cost 1 GB and up.
 func replayAllocLimit(n int) uint64 { return uint64(1<<20 + 16*n) }
 
 // replaySegmentBytes replays a data directory whose one journal segment
@@ -59,7 +63,7 @@ func replaySegmentBytes(t testing.TB, raw []byte) (dir string, records int, allo
 // in a 13-byte payload; tornHugeLength is the 8-byte tail of a torn append
 // whose length field reads 2^30, the largest a frame may claim.
 var (
-	hugeCountFrame = frame(binary.LittleEndian.AppendUint32(
+	hugeCountFrame = frame(binary.AppendUvarint(
 		binary.LittleEndian.AppendUint64([]byte{byte(persist.RecordInsert)}, 0), 1<<27))
 	tornHugeLength = binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, 1<<30), 0xdeadbeef)
 )
@@ -86,6 +90,28 @@ func TestReplayDoesNotSizeAllocationsFromLengthFields(t *testing.T) {
 	}
 }
 
+// TestReplayRefusesKindOneRecords: kind 1 is an insert in the journal
+// layout before the vectors block — a u32 count, then each document as its
+// nnz u32, its indexes and its values. Replay refuses it as corruption,
+// naming the kind, rather than misread it, and a node recovering from it
+// fails to open rather than load what it could of the journal.
+func TestReplayRefusesKindOneRecords(t *testing.T) {
+	old := binary.LittleEndian.AppendUint64([]byte{1}, 0) // kind 1, base 0
+	old = binary.LittleEndian.AppendUint32(old, 1)        // one document
+	old = binary.LittleEndian.AppendUint32(old, 2)        // nnz
+	for _, x := range []uint32{1, 5, math.Float32bits(0.6), math.Float32bits(0.8)} {
+		old = binary.LittleEndian.AppendUint32(old, x)
+	}
+	dir, records, _, err := replaySegmentBytes(t, frame(old))
+	if !errors.Is(err, persist.ErrCorrupt) || !strings.Contains(err.Error(), "kind 1") || records != 0 {
+		t.Fatalf("kind-1 record: %d records, err = %v, want ErrCorrupt naming kind 1", records, err)
+	}
+	n, err := node.Open(context.Background(), fuzzNodeConfig(dir))
+	if !errors.Is(err, persist.ErrCorrupt) || n != nil {
+		t.Fatalf("node.Open over a kind-1 record: node %v, err = %v, want no node and ErrCorrupt", n, err)
+	}
+}
+
 // fuzzNodeConfig is the small node fuzzed journals are recovered into:
 // Dim 16 and Capacity 8, so the seed journal fits and most mutated columns
 // and bases do not.
@@ -100,8 +126,9 @@ func fuzzNodeConfig(dir string) node.Config {
 }
 
 // seedJournal is a journal as the WAL itself frames it, one record of
-// every kind: an insert, a delete, a second insert, a retirement and the
-// insert that follows it at row 0.
+// every kind: an insert, a delete, a second insert, a retirement, the
+// insert that follows it at row 0, and one whose first document has no
+// non-zeros — two zero lengths in the vectors block, carved as nil.
 func seedJournal(t testing.TB) []byte {
 	t.Helper()
 	dir := t.TempDir()
@@ -120,6 +147,7 @@ func seedJournal(t testing.TB) []byte {
 		w.AppendInsert(3, docs[:2]),
 		w.AppendRetire(),
 		w.AppendInsert(0, docs[1:]),
+		w.AppendInsert(2, []sparse.Vector{{}, docs[0]}),
 		w.Close(),
 	)
 	if err != nil {

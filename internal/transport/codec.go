@@ -10,6 +10,7 @@ import (
 	"slices"
 	"time"
 
+	"plsh/internal/codec"
 	"plsh/internal/core"
 	"plsh/internal/node"
 	"plsh/internal/sparse"
@@ -17,10 +18,10 @@ import (
 
 // The frame codec. Each direction of a connection opens with a preamble —
 // the magic bytes and the wire revision — and then carries frames: a
-// 4-byte little-endian payload length, then the payload. Integers are
-// fixed-width little-endian or varints (encoding/binary's Uvarint, and
-// Varint for signed values); floats travel as their IEEE bits, so answers
-// cross bit for bit. A length or count is written before what it counts.
+// 4-byte little-endian payload length, then the payload, read through
+// internal/codec's Decoder and laid out in its integers: fixed-width
+// little-endian or varints, floats as their IEEE bits, so answers cross bit
+// for bit, and a length or count before what it counts.
 //
 //	request  = seq uvarint, op u8, deadline u64 (Unix ns, 0 = none), body:
 //	           opInsert             vectors
@@ -35,8 +36,7 @@ import (
 //	           codeOK, opDoc        known u8, vectors holding one vector
 //	           codeOK, opStats      node.Stats, field by field (appendStats)
 //	           otherwise            nothing
-//	vectors  = n uvarint, n × (len(Idx) uvarint, len(Val) uvarint),
-//	           every Idx entry u32, then every Val entry f32
+//	vectors  = internal/codec's vectors block, the journal's too
 //
 // Decoding checks every length and count against the bytes left before it
 // allocates, refuses trailing bytes, and copies everything it returns out
@@ -150,15 +150,7 @@ const (
 
 // requestBound is an upper bound on req's payload length.
 func requestBound(req *request) int {
-	return headerMax + 8 + maxVarint + 4 + vectorsBound(req.Vectors)
-}
-
-func vectorsBound(vs []sparse.Vector) int {
-	n := maxVarint
-	for _, v := range vs {
-		n += 2*maxVarint + 4*len(v.Idx) + 4*len(v.Val)
-	}
-	return n
+	return headerMax + 8 + maxVarint + 4 + codec.VectorsBound(req.Vectors)
 }
 
 // appendRequest appends req's frame to b.
@@ -169,11 +161,11 @@ func appendRequest(b []byte, req *request) []byte {
 	b = binary.LittleEndian.AppendUint64(b, uint64(req.Deadline))
 	switch req.Op {
 	case opInsert:
-		b = appendVectors(b, req.Vectors)
+		b = codec.AppendVectors(b, req.Vectors)
 	case opSearch:
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(req.Params.Radius))
 		b = binary.AppendVarint(b, int64(req.Params.K))
-		b = appendVectors(b, req.Vectors)
+		b = codec.AppendVectors(b, req.Vectors)
 	case opDelete, opDoc:
 		b = binary.LittleEndian.AppendUint32(b, req.ID)
 	}
@@ -194,7 +186,7 @@ func checkSize(req *request) error {
 func responseBound(resp *response) int {
 	n := headerMax + maxVarint + len(resp.Err) + // codeError
 		maxVarint + 4*len(resp.IDs) + // opInsert
-		1 + vectorsBound([]sparse.Vector{resp.Doc}) + // opDoc
+		1 + codec.VectorsBound([]sparse.Vector{resp.Doc}) + // opDoc
 		statsFields*maxVarint + len(resp.Stats.PersistErr) + // opStats
 		maxVarint // opSearch: the list count, then each list
 	for _, l := range resp.Results {
@@ -210,7 +202,7 @@ func appendResponse(b []byte, resp *response) []byte {
 	b = append(b, byte(resp.Op), byte(resp.Code))
 	switch {
 	case resp.Code == codeError:
-		b = appendString(b, resp.Err)
+		b = codec.AppendString(b, resp.Err)
 	case resp.Code != codeOK:
 	case resp.Op == opInsert:
 		b = binary.AppendUvarint(b, uint64(len(resp.IDs)))
@@ -230,34 +222,11 @@ func appendResponse(b []byte, resp *response) []byte {
 		}
 	case resp.Op == opDoc:
 		b = append(b, boolByte(resp.Known))
-		b = appendVectors(b, []sparse.Vector{resp.Doc})
+		b = codec.AppendVectors(b, []sparse.Vector{resp.Doc})
 	case resp.Op == opStats:
 		b = appendStats(b, &resp.Stats)
 	}
 	return endFrame(b, start)
-}
-
-func appendVectors(b []byte, vs []sparse.Vector) []byte {
-	b = binary.AppendUvarint(b, uint64(len(vs)))
-	for _, v := range vs {
-		b = binary.AppendUvarint(b, uint64(len(v.Idx)))
-		b = binary.AppendUvarint(b, uint64(len(v.Val)))
-	}
-	for _, v := range vs {
-		for _, x := range v.Idx {
-			b = binary.LittleEndian.AppendUint32(b, x)
-		}
-	}
-	for _, v := range vs {
-		for _, x := range v.Val {
-			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(x))
-		}
-	}
-	return b
-}
-
-func appendString(b []byte, s string) []byte {
-	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
 func boolByte(v bool) byte {
@@ -271,7 +240,7 @@ func boolByte(v bool) byte {
 const statsFields = 20
 
 // appendStats writes every node.Stats field in declaration order. A field
-// appended to node.Stats needs a line here and in decoder.stats, or
+// appended to node.Stats needs a line here and in decodeStats, or
 // TestStatsSurviveCodec fails.
 func appendStats(b []byte, s *node.Stats) []byte {
 	for _, x := range [...]int64{
@@ -285,7 +254,7 @@ func appendStats(b []byte, s *node.Stats) []byte {
 	} {
 		b = binary.AppendVarint(b, x)
 	}
-	b = appendString(b, s.PersistErr)
+	b = codec.AppendString(b, s.PersistErr)
 	for _, x := range [...]uint64{s.SearchesServed, s.InsertsServed, s.DeletesServed} {
 		b = binary.AppendUvarint(b, x)
 	}
@@ -297,165 +266,19 @@ func appendStats(b []byte, s *node.Stats) []byte {
 	return b
 }
 
-// decoder reads one frame's payload. The first failure sticks: every
-// later read returns zero, and err reports the first.
-type decoder struct {
-	b   []byte
-	err error
-}
-
-func (d *decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: "+format, append([]any{errFrame}, args...)...)
-	}
-	d.b = nil
-}
-
-// take consumes n bytes, or fails if fewer are left.
-func (d *decoder) take(n int, what string) []byte {
-	if n > len(d.b) {
-		d.fail("%s needs %d bytes, %d left", what, n, len(d.b))
-		return nil
-	}
-	p := d.b[:n:n]
-	d.b = d.b[n:]
-	return p
-}
-
-func (d *decoder) u8(what string) byte {
-	if p := d.take(1, what); p != nil {
-		return p[0]
-	}
-	return 0
-}
-
-func (d *decoder) u32(what string) uint32 {
-	if p := d.take(4, what); p != nil {
-		return binary.LittleEndian.Uint32(p)
-	}
-	return 0
-}
-
-func (d *decoder) u64(what string) uint64 {
-	if p := d.take(8, what); p != nil {
-		return binary.LittleEndian.Uint64(p)
-	}
-	return 0
-}
-
-func (d *decoder) uvarint(what string) uint64 {
-	x, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.fail("bad %s varint", what)
-		return 0
-	}
-	d.b = d.b[n:]
-	return x
-}
-
-func (d *decoder) varint(what string) int64 {
-	x, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.fail("bad %s varint", what)
-		return 0
-	}
-	d.b = d.b[n:]
-	return x
-}
-
-func (d *decoder) flag(what string) bool {
-	switch d.u8(what) {
-	case 0:
-		return false
-	case 1:
-		return true
-	}
-	d.fail("%s is not a bool", what)
-	return false
-}
-
-// count reads a count of items, each at least size bytes long, and fails
-// unless that many fit in the bytes left.
-func (d *decoder) count(size int, what string) int {
-	n := d.uvarint(what)
-	if n > uint64(len(d.b)/size) {
-		d.fail("%d %s in %d bytes", n, what, len(d.b))
-		return 0
-	}
-	return int(n)
-}
-
-func (d *decoder) str(what string) string {
-	return string(d.take(d.count(1, what), what))
-}
-
-// done fails the frame if bytes are left over.
-func (d *decoder) done() error {
-	if d.err == nil && len(d.b) > 0 {
-		d.fail("%d trailing bytes", len(d.b))
-	}
-	return d.err
-}
-
-// vectors reads a vectors block into one Idx and one Val array.
-func (d *decoder) vectors() []sparse.Vector {
-	n := d.count(2, "vectors")
-	if n == 0 {
-		return nil
-	}
-	// First pass over the lengths: the totals, checked against the bytes
-	// left before anything is allocated.
-	lens := *d
-	var nIdx, nVal int
-	for range n {
-		nIdx += d.count(4, "indexes")
-		nVal += d.count(4, "values")
-	}
-	idxBytes := d.take(4*nIdx, "indexes")
-	valBytes := d.take(4*nVal, "values")
-	if d.err != nil {
-		return nil
-	}
-	vs := make([]sparse.Vector, n)
-	idx := make([]uint32, nIdx)
-	val := make([]float32, nVal)
-	for i := range idx {
-		idx[i] = binary.LittleEndian.Uint32(idxBytes[4*i:])
-	}
-	for i := range val {
-		val[i] = math.Float32frombits(binary.LittleEndian.Uint32(valBytes[4*i:]))
-	}
-	for i := range vs {
-		a, b := int(lens.uvarint("")), int(lens.uvarint(""))
-		vs[i] = sparse.Vector{Idx: carve(&idx, a), Val: carve(&val, b)}
-	}
-	return vs
-}
-
-// carve cuts the next n items off *arena, capped so an append to one
-// cannot overwrite the next; nil when n is 0.
-func carve[T any](arena *[]T, n int) []T {
-	if n == 0 {
-		return nil
-	}
-	s := (*arena)[:n:n]
-	*arena = (*arena)[n:]
-	return s
-}
-
-// results reads answer lists carved from one []core.Neighbor.
-func (d *decoder) results() [][]core.Neighbor {
-	n := d.count(1, "answer lists")
+// decodeResults reads answer lists carved from one []core.Neighbor.
+func decodeResults(d *codec.Decoder) [][]core.Neighbor {
+	n := d.Count(1, "answer lists")
 	if n == 0 {
 		return nil
 	}
 	lens := *d
 	total := 0
 	for range n {
-		total += d.count(12, "neighbors")
+		total += d.Count(12, "neighbors")
 	}
-	raw := d.take(12*total, "neighbors")
-	if d.err != nil {
+	raw := d.Take(12*total, "neighbors")
+	if d.Err() != nil {
 		return nil
 	}
 	res := make([][]core.Neighbor, n)
@@ -468,28 +291,28 @@ func (d *decoder) results() [][]core.Neighbor {
 		}
 	}
 	for i := range res {
-		res[i] = carve(&arena, int(lens.uvarint("")))
+		res[i] = codec.Carve(&arena, int(lens.Uvarint("")))
 	}
 	return res
 }
 
-func (d *decoder) stats() node.Stats {
+func decodeStats(d *codec.Decoder) node.Stats {
 	var s node.Stats
 	for _, p := range [...]*int{&s.StaticLen, &s.DeltaLen, &s.Capacity, &s.Deleted, &s.Merges} {
-		*p = int(d.varint("stats"))
+		*p = int(d.Varint("stats"))
 	}
-	s.MergeInFlight = d.flag("stats")
-	s.MergePendingRows = int(d.varint("stats"))
-	s.LastMergeDur = time.Duration(d.varint("stats"))
+	s.MergeInFlight = d.Flag("stats")
+	s.MergePendingRows = int(d.Varint("stats"))
+	s.LastMergeDur = time.Duration(d.Varint("stats"))
 	for _, p := range [...]*int64{&s.TotalMergeNS, &s.InsertNS, &s.MemoryBytes} {
-		*p = d.varint("stats")
+		*p = d.Varint("stats")
 	}
-	s.PersistErr = d.str("stats")
+	s.PersistErr = d.Str("stats")
 	for _, p := range [...]*uint64{&s.SearchesServed, &s.InsertsServed, &s.DeletesServed} {
-		*p = d.uvarint("stats")
+		*p = d.Uvarint("stats")
 	}
 	for _, p := range [...]*int64{&s.WALAppendP50NS, &s.WALAppendP99NS, &s.WALFsyncP50NS, &s.WALFsyncP99NS, &s.FamilyBytes} {
-		*p = d.varint("stats")
+		*p = d.Varint("stats")
 	}
 	return s
 }
@@ -497,26 +320,26 @@ func (d *decoder) stats() node.Stats {
 // decodeRequest decodes a request payload. Only the header of an op this
 // binary does not know is read; handle answers it as an unknown op.
 func decodeRequest(p []byte) (*request, error) {
-	d := decoder{b: p}
-	req := &request{Seq: d.uvarint("seq"), Op: op(d.u8("op"))}
-	req.Deadline = int64(d.u64("deadline"))
+	d := codec.NewDecoder(p, errFrame)
+	req := &request{Seq: d.Uvarint("seq"), Op: op(d.U8("op"))}
+	req.Deadline = int64(d.U64("deadline"))
 	switch req.Op {
 	case opInsert:
-		req.Vectors = d.vectors()
+		req.Vectors = d.Vectors()
 	case opSearch:
-		req.Params.Radius = math.Float64frombits(d.u64("radius"))
-		req.Params.K = int(d.varint("k"))
-		req.Vectors = d.vectors()
+		req.Params.Radius = math.Float64frombits(d.U64("radius"))
+		req.Params.K = int(d.Varint("k"))
+		req.Vectors = d.Vectors()
 	case opDelete, opDoc:
-		req.ID = d.u32("id")
+		req.ID = d.U32("id")
 	case opMerge, opRetire, opStats, opCancel, opFlush, opSave:
 	default:
-		if d.err != nil {
-			return nil, d.err
+		if d.Err() != nil {
+			return nil, d.Err()
 		}
 		return req, nil
 	}
-	if err := d.done(); err != nil {
+	if err := d.Done(); err != nil {
 		return nil, err
 	}
 	return req, nil
@@ -524,36 +347,36 @@ func decodeRequest(p []byte) (*request, error) {
 
 // decodeResponse decodes a response payload.
 func decodeResponse(p []byte) (*response, error) {
-	d := decoder{b: p}
-	resp := &response{Seq: d.uvarint("seq"), Op: op(d.u8("op")), Code: respCode(d.u8("code"))}
+	d := codec.NewDecoder(p, errFrame)
+	resp := &response{Seq: d.Uvarint("seq"), Op: op(d.U8("op")), Code: respCode(d.U8("code"))}
 	switch {
 	case resp.Code > codeNotFound:
-		d.fail("unknown response code %d", resp.Code)
+		d.Fail("unknown response code %d", resp.Code)
 	case resp.Code == codeError:
-		resp.Err = d.str("error message")
+		resp.Err = d.Str("error message")
 	case resp.Code != codeOK:
 	case resp.Op == opInsert:
-		n := d.count(4, "ids")
-		raw := d.take(4*n, "ids")
-		if n > 0 && d.err == nil {
+		n := d.Count(4, "ids")
+		raw := d.Take(4*n, "ids")
+		if n > 0 && d.Err() == nil {
 			resp.IDs = make([]uint32, n)
 			for i := range resp.IDs {
 				resp.IDs[i] = binary.LittleEndian.Uint32(raw[4*i:])
 			}
 		}
 	case resp.Op == opSearch:
-		resp.Results = d.results()
+		resp.Results = decodeResults(&d)
 	case resp.Op == opDoc:
-		resp.Known = d.flag("known")
-		if vs := d.vectors(); len(vs) == 1 {
+		resp.Known = d.Flag("known")
+		if vs := d.Vectors(); len(vs) == 1 {
 			resp.Doc = vs[0]
-		} else if d.err == nil {
-			d.fail("doc reply carries %d vectors", len(vs))
+		} else if d.Err() == nil {
+			d.Fail("doc reply carries %d vectors", len(vs))
 		}
 	case resp.Op == opStats:
-		resp.Stats = d.stats()
+		resp.Stats = decodeStats(&d)
 	}
-	if err := d.done(); err != nil {
+	if err := d.Done(); err != nil {
 		return nil, err
 	}
 	return resp, nil

@@ -45,16 +45,16 @@ const (
 	// opCancel aborts the in-flight request whose Seq it carries; it has
 	// no response frame.
 	opCancel
-	// New ops append after opCancel so existing opcode values stay stable
-	// under client/server version skew.
+	// New ops append after the last one, and TestOpcodeValuesStable pins
+	// the numbers. A peer of another revision is closed at its preamble,
+	// so an op this binary does not know is malformed input from a peer of
+	// the same revision: handle answers it with a codeError, never a guess.
 	opFlush
 	// opSave checkpoints the node's data directory (snapshot + journal
 	// truncation).
 	opSave
-	// opSearch is the unified query op: a batch of vectors plus a
-	// versioned request-scoped parameter struct (radius, top-k bound).
-	// Older servers answer it with an unknown-op error, so mixed-version
-	// clusters fail loud, not wrong.
+	// opSearch is the unified query op: a batch of vectors plus the
+	// request-scoped parameters (radius, top-k bound).
 	opSearch
 	// opDoc fetches one stored vector by node-local id, plus the node's
 	// authoritative known/unknown answer.
@@ -85,8 +85,7 @@ const (
 	codeFull
 	codeError
 	// codeNotFound carries node.ErrNotFound (delete of a never-inserted
-	// id); appended after codeError so existing values stay stable under
-	// version skew.
+	// id). A code past it is malformed input, which decodeResponse refuses.
 	codeNotFound
 )
 
