@@ -8,8 +8,15 @@
 // Uvarint, and Varint for signed values); floats travel as their IEEE bits.
 // A length or count is written before what it counts.
 //
+//	words   = every word of a []uint32, []int32, []float32 or []uint64,
+//	          little-endian, 4 or 8 bytes each (AppendWords, DecodeWords);
+//	          its count is the caller's to write
 //	vectors = n uvarint, n × (len(Idx) uvarint, len(Val) uvarint),
-//	          every Idx entry u32, then every Val entry f32
+//	          the words of every Idx, then the words of every Val
+//
+// Every word array the process writes or reads — the vectors block, a
+// table's bitmap, the wire's insert IDs and a snapshot's arrays — goes
+// through AppendWords and DecodeWords.
 //
 // A Decoder checks every length and count against the bytes left before
 // anything is sized by it, and its callers refuse trailing bytes (Done), so
@@ -41,16 +48,68 @@ func AppendVectors(b []byte, vs []sparse.Vector) []byte {
 		b = binary.AppendUvarint(b, uint64(len(v.Val)))
 	}
 	for _, v := range vs {
-		for _, x := range v.Idx {
-			b = binary.LittleEndian.AppendUint32(b, x)
-		}
+		b = AppendWords(b, v.Idx)
 	}
 	for _, v := range vs {
-		for _, x := range v.Val {
+		b = AppendWords(b, v.Val)
+	}
+	return b
+}
+
+// Word is the element of a word array.
+type Word interface {
+	uint32 | int32 | float32 | uint64
+}
+
+// AppendWords appends every word of ws to b, little-endian, a float as its
+// IEEE bits.
+func AppendWords[W Word](b []byte, ws []W) []byte {
+	switch ws := any(ws).(type) {
+	case []uint32:
+		for _, x := range ws {
+			b = binary.LittleEndian.AppendUint32(b, x)
+		}
+	case []int32:
+		for _, x := range ws {
+			b = binary.LittleEndian.AppendUint32(b, uint32(x))
+		}
+	case []float32:
+		for _, x := range ws {
 			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(x))
+		}
+	case []uint64:
+		for _, x := range ws {
+			b = binary.LittleEndian.AppendUint64(b, x)
 		}
 	}
 	return b
+}
+
+// DecodeWords fills dst from p, which holds len(dst) words as AppendWords
+// lays them out; it panics if p is shorter.
+func DecodeWords[W Word](dst []W, p []byte) {
+	switch dst := any(dst).(type) {
+	case []uint32:
+		p = p[:4*len(dst)]
+		for i := range dst {
+			dst[i] = binary.LittleEndian.Uint32(p[4*i:])
+		}
+	case []int32:
+		p = p[:4*len(dst)]
+		for i := range dst {
+			dst[i] = int32(binary.LittleEndian.Uint32(p[4*i:]))
+		}
+	case []float32:
+		p = p[:4*len(dst)]
+		for i := range dst {
+			dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(p[4*i:]))
+		}
+	case []uint64:
+		p = p[:8*len(dst)]
+		for i := range dst {
+			dst[i] = binary.LittleEndian.Uint64(p[8*i:])
+		}
+	}
 }
 
 // AppendString appends s, its length first, to b.
@@ -194,12 +253,8 @@ func (d *Decoder) Vectors() []sparse.Vector {
 	vs := make([]sparse.Vector, n)
 	idx := make([]uint32, nIdx)
 	val := make([]float32, nVal)
-	for i := range idx {
-		idx[i] = binary.LittleEndian.Uint32(idxBytes[4*i:])
-	}
-	for i := range val {
-		val[i] = math.Float32frombits(binary.LittleEndian.Uint32(valBytes[4*i:]))
-	}
+	DecodeWords(idx, idxBytes)
+	DecodeWords(val, valBytes)
 	for i := range vs {
 		a, b := int(lens.Uvarint("")), int(lens.Uvarint(""))
 		vs[i] = sparse.Vector{Idx: Carve(&idx, a), Val: Carve(&val, b)}

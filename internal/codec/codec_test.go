@@ -1,7 +1,9 @@
 package codec
 
 import (
+	"bytes"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -62,5 +64,46 @@ func TestDecoderFailuresWrapTheSentinel(t *testing.T) {
 		if d.U32("after") != 0 || d.Err() != first {
 			t.Errorf("%s: a later read or failure replaced the first", tc.name)
 		}
+	}
+}
+
+// TestWordsRoundTrip: every word type comes back bit for bit — a NaN with a
+// payload, −0, a negative int32, the largest uint64 — from bytes that are
+// its little-endian words, appended after what b held.
+func TestWordsRoundTrip(t *testing.T) {
+	nan := math.Float32frombits(0x7fc0_1234)
+	fs := []float32{nan, float32(math.Copysign(0, -1)), 1.5}
+	b := AppendWords([]byte{0xee}, fs)
+	if want := []byte{0xee, 0x34, 0x12, 0xc0, 0x7f, 0, 0, 0, 0x80, 0, 0, 0xc0, 0x3f}; !bytes.Equal(b, want) {
+		t.Fatalf("float32 words = %x, want %x", b, want)
+	}
+	gotF := make([]float32, len(fs))
+	DecodeWords(gotF, b[1:])
+	for i := range fs {
+		if math.Float32bits(gotF[i]) != math.Float32bits(fs[i]) {
+			t.Errorf("float32 word %d = %#x, want %#x", i, math.Float32bits(gotF[i]), math.Float32bits(fs[i]))
+		}
+	}
+	roundTrip(t, []uint32{0, 1, math.MaxUint32}, 4)
+	roundTrip(t, []int32{-1, math.MinInt32, math.MaxInt32}, 4)
+	roundTrip(t, []uint64{0, 1 << 63, math.MaxUint64}, 8)
+	if b := AppendWords([]byte{}, []int32{-2}); !bytes.Equal(b, []byte{0xfe, 0xff, 0xff, 0xff}) {
+		t.Errorf("int32 -2 = %x", b)
+	}
+	if b := AppendWords(nil, []uint64{math.MaxUint64 - 1}); !bytes.Equal(b, []byte{0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}) {
+		t.Errorf("uint64 max−1 = %x", b)
+	}
+}
+
+func roundTrip[W Word](t *testing.T, ws []W, size int) {
+	t.Helper()
+	b := AppendWords(nil, ws)
+	if len(b) != size*len(ws) {
+		t.Fatalf("%T: %d bytes for %d words", ws, len(b), len(ws))
+	}
+	got := make([]W, len(ws))
+	DecodeWords(got, b)
+	if !reflect.DeepEqual(got, ws) {
+		t.Errorf("%T: decoded %v, want %v", ws, got, ws)
 	}
 }

@@ -285,9 +285,7 @@ func rankOf(occ []uint64) []uint32 {
 func (t *Table) AppendEncoded(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(t.r))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(t.occ)))
-	for _, word := range t.occ {
-		dst = binary.LittleEndian.AppendUint64(dst, word)
-	}
+	dst = codec.AppendWords(dst, t.occ)
 	dst = t.entries.appendEncoded(dst, t.nEntries)
 	return t.items.appendEncoded(dst, t.n)
 }
@@ -327,9 +325,7 @@ func decodeTable(d codec.Decoder, r uint) (Table, error) {
 		return Table{}, d.Err()
 	}
 	occ := make([]uint64, words)
-	for w := range occ {
-		occ[w] = binary.LittleEndian.Uint64(raw[8*w:])
-	}
+	codec.DecodeWords(occ, raw)
 	t := Table{occ: occ, rank: rankOf(occ), r: r}
 	t.entries, t.nEntries = decodePacked(&d)
 	t.items, t.n = decodePacked(&d)

@@ -22,6 +22,7 @@ import (
 
 	"plsh/internal/rng"
 	"plsh/internal/sparse"
+	"plsh/internal/vocab"
 )
 
 // Config parameterizes a synthetic collection.
@@ -71,13 +72,12 @@ func Wikipedia(docs, vocabSize int, seed uint64) Config {
 	}
 }
 
-// Collection is a generated corpus: token ID lists, the encoded unit
-// vectors in one CSR arena, and the DF table used for IDF weighting.
+// Collection is a generated corpus: token ID lists and the encoded unit
+// vectors in one CSR arena.
 type Collection struct {
 	Cfg  Config
 	Docs [][]uint32     // raw word-ID lists (documents that encoded to zero are dropped)
 	Mat  *sparse.Matrix // row i encodes Docs[i]
-	df   []int32
 }
 
 // Generate builds a Collection from cfg.
@@ -86,14 +86,13 @@ func Generate(cfg Config) *Collection {
 	c := &Collection{Cfg: cfg, Mat: sparse.NewMatrix(cfg.VocabSize, cfg.Docs, int(float64(cfg.Docs)*cfg.MeanLen))}
 	for len(c.Docs) < cfg.Docs {
 		doc := g.NextTokens()
-		vec, ok := g.Encode(doc)
+		vec, ok := g.EncodeIDs(doc, cfg.VocabSize)
 		if !ok {
 			continue
 		}
 		c.Docs = append(c.Docs, doc)
 		c.Mat.AppendRow(vec)
 	}
-	c.df = g.df
 	return c
 }
 
@@ -110,16 +109,16 @@ func (c *Collection) SampleQueries(n int, seed uint64) []sparse.Vector {
 	return out
 }
 
-// Stream generates documents one at a time, maintaining the document-
-// frequency table incrementally. It backs both batch Generate and the
-// streaming examples/benchmarks, where tweets arrive continuously (§6).
+// Stream generates documents one at a time, observing each in its IDF
+// table (the embedded vocab.Weights) as it goes. It backs both batch
+// Generate and the streaming examples/benchmarks, where tweets arrive
+// continuously (§6).
 type Stream struct {
+	vocab.Weights
 	cfg    Config
 	src    *rng.Source
 	zipf   *rng.Zipf
-	perm   []uint32 // random relabeling of Zipf ranks to word IDs
-	df     []int32
-	nDocs  int
+	perm   []uint32   // random relabeling of Zipf ranks to word IDs
 	recent [][]uint32 // reservoir of recent docs for near-dup generation
 }
 
@@ -136,7 +135,6 @@ func NewStream(cfg Config) *Stream {
 		cfg:  cfg,
 		src:  src,
 		zipf: rng.NewZipf(src.Split(), cfg.ZipfAlpha, cfg.VocabSize),
-		df:   make([]int32, cfg.VocabSize),
 	}
 	// Scatter Zipf ranks over word IDs so that "hot" words are not the
 	// numerically smallest IDs; real vocabularies are not frequency-sorted.
@@ -177,7 +175,6 @@ func (s *Stream) docLen() int {
 
 // NextTokens generates the next document's word-ID list.
 func (s *Stream) NextTokens() []uint32 {
-	s.nDocs++
 	var doc []uint32
 	if len(s.recent) > 16 && s.src.Float64() < s.cfg.NearDupRate {
 		// Near-duplicate of a random recent document with a few edits:
@@ -194,7 +191,7 @@ func (s *Stream) NextTokens() []uint32 {
 			doc[i] = s.draw()
 		}
 	}
-	s.observe(doc)
+	s.Observe(doc)
 	if len(s.recent) < 4096 {
 		s.recent = append(s.recent, doc)
 	} else {
@@ -205,64 +202,11 @@ func (s *Stream) NextTokens() []uint32 {
 
 func (s *Stream) draw() uint32 { return s.perm[s.zipf.Next()] }
 
-func (s *Stream) observe(doc []uint32) {
-	// Count DF: each distinct word once per doc. Docs are short; the O(n²)
-	// distinctness check beats a map allocation for n ≈ 7.
-	for i, w := range doc {
-		dup := false
-		for _, prev := range doc[:i] {
-			if prev == w {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			s.df[w]++
-		}
-	}
-}
-
-// IDF returns the current smoothed inverse document frequency of word w:
-// log((1+docs)/(1+df)) + 1, matching vocab.Vocabulary.IDF.
-func (s *Stream) IDF(w uint32) float64 {
-	return math.Log(float64(1+s.nDocs)/float64(1+s.df[w])) + 1
-}
-
-// Encode converts a word-ID document to a unit-normalized IDF-weighted
-// sparse vector. ok is false if the document encodes to the zero vector.
-func (s *Stream) Encode(doc []uint32) (sparse.Vector, bool) {
-	var idx []uint32
-	var val []float32
-	for i, w := range doc {
-		dup := false
-		for _, prev := range doc[:i] {
-			if prev == w {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		f := s.IDF(w)
-		if f <= 0 {
-			continue
-		}
-		idx = append(idx, w)
-		val = append(val, float32(f))
-	}
-	v, err := sparse.NewVector(idx, val)
-	if err != nil || !v.Normalize() {
-		return sparse.Vector{}, false
-	}
-	return v, true
-}
-
 // NextVector generates and encodes the next document, skipping any that
 // encode to zero.
 func (s *Stream) NextVector() sparse.Vector {
 	for {
-		if v, ok := s.Encode(s.NextTokens()); ok {
+		if v, ok := s.EncodeIDs(s.NextTokens(), s.cfg.VocabSize); ok {
 			return v
 		}
 	}

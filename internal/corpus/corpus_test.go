@@ -157,7 +157,7 @@ func TestStreamEncodeConsistentWithIDF(t *testing.T) {
 		docs = append(docs, s.NextTokens())
 	}
 	doc := docs[199]
-	v, ok := s.Encode(doc)
+	v, ok := s.EncodeIDs(doc, 1000)
 	if !ok {
 		t.Skip("sampled doc encoded to zero; acceptable")
 	}

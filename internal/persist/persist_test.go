@@ -5,12 +5,14 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"plsh/internal/core"
 	"plsh/internal/corpus"
+	"plsh/internal/israce"
 	"plsh/internal/lshhash"
 	"plsh/internal/sparse"
 )
@@ -95,6 +97,58 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestSnapshotMissing(t *testing.T) {
 	if _, err := ReadSnapshot(t.TempDir()); !errors.Is(err, ErrNoSnapshot) {
 		t.Fatalf("want ErrNoSnapshot, got %v", err)
+	}
+}
+
+// TestReadSnapshotAllocatesEachArrayOnce: loading a snapshot that holds an
+// arena and no tables allocates the arena's arrays, the tombstone words and
+// the read buffer, and next to nothing else — each array is decoded
+// straight into its one allocation. A reader that decoded the offsets and
+// values as []uint32 and then converted them would allocate both twice,
+// 4·(rows+1) + 4·nnz bytes over this bound.
+func TestReadSnapshotAllocatesEachArrayOnce(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation sizes are not pinned under the race detector")
+	}
+	const rows = 5000
+	p := testParams()
+	s := &Snapshot{
+		Params:   p,
+		Capacity: rows,
+		Rows:     rows,
+		Arena:    corpus.Generate(corpus.Twitter(rows, p.Dim, 3)).Mat,
+		Deleted:  make([]uint64, (rows+63)/64),
+	}
+	dir := t.TempDir()
+	if err := WriteSnapshot(dir, s); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(SnapshotPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nnz := s.Arena.NNZ()
+	arena := uint64(4*(rows+1) + 8*nnz + 8*len(s.Deleted))
+	buffer := uint64(min(fi.Size(), 1<<20))
+	// The reader's own state (its 4 KiB chunk), the file, the structs,
+	// and the rounding of each array up to its size class or page.
+	const slack = 40 << 10
+
+	const runs = 4
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if _, err := ReadSnapshot(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	got := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("ReadSnapshot allocated %d bytes: arena %d, buffer %d", got, arena, buffer)
+	if got > arena+buffer+slack {
+		t.Fatalf("ReadSnapshot allocated %d bytes, over the arena's %d + the buffer's %d + %d",
+			got, arena, buffer, slack)
 	}
 }
 

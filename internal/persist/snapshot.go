@@ -33,11 +33,11 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"slices"
 
+	"plsh/internal/codec"
 	"plsh/internal/core"
 	"plsh/internal/lshhash"
 	"plsh/internal/sparse"
@@ -135,9 +135,9 @@ func WriteSnapshot(dir string, s *Snapshot) (err error) {
 
 	offs, cols, vals := s.Arena.Raw()
 	w.u64(uint64(len(cols)))
-	w.i32s(offs)
-	w.u32s(cols)
-	w.f32s(vals)
+	writeWords(w, offs)
+	writeWords(w, cols)
+	writeWords(w, vals)
 
 	w.u32(uint32(len(s.Tables)))
 	var enc []byte // each table's encoding in turn
@@ -148,7 +148,7 @@ func WriteSnapshot(dir string, s *Snapshot) (err error) {
 	}
 
 	w.u64(uint64(len(s.Deleted)))
-	w.u64s(s.Deleted)
+	writeWords(w, s.Deleted)
 
 	if err := w.finish(); err != nil {
 		return fmt.Errorf("persist: write snapshot: %w", err)
@@ -219,9 +219,9 @@ func readSnapshot(src io.Reader, size int64) (*Snapshot, error) {
 	}
 
 	nnz := int(r.u64())
-	offs := r.i32s(s.Rows + 1)
-	cols := r.u32s(nnz)
-	vals := r.f32s(nnz)
+	offs := readWords[int32](r, s.Rows+1)
+	cols := readWords[uint32](r, nnz)
+	vals := readWords[float32](r, nnz)
 
 	nTables := int(r.u32())
 	if r.err == nil && nTables > 1<<20 {
@@ -251,7 +251,7 @@ func readSnapshot(src io.Reader, size int64) (*Snapshot, error) {
 		s.Tables = append(s.Tables, t)
 	}
 
-	s.Deleted = r.u64s(int(r.u64()))
+	s.Deleted = readWords[uint64](r, int(r.u64()))
 
 	if err := r.finish(); err != nil {
 		return nil, err
@@ -291,7 +291,7 @@ type crcWriter struct {
 	crc uint32
 	err error
 	tmp [8]byte
-	buf []byte // chunk scratch for slice sections
+	buf []byte // chunk scratch for word arrays
 }
 
 func newCRCWriter(w io.Writer) *crcWriter {
@@ -316,50 +316,15 @@ func (c *crcWriter) u64(v uint64) {
 	c.bytes(c.tmp[:8])
 }
 
-// u32s writes a []uint32 section in 64 KiB chunks — the hot path for
-// bucket arrays and the arena, where per-element Write calls would
+// writeWords writes a word array through c.buf in 64 KiB chunks — the hot
+// path for the arena and the tombstones, where per-word Write calls would
 // dominate snapshot time.
-func (c *crcWriter) u32s(vs []uint32) {
-	for len(vs) > 0 && c.err == nil {
-		n := min(len(vs), len(c.buf)/4)
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint32(c.buf[i*4:], vs[i])
-		}
-		c.bytes(c.buf[:n*4])
-		vs = vs[n:]
-	}
-}
-
-func (c *crcWriter) i32s(vs []int32) {
-	for len(vs) > 0 && c.err == nil {
-		n := min(len(vs), len(c.buf)/4)
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint32(c.buf[i*4:], uint32(vs[i]))
-		}
-		c.bytes(c.buf[:n*4])
-		vs = vs[n:]
-	}
-}
-
-func (c *crcWriter) f32s(vs []float32) {
-	for len(vs) > 0 && c.err == nil {
-		n := min(len(vs), len(c.buf)/4)
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint32(c.buf[i*4:], math.Float32bits(vs[i]))
-		}
-		c.bytes(c.buf[:n*4])
-		vs = vs[n:]
-	}
-}
-
-func (c *crcWriter) u64s(vs []uint64) {
-	for len(vs) > 0 && c.err == nil {
-		n := min(len(vs), len(c.buf)/8)
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(c.buf[i*8:], vs[i])
-		}
-		c.bytes(c.buf[:n*8])
-		vs = vs[n:]
+func writeWords[W codec.Word](c *crcWriter, ws []W) {
+	size := binary.Size(*new(W))
+	for len(ws) > 0 && c.err == nil {
+		n := min(len(ws), len(c.buf)/size)
+		c.bytes(codec.AppendWords(c.buf[:0], ws[:n]))
+		ws = ws[n:]
 	}
 }
 
@@ -385,7 +350,7 @@ type crcReader struct {
 	remaining int64 // payload bytes left (file size minus trailer)
 	err       error
 	tmp       [8]byte
-	chunk     [1 << 12]byte // decode scratch for slice sections
+	chunk     [1 << 12]byte // decode scratch for word arrays
 }
 
 func newCRCReader(r io.Reader, size int64) *crcReader {
@@ -445,66 +410,21 @@ func (c *crcReader) checkLen(n, width int) bool {
 	return true
 }
 
-func (c *crcReader) u32s(n int) []uint32 {
-	if !c.checkLen(n, 4) {
+// readWords reads an array of n words through c.chunk, decoding each chunk
+// straight into the one allocation of exactly n words it returns.
+func readWords[W codec.Word](c *crcReader, n int) []W {
+	size := binary.Size(*new(W))
+	if !c.checkLen(n, size) {
 		return nil
 	}
-	out := make([]uint32, n)
-	chunk := c.chunk[:]
-	for i := 0; i < n; {
-		m := min(n-i, len(chunk)/4)
-		c.bytes(chunk[:m*4])
-		if c.err != nil {
+	out := make([]W, n)
+	for rest := out; len(rest) > 0; {
+		m := min(len(rest), len(c.chunk)/size)
+		if c.bytes(c.chunk[:m*size]); c.err != nil {
 			return nil
 		}
-		for j := 0; j < m; j++ {
-			out[i+j] = binary.LittleEndian.Uint32(chunk[j*4:])
-		}
-		i += m
-	}
-	return out
-}
-
-func (c *crcReader) i32s(n int) []int32 {
-	us := c.u32s(n)
-	if c.err != nil {
-		return nil
-	}
-	out := make([]int32, len(us))
-	for i, u := range us {
-		out[i] = int32(u)
-	}
-	return out
-}
-
-func (c *crcReader) f32s(n int) []float32 {
-	us := c.u32s(n)
-	if c.err != nil {
-		return nil
-	}
-	out := make([]float32, len(us))
-	for i, u := range us {
-		out[i] = math.Float32frombits(u)
-	}
-	return out
-}
-
-func (c *crcReader) u64s(n int) []uint64 {
-	if !c.checkLen(n, 8) {
-		return nil
-	}
-	out := make([]uint64, n)
-	chunk := c.chunk[:]
-	for i := 0; i < n; {
-		m := min(n-i, len(chunk)/8)
-		c.bytes(chunk[:m*8])
-		if c.err != nil {
-			return nil
-		}
-		for j := 0; j < m; j++ {
-			out[i+j] = binary.LittleEndian.Uint64(chunk[j*8:])
-		}
-		i += m
+		codec.DecodeWords(rest[:m], c.chunk[:])
+		rest = rest[m:]
 	}
 	return out
 }

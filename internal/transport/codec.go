@@ -206,9 +206,7 @@ func appendResponse(b []byte, resp *response) []byte {
 	case resp.Code != codeOK:
 	case resp.Op == opInsert:
 		b = binary.AppendUvarint(b, uint64(len(resp.IDs)))
-		for _, id := range resp.IDs {
-			b = binary.LittleEndian.AppendUint32(b, id)
-		}
+		b = codec.AppendWords(b, resp.IDs)
 	case resp.Op == opSearch:
 		b = binary.AppendUvarint(b, uint64(len(resp.Results)))
 		for _, l := range resp.Results {
@@ -360,9 +358,7 @@ func decodeResponse(p []byte) (*response, error) {
 		raw := d.Take(4*n, "ids")
 		if n > 0 && d.Err() == nil {
 			resp.IDs = make([]uint32, n)
-			for i := range resp.IDs {
-				resp.IDs[i] = binary.LittleEndian.Uint32(raw[4*i:])
-			}
+			codec.DecodeWords(resp.IDs, raw)
 		}
 	case resp.Op == opSearch:
 		resp.Results = decodeResults(&d)

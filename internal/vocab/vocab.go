@@ -6,12 +6,13 @@
 // vocabulary with Inverse Document Frequency scores ("to give more
 // importance to less common words"), and normalizes to unit length. This
 // package reproduces that pipeline for real text; the synthetic corpus
-// generator (internal/corpus) bypasses strings and produces word-ID vectors
-// directly.
+// generator (internal/corpus) bypasses strings and draws word IDs directly,
+// weighting them through the same Weights table.
 package vocab
 
 import (
 	"math"
+	"slices"
 	"strings"
 
 	"plsh/internal/sparse"
@@ -60,13 +61,76 @@ func Tokenize(s string) []string {
 	return tokens
 }
 
-// Vocabulary maps words to dense IDs and tracks document frequencies so
-// IDF scores can be computed. It is not safe for concurrent mutation.
+// Weights is a document-frequency table over word IDs and the smoothed IDF
+// weights it gives. A Vocabulary keeps one over the words it interns, and
+// the synthetic corpus (internal/corpus) one over the word IDs it draws.
+// The zero value is an empty table; it is not safe for concurrent mutation.
+type Weights struct {
+	df   []int32 // document frequency per word id; ids past it have none
+	docs int     // number of documents observed
+}
+
+// Docs returns the number of documents observed.
+func (w *Weights) Docs() int { return w.docs }
+
+// Observe counts one document given as word IDs: each distinct ID once.
+// The distinctness check here and in EncodeIDs scans the IDs before each
+// one rather than allocate a set: quadratic in a document's length, which
+// for a tweet is about 7 words.
+func (w *Weights) Observe(ids []uint32) {
+	w.docs++
+	for i, id := range ids {
+		if slices.Contains(ids[:i], id) {
+			continue
+		}
+		if int(id) >= len(w.df) {
+			w.df = append(w.df, make([]int32, int(id)+1-len(w.df))...)
+		}
+		w.df[id]++
+	}
+}
+
+// IDF returns the smoothed inverse document frequency of word id:
+// log((1+docs)/(1+df)) + 1. The +1 floor (as in scikit-learn's smooth IDF)
+// keeps even ubiquitous words at positive weight, so no document encodes to
+// the zero vector merely because its words are common.
+func (w *Weights) IDF(id uint32) float64 {
+	var df int32
+	if int(id) < len(w.df) {
+		df = w.df[id]
+	}
+	return math.Log(float64(1+w.docs)/float64(1+df)) + 1
+}
+
+// EncodeIDs builds the unit-normalized IDF-weighted sparse vector for a
+// document given as word IDs, using dim as the vector dimensionality
+// (allowing the vector space to be padded beyond the current vocabulary).
+// Each distinct word contributes its IDF once (set-of-words model, as the
+// paper's duplicate removal implies). ok is false for empty/zero documents,
+// which the caller should skip (§8: "0-length queries ... are ignored").
+func (w *Weights) EncodeIDs(ids []uint32, dim int) (vec sparse.Vector, ok bool) {
+	var idx []uint32
+	var val []float32
+	for i, id := range ids {
+		if int(id) >= dim || slices.Contains(ids[:i], id) {
+			continue
+		}
+		idx = append(idx, id)
+		val = append(val, float32(w.IDF(id)))
+	}
+	vec, err := sparse.NewVector(idx, val)
+	if err != nil || !vec.Normalize() {
+		return sparse.Vector{}, false
+	}
+	return vec, true
+}
+
+// Vocabulary maps words to dense IDs and weights them by the documents it
+// has observed. It is not safe for concurrent mutation.
 type Vocabulary struct {
+	Weights
 	ids  map[string]uint32
 	word []string
-	df   []int32 // document frequency per word id
-	docs int     // number of documents observed
 }
 
 // New returns an empty Vocabulary.
@@ -77,9 +141,6 @@ func New() *Vocabulary {
 // Size returns the number of distinct words.
 func (v *Vocabulary) Size() int { return len(v.word) }
 
-// Docs returns the number of documents observed via ObserveDoc.
-func (v *Vocabulary) Docs() int { return v.docs }
-
 // Intern returns the ID for word, allocating one if needed.
 func (v *Vocabulary) Intern(word string) uint32 {
 	if id, ok := v.ids[word]; ok {
@@ -88,7 +149,6 @@ func (v *Vocabulary) Intern(word string) uint32 {
 	id := uint32(len(v.word))
 	v.ids[word] = id
 	v.word = append(v.word, word)
-	v.df = append(v.df, 0)
 	return id
 }
 
@@ -101,55 +161,15 @@ func (v *Vocabulary) Lookup(word string) (uint32, bool) {
 // Word returns the word for id.
 func (v *Vocabulary) Word(id uint32) string { return v.word[id] }
 
-// ObserveDoc registers one document's tokens for DF accounting, interning
-// new words. Each distinct word counts once per document.
-func (v *Vocabulary) ObserveDoc(tokens []string) {
-	v.docs++
-	seen := make(map[uint32]bool, len(tokens))
-	for _, tok := range tokens {
-		id := v.Intern(tok)
-		if !seen[id] {
-			seen[id] = true
-			v.df[id]++
-		}
+// ObserveDoc interns one document's tokens and counts it for DF accounting
+// (each distinct word once), returning the tokens' IDs in order.
+func (v *Vocabulary) ObserveDoc(tokens []string) []uint32 {
+	ids := make([]uint32, len(tokens))
+	for i, tok := range tokens {
+		ids[i] = v.Intern(tok)
 	}
-}
-
-// IDF returns the smoothed inverse document frequency of word id:
-// log((1+docs)/(1+df)) + 1. The +1 floor (as in scikit-learn's smooth IDF)
-// keeps even ubiquitous words at positive weight, so no document encodes to
-// the zero vector merely because its words are common.
-func (v *Vocabulary) IDF(id uint32) float64 {
-	return math.Log(float64(1+v.docs)/float64(1+v.df[id])) + 1
-}
-
-// EncodeIDs builds the unit-normalized IDF-weighted sparse vector for a
-// document given as word IDs, using dim as the vector dimensionality
-// (allowing the vector space to be padded beyond the current vocabulary).
-// Each distinct word contributes its IDF once (set-of-words model, as the
-// paper's duplicate removal implies). ok is false for empty/zero documents,
-// which the caller should skip (§8: "0-length queries ... are ignored").
-func (v *Vocabulary) EncodeIDs(ids []uint32, dim int) (vec sparse.Vector, ok bool) {
-	seen := make(map[uint32]bool, len(ids))
-	var idx []uint32
-	var val []float32
-	for _, id := range ids {
-		if int(id) >= dim || seen[id] {
-			continue
-		}
-		seen[id] = true
-		w := v.IDF(id)
-		if w <= 0 {
-			continue
-		}
-		idx = append(idx, id)
-		val = append(val, float32(w))
-	}
-	vec, err := sparse.NewVector(idx, val)
-	if err != nil || !vec.Normalize() {
-		return sparse.Vector{}, false
-	}
-	return vec, true
+	v.Observe(ids)
+	return ids
 }
 
 // Encode tokenizes text against the existing vocabulary (unknown words are

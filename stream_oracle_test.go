@@ -140,7 +140,9 @@ func TestStreamingMergesMatchOracle(t *testing.T) {
 // Store fed 30 000 tweets 100 at a time, with 3 random deletes a batch and
 // its background merges running, answers every query with exactly the
 // sketch-exact set: no search skips a candidate, so what the sketches
-// predict is what comes back — no more, no fewer.
+// predict is what comes back — no more, no fewer. Stream equals static: a
+// second Store given the same rows in three batches and the same deletes,
+// then merged into one static index, answers every query as the stream did.
 func TestStreamingAnswersMatchSketchOracle(t *testing.T) {
 	const total, batch, dim, radius = 30000, 100, 50000, 0.9
 	s, err := NewStore(Config{Dim: dim, K: 16, M: 16, Radius: radius, Capacity: 32768})
@@ -151,6 +153,7 @@ func TestStreamingAnswersMatchSketchOracle(t *testing.T) {
 	docs := SyntheticTweets(total, dim, 1)
 	o := newOracle(t, s.Config(), nil)
 	rng := rand.New(rand.NewSource(5))
+	var deletes []int
 	for at := 0; at < total; at += batch {
 		if _, err := s.Insert(bg, docs[at:at+batch]); err != nil {
 			t.Fatal(err)
@@ -162,9 +165,11 @@ func TestStreamingAnswersMatchSketchOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			o.Delete(uint32(id))
+			deletes = append(deletes, id)
 		}
 	}
 	answers := 0
+	var streamed [][]Match // every 64th row's answers
 	for qi := 0; qi < total; qi += 64 {
 		res, err := s.Search(bg, docs[qi])
 		if err != nil {
@@ -173,6 +178,7 @@ func TestStreamingAnswersMatchSketchOracle(t *testing.T) {
 		requireMatchesEqual(t, fmt.Sprintf("query %d", qi), res.Matches,
 			wantMatches(o, nil, docs[qi], radius, 0))
 		answers += len(res.Matches)
+		streamed = append(streamed, res.Matches)
 	}
 	if err := s.Flush(bg); err != nil {
 		t.Fatal(err)
@@ -181,5 +187,35 @@ func TestStreamingAnswersMatchSketchOracle(t *testing.T) {
 	t.Logf("%d answers, %d merges, %d tombstones", answers, st.Merges, st.Deleted)
 	if st.Merges < 8 || answers < 500 {
 		t.Fatalf("%d merges and %d answers; the test wants at least 8 and 500", st.Merges, answers)
+	}
+
+	static, err := NewStore(s.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer static.Close()
+	for at := 0; at < total; at += total / 3 {
+		if _, err := static.Insert(bg, docs[at:at+total/3]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range deletes {
+		if err := static.Delete(bg, uint64(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := static.Merge(bg); err != nil {
+		t.Fatal(err)
+	}
+	if st := static.StatsNow(); st.StaticLen != total || st.DeltaLen != 0 {
+		t.Fatalf("the static side is not one static index: %+v", st)
+	}
+	for i, want := range streamed {
+		qi := 64 * i
+		res, err := static.Search(bg, docs[qi])
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireMatchesEqual(t, fmt.Sprintf("static, query %d", qi), res.Matches, want)
 	}
 }

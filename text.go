@@ -40,15 +40,7 @@ func (e *Encoder) Encode(text string) (Vector, bool) {
 // ObserveAndEncode interns the document's words, updates document
 // frequencies, and encodes it in one pass — the streaming-ingest path.
 func (e *Encoder) ObserveAndEncode(text string) (Vector, bool) {
-	toks := vocab.Tokenize(text)
-	e.v.ObserveDoc(toks)
-	ids := make([]uint32, 0, len(toks))
-	for _, t := range toks {
-		if id, ok := e.v.Lookup(t); ok {
-			ids = append(ids, id)
-		}
-	}
-	return e.v.EncodeIDs(ids, e.dim)
+	return e.v.EncodeIDs(e.v.ObserveDoc(vocab.Tokenize(text)), e.dim)
 }
 
 // VocabSize returns the number of distinct observed words.
