@@ -1,0 +1,42 @@
+package expr
+
+import (
+	"bytes"
+	"regexp"
+	"testing"
+)
+
+// TestTinyScaleCountsArePinned pins the counts Table 2 and Recall print at
+// tinyOptions. Counts do not depend on timing, so any change to how the
+// runners build their indexes or sample their queries that moves one of
+// them changes what the experiment measures.
+func TestTinyScaleCountsArePinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiments are slow")
+	}
+	cases := []struct {
+		run  func(Options, *bytes.Buffer) error
+		want []string
+	}{
+		{func(o Options, w *bytes.Buffer) error { return Table2(o, w) }, []string{
+			`(?m)^exhaustive\s+1500\.0\s`,
+			`(?m)^inverted index\s+979\.6\s`,
+			`(?m)^plsh\s+94\.4\s`,
+		}},
+		{func(o Options, w *bytes.Buffer) error { return Recall(o, w) }, []string{
+			`(?m)^true R-near neighbor pairs\s+51$`,
+			`(?m)^retrieved\s+50$`,
+		}},
+	}
+	for _, c := range cases {
+		var buf bytes.Buffer
+		if err := c.run(tinyOptions(), &buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, re := range c.want {
+			if !regexp.MustCompile(re).MatchString(buf.String()) {
+				t.Errorf("output does not match %s:\n%s", re, buf.String())
+			}
+		}
+	}
+}
