@@ -11,14 +11,17 @@
 package expr
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
 	"text/tabwriter"
 	"time"
 
+	"plsh/internal/core"
 	"plsh/internal/corpus"
 	"plsh/internal/lshhash"
+	"plsh/internal/node"
 	"plsh/internal/sparse"
 )
 
@@ -73,6 +76,37 @@ func (o Options) wikipediaCorpus() *corpus.Collection {
 // the database", §8).
 func (o Options) queries(c *corpus.Collection) []sparse.Vector {
 	return c.SampleQueries(o.Queries, o.Seed+1)
+}
+
+// engine builds the default index of mat under fam and opens a query
+// engine on it at o's radius, both on workers workers.
+func (o Options) engine(fam *lshhash.Family, mat *sparse.Matrix, workers int) (*core.Engine, error) {
+	buildOpts := core.Defaults()
+	buildOpts.Workers = workers
+	st, err := core.Build(fam, mat, buildOpts)
+	if err != nil {
+		return nil, err
+	}
+	qOpts := core.QueryDefaults()
+	qOpts.Radius = o.Radius
+	qOpts.Workers = workers
+	return core.NewEngine(st, mat, qOpts), nil
+}
+
+// node opens an in-memory node at o's parameters, radius and workers that
+// holds up to capacity documents.
+func (o Options) node(capacity int, autoMerge bool) (*node.Node, error) {
+	cfg := node.Config{
+		Params:    o.params(),
+		Capacity:  capacity,
+		AutoMerge: autoMerge,
+		Build:     core.Defaults(),
+		Query:     core.QueryDefaults(),
+	}
+	cfg.Build.Workers = o.Workers
+	cfg.Query.Workers = o.Workers
+	cfg.Query.Radius = o.Radius
+	return node.Open(context.Background(), cfg)
 }
 
 // Runner is one experiment.

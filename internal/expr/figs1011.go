@@ -23,16 +23,10 @@ func Fig10(o Options, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	buildOpts := core.Defaults()
-	buildOpts.Workers = o.Workers
-	st, err := core.Build(fam, c.Mat, buildOpts)
+	eng, err := o.engine(fam, c.Mat, o.Workers)
 	if err != nil {
 		return err
 	}
-	qOpts := core.QueryDefaults()
-	qOpts.Radius = o.Radius
-	qOpts.Workers = o.Workers
-	eng := core.NewEngine(st, c.Mat, qOpts)
 	eng.SearchBatchAppend(nil, allQueries[:64], core.SearchParams{})
 
 	header(w, fmt.Sprintf("Figure 10: latency vs throughput (N=%d)", o.N))
@@ -100,21 +94,11 @@ func Fig11(o Options, w io.Writer) error {
 // fig11Run builds a node with staticN docs merged into the static
 // structure and deltaN docs held in the delta table, then times the batch.
 func fig11Run(o Options, staticN, deltaN int, queries []sparse.Vector) (time.Duration, error) {
-	cfg := node.Config{
-		Params:    o.params(),
-		Capacity:  staticN + deltaN + 1,
-		AutoMerge: false,
-		Build:     core.Defaults(),
-		Query:     core.QueryDefaults(),
-	}
-	cfg.Build.Workers = o.Workers
-	cfg.Query.Workers = o.Workers
-	cfg.Query.Radius = o.Radius
-	ctx := context.Background()
-	n, err := node.Open(ctx, cfg)
+	n, err := o.node(staticN+deltaN+1, false)
 	if err != nil {
 		return 0, err
 	}
+	ctx := context.Background()
 	data := Options{N: staticN + deltaN + 1, Dim: o.Dim, Seed: o.Seed + 33}.twitterCorpus()
 	vs := docsOf(data)
 	if staticN > 0 {

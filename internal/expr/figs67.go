@@ -9,14 +9,13 @@ import (
 	"plsh/internal/corpus"
 	"plsh/internal/lshhash"
 	"plsh/internal/perfmodel"
-	"plsh/internal/sparse"
 )
 
 // Fig6 reproduces Figure 6: estimated vs actual runtimes for PLSH creation
 // (hashing, Steps I1–I3) and querying (Q2 bitvector, Q3 search). The paper
 // finds the model within 15% on Twitter data (25% on Wikipedia). Estimates
-// here are single-threaded totals, so the measured side uses 1 worker for
-// construction and summed-across-workers phase times for queries.
+// here are single-threaded totals, so the measured side uses one worker
+// for construction and for queries.
 func Fig6(o Options, w io.Writer) error {
 	c := o.twitterCorpus()
 	queries := o.queries(c)
@@ -49,7 +48,7 @@ func Fig6(o Options, w io.Writer) error {
 	runtime.GC()
 	buildOpts := core.Defaults()
 	buildOpts.Workers = 1
-	_, tm, err := core.BuildTimed(fam, c.Mat, buildOpts)
+	st, tm, err := core.BuildTimed(fam, c.Mat, buildOpts)
 	if err != nil {
 		return err
 	}
@@ -71,17 +70,10 @@ func Fig6(o Options, w io.Writer) error {
 	}
 	tb.flush()
 
-	// Query: model vs summed phase times on the real engine. One worker:
-	// the model's constants are contention-free per-worker costs (the
-	// paper likewise models per-core work and divides by core count).
-	qOpts := core.QueryDefaults()
-	qOpts.Radius = o.Radius
-	qOpts.Workers = 1
-	qOpts.CollectPhases = true
-	eng := core.NewEngine(core.MustBuild(fam, c.Mat, core.Defaults()), c.Mat, qOpts)
-	eng.SearchBatchAppend(nil, queries[:min(32, len(queries))], core.SearchParams{}) // warm up
-	runtime.GC()
-	ph := bestPhases(eng, queries, 3)
+	// Query: model vs phase times on the real engine, measured the way the
+	// model's constants are defined (the paper likewise models per-core
+	// work and divides by core count).
+	ph, _ := perfmodel.Measure(st, c.Mat, queries, o.Radius)
 	qe := costs.EstimateQuery(wl, o.K, o.M)
 	nq := float64(len(queries))
 
@@ -93,24 +85,6 @@ func Fig6(o Options, w io.Writer) error {
 	tb.flush()
 	fmt.Fprintf(w, "paper: model within 15%% (Twitter) / 25%% (Wikipedia)\n")
 	return nil
-}
-
-// bestPhases measures the batch reps times and keeps the per-phase minima
-// (GC and scheduler interference only ever inflate a run).
-func bestPhases(eng *core.Engine, queries []sparse.Vector, reps int) core.PhaseTimes {
-	var best core.PhaseTimes
-	for r := 0; r < reps; r++ {
-		eng.ResetPhases()
-		eng.SearchBatchAppend(nil, queries, core.SearchParams{})
-		ph := eng.Phases()
-		if r == 0 || ph.Q2NS < best.Q2NS {
-			best.Q2NS = ph.Q2NS
-		}
-		if r == 0 || ph.Q3NS < best.Q3NS {
-			best.Q3NS = ph.Q3NS
-		}
-	}
-	return best
 }
 
 // fig7Points are the paper's Figure 7 parameter sweep.
@@ -154,15 +128,8 @@ func Fig7(o Options, w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			qOpts := core.QueryDefaults()
-			qOpts.Radius = o.Radius
-			qOpts.Workers = 1 // fitted constants are per-worker
-			qOpts.CollectPhases = true
-			eng := core.NewEngine(st, d.col.Mat, qOpts)
-			eng.SearchBatchAppend(nil, queries[:min(32, len(queries))], core.SearchParams{})
-			runtime.GC()
-			ph := bestPhases(eng, queries, 3)
-			actual := float64(ph.Q2NS + ph.Q3NS) // summed CPU-phase time
+			ph, _ := perfmodel.Measure(st, d.col.Mat, queries, o.Radius)
+			actual := float64(ph.Q2NS + ph.Q3NS)
 			est := costs.EstimateQuery(wl, pt.K, pt.M).TotalNS * float64(len(queries))
 			tb.row(d.name, fmt.Sprintf("(%d,%d)", pt.K, pt.M), p.L(),
 				msf(est), msf(actual),

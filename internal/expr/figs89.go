@@ -34,14 +34,10 @@ func Fig8(o Options, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		st, err := core.Build(fam, c.Mat, buildOpts)
+		eng, err := o.engine(fam, c.Mat, threads)
 		if err != nil {
 			return err
 		}
-		qOpts := core.QueryDefaults()
-		qOpts.Radius = o.Radius
-		qOpts.Workers = threads
-		eng := core.NewEngine(st, c.Mat, qOpts)
 		eng.SearchBatchAppend(nil, queries[:min(32, len(queries))], core.SearchParams{})
 		t0 := time.Now()
 		eng.SearchBatchAppend(nil, queries, core.SearchParams{})
@@ -75,17 +71,7 @@ func Fig9(o Options, w io.Writer) error {
 		clients := make([]transport.NodeClient, nn)
 		initTimes := make([]time.Duration, nn)
 		for i := 0; i < nn; i++ {
-			cfg := node.Config{
-				Params:    o.params(),
-				Capacity:  o.N + 1,
-				AutoMerge: true,
-				Build:     core.Defaults(),
-				Query:     core.QueryDefaults(),
-			}
-			cfg.Build.Workers = o.Workers
-			cfg.Query.Workers = o.Workers
-			cfg.Query.Radius = o.Radius
-			n, err := node.Open(ctx, cfg)
+			n, err := o.node(o.N+1, true)
 			if err != nil {
 				return err
 			}

@@ -14,23 +14,16 @@ import (
 // expectation Σ P′(d)/Σ 1 over the true neighbors' distances is printed
 // alongside — measured recall should track it closely.
 func Recall(o Options, w io.Writer) error {
-	cfg := o
-	c := cfg.twitterCorpus()
+	c := o.twitterCorpus()
 	queries := o.queries(c)
 	fam, err := lshFamily(o)
 	if err != nil {
 		return err
 	}
-	buildOpts := core.Defaults()
-	buildOpts.Workers = o.Workers
-	st, err := core.Build(fam, c.Mat, buildOpts)
+	eng, err := o.engine(fam, c.Mat, o.Workers)
 	if err != nil {
 		return err
 	}
-	qOpts := core.QueryDefaults()
-	qOpts.Radius = o.Radius
-	qOpts.Workers = o.Workers
-	eng := core.NewEngine(st, c.Mat, qOpts)
 
 	var truth, found, expected float64
 	for _, q := range queries {

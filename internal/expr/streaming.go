@@ -7,7 +7,6 @@ import (
 	"sort"
 	"time"
 
-	"plsh/internal/core"
 	"plsh/internal/corpus"
 	"plsh/internal/node"
 	"plsh/internal/sparse"
@@ -24,21 +23,11 @@ func Streaming(o Options, w io.Writer) error {
 	deltaCap := capacity / 10     // η = 0.1
 	header(w, fmt.Sprintf("Streaming (§8.6): C=%d, chunk=%d, η·C=%d", capacity, chunk, deltaCap))
 
-	cfg := node.Config{
-		Params:    o.params(),
-		Capacity:  capacity + 1,
-		AutoMerge: false,
-		Build:     core.Defaults(),
-		Query:     core.QueryDefaults(),
-	}
-	cfg.Build.Workers = o.Workers
-	cfg.Query.Workers = o.Workers
-	cfg.Query.Radius = o.Radius
-	ctx := context.Background()
-	n, err := node.Open(ctx, cfg)
+	n, err := o.node(capacity+1, false)
 	if err != nil {
 		return err
 	}
+	ctx := context.Background()
 
 	// Fill static to 90% (the worst case of §6.3).
 	stream := corpus.NewStream(corpus.Twitter(0, o.Dim, o.Seed+77))

@@ -29,16 +29,10 @@ func Table2(o Options, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	buildOpts := core.Defaults()
-	buildOpts.Workers = o.Workers
-	st, err := core.Build(fam, c.Mat, buildOpts)
+	eng, err := o.engine(fam, c.Mat, o.Workers)
 	if err != nil {
 		return err
 	}
-	qOpts := core.QueryDefaults()
-	qOpts.Radius = o.Radius
-	qOpts.Workers = o.Workers
-	eng := core.NewEngine(st, c.Mat, qOpts)
 
 	ex := baseline.NewExhaustive(c.Mat, o.Radius, o.Workers)
 	inv := baseline.NewInverted(c.Mat, o.Radius, o.Workers)

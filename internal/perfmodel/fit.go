@@ -1,6 +1,8 @@
 package perfmodel
 
 import (
+	"runtime"
+
 	"plsh/internal/core"
 	"plsh/internal/lshhash"
 	"plsh/internal/sparse"
@@ -98,43 +100,58 @@ func (c Costs) referenceRun(mat *sparse.Matrix, k, m int, fc FitConfig) (refRun,
 	if err != nil {
 		return refRun{}, err
 	}
-	opts := core.QueryDefaults()
-	opts.Radius = refRadius
-	opts.Workers = 1 // contention-free constants; parallelism is modeled separately
-	opts.CollectPhases = true
-	eng := core.NewEngine(st, mat, opts)
-
 	queries := make([]sparse.Vector, fc.Queries)
 	stride := max(1, mat.Rows()/fc.Queries)
 	for i := range queries {
 		queries[i] = mat.Row((i * stride) % mat.Rows())
 	}
-	eng.SearchBatchAppend(nil, queries[:min(32, len(queries))], core.SearchParams{}) // warm up
+	ph, stats := Measure(st, mat, queries, refRadius)
+	return refRun{
+		q2:         float64(ph.Q2NS),
+		q3:         float64(ph.Q3NS),
+		collisions: float64(stats.Collisions),
+		unique:     float64(stats.Unique),
+		queries:    float64(len(queries)),
+		tables:     float64(m * (m - 1) / 2),
+	}, nil
+}
 
-	// Best of three: GC pauses and scheduler interference inflate
-	// individual batches; the minimum is the interference-free cost.
-	r := refRun{
-		queries: float64(len(queries)),
-		tables:  float64(m * (m - 1) / 2),
-	}
-	stats := make([]core.QueryStats, len(queries))
+// Measure times queries against st over mat the way the model's
+// constants are defined: on a one-worker engine (contention-free costs;
+// parallelism is modeled separately) with phase timing on. It warms the
+// engine up, runs the batch three times and returns each phase's minimum
+// over the runs (GC pauses and scheduler interference only ever inflate a
+// run) and the work of one run, summed over the queries.
+func Measure(st *core.Static, mat *sparse.Matrix, queries []sparse.Vector, radius float64) (core.PhaseTimes, core.QueryStats) {
+	opts := core.QueryDefaults()
+	opts.Radius = radius
+	opts.Workers = 1
+	opts.CollectPhases = true
+	eng := core.NewEngine(st, mat, opts)
+	eng.SearchBatchAppend(nil, queries[:min(32, len(queries))], core.SearchParams{})
+	runtime.GC()
+
+	var best core.PhaseTimes
+	var sum core.QueryStats
 	var buf []core.Neighbor
 	for rep := 0; rep < 3; rep++ {
 		eng.ResetPhases()
-		for i, q := range queries {
-			buf, stats[i] = eng.SearchAppend(buf[:0], q, core.SearchParams{})
+		for _, q := range queries {
+			var s core.QueryStats
+			buf, s = eng.SearchAppend(buf[:0], q, core.SearchParams{})
+			if rep == 0 {
+				sum.Collisions += s.Collisions
+				sum.Unique += s.Unique
+				sum.Results += s.Results
+			}
 		}
 		ph := eng.Phases()
-		if rep == 0 || float64(ph.Q2NS) < r.q2 {
-			r.q2 = float64(ph.Q2NS)
+		if rep == 0 || ph.Q2NS < best.Q2NS {
+			best.Q2NS = ph.Q2NS
 		}
-		if rep == 0 || float64(ph.Q3NS) < r.q3 {
-			r.q3 = float64(ph.Q3NS)
+		if rep == 0 || ph.Q3NS < best.Q3NS {
+			best.Q3NS = ph.Q3NS
 		}
 	}
-	for _, s := range stats {
-		r.collisions += float64(s.Collisions)
-		r.unique += float64(s.Unique)
-	}
-	return r, nil
+	return best, sum
 }

@@ -51,25 +51,9 @@ func TestFittedModelExtrapolates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := core.QueryDefaults()
-	opts.Workers = 1
-	opts.CollectPhases = true
-	eng := core.NewEngine(st, col.Mat, opts)
 	queries := col.SampleQueries(150, 19)
-	eng.SearchBatchAppend(nil, queries[:32], core.SearchParams{})
-	var bestQ2, bestQ3 int64
-	for r := 0; r < 3; r++ {
-		eng.ResetPhases()
-		eng.SearchBatchAppend(nil, queries, core.SearchParams{})
-		ph := eng.Phases()
-		if r == 0 || ph.Q2NS < bestQ2 {
-			bestQ2 = ph.Q2NS
-		}
-		if r == 0 || ph.Q3NS < bestQ3 {
-			bestQ3 = ph.Q3NS
-		}
-	}
-	actual := float64(bestQ2 + bestQ3)
+	ph, _ := Measure(st, col.Mat, queries, 0.9)
+	actual := float64(ph.Q2NS + ph.Q3NS)
 	est := fitted.EstimateQuery(w, k, m).TotalNS * float64(len(queries))
 	if e := RelativeError(est, actual); e > 1.0 {
 		t.Fatalf("fitted model off by %.0f%% at unseen config (est %.2fms, actual %.2fms)",
