@@ -29,17 +29,21 @@
 // Deletions set a tombstone bit with an atomic OR — safe concurrently with
 // lock-free readers — and a merge leaves tombstoned rows out of the buckets
 // it writes, so they are dropped, not resurrected. Retirement (the rolling
-// window of §6) drains any in-flight merge, then replaces the arena and
+// window of §6) waits out any merge in flight, then replaces the arena and
 // tombstones wholesale; in-flight snapshot queries keep reading the old,
 // now-immutable structures.
 //
 // A node becomes durable by setting Config.Dir: every acknowledged
 // Insert/Delete is journaled to a write-ahead log before it is
-// acknowledged, each background merge checkpoints the merged state as a
-// snapshot (truncating the journal), and Open recovers the node —
-// snapshot load plus journal-tail replay — so every acknowledged write
-// survives a crash. See internal/persist and DESIGN.md for the format
-// and the recovery invariants.
+// acknowledged, and Open recovers the node — snapshot load plus
+// journal-tail replay — so every acknowledged write survives a crash.
+// Snapshots come from one pipeline, the merge run, and one run is in flight
+// at a time: rotate the journal, merge the rotated-out segments if there
+// are any, install and publish, checkpoint the result (truncating the
+// journal), and only then start the next run. Background merges, Save and
+// Retire each checkpoint through a run, so no two checkpoints overlap. See
+// internal/persist and DESIGN.md for the format and the recovery
+// invariants.
 package node
 
 import (
@@ -75,12 +79,13 @@ var ErrNotFound = errors.New("node: document not found")
 var ErrNotDurable = errors.New("node: no data directory configured")
 
 // testHookMergeStart and testHookMergeBuilt, when non-nil, run inside the
-// background merge goroutine: Start before the merge reads anything, Built
-// after the merged index is complete but before the new snapshot is
-// published. testHookCheckpoint runs at the start of every checkpoint — a
-// merge's, Retire's and Save's — before the journal is touched. Tests use
-// them to hold a merge or a checkpoint open deterministically; they must be
-// set while the node is quiescent.
+// merge run's goroutine: Start before the run reads anything, Built after
+// the merged index is complete but before the new snapshot is published (a
+// run with no segments to merge skips Built). testHookCheckpoint runs at the
+// start of every run's checkpoint — a merge's, Retire's and Save's alike —
+// before the journal is touched. Tests use them to hold a merge or a
+// checkpoint open deterministically; they must be set while the node is
+// quiescent.
 var testHookMergeStart, testHookMergeBuilt, testHookCheckpoint func()
 
 // Config parameterizes a node.
@@ -162,17 +167,19 @@ type Stats struct {
 	Capacity int
 	Deleted  int
 	Merges   int
-	// MergeInFlight reports whether a background merge is running right
-	// now; MergePendingRows is how many delta rows it will absorb.
+	// MergeInFlight reports whether a merge run is in flight right now:
+	// its merge, or its checkpoint after the merged index is published.
+	// MergePendingRows is how many delta rows it has yet to absorb — zero
+	// once its result is installed.
 	MergeInFlight    bool
 	MergePendingRows int
 	LastMergeDur     time.Duration
 	TotalMergeNS     int64
 	InsertNS         int64
 	MemoryBytes      int64
-	// PersistErr is the most recent background persistence failure
-	// (checkpoint or journal rotation) on a durable node; empty when
-	// healthy. Failed checkpoints leave the journal untruncated, so
+	// PersistErr is the most recent persistence failure of a merge run
+	// (checkpoint or journal rotation) on a durable node, Save's run
+	// included; empty when healthy. Failed checkpoints leave the journal untruncated, so
 	// recovery still sees every acknowledged write.
 	PersistErr string
 
@@ -240,16 +247,13 @@ type Node struct {
 	eng     *core.Engine
 	nStatic int
 
-	merging   bool
-	mergeUpTo int // arena rows the in-flight merge covers
-	// A merge's done channel closes once its result is installed, its
-	// checkpoint is written, and every earlier merge's done has closed.
-	// mergeDone is the latest started merge's; installedDone is that of
-	// the merge that built the current static index, still open while its
-	// checkpoint is being written after merging has turned false.
-	mergeDone     chan struct{}
-	installedDone chan struct{}
-	coalescing    bool // a coalescer is rebuilding segments off-lock
+	// merging is true while a merge run is in flight, from the rotation
+	// that starts it to the end of its checkpoint; one runs at a time. run
+	// is the in-flight run's handle, or the last one's.
+	merging    bool
+	mergeUpTo  int // arena rows the in-flight run covers
+	run        *mergeRun
+	coalescing bool // a coalescer is rebuilding segments off-lock
 
 	merges       int
 	lastMergeDur time.Duration
@@ -267,6 +271,15 @@ type Node struct {
 	searchesServed atomic.Uint64
 	insertsServed  atomic.Uint64
 	deletesServed  atomic.Uint64
+}
+
+// mergeRun is the handle of one merge run: done closes when the run is over
+// — its result installed and its checkpoint written — and err, set before
+// done closes, is why its checkpoint did not happen or failed (nil on an
+// in-memory node).
+type mergeRun struct {
+	done chan struct{}
+	err  error
 }
 
 // newArena allocates a document arena for cfg: capacity rows with room
@@ -558,7 +571,7 @@ func (n *Node) appendSegmentLocked(vs []sparse.Vector, t *delta.Table) {
 func (n *Node) maybeMergeLocked() {
 	if n.cfg.AutoMerge && !n.merging &&
 		float64(n.store.Rows()-n.nStatic) > n.cfg.DeltaFraction*float64(n.cfg.Capacity) {
-		n.startMergeLocked(n.store.Rows())
+		n.startRunLocked()
 	}
 }
 
@@ -635,96 +648,87 @@ func trailingRun(segs []segment, floor int) int {
 	return i
 }
 
-// startMergeLocked hands every segment — they are all below upTo — to the
-// single background merge goroutine, which folds them into the current
-// static index. Callers hold mu, have checked that no merge is in flight,
-// and pass upTo equal to the current row count — the rotation invariant
-// below depends on it.
-func (n *Node) startMergeLocked(upTo int) {
-	if upTo <= n.nStatic {
-		return // nothing to absorb
-	}
+// startRunLocked starts a merge run over every row present and returns its
+// handle. Callers hold mu and have checked that no run is in flight.
+func (n *Node) startRunLocked() *mergeRun {
+	upTo := n.store.Rows()
+	run := &mergeRun{done: make(chan struct{})}
 	token := 0
 	if n.wal != nil {
-		// Rotate the journal at the merge boundary. Every journaled record
-		// was both appended and applied under mu with upTo the current row
-		// count, so everything in the sealed segments is covered by the
-		// snapshot this merge's checkpoint will write — the invariant that
-		// makes truncating them safe. If rotation fails, the merge still
-		// runs; only the checkpoint is skipped, so no journal data is lost.
-		t, err := n.wal.Rotate()
-		if err != nil {
-			n.notePersistErr(err)
-		} else {
-			token = t
+		// Rotate the journal at the run's boundary. Every journaled record
+		// was both appended and applied under mu, and upTo is the row count,
+		// so everything in the sealed segments is covered by the snapshot
+		// this run's checkpoint writes — the invariant that makes truncating
+		// them safe. If rotation fails, the merge still runs; only the
+		// checkpoint is skipped, so no journal data is lost.
+		if token, run.err = n.wal.Rotate(); run.err != nil {
+			n.notePersistErr(run.err)
 		}
 	}
-	n.merging = true
-	n.mergeUpTo = upTo
-	prev := n.mergeDone
-	n.mergeDone = make(chan struct{})
-	// The merge reads the segments off-lock while the coalescer may splice
+	n.merging, n.mergeUpTo, n.run = true, upTo, run
+	// The run reads the segments off-lock while the coalescer may splice
 	// n.segs in place, so it gets its own slice. The tables are frozen, and
 	// a splice below upTo only ever replaces them with their own fold.
-	go n.runMerge(n.static, slices.Clone(n.segs), n.store.Prefix(upTo), n.deleted, upTo, token, prev, n.mergeDone)
+	go n.runMerge(run, n.static, slices.Clone(n.segs), n.store.Prefix(upTo), n.deleted, upTo, token)
+	return run
 }
 
-// runMerge is the background merge pipeline: merge the frozen segments into
-// the static index old (mergeStatic) without holding any lock, then publish
-// the result with a brief critical section and an atomic snapshot swap.
-// Queries and inserts proceed throughout. On a durable node the merged
-// state is then checkpointed — snapshot written, sealed journal segments
-// truncated — still off-lock, before done closes (so Flush/MergeNow/Close
-// return after the checkpoint; one that fails is noted in Stats.PersistErr
-// and leaves the journal whole). A chained merge can start, and even
-// finish, while this one's checkpoint is being written; it waits for prev,
-// this merge's done, before closing its own, so a closed done channel means
-// no older checkpoint is in flight either.
-func (n *Node) runMerge(old *core.Static, segs []segment, prefix *sparse.Matrix, del *bitvec.Vector, upTo, token int, prev, done chan struct{}) {
+// runMerge is the merge pipeline, one run of it: merge the frozen segments
+// into the static index old (mergeStatic) without holding any lock, then
+// install and publish the result with a brief critical section and an
+// atomic snapshot swap; a run with no segments merges nothing. Queries and
+// inserts proceed throughout. On a durable node the run then checkpoints
+// the static state — snapshot written, sealed journal segments truncated —
+// still off-lock; one that fails is noted in Stats.PersistErr and leaves the
+// journal whole. Only after the checkpoint does the run end: merging turns
+// false, the next run starts if the delta outgrew η·C meanwhile, and done
+// closes. So a closed done means this run's checkpoint and every earlier
+// one are written, and the journal rotates again only once they are.
+func (n *Node) runMerge(run *mergeRun, old *core.Static, segs []segment, prefix *sparse.Matrix, del *bitvec.Vector, upTo, token int) {
 	if h := testHookMergeStart; h != nil {
 		h()
 	}
-	t0 := time.Now()
-	st, eng := n.mergeStatic(old, segs, prefix, del, upTo)
-	dur := time.Since(t0)
-	if h := testHookMergeBuilt; h != nil {
-		h()
-	}
-
-	n.mu.Lock()
-	n.static, n.eng, n.nStatic = st, eng, upTo
-	// Drop the segments the new static index now covers. Build a fresh
-	// slice: published snapshots still reference the old segments.
-	var keep []segment
-	for _, sg := range n.segs {
-		if sg.base >= upTo {
-			keep = append(keep, sg)
+	st := old
+	if upTo > old.Len() {
+		t0 := time.Now()
+		var eng *core.Engine
+		st, eng = n.mergeStatic(old, segs, prefix, del, upTo)
+		dur := time.Since(t0)
+		if h := testHookMergeBuilt; h != nil {
+			h()
 		}
+
+		n.mu.Lock()
+		n.static, n.eng, n.nStatic = st, eng, upTo
+		// Drop the segments the new static index now covers. Build a fresh
+		// slice: published snapshots still reference the old segments.
+		var keep []segment
+		for _, sg := range n.segs {
+			if sg.base >= upTo {
+				keep = append(keep, sg)
+			}
+		}
+		n.segs = keep
+		n.merges++
+		n.lastMergeDur = dur
+		n.totalMergeNS += int64(dur)
+		n.publishLocked()
+		n.mu.Unlock()
 	}
-	n.segs = keep
-	n.merges++
-	n.lastMergeDur = dur
-	n.totalMergeNS += int64(dur)
-	n.merging = false
-	n.installedDone = done
-	n.publishLocked()
-	// Sustained-ingest chaining: if the active delta outgrew η·C while this
-	// merge ran, immediately start the next one.
-	n.maybeMergeLocked()
-	n.mu.Unlock()
 	if token > 0 {
 		// st, prefix and the tombstones are immutable/atomic, so the
-		// checkpoint serializes them without any lock. WAL.Checkpoint
-		// discards this write if a chained merge's newer checkpoint
-		// already landed, so the on-disk snapshot never regresses.
-		if err := n.checkpoint(makeSnapshot(n.cfg, prefix, st, del, upTo), token); err != nil {
-			n.notePersistErr(err)
+		// checkpoint serializes them without any lock.
+		if run.err = n.checkpoint(makeSnapshot(n.cfg, prefix, st, del, upTo), token); run.err != nil {
+			n.notePersistErr(run.err)
 		}
 	}
-	if prev != nil {
-		<-prev
-	}
-	close(done)
+	n.mu.Lock()
+	n.merging = false
+	// Sustained-ingest chaining: if the active delta outgrew η·C while this
+	// run went on, start the next one now.
+	n.maybeMergeLocked()
+	n.mu.Unlock()
+	close(run.done)
 }
 
 // makeSnapshot assembles the durable image of a merged state: rows
@@ -780,49 +784,29 @@ func (n *Node) notePersistErr(err error) {
 	n.persistErr.Store(&s)
 }
 
-// awaitMergeLocked waits out one completion of the in-flight merge,
-// honoring ctx. Callers hold mu with n.merging true; on nil return the
-// lock is held again, on error (canceled ctx) it is released.
-func (n *Node) awaitMergeLocked(ctx context.Context) error {
-	done := n.mergeDone
+// awaitRunLocked waits out the run in flight, honoring ctx. Callers hold mu
+// with n.merging true; on nil return the lock is held again, on error
+// (canceled ctx) it is released.
+func (n *Node) awaitRunLocked(ctx context.Context) error {
+	done := n.run.done
 	n.mu.Unlock()
-	if err := awaitDone(ctx, done); err != nil {
-		return err
-	}
-	n.mu.Lock()
-	return nil
-}
-
-// awaitCheckpointLocked waits until the merge that built the current static
-// index — and so every merge before it — has written its checkpoint,
-// honoring ctx. Callers hold mu; it is released on return. With no merge
-// in flight this is what separates "the rows are static" from "the rows
-// are static and a restart will find them so".
-func (n *Node) awaitCheckpointLocked(ctx context.Context) error {
-	done := n.installedDone
-	n.mu.Unlock()
-	if done == nil {
-		return nil // nothing has merged since the node was opened
-	}
-	return awaitDone(ctx, done)
-}
-
-func awaitDone(ctx context.Context, done <-chan struct{}) error {
 	select {
 	case <-ctx.Done():
 		return ctx.Err()
 	case <-done:
+		n.mu.Lock()
 		return nil
 	}
 }
 
 // MergeNow forces every row present at the time of the call into the static
 // structure and returns once that state is reached and its checkpoint has
-// run (a quiesced merge): it rotates the active delta, waits out or chains
-// onto any in-flight merge, and honors ctx while waiting. A checkpoint that
-// fails is not MergeNow's error: it surfaces only in Stats.PersistErr, the
-// journal keeps every row, and Save is the call that returns such an
-// error. Queries and inserts are never blocked by the work it triggers.
+// run (a quiesced merge): it waits out any run in flight, starts one if rows
+// are still outside the static index, and honors ctx while waiting. A
+// checkpoint that fails is not MergeNow's error: it surfaces only in
+// Stats.PersistErr, the journal keeps every row, and Save is the call that
+// returns such an error. Queries and inserts are never blocked by the work
+// it triggers.
 func (n *Node) MergeNow(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -837,34 +821,43 @@ func (n *Node) MergeNow(ctx context.Context) error {
 		if r := n.store.Rows(); r < target {
 			target = r
 		}
-		if n.nStatic >= target {
-			return n.awaitCheckpointLocked(ctx)
+		static := n.nStatic >= target
+		if static && !n.merging {
+			n.mu.Unlock()
+			return nil
 		}
 		if !n.merging {
-			n.startMergeLocked(n.store.Rows())
+			n.startRunLocked()
 		}
-		if err := n.awaitMergeLocked(ctx); err != nil {
+		if err := n.awaitRunLocked(ctx); err != nil {
 			return err
+		}
+		if static {
+			// The rows were static already; the run just over was the
+			// only one that could still be writing their checkpoint.
+			n.mu.Unlock()
+			return nil
 		}
 	}
 }
 
-// Flush waits for any in-flight background merge (including auto-merge
-// chains) to finish, checkpoint included, without forcing one, honoring
-// ctx. It returns nil immediately when no merge is running and the last
-// one's checkpoint has run. Like MergeNow it does not return a failed
-// checkpoint: that surfaces only in Stats.PersistErr, and Save returns it.
+// Flush waits for the run in flight, and any run chained behind it, to
+// finish, checkpoint included, without forcing one, honoring ctx. It
+// returns nil immediately when no run is in flight. Like MergeNow it does
+// not return a failed checkpoint: that surfaces only in Stats.PersistErr,
+// and Save returns it.
 func (n *Node) Flush(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	n.mu.Lock()
 	for n.merging {
-		if err := n.awaitMergeLocked(ctx); err != nil {
+		if err := n.awaitRunLocked(ctx); err != nil {
 			return err
 		}
 	}
-	return n.awaitCheckpointLocked(ctx)
+	n.mu.Unlock()
+	return nil
 }
 
 // Delete marks a node-local ID as deleted; it will not be returned by
@@ -907,21 +900,23 @@ func (n *Node) Delete(id uint32) error {
 
 // Retire erases the node's contents (the rolling-window expiration of §6:
 // "the contents of the these nodes are erased"), retaining the hash family
-// and capacity. It drains any in-flight merge first — honoring ctx while
-// waiting, like MergeNow and Flush; a canceled drain returns ctx.Err()
-// with the node unretired — then replaces the arena and tombstones
-// wholesale, so queries holding older snapshots keep reading the retired
-// (immutable) structures and simply age out. On a durable node the
-// erasure is journaled before it happens and checkpointed after, so a
-// crash at any point recovers to either the full or the empty state —
-// never a resurrection of expired documents.
+// and capacity. It waits out any run in flight first — honoring ctx while
+// waiting, like MergeNow and Flush; a canceled wait returns ctx.Err() with
+// the node unretired — then replaces the arena and tombstones wholesale, so
+// queries holding older snapshots keep reading the retired (immutable)
+// structures and simply age out. On a durable node the erasure is journaled
+// before it happens, and Retire returns once a run over the emptied state
+// has checkpointed it, so a crash at any point recovers to either the full
+// or the empty state — never a resurrection of expired documents — and the
+// pre-retirement snapshot and journal are dropped rather than replayed and
+// discarded on every later boot.
 func (n *Node) Retire(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	n.mu.Lock()
 	for n.merging {
-		if err := n.awaitMergeLocked(ctx); err != nil {
+		if err := n.awaitRunLocked(ctx); err != nil {
 			return err
 		}
 	}
@@ -935,26 +930,12 @@ func (n *Node) Retire(ctx context.Context) error {
 	}
 	n.resetLocked()
 	n.publishLocked()
-	token := 0
-	var snap *persist.Snapshot
-	if n.wal != nil {
-		// Checkpoint the empty state so the pre-retirement snapshot and
-		// journal are dropped rather than replayed-and-discarded on every
-		// future boot. The retire record above already made the erasure
-		// durable; a rotation failure here only costs disk space.
-		if t, err := n.wal.Rotate(); err != nil {
-			n.notePersistErr(err)
-		} else {
-			token = t
-			snap = makeSnapshot(n.cfg, n.store.Prefix(0), n.static, n.deleted, 0)
-		}
-	}
+	// The retire record already made the erasure durable; a failure of
+	// this run's checkpoint only costs disk space, and Stats.PersistErr
+	// reports it.
+	run := n.startRunLocked()
 	n.mu.Unlock()
-	if token > 0 {
-		if err := n.checkpoint(snap, token); err != nil {
-			n.notePersistErr(err)
-		}
-	}
+	<-run.done
 	return nil
 }
 
@@ -974,15 +955,35 @@ func (n *Node) resetLocked() {
 }
 
 // Save forces a durable checkpoint of the node's own data directory: it
-// drives the node to a fully merged state (like MergeNow, chasing
-// concurrent ingest until a quiesced point is observed under the lock),
-// writes the snapshot, and truncates the journal. Returns ErrNotDurable
-// when no Config.Dir was set.
+// waits out the run in flight, then drives one run over every row present
+// — merging them all into the static index, writing the snapshot and
+// truncating the journal — and returns that run's error. Returns
+// ErrNotDurable when no Config.Dir was set.
 func (n *Node) Save(ctx context.Context) error {
 	if n.wal == nil {
 		return ErrNotDurable
 	}
-	return n.save(ctx, "", true)
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	n.mu.Lock()
+	if n.merging {
+		// The run in flight rotated the journal before the latest writes;
+		// the one after it — chained behind it, or started here — covers
+		// them.
+		if err := n.awaitRunLocked(ctx); err != nil {
+			return err
+		}
+	}
+	if !n.merging {
+		n.startRunLocked()
+	}
+	run := n.run
+	if err := n.awaitRunLocked(ctx); err != nil {
+		return err
+	}
+	n.mu.Unlock()
+	return run.err
 }
 
 // SaveTo writes a quiesced snapshot of the node into dir — a
@@ -991,39 +992,22 @@ func (n *Node) Save(ctx context.Context) error {
 // truncation included.
 func (n *Node) SaveTo(ctx context.Context, dir string) error {
 	if n.wal != nil && sameDir(dir, n.cfg.Dir) {
-		return n.save(ctx, "", true)
+		return n.Save(ctx)
 	}
-	return n.save(ctx, dir, false)
-}
-
-func (n *Node) save(ctx context.Context, dir string, checkpoint bool) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	n.mu.Lock()
 	for n.merging || n.nStatic < n.store.Rows() {
 		if !n.merging {
-			n.startMergeLocked(n.store.Rows())
+			n.startRunLocked()
 		}
-		if err := n.awaitMergeLocked(ctx); err != nil {
+		if err := n.awaitRunLocked(ctx); err != nil {
 			return err
 		}
 	}
-	// Quiesced under the lock: every row is static and no merge is in
-	// flight, so the captured state is the whole node — the condition the
-	// checkpoint's journal truncation needs (no journaled record may
-	// outlive the segments the rotation seals without being in the
-	// snapshot).
-	if checkpoint {
-		token, err := n.wal.Rotate()
-		if err != nil {
-			n.mu.Unlock()
-			return err
-		}
-		snap := makeSnapshot(n.cfg, n.store.Prefix(n.nStatic), n.static, n.deleted, n.nStatic)
-		n.mu.Unlock()
-		return n.checkpoint(snap, token)
-	}
+	// Quiesced under the lock: every row is static and no run is in
+	// flight, so the captured state is the whole node.
 	snap := makeSnapshot(n.cfg, n.store.Prefix(n.nStatic), n.static, n.deleted, n.nStatic)
 	n.mu.Unlock()
 	return persist.WriteSnapshot(dir, snap)
@@ -1038,8 +1022,8 @@ func sameDir(a, b string) bool {
 	return errA == nil && errB == nil && aa == bb
 }
 
-// Close releases a durable node's journal after draining any in-flight
-// merge (so its checkpoint lands). Published snapshots keep answering
+// Close releases a durable node's journal after waiting out any run in
+// flight (so its checkpoint lands). Published snapshots keep answering
 // queries; further journaled writes fail. No-op on an in-memory node.
 func (n *Node) Close() error {
 	if n.wal == nil {

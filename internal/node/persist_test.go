@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -422,51 +423,113 @@ func TestBarriersWaitForMergeCheckpoint(t *testing.T) {
 	}
 }
 
-// TestSaveCheckpointTruncatesJournal: an explicit Save must leave a
-// snapshot covering everything and drop the sealed journal segments.
-func TestSaveCheckpointTruncatesJournal(t *testing.T) {
+// TestChainedMergeWaitsForHeldCheckpoint pins the merge pipeline's one
+// invariant: one run at a time, and a run ends with its checkpoint. While
+// the first merge's checkpoint is held open, inserts that outgrow η·C start
+// no second merge and do not rotate the journal again; once it is released
+// the chained run starts, and Flush returns only after that run's own
+// checkpoint is on disk.
+func TestChainedMergeWaitsForHeldCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	cfg := durableConfig(dir, 500)
-	cfg.AutoMerge = false
-	n, err := Open(bg, cfg)
+	n, err := Open(bg, durableConfig(dir, 2000)) // η·C = 200
 	if err != nil {
 		t.Fatal(err)
 	}
-	docs := testDocs(120, 21)
-	for off := 0; off < len(docs); off += 40 {
-		if _, err := n.Insert(bg, docs[off:off+40]); err != nil {
+	t.Cleanup(func() { n.Close() }) // after holdMerge's cleanup releases the hold
+	docs := testDocs(700, 59)
+	journal := func() []string {
+		segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return segs
+	}
+	entered, release := holdMerge(t, n, &testHookCheckpoint)
+	if _, err := n.Insert(bg, docs[:250]); err != nil { // starts merge 1
+		t.Fatal(err)
+	}
+	awaitEntered(t, entered, "the first merge's checkpoint")
+	rotated := journal()
+	for at := 250; at < 700; at += 50 { // 450 rows: a chained merge is due
+		if _, err := n.Insert(bg, docs[at:at+50]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := n.Delete(7); err != nil {
+	if st := n.Stats(); st.Merges != 1 || st.StaticLen != 250 || !st.MergeInFlight || st.MergePendingRows != 0 {
+		t.Fatalf("behind the held checkpoint: %+v, want merge 1 installed and still in flight, no second merge", st)
+	}
+	if segs := journal(); !slices.Equal(segs, rotated) {
+		t.Fatalf("the journal rotated behind the held checkpoint: %v, was %v", segs, rotated)
+	}
+	release()
+	if err := n.Flush(bg); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Save(bg); err != nil {
-		t.Fatal(err)
-	}
-	if st := n.Stats(); st.PersistErr != "" {
-		t.Fatalf("persist error: %s", st.PersistErr)
-	}
-	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
-	if len(segs) != 1 {
-		t.Fatalf("journal not truncated: %v", segs)
-	}
-	if fi, err := os.Stat(segs[0]); err != nil || fi.Size() != 0 {
-		t.Fatalf("live segment not empty after Save: %v (%v)", fi, err)
-	}
-	if err := n.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := Open(bg, cfg)
+	snap, err := persist.ReadSnapshot(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer re.Close()
-	if re.Len() != 120 || re.StaticLen() != 120 {
-		t.Fatalf("recovered %d/%d rows", re.StaticLen(), re.Len())
+	if st := n.Stats(); snap.Rows != 700 || st.StaticLen != 700 || st.Merges != 2 || st.MergeInFlight || st.PersistErr != "" {
+		t.Fatalf("Flush returned with %d rows checkpointed and %+v, want the chained run's 700", snap.Rows, st)
 	}
-	if got := neighborIDs(mustQuery(t, re, docs[7])); got[7] {
-		t.Fatal("tombstone lost across Save")
+}
+
+// TestSaveCheckpointTruncatesJournal: an explicit Save must leave a
+// snapshot covering everything and drop the sealed journal segments. So
+// must SaveTo naming the node's own directory, under another spelling.
+func TestSaveCheckpointTruncatesJournal(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		save func(n *Node, dir string) error
+	}{
+		{"Save", func(n *Node, _ string) error { return n.Save(bg) }},
+		{"SaveTo", func(n *Node, dir string) error { return n.SaveTo(bg, dir+string(filepath.Separator)+".") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := durableConfig(dir, 500)
+			cfg.AutoMerge = false
+			n, err := Open(bg, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			docs := testDocs(120, 21)
+			for off := 0; off < len(docs); off += 40 {
+				if _, err := n.Insert(bg, docs[off:off+40]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := n.Delete(7); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.save(n, dir); err != nil {
+				t.Fatal(err)
+			}
+			if st := n.Stats(); st.PersistErr != "" {
+				t.Fatalf("persist error: %s", st.PersistErr)
+			}
+			segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+			if len(segs) != 1 {
+				t.Fatalf("journal not truncated: %v", segs)
+			}
+			if fi, err := os.Stat(segs[0]); err != nil || fi.Size() != 0 {
+				t.Fatalf("live segment not empty after %s: %v (%v)", tc.name, fi, err)
+			}
+			if err := n.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re, err := Open(bg, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if re.Len() != 120 || re.StaticLen() != 120 {
+				t.Fatalf("recovered %d/%d rows", re.StaticLen(), re.Len())
+			}
+			if got := neighborIDs(mustQuery(t, re, docs[7])); got[7] {
+				t.Fatalf("tombstone lost across %s", tc.name)
+			}
+		})
 	}
 }
 

@@ -294,9 +294,11 @@ func (w *WAL) Rotate() (int, error) {
 
 // Checkpoint durably writes s and then deletes every segment older than
 // token (obtained from the Rotate that froze those segments' contents
-// into s). Checkpoints serialize, and a stale one — racing a newer merge's
-// checkpoint under merge chaining — is skipped entirely, so the snapshot
-// on disk never regresses to cover fewer rows than the journal assumes.
+// into s). Checkpoints serialize, and a stale one — its token older than
+// one already checkpointed — is skipped entirely, so the snapshot on disk
+// never regresses to cover fewer rows than the journal assumes. A node
+// checkpoints one merge run at a time and never hands in a stale one; the
+// guard is for a caller that would.
 func (w *WAL) Checkpoint(s *Snapshot, token int) error {
 	w.cpMu.Lock()
 	defer w.cpMu.Unlock()
