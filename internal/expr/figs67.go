@@ -3,9 +3,7 @@ package expr
 import (
 	"fmt"
 	"io"
-	"runtime"
 
-	"plsh/internal/core"
 	"plsh/internal/corpus"
 	"plsh/internal/lshhash"
 	"plsh/internal/perfmodel"
@@ -42,13 +40,11 @@ func Fig6(o Options, w io.Writer) error {
 	// the corpus.
 	costs = costs.CalibrateBuild(cc)
 
-	// Creation: model vs 1-thread measured phases. GC first so the
-	// measured build does not absorb collection work from corpus
-	// generation and calibration.
-	runtime.GC()
-	buildOpts := core.Defaults()
-	buildOpts.Workers = 1
-	st, tm, err := core.BuildTimed(fam, c.Mat, buildOpts)
+	// Creation and queries: the model vs one worker's measured phases, the
+	// build timed as CalibrateBuild times its own and the queries on the
+	// index it built (the paper likewise models per-core work and divides
+	// by core count).
+	tm, ph, _, err := perfmodel.Measure(fam, c.Mat, queries, o.Radius)
 	if err != nil {
 		return err
 	}
@@ -70,10 +66,6 @@ func Fig6(o Options, w io.Writer) error {
 	}
 	tb.flush()
 
-	// Query: model vs phase times on the real engine, measured the way the
-	// model's constants are defined (the paper likewise models per-core
-	// work and divides by core count).
-	ph, _ := perfmodel.Measure(st, c.Mat, queries, o.Radius)
 	qe := costs.EstimateQuery(wl, o.K, o.M)
 	nq := float64(len(queries))
 
@@ -122,13 +114,10 @@ func Fig7(o Options, w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			buildOpts := core.Defaults()
-			buildOpts.Workers = o.Workers
-			st, err := core.Build(fam, d.col.Mat, buildOpts)
+			_, ph, _, err := perfmodel.Measure(fam, d.col.Mat, queries, o.Radius)
 			if err != nil {
 				return err
 			}
-			ph, _ := perfmodel.Measure(st, d.col.Mat, queries, o.Radius)
 			actual := float64(ph.Q2NS + ph.Q3NS)
 			est := costs.EstimateQuery(wl, pt.K, pt.M).TotalNS * float64(len(queries))
 			tb.row(d.name, fmt.Sprintf("(%d,%d)", pt.K, pt.M), p.L(),

@@ -1,6 +1,7 @@
 package perfmodel
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"time"
@@ -156,11 +157,8 @@ func CalibrateFor(cc CalibrationConfig) Costs {
 
 // CalibrateBuild returns c with the construction constants EstimateBuild
 // reads (HashNS, PartitionNS, GatherNS, SecondLevelNS) filled by timing
-// core's own build: one core.BuildTimed on one worker over cc's N synthetic
-// documents, each phase divided by the operations the shared build makes.
-// The family has sketched the documents once already, untimed, so the
-// timed hashing finds the hyperplane rows drawn (lshhash draws a row on its
-// word's first use, which would otherwise more than double the phase).
+// core's own build (timedBuild) over cc's N synthetic documents, each phase
+// divided by the operations the shared build makes.
 func (c Costs) CalibrateBuild(cc CalibrationConfig) Costs {
 	src := rng.New(cc.Seed)
 	mat := cc.docs(cc.wordDraw(src), src)
@@ -168,15 +166,32 @@ func (c Costs) CalibrateBuild(cc CalibrationConfig) Costs {
 	if err != nil {
 		panic("perfmodel: calibration geometry: " + err.Error())
 	}
-	fam.SketchAll(mat, sched.NewPool(1), true)
-	opts := core.Defaults()
-	opts.Workers = 1
-	runtime.GC() // so the timed build pays for no collection of the set-up's garbage
-	_, tm, err := core.BuildTimed(fam, mat, opts)
+	_, tm, err := timedBuild(fam, mat)
 	if err != nil {
 		panic("perfmodel: calibration build: " + err.Error())
 	}
 	return c.withBuild(tm, cc.N, mat.NNZ(), cc.K, cc.M)
+}
+
+// timedBuild is the build the model's construction constants price, timed
+// by phase: core's own build on one worker (the model prices one core's
+// work), after a GC so it pays for no collection of its caller's garbage.
+// The family sketches mat once first, untimed, so the timed hashing finds
+// every hyperplane row it reads drawn — lshhash draws a row on its word's
+// first use, which would otherwise more than double the phase, and the
+// model prices warm hashing. A timed build that drew a row after all is an
+// error.
+func timedBuild(fam *lshhash.Family, mat *sparse.Matrix) (*core.Static, core.BuildTimings, error) {
+	fam.SketchAll(mat, sched.NewPool(1), true)
+	drawn := fam.MemoryBytes()
+	opts := core.Defaults()
+	opts.Workers = 1
+	runtime.GC()
+	st, tm, err := core.BuildTimed(fam, mat, opts)
+	if err == nil && fam.MemoryBytes() != drawn {
+		err = fmt.Errorf("perfmodel: the timed build drew hyperplane rows (family %d → %d B)", drawn, fam.MemoryBytes())
+	}
+	return st, tm, err
 }
 
 // withBuild sets the construction constants from the phase times of one

@@ -96,16 +96,15 @@ func (c Costs) referenceRun(mat *sparse.Matrix, k, m int, fc FitConfig) (refRun,
 	if err != nil {
 		return refRun{}, err
 	}
-	st, err := core.Build(fam, mat, core.Defaults())
-	if err != nil {
-		return refRun{}, err
-	}
 	queries := make([]sparse.Vector, fc.Queries)
 	stride := max(1, mat.Rows()/fc.Queries)
 	for i := range queries {
 		queries[i] = mat.Row((i * stride) % mat.Rows())
 	}
-	ph, stats := Measure(st, mat, queries, refRadius)
+	_, ph, stats, err := Measure(fam, mat, queries, refRadius)
+	if err != nil {
+		return refRun{}, err
+	}
 	return refRun{
 		q2:         float64(ph.Q2NS),
 		q3:         float64(ph.Q3NS),
@@ -116,13 +115,19 @@ func (c Costs) referenceRun(mat *sparse.Matrix, k, m int, fc FitConfig) (refRun,
 	}, nil
 }
 
-// Measure times queries against st over mat the way the model's
-// constants are defined: on a one-worker engine (contention-free costs;
-// parallelism is modeled separately) with phase timing on. It warms the
-// engine up, runs the batch three times and returns each phase's minimum
-// over the runs (GC pauses and scheduler interference only ever inflate a
-// run) and the work of one run, summed over the queries.
-func Measure(st *core.Static, mat *sparse.Matrix, queries []sparse.Vector, radius float64) (core.PhaseTimes, core.QueryStats) {
+// Measure builds an index over mat with fam and times it and queries
+// against it the way the model's constants are defined: the build by phase
+// as timedBuild runs it, then the queries on a one-worker engine
+// (contention-free costs; parallelism is modeled separately) with phase
+// timing on. It warms the engine up, runs the batch three times and returns
+// each query phase's minimum over the runs (GC pauses and scheduler
+// interference only ever inflate a run) and the work of one run, summed
+// over the queries.
+func Measure(fam *lshhash.Family, mat *sparse.Matrix, queries []sparse.Vector, radius float64) (core.BuildTimings, core.PhaseTimes, core.QueryStats, error) {
+	st, tm, err := timedBuild(fam, mat)
+	if err != nil {
+		return tm, core.PhaseTimes{}, core.QueryStats{}, err
+	}
 	opts := core.QueryDefaults()
 	opts.Radius = radius
 	opts.Workers = 1
@@ -153,5 +158,5 @@ func Measure(st *core.Static, mat *sparse.Matrix, queries []sparse.Vector, radiu
 			best.Q3NS = ph.Q3NS
 		}
 	}
-	return best, sum
+	return tm, best, sum, nil
 }
