@@ -116,10 +116,6 @@ type Workspace struct {
 	sketch []uint32
 }
 
-// Sketch returns the m half-hashes of the query the workspace was begun
-// with. Valid until End.
-func (ws *Workspace) Sketch() []uint32 { return ws.sketch }
-
 // Mask returns the query's scattered vocabulary mask for Verify, or nil
 // when the engine runs the merge-intersection dot product. Valid until End.
 func (ws *Workspace) Mask() *sparse.QueryMask { return ws.mask }

@@ -9,6 +9,7 @@ import (
 	"plsh/internal/corpus"
 	"plsh/internal/delta"
 	"plsh/internal/lshhash"
+	"plsh/internal/sched"
 	"plsh/internal/sparse"
 )
 
@@ -110,8 +111,12 @@ func (n *Node) rebuildStatic(prefix *sparse.Matrix, del *bitvec.Vector) (*core.S
 
 // BenchmarkMerge times one merge of a delta chain into the static index, at
 // the benchmark suite's geometry, by the shipping path (Copy: core.Merge,
-// which builds the delta rows' tables from the sketches their segments kept)
-// and by the rebuild it replaced (Rebuild, above). 32k+20k is the ladder's
+// which builds the delta rows' tables from the sketches their segments kept),
+// by the rebuild it replaced (Rebuild, above), and by a rebuild from kept
+// sketches (Sketches: core.BuildFromSketches over every row of the prefix,
+// its sketches computed outside the timer — the merge ROADMAP item 20(b)
+// would ship if every row kept its sketch; it leaves the tombstoned rows
+// in). 32k+20k is the ladder's
 // node.merge_ms rung — 200 batches of 100 over the 32 000-row base set —
 // and 131k+13k a stream_ingest merge late in a run: one merge trigger's
 // worth of rows into a static index that has absorbed seven. One row in a
@@ -184,6 +189,10 @@ func BenchmarkMerge(b *testing.B) {
 			b.Run("Rebuild", arm(func() *core.Static {
 				st, _ := n.rebuildStatic(prefix, del)
 				return st
+			}))
+			sk := n.fam.SketchAll(prefix, sched.NewPool(cfg.Build.Workers), true)
+			b.Run("Sketches", arm(func() *core.Static {
+				return core.BuildFromSketches(n.fam, sk, cfg.Build.Workers)
 			}))
 		})
 	}
