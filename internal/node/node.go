@@ -648,9 +648,9 @@ func trailingRun(segs []segment, floor int) int {
 	return i
 }
 
-// startRunLocked starts a merge run over every row present and returns its
+// startRunLocked starts a merge run over every row present; n.run is its
 // handle. Callers hold mu and have checked that no run is in flight.
-func (n *Node) startRunLocked() *mergeRun {
+func (n *Node) startRunLocked() {
 	upTo := n.store.Rows()
 	run := &mergeRun{done: make(chan struct{})}
 	token := 0
@@ -670,7 +670,6 @@ func (n *Node) startRunLocked() *mergeRun {
 	// n.segs in place, so it gets its own slice. The tables are frozen, and
 	// a splice below upTo only ever replaces them with their own fold.
 	go n.runMerge(run, n.static, slices.Clone(n.segs), n.store.Prefix(upTo), n.deleted, upTo, token)
-	return run
 }
 
 // runMerge is the merge pipeline, one run of it: merge the frozen segments
@@ -933,7 +932,8 @@ func (n *Node) Retire(ctx context.Context) error {
 	// The retire record already made the erasure durable; a failure of
 	// this run's checkpoint only costs disk space, and Stats.PersistErr
 	// reports it.
-	run := n.startRunLocked()
+	n.startRunLocked()
+	run := n.run
 	n.mu.Unlock()
 	<-run.done
 	return nil
