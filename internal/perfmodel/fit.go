@@ -115,9 +115,9 @@ func (c Costs) referenceRun(mat *sparse.Matrix, k, m int, fc FitConfig) (refRun,
 	}, nil
 }
 
-// Measure builds an index over mat with fam and times it and queries
-// against it the way the model's constants are defined: the build by phase
-// as timedBuild runs it, then the queries on a one-worker engine
+// Measure builds an index over mat with fam, and times the build and
+// queries against the index the way the model's constants are defined: the
+// build by phase as timedBuild runs it, then the queries on a one-worker engine
 // (contention-free costs; parallelism is modeled separately) with phase
 // timing on. It warms the engine up, runs the batch three times and returns
 // each query phase's minimum over the runs (GC pauses and scheduler
