@@ -193,8 +193,9 @@ func TestEntriesAtEveryWidth(t *testing.T) {
 // K = 16 the directory follows the rows across the power of two: 1 000 rows
 // index 10 key bits, and a merge to 1 100 refines them to 11, tombstones on
 // both sides, into the buckets a build over the live rows holds; a static
-// whose tables index all 16 bits — a snapshot of version 3, which stored no
-// key bits — keeps them through a merge.
+// whose tables index all 16 bits — as a snapshot of version 3, which stored
+// no key bits, loaded, and a node that loaded one still writes — keeps them
+// through a merge.
 func TestMergeCrossesAPowerOfTwo(t *testing.T) {
 	p := lshhash.Params{Dim: 64, K: 8, M: 4, Seed: 5}
 	fam, err := lshhash.NewFamily(p)
@@ -249,15 +250,9 @@ func TestMergeCrossesAPowerOfTwo(t *testing.T) {
 		dead[w] |= word
 	}
 	want := rebuildReference(fam16, concatSketches(skOld, skAdd), dead)
-	// A v3 static: the same rows at b = K, encoded as version 3 stored a
-	// table — AppendEncoded's encoding without r — and decoded.
+	// The same rows at b = K, as a node that once loaded a version-3
+	// snapshot still holds them and writes them to version 4.
 	full := buildSketches(fam16, skOld, 0, 2)
-	for l := range full.tables {
-		var err error
-		if full.tables[l], err = DecodeTableV3(full.tables[l].AppendEncoded(nil)[4:]); err != nil {
-			t.Fatal(err)
-		}
-	}
 	for _, c := range []struct {
 		name         string
 		old          *Static

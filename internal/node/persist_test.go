@@ -707,13 +707,12 @@ func TestDocOutOfRange(t *testing.T) {
 	}
 }
 
-// TestReadsVersion3Snapshot: a data directory holding a snapshot from
-// before a table stored the key bits its items carry (version 3, whose
-// tables index every key bit; the committed 60-row fixture of
-// internal/persist/testdata) opens, answers every query exactly as a node
-// rebuilt from the same documents does, and its next checkpoint writes the
-// committed version-4 fixture byte for byte.
-func TestReadsVersion3Snapshot(t *testing.T) {
+// TestReadsVersion4Snapshot: a data directory holding the committed 60-row
+// version-4 fixture of internal/persist/testdata (tables at b = K, as a
+// node that once loaded version 3 still writes them) opens, answers every
+// self-query exactly as a node rebuilt from the same documents does, and
+// its next checkpoint writes the fixture byte for byte.
+func TestReadsVersion4Snapshot(t *testing.T) {
 	fixture := func(name string) []byte {
 		raw, err := os.ReadFile(filepath.Join("..", "persist", "testdata", name))
 		if err != nil {
@@ -721,12 +720,12 @@ func TestReadsVersion3Snapshot(t *testing.T) {
 		}
 		return raw
 	}
-	raw := fixture("snapshot-v3.plsh")
-	if v := binary.LittleEndian.Uint32(raw[8:]); v != 3 {
+	want := fixture("snapshot-v4.plsh")
+	if v := binary.LittleEndian.Uint32(want[8:]); v != 4 {
 		t.Fatalf("fixture is version %d", v)
 	}
 	dir := t.TempDir()
-	if err := os.WriteFile(persist.SnapshotPath(dir), raw, 0o644); err != nil {
+	if err := os.WriteFile(persist.SnapshotPath(dir), want, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	cfg := testConfig(128)
@@ -772,12 +771,12 @@ func TestReadsVersion3Snapshot(t *testing.T) {
 	if err := n.Save(bg); err != nil {
 		t.Fatal(err)
 	}
-	raw, err = os.ReadFile(persist.SnapshotPath(dir))
+	raw, err := os.ReadFile(persist.SnapshotPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(raw, fixture("snapshot-v4.plsh")) {
-		t.Fatal("the checkpoint of the version-3 fixture is not testdata/snapshot-v4.plsh")
+	if !bytes.Equal(raw, want) {
+		t.Fatal("the checkpoint of testdata/snapshot-v4.plsh is not the fixture")
 	}
 }
 

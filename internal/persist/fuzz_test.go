@@ -33,6 +33,48 @@ func decode(raw []byte) (*Snapshot, error) {
 	return readSnapshot(bytes.NewReader(raw), int64(len(raw)))
 }
 
+// TestReadsVersion4Fixture: the committed version-4 file loads as the
+// tables a build over its arena produces, bucket for bucket, with the
+// tombstones left out, and writing it back out yields exactly its own bytes
+// — which pins the format against accidental change.
+func TestReadsVersion4Fixture(t *testing.T) {
+	raw := fixture(t, "snapshot-v4.plsh")
+	if v := binary.LittleEndian.Uint32(raw[8:]); v != 4 {
+		t.Fatalf("fixture is version %d", v)
+	}
+	snap, err := decode(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Rows != 60 || len(snap.Tables) != snap.Params.L() {
+		t.Fatalf("fixture: %d rows, %d tables", snap.Rows, len(snap.Tables))
+	}
+	fam, err := lshhash.NewFamily(snap.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := core.StaticFromTables(fam, snap.Rows, snap.Tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := core.Build(fam, snap.Arena, core.Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A merge that adds no rows is the build with the tombstones left out.
+	want := core.Merge(built, &lshhash.Sketches{M: snap.Params.M}, snap.Deleted, 1)
+	for l := 0; l < got.NumTables(); l++ {
+		for key := 0; key < snap.Params.Buckets(); key++ {
+			if g, w := got.Table(l).Bucket(nil, uint32(key)), want.Table(l).Bucket(nil, uint32(key)); !slices.Equal(g, w) {
+				t.Fatalf("table %d bucket %d: loaded %v, rebuilt %v", l, key, g, w)
+			}
+		}
+	}
+	if !bytes.Equal(encode(t, snap), raw) {
+		t.Fatal("rewriting testdata/snapshot-v4.plsh changes its bytes: the on-disk format changed")
+	}
+}
+
 // TestReadsVersion3Fixture: a version-3 file loads as the tables a build
 // over its arena produces, bucket for bucket, and writing it back out
 // yields exactly the committed version-4 bytes — which pins the current
