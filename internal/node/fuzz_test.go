@@ -21,7 +21,7 @@ const (
 	fuzzMerge         // MergeNow
 	fuzzRetire        // Retire
 	fuzzSave          // Save
-	fuzzReopen        // Close, then Open on the same directory
+	fuzzReopen        // Close, then Open: on the same directory at an even mod; at an odd one, SaveTo a fresh directory first and Open that
 	fuzzSearch        // corpus row arg as the query; mod picks K and radius
 	fuzzOps
 )
@@ -32,14 +32,16 @@ const (
 const fuzzCapacity = 192
 
 // FuzzNodeOps drives a durable node through the operations its input spells
-// out — inserts, deletes, MergeNow, Retire, Save, Close and reopen, searches
-// at several K and radii — with merges also starting on their own. Every
-// answer must equal internal/oracle's exactly, whether the node is
-// answering from its delta chain, a merged index, a merge in flight or a
-// recovered directory; the row counts, ErrFull and ErrNotFound must match
-// the mirror too. After the last op every row, deleted or not, is a query
-// at a wide radius, so a candidate lost or resurrected anywhere shows. The
-// committed corpus (testdata/fuzz/FuzzNodeOps) runs in tier-1; fuzz with
+// out — inserts, deletes, MergeNow, Retire, Save, Close and reopen, a backup
+// restored (SaveTo into a fresh directory, Close, and Open on the copy),
+// searches at several K and radii — with merges also starting on their own.
+// Every answer must equal internal/oracle's exactly, whether the node is
+// answering from its delta chain, a merged index, a merge in flight, a
+// recovered directory or a restored backup; the row counts, ErrFull and
+// ErrNotFound must match the mirror too. After the last op every row,
+// deleted or not, is a query at a wide radius, so a candidate lost or
+// resurrected anywhere shows. The committed corpus
+// (testdata/fuzz/FuzzNodeOps) runs in tier-1; fuzz with
 //
 //	go test -run '^$' -fuzz FuzzNodeOps -fuzztime 60s ./internal/node
 func FuzzNodeOps(f *testing.F) {
@@ -123,6 +125,16 @@ func FuzzNodeOps(f *testing.F) {
 					t.Fatalf("op %d: Save left %d of %d rows static", step, n.StaticLen(), len(rows))
 				}
 			case fuzzReopen:
+				if mod%2 == 1 { // the backup is written before the Close and opened after it
+					backup := t.TempDir()
+					if err := n.SaveTo(bg, backup); err != nil {
+						t.Fatalf("op %d: SaveTo: %v", step, err)
+					}
+					if n.StaticLen() != len(rows) {
+						t.Fatalf("op %d: SaveTo left %d of %d rows static", step, n.StaticLen(), len(rows))
+					}
+					cfg.Dir = backup
+				}
 				if err := n.Close(); err != nil {
 					t.Fatalf("op %d: Close: %v", step, err)
 				}
