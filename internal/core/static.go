@@ -308,17 +308,7 @@ var errEncoding = errors.New("core: table encoding is malformed")
 // items. What the arrays and r hold is ValidateTables' to judge.
 func DecodeTable(b []byte) (Table, error) {
 	d := codec.NewDecoder(b, errEncoding)
-	r := d.U32("r")
-	return decodeTable(d, uint(r))
-}
-
-// DecodeTableV3 returns the table snapshot version 3 stored as b:
-// AppendEncoded's encoding before it began with r, of a table whose
-// directory indexes the whole key (r = 0).
-func DecodeTableV3(b []byte) (Table, error) { return decodeTable(codec.NewDecoder(b, errEncoding), 0) }
-
-// decodeTable decodes the encoding that follows r, read through d.
-func decodeTable(d codec.Decoder, r uint) (Table, error) {
+	r := uint(d.U32("r"))
 	words := int(d.U32("bitmap words"))
 	raw := d.Take(8*words, "bitmap")
 	if d.Err() != nil {

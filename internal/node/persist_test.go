@@ -713,14 +713,7 @@ func TestDocOutOfRange(t *testing.T) {
 // self-query exactly as a node rebuilt from the same documents does, and
 // its next checkpoint writes the fixture byte for byte.
 func TestReadsVersion4Snapshot(t *testing.T) {
-	fixture := func(name string) []byte {
-		raw, err := os.ReadFile(filepath.Join("..", "persist", "testdata", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw
-	}
-	want := fixture("snapshot-v4.plsh")
+	want := persistFixture(t, "snapshot-v4.plsh")
 	if v := binary.LittleEndian.Uint32(want[8:]); v != 4 {
 		t.Fatalf("fixture is version %d", v)
 	}
@@ -728,9 +721,7 @@ func TestReadsVersion4Snapshot(t *testing.T) {
 	if err := os.WriteFile(persist.SnapshotPath(dir), want, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig(128)
-	cfg.Params = lshhash.Params{Dim: 256, K: 6, M: 4, Seed: 21}
-	cfg.AutoMerge = false
+	cfg := fixtureConfig()
 	rebuilt, err := Open(bg, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -778,6 +769,40 @@ func TestReadsVersion4Snapshot(t *testing.T) {
 	if !bytes.Equal(raw, want) {
 		t.Fatal("the checkpoint of testdata/snapshot-v4.plsh is not the fixture")
 	}
+}
+
+// TestOpenRefusesVersion3Snapshot: a data directory holding the committed
+// version-3 fixture, whose tables carry no key bits, does not open: Open
+// returns ErrCorrupt and no node.
+func TestOpenRefusesVersion3Snapshot(t *testing.T) {
+	cfg := fixtureConfig()
+	cfg.Dir = t.TempDir()
+	if err := os.WriteFile(persist.SnapshotPath(cfg.Dir), persistFixture(t, "snapshot-v3.plsh"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := Open(bg, cfg); n != nil || !errors.Is(err, persist.ErrCorrupt) {
+		t.Fatalf("Open over a version-3 snapshot = %v, %v; want no node and ErrCorrupt", n, err)
+	}
+}
+
+// persistFixture returns the committed snapshot file name of
+// internal/persist/testdata.
+func persistFixture(t *testing.T, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("..", "persist", "testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// fixtureConfig is the in-memory configuration the committed snapshots were
+// written under.
+func fixtureConfig() Config {
+	cfg := testConfig(128)
+	cfg.Params = lshhash.Params{Dim: 256, K: 6, M: 4, Seed: 21}
+	cfg.AutoMerge = false
+	return cfg
 }
 
 // TestSnapshotRoundTripAtSuiteGeometry: a node of the benchmark suite's

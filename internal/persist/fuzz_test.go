@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"plsh/internal/core"
@@ -19,7 +20,8 @@ import (
 // The committed fixtures are one 60-row node (Dim 256, K 6, M 4, two
 // tombstones) saved twice: snapshot-v3.plsh by the last commit that wrote
 // tables without the key bits their items carry, snapshot-v4.plsh by
-// reading that file back and writing it with this code.
+// reading that file back and writing it as version 4. Version 3 is no
+// longer read; its file is the input the refusal test reads.
 func fixture(t testing.TB, name string) []byte {
 	t.Helper()
 	raw, err := os.ReadFile(filepath.Join("testdata", name))
@@ -75,41 +77,13 @@ func TestReadsVersion4Fixture(t *testing.T) {
 	}
 }
 
-// TestReadsVersion3Fixture: a version-3 file loads as the tables a build
-// over its arena produces, bucket for bucket, and writing it back out
-// yields exactly the committed version-4 bytes — which pins the current
-// format against accidental change.
-func TestReadsVersion3Fixture(t *testing.T) {
-	v3, err := decode(fixture(t, "snapshot-v3.plsh"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v3.Rows != 60 || len(v3.Tables) != v3.Params.L() {
-		t.Fatalf("fixture: %d rows, %d tables", v3.Rows, len(v3.Tables))
-	}
-	fam, err := lshhash.NewFamily(v3.Params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := core.StaticFromTables(fam, v3.Rows, v3.Tables)
-	if err != nil {
-		t.Fatal(err)
-	}
-	built, err := core.Build(fam, v3.Arena, core.Defaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A merge that adds no rows is the build with the tombstones left out.
-	want := core.Merge(built, &lshhash.Sketches{M: v3.Params.M}, v3.Deleted, 1)
-	for l := 0; l < got.NumTables(); l++ {
-		for key := 0; key < v3.Params.Buckets(); key++ {
-			if g, w := got.Table(l).Bucket(nil, uint32(key)), want.Table(l).Bucket(nil, uint32(key)); !slices.Equal(g, w) {
-				t.Fatalf("table %d bucket %d: loaded %v, rebuilt %v", l, key, g, w)
-			}
-		}
-	}
-	if !bytes.Equal(encode(t, v3), fixture(t, "snapshot-v4.plsh")) {
-		t.Fatal("rewriting the version-3 fixture does not reproduce testdata/snapshot-v4.plsh: the on-disk format changed")
+// TestRefusesVersion3Fixture: the committed version-3 file, whose tables
+// carry no key bits, is ErrCorrupt naming its version, not tables read some
+// other way.
+func TestRefusesVersion3Fixture(t *testing.T) {
+	_, err := decode(fixture(t, "snapshot-v3.plsh"))
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "version 3") {
+		t.Fatalf("version-3 fixture: err = %v, want ErrCorrupt naming version 3", err)
 	}
 }
 

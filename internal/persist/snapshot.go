@@ -23,7 +23,9 @@
 // crash mid-checkpoint leaves the previous snapshot intact. Readers verify
 // the magic, version, CRC, and structural shape (via sparse.FromRaw,
 // core.DecodeTable and core.ValidateTables) and refuse to load anything
-// that fails — a corrupt file is an error, never garbage in the index.
+// that fails — a corrupt file is an error, never garbage in the index. The
+// version read is the one written: a file of any other, older ones
+// included, is refused with its version named, never converted.
 package persist
 
 import (
@@ -51,14 +53,15 @@ const snapshotName = "snapshot.plsh"
 // version field below covers compatible evolution).
 var snapshotMagic = [8]byte{'P', 'L', 'S', 'H', 'S', 'N', 'P', '1'}
 
-// snapshotVersion is the format version WriteSnapshot emits: version 4
-// stores each table as a byte length and core.Table.AppendEncoded's bytes —
-// the key bits its items carry, then the bitmap and the two packed arrays
-// verbatim, no rank words — and ReadSnapshot hands those bytes to
-// core.DecodeTable. Version 3 stored the same bytes without the key bits,
-// every table's items being ids alone; ReadSnapshot still loads it, through
-// core.DecodeTableV3. What a table holds is ValidateTables' to judge, after
-// the CRC, whichever version it came from.
+// snapshotVersion is the format version WriteSnapshot emits and the only
+// one ReadSnapshot loads: version 4 stores each table as a byte length and
+// core.Table.AppendEncoded's bytes — the key bits its items carry, then the
+// bitmap and the two packed arrays verbatim, no rank words — and
+// ReadSnapshot hands those bytes to core.DecodeTable. What a table holds is
+// ValidateTables' to judge, after the CRC. Every other version, version 3
+// (the same bytes without the key bits) included, is ErrCorrupt naming it:
+// a version-3 directory is opened and saved once by a binary that reads
+// both before this one opens it.
 const snapshotVersion = 4
 
 // castagnoli is the CRC-32C table used for both snapshot and WAL framing.
@@ -204,7 +207,7 @@ func readSnapshot(src io.Reader, size int64) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	version := r.u32()
-	if r.err == nil && version != 3 && version != snapshotVersion {
+	if r.err == nil && version != snapshotVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, version)
 	}
 	s := &Snapshot{}
@@ -230,10 +233,6 @@ func readSnapshot(src io.Reader, size int64) (*Snapshot, error) {
 	if nTables > 0 && r.checkLen(nTables, 3*8) { // a length word and more than 16 bytes of encoding a table
 		s.Tables = make([]core.Table, 0, nTables)
 	}
-	decode := core.DecodeTable
-	if version == 3 {
-		decode = core.DecodeTableV3
-	}
 	var enc []byte // each table's encoding in turn; scratch
 	for i := 0; i < nTables && r.err == nil; i++ {
 		n := int(r.u64())
@@ -244,7 +243,7 @@ func readSnapshot(src io.Reader, size int64) (*Snapshot, error) {
 		if r.bytes(enc); r.err != nil {
 			break
 		}
-		t, err := decode(enc)
+		t, err := core.DecodeTable(enc)
 		if err != nil {
 			r.fail(fmt.Errorf("%w: %v", ErrCorrupt, err))
 		}
