@@ -4,12 +4,10 @@ import (
 	"slices"
 	"testing"
 
-	"plsh/internal/bitvec"
 	"plsh/internal/core"
 	"plsh/internal/corpus"
 	"plsh/internal/delta"
 	"plsh/internal/lshhash"
-	"plsh/internal/sched"
 	"plsh/internal/sparse"
 )
 
@@ -96,32 +94,17 @@ func coldDocs(n, dim int) []sparse.Vector {
 	return docs
 }
 
-// rebuildStatic is the merge as it ran before mergeStatic: every row of the
-// prefix hashed and bucketed again by core.Build, then the tombstones
-// left out by a core.Merge that adds no rows. It lives in this file only,
-// as the other arm of BenchmarkMerge.
-func (n *Node) rebuildStatic(prefix *sparse.Matrix, del *bitvec.Vector) (*core.Static, *core.Engine) {
-	workers := n.cfg.Build.Workers
-	none := &lshhash.Sketches{M: n.cfg.Params.M}
-	st := core.Merge(core.MustBuild(n.fam, prefix, n.cfg.Build), none, tombstoneWords(del, prefix.Rows()), workers)
-	eng := core.NewEngine(st, prefix, n.cfg.Query)
-	eng.SetDeleted(del)
-	return st, eng
-}
-
-// BenchmarkMerge times one merge of a delta chain into the static index, at
-// the benchmark suite's geometry, by the shipping path (Copy: core.Merge,
-// which builds the delta rows' tables from the sketches their segments kept),
-// by the rebuild it replaced (Rebuild, above), and by a rebuild from kept
-// sketches (Sketches: core.BuildFromSketches over every row of the prefix,
-// its sketches computed outside the timer — the merge ROADMAP item 20(b)
-// would ship if every row kept its sketch; it leaves the tombstoned rows
-// in). 32k+20k is the ladder's
-// node.merge_ms rung — 200 batches of 100 over the 32 000-row base set —
-// and 131k+13k a stream_ingest merge late in a run: one merge trigger's
-// worth of rows into a static index that has absorbed seven. One row in a
-// hundred is tombstoned on either side. Neither arm installs its result, so
-// every iteration merges the same state. Run it with
+// BenchmarkMerge times one merge of a delta chain into the static index —
+// node.mergeStatic, the merge that ships: core.BuildFromSketches over the
+// delta rows from the sketches their segments kept, then core.Merge's copy
+// of both table sets into one — at the benchmark suite's geometry. 32k+20k
+// is the ladder's node.merge_ms rung — 200 batches of 100 over the 32 000-row
+// base set — and 131k+13k a stream_ingest merge late in a run: one merge
+// trigger's worth of rows into a static index that has absorbed seven. One
+// row in a hundred is tombstoned on either side. The merge is not
+// installed, so every iteration merges the same state. (Copy is the arm's
+// name from when a rebuild was timed beside it; DESIGN's tables cite it.)
+// Run it with
 //
 //	go test -run '^$' -bench 'Merge/' -benchtime 5x ./internal/node
 //
@@ -169,31 +152,17 @@ func BenchmarkMerge(b *testing.B) {
 			prefix := n.store.Prefix(upTo)
 			n.mu.Unlock()
 
-			arm := func(merge func() *core.Static) func(b *testing.B) {
-				return func(b *testing.B) {
-					b.ReportAllocs()
-					var st *core.Static
-					for i := 0; i < b.N; i++ {
-						st = merge()
-					}
-					b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "merge-ms/op")
-					if st.Len() != upTo {
-						b.Fatalf("merged index covers %d rows, want %d", st.Len(), upTo)
-					}
+			b.Run("Copy", func(b *testing.B) {
+				b.ReportAllocs()
+				var st *core.Static
+				for i := 0; i < b.N; i++ {
+					st, _ = n.mergeStatic(old, segs, prefix, del, upTo)
 				}
-			}
-			b.Run("Copy", arm(func() *core.Static {
-				st, _ := n.mergeStatic(old, segs, prefix, del, upTo)
-				return st
-			}))
-			b.Run("Rebuild", arm(func() *core.Static {
-				st, _ := n.rebuildStatic(prefix, del)
-				return st
-			}))
-			sk := n.fam.SketchAll(prefix, sched.NewPool(cfg.Build.Workers), true)
-			b.Run("Sketches", arm(func() *core.Static {
-				return core.BuildFromSketches(n.fam, sk, cfg.Build.Workers)
-			}))
+				b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "merge-ms/op")
+				if st.Len() != upTo {
+					b.Fatalf("merged index covers %d rows, want %d", st.Len(), upTo)
+				}
+			})
 		})
 	}
 }

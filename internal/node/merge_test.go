@@ -10,6 +10,7 @@ import (
 
 	"plsh/internal/bitvec"
 	"plsh/internal/core"
+	"plsh/internal/lshhash"
 	"plsh/internal/oracle"
 	"plsh/internal/sparse"
 )
@@ -541,9 +542,16 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	}
 }
 
+// rebuilt is the index a merge must leave over prefix under the tombstones
+// dead: every row hashed and bucketed again by core.Build, then the
+// tombstones left out by a core.Merge that adds no rows.
+func (n *Node) rebuilt(prefix *sparse.Matrix, dead *bitvec.Vector) *core.Static {
+	none := &lshhash.Sketches{M: n.cfg.Params.M}
+	return core.Merge(core.MustBuild(n.fam, prefix, n.cfg.Build), none, tombstoneWords(dead, prefix.Rows()), n.cfg.Build.Workers)
+}
+
 // requireStaticMatchesRebuild checks the node's static index, bucket by
-// bucket over every key of every table, against rebuildStatic (the merge as
-// it ran before core.Merge, kept in cold_bench_test.go) over the same rows
+// bucket over every key of every table, against rebuilt over the same rows
 // under the tombstones dead.
 func requireStaticMatchesRebuild(t *testing.T, what string, n *Node, dead *bitvec.Vector) {
 	t.Helper()
@@ -557,7 +565,7 @@ func requireStaticMatchesRebuild(t *testing.T, what string, n *Node, dead *bitve
 	if err := core.ValidateTables(n.fam.Params(), nStatic, st.Tables()); err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
-	want, _ := n.rebuildStatic(prefix, dead)
+	want := n.rebuilt(prefix, dead)
 	for l := 0; l < st.NumTables(); l++ {
 		for key := 0; key < n.fam.Params().Buckets(); key++ {
 			got, ref := st.Table(l).Bucket(nil, uint32(key)), want.Table(l).Bucket(nil, uint32(key))
@@ -751,8 +759,8 @@ func TestMergeUsesTombstonesOfItsStart(t *testing.T) {
 	if err := core.ValidateTables(n.fam.Params(), 3000, st.Tables()); err != nil {
 		t.Fatal(err)
 	}
-	floor, _ := n.rebuildStatic(n.store.Prefix(3000), n.deleted)
-	ceil, _ := n.rebuildStatic(n.store.Prefix(3000), before)
+	floor := n.rebuilt(n.store.Prefix(3000), n.deleted)
+	ceil := n.rebuilt(n.store.Prefix(3000), before)
 	for l := 0; l < st.NumTables(); l++ {
 		for key := 0; key < n.fam.Params().Buckets(); key++ {
 			got := st.Table(l).Bucket(nil, uint32(key))
