@@ -37,15 +37,15 @@ func main() {
 	flag.Var(&exps, "exp", "experiment to run (repeatable); see -list")
 	all := flag.Bool("all", false, "run every experiment")
 	list := flag.Bool("list", false, "list experiments and exit")
-	defaults := expr.Defaults()
-	n := flag.Int("n", defaults.N, "dataset size (per node for multi-node experiments)")
-	dim := flag.Int("d", defaults.Dim, "vocabulary size / dimensionality")
-	k := flag.Int("k", defaults.K, "bits per hash table (even)")
-	m := flag.Int("m", defaults.M, "number of half-width hash functions (L = m(m-1)/2)")
-	q := flag.Int("q", defaults.Queries, "query-set size")
-	radius := flag.Float64("r", defaults.Radius, "R-near-neighbor radius (radians)")
+	// The defaults are a laptop-scale configuration.
+	n := flag.Int("n", 50000, "dataset size (per node for multi-node experiments)")
+	dim := flag.Int("d", 50000, "vocabulary size / dimensionality")
+	k := flag.Int("k", 16, "bits per hash table (even)")
+	m := flag.Int("m", 16, "number of half-width hash functions (L = m(m-1)/2)")
+	q := flag.Int("q", 500, "query-set size")
+	radius := flag.Float64("r", 0.9, "R-near-neighbor radius (radians)")
 	workers := flag.Int("workers", 0, "worker threads (0 = GOMAXPROCS)")
-	seed := flag.Uint64("seed", defaults.Seed, "random seed")
+	seed := flag.Uint64("seed", 42, "random seed")
 	flag.Parse()
 
 	if *list {

@@ -2,8 +2,8 @@
 // the paper's evaluation (§8), each printing the same rows/series the paper
 // reports, plus the streaming and recall measurements of §8.6 and §8.1.
 //
-// Experiments run at a configurable scale (defaults target a laptop; the
-// paper's single-node point is N=10.5M, D=500K, k=16, m=40). Absolute
+// Experiments run at a configurable scale (cmd/plsh-bench's defaults target
+// a laptop; the paper's single-node point is N=10.5M, D=500K, k=16, m=40). Absolute
 // times differ from the paper's Xeon cluster; the comparisons preserved are
 // the *shapes*: who wins, by what rough factor, and where curves cross.
 // Each runner prints the paper's reported values on a "paper:" line under
@@ -41,19 +41,6 @@ type Options struct {
 	Workers int
 	// Seed drives corpus generation and hashing.
 	Seed uint64
-}
-
-// Defaults returns a laptop-scale configuration.
-func Defaults() Options {
-	return Options{
-		N:       50000,
-		Dim:     50000,
-		K:       16,
-		M:       16,
-		Queries: 500,
-		Radius:  0.9,
-		Seed:    42,
-	}
 }
 
 func (o Options) params() lshhash.Params {
