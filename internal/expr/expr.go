@@ -3,9 +3,10 @@
 // reports, plus the streaming and recall measurements of §8.6 and §8.1.
 //
 // Experiments run at a configurable scale (cmd/plsh-bench's defaults target
-// a laptop; the paper's single-node point is N=10.5M, D=500K, k=16, m=40). Absolute
-// times differ from the paper's Xeon cluster; the comparisons preserved are
-// the *shapes*: who wins, by what rough factor, and where curves cross.
+// a laptop; the paper's single-node point is N=10.5M, D=500K, k=16, m=40).
+// Absolute times differ from the paper's Xeon cluster; the comparisons
+// preserved are the *shapes*: who wins, by what rough factor, and where
+// curves cross.
 // Each runner prints the paper's reported values on a "paper:" line under
 // its measured table, so one run of cmd/plsh-bench is the side-by-side.
 package expr

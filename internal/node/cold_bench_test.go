@@ -102,9 +102,8 @@ func coldDocs(n, dim int) []sparse.Vector {
 // base set — and 131k+13k a stream_ingest merge late in a run: one merge
 // trigger's worth of rows into a static index that has absorbed seven. One
 // row in a hundred is tombstoned on either side. The merge is not
-// installed, so every iteration merges the same state. (Copy is the arm's
-// name from when a rebuild was timed beside it; DESIGN's tables cite it.)
-// Run it with
+// installed, so every iteration merges the same state. Its one arm keeps
+// the name Copy, which DESIGN's tables cite. Run it with
 //
 //	go test -run '^$' -bench 'Merge/' -benchtime 5x ./internal/node
 //

@@ -21,7 +21,7 @@ const (
 	fuzzMerge         // MergeNow
 	fuzzRetire        // Retire
 	fuzzSave          // Save
-	fuzzReopen        // Close, then Open: on the same directory at an even mod; at an odd one, SaveTo a fresh directory first and Open that
+	fuzzReopen        // Close, then Open; at an odd mod, Open a copy SaveTo wrote to a fresh directory
 	fuzzSearch        // corpus row arg as the query; mod picks K and radius
 	fuzzOps
 )
@@ -125,7 +125,7 @@ func FuzzNodeOps(f *testing.F) {
 					t.Fatalf("op %d: Save left %d of %d rows static", step, n.StaticLen(), len(rows))
 				}
 			case fuzzReopen:
-				if mod%2 == 1 { // the backup is written before the Close and opened after it
+				if mod%2 == 1 {
 					backup := t.TempDir()
 					if err := n.SaveTo(bg, backup); err != nil {
 						t.Fatalf("op %d: SaveTo: %v", step, err)

@@ -781,7 +781,7 @@ func TestOpenRefusesVersion3Snapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n, err := Open(bg, cfg); n != nil || !errors.Is(err, persist.ErrCorrupt) {
-		t.Fatalf("Open over a version-3 snapshot = %v, %v; want no node and ErrCorrupt", n, err)
+		t.Fatalf("Open over a version-3 snapshot: node returned %v, err %v; want no node and ErrCorrupt", n != nil, err)
 	}
 }
 
