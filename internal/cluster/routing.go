@@ -149,8 +149,8 @@ func NewRouter(fam *lshhash.Family, cfg RouterConfig) (*Router, error) {
 	if fam == nil {
 		return nil, fmt.Errorf("cluster: router needs an LSH family")
 	}
-	if cfg.Groups < 1 {
-		return nil, fmt.Errorf("cluster: router groups = %d, need at least 1", cfg.Groups)
+	if cfg.Groups < 1 || cfg.Groups > 1<<maxRouteBits {
+		return nil, fmt.Errorf("cluster: router groups = %d, need 1 to %d", cfg.Groups, 1<<maxRouteBits)
 	}
 	if !(cfg.Recall >= 0 && cfg.Recall <= 1) {
 		return nil, fmt.Errorf("cluster: routing recall %v outside (0, 1]", cfg.Recall)
@@ -159,10 +159,11 @@ func NewRouter(fam *lshhash.Family, cfg RouterConfig) (*Router, error) {
 		return nil, fmt.Errorf("cluster: routing radius %v must be finite and not negative", cfg.Radius)
 	}
 	p := fam.Params()
-	// The signature is B = ceil(log2(Groups)) bits, at most 8: the narrowest
-	// that still maps onto every group, keeping probe sets small; 2^B
-	// signature cells are spread evenly over the groups.
-	bits := min(bitsFor(cfg.Groups), maxRouteBits)
+	// The signature is B = ceil(log2(Groups)) bits, at most maxRouteBits
+	// (hence the group bound above): the narrowest that still maps onto
+	// every group, keeping probe sets small; 2^B signature cells are spread
+	// evenly over the groups.
+	bits := bitsFor(cfg.Groups)
 	radius := cfg.Radius
 	if radius == 0 {
 		radius = 0.9
@@ -230,8 +231,9 @@ func mix64(x uint64) uint64 {
 // groupOf maps a B-bit signature to its group: a seed-keyed bijective
 // scramble of the signature space (odd multiply and xor-shift are both
 // invertible mod 2^B) followed by a balanced range reduction, so every
-// group owns either floor(2^B/G) or ceil(2^B/G) signature cells — no
-// group is left idle, and the assignment is a pure function of
+// group owns either floor(2^B/G) or ceil(2^B/G) signature cells. G is at
+// most 2^maxRouteBits (NewRouter refuses more), so that is at least one
+// cell and no group is left idle; the assignment is a pure function of
 // (signature, B, G, seed).
 func (r *Router) groupOf(sig uint32) int {
 	mask := uint32(1)<<r.bits - 1

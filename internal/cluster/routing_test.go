@@ -35,6 +35,9 @@ func TestRouterConfigValidation(t *testing.T) {
 	if _, err := NewRouter(fam, RouterConfig{Groups: 0}); err == nil {
 		t.Error("zero groups accepted")
 	}
+	if _, err := NewRouter(fam, RouterConfig{Groups: 1<<maxRouteBits + 1}); err == nil {
+		t.Error("257 groups accepted; at most 256 own a signature cell")
+	}
 	if _, err := NewRouter(fam, RouterConfig{Groups: 4, Recall: 1.5}); err == nil {
 		t.Error("recall > 1 accepted")
 	}
@@ -121,9 +124,10 @@ func TestRouterDeterministicAcrossInstances(t *testing.T) {
 }
 
 // The balanced range reduction must leave no group idle: with B =
-// ceil(log2 G) every group owns at least one of the 2^B signature cells.
+// ceil(log2 G) every group owns at least one of the 2^B signature cells,
+// up to the 2^maxRouteBits groups NewRouter accepts.
 func TestRouterSignatureMapCoversEveryGroup(t *testing.T) {
-	for _, groups := range []int{2, 3, 4, 6, 8, 16} {
+	for _, groups := range []int{2, 3, 4, 6, 8, 16, 255, 1 << maxRouteBits} {
 		r := testRouter(t, RouterConfig{Groups: groups})
 		seen := make([]bool, groups)
 		for sig := uint32(0); sig < 1<<r.bits; sig++ {

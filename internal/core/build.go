@@ -217,7 +217,8 @@ func buildShared(st *Static, sk *lshhash.Sketches, p lshhash.Params, r uint, poo
 
 	for a := 0; a < m-1; a++ {
 		// Step I1: local histograms over u_a, then one prefix sum giving
-		// per-worker scatter cursors (§5.1.2 "Parallelism").
+		// per-chunk scatter cursors (§5.1.2 "Parallelism"); Static hands
+		// Step I2 the same chunks.
 		t0 := now()
 		if n > 0 {
 			pool.Static(n, func(lo, hi, self int) {

@@ -17,6 +17,7 @@
 package histo
 
 import (
+	"math"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -96,7 +97,7 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	} else if q > 1 {
 		q = 1
 	}
-	target := uint64(q*float64(n) + 0.5)
+	target := uint64(math.Ceil(q * float64(n)))
 	if target == 0 {
 		target = 1
 	}

@@ -1,6 +1,7 @@
 package histo
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -52,7 +53,7 @@ func TestQuantileErrorBound(t *testing.T) {
 	}
 	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
 	for _, q := range []float64{0.5, 0.9, 0.99, 0.999, 1.0} {
-		idx := int(q*float64(len(vals))+0.5) - 1
+		idx := int(math.Ceil(q*float64(len(vals)))) - 1
 		if idx < 0 {
 			idx = 0
 		}
@@ -79,6 +80,23 @@ func TestEmptyAndSmall(t *testing.T) {
 	h.Record(-time.Second) // clock step: clamps to 0, must not panic
 	if h.Count() != 2 {
 		t.Fatalf("count %d, want 2", h.Count())
+	}
+}
+
+// The q-quantile is the ⌈q·n⌉-th smallest value, not the nearest rank: of
+// ten exact values 1…10 ns, q = 0.21 names the third (⌈2.1⌉ = 3).
+func TestQuantileTakesCeilingRank(t *testing.T) {
+	var h Histogram
+	for v := 1; v <= 10; v++ {
+		h.Record(time.Duration(v))
+	}
+	for _, c := range []struct {
+		q    float64
+		want time.Duration
+	}{{0, 1}, {0.1, 1}, {0.11, 2}, {0.21, 3}, {0.5, 5}, {0.51, 6}, {1, 10}} {
+		if got := h.Quantile(c.q); got != c.want {
+			t.Errorf("q=%g over 1…10 ns: %d ns, want %d", c.q, got, c.want)
+		}
 	}
 }
 

@@ -12,19 +12,39 @@ import (
 	"plsh/internal/sparse"
 )
 
-// The operations FuzzNodeOps reads, one a two-byte op: the first byte's
-// remainder by fuzzOps picks the operation and its quotient (mod) and the
-// second byte (arg) parameterize it.
+// The operations FuzzNodeOps reads, one a two-byte op. A first byte below
+// 0x80 picks from the first table: its remainder by fuzzOps is the
+// operation, and its quotient (mod) and the second byte (arg) parameterize
+// it. A first byte from 0x80 up picks entry (byte-0x80) % fuzzHighOps of
+// the second table, parameterized by arg alone, so 0x80+i names entry i
+// however many entries follow it. An operation is added to the second
+// table, never the first: that leaves every committed seed decoding as it
+// did.
 const (
 	fuzzInsert = iota // a batch of 1 + arg%16 corpus rows
 	fuzzDelete        // row arg % (rows+2): the last two were never inserted
 	fuzzMerge         // MergeNow
 	fuzzRetire        // Retire
 	fuzzSave          // Save
-	fuzzReopen        // Close, then Open; at an odd mod, Open a copy SaveTo wrote to a fresh directory
+	fuzzReopen        // Close, then Open
 	fuzzSearch        // corpus row arg as the query; mod picks K and radius
 	fuzzOps
 )
+
+// The second table, first bytes from 0x80 up.
+const (
+	fuzzBackup = fuzzOps + iota // 0x80: SaveTo a fresh directory, Close, then Open the copy
+	fuzzAllOps
+	fuzzHighOps = fuzzAllOps - fuzzOps
+)
+
+// fuzzOp decodes an op's first byte into the operation and its mod.
+func fuzzOp(b byte) (op, mod int) {
+	if b < 0x80 {
+		return int(b) % fuzzOps, int(b) / fuzzOps
+	}
+	return fuzzOps + int(b-0x80)%fuzzHighOps, 0
+}
 
 // fuzzCapacity keeps a fuzzed node small enough to fill: η·C is 19 rows, so
 // a handful of inserts starts a background merge, and a few dozen reach
@@ -80,8 +100,9 @@ func FuzzNodeOps(f *testing.F) {
 			}
 		}
 		for step := 0; step+1 < len(ops); step += 2 {
-			mod, arg := int(ops[step]/fuzzOps), int(ops[step+1])
-			switch ops[step] % fuzzOps {
+			op, mod := fuzzOp(ops[step])
+			arg := int(ops[step+1])
+			switch op {
 			case fuzzInsert:
 				batch := make([]sparse.Vector, 1+arg%16)
 				for i := range batch {
@@ -124,8 +145,8 @@ func FuzzNodeOps(f *testing.F) {
 				if n.StaticLen() != len(rows) {
 					t.Fatalf("op %d: Save left %d of %d rows static", step, n.StaticLen(), len(rows))
 				}
-			case fuzzReopen:
-				if mod%2 == 1 {
+			case fuzzReopen, fuzzBackup:
+				if op == fuzzBackup {
 					backup := t.TempDir()
 					if err := n.SaveTo(bg, backup); err != nil {
 						t.Fatalf("op %d: SaveTo: %v", step, err)

@@ -116,3 +116,56 @@ func TestRunConcurrentUse(t *testing.T) {
 		}
 	}
 }
+
+func TestRunStealsFromHeldOwner(t *testing.T) {
+	// Worker 0 owns tasks 0…3 and worker 1 owns 4…7. Task 0 holds until
+	// 1…7 have all run, so its worker cannot reach 1…3 itself: the call
+	// completes in time only if the other worker takes them from worker 0's
+	// span. (If worker 1 claims task 0 first, worker 0 runs 1…3 and steals
+	// nothing; the held task still ends.)
+	p := NewPool(2)
+	const n = 8
+	var others atomic.Int32
+	rest := make(chan struct{})
+	var held atomic.Bool
+	var ranBy atomic.Int32 // of tasks 1…7, how many had run when task 0 gave up
+	p.Run(n, func(task, worker int) {
+		if task != 0 {
+			if others.Add(1) == n-1 {
+				close(rest)
+			}
+			return
+		}
+		select {
+		case <-rest:
+		case <-time.After(5 * time.Second):
+			ranBy.Store(others.Load())
+			held.Store(true)
+		}
+	})
+	if held.Load() {
+		t.Fatalf("task 0 held its worker 5 s while only %d of tasks 1…7 ran: none was stolen", ranBy.Load())
+	}
+}
+
+func TestStaticChunkBounds(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 8} {
+		for _, n := range []int{1, 2, 5, 64, 1001} {
+			w := min(workers, n)
+			lo := make([]atomic.Int64, w)
+			hi := make([]atomic.Int64, w)
+			seen := make([]atomic.Int32, w)
+			NewPool(workers).Static(n, func(l, h, chunk int) {
+				seen[chunk].Add(1)
+				lo[chunk].Store(int64(l))
+				hi[chunk].Store(int64(h))
+			})
+			for c := 0; c < w; c++ {
+				if seen[c].Load() != 1 || lo[c].Load() != int64(c*n/w) || hi[c].Load() != int64((c+1)*n/w) {
+					t.Fatalf("workers=%d n=%d: chunk %d ran %d times, last as [%d,%d), want once as [%d,%d)",
+						workers, n, c, seen[c].Load(), lo[c].Load(), hi[c].Load(), c*n/w, (c+1)*n/w)
+				}
+			}
+		}
+	}
+}

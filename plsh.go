@@ -92,8 +92,10 @@ type Config struct {
 	// instead of the fleet size. Partitioned placement gives up the
 	// rolling insert window: documents live where their signature says,
 	// nothing is retired, and a full target group fails the insert with
-	// an *InsertError wrapping ErrFull naming the group. Ignored by a
-	// Store (one node holds everything).
+	// an *InsertError wrapping ErrFull naming the group. It places over
+	// at most 256 groups (an 8-bit routing signature); OpenCluster and
+	// DialCluster refuse more. Ignored by a Store (one node holds
+	// everything).
 	Placement Placement
 	// RoutingRecall is the partitioned-placement probe-mass target in
 	// (0, 1] (default 0.9): every document within the search radius is

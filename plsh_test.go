@@ -123,6 +123,24 @@ func TestRejectsVectorsOutsideDim(t *testing.T) {
 	}
 }
 
+// Partitioned placement routes over at most 256 groups (an 8-bit
+// signature): an in-process cluster of 256 builds and one of 257 is refused.
+func TestPartitionedClusterGroupBound(t *testing.T) {
+	cfg := Config{Dim: 200, K: 4, M: 2, Capacity: 4, Placement: PlacementPartitioned}
+	c, err := OpenCluster(bg, 256, 0, cfg)
+	if err != nil {
+		t.Fatalf("256 groups: %v", err)
+	}
+	if c.NumGroups() != 256 {
+		t.Errorf("256 groups: cluster has %d", c.NumGroups())
+	}
+	c.Close()
+	if c, err := OpenCluster(bg, 257, 0, cfg); err == nil {
+		c.Close()
+		t.Fatal("257 groups accepted under partitioned placement")
+	}
+}
+
 func TestStoreCapacity(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Capacity = 100
