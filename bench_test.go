@@ -1,4 +1,5 @@
-// Benchmarks of the query path and ablations beyond the paper's figures.
+// Benchmarks of the query path and of kernels the paper's figures do not
+// isolate.
 // The tables and figures of the evaluation (§8) are reproduced by
 // cmd/plsh-bench (internal/expr), which prints each beside the paper's
 // numbers; this file holds what they do not measure. Fixtures are cached
@@ -15,7 +16,6 @@ import (
 	"plsh/internal/corpus"
 	"plsh/internal/lshhash"
 	"plsh/internal/node"
-	"plsh/internal/sched"
 	"plsh/internal/sparse"
 )
 
@@ -31,9 +31,6 @@ const (
 type fixture struct {
 	col     *corpus.Collection
 	queries []sparse.Vector
-	fams    map[[2]int]*lshhash.Family
-	statics map[[2]int]*core.Static
-	mu      sync.Mutex
 }
 
 var (
@@ -45,47 +42,9 @@ func benchFixture(b *testing.B) *fixture {
 	b.Helper()
 	fixOnce.Do(func() {
 		col := corpus.Generate(corpus.Twitter(benchN, benchDim, benchSeed))
-		fix = &fixture{
-			col:     col,
-			queries: col.SampleQueries(benchQ, benchSeed+1),
-			fams:    map[[2]int]*lshhash.Family{},
-			statics: map[[2]int]*core.Static{},
-		}
+		fix = &fixture{col: col, queries: col.SampleQueries(benchQ, benchSeed+1)}
 	})
 	return fix
-}
-
-func (f *fixture) family(b *testing.B, k, m int) *lshhash.Family {
-	b.Helper()
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	key := [2]int{k, m}
-	if fam, ok := f.fams[key]; ok {
-		return fam
-	}
-	fam, err := lshhash.NewFamily(lshhash.Params{Dim: benchDim, K: k, M: m, Seed: benchSeed})
-	if err != nil {
-		b.Fatal(err)
-	}
-	f.fams[key] = fam
-	return fam
-}
-
-func (f *fixture) static(b *testing.B, k, m int) *core.Static {
-	b.Helper()
-	fam := f.family(b, k, m)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	key := [2]int{k, m}
-	if st, ok := f.statics[key]; ok {
-		return st
-	}
-	st, err := core.Build(fam, f.col.Mat, core.Defaults())
-	if err != nil {
-		b.Fatal(err)
-	}
-	f.statics[key] = st
-	return st
 }
 
 // reportPerQuery converts total batch nanoseconds into a per-query metric.
@@ -373,48 +332,7 @@ func BenchmarkQueryDuringMerge(b *testing.B) {
 	b.ReportMetric(float64(during.Nanoseconds())/float64(b.N), "ns/query-during-merge")
 }
 
-// --- Ablations beyond the figures ----------------------------------------
-
-// Hashing kernels: the Fig. 4 "+vectorization" arm in isolation.
-func BenchmarkHashingKernel(b *testing.B) {
-	f := benchFixture(b)
-	fam := f.family(b, 16, 16)
-	pool := sched.NewPool(0)
-	b.Run("Vectorized", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			fam.SketchAll(f.col.Mat, pool, true)
-		}
-	})
-	b.Run("Scalar", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			fam.SketchAll(f.col.Mat, pool, false)
-		}
-	})
-}
-
-// Dedup strategies: bitvector-and-extract vs mark-and-append vs map set.
-func BenchmarkDedupStrategy(b *testing.B) {
-	f := benchFixture(b)
-	st := f.static(b, 12, 10)
-	for _, cfg := range []struct {
-		name string
-		opts core.QueryOptions
-	}{
-		{"MapSet", core.QueryOptions{Radius: 0.9, OptimizedDP: true}},
-		{"BitvecAppend", core.QueryOptions{Radius: 0.9, UseBitvector: true, OptimizedDP: true}},
-		{"BitvecExtract", core.QueryOptions{Radius: 0.9, UseBitvector: true, ExtractCandidates: true, OptimizedDP: true}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			eng := core.NewEngine(st, f.col.Mat, cfg.opts)
-			eng.SearchBatchAppend(nil, f.queries[:32], core.SearchParams{})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng.SearchBatchAppend(nil, f.queries, core.SearchParams{})
-			}
-			reportPerQuery(b, len(f.queries))
-		})
-	}
-}
+// --- Kernels beyond the figures -------------------------------------------
 
 // Sparse dot-product kernels (§5.2.3).
 func BenchmarkSparseDotKernels(b *testing.B) {

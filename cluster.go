@@ -91,6 +91,10 @@ func OpenCluster(ctx context.Context, nodes int, windowM int, cfg Config) (*Clus
 	if nodes%cfg.Replicas != 0 {
 		return nil, fmt.Errorf("plsh: %d nodes cannot form groups of %d replicas", nodes, cfg.Replicas)
 	}
+	opts, err := clusterOptions(cfg, nodes, windowM)
+	if err != nil {
+		return nil, err
+	}
 	clients := make([]transport.NodeClient, nodes)
 	for i := range clients {
 		ncfg := cfg.nodeConfig()
@@ -107,40 +111,44 @@ func OpenCluster(ctx context.Context, nodes int, windowM int, cfg Config) (*Clus
 		}
 		clients[i] = transport.NewLocal(n)
 	}
-	return newCluster(ctx, clients, windowM, cfg)
+	return newCluster(ctx, clients, opts)
 }
 
-// newCluster is the tail OpenCluster and DialCluster share, one
-// construction so the two cannot drift: it coordinates clients under the
+// clusterOptions is the coordination OpenCluster and DialCluster share, one
+// construction so the two cannot drift: it arranges endpoints under the
 // normalized cfg — cfg.Replicas groups them, and under
-// PlacementPartitioned cfg's geometry builds the signature router — and
-// closes every client when that fails. The family built here is only how
-// the fleet's geometry reaches NewRouter, which derives its own routing
-// family from the Params; no table hyperplane is ever drawn in the
-// coordinator.
-func newCluster(ctx context.Context, clients []transport.NodeClient, windowM int, cfg Config) (_ *Cluster, err error) {
-	defer func() {
-		if err != nil {
-			closeClients(clients)
-		}
-	}()
+// PlacementPartitioned cfg's geometry builds the signature router. Both
+// call it before opening or dialing any node, so a config the router
+// refuses (more groups than a signature can route) costs no node. The
+// family built here is only how the fleet's geometry reaches NewRouter,
+// which derives its own routing family from the Params; no table
+// hyperplane is ever drawn in the coordinator.
+func clusterOptions(cfg Config, endpoints, windowM int) (cluster.Options, error) {
 	opts := cluster.Options{WindowM: windowM, Replicas: cfg.Replicas, Placement: cfg.Placement}
-	if cfg.Placement == PlacementPartitioned {
-		fam, err := lshhash.NewFamily(lshhash.Params{Dim: cfg.Dim, K: cfg.K, M: cfg.M, Seed: cfg.Seed})
-		if err != nil {
-			return nil, fmt.Errorf("plsh: %w", err)
-		}
-		opts.Router, err = cluster.NewRouter(fam, cluster.RouterConfig{
-			Groups: len(clients) / cfg.Replicas,
-			Radius: cfg.Radius,
-			Recall: cfg.RoutingRecall,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("plsh: %w", err)
-		}
+	if cfg.Placement != PlacementPartitioned {
+		return opts, nil
 	}
+	fam, err := lshhash.NewFamily(lshhash.Params{Dim: cfg.Dim, K: cfg.K, M: cfg.M, Seed: cfg.Seed})
+	if err != nil {
+		return opts, fmt.Errorf("plsh: %w", err)
+	}
+	opts.Router, err = cluster.NewRouter(fam, cluster.RouterConfig{
+		Groups: endpoints / cfg.Replicas,
+		Radius: cfg.Radius,
+		Recall: cfg.RoutingRecall,
+	})
+	if err != nil {
+		return opts, fmt.Errorf("plsh: %w", err)
+	}
+	return opts, nil
+}
+
+// newCluster coordinates clients under opts, closing every client when
+// that fails.
+func newCluster(ctx context.Context, clients []transport.NodeClient, opts cluster.Options) (*Cluster, error) {
 	c, err := cluster.NewWithOptions(ctx, clients, opts)
 	if err != nil {
+		closeClients(clients)
 		return nil, fmt.Errorf("plsh: %w", err)
 	}
 	return &Cluster{c: c}, nil
@@ -222,6 +230,10 @@ func DialCluster(ctx context.Context, addrs []string, windowM int, opts ...DialO
 	if spec.err != nil {
 		return nil, spec.err
 	}
+	copts, err := clusterOptions(spec.cfg, len(addrs), windowM)
+	if err != nil {
+		return nil, err
+	}
 	clients := make([]transport.NodeClient, len(addrs))
 	errs := make([]error, len(addrs))
 	var wg sync.WaitGroup
@@ -244,7 +256,7 @@ func DialCluster(ctx context.Context, addrs []string, windowM int, opts ...DialO
 			return nil, err
 		}
 	}
-	return newCluster(ctx, clients, windowM, spec.cfg)
+	return newCluster(ctx, clients, copts)
 }
 
 // Insert distributes documents over the insert window, expiring the

@@ -6,28 +6,18 @@ import (
 	"plsh/internal/sparse"
 )
 
-// BuildOptions selects a construction strategy. The zero value is the
-// fully unoptimized baseline of Fig. 4; Defaults() enables everything.
+// BuildOptions configures construction. The zero value is the serving
+// build — the paper's full algorithm of §5.1 (vectorized hashing, then the
+// shared two-level partition) on GOMAXPROCS workers — and Defaults returns
+// it. Fig. 4's less optimized arms are built from this package's exported
+// pieces in internal/expr.
 type BuildOptions struct {
-	// TwoLevel splits each table's k-bit partition into two k/2-bit passes
-	// (§5.1.2), bounding the number of simultaneous partitions at 2^(k/2)
-	// — the paper's remedy for TLB thrash at 2^16 buckets.
-	TwoLevel bool
-	// ShareFirstLevel reuses one first-level partition per hash function
-	// u_a across all tables g_{a,·}, cutting partition passes from 2L to
-	// L+m. Requires TwoLevel.
-	ShareFirstLevel bool
-	// Vectorized selects the unrolled slab hashing kernel over the naive
-	// per-function kernel (the Fig. 4 "+vectorization" arm).
-	Vectorized bool
 	// Workers sets the pool size; <= 0 means GOMAXPROCS.
 	Workers int
 }
 
-// Defaults returns fully optimized build options.
-func Defaults() BuildOptions {
-	return BuildOptions{TwoLevel: true, ShareFirstLevel: true, Vectorized: true}
-}
+// Defaults returns the serving build options, the zero value.
+func Defaults() BuildOptions { return BuildOptions{} }
 
 // BuildTimings reports wall time (ns) spent in each construction phase, for
 // the Fig. 6 model-validation experiment.
@@ -50,29 +40,16 @@ func BuildTimed(fam *lshhash.Family, mat *sparse.Matrix, opts BuildOptions) (*St
 	if err := checkDims(fam, mat); err != nil {
 		return nil, tm, err
 	}
-	if opts.ShareFirstLevel && !opts.TwoLevel {
-		opts.TwoLevel = true // sharing implies the 2-level layout
-	}
 	pool := sched.NewPool(opts.Workers)
 	p := fam.Params()
 	n := mat.Rows()
 
 	t0 := now()
-	sk := fam.SketchAll(mat, pool, opts.Vectorized)
+	sk := fam.SketchAll(mat, pool)
 	tm.HashNS = now() - t0
 
 	st := &Static{fam: fam, n: n, tables: make([]Table, p.L())}
-	r := uint(p.K - DirectoryBits(n, p.K))
-	switch {
-	case !opts.TwoLevel:
-		t1 := now()
-		buildOneLevel(st, sk, p, pool)
-		tm.I3NS = now() - t1 // the single monolithic partition pass
-	case !opts.ShareFirstLevel:
-		buildTwoLevel(st, sk, p, r, pool, &tm)
-	default:
-		buildShared(st, sk, p, r, pool, &tm)
-	}
+	buildShared(st, sk, p, uint(p.K-DirectoryBits(n, p.K)), pool, &tm)
 	return st, tm, nil
 }
 
@@ -103,80 +80,6 @@ func buildSketches(fam *lshhash.Family, sk *lshhash.Sketches, r uint, workers in
 	var tm BuildTimings
 	buildShared(st, sk, p, r, pool, &tm)
 	return st
-}
-
-// buildOneLevel is the unoptimized baseline: every table partitions all N
-// items by its directory bits in one 2^b-way pass (GroupByKey). Like the two
-// below, it fills the tables of the st its caller is about to return.
-func buildOneLevel(st *Static, sk *lshhash.Sketches, p lshhash.Params, pool *sched.Pool) {
-	n := sk.N()
-	buckets := p.Buckets()
-	half := uint(p.K / 2)
-	type scratch struct {
-		keys []uint32
-		hist []uint32
-		tb   TableBuilder
-	}
-	ws := make([]scratch, pool.Workers())
-	pool.Run(p.L(), func(l, w int) {
-		s := &ws[w]
-		if s.keys == nil {
-			s.keys = make([]uint32, n)
-			s.hist = make([]uint32, buckets)
-		}
-		a, b := lshhash.PairForTable(l, p.M)
-		keys := s.keys
-		for i := 0; i < n; i++ {
-			keys[i] = sk.At(i, a)<<half | sk.At(i, b)
-		}
-		st.tables[l] = s.tb.GroupByKey(keys, p.K, s.hist)
-	})
-}
-
-// buildTwoLevel partitions each table independently in two passes of at
-// most k/2 bits (no sharing): first by u_a — carrying each item's
-// second-level key through the scatter so no random gather is needed — then
-// each first-level segment by u_b's top k/2 − r bits. 2L partition passes,
-// each over 2^(k/2) partitions at most (the TLB/cache argument of §5.1.2).
-func buildTwoLevel(st *Static, sk *lshhash.Sketches, p lshhash.Params, r uint, pool *sched.Pool, tm *BuildTimings) {
-	n := sk.N()
-	halfB := p.HalfBuckets()
-	type scratch struct {
-		keys1, keys2 []uint32
-		perm1, kperm []uint32
-		offs1        []uint32
-		hist         []uint32
-		items        []uint32
-		tb           TableBuilder
-	}
-	ws := make([]scratch, pool.Workers())
-	t0 := now()
-	pool.Run(p.L(), func(l, w int) {
-		s := &ws[w]
-		if s.keys1 == nil {
-			s.keys1 = make([]uint32, n)
-			s.keys2 = make([]uint32, n)
-			s.perm1 = make([]uint32, n)
-			s.kperm = make([]uint32, n)
-			s.offs1 = make([]uint32, halfB+1)
-			s.hist = make([]uint32, halfB+1)
-			s.items = make([]uint32, n)
-		}
-		a, b := lshhash.PairForTable(l, p.M)
-		// Sequential sketch read: both keys come from one cache line.
-		for i := 0; i < n; i++ {
-			s.keys1[i] = sk.At(i, a)
-			s.keys2[i] = sk.At(i, b)
-		}
-		// First-level pass moves (item, key2) pairs together.
-		partitionPairs(s.keys1, s.keys2, s.hist, s.perm1, s.kperm, s.offs1)
-		st.tables[l] = secondLevel(&s.tb, s.perm1, s.kperm, s.offs1, s.hist, s.items, p, r)
-	})
-	// First- and second-level passes are fused per table; attribute the
-	// total evenly for reporting.
-	total := now() - t0
-	tm.I1NS = total / 2
-	tm.I3NS = total - total/2
 }
 
 // buildShared is the paper's full algorithm (Steps I1–I3 of §5.1.2): one
@@ -281,46 +184,22 @@ func buildShared(st *Static, sk *lshhash.Sketches, p lshhash.Params, r uint, poo
 				s.items = make([]uint32, n)
 			}
 			l := lshhash.TableForPair(a, b, m)
-			st.tables[l] = secondLevel(&s.tb, perm, cols[b], offs, s.hist, s.items, p, r)
+			st.tables[l] = SecondLevel(&s.tb, perm, cols[b], offs, s.hist, s.items, p, r)
 		})
 		tm.I3NS += now() - t2
 	}
 }
 
-// partitionPairs partitions the identity index sequence by keys1 into
-// outPerm while carrying keys2 along into outKeys2 (so the second-level
-// pass needs no random gather). hist is scratch of len nB+1.
-func partitionPairs(keys1, keys2, hist, outPerm, outKeys2, outOffs []uint32) {
-	for i := range hist {
-		hist[i] = 0
-	}
-	for _, k := range keys1 {
-		hist[k]++
-	}
-	nB := len(hist) - 1
-	var cum uint32
-	for b := 0; b < nB; b++ {
-		outOffs[b] = cum
-		c := hist[b]
-		hist[b] = cum
-		cum += c
-	}
-	outOffs[nB] = cum
-	for i, k := range keys1 {
-		dst := hist[k]
-		hist[k]++
-		outPerm[dst] = uint32(i)
-		outKeys2[dst] = keys2[i]
-	}
-}
-
-// secondLevel refines each first-level segment of perm1 by the top k/2 − r
+// SecondLevel refines each first-level segment of perm1 by the top k/2 − r
 // bits of the second-level keys and returns the finished table, its
 // directory emitted by tb segment by segment, each item carrying its key's
-// low r bits — r ≤ k/2, so they are all u_b's. hist is scratch of len
-// ≥ 2^(k/2), items scratch of len(perm1) that the items are scattered into
-// before Finish packs them.
-func secondLevel(tb *TableBuilder, perm1, keys2, offs1, hist, items []uint32, p lshhash.Params, r uint) Table {
+// low r bits — r ≤ k/2, so they are all u_b's. perm1 holds the item ids
+// grouped by first-level key, keys2[i] the second-level key of perm1[i], and
+// offs1 (len 2^(k/2)+1) where each first-level segment starts. hist is
+// scratch of len ≥ 2^(k/2), items scratch of len(perm1) that the items are
+// scattered into before Finish packs them. Step I3 of the shared build calls
+// it per table, and so does Fig. 4's unshared two-level arm (internal/expr).
+func SecondLevel(tb *TableBuilder, perm1, keys2, offs1, hist, items []uint32, p lshhash.Params, r uint) Table {
 	n := len(perm1)
 	halfB := p.HalfBuckets()
 	hist = hist[:halfB>>r]

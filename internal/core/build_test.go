@@ -58,61 +58,6 @@ func checkTableInvariants(t *testing.T, st *Static, sk *lshhash.Sketches) {
 	}
 }
 
-func TestBuildStrategiesProduceValidTables(t *testing.T) {
-	fam, mat := testSetup(t, 500)
-	sk := fam.SketchAll(mat, sched.NewPool(1), true)
-	for _, opts := range []BuildOptions{
-		{},
-		{TwoLevel: true},
-		{TwoLevel: true, ShareFirstLevel: true},
-		{TwoLevel: true, ShareFirstLevel: true, Vectorized: true},
-		{Vectorized: true},
-	} {
-		st, err := Build(fam, mat, opts)
-		if err != nil {
-			t.Fatalf("%+v: %v", opts, err)
-		}
-		if st.Len() != 500 {
-			t.Fatalf("%+v: Len = %d", opts, st.Len())
-		}
-		checkTableInvariants(t, st, sk)
-	}
-}
-
-// The load-bearing equivalence: all construction strategies place exactly
-// the same items in the same buckets (order within a bucket may differ).
-func TestBuildStrategiesEquivalentBuckets(t *testing.T) {
-	fam, mat := testSetup(t, 400)
-	ref, err := Build(fam, mat, BuildOptions{Vectorized: true}) // 1-level
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, opts := range []BuildOptions{
-		{TwoLevel: true, Vectorized: true},
-		{TwoLevel: true, ShareFirstLevel: true, Vectorized: true},
-	} {
-		st, err := Build(fam, mat, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := fam.Params()
-		for l := 0; l < st.NumTables(); l++ {
-			for key := 0; key < p.Buckets(); key++ {
-				a := bucketSet(ref.Table(l), uint32(key))
-				b := bucketSet(st.Table(l), uint32(key))
-				if len(a) != len(b) {
-					t.Fatalf("opts %+v table %d key %d: sizes %d vs %d", opts, l, key, len(a), len(b))
-				}
-				for id := range a {
-					if !b[id] {
-						t.Fatalf("opts %+v table %d key %d: item %d missing", opts, l, key, id)
-					}
-				}
-			}
-		}
-	}
-}
-
 func bucketSet(t *Table, key uint32) map[uint32]bool {
 	m := make(map[uint32]bool)
 	for _, id := range t.Bucket(nil, key) {
@@ -123,7 +68,7 @@ func bucketSet(t *Table, key uint32) map[uint32]bool {
 
 func TestBuildWorkerCountsAgree(t *testing.T) {
 	fam, mat := testSetup(t, 300)
-	sk := fam.SketchAll(mat, sched.NewPool(1), true)
+	sk := fam.SketchAll(mat, sched.NewPool(1))
 	for _, workers := range []int{1, 2, 7} {
 		opts := Defaults()
 		opts.Workers = workers
@@ -162,7 +107,7 @@ func TestBuildDimensionMismatch(t *testing.T) {
 
 func TestBuildFromSketchesMatchesBuild(t *testing.T) {
 	fam, mat := testSetup(t, 250)
-	sk := fam.SketchAll(mat, sched.NewPool(2), true)
+	sk := fam.SketchAll(mat, sched.NewPool(2))
 	st1 := BuildFromSketches(fam, sk, 2)
 	st2, err := Build(fam, mat, Defaults())
 	if err != nil {
@@ -178,16 +123,6 @@ func TestBuildFromSketchesMatchesBuild(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestShareImpliesTwoLevel(t *testing.T) {
-	fam, mat := testSetup(t, 100)
-	sk := fam.SketchAll(mat, sched.NewPool(1), true)
-	st, err := Build(fam, mat, BuildOptions{ShareFirstLevel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkTableInvariants(t, st, sk)
 }
 
 func TestBuildTimingsPopulated(t *testing.T) {

@@ -41,9 +41,9 @@ func newColdSet(n int) (f coldSet) {
 // coldFixture is static_query's base set, 32 000 documents.
 var coldFixture = sync.OnceValue(func() coldSet { return newColdSet(32000) })
 
-// BenchmarkEngineSearchCold times one cold SearchAppend per dedup arm with
-// the Q2/Q3 split beside it, and the pre-kernel monolithic loop as the
-// reference the kernels are measured against: run it with
+// BenchmarkEngineSearchCold times one cold SearchAppend with the Q2/Q3
+// split beside it, and the pre-kernel monolithic loop as the reference the
+// kernels are measured against: run it with
 //
 //	go test -run '^$' -bench EngineSearchCold -benchtime 4096x ./internal/core
 //
@@ -80,17 +80,15 @@ func BenchmarkEngineSearchCold(b *testing.B) {
 	for _, arm := range []struct {
 		name   string
 		engine func(QueryOptions) (searchFn, *Engine)
-		opts   QueryOptions
 	}{
-		{"Extract", kernels, QueryDefaults()},
-		{"Append", kernels, QueryOptions{UseBitvector: true, OptimizedDP: true}},
-		{"Set", kernels, QueryOptions{OptimizedDP: true}},
-		{"Monolithic", monolithic, QueryDefaults()},
+		{"Extract", kernels},
+		{"Monolithic", monolithic},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
-			plain, _ := arm.engine(arm.opts)
-			arm.opts.CollectPhases = true
-			phased, eng := arm.engine(arm.opts)
+			opts := QueryDefaults()
+			plain, _ := arm.engine(opts)
+			opts.CollectPhases = true
+			phased, eng := arm.engine(opts)
 			var dst []Neighbor
 			for i := 0; i < b.N; i++ {
 				dst, _ = phased(dst[:0], f.qs[i%len(f.qs)])
@@ -160,7 +158,7 @@ func benchLayout(b *testing.B, set coldSet, layout string) {
 		ws.cand = ws.seen.AppendSet(ws.cand[:0])
 		ws.seen.ResetList(ws.cand)
 		q2 = now() - t0
-		dst, _ = Verify(dst[:0], ws.cand, 0, e.store, nil, sparse.CosThreshold(e.opts.Radius), ws.mask, q)
+		dst, _ = Verify(dst[:0], ws.cand, 0, e.store, nil, sparse.CosThreshold(e.opts.Radius), ws.mask)
 		e.End(ws)
 		return q2
 	}
@@ -182,8 +180,8 @@ func benchLayout(b *testing.B, set coldSet, layout string) {
 }
 
 // monolith is the query path as it stood before the kernels of kernels.go:
-// all three dedup arms, the phase timing and Step Q3 in one function body,
-// options read through the engine inside the loops. It exists only as the
+// the probe, the phase timing and Step Q3 in one function body, options
+// read through the engine inside the loops. It exists only as the
 // benchmark's reference.
 type monolith struct {
 	*Engine
@@ -211,62 +209,22 @@ func (e *monolith) search(dst []Neighbor, q sparse.Vector, p SearchParams) ([]Ne
 		t0 = now()
 	}
 
-	ws.cand = ws.cand[:0]
-	if e.opts.UseBitvector {
-		seen := ws.seen
-		if e.opts.ExtractCandidates {
-			for l := range e.st.tables {
-				pr := e.pairs[l]
-				key := ws.sketch[pr.A]<<half | ws.sketch[pr.B]
-				t := &e.st.tables[l]
-				lo, hi := t.bounds(t.slot(key))
-				mul, want := t.keyMatch(key)
-				for i := lo; i < hi; i++ {
-					if item := uint64(t.items.at(i)) * mul; uint32(item) == want {
-						stats.Collisions++
-						seen.Set(int(item >> 32))
-					}
-				}
+	seen := ws.seen
+	for l := range e.st.tables {
+		pr := e.pairs[l]
+		key := ws.sketch[pr.A]<<half | ws.sketch[pr.B]
+		t := &e.st.tables[l]
+		lo, hi := t.bounds(t.slot(key))
+		mul, want := t.keyMatch(key)
+		for i := lo; i < hi; i++ {
+			if item := uint64(t.items.at(i)) * mul; uint32(item) == want {
+				stats.Collisions++
+				seen.Set(int(item >> 32))
 			}
-			ws.cand = seen.AppendSet(ws.cand)
-		} else {
-			for l := range e.st.tables {
-				pr := e.pairs[l]
-				key := ws.sketch[pr.A]<<half | ws.sketch[pr.B]
-				t := &e.st.tables[l]
-				lo, hi := t.bounds(t.slot(key))
-				mul, want := t.keyMatch(key)
-				for i := lo; i < hi; i++ {
-					if item := uint64(t.items.at(i)) * mul; uint32(item) == want {
-						stats.Collisions++
-						if id := uint32(item >> 32); seen.TestAndSet(int(id)) {
-							ws.cand = append(ws.cand, id)
-						}
-					}
-				}
-			}
-		}
-		seen.ResetList(ws.cand)
-	} else {
-		set := ws.set
-		for l := range e.st.tables {
-			pr := e.pairs[l]
-			key := ws.sketch[pr.A]<<half | ws.sketch[pr.B]
-			t := &e.st.tables[l]
-			lo, hi := t.bounds(t.slot(key))
-			mul, want := t.keyMatch(key)
-			for i := lo; i < hi; i++ {
-				if item := uint64(t.items.at(i)) * mul; uint32(item) == want {
-					stats.Collisions++
-					set[uint32(item>>32)] = struct{}{}
-				}
-			}
-		}
-		for id := range set {
-			ws.cand = append(ws.cand, id)
-			delete(set, id)
 		}
 	}
+	ws.cand = seen.AppendSet(ws.cand[:0])
+	seen.ResetList(ws.cand)
 	if e.opts.CollectPhases {
 		t1 := now()
 		e.q2ns.Add(t1 - t0)
@@ -280,29 +238,19 @@ func (e *monolith) search(dst []Neighbor, q sparse.Vector, p SearchParams) ([]Ne
 	thr := sparse.CosThreshold(radius)
 	evaluated := 0
 	base := len(dst)
-	if e.opts.OptimizedDP {
-		ws.mask.Scatter(q)
-	}
+	ws.mask.Scatter(q)
 	for _, id := range ws.cand {
 		if e.deleted != nil && e.deleted.TestAtomic(int(id)) {
 			continue
 		}
 		evaluated++
 		idx, val := e.store.Doc(int(id))
-		var dot float64
-		if e.opts.OptimizedDP {
-			dot = ws.mask.Dot(idx, val)
-		} else {
-			dot = sparse.Dot(q, sparse.Vector{Idx: idx, Val: val})
-		}
-		if dot >= thr {
+		if dot := ws.mask.Dot(idx, val); dot >= thr {
 			dst = append(dst, Neighbor{ID: id, Dist: sparse.AngularDistance(dot)})
 		}
 	}
 	stats.Unique = evaluated
-	if e.opts.OptimizedDP {
-		ws.mask.Unscatter()
-	}
+	ws.mask.Unscatter()
 	if e.opts.CollectPhases {
 		e.q3ns.Add(now() - t0)
 	}

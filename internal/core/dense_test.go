@@ -10,7 +10,6 @@ import (
 
 	"plsh/internal/lshhash"
 	"plsh/internal/rng"
-	"plsh/internal/sched"
 )
 
 // denseTable is the layout Table had before the occupancy directory: the
@@ -127,9 +126,26 @@ func sameBuckets(t *testing.T, what string, st *Static, ref []denseTable) {
 	}
 }
 
+// groupByKey builds every table over sk in one GroupByKey pass each, the
+// one-level construction.
+func groupByKey(fam *lshhash.Family, sk *lshhash.Sketches) *Static {
+	p := fam.Params()
+	st := &Static{fam: fam, n: sk.N(), tables: make([]Table, p.L())}
+	var tb TableBuilder
+	keys, hist := make([]uint32, sk.N()), make([]uint32, p.Buckets())
+	for l := range st.tables {
+		a, b := lshhash.PairForTable(l, p.M)
+		for i := range keys {
+			keys[i] = sk.TableKey(i, a, b, p.K)
+		}
+		st.tables[l] = tb.GroupByKey(keys, p.K, hist)
+	}
+	return st
+}
+
 // TestLayoutMatchesDenseReference: for key multisets on both sides of full
-// occupancy, every builder arm and Compact leave every bucket exactly as the
-// dense layout had it, under a directory that validates.
+// occupancy, GroupByKey, the shared build and Compact leave every bucket
+// exactly as the dense layout had it, under a directory that validates.
 func TestLayoutMatchesDenseReference(t *testing.T) {
 	p := lshhash.Params{Dim: 64, K: 8, M: 4, Seed: 5}
 	fam, err := lshhash.NewFamily(p)
@@ -139,15 +155,10 @@ func TestLayoutMatchesDenseReference(t *testing.T) {
 	buckets := p.Buckets()
 	arms := []struct {
 		name  string
-		build func(st *Static, sk *lshhash.Sketches, pool *sched.Pool)
+		build func(sk *lshhash.Sketches) *Static
 	}{
-		{"one-level", func(st *Static, sk *lshhash.Sketches, pool *sched.Pool) { buildOneLevel(st, sk, p, pool) }},
-		{"two-level", func(st *Static, sk *lshhash.Sketches, pool *sched.Pool) {
-			buildTwoLevel(st, sk, p, uint(p.K-DirectoryBits(sk.N(), p.K)), pool, &BuildTimings{})
-		}},
-		{"shared", func(st *Static, sk *lshhash.Sketches, pool *sched.Pool) {
-			buildShared(st, sk, p, uint(p.K-DirectoryBits(sk.N(), p.K)), pool, &BuildTimings{})
-		}},
+		{"one-level", func(sk *lshhash.Sketches) *Static { return groupByKey(fam, sk) }},
+		{"shared", func(sk *lshhash.Sketches) *Static { return BuildFromSketches(fam, sk, 3) }},
 	}
 	for _, n := range []int{0, 1, buckets - 1, buckets, 4 * buckets} {
 		for _, skewed := range []bool{false, true} {
@@ -162,8 +173,7 @@ func TestLayoutMatchesDenseReference(t *testing.T) {
 					sameBuckets(t, what+", "+step, st, ref)
 				}
 
-				st := &Static{fam: fam, n: n, tables: make([]Table, p.L())}
-				arm.build(st, sk, sched.NewPool(3))
+				st := arm.build(sk)
 				ref := make([]denseTable, p.L())
 				keys := make([]uint32, n)
 				for l := range ref {

@@ -304,13 +304,13 @@ func TestProbeMarkMatchesItems32(t *testing.T) {
 }
 
 // TestProbeKernelsMatchNaiveAtEveryShift: over tables whose items carry 0,
-// 1, 3 and K/2 key bits, ProbeMark, probeAppend and probeSet count the
-// collisions and find the candidates the sketch oracle does, for queries
-// from the index and for fresh ones.
+// 1, 3 and K/2 key bits, ProbeMark counts the collisions and marks the
+// candidates the sketch oracle finds, for queries from the index and for
+// fresh ones.
 func TestProbeKernelsMatchNaiveAtEveryShift(t *testing.T) {
 	f := newQueryFixture(t, 600, 40)
 	half := uint(f.fam.Params().K / 2)
-	sk := f.fam.SketchAll(f.mat, sched.NewPool(2), true)
+	sk := f.fam.SketchAll(f.mat, sched.NewPool(2))
 	o := f.oracle()
 	queries := slices.Clone(f.queries)
 	for i := 0; i < f.mat.Rows(); i += 53 {
@@ -321,7 +321,6 @@ func TestProbeKernelsMatchNaiveAtEveryShift(t *testing.T) {
 		pairs := f.fam.Pairs()
 		lo, hi, first := make([]uint32, len(st.tables)), make([]uint32, len(st.tables)), make([]uint32, len(st.tables))
 		words := make([]uint64, (st.Len()+63)/64)
-		set := map[uint32]struct{}{}
 		for qi, q := range queries {
 			sketch := f.fam.Sketch(q)
 			want, collisions := o.Candidates(q)
@@ -337,19 +336,6 @@ func TestProbeKernelsMatchNaiveAtEveryShift(t *testing.T) {
 			clear(words)
 			if n != collisions || !slices.Equal(got, want) {
 				t.Fatalf("%s: ProbeMark counts %d collisions and finds %v; the scan, %d and %v", what, n, got, collisions, want)
-			}
-
-			got, n = probeAppend(st.tables, pairs, sketch, half, lo, hi, words, nil)
-			clear(words)
-			slices.Sort(got)
-			if n != collisions || !slices.Equal(got, want) {
-				t.Fatalf("%s: probeAppend counts %d collisions and finds %v; the scan, %d and %v", what, n, got, collisions, want)
-			}
-
-			got, n = probeSet(st.tables, pairs, sketch, half, lo, hi, set, nil)
-			slices.Sort(got)
-			if n != collisions || !slices.Equal(got, want) {
-				t.Fatalf("%s: probeSet counts %d collisions and finds %v; the scan, %d and %v", what, n, got, collisions, want)
 			}
 		}
 	}

@@ -7,12 +7,12 @@ import (
 )
 
 // The hot loops of Steps Q2 and Q3 live here, one small function each,
-// taking slices and scalars as arguments. Every option (dedup arm, dot
-// kernel, tombstones, radius) is resolved by the caller, so a loop tests
-// only values that sit in registers; DESIGN.md "Q2/Q3 leaf kernels" has
+// taking slices and scalars as arguments. Everything a query varies
+// (tombstones, radius) is resolved by the caller, so a loop tests only
+// values that sit in registers; DESIGN.md "Q2/Q3 leaf kernels" has
 // the measurements that put them here.
 
-// stageBuckets is the staging of every Q2 probe: it composes the L table
+// stageBuckets is the staging of the Q2 probe: it composes the L table
 // keys from the sketch and loads the bounds of each selected directory
 // bucket — the key's top b bits — into lo and hi (length ≥ len(tables);
 // returned cut to it), touching no bucket. Stage 1 reads each table's
@@ -42,7 +42,7 @@ func stageBuckets(tables []Table, pairs []lshhash.Pair, sketch []uint32, half ui
 	return lo, hi
 }
 
-// ProbeMark is the default Q2 probe: it marks every item of the L buckets
+// ProbeMark is the Q2 probe: it marks every item of the L buckets
 // the sketch selects into the dedup bitvector words and returns the
 // collision count (bucket entries, duplicates included). After
 // stageBuckets, a third staging loop loads the item at each bucket's start
@@ -104,64 +104,14 @@ func matches(a, b uint32) uint64 {
 	return m
 }
 
-// probeAppend is the Fig. 5 "+bitvector" arm without the sorted extraction:
-// test-and-set per bucket entry, first sightings appended to cand in
-// bucket-scan order. An item under another key of its directory bucket
-// tests and sets nothing.
-func probeAppend(tables []Table, pairs []lshhash.Pair, sketch []uint32, half uint, lo, hi []uint32, words []uint64, cand []uint32) ([]uint32, int) {
-	lo, hi = stageBuckets(tables, pairs, sketch, half, lo, hi)
-	collisions := 0
-	for l := range tables {
-		items, from, to := tables[l].items, lo[l], hi[l]
-		mul, want := tables[l].keyMatch(pairs[l].Key(sketch, half))
-		base, mask := items.span(uint(to))
-		for i := from; i < to; i++ {
-			item := uint64(load(base, uint(i)*items.width, mask)) * mul
-			id, hit := uint32(item>>32), matches(uint32(item), want)
-			collisions += int(hit)
-			w, bit := id>>6, hit<<(id&63)
-			if old := words[w]; ^old&bit != 0 {
-				words[w] = old | bit
-				cand = append(cand, id)
-			}
-		}
-	}
-	return cand, collisions
-}
-
-// probeSet is the unoptimized Fig. 5 baseline: a set container (the paper's
-// "C++ STL set" arm), drained into cand and left empty. An item under
-// another key of its directory bucket is not inserted.
-func probeSet(tables []Table, pairs []lshhash.Pair, sketch []uint32, half uint, lo, hi []uint32, set map[uint32]struct{}, cand []uint32) ([]uint32, int) {
-	lo, hi = stageBuckets(tables, pairs, sketch, half, lo, hi)
-	collisions := 0
-	for l := range tables {
-		items, from, to := tables[l].items, lo[l], hi[l]
-		mul, want := tables[l].keyMatch(pairs[l].Key(sketch, half))
-		base, mask := items.span(uint(to))
-		for i := from; i < to; i++ {
-			if item := uint64(load(base, uint(i)*items.width, mask)) * mul; uint32(item) == want {
-				set[uint32(item>>32)] = struct{}{}
-				collisions++
-			}
-		}
-	}
-	for id := range set {
-		cand = append(cand, id)
-		delete(set, id)
-	}
-	return cand, collisions
-}
-
 // Verify is Steps Q3+Q4 over one candidate list: it computes the distance
-// from q to document base+id for each id of cand, in order, and appends
-// those within the cosine threshold thr to dst. It returns the extended
-// slice and the number of distances computed. Tombstoned candidates
-// (deleted may be nil) are skipped for free and not counted. mask is q
-// scattered (§5.2.3); nil selects the merge-intersection dot product. The
-// static engine verifies its own candidates with it and the node verifies
-// each delta segment's.
-func Verify(dst []Neighbor, cand []uint32, base uint32, store sparse.Store, deleted *bitvec.Vector, thr float64, mask *sparse.QueryMask, q sparse.Vector) ([]Neighbor, int) {
+// from the query scattered into mask (§5.2.3) to document base+id for each
+// id of cand, in order, and appends those within the cosine threshold thr to
+// dst. It returns the extended slice and the number of distances computed.
+// Tombstoned candidates (deleted may be nil) are skipped for free and not
+// counted. The static engine verifies its own candidates with it and the
+// node verifies each delta segment's.
+func Verify(dst []Neighbor, cand []uint32, base uint32, store sparse.Store, deleted *bitvec.Vector, thr float64, mask *sparse.QueryMask) ([]Neighbor, int) {
 	evaluated := 0
 	for _, id := range cand {
 		id += base
@@ -170,13 +120,7 @@ func Verify(dst []Neighbor, cand []uint32, base uint32, store sparse.Store, dele
 		}
 		evaluated++
 		idx, val := store.Doc(int(id))
-		var dot float64
-		if mask != nil {
-			dot = mask.Dot(idx, val)
-		} else {
-			dot = sparse.Dot(q, sparse.Vector{Idx: idx, Val: val})
-		}
-		if dot >= thr {
+		if dot := mask.Dot(idx, val); dot >= thr {
 			dst = append(dst, Neighbor{ID: id, Dist: sparse.AngularDistance(dot)})
 		}
 	}

@@ -112,7 +112,7 @@ func TestMergeMatchesBuild(t *testing.T) {
 	}
 	want.Compact(func(id uint32) bool { return dead[id>>6]>>(id&63)&1 != 0 }, 2)
 
-	sk := fam.SketchAll(mat, sched.NewPool(2), true)
+	sk := fam.SketchAll(mat, sched.NewPool(2))
 	old, err := Build(fam, mat.Prefix(head), Defaults())
 	if err != nil {
 		t.Fatal(err)

@@ -16,45 +16,30 @@ type Neighbor struct {
 	Dist float64
 }
 
-// QueryOptions selects the query-path optimizations of §5.2. The zero value
-// is the fully unoptimized baseline of Fig. 5; QueryDefaults enables
-// everything.
+// QueryOptions configures an Engine. The zero value is the serving query
+// path of §5.2 — bitvector dedup, extraction to a sorted candidate array,
+// the scattered-mask dot product — at the paper's radius on GOMAXPROCS
+// workers, and QueryDefaults returns it with that radius spelled out.
+// Fig. 5's less optimized arms are built from this package's exported
+// pieces in internal/expr.
 type QueryOptions struct {
-	// Radius is the R-near-neighbor radius in radians (paper: 0.9).
+	// Radius is the R-near-neighbor radius in radians; <= 0 means the
+	// paper's 0.9.
 	Radius float64
-	// UseBitvector replaces set-based duplicate elimination with the
-	// O(1)-per-index bitvector histogram (§5.2.1).
-	UseBitvector bool
-	// OptimizedDP replaces merge-intersection dot products with the dense
-	// query vocabulary mask (§5.2.3).
-	OptimizedDP bool
-	// ExtractCandidates scans the bitvector into a sorted dense array
-	// before Step Q3, making candidate access sequential — the portable
-	// analogue of the paper's software prefetching (§5.2.2). Requires
-	// UseBitvector.
-	ExtractCandidates bool
 	// Workers sets the pool size for batch queries; <= 0 means GOMAXPROCS.
 	Workers int
 	// CollectPhases accumulates per-phase wall time into Engine.Phases().
 	CollectPhases bool
 }
 
-// QueryDefaults returns fully optimized query options with the paper's
-// radius.
-func QueryDefaults() QueryOptions {
-	return QueryOptions{
-		Radius:            0.9,
-		UseBitvector:      true,
-		OptimizedDP:       true,
-		ExtractCandidates: true,
-	}
-}
+// QueryDefaults returns the serving query options with the paper's radius.
+func QueryDefaults() QueryOptions { return QueryOptions{Radius: 0.9} }
 
 // SearchParams are the request-scoped knobs of one query. The engine's
-// QueryOptions fix the structural choices (dedup strategy, dot-product
-// kernel, workers) at construction; SearchParams override the one value
-// that heterogeneous traffic wants to vary per request without rebuilding
-// anything. The zero value means "use the engine's configured defaults".
+// QueryOptions fix its radius and workers at construction; SearchParams
+// override the one value that heterogeneous traffic wants to vary per
+// request without rebuilding anything. The zero value means "use the
+// engine's configured defaults".
 type SearchParams struct {
 	// Radius overrides QueryOptions.Radius for this query when > 0. The
 	// hash tables are radius-agnostic (only candidate filtering uses it),
@@ -110,14 +95,13 @@ type Workspace struct {
 	cand   []uint32
 	lo, hi []uint32 // the probe's staged bucket bounds, one per table
 	first  []uint32 // and each bucket's staged first item
-	set    map[uint32]struct{}
 	mask   *sparse.QueryMask
 	scores []float32
 	sketch []uint32
 }
 
-// Mask returns the query's scattered vocabulary mask for Verify, or nil
-// when the engine runs the merge-intersection dot product. Valid until End.
+// Mask returns the query's scattered vocabulary mask for Verify. Valid
+// until End.
 func (ws *Workspace) Mask() *sparse.QueryMask { return ws.mask }
 
 // Segment is a further structure probed under a workspace's Begin: the
@@ -147,9 +131,6 @@ func NewEngine(st *Static, store sparse.Store, opts QueryOptions) *Engine {
 	if opts.Radius <= 0 {
 		opts.Radius = 0.9
 	}
-	if opts.ExtractCandidates && !opts.UseBitvector {
-		opts.ExtractCandidates = false
-	}
 	e := &Engine{
 		st:    st,
 		store: store,
@@ -157,21 +138,15 @@ func NewEngine(st *Static, store sparse.Store, opts QueryOptions) *Engine {
 		pool:  sched.NewPool(opts.Workers),
 	}
 	e.wsPool.New = func() any {
-		ws := &Workspace{
+		return &Workspace{
 			seen:   bitvec.New(st.Len()),
 			lo:     make([]uint32, st.NumTables()),
 			hi:     make([]uint32, st.NumTables()),
 			first:  make([]uint32, st.NumTables()),
+			mask:   sparse.NewQueryMask(store.Dimension()),
 			scores: make([]float32, st.fam.Params().NumFuncs()),
 			sketch: make([]uint32, st.fam.Params().M),
 		}
-		if !opts.UseBitvector {
-			ws.set = make(map[uint32]struct{}, 1024)
-		}
-		if opts.OptimizedDP {
-			ws.mask = sparse.NewQueryMask(store.Dimension())
-		}
-		return ws
 	}
 	return e
 }
@@ -211,40 +186,35 @@ func (e *Engine) SearchAppend(dst []Neighbor, q sparse.Vector, p SearchParams) (
 		return dst, QueryStats{}
 	}
 	ws := e.Begin(q)
-	res, stats := e.SearchOn(dst, ws, q, p)
+	res, stats := e.SearchOn(dst, ws, p)
 	e.End(ws)
 	return res, stats
 }
 
 // Begin takes a workspace from the engine's pool and runs Step Q1 on it:
-// q is hashed into the workspace's sketch and, under OptimizedDP, scattered
-// into its mask (cheap; the paper ignores its cost too). q must be
-// non-empty. Every Begin is paired with one End.
+// q is hashed into the workspace's sketch and scattered into its mask
+// (cheap; the paper ignores its cost too). q must be non-empty. Every Begin
+// is paired with one End.
 func (e *Engine) Begin(q sparse.Vector) *Workspace {
 	ws := e.wsPool.Get().(*Workspace)
 	e.st.fam.SketchInto(q, ws.scores, ws.sketch)
-	if ws.mask != nil {
-		ws.mask.Scatter(q)
-	}
+	ws.mask.Scatter(q)
 	return ws
 }
 
 // End clears the mask Begin scattered and returns the workspace to the
 // pool. The caller must not touch ws, its sketch or its mask afterwards.
 func (e *Engine) End(ws *Workspace) {
-	if ws.mask != nil {
-		ws.mask.Unscatter()
-	}
+	ws.mask.Unscatter()
 	e.wsPool.Put(ws)
 }
 
 // SearchOn runs Steps Q2–Q4 over the static index for the query ws was
-// begun with (q again, for the merge-intersection arm), appending answers
-// to dst. It is the thin driver over the kernels of kernels.go: it resolves
-// the engine's options and the request's parameters once, calls one probe
-// kernel and Verify, and — under CollectPhases — reads the clock around
-// each, so Phases reports exactly the kernels' time.
-func (e *Engine) SearchOn(dst []Neighbor, ws *Workspace, q sparse.Vector, p SearchParams) ([]Neighbor, QueryStats) {
+// begun with, appending answers to dst. It only sequences the kernels of
+// kernels.go: it resolves the request's radius once, calls ProbeMark, the
+// extraction scan and Verify, and — under CollectPhases — reads the clock
+// around Q2 and Q3, so Phases reports exactly the kernels' time.
+func (e *Engine) SearchOn(dst []Neighbor, ws *Workspace, p SearchParams) ([]Neighbor, QueryStats) {
 	var stats QueryStats
 	if e.st.Len() == 0 {
 		return dst, stats
@@ -254,8 +224,13 @@ func (e *Engine) SearchOn(dst []Neighbor, ws *Workspace, q sparse.Vector, p Sear
 		t0 = now()
 	}
 
-	// Step Q2: read buckets from all L tables and deduplicate.
-	stats.Collisions = e.probe(ws)
+	// Step Q2: mark the buckets of all L tables in the dedup bitvector, then
+	// scan it to a sorted candidate array (§5.2.2) and clear what was set.
+	tables, pairs := e.st.tables, e.st.fam.Pairs()
+	half := uint(e.st.fam.Params().K / 2)
+	stats.Collisions = ProbeMark(tables, pairs, ws.sketch, half, ws.lo, ws.hi, ws.first, ws.seen.Words())
+	ws.cand = ws.seen.AppendSet(ws.cand[:0])
+	ws.seen.ResetList(ws.cand)
 	if e.opts.CollectPhases {
 		t1 := now()
 		e.q2ns.Add(t1 - t0)
@@ -269,33 +244,12 @@ func (e *Engine) SearchOn(dst []Neighbor, ws *Workspace, q sparse.Vector, p Sear
 		radius = p.Radius
 	}
 	base := len(dst)
-	dst, stats.Unique = Verify(dst, ws.cand, 0, e.store, e.deleted, sparse.CosThreshold(radius), ws.mask, q)
+	dst, stats.Unique = Verify(dst, ws.cand, 0, e.store, e.deleted, sparse.CosThreshold(radius), ws.mask)
 	if e.opts.CollectPhases {
 		e.q3ns.Add(now() - t0)
 	}
 	stats.Results = len(dst) - base
 	return dst, stats
-}
-
-// probe runs the engine's configured Q2 arm, leaving the deduplicated
-// candidates in ws.cand and the dedup structure empty, and returns the
-// collision count.
-func (e *Engine) probe(ws *Workspace) (collisions int) {
-	tables, pairs := e.st.tables, e.st.fam.Pairs()
-	half := uint(e.st.fam.Params().K / 2)
-	switch {
-	case e.opts.ExtractCandidates:
-		// Mark-only pass, then scan to a sorted array (§5.2.2).
-		collisions = ProbeMark(tables, pairs, ws.sketch, half, ws.lo, ws.hi, ws.first, ws.seen.Words())
-		ws.cand = ws.seen.AppendSet(ws.cand[:0])
-		ws.seen.ResetList(ws.cand)
-	case e.opts.UseBitvector:
-		ws.cand, collisions = probeAppend(tables, pairs, ws.sketch, half, ws.lo, ws.hi, ws.seen.Words(), ws.cand[:0])
-		ws.seen.ResetList(ws.cand)
-	default:
-		ws.cand, collisions = probeSet(tables, pairs, ws.sketch, half, ws.lo, ws.hi, ws.set, ws.cand[:0])
-	}
-	return collisions
 }
 
 // SearchBatchAppend answers a batch in parallel, reusing dst: entry i is

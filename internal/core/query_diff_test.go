@@ -12,16 +12,16 @@ import (
 	"plsh/internal/sparse"
 )
 
-// TestSearchMatchesNaiveReference: for every dedup/dot arm, and over a
-// scattered store, × {no tombstones, 10 % tombstones} × {engine radius,
-// request radius}, SearchAppend returns exactly the sketch oracle's
-// neighbours, compared in (distance, ID) order, and its QueryStats: Unique
-// and Results from the oracle over the live rows, Collisions from the one
-// over every row (a tombstone filters answers; the table still holds the
-// row). The extracting arms must also answer in ascending ID order, the
-// order they verify in (§5.2.2's sequential access to the store). Each
-// engine is shared by 8 goroutines, so `go test -race` also checks that the
-// pooled workspaces keep concurrent queries apart.
+// TestSearchMatchesNaiveReference: over the arena and over a scattered
+// store, × {no tombstones, 10 % tombstones} × {engine radius, request
+// radius}, SearchAppend returns exactly the sketch oracle's neighbours,
+// compared in (distance, ID) order, and its QueryStats: Unique and Results
+// from the oracle over the live rows, Collisions from the one over every row
+// (a tombstone filters answers; the table still holds the row). It must also
+// answer in ascending ID order, the order it verifies in (§5.2.2's
+// sequential access to the store). Each engine is shared by 8 goroutines,
+// so `go test -race` also checks that the pooled workspaces keep concurrent
+// queries apart.
 func TestSearchMatchesNaiveReference(t *testing.T) {
 	f := newQueryFixture(t, 400, 24)
 	const R = 0.9
@@ -31,17 +31,12 @@ func TestSearchMatchesNaiveReference(t *testing.T) {
 		tombstones.SetAtomic(id)
 		live.Delete(uint32(id))
 	}
-	arms := []struct {
+	stores := []struct {
 		name  string
 		store sparse.Store
-		opts  QueryOptions
 	}{
-		{"set+merge", f.mat, QueryOptions{Radius: R}},
-		{"set+mask", f.mat, QueryOptions{Radius: R, OptimizedDP: true}},
-		{"append+merge", f.mat, QueryOptions{Radius: R, UseBitvector: true}},
-		{"append+mask", f.mat, QueryOptions{Radius: R, UseBitvector: true, OptimizedDP: true}},
-		{"extract+mask", f.mat, QueryDefaults()},
-		{"extract+mask scattered", sparse.NewScatteredStore(f.mat), QueryDefaults()},
+		{"arena", f.mat},
+		{"scattered", sparse.NewScatteredStore(f.mat)},
 	}
 	type request struct {
 		p SearchParams
@@ -53,13 +48,13 @@ func TestSearchMatchesNaiveReference(t *testing.T) {
 			requests = append(requests, request{SearchParams{Radius: radius}, qi})
 		}
 	}
-	for _, arm := range arms {
+	for _, sc := range stores {
 		for _, del := range []*bitvec.Vector{nil, tombstones} {
 			o := all
 			if del != nil {
 				o = live
 			}
-			eng := NewEngine(f.st, arm.store, arm.opts)
+			eng := NewEngine(f.st, sc.store, QueryOptions{Radius: R})
 			eng.SetDeleted(del)
 			var wg sync.WaitGroup
 			for g := 0; g < 8; g++ {
@@ -74,8 +69,8 @@ func TestSearchMatchesNaiveReference(t *testing.T) {
 						q := f.queries[rq.q]
 						var got QueryStats
 						dst, got = eng.SearchAppend(dst[:0], q, rq.p)
-						if arm.opts.ExtractCandidates && !slices.IsSortedFunc(dst, func(a, b Neighbor) int { return cmp.Compare(a.ID, b.ID) }) {
-							t.Errorf("%s del=%v %+v query %d: answers not in ascending ID order: %v", arm.name, del != nil, rq.p, rq.q, dst)
+						if !slices.IsSortedFunc(dst, func(a, b Neighbor) int { return cmp.Compare(a.ID, b.ID) }) {
+							t.Errorf("%s del=%v %+v query %d: answers not in ascending ID order: %v", sc.name, del != nil, rq.p, rq.q, dst)
 						}
 						radius := R
 						if rq.p.Radius > 0 {
@@ -86,7 +81,7 @@ func TestSearchMatchesNaiveReference(t *testing.T) {
 						wantStats := QueryStats{Collisions: collisions, Unique: st.Unique, Results: st.Results}
 						SortNeighbors(dst)
 						if got != wantStats || !slices.EqualFunc(dst, want, func(a Neighbor, b oracle.Neighbor) bool { return a == Neighbor(b) }) {
-							t.Errorf("%s del=%v %+v query %d:\n got %v %+v\nwant %v %+v", arm.name, del != nil, rq.p, rq.q, dst, got, want, wantStats)
+							t.Errorf("%s del=%v %+v query %d:\n got %v %+v\nwant %v %+v", sc.name, del != nil, rq.p, rq.q, dst, got, want, wantStats)
 						}
 					}
 				}()
@@ -97,29 +92,22 @@ func TestSearchMatchesNaiveReference(t *testing.T) {
 }
 
 // TestSearchAppendDoesNotAllocate: with a warm workspace pool and a dst of
-// sufficient capacity, a query allocates nothing — on every arm that has no
-// map to drain.
+// sufficient capacity, a query allocates nothing.
 func TestSearchAppendDoesNotAllocate(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("sync.Pool drops workspaces at random under -race")
 	}
 	f := newQueryFixture(t, 400, 8)
-	for _, opts := range []QueryOptions{
-		QueryDefaults(),
-		{Radius: 0.9, UseBitvector: true, OptimizedDP: true},
-		{Radius: 0.9, UseBitvector: true},
-	} {
-		eng := NewEngine(f.st, f.mat, opts)
-		dst := make([]Neighbor, 0, f.mat.Rows())
-		for _, q := range f.queries { // warm the pooled workspace's buffers
+	eng := NewEngine(f.st, f.mat, QueryDefaults())
+	dst := make([]Neighbor, 0, f.mat.Rows())
+	for _, q := range f.queries { // warm the pooled workspace's buffers
+		eng.SearchAppend(dst, q, SearchParams{})
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for _, q := range f.queries {
 			eng.SearchAppend(dst, q, SearchParams{})
 		}
-		if n := testing.AllocsPerRun(100, func() {
-			for _, q := range f.queries {
-				eng.SearchAppend(dst, q, SearchParams{})
-			}
-		}); n != 0 {
-			t.Errorf("%+v: SearchAppend allocates %.1f times per %d queries, want 0", opts, n, len(f.queries))
-		}
+	}); n != 0 {
+		t.Errorf("SearchAppend allocates %.1f times per %d queries, want 0", n, len(f.queries))
 	}
 }

@@ -179,34 +179,28 @@ func (n everyRow) Candidates(_ []uint32, seen *bitvec.Vector, cand []uint32) ([]
 // TestProbeSharesTheWorkspaceBitvector: under one Begin the static index
 // and further segments — one of them larger than the index, so the
 // bitvector grows — deduplicate in the same bitvector, each probe seeing
-// it all zero: every segment reports each of its rows once, in every dedup
-// arm, and the static answers before and after are those of a fresh query.
+// it all zero: every segment reports each of its rows once, and the static
+// answers before and after are those of a fresh query.
 func TestProbeSharesTheWorkspaceBitvector(t *testing.T) {
 	f := newQueryFixture(t, 300, 1)
 	q := f.queries[0]
-	for name, opts := range map[string]QueryOptions{
-		"extract": QueryDefaults(),
-		"append":  {UseBitvector: true, OptimizedDP: true},
-		"set":     {},
-	} {
-		eng := NewEngine(f.st, f.mat, opts)
-		want := searchOne(eng, q)
-		SortNeighbors(want)
-		ws := eng.Begin(q)
-		for round := 0; round < 2; round++ {
-			got, _ := eng.SearchOn(nil, ws, q, SearchParams{})
-			SortNeighbors(got)
-			if !slices.Equal(got, want) {
-				t.Fatalf("%s round %d: static answers under a shared workspace differ from a fresh query's", name, round)
-			}
-			for _, n := range []everyRow{40, 1000, 7} {
-				if cand := ws.Probe(n); len(cand) != int(n) {
-					t.Fatalf("%s round %d: a %d-row segment reported %d candidates; the bitvector was not clean", name, round, n, len(cand))
-				}
+	eng := NewEngine(f.st, f.mat, QueryDefaults())
+	want := searchOne(eng, q)
+	SortNeighbors(want)
+	ws := eng.Begin(q)
+	for round := 0; round < 2; round++ {
+		got, _ := eng.SearchOn(nil, ws, SearchParams{})
+		SortNeighbors(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d: static answers under a shared workspace differ from a fresh query's", round)
+		}
+		for _, n := range []everyRow{40, 1000, 7} {
+			if cand := ws.Probe(n); len(cand) != int(n) {
+				t.Fatalf("round %d: a %d-row segment reported %d candidates; the bitvector was not clean", round, n, len(cand))
 			}
 		}
-		eng.End(ws)
 	}
+	eng.End(ws)
 }
 
 func TestPhaseCollection(t *testing.T) {

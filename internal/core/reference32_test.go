@@ -201,7 +201,7 @@ func TestPackedMatches32BitReference(t *testing.T) {
 				idx := []uint32{uint32(doc.Intn(100)), 100 + uint32(doc.Intn(100)), 200 + uint32(doc.Intn(100))}
 				mat.AppendRow(sparse.Vector{Idx: idx, Val: []float32{0.5, 0.7, 0.5}})
 			}
-			sk := fam.SketchAll(mat, sched.NewPool(2), true)
+			sk := fam.SketchAll(mat, sched.NewPool(2))
 
 			built, err := Build(fam, mat, Defaults())
 			if err != nil {
@@ -209,9 +209,7 @@ func TestPackedMatches32BitReference(t *testing.T) {
 			}
 			checkAgainst32(t, what+" Build", built, reference32(sk, p, n))
 			checkAgainst32(t, what+" BuildFromSketches", BuildFromSketches(fam, sk, 2), reference32(sk, p, n))
-			oneLevel := &Static{fam: fam, n: n, tables: make([]Table, p.L())}
-			buildOneLevel(oneLevel, sk, p, sched.NewPool(2))
-			checkAgainst32(t, what+" GroupByKey", oneLevel, reference32(sk, p, n))
+			checkAgainst32(t, what+" GroupByKey", groupByKey(fam, sk), reference32(sk, p, n))
 			checkAgainst32(t, what+" snapshot reader", reread(t, built), reference32(sk, p, n))
 
 			dead := randomDead(n, 3, uint64(n)+9)
@@ -258,7 +256,7 @@ func TestRetweetStormIndexes(t *testing.T) {
 	for i := 0; i < storm; i++ {
 		mat.AppendRow(sparse.Vector{Idx: []uint32{7, 150, 299}, Val: []float32{0.6, 0.6, 0.5}})
 	}
-	sk := fam.SketchAll(mat, sched.NewPool(2), true)
+	sk := fam.SketchAll(mat, sched.NewPool(2))
 	isStorm := func(id uint32) bool { return id >= quiet }
 
 	built, err := Build(fam, mat, Defaults())

@@ -13,10 +13,11 @@
 // not use, by the keys N documents cannot tell apart or by the values it
 // could hold (Fig. 3a of the paper keeps a dense 2^k+1 offsets array and
 // 32-bit ids; DESIGN.md "Static tables" has why this one does not).
-// Construction options reproduce the Fig. 4 ablation (1-level → 2-level →
-// shared first level → vectorized hashing); query options reproduce the
-// Fig. 5 ablation (set dedup → bitvector → optimized sparse dot product →
-// candidate extraction → arena layout).
+// The package keeps one build (vectorized hashing, then the shared
+// two-level partition), one Q2 kernel (ProbeMark, then the extraction scan)
+// and one Q3 kernel (Verify over the scattered query); the Fig. 4 and Fig. 5
+// ablations rebuild their less optimized arms from its exported pieces in
+// internal/expr.
 package core
 
 import (

@@ -6,10 +6,11 @@ import (
 	"testing"
 )
 
-// TestTinyScaleCountsArePinned pins the counts Table 2 and Recall print at
-// tinyOptions. Counts do not depend on timing, so any change to how the
-// runners build their indexes or sample their queries that moves one of
-// them changes what the experiment measures.
+// TestTinyScaleCountsArePinned pins the counts Table 2, Fig. 5 and Recall
+// print at tinyOptions. Counts do not depend on timing, so any change to how
+// the runners build their indexes or sample their queries that moves one of
+// them changes what the experiment measures. Fig. 5's rows share their
+// counts: each arm answers the same queries over the same index.
 func TestTinyScaleCountsArePinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow")
@@ -22,6 +23,13 @@ func TestTinyScaleCountsArePinned(t *testing.T) {
 			`(?m)^exhaustive\s+1500\.0\s`,
 			`(?m)^inverted index\s+979\.6\s`,
 			`(?m)^plsh\s+94\.4\s`,
+		}},
+		{func(o Options, w *bytes.Buffer) error { return Fig5(o, w) }, []string{
+			`(?m)^no optimizations\s+\S+\s+\S+\s+94\.40\s+1\.25$`,
+			`(?m)^\+bitvector\s+\S+\s+\S+\s+94\.40\s+1\.25$`,
+			`(?m)^\+optimized sparse DP\s+\S+\s+\S+\s+94\.40\s+1\.25$`,
+			`(?m)^\+sw prefetch \(extract\)\s+\S+\s+\S+\s+94\.40\s+1\.25$`,
+			`(?m)^\+large pages \(arena\)\s+\S+\s+\S+\s+94\.40\s+1\.25$`,
 		}},
 		{func(o Options, w *bytes.Buffer) error { return Recall(o, w) }, []string{
 			`(?m)^true R-near neighbor pairs\s+51$`,

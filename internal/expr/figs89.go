@@ -28,12 +28,7 @@ func Fig8(o Options, w io.Writer) error {
 	tb.row("threads", "init (ms)", "init speedup", "query (ms)", "query speedup")
 	var initBase, queryBase time.Duration
 	for _, threads := range []int{1, 2, 4, 8, 16} {
-		buildOpts := core.Defaults()
-		buildOpts.Workers = threads
-		initDur, err := timeBuild(fam, c.Mat, buildOpts)
-		if err != nil {
-			return err
-		}
+		initDur := timeBuild(func() { core.MustBuild(fam, c.Mat, core.BuildOptions{Workers: threads}) })
 		eng, err := o.engine(fam, c.Mat, threads)
 		if err != nil {
 			return err

@@ -214,7 +214,8 @@ func (f *Family) SketchInto(v sparse.Vector, scores []float32, out []uint32) {
 // document per elementary hash function, reading a single coefficient of
 // each row, exactly how a naive implementation computes each dot product
 // independently. It exists as the pre-"+vectorization" arm of the Fig. 4
-// ablation.
+// ablation (internal/expr), and lives here because only this package can
+// read a row, drawing it on first use.
 func (f *Family) SketchScalarInto(v sparse.Vector, scores []float32, out []uint32) {
 	nf := f.p.NumFuncs()
 	for j := 0; j < nf; j++ {
@@ -276,23 +277,17 @@ func (s *Sketches) TableKey(n, a, b, k int) uint32 {
 	return s.At(n, a)<<uint(k/2) | s.At(n, b)
 }
 
-// SketchAll hashes every row of mat in parallel over the pool, with the
-// vectorized or scalar kernel (the Fig. 4 "+vectorization" toggle). Rows
-// are independent, so a static split suffices (§5.1.1: "easily parallelized
-// over the data items N, yielding good thread scaling").
-func (f *Family) SketchAll(mat *sparse.Matrix, pool *sched.Pool, vectorized bool) *Sketches {
+// SketchAll hashes every row of mat in parallel over the pool with
+// SketchInto. Rows are independent, so a static split suffices (§5.1.1:
+// "easily parallelized over the data items N, yielding good thread
+// scaling").
+func (f *Family) SketchAll(mat *sparse.Matrix, pool *sched.Pool) *Sketches {
 	n := mat.Rows()
 	out := &Sketches{M: f.p.M, Data: make([]uint32, n*f.p.M)}
 	pool.Static(n, func(lo, hi, _ int) {
 		scores := make([]float32, f.p.NumFuncs())
 		for i := lo; i < hi; i++ {
-			row := mat.Row(i)
-			dst := out.Data[i*f.p.M : (i+1)*f.p.M]
-			if vectorized {
-				f.SketchInto(row, scores, dst)
-			} else {
-				f.SketchScalarInto(row, scores, dst)
-			}
+			f.SketchInto(mat.Row(i), scores, out.Data[i*f.p.M:(i+1)*f.p.M])
 		}
 	})
 	return out

@@ -122,7 +122,7 @@ func TestSketchHalfRange(t *testing.T) {
 	}
 }
 
-func TestScalarAndVectorizedKernelsAgree(t *testing.T) {
+func TestScalarKernelMatchesSketchInto(t *testing.T) {
 	p := testParams()
 	f, _ := NewFamily(p)
 	src := rng.New(9)
@@ -145,19 +145,15 @@ func TestSketchAllMatchesSingle(t *testing.T) {
 	p := testParams()
 	f, _ := NewFamily(p)
 	c := corpus.Generate(corpus.Twitter(300, p.Dim, 5))
-	pool := sched.NewPool(4)
-	for _, vectorized := range []bool{true, false} {
-		sks := f.SketchAll(c.Mat, pool, vectorized)
-		if sks.N() != 300 {
-			t.Fatalf("N = %d", sks.N())
-		}
-		for i := 0; i < 300; i += 17 {
-			want := f.Sketch(c.Mat.Row(i))
-			for j := range want {
-				if sks.At(i, j) != want[j] {
-					t.Fatalf("vectorized=%v: sketch %d fn %d = %d, want %d",
-						vectorized, i, j, sks.At(i, j), want[j])
-				}
+	sks := f.SketchAll(c.Mat, sched.NewPool(4))
+	if sks.N() != 300 {
+		t.Fatalf("N = %d", sks.N())
+	}
+	for i := 0; i < 300; i += 17 {
+		want := f.Sketch(c.Mat.Row(i))
+		for j := range want {
+			if sks.At(i, j) != want[j] {
+				t.Fatalf("sketch %d fn %d = %d, want %d", i, j, sks.At(i, j), want[j])
 			}
 		}
 	}
@@ -173,7 +169,7 @@ func TestAppendSketchesMatchesSketchAll(t *testing.T) {
 	}
 	inc := f.AppendSketches(nil, vs[:20])
 	inc = f.AppendSketches(inc, vs[20:])
-	all := f.SketchAll(c.Mat, sched.NewPool(1), true)
+	all := f.SketchAll(c.Mat, sched.NewPool(1))
 	if inc.N() != all.N() {
 		t.Fatalf("N mismatch %d vs %d", inc.N(), all.N())
 	}

@@ -1162,14 +1162,14 @@ func (n *Node) searchOn(dst []core.Neighbor, s *snapshot, q sparse.Vector, p Sea
 	}
 	ws := s.eng.Begin(q)
 	defer s.eng.End(ws)
-	res, _ := s.eng.SearchOn(dst, ws, q, core.SearchParams{Radius: p.Radius})
+	res, _ := s.eng.SearchOn(dst, ws, core.SearchParams{Radius: p.Radius})
 	radius := n.cfg.Query.Radius
 	if p.Radius > 0 {
 		radius = p.Radius
 	}
 	thr := sparse.CosThreshold(radius)
 	for _, sg := range s.segs {
-		res, _ = core.Verify(res, ws.Probe(sg.t), uint32(sg.base), s.store, s.deleted, thr, ws.Mask(), q)
+		res, _ = core.Verify(res, ws.Probe(sg.t), uint32(sg.base), s.store, s.deleted, thr, ws.Mask())
 	}
 	return res
 }

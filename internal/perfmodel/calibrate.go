@@ -148,7 +148,7 @@ func CalibrateFor(cc CalibrationConfig) Costs {
 		t0 := time.Now()
 		for lo := 0; lo < len(cand); lo += run {
 			ids := cand[lo:min(lo+run, len(cand))]
-			dst, _ = core.Verify(dst[:0], ids, 0, mat, nil, sparse.CosThreshold(0.9), mask, q)
+			dst, _ = core.Verify(dst[:0], ids, 0, mat, nil, sparse.CosThreshold(0.9), mask)
 		}
 		c.UniqueNS = float64(time.Since(t0).Nanoseconds()) / float64(len(cand))
 	}
@@ -182,7 +182,7 @@ func (c Costs) CalibrateBuild(cc CalibrationConfig) Costs {
 // model prices warm hashing. A timed build that drew a row after all is an
 // error.
 func timedBuild(fam *lshhash.Family, mat *sparse.Matrix) (*core.Static, core.BuildTimings, error) {
-	fam.SketchAll(mat, sched.NewPool(1), true)
+	fam.SketchAll(mat, sched.NewPool(1))
 	drawn := fam.MemoryBytes()
 	opts := core.Defaults()
 	opts.Workers = 1

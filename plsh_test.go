@@ -3,6 +3,9 @@ package plsh
 import (
 	"context"
 	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 )
@@ -124,7 +127,8 @@ func TestRejectsVectorsOutsideDim(t *testing.T) {
 }
 
 // Partitioned placement routes over at most 256 groups (an 8-bit
-// signature): an in-process cluster of 256 builds and one of 257 is refused.
+// signature): an in-process cluster of 256 builds and one of 257 is refused
+// before any node is opened — a durable one leaves no node directory.
 func TestPartitionedClusterGroupBound(t *testing.T) {
 	cfg := Config{Dim: 200, K: 4, M: 2, Capacity: 4, Placement: PlacementPartitioned}
 	c, err := OpenCluster(bg, 256, 0, cfg)
@@ -135,9 +139,13 @@ func TestPartitionedClusterGroupBound(t *testing.T) {
 		t.Errorf("256 groups: cluster has %d", c.NumGroups())
 	}
 	c.Close()
+	cfg.Dir = t.TempDir()
 	if c, err := OpenCluster(bg, 257, 0, cfg); err == nil {
 		c.Close()
 		t.Fatal("257 groups accepted under partitioned placement")
+	}
+	if _, err := os.Stat(filepath.Join(cfg.Dir, "node-000")); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("257 groups: node-000 was opened before the refusal (stat: %v)", err)
 	}
 }
 
