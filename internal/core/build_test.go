@@ -58,6 +58,100 @@ func checkTableInvariants(t *testing.T, st *Static, sk *lshhash.Sketches) {
 	}
 }
 
+// oneLevel builds the tables over sk the unoptimized way: every table
+// partitions all items by its full key in one TableBuilder.GroupByKey pass.
+func oneLevel(t *testing.T, fam *lshhash.Family, sk *lshhash.Sketches) *Static {
+	t.Helper()
+	p := fam.Params()
+	keys := make([]uint32, sk.N())
+	hist := make([]uint32, p.Buckets())
+	tables := make([]Table, p.L())
+	var tb TableBuilder
+	for l := range tables {
+		a, b := lshhash.PairForTable(l, p.M)
+		for i := range keys {
+			keys[i] = sk.TableKey(i, a, b, p.K)
+		}
+		tables[l] = tb.GroupByKey(keys, p.K, hist)
+	}
+	st, err := StaticFromTables(fam, sk.N(), tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// scalarSketches sketches every row of mat with the scalar kernel.
+func scalarSketches(fam *lshhash.Family, mat *sparse.Matrix) *lshhash.Sketches {
+	p := fam.Params()
+	sk := &lshhash.Sketches{M: p.M, Data: make([]uint32, mat.Rows()*p.M)}
+	scores := make([]float32, p.NumFuncs())
+	for i := 0; i < mat.Rows(); i++ {
+		fam.SketchScalarInto(mat.Row(i), scores, sk.Row(i))
+	}
+	return sk
+}
+
+// Every way core builds tables — Build, BuildFromSketches over the scalar
+// kernel's sketches, and the one-level GroupByKey partition — yields valid
+// partitions of all the items.
+func TestBuildStrategiesProduceValidTables(t *testing.T) {
+	fam, mat := testSetup(t, 500)
+	sk := fam.SketchAll(mat, sched.NewPool(1))
+	built, err := Build(fam, mat, Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		st   *Static
+	}{
+		{"Build", built},
+		{"BuildFromSketches(scalar)", BuildFromSketches(fam, scalarSketches(fam, mat), 3)},
+		{"GroupByKey", oneLevel(t, fam, sk)},
+	} {
+		if c.st.Len() != 500 {
+			t.Fatalf("%s: Len = %d", c.name, c.st.Len())
+		}
+		checkTableInvariants(t, c.st, sk)
+	}
+}
+
+// The load-bearing equivalence: the shared two-level build places exactly
+// the items the one-level partition does in each bucket, whichever sketch
+// kernel fed it (order within a bucket may differ).
+func TestBuildStrategiesEquivalentBuckets(t *testing.T) {
+	fam, mat := testSetup(t, 400)
+	ref := oneLevel(t, fam, fam.SketchAll(mat, sched.NewPool(1)))
+	built, err := Build(fam, mat, Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := fam.Params()
+	for _, c := range []struct {
+		name string
+		st   *Static
+	}{
+		{"Build", built},
+		{"BuildFromSketches(scalar)", BuildFromSketches(fam, scalarSketches(fam, mat), 2)},
+	} {
+		for l := 0; l < c.st.NumTables(); l++ {
+			for key := 0; key < p.Buckets(); key++ {
+				a := bucketSet(ref.Table(l), uint32(key))
+				b := bucketSet(c.st.Table(l), uint32(key))
+				if len(a) != len(b) {
+					t.Fatalf("%s table %d key %d: sizes %d vs %d", c.name, l, key, len(a), len(b))
+				}
+				for id := range a {
+					if !b[id] {
+						t.Fatalf("%s table %d key %d: item %d missing", c.name, l, key, id)
+					}
+				}
+			}
+		}
+	}
+}
+
 func bucketSet(t *Table, key uint32) map[uint32]bool {
 	m := make(map[uint32]bool)
 	for _, id := range t.Bucket(nil, key) {

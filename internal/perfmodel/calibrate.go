@@ -97,17 +97,9 @@ func CalibrateFor(cc CalibrationConfig) Costs {
 	src := rng.New(cc.Seed)
 	draw := cc.wordDraw(src)
 	var c Costs
-	halfB := cc.halfBuckets()
-
-	// Synthetic sketches for N documents, uniform over the 2^(k/2) values
-	// of each half-hash, which the probe calibration indexes.
-	sk := make([]uint32, cc.N*cc.M)
-	for i := range sk {
-		sk[i] = uint32(src.Intn(halfB))
-	}
 
 	// --- Q2: the engine's own staged probe kernel on a cold key stream.
-	c.TableProbeNS, c.CollisionNS = calibrateProbe(cc, sk, src)
+	c.TableProbeNS, c.CollisionNS = calibrateProbe(cc, src)
 
 	// --- Q2 fixed part: the extraction scan over the N-bit dedup vector.
 	{
@@ -214,21 +206,42 @@ func (c Costs) withBuild(tm core.BuildTimings, n, nnz, k, m int) Costs {
 // L2-resident probe — a fifth of the real cost at K=16/M=16.)
 const probeQueries = 4096
 
+// probeCopies is how many further documents repeat each sketch of
+// calibrateProbe's twinned documents: a twinned document's query collides
+// with that many more items per table than a lone document's.
+const probeCopies = 3
+
 // calibrateProbe prices Step Q2's two per-query quantities by running
 // core.ProbeMark — the kernel the engine runs — over synthetic tables of
-// the real shape: N documents with uniform sketches sk, partitioned into
-// min(L, 256) tables whose directories index the key bits core gives N
-// documents (core.DirectoryBits). Two key streams separate the
-// constants. Fresh random sketches land in buckets that are empty, and in
-// directory buckets of N/2^b ≤ 1 item of other keys: nearly pure probe
-// cost. The sketches of indexed documents find at
-// least themselves in every bucket, as a real query drawn from the data
-// does: about one more collision per table, and the bucket's first item
-// line with it. Solving the two totals for (per table, per collision)
-// prices a probe as the directory lookup and a collision as the item fetch
-// plus the mark. The tables come from core.TableBuilder, as the engine's
-// do, so the probe walks the layout the engine walks.
-func calibrateProbe(cc CalibrationConfig, sk []uint32, src *rng.Source) (tableProbeNS, collisionNS float64) {
+// the real shape: N documents with sketches uniform over the 2^(k/2)
+// values of each half-hash, partitioned into min(L, 256) tables whose
+// directories index the key bits core gives N documents
+// (core.DirectoryBits). Two key streams separate the constants, each the
+// sketches of indexed documents, so each finds at least itself in every
+// bucket — the directory lookup and the bucket's first item line are paid
+// alike, as a real query drawn from the data pays them. The first eighth
+// of the documents are twinned: the next three eighths repeat their
+// sketches, probeCopies times over, so a twinned document's query finds
+// probeCopies more items in every bucket, within the lines the bucket
+// already loads, than a lone document's from the last eighth does. Solving
+// the two totals for (per table, per collision) prices a probe as the
+// directory lookup plus the bucket's first line and a collision as the
+// item's decode plus its mark. (A stream of fresh random sketches in place
+// of the lone one lands in empty buckets a third of the time at one item
+// per bucket, so the split charged the bucket's line to the collisions:
+// several times the cost of one more collision where buckets are full.)
+// The tables come from core.TableBuilder, as the engine's do, so the probe
+// walks the layout the engine walks.
+func calibrateProbe(cc CalibrationConfig, src *rng.Source) (tableProbeNS, collisionNS float64) {
+	sk := make([]uint32, cc.N*cc.M)
+	for i := range sk {
+		sk[i] = uint32(src.Intn(cc.halfBuckets()))
+	}
+	group := cc.N / 8
+	for c := 1; c <= probeCopies; c++ {
+		copy(sk[c*group*cc.M:(c+1)*group*cc.M], sk[:group*cc.M])
+	}
+
 	pairs := lshhash.Pairs(cc.M)
 	if len(pairs) > 256 {
 		pairs = pairs[:256] // cap allocation; ≥ LLC-busting either way
@@ -247,38 +260,60 @@ func calibrateProbe(cc CalibrationConfig, sk []uint32, src *rng.Source) (tablePr
 
 	seen := bitvec.New(cc.N)
 	lo, hi, first := make([]uint32, len(tables)), make([]uint32, len(tables)), make([]uint32, len(tables))
-	fresh := make([]uint32, probeQueries*cc.M)
-	for i := range fresh {
-		fresh[i] = uint32(src.Intn(cc.halfBuckets()))
-	}
-	stride := max(1, cc.N/probeQueries)
 	var cand []uint32
-	// Stream 0 is the fresh sketches, stream 1 the indexed documents' own.
-	// They alternate query by query, so a change of machine speed during
-	// the pass lands on both.
-	var ns, collisions [2]float64
+	// Stream 0 is the last eighth's sketches, lone ones, stream 1 the
+	// twinned first eighth's: both cycle through as many documents, so
+	// neither finds its tables warmer. They alternate query by query, so a
+	// change of machine speed during the pass lands on both, and each pair
+	// of queries prices a collision and then a probe on its own. The
+	// constants are the medians over the pairs: a pair the scheduler cut
+	// into, on a machine other processes share, is an outlier of
+	// microseconds that a total would carry whole.
+	perColl := make([]float64, 0, probeQueries)
+	// Each lone query's ns and collisions, and the twinned stream's totals.
+	var lone [][2]float64
+	var twinned [2]float64
 	for i := 0; i < probeQueries; i++ {
-		doc := i * stride % cc.N
-		for s, sketch := range [2][]uint32{fresh[i*cc.M : (i+1)*cc.M], sk[doc*cc.M : (doc+1)*cc.M]} {
+		var ns, collisions [2]float64
+		for s, doc := range [2]int{cc.N - 1 - i%group, i % group} {
+			sketch := sk[doc*cc.M : (doc+1)*cc.M]
 			t0 := time.Now()
 			n := core.ProbeMark(tables, pairs, sketch, half, lo, hi, first, seen.Words())
-			ns[s] += float64(time.Since(t0).Nanoseconds())
-			collisions[s] += float64(n)
+			ns[s] = float64(time.Since(t0).Nanoseconds())
+			collisions[s] = float64(n)
 			// Untimed: the engine's extraction and reset, which
 			// ScanNSPerWord prices.
 			cand = seen.AppendSet(cand[:0])
 			seen.ResetList(cand)
 		}
+		if collisions[1] > collisions[0] {
+			perColl = append(perColl, (ns[1]-ns[0])/(collisions[1]-collisions[0]))
+		}
+		lone = append(lone, [2]float64{ns[0], collisions[0]})
+		twinned[0] += ns[1]
+		twinned[1] += collisions[1]
 	}
 
-	probes := float64(probeQueries * len(tables))
-	collisionNS = (ns[1] - ns[0]) / (collisions[1] - collisions[0])
-	tableProbeNS = (ns[0] - collisionNS*collisions[0]) / probes
+	collisionNS = median(perColl)
+	perProbe := make([]float64, len(lone))
+	for i, q := range lone {
+		perProbe[i] = (q[0] - collisionNS*q[1]) / float64(len(tables))
+	}
+	tableProbeNS = median(perProbe)
 	if collisionNS <= 0 || tableProbeNS <= 0 {
-		// Timing noise swamped the split (buckets so full that one more
-		// collision per table is lost in them, or an N so small that
-		// nothing misses): charge half the self stream's time to each.
-		return ns[1] / probes / 2, ns[1] / collisions[1] / 2
+		// Timing noise swamped the split (buckets so full that a few more
+		// collisions per table are lost in them): charge half the twinned
+		// stream's time to each.
+		return twinned[0] / float64(probeQueries*len(tables)) / 2, twinned[0] / twinned[1] / 2
 	}
 	return tableProbeNS, collisionNS
+}
+
+// median returns the median of xs, reordering them; 0 for none.
+func median(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	slices.Sort(xs)
+	return xs[len(xs)/2]
 }
