@@ -88,9 +88,6 @@ func OpenCluster(ctx context.Context, nodes int, windowM int, cfg Config) (*Clus
 	if err != nil {
 		return nil, err
 	}
-	if nodes%cfg.Replicas != 0 {
-		return nil, fmt.Errorf("plsh: %d nodes cannot form groups of %d replicas", nodes, cfg.Replicas)
-	}
 	opts, err := clusterOptions(cfg, nodes, windowM)
 	if err != nil {
 		return nil, err
@@ -118,13 +115,17 @@ func OpenCluster(ctx context.Context, nodes int, windowM int, cfg Config) (*Clus
 // construction so the two cannot drift: it arranges endpoints under the
 // normalized cfg — cfg.Replicas groups them, and under
 // PlacementPartitioned cfg's geometry builds the signature router. Both
-// call it before opening or dialing any node, so a config the router
-// refuses (more groups than a signature can route) costs no node. The
+// call it before opening or dialing any node, so a config it refuses — an
+// endpoint count cfg.Replicas does not divide, or more groups than a
+// signature can route — costs no node and no connection. The
 // family built here is only how the fleet's geometry reaches NewRouter,
 // which derives its own routing family from the Params; no table
 // hyperplane is ever drawn in the coordinator.
 func clusterOptions(cfg Config, endpoints, windowM int) (cluster.Options, error) {
 	opts := cluster.Options{WindowM: windowM, Replicas: cfg.Replicas, Placement: cfg.Placement}
+	if endpoints%cfg.Replicas != 0 {
+		return opts, fmt.Errorf("plsh: %d nodes cannot form groups of %d replicas", endpoints, cfg.Replicas)
+	}
 	if cfg.Placement != PlacementPartitioned {
 		return opts, nil
 	}

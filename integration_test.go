@@ -287,6 +287,60 @@ func TestDialClusterRefusesDeadAddress(t *testing.T) {
 	}
 }
 
+// TestDialClusterRefusesUndividedReplicasBeforeDialing: three addresses
+// cannot form groups of two replicas, and DialCluster says so before it
+// opens a connection. The addresses point at one listener that answers
+// nothing; once DialCluster has returned, a sentinel connection is dialed
+// and accepted, and the listener accepts in arrival order, so any
+// connection DialCluster had opened would have been accepted before it.
+func TestDialClusterRefusesUndividedReplicasBeforeDialing(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	accepted := make(chan net.Conn, 8)
+	go func() {
+		for {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			accepted <- c
+		}
+	}()
+	addr := l.Addr().String()
+	ctx, cancel := context.WithTimeout(bg, 2*time.Second)
+	defer cancel()
+	cl, err := DialCluster(ctx, []string{addr, addr, addr}, 1, WithReplicas(2))
+	if err == nil {
+		cl.Close()
+		t.Fatal("DialCluster accepted 3 addresses under WithReplicas(2)")
+	}
+	if !strings.Contains(err.Error(), "cannot form groups") {
+		t.Fatalf("error %q does not name the grouping", err)
+	}
+	sentinel, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sentinel.Close()
+	for n := 1; ; n++ {
+		select {
+		case c := <-accepted:
+			c.Close()
+			if c.RemoteAddr().String() == sentinel.LocalAddr().String() {
+				if n > 1 {
+					t.Fatalf("the listener accepted %d connections from DialCluster", n-1)
+				}
+				return
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("the sentinel connection was never accepted")
+		}
+	}
+}
+
 // eofListener signals eof once a connection it accepted reads end of
 // stream: the peer closed it.
 type eofListener struct {

@@ -46,9 +46,10 @@ func BuildTimed(fam *lshhash.Family, mat *sparse.Matrix, opts BuildOptions) (*St
 
 	t0 := now()
 	sk := fam.SketchAll(mat, pool)
+	signs := p.PackAll(sk)
 	tm.HashNS = now() - t0
 
-	st := &Static{fam: fam, n: n, tables: make([]Table, p.L())}
+	st := &Static{fam: fam, n: n, tables: make([]Table, p.L()), signs: signs}
 	buildShared(st, sk, p, uint(p.K-DirectoryBits(n, p.K)), pool, &tm)
 	return st, tm, nil
 }
@@ -64,9 +65,10 @@ func MustBuild(fam *lshhash.Family, mat *sparse.Matrix, opts BuildOptions) *Stat
 }
 
 // BuildFromSketches constructs a Static index from precomputed sketches, row
-// i of sk becoming document i — Build without its hashing phase. (Merge
-// builds the tables of a streaming merge's delta rows the same way, from the
-// sketches the delta segments kept.)
+// i of sk becoming document i — Build without its hashing phase; it packs
+// the sketches into its sign-bit column. (Merge builds the tables of a
+// streaming merge's delta rows the same way, from the sketches the delta
+// segments kept.)
 func BuildFromSketches(fam *lshhash.Family, sk *lshhash.Sketches, workers int) *Static {
 	p := fam.Params()
 	return buildSketches(fam, sk, uint(p.K-DirectoryBits(sk.N(), p.K)), workers)
@@ -76,7 +78,7 @@ func BuildFromSketches(fam *lshhash.Family, sk *lshhash.Sketches, workers int) *
 func buildSketches(fam *lshhash.Family, sk *lshhash.Sketches, r uint, workers int) *Static {
 	pool := sched.NewPool(workers)
 	p := fam.Params()
-	st := &Static{fam: fam, n: sk.N(), tables: make([]Table, p.L())}
+	st := &Static{fam: fam, n: sk.N(), tables: make([]Table, p.L()), signs: p.PackAll(sk)}
 	var tm BuildTimings
 	buildShared(st, sk, p, r, pool, &tm)
 	return st

@@ -64,58 +64,83 @@ var coldFixture = sync.OnceValue(func() coldSet { return newColdSet(32000) })
 // directory-bytes/table is everything a table holds but its items.
 func BenchmarkEngineSearchCold(b *testing.B) {
 	f := coldFixture()
-	type searchFn func(dst []Neighbor, q sparse.Vector) ([]Neighbor, QueryStats)
-	kernels := func(opts QueryOptions) (searchFn, *Engine) {
-		e := NewEngine(f.st, f.store, opts)
-		return func(dst []Neighbor, q sparse.Vector) ([]Neighbor, QueryStats) {
-			return e.SearchAppend(dst, q, SearchParams{})
-		}, e
-	}
-	monolithic := func(opts QueryOptions) (searchFn, *Engine) {
-		m := newMonolith(f.st, f.store, opts)
-		return func(dst []Neighbor, q sparse.Vector) ([]Neighbor, QueryStats) {
-			return m.search(dst, q, SearchParams{})
-		}, m.Engine
-	}
 	for _, arm := range []struct {
 		name   string
-		engine func(QueryOptions) (searchFn, *Engine)
+		engine searchArm
 	}{
 		{"Extract", kernels},
 		{"Monolithic", monolithic},
 	} {
-		b.Run(arm.name, func(b *testing.B) {
-			opts := QueryDefaults()
-			plain, _ := arm.engine(opts)
-			opts.CollectPhases = true
-			phased, eng := arm.engine(opts)
-			var dst []Neighbor
-			for i := 0; i < b.N; i++ {
-				dst, _ = phased(dst[:0], f.qs[i%len(f.qs)])
-			}
-			ph := eng.Phases()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dst, _ = plain(dst[:0], f.qs[i%len(f.qs)])
-			}
-			b.ReportMetric(float64(ph.Q2NS)/float64(b.N), "q2-ns/op")
-			b.ReportMetric(float64(ph.Q3NS)/float64(b.N), "q3-ns/op")
-		})
+		b.Run(arm.name, func(b *testing.B) { benchSearch(b, f, arm.engine) })
 	}
 
 	for _, n := range []int{8000, 32000, 262144} {
 		var set coldSet // built by the first of the arms that runs
+		load := func() {
+			if set.st == nil {
+				if set = f; n != f.st.Len() {
+					set = newColdSet(n)
+				}
+			}
+		}
 		for _, layout := range []string{"Compact", "Items32", "Dense"} {
 			b.Run(fmt.Sprintf("N=%d/%s", n, layout), func(b *testing.B) {
-				if set.st == nil {
-					if set = f; n != f.st.Len() {
-						set = newColdSet(n)
-					}
-				}
+				load()
 				benchLayout(b, set, layout)
 			})
 		}
+		if n == 262144 {
+			b.Run(fmt.Sprintf("N=%d/Extract", n), func(b *testing.B) {
+				load()
+				benchSearch(b, set, kernels)
+			})
+		}
 	}
+}
+
+// searchArm makes one of the benchmark's query paths over set, with opts,
+// and returns it with the engine whose phases it collects.
+type searchArm func(set coldSet, opts QueryOptions) (func(dst []Neighbor, q sparse.Vector) ([]Neighbor, QueryStats), *Engine)
+
+// kernels is the engine's own SearchAppend.
+func kernels(set coldSet, opts QueryOptions) (func(dst []Neighbor, q sparse.Vector) ([]Neighbor, QueryStats), *Engine) {
+	e := NewEngine(set.st, set.store, opts)
+	return func(dst []Neighbor, q sparse.Vector) ([]Neighbor, QueryStats) {
+		return e.SearchAppend(dst, q, SearchParams{})
+	}, e
+}
+
+// monolithic is the pre-kernel loop (monolith).
+func monolithic(set coldSet, opts QueryOptions) (func(dst []Neighbor, q sparse.Vector) ([]Neighbor, QueryStats), *Engine) {
+	m := newMonolith(set.st, set.store, opts)
+	return func(dst []Neighbor, q sparse.Vector) ([]Neighbor, QueryStats) {
+		return m.search(dst, q, SearchParams{})
+	}, m.Engine
+}
+
+// benchSearch times arm's cold search over set's queries: ns/op from an
+// engine that does not collect phases, the q2/q3 metrics and the dot
+// products a query (verified/op) from a second one that does.
+func benchSearch(b *testing.B, set coldSet, arm searchArm) {
+	opts := QueryDefaults()
+	plain, _ := arm(set, opts)
+	opts.CollectPhases = true
+	phased, eng := arm(set, opts)
+	var dst []Neighbor
+	verified := 0
+	for i := 0; i < b.N; i++ {
+		var s QueryStats
+		dst, s = phased(dst[:0], set.qs[i%len(set.qs)])
+		verified += s.Verified
+	}
+	ph := eng.Phases()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst, _ = plain(dst[:0], set.qs[i%len(set.qs)])
+	}
+	b.ReportMetric(float64(ph.Q2NS)/float64(b.N), "q2-ns/op")
+	b.ReportMetric(float64(ph.Q3NS)/float64(b.N), "q3-ns/op")
+	b.ReportMetric(float64(verified)/float64(b.N), "verified/op")
 }
 
 // benchLayout times the default search arm over set's tables, over them with
@@ -129,7 +154,7 @@ func benchLayout(b *testing.B, set coldSet, layout string) {
 	probe := func(ws *Workspace) int {
 		return ProbeMark(st.tables, pairs, ws.sketch, half, ws.lo, ws.hi, ws.first, ws.seen.Words())
 	}
-	tableBytes := float64(st.MemoryBytes()) / float64(p.L())
+	tableBytes := float64(st.MemoryBytes()-int64(cap(st.signs))*8) / float64(p.L())
 	itemBytes := float64(cap(st.tables[0].items.buf))
 	switch layout {
 	case "Items32":
@@ -158,7 +183,7 @@ func benchLayout(b *testing.B, set coldSet, layout string) {
 		ws.cand = ws.seen.AppendSet(ws.cand[:0])
 		ws.seen.ResetList(ws.cand)
 		q2 = now() - t0
-		dst, _ = Verify(dst[:0], ws.cand, 0, e.store, nil, sparse.CosThreshold(e.opts.Radius), ws.mask)
+		dst, _, _ = Verify(dst[:0], ws.cand, 0, st.signs, e.store, nil, e.Filter(ws, SearchParams{}))
 		e.End(ws)
 		return q2
 	}

@@ -130,7 +130,7 @@ func sameBuckets(t *testing.T, what string, st *Static, ref []denseTable) {
 // one-level construction.
 func groupByKey(fam *lshhash.Family, sk *lshhash.Sketches) *Static {
 	p := fam.Params()
-	st := &Static{fam: fam, n: sk.N(), tables: make([]Table, p.L())}
+	st := &Static{fam: fam, n: sk.N(), tables: make([]Table, p.L()), signs: p.PackAll(sk)}
 	var tb TableBuilder
 	keys, hist := make([]uint32, sk.N()), make([]uint32, p.Buckets())
 	for l := range st.tables {
@@ -184,8 +184,8 @@ func TestLayoutMatchesDenseReference(t *testing.T) {
 					ref[l] = denseFromKeys(keys, buckets)
 				}
 				check("built", st, ref)
-				if bound := TableMemoryBound(n, p.K, p.L()); st.MemoryBytes() > bound {
-					t.Fatalf("%s: MemoryBytes %d over TableMemoryBound %d", what, st.MemoryBytes(), bound)
+				if bound, got := TableMemoryBound(n, p.K, p.L()), tablesBytes(t, st); got > bound {
+					t.Fatalf("%s: MemoryBytes less the column %d over TableMemoryBound %d", what, got, bound)
 				}
 
 				tomb := rng.New(uint64(n) + 99)
@@ -429,10 +429,10 @@ func sliceBytes(v reflect.Value) int64 {
 	return b
 }
 
-// TestMemoryBytesCountsEverySlice: MemoryBytes is the capacity of every
-// slice a table holds, found by reflection so that a field added to Table
-// cannot go uncounted — the packed items' array among them — before and
-// after the in-place rewrites.
+// TestMemoryBytesCountsEverySlice: MemoryBytes is the sign-bit column and
+// the capacity of every slice a table holds, found by reflection so that a
+// field added to Table cannot go uncounted — the packed items' array among
+// them — before and after the in-place rewrites.
 func TestMemoryBytesCountsEverySlice(t *testing.T) {
 	fam, mat := testSetup(t, 200)
 	st, err := Build(fam, mat, Defaults())
@@ -440,7 +440,7 @@ func TestMemoryBytesCountsEverySlice(t *testing.T) {
 		t.Fatal(err)
 	}
 	reachable := func() int64 {
-		var b int64
+		b := int64(cap(st.signs)) * 8 // the sign-bit column, beside the tables
 		for l := range st.tables {
 			b += sliceBytes(reflect.ValueOf(&st.tables[l]))
 		}
@@ -456,6 +456,18 @@ func TestMemoryBytesCountsEverySlice(t *testing.T) {
 	if got, want := st.MemoryBytes(), reachable(); got != want {
 		t.Fatalf("after Compact: MemoryBytes = %d, slices hold %d", got, want)
 	}
+}
+
+// tablesBytes is st.MemoryBytes less the sign-bit column, the tables'
+// own footprint, which TableMemoryBound bounds: the column is exactly n
+// packed sketches, which it checks, so the subtraction is exact.
+func tablesBytes(t *testing.T, st *Static) int64 {
+	t.Helper()
+	col := int64(st.n*st.fam.Params().SketchWords()) * 8
+	if got := int64(cap(st.signs)) * 8; got != col {
+		t.Fatalf("the sign-bit column holds %d bytes, %d rows take %d", got, st.n, col)
+	}
+	return st.MemoryBytes() - col
 }
 
 // TestTableMemoryBoundIsTight: the footprint perfmodel.Select budgets with
@@ -480,10 +492,10 @@ func TestTableMemoryBoundIsTight(t *testing.T) {
 		}
 		for _, n := range c.ns {
 			sk := layoutSketches(n, p.M, p.HalfBuckets(), false, uint64(n))
-			got := BuildFromSketches(fam, sk, 2).MemoryBytes()
+			got := tablesBytes(t, BuildFromSketches(fam, sk, 2))
 			bound := TableMemoryBound(n, p.K, p.L())
 			if bound < got || float64(bound) > 1.15*float64(got) {
-				t.Errorf("K=%d n=%d: TableMemoryBound %d, MemoryBytes %d (ratio %.3f)", c.k, n, bound, got, float64(bound)/float64(got))
+				t.Errorf("K=%d n=%d: TableMemoryBound %d, MemoryBytes less the column %d (ratio %.3f)", c.k, n, bound, got, float64(bound)/float64(got))
 			}
 		}
 	}

@@ -40,20 +40,40 @@ import (
 // would leave the array a slot short. A tombstone newer than the copy is
 // the query path's to filter, as it is for any published index.
 //
+// The sign-bit column is old's followed by add's, in a new array, with the
+// entry of every row dead drops zeroed: the column StaticFromTables derives
+// from the merged tables.
+//
 // The inputs are read, never written: old stays published while the merge
 // runs.
 func Merge(old *Static, add *lshhash.Sketches, dead []uint64, workers int) *Static {
-	k := old.fam.Params().K
+	p := old.fam.Params()
+	k := p.K
 	n := old.n + add.N()
 	r := min(uint(k-DirectoryBits(n, k)), old.tables[0].r)
 	delta := buildSketches(old.fam, add, r, workers)
-	st := &Static{fam: old.fam, n: n, tables: make([]Table, len(old.tables))}
+	st := &Static{fam: old.fam, n: n, tables: make([]Table, len(old.tables)), signs: mergeSigns(p, old.signs, delta.signs, dead, n)}
 	pool := sched.NewPool(workers)
 	scratch := make([]mergeScratch, pool.Workers())
 	pool.Run(len(st.tables), func(l, w int) {
 		st.tables[l] = mergeTable(&old.tables[l], &delta.tables[l], uint32(old.n), k, r, dead, &scratch[w])
 	})
 	return st
+}
+
+// mergeSigns returns the column of old's rows then add's, n in all, with
+// every row dead holds a zero entry.
+func mergeSigns(p lshhash.Params, old, add []uint64, dead []uint64, n int) []uint64 {
+	words := p.SketchWords()
+	signs := append(append(make([]uint64, 0, n*words), old...), add...)
+	for w, word := range dead {
+		for ; word != 0; word &= word - 1 {
+			if id := w<<6 + bits.TrailingZeros64(word); id < n {
+				clear(signs[id*words : (id+1)*words])
+			}
+		}
+	}
+	return signs
 }
 
 // mergeScratch is what one worker keeps from table to table: where the

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"plsh/internal/bitvec"
+	"plsh/internal/lshhash"
 	"plsh/internal/sched"
 	"plsh/internal/sparse"
 )
@@ -50,12 +51,15 @@ type SearchParams struct {
 
 // QueryStats counts the work a query performed, matching the quantities of
 // the §7 model: Collisions is the total bucket-entry count over all L
-// tables (duplicates included); Unique is the number of distance
-// computations actually performed (deduplicated candidates minus
-// tombstoned ones); Results is the answer count.
+// tables (duplicates included); Unique is the live unique candidates
+// (deduplicated candidates minus tombstoned ones), each of which the
+// sign-bit check reads; Verified is those of them within the Hamming bound,
+// whose documents are read and whose dot products are computed; Results is
+// the answer count.
 type QueryStats struct {
 	Collisions int
 	Unique     int
+	Verified   int
 	Results    int
 }
 
@@ -65,7 +69,7 @@ type QueryStats struct {
 // attribution of Fig. 6.
 type PhaseTimes struct {
 	Q2NS int64 // bucket reads + duplicate elimination (+ extraction scan)
-	Q3NS int64 // candidate fetch + distance computation
+	Q3NS int64 // sign-bit check + candidate fetch + distance computation
 }
 
 // Engine answers R-near-neighbor queries against a Static index and a
@@ -76,6 +80,8 @@ type Engine struct {
 	st      *Static
 	store   sparse.Store
 	opts    QueryOptions
+	bound   int     // HammingBound at opts.Radius
+	thr     float64 // CosThreshold(opts.Radius)
 	pool    *sched.Pool
 	deleted *bitvec.Vector
 	wsPool  sync.Pool
@@ -83,12 +89,13 @@ type Engine struct {
 	q3ns    atomic.Int64
 }
 
-// Workspace is one in-flight query's private state: the query's sketch and
-// scattered vocabulary mask (Step Q1, done once by Begin) plus the scratch
-// of Step Q2. The node layer reads Sketch and Mask, and probes its delta
-// segments through Probe, under the same Begin — so a query is hashed and
-// scattered once and deduplicates in one private bitvector however many
-// structures it visits. Every field is the workspace's own memory; nothing
+// Workspace is one in-flight query's private state: the query's sketch,
+// packed sketch and scattered vocabulary mask (Step Q1, done once by Begin)
+// plus the scratch of Step Q2. The node layer probes its delta segments
+// through Probe and verifies them under the query's one Filter, under the
+// same Begin — so a query is hashed and scattered once and deduplicates in
+// one private bitvector however many structures it visits. Every field is
+// the workspace's own memory; nothing
 // caller-visible is ever stored in it.
 type Workspace struct {
 	seen   *bitvec.Vector
@@ -98,11 +105,22 @@ type Workspace struct {
 	mask   *sparse.QueryMask
 	scores []float32
 	sketch []uint32
+	signs  []uint64 // sketch, packed (lshhash.Params.Pack)
 }
 
-// Mask returns the query's scattered vocabulary mask for Verify. Valid
-// until End.
-func (ws *Workspace) Mask() *sparse.QueryMask { return ws.mask }
+// Filter is what Verify holds a candidate to, resolved once a query: the
+// query's packed sketch and the Hamming bound T its candidates must be
+// within, then its scattered vocabulary mask and the cosine threshold of
+// the radius its answers must be within. Engine.Filter makes it; a caller
+// may raise Bound to the sketch's M·K/2 bits to verify every candidate, as
+// Fig. 5's rows before the sign-bit check do (internal/expr). The slices are
+// the workspace's, valid until End.
+type Filter struct {
+	Signs []uint64
+	Bound int
+	Mask  *sparse.QueryMask
+	Thr   float64
+}
 
 // Segment is a further structure probed under a workspace's Begin: the
 // node's delta segments. Candidates appends the deduplicated local ids of
@@ -131,10 +149,13 @@ func NewEngine(st *Static, store sparse.Store, opts QueryOptions) *Engine {
 	if opts.Radius <= 0 {
 		opts.Radius = 0.9
 	}
+	p := st.fam.Params()
 	e := &Engine{
 		st:    st,
 		store: store,
 		opts:  opts,
+		bound: lshhash.HammingBound(p.K, p.M, opts.Radius),
+		thr:   sparse.CosThreshold(opts.Radius),
 		pool:  sched.NewPool(opts.Workers),
 	}
 	e.wsPool.New = func() any {
@@ -144,8 +165,9 @@ func NewEngine(st *Static, store sparse.Store, opts QueryOptions) *Engine {
 			hi:     make([]uint32, st.NumTables()),
 			first:  make([]uint32, st.NumTables()),
 			mask:   sparse.NewQueryMask(store.Dimension()),
-			scores: make([]float32, st.fam.Params().NumFuncs()),
-			sketch: make([]uint32, st.fam.Params().M),
+			scores: make([]float32, p.NumFuncs()),
+			sketch: make([]uint32, p.M),
+			signs:  make([]uint64, p.SketchWords()),
 		}
 	}
 	return e
@@ -186,20 +208,34 @@ func (e *Engine) SearchAppend(dst []Neighbor, q sparse.Vector, p SearchParams) (
 		return dst, QueryStats{}
 	}
 	ws := e.Begin(q)
-	res, stats := e.SearchOn(dst, ws, p)
+	res, stats := e.SearchOn(dst, ws, e.Filter(ws, p))
 	e.End(ws)
 	return res, stats
 }
 
 // Begin takes a workspace from the engine's pool and runs Step Q1 on it:
-// q is hashed into the workspace's sketch and scattered into its mask
-// (cheap; the paper ignores its cost too). q must be non-empty. Every Begin
-// is paired with one End.
+// q is hashed into the workspace's sketch, which is packed, and scattered
+// into its mask (cheap; the paper ignores its cost too). q must be
+// non-empty. Every Begin is paired with one End.
 func (e *Engine) Begin(q sparse.Vector) *Workspace {
 	ws := e.wsPool.Get().(*Workspace)
 	e.st.fam.SketchInto(q, ws.scores, ws.sketch)
+	e.st.fam.Params().Pack(ws.signs, ws.sketch)
 	ws.mask.Scatter(q)
 	return ws
+}
+
+// Filter resolves the request's radius for the query ws was begun with: its
+// Hamming bound and cosine threshold — the engine's own, computed once at
+// NewEngine, unless p overrides the radius, when they are computed here
+// without allocating.
+func (e *Engine) Filter(ws *Workspace, p SearchParams) Filter {
+	f := Filter{Signs: ws.signs, Bound: e.bound, Mask: ws.mask, Thr: e.thr}
+	if p.Radius > 0 && p.Radius != e.opts.Radius {
+		fp := e.st.fam.Params()
+		f.Bound, f.Thr = lshhash.HammingBound(fp.K, fp.M, p.Radius), sparse.CosThreshold(p.Radius)
+	}
+	return f
 }
 
 // End clears the mask Begin scattered and returns the workspace to the
@@ -210,11 +246,11 @@ func (e *Engine) End(ws *Workspace) {
 }
 
 // SearchOn runs Steps Q2–Q4 over the static index for the query ws was
-// begun with, appending answers to dst. It only sequences the kernels of
-// kernels.go: it resolves the request's radius once, calls ProbeMark, the
-// extraction scan and Verify, and — under CollectPhases — reads the clock
-// around Q2 and Q3, so Phases reports exactly the kernels' time.
-func (e *Engine) SearchOn(dst []Neighbor, ws *Workspace, p SearchParams) ([]Neighbor, QueryStats) {
+// begun with, under f (Engine.Filter), appending answers to dst. It only
+// sequences the kernels of kernels.go: it calls ProbeMark, the extraction
+// scan and Verify, and — under CollectPhases — reads the clock around Q2
+// and Q3, so Phases reports exactly the kernels' time.
+func (e *Engine) SearchOn(dst []Neighbor, ws *Workspace, f Filter) ([]Neighbor, QueryStats) {
 	var stats QueryStats
 	if e.st.Len() == 0 {
 		return dst, stats
@@ -237,14 +273,10 @@ func (e *Engine) SearchOn(dst []Neighbor, ws *Workspace, p SearchParams) ([]Neig
 		t0 = t1
 	}
 
-	// Steps Q3+Q4: distance computation and radius filter, under the
-	// request's radius when given.
-	radius := e.opts.Radius
-	if p.Radius > 0 {
-		radius = p.Radius
-	}
+	// Steps Q3+Q4: the sign-bit check, then distance computation and the
+	// radius filter over the candidates it keeps.
 	base := len(dst)
-	dst, stats.Unique = Verify(dst, ws.cand, 0, e.store, e.deleted, sparse.CosThreshold(radius), ws.mask)
+	dst, stats.Unique, stats.Verified = Verify(dst, ws.cand, 0, e.st.signs, e.store, e.deleted, f)
 	if e.opts.CollectPhases {
 		e.q3ns.Add(now() - t0)
 	}

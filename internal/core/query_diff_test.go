@@ -15,8 +15,8 @@ import (
 // TestSearchMatchesNaiveReference: over the arena and over a scattered
 // store, × {no tombstones, 10 % tombstones} × {engine radius, request
 // radius}, SearchAppend returns exactly the sketch oracle's neighbours,
-// compared in (distance, ID) order, and its QueryStats: Unique and Results
-// from the oracle over the live rows, Collisions from the one over every row
+// compared in (distance, ID) order, and its QueryStats: Unique, Verified and
+// Results from the oracle over the live rows, Collisions from the one over every row
 // (a tombstone filters answers; the table still holds the row). It must also
 // answer in ascending ID order, the order it verifies in (§5.2.2's
 // sequential access to the store). Each engine is shared by 8 goroutines,
@@ -78,7 +78,7 @@ func TestSearchMatchesNaiveReference(t *testing.T) {
 						}
 						want, st := o.Answers(q, radius, 0)
 						_, collisions := all.Candidates(q)
-						wantStats := QueryStats{Collisions: collisions, Unique: st.Unique, Results: st.Results}
+						wantStats := QueryStats{Collisions: collisions, Unique: st.Unique, Verified: st.Verified, Results: st.Results}
 						SortNeighbors(dst)
 						if got != wantStats || !slices.EqualFunc(dst, want, func(a Neighbor, b oracle.Neighbor) bool { return a == Neighbor(b) }) {
 							t.Errorf("%s del=%v %+v query %d:\n got %v %+v\nwant %v %+v", sc.name, del != nil, rq.p, rq.q, dst, got, want, wantStats)
@@ -92,7 +92,8 @@ func TestSearchMatchesNaiveReference(t *testing.T) {
 }
 
 // TestSearchAppendDoesNotAllocate: with a warm workspace pool and a dst of
-// sufficient capacity, a query allocates nothing.
+// sufficient capacity, a query allocates nothing — at the engine's radius,
+// and at a request's, whose Hamming bound is computed per query.
 func TestSearchAppendDoesNotAllocate(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("sync.Pool drops workspaces at random under -race")
@@ -103,11 +104,13 @@ func TestSearchAppendDoesNotAllocate(t *testing.T) {
 	for _, q := range f.queries { // warm the pooled workspace's buffers
 		eng.SearchAppend(dst, q, SearchParams{})
 	}
-	if n := testing.AllocsPerRun(100, func() {
-		for _, q := range f.queries {
-			eng.SearchAppend(dst, q, SearchParams{})
+	for _, p := range []SearchParams{{}, {Radius: 1.2}} {
+		if n := testing.AllocsPerRun(100, func() {
+			for _, q := range f.queries {
+				eng.SearchAppend(dst, q, p)
+			}
+		}); n != 0 {
+			t.Errorf("%+v: SearchAppend allocates %.1f times per %d queries, want 0", p, n, len(f.queries))
 		}
-	}); n != 0 {
-		t.Errorf("SearchAppend allocates %.1f times per %d queries, want 0", n, len(f.queries))
 	}
 }

@@ -131,8 +131,8 @@ func TestQueryStatsConsistent(t *testing.T) {
 		if stats.Unique > stats.Collisions {
 			t.Fatalf("unique %d > collisions %d", stats.Unique, stats.Collisions)
 		}
-		if stats.Results > stats.Unique {
-			t.Fatalf("results %d > unique %d", stats.Results, stats.Unique)
+		if stats.Results > stats.Verified || stats.Verified > stats.Unique {
+			t.Fatalf("results %d, verified %d, unique %d: not results ≤ verified ≤ unique", stats.Results, stats.Verified, stats.Unique)
 		}
 		if cand, _ := o.Candidates(q); stats.Unique != len(cand) {
 			t.Fatalf("unique = %d, the sketch oracle says %d", stats.Unique, len(cand))
@@ -189,7 +189,7 @@ func TestProbeSharesTheWorkspaceBitvector(t *testing.T) {
 	SortNeighbors(want)
 	ws := eng.Begin(q)
 	for round := 0; round < 2; round++ {
-		got, _ := eng.SearchOn(nil, ws, SearchParams{})
+		got, _ := eng.SearchOn(nil, ws, eng.Filter(ws, SearchParams{}))
 		SortNeighbors(got)
 		if !slices.Equal(got, want) {
 			t.Fatalf("round %d: static answers under a shared workspace differ from a fresh query's", round)

@@ -111,7 +111,7 @@ func checkAgainst32(t *testing.T, what string, st *Static, ref []ref32) {
 	if err := ValidateTables(p, st.n, st.tables); err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
-	var mem int64
+	mem := int64(st.n*p.SketchWords()) * 8 // the sign-bit column
 	for l := range ref {
 		tb, r := &st.tables[l], &ref[l]
 		if tb.r != r.r {
@@ -161,6 +161,7 @@ func reread(t *testing.T, st *Static) *Static {
 			t.Fatalf("table %d: %v", l, err)
 		}
 	}
+	out.signs = signsFromTables(st.fam.Params(), st.n, out.tables)
 	return out
 }
 

@@ -466,10 +466,19 @@ func TableMemoryBound(n, k, l int) int64 {
 // unexported and set only by the functions that return one — Build,
 // BuildFromSketches, Merge and StaticFromTables — so the index a node's
 // snapshot publishes is scanned lock-free by every query.
+//
+// Beside the tables it keeps every row's packed sketch (lshhash.Params.Pack),
+// the sign-bit column Verify reads before a document. Like the rank words
+// the column is derived, never stored: a build packs the sketches it hashed,
+// a merge appends its added rows' to the old column, and StaticFromTables
+// reads it back out of the tables. A row the tables do not hold — one a
+// merge dropped for its tombstone — has a zero entry; it is never a
+// candidate.
 type Static struct {
 	fam    *lshhash.Family
 	n      int
 	tables []Table
+	signs  []uint64 // n packed sketches of SketchWords words
 }
 
 // Family returns the hash family the index was built with.
@@ -488,14 +497,67 @@ func (s *Static) Table(l int) *Table { return &s.tables[l] }
 // treat it as read-only.
 func (s *Static) Tables() []Table { return s.tables }
 
+// Signs returns the sign-bit column: row i's packed sketch is words
+// [i·w, (i+1)·w) for w = SketchWords. Callers must treat it as read-only.
+func (s *Static) Signs() []uint64 { return s.signs }
+
 // StaticFromTables reassembles a Static index from previously serialized
-// tables (see internal/persist), taking ownership of the slice. The tables
-// must pass ValidateTables for n documents under fam's geometry.
+// tables (see internal/persist), taking ownership of the slice, and derives
+// its sign-bit column from them (signsFromTables). The tables must pass
+// ValidateTables for n documents under fam's geometry.
 func StaticFromTables(fam *lshhash.Family, n int, tables []Table) (*Static, error) {
 	if err := ValidateTables(fam.Params(), n, tables); err != nil {
 		return nil, err
 	}
-	return &Static{fam: fam, n: n, tables: tables}, nil
+	return &Static{fam: fam, n: n, tables: tables, signs: signsFromTables(fam.Params(), n, tables)}, nil
+}
+
+// signsFromTables returns the packed sketches of the n rows tables hold. The
+// tables of the disjoint pairs (0, 1), (2, 3), … hold every half-key between
+// them — the last of an odd M in the table (M−2, M−1) — and an item's full
+// key is its directory bucket shifted left by r, OR the r key bits it
+// carries: the pair's two half-keys, side by side. Half-keys a and a+1 of an
+// even a have adjacent lanes in one word (2w divides 64), so an item of the
+// pair's table is one OR into its row. A row no table holds keeps a zero
+// entry. Each table is walked once, in key order, reading its packed entries
+// and items where they lie.
+func signsFromTables(p lshhash.Params, n int, tables []Table) []uint64 {
+	words, lane := p.SketchWords(), uint(p.LaneBits())
+	half := uint(p.K / 2)
+	halfMask := uint32(1)<<half - 1
+	signs := make([]uint64, n*words)
+	for a := 0; a < p.M; a += 2 {
+		// The pair's table; the lanes at bit a·w get u_a, then u_(a+1) w bits
+		// up — or, for an odd M's last half-key, read from (M−2, M−1), only
+		// u_(M−1).
+		pair, keepFirst, up := a, ^uint32(0), lane
+		if a == p.M-1 {
+			pair, keepFirst, up = a-1, 0, 0
+		}
+		bit := uint(a) * lane
+		w, shift := int(bit/64), bit%64
+		t := &tables[lshhash.TableForPair(pair, pair+1, p.M)]
+		r, low := t.r, uint32(1)<<t.r-1
+		ibase, imask := t.items.span(uint(t.n))
+		ebase, emask := t.entries.span(uint(t.nEntries))
+		e := uint(0)
+		start := load(ebase, 0, emask)
+		for ow, word := range t.occ {
+			for ; word != 0; word &= word - 1 {
+				d := uint32(ow<<6+bits.TrailingZeros64(word)) << r
+				e++
+				end := load(ebase, e*t.entries.width, emask)
+				for i := start; i < end; i++ {
+					item := load(ibase, uint(i)*t.items.width, imask)
+					key := d | item&low
+					v := uint64(key>>half&keepFirst) | uint64(key&halfMask)<<up
+					signs[int(item>>r)*words+w] |= v << shift
+				}
+				start = end
+			}
+		}
+	}
+	return signs
 }
 
 // ValidateTables reports whether tables describe n documents under p's
@@ -564,9 +626,9 @@ func ValidateTables(p lshhash.Params, n int, tables []Table) error {
 
 // MemoryBytes reports the bytes the index holds: every table's packed items
 // (the L·N·4 of Eq. 7.4's memory constraint, at ⌈log2 N⌉ + r bits an item) and
-// its bucket directory, counted at capacity.
+// its bucket directory, and the sign-bit column, counted at capacity.
 func (s *Static) MemoryBytes() int64 {
-	var b int64
+	b := int64(cap(s.signs)) * 8
 	for i := range s.tables {
 		t := &s.tables[i]
 		b += int64(cap(t.occ))*8 + int64(cap(t.rank))*4 + int64(cap(t.entries.buf)) + int64(cap(t.items.buf))

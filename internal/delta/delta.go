@@ -34,7 +34,7 @@ import (
 // IDs 0..Len()-1 in arrival order. Table is not internally synchronized;
 // the owning node serializes inserts. Once Freeze is called the table is
 // immutable and every read-side method (Candidates, Occupied, Sketches,
-// MemoryBytes) is safe for arbitrary concurrent use — frozen tables are
+// Signs, MemoryBytes) is safe for arbitrary concurrent use — frozen tables are
 // the building blocks of the node's copy-on-write query snapshots. The
 // frozen flag is what keeps a published table write-once: Insert, the one
 // method that fills buckets, panics on a frozen table, and the other
@@ -44,6 +44,7 @@ type Table struct {
 	pool    *sched.Pool
 	buckets []map[uint32][]uint32 // per table l: key → item IDs
 	sk      *lshhash.Sketches     // retained so Coalesce rebuckets without rehashing
+	signs   []uint64              // sk packed, at Freeze: the segment's sign-bit column
 	n       int
 	frozen  bool
 
@@ -117,11 +118,20 @@ func (d *Table) Len() int { return d.n }
 // from them (ConcatSketches, then core.BuildFromSketches).
 func (d *Table) Sketches() *lshhash.Sketches { return d.sk }
 
-// Freeze marks the table immutable. Further Insert calls panic; reads need
-// no synchronization. Freezing is idempotent. The node freezes a table
-// before it joins the segment list, so a snapshot publishes frozen tables
-// only.
-func (d *Table) Freeze() { d.frozen = true }
+// Signs returns the packed sketch of every row (lshhash.Params.Pack), the
+// column core.Verify reads before a document; nil until Freeze.
+func (d *Table) Signs() []uint64 { return d.signs }
+
+// Freeze marks the table immutable and packs its sketches into its sign-bit
+// column, once. Further Insert calls panic; reads need no synchronization.
+// Freezing is idempotent. The node freezes a table before it joins the
+// segment list, so a snapshot publishes frozen tables only.
+func (d *Table) Freeze() {
+	if !d.frozen {
+		d.signs = d.fam.Params().PackAll(d.sk)
+		d.frozen = true
+	}
+}
 
 // IsFrozen reports whether Freeze has been called.
 func (d *Table) IsFrozen() bool { return d.frozen }
@@ -282,9 +292,10 @@ func (d *Table) Occupied(l int, key uint32) bool {
 }
 
 // MemoryBytes approximates the structure's footprint: bucket contents plus
-// map bookkeeping plus occupancy bitmaps plus retained sketches.
+// map bookkeeping plus occupancy bitmaps plus retained sketches and their
+// sign-bit column.
 func (d *Table) MemoryBytes() int64 {
-	b := int64(len(d.occ)) * 8
+	b := int64(len(d.occ))*8 + int64(len(d.signs))*8
 	for l := range d.buckets {
 		for _, items := range d.buckets[l] {
 			b += int64(cap(items))*4 + 48 // slice payload + map entry overhead

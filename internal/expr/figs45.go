@@ -191,10 +191,13 @@ func partitionPairs(keys1, keys2, hist, outPerm, outKeys2, outOffs []uint32) {
 // optimizations are applied cumulatively. The paper reports a total 8.3×
 // improvement: set→bitvector dedup, optimized sparse dot products,
 // software prefetching (here: sorted candidate extraction), and large
-// pages (here: arena vs per-document document store). Beside each time it
-// prints the unique candidates (distance computations) and the answers per
-// query, which every row must share: the optimizations change how a query
-// is answered, never what.
+// pages (here: arena vs per-document document store). A last row, past the
+// paper's, is the serving path: the sign-bit check that drops a candidate
+// more than the Hamming bound from the query before its dot product. Beside
+// each time it prints the unique candidates and the answers per query,
+// which the paper's rows must share — the optimizations change how a query
+// is answered, never what; the check's row shares the candidates, and
+// drops at most the answers the bound's ε lets it.
 func Fig5(o Options, w io.Writer) error {
 	c := o.twitterCorpus()
 	queries := o.queries(c)
@@ -245,13 +248,16 @@ type searchArm struct {
 
 // fig5Arms lists Fig. 5's rows over st at radius. The first four read
 // documents from per-document allocations (sparse.ScatteredStore), the last
-// from mat's arena. The last two are the serving engine; the first three
-// walk buckets (bucketWalk) on that engine's workspaces.
+// two from mat's arena. The last three are the serving engine, the first
+// three walk buckets (bucketWalk) on that engine's workspaces, and all but
+// the last verify every candidate: their filter's bound is every bit of the
+// sketch.
 func fig5Arms(st *core.Static, mat *sparse.Matrix, radius float64, workers int) []searchArm {
 	scattered := sparse.NewScatteredStore(mat)
 	eng := core.NewEngine(st, scattered, core.QueryOptions{Radius: radius, Workers: workers})
 	arena := core.NewEngine(st, mat, core.QueryOptions{Radius: radius, Workers: workers})
 	thr := sparse.CosThreshold(radius)
+	every := st.Family().Params().NumFuncs()
 	scan := func(walk bucketWalk, mask bool) func([]core.Neighbor, sparse.Vector) ([]core.Neighbor, core.QueryStats) {
 		return func(dst []core.Neighbor, q sparse.Vector) ([]core.Neighbor, core.QueryStats) {
 			if q.NNZ() == 0 {
@@ -262,7 +268,9 @@ func fig5Arms(st *core.Static, mat *sparse.Matrix, radius float64, workers int) 
 			cand := ws.Probe(walk)
 			base := len(dst)
 			if mask {
-				dst, _ = core.Verify(dst, cand, 0, scattered, nil, thr, ws.Mask())
+				f := eng.Filter(ws, core.SearchParams{})
+				f.Bound = every
+				dst, _, _ = core.Verify(dst, cand, 0, st.Signs(), scattered, nil, f)
 			} else {
 				for _, id := range cand {
 					idx, val := scattered.Doc(int(id))
@@ -274,17 +282,27 @@ func fig5Arms(st *core.Static, mat *sparse.Matrix, radius float64, workers int) 
 			return dst, core.QueryStats{Unique: len(cand), Results: len(dst) - base}
 		}
 	}
-	serve := func(e *core.Engine) func([]core.Neighbor, sparse.Vector) ([]core.Neighbor, core.QueryStats) {
+	verifyAll := func(e *core.Engine) func([]core.Neighbor, sparse.Vector) ([]core.Neighbor, core.QueryStats) {
 		return func(dst []core.Neighbor, q sparse.Vector) ([]core.Neighbor, core.QueryStats) {
-			return e.SearchAppend(dst, q, core.SearchParams{})
+			if q.NNZ() == 0 {
+				return dst, core.QueryStats{}
+			}
+			ws := e.Begin(q)
+			defer e.End(ws)
+			f := e.Filter(ws, core.SearchParams{})
+			f.Bound = every
+			return e.SearchOn(dst, ws, f)
 		}
 	}
 	return []searchArm{
 		{"no optimizations", scan(bucketWalk{st: st, set: true}, false)},
 		{"+bitvector", scan(bucketWalk{st: st}, false)},
 		{"+optimized sparse DP", scan(bucketWalk{st: st}, true)},
-		{"+sw prefetch (extract)", serve(eng)},
-		{"+large pages (arena)", serve(arena)},
+		{"+sw prefetch (extract)", verifyAll(eng)},
+		{"+large pages (arena)", verifyAll(arena)},
+		{"+sign-bit check", func(dst []core.Neighbor, q sparse.Vector) ([]core.Neighbor, core.QueryStats) {
+			return arena.SearchAppend(dst, q, core.SearchParams{})
+		}},
 	}
 }
 

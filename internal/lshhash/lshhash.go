@@ -20,6 +20,7 @@ package lshhash
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 	"unsafe"
 
@@ -290,6 +291,45 @@ func (f *Family) SketchAll(mat *sparse.Matrix, pool *sched.Pool) *Sketches {
 			f.SketchInto(mat.Row(i), scores, out.Data[i*f.p.M:(i+1)*f.p.M])
 		}
 	})
+	return out
+}
+
+// A packed sketch is a row's M·K/2 sign bits as ⌈M·w/64⌉ words, half-key i
+// in the w bits at bit i·w, w the smallest power of two ≥ K/2: a lane never
+// straddles a word, and the bits of a lane above K/2 are zero in every
+// packed sketch, so the popcount of two packed sketches' XOR is their
+// Hamming distance over the M·K/2 bits. At K = M = 16 a row packs
+// into 2 words. core keeps a packed sketch per indexed row, and Verify drops
+// a candidate whose distance to the query exceeds HammingBound before it
+// reads the document.
+
+// LaneBits returns w, the bits a half-key's lane takes in a packed sketch.
+func (p Params) LaneBits() int { return 1 << bits.Len(uint(p.K/2-1)) }
+
+// SketchWords returns the words of one packed sketch.
+func (p Params) SketchWords() int { return (p.M*p.LaneBits() + 63) / 64 }
+
+// Pack packs sketch (M half-keys) into dst, which must hold SketchWords
+// words; it writes every one of them.
+func (p Params) Pack(dst []uint64, sketch []uint32) {
+	w := uint(p.LaneBits())
+	dst = dst[:p.SketchWords()]
+	clear(dst)
+	for i, h := range sketch[:p.M] {
+		bit := uint(i) * w
+		dst[bit/64] |= uint64(h) << (bit % 64)
+	}
+}
+
+// PackAll returns the packed sketch of every row of sk, row i at words
+// [i·SketchWords, (i+1)·SketchWords), in an array of exactly that length: a
+// column is sized once and kept.
+func (p Params) PackAll(sk *Sketches) []uint64 {
+	words := p.SketchWords()
+	out := make([]uint64, sk.N()*words)
+	for i := range sk.N() {
+		p.Pack(out[i*words:(i+1)*words], sk.Row(i))
+	}
 	return out
 }
 

@@ -1154,7 +1154,8 @@ func finishSearch(res []core.Neighbor, base int, p SearchParams) []core.Neighbor
 // It takes no locks: the engine, segments and arena prefix are frozen,
 // and tombstones are read atomically. The query is hashed and scattered
 // once, into the engine's workspace, and the static index and every delta
-// segment are probed and verified under that one Begin. p.K is left to the
+// segment are probed and verified under that one Begin and the one Filter
+// the engine resolves the request's radius to. p.K is left to the
 // caller (finishSearch) so the R-near set stays intact for reuse.
 func (n *Node) searchOn(dst []core.Neighbor, s *snapshot, q sparse.Vector, p SearchParams) []core.Neighbor {
 	if q.NNZ() == 0 {
@@ -1162,14 +1163,10 @@ func (n *Node) searchOn(dst []core.Neighbor, s *snapshot, q sparse.Vector, p Sea
 	}
 	ws := s.eng.Begin(q)
 	defer s.eng.End(ws)
-	res, _ := s.eng.SearchOn(dst, ws, core.SearchParams{Radius: p.Radius})
-	radius := n.cfg.Query.Radius
-	if p.Radius > 0 {
-		radius = p.Radius
-	}
-	thr := sparse.CosThreshold(radius)
+	f := s.eng.Filter(ws, core.SearchParams{Radius: p.Radius})
+	res, _ := s.eng.SearchOn(dst, ws, f)
 	for _, sg := range s.segs {
-		res, _ = core.Verify(res, ws.Probe(sg.t), uint32(sg.base), s.store, s.deleted, thr, ws.Mask())
+		res, _, _ = core.Verify(res, ws.Probe(sg.t), uint32(sg.base), sg.t.Signs(), s.store, s.deleted, f)
 	}
 	return res
 }

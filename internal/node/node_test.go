@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"testing"
@@ -647,11 +648,12 @@ func TestSearchAppendDoesNotAllocate(t *testing.T) {
 // TestFleetShareMemoryAndAnswers: a node of the benchmark suite's geometry
 // (K 16, M 16, the tweet corpus) holding as many rows as the smallest and
 // the largest group fleet_routed_batch's router makes of that corpus, 7 199
-// and 8 878, reports at most 460 and 505 bytes a row — its tables' bucket
-// directories index 13 and 14 key bits, not all 16 — and answers 1 000
-// queries, half of them stored rows, exactly as a scan of every row's
-// sketch does: the rows sharing a table key with the query, within the
-// radius. The bytes are a count: this test cannot flake on a slow host.
+// and 8 878, reports at most 460 and 505 bytes a row beside the sign-bit
+// column's exact 16 — its tables' bucket directories index 13 and 14 key
+// bits, not all 16 — and answers 1 000 queries, half of them stored rows,
+// exactly as a scan of every row's sketch does: the rows sharing a table
+// key with the query, within the Hamming bound of its sign bits and within
+// the radius. The bytes are a count: this test cannot flake on a slow host.
 func TestFleetShareMemoryAndAnswers(t *testing.T) {
 	const queries = 1000
 	for _, c := range []struct {
@@ -678,8 +680,9 @@ func TestFleetShareMemoryAndAnswers(t *testing.T) {
 				t.Fatal(err)
 			}
 			mustMerge(t, n)
-			perRow := float64(n.Stats().MemoryBytes) / float64(c.rows)
-			t.Logf("%d rows: %.1f B a row", c.rows, perRow)
+			column := int64(c.rows * cfg.Params.SketchWords() * 8)
+			perRow := float64(n.Stats().MemoryBytes-column) / float64(c.rows)
+			t.Logf("%d rows: %.1f B a row beside the sign-bit column", c.rows, perRow)
 			if perRow > c.limit {
 				t.Errorf("%d rows: %.1f B a row, want at most %v", c.rows, perRow, c.limit)
 			}
@@ -690,6 +693,7 @@ func TestFleetShareMemoryAndAnswers(t *testing.T) {
 				sketches[i] = n.fam.Sketch(d)
 			}
 			thr := sparse.CosThreshold(cfg.Query.Radius)
+			bound := lshhash.HammingBound(p.K, p.M, cfg.Query.Radius)
 			for i := 0; i < queries; i++ {
 				q := col.Mat.Row(c.rows - queries/2 + i)
 				qs := n.fam.Sketch(q)
@@ -697,13 +701,14 @@ func TestFleetShareMemoryAndAnswers(t *testing.T) {
 				for id, s := range sketches {
 					// Two rows share the key of table (a, b) when they agree
 					// on both half-hashes: some table, when on two of the m.
-					agree := 0
+					agree, ham := 0, 0
 					for j := 0; j < p.M; j++ {
 						if s[j] == qs[j] {
 							agree++
 						}
+						ham += bits.OnesCount32(s[j] ^ qs[j])
 					}
-					if dot := sparse.Dot(q, docs[id]); agree >= 2 && dot >= thr {
+					if dot := sparse.Dot(q, docs[id]); agree >= 2 && ham <= bound && dot >= thr {
 						want = append(want, core.Neighbor{ID: uint32(id), Dist: sparse.AngularDistance(dot)})
 					}
 				}

@@ -2,15 +2,18 @@
 // all-pairs tables of §5.1 table (a, b) keys a row by its half-keys a and b,
 // so a row shares a bucket with a query iff their sketches agree on at least
 // 2 of the m half-keys, and it collides in C(agree, 2) tables. Buckets are
-// exact and every search checks every unique candidate, so each layer's
-// answers are a pure function of the sketches, the radius and k (Shinde et
-// al.'s TCAM formulation). An Oracle mirrors rows, their sketches and
-// tombstones and answers from them alone: it reads no table and runs no
-// index code.
+// exact, and every search checks every unique candidate's sign bits and
+// computes the distance of each within lshhash.HammingBound of the query's,
+// so each layer's answers are a pure function of the sketches, the radius
+// and k (Shinde et al.'s TCAM formulation). An Oracle mirrors rows, their
+// sketches and tombstones and answers from them alone: it reads no table,
+// packs no sketch and runs no index code — it counts a Hamming distance as
+// the popcounts of the half-keys' XORs.
 package oracle
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 
 	"plsh/internal/lshhash"
@@ -24,10 +27,12 @@ type Neighbor struct {
 }
 
 // Stats counts a search's work the way core.QueryStats does: Unique live
-// candidates, Results of them within the radius (before any cut at k).
+// candidates, Verified of them within the Hamming bound, Results of those
+// within the radius (before any cut at k).
 type Stats struct {
-	Unique  int
-	Results int
+	Unique   int
+	Verified int
+	Results  int
 }
 
 // Oracle mirrors an index's rows under the IDs the index assigns them:
@@ -88,18 +93,31 @@ func (o *Oracle) Candidates(q sparse.Vector) ([]uint32, int) {
 	return ids, collisions
 }
 
-// Answers returns the candidates within radius of q in ascending (distance,
-// ID) order, cut at k when k > 0, with the search's Stats.
+// Answers returns the candidates within the Hamming bound of q's sketch
+// and within radius of q, in ascending (distance, ID) order, cut at k when
+// k > 0, with the search's Stats.
 func (o *Oracle) Answers(q sparse.Vector, radius float64, k int) ([]Neighbor, Stats) {
 	cand, _ := o.Candidates(q)
+	qs := o.fam.Sketch(q)
+	p := o.fam.Params()
+	bound := lshhash.HammingBound(p.K, p.M, radius)
 	thr := sparse.CosThreshold(radius)
 	var out []Neighbor
+	st := Stats{Unique: len(cand)}
 	for _, id := range cand {
+		ham := 0
+		for j, h := range o.sketches[id] {
+			ham += bits.OnesCount32(h ^ qs[j])
+		}
+		if ham > bound {
+			continue
+		}
+		st.Verified++
 		if dot := sparse.Dot(q, o.rows[id]); dot >= thr {
 			out = append(out, Neighbor{ID: id, Dist: sparse.AngularDistance(dot)})
 		}
 	}
-	st := Stats{Unique: len(cand), Results: len(out)}
+	st.Results = len(out)
 	slices.SortFunc(out, func(a, b Neighbor) int {
 		return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.ID, b.ID))
 	})

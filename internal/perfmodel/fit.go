@@ -35,10 +35,10 @@ func (fc FitConfig) withDefaults() FitConfig {
 
 // refRun is one instrumented engine measurement.
 type refRun struct {
-	q2, q3             float64 // summed phase ns
-	collisions, unique float64
-	queries            float64
-	tables             float64
+	q2, q3                       float64 // summed phase ns
+	collisions, unique, verified float64
+	queries                      float64
+	tables                       float64
 }
 
 // FitQuery refines the query-side constants by running the instrumented
@@ -46,10 +46,11 @@ type refRun struct {
 // decomposition for the per-operation costs:
 //
 //	Q2 = CollisionNS·#collisions + TableProbeNS·L·q + ScanNSPerWord·(N/64)·q
-//	Q3 = UniqueNS·#unique + Q3FixedNS·q
+//	Q3 = CheckNS·#unique + UniqueNS·#verified
 //
 // With two (k, m) points the two dominant Q2 unknowns (per-collision and
-// per-table) separate, as do Q3's per-candidate and per-query terms. This
+// per-table) separate, as do Q3's per-check and per-dot-product terms: the
+// Hamming bound rejects a different share of the candidates at each. This
 // is the regression-style calibration of Slaney et al. (cited by the
 // paper, §2) in place of datasheet cycle counts; the reference points stay
 // away from production parameters so Fig. 6/7 remain extrapolations.
@@ -82,10 +83,24 @@ func (c Costs) FitQuery(mat *sparse.Matrix, fc FitConfig) (Costs, error) {
 		}
 	}
 
-	// Q3: pooled per-candidate cost across the runs.
-	if u := runs[0].unique + runs[1].unique; u > 0 {
-		if uniq := (runs[0].q3 + runs[1].q3) / u; uniq > 0 {
-			c.UniqueNS = uniq
+	// Q3: the two runs' equations solved for the check and the dot product.
+	// Where they do not separate them — too alike to solve, or a solution
+	// that noise made negative or that prices the check of a packed sketch
+	// above the dot product over a document — the calibrated CheckNS stays
+	// and the dot product's cost is what the check leaves of the pooled
+	// time.
+	a, b := runs[0], runs[1]
+	if det := a.unique*b.verified - b.unique*a.verified; det != 0 {
+		check := (a.q3*b.verified - b.q3*a.verified) / det
+		dot := (a.unique*b.q3 - b.unique*a.q3) / det
+		if check > 0 && dot > check {
+			c.CheckNS, c.UniqueNS = check, dot
+			return c, nil
+		}
+	}
+	if v := a.verified + b.verified; v > 0 {
+		if dot := (a.q3 + b.q3 - c.CheckNS*(a.unique+b.unique)) / v; dot > 0 {
+			c.UniqueNS = dot
 		}
 	}
 	return c, nil
@@ -110,6 +125,7 @@ func (c Costs) referenceRun(mat *sparse.Matrix, k, m int, fc FitConfig) (refRun,
 		q3:         float64(ph.Q3NS),
 		collisions: float64(stats.Collisions),
 		unique:     float64(stats.Unique),
+		verified:   float64(stats.Verified),
 		queries:    float64(len(queries)),
 		tables:     float64(m * (m - 1) / 2),
 	}, nil
@@ -147,6 +163,7 @@ func Measure(fam *lshhash.Family, mat *sparse.Matrix, queries []sparse.Vector, r
 			if rep == 0 {
 				sum.Collisions += s.Collisions
 				sum.Unique += s.Unique
+				sum.Verified += s.Verified
 				sum.Results += s.Results
 			}
 		}

@@ -2,11 +2,13 @@
 // and §7.3 parameter selection.
 //
 // The model decomposes query time into T_Q2·E[#collisions] + a bitvector
-// scan term + T_Q3·E[#unique], and construction time into hashing, first-
-// level and second-level partitioning terms. The expectations are estimated
-// from the data by sampling (Eqs. 7.1–7.2): for sampled query/point pairs
-// at angular distance d, a table collides with probability p(d)^k and the
-// all-pairs scheme retrieves the point with probability P′(d, k, m).
+// scan term + the sign-bit check's cost·E[#unique] + T_Q3·E[#verified], and
+// construction time into hashing, first-level and second-level partitioning
+// terms. The expectations are estimated from the data by sampling (Eqs.
+// 7.1–7.2): for sampled query/point pairs at angular distance d, a table
+// collides with probability p(d)^k, the all-pairs scheme retrieves the point
+// with probability P′(d, k, m), and it both retrieves the point and finds it
+// within the Hamming bound with the probability ExpVerified sums.
 //
 // Where the paper derives its cost constants from hardware datasheets
 // (cycles per op, bytes per cache line, achieved bandwidth on a Xeon
@@ -42,8 +44,12 @@ type Costs struct {
 	// L times per query. The paper's regime (thousands of collisions per
 	// query) hides this constant; at reduced scale it dominates Q2.
 	TableProbeNS float64
-	// UniqueNS is T_Q3: loading one candidate document and computing the
-	// masked sparse dot product, per average-NNZ document.
+	// CheckNS is Step Q3's sign-bit check per live unique candidate:
+	// loading its packed sketch and the popcount of its XOR with the
+	// query's.
+	CheckNS float64
+	// UniqueNS is T_Q3: loading one candidate document the check kept and
+	// computing the masked sparse dot product, per average-NNZ document.
 	UniqueNS float64
 	// HashNS is the hashing kernel cost per (non-zero × elementary hash
 	// function) pair.
@@ -83,6 +89,10 @@ type Workload struct {
 	MeanNNZ float64
 	// Dists holds sampled query→point distances (radians).
 	Dists []float64
+	// Radius is the query radius the engine verifies candidates at, which
+	// fixes the Hamming bound; <= 0 means the paper's 0.9, the engine's
+	// default.
+	Radius float64
 }
 
 // SampleWorkload draws nQueries×nPoints distance samples from mat ("We use
@@ -140,27 +150,129 @@ func (w Workload) ExpUnique(k, m int) float64 {
 	return s / float64(len(w.Dists)) * float64(w.N)
 }
 
+// ExpVerified estimates E[#verified] per query: the candidates whose
+// distance core.Verify computes, Σ_v P(at least 2 of the m half-keys agree
+// and the Hamming distance over the m·k/2 bits is at most T), T =
+// lshhash.HammingBound at w's radius, scaled from the sample to the full
+// dataset. Each bit differs with probability d/π, independently, so the
+// probability is exact at any one distance (verifiedProb), but it costs a
+// DP of m·T·k/2 steps — 200 000 at k = 24, m = 64 — and a sample holds up
+// to a million distances. So it is taken exactly at the verifiedGrid + 1
+// distances i·π/verifiedGrid the sample falls between, and linearly between
+// them: a smooth function at a step under 0.001 rad, within 10⁻⁴ of the
+// exact sum on the test corpus.
+func (w Workload) ExpVerified(k, m int) float64 {
+	if len(w.Dists) == 0 {
+		return 0
+	}
+	radius := w.Radius
+	if radius <= 0 {
+		radius = 0.9
+	}
+	bound := lshhash.HammingBound(k, m, radius)
+	scratch := make([]float64, 2*(bound+1))
+	nodes := make([]float64, verifiedGrid+1)
+	for i := range nodes {
+		nodes[i] = -1 // not yet taken
+	}
+	node := func(i int) float64 {
+		if nodes[i] < 0 {
+			nodes[i] = verifiedProb(float64(i)*math.Pi/verifiedGrid, k, m, bound, scratch)
+		}
+		return nodes[i]
+	}
+	var s float64
+	for _, d := range w.Dists {
+		x := min(max(d, 0), math.Pi) / math.Pi * verifiedGrid
+		i := min(int(x), verifiedGrid-1)
+		f := x - float64(i)
+		s += node(i)*(1-f) + node(i+1)*f
+	}
+	return s / float64(len(w.Dists)) * float64(w.N)
+}
+
+// verifiedGrid is how many steps ExpVerified divides [0, π] into.
+const verifiedGrid = 4096
+
+// verifiedProb is P(at least 2 of m half-keys agree, and at most bound of
+// the m·k/2 bits differ) for two points at angle d. A half-key's differing
+// bits j are Bin(k/2, d/π) and it agrees iff j = 0, so with c(x) = Σ_{j≥1}
+// P(j)·x^j — a half-key that disagrees, by its differing bits — and q its
+// agreement probability,
+//
+//	P = P[Bin(m·k/2, d/π) ≤ T] − [x^≤T] c(x)^m − m·q·[x^≤T] c(x)^(m−1):
+//
+// every pair within T bits, less those with no half-key agreeing and those
+// with exactly one. The powers of c are taken one half-key at a time,
+// truncated at x^T, in scratch (2·(bound+1) long).
+func verifiedProb(d float64, k, m, bound int, scratch []float64) float64 {
+	p := 1 - lshhash.CollisionProb(d)
+	if p >= 1 {
+		return 0 // every bit differs: no half-key agrees
+	}
+	half := k / 2
+	var c [17]float64 // c[j] = P(j) for j ≥ 1; half ≤ 16
+	pj := math.Pow(1-p, float64(half))
+	q := pj
+	for j := 1; j <= half; j++ {
+		pj *= float64(half-j+1) / float64(j) * p / (1 - p)
+		c[j] = pj
+	}
+	pow, next := scratch[:bound+1], scratch[bound+1:2*(bound+1)]
+	clear(pow)
+	pow[0] = 1 // c^0
+	var none, one float64
+	for i := 1; i <= m; i++ {
+		clear(next)
+		for h, v := range pow {
+			for j := 1; j <= half && h+j <= bound; j++ {
+				next[h+j] += v * c[j]
+			}
+		}
+		pow, next = next, pow
+		var sum float64
+		for _, v := range pow {
+			sum += v
+		}
+		if i == m-1 {
+			one = float64(m) * q * sum
+		}
+		none = sum
+	}
+	n := m * half
+	within := 0.0
+	pt := math.Pow(1-p, float64(n))
+	for t := 0; t <= bound; t++ {
+		within += pt
+		pt *= float64(n-t) / float64(t+1) * p / (1 - p)
+	}
+	return max(0, within-none-one)
+}
+
 // QueryEstimate is a per-query time prediction split by phase.
 type QueryEstimate struct {
 	Collisions float64 // E[#collisions]
 	Unique     float64 // E[#unique]
+	Verified   float64 // E[#verified]
 	Q2NS       float64 // T_Q2·E[#collisions] + scan term
-	Q3NS       float64 // T_Q3·E[#unique]
+	Q3NS       float64 // CheckNS·E[#unique] + T_Q3·E[#verified]
 	TotalNS    float64
 }
 
 // EstimateQuery predicts single-threaded per-query cost for (k, m) on w:
 // T_Q2·E[#collisions] + per-table probes + the bitvector scan, plus
-// T_Q3·E[#unique] (§7.2, with the probe constant added — see TableProbeNS).
+// CheckNS·E[#unique] + T_Q3·E[#verified] (§7.2, with the probe constant
+// added — see TableProbeNS — and Step Q3 split at the sign-bit check).
 func (c Costs) EstimateQuery(w Workload, k, m int) QueryEstimate {
 	e := QueryEstimate{
 		Collisions: w.ExpCollisions(k, m),
 		Unique:     w.ExpUnique(k, m),
+		Verified:   w.ExpVerified(k, m),
 	}
 	L := float64(m * (m - 1) / 2)
 	scan := c.ScanNSPerWord * float64(w.N) / 64
 	e.Q2NS = c.CollisionNS*e.Collisions + c.TableProbeNS*L + scan
-	e.Q3NS = c.UniqueNS*e.Unique + c.Q3FixedNS
+	e.Q3NS = c.CheckNS*e.Unique + c.UniqueNS*e.Verified + c.Q3FixedNS
 	e.TotalNS = e.Q2NS + e.Q3NS
 	return e
 }
@@ -216,6 +328,7 @@ var ErrNoFeasible = errors.New("perfmodel: no feasible (k, m) under the given co
 // the width of a table key (p(R)^32 < 1e-4 at R=0.9; beyond is pointless,
 // §7.3).
 func Select(c Costs, w Workload, radius, delta float64, kMax, mMax int, memBudget int64) (Choice, error) {
+	w.Radius = radius
 	best := Choice{}
 	found := false
 	for k := 2; k <= kMax && (lshhash.Params{Dim: 1, K: k, M: 2}).Validate() == nil; k += 2 {

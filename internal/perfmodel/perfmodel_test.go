@@ -35,6 +35,7 @@ func TestCalibratePositive(t *testing.T) {
 		"CollisionNS":   c.CollisionNS,
 		"ScanNSPerWord": c.ScanNSPerWord,
 		"TableProbeNS":  c.TableProbeNS,
+		"CheckNS":       c.CheckNS,
 		"UniqueNS":      c.UniqueNS,
 	})
 	// Sanity ordering: a masked dot over a whole document costs more than
@@ -42,6 +43,7 @@ func TestCalibratePositive(t *testing.T) {
 	if c.UniqueNS < c.CollisionNS {
 		t.Errorf("UniqueNS %v < CollisionNS %v", c.UniqueNS, c.CollisionNS)
 	}
+	t.Logf("CheckNS %.1f, UniqueNS %.1f", c.CheckNS, c.UniqueNS)
 }
 
 func TestCalibrateBuildPositive(t *testing.T) {
@@ -52,7 +54,7 @@ func TestCalibrateBuildPositive(t *testing.T) {
 		"GatherNS":      c.GatherNS,
 		"SecondLevelNS": c.SecondLevelNS,
 	})
-	if c.CollisionNS != 0 || c.TableProbeNS != 0 || c.ScanNSPerWord != 0 || c.UniqueNS != 0 {
+	if c.CollisionNS != 0 || c.TableProbeNS != 0 || c.ScanNSPerWord != 0 || c.CheckNS != 0 || c.UniqueNS != 0 {
 		t.Errorf("CalibrateBuild set a query constant: %+v", c)
 	}
 }
