@@ -25,7 +25,7 @@ type BuildTimings struct {
 	HashNS int64 // sketch computation (§5.1.1)
 	I1NS   int64 // first-level partitions (Step I1)
 	I2NS   int64 // second-key gather (Step I2)
-	I3NS   int64 // second-level partitions (Step I3)
+	I3NS   int64 // second-level keys and partitions (Step I3)
 }
 
 // Build constructs a Static index over every row of mat.
@@ -41,17 +41,12 @@ func BuildTimed(fam *lshhash.Family, mat *sparse.Matrix, opts BuildOptions) (*St
 		return nil, tm, err
 	}
 	pool := sched.NewPool(opts.Workers)
-	p := fam.Params()
-	n := mat.Rows()
+	k := fam.Params().K
 
 	t0 := now()
 	sk := fam.SketchAll(mat, pool)
-	signs := p.PackAll(sk)
 	tm.HashNS = now() - t0
-
-	st := &Static{fam: fam, n: n, tables: make([]Table, p.L()), signs: signs}
-	buildShared(st, sk, p, uint(p.K-DirectoryBits(n, p.K)), pool, &tm)
-	return st, tm, nil
+	return buildShared(fam, sk, uint(k-DirectoryBits(mat.Rows(), k)), pool, &tm), tm, nil
 }
 
 // MustBuild is Build for callers whose dimensions are statically known to
@@ -65,10 +60,10 @@ func MustBuild(fam *lshhash.Family, mat *sparse.Matrix, opts BuildOptions) *Stat
 }
 
 // BuildFromSketches constructs a Static index from precomputed sketches, row
-// i of sk becoming document i — Build without its hashing phase; it packs
-// the sketches into its sign-bit column. (Merge builds the tables of a
-// streaming merge's delta rows the same way, from the sketches the delta
-// segments kept.)
+// i of sk becoming document i — Build without its hashing phase. sk's words
+// become the index's sign-bit column, so the caller must not change them.
+// (Merge builds the tables of a streaming merge's delta rows the same way,
+// from the sketches the delta segments kept.)
 func BuildFromSketches(fam *lshhash.Family, sk *lshhash.Sketches, workers int) *Static {
 	p := fam.Params()
 	return buildSketches(fam, sk, uint(p.K-DirectoryBits(sk.N(), p.K)), workers)
@@ -76,41 +71,37 @@ func BuildFromSketches(fam *lshhash.Family, sk *lshhash.Sketches, workers int) *
 
 // buildSketches is BuildFromSketches at a given r.
 func buildSketches(fam *lshhash.Family, sk *lshhash.Sketches, r uint, workers int) *Static {
-	pool := sched.NewPool(workers)
-	p := fam.Params()
-	st := &Static{fam: fam, n: sk.N(), tables: make([]Table, p.L()), signs: p.PackAll(sk)}
-	var tm BuildTimings
-	buildShared(st, sk, p, r, pool, &tm)
-	return st
+	return buildShared(fam, sk, r, sched.NewPool(workers), new(BuildTimings))
 }
 
-// buildShared is the paper's full algorithm (Steps I1–I3 of §5.1.2): one
-// first-level partition per hash function u_a, shared by all tables (a, ·),
-// then per-table second-level refinement by u_b's top k/2 − r bits — m−1
-// first-level passes + L second-level passes instead of 2L.
+// buildShared returns the index over sk's rows, its items carrying r key
+// bits and its sign-bit column sk's words, built by the paper's full
+// algorithm (Steps I1–I3 of §5.1.2): one first-level partition per hash
+// function u_a, shared by all tables (a, ·), then per-table second-level
+// refinement by u_b's top k/2 − r bits — m−1 first-level passes + L
+// second-level passes instead of 2L.
 //
-// Steps I1 and I2 are fused: the first-level scatter carries every
-// remaining hash column u_{a+1..m} along with the data index, so the
-// "rearrange the hash values according to the final scatter offsets" step
-// costs no random gather — sketch rows are read sequentially exactly once
-// per first-level function, and each table (a, b) then reads its
-// second-level keys sequentially from the shared column buffer.
-func buildShared(st *Static, sk *lshhash.Sketches, p lshhash.Params, r uint, pool *sched.Pool, tm *BuildTimings) {
-	n := sk.N()
+// Steps I1 and I2 are fused: the first-level scatter carries each row's
+// packed sketch along with the data index, so the "rearrange the hash
+// values according to the final scatter offsets" step costs no random
+// gather — sketch rows are read sequentially exactly once per first-level
+// function, and each table (a, b) then reads u_b sequentially out of the
+// moved rows into its second-level keys. A packed row is SketchWords words
+// (16 B at K = M = 16), so the scatter writes one stream of rows, not one
+// stream per remaining half-key.
+func buildShared(fam *lshhash.Family, sk *lshhash.Sketches, r uint, pool *sched.Pool, tm *BuildTimings) *Static {
+	p, n := fam.Params(), sk.N()
+	st := &Static{fam: fam, n: n, tables: make([]Table, p.L()), signs: sk.Data}
 	halfB := p.HalfBuckets()
 	m := p.M
 
 	// Shared buffers, reused across first-level functions.
 	perm := make([]uint32, n)
 	offs := make([]uint32, halfB+1)
-	cols := make([][]uint32, m)
-	for j := 1; j < m; j++ {
-		cols[j] = make([]uint32, n)
-	}
+	moved := p.NewSketches(n) // the rows in first-level order
 	type scratch struct {
-		hist  []uint32
-		items []uint32
-		tb    TableBuilder
+		hist, items, keys []uint32
+		tb                TableBuilder
 	}
 	ws := make([]scratch, pool.Workers())
 
@@ -153,8 +144,8 @@ func buildShared(st *Static, sk *lshhash.Sketches, p lshhash.Params, r uint, poo
 		}
 		tm.I1NS += now() - t0
 
-		// Step I2 (fused scatter): move each data index and its remaining
-		// hash columns to the first-level position. Sketch rows are read
+		// Step I2 (fused scatter): move each data index and its packed
+		// sketch to the first-level position. Sketch rows are read
 		// sequentially; writes go to 2^(k/2) partition streams.
 		t1 := now()
 		if n > 0 {
@@ -162,21 +153,19 @@ func buildShared(st *Static, sk *lshhash.Sketches, p lshhash.Params, r uint, poo
 			pool.Static(n, func(lo, hi, self int) {
 				h := hists[self]
 				for i := lo; i < hi; i++ {
-					row := sk.Row(i)
-					dst := h[row[aa]]
-					h[row[aa]]++
+					key := sk.At(i, aa)
+					dst := h[key]
+					h[key]++
 					perm[dst] = uint32(i)
-					for j := aa + 1; j < m; j++ {
-						cols[j][dst] = row[j]
-					}
+					copy(moved.Row(int(dst)), sk.Row(i))
 				}
 			})
 		}
 		tm.I2NS += now() - t1
 
-		// Step I3: second-level partitions of every table (a, b), in
-		// parallel over tables (work stealing, as the paper's task-queue
-		// model prescribes).
+		// Step I3: second-level partitions of every table (a, b), keyed by
+		// u_b read in order out of the moved rows, in parallel over tables
+		// (work stealing, as the paper's task-queue model prescribes).
 		t2 := now()
 		pool.Run(m-1-a, func(i, wkr int) {
 			b := a + 1 + i
@@ -184,12 +173,17 @@ func buildShared(st *Static, sk *lshhash.Sketches, p lshhash.Params, r uint, poo
 			if s.hist == nil {
 				s.hist = make([]uint32, halfB)
 				s.items = make([]uint32, n)
+				s.keys = make([]uint32, n)
+			}
+			for k := range s.keys {
+				s.keys[k] = moved.At(k, b)
 			}
 			l := lshhash.TableForPair(a, b, m)
-			st.tables[l] = SecondLevel(&s.tb, perm, cols[b], offs, s.hist, s.items, p, r)
+			st.tables[l] = SecondLevel(&s.tb, perm, s.keys, offs, s.hist, s.items, p, r)
 		})
 		tm.I3NS += now() - t2
 	}
+	return st
 }
 
 // SecondLevel refines each first-level segment of perm1 by the top k/2 − r

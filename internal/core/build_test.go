@@ -44,7 +44,7 @@ func checkTableInvariants(t *testing.T, st *Static, sk *lshhash.Sketches) {
 					t.Fatalf("table %d: item %d appears twice", l, item)
 				}
 				seen[item] = true
-				want := sk.TableKey(int(item), a, b, p.K)
+				want := sk.TableKey(int(item), a, b)
 				if want != uint32(key) {
 					t.Fatalf("table %d: item %d in bucket %d, key says %d", l, item, key, want)
 				}
@@ -70,11 +70,11 @@ func oneLevel(t *testing.T, fam *lshhash.Family, sk *lshhash.Sketches) *Static {
 	for l := range tables {
 		a, b := lshhash.PairForTable(l, p.M)
 		for i := range keys {
-			keys[i] = sk.TableKey(i, a, b, p.K)
+			keys[i] = sk.TableKey(i, a, b)
 		}
 		tables[l] = tb.GroupByKey(keys, p.K, hist)
 	}
-	st, err := StaticFromTables(fam, sk.N(), tables)
+	st, err := StaticFromTables(fam, sk.N(), tables, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,10 +84,11 @@ func oneLevel(t *testing.T, fam *lshhash.Family, sk *lshhash.Sketches) *Static {
 // scalarSketches sketches every row of mat with the scalar kernel.
 func scalarSketches(fam *lshhash.Family, mat *sparse.Matrix) *lshhash.Sketches {
 	p := fam.Params()
-	sk := &lshhash.Sketches{M: p.M, Data: make([]uint32, mat.Rows()*p.M)}
-	scores := make([]float32, p.NumFuncs())
+	sk := p.NewSketches(mat.Rows())
+	scores, sketch := make([]float32, p.NumFuncs()), make([]uint32, p.M)
 	for i := 0; i < mat.Rows(); i++ {
-		fam.SketchScalarInto(mat.Row(i), scores, sk.Row(i))
+		fam.SketchScalarInto(mat.Row(i), scores, sketch)
+		sk.Put(i, sketch)
 	}
 	return sk
 }

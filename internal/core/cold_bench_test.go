@@ -7,6 +7,7 @@ import (
 
 	"plsh/internal/corpus"
 	"plsh/internal/lshhash"
+	"plsh/internal/sched"
 	"plsh/internal/sparse"
 )
 
@@ -371,4 +372,41 @@ func probeUnstagedNoLoop(tables []Table, pairs []lshhash.Pair, sketch []uint32, 
 		sum += int(t.items.at(min(t.start(slot), max(t.n, 1)-1)))
 	}
 	return sum
+}
+
+// BenchmarkBuild times the serving build, BuildTimed, over the suite's
+// geometry (coldSet's: tweet-like rows over a 50 000-word vocabulary, K = M
+// = 16) at static_query's 32 000 rows and at 222 000, and reports its
+// phases per build: hash-ns/op (sketching, §5.1.1) and i1-, i2- and
+// i3-ns/op (Steps I1–I3 of §5.1.2). The family has hashed every row once
+// before the timed loop, so no build pays for drawing hyperplane rows.
+//
+//	go test -run '^$' -bench 'Build$' -benchtime 5x ./internal/core
+func BenchmarkBuild(b *testing.B) {
+	for _, n := range []int{32000, 222000} {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			fam, err := lshhash.NewFamily(lshhash.Params{Dim: 50000, K: 16, M: 16, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			mat := corpus.Generate(corpus.Twitter(n, 50000, 1)).Mat
+			fam.SketchAll(mat, sched.NewPool(0))
+			var sum BuildTimings
+			for b.Loop() {
+				_, tm, err := BuildTimed(fam, mat, Defaults())
+				if err != nil {
+					b.Fatal(err)
+				}
+				sum.HashNS += tm.HashNS
+				sum.I1NS += tm.I1NS
+				sum.I2NS += tm.I2NS
+				sum.I3NS += tm.I3NS
+			}
+			per := func(ns int64) float64 { return float64(ns) / float64(b.N) }
+			b.ReportMetric(per(sum.HashNS), "hash-ns/op")
+			b.ReportMetric(per(sum.I1NS), "i1-ns/op")
+			b.ReportMetric(per(sum.I2NS), "i2-ns/op")
+			b.ReportMetric(per(sum.I3NS), "i3-ns/op")
+		})
+	}
 }

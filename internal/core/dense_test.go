@@ -95,18 +95,23 @@ func probeMarkDense(tables []denseTable, pairs []lshhash.Pair, sketch []uint32, 
 	return collisions
 }
 
-// layoutSketches draws n sketches of m half-hashes below halfB: uniform, or
-// with the cube of a uniform variate so a few values take most of the mass
-// and most buckets stay empty.
-func layoutSketches(n, m, halfB int, skewed bool, seed uint64) *lshhash.Sketches {
+// layoutSketches draws n sketches of p's M half-hashes: uniform, or with
+// the cube of a uniform variate so a few values take most of the mass and
+// most buckets stay empty.
+func layoutSketches(p lshhash.Params, n int, skewed bool, seed uint64) *lshhash.Sketches {
 	src := rng.New(seed)
-	sk := &lshhash.Sketches{M: m, Data: make([]uint32, n*m)}
-	for i := range sk.Data {
-		if u := src.Float64(); skewed {
-			sk.Data[i] = uint32(u * u * u * float64(halfB))
-		} else {
-			sk.Data[i] = uint32(u * float64(halfB))
+	halfB := float64(p.HalfBuckets())
+	sk := p.NewSketches(n)
+	row := make([]uint32, p.M)
+	for i := range n {
+		for j := range row {
+			if u := src.Float64(); skewed {
+				row[j] = uint32(u * u * u * halfB)
+			} else {
+				row[j] = uint32(u * halfB)
+			}
 		}
+		sk.Put(i, row)
 	}
 	return sk
 }
@@ -130,13 +135,13 @@ func sameBuckets(t *testing.T, what string, st *Static, ref []denseTable) {
 // one-level construction.
 func groupByKey(fam *lshhash.Family, sk *lshhash.Sketches) *Static {
 	p := fam.Params()
-	st := &Static{fam: fam, n: sk.N(), tables: make([]Table, p.L()), signs: p.PackAll(sk)}
+	st := &Static{fam: fam, n: sk.N(), tables: make([]Table, p.L()), signs: sk.Data}
 	var tb TableBuilder
 	keys, hist := make([]uint32, sk.N()), make([]uint32, p.Buckets())
 	for l := range st.tables {
 		a, b := lshhash.PairForTable(l, p.M)
 		for i := range keys {
-			keys[i] = sk.TableKey(i, a, b, p.K)
+			keys[i] = sk.TableKey(i, a, b)
 		}
 		st.tables[l] = tb.GroupByKey(keys, p.K, hist)
 	}
@@ -162,7 +167,7 @@ func TestLayoutMatchesDenseReference(t *testing.T) {
 	}
 	for _, n := range []int{0, 1, buckets - 1, buckets, 4 * buckets} {
 		for _, skewed := range []bool{false, true} {
-			sk := layoutSketches(n, p.M, p.HalfBuckets(), skewed, uint64(n)+1)
+			sk := layoutSketches(p, n, skewed, uint64(n)+1)
 			for _, arm := range arms {
 				what := fmt.Sprintf("%s n=%d skewed=%v", arm.name, n, skewed)
 				check := func(step string, st *Static, ref []denseTable) {
@@ -179,7 +184,7 @@ func TestLayoutMatchesDenseReference(t *testing.T) {
 				for l := range ref {
 					a, b := lshhash.PairForTable(l, p.M)
 					for i := range keys {
-						keys[i] = sk.TableKey(i, a, b, p.K)
+						keys[i] = sk.TableKey(i, a, b)
 					}
 					ref[l] = denseFromKeys(keys, buckets)
 				}
@@ -219,7 +224,7 @@ func TestStaticFromTablesRejectsBadDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range []int{300, 20} {
-		sk := layoutSketches(n, p.M, p.HalfBuckets(), true, 3)
+		sk := layoutSketches(p, n, true, 3)
 		r := uint(p.K - DirectoryBits(n, p.K))
 		good := func() []Table {
 			st := BuildFromSketches(fam, sk, 1)
@@ -233,7 +238,7 @@ func TestStaticFromTablesRejectsBadDirectory(t *testing.T) {
 			if tables[0], err = DecodeTable(enc); err != nil {
 				return err
 			}
-			_, err = StaticFromTables(fam, n, tables)
+			_, err = StaticFromTables(fam, n, tables, 1)
 			return err
 		}
 		tables := good()
@@ -275,7 +280,7 @@ func TestStaticFromTablesRejectsBadDirectory(t *testing.T) {
 				a, b := lshhash.PairForTable(0, p.M)
 				keys := make([]uint32, n)
 				for i := range keys {
-					keys[i] = sk.TableKey(i, a, b, p.K)
+					keys[i] = sk.TableKey(i, a, b)
 				}
 				*tb = groupAt(keys, p.K, rAt)
 			}
@@ -370,7 +375,7 @@ func TestStaticFromTablesRejectsBadDirectory(t *testing.T) {
 				t.Errorf("n=%d: %s: accepted", n, bad.name)
 			}
 		}
-		if _, err := StaticFromTables(fam, n, good()[:p.L()-1]); err == nil {
+		if _, err := StaticFromTables(fam, n, good()[:p.L()-1], 1); err == nil {
 			t.Errorf("n=%d: missing table: accepted", n)
 		}
 		// Every item of table 0 given other low key bits: a valid table whose
@@ -491,7 +496,7 @@ func TestTableMemoryBoundIsTight(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, n := range c.ns {
-			sk := layoutSketches(n, p.M, p.HalfBuckets(), false, uint64(n))
+			sk := layoutSketches(p, n, false, uint64(n))
 			got := tablesBytes(t, BuildFromSketches(fam, sk, 2))
 			bound := TableMemoryBound(n, p.K, p.L())
 			if bound < got || float64(bound) > 1.15*float64(got) {

@@ -22,7 +22,7 @@ func FuzzDecodeTable(f *testing.F) {
 			f.Fatal(err)
 		}
 		for _, n := range []int{1, 1 << (k / 2), 3 << (k / 2), 1<<k + 1} {
-			sk := layoutSketches(n, p.M, p.HalfBuckets(), true, uint64(n))
+			sk := layoutSketches(p, n, true, uint64(n))
 			enc := BuildFromSketches(fam, sk, 1).tables[0].AppendEncoded(nil)
 			f.Add(enc, uint32(n))
 			f.Add(enc[:len(enc)/2], uint32(n))

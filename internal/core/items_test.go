@@ -203,8 +203,8 @@ func TestMergeCrossesAPowerOfTwo(t *testing.T) {
 		t.Fatal(err)
 	}
 	const nOld, nAdd = 1000, 100
-	skOld := layoutSketches(nOld, p.M, p.HalfBuckets(), false, 1)
-	skAdd := layoutSketches(nAdd, p.M, p.HalfBuckets(), false, 2)
+	skOld := layoutSketches(p, nOld, false, 1)
+	skAdd := layoutSketches(p, nAdd, false, 2)
 	old := BuildFromSketches(fam, skOld, 2)
 	for l := range old.tables {
 		if w := old.tables[l].items.width; w != 10 {
@@ -232,7 +232,7 @@ func TestMergeCrossesAPowerOfTwo(t *testing.T) {
 				t.Fatalf("%s: table %d packs %d bits, want %d", c.name, l, w, c.width)
 			}
 		}
-		sameBucketsAs(t, c.name, merged.tables, rebuildReference(fam, concatSketches(skOld, skAdd), c.dead))
+		sameBucketsAs(t, c.name, merged.tables, rebuildReference(fam, concatSketches(fam, skOld, skAdd), c.dead))
 	}
 
 	p16 := lshhash.Params{Dim: 64, K: 16, M: 4, Seed: 5}
@@ -240,8 +240,8 @@ func TestMergeCrossesAPowerOfTwo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	skOld = layoutSketches(nOld, p16.M, p16.HalfBuckets(), false, 3)
-	skAdd = layoutSketches(nAdd, p16.M, p16.HalfBuckets(), false, 4)
+	skOld = layoutSketches(p16, nOld, false, 3)
+	skAdd = layoutSketches(p16, nAdd, false, 4)
 	// The static side as an earlier merge left it, then more deletions on
 	// both sides.
 	earlier := randomDead(nOld, 5, 6)
@@ -249,7 +249,7 @@ func TestMergeCrossesAPowerOfTwo(t *testing.T) {
 	for w, word := range earlier {
 		dead[w] |= word
 	}
-	want := rebuildReference(fam16, concatSketches(skOld, skAdd), dead)
+	want := rebuildReference(fam16, concatSketches(fam16, skOld, skAdd), dead)
 	// The same rows at b = K, as a node that once loaded a version-3
 	// snapshot still holds them and writes them to version 4.
 	full := buildSketches(fam16, skOld, 0, 2)

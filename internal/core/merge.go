@@ -52,7 +52,7 @@ func Merge(old *Static, add *lshhash.Sketches, dead []uint64, workers int) *Stat
 	n := old.n + add.N()
 	r := min(uint(k-DirectoryBits(n, k)), old.tables[0].r)
 	delta := buildSketches(old.fam, add, r, workers)
-	st := &Static{fam: old.fam, n: n, tables: make([]Table, len(old.tables)), signs: mergeSigns(p, old.signs, delta.signs, dead, n)}
+	st := &Static{fam: old.fam, n: n, tables: make([]Table, len(old.tables)), signs: mergeSigns(p, old.signs, add.Data, dead, n)}
 	pool := sched.NewPool(workers)
 	scratch := make([]mergeScratch, pool.Workers())
 	pool.Run(len(st.tables), func(l, w int) {

@@ -31,8 +31,19 @@ func randomDead(n, oneIn int, seed uint64) []uint64 {
 	return dead
 }
 
-func concatSketches(a, b *lshhash.Sketches) *lshhash.Sketches {
-	return &lshhash.Sketches{M: a.M, Data: slices.Concat(a.Data, b.Data)}
+// concatSketches returns a's rows then b's, in a new array.
+func concatSketches(fam *lshhash.Family, a, b *lshhash.Sketches) *lshhash.Sketches {
+	out := fam.Params().NewSketches(0)
+	out.Data = slices.Concat(a.Data, b.Data)
+	return out
+}
+
+// rowsOf returns a copy of rows [lo, hi) of sk.
+func rowsOf(fam *lshhash.Family, sk *lshhash.Sketches, lo, hi int) *lshhash.Sketches {
+	w := fam.Params().SketchWords()
+	out := fam.Params().NewSketches(hi - lo)
+	copy(out.Data, sk.Data[lo*w:hi*w])
+	return out
 }
 
 // sameBucketsAs checks Bucket(key) of got against want for every one of the
@@ -69,8 +80,8 @@ func TestMergeMatchesRebuild(t *testing.T) {
 				for _, skewed := range []bool{false, true} {
 					what := fmt.Sprintf("K=%d old=%d add=%d skewed=%v", k, nOld, nAdd, skewed)
 					n := nOld + nAdd
-					skOld := layoutSketches(nOld, p.M, p.HalfBuckets(), skewed, uint64(n)+1)
-					skAdd := layoutSketches(nAdd, p.M, p.HalfBuckets(), skewed, uint64(n)+2)
+					skOld := layoutSketches(p, nOld, skewed, uint64(n)+1)
+					skAdd := layoutSketches(p, nAdd, skewed, uint64(n)+2)
 
 					// The static side as an earlier merge left it, then more
 					// deletions on both sides.
@@ -84,7 +95,7 @@ func TestMergeMatchesRebuild(t *testing.T) {
 					if err := ValidateTables(p, n, got); err != nil {
 						t.Fatalf("%s: %v", what, err)
 					}
-					want := rebuildReference(fam, concatSketches(skOld, skAdd), dead)
+					want := rebuildReference(fam, concatSketches(fam, skOld, skAdd), dead)
 					sameBucketsAs(t, what, got, want)
 					for l := range got {
 						g := &got[l]
@@ -117,7 +128,7 @@ func TestMergeMatchesBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := Merge(old, &lshhash.Sketches{M: sk.M, Data: sk.Data[head*sk.M:]}, dead, 2)
+	got := Merge(old, rowsOf(fam, sk, head, sk.N()), dead, 2)
 	if err := ValidateTables(fam.Params(), n, got.tables); err != nil {
 		t.Fatal(err)
 	}

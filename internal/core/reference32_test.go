@@ -84,7 +84,7 @@ func reference32(sk *lshhash.Sketches, p lshhash.Params, n int) []ref32 {
 	for l := range ref {
 		a, b := lshhash.PairForTable(l, p.M)
 		for i := range keys {
-			keys[i] = sk.TableKey(i, a, b, p.K)
+			keys[i] = sk.TableKey(i, a, b)
 		}
 		ref[l] = ref32FromKeys(keys, p.K, uint(p.K-DirectoryBits(n, p.K)))
 	}
@@ -161,7 +161,7 @@ func reread(t *testing.T, st *Static) *Static {
 			t.Fatalf("table %d: %v", l, err)
 		}
 	}
-	out.signs = signsFromTables(st.fam.Params(), st.n, out.tables)
+	out.signs = signsFromTables(st.fam.Params(), st.n, out.tables, 1)
 	return out
 }
 
@@ -227,10 +227,10 @@ func TestPackedMatches32BitReference(t *testing.T) {
 			// directory bits, the rest as the delta, tombstones on both. The
 			// reference is the whole prefix built at once, then compacted.
 			head := n * 2 / 3
-			old := BuildFromSketches(fam, &lshhash.Sketches{M: sk.M, Data: sk.Data[:head*sk.M]}, 2)
+			old := BuildFromSketches(fam, rowsOf(fam, sk, 0, head), 2)
 			// A merge keeps an entry for every bucket either side had one
 			// for; the reference drops none either.
-			merged := Merge(old, &lshhash.Sketches{M: sk.M, Data: sk.Data[head*sk.M:]}, dead, 2)
+			merged := Merge(old, rowsOf(fam, sk, head, sk.N()), dead, 2)
 			checkAgainst32(t, what+" Merge", merged, ref)
 			checkAgainst32(t, what+" Merge, snapshot reader", reread(t, merged), ref)
 		}
@@ -278,14 +278,14 @@ func TestRetweetStormIndexes(t *testing.T) {
 	built.Compact(isStorm, 2)
 	checkAgainst32(t, "compacted", built, ref)
 
-	old := BuildFromSketches(fam, &lshhash.Sketches{M: sk.M, Data: sk.Data[:quiet*sk.M]}, 2)
+	old := BuildFromSketches(fam, rowsOf(fam, sk, 0, quiet), 2)
 	none := make([]uint64, (quiet+storm+63)/64)
-	merged := Merge(old, &lshhash.Sketches{M: sk.M, Data: sk.Data[quiet*sk.M:]}, none, 2)
+	merged := Merge(old, rowsOf(fam, sk, quiet, sk.N()), none, 2)
 	checkAgainst32(t, "quiet+storm", merged, reference32(sk, p, quiet+storm))
 
 	const more = 40
-	moreSk := layoutSketches(more, p.M, p.HalfBuckets(), false, 8)
-	all := concatSketches(sk, moreSk)
+	moreSk := layoutSketches(p, more, false, 8)
+	all := concatSketches(fam, sk, moreSk)
 	dead := make([]uint64, (quiet+storm+more+63)/64)
 	for id := quiet; id < quiet+storm; id++ {
 		dead[id>>6] |= 1 << (id & 63)

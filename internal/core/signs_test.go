@@ -14,22 +14,22 @@ import (
 	"plsh/internal/sparse"
 )
 
-// checkColumn holds st's sign-bit column to sk packed: every row the tables
-// hold — every row dead does not set — has its sketch packed, and every row
-// dead sets a zero entry.
-func checkColumn(t *testing.T, what string, st *Static, sk *lshhash.Sketches, dead []uint64) {
+// checkColumn holds st's sign-bit column to the rows of mat, each sketched
+// alone and packed: every row the tables hold — every row dead does not
+// set — has its sketch packed, and every row dead sets a zero entry.
+func checkColumn(t *testing.T, what string, st *Static, mat *sparse.Matrix, dead []uint64) {
 	t.Helper()
 	p := st.fam.Params()
 	words := p.SketchWords()
-	if len(st.signs) != st.n*words || sk.N() != st.n {
-		t.Fatalf("%s: a column of %d words over %d rows, %d sketches", what, len(st.signs), st.n, sk.N())
+	if len(st.signs) != st.n*words || mat.Rows() != st.n {
+		t.Fatalf("%s: a column of %d words over %d rows, %d documents", what, len(st.signs), st.n, mat.Rows())
 	}
 	want := make([]uint64, words)
 	for id := 0; id < st.n; id++ {
 		if dead != nil && isDead(dead, uint32(id)) {
 			clear(want)
 		} else {
-			p.Pack(want, sk.Row(id))
+			p.Pack(want, st.fam.Sketch(mat.Row(id)))
 		}
 		if got := st.signs[id*words : (id+1)*words]; !slices.Equal(got, want) {
 			t.Fatalf("%s: row %d's column entry %x, want %x", what, id, got, want)
@@ -38,10 +38,11 @@ func checkColumn(t *testing.T, what string, st *Static, sk *lshhash.Sketches, de
 }
 
 // TestSignColumnMatchesSketches: the column every constructor derives
-// equals SketchAll packed for every row the tables hold — after Build,
-// after Merge with tombstones at r > 0 and at r = 0, and after the tables
-// pass through a snapshot's encoding into StaticFromTables — at K = 8, 12
-// and 16 and at an odd M.
+// equals each row's sketch packed for every row the tables hold — after
+// Build, after Merge with tombstones at r > 0 and at r = 0, and after the
+// tables pass through a snapshot's encoding into StaticFromTables on 1 and
+// on 3 workers — at K = 8, 12 and 16 and at odd M, one of whose rows ends
+// in a word of one lane.
 func TestSignColumnMatchesSketches(t *testing.T) {
 	for _, p := range []lshhash.Params{
 		{Dim: 2000, K: 8, M: 6, Seed: 3},
@@ -49,6 +50,7 @@ func TestSignColumnMatchesSketches(t *testing.T) {
 		{Dim: 2000, K: 16, M: 16, Seed: 5},
 		{Dim: 2000, K: 16, M: 5, Seed: 6},
 		{Dim: 2000, K: 8, M: 5, Seed: 7},
+		{Dim: 2000, K: 12, M: 17, Seed: 8}, // three words, the last holding u_16 alone
 	} {
 		fam, err := lshhash.NewFamily(p)
 		if err != nil {
@@ -62,29 +64,29 @@ func TestSignColumnMatchesSketches(t *testing.T) {
 		what := fmt.Sprintf("K=%d M=%d", p.K, p.M)
 
 		built := MustBuild(fam, mat.Prefix(nOld), Defaults())
-		oldSk := &lshhash.Sketches{M: p.M, Data: sk.Data[:nOld*p.M]}
-		checkColumn(t, what+" Build", built, oldSk, nil)
-		checkColumn(t, what+" BuildFromSketches", BuildFromSketches(fam, oldSk, 2), oldSk, nil)
+		checkColumn(t, what+" Build", built, mat.Prefix(nOld), nil)
+		checkColumn(t, what+" BuildFromSketches", BuildFromSketches(fam, rowsOf(fam, sk, 0, nOld), 2), mat.Prefix(nOld), nil)
 
 		dead := randomDead(nOld+nAdd, 4, p.Seed)
-		addSk := &lshhash.Sketches{M: p.M, Data: sk.Data[nOld*p.M:]}
-		merged := Merge(built, addSk, dead, 2)
+		merged := Merge(built, rowsOf(fam, sk, nOld, sk.N()), dead, 2)
 		r := merged.tables[0].r
 		if wantZero := p.K == 8; (r == 0) != wantZero {
 			t.Fatalf("%s: the merge's items carry %d key bits", what, r)
 		}
-		checkColumn(t, fmt.Sprintf("%s Merge at r=%d", what, r), merged, sk, dead)
+		checkColumn(t, fmt.Sprintf("%s Merge at r=%d", what, r), merged, mat, dead)
 
-		reread, err := StaticFromTables(fam, built.n, decodeAll(t, built))
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkColumn(t, what+" built, encoded, decoded", reread, oldSk, nil)
-		if reread, err = StaticFromTables(fam, merged.n, decodeAll(t, merged)); err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(reread.signs, merged.signs) {
-			t.Fatalf("%s: StaticFromTables derives another column from the merged tables than the merge's", what)
+		for _, workers := range []int{1, 3} {
+			reread, err := StaticFromTables(fam, built.n, decodeAll(t, built), workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkColumn(t, fmt.Sprintf("%s built, encoded, decoded on %d workers", what, workers), reread, mat.Prefix(nOld), nil)
+			if reread, err = StaticFromTables(fam, merged.n, decodeAll(t, merged), workers); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(reread.signs, merged.signs) {
+				t.Fatalf("%s: StaticFromTables on %d workers derives another column from the merged tables than the merge's", what, workers)
+			}
 		}
 	}
 }

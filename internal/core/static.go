@@ -30,6 +30,7 @@ import (
 
 	"plsh/internal/codec"
 	"plsh/internal/lshhash"
+	"plsh/internal/sched"
 	"plsh/internal/sparse"
 )
 
@@ -467,13 +468,13 @@ func TableMemoryBound(n, k, l int) int64 {
 // BuildFromSketches, Merge and StaticFromTables — so the index a node's
 // snapshot publishes is scanned lock-free by every query.
 //
-// Beside the tables it keeps every row's packed sketch (lshhash.Params.Pack),
+// Beside the tables it keeps every row's packed sketch (lshhash.Sketches),
 // the sign-bit column Verify reads before a document. Like the rank words
-// the column is derived, never stored: a build packs the sketches it hashed,
-// a merge appends its added rows' to the old column, and StaticFromTables
-// reads it back out of the tables. A row the tables do not hold — one a
-// merge dropped for its tombstone — has a zero entry; it is never a
-// candidate.
+// the column is derived, never stored: a build keeps the packed sketches it
+// hashed, a merge appends its added rows' to the old column, and
+// StaticFromTables reads it back out of the tables. A row the tables do not
+// hold — one a merge dropped for its tombstone — has a zero entry; it is
+// never a candidate.
 type Static struct {
 	fam    *lshhash.Family
 	n      int
@@ -503,58 +504,66 @@ func (s *Static) Signs() []uint64 { return s.signs }
 
 // StaticFromTables reassembles a Static index from previously serialized
 // tables (see internal/persist), taking ownership of the slice, and derives
-// its sign-bit column from them (signsFromTables). The tables must pass
-// ValidateTables for n documents under fam's geometry.
-func StaticFromTables(fam *lshhash.Family, n int, tables []Table) (*Static, error) {
+// its sign-bit column from them on workers workers (signsFromTables). The
+// tables must pass ValidateTables for n documents under fam's geometry.
+func StaticFromTables(fam *lshhash.Family, n int, tables []Table, workers int) (*Static, error) {
 	if err := ValidateTables(fam.Params(), n, tables); err != nil {
 		return nil, err
 	}
-	return &Static{fam: fam, n: n, tables: tables, signs: signsFromTables(fam.Params(), n, tables)}, nil
+	return &Static{fam: fam, n: n, tables: tables, signs: signsFromTables(fam.Params(), n, tables, workers)}, nil
 }
 
 // signsFromTables returns the packed sketches of the n rows tables hold. The
 // tables of the disjoint pairs (0, 1), (2, 3), … hold every half-key between
 // them — the last of an odd M in the table (M−2, M−1) — and an item's full
 // key is its directory bucket shifted left by r, OR the r key bits it
-// carries: the pair's two half-keys, side by side. Half-keys a and a+1 of an
-// even a have adjacent lanes in one word (2w divides 64), so an item of the
-// pair's table is one OR into its row. A row no table holds keeps a zero
-// entry. Each table is walked once, in key order, reading its packed entries
-// and items where they lie.
-func signsFromTables(p lshhash.Params, n int, tables []Table) []uint64 {
-	words, lane := p.SketchWords(), uint(p.LaneBits())
-	half := uint(p.K / 2)
-	halfMask := uint32(1)<<half - 1
-	signs := make([]uint64, n*words)
-	for a := 0; a < p.M; a += 2 {
-		// The pair's table; the lanes at bit a·w get u_a, then u_(a+1) w bits
-		// up — or, for an odd M's last half-key, read from (M−2, M−1), only
-		// u_(M−1).
-		pair, keepFirst, up := a, ^uint32(0), lane
-		if a == p.M-1 {
-			pair, keepFirst, up = a-1, 0, 0
-		}
-		bit := uint(a) * lane
-		w, shift := int(bit/64), bit%64
-		t := &tables[lshhash.TableForPair(pair, pair+1, p.M)]
-		r, low := t.r, uint32(1)<<t.r-1
-		ibase, imask := t.items.span(uint(t.n))
-		ebase, emask := t.entries.span(uint(t.nEntries))
-		e := uint(0)
-		start := load(ebase, 0, emask)
-		for ow, word := range t.occ {
-			for ; word != 0; word &= word - 1 {
-				d := uint32(ow<<6+bits.TrailingZeros64(word)) << r
-				e++
-				end := load(ebase, e*t.entries.width, emask)
-				for i := start; i < end; i++ {
-					item := load(ibase, uint(i)*t.items.width, imask)
-					key := d | item&low
-					v := uint64(key>>half&keepFirst) | uint64(key&halfMask)<<up
-					signs[int(item>>r)*words+w] |= v << shift
-				}
-				start = end
+// carries: the pair's two half-keys, side by side. A packed word holds whole
+// pairs of lanes (WordLanes), so one task a word walks the tables of its
+// pairs, placing each item's key in that word of its row. The task fills a
+// column of its own — the word's lanes as a sketch of their own — which
+// one pass then interleaves: two tasks writing the words of one row would
+// share its cache line at every item. A row no table holds keeps a zero
+// entry. Each table is walked once, in key order, reading its packed
+// entries and items where they lie.
+func signsFromTables(p lshhash.Params, n int, tables []Table, workers int) []uint64 {
+	words := p.SketchWords()
+	parts := make([]*lshhash.Sketches, words)
+	sched.NewPool(workers).Run(words, func(w, _ int) {
+		lo, hi := p.WordLanes(w)
+		part := lshhash.Params{K: p.K, M: hi - lo}.NewSketches(n)
+		parts[w] = part
+		for a := lo; a < hi; a += 2 {
+			// u_a and u_(a+1) from the pair's table — or, for an odd M's
+			// last half-key, u_(M−1) alone from (M−2, M−1), the key's low
+			// half moved up to where OrKey reads u_a.
+			pair, keep, up := a, ^uint32(0), uint(0)
+			if a == p.M-1 {
+				pair, keep, up = a-1, uint32(1)<<(p.K/2)-1, uint(p.K/2)
 			}
+			t := &tables[lshhash.TableForPair(pair, pair+1, p.M)]
+			r, low := t.r, uint32(1)<<t.r-1
+			ibase, imask := t.items.span(uint(t.n))
+			ebase, emask := t.entries.span(uint(t.nEntries))
+			e := uint(0)
+			start := load(ebase, 0, emask)
+			for ow, word := range t.occ {
+				for ; word != 0; word &= word - 1 {
+					d := uint32(ow<<6+bits.TrailingZeros64(word)) << r
+					e++
+					end := load(ebase, e*t.entries.width, emask)
+					for i := start; i < end; i++ {
+						item := load(ibase, uint(i)*t.items.width, imask)
+						part.OrKey(int(item>>r), a-lo, (d|item&low)&keep<<up)
+					}
+					start = end
+				}
+			}
+		}
+	})
+	signs := make([]uint64, n*words)
+	for w, part := range parts {
+		for id, v := range part.Data {
+			signs[id*words+w] = v
 		}
 	}
 	return signs

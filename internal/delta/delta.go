@@ -33,18 +33,17 @@ import (
 // Table is a streaming LSH structure. Inserted documents get delta-local
 // IDs 0..Len()-1 in arrival order. Table is not internally synchronized;
 // the owning node serializes inserts. Once Freeze is called the table is
-// immutable and every read-side method (Candidates, Occupied, Sketches,
-// Signs, MemoryBytes) is safe for arbitrary concurrent use — frozen tables are
+// immutable and every read-side method (Candidates, Occupied, Signs,
+// MemoryBytes) is safe for arbitrary concurrent use — frozen tables are
 // the building blocks of the node's copy-on-write query snapshots. The
-// frozen flag is what keeps a published table write-once: Insert, the one
-// method that fills buckets, panics on a frozen table, and the other
-// writers (sizeOcc, fromSketches) run only on a table still being built.
+// frozen flag is what keeps a published table write-once: Insert panics on
+// a frozen table, and the other writers (sizeOcc, fill, fromSketches) run
+// only on a table still being built.
 type Table struct {
 	fam     *lshhash.Family
 	pool    *sched.Pool
 	buckets []map[uint32][]uint32 // per table l: key → item IDs
-	sk      *lshhash.Sketches     // retained so Coalesce rebuckets without rehashing
-	signs   []uint64              // sk packed, at Freeze: the segment's sign-bit column
+	sk      *lshhash.Sketches     // packed: the sign-bit column, and what Coalesce rebuckets from
 	n       int
 	frozen  bool
 
@@ -63,7 +62,7 @@ func New(fam *lshhash.Family, workers int) *Table {
 		fam:     fam,
 		pool:    sched.NewPool(workers),
 		buckets: make([]map[uint32][]uint32, p.L()),
-		sk:      &lshhash.Sketches{M: p.M},
+		sk:      p.NewSketches(0),
 	}
 	for l := range d.buckets {
 		d.buckets[l] = make(map[uint32][]uint32)
@@ -85,8 +84,8 @@ func occBits(rows, k int) int {
 
 // sizeOcc gives the bitmaps room for rows rows and reports whether it
 // replaced them (with zeroed ones: the caller re-marks the occupied
-// buckets). Bitmaps only ever grow. Its callers are New, and Insert and
-// fromSketches before they fill buckets: a table still being built.
+// buckets). Bitmaps only ever grow. Its callers are New and fill: a table
+// still being built.
 func (d *Table) sizeOcc(rows int) bool {
 	p := d.fam.Params()
 	words := occBits(rows, p.K) / 64
@@ -112,26 +111,18 @@ func markOcc(words []uint64, mask, key uint32) {
 // Len returns the number of inserted documents.
 func (d *Table) Len() int { return d.n }
 
-// Sketches exposes the accumulated half-hashes (one row per inserted
-// document). They are why a document is hashed once: Coalesce rebuckets from
-// them, and the merge into the static index builds its delta-side tables
-// from them (ConcatSketches, then core.BuildFromSketches).
-func (d *Table) Sketches() *lshhash.Sketches { return d.sk }
+// Signs returns the words of the table's packed sketches, one row per
+// inserted document: the sign-bit column core.Verify reads before a
+// document. The same sketches are why a document is hashed once: Coalesce
+// rebuckets from them, and the merge into the static index builds its
+// delta-side tables from them (ConcatSketches, then core.BuildFromSketches).
+func (d *Table) Signs() []uint64 { return d.sk.Data }
 
-// Signs returns the packed sketch of every row (lshhash.Params.Pack), the
-// column core.Verify reads before a document; nil until Freeze.
-func (d *Table) Signs() []uint64 { return d.signs }
-
-// Freeze marks the table immutable and packs its sketches into its sign-bit
-// column, once. Further Insert calls panic; reads need no synchronization.
-// Freezing is idempotent. The node freezes a table before it joins the
-// segment list, so a snapshot publishes frozen tables only.
-func (d *Table) Freeze() {
-	if !d.frozen {
-		d.signs = d.fam.Params().PackAll(d.sk)
-		d.frozen = true
-	}
-}
+// Freeze marks the table immutable. Further Insert calls panic; reads need
+// no synchronization. Freezing is idempotent. The node freezes a table
+// before it joins the segment list, so a snapshot publishes frozen tables
+// only.
+func (d *Table) Freeze() { d.frozen = true }
 
 // IsFrozen reports whether Freeze has been called.
 func (d *Table) IsFrozen() bool { return d.frozen }
@@ -147,10 +138,20 @@ func (d *Table) Insert(vs []sparse.Vector) int {
 	}
 	first := d.n
 	d.sk = d.fam.AppendSketches(d.sk, vs)
-	p := d.fam.Params()
-	regrown := d.sizeOcc(first + len(vs))
-	d.pool.Run(p.L(), func(l, _ int) {
-		a, b := lshhash.PairForTable(l, p.M)
+	d.n += len(vs)
+	d.fill(first, nil)
+	return first
+}
+
+// fill appends rows [first, Len()) to their buckets in all L tables, in
+// parallel over tables, but not the rows skip reports true for. When the
+// rows outgrow the occupancy bitmaps it regrows them and re-marks the
+// buckets already filled. Insert and fromSketches are its callers.
+func (d *Table) fill(first int, skip func(localID int) bool) {
+	pairs := d.fam.Pairs()
+	regrown := d.sizeOcc(d.n)
+	d.pool.Run(len(d.buckets), func(l, _ int) {
+		a, b := int(pairs[l].A), int(pairs[l].B)
 		m := d.buckets[l]
 		occ, mask := d.occOf(l)
 		if regrown {
@@ -158,15 +159,15 @@ func (d *Table) Insert(vs []sparse.Vector) int {
 				markOcc(occ, mask, key)
 			}
 		}
-		for i := range vs {
-			id := first + i
-			key := d.sk.TableKey(id, a, b, p.K)
+		for id := first; id < d.n; id++ {
+			if skip != nil && skip(id) {
+				continue
+			}
+			key := d.sk.TableKey(id, a, b)
 			markOcc(occ, mask, key)
 			m[key] = append(m[key], uint32(id))
 		}
 	})
-	d.n += len(vs)
-	return first
 }
 
 // Candidates gathers the deduplicated delta-local candidate IDs for a query
@@ -230,21 +231,7 @@ func fromSketches(fam *lshhash.Family, sk *lshhash.Sketches, workers int, skip f
 	d := New(fam, workers)
 	d.sk = sk
 	d.n = sk.N()
-	d.sizeOcc(d.n)
-	p := fam.Params()
-	d.pool.Run(p.L(), func(l, _ int) {
-		a, b := lshhash.PairForTable(l, p.M)
-		m := d.buckets[l]
-		occ, mask := d.occOf(l)
-		for i := 0; i < d.n; i++ {
-			if skip != nil && skip(i) {
-				continue
-			}
-			key := sk.TableKey(i, a, b, p.K)
-			markOcc(occ, mask, key)
-			m[key] = append(m[key], uint32(i))
-		}
-	})
+	d.fill(0, skip)
 	d.Freeze()
 	return d
 }
@@ -268,18 +255,19 @@ func CoalesceRun(fam *lshhash.Family, run []*Table, workers int, skip func(local
 // ConcatSketches returns a copy of the sketches of a run of frozen tables,
 // oldest first: row i of the result is the i-th document of the run.
 func ConcatSketches(run []*Table) *lshhash.Sketches {
-	words := 0
+	rows := 0
 	for _, t := range run {
 		if !t.frozen {
 			panic("delta: run holds an unfrozen table")
 		}
-		words += len(t.sk.Data)
+		rows += t.n
 	}
-	data := make([]uint32, 0, words)
+	out := run[0].fam.Params().NewSketches(rows)
+	at := 0
 	for _, t := range run {
-		data = append(data, t.sk.Data...)
+		at += copy(out.Data[at:], t.sk.Data)
 	}
-	return &lshhash.Sketches{M: run[0].sk.M, Data: data}
+	return out
 }
 
 // Occupied reports table l's occupancy bit for key: false proves bucket key
@@ -292,15 +280,13 @@ func (d *Table) Occupied(l int, key uint32) bool {
 }
 
 // MemoryBytes approximates the structure's footprint: bucket contents plus
-// map bookkeeping plus occupancy bitmaps plus retained sketches and their
-// sign-bit column.
+// map bookkeeping plus occupancy bitmaps plus the packed sketches.
 func (d *Table) MemoryBytes() int64 {
-	b := int64(len(d.occ))*8 + int64(len(d.signs))*8
+	b := int64(len(d.occ))*8 + int64(len(d.sk.Data))*8
 	for l := range d.buckets {
 		for _, items := range d.buckets[l] {
 			b += int64(cap(items))*4 + 48 // slice payload + map entry overhead
 		}
 	}
-	b += int64(len(d.sk.Data)) * 4
 	return b
 }

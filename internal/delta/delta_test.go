@@ -41,8 +41,8 @@ func TestInsertAssignsSequentialIDs(t *testing.T) {
 	if d.Len() != 50 {
 		t.Fatalf("Len = %d", d.Len())
 	}
-	if d.Sketches().N() != 50 {
-		t.Fatalf("sketches N = %d", d.Sketches().N())
+	if d.sk.N() != 50 {
+		t.Fatalf("sketches N = %d", d.sk.N())
 	}
 }
 
@@ -137,20 +137,42 @@ func TestInsertParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestSketchesMatchFamily: a table's sketches are the family's, half-key by
+// half-key, and its sign-bit column row i is document i's sketch packed —
+// while it is filled, once frozen, and after a coalesce that drops
+// tombstoned rows from the buckets (not from the column).
 func TestSketchesMatchFamily(t *testing.T) {
 	fam := testFamily(t)
-	d := New(fam, 2)
+	p := fam.Params()
 	vs := docs(40, 2000, 17)
+	d := New(fam, 2)
 	d.Insert(vs[:15])
 	d.Insert(vs[15:])
-	for i, v := range vs {
-		want := fam.Sketch(v)
-		for j := range want {
-			if d.Sketches().At(i, j) != want[j] {
-				t.Fatalf("sketch %d fn %d differs", i, j)
+	check := func(what string, d *Table) {
+		t.Helper()
+		want := make([]uint64, p.SketchWords())
+		for i, v := range vs {
+			sketch := fam.Sketch(v)
+			for j := range sketch {
+				if d.sk.At(i, j) != sketch[j] {
+					t.Fatalf("%s: sketch %d fn %d differs", what, i, j)
+				}
+			}
+			p.Pack(want, sketch)
+			if got := d.Signs()[i*len(want) : (i+1)*len(want)]; !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: sign-bit row %d = %x, want %x", what, i, got, want)
 			}
 		}
 	}
+	check("filling", d)
+	d.Freeze()
+	check("frozen", d)
+	a, b := New(fam, 1), New(fam, 1)
+	a.Insert(vs[:25])
+	b.Insert(vs[25:])
+	a.Freeze()
+	b.Freeze()
+	check("coalesced with tombstones", Coalesce(fam, a, b, 2, func(id int) bool { return id%3 == 0 }))
 }
 
 func TestMemoryBytesGrows(t *testing.T) {
@@ -330,7 +352,7 @@ func TestFromSketchesReusesHashes(t *testing.T) {
 	src := New(fam, 2)
 	src.Insert(vs)
 	src.Freeze()
-	rebuilt := fromSketches(fam, src.Sketches(), 2, nil)
+	rebuilt := fromSketches(fam, src.sk, 2, nil)
 	if rebuilt.Len() != 80 {
 		t.Fatalf("Len = %d", rebuilt.Len())
 	}

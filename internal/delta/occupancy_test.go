@@ -142,4 +142,15 @@ func TestMemoryBytesCountsBitmaps(t *testing.T) {
 	if len(d.occ) != fam.Params().L()*256/64 || without <= 0 {
 		t.Fatalf("100 rows at K=8: %d bitmap words, %d bytes besides", len(d.occ), without)
 	}
+	// Besides the bitmaps: the buckets, and the one packed sketch a row.
+	d.Freeze()
+	buckets := int64(0)
+	for l := range d.buckets {
+		for _, items := range d.buckets[l] {
+			buckets += int64(cap(items))*4 + 48
+		}
+	}
+	if sketches := without - buckets; sketches != int64(100*fam.Params().SketchWords()*8) {
+		t.Fatalf("100 frozen rows hold %d bytes of sketches, want %d words a row", sketches, fam.Params().SketchWords())
+	}
 }

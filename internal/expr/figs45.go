@@ -82,11 +82,12 @@ func timeBuild(build func()) time.Duration {
 // Fig. 4's rows before "+vectorization".
 func sketchScalar(fam *lshhash.Family, mat *sparse.Matrix, pool *sched.Pool) *lshhash.Sketches {
 	p := fam.Params()
-	sk := &lshhash.Sketches{M: p.M, Data: make([]uint32, mat.Rows()*p.M)}
+	sk := p.NewSketches(mat.Rows())
 	pool.Static(mat.Rows(), func(lo, hi, _ int) {
-		scores := make([]float32, p.NumFuncs())
+		scores, sketch := make([]float32, p.NumFuncs()), make([]uint32, p.M)
 		for i := lo; i < hi; i++ {
-			fam.SketchScalarInto(mat.Row(i), scores, sk.Row(i))
+			fam.SketchScalarInto(mat.Row(i), scores, sketch)
+			sk.Put(i, sketch)
 		}
 	})
 	return sk
@@ -111,7 +112,7 @@ func buildOnePass(fam *lshhash.Family, sk *lshhash.Sketches, pool *sched.Pool) [
 		}
 		a, b := lshhash.PairForTable(l, p.M)
 		for i := range s.keys {
-			s.keys[i] = sk.TableKey(i, a, b, p.K)
+			s.keys[i] = sk.TableKey(i, a, b)
 		}
 		tables[l] = s.tb.GroupByKey(s.keys, p.K, s.hist)
 	})

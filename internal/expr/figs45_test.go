@@ -25,7 +25,7 @@ func TestFig4ArmsBuildTheServingTables(t *testing.T) {
 	p := fam.Params()
 	for _, workers := range []int{1, 3} {
 		for _, arm := range fig4Arms(fam, c.Mat, workers) {
-			got, err := core.StaticFromTables(fam, c.Mat.Rows(), arm.build())
+			got, err := core.StaticFromTables(fam, c.Mat.Rows(), arm.build(), 1)
 			if err != nil {
 				t.Fatalf("%s on %d workers: %v", arm.name, workers, err)
 			}

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"plsh/internal/rng"
+	"plsh/internal/sched"
+	"plsh/internal/sparse"
 )
 
 // binomialTail is P[Bin(n, p) > t], each term from its own log-gamma: the
@@ -56,37 +58,42 @@ func TestHammingBoundIsPinned(t *testing.T) {
 	}
 }
 
-// TestPackedHammingIsHalfKeyHamming: the popcount of two packed sketches'
-// XOR is the summed popcount of their half-keys' XORs, at every K/2 lane
-// width and at an odd M.
+// TestPackedHammingIsHalfKeyHamming: the popcount of two packed rows' XOR,
+// as SketchAll and AppendSketches produce them, is the summed popcount of
+// their half-keys' XORs, at every K/2 lane width and at an odd M.
 func TestPackedHammingIsHalfKeyHamming(t *testing.T) {
 	src := rng.New(3)
-	for _, p := range []Params{{Dim: 1, K: 2, M: 5}, {Dim: 1, K: 8, M: 6}, {Dim: 1, K: 12, M: 16}, {Dim: 1, K: 16, M: 16}, {Dim: 1, K: 16, M: 5}, {Dim: 1, K: 32, M: 7}} {
+	for _, p := range []Params{{Dim: 40, K: 2, M: 5}, {Dim: 40, K: 8, M: 6}, {Dim: 40, K: 12, M: 16}, {Dim: 40, K: 16, M: 16}, {Dim: 40, K: 16, M: 5}, {Dim: 40, K: 32, M: 7}} {
 		words := p.SketchWords()
 		if want := (p.M*p.LaneBits() + 63) / 64; words != want || p.LaneBits() < p.K/2 || p.LaneBits() >= p.K {
 			t.Fatalf("%+v: lane %d, words %d", p, p.LaneBits(), words)
 		}
-		sk := &Sketches{M: p.M}
-		for range 2 * 50 {
-			for range p.M {
-				sk.Data = append(sk.Data, uint32(src.Intn(1<<(p.K/2))))
-			}
+		f, _ := NewFamily(p)
+		vs := make([]sparse.Vector, 100)
+		for i := range vs {
+			vs[i] = randUnit(src, p.Dim, 1+src.Intn(8))
 		}
-		col := p.PackAll(sk)
-		if len(col) != sk.N()*words || cap(col) != len(col) {
-			t.Fatalf("%+v: PackAll returned %d words (capacity %d) for %d rows", p, len(col), cap(col), sk.N())
+		mat := sparse.NewMatrix(p.Dim, len(vs), 0)
+		for _, v := range vs {
+			mat.AppendRow(v)
 		}
-		for i := 0; i+1 < sk.N(); i += 2 {
-			want := 0
-			for j := range p.M {
-				want += bits.OnesCount32(sk.At(i, j) ^ sk.At(i+1, j))
+		for name, sk := range map[string]*Sketches{"SketchAll": f.SketchAll(mat, sched.NewPool(2)), "AppendSketches": f.AppendSketches(nil, vs)} {
+			if len(sk.Data) != len(vs)*words {
+				t.Fatalf("%+v: %s holds %d words for %d rows", p, name, len(sk.Data), len(vs))
 			}
-			got := 0
-			for j := range words {
-				got += bits.OnesCount64(col[i*words+j] ^ col[(i+1)*words+j])
-			}
-			if got != want {
-				t.Fatalf("%+v: Hamming %d, want %d", p, got, want)
+			for i := 0; i+1 < len(vs); i += 2 {
+				u, v := f.Sketch(vs[i]), f.Sketch(vs[i+1])
+				want := 0
+				for j := range p.M {
+					want += bits.OnesCount32(u[j] ^ v[j])
+				}
+				got := 0
+				for j, w := range sk.Row(i) {
+					got += bits.OnesCount64(w ^ sk.Row(i + 1)[j])
+				}
+				if got != want {
+					t.Fatalf("%+v: %s rows %d, %d: Hamming %d, want %d", p, name, i, i+1, got, want)
+				}
 			}
 		}
 	}

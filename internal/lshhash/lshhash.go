@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 	"unsafe"
 
@@ -252,56 +253,16 @@ func packSigns(scores []float32, half int, out []uint32) {
 	}
 }
 
-// Sketches stores the half-hashes of N items contiguously:
-// Data[n*M+i] = u_i(item n).
-type Sketches struct {
-	M    int
-	Data []uint32
-}
-
-// N returns the number of sketched items.
-func (s *Sketches) N() int {
-	if s.M == 0 {
-		return 0
-	}
-	return len(s.Data) / s.M
-}
-
-// At returns u_i of item n.
-func (s *Sketches) At(n, i int) uint32 { return s.Data[n*s.M+i] }
-
-// Row returns the m half-hashes of item n.
-func (s *Sketches) Row(n int) []uint32 { return s.Data[n*s.M : (n+1)*s.M] }
-
-// TableKey composes the K-bit key of item n in the table for pair (a, b).
-func (s *Sketches) TableKey(n, a, b, k int) uint32 {
-	return s.At(n, a)<<uint(k/2) | s.At(n, b)
-}
-
-// SketchAll hashes every row of mat in parallel over the pool with
-// SketchInto. Rows are independent, so a static split suffices (§5.1.1:
-// "easily parallelized over the data items N, yielding good thread
-// scaling").
-func (f *Family) SketchAll(mat *sparse.Matrix, pool *sched.Pool) *Sketches {
-	n := mat.Rows()
-	out := &Sketches{M: f.p.M, Data: make([]uint32, n*f.p.M)}
-	pool.Static(n, func(lo, hi, _ int) {
-		scores := make([]float32, f.p.NumFuncs())
-		for i := lo; i < hi; i++ {
-			f.SketchInto(mat.Row(i), scores, out.Data[i*f.p.M:(i+1)*f.p.M])
-		}
-	})
-	return out
-}
-
 // A packed sketch is a row's M·K/2 sign bits as ⌈M·w/64⌉ words, half-key i
 // in the w bits at bit i·w, w the smallest power of two ≥ K/2: a lane never
 // straddles a word, and the bits of a lane above K/2 are zero in every
 // packed sketch, so the popcount of two packed sketches' XOR is their
-// Hamming distance over the M·K/2 bits. At K = M = 16 a row packs
-// into 2 words. core keeps a packed sketch per indexed row, and Verify drops
-// a candidate whose distance to the query exceeds HammingBound before it
-// reads the document.
+// Hamming distance over the M·K/2 bits. At K = M = 16 a row packs into 2
+// words. It is the one form a stored sketch takes (Sketches): the build
+// partitions by its lanes, core keeps it per indexed row as the column
+// Verify reads to drop a candidate whose distance to the query exceeds
+// HammingBound before it reads the document, and a delta segment rebuckets
+// from it.
 
 // LaneBits returns w, the bits a half-key's lane takes in a packed sketch.
 func (p Params) LaneBits() int { return 1 << bits.Len(uint(p.K/2-1)) }
@@ -321,30 +282,93 @@ func (p Params) Pack(dst []uint64, sketch []uint32) {
 	}
 }
 
-// PackAll returns the packed sketch of every row of sk, row i at words
-// [i·SketchWords, (i+1)·SketchWords), in an array of exactly that length: a
-// column is sized once and kept.
-func (p Params) PackAll(sk *Sketches) []uint64 {
-	words := p.SketchWords()
-	out := make([]uint64, sk.N()*words)
-	for i := range sk.N() {
-		p.Pack(out[i*words:(i+1)*words], sk.Row(i))
-	}
+// WordLanes returns the half-keys [lo, hi) whose lanes sit in word w of a
+// packed sketch. lo is even: at most 16 bits a lane, a word holds a whole
+// number of lane pairs.
+func (p Params) WordLanes(w int) (lo, hi int) {
+	per := 64 / p.LaneBits()
+	return w * per, min((w+1)*per, p.M)
+}
+
+// Sketches stores the packed sketches of N items contiguously: item n is
+// Data[n·W : (n+1)·W], W = SketchWords. Make one with Params.NewSketches,
+// SketchAll or AppendSketches; the geometry it reads its lanes by is fixed
+// then.
+type Sketches struct {
+	Data  []uint64
+	p     Params
+	words int    // SketchWords
+	lane  uint   // LaneBits
+	half  uint   // K/2
+	mask  uint64 // a half-key's K/2 bits
+}
+
+// NewSketches returns n zero sketches of p's geometry.
+func (p Params) NewSketches(n int) *Sketches {
+	return &Sketches{Data: make([]uint64, n*p.SketchWords()), p: p, words: p.SketchWords(), lane: uint(p.LaneBits()), half: uint(p.K / 2), mask: 1<<uint(p.K/2) - 1}
+}
+
+// N returns the number of sketched items.
+func (s *Sketches) N() int { return len(s.Data) / s.words }
+
+// At returns u_i of item n.
+func (s *Sketches) At(n, i int) uint32 {
+	bit := uint(i) * s.lane
+	return uint32(s.Data[n*s.words+int(bit/64)] >> (bit % 64) & s.mask)
+}
+
+// Row returns item n's packed sketch, SketchWords words.
+func (s *Sketches) Row(n int) []uint64 { return s.Data[n*s.words : (n+1)*s.words] }
+
+// TableKey composes the K-bit key of item n in the table for pair (a, b).
+func (s *Sketches) TableKey(n, a, b int) uint32 {
+	return s.At(n, a)<<s.half | s.At(n, b)
+}
+
+// Put packs sketch (M half-keys) into item n.
+func (s *Sketches) Put(n int, sketch []uint32) { s.p.Pack(s.Row(n), sketch) }
+
+// OrKey sets the bits of key, a K-bit key of the table of the pair (a,
+// a+1), in item n: its high K/2 bits in u_a, its low K/2 in u_(a+1). a must
+// be even, so both lanes lie in one word (WordLanes), which one OR writes.
+func (s *Sketches) OrKey(n, a int, key uint32) {
+	bit := uint(a) * s.lane
+	lanes := uint64(key>>s.half) | uint64(key)&s.mask<<s.lane
+	s.Data[n*s.words+int(bit/64)] |= lanes << (bit % 64)
+}
+
+// SketchAll hashes every row of mat in parallel over the pool with
+// SketchInto, packing each sketch as it is hashed. Rows are independent, so
+// a static split suffices (§5.1.1: "easily parallelized over the data items
+// N, yielding good thread scaling").
+func (f *Family) SketchAll(mat *sparse.Matrix, pool *sched.Pool) *Sketches {
+	n := mat.Rows()
+	out := f.p.NewSketches(n)
+	pool.Static(n, func(lo, hi, _ int) {
+		scores := make([]float32, f.p.NumFuncs())
+		sketch := make([]uint32, f.p.M)
+		for i := lo; i < hi; i++ {
+			f.SketchInto(mat.Row(i), scores, sketch)
+			out.Put(i, sketch)
+		}
+	})
 	return out
 }
 
-// AppendSketches extends dst with sketches for each vector in vs, returning
-// the (possibly reallocated) sketch set. Used by delta tables as streaming
-// inserts arrive.
+// AppendSketches extends dst (nil for a new set) with the packed sketch of
+// each vector in vs, returning the (possibly reallocated) sketch set. Used
+// by delta tables as streaming inserts arrive.
 func (f *Family) AppendSketches(dst *Sketches, vs []sparse.Vector) *Sketches {
 	if dst == nil {
-		dst = &Sketches{M: f.p.M}
+		dst = f.p.NewSketches(0)
 	}
 	scores := make([]float32, f.p.NumFuncs())
-	buf := make([]uint32, f.p.M)
+	sketch := make([]uint32, f.p.M)
+	dst.Data = slices.Grow(dst.Data, len(vs)*dst.words)
 	for _, v := range vs {
-		f.SketchInto(v, scores, buf)
-		dst.Data = append(dst.Data, buf...)
+		f.SketchInto(v, scores, sketch)
+		dst.Data = dst.Data[:len(dst.Data)+dst.words]
+		dst.Put(dst.N()-1, sketch)
 	}
 	return dst
 }

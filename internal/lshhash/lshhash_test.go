@@ -2,6 +2,7 @@ package lshhash
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"plsh/internal/corpus"
@@ -141,54 +142,110 @@ func TestScalarKernelMatchesSketchInto(t *testing.T) {
 	}
 }
 
-func TestSketchAllMatchesSingle(t *testing.T) {
-	p := testParams()
-	f, _ := NewFamily(p)
-	c := corpus.Generate(corpus.Twitter(300, p.Dim, 5))
-	sks := f.SketchAll(c.Mat, sched.NewPool(4))
-	if sks.N() != 300 {
-		t.Fatalf("N = %d", sks.N())
+// layoutParams are the geometries the packed-row tests run over: lanes 1,
+// 4, 8 and 16 bits wide, half-keys narrower than their lane (K = 6, 30),
+// odd M, and rows of one and of several words.
+func layoutParams() []Params {
+	return []Params{
+		testParams(),
+		{Dim: 500, K: 2, M: 67, Seed: 42},
+		{Dim: 500, K: 6, M: 17, Seed: 42},
+		{Dim: 500, K: 16, M: 9, Seed: 42},
+		{Dim: 500, K: 30, M: 5, Seed: 42},
+		{Dim: 500, K: 32, M: 7, Seed: 42},
 	}
-	for i := 0; i < 300; i += 17 {
-		want := f.Sketch(c.Mat.Row(i))
+}
+
+// checkRows holds every row of sks to the sketch f computes for row i of
+// mat: At(i, j) is its half-key j, the row is Pack of it, and no bit
+// outside the M lanes' low K/2 bits is set.
+func checkRows(t *testing.T, f *Family, sks *Sketches, mat *sparse.Matrix) {
+	t.Helper()
+	p := f.Params()
+	if sks.N() != mat.Rows() || len(sks.Data) != mat.Rows()*p.SketchWords() {
+		t.Fatalf("%+v: N = %d over %d words, want %d rows", p, sks.N(), len(sks.Data), mat.Rows())
+	}
+	valid := make([]uint64, p.SketchWords())
+	for j := range p.M {
+		bit := j * p.LaneBits()
+		valid[bit/64] |= (1<<uint(p.K/2) - 1) << uint(bit%64)
+	}
+	packed := make([]uint64, p.SketchWords())
+	for i := range sks.N() {
+		want := f.Sketch(mat.Row(i))
 		for j := range want {
-			if sks.At(i, j) != want[j] {
-				t.Fatalf("sketch %d fn %d = %d, want %d", i, j, sks.At(i, j), want[j])
+			if got := sks.At(i, j); got != want[j] {
+				t.Fatalf("%+v: sketch %d fn %d = %d, want %d", p, i, j, got, want[j])
+			}
+		}
+		p.Pack(packed, want)
+		for w, word := range sks.Row(i) {
+			if word != packed[w] {
+				t.Fatalf("%+v: row %d word %d = %#x, Pack gives %#x", p, i, w, word, packed[w])
+			}
+			if word&^valid[w] != 0 {
+				t.Fatalf("%+v: row %d word %d sets padding bits %#x", p, i, w, word&^valid[w])
 			}
 		}
 	}
 }
 
+func TestSketchAllMatchesSingle(t *testing.T) {
+	for _, p := range layoutParams() {
+		f, _ := NewFamily(p)
+		c := corpus.Generate(corpus.Twitter(300, p.Dim, 5))
+		checkRows(t, f, f.SketchAll(c.Mat, sched.NewPool(4)), c.Mat)
+	}
+}
+
 func TestAppendSketchesMatchesSketchAll(t *testing.T) {
-	p := testParams()
-	f, _ := NewFamily(p)
-	c := corpus.Generate(corpus.Twitter(50, p.Dim, 6))
-	var vs []sparse.Vector
-	for i := 0; i < 50; i++ {
-		vs = append(vs, c.Mat.Row(i))
-	}
-	inc := f.AppendSketches(nil, vs[:20])
-	inc = f.AppendSketches(inc, vs[20:])
-	all := f.SketchAll(c.Mat, sched.NewPool(1))
-	if inc.N() != all.N() {
-		t.Fatalf("N mismatch %d vs %d", inc.N(), all.N())
-	}
-	for i := 0; i < inc.N(); i++ {
-		for j := 0; j < p.M; j++ {
-			if inc.At(i, j) != all.At(i, j) {
-				t.Fatalf("sketch %d fn %d differs", i, j)
-			}
+	for _, p := range layoutParams() {
+		f, _ := NewFamily(p)
+		c := corpus.Generate(corpus.Twitter(50, p.Dim, 6))
+		var vs []sparse.Vector
+		for i := 0; i < 50; i++ {
+			vs = append(vs, c.Mat.Row(i))
+		}
+		inc := f.AppendSketches(nil, vs[:20])
+		inc = f.AppendSketches(inc, vs[20:])
+		checkRows(t, f, inc, c.Mat)
+		if all := f.SketchAll(c.Mat, sched.NewPool(1)); !slices.Equal(inc.Data, all.Data) {
+			t.Fatalf("%+v: AppendSketches and SketchAll pack different rows", p)
 		}
 	}
 }
 
 func TestTableKey(t *testing.T) {
-	s := &Sketches{M: 3, Data: []uint32{0xA, 0xB, 0xC}}
-	if got := s.TableKey(0, 0, 2, 8); got != 0xA<<4|0xC {
+	s := Params{K: 8, M: 3}.NewSketches(1)
+	s.Put(0, []uint32{0xA, 0xB, 0xC})
+	if got := s.TableKey(0, 0, 2); got != 0xA<<4|0xC {
 		t.Fatalf("TableKey = %#x", got)
 	}
-	if got := (Pair{A: 0, B: 2}).Key(s.Row(0), 4); got != 0xA<<4|0xC {
+	if got := (Pair{A: 0, B: 2}).Key([]uint32{0xA, 0xB, 0xC}, 4); got != 0xA<<4|0xC {
 		t.Fatalf("Pair.Key = %#x", got)
+	}
+}
+
+// TestWordLanes: WordLanes tiles the half-keys word by word, each word's
+// first lane even, and every lane it names sits in that word.
+func TestWordLanes(t *testing.T) {
+	for _, p := range layoutParams() {
+		next := 0
+		for w := range p.SketchWords() {
+			lo, hi := p.WordLanes(w)
+			if lo != next || lo%2 != 0 || hi <= lo {
+				t.Fatalf("%+v: word %d holds lanes [%d, %d) after %d", p, w, lo, hi, next)
+			}
+			for i := lo; i < hi; i++ {
+				if i*p.LaneBits()/64 != w {
+					t.Fatalf("%+v: lane %d is not in word %d", p, i, w)
+				}
+			}
+			next = hi
+		}
+		if next != p.M {
+			t.Fatalf("%+v: words hold lanes up to %d of %d", p, next, p.M)
+		}
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 
 	"plsh/internal/bitvec"
 	"plsh/internal/core"
-	"plsh/internal/lshhash"
 	"plsh/internal/oracle"
 	"plsh/internal/sparse"
 )
@@ -546,7 +545,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 // dead: every row hashed and bucketed again by core.Build, then the
 // tombstones left out by a core.Merge that adds no rows.
 func (n *Node) rebuilt(prefix *sparse.Matrix, dead *bitvec.Vector) *core.Static {
-	none := &lshhash.Sketches{M: n.cfg.Params.M}
+	none := n.cfg.Params.NewSketches(0)
 	return core.Merge(core.MustBuild(n.fam, prefix, n.cfg.Build), none, tombstoneWords(dead, prefix.Rows()), n.cfg.Build.Workers)
 }
 

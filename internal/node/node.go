@@ -355,7 +355,7 @@ func (n *Node) recover(ctx context.Context) error {
 		} else {
 			// The serialized buckets go straight back into a Static — no
 			// rehashing; this is what makes recovery O(bytes), not O(build).
-			st, err := core.StaticFromTables(n.fam, snap.Rows, snap.Tables)
+			st, err := core.StaticFromTables(n.fam, snap.Rows, snap.Tables, n.cfg.Build.Workers)
 			if err != nil {
 				return fmt.Errorf("node: %w", err)
 			}

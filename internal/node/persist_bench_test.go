@@ -84,7 +84,7 @@ func BenchmarkReadSnapshot(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := core.StaticFromTables(n.fam, snap.Rows, snap.Tables); err != nil {
+		if _, err := core.StaticFromTables(n.fam, snap.Rows, snap.Tables, n.cfg.Build.Workers); err != nil {
 			b.Fatal(err)
 		}
 	}

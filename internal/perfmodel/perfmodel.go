@@ -58,10 +58,10 @@ type Costs struct {
 	// histogram over u_a and its share of the prefix sum.
 	PartitionNS float64
 	// GatherNS is Step I2 per item and first-level function: the fused
-	// scatter of the data index and its remaining hash columns, averaged
-	// over the passes (pass a writes m−1−a columns).
+	// scatter of the data index and its packed sketch row.
 	GatherNS float64
-	// SecondLevelNS is Step I3 per item and table: the second-level
+	// SecondLevelNS is Step I3 per item and table: reading the item's
+	// second-level key out of its moved row, and the second-level
 	// refinement, including the directory's fixed per-bucket costs
 	// amortized at the calibration's N.
 	SecondLevelNS float64

@@ -55,7 +55,7 @@ func TestReadsVersion4Fixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := core.StaticFromTables(fam, snap.Rows, snap.Tables)
+	got, err := core.StaticFromTables(fam, snap.Rows, snap.Tables, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestReadsVersion4Fixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A merge that adds no rows is the build with the tombstones left out.
-	want := core.Merge(built, &lshhash.Sketches{M: snap.Params.M}, snap.Deleted, 1)
+	want := core.Merge(built, snap.Params.NewSketches(0), snap.Deleted, 1)
 	for l := 0; l < got.NumTables(); l++ {
 		for key := 0; key < snap.Params.Buckets(); key++ {
 			if g, w := got.Table(l).Bucket(nil, uint32(key)), want.Table(l).Bucket(nil, uint32(key)); !slices.Equal(g, w) {

@@ -89,7 +89,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	// The loaded tables must reassemble into a valid Static.
 	fam, _ := lshhash.NewFamily(got.Params)
-	if _, err := core.StaticFromTables(fam, got.Rows, got.Tables); err != nil {
+	if _, err := core.StaticFromTables(fam, got.Rows, got.Tables, 1); err != nil {
 		t.Fatalf("StaticFromTables: %v", err)
 	}
 }

@@ -154,7 +154,8 @@ func TestClusterSearchAllocationCeiling(t *testing.T) {
 // delta segments' occupancy bitmaps. One batch of 1025 copies of one
 // document makes a segment whose every other byte is known from outside: one
 // bucket per table holding 1025 IDs (4 bytes each, at most doubled by slice
-// growth, plus the 48-byte entry), 1025 sketches, and — 16 bits per row
+// growth, plus the 48-byte entry), 1025 packed sketches of 128 sign bits
+// (two words: SketchWords at K = M = 16), and — 16 bits per row
 // rounded up to a power of two — 32768-bit bitmaps, 4096 bytes per table,
 // which is more than the ID slices' slack can hide.
 func TestStatsMemoryCountsDeltaBitmaps(t *testing.T) {
@@ -186,7 +187,7 @@ func TestStatsMemoryCountsDeltaBitmaps(t *testing.T) {
 	}
 	arena := int64(n * (4 + 8*doc.NNZ()))
 	buckets := int64(tables * (4*n + 48))
-	sketches := int64(n * m * 4)
+	sketches := int64(n * 2 * 8)
 	bitmaps := int64(tables * 32768 / 8)
 	got := after[0].MemoryBytes - before[0].MemoryBytes
 	if want := arena + buckets + sketches + bitmaps; got < want {
