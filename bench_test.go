@@ -244,6 +244,62 @@ func BenchmarkSearchRouted(b *testing.B) {
 	}
 }
 
+// BenchmarkOneGroup is the coordinator's fixed cost at one group: the
+// same 20 000 merged rows in a Store and in NewCluster(1, 1, cfg), timed
+// as single top-10 queries and as batches of 16. A Store's SearchBatch is
+// that one-group cluster's, so the two batch arms should read alike; a
+// Store's Search stays on the node, and the cluster arm beside it prices
+// a batch of one through the coordinator. One op is one call, so
+// allocs/op is per query for Search and per batch for SearchBatch.
+func BenchmarkOneGroup(b *testing.B) {
+	f := benchFixture(b)
+	cfg := Config{Dim: benchDim, K: 12, M: 10, Capacity: benchN, Seed: benchSeed}
+	s, err := NewStore(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	cl, err := NewCluster(1, 1, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+	for _, idx := range []Index{s, cl} {
+		if _, err := idx.Insert(bg, docsSlice(f.col, benchN)); err != nil {
+			b.Fatal(err)
+		}
+		if err := idx.Merge(bg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	queries := f.queries[:64]
+	const batch = 16
+	for _, arm := range []struct {
+		name string
+		idx  Index
+	}{{"store", s}, {"cluster", cl}} {
+		b.Run(arm.name+"/Search", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := arm.idx.Search(bg, queries[i%len(queries)], WithK(10)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportPerQuery(b, 1)
+		})
+		b.Run(arm.name+"/SearchBatch16", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				at := i % (len(queries) / batch) * batch
+				if _, _, err := arm.idx.SearchBatch(bg, queries[at:at+batch], WithK(10)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportPerQuery(b, batch)
+		})
+	}
+}
+
 func docsSlice(c *corpus.Collection, n int) []sparse.Vector {
 	out := make([]sparse.Vector, 0, n)
 	for i := 0; i < n; i++ {

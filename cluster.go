@@ -308,9 +308,11 @@ func (cl *Cluster) SearchBatch(ctx context.Context, qs []Vector, opts ...SearchO
 	if err != nil {
 		return nil, report, err
 	}
-	return carveResults(res, func(nb cluster.Neighbor) Match {
-		return Match{ID: GlobalID(nb.Node, nb.ID), Dist: nb.Dist}
-	}), report, nil
+	out := make([]Result, len(res))
+	for i, ms := range res {
+		out[i] = Result{Matches: ms}
+	}
+	return out, report, nil
 }
 
 // Delete removes a document by its global ID from every member of its

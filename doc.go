@@ -22,7 +22,10 @@
 // packs (group, local ID) via GlobalID — the replica group is the node
 // when Config.Replicas is 1 — and a Store is simply node 0, so code
 // written against Index scales from one process to a fleet without
-// changing a call site.
+// changing a call site. A Store's SearchBatch is the coordinator's own
+// search over the Store as its one group, so the options, the failure
+// policy and the Report are one machinery on both, and a Match is the
+// coordinator's answer type, handed out as it comes.
 //
 // Query behavior is request-scoped, not frozen at construction: Search
 // takes functional options so one index serves heterogeneous traffic —

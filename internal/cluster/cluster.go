@@ -56,22 +56,29 @@ import (
 	"plsh/internal/transport"
 )
 
-// Neighbor is a cluster-level query answer: the replica group that holds
-// the document, its group-local ID, and the angular distance. With
-// Replicas = 1 the group index is exactly the node index.
+// Neighbor is a cluster-level query answer, and the public package's
+// Match: the document's global ID, GlobalID(group, local ID), and its
+// angular distance. With Replicas = 1 the group index is exactly the node
+// index.
 type Neighbor struct {
-	Node int // replica-group index (node index when Replicas = 1)
-	ID   uint32
+	ID   uint64 // GlobalID(group, local ID)
 	Dist float64
 }
 
+// Node returns the index of the replica group holding the document: every
+// member of that group stores it, and it is below NumGroups. With
+// Replicas = 1 a group is one node, so this is the node index.
+func (n Neighbor) Node() int { g, _ := SplitGlobalID(n.ID); return g }
+
+// Local returns the document's local ID, the same on every member of its
+// replica group.
+func (n Neighbor) Local() uint32 { _, l := SplitGlobalID(n.ID); return l }
+
 // compareNeighbors is the cluster-wide presentation order: ascending
-// distance, ties by group, then by group-local ID.
+// distance, ties by global ID — by group, then by group-local ID, since
+// the group is the ID's high half.
 func compareNeighbors(a, b Neighbor) int {
 	if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.Node, b.Node); c != 0 {
 		return c
 	}
 	return cmp.Compare(a.ID, b.ID)
@@ -867,8 +874,8 @@ func (c *Cluster) plan(qs []sparse.Vector, radius float64) searchPlan {
 // sorted into the canonical order and cut at p.K when it is set. Groups
 // the plan gave nothing — pruned by the router, or any group when the
 // batch is empty — are skipped entirely: zero wall time, nil error,
-// nothing on the wire.
-// Answers come back in canonical ascending (distance, group, id) order
+// nothing on the wire. A query with no answer gets a nil list.
+// Answers come back in canonical ascending (distance, global ID) order
 // and are replica-agnostic (mirrors answer identically, so which member
 // won is visible only in the report). Under opts.Trace the report also
 // carries the attempt trace and, on a partitioned cluster, the routed
@@ -903,35 +910,56 @@ func (c *Cluster) Search(ctx context.Context, qs []sparse.Vector, p node.SearchP
 		report.PrunedGroups = len(qs)*c.groups - len(plan.refs)
 	}
 
-	bctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	// The last contacted group is answered in the caller's goroutine, the
+	// others each in one of their own; the cancel context exists only when
+	// a failure has a sibling to abort, so a one-group search spawns no
+	// goroutine for its group and makes no fan-out context.
+	last, contacted := -1, 0
+	for g := range groups {
+		if len(groups[g].sub) > 0 { // pruned: zero time, nil error, nothing on the wire
+			last = g
+			contacted++
+		}
+	}
+	bctx, cancel := ctx, context.CancelFunc(nil)
+	if contacted > 1 {
+		bctx, cancel = context.WithCancel(ctx)
+		defer cancel()
+	}
 	var attempts [][]Attempt
 	if opts.Trace {
 		attempts = make([][]Attempt, c.groups)
 	}
+	times, errs := report.Times, report.Errs // not report: it would move to the heap
+	answer := func(g int) {
+		t0 := time.Now()
+		r, atts, err := c.searchGroup(bctx, g, groups[g].sub, p, opts)
+		times[g] = time.Since(t0)
+		if opts.Trace {
+			attempts[g] = atts
+		}
+		if err != nil {
+			errs[g] = err
+			if !opts.Partial && cancel != nil {
+				cancel() // abort the rest of the fan-out
+			}
+			return
+		}
+		groups[g].res = r
+	}
 	var wg sync.WaitGroup
 	for g := range groups {
-		if len(groups[g].sub) == 0 {
-			continue // pruned: zero time, nil error, nothing on the wire
+		if len(groups[g].sub) == 0 || g == last {
+			continue
 		}
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			t0 := time.Now()
-			r, atts, err := c.searchGroup(bctx, g, groups[g].sub, p, opts)
-			report.Times[g] = time.Since(t0)
-			if opts.Trace {
-				attempts[g] = atts
-			}
-			if err != nil {
-				report.Errs[g] = err
-				if !opts.Partial {
-					cancel() // abort the rest of the fan-out
-				}
-				return
-			}
-			groups[g].res = r
+			answer(g)
 		}(g)
+	}
+	if last >= 0 {
+		answer(last)
 	}
 	wg.Wait()
 	for _, atts := range attempts {
@@ -976,11 +1004,14 @@ func (c *Cluster) Search(ctx context.Context, qs []sparse.Vector, p node.SearchP
 		for _, ref := range plan.refs[plan.offs[qi]:plan.offs[qi+1]] {
 			if lists := groups[ref.g].res; lists != nil {
 				for _, nb := range lists[ref.j] {
-					arena = append(arena, Neighbor{Node: int(ref.g), ID: nb.ID, Dist: nb.Dist})
+					arena = append(arena, Neighbor{ID: GlobalID(int(ref.g), nb.ID), Dist: nb.Dist})
 				}
 			}
 		}
 		ans := arena[base:]
+		if len(ans) == 0 {
+			continue // no answer is a nil list
+		}
 		slices.SortFunc(ans, compareNeighbors)
 		if p.K > 0 && len(ans) > p.K {
 			ans = ans[:p.K]

@@ -56,7 +56,7 @@ func testDocs(n int, seed uint64) []sparse.Vector {
 
 func findGlobal(ns []Neighbor, g uint64) bool {
 	for _, nb := range ns {
-		if GlobalID(nb.Node, nb.ID) == g {
+		if nb.ID == g {
 			return true
 		}
 	}
@@ -593,9 +593,10 @@ func (f *tiedNode) Search(ctx context.Context, qs []sparse.Vector, p node.Search
 }
 
 // TestSearchBreaksTiesByGroup: groups that answer at equal distances come
-// out in (distance, group, id) order — group 2's ids are lower than group
-// 0's, so an order by id alone would differ — and a p.K that cuts inside
-// the tie keeps the lower groups.
+// out in (distance, global ID) order, the group being the ID's high half —
+// group 2's local ids are lower than group 0's, so an order by local id
+// alone would differ — and a p.K that cuts inside the tie keeps the lower
+// groups.
 func TestSearchBreaksTiesByGroup(t *testing.T) {
 	answers := [][]core.Neighbor{
 		{{ID: 5, Dist: 0.5}, {ID: 9, Dist: 0.5}, {ID: 1, Dist: 0.75}},
@@ -611,11 +612,11 @@ func TestSearchBreaksTiesByGroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	all := []Neighbor{
-		{Node: 1, ID: 2, Dist: 0.25},
-		{Node: 0, ID: 5, Dist: 0.5}, {Node: 0, ID: 9, Dist: 0.5},
-		{Node: 1, ID: 3, Dist: 0.5},
-		{Node: 2, ID: 0, Dist: 0.5}, {Node: 2, ID: 4, Dist: 0.5},
-		{Node: 0, ID: 1, Dist: 0.75},
+		{ID: GlobalID(1, 2), Dist: 0.25},
+		{ID: GlobalID(0, 5), Dist: 0.5}, {ID: GlobalID(0, 9), Dist: 0.5},
+		{ID: GlobalID(1, 3), Dist: 0.5},
+		{ID: GlobalID(2, 0), Dist: 0.5}, {ID: GlobalID(2, 4), Dist: 0.5},
+		{ID: GlobalID(0, 1), Dist: 0.75},
 	}
 	qs := testDocs(2, 41)
 	for _, k := range []int{0, 1, 2, 3, 4, 5, 7, 10} {
@@ -636,7 +637,7 @@ func TestSearchBreaksTiesByGroup(t *testing.T) {
 }
 
 // sortClusterNeighbors mirrors the coordinator's merge order: ascending
-// (Dist, Node, ID).
+// (Dist, ID).
 func sortClusterNeighbors(ns []Neighbor) {
 	for i := 1; i < len(ns); i++ {
 		for j := i; j > 0 && clusterLess(ns[j], ns[j-1]); j-- {
@@ -648,9 +649,6 @@ func sortClusterNeighbors(ns []Neighbor) {
 func clusterLess(a, b Neighbor) bool {
 	if a.Dist != b.Dist {
 		return a.Dist < b.Dist
-	}
-	if a.Node != b.Node {
-		return a.Node < b.Node
 	}
 	return a.ID < b.ID
 }

@@ -106,6 +106,56 @@ func TestStoreSearchAllocationCeiling(t *testing.T) {
 	}
 }
 
+// TestStoreSearchBatchIsTheOneGroupPath pins that a Store's SearchBatch
+// is the coordinator's one-group search: a batch of 16 through the Store
+// and through NewCluster(1, 1, cfg) over the same rows allocates the same
+// count, under a ceiling that keeps the one-group fan-out from growing
+// back its own goroutine and cancel context.
+func TestStoreSearchBatchIsTheOneGroupPath(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("sync.Pool drops workspaces at random under -race")
+	}
+	s, docs := allocStore(t, 1000)
+	defer s.Close()
+	cl, err := NewCluster(1, 1, s.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.Insert(bg, docs); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Merge(bg); err != nil {
+		t.Fatal(err)
+	}
+	opts := []SearchOption{WithK(10)}
+	qs := docs[17:33]
+	allocs := map[string]float64{}
+	for name, idx := range map[string]Index{"Store": s, "one-group Cluster": cl} {
+		for i := 0; i < 32; i++ { // warm the workspace pool to steady state
+			if _, _, err := idx.SearchBatch(bg, qs, opts...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs[name] = testing.AllocsPerRun(200, func() {
+			if _, _, err := idx.SearchBatch(bg, qs, opts...); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs["Store"] != allocs["one-group Cluster"] {
+		t.Errorf("a batch of %d allocates %.1f through the Store and %.1f through a one-group Cluster; the Store's batch is that path",
+			len(qs), allocs["Store"], allocs["one-group Cluster"])
+	}
+	// Ceiling with headroom over the measured steady state of 49: the
+	// node's batch (workspaces, answer lists), the plan, the report, the
+	// one group's failover machinery, the answer arena and the Results.
+	const ceiling = 52
+	if allocs["Store"] > ceiling {
+		t.Errorf("Store.SearchBatch of %d allocates %.1f/op warm; ceiling %d", len(qs), allocs["Store"], ceiling)
+	}
+}
+
 // TestClusterSearchAllocationCeiling guards the broadcast path end to
 // end on an in-process replicated cluster: fan-out, per-group failover
 // machinery, the coordinator's sort and cut, and Result conversion
@@ -141,10 +191,12 @@ func TestClusterSearchAllocationCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// The broadcast spawns one goroutine per replica group, so its floor
-	// is higher than the Store's; the ceiling still excludes any per-call
-	// result materialization beyond the flat arena.
-	const ceiling = 64
+	// Ceiling with headroom over the measured steady state of 34: the
+	// broadcast answers one of its two groups in the caller's goroutine and
+	// spawns one for the other, so its floor is higher than the Store's;
+	// the ceiling still excludes any per-call result materialization
+	// beyond the flat arena.
+	const ceiling = 38
 	if allocs > ceiling {
 		t.Errorf("Cluster.Search allocates %.1f/op warm; ceiling %d", allocs, ceiling)
 	}

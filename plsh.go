@@ -5,12 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
+	"plsh/internal/cluster"
 	"plsh/internal/core"
 	"plsh/internal/lshhash"
 	"plsh/internal/node"
 	"plsh/internal/sparse"
+	"plsh/internal/transport"
 )
 
 // Vector is a sparse unit vector: parallel slices of strictly increasing
@@ -229,6 +230,7 @@ func (c Config) nodeConfig() node.Config {
 type Store struct {
 	cfg Config
 	n   *node.Node
+	one *Cluster // a coordinator with n as its one group: SearchBatch's path
 }
 
 // NewStore creates a Store: empty when cfg.Dir is unset, recovered from
@@ -258,7 +260,11 @@ func Open(ctx context.Context, dir string, cfg Config) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("plsh: %w", err)
 	}
-	return &Store{cfg: cfg, n: n}, nil
+	one, err := newCluster(ctx, []transport.NodeClient{transport.NewLocal(n)}, cluster.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return &Store{cfg: cfg, n: n, one: one}, nil
 }
 
 // Insert appends documents, returning their global IDs (dense, in arrival
@@ -291,10 +297,11 @@ func (s *Store) Search(ctx context.Context, q Vector, opts ...SearchOption) (Res
 	if err != nil {
 		return Result{}, err
 	}
-	// Single-query fast path: no batch wrapper, no Report machinery —
-	// the node appends into a stack buffer and the only result allocation
-	// is the caller's []Match (plus one growth when more than 32 documents
-	// are in radius).
+	// A single query stays on the node, not on the coordinator SearchBatch
+	// runs: no batch wrapper, no Report machinery — the node appends into
+	// a stack buffer and the only result allocation is the caller's
+	// []Match (plus one growth when more than 32 documents are in radius),
+	// where a batch of one through the coordinator allocates ~22 times.
 	nctx := ctx
 	if spec.policy.PerNodeTimeout > 0 {
 		var cancel context.CancelFunc
@@ -315,43 +322,11 @@ func (s *Store) Search(ctx context.Context, q Vector, opts ...SearchOption) (Res
 // SearchBatch answers many queries in one parallel batch under one set of
 // request-scoped options — the high-throughput path (the paper processes
 // queries in batches of ≥30, trading ~45 ms of latency for maximal
-// throughput). The Report covers the Store as the single node 0.
+// throughput). It is the coordinator's search over the Store as its one
+// group, so the options, the failure policy and the Report (group 0, with
+// one attempt when traced) are a Cluster's.
 func (s *Store) SearchBatch(ctx context.Context, qs []Vector, opts ...SearchOption) ([]Result, Report, error) {
-	spec, err := resolveSearch(opts)
-	if err != nil {
-		return nil, Report{}, err
-	}
-	return s.searchBatch(ctx, qs, spec)
-}
-
-// searchBatch runs a resolved spec against the node, mirroring the
-// coordinator's per-node policy on the Store's one node: WithNodeTimeout
-// bounds the call, and with a single node a failure fails the call even
-// under AllowPartial (no other node can answer).
-func (s *Store) searchBatch(ctx context.Context, qs []Vector, spec searchSpec) ([]Result, Report, error) {
-	report := Report{Times: make([]time.Duration, 1), Errs: make([]error, 1)}
-	nctx := ctx
-	if spec.policy.PerNodeTimeout > 0 {
-		var cancel context.CancelFunc
-		nctx, cancel = context.WithTimeout(ctx, spec.policy.PerNodeTimeout)
-		defer cancel()
-	}
-	t0 := time.Now()
-	res, err := s.n.SearchBatch(nctx, qs, spec.params)
-	report.Times[0] = time.Since(t0)
-	if spec.policy.Trace {
-		report.Attempts = []Attempt{{Time: report.Times[0], Won: err == nil, Err: err}}
-	}
-	if err != nil {
-		report.Errs[0] = err
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, report, cerr
-		}
-		return nil, report, err
-	}
-	return carveResults(res, func(nb core.Neighbor) Match {
-		return Match{ID: GlobalID(0, nb.ID), Dist: nb.Dist}
-	}), report, nil
+	return s.one.SearchBatch(ctx, qs, opts...)
 }
 
 // Delete marks a document ID deleted; it will no longer be returned.

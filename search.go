@@ -65,20 +65,9 @@ var (
 // distance from the query in radians. On a Store the ID is the node-local
 // ID zero-extended; on a Cluster it packs (replica group, local ID), as
 // GlobalID does — use Node and Local (or SplitGlobalID) when placement
-// matters.
-type Match struct {
-	ID   uint64
-	Dist float64
-}
-
-// Node returns the index of the replica group holding the document: every
-// member of that group stores it, and it is below Cluster.NumGroups. With
-// Replicas = 1 a group is one node, so this is the node index.
-func (m Match) Node() int { n, _ := SplitGlobalID(m.ID); return n }
-
-// Local returns the document's local ID, the same on every member of its
-// replica group.
-func (m Match) Local() uint32 { _, l := SplitGlobalID(m.ID); return l }
+// matters. It is the coordinator's own answer type, so a batch's Matches
+// are the coordinator's lists as they come.
+type Match = cluster.Neighbor
 
 // Result is the answer to one query: every reported document is truly
 // within the effective radius, sorted ascending by (distance, ID) — and
@@ -212,33 +201,6 @@ func matchesFromLocal(nodeIdx int, ns []core.Neighbor) []Match {
 	out := make([]Match, len(ns))
 	for i, nb := range ns {
 		out[i] = Match{ID: GlobalID(nodeIdx, nb.ID), Dist: nb.Dist}
-	}
-	return out
-}
-
-// carveResults converts batch answers to Results, carving every query's
-// Matches from one flat arena sized by a counting pass — a 200-query batch
-// costs two allocations of result storage, not 200. match converts one
-// answer; a Store's are node 0's, a Cluster's carry their group.
-func carveResults[N any](res [][]N, match func(N) Match) []Result {
-	out := make([]Result, len(res))
-	total := 0
-	for _, ns := range res {
-		total += len(ns)
-	}
-	if total == 0 {
-		return out
-	}
-	arena := make([]Match, 0, total)
-	for i, ns := range res {
-		if len(ns) == 0 {
-			continue
-		}
-		base := len(arena)
-		for _, nb := range ns {
-			arena = append(arena, match(nb))
-		}
-		out[i] = Result{Matches: arena[base:len(arena):len(arena)]}
 	}
 	return out
 }
