@@ -340,7 +340,7 @@ func BenchmarkQueryDuringMerge(b *testing.B) {
 	searchLoop := func() time.Duration {
 		t0 := time.Now()
 		for i := 0; i < b.N; i++ {
-			if _, err := n.Search(bg, f.queries[i%len(f.queries)], node.SearchParams{}); err != nil {
+			if _, err := n.SearchAppend(bg, nil, f.queries[i%len(f.queries)], node.SearchParams{}); err != nil {
 				b.Fatal(err)
 			}
 		}

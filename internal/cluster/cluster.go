@@ -779,102 +779,88 @@ func (c *Cluster) searchGroup(ctx context.Context, g int, qs []sparse.Vector, p 
 	}
 }
 
-// probeRef locates one (query, group) probe's answer: group g's
-// sub-batch answers the query at position j. The refs of one query are
-// contiguous in searchPlan.refs, delimited by offs.
+// probeRef locates one routed (query, group) probe's answer: group g's
+// sub-batch answers query q at position j.
 type probeRef struct {
-	g, j int32
+	q, g, j int32
 }
 
 // groupPlan is one group's share of a Search call: the sub-batch it is
-// sent (empty = not contacted), then the answer.
+// sent (empty = not contacted), then the answer and, under trace, the
+// attempts behind it. It aliases the caller's queries and holds the
+// group's answers, so it lives exactly as long as the request does.
 type groupPlan struct {
-	sub []sparse.Vector
-	res [][]core.Neighbor
-}
-
-// searchPlan is the per-call state of Search, a local of that call: the
-// per-group shares and the flat probe-ref arena that maps answers back to
-// query positions. It aliases the caller's queries and holds the groups'
-// answers, so it lives exactly as long as the request does.
-type searchPlan struct {
-	groups []groupPlan
-	refs   []probeRef
-	offs   []int32 // per query: refs[offs[qi]:offs[qi+1]]
+	sub  []sparse.Vector
+	res  [][]core.Neighbor
+	atts []Attempt
 }
 
 // plan is placement on the read side, the one place a search consults it:
-// per group the sub-batch it must answer (empty = not contacted), and per
-// query the contiguous refs that find its answers again at merge time. A
-// query's probe set is Router.Probe's at the request's radius — the
-// recall-bounded set of groups its in-radius neighbors can live on under
-// partitioned placement — or every group when there is no router (scatter)
-// or the probe set degenerates. A sub-batch is the caller's batch when
-// every query probes every group, else a copy of the routed query
-// headers, one arena for the whole plan.
-func (c *Cluster) plan(qs []sparse.Vector, radius float64) searchPlan {
-	sp := searchPlan{
-		groups: make([]groupPlan, c.groups),
-		refs:   make([]probeRef, 0, len(qs)*c.groups),
-		offs:   make([]int32, 1, len(qs)+1),
-	}
-	var buf [64]int // small clusters keep the plan's counters off the heap
-	work := buf[:min(2*c.groups, len(buf))]
-	if 2*c.groups > len(buf) {
-		work = make([]int, 2*c.groups)
-	}
-	count := work[:c.groups] // per group: routed queries so far
-	probes := work[c.groups:c.groups]
-	for qi := range qs {
-		var ok bool
-		probes, ok = c.router.Probe(qs[qi], radius, probes[:0])
-		if !ok {
-			probes = probes[:0]
-			for g := range sp.groups {
-				probes = append(probes, g)
+// per group the sub-batch it must answer (empty = not contacted). Under
+// scatter every group is sent the caller's batch, so group g's answer i is
+// query i's, and there are no refs. A partitioned cluster routes each
+// query to Router.Probe's set at the request's radius — the
+// recall-bounded set of groups its in-radius neighbors can live on — or
+// to every group when the probe set degenerates; it returns the refs that
+// find the answers again, in query order, and each sub-batch is a copy of
+// the routed query headers, one arena for the whole plan. A routed plan in
+// which every query probes every group takes the scatter form.
+func (c *Cluster) plan(qs []sparse.Vector, radius float64) (groups []groupPlan, refs []probeRef) {
+	groups = make([]groupPlan, c.groups)
+	if c.router != nil {
+		refs = make([]probeRef, 0, len(qs)*c.groups)
+		var buf [64]int // small clusters keep the plan's counters off the heap
+		work := buf[:min(2*c.groups, len(buf))]
+		if 2*c.groups > len(buf) {
+			work = make([]int, 2*c.groups)
+		}
+		count := work[:c.groups] // per group: routed queries so far
+		probes := work[c.groups:c.groups]
+		for qi := range qs {
+			var ok bool
+			probes, ok = c.router.Probe(qs[qi], radius, probes[:0])
+			if !ok {
+				probes = probes[:0]
+				for g := range groups {
+					probes = append(probes, g)
+				}
+			}
+			for _, g := range probes {
+				refs = append(refs, probeRef{q: int32(qi), g: int32(g), j: int32(count[g])})
+				count[g]++
 			}
 		}
-		for _, g := range probes {
-			sp.refs = append(sp.refs, probeRef{g: int32(g), j: int32(count[g])})
-			count[g]++
-		}
-		sp.offs = append(sp.offs, int32(len(sp.refs)))
-	}
-	if len(sp.refs) == len(qs)*c.groups {
-		// Every query probes every group — scatter, or a router that
-		// pruned nothing — so ref j is the query's own position and every
-		// group's sub-batch is the caller's batch itself.
-		for g := range sp.groups {
-			sp.groups[g].sub = qs
-		}
-		return sp
-	}
-	arena := make([]sparse.Vector, len(sp.refs))
-	for g, n := range count {
-		sp.groups[g].sub, arena = arena[:n:n], arena[n:]
-	}
-	for qi := range qs {
-		for _, ref := range sp.refs[sp.offs[qi]:sp.offs[qi+1]] {
-			sp.groups[ref.g].sub[ref.j] = qs[qi]
+		if len(refs) < len(qs)*c.groups { // the router pruned a probe
+			arena := make([]sparse.Vector, len(refs))
+			for g, n := range count {
+				groups[g].sub, arena = arena[:n:n], arena[n:]
+			}
+			for _, ref := range refs {
+				groups[ref.g].sub[ref.j] = qs[ref.q]
+			}
+			return groups, refs
 		}
 	}
-	return sp
+	for g := range groups {
+		groups[g].sub = qs
+	}
+	return groups, nil
 }
 
 // Search answers a batch under request-scoped parameters and opts'
 // failure policy, and reports each group's wall time and outcome. It is
 // the one query path of the coordinator, whatever the placement: plan
-// the per-group sub-batches (see plan — a scatter broadcast is the plan
-// whose probe set is every group), fan each contacted group's sub-batch
-// out to one member's Search entry point (per-query radius and candidate
-// budget applied node-side, answers pruned to p.K per group when bounded)
-// — with failover to sibling replicas on error/timeout and an optional
-// hedge against slow ones (see searchGroup) — and gather each query's
-// per-group lists through the probe refs into its span of one arena,
-// sorted into the canonical order and cut at p.K when it is set. Groups
-// the plan gave nothing — pruned by the router, or any group when the
-// batch is empty — are skipped entirely: zero wall time, nil error,
-// nothing on the wire. A query with no answer gets a nil list.
+// the per-group sub-batches (see plan — a scatter broadcast sends every
+// group the caller's batch), fan each contacted group's sub-batch out to
+// one member's Search entry point (per-query radius applied node-side,
+// answers pruned to p.K per group when bounded) — with failover to
+// sibling replicas on error/timeout and an optional hedge against slow
+// ones (see searchGroup) — and gather each query's per-group lists (list
+// i of every group under scatter, else through the probe refs) into its
+// span of one arena, sorted into the canonical order and cut at p.K when
+// it is set. Groups the plan gave nothing — pruned by the router, or any
+// group when the batch is empty — are skipped entirely: zero wall time,
+// nil error, nothing on the wire. A query with no answer gets a nil list.
 // Answers come back in canonical ascending (distance, global ID) order
 // and are replica-agnostic (mirrors answer identically, so which member
 // won is visible only in the report). Under opts.Trace the report also
@@ -901,43 +887,35 @@ func (c *Cluster) Search(ctx context.Context, qs []sparse.Vector, p node.SearchP
 			return nil, report, fmt.Errorf("cluster: search: %w", err)
 		}
 	}
-	plan := c.plan(qs, p.Radius)
-	groups := plan.groups
-	if opts.Trace && c.router != nil {
-		// The (query, group) pairs the router kept and pruned; scatter
-		// routes nothing and reports both as zero.
-		report.RoutedGroups = len(plan.refs)
-		report.PrunedGroups = len(qs)*c.groups - len(plan.refs)
-	}
+	groups, refs := c.plan(qs, p.Radius)
 
 	// The last contacted group is answered in the caller's goroutine, the
 	// others each in one of their own; the cancel context exists only when
 	// a failure has a sibling to abort, so a one-group search spawns no
 	// goroutine for its group and makes no fan-out context.
-	last, contacted := -1, 0
+	last, contacted, routed := -1, 0, 0
 	for g := range groups {
 		if len(groups[g].sub) > 0 { // pruned: zero time, nil error, nothing on the wire
 			last = g
 			contacted++
+			routed += len(groups[g].sub)
 		}
+	}
+	if opts.Trace && c.router != nil {
+		// The (query, group) pairs the router kept and pruned; scatter
+		// routes nothing and reports both as zero.
+		report.RoutedGroups, report.PrunedGroups = routed, len(qs)*c.groups-routed
 	}
 	bctx, cancel := ctx, context.CancelFunc(nil)
 	if contacted > 1 {
 		bctx, cancel = context.WithCancel(ctx)
 		defer cancel()
 	}
-	var attempts [][]Attempt
-	if opts.Trace {
-		attempts = make([][]Attempt, c.groups)
-	}
 	times, errs := report.Times, report.Errs // not report: it would move to the heap
 	answer := func(g int) {
 		t0 := time.Now()
 		r, atts, err := c.searchGroup(bctx, g, groups[g].sub, p, opts)
-		times[g] = time.Since(t0)
-		if opts.Trace {
-			attempts[g] = atts
-		}
+		times[g], groups[g].atts = time.Since(t0), atts
 		if err != nil {
 			errs[g] = err
 			if !opts.Partial && cancel != nil {
@@ -953,26 +931,26 @@ func (c *Cluster) Search(ctx context.Context, qs []sparse.Vector, p node.SearchP
 			continue
 		}
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
 			answer(g)
-		}(g)
+		}()
 	}
 	if last >= 0 {
 		answer(last)
 	}
 	wg.Wait()
-	for _, atts := range attempts {
-		report.Attempts = append(report.Attempts, atts...)
+	for _, gp := range groups {
+		report.Attempts = append(report.Attempts, gp.atts...)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, report, err
 	}
 	firstErr := firstError(report.Errs, "search", "group")
-	answered := 0 // contacted groups that answered (pruned groups don't count)
-	for g, err := range report.Errs {
-		if err == nil && len(groups[g].sub) > 0 {
-			answered++
+	answered := contacted // contacted groups that answered (pruned groups never fail)
+	for _, err := range report.Errs {
+		if err != nil {
+			answered--
 		}
 	}
 	// In all-or-nothing mode the first failure cancels its siblings; those
@@ -999,14 +977,22 @@ func (c *Cluster) Search(ctx context.Context, qs []sparse.Vector, p node.SearchP
 	}
 	out := make([][]Neighbor, len(qs))
 	arena := make([]Neighbor, 0, size)
+	take := func(g, j int) { // group g's list j, under global IDs
+		if lists := groups[g].res; lists != nil { // nil: the group failed
+			for _, nb := range lists[j] {
+				arena = append(arena, Neighbor{ID: GlobalID(g, nb.ID), Dist: nb.Dist})
+			}
+		}
+	}
 	for qi := range qs {
 		base := len(arena)
-		for _, ref := range plan.refs[plan.offs[qi]:plan.offs[qi+1]] {
-			if lists := groups[ref.g].res; lists != nil {
-				for _, nb := range lists[ref.j] {
-					arena = append(arena, Neighbor{ID: GlobalID(int(ref.g), nb.ID), Dist: nb.Dist})
-				}
+		if refs == nil {
+			for g := range groups {
+				take(g, qi)
 			}
+		}
+		for ; len(refs) > 0 && int(refs[0].q) == qi; refs = refs[1:] {
+			take(int(refs[0].g), int(refs[0].j))
 		}
 		ans := arena[base:]
 		if len(ans) == 0 {

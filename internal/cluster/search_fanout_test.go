@@ -321,3 +321,45 @@ func TestSearchFanOutBothPlacements(t *testing.T) {
 		}
 	}
 }
+
+// TestScatterPlanHasNoRefs: a scatter plan sends every group the caller's
+// batch itself and builds no probe refs, so group g's answer i is query
+// i's; a routed plan in which every query probes every group (a radius
+// past π/2 degenerates every probe set) takes the same form, and a routed
+// plan that prunes keeps its refs. Under trace, the all-probe routed search
+// reports every (query, group) pair routed and none pruned.
+func TestScatterPlanHasNoRefs(t *testing.T) {
+	qs := testDocs(12, 5)
+	router := testRouter(t, RouterConfig{Groups: fanoutGroups})
+	for _, tc := range []struct {
+		name   string
+		router *Router
+		radius float64
+	}{
+		{"scatter", nil, 0},
+		{"routed, every group probed", router, 1.6},
+	} {
+		groups, refs := (&Cluster{groups: fanoutGroups, router: tc.router}).plan(qs, tc.radius)
+		if refs != nil {
+			t.Fatalf("%s: plan built %d refs", tc.name, len(refs))
+		}
+		for g, gp := range groups {
+			if len(gp.sub) != len(qs) || &gp.sub[0] != &qs[0] {
+				t.Fatalf("%s: group %d is sent a %d-query copy, not the caller's batch", tc.name, g, len(gp.sub))
+			}
+		}
+	}
+	if _, refs := (&Cluster{groups: fanoutGroups, router: router}).plan(qs, 0); len(refs) == 0 || len(refs) == len(qs)*fanoutGroups {
+		t.Fatalf("a pruning routed plan holds %d refs for %d queries × %d groups", len(refs), len(qs), fanoutGroups)
+	}
+
+	f := newFanoutFleet(t, PlacementPartitioned)
+	res, rep, err := f.c.Search(bg, f.qs, node.SearchParams{Radius: 1.6}, BatchOptions{Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.requireSelfMatches(t, res, -1)
+	if pairs := len(f.qs) * fanoutGroups; rep.RoutedGroups != pairs || rep.PrunedGroups != 0 {
+		t.Fatalf("an all-probe routed search reports %d routed and %d pruned, want %d and 0", rep.RoutedGroups, rep.PrunedGroups, pairs)
+	}
+}

@@ -18,6 +18,7 @@ package clustertest
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -204,7 +205,7 @@ func (n *Node) waitReady(timeout time.Duration) error {
 		if time.Now().After(deadline) {
 			return fmt.Errorf("clustertest: node at %s not ready: %w", n.Addr, lastErr)
 		}
-		time.Sleep(20 * time.Millisecond)
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 
@@ -238,10 +239,10 @@ func reserveAddrs(n int) ([]string, error) {
 }
 
 // Spawn builds the node binary, reserves n TCP addresses, and launches n
-// durable node processes, each with its own data directory under
-// dataRoot plus the given extra flags (dimensions, seed, ...). On error,
-// any processes already launched are killed. The caller owns shutdown:
-// KillAll (or per-node Kill/Stop) when done.
+// durable node processes at once, each with its own data directory under
+// dataRoot plus the given extra flags (dimensions, seed, ...), returning
+// when every one answers. On error, every process launched is killed.
+// The caller owns shutdown: KillAll (or per-node Kill/Stop) when done.
 func Spawn(n int, dataRoot string, extraArgs ...string) (*Fleet, error) {
 	bin, err := BuildNodeBinary()
 	if err != nil {
@@ -264,11 +265,20 @@ func Spawn(n int, dataRoot string, extraArgs ...string) (*Fleet, error) {
 			args: extraArgs,
 		})
 	}
-	for _, nd := range f.Nodes {
-		if err := nd.Start(); err != nil {
-			f.KillAll()
-			return nil, err
-		}
+	// The nodes start concurrently; a fleet starts whole or not at all.
+	errs := make([]error, len(f.Nodes))
+	var wg sync.WaitGroup
+	for i, nd := range f.Nodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = nd.Start()
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		f.KillAll()
+		return nil, err
 	}
 	return f, nil
 }

@@ -1,7 +1,9 @@
 package expr
 
 import (
+	"bytes"
 	"slices"
+	"strings"
 	"testing"
 
 	"plsh/internal/core"
@@ -36,6 +38,29 @@ func TestFig4ArmsBuildTheServingTables(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestFig4NotePrintsOnlyWhereMeasured: Fig. 4's note quotes a Steps I1 + I2
+// split measured at N = 20 000, k = 12, m = 10, so it is printed there and
+// not at CI's tiny scale (-n 1500 -k 8 -m 6), where nobody measured it.
+func TestFig4NotePrintsOnlyWhereMeasured(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiments are slow")
+	}
+	measured := tinyOptions()
+	measured.N, measured.Dim, measured.K, measured.M = 20000, 20000, 12, 10
+	for _, tc := range []struct {
+		o    Options
+		note bool
+	}{{tinyOptions(), false}, {measured, true}} {
+		var buf bytes.Buffer
+		if err := Fig4(tc.o, &buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Contains(buf.String(), "note:"); got != tc.note {
+			t.Errorf("N %d, k %d, m %d: note printed %v, want %v:\n%s", tc.o.N, tc.o.K, tc.o.M, got, tc.note, buf.String())
 		}
 	}
 }

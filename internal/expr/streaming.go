@@ -74,7 +74,7 @@ func Streaming(o Options, w io.Writer) error {
 			done = true
 		default:
 			q0 := time.Now()
-			if _, err := n.Search(ctx, queries[len(during)%len(queries)], node.SearchParams{}); err != nil {
+			if _, err := n.SearchAppend(ctx, nil, queries[len(during)%len(queries)], node.SearchParams{}); err != nil {
 				return err
 			}
 			during = append(during, time.Since(q0))

@@ -90,7 +90,7 @@ func FuzzNodeOps(f *testing.F) {
 
 		search := func(step int, q sparse.Vector, p SearchParams) {
 			t.Helper()
-			got, err := n.Search(bg, q, p)
+			got, err := n.SearchAppend(bg, nil, q, p)
 			if err != nil {
 				t.Fatalf("op %d: search: %v", step, err)
 			}

@@ -260,7 +260,7 @@ func TestRetireRacesInFlightQueries(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := n.Search(bg, queries[(g+i)%len(queries)], SearchParams{}); err != nil {
+				if _, err := n.SearchAppend(bg, nil, queries[(g+i)%len(queries)], SearchParams{}); err != nil {
 					t.Errorf("query: %v", err)
 					return
 				}
@@ -366,7 +366,7 @@ func requireMatchesOracle(t *testing.T, phase string, n *Node, o *oracle.Oracle,
 			radius = p.Radius
 		}
 		for qi := 0; qi < len(vs); qi += 5 {
-			got, err := n.Search(bg, vs[qi], p)
+			got, err := n.SearchAppend(bg, nil, vs[qi], p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -492,7 +492,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := n.Search(bg, queries[(g+i)%len(queries)], SearchParams{}); err != nil {
+				if _, err := n.SearchAppend(bg, nil, queries[(g+i)%len(queries)], SearchParams{}); err != nil {
 					t.Errorf("query: %v", err)
 					return
 				}

@@ -184,8 +184,8 @@ type Stats struct {
 	PersistErr string
 
 	// Operation counters, accumulated since construction. Searches
-	// counts queries answered, by Search, SearchAppend or SearchBatch
-	// alike; Inserts documents accepted, Deletes tombstones acknowledged.
+	// counts queries answered, by SearchAppend or SearchBatch alike;
+	// Inserts documents accepted, Deletes tombstones acknowledged.
 	// The wire carries Stats whole, field by field: a field added here
 	// needs a line in the transport codec (TestStatsSurviveCodec).
 	SearchesServed uint64
@@ -1077,24 +1077,14 @@ func (n *Node) Stats() Stats {
 	return st
 }
 
-// Search answers one query under request-scoped parameters. Answers come
-// back in the canonical presentation order — ascending (distance, id) —
-// bounded to the k nearest when p.K is set. This is the entry point the
-// unified public Search path (Store, coordinator, wire protocol) lands on.
-func (n *Node) Search(ctx context.Context, q sparse.Vector, p SearchParams) ([]core.Neighbor, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	res, err := n.SearchAppend(ctx, nil, q, p)
-	return res, err
-}
-
-// SearchAppend is Search with the append contract of
-// core.Engine.SearchAppend: answers are appended to dst (finished — top-k
-// bounded and canonically ordered — over the appended suffix only) and
-// the extended slice is returned. A caller that reuses dst across calls
-// makes the whole node-level search allocation-free in steady state; the
-// caller owns dst and everything returned. A query that does not fit the
+// SearchAppend answers one query under request-scoped parameters, with
+// the append contract of core.Engine.SearchAppend: answers are appended to
+// dst, finished over the appended suffix only — in the canonical
+// presentation order, ascending (distance, id), and bounded to the k
+// nearest when p.K is set — and the extended slice is returned. A caller
+// that reuses dst across calls makes the whole node-level search
+// allocation-free in steady state; the caller owns dst and everything
+// returned. A query that does not fit the
 // node's dimension is refused with an error wrapping sparse.ErrInvalid.
 func (n *Node) SearchAppend(ctx context.Context, dst []core.Neighbor, q sparse.Vector, p SearchParams) ([]core.Neighbor, error) {
 	if err := ctx.Err(); err != nil {
@@ -1113,8 +1103,13 @@ func (n *Node) SearchAppend(ctx context.Context, dst []core.Neighbor, q sparse.V
 // workers check ctx between queries, so an expired deadline abandons the
 // remainder of the batch promptly and the whole call reports ctx.Err().
 // One query that does not fit the node's dimension (sparse.ErrInvalid)
-// refuses the batch. The answer matrix is made per call and belongs to
-// the caller.
+// refuses the batch. The answers are one array per call: each pool worker
+// appends its queries' finished answers to its own region of it, and each
+// query's list is carved from its worker's array as the query finishes,
+// as the wire's decoder carves a reply's lists from one array. A worker
+// whose answers outgrow its region grows its array alone; lists carved
+// before that keep their place, which no later append touches. A query
+// with no answer gets a nil list. The matrix belongs to the caller.
 func (n *Node) SearchBatch(ctx context.Context, qs []sparse.Vector, p SearchParams) ([][]core.Neighbor, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -1123,12 +1118,27 @@ func (n *Node) SearchBatch(ctx context.Context, qs []sparse.Vector, p SearchPara
 		return nil, fmt.Errorf("node: search: %w", err)
 	}
 	s := n.snap.Load()
-	out := make([][]core.Neighbor, len(qs))
-	s.eng.Pool().Run(len(qs), func(task, _ int) {
+	pool := s.eng.Pool()
+	// Run gives min(workers, tasks) workers a share of the tasks each, so
+	// only those get a region; the lists and the arrays share one
+	// allocation.
+	busy := max(min(pool.Workers(), len(qs)), 1)
+	per := (len(qs) + busy - 1) / busy * answersHint
+	lists := make([][]core.Neighbor, len(qs)+pool.Workers())
+	out, arrays := lists[:len(qs):len(qs)], lists[len(qs):]
+	region := make([]core.Neighbor, busy*per)
+	for w := range busy {
+		arrays[w] = region[w*per : w*per : (w+1)*per]
+	}
+	pool.Run(len(qs), func(task, w int) {
 		if ctx.Err() != nil {
 			return
 		}
-		out[task] = finishSearch(n.searchOn(nil, s, qs[task], p), 0, p)
+		lo := len(arrays[w])
+		arrays[w] = finishSearch(n.searchOn(arrays[w], s, qs[task], p), lo, p)
+		if hi := len(arrays[w]); hi > lo {
+			out[task] = arrays[w][lo:hi:hi]
+		}
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -1137,7 +1147,12 @@ func (n *Node) SearchBatch(ctx context.Context, qs []sparse.Vector, p SearchPara
 	return out, nil
 }
 
-// finishSearch imposes the answer contract of Search on the raw
+// answersHint is the room SearchBatch reserves for each query's answers,
+// about a typical R-near set (1.3 answers a query at 32 000 rows, 3.0 at
+// 262 144; ROADMAP R3). A worker whose queries answer more grows its array.
+const answersHint = 4
+
+// finishSearch imposes the answer contract of SearchAppend on the raw
 // candidates appended past res[:base]: canonical (distance, id) order,
 // cut at p.K when bounded. Entries before base are the caller's and are
 // left untouched.

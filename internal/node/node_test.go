@@ -41,7 +41,7 @@ func testDocs(n int, seed uint64) []sparse.Vector {
 
 func mustQuery(t *testing.T, n *Node, q sparse.Vector) []core.Neighbor {
 	t.Helper()
-	res, err := n.Search(bg, q, SearchParams{})
+	res, err := n.SearchAppend(bg, nil, q, SearchParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,13 +236,13 @@ func TestCanceledContextRejected(t *testing.T) {
 	if n.Len() != 5 {
 		t.Fatalf("canceled insert mutated node: Len = %d", n.Len())
 	}
-	if _, err := n.Search(ctx, vs[0], SearchParams{}); !errors.Is(err, context.Canceled) {
+	if _, err := n.SearchAppend(ctx, nil, vs[0], SearchParams{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Search on canceled ctx: %v", err)
 	}
 	if _, err := n.SearchBatch(ctx, vs[:3], SearchParams{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SearchBatch on canceled ctx: %v", err)
 	}
-	if _, err := n.Search(ctx, vs[0], SearchParams{K: 3}); !errors.Is(err, context.Canceled) {
+	if _, err := n.SearchAppend(ctx, nil, vs[0], SearchParams{K: 3}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("top-k Search on canceled ctx: %v", err)
 	}
 	if err := n.MergeNow(ctx); !errors.Is(err, context.Canceled) {
@@ -338,6 +338,54 @@ func TestQueryBatchMatchesSingles(t *testing.T) {
 	}
 }
 
+// TestSearchBatchCarvesWorkerArrays: a batch's lists are carved from the
+// workers' answer arrays, so each must equal SearchAppend's answer for its
+// query — also when a worker's queries outgrow the room reserved for them
+// (30 copies of one document answer 30 apiece, unbounded) — hold no spare
+// capacity an append could write the next list through, and be nil for a
+// query with no answer.
+func TestSearchBatchCarvesWorkerArrays(t *testing.T) {
+	cfg := testConfig(1000)
+	cfg.Query.Workers = 3
+	n, _ := Open(bg, cfg)
+	vs := testDocs(200, 19)
+	dup := vs[7]
+	for range 30 {
+		vs = append(vs, dup)
+	}
+	n.Insert(bg, vs[:150])
+	mustMerge(t, n)
+	n.Insert(bg, vs[150:])
+	var queries []sparse.Vector
+	for i := range 13 {
+		queries = append(queries, dup, vs[i*11], sparse.Vector{})
+	}
+	for _, p := range []SearchParams{{}, {K: 2}, {K: 50}} {
+		batch, err := n.SearchBatch(bg, queries, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range queries {
+			want, err := n.SearchAppend(bg, nil, q, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(batch[i], want) {
+				t.Fatalf("K %d, query %d: batch answers %v, SearchAppend %v", p.K, i, batch[i], want)
+			}
+			if len(want) == 0 && batch[i] != nil {
+				t.Fatalf("K %d, query %d: no answer must be a nil list", p.K, i)
+			}
+			if cap(batch[i]) != len(batch[i]) {
+				t.Fatalf("K %d, query %d: list has %d spare capacity", p.K, i, cap(batch[i])-len(batch[i]))
+			}
+		}
+		if p.K == 0 && len(batch[0]) < 30 {
+			t.Fatalf("the duplicated document answers %d, want ≥ 30", len(batch[0]))
+		}
+	}
+}
+
 // A K-bounded Search must equal the full R-near answer sorted by distance
 // and truncated to k — same candidates, bounded selection.
 func TestQueryTopKMatchesTruncatedQuery(t *testing.T) {
@@ -356,7 +404,7 @@ func TestQueryTopKMatchesTruncatedQuery(t *testing.T) {
 			if k < len(want) {
 				want = want[:k]
 			}
-			got, err := n.Search(bg, q, SearchParams{K: k})
+			got, err := n.SearchAppend(bg, nil, q, SearchParams{K: k})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -415,7 +463,7 @@ func TestConcurrentQueriesAndInserts(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 20; rep++ {
 				q := queries[(g*20+rep)%len(queries)]
-				n.Search(bg, q, SearchParams{})
+				n.SearchAppend(bg, nil, q, SearchParams{})
 			}
 		}(g)
 	}
@@ -557,7 +605,7 @@ func TestNodeSearchParams(t *testing.T) {
 	for qi := 0; qi < len(docs); qi += 53 {
 		q := docs[qi]
 		for _, radius := range []float64{0.9, 1.2} {
-			res, err := n.Search(bg, q, SearchParams{Radius: radius})
+			res, err := n.SearchAppend(bg, nil, q, SearchParams{Radius: radius})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -586,7 +634,7 @@ func TestNodeSearchParams(t *testing.T) {
 			}
 		}
 		// K bounds and orders.
-		topk, err := n.Search(bg, q, SearchParams{K: 3})
+		topk, err := n.SearchAppend(bg, nil, q, SearchParams{K: 3})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,7 +18,8 @@ import (
 // Dim 50 000, the tweet corpus) holding 8 000 merged rows, about one
 // fleet_routed_batch group, and a 16-query batch: 8 of those rows, which
 // find themselves and their near-duplicates, and 8 documents of the same
-// corpus the node does not hold.
+// corpus the node does not hold. It searches on two workers, so a batch's
+// allocations do not follow the host's CPU count.
 func suiteNode(tb testing.TB) (*node.Node, []sparse.Vector) {
 	tb.Helper()
 	const rows, fresh = 8000, 8
@@ -27,7 +28,7 @@ func suiteNode(tb testing.TB) (*node.Node, []sparse.Vector) {
 		Params:   params,
 		Capacity: rows,
 		Build:    core.Defaults(),
-		Query:    core.QueryDefaults(),
+		Query:    core.QueryOptions{Radius: core.QueryDefaults().Radius, Workers: 2},
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -53,10 +54,10 @@ func suiteNode(tb testing.TB) (*node.Node, []sparse.Vector) {
 // TestTCPSearchAllocationCeiling guards the wire's share of a fleet query:
 // a warm 16-query top-10 Client.Search against a real node over loopback,
 // both ends in this process, must hold a fixed allocation budget. It
-// measures 35 on x86-64, 20 of them the node's own SearchBatch (the local
-// arm of BenchmarkTCPSearchBatch16); gob, the wire's codec before this
-// one, took 206. The codec carves each frame's vectors and answer lists
-// from one array apiece.
+// measures 24 on x86-64; gob, the wire's codec before this one, took 206,
+// and a node that grew one answer slice a query 34. The codec carves each
+// frame's vectors and answer lists from one array apiece, and the node
+// its batch's lists from one answer array.
 func TestTCPSearchAllocationCeiling(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("sync.Pool drops workspaces at random under -race")
@@ -79,7 +80,7 @@ func TestTCPSearchAllocationCeiling(t *testing.T) {
 	}
 	// A jump past the ceiling means per-frame allocation crept back into
 	// the codec or the connection's loops.
-	const ceiling = 64
+	const ceiling = 27
 	allocs := testing.AllocsPerRun(50, search)
 	t.Logf("a 16-query Client.Search allocates %.1f/op warm", allocs)
 	if allocs > ceiling {

@@ -3,6 +3,7 @@ package plsh
 import (
 	"testing"
 
+	"plsh/internal/corpus"
 	"plsh/internal/israce"
 )
 
@@ -54,13 +55,14 @@ func TestTraceOptInOnly(t *testing.T) {
 }
 
 // allocStore builds a merged store over n synthetic tweets for the
-// allocation-ceiling guards.
+// allocation-ceiling guards. Its two workers make a batch's count the same
+// on any host: each pool worker of a batch is a goroutine.
 func allocStore(t *testing.T, n int) (*Store, []Vector) {
 	t.Helper()
 	docs := SyntheticTweets(n, 2000, 11)
 	s, err := NewStore(Config{
 		Dim: 2000, K: 4, M: 16, Radius: 0.9,
-		Capacity: n + 1, Seed: 42,
+		Capacity: n + 1, Seed: 42, Workers: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -147,10 +149,12 @@ func TestStoreSearchBatchIsTheOneGroupPath(t *testing.T) {
 		t.Errorf("a batch of %d allocates %.1f through the Store and %.1f through a one-group Cluster; the Store's batch is that path",
 			len(qs), allocs["Store"], allocs["one-group Cluster"])
 	}
-	// Ceiling with headroom over the measured steady state of 49: the
-	// node's batch (workspaces, answer lists), the plan, the report, the
-	// one group's failover machinery, the answer arena and the Results.
-	const ceiling = 52
+	// Ceiling with headroom over the measured steady state of 23: the
+	// node's batch (its pool's second worker, one answer array, the carved
+	// lists), the report, the one group's failover machinery, the answer
+	// arena and the Results. It read 49 when the node grew one answer slice
+	// a query and the coordinator planned refs for a scatter batch.
+	const ceiling = 26
 	if allocs["Store"] > ceiling {
 		t.Errorf("Store.SearchBatch of %d allocates %.1f/op warm; ceiling %d", len(qs), allocs["Store"], ceiling)
 	}
@@ -191,14 +195,64 @@ func TestClusterSearchAllocationCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Ceiling with headroom over the measured steady state of 34: the
+	// Ceiling with headroom over the measured steady state of 32: the
 	// broadcast answers one of its two groups in the caller's goroutine and
 	// spawns one for the other, so its floor is higher than the Store's;
 	// the ceiling still excludes any per-call result materialization
 	// beyond the flat arena.
-	const ceiling = 38
+	const ceiling = 35
 	if allocs > ceiling {
 		t.Errorf("Cluster.Search allocates %.1f/op warm; ceiling %d", allocs, ceiling)
+	}
+}
+
+// TestFourGroupSearchBatchAllocationCeiling pins a fleet batch's
+// allocations in process: bench_test.go's corpus (K 12, M 10, Dim 20 000),
+// 16 000 rows over NewCluster(4, 4, cfg), a top-10 SearchBatch of 16. Each
+// group's node appends its answers into one array per pool worker and
+// carves the batch's lists from them, and the scatter coordinator reads
+// group g's i-th list as query i's, with no plan.
+func TestFourGroupSearchBatchAllocationCeiling(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("sync.Pool drops workspaces at random under -race")
+	}
+	const groups, perGroup = 4, 4000
+	col := corpus.Generate(corpus.Twitter(benchN, benchDim, benchSeed))
+	cl, err := NewCluster(groups, groups, Config{
+		Dim: benchDim, K: 12, M: 10, Capacity: perGroup + 1, Seed: benchSeed,
+		Workers: 2, // each pool worker of a batch is a goroutine: fix the count on any host
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.Insert(bg, docsSlice(col, groups*perGroup)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Merge(bg); err != nil {
+		t.Fatal(err)
+	}
+	qs := col.SampleQueries(benchQ, benchSeed+1)[:16]
+	opts := []SearchOption{WithK(10)}
+	search := func() {
+		if _, _, err := cl.SearchBatch(bg, qs, opts...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 32 { // warm the workspace pools to steady state
+		search()
+	}
+	allocs := testing.AllocsPerRun(200, search)
+	t.Logf("a 4-group SearchBatch of %d allocates %.1f/op warm", len(qs), allocs)
+	// Ceiling with headroom over the measured steady state of 73: per group
+	// the node's batch (its pool's second worker, one answer array, the
+	// carved lists) and the group's failover machinery and goroutine, then
+	// the report, the answer arena and the Results. A coordinator that
+	// planned refs for every (query, group) over nodes that grew one answer
+	// slice a query read 94.5–99.
+	const ceiling = 75
+	if allocs > ceiling {
+		t.Errorf("a 4-group SearchBatch of %d allocates %.1f/op warm; ceiling %d", len(qs), allocs, ceiling)
 	}
 }
 
