@@ -17,6 +17,7 @@
 package clustertest
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -100,23 +101,51 @@ type Node struct {
 
 	bin  string
 	args []string
-	cmd  *exec.Cmd
+	proc *proc // nil while the node is down
+}
+
+// proc is one launch of a node process. Its one waiter reaps it: done
+// closes when cmd.Wait returns, and err and stderr are read only after.
+type proc struct {
+	cmd    *exec.Cmd
+	stderr tail
+	done   chan struct{}
+	err    error // cmd.Wait's
+}
+
+// tail keeps the last tailBytes written to it: the end of a node's log,
+// where a process that failed to start wrote why.
+type tail struct{ buf []byte }
+
+const tailBytes = 4 << 10
+
+func (t *tail) Write(p []byte) (int, error) {
+	t.buf = append(t.buf, p...)
+	if over := len(t.buf) - tailBytes; over > 0 {
+		t.buf = append(t.buf[:0], t.buf[over:]...)
+	}
+	return len(p), nil
 }
 
 // Start launches (or relaunches) the node process and waits until it
 // answers RPCs — after a kill, that includes its snapshot load and
-// journal replay.
+// journal replay. A process that exits first is an error carrying its exit
+// status and the end of its log, returned as soon as it exits.
 func (n *Node) Start() error {
-	if n.cmd != nil {
+	if n.proc != nil {
 		return fmt.Errorf("clustertest: Start on a running node at %s (Kill or Stop it first)", n.Addr)
 	}
 	args := append([]string{"-addr", n.Addr, "-data", n.Dir}, n.args...)
-	cmd := exec.Command(n.bin, args...)
-	cmd.Stdout, cmd.Stderr = io.Discard, io.Discard
-	if err := cmd.Start(); err != nil {
+	p := &proc{cmd: exec.Command(n.bin, args...), done: make(chan struct{})}
+	p.cmd.Stdout, p.cmd.Stderr = io.Discard, &p.stderr
+	if err := p.cmd.Start(); err != nil {
 		return fmt.Errorf("clustertest: start plsh-node: %w", err)
 	}
-	n.cmd = cmd
+	go func() {
+		p.err = p.cmd.Wait()
+		close(p.done)
+	}()
+	n.proc = p
 	if err := n.waitReady(15 * time.Second); err != nil {
 		n.Kill()
 		return err
@@ -127,14 +156,14 @@ func (n *Node) Start() error {
 // Kill SIGKILLs the node process and reaps it — no shutdown path runs,
 // exactly like a machine loss. Idempotent on an already-dead node.
 func (n *Node) Kill() {
-	if n.cmd == nil {
+	if n.proc == nil {
 		return
 	}
 	// Best-effort teardown of a process we are abandoning: Kill on an
-	// already-dead process and Wait's exit status are both uninteresting.
-	_ = n.cmd.Process.Kill()
-	_ = n.cmd.Wait()
-	n.cmd = nil
+	// already-dead process and its exit status are both uninteresting.
+	_ = n.proc.cmd.Process.Kill()
+	<-n.proc.done
+	n.proc = nil
 }
 
 // Stop SIGTERMs the node and waits up to timeout for it to exit — the
@@ -143,34 +172,32 @@ func (n *Node) Kill() {
 // call errors; a nonzero exit status errors too. Idempotent on an
 // already-dead node.
 func (n *Node) Stop(timeout time.Duration) error {
-	if n.cmd == nil {
+	if n.proc == nil {
 		return nil
 	}
-	cmd := n.cmd
-	n.cmd = nil
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		_ = cmd.Process.Kill()
-		_ = cmd.Wait()
+	p := n.proc
+	n.proc = nil
+	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		_ = p.cmd.Process.Kill()
+		<-p.done
 		return fmt.Errorf("clustertest: SIGTERM node at %s: %w", n.Addr, err)
 	}
-	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
 	select {
-	case err := <-done:
-		if err != nil {
-			return fmt.Errorf("clustertest: node at %s exited uncleanly after SIGTERM: %w", n.Addr, err)
+	case <-p.done:
+		if p.err != nil {
+			return fmt.Errorf("clustertest: node at %s exited uncleanly after SIGTERM: %w", n.Addr, p.err)
 		}
 		return nil
 	case <-time.After(timeout):
-		_ = cmd.Process.Kill()
-		<-done
+		_ = p.cmd.Process.Kill()
+		<-p.done
 		return fmt.Errorf("clustertest: node at %s did not exit within %v of SIGTERM", n.Addr, timeout)
 	}
 }
 
 // Running reports whether the node process is currently up (as far as
 // this harness knows — a crash the caller did not inject is not tracked).
-func (n *Node) Running() bool { return n.cmd != nil }
+func (n *Node) Running() bool { return n.proc != nil }
 
 // Signal sends sig to the node process; a no-op when the node is down.
 // SIGSTOP/SIGCONT pairs freeze a live replica — the process holds its
@@ -178,34 +205,35 @@ func (n *Node) Running() bool { return n.cmd != nil }
 // searches to fire and win (a dead replica fails fast and exercises
 // failover instead).
 func (n *Node) Signal(sig os.Signal) error {
-	if n.cmd == nil {
+	if n.proc == nil {
 		return nil
 	}
-	return n.cmd.Process.Signal(sig)
+	return n.proc.cmd.Process.Signal(sig)
 }
 
 // waitReady polls the node with real RPCs until it answers (the listener
 // may be up before Serve is wired, and a restart replays its journal
-// first).
+// first), and stops polling as soon as the process exits.
 func (n *Node) waitReady(timeout time.Duration) error {
 	ctx := context.Background()
-	deadline := time.Now().Add(timeout)
-	var lastErr error
+	p := n.proc
+	deadline := time.After(timeout)
 	for {
 		c, err := transport.Dial(ctx, n.Addr)
 		if err == nil {
-			_, serr := c.Stats(ctx)
+			_, err = c.Stats(ctx)
 			c.Close()
-			if serr == nil {
+			if err == nil {
 				return nil
 			}
-			err = serr
 		}
-		lastErr = err
-		if time.Now().After(deadline) {
-			return fmt.Errorf("clustertest: node at %s not ready: %w", n.Addr, lastErr)
+		select {
+		case <-p.done:
+			return fmt.Errorf("clustertest: node at %s exited before it answered (%v): %s", n.Addr, p.err, bytes.TrimSpace(p.stderr.buf))
+		case <-deadline:
+			return fmt.Errorf("clustertest: node at %s not ready: %w", n.Addr, err)
+		case <-time.After(2 * time.Millisecond):
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
 }
 

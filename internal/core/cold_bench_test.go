@@ -410,3 +410,21 @@ func BenchmarkBuild(b *testing.B) {
 		})
 	}
 }
+
+// TestStaticBytesPerDocCeiling pins what a static index over the benchmark
+// suite's geometry (coldSet) holds a document — the tables and the sign-bit
+// column, Static.MemoryBytes — at a fleet node's share and at
+// static_query's base set. The directory indexes ⌈log2 n⌉ − 2 key bits
+// (DirectoryBits), so a bucket holds two to four items; at ⌈log2 n⌉ bits,
+// one item a bucket, they read 397.0 and 414.8; now 339.8 and 347.0.
+func TestStaticBytesPerDocCeiling(t *testing.T) {
+	for _, c := range []struct {
+		n       int
+		ceiling float64
+	}{{8000, 341}, {32000, 348}} {
+		st := newColdSet(c.n).st
+		if got := float64(st.MemoryBytes()) / float64(c.n); got > c.ceiling {
+			t.Errorf("%d rows: %.1f B/doc, ceiling %.0f", c.n, got, c.ceiling)
+		}
+	}
+}

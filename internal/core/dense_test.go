@@ -213,8 +213,8 @@ func TestLayoutMatchesDenseReference(t *testing.T) {
 // with itself or with the index's geometry, edited into the table or into
 // its encoding, is an error from DecodeTable or from StaticFromTables over
 // what it decodes — the path a snapshot's tables take — never a panic and
-// never an index: over 300 rows, whose directory indexes all 8 key bits,
-// and over 20, whose directory indexes 5 and whose items carry 3. Arbitrary
+// never an index: over 1 100 rows, whose directory indexes all 8 key bits,
+// and over 80, whose directory indexes 5 and whose items carry 3. Arbitrary
 // low key bits on an item are not an error: they only decide which key of
 // its directory bucket it answers.
 func TestStaticFromTablesRejectsBadDirectory(t *testing.T) {
@@ -223,9 +223,16 @@ func TestStaticFromTablesRejectsBadDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []int{300, 20} {
+	for _, c := range []struct {
+		n int
+		r uint // the key bits DirectoryBits leaves the items
+	}{{1100, 0}, {80, 3}} {
+		n := c.n
 		sk := layoutSketches(p, n, true, 3)
 		r := uint(p.K - DirectoryBits(n, p.K))
+		if r != c.r {
+			t.Fatalf("fixture: the items of %d rows carry %d key bits, want %d", n, r, c.r)
+		}
 		good := func() []Table {
 			st := BuildFromSketches(fam, sk, 1)
 			return st.tables
@@ -478,16 +485,17 @@ func tablesBytes(t *testing.T, st *Static) int64 {
 // TestTableMemoryBoundIsTight: the footprint perfmodel.Select budgets with
 // is never under what a build of that size over random keys holds, and
 // within 15 % of it, below, at and past full occupancy — at K = 8, and at
-// K = 16 on a fleet node's share, static_query's base set and four items a
-// bucket, whose directories index 13, 15 and 16 key bits, items take 16, 16
-// and 18 bits and entries 13, 15 and 19.
+// K = 16 on a fleet node's share, static_query's base set and 2^18 rows,
+// whose directories index 11, 13 and 16 key bits (two to four items a
+// bucket), items take 18 bits and entries 13, 15 and 19.
 func TestTableMemoryBoundIsTight(t *testing.T) {
 	for _, c := range []struct {
 		k  int
 		ns []int
 	}{
-		// 120 documents leave more than half of the 128 buckets empty.
-		{8, []int{120, 1000, 1024, 32000}},
+		// 10 documents leave about half of the 16 buckets of the smallest
+		// directory empty.
+		{8, []int{10, 120, 1000, 1024, 32000}},
 		{16, []int{8000, 32000, 262144}},
 	} {
 		p := lshhash.Params{Dim: 64, K: c.k, M: 6, Seed: 9}

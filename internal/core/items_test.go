@@ -190,12 +190,12 @@ func TestEntriesAtEveryWidth(t *testing.T) {
 // over 1 000 rows indexes all 8 key bits, a merge that takes the ids past
 // 2^10 widens them from 10 bits to 11, and one whose new rows are all
 // tombstoned keeps 10 — and its buckets are the rebuild's either way. Under
-// K = 16 the directory follows the rows across the power of two: 1 000 rows
-// index 10 key bits, and a merge to 1 100 refines them to 11, tombstones on
-// both sides, into the buckets a build over the live rows holds; a static
-// whose tables index all 16 bits — as a snapshot of version 3, which stored
-// no key bits, loaded, and a node that loaded one still writes — keeps them
-// through a merge.
+// K = 16 the directory follows the rows across the power of two
+// (DirectoryBits, ⌈log2 n⌉ − 2): 4 000 rows index 10 key bits, and a merge
+// to 4 400 refines them to 11, tombstones on both sides, into the buckets a
+// build over the live rows holds; a static whose tables index all 16 bits —
+// as a snapshot of version 3, which stored no key bits, loaded, and a node
+// that loaded one still writes — keeps them through a merge.
 func TestMergeCrossesAPowerOfTwo(t *testing.T) {
 	p := lshhash.Params{Dim: 64, K: 8, M: 4, Seed: 5}
 	fam, err := lshhash.NewFamily(p)
@@ -240,12 +240,17 @@ func TestMergeCrossesAPowerOfTwo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	skOld = layoutSketches(p16, nOld, false, 3)
-	skAdd = layoutSketches(p16, nAdd, false, 4)
+	const nOld16, nAdd16 = 4000, 400
+	bOld, bMerge := DirectoryBits(nOld16, p16.K), DirectoryBits(nOld16+nAdd16, p16.K)
+	if bOld != 10 || bMerge != 11 {
+		t.Fatalf("fixture: %d rows index %d key bits and %d rows %d, want 10 and 11", nOld16, bOld, nOld16+nAdd16, bMerge)
+	}
+	skOld = layoutSketches(p16, nOld16, false, 3)
+	skAdd = layoutSketches(p16, nAdd16, false, 4)
 	// The static side as an earlier merge left it, then more deletions on
 	// both sides.
-	earlier := randomDead(nOld, 5, 6)
-	dead := randomDead(nOld+nAdd, 4, 5)
+	earlier := randomDead(nOld16, 5, 6)
+	dead := randomDead(nOld16+nAdd16, 4, 5)
 	for w, word := range earlier {
 		dead[w] |= word
 	}
@@ -258,14 +263,14 @@ func TestMergeCrossesAPowerOfTwo(t *testing.T) {
 		old          *Static
 		rOld, rMerge uint
 	}{
-		{"b grows from 10 to 11", rebuildReference(fam16, skOld, earlier), 6, 5},
+		{"b grows from 10 to 11", rebuildReference(fam16, skOld, earlier), uint(p16.K - bOld), uint(p16.K - bMerge)},
 		{"v3 static at b = K", full, 0, 0},
 	} {
 		if c.old.tables[0].r != c.rOld {
 			t.Fatalf("%s: fixture's items carry %d key bits, want %d", c.name, c.old.tables[0].r, c.rOld)
 		}
 		merged := Merge(c.old, skAdd, dead, 2)
-		if err := ValidateTables(p16, nOld+nAdd, merged.tables); err != nil {
+		if err := ValidateTables(p16, nOld16+nAdd16, merged.tables); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		for l := range merged.tables {

@@ -50,9 +50,10 @@ func stageBuckets(tables []Table, pairs []lshhash.Pair, sketch []uint32, half ui
 // collision count (bucket entries, duplicates included). After
 // stageBuckets, a third staging loop loads the item at each bucket's start
 // into first (length ≥ len(tables)) — the line every walk of the bucket
-// begins with, which a directory bucket of about one item a document has
-// more often than not; for an empty bucket it is whatever lies there,
-// inside the array, which the walk masks — so those L misses overlap too.
+// begins with, and with two to four items a directory bucket the line that
+// holds the rest of it more often than not; for an empty bucket it is
+// whatever lies there, inside the array, which the walk masks — so those L
+// misses overlap too.
 // Pass 2 then walks each directory bucket with trip counts already in
 // cache, beginning from its staged item, so a mispredicted bucket length
 // costs a pipeline refill, not a memory round trip; each further item is

@@ -166,15 +166,17 @@ func reread(t *testing.T, st *Static) *Static {
 }
 
 // refSizes are the row counts TestPackedMatches32BitReference builds at
-// under k-bit keys: one row, and 2^j − 1, 2^j and 2^j + 1 rows for j = k/2,
-// 3k/4 and k, so that the directory indexes k/2 key bits, a middle count
-// and all k, and each triple crosses a power of two.
+// under k-bit keys: one row, and 2^j − 1, 2^j and 2^j + 1 rows for j =
+// k/2 + 2, 3k/4 + 2 and k + 1, so that the directory (⌈log2 n⌉ − 2 key bits,
+// DirectoryBits) indexes k/2 key bits, a middle count and all k, and each
+// triple crosses a power of two — the last one into b = k. At k = 4 the
+// last two triples are one.
 func refSizes(k int) []int {
 	ns := []int{1}
-	for _, j := range []int{k / 2, 3 * k / 4, k} {
+	for _, j := range []int{k/2 + 2, 3*k/4 + 2, k + 1} {
 		ns = append(ns, 1<<j-1, 1<<j, 1<<j+1)
 	}
-	return ns
+	return slices.Compact(ns)
 }
 
 // TestPackedMatches32BitReference: out of every writer — Build, hashing

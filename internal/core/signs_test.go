@@ -56,9 +56,10 @@ func TestSignColumnMatchesSketches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// At K = 8 a merge past 256 rows indexes every key bit (r = 0); at
+		// A directory indexes ⌈log2 n⌉ − 2 key bits (DirectoryBits), so at
+		// K = 8 a merge past 1 024 rows indexes every key bit (r = 0); at
 		// K = 12 and 16 these row counts leave the items key bits (r > 0).
-		const nOld, nAdd = 200, 160
+		const nOld, nAdd = 600, 460
 		mat := corpus.Generate(corpus.Twitter(nOld+nAdd, p.Dim, p.Seed)).Mat
 		sk := fam.SketchAll(mat, sched.NewPool(2))
 		what := fmt.Sprintf("K=%d M=%d", p.K, p.M)
@@ -70,7 +71,7 @@ func TestSignColumnMatchesSketches(t *testing.T) {
 		dead := randomDead(nOld+nAdd, 4, p.Seed)
 		merged := Merge(built, rowsOf(fam, sk, nOld, sk.N()), dead, 2)
 		r := merged.tables[0].r
-		if wantZero := p.K == 8; (r == 0) != wantZero {
+		if wantZero := p.K == 8; (r == 0) != wantZero || int(r) != p.K-DirectoryBits(nOld+nAdd, p.K) {
 			t.Fatalf("%s: the merge's items carry %d key bits", what, r)
 		}
 		checkColumn(t, fmt.Sprintf("%s Merge at r=%d", what, r), merged, mat, dead)

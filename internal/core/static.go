@@ -4,15 +4,16 @@
 //
 // A static PLSH instance is an immutable index over N documents. Each of
 // the L = m(m−1)/2 tables is a contiguous array of the N document indexes,
-// partitioned by the top b = clamp(⌈log2 N⌉, k/2, k) bits of the table's
-// k-bit key, each index carrying the key's other r = k − b bits below it,
-// plus a directory over the occupied buckets only: a 2^b-bit occupancy
-// bitmap, a rank directory over it and one offset per occupied bucket,
-// packed like the items in the bits the largest offset needs — no pointers,
-// no per-bucket allocations, and nothing sized by the buckets a table does
-// not use, by the keys N documents cannot tell apart or by the values it
-// could hold (Fig. 3a of the paper keeps a dense 2^k+1 offsets array and
-// 32-bit ids; DESIGN.md "Static tables" has why this one does not).
+// partitioned by the top b = clamp(⌈log2 N⌉ − 2, k/2, k) bits of the
+// table's k-bit key, each index carrying the key's other r = k − b bits
+// below it, plus a directory over the occupied buckets only: a 2^b-bit
+// occupancy bitmap, a rank directory over it and one offset per occupied
+// bucket, packed like the items in the bits the largest offset needs — no
+// pointers, no per-bucket allocations, and nothing sized by the buckets a
+// table does not use, by the keys N documents cannot tell apart or by the
+// values it could hold (Fig. 3a of the paper keeps a dense 2^k+1 offsets
+// array and 32-bit ids; DESIGN.md "Static tables" has why this one does
+// not).
 // The package keeps one build (vectorized hashing, then the shared
 // two-level partition), one Q2 kernel (ProbeMark, then the extraction scan)
 // and one Q3 kernel (Verify over the scattered query); the Fig. 4 and Fig. 5
@@ -49,18 +50,20 @@ import (
 // The rank words are derived, never stored: every constructor counts them
 // from the bitmap (rankOf).
 //
-// b follows N as the widths do (DirectoryBits): clamp(⌈log2 N⌉, k/2, k), so
-// a directory bucket holds about one item whatever k is, the bitmap and its
-// rank words are 1.5 to 3 bits a document, and from 2^(k−1) documents on
-// r = 0 and an item is its id alone.
+// b follows N as the widths do (DirectoryBits): clamp(⌈log2 N⌉ − 2, k/2, k),
+// so a directory bucket holds two to four items whatever k is, the bitmap,
+// its rank words and the entries take about a quarter of what one bucket a
+// document cost (DESIGN.md "Four items a directory bucket"), each item
+// carries two key bits more, and from 2^(k+1) documents on r = 0 and an
+// item is its id alone.
 //
 // Items and entries are one encoding used twice: a packed array as wide as
 // its largest value needs. An item takes ⌈log2 N⌉ + r bits in a table over N
-// documents — k from 2^(k/2) documents up to 2^k, 24 at the paper's 10.5 M
-// — and an entry the bit length of the item count, the closing entry being
-// the largest. TableFromWords packs both, DecodeTable copies them as
-// AppendEncoded wrote them; the probe kernels (through span and load),
-// Bucket, AppendItems and appendOffsets are the readers.
+// documents — k + 2 from 2^(k/2+2) documents up to 2^(k+2), 24 at the
+// paper's 10.5 M — and an entry the bit length of the item count, the
+// closing entry being the largest. TableFromWords packs both, DecodeTable
+// copies them as AppendEncoded wrote them; the probe kernels (through span
+// and load), Bucket, AppendItems and appendOffsets are the readers.
 //
 // A Table is written once. Its fields are unexported, only the functions
 // that return a Table (TableFromWords, DecodeTable, TableBuilder's Finish
@@ -78,10 +81,11 @@ type Table struct {
 }
 
 // DirectoryBits is b, the key bits a table over n documents under k-bit
-// keys indexes: ⌈log2 n⌉, held to at least k/2 — the first-level key, which
-// every build partitions by whole — and at most k.
+// keys indexes: ⌈log2 n⌉ − 2, so that a directory bucket holds two to four
+// items, held to at least k/2 — the first-level key, which every build
+// partitions by whole — and at most k.
 func DirectoryBits(n, k int) int {
-	return min(max(bits.Len(uint(max(n, 1)-1)), k/2), k)
+	return min(max(bits.Len(uint(max(n, 1)-1))-2, k/2), k)
 }
 
 // packed is an array of values of width bits each, value i at bits
@@ -438,19 +442,20 @@ func (b *TableBuilder) GroupByKey(keys []uint32, k int, hist []uint32) Table {
 
 // TableMemoryBound bounds the bytes of l tables under k-bit keys over n
 // documents. Eq. 7.4 charges (L·N + 2^k·L)·4; here the directory indexes
-// b = DirectoryBits(n, k) key bits, an item costs the ⌈log2 n⌉ + k − b bits
-// the largest of them needs — max(k, ⌈log2 n⌉) from 2^(k/2) documents on —
-// and in place of the 2^k·L·4 is a directory of the 2^b-bit bitmap, its rank
-// words and an entry of bits.Len(n) bits — the closing one's — for every
-// directory bucket the keys occupy, each packed array plus its 8 bytes of
-// padding. The occupied buckets are charged as uniformly random keys fill
-// them, 2^b·(1 − e^(−n/2^b)) on average with a spread under √(2^b)/3, plus
-// a margin of 2·√(2^b) — six spreads — and never more than min(n, 2^b),
-// all that can be occupied; LSH keys, which cluster, occupy fewer. (Where b
-// follows n that cap alone charged about 1.6 entries for each one a build
-// keeps.) So MemoryBytes of a fresh build never exceeds the bound unless
-// its keys spread wider than random ones, and comes within a few percent
-// of it over random ones.
+// b = DirectoryBits(n, k) = clamp(⌈log2 n⌉ − 2, k/2, k) key bits, an item
+// costs the ⌈log2 n⌉ + k − b bits the largest of them needs — max(k + 2,
+// ⌈log2 n⌉) from 2^(k/2+2) documents on — and in place of the 2^k·L·4 is a
+// directory of the 2^b-bit bitmap, its rank words and an entry of
+// bits.Len(n) bits — the closing one's — for every directory bucket the
+// keys occupy, each packed array plus its 8 bytes of padding. The occupied
+// buckets are charged as uniformly random keys fill them, 2^b·(1 −
+// e^(−n/2^b)) on average with a spread under √(2^b)/3, plus a margin of
+// 2·√(2^b) — six spreads — and never more than min(n, 2^b), all that can be
+// occupied; LSH keys, which cluster, occupy fewer. (At one bucket a
+// document that cap alone charged about 1.6 entries for each one a build
+// kept.) So MemoryBytes of a fresh build never exceeds the bound unless its
+// keys spread wider than random ones, and comes within a few percent of it
+// over random ones.
 func TableMemoryBound(n, k, l int) int64 {
 	b := DirectoryBits(n, k)
 	buckets := int64(1) << uint(b)

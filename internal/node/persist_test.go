@@ -17,6 +17,7 @@ import (
 	"plsh/internal/corpus"
 	"plsh/internal/israce"
 	"plsh/internal/lshhash"
+	"plsh/internal/oracle"
 	"plsh/internal/persist"
 	"plsh/internal/sparse"
 )
@@ -769,6 +770,51 @@ func TestReadsVersion4Snapshot(t *testing.T) {
 	if !bytes.Equal(raw, want) {
 		t.Fatal("the checkpoint of testdata/snapshot-v4.plsh is not the fixture")
 	}
+}
+
+// TestVersion4SnapshotMergesPastAPowerOfTwo: the committed version-4
+// fixture holds 60 rows in tables that index all K = 6 key bits, more than
+// core.DirectoryBits gives a build of 60 rows (4). Opened, grown past 64
+// rows with a tombstone among the new ones, and merged, it answers every
+// query as internal/oracle does over the same live rows: the merge keeps
+// the loaded tables' key bits, since a merge's b never shrinks, and
+// buckets the new rows at them.
+func TestVersion4SnapshotMergesPastAPowerOfTwo(t *testing.T) {
+	cfg := fixtureConfig()
+	cfg.Dir = t.TempDir()
+	if err := os.WriteFile(persist.SnapshotPath(cfg.Dir), persistFixture(t, "snapshot-v4.plsh"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	n, err := Open(bg, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	docs := make([]sparse.Vector, n.Len())
+	for i := range docs {
+		docs[i], _ = n.Doc(uint32(i))
+	}
+	o := oracle.New(n.fam, docs...)
+	for _, id := range []uint32{7, 41} { // the fixture's tombstones
+		o.Delete(id)
+	}
+	more := corpus.Generate(corpus.Twitter(40, cfg.Params.Dim, 9)).Mat
+	for i := range more.Rows() {
+		docs = append(docs, more.Row(i))
+	}
+	if _, err := n.Insert(bg, docs[60:]); err != nil {
+		t.Fatal(err)
+	}
+	o.Add(docs[60:]...)
+	if err := n.Delete(70); err != nil {
+		t.Fatal(err)
+	}
+	o.Delete(70)
+	mustMerge(t, n)
+	if n.StaticLen() != len(docs) {
+		t.Fatalf("%d static rows after the merge, want %d", n.StaticLen(), len(docs))
+	}
+	requireMatchesOracle(t, "merged past 64 rows", n, o, docs)
 }
 
 // TestOpenRefusesVersion3Snapshot: a data directory holding the committed

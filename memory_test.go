@@ -1,8 +1,10 @@
 package plsh
 
 import (
+	"math/bits"
 	"testing"
 
+	"plsh/internal/core"
 	"plsh/internal/corpus"
 	"plsh/internal/israce"
 )
@@ -145,16 +147,19 @@ func TestStoreSearchBatchIsTheOneGroupPath(t *testing.T) {
 			}
 		})
 	}
+	t.Logf("a batch of %d allocates %.1f/op warm through the Store", len(qs), allocs["Store"])
 	if allocs["Store"] != allocs["one-group Cluster"] {
 		t.Errorf("a batch of %d allocates %.1f through the Store and %.1f through a one-group Cluster; the Store's batch is that path",
 			len(qs), allocs["Store"], allocs["one-group Cluster"])
 	}
-	// Ceiling with headroom over the measured steady state of 23: the
-	// node's batch (its pool's second worker, one answer array, the carved
-	// lists), the report, the one group's failover machinery, the answer
-	// arena and the Results. It read 49 when the node grew one answer slice
-	// a query and the coordinator planned refs for a scatter batch.
-	const ceiling = 26
+	// Ceiling with headroom over the measured steady state of 20: the
+	// node's batch (its pool's run state and second worker — the first is
+	// the caller — one answer array, the carved lists), the report, the one
+	// group's failover machinery, the answer arena and the Results. It read
+	// 23 when every pool worker was a goroutine of its own, and 49 when the
+	// node grew one answer slice a query and the coordinator planned refs
+	// for a scatter batch.
+	const ceiling = 22
 	if allocs["Store"] > ceiling {
 		t.Errorf("Store.SearchBatch of %d allocates %.1f/op warm; ceiling %d", len(qs), allocs["Store"], ceiling)
 	}
@@ -244,13 +249,14 @@ func TestFourGroupSearchBatchAllocationCeiling(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(200, search)
 	t.Logf("a 4-group SearchBatch of %d allocates %.1f/op warm", len(qs), allocs)
-	// Ceiling with headroom over the measured steady state of 73: per group
-	// the node's batch (its pool's second worker, one answer array, the
-	// carved lists) and the group's failover machinery and goroutine, then
-	// the report, the answer arena and the Results. A coordinator that
-	// planned refs for every (query, group) over nodes that grew one answer
-	// slice a query read 94.5–99.
-	const ceiling = 75
+	// Ceiling with headroom over the measured steady state of 61: per group
+	// the node's batch (its pool's run state and second worker — the first
+	// is the caller — one answer array, the carved lists) and the group's
+	// failover machinery and goroutine, then the report, the answer arena
+	// and the Results. It read 73 when every pool worker was a goroutine of
+	// its own, and a coordinator that planned refs for every (query, group)
+	// over nodes that grew one answer slice a query 94.5–99.
+	const ceiling = 63
 	if allocs > ceiling {
 		t.Errorf("a 4-group SearchBatch of %d allocates %.1f/op warm; ceiling %d", len(qs), allocs, ceiling)
 	}
@@ -265,7 +271,7 @@ func TestFourGroupSearchBatchAllocationCeiling(t *testing.T) {
 // rounded up to a power of two — 32768-bit bitmaps, 4096 bytes per table,
 // which is more than the ID slices' slack can hide.
 func TestStatsMemoryCountsDeltaBitmaps(t *testing.T) {
-	const n, k, m = 1025, 16, 16
+	const n, k, m = 4097, 16, 16
 	const tables = m * (m - 1) / 2
 	s, err := NewStore(Config{Dim: 2000, K: k, M: m, Capacity: 20000, Seed: 42})
 	if err != nil {
@@ -305,16 +311,17 @@ func TestStatsMemoryCountsDeltaBitmaps(t *testing.T) {
 // TestStatsMemoryCountsStaticDirectory pins both sides of what the static
 // tables add to Stats.MemoryBytes. An empty index is all directory — per
 // table a bitmap over the k/2 key bits the smallest directory indexes, and
-// its rank words — and reports it. Merging 1025 copies of one document then
-// fills one bucket a table: the directory now indexes ⌈log2 1025⌉ = 11 key
-// bits, so the bitmap and rank words grow to 2^11 bits' worth; the items
-// take the 11 bits an id needs and the 5 key bits the directory does not
-// index (the 8 bytes of padding after them the empty table had already);
+// its rank words — and reports it. Merging 4097 copies of one document then
+// fills one bucket a table: the directory now indexes ⌈log2 4097⌉ − 2 = 11
+// key bits (core.DirectoryBits), so the bitmap and rank words grow to 2^11
+// bits' worth; the items take the 13 bits an id needs and the 5 key bits the
+// directory does not index (the 8 bytes of padding after them the empty
+// table had already);
 // one more offset each; the sign-bit column gains the rows' 16 bytes each;
 // and nothing sized by the buckets that stay empty past their bitmap bits
 // (a dense 2^k+1 offsets array per table would be 31 MB here).
 func TestStatsMemoryCountsStaticDirectory(t *testing.T) {
-	const n, k, m = 1025, 16, 16
+	const n, k, m = 4097, 16, 16
 	const tables = m * (m - 1) / 2
 	s, err := NewStore(Config{Dim: 2000, K: k, M: m, Capacity: 20000, Seed: 42})
 	if err != nil {
@@ -349,8 +356,12 @@ func TestStatsMemoryCountsStaticDirectory(t *testing.T) {
 		t.Fatalf("%d static + %d delta rows, want the whole batch merged", merged[0].StaticLen, merged[0].DeltaLen)
 	}
 	arena := int64(n * (4 + 8*doc.NNZ()))
-	items := int64(tables * ((n*(11+5) + 7) / 8))
-	grown := directory(11) - directory(k/2)
+	b := core.DirectoryBits(n, k)
+	if b != 11 {
+		t.Fatalf("fixture: %d rows index %d key bits, want 11", n, b)
+	}
+	items := int64(tables * ((n*(bits.Len(n-1)+k-b) + 7) / 8))
+	grown := directory(b) - directory(k/2)
 	column := int64(n * 16) // each row's 128 sign bits, beside the tables
 	got := merged[0].MemoryBytes - empty[0].MemoryBytes - column
 	if got < arena+items+grown {

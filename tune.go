@@ -15,8 +15,9 @@ type TuneOptions struct {
 	// (default 0.1 → ≥90% recall at the radius boundary).
 	Delta float64
 	// MemoryBudget caps the hash-table footprint in bytes, Eq. 7.4 as the
-	// tables lay it out: ⌈log2 N⌉ bits an item plus the bucket directory
-	// (default 1 GiB).
+	// tables lay it out (core.TableMemoryBound): an item at the bits its id
+	// and its key's unindexed bits take, plus the bucket directory (default
+	// 1 GiB).
 	MemoryBudget int64
 	// TargetN is the dataset size to optimize for; defaults to the sample
 	// size (use the expected production size for capacity planning).
