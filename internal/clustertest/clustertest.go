@@ -169,15 +169,17 @@ func (n *Node) Kill() {
 // Stop SIGTERMs the node and waits up to timeout for it to exit — the
 // graceful path: the process drains in-flight RPCs, checkpoints, and
 // exits 0. A process still alive at the deadline is SIGKILLed and the
-// call errors; a nonzero exit status errors too. Idempotent on an
-// already-dead node.
+// call errors; a nonzero exit status errors too, also that of a process
+// that exited before Stop was called. Idempotent on an already-dead node.
 func (n *Node) Stop(timeout time.Duration) error {
 	if n.proc == nil {
 		return nil
 	}
 	p := n.proc
 	n.proc = nil
-	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+	// ErrProcessDone: the process exited by itself and its waiter has
+	// reaped it; done closes with its exit status.
+	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil && !errors.Is(err, os.ErrProcessDone) {
 		_ = p.cmd.Process.Kill()
 		<-p.done
 		return fmt.Errorf("clustertest: SIGTERM node at %s: %w", n.Addr, err)
@@ -199,16 +201,19 @@ func (n *Node) Stop(timeout time.Duration) error {
 // this harness knows — a crash the caller did not inject is not tracked).
 func (n *Node) Running() bool { return n.proc != nil }
 
-// Signal sends sig to the node process; a no-op when the node is down.
-// SIGSTOP/SIGCONT pairs freeze a live replica — the process holds its
-// sockets but answers nothing — which is the fault that forces hedged
-// searches to fire and win (a dead replica fails fast and exercises
-// failover instead).
+// Signal sends sig to the node process; a no-op when the node is down or
+// its process has exited. SIGSTOP/SIGCONT pairs freeze a live replica — the
+// process holds its sockets but answers nothing — which is the fault that
+// forces hedged searches to fire and win (a dead replica fails fast and
+// exercises failover instead).
 func (n *Node) Signal(sig os.Signal) error {
 	if n.proc == nil {
 		return nil
 	}
-	return n.proc.cmd.Process.Signal(sig)
+	if err := n.proc.cmd.Process.Signal(sig); err != nil && !errors.Is(err, os.ErrProcessDone) {
+		return err
+	}
+	return nil
 }
 
 // waitReady polls the node with real RPCs until it answers (the listener

@@ -52,12 +52,19 @@ type span struct {
 	_    [48]byte // pad to a cache line to avoid false sharing between spans
 }
 
-// run is one Run call's shared state: its spans, its task function and the
-// wait for the workers it started.
+// run is one Run call's shared state: its spans, its task function, the
+// count of workers started and the wait for them.
 type run struct {
-	wg    sync.WaitGroup
-	fn    func(task, worker int)
-	spans []span
+	wg      sync.WaitGroup
+	fn      func(task, worker int)
+	spans   []span
+	started atomic.Int64
+}
+
+// worker is one worker goroutine: it takes the next worker index and works.
+func (r *run) worker() {
+	r.work(int(r.started.Add(1) - 1))
+	r.wg.Done()
 }
 
 // work is worker self's loop. Cursors only advance, so one pass from the
@@ -75,7 +82,6 @@ func (r *run) work(self int) {
 // Run executes fn(task, worker) for every task in [0, n), distributing tasks
 // over the pool's workers with single-task stealing. fn invocations for
 // distinct tasks may run concurrently; Run returns after all complete.
-// Worker 0 is the calling goroutine, so a call at w workers starts w − 1.
 func (p *Pool) Run(n int, fn func(task, worker int)) {
 	if n <= 0 {
 		return
@@ -92,20 +98,13 @@ func (p *Pool) Run(n int, fn func(task, worker int)) {
 		r.spans[i].next.Store(int64(i * n / w))
 		r.spans[i].end = int64((i + 1) * n / w)
 	}
-	r.wg.Add(w - 1)
-	for i := 1; i < w; i++ {
-		go func() {
-			r.work(i)
-			r.wg.Done()
-		}()
+	// One method value serves every goroutine, so a call allocates its state,
+	// its spans and this closure whatever its worker count.
+	worker := r.worker
+	r.wg.Add(w)
+	for range w {
+		go worker()
 	}
-	// The last goroutine started waits in this P's next-to-run slot, which
-	// an idle P steals from only after its queues and a pause; yielding runs
-	// it here and puts the caller on the global queue, which an idle P takes
-	// from at once. Without the yield a build's Steps I1 + I2, two short
-	// Static calls a first-level function, read a quarter slower.
-	runtime.Gosched()
-	r.work(0)
 	r.wg.Wait()
 }
 

@@ -170,16 +170,18 @@ func TestStaticChunkBounds(t *testing.T) {
 	}
 }
 
-// TestRunAllocationCeiling: a Run at 2 workers allocates its shared state,
-// its spans and the one goroutine it starts — worker 0 is the caller — and
+// TestRunAllocationCeiling: a Run allocates its shared state, its spans and
+// the one closure its worker goroutines share, whatever its worker count, and
 // nothing per task.
 func TestRunAllocationCeiling(t *testing.T) {
-	p := NewPool(2)
 	var sum atomic.Int64
 	fn := func(task, _ int) { sum.Add(int64(task)) }
-	for _, n := range []int{2, 16, 1000} {
-		if allocs := testing.AllocsPerRun(200, func() { p.Run(n, fn) }); allocs > 3 {
-			t.Errorf("Run(%d) at 2 workers allocates %.1f times, want at most 3", n, allocs)
+	for _, workers := range []int{2, 4} {
+		p := NewPool(workers)
+		for _, n := range []int{2, 16, 1000} {
+			if allocs := testing.AllocsPerRun(200, func() { p.Run(n, fn) }); allocs > 3 {
+				t.Errorf("Run(%d) at %d workers allocates %.1f times, want at most 3", n, workers, allocs)
+			}
 		}
 	}
 }

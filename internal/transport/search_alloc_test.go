@@ -55,8 +55,8 @@ func suiteNode(tb testing.TB) (*node.Node, []sparse.Vector) {
 // a warm 16-query top-10 Client.Search against a real node over loopback,
 // both ends in this process, must hold a fixed allocation budget. It
 // measures 21 on x86-64; gob, the wire's codec before this one, took 206,
-// a node that grew one answer slice a query 34, and one whose pool started
-// a goroutine for every worker, the caller idle, 24. The codec carves each
+// a node that grew one answer slice a query 34, and one whose pool
+// allocated a closure for every worker goroutine 24. The codec carves each
 // frame's vectors and answer lists from one array apiece, and the node
 // its batch's lists from one answer array.
 func TestTCPSearchAllocationCeiling(t *testing.T) {

@@ -153,10 +153,10 @@ func TestStoreSearchBatchIsTheOneGroupPath(t *testing.T) {
 			len(qs), allocs["Store"], allocs["one-group Cluster"])
 	}
 	// Ceiling with headroom over the measured steady state of 20: the
-	// node's batch (its pool's run state and second worker — the first is
-	// the caller — one answer array, the carved lists), the report, the one
-	// group's failover machinery, the answer arena and the Results. It read
-	// 23 when every pool worker was a goroutine of its own, and 49 when the
+	// node's batch (its pool's run state, spans and the one closure its
+	// workers share, one answer array, the carved lists), the report, the
+	// one group's failover machinery, the answer arena and the Results. It
+	// read 23 when the pool allocated a closure a worker, and 49 when the
 	// node grew one answer slice a query and the coordinator planned refs
 	// for a scatter batch.
 	const ceiling = 22
@@ -250,11 +250,11 @@ func TestFourGroupSearchBatchAllocationCeiling(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, search)
 	t.Logf("a 4-group SearchBatch of %d allocates %.1f/op warm", len(qs), allocs)
 	// Ceiling with headroom over the measured steady state of 61: per group
-	// the node's batch (its pool's run state and second worker — the first
-	// is the caller — one answer array, the carved lists) and the group's
+	// the node's batch (its pool's run state, spans and the one closure its
+	// workers share, one answer array, the carved lists) and the group's
 	// failover machinery and goroutine, then the report, the answer arena
-	// and the Results. It read 73 when every pool worker was a goroutine of
-	// its own, and a coordinator that planned refs for every (query, group)
+	// and the Results. It read 73 when the pool allocated a closure a
+	// worker, and a coordinator that planned refs for every (query, group)
 	// over nodes that grew one answer slice a query 94.5–99.
 	const ceiling = 63
 	if allocs > ceiling {
@@ -271,7 +271,7 @@ func TestFourGroupSearchBatchAllocationCeiling(t *testing.T) {
 // rounded up to a power of two — 32768-bit bitmaps, 4096 bytes per table,
 // which is more than the ID slices' slack can hide.
 func TestStatsMemoryCountsDeltaBitmaps(t *testing.T) {
-	const n, k, m = 4097, 16, 16
+	const n, k, m = 1025, 16, 16
 	const tables = m * (m - 1) / 2
 	s, err := NewStore(Config{Dim: 2000, K: k, M: m, Capacity: 20000, Seed: 42})
 	if err != nil {
