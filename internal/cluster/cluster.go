@@ -399,29 +399,17 @@ func (c *Cluster) fanOut(ctx context.Context, what string, f func(ctx context.Co
 	if err := ctx.Err(); err != nil {
 		return err // the caller's deadline/cancellation, not a node failure
 	}
-	return firstError(errs, what, "node")
-}
-
-// firstError classifies a per-unit error slice from a broadcast whose
-// siblings get canceled on the first failure: the first real failure wins
-// over the cancellations it induced. Shared by fanOut (unit "node") and
-// Search (unit "group") so error blame stays consistent across all
-// broadcast shapes.
-func firstError(errs []error, what, unit string) error {
-	var firstCancel error
+	var canceled error // the first real failure wins over the cancellations it induced
 	for i, err := range errs {
-		if err == nil {
-			continue
+		switch {
+		case err == nil:
+		case !errors.Is(err, context.Canceled):
+			return fmt.Errorf("cluster: %s on node %d: %w", what, i, err)
+		case canceled == nil:
+			canceled = fmt.Errorf("cluster: %s on node %d: %w", what, i, err)
 		}
-		if errors.Is(err, context.Canceled) {
-			if firstCancel == nil {
-				firstCancel = fmt.Errorf("cluster: %s on %s %d: %w", what, unit, i, err)
-			}
-			continue
-		}
-		return fmt.Errorf("cluster: %s on %s %d: %w", what, unit, i, err)
 	}
-	return firstCancel
+	return canceled
 }
 
 // NumNodes returns the endpoint count (groups × replicas).
@@ -604,15 +592,9 @@ func (c *Cluster) assign(ctx context.Context, vs []sparse.Vector, pending []int)
 func (c *Cluster) insertGroup(ctx context.Context, g int, vs []sparse.Vector) ([]uint32, error) {
 	perMember := make([][]uint32, c.r)
 	errs := make([]error, c.r)
-	var wg sync.WaitGroup
-	for j := 0; j < c.r; j++ {
-		wg.Add(1)
-		go func(j int) {
-			defer wg.Done()
-			perMember[j], errs[j] = c.member(g, j).Insert(ctx, vs)
-		}(j)
-	}
-	wg.Wait()
+	c.eachMember(func(j int) {
+		perMember[j], errs[j] = c.member(g, j).Insert(ctx, vs)
+	})
 	allFull := true
 	for _, err := range errs {
 		if !errors.Is(err, node.ErrFull) {
@@ -644,6 +626,22 @@ func (c *Cluster) insertGroup(ctx context.Context, g int, vs []sparse.Vector) ([
 		}
 	}
 	return perMember[0], nil
+}
+
+// eachMember calls f(j) for every member index j of a group at once: the
+// last in the caller's goroutine, each other in one of its own. It
+// returns when every call has.
+func (c *Cluster) eachMember(f func(j int)) {
+	var wg sync.WaitGroup
+	for j := range c.r - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(j)
+		}()
+	}
+	f(c.r - 1)
+	wg.Wait()
 }
 
 // windowGroup returns the i-th group of the current insert window.
@@ -689,94 +687,28 @@ func (c *Cluster) resyncUsed(ctx context.Context, g int) {
 	}
 }
 
-// attemptResult carries one replica RPC's outcome back to the group's
-// failover loop.
+// attemptResult is one replica RPC of a search: which group and member it
+// went to, whether the hedge launched it, and how it ended.
 type attemptResult struct {
-	replica int
-	hedged  bool
-	res     [][]core.Neighbor
-	dur     time.Duration
-	err     error
+	group, replica int
+	hedged         bool
+	res            [][]core.Neighbor
+	dur            time.Duration
+	err            error
 }
 
-// searchGroup answers one group's share of a broadcast through its
-// failover/hedge state machine — the only read path of a group, whatever
-// the replica count: the sub-query goes to the preferred replica (rotated
-// across searches for load spread); a failure launches the next replica;
-// with opts.Hedge set, a replica that is merely slow is raced by the next
-// one after the hedge delay and the first complete answer wins. Losers
-// are canceled on resolution and whatever they answer later is garbage.
-// The group fails only when every replica has been tried and failed — on
-// the first error when it has one member, which also never arms the
-// hedge. The attempt trace is recorded only under opts.Trace.
-func (c *Cluster) searchGroup(ctx context.Context, g int, qs []sparse.Vector, p node.SearchParams, opts BatchOptions) ([][]core.Neighbor, []Attempt, error) {
-	gctx, cancel := context.WithCancel(ctx)
-	defer cancel() // reap the losing attempts once the group resolves
-	pref := int((c.rr.Add(1) - 1) % uint32(c.r))
-	// Buffered to the maximum attempt count: a late loser's send never
-	// blocks, so no goroutine outlives the group unobserved.
-	results := make(chan attemptResult, c.r)
-	next, inflight := 0, 0
-	launch := func(hedged bool) {
-		replica := (pref + next) % c.r
-		next++
-		inflight++
-		go func() {
-			actx := gctx
-			if opts.PerNodeTimeout > 0 {
-				var acancel context.CancelFunc
-				actx, acancel = context.WithTimeout(gctx, opts.PerNodeTimeout)
-				defer acancel()
-			}
-			t0 := time.Now()
-			res, err := c.member(g, replica).Search(actx, qs, p)
-			results <- attemptResult{replica: replica, hedged: hedged, res: res, dur: time.Since(t0), err: err}
-		}()
+// attempt makes a's RPC — its group's share to its member, bounded by
+// timeout when one is set — and returns a with the outcome.
+func (c *Cluster) attempt(ctx context.Context, a attemptResult, qs []sparse.Vector, p node.SearchParams, timeout time.Duration) attemptResult {
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
 	}
-	launch(false)
-	var hedgeC <-chan time.Time
-	if opts.Hedge > 0 && next < c.r {
-		timer := time.NewTimer(opts.Hedge)
-		defer timer.Stop()
-		hedgeC = timer.C
-	}
-	var attempts []Attempt
-	for {
-		select {
-		case ar := <-results:
-			inflight--
-			if opts.Trace {
-				attempts = append(attempts, Attempt{
-					Group: g, Replica: ar.replica, Node: c.nodeIndex(g, ar.replica),
-					Hedged: ar.hedged, Won: ar.err == nil, Time: ar.dur, Err: ar.err,
-				})
-			}
-			if ar.err == nil {
-				if ar.hedged {
-					c.hedgesWon.Add(1)
-				}
-				return ar.res, attempts, nil
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, attempts, err // the caller gave up; failing over is pointless
-			}
-			if next < c.r {
-				c.failovers.Add(1)
-				launch(false) // failover to the next replica
-			} else if inflight == 0 {
-				c.groupFailures.Add(1)
-				return nil, attempts, ar.err // every replica tried and failed
-			}
-		case <-hedgeC:
-			hedgeC = nil // one hedge per group
-			if next < c.r {
-				c.hedgesLaunched.Add(1)
-				launch(true)
-			}
-		case <-ctx.Done():
-			return nil, attempts, ctx.Err()
-		}
-	}
+	t0 := time.Now()
+	a.res, a.err = c.member(a.group, a.replica).Search(ctx, qs, p)
+	a.dur = time.Since(t0)
+	return a
 }
 
 // probeRef locates one routed (query, group) probe's answer: group g's
@@ -786,11 +718,21 @@ type probeRef struct {
 }
 
 // groupPlan is one group's share of a Search call: the sub-batch it is
-// sent (empty = not contacted), then the answer and, under trace, the
-// attempts behind it. It aliases the caller's queries and holds the
-// group's answers, so it lives exactly as long as the request does.
+// sent (empty = not contacted), the group's failover and hedge state while
+// the search loop runs, then the answer and, under trace, the attempts
+// behind it. It aliases the caller's queries and holds the group's
+// answers, so it lives exactly as long as the request does.
 type groupPlan struct {
-	sub  []sparse.Vector
+	sub []sparse.Vector
+
+	pref     int                // preferred replica, rotated across searches
+	next     int                // attempts launched; the next goes to replica (pref+next) % R
+	inflight int                // launched attempts whose outcome the loop has not read
+	done     bool               // answered or failed: a later outcome is a loser's
+	t0       time.Time          // when the group's first attempt launched
+	ctx      context.Context    // the parent of the group's attempts
+	cancel   context.CancelFunc // cancels ctx; nil unless a hedge can race two attempts
+
 	res  [][]core.Neighbor
 	atts []Attempt
 }
@@ -847,36 +789,170 @@ func (c *Cluster) plan(qs []sparse.Vector, radius float64) (groups []groupPlan, 
 	return groups, nil
 }
 
+// gather is the coordinator's one loop: it sends every contacted group its
+// sub-batch and reads every attempt's outcome in the caller's goroutine,
+// driving each group's failover and hedge state in its groupPlan. A
+// group's share goes to its preferred replica (rotated across searches for
+// load spread), and a failure launches the next replica. With opts.Hedge
+// set, the search's one hedge timer races the next replica of every group
+// still unanswered when it fires, and the first complete answer wins; the
+// loser is canceled. A group fails only when every replica has been tried
+// and failed — on the first error when it has one member, which never
+// arms the hedge — and under all-or-nothing that failure ends the loop and
+// cancels every attempt still running.
+//
+// An attempt runs in the caller's goroutine when nothing could need the
+// loop while it runs: its group is the last unresolved one, with no other
+// attempt in flight and no hedge pending. So a one-group, one-replica
+// search starts no goroutine, makes no channel and creates no context.
+// Every other attempt is a goroutine that sends its outcome to one
+// channel, buffered to every attempt the search can make, so a loser's
+// late send never blocks and nothing needs draining. A context is made
+// only where it cancels something: the search-wide one when more than one
+// group is contacted, a group's own when a hedge can race two of its
+// attempts, an attempt's own under opts.PerNodeTimeout.
+//
+// gather records each resolved group's wall time in times and a failed
+// group's error in errs. Its error is the caller's ctx error, even when
+// every group answered; else the first group failure under
+// all-or-nothing, or under opts.Partial the last one when no group
+// answered.
+func (c *Cluster) gather(ctx context.Context, groups []groupPlan, contacted int, p node.SearchParams, opts BatchOptions, times []time.Duration, errs []error) error {
+	sctx := ctx
+	if contacted > 1 {
+		var cancel context.CancelFunc
+		sctx, cancel = context.WithCancel(ctx)
+		defer cancel() // cancels every attempt still running when the loop ends
+	}
+	var (
+		results    chan attemptResult // made when an attempt first leaves the caller's goroutine
+		hedgeC     <-chan time.Time
+		hedgeOpen  = opts.Hedge > 0 // the search's one hedge has not fired
+		unresolved = contacted
+		failed     int
+		ar         attemptResult
+		ran        bool // ar holds the outcome of an attempt run inline
+	)
+	launch := func(g int, hedged bool) {
+		gp := &groups[g]
+		a := attemptResult{group: g, replica: (gp.pref + gp.next) % c.r, hedged: hedged}
+		gp.next++
+		hedgeable := hedgeOpen && gp.next < c.r // a hedge may yet race this attempt
+		if hedgeable && gp.cancel == nil {
+			gp.ctx, gp.cancel = context.WithCancel(gp.ctx)
+		}
+		actx := gp.ctx
+		inline := unresolved == 1 && gp.inflight == 0 && !hedgeable
+		gp.inflight++
+		if inline {
+			ar, ran = c.attempt(actx, a, gp.sub, p, opts.PerNodeTimeout), true
+			return
+		}
+		if hedgeable && hedgeC == nil {
+			hedgeC = time.After(opts.Hedge)
+		}
+		if results == nil {
+			results = make(chan attemptResult, contacted*c.r) // every attempt the search can make
+		}
+		ch, sub := results, gp.sub
+		go func() { ch <- c.attempt(actx, a, sub, p, opts.PerNodeTimeout) }()
+	}
+	for g := range groups {
+		if gp := &groups[g]; len(gp.sub) > 0 {
+			gp.pref, gp.ctx, gp.t0 = int((c.rr.Add(1)-1)%uint32(c.r)), sctx, time.Now()
+			launch(g, false)
+		}
+	}
+	for unresolved > 0 {
+		if !ran {
+			select {
+			case ar = <-results:
+			case <-hedgeC:
+				hedgeC, hedgeOpen = nil, false // one hedge per group
+				for g := range groups {
+					if gp := &groups[g]; len(gp.sub) > 0 && !gp.done && gp.next < c.r {
+						c.hedgesLaunched.Add(1)
+						launch(g, true)
+					}
+				}
+				continue
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		}
+		ran = false
+		g, gp := ar.group, &groups[ar.group]
+		gp.inflight--
+		if gp.done {
+			continue // a loser, read while another group is still open
+		}
+		if opts.Trace {
+			gp.atts = append(gp.atts, Attempt{
+				Group: g, Replica: ar.replica, Node: c.nodeIndex(g, ar.replica),
+				Hedged: ar.hedged, Won: ar.err == nil, Time: ar.dur, Err: ar.err,
+			})
+		}
+		switch {
+		case ar.err == nil:
+			if ar.hedged {
+				c.hedgesWon.Add(1)
+			}
+			gp.res = ar.res
+		case ctx.Err() != nil:
+			return ctx.Err() // the caller gave up; failing over is pointless
+		case gp.next < c.r:
+			c.failovers.Add(1)
+			launch(g, false) // failover to the next replica
+			continue
+		case gp.inflight > 0:
+			continue // a raced attempt may still answer
+		default: // every replica tried and failed
+			c.groupFailures.Add(1)
+			errs[g] = ar.err
+			failed++
+		}
+		gp.done, times[g] = true, time.Since(gp.t0)
+		unresolved--
+		if gp.cancel != nil {
+			gp.cancel() // reap the losing attempt
+		}
+		if ar.err != nil && (!opts.Partial || failed == contacted) {
+			return fmt.Errorf("cluster: search on group %d: %w", g, ar.err)
+		}
+	}
+	return ctx.Err() // the caller may have given up as the last answer came in
+}
+
 // Search answers a batch under request-scoped parameters and opts'
 // failure policy, and reports each group's wall time and outcome. It is
 // the one query path of the coordinator, whatever the placement: plan
 // the per-group sub-batches (see plan — a scatter broadcast sends every
-// group the caller's batch), fan each contacted group's sub-batch out to
-// one member's Search entry point (per-query radius applied node-side,
+// group the caller's batch), send each contacted group's sub-batch to one
+// member's Search entry point (per-query radius applied node-side,
 // answers pruned to p.K per group when bounded) — with failover to
 // sibling replicas on error/timeout and an optional hedge against slow
-// ones (see searchGroup) — and gather each query's per-group lists (list
-// i of every group under scatter, else through the probe refs) into its
-// span of one arena, sorted into the canonical order and cut at p.K when
-// it is set. Groups the plan gave nothing — pruned by the router, or any
-// group when the batch is empty — are skipped entirely: zero wall time,
-// nil error, nothing on the wire. A query with no answer gets a nil list.
-// Answers come back in canonical ascending (distance, global ID) order
-// and are replica-agnostic (mirrors answer identically, so which member
-// won is visible only in the report). Under opts.Trace the report also
-// carries the attempt trace and, on a partitioned cluster, the routed
-// and pruned (query, group) totals.
+// ones, all in one loop (see gather) — and merge each query's per-group
+// lists (list i of every group under scatter, else through the probe
+// refs) into its span of one arena, sorted into the canonical order and
+// cut at p.K when it is set. Groups the plan gave nothing — pruned by the
+// router, or any group when the batch is empty — are skipped entirely:
+// zero wall time, nil error, nothing on the wire. A query with no answer
+// gets a nil list. Answers come back in canonical ascending (distance,
+// global ID) order and are replica-agnostic (mirrors answer identically,
+// so which member won is visible only in the report). Under opts.Trace
+// the report also carries the attempt trace and, on a partitioned
+// cluster, the routed and pruned (query, group) totals.
 //
-// Cancellation of ctx aborts the whole fan-out early with ctx.Err().
+// Cancellation of ctx aborts the whole search early with ctx.Err().
 // Under the default all-or-nothing policy the first contacted group to
-// fail (every replica exhausted) cancels the remaining in-flight work;
-// with opts.Partial the fan-out runs to completion (each attempt bounded
-// by opts.PerNodeTimeout, if set), answers from responding groups are
-// merged, and stragglers show up only in the report — the production
-// trade of a complete answer for bounded latency. On a partitioned
-// cluster a query that does not fit the router's dimension is refused
-// with an error wrapping sparse.ErrInvalid before anything is routed; on
-// scatter the nodes refuse it.
+// fail (every replica exhausted) cancels the remaining in-flight work and
+// is the only group the report blames; with opts.Partial the search runs
+// to completion (each attempt bounded by opts.PerNodeTimeout, if set),
+// answers from responding groups are merged, and stragglers show up only
+// in the report — the production trade of a complete answer for bounded
+// latency. On a partitioned cluster a query that does not fit the
+// router's dimension is refused with an error wrapping sparse.ErrInvalid
+// before anything is routed; on scatter the nodes refuse it.
 func (c *Cluster) Search(ctx context.Context, qs []sparse.Vector, p node.SearchParams, opts BatchOptions) ([][]Neighbor, BatchReport, error) {
 	report := BatchReport{
 		Times: make([]time.Duration, c.groups),
@@ -888,17 +964,11 @@ func (c *Cluster) Search(ctx context.Context, qs []sparse.Vector, p node.SearchP
 		}
 	}
 	groups, refs := c.plan(qs, p.Radius)
-
-	// The last contacted group is answered in the caller's goroutine, the
-	// others each in one of their own; the cancel context exists only when
-	// a failure has a sibling to abort, so a one-group search spawns no
-	// goroutine for its group and makes no fan-out context.
-	last, contacted, routed := -1, 0, 0
-	for g := range groups {
-		if len(groups[g].sub) > 0 { // pruned: zero time, nil error, nothing on the wire
-			last = g
+	contacted, routed := 0, 0
+	for _, gp := range groups {
+		if n := len(gp.sub); n > 0 { // pruned: zero time, nil error, nothing on the wire
 			contacted++
-			routed += len(groups[g].sub)
+			routed += n
 		}
 	}
 	if opts.Trace && c.router != nil {
@@ -906,66 +976,12 @@ func (c *Cluster) Search(ctx context.Context, qs []sparse.Vector, p node.SearchP
 		// routes nothing and reports both as zero.
 		report.RoutedGroups, report.PrunedGroups = routed, len(qs)*c.groups-routed
 	}
-	bctx, cancel := ctx, context.CancelFunc(nil)
-	if contacted > 1 {
-		bctx, cancel = context.WithCancel(ctx)
-		defer cancel()
-	}
-	times, errs := report.Times, report.Errs // not report: it would move to the heap
-	answer := func(g int) {
-		t0 := time.Now()
-		r, atts, err := c.searchGroup(bctx, g, groups[g].sub, p, opts)
-		times[g], groups[g].atts = time.Since(t0), atts
-		if err != nil {
-			errs[g] = err
-			if !opts.Partial && cancel != nil {
-				cancel() // abort the rest of the fan-out
-			}
-			return
-		}
-		groups[g].res = r
-	}
-	var wg sync.WaitGroup
-	for g := range groups {
-		if len(groups[g].sub) == 0 || g == last {
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			answer(g)
-		}()
-	}
-	if last >= 0 {
-		answer(last)
-	}
-	wg.Wait()
+	err := c.gather(ctx, groups, contacted, p, opts, report.Times, report.Errs)
 	for _, gp := range groups {
 		report.Attempts = append(report.Attempts, gp.atts...)
 	}
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		return nil, report, err
-	}
-	firstErr := firstError(report.Errs, "search", "group")
-	answered := contacted // contacted groups that answered (pruned groups never fail)
-	for _, err := range report.Errs {
-		if err != nil {
-			answered--
-		}
-	}
-	// In all-or-nothing mode the first failure cancels its siblings; those
-	// induced cancellations are casualties, not stragglers — drop them so
-	// the report blames only the group that actually failed. (firstError
-	// prefers a real failure, so a canceled firstErr means there was none.)
-	if !opts.Partial && firstErr != nil && !errors.Is(firstErr, context.Canceled) {
-		for i, err := range report.Errs {
-			if errors.Is(err, context.Canceled) {
-				report.Errs[i] = nil
-			}
-		}
-	}
-	if firstErr != nil && (!opts.Partial || answered == 0) {
-		return nil, report, firstErr
 	}
 	// Every query's answer is a span of one arena sized by the group lists'
 	// total.
@@ -1055,15 +1071,9 @@ func (c *Cluster) Delete(ctx context.Context, gid uint64) error {
 		return fmt.Errorf("cluster: no group %d: %w", group, node.ErrNotFound)
 	}
 	errs := make([]error, c.r)
-	var wg sync.WaitGroup
-	for j := 0; j < c.r; j++ {
-		wg.Add(1)
-		go func(j int) {
-			defer wg.Done()
-			errs[j] = c.member(group, j).Delete(ctx, local)
-		}(j)
-	}
-	wg.Wait()
+	c.eachMember(func(j int) {
+		errs[j] = c.member(group, j).Delete(ctx, local)
+	})
 	notFound := 0
 	for j, err := range errs {
 		if err == nil {

@@ -415,7 +415,7 @@ func TestReplicatedEquivalentToSingleCopy(t *testing.T) {
 }
 
 // TestOneMemberGroupsRunTheSameStateMachine: Replicas = 1 is not a code
-// path. A one-member group goes through searchGroup's failover/hedge
+// path. A one-member group goes through the search loop's failover/hedge
 // state machine like any other — it traces one attempt per group (replica
 // 0 of the group, so Node equals Group), never arms the hedge, fails on
 // the first error and counts it, honours the per-node timeout — and its

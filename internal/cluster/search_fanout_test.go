@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"sync"
@@ -361,5 +362,84 @@ func TestScatterPlanHasNoRefs(t *testing.T) {
 	f.requireSelfMatches(t, res, -1)
 	if pairs := len(f.qs) * fanoutGroups; rep.RoutedGroups != pairs || rep.PrunedGroups != 0 {
 		t.Fatalf("an all-probe routed search reports %d routed and %d pruned, want %d and 0", rep.RoutedGroups, rep.PrunedGroups, pairs)
+	}
+}
+
+// stuckSearch never answers a search: it keeps the ctx it was handed and
+// blocks until that ctx is done.
+type stuckSearch struct {
+	transport.NodeClient
+
+	mu   sync.Mutex
+	ctxs []context.Context
+}
+
+func (m *stuckSearch) Search(ctx context.Context, qs []sparse.Vector, p node.SearchParams) ([][]core.Neighbor, error) {
+	m.mu.Lock()
+	m.ctxs = append(m.ctxs, ctx)
+	m.mu.Unlock()
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+// TestHedgedOutLoserIsCanceled: replica 0 of every group never answers,
+// so each group that prefers it is rescued by a hedge at 1 ms, and by the
+// time Search returns the context every such loser was handed is
+// canceled — a hedged-out attempt is reaped, not left to run. It runs
+// under scatter and partitioned placement over eight groups, and over one
+// group, where no sibling group's failure or search-wide cancel can do
+// the reaping. Two searches each, so the rotating preference makes every
+// group prefer the stuck replica once.
+func TestHedgedOutLoserIsCanceled(t *testing.T) {
+	for _, tc := range []struct {
+		groups    int
+		placement Placement
+	}{{fanoutGroups, PlacementScatter}, {fanoutGroups, PlacementPartitioned}, {1, PlacementScatter}} {
+		t.Run(fmt.Sprintf("%s/%d-group", tc.placement, tc.groups), func(t *testing.T) {
+			clients := make([]transport.NodeClient, tc.groups*fanoutReplicas)
+			var stuck []*stuckSearch
+			for i := range clients {
+				clients[i] = transport.NewLocal(realNode(t, 200))
+				if i%fanoutReplicas == 0 {
+					s := &stuckSearch{NodeClient: clients[i]}
+					stuck, clients[i] = append(stuck, s), s
+				}
+			}
+			opts := Options{WindowM: tc.groups, Replicas: fanoutReplicas, Placement: tc.placement}
+			if tc.placement == PlacementPartitioned {
+				opts.Router = testRouter(t, RouterConfig{Groups: tc.groups})
+			}
+			c, err := NewWithOptions(bg, clients, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			docs := testDocs(160, 73)
+			if _, err := c.Insert(bg, docs); err != nil {
+				t.Fatal(err)
+			}
+			hedgesWon, losers := 0, 0
+			seen := make([]int, len(stuck)) // per stuck replica: the attempts already checked
+			for range 2 {
+				_, rep, err := c.Search(bg, docs[:fanoutQueries], node.SearchParams{}, BatchOptions{Hedge: time.Millisecond, Trace: true})
+				if err != nil || !rep.Complete() {
+					t.Fatalf("hedged search: err=%v report=%+v", err, rep)
+				}
+				hedgesWon += rep.HedgesWon()
+				for g, s := range stuck {
+					s.mu.Lock()
+					for _, ctx := range s.ctxs[seen[g]:] {
+						seen[g]++
+						losers++
+						if ctx.Err() == nil {
+							t.Errorf("group %d's hedged-out attempt was not canceled when Search returned", g)
+						}
+					}
+					s.mu.Unlock()
+				}
+			}
+			if hedgesWon == 0 || losers == 0 {
+				t.Fatalf("%d hedges won and %d stuck attempts seen; the stuck replica never lost a race", hedgesWon, losers)
+			}
+		})
 	}
 }

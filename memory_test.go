@@ -113,8 +113,9 @@ func TestStoreSearchAllocationCeiling(t *testing.T) {
 // TestStoreSearchBatchIsTheOneGroupPath pins that a Store's SearchBatch
 // is the coordinator's one-group search: a batch of 16 through the Store
 // and through NewCluster(1, 1, cfg) over the same rows allocates the same
-// count, under a ceiling that keeps the one-group fan-out from growing
-// back its own goroutine and cancel context.
+// count, under a ceiling that keeps the one-group, one-replica search
+// from growing back a goroutine, a channel or a context: its one attempt
+// runs in the caller's goroutine.
 func TestStoreSearchBatchIsTheOneGroupPath(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("sync.Pool drops workspaces at random under -race")
@@ -152,22 +153,23 @@ func TestStoreSearchBatchIsTheOneGroupPath(t *testing.T) {
 		t.Errorf("a batch of %d allocates %.1f through the Store and %.1f through a one-group Cluster; the Store's batch is that path",
 			len(qs), allocs["Store"], allocs["one-group Cluster"])
 	}
-	// Ceiling with headroom over the measured steady state of 20: the
+	// Ceiling with headroom over the measured steady state of 13: the
 	// node's batch (its pool's run state, spans and the one closure its
-	// workers share, one answer array, the carved lists), the report, the
-	// one group's failover machinery, the answer arena and the Results. It
-	// read 23 when the pool allocated a closure a worker, and 49 when the
-	// node grew one answer slice a query and the coordinator planned refs
-	// for a scatter batch.
-	const ceiling = 22
+	// workers share, one answer array, the carved lists), the plan, the
+	// report, the answer arena and the Results. It read 20 when the group's
+	// one attempt ran in a goroutine of its own behind a cancel context and
+	// a results channel, 23 when the pool allocated a closure a worker, and
+	// 49 when the node grew one answer slice a query and the coordinator
+	// planned refs for a scatter batch.
+	const ceiling = 15
 	if allocs["Store"] > ceiling {
 		t.Errorf("Store.SearchBatch of %d allocates %.1f/op warm; ceiling %d", len(qs), allocs["Store"], ceiling)
 	}
 }
 
 // TestClusterSearchAllocationCeiling guards the broadcast path end to
-// end on an in-process replicated cluster: fan-out, per-group failover
-// machinery, the coordinator's sort and cut, and Result conversion
+// end on an in-process replicated cluster of two groups: the search loop
+// and its attempts, the coordinator's sort and cut, and Result conversion
 // together must hold a fixed budget once warm.
 func TestClusterSearchAllocationCeiling(t *testing.T) {
 	if israce.Enabled {
@@ -200,12 +202,15 @@ func TestClusterSearchAllocationCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Ceiling with headroom over the measured steady state of 32: the
-	// broadcast answers one of its two groups in the caller's goroutine and
-	// spawns one for the other, so its floor is higher than the Store's;
-	// the ceiling still excludes any per-call result materialization
-	// beyond the flat arena.
-	const ceiling = 35
+	t.Logf("a query allocates %.1f/op warm through a 2-group, 2-replica Cluster", allocs)
+	// Ceiling with headroom over the measured steady state of 20: each of
+	// the two groups' attempts is a goroutine reporting to the search
+	// loop's one channel, under the search-wide cancel context, so its
+	// floor is higher than the Store's; the ceiling still excludes any
+	// per-call result materialization beyond the flat arena. It read 32
+	// when each group ran its own failover machinery behind a context,
+	// a channel and a goroutine per attempt.
+	const ceiling = 23
 	if allocs > ceiling {
 		t.Errorf("Cluster.Search allocates %.1f/op warm; ceiling %d", allocs, ceiling)
 	}
@@ -249,14 +254,17 @@ func TestFourGroupSearchBatchAllocationCeiling(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(200, search)
 	t.Logf("a 4-group SearchBatch of %d allocates %.1f/op warm", len(qs), allocs)
-	// Ceiling with headroom over the measured steady state of 61: per group
+	// Ceiling with headroom over the measured steady state of 39: per group
 	// the node's batch (its pool's run state, spans and the one closure its
-	// workers share, one answer array, the carved lists) and the group's
-	// failover machinery and goroutine, then the report, the answer arena
-	// and the Results. It read 73 when the pool allocated a closure a
-	// worker, and a coordinator that planned refs for every (query, group)
-	// over nodes that grew one answer slice a query 94.5–99.
-	const ceiling = 63
+	// workers share, one answer array, the carved lists) and its attempt's
+	// goroutine, then the search-wide cancel context and the loop's one
+	// channel, the plan, the report, the answer arena and the Results. It
+	// read 61 when each group ran its own failover machinery (a cancel
+	// context, a channel and a goroutine per attempt) in a goroutine of its
+	// own, 73 when the pool allocated a closure a worker, and a coordinator
+	// that planned refs for every (query, group) over nodes that grew one
+	// answer slice a query 94.5–99.
+	const ceiling = 41
 	if allocs > ceiling {
 		t.Errorf("a 4-group SearchBatch of %d allocates %.1f/op warm; ceiling %d", len(qs), allocs, ceiling)
 	}

@@ -301,7 +301,7 @@ func (s *Store) Search(ctx context.Context, q Vector, opts ...SearchOption) (Res
 	// runs: no batch wrapper, no Report machinery — the node appends into
 	// a stack buffer and the only result allocation is the caller's
 	// []Match (plus one growth when more than 32 documents are in radius),
-	// where a batch of one through the coordinator allocates ~22 times.
+	// where a batch of one through the coordinator allocates ~13 times.
 	nctx := ctx
 	if spec.policy.PerNodeTimeout > 0 {
 		var cancel context.CancelFunc
