@@ -153,7 +153,7 @@ type soak struct {
 	// goroutine holds Lock across kill→downtime→restart.
 	writeGate sync.RWMutex
 
-	mirror mirror
+	mirror *mirror
 
 	searchHist, insertHist, deleteHist histo.Histogram
 
@@ -168,13 +168,71 @@ type soak struct {
 
 // mirror is the client-side oracle: every acknowledged live document,
 // plus tombstones for acknowledged deletes (a match on a recently
-// deleted ID is delete-lag, not corruption).
+// deleted ID is delete-lag, not corruption), and a count of the inserts
+// begun and of those mirrored. An insert the members have applied is
+// searchable before its call returns and the inserter mirrors it, so a
+// match the mirror does not know may be one in flight: a search takes a
+// fence (the inserts begun so far) once it has its answer — every insert
+// in flight while it ran began before that — and an unknown match is
+// judged again once every insert behind that fence is mirrored
+// (awaitMirrored).
 type mirror struct {
 	mu      sync.Mutex
 	vecs    map[uint64]plsh.Vector
 	ids     []uint64 // live IDs for O(1) random pick (swap-remove on delete)
 	pos     map[uint64]int
 	deleted map[uint64]bool
+
+	begun, mirrored uint64    // inserts started, and finished and mirrored, in order
+	waiting         int       // callers blocked in awaitMirrored
+	done            sync.Cond // signalled as inserts finish; L is &mu
+}
+
+func newMirror() *mirror {
+	m := &mirror{
+		vecs:    make(map[uint64]plsh.Vector),
+		pos:     make(map[uint64]int),
+		deleted: make(map[uint64]bool),
+	}
+	m.done.L = &m.mu
+	return m
+}
+
+// beginInsert counts an insert in flight; the one inserter calls it before
+// each Insert and endInsert once the batch's outcome is mirrored, so the
+// inserts finish in the order they began.
+func (m *mirror) beginInsert() {
+	m.mu.Lock()
+	m.begun++
+	m.mu.Unlock()
+}
+
+// endInsert marks the oldest insert in flight mirrored.
+func (m *mirror) endInsert() {
+	m.mu.Lock()
+	m.mirrored++
+	m.mu.Unlock()
+	m.done.Broadcast()
+}
+
+// fence returns the inserts begun so far: a search answered by now can
+// have seen nothing written by a later one.
+func (m *mirror) fence() uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.begun
+}
+
+// awaitMirrored blocks until the first fence inserts are mirrored. It
+// waits on the inserter alone, which ends every insert it begins.
+func (m *mirror) awaitMirrored(fence uint64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.waiting++
+	for m.mirrored < fence {
+		m.done.Wait()
+	}
+	m.waiting--
 }
 
 func (m *mirror) add(id uint64, v plsh.Vector) {
@@ -278,12 +336,7 @@ func run() int {
 		*dataRoot = dir
 	}
 
-	s := &soak{cfg: cfg}
-	s.mirror = mirror{
-		vecs:    make(map[uint64]plsh.Vector),
-		pos:     make(map[uint64]int),
-		deleted: make(map[uint64]bool),
-	}
+	s := &soak{cfg: cfg, mirror: newMirror()}
 
 	// Size the corpus to the run: everything the inserter could possibly
 	// push, bounded by what the fleet can hold (partitioned placement
@@ -422,41 +475,53 @@ func (s *soak) insertLoop(ctx context.Context) {
 		}
 		docs := s.docs[next : next+batch]
 		next += batch
-
-		s.writeGate.RLock()
-		t0 := time.Now()
-		ids, err := s.cl.Insert(ctx, docs)
-		s.insertHist.Record(time.Since(t0))
-		s.writeGate.RUnlock()
-
-		switch {
-		case err == nil:
-			for i, id := range ids {
-				s.mirror.add(id, docs[i])
-			}
-			s.inserted.Add(uint64(len(docs)))
-		case errors.Is(err, plsh.ErrFull):
-			s.full.Store(true)
-			fmt.Fprintf(os.Stderr, "plsh-soak: fleet full after %d documents; ingest stopped\n", s.inserted.Load())
-		default:
-			var ie *plsh.InsertError
-			dropped := len(docs)
-			if errors.As(err, &ie) {
-				for i, ok := range ie.Placed {
-					if ok {
-						s.mirror.add(ie.IDs[i], docs[i])
-						s.inserted.Add(1)
-						dropped--
-					}
-				}
-			}
-			if ctx.Err() != nil {
-				return // shutdown tore the call, not the cluster
-			}
-			s.writeErrors.Add(uint64(dropped))
-			fmt.Fprintf(os.Stderr, "plsh-soak: insert dropped %d documents: %v\n", dropped, err)
+		if !s.insertBatch(ctx, docs) {
+			return
 		}
 	}
+}
+
+// insertBatch inserts docs and mirrors what the cluster acknowledged,
+// counted in flight in the mirror from just before the call — past the
+// write gate, so a batch held there is not — until its outcome is
+// mirrored. It reports whether ingest goes on: not once the context ends.
+func (s *soak) insertBatch(ctx context.Context, docs []plsh.Vector) bool {
+	s.writeGate.RLock()
+	s.mirror.beginInsert()
+	defer s.mirror.endInsert()
+	t0 := time.Now()
+	ids, err := s.cl.Insert(ctx, docs)
+	s.insertHist.Record(time.Since(t0))
+	s.writeGate.RUnlock()
+
+	switch {
+	case err == nil:
+		for i, id := range ids {
+			s.mirror.add(id, docs[i])
+		}
+		s.inserted.Add(uint64(len(docs)))
+	case errors.Is(err, plsh.ErrFull):
+		s.full.Store(true)
+		fmt.Fprintf(os.Stderr, "plsh-soak: fleet full after %d documents; ingest stopped\n", s.inserted.Load())
+	default:
+		var ie *plsh.InsertError
+		dropped := len(docs)
+		if errors.As(err, &ie) {
+			for i, ok := range ie.Placed {
+				if ok {
+					s.mirror.add(ie.IDs[i], docs[i])
+					s.inserted.Add(1)
+					dropped--
+				}
+			}
+		}
+		if ctx.Err() != nil {
+			return false // shutdown tore the call, not the cluster
+		}
+		s.writeErrors.Add(uint64(dropped))
+		fmt.Fprintf(os.Stderr, "plsh-soak: insert dropped %d documents: %v\n", dropped, err)
+	}
+	return true
 }
 
 // deleteLoop tombstones one random live document per interval.
@@ -544,6 +609,7 @@ func (s *soak) searchLoop(ctx context.Context, seed int64) {
 		t0 := time.Now()
 		res, rep, err := s.cl.SearchBatch(ctx, qs, opts...)
 		s.searchHist.Record(time.Since(t0))
+		fence := s.mirror.fence()
 		if err != nil || !rep.Complete() {
 			if ctx.Err() != nil {
 				return
@@ -555,7 +621,7 @@ func (s *soak) searchLoop(ctx context.Context, seed int64) {
 		s.searches.Add(1)
 		s.queries.Add(uint64(len(qs)))
 		if oracle != nil {
-			s.verifySample(ctx, ids[0], qs[0], res[0].Matches, oracle)
+			s.verifySample(ctx, ids[0], qs[0], res[0].Matches, oracle, fence)
 		}
 	}
 }
@@ -563,20 +629,28 @@ func (s *soak) searchLoop(ctx context.Context, seed int64) {
 // verifySample checks one answered query against the mirror: soundness
 // of every returned match, self-retrieval by global ID, and recall
 // against the exhaustive in-radius set over the pre-search snapshot.
-func (s *soak) verifySample(ctx context.Context, qid uint64, q plsh.Vector, matches []plsh.Match, oracle map[uint64]plsh.Vector) {
+// fence is the mirror's fence taken once the search had its answer.
+func (s *soak) verifySample(ctx context.Context, qid uint64, q plsh.Vector, matches []plsh.Match, oracle map[uint64]plsh.Vector, fence uint64) {
 	s.samples.Add(1)
 	cosThr := sparse.CosThreshold(s.cfg.Radius)
 	// Soundness: a match must be a live acknowledged document within the
 	// radius (re-verified by recomputing the dot product), or a tombstone
 	// the answer path has not caught up with yet, or a document
 	// acknowledged after our snapshot (still fine — classify sees the
-	// live mirror, not the snapshot).
+	// live mirror, not the snapshot). A match the mirror does not know may
+	// be from an insert that was in flight while the search ran: it is
+	// classified again once every such insert is mirrored, and is a
+	// violation only if it is still unknown then.
 	selfSeen := false
 	for _, m := range matches {
 		if m.ID == qid {
 			selfSeen = true
 		}
 		v, live, tomb := s.mirror.classify(m.ID)
+		if !live && !tomb {
+			s.mirror.awaitMirrored(fence)
+			v, live, tomb = s.mirror.classify(m.ID)
+		}
 		switch {
 		case live:
 			// Slack on the threshold: the nodes' float32 pipeline and this
@@ -711,12 +785,13 @@ func (s *soak) finalAudit(ctx context.Context) {
 		}
 		oracle := s.mirror.snapshot()
 		res, rep, err := s.cl.SearchBatch(ctx, []plsh.Vector{q}, s.searchOpts()...)
+		fence := s.mirror.fence()
 		if err != nil || !rep.Complete() {
 			s.violations.Add(1)
 			fmt.Fprintf(os.Stderr, "plsh-soak: VIOLATION: final audit search failed: err=%v\n", err)
 			continue
 		}
-		s.verifySample(ctx, id, q, res[0].Matches, oracle)
+		s.verifySample(ctx, id, q, res[0].Matches, oracle, fence)
 	}
 }
 

@@ -203,7 +203,7 @@ func SecondLevel(tb *TableBuilder, perm1, keys2, offs1, hist, items []uint32, p 
 	// k2>>r and id<<r as multiplies (as Table.keyMatch explains): the
 	// high word of k2·2^(32−r), and id·2^r.
 	low, down, up := uint32(1)<<r-1, uint64(1)<<(32-r), uint32(1)<<r
-	tb.Reset(p.Buckets()>>r, n, r)
+	tb.Reset(p.Buckets()>>r, r)
 	for part := 0; part < halfB; part++ {
 		segLo, segHi := offs1[part], offs1[part+1]
 		seg := keys2[segLo:segHi]

@@ -15,7 +15,8 @@ import (
 // n documents: the tweet-like base set over a 50 000-word vocabulary,
 // K=16/M=16 → 120 tables, and 4096 distinct queries drawn from the base
 // set — enough that a pass over them finds the tables' offsets and items
-// (12 MB and 15 MB at 32 000 rows) cold, as a client's next query does.
+// (directories of 1.2 MB and items of 8.6 MB at 32 000 rows) cold, as a
+// client's next query does.
 type coldSet struct {
 	st    *Static
 	store *sparse.Matrix
@@ -240,7 +241,7 @@ func (e *monolith) search(dst []Neighbor, q sparse.Vector, p SearchParams) ([]Ne
 		pr := e.pairs[l]
 		key := ws.sketch[pr.A]<<half | ws.sketch[pr.B]
 		t := &e.st.tables[l]
-		lo, hi := t.bounds(t.slot(key))
+		lo, hi := t.bounds(key)
 		mul, want := t.keyMatch(key)
 		for i := lo; i < hi; i++ {
 			if item := uint64(t.items.at(i)) * mul; uint32(item) == want {
@@ -339,7 +340,7 @@ func probeUnstaged(tables []Table, pairs []lshhash.Pair, sketch []uint32, half u
 		t := &tables[l]
 		key := pairs[l].Key(sketch, half)
 		mul, want := t.keyMatch(key)
-		lo, hi := t.bounds(t.slot(key))
+		lo, hi := t.bounds(key)
 		for i := lo; i < hi; i++ {
 			item := uint64(t.items.at(i)) * mul
 			id, hit := uint32(item>>32), matches(uint32(item), want)
@@ -355,7 +356,7 @@ func probeUnstagedNoStores(tables []Table, pairs []lshhash.Pair, sketch []uint32
 	sum := 0
 	for l := range tables {
 		t := &tables[l]
-		lo, hi := t.bounds(t.slot(pairs[l].Key(sketch, half)))
+		lo, hi := t.bounds(pairs[l].Key(sketch, half))
 		for i := lo; i < hi; i++ {
 			sum += int(t.items.at(i))
 		}
@@ -368,8 +369,8 @@ func probeUnstagedNoLoop(tables []Table, pairs []lshhash.Pair, sketch []uint32, 
 	sum := 0
 	for l := range tables {
 		t := &tables[l]
-		slot, _ := t.slot(pairs[l].Key(sketch, half))
-		sum += int(t.items.at(min(t.start(slot), max(t.n, 1)-1)))
+		lo, _ := t.bounds(pairs[l].Key(sketch, half))
+		sum += int(t.items.at(min(lo, max(t.n, 1)-1)))
 	}
 	return sum
 }
@@ -414,15 +415,21 @@ func BenchmarkBuild(b *testing.B) {
 // TestStaticBytesPerDocCeiling pins what a static index over the benchmark
 // suite's geometry (coldSet) holds a document — the tables and the sign-bit
 // column, Static.MemoryBytes — at a fleet node's share and at
-// static_query's base set. The directory indexes ⌈log2 n⌉ − 2 key bits
-// (DirectoryBits), so a bucket holds two to four items; at ⌈log2 n⌉ bits,
-// one item a bucket, they read 397.0 and 414.8; now 339.8 and 347.0.
+// static_query's base set, to the byte and under a ceiling. The directory
+// indexes ⌈log2 n⌉ − 2 key bits (DirectoryBits), so a bucket holds two to
+// four items; at ⌈log2 n⌉ bits, one item a bucket, they read 397.0 and
+// 414.8; with a bitmap, rank words and an entry an occupied bucket, 339.8
+// and 347.0; in 64-bucket blocks of 9-bit offsets, 323.3 and 323.5.
 func TestStaticBytesPerDocCeiling(t *testing.T) {
 	for _, c := range []struct {
 		n       int
+		bytes   int64
 		ceiling float64
-	}{{8000, 341}, {32000, 348}} {
+	}{{8000, 2586080, 324}, {32000, 10353120, 324}} {
 		st := newColdSet(c.n).st
+		if got := st.MemoryBytes(); got != c.bytes {
+			t.Errorf("%d rows: MemoryBytes = %d, pinned at %d", c.n, got, c.bytes)
+		}
 		if got := float64(st.MemoryBytes()) / float64(c.n); got > c.ceiling {
 			t.Errorf("%d rows: %.1f B/doc, ceiling %.0f", c.n, got, c.ceiling)
 		}

@@ -9,8 +9,7 @@ import (
 )
 
 // Compact removes every item for which drop reports true from every bucket,
-// in place, rewriting the entries to stay consistent (a bucket emptied here
-// keeps its directory entry, now of zero length). Len is unchanged: item IDs
+// in place, rewriting the bucket starts to stay consistent. Len is unchanged: item IDs
 // keep their meaning, only bucket membership shrinks. It is the reference
 // Merge is checked against — Build followed by Compact is what a merge of
 // the same rows under the same tombstones must hold — and so lives in test
@@ -20,7 +19,7 @@ func (s *Static) Compact(drop func(id uint32) bool, workers int) {
 	pool := sched.NewPool(workers)
 	pool.Run(len(s.tables), func(l, _ int) {
 		t := &s.tables[l]
-		offs, items := t.appendOffsets(nil), t.AppendItems(nil)
+		offs, items := t.appendStarts(nil), t.AppendItems(nil)
 		var w uint32
 		for b := 0; b < len(offs)-1; b++ {
 			lo, hi := offs[b], offs[b+1]
@@ -34,13 +33,13 @@ func (s *Static) Compact(drop func(id uint32) bool, workers int) {
 			}
 		}
 		offs[len(offs)-1] = w
-		*t = TableFromWords(t.occ, offs, items[:w], t.r)
+		*t = TableFromWords(offs, items[:w], t.r)
 	})
 }
 
 // Compact must drop exactly the requested rows from every bucket of every
-// table, preserve intra-bucket order of the survivors, and leave the entries
-// consistent.
+// table, preserve intra-bucket order of the survivors, and leave the
+// directory consistent.
 func TestStaticCompact(t *testing.T) {
 	const n, dim = 500, 2000
 	col := corpus.Generate(corpus.Twitter(n, dim, 7))

@@ -256,30 +256,30 @@ func TestStaticFromTablesRejectsBadDirectory(t *testing.T) {
 		if allocs := testing.AllocsPerRun(10, func() { _ = ValidateTables(p, n, tables) }); allocs != 0 {
 			t.Fatalf("n=%d: ValidateTables allocates %v times over valid tables", n, allocs)
 		}
-		// A clear bit of the last bitmap word, inside the directory's 2^b.
-		clearBit := func(tb *Table) uint {
-			last := tb.occ[len(tb.occ)-1]
-			for b := uint(0); b < min(64, uint(1)<<(uint(p.K)-r)); b++ {
-				if last>>b&1 == 0 {
-					return b
-				}
-			}
-			t.Fatal("fixture too dense: last bitmap word is full")
-			return 0
-		}
-		// offsets edits the table's entries as plain offsets, which
+		// starts edits the table's directory as one start a bucket, which
 		// TableFromWords packs as it finds them.
-		offsets := func(edit func(offs []uint32) []uint32) func(tb *Table) {
+		starts := func(edit func(starts []uint32) []uint32) func(tb *Table) {
 			return func(tb *Table) {
-				*tb = TableFromWords(tb.occ, edit(tb.appendOffsets(nil)), tb.AppendItems(nil), tb.r)
+				*tb = TableFromWords(edit(tb.appendStarts(nil)), tb.AppendItems(nil), tb.r)
 			}
 		}
 		// items does the same to the items.
 		items := func(edit func(items []uint32) []uint32) func(tb *Table) {
 			return func(tb *Table) {
-				*tb = TableFromWords(tb.occ, tb.appendOffsets(nil), edit(tb.AppendItems(nil)), tb.r)
+				*tb = TableFromWords(tb.appendStarts(nil), edit(tb.AppendItems(nil)), tb.r)
 			}
 		}
+		// dirValue edits the value of width bits at bit of the directory's
+		// packed bytes, width(tb) being the table's offset width or 32.
+		dirValue := func(bit func(tb *Table) uint, width func(tb *Table) uint, edit func(uint32) uint32) func(tb *Table) {
+			return func(tb *Table) {
+				tb.dir.buf = slices.Clone(tb.dir.buf)
+				at, w := bit(tb), width(tb)
+				setBits(tb.dir.buf, at, w, edit(getBits(tb.dir.buf, at, w)))
+			}
+		}
+		offsetWidth := func(tb *Table) uint { return tb.dir.width }
+		baseWidth := func(*Table) uint { return 32 }
 		// at returns table 0 built over the same rows with its items carrying
 		// rAt key bits: a table valid in itself.
 		at := func(rAt uint) func(tb *Table) {
@@ -298,18 +298,23 @@ func TestStaticFromTablesRejectsBadDirectory(t *testing.T) {
 			encoded func(tb *Table, enc []byte) []byte // or its encoding
 		}
 		rows := []row{
-			{name: "popcount over offset count", corrupt: func(tb *Table) { tb.occ[len(tb.occ)-1] |= 1 << clearBit(tb) }},
-			{name: "popcount under offset count", corrupt: offsets(func(offs []uint32) []uint32 { return append(offs, offs[len(offs)-1]) })},
-			{name: "short bitmap", corrupt: func(tb *Table) { tb.occ = tb.occ[:len(tb.occ)-1] }},
-			{name: "long bitmap", corrupt: func(tb *Table) { tb.occ = append(tb.occ, 0) }},
-			{name: "bitmap past the bytes", encoded: func(_ *Table, enc []byte) []byte {
+			{name: "one block more", corrupt: starts(func(s []uint32) []uint32 {
+				end := s[len(s)-1]
+				for range 64 {
+					s = append(s, end)
+				}
+				return s
+			})},
+			{name: "no blocks", corrupt: starts(func(s []uint32) []uint32 { return s[len(s)-1:] })},
+			{name: "blocks past the bytes", encoded: func(_ *Table, enc []byte) []byte {
 				binary.LittleEndian.PutUint32(enc[4:], 1<<29)
 				return enc
 			}},
-			{name: "offsets decrease", corrupt: offsets(func(offs []uint32) []uint32 { offs[2] = offs[1] - 1; return offs })},
-			{name: "first offset not zero", corrupt: offsets(func(offs []uint32) []uint32 { offs[0] = 1; return offs })},
-			{name: "last offset short of items", corrupt: offsets(func(offs []uint32) []uint32 { offs[len(offs)-1]--; return offs })},
-			{name: "last offset past items", corrupt: items(func(items []uint32) []uint32 { return items[:len(items)-1] })},
+			{name: "offsets decrease", corrupt: starts(func(s []uint32) []uint32 { s[2] = s[1] - 1; return s })},
+			{name: "first offset not zero", corrupt: dirValue(func(*Table) uint { return 32 }, offsetWidth, func(uint32) uint32 { return 1 })},
+			{name: "first base not zero", corrupt: dirValue(func(*Table) uint { return 0 }, baseWidth, func(uint32) uint32 { return 1 })},
+			{name: "last block short of items", corrupt: starts(func(s []uint32) []uint32 { s[len(s)-1]--; return s })},
+			{name: "last block past items", corrupt: items(func(items []uint32) []uint32 { return items[:len(items)-1] })},
 			{name: "item id out of range", corrupt: items(func(items []uint32) []uint32 { items[7] = uint32(n) << r; return items })},
 			// One past the ids ⌈log2 n⌉ bits hold: packed at the width n needs,
 			// it would wrap to 0, which is in range.
@@ -317,24 +322,16 @@ func TestStaticFromTablesRejectsBadDirectory(t *testing.T) {
 				items[7] = 1 << bits.Len(uint(n-1)) << r
 				return items
 			})},
-			{name: "no offsets", corrupt: offsets(func([]uint32) []uint32 { return nil })},
 			{name: "no item array", corrupt: func(tb *Table) { tb.items = packed{} }},
 			{name: "item array one byte short", encoded: func(_ *Table, enc []byte) []byte { return enc[:len(enc)-1] }},
 			{name: "item array one byte long", encoded: func(_ *Table, enc []byte) []byte { return append(enc, 0) }},
-			{name: "entry array one byte short", corrupt: func(tb *Table) { tb.entries.buf = tb.entries.buf[:len(tb.entries.buf)-1] }},
-			{name: "entry array one byte long", corrupt: func(tb *Table) { tb.entries.buf = append(tb.entries.buf, 0) }},
-			// The same offsets, each in 33 bits, in an array of the length 33
-			// bits take: only the width is wrong.
-			{name: "entry width 33", corrupt: func(tb *Table) {
-				offs := tb.appendOffsets(nil)
-				buf := make([]byte, packedBytes(uint(len(offs)), 33))
-				for i, o := range offs {
-					for b := range 32 {
-						at := i*33 + b
-						buf[at>>3] |= byte(o>>b&1) << (at & 7)
-					}
-				}
-				tb.entries = packed{buf: buf, width: 33}
+			{name: "directory one byte short", corrupt: func(tb *Table) { tb.dir.buf = tb.dir.buf[:len(tb.dir.buf)-1] }},
+			{name: "directory one byte long", corrupt: func(tb *Table) { tb.dir.buf = append(tb.dir.buf, 0) }},
+			{name: "offset width past its bytes", corrupt: func(tb *Table) { tb.dir.width++ }},
+			// An all-zero directory as long as 33-bit offsets take: only the
+			// width is wrong.
+			{name: "offset width 33", corrupt: func(tb *Table) {
+				tb.dir = packed{buf: make([]byte, dirBytes(uint(tb.nBlocks), 33)), width: 33}
 			}},
 			// The items' width, the word just before their bytes, read as 33
 			// and the array lengthened to what 33 bits an item take.
@@ -348,7 +345,7 @@ func TestStaticFromTablesRejectsBadDirectory(t *testing.T) {
 			// A table valid in itself at b = K/2 − 1.
 			{name: "b below K/2", corrupt: at(uint(p.K/2 + 1))},
 			// r read as 2^32 − 1: b = K − r is K + 1 in 32 bits, and the
-			// directory's 2^b buckets no bitmap can hold.
+			// directory's 2^b buckets no block count can hold.
 			{name: "b above K", encoded: func(_ *Table, enc []byte) []byte {
 				binary.LittleEndian.PutUint32(enc, 1<<32-1)
 				return enc
@@ -358,15 +355,21 @@ func TestStaticFromTablesRejectsBadDirectory(t *testing.T) {
 			// Or one more: no table indexes more than K.
 			rows = append(rows, row{name: "tables with different b, one more", corrupt: at(r - 1)})
 		}
+		if blocks := (1<<(uint(p.K)-r) + 63) / 64; blocks > 1 {
+			// Block 1 starting one past where block 0 closes.
+			rows = append(rows, row{name: "a base not where the block before closes", corrupt: dirValue(
+				func(tb *Table) uint { return blockBits(tb.dir.width) }, baseWidth, func(v uint32) uint32 { return v + 1 })})
+		}
 		if b := uint(p.K) - r; b < 6 {
-			// A bit past 2^b in the one bitmap word, with the entry it
-			// promises: only where the bit lies is wrong.
-			rows = append(rows, row{name: "bitmap bit past 2^b", corrupt: func(tb *Table) {
-				offs := tb.appendOffsets(nil)
-				occ := slices.Clone(tb.occ)
-				occ[0] |= 1 << (1 << b)
-				*tb = TableFromWords(occ, append(offs, offs[len(offs)-1]), tb.AppendItems(nil), tb.r)
-			}})
+			// The last item moved into bucket 2^b, past the directory's
+			// buckets but inside its one block: only where it lies is wrong.
+			rows = append(rows, row{name: "a bucket past 2^b holds items", corrupt: starts(func(s []uint32) []uint32 {
+				last := uint32(n) - 1
+				for j := 1 << b; j > 0 && s[j] > last; j-- {
+					s[j] = last
+				}
+				return s
+			})})
 		}
 		for _, bad := range rows {
 			tables := good()
@@ -410,7 +413,7 @@ func groupAt(keys []uint32, k int, r uint) Table {
 		hist[key>>r]++
 	}
 	var tb TableBuilder
-	tb.Reset(len(hist), len(keys), r)
+	tb.Reset(len(hist), r)
 	tb.Add(hist)
 	items := make([]uint32, len(keys))
 	for i, key := range keys {

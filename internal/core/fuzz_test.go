@@ -11,9 +11,10 @@ import (
 // table, and a table that ValidateTables accepts — as the one table of an
 // index of rows documents under K = 4, 8 or 16 — is safe to probe: ProbeMark
 // and Bucket over 256 keys read only inside its arrays, count the same
-// collisions, and find the same ids, all below rows. The kernels read the items
-// through unsafe behind packed.span, and r shifts every directory index, so
-// validation is what keeps a table from disk inside its memory.
+// collisions, and find the same ids, all below rows. The kernels read the
+// directory and the items through unsafe behind one bounds check each, and r
+// shifts every directory index, so validation is what keeps a table from
+// disk inside its memory.
 func FuzzDecodeTable(f *testing.F) {
 	for _, k := range []int{4, 8, 16} {
 		p := lshhash.Params{Dim: 64, K: k, M: 2, Seed: 5}
@@ -30,6 +31,13 @@ func FuzzDecodeTable(f *testing.F) {
 			binary.LittleEndian.PutUint32(wide, 1<<32-1) // r past every K
 			f.Add(wide, uint32(n))
 		}
+	}
+	// Directories the builds above do not make: no items, and every item in
+	// one bucket, whose block spans them all.
+	var tb TableBuilder
+	for _, keys := range [][]uint32{nil, make([]uint32, 300)} {
+		t := tb.GroupByKey(keys, 8, make([]uint32, 256))
+		f.Add(t.AppendEncoded(nil), uint32(len(keys)))
 	}
 	f.Fuzz(func(t *testing.T, enc []byte, rows uint32) {
 		tb, err := DecodeTable(enc)

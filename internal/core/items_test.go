@@ -87,7 +87,7 @@ func packedAndDecoded(t *testing.T, what string, tb Table) map[string]Table {
 func TestItemsAtEveryWidth(t *testing.T) {
 	check := func(what string, ids []uint32, width uint) {
 		t.Helper()
-		for what, tb := range packedAndDecoded(t, what, TableFromWords(nil, nil, ids, 0)) {
+		for what, tb := range packedAndDecoded(t, what, TableFromWords([]uint32{0, uint32(len(ids))}, ids, 0)) {
 			if tb.n != uint32(len(ids)) {
 				t.Fatalf("%s: %d items, want %d", what, tb.n, len(ids))
 			}
@@ -127,59 +127,73 @@ func TestItemsAtEveryWidth(t *testing.T) {
 	}
 }
 
-// TestEntriesAtEveryWidth: at every width from 0 to 32 bits, a directory
-// closing at 2^w − 1 packs its entries in w bits and one closing at 2^w in
-// one more; every entry reads back through start, every bucket's bounds —
-// and an empty probe's, entry 0 twice — through bounds, and the whole
-// directory through appendOffsets; all of it again in the table DecodeTable
-// makes of the table's encoding.
-func TestEntriesAtEveryWidth(t *testing.T) {
-	check := func(what string, offs []uint32, width uint) {
+// TestOffsetsAtEveryWidth: at every width from 0 to 32 bits, a directory
+// whose widest block spans 2^w − 1 items packs its offsets in w bits and one
+// spanning 2^w in one more; every bucket's bounds read back through bounds,
+// an empty one's as two equal ones, and the whole directory through
+// appendStarts; all of it again in the table DecodeTable makes of the
+// table's encoding. The spans sit in the first, a middle or the last of
+// three blocks, and the buckets before and after the widest one are empty
+// or not, so the base each bucket adds is 0, below the span or near 2^32.
+func TestOffsetsAtEveryWidth(t *testing.T) {
+	check := func(what string, starts []uint32, width uint) {
 		t.Helper()
-		for what, tb := range packedAndDecoded(t, what, TableFromWords(nil, offs, nil, 0)) {
-			if tb.nEntries != uint32(len(offs)) {
-				t.Fatalf("%s: %d entries, want %d", what, tb.nEntries, len(offs))
+		for what, tb := range packedAndDecoded(t, what, TableFromWords(starts, nil, 0)) {
+			if tb.nBlocks != uint32(len(starts)-1)/64 || tb.dir.width != width {
+				t.Fatalf("%s: %d blocks of %d-bit offsets, want %d of %d", what, tb.nBlocks, tb.dir.width, (len(starts)-1)/64, width)
 			}
-			checkPacked(t, what, tb.entries, offs, width)
-			for e, want := range offs {
-				if got := tb.start(uint32(e)); got != want {
-					t.Fatalf("%s: entry %d starts at %d, want %d", what, e, got, want)
-				}
-				if lo, hi := tb.bounds(uint32(e), 0); lo != want || hi != want {
-					t.Fatalf("%s: bounds(%d, 0) = [%d, %d), want [%d, %d)", what, e, lo, hi, want, want)
-				}
-				if e+1 < len(offs) {
-					if lo, hi := tb.bounds(uint32(e), 1); lo != want || hi != offs[e+1] {
-						t.Fatalf("%s: bounds(%d, 1) = [%d, %d), want [%d, %d)", what, e, lo, hi, want, offs[e+1])
-					}
+			if want := dirBytes(uint(tb.nBlocks), width); len(tb.dir.buf) != want || cap(tb.dir.buf) != want {
+				t.Fatalf("%s: directory of %d bytes (cap %d), want %d", what, len(tb.dir.buf), cap(tb.dir.buf), want)
+			}
+			for d := range len(starts) - 1 {
+				if lo, hi := tb.bounds(uint32(d)); lo != starts[d] || hi != starts[d+1] {
+					t.Fatalf("%s: bucket %d bounds [%d, %d), want [%d, %d)", what, d, lo, hi, starts[d], starts[d+1])
 				}
 			}
-			if got := tb.appendOffsets(nil); !slices.Equal(got, offs) {
-				t.Fatalf("%s: appendOffsets = %v, want %v", what, got, offs)
+			if got := tb.appendStarts(nil); !slices.Equal(got, starts) {
+				t.Fatalf("%s: appendStarts = %v, want %v", what, got, starts)
 			}
-			if got := tb.appendOffsets([]uint32{7}); len(got) != len(offs)+1 || got[0] != 7 {
-				t.Fatalf("%s: appendOffsets does not append", what)
+			if got := tb.appendStarts([]uint32{7}); len(got) != len(starts)+1 || got[0] != 7 {
+				t.Fatalf("%s: appendStarts does not append", what)
 			}
 		}
 	}
 
 	src := rng.New(2)
 	for w := uint(0); w <= 32; w++ {
-		closings := []uint64{1<<w - 1, 1 << w}
+		spans := []uint64{1<<w - 1, 1 << w}
 		if w == 32 {
-			closings = closings[:1]
+			spans = spans[:1]
 		}
-		for _, closing := range closings {
-			// Two to ten entries put the closing one at nine different bit
-			// offsets of its byte at an odd width.
-			for n := 2; n <= 10; n++ {
-				offs := make([]uint32, n)
-				for i := 1; i < n-1; i++ {
-					offs[i] = uint32(src.Uint64() % (closing + 1))
+		for _, span := range spans {
+			for wide := range 3 {
+				// Three blocks, the widest wide-th: its buckets start at
+				// sorted draws below its span, and each other block spans
+				// at most 2^31 less everything before it, none of it wider.
+				starts := make([]uint32, 3*64+1)
+				var base uint64
+				for blk := range 3 {
+					s := starts[64*blk : 64*blk+65]
+					top := span
+					if blk != wide {
+						top = min(span, uint64(src.Uint32()%(1<<31))) >> (src.Uint32() % 2 * 31)
+					}
+					top = min(top, 1<<32-1-base)
+					for j := 1; j < 64; j++ {
+						s[j] = uint32(src.Uint64() % (top + 1))
+					}
+					s[0], s[64] = 0, uint32(top)
+					slices.Sort(s[1:64])
+					for j := range s {
+						s[j] += uint32(base)
+					}
+					base += top
 				}
-				offs[n-1] = uint32(closing)
-				slices.Sort(offs)
-				check(fmt.Sprintf("w=%d n=%d closing at %d", w, n, closing), offs, uint(bits.Len64(closing)))
+				widest := uint64(0)
+				for blk := range 3 {
+					widest = max(widest, uint64(starts[64*blk+64]-starts[64*blk]))
+				}
+				check(fmt.Sprintf("w=%d span %d in block %d", w, span, wide), starts, uint(bits.Len64(widest)))
 			}
 		}
 	}

@@ -16,31 +16,25 @@ import (
 // the measurements that put them here.
 
 // stageBuckets is the staging of the Q2 probe: it composes the L table
-// keys from the sketch and loads the bounds of each selected directory
-// bucket — the key's top b bits — into lo and hi (length ≥ len(tables);
-// returned cut to it), touching no bucket. Stage 1 reads each table's
-// bitmap word and rank word — 1.5 to 3 bits a document, 1.5 KB a table at
-// 8 000 documents and 12 KB from 2^15 on under K=16, the part of the index a
-// cache can hold — and turns them into the directory bucket's entry by
-// arithmetic alone (Table.slot); a clear bit comes out as entry 0 with zero
-// length, so an empty bucket ends at a line every empty probe of that table
-// shares. Stage 2 loads where that entry and the next one start
-// (Table.bounds): two adjacent packed entries, the same load, shift and mask
-// as an item's. Neither loop has a branch — bounds checks aside — so the L
-// misses of each stage are all in flight together: the structural stand-in
-// for §5.2.2's software prefetch. A probe that walked each bucket as soon
-// as it had its bounds would close every iteration with a loop branch on a
-// value still in flight from memory, and each misprediction of it
-// serializes the next table's miss behind this one's.
+// keys from the sketch and loads the bounds of each selected bucket into lo
+// and hi (length ≥ len(tables); returned cut to it), touching no item. A
+// bucket's bounds are three loads from the one directory block its key
+// selects — the block's base and two adjacent offsets, the same load, shift
+// and mask as an item's (Table.bounds) — about a third of a byte a
+// document, 10 KB a table at 32 000 documents under K=16, the part of the
+// index a cache can hold. An empty bucket comes out as two equal bounds.
+// The loop has no branch — bounds checks aside — so the L misses are all in
+// flight together: the structural stand-in for §5.2.2's software prefetch.
+// A probe that walked each bucket as soon as it had its bounds would close
+// every iteration with a loop branch on a value still in flight from
+// memory, and each misprediction of it serializes the next table's miss
+// behind this one's.
 func stageBuckets(tables []Table, pairs []lshhash.Pair, sketch []uint32, half uint, lo, hi []uint32) ([]uint32, []uint32) {
 	pairs = pairs[:len(tables)]
 	lo = lo[:len(tables)]
 	hi = hi[:len(tables)]
 	for l := range tables {
-		lo[l], hi[l] = tables[l].slot(pairs[l].Key(sketch, half))
-	}
-	for l := range tables {
-		lo[l], hi[l] = tables[l].bounds(lo[l], hi[l])
+		lo[l], hi[l] = tables[l].bounds(pairs[l].Key(sketch, half))
 	}
 	return lo, hi
 }
@@ -48,13 +42,13 @@ func stageBuckets(tables []Table, pairs []lshhash.Pair, sketch []uint32, half ui
 // ProbeMark is the Q2 probe: it marks every item of the L buckets
 // the sketch selects into the dedup bitvector words and returns the
 // collision count (bucket entries, duplicates included). After
-// stageBuckets, a third staging loop loads the item at each bucket's start
+// stageBuckets, a second staging loop loads the item at each bucket's start
 // into first (length ≥ len(tables)) — the line every walk of the bucket
 // begins with, and with two to four items a directory bucket the line that
 // holds the rest of it more often than not; for an empty bucket it is
 // whatever lies there, inside the array, which the walk masks — so those L
 // misses overlap too.
-// Pass 2 then walks each directory bucket with trip counts already in
+// The walk then takes each directory bucket with trip counts already in
 // cache, beginning from its staged item, so a mispredicted bucket length
 // costs a pipeline refill, not a memory round trip; each further item is
 // one load, a shift and a mask behind one bounds check a bucket

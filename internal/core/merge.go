@@ -13,8 +13,8 @@ import (
 // sketches — the streaming merge of §6.2 as a copy, not a rebuild. No row is
 // hashed: add's tables are built from its sketches (as BuildFromSketches
 // builds them), at the directory bits of the merged index, and old already
-// holds its items grouped by key behind a directory of the occupied
-// buckets, so the bucket of a key is old's items, then add's with old.Len()
+// holds its items grouped by key behind its directory, so the bucket of a
+// key is old's items, then add's with old.Len()
 // added to every id, without the ids whose bit is set in dead. Bucket(key)
 // is, for every key, what Build over the concatenated rows would hold with
 // the ids set in dead removed (the test files' Compact, the reference Merge
@@ -27,10 +27,9 @@ import (
 // pass each (refine) — at most once per power of two of the rows, and never
 // once b = K.
 //
-// The bookkeeping is proportional to add's buckets, not old's: between two
-// directory buckets add occupies, old's buckets are adjacent in its item
-// array and stay adjacent in the result, so they move as one block — one
-// copy of the items, one constant added to their directory entries
+// Between two directory buckets add occupies, old's buckets are adjacent in
+// its item array and stay adjacent in the result, so they move as one
+// block — one copy of the items, one constant added to their bucket starts
 // (mergeTable). Only a tombstoned item splits a block.
 //
 // dead is a plain copy of the tombstone words, taken once by the caller and
@@ -77,44 +76,41 @@ func mergeSigns(p lshhash.Params, old, add []uint64, dead []uint64, n int) []uin
 }
 
 // mergeScratch is what one worker keeps from table to table: where the
-// tombstoned items of old sit, and old's, add's and the result's entries and
-// items as plain 32-bit words — the merge shifts and copies them by the
-// block, which packed arrays do not allow, so it reads the inputs through
-// one unpacking pass each and packs the result's once they are final — and
-// what refine splits old's buckets with.
+// tombstoned items of old sit, and old's, add's and the result's bucket
+// starts and items as plain 32-bit words — the merge shifts and copies them
+// by the block, which packed arrays do not allow, so it reads the inputs
+// through one unpacking pass each and packs the result's once they are
+// final — add's occupied buckets, and what refine splits old's buckets with.
 type mergeScratch struct {
-	deadAt            []uint32
-	oldOffs, oldItems []uint32
-	addItems          []uint32
-	offs, items       []uint32
+	deadAt              []uint32
+	oldStarts, oldItems []uint32
+	addStarts, addItems []uint32
+	addOcc              []uint64
+	starts, items       []uint32
 
 	keys, hist, fineItems []uint32
 	tb                    TableBuilder
 }
 
-// flatTable is a table's entries and items unpacked to 32 bits, the form
-// the merge's block moves read and write.
+// flatTable is a table's bucket starts, the end of the last bucket
+// included, and its items, unpacked to 32 bits: the form the merge's block
+// moves read and write.
 type flatTable struct {
-	offs, items []uint32
+	starts, items []uint32
 }
 
 func isDead(dead []uint64, id uint32) bool { return dead[id>>6]>>(id&63)&1 != 0 }
 
 // mergeTable merges one table under k-bit keys, its items carrying r of
 // them: add's do already, and old's are refined to r first if they carry
-// more.
-//
-// The result's directory has an entry for every bucket either side has one
-// for: a bucket the tombstones emptied keeps its entry, of zero length
-// (unless refine split it: a bucket with no items has nothing to split).
+// more. Both then have the same buckets, and so does the result.
 func mergeTable(old, add *Table, shift uint32, k int, r uint, dead []uint64, scratch *mergeScratch) Table {
-	from := flatTable{offs: old.appendOffsets(scratch.oldOffs[:0]), items: old.AppendItems(scratch.oldItems[:0])}
-	scratch.oldOffs, scratch.oldItems = from.offs, from.items
-	oldOcc, oldRank := old.occ, old.rank
+	from := flatTable{starts: old.appendStarts(scratch.oldStarts[:0]), items: old.AppendItems(scratch.oldItems[:0])}
+	scratch.oldStarts, scratch.oldItems = from.starts, from.items
 	if old.r != r {
-		oldOcc, from = refine(old.occ, from, k, old.r, r, scratch)
-		oldRank = rankOf(oldOcc)
+		from = refine(from, k, old.r, r, scratch)
 	}
+	addStarts := add.appendStarts(scratch.addStarts[:0])
 	addItems := add.AppendItems(scratch.addItems[:0])
 	shift <<= r // added to an item, the shift moves its id
 	// An item's id is the high word of the item times mul, as in
@@ -138,43 +134,33 @@ func mergeTable(old, add *Table, shift uint32, k int, r uint, dead []uint64, scr
 		}
 	}
 
-	occ := make([]uint64, len(oldOcc))
-	var entries uint32
-	for w, ow := range oldOcc {
-		occ[w] = ow | add.occ[w]
-		entries += uint32(bits.OnesCount64(occ[w]))
+	// The buckets add holds items in, one bit each, set without a branch.
+	buckets := len(from.starts) - 1
+	occ := slices.Grow(scratch.addOcc[:0], (buckets+63)/64)[:(buckets+63)/64]
+	clear(occ)
+	for d := range buckets {
+		occ[d>>6] |= uint64(b2i(addStarts[d+1] > addStarts[d])) << (d & 63)
 	}
-	// Every entry and every item is written below.
+	// Every start and every item is written below.
 	to := flatTable{
-		offs:  slices.Grow(scratch.offs[:0], int(entries)+1)[:entries+1],
-		items: slices.Grow(scratch.items[:0], live)[:live],
+		starts: slices.Grow(scratch.starts[:0], buckets+1)[:buckets+1],
+		items:  slices.Grow(scratch.items[:0], live)[:live],
 	}
 
 	var c mergeCursor
 	nextDead := deadAt // consumed from the front
-	aEnt, aPos := uint32(0), uint32(0)
-	for w, aw := range add.occ {
-		ow := oldOcc[w]
+	aPos := uint32(0)
+	for w, aw := range occ {
 		for ; aw != 0; aw &= aw - 1 {
 			// The next directory bucket add occupies. Everything old holds up
 			// to and including that bucket moves as a block; add's items
 			// follow old's in the bucket.
-			bit := uint(bits.TrailingZeros64(aw))
-			has := uint32(ow>>bit) & 1 // old has the bucket too
-			upTo := oldRank[w] + uint32(bits.OnesCount64(ow&(1<<bit-1))) + has
-			if nextDead[0] < from.offs[upTo] {
-				c, nextDead = moveOldAroundDead(&to, &from, c, upTo, nextDead)
+			d := uint32(w<<6 + bits.TrailingZeros64(aw))
+			if nextDead[0] < from.starts[d+1] {
+				c, nextDead = moveOldAroundDead(&to, &from, c, d+1, nextDead)
 			}
-			c = moveOld(&to, &from, c, upTo)
-			// If old has the key, its entry — just moved — serves the merged
-			// bucket; if not, the bucket starts a new entry here. The entry
-			// is written either way and kept only in the second case: which
-			// case it is is a coin toss no branch predictor calls, and a
-			// slot not kept is the next entry's to overwrite.
-			to.offs[c.e] = c.n
-			c.e += 1 - has
-			aEnt++
-			for end := add.start(aEnt); aPos < end; aPos++ {
+			c = moveOld(&to, &from, c, d+1)
+			for end := addStarts[d+1]; aPos < end; aPos++ {
 				if item := addItems[aPos] + shift; !isDead(dead, uint32(uint64(item)*mul>>32)) {
 					to.items[c.n] = item
 					c.n++
@@ -182,43 +168,41 @@ func mergeTable(old, add *Table, shift uint32, k int, r uint, dead []uint64, scr
 			}
 		}
 	}
-	upTo := uint32(len(from.offs) - 1)
-	if nextDead[0] < from.offs[upTo] {
-		c, _ = moveOldAroundDead(&to, &from, c, upTo, nextDead)
+	if nextDead[0] < from.starts[buckets] {
+		c, _ = moveOldAroundDead(&to, &from, c, uint32(buckets), nextDead)
 	}
-	c = moveOld(&to, &from, c, upTo)
-	to.offs[c.e] = c.n
-	scratch.deadAt, scratch.addItems = deadAt, addItems
-	scratch.offs, scratch.items = to.offs, to.items
-	return TableFromWords(occ, to.offs, to.items, r)
+	c = moveOld(&to, &from, c, uint32(buckets))
+	to.starts[buckets] = c.n
+	scratch.deadAt, scratch.addStarts, scratch.addItems, scratch.addOcc = deadAt, addStarts, addItems, occ
+	scratch.starts, scratch.items = to.starts, to.items
+	return TableFromWords(to.starts, to.items, r)
 }
 
-// mergeCursor is how far one table's merge has come: old's next directory
-// entry and item, and the result's.
+// mergeCursor is how far one table's merge has come: the next bucket whose
+// start is not yet written, and old's next item and the result's.
 type mergeCursor struct {
-	oEnt, oPos uint32
-	e, n       uint32
+	b, oPos, n uint32
 }
 
-// moveOld moves old's directory entries below upTo that have not moved yet,
-// and their items, to t — none of them tombstoned: the items are one copy,
-// and every entry shifts by how far the block moved.
+// moveOld moves old's buckets below upTo that have not moved yet, and their
+// items, to t — none of them tombstoned: the items are one copy, and every
+// bucket's start shifts by how far the block moved.
 //
-// A block is a few entries and a few items far more often than not, and a
+// A block is a few buckets and a few items far more often than not, and a
 // loop of so few iterations, or a memmove of so few bytes, costs a
 // mispredicted branch each time. So a short block moves as a fixed 4
-// entries and 8 items wherever both arrays have that much room: the result
+// starts and 8 items wherever both arrays have that much room: the result
 // is written front to back, and what lands past the block's own length is
 // overwritten by whatever comes next.
 func moveOld(t, old *flatTable, c mergeCursor, upTo uint32) mergeCursor {
 	shift := c.n - c.oPos // may wrap; so does the sum below
-	ents, end := upTo-c.oEnt, old.offs[upTo]
-	if src, dst := old.offs[c.oEnt:], t.offs[c.e:]; ents <= 4 && len(src) >= 4 && len(dst) >= 4 {
+	count, end := upTo-c.b, old.starts[upTo]
+	if src, dst := old.starts[c.b:], t.starts[c.b:]; count <= 4 && len(src) >= 4 && len(dst) >= 4 {
 		s, d := (*[4]uint32)(src), (*[4]uint32)(dst)
 		d[0], d[1], d[2], d[3] = s[0]+shift, s[1]+shift, s[2]+shift, s[3]+shift
 	} else {
-		for i, off := range src[:ents] {
-			dst[i] = off + shift
+		for i, start := range src[:count] {
+			dst[i] = start + shift
 		}
 	}
 	if src, dst := old.items[c.oPos:], t.items[c.n:]; end-c.oPos <= 8 && len(src) >= 8 && len(dst) >= 8 {
@@ -228,24 +212,22 @@ func moveOld(t, old *flatTable, c mergeCursor, upTo uint32) mergeCursor {
 		copy(dst, src[:end-c.oPos])
 	}
 	c.n += end - c.oPos
-	c.e += ents
-	c.oEnt, c.oPos = upTo, end
+	c.b, c.oPos = upTo, end
 	return c
 }
 
 // moveOldAroundDead is moveOld for a block that holds tombstoned items, the
 // positions at the front of deadAt: it moves the block up to the last of
-// them, dropping each, and leaves the clean rest to moveOld. The entries
+// them, dropping each, and leaves the clean rest to moveOld. The buckets
 // that start at or before a dropped item keep the shift of the items before
 // it.
 func moveOldAroundDead(t, old *flatTable, c mergeCursor, upTo uint32, deadAt []uint32) (mergeCursor, []uint32) {
-	for end := old.offs[upTo]; deadAt[0] < end; deadAt = deadAt[1:] {
+	for end := old.starts[upTo]; deadAt[0] < end; deadAt = deadAt[1:] {
 		at := deadAt[0]
 		shift := c.n - c.oPos
-		for c.oEnt < upTo && old.offs[c.oEnt] <= at {
-			t.offs[c.e] = old.offs[c.oEnt] + shift
-			c.oEnt++
-			c.e++
+		for c.b < upTo && old.starts[c.b] <= at {
+			t.starts[c.b] = old.starts[c.b] + shift
+			c.b++
 		}
 		c.n += uint32(copy(t.items[c.n:], old.items[c.oPos:at]))
 		c.oPos = at + 1
@@ -253,31 +235,25 @@ func moveOldAroundDead(t, old *flatTable, c mergeCursor, upTo uint32, deadAt []u
 	return c, deadAt
 }
 
-// refine returns the directory and the items of from — a table whose items
-// carry rOld key bits, over the bitmap occ — at r < rOld under k-bit keys,
-// by one stable counting pass over the items, keyed by the directory bucket
-// each falls in at r: its old bucket's bits, then the top rOld − r of the
-// key bits it carries. Each old bucket splits into adjacent new ones in key
-// order, so the result is what a build at r would hold for the same items;
-// an old bucket the tombstones emptied has nothing to split and drops out.
-// Nothing in it branches on an item or a bucket length: an item's old
-// bucket is a running sum over the items of what each occupied bucket adds
-// where it starts. A merge calls it only when its b grows.
-func refine(occ []uint64, from flatTable, k int, rOld, r uint, s *mergeScratch) ([]uint64, flatTable) {
+// refine returns the buckets and the items of from — a table whose items
+// carry rOld key bits — at r < rOld under k-bit keys, by one stable
+// counting pass over the items, keyed by the directory bucket each falls in
+// at r: its old bucket's bits, then the top rOld − r of the key bits it
+// carries. Each old bucket splits into adjacent new ones in key order, so
+// the result is what a build at r would hold for the same items. Nothing in
+// it branches on an item or a bucket length: an item's old bucket is a
+// running sum over the items of how many buckets end where it lies. A
+// merge calls it only when its b grows.
+func refine(from flatTable, k int, rOld, r uint, s *mergeScratch) flatTable {
 	split := rOld - r
 	lowOld, low := uint32(1)<<rOld-1, uint32(1)<<r-1
 	n := len(from.items)
 	keys := slices.Grow(s.keys[:0], n+1)[:n+1]
 	clear(keys)
-	var e int
-	var prev uint32
-	for w, word := range occ {
-		for ; word != 0; word &= word - 1 {
-			d := uint32(w<<6 + bits.TrailingZeros64(word))
-			keys[from.offs[e]] += d - prev
-			prev = d
-			e++
-		}
+	// Bucket d ends where d+1 starts: an item at p lies in the bucket that
+	// as many buckets end at or before p as its index.
+	for _, end := range from.starts[1:] {
+		keys[end]++
 	}
 	var d uint32
 	for p, item := range from.items {
@@ -291,7 +267,7 @@ func refine(occ []uint64, from flatTable, k int, rOld, r uint, s *mergeScratch) 
 	for _, key := range keys {
 		hist[key]++
 	}
-	s.tb.Reset(buckets, n, r)
+	s.tb.Reset(buckets, r)
 	s.tb.Add(hist)
 	items := slices.Grow(s.fineItems[:0], n)[:n]
 	for p, key := range keys {
@@ -300,6 +276,5 @@ func refine(occ []uint64, from flatTable, k int, rOld, r uint, s *mergeScratch) 
 		hist[key]++
 	}
 	s.keys, s.hist, s.fineItems = keys, hist, items
-	fine, offs := s.tb.seal()
-	return fine, flatTable{offs: offs, items: items}
+	return flatTable{starts: s.tb.seal(), items: items}
 }

@@ -12,16 +12,13 @@ import (
 	"plsh/internal/sparse"
 )
 
-// ref32 is Table with nothing packed: the bitmap, the rank words, one
-// uint32 offset per occupied directory bucket plus the closing one, and one
-// uint32 an item, each id<<r | the key's low r bits. It lives in test files
-// only, as the reference the packed entries and items are checked against;
-// its in-place rewrites are denseTable's, which walk whatever entries
-// Offsets holds.
+// ref32 is Table with nothing packed: one uint32 start per directory
+// bucket plus the end of the last, and one uint32 an item, each id<<r | the
+// key's low r bits. It lives in test files only, as the reference the
+// packed directory and items are checked against; its in-place rewrites are
+// denseTable's.
 type ref32 struct {
-	Occ  []uint64
-	Rank []uint32
-	r    uint
+	r uint
 	denseTable
 }
 
@@ -29,14 +26,9 @@ type ref32 struct {
 // whose low r bits are key's.
 func (t *ref32) Bucket(key uint32) []uint32 {
 	d := key >> t.r
-	word, bit := t.Occ[d>>6], d&63
-	if word>>bit&1 == 0 {
-		return nil
-	}
-	e := t.Rank[d>>6] + uint32(bits.OnesCount64(word&(1<<bit-1)))
 	low := uint32(1)<<t.r - 1
 	var ids []uint32
-	for _, item := range t.Items[t.Offsets[e]:t.Offsets[e+1]] {
+	for _, item := range t.Items[t.Offsets[d]:t.Offsets[d+1]] {
 		if item&low == key&low {
 			ids = append(ids, item>>t.r)
 		}
@@ -50,29 +42,16 @@ func (t *ref32) compact(drop func(uint32) bool) {
 }
 
 // ref32FromKeys is denseFromKeys over the directory bits of keys, the items
-// carrying the rest and the empty buckets' entries left out.
+// carrying the rest.
 func ref32FromKeys(keys []uint32, k int, r uint) ref32 {
-	buckets := 1 << (uint(k) - r)
 	dir := make([]uint32, len(keys))
 	for i, key := range keys {
 		dir[i] = key >> r
 	}
-	dense := denseFromKeys(dir, buckets)
-	t := ref32{Occ: make([]uint64, (buckets+63)/64), Rank: make([]uint32, (buckets+63)/64), r: r}
-	for i, id := range dense.Items {
-		dense.Items[i] = id<<r | keys[id]&(1<<r-1)
+	t := ref32{r: r, denseTable: denseFromKeys(dir, 1<<(uint(k)-r))}
+	for i, id := range t.Items {
+		t.Items[i] = id<<r | keys[id]&(1<<r-1)
 	}
-	t.Items = dense.Items
-	for b := 0; b < buckets; b++ {
-		if b&63 == 0 {
-			t.Rank[b>>6] = uint32(len(t.Offsets))
-		}
-		if dense.Offsets[b+1] > dense.Offsets[b] {
-			t.Occ[b>>6] |= 1 << (b & 63)
-			t.Offsets = append(t.Offsets, dense.Offsets[b])
-		}
-	}
-	t.Offsets = append(t.Offsets, uint32(len(keys)))
 	return t
 }
 
@@ -100,11 +79,22 @@ func widthOf(vals []uint32) uint {
 	return uint(bits.Len32(union))
 }
 
-// checkAgainst32 checks that st validates and answers Bucket(key) as ref does
-// for every one of the 2^K keys of every table; that its items carry as many
-// key bits as ref's, and its entries and items unpack to ref's, each in the
-// bits the largest of them needs; and that MemoryBytes counts what the two
-// packed arrays hold.
+// spanWidth is the bits the widest 64-bucket block of the bucket starts
+// offs spans takes: a directory's offset width.
+func spanWidth(offs []uint32) uint {
+	var widest uint32
+	for blk := 0; blk < len(offs)-1; blk += 64 {
+		widest = max(widest, offs[min(blk+64, len(offs)-1)]-offs[blk])
+	}
+	return uint(bits.Len32(widest))
+}
+
+// checkAgainst32 checks that st validates; that every directory bucket's
+// bounds are the reference's [lo, hi) and every one of the 2^K keys of
+// every table answers Bucket(key) as ref does; that its items carry as many
+// key bits as ref's and unpack to ref's, in the bits the largest of them
+// needs, under offsets as wide as the widest block's span needs; and that
+// MemoryBytes counts what the directory and the items hold.
 func checkAgainst32(t *testing.T, what string, st *Static, ref []ref32) {
 	t.Helper()
 	p := st.fam.Params()
@@ -117,29 +107,28 @@ func checkAgainst32(t *testing.T, what string, st *Static, ref []ref32) {
 		if tb.r != r.r {
 			t.Fatalf("%s: table %d's items carry %d key bits, the reference's %d", what, l, tb.r, r.r)
 		}
+		for d := range len(r.Offsets) - 1 {
+			if lo, hi := tb.bounds(uint32(d) << r.r); lo != r.Offsets[d] || hi != r.Offsets[d+1] {
+				t.Fatalf("%s: table %d directory bucket %d = [%d, %d), 32-bit reference [%d, %d)", what, l, d, lo, hi, r.Offsets[d], r.Offsets[d+1])
+			}
+		}
 		for key := 0; key < p.Buckets(); key++ {
 			want := r.Bucket(uint32(key))
 			if got := tb.Bucket(nil, uint32(key)); !slices.Equal(got, want) {
 				t.Fatalf("%s: table %d bucket %d = %v, 32-bit reference %v", what, l, key, got, want)
 			}
 		}
-		if !slices.Equal(tb.occ, r.Occ) {
-			t.Fatalf("%s: table %d has another bitmap than the reference's", what, l)
-		}
-		if !slices.Equal(tb.appendOffsets(nil), r.Offsets) {
-			t.Fatalf("%s: table %d unpacks to other offsets than the reference's", what, l)
-		}
 		if !slices.Equal(tb.AppendItems(nil), r.Items) {
 			t.Fatalf("%s: table %d unpacks to other items than the reference's", what, l)
 		}
-		if want := widthOf(r.Offsets); tb.entries.width != want {
-			t.Fatalf("%s: table %d packs its entries in %d bits, its closing one needs %d", what, l, tb.entries.width, want)
+		if want := spanWidth(r.Offsets); tb.dir.width != want {
+			t.Fatalf("%s: table %d packs its offsets in %d bits, its widest block needs %d", what, l, tb.dir.width, want)
 		}
 		if want := widthOf(r.Items); tb.items.width != want {
 			t.Fatalf("%s: table %d packs its items in %d bits, its largest needs %d", what, l, tb.items.width, want)
 		}
-		mem += int64(cap(tb.occ))*8 + int64(cap(tb.rank))*4 +
-			int64(packedBytes(uint(len(r.Offsets)), tb.entries.width)+packedBytes(uint(len(r.Items)), tb.items.width))
+		blocks := uint(len(r.Offsets)-1+63) / 64
+		mem += int64(dirBytes(blocks, tb.dir.width) + packedBytes(uint(len(r.Items)), tb.items.width))
 	}
 	if got := st.MemoryBytes(); got != mem {
 		t.Fatalf("%s: MemoryBytes = %d, the layout holds %d", what, got, mem)
@@ -170,10 +159,16 @@ func reread(t *testing.T, st *Static) *Static {
 // k/2 + 2, 3k/4 + 2 and k + 1, so that the directory (⌈log2 n⌉ − 2 key bits,
 // DirectoryBits) indexes k/2 key bits, a middle count and all k, and each
 // triple crosses a power of two — the last one into b = k. At k = 4 the
-// last two triples are one.
+// last two triples are one. At k = 16 the last triple (2^17 ± 1 rows) is
+// left out: b = k is reached at k = 4 and 8 already, and its 2^17 rows
+// took most of the test's time.
 func refSizes(k int) []int {
+	js := []int{k/2 + 2, 3*k/4 + 2, k + 1}
+	if k == 16 {
+		js = js[:2]
+	}
 	ns := []int{1}
-	for _, j := range []int{k/2 + 2, 3*k/4 + 2, k + 1} {
+	for _, j := range js {
 		ns = append(ns, 1<<j-1, 1<<j, 1<<j+1)
 	}
 	return slices.Compact(ns)
@@ -183,9 +178,9 @@ func refSizes(k int) []int {
 // included (TableBuilder.Finish), BuildFromSketches, the one-level build
 // (GroupByKey), Merge under tombstones, Compact, and the snapshot reader's
 // DecodeTable — at 4, 8 and 16 key bits, at row counts that put the
-// directory at K/2 key bits, between, and at K, the packed entries and items
-// answer every key as the 32-bit reference does, directory and item for
-// directory and item.
+// directory at K/2 key bits, between, and at K, the packed directory and
+// items answer every key as the 32-bit reference does, bucket bounds for
+// bucket bounds and item for item.
 func TestPackedMatches32BitReference(t *testing.T) {
 	for _, k := range []int{4, 8, 16} {
 		p := lshhash.Params{Dim: 300, K: k, M: 4, Seed: 5}
@@ -230,8 +225,6 @@ func TestPackedMatches32BitReference(t *testing.T) {
 			// reference is the whole prefix built at once, then compacted.
 			head := n * 2 / 3
 			old := BuildFromSketches(fam, rowsOf(fam, sk, 0, head), 2)
-			// A merge keeps an entry for every bucket either side had one
-			// for; the reference drops none either.
 			merged := Merge(old, rowsOf(fam, sk, head, sk.N()), dead, 2)
 			checkAgainst32(t, what+" Merge", merged, ref)
 			checkAgainst32(t, what+" Merge, snapshot reader", reread(t, merged), ref)
@@ -240,7 +233,7 @@ func TestPackedMatches32BitReference(t *testing.T) {
 }
 
 // TestRetweetStormIndexes: 70 000 copies of one document must still index,
-// its bucket's 70 000 items putting every table's entries at 17 bits, and
+// its bucket's 70 000 items putting every table's offsets at 17 bits, and
 // the buckets are the reference's through Build, BuildFromSketches, Compact,
 // a merge that brings the storm in and one that tombstones it out.
 func TestRetweetStormIndexes(t *testing.T) {
@@ -267,8 +260,8 @@ func TestRetweetStormIndexes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, st := range []*Static{built, BuildFromSketches(fam, sk, 2)} {
-		if w := st.tables[0].entries.width; w != 17 {
-			t.Fatalf("built: entries of %d bits over %d items, want 17", w, quiet+storm)
+		if w := st.tables[0].dir.width; w != 17 {
+			t.Fatalf("built: offsets of %d bits over %d items, want 17", w, quiet+storm)
 		}
 		checkAgainst32(t, "built", st, reference32(sk, p, quiet+storm))
 	}

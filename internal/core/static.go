@@ -6,14 +6,12 @@
 // the L = m(m−1)/2 tables is a contiguous array of the N document indexes,
 // partitioned by the top b = clamp(⌈log2 N⌉ − 2, k/2, k) bits of the
 // table's k-bit key, each index carrying the key's other r = k − b bits
-// below it, plus a directory over the occupied buckets only: a 2^b-bit
-// occupancy bitmap, a rank directory over it and one offset per occupied
-// bucket, packed like the items in the bits the largest offset needs — no
-// pointers, no per-bucket allocations, and nothing sized by the buckets a
-// table does not use, by the keys N documents cannot tell apart or by the
-// values it could hold (Fig. 3a of the paper keeps a dense 2^k+1 offsets
-// array and 32-bit ids; DESIGN.md "Static tables" has why this one does
-// not).
+// below it, plus a directory of blocks of 64 buckets, each a 32-bit base
+// and 65 offsets from it packed like the items in the bits the widest
+// block's span needs — no pointers, no per-bucket allocations, and nothing
+// sized by the keys N documents cannot tell apart or by the values it
+// could hold (Fig. 3a of the paper keeps a dense 2^k+1 offsets array and
+// 32-bit ids; DESIGN.md "Static tables" has why this one does not).
 // The package keeps one build (vectorized hashing, then the shared
 // two-level partition), one Q2 kernel (ProbeMark, then the extraction scan)
 // and one Q3 kernel (Verify over the scattered query); the Fig. 4 and Fig. 5
@@ -24,7 +22,7 @@ package core
 import (
 	"encoding/binary"
 	"errors"
-	"math"
+	"fmt"
 	"math/bits"
 	"slices"
 	"unsafe"
@@ -40,44 +38,45 @@ import (
 // bucket — the 2^r keys that share those b bits, r = k − b — in key order,
 // each stored as id<<r | key&(2^r − 1): the index with the key bits the
 // directory does not hold below it. Bucket key is the items of directory
-// bucket key>>r whose low r bits equal key's. Only occupied directory
-// buckets have an entry: bit d of occ is set when directory bucket d has
-// one, rank[w] counts the set bits below word w, and the bucket with the
-// j-th set bit holds the items from where entry j starts to where entry j+1
-// does, one closing entry at the item count ending the last. A builder sets
-// exactly the bits of the non-empty buckets; Merge may then leave a bucket
-// empty whose bit stays set, so a set bit promises an entry, not an item.
-// The rank words are derived, never stored: every constructor counts them
-// from the bitmap (rankOf).
+// bucket key>>r whose low r bits equal key's.
+//
+// The directory is one packed bit string of blocks of 64 directory buckets
+// each (a 2^b below 64 takes one block, its buckets past 2^b empty at the
+// end). A block is a 32-bit base, where its first bucket starts in the
+// items, then 65 offsets from that base, each w bits: offset j is where
+// bucket j of the block starts, and offset 64, the block's span, where its
+// last bucket ends — the next block's base, or the item count after the
+// last block. w is the bit length of the table's widest span. So a bucket's
+// bounds are base + offset j and base + offset j+1, three loads from the
+// one block with no branch and nothing to look up first (Table.bounds); an
+// empty bucket is two equal offsets.
 //
 // b follows N as the widths do (DirectoryBits): clamp(⌈log2 N⌉ − 2, k/2, k),
-// so a directory bucket holds two to four items whatever k is, the bitmap,
-// its rank words and the entries take about a quarter of what one bucket a
-// document cost (DESIGN.md "Four items a directory bucket"), each item
-// carries two key bits more, and from 2^(k+1) documents on r = 0 and an
-// item is its id alone.
+// so a directory bucket holds two to four items whatever k is, a block
+// spans 128 to 256 of them and its offsets take 8 or 9 bits, the directory
+// about a quarter of what one bucket a document cost (DESIGN.md "Static
+// tables"), each item carries two key bits more, and from 2^(k+1) documents
+// on r = 0 and an item is its id alone.
 //
-// Items and entries are one encoding used twice: a packed array as wide as
-// its largest value needs. An item takes ⌈log2 N⌉ + r bits in a table over N
-// documents — k + 2 from 2^(k/2+2) documents up to 2^(k+2), 24 at the
-// paper's 10.5 M — and an entry the bit length of the item count, the
-// closing entry being the largest. TableFromWords packs both, DecodeTable
-// copies them as AppendEncoded wrote them; the probe kernels (through span
-// and load), Bucket, AppendItems and appendOffsets are the readers.
+// The items are a packed array as wide as its largest value needs: ⌈log2 N⌉
+// + r bits in a table over N documents — k + 2 from 2^(k/2+2) documents up
+// to 2^(k+2), 24 at the paper's 10.5 M. TableFromWords packs the directory
+// (newDirectory) and the items (pack), DecodeTable copies both as
+// AppendEncoded wrote them; the probe kernels (through bounds, span and
+// load), Bucket, AppendItems and appendStarts are the readers.
 //
 // A Table is written once. Its fields are unexported, only the functions
-// that return a Table (TableFromWords, DecodeTable, TableBuilder's Finish
-// and GroupByKey, Merge's per-table copy) set them, and no method writes
-// them, so the tables of a published index are scanned lock-free.
+// that return a Table (TableFromWords, DecodeTable, DecodeTableV4,
+// TableBuilder's Finish and GroupByKey, Merge's per-table copy) set them,
+// and no method writes them, so the tables of a published index are
+// scanned lock-free.
 type Table struct {
-	occ  []uint64 // ⌈2^b/64⌉ words
-	rank []uint32 // one per word of occ
-	r    uint     // the key bits each item carries below its id
+	dir     packed // the blocks; its width is w, the offsets'
+	nBlocks uint32
+	r       uint // the key bits each item carries below its id
 
-	items    packed
-	entries  packed // one per set bit of occ, then the closing one
-	n        uint32 // the item count
-	nEntries uint32
+	items packed
+	n     uint32 // the item count
 }
 
 // DirectoryBits is b, the key bits a table over n documents under k-bit
@@ -193,33 +192,30 @@ func packedBytes(n, width uint) int {
 	return int((n*width+7)/8 + packedPad)
 }
 
-// slot locates the directory bucket of key, key>>r: the index of its entry
-// and 1, or (0, 0) when its bit is clear — so that entries slot and slot+set
-// bound the bucket either way, an empty one by reading entry 0 twice. It is
-// arithmetic on the two loaded words only; the probe relies on it having no
-// branch (see stageBuckets).
-func (t *Table) slot(key uint32) (slot, set uint32) {
-	d := key >> t.r
-	w, bit := d>>6, d&63
-	word := t.occ[w]
-	set = uint32(word>>bit) & 1
-	below := uint32(bits.OnesCount64(word & (1<<bit - 1)))
-	return (t.rank[w] + below) & -set, set
-}
+// blockBits is the bits one directory block takes at offset width w: the
+// 32-bit base and 65 offsets.
+func blockBits(w uint) uint { return 32 + 65*w }
 
-// bounds returns where entries slot and slot+set start: the bounds in the
-// items of the bucket slot located. It is two loads behind one bounds check
-// and has no branch — on a directory word, which the probe must not wait
-// for (see stageBuckets), or on anything else.
-func (t *Table) bounds(slot, set uint32) (lo, hi uint32) {
-	next := slot + set
-	w := t.entries.width
-	base, mask := t.entries.span(uint(next) + 1)
-	return load(base, uint(slot)*w, mask), load(base, uint(next)*w, mask)
-}
+// dirBytes is the length of a directory of blocks blocks at offset width w,
+// padding included.
+func dirBytes(blocks, w uint) int { return int((blocks*blockBits(w)+7)/8 + packedPad) }
 
-// start returns where entry e starts in the items.
-func (t *Table) start(e uint32) uint32 { return t.entries.at(e) }
+// bounds returns where bucket key starts and ends in the items: the base of
+// its directory bucket's block plus the bucket's offset and the next one.
+// The three loads sit in one block, behind one bounds check — the last
+// offset's, which lies past the other two — and nothing in it branches, on
+// a directory word, which the probe must not wait for (see stageBuckets), or
+// on anything else.
+func (t *Table) bounds(key uint32) (lo, hi uint32) {
+	d := uint(key >> t.r)
+	w := t.dir.width
+	at := d >> 6 * blockBits(w) // the block, at its base
+	off := at + 32 + d&63*w
+	_ = t.dir.buf[(off+w)>>3+7]
+	p, mask := unsafe.Pointer(unsafe.SliceData(t.dir.buf)), uint64(1)<<(w&63)-1
+	base := load(p, at, 1<<32-1)
+	return base + load(p, off, mask), base + load(p, off+w, mask)
+}
 
 // keyMatch returns what the probe kernels test the items of directory
 // bucket key>>r against. An item times mul is the item shifted left by
@@ -236,7 +232,7 @@ func (t *Table) keyMatch(key uint32) (mul uint64, want uint32) {
 
 // Bucket appends the document indexes in bucket key to dst.
 func (t *Table) Bucket(dst []uint32, key uint32) []uint32 {
-	lo, hi := t.bounds(t.slot(key))
+	lo, hi := t.bounds(key)
 	mul, want := t.keyMatch(key)
 	for i := lo; i < hi; i++ {
 		if item := uint64(t.items.at(i)) * mul; uint32(item) == want {
@@ -251,48 +247,109 @@ func (t *Table) Bucket(dst []uint32, key uint32) []uint32 {
 // bits below it.
 func (t *Table) AppendItems(dst []uint32) []uint32 { return t.items.appendTo(dst, t.n) }
 
-// appendOffsets appends the start of every entry, the closing one included,
-// to dst: the entries with the packing undone, as Merge edits them.
-func (t *Table) appendOffsets(dst []uint32) []uint32 { return t.entries.appendTo(dst, t.nEntries) }
-
-// TableFromWords returns the table over the bitmap occ, which it keeps, with
-// offsets — one per set bit of occ, then the item count — as its entries and
-// items — each id<<r | the key's low r bits — as its items, each packed in
-// the bits the largest of them needs (see pack; neither slice is kept).
-// Every builder and in-place rewrite ends here; what the words say is
-// ValidateTables' to judge.
-func TableFromWords(occ []uint64, offsets, items []uint32, r uint) Table {
-	return Table{
-		occ: occ, rank: rankOf(occ), r: r,
-		entries: pack(offsets), nEntries: uint32(len(offsets)),
-		items: pack(items), n: uint32(len(items)),
+// appendStarts appends where every directory bucket starts in the items, 64
+// a block, then where the last one ends, to dst: the directory unpacked to
+// one 32-bit start a bucket, as Merge edits it. A table of no blocks appends
+// the end alone, 0.
+func (t *Table) appendStarts(dst []uint32) []uint32 {
+	var end uint32
+	if t.nBlocks > 0 {
+		w := t.dir.width
+		last := uint(t.nBlocks) * blockBits(w)
+		_ = t.dir.buf[last>>3+7]
+		p, mask := unsafe.Pointer(unsafe.SliceData(t.dir.buf)), uint64(1)<<(w&63)-1
+		for at := uint(0); at < last; at += blockBits(w) {
+			base := load(p, at, 1<<32-1)
+			for j := range uint(64) {
+				dst = append(dst, base+load(p, at+32+j*w, mask))
+			}
+			end = base + load(p, at+32+64*w, mask)
+		}
 	}
+	return append(dst, end)
 }
 
-// rankOf returns the rank words of the bitmap occ: for each word, the set
-// bits in the words before it.
-func rankOf(occ []uint64) []uint32 {
-	rank := make([]uint32, len(occ))
-	var below uint32
-	for w, word := range occ {
-		rank[w] = below
-		below += uint32(bits.OnesCount64(word))
+// TableFromWords returns the table whose directory bucket d starts at
+// starts[d] in items — each id<<r | the key's low r bits — the last bucket
+// ending at starts[len(starts)−1], the directory packed in blocks
+// (newDirectory) and the items in the bits the largest of them needs (see
+// pack); neither slice is kept. A last block that starts leave short holds
+// empty buckets at the end. Every builder and in-place rewrite ends here;
+// what the words say is ValidateTables' to judge.
+func TableFromWords(starts, items []uint32, r uint) Table {
+	buckets := max(len(starts), 1) - 1
+	blocks := (buckets + 63) / 64
+	var last [65]uint32 // the last block, when starts leave it short
+	if blocks > 0 && buckets%64 != 0 {
+		n := copy(last[:], starts[64*(blocks-1):])
+		for j := n; j < 65; j++ {
+			last[j] = starts[buckets]
+		}
 	}
-	return rank
+	dir := newDirectory(uint(blocks), func(i int) *[65]uint32 {
+		if 64*i+65 > len(starts) {
+			return &last
+		}
+		return (*[65]uint32)(starts[64*i:])
+	})
+	return Table{dir: dir, nBlocks: uint32(blocks), r: r, items: pack(items), n: uint32(len(items))}
+}
+
+// newDirectory returns the directory of blocks blocks, block i's 65 starts
+// — where each of its 64 buckets starts, then where the last one ends — as
+// block returns them: each block stored as its first start and the 65
+// starts less it, in the bits the union of those differences needs. The
+// width follows the values, not their count, and a difference that wraps
+// below 0 stays as large as it wrapped to, so a decoder may pack what it
+// read and let ValidateTables judge it (as pack does). block is called
+// twice a block, for the width and then for the bits, in order of i each
+// time. TableFromWords and DecodeTableV4 are the callers: the one directory
+// constructor.
+func newDirectory(blocks uint, block func(i int) *[65]uint32) packed {
+	var union uint32
+	for i := range int(blocks) {
+		s := block(i)
+		for _, v := range s {
+			union |= v - s[0]
+		}
+	}
+	w := uint(bits.Len32(union))
+	buf := make([]byte, dirBytes(blocks, w))
+	// As pack writes: acc holds the nb < 32 bits that do not yet fill the
+	// 32-bit word at byte at, stored once full and never read back. (Stored
+	// at every value, the cursor moving on by arithmetic, it read slower.)
+	base := unsafe.Pointer(unsafe.SliceData(buf))
+	var acc uint64
+	var nb, at uint
+	for i := range int(blocks) {
+		s := block(i)
+		first := s[0]
+		// The base fills the word begun and leaves nb bits over.
+		acc |= uint64(first) << (nb & 31)
+		binary.LittleEndian.PutUint32((*[4]byte)(unsafe.Add(base, at))[:], uint32(acc))
+		at, acc = at+4, acc>>32
+		for _, v := range s {
+			acc |= uint64(v-first) << (nb & 31)
+			nb += w
+			if nb >= 32 {
+				binary.LittleEndian.PutUint32((*[4]byte)(unsafe.Add(base, at))[:], uint32(acc))
+				at, acc, nb = at+4, acc>>32, nb-32
+			}
+		}
+	}
+	binary.LittleEndian.PutUint64(buf[at:], acc) // the last word, begun
+	return packed{buf: buf, width: w}
 }
 
 // AppendEncoded appends the table's encoding to dst: the key bits its items
-// carry (r), then the bitmap, as its word count and then its words,
-// followed by the entries and the items, each as its value count, its width
-// and its packed bytes verbatim, padding included — every integer
-// little-endian, the byte order pack lays values out in. The rank words are
-// left out; DecodeTable counts them again. A snapshot stores a table as
-// this, so the file holds a table at the bits it takes in memory.
+// carry (r), then the directory, as its block count, its offset width and
+// its packed bytes verbatim, padding included, then the items, as their
+// count, their width and their packed bytes verbatim — every integer
+// little-endian, the byte order pack lays values out in. A snapshot stores a
+// table as this, so the file holds a table at the bits it takes in memory.
 func (t *Table) AppendEncoded(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(t.r))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(t.occ)))
-	dst = codec.AppendWords(dst, t.occ)
-	dst = t.entries.appendEncoded(dst, t.nEntries)
+	dst = t.dir.appendEncoded(dst, t.nBlocks)
 	return t.items.appendEncoded(dst, t.n)
 }
 
@@ -308,114 +365,157 @@ func (p packed) appendEncoded(dst []byte, n uint32) []byte {
 var errEncoding = errors.New("core: table encoding is malformed")
 
 // DecodeTable returns the table AppendEncoded encoded as b. Each array is
-// copied into an allocation of exactly its size, so b is not kept, and the
-// rank words are counted from the bitmap. It checks the shape: every array
-// as long as its count and width say, no width past 32, nothing after the
-// items. What the arrays and r hold is ValidateTables' to judge.
+// copied into an allocation of exactly its size, so b is not kept. It checks
+// the shape: each array as long as its count and width say, no width past
+// 32, nothing after the items. What the arrays and r hold is
+// ValidateTables' to judge.
 func DecodeTable(b []byte) (Table, error) {
 	d := codec.NewDecoder(b, errEncoding)
-	r := uint(d.U32("r"))
-	words := int(d.U32("bitmap words"))
-	raw := d.Take(8*words, "bitmap")
-	if d.Err() != nil {
-		return Table{}, d.Err()
-	}
-	occ := make([]uint64, words)
-	codec.DecodeWords(occ, raw)
-	t := Table{occ: occ, rank: rankOf(occ), r: r}
-	t.entries, t.nEntries = decodePacked(&d)
-	t.items, t.n = decodePacked(&d)
+	t := Table{r: uint(d.U32("r"))}
+	t.nBlocks, t.dir = decodeArray(&d, dirBytes)
+	t.n, t.items = decodeArray(&d, packedBytes)
 	if err := d.Done(); err != nil {
 		return Table{}, err
 	}
 	return t, nil
 }
 
-// decodePacked reads the packed array appendEncoded wrote, and returns it
-// and its value count.
-func decodePacked(d *codec.Decoder) (packed, uint32) {
-	n, width := d.U32("value count"), uint(d.U32("width"))
+// decodeArray reads the count, the width and the array appendEncoded wrote,
+// the array as long as size says count values of that width take.
+func decodeArray(d *codec.Decoder, size func(count, width uint) int) (uint32, packed) {
+	n, width := d.U32("count"), uint(d.U32("width"))
 	if width > 32 {
 		d.Fail("%d-bit values", width)
-		return packed{}, 0
+		return 0, packed{}
 	}
-	raw := d.Take(packedBytes(uint(n), width), "packed array")
+	raw := d.Take(size(uint(n), width), "packed array")
 	if d.Err() != nil {
-		return packed{}, 0
+		return 0, packed{}
 	}
 	buf := make([]byte, len(raw))
 	copy(buf, raw)
-	return packed{buf: buf, width: width}, n
+	return n, packed{buf: buf, width: width}
+}
+
+// DecodeTableV4 returns the table a version-4 snapshot stored as b, a
+// directory of the occupied buckets only: r, a bitmap (its word count, then
+// its words) with bit d set when directory bucket d has an entry, the
+// entries — where each such bucket starts in the items, then the item
+// count — and the items, both packed arrays as appendEncoded writes them.
+// The items are copied as they are; the directory is rebuilt in blocks by
+// newDirectory, one bitmap word a block, an empty bucket starting where the
+// next occupied one does. The old directory must be whole first — one
+// entry a set bit and the closing one, running from 0 up to the item
+// count — and its blocks no more than eight times b's bytes, so that what
+// a decode allocates stays in proportion to what it reads: a table any
+// writer made takes fewer bytes in blocks than in its bitmap and entries.
+// Otherwise, and for bytes not shaped as an encoding, it is an error; the
+// rest is ValidateTables' to judge, as for any table.
+func DecodeTableV4(b []byte) (Table, error) {
+	d := codec.NewDecoder(b, errEncoding)
+	r := uint(d.U32("r"))
+	words := int(d.U32("bitmap words"))
+	raw := d.Take(8*words, "bitmap")
+	nEntries, entries := decodeArray(&d, packedBytes)
+	n, items := decodeArray(&d, packedBytes)
+	if err := d.Done(); err != nil {
+		return Table{}, err
+	}
+	occ := make([]uint64, words)
+	codec.DecodeWords(occ, raw)
+	set := 0
+	for _, word := range occ {
+		set += bits.OnesCount64(word)
+	}
+	if int(nEntries) != set+1 {
+		return Table{}, errEncoding
+	}
+	ebase, emask := entries.span(uint(nEntries))
+	entry := func(e uint) uint32 { return load(ebase, e*entries.width, emask) }
+	for e := uint(1); e < uint(nEntries); e++ {
+		if entry(e) < entry(e-1) {
+			return Table{}, errEncoding
+		}
+	}
+	var widest, rank uint32
+	for _, word := range occ {
+		next := rank + uint32(bits.OnesCount64(word))
+		widest = max(widest, entry(uint(next))-entry(uint(rank)))
+		rank = next
+	}
+	if entry(0) != 0 || entry(uint(set)) != n || dirBytes(uint(words), uint(bits.Len32(widest))) > 8*len(b) {
+		return Table{}, errEncoding
+	}
+	var s [65]uint32
+	dir := newDirectory(uint(words), func(i int) *[65]uint32 {
+		if i == 0 {
+			rank = 0 // each pass takes the blocks in order
+		}
+		word := occ[i]
+		for j := range s[:64] {
+			s[j] = entry(uint(rank) + uint(bits.OnesCount64(word&(1<<j-1))))
+		}
+		rank += uint32(bits.OnesCount64(word))
+		s[64] = entry(uint(rank))
+		return &s
+	})
+	return Table{dir: dir, nBlocks: uint32(words), r: r, items: items, n: n}, nil
 }
 
 // TableBuilder assembles Tables from per-bucket item counts presented in
 // key order, a bucket being a directory bucket. Reset starts a table, Add
-// takes the next run of buckets, Finish seals it. A builder owns an offsets
+// takes the next run of buckets, Finish seals it. A builder owns a starts
 // scratch buffer that it reuses from table to table, so building L tables on
 // one builder allocates each table's own arrays and nothing else.
 type TableBuilder struct {
-	occ  []uint64
-	offs []uint32 // start of every occupied bucket so far; scratch
-	nOcc uint32
-	key  uint32 // next bucket
-	cum  uint32 // items in the buckets before key
-	r    uint
+	starts []uint32 // where every bucket so far starts; scratch
+	key    uint32   // next bucket
+	cum    uint32   // items in the buckets before key
+	r      uint
 }
 
 // Reset starts a table of the given directory bucket count, whose items
-// carry r key bits, that will hold at most maxItems items.
-func (b *TableBuilder) Reset(buckets, maxItems int, r uint) {
-	b.r = r
-	b.occ = make([]uint64, (buckets+63)/64)
-	// One slot past the last possible entry: Add stores before it knows
-	// whether the bucket is occupied, and Finish adds the closing offset.
-	if need := min(buckets, maxItems) + 1; cap(b.offs) < need {
-		b.offs = make([]uint32, need)
+// carry r key bits.
+func (b *TableBuilder) Reset(buckets int, r uint) {
+	// Whole blocks, and the end of the last bucket.
+	need := (buckets+63)&^63 + 1
+	if cap(b.starts) < need {
+		b.starts = make([]uint32, need)
 	}
-	b.offs = b.offs[:cap(b.offs)]
-	b.nOcc, b.key, b.cum = 0, 0, 0
+	b.starts = b.starts[:need]
+	b.key, b.cum, b.r = 0, 0, r
 }
 
 // Add appends the next len(counts) buckets, counts[i] items in the i-th of
-// them, and overwrites each count with the position in the items at which that
-// bucket starts — the scatter cursors of a counting sort. The loop has no
-// branch on a count: at the occupancies a build sees (a tenth of the buckets
-// non-empty on a fleet node, nine tenths under stream_ingest) such a branch
-// mispredicts as often as not.
+// them, and overwrites each count with the position in the items at which
+// that bucket starts — the scatter cursors of a counting sort — which is
+// also the bucket's start in the directory.
 func (b *TableBuilder) Add(counts []uint32) {
-	offs, nOcc, key, cum := b.offs, b.nOcc, b.key, b.cum
-	for len(counts) > 0 {
-		// The buckets that share one bitmap word.
-		run := counts[:min(len(counts), int(64-key&63))]
-		var word uint64
-		for i, c := range run {
-			run[i] = cum
-			offs[nOcc] = cum
-			occupied := (uint64(c) + 1<<32 - 1) >> 32 // 1 if c > 0
-			word |= occupied << uint(i)
-			nOcc += uint32(occupied)
-			cum += c
-		}
-		b.occ[key>>6] |= word << (key & 63)
-		key += uint32(len(run))
-		counts = counts[len(run):]
+	starts, cum := b.starts[b.key:][:len(counts)], b.cum
+	for i, c := range counts {
+		counts[i] = cum
+		starts[i] = cum
+		cum += c
 	}
-	b.nOcc, b.key, b.cum = nOcc, key, cum
+	b.key += uint32(len(counts))
+	b.cum = cum
 }
 
 // Finish returns the table over items, which the caller has filled at the
 // positions Add handed out, each id<<r | the key's low r bits. The table
 // keeps no reference to items.
 func (b *TableBuilder) Finish(items []uint32) Table {
-	occ, offs := b.seal()
-	return TableFromWords(occ, offs, items, b.r)
+	return TableFromWords(b.seal(), items, b.r)
 }
 
-// seal closes the directory and returns its bitmap and its offsets, the
-// closing one included; the offsets are the builder's scratch.
-func (b *TableBuilder) seal() ([]uint64, []uint32) {
-	b.offs[b.nOcc] = b.cum
-	return b.occ, b.offs[:b.nOcc+1]
+// seal closes the directory and returns every bucket's start, the buckets
+// past the last one Add took — to the end of its block — empty at the item
+// count, and then the item count; the starts are the builder's scratch.
+func (b *TableBuilder) seal() []uint32 {
+	for i := b.key; i < uint32(len(b.starts)); i++ {
+		b.starts[i] = b.cum
+	}
+	return b.starts
 }
 
 // GroupByKey builds the table of items 0..len(keys)-1 under k-bit keys, item
@@ -430,7 +530,7 @@ func (b *TableBuilder) GroupByKey(keys []uint32, k int, hist []uint32) Table {
 	for _, key := range keys {
 		hist[key>>r]++
 	}
-	b.Reset(len(hist), len(keys), r)
+	b.Reset(len(hist), r)
 	b.Add(hist)
 	items := make([]uint32, len(keys))
 	for i, key := range keys {
@@ -445,26 +545,21 @@ func (b *TableBuilder) GroupByKey(keys []uint32, k int, hist []uint32) Table {
 // b = DirectoryBits(n, k) = clamp(⌈log2 n⌉ − 2, k/2, k) key bits, an item
 // costs the ⌈log2 n⌉ + k − b bits the largest of them needs — max(k + 2,
 // ⌈log2 n⌉) from 2^(k/2+2) documents on — and in place of the 2^k·L·4 is a
-// directory of the 2^b-bit bitmap, its rank words and an entry of
-// bits.Len(n) bits — the closing one's — for every directory bucket the
-// keys occupy, each packed array plus its 8 bytes of padding. The occupied
-// buckets are charged as uniformly random keys fill them, 2^b·(1 −
-// e^(−n/2^b)) on average with a spread under √(2^b)/3, plus a margin of
-// 2·√(2^b) — six spreads — and never more than min(n, 2^b), all that can be
-// occupied; LSH keys, which cluster, occupy fewer. (At one bucket a
-// document that cap alone charged about 1.6 entries for each one a build
-// kept.) So MemoryBytes of a fresh build never exceeds the bound unless its
-// keys spread wider than random ones, and comes within a few percent of it
-// over random ones.
+// directory of ⌈2^b/64⌉ blocks of 32 + 65·w bits, each packed array plus its
+// 8 bytes of padding. w is the bit length of the widest block's span, which
+// is charged at twice a block's mean share of the n items and never more
+// than n, all there are: uniformly random keys give a block its mean share
+// with a spread of about its square root, so the widest of a thousand
+// blocks holding 250 items each holds about 310, under the 500 charged, and
+// the bit length rounds up past that. So MemoryBytes of a fresh build never
+// exceeds the bound unless its keys crowd one block with twice its share,
+// and comes within a few percent of it over random ones.
 func TableMemoryBound(n, k, l int) int64 {
 	b := DirectoryBits(n, k)
-	buckets := int64(1) << uint(b)
-	words := (buckets + 63) / 64
-	fill := float64(buckets) * -math.Expm1(-float64(n)/float64(buckets))
-	occupied := int64(math.Ceil(fill + 2*math.Sqrt(float64(buckets))))
-	entries := min(int64(n), buckets, occupied) + 1
+	blocks := (1<<uint(b) + 63) / 64
+	widest := min(n, 2*((n+blocks-1)/blocks))
 	itemWidth := uint(bits.Len(uint(max(n, 1)-1)) + k - b) // ⌈log2 n⌉ + r
-	perTable := int64(packedBytes(uint(n), itemWidth)+packedBytes(uint(entries), uint(bits.Len(uint(n))))) + words*(8+4)
+	perTable := int64(packedBytes(uint(n), itemWidth) + dirBytes(uint(blocks), uint(bits.Len(uint(widest)))))
 	return int64(l) * perTable
 }
 
@@ -474,8 +569,8 @@ func TableMemoryBound(n, k, l int) int64 {
 // snapshot publishes is scanned lock-free by every query.
 //
 // Beside the tables it keeps every row's packed sketch (lshhash.Sketches),
-// the sign-bit column Verify reads before a document. Like the rank words
-// the column is derived, never stored: a build keeps the packed sketches it
+// the sign-bit column Verify reads before a document. The column is
+// derived, never stored: a build keeps the packed sketches it
 // hashed, a merge appends its added rows' to the old column, and
 // StaticFromTables reads it back out of the tables. A row the tables do not
 // hold — one a merge dropped for its tombstone — has a zero entry; it is
@@ -528,12 +623,13 @@ func StaticFromTables(fam *lshhash.Family, n int, tables []Table, workers int) (
 // column of its own — the word's lanes as a sketch of their own — which
 // one pass then interleaves: two tasks writing the words of one row would
 // share its cache line at every item. A row no table holds keeps a zero
-// entry. Each table is walked once, in key order, reading its packed
-// entries and items where they lie.
+// entry. Each table is walked once, in key order, its directory unpacked
+// to one start a bucket and its items read where they lie.
 func signsFromTables(p lshhash.Params, n int, tables []Table, workers int) []uint64 {
 	words := p.SketchWords()
 	parts := make([]*lshhash.Sketches, words)
 	sched.NewPool(workers).Run(words, func(w, _ int) {
+		var scratch []uint32 // a table's bucket starts
 		lo, hi := p.WordLanes(w)
 		part := lshhash.Params{K: p.K, M: hi - lo}.NewSketches(n)
 		parts[w] = part
@@ -548,19 +644,13 @@ func signsFromTables(p lshhash.Params, n int, tables []Table, workers int) []uin
 			t := &tables[lshhash.TableForPair(pair, pair+1, p.M)]
 			r, low := t.r, uint32(1)<<t.r-1
 			ibase, imask := t.items.span(uint(t.n))
-			ebase, emask := t.entries.span(uint(t.nEntries))
-			e := uint(0)
-			start := load(ebase, 0, emask)
-			for ow, word := range t.occ {
-				for ; word != 0; word &= word - 1 {
-					d := uint32(ow<<6+bits.TrailingZeros64(word)) << r
-					e++
-					end := load(ebase, e*t.entries.width, emask)
-					for i := start; i < end; i++ {
-						item := load(ibase, uint(i)*t.items.width, imask)
-						part.OrKey(int(item>>r), a-lo, (d|item&low)&keep<<up)
-					}
-					start = end
+			starts := t.appendStarts(scratch[:0])
+			scratch = starts
+			for d, start := range starts[:len(starts)-1] {
+				key := uint32(d) << r
+				for i := start; i < starts[d+1]; i++ {
+					item := load(ibase, uint(i)*t.items.width, imask)
+					part.OrKey(int(item>>r), a-lo, (key|item&low)&keep<<up)
 				}
 			}
 		}
@@ -574,16 +664,27 @@ func signsFromTables(p lshhash.Params, n int, tables []Table, workers int) []uin
 	return signs
 }
 
+// TableError is ValidateTables' error for a table that does not describe
+// the index: which table, and what is wrong with it.
+type TableError struct {
+	Table  int
+	Reason string
+}
+
+func (e *TableError) Error() string { return fmt.Sprintf("core: table %d: %s", e.Table, e.Reason) }
+
 // ValidateTables reports whether tables describe n documents under p's
 // geometry: L = m(m−1)/2 tables, all indexing the same b key bits with
-// K/2 ≤ b ≤ K, each with a 2^b-bit bitmap, one entry per set bit (plus one)
-// running from 0 up to exactly its item count, and every item's id below n
-// — the checks that keep a corrupt snapshot from becoming an index that
-// reads out of bounds. An item's low key bits may hold anything: they only
-// decide which key of its directory bucket it answers. That each packed
-// array is as long as its count and width take is its constructor's to
-// ensure (DecodeTable checks a decoded one); the entries and the items are
-// read where they lie, so validating allocates nothing.
+// K/2 ≤ b ≤ K, each with ⌈2^b/64⌉ directory blocks and each packed array as
+// long as its count and width take, no width past 32; block by block, the
+// first base 0 and each next one where the block before it closes, every
+// block's offsets running up from 0, any buckets past 2^b empty, and the
+// last block closing at the item count; and every item's id
+// below n — the checks that keep a corrupt snapshot from becoming an index
+// that reads out of bounds, each failing as a *TableError. An item's low
+// key bits may hold anything: they only decide which key of its directory
+// bucket it answers. The directory and the items are read where they lie,
+// so validating allocates nothing but a failure's error.
 func ValidateTables(p lshhash.Params, n int, tables []Table) error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -593,45 +694,55 @@ func ValidateTables(p lshhash.Params, n int, tables []Table) error {
 	}
 	r := tables[0].r
 	if r > uint(p.K/2) {
-		return errors.New("core: directory indexes fewer than K/2 key bits")
+		return &TableError{0, "directory indexes fewer than K/2 key bits"}
 	}
-	buckets := 1 << (uint(p.K) - r)
-	words := (buckets + 63) / 64
+	buckets := uint(1) << (uint(p.K) - r)
+	blocks := (buckets + 63) / 64
 	for l := range tables {
 		t := &tables[l]
-		if t.r != r {
-			return errors.New("core: tables index different key bits")
+		bad := func(reason string) error { return &TableError{l, reason} }
+		switch {
+		case t.r != r:
+			return bad("tables index different key bits")
+		case uint(t.nBlocks) != blocks:
+			return bad("directory block count does not match its key bits")
+		case t.dir.width > 32 || len(t.dir.buf) != dirBytes(blocks, t.dir.width):
+			return bad("directory bytes do not hold its blocks at its width")
+		case t.items.width > 32 || len(t.items.buf) != packedBytes(uint(t.n), t.items.width):
+			return bad("item bytes do not hold its items at their width")
 		}
-		if len(t.occ) != words {
-			return errors.New("core: bucket bitmap size does not match its key bits")
-		}
-		if buckets < 64 && t.occ[0]>>uint(buckets) != 0 {
-			return errors.New("core: bucket bitmap has bits past 2^b")
-		}
-		if occupied := int(t.rank[words-1]) + bits.OnesCount64(t.occ[words-1]); int(t.nEntries) != occupied+1 {
-			return errors.New("core: offset count does not match occupied buckets")
-		}
-		entries := t.entries
-		base, mask := entries.span(uint(t.nEntries))
-		off := load(base, 0, mask)
-		if off != 0 {
-			return errors.New("core: offsets do not delimit items")
-		}
-		for e := uint(1); e < uint(t.nEntries); e++ {
-			next := load(base, e*entries.width, mask)
-			if next < off {
-				return errors.New("core: offsets decrease")
+		w := t.dir.width
+		dir, mask := unsafe.Pointer(unsafe.SliceData(t.dir.buf)), uint64(1)<<(w&63)-1
+		var next uint64 // where the next block must start
+		for at := uint(0); at < blocks*blockBits(w); at += blockBits(w) {
+			base := load(dir, at, 1<<32-1)
+			if uint64(base) != next {
+				return bad("a block does not start where the one before it closes")
 			}
-			off = next
+			off := load(dir, at+32, mask)
+			if off != 0 {
+				return bad("a block's first offset is not 0")
+			}
+			for j := uint(1); j <= 64; j++ {
+				o := load(dir, at+32+j*w, mask)
+				if o < off {
+					return bad("offsets decrease")
+				}
+				if j > buckets && o != off {
+					return bad("a bucket past 2^b holds items")
+				}
+				off = o
+			}
+			next = uint64(base) + uint64(off)
 		}
-		if off != t.n {
-			return errors.New("core: offsets do not delimit items")
+		if next != uint64(t.n) {
+			return bad("the last block does not close at the item count")
 		}
 		items, limit := t.items, uint64(n)<<r // an item's id is below n when the item is below n<<r
-		base, mask = items.span(uint(t.n))
+		base, imask := items.span(uint(t.n))
 		for i := range uint(t.n) {
-			if uint64(load(base, i*items.width, mask)) >= limit {
-				return errors.New("core: item id out of range")
+			if uint64(load(base, i*items.width, imask)) >= limit {
+				return bad("item id out of range")
 			}
 		}
 	}
@@ -640,12 +751,12 @@ func ValidateTables(p lshhash.Params, n int, tables []Table) error {
 
 // MemoryBytes reports the bytes the index holds: every table's packed items
 // (the L·N·4 of Eq. 7.4's memory constraint, at ⌈log2 N⌉ + r bits an item) and
-// its bucket directory, and the sign-bit column, counted at capacity.
+// its directory blocks, and the sign-bit column, counted at capacity.
 func (s *Static) MemoryBytes() int64 {
 	b := int64(cap(s.signs)) * 8
 	for i := range s.tables {
 		t := &s.tables[i]
-		b += int64(cap(t.occ))*8 + int64(cap(t.rank))*4 + int64(cap(t.entries.buf)) + int64(cap(t.items.buf))
+		b += int64(cap(t.dir.buf)) + int64(cap(t.items.buf))
 	}
 	return b
 }

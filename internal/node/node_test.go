@@ -696,10 +696,12 @@ func TestSearchAppendDoesNotAllocate(t *testing.T) {
 // TestFleetShareMemoryAndAnswers: a node of the benchmark suite's geometry
 // (K 16, M 16, the tweet corpus) holding as many rows as the smallest and
 // the largest group fleet_routed_batch's router makes of that corpus, 7 199
-// and 8 878, reports at most 390 and 424 bytes a row beside the sign-bit
+// and 8 878, reports at most 371 and 390 bytes a row beside the sign-bit
 // column's exact 16 — its tables' bucket directories index 11 and 12 key
-// bits (core.DirectoryBits), not all 16; at one item a bucket, 13 and 14,
-// they held 446.4 and 493.7 — and answers 1 000 queries, half of them stored rows,
+// bits (core.DirectoryBits), not all 16, in 64-bucket offset blocks; at one
+// item a bucket, 13 and 14, they held 446.4 and 493.7, and with a bitmap
+// and an entry an occupied bucket 386.9 and 420.3 — and answers 1 000
+// queries, half of them stored rows,
 // exactly as a scan of every row's sketch does: the rows sharing a table
 // key with the query, within the Hamming bound of its sign bits and within
 // the radius. The bytes are a count: this test cannot flake on a slow host.
@@ -709,8 +711,8 @@ func TestFleetShareMemoryAndAnswers(t *testing.T) {
 		rows  int
 		limit float64
 	}{
-		{7199, 390},
-		{8878, 424},
+		{7199, 371},
+		{8878, 390},
 	} {
 		t.Run(fmt.Sprint(c.rows), func(t *testing.T) {
 			cfg := testConfig(c.rows)

@@ -712,14 +712,15 @@ func TestDocOutOfRange(t *testing.T) {
 // version-4 fixture of internal/persist/testdata (tables at b = K, as a
 // node that once loaded version 3 still writes them) opens, answers every
 // self-query exactly as a node rebuilt from the same documents does, and
-// its next checkpoint writes the fixture byte for byte.
+// its next checkpoint writes the committed version-5 fixture byte for byte.
 func TestReadsVersion4Snapshot(t *testing.T) {
-	want := persistFixture(t, "snapshot-v4.plsh")
-	if v := binary.LittleEndian.Uint32(want[8:]); v != 4 {
+	v4 := persistFixture(t, "snapshot-v4.plsh")
+	if v := binary.LittleEndian.Uint32(v4[8:]); v != 4 {
 		t.Fatalf("fixture is version %d", v)
 	}
+	want := persistFixture(t, "snapshot-v5.plsh")
 	dir := t.TempDir()
-	if err := os.WriteFile(persist.SnapshotPath(dir), want, 0o644); err != nil {
+	if err := os.WriteFile(persist.SnapshotPath(dir), v4, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	cfg := fixtureConfig()
@@ -768,7 +769,7 @@ func TestReadsVersion4Snapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(raw, want) {
-		t.Fatal("the checkpoint of testdata/snapshot-v4.plsh is not the fixture")
+		t.Fatal("the checkpoint of testdata/snapshot-v4.plsh is not testdata/snapshot-v5.plsh")
 	}
 }
 

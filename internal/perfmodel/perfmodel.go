@@ -322,7 +322,8 @@ var ErrNoFeasible = errors.New("perfmodel: no feasible (k, m) under the given co
 // bits the tables pack it in (its id's ⌈log2 N⌉ and the key bits the
 // directory leaves it) rather than 4 bytes, and the second term replaced by
 // the directory the tables actually carry, over the key bits N documents
-// tell apart, its entries packed the same way — fits memBudget, and
+// tell apart, in 64-bucket blocks of a 32-bit base and 65 packed offsets —
+// fits memBudget, and
 // returns the one minimizing the
 // estimated query time. k stops where lshhash.Params.Validate stops it, at
 // the width of a table key (p(R)^32 < 1e-4 at R=0.9; beyond is pointless,

@@ -18,10 +18,12 @@ import (
 )
 
 // The committed fixtures are one 60-row node (Dim 256, K 6, M 4, two
-// tombstones) saved twice: snapshot-v3.plsh by the last commit that wrote
-// tables without the key bits their items carry, snapshot-v4.plsh by
-// reading that file back and writing it as version 4. Version 3 is no
-// longer read; its file is the input the refusal test reads.
+// tombstones) saved three times: snapshot-v3.plsh by the last commit that
+// wrote tables without the key bits their items carry, snapshot-v4.plsh by
+// reading that file back and writing it as version 4, and snapshot-v5.plsh
+// by reading the version-4 file back and writing it as version 5, the
+// directory in 64-bucket blocks. Version 3 is no longer read; its file is
+// the input the refusal test reads.
 func fixture(t testing.TB, name string) []byte {
 	t.Helper()
 	raw, err := os.ReadFile(filepath.Join("testdata", name))
@@ -35,21 +37,21 @@ func decode(raw []byte) (*Snapshot, error) {
 	return readSnapshot(bytes.NewReader(raw), int64(len(raw)))
 }
 
-// TestReadsVersion4Fixture: the committed version-4 file loads as the
-// tables a build over its arena produces, bucket for bucket, with the
-// tombstones left out, and writing it back out yields exactly its own bytes
-// — which pins the format against accidental change.
-func TestReadsVersion4Fixture(t *testing.T) {
-	raw := fixture(t, "snapshot-v4.plsh")
-	if v := binary.LittleEndian.Uint32(raw[8:]); v != 4 {
-		t.Fatalf("fixture is version %d", v)
+// loadsAsRebuilt checks that the committed fixture name, of the given
+// version, loads as the tables a build over its arena produces, bucket for
+// bucket, with the tombstones left out, and returns what it loaded.
+func loadsAsRebuilt(t *testing.T, name string, version uint32) *Snapshot {
+	t.Helper()
+	raw := fixture(t, name)
+	if v := binary.LittleEndian.Uint32(raw[8:]); v != version {
+		t.Fatalf("%s is version %d", name, v)
 	}
 	snap, err := decode(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if snap.Rows != 60 || len(snap.Tables) != snap.Params.L() {
-		t.Fatalf("fixture: %d rows, %d tables", snap.Rows, len(snap.Tables))
+		t.Fatalf("%s: %d rows, %d tables", name, snap.Rows, len(snap.Tables))
 	}
 	fam, err := lshhash.NewFamily(snap.Params)
 	if err != nil {
@@ -68,12 +70,30 @@ func TestReadsVersion4Fixture(t *testing.T) {
 	for l := 0; l < got.NumTables(); l++ {
 		for key := 0; key < snap.Params.Buckets(); key++ {
 			if g, w := got.Table(l).Bucket(nil, uint32(key)), want.Table(l).Bucket(nil, uint32(key)); !slices.Equal(g, w) {
-				t.Fatalf("table %d bucket %d: loaded %v, rebuilt %v", l, key, g, w)
+				t.Fatalf("%s: table %d bucket %d: loaded %v, rebuilt %v", name, l, key, g, w)
 			}
 		}
 	}
-	if !bytes.Equal(encode(t, snap), raw) {
-		t.Fatal("rewriting testdata/snapshot-v4.plsh changes its bytes: the on-disk format changed")
+	return snap
+}
+
+// TestReadsVersion4Fixture: the committed version-4 file loads as a build
+// over its arena does, and writing it back out yields exactly the
+// committed version-5 file — the conversion its directory goes through.
+func TestReadsVersion4Fixture(t *testing.T) {
+	snap := loadsAsRebuilt(t, "snapshot-v4.plsh", 4)
+	if !bytes.Equal(encode(t, snap), fixture(t, "snapshot-v5.plsh")) {
+		t.Fatal("rewriting testdata/snapshot-v4.plsh does not yield testdata/snapshot-v5.plsh")
+	}
+}
+
+// TestReadsVersion5Fixture: the committed version-5 file loads as a build
+// over its arena does, and writing it back out yields exactly its own bytes
+// — which pins the format against accidental change.
+func TestReadsVersion5Fixture(t *testing.T) {
+	snap := loadsAsRebuilt(t, "snapshot-v5.plsh", 5)
+	if !bytes.Equal(encode(t, snap), fixture(t, "snapshot-v5.plsh")) {
+		t.Fatal("rewriting testdata/snapshot-v5.plsh changes its bytes: the on-disk format changed")
 	}
 }
 
@@ -103,8 +123,9 @@ func encode(t testing.TB, s *Snapshot) []byte {
 
 // stormSnapshot is the smallest snapshot with a bucket of the given size:
 // one document, one table of four buckets, the document listed items times
-// in the first. The table's two entries take the bit length of items
-// (core.Table): 8 bits at 255, 9 at 256, 16 at 2^16−1 and 17 at 2^16.
+// in the first. The table's offsets take the bit length of its one block's
+// span, items (core.Table): 8 bits at 255, 9 at 256, 16 at 2^16−1 and 17 at
+// 2^16.
 func stormSnapshot(t testing.TB, items int) *Snapshot {
 	t.Helper()
 	arena := sparse.NewMatrix(8, 1, 1)
@@ -114,30 +135,37 @@ func stormSnapshot(t testing.TB, items int) *Snapshot {
 		Capacity: 1,
 		Rows:     1,
 		Arena:    arena,
-		Tables:   []core.Table{core.TableFromWords([]uint64{1}, []uint32{0, uint32(items)}, make([]uint32, items), 0)},
+		Tables:   []core.Table{core.TableFromWords([]uint32{0, uint32(items)}, make([]uint32, items), 0)},
 		Deleted:  []uint64{0},
 	}
 }
 
 // wideSnapshot is stormSnapshot's file with its table replaced by one
 // written by hand as core.Table.AppendEncoded lays a table out: items that
-// carry no key bits, a bucket for each offset but the closing one, in bitmap
-// bits 0 up, over ids, both arrays width bits a value. At 32 bits a value is
-// one little-endian word, more bits than the values need but a width a table
-// may hold; at 33 the array is as long as that width takes, all zero, and
-// the width is one no table holds.
+// carry no key bits, one directory block of base 0 whose buckets start at
+// offsets, the last of them repeated to the block's 65, over ids, the
+// offsets and the ids width bits a value. At 32 bits a value is one
+// little-endian word, more bits than the values need but a width a table
+// may hold; at 33 the arrays are as long as that width takes, all zero,
+// and the width is one no table holds.
 func wideSnapshot(t testing.TB, offsets, ids []uint32, width int) []byte {
 	t.Helper()
-	enc := binary.LittleEndian.AppendUint32(nil, 0)                    // no key bits on the items
-	enc = binary.LittleEndian.AppendUint32(enc, 1)                     // one bitmap word
-	enc = binary.LittleEndian.AppendUint64(enc, 1<<(len(offsets)-1)-1) // its bits
-	for _, vals := range [][]uint32{offsets, ids} {
-		enc = binary.LittleEndian.AppendUint32(enc, uint32(len(vals)))
+	block := slices.Clone(offsets)
+	for len(block) < 65 {
+		block = append(block, offsets[len(offsets)-1])
+	}
+	enc := binary.LittleEndian.AppendUint32(nil, 0) // no key bits on the items
+	for _, vals := range [][]uint32{block, ids} {
+		count, lead := len(vals), 0
+		if len(vals) == 65 {
+			count, lead = 1, 32 // one block: its 32-bit base, 0, before the offsets
+		}
+		enc = binary.LittleEndian.AppendUint32(enc, uint32(count))
 		enc = binary.LittleEndian.AppendUint32(enc, uint32(width))
-		array := make([]byte, (len(vals)*width+7)/8+8)
+		array := make([]byte, (lead+len(vals)*width+7)/8+8)
 		if width == 32 {
 			for i, v := range vals {
-				binary.LittleEndian.PutUint32(array[4*i:], v)
+				binary.LittleEndian.PutUint32(array[lead/8+4*i:], v)
 			}
 		}
 		enc = append(enc, array...)
@@ -149,14 +177,14 @@ func wideSnapshot(t testing.TB, offsets, ids []uint32, width int) []byte {
 }
 
 // stormSizes are the bucket sizes of entryCorpus's packed snapshots: two
-// pairs that straddle a step of the packed entries' width, a small one and
-// one at 2^16.
+// pairs that straddle a step of the directory offsets' width, a small one
+// and one at 2^16.
 var stormSizes = []int{255, 256, 1<<16 - 1, 1 << 16}
 
 // entryCorpus is what storing the packed arrays as they are held adds to
 // the decoder's inputs: a table on either side of two width steps of its
-// entries, and one held at 32 bits a value, which must load; and entries no
-// table can have, or a width past 32, which must not.
+// offsets, and one held at 32 bits a value, which must load; and offsets
+// no table can have, or a width past 32, which must not.
 func entryCorpus(t testing.TB) (valid, corrupt [][]byte) {
 	for _, items := range stormSizes {
 		valid = append(valid, encode(t, stormSnapshot(t, items)))
@@ -177,7 +205,7 @@ func entryCorpus(t testing.TB) (valid, corrupt [][]byte) {
 // TestEntryWidthsOnDisk: the file holds a table's arrays at the width the
 // table holds them in, so a table on either side of a width step, and one
 // held at 32 bits a value, loads, answers and goes back to disk as the same
-// bytes; entries that decrease or do not close at the items, and a width
+// bytes; offsets that decrease or do not close at the items, and a width
 // past 32, are ErrCorrupt, not a table.
 func TestEntryWidthsOnDisk(t *testing.T) {
 	valid, corrupt := entryCorpus(t)
@@ -229,7 +257,7 @@ func withChecksum(raw []byte) []byte {
 // input, not to the lengths the input claims. Each input is tried as given
 // and with a corrected checksum.
 func FuzzReadSnapshot(f *testing.F) {
-	for _, name := range []string{"snapshot-v3.plsh", "snapshot-v4.plsh"} {
+	for _, name := range []string{"snapshot-v3.plsh", "snapshot-v4.plsh", "snapshot-v5.plsh"} {
 		raw := fixture(f, name)
 		f.Add(raw)
 		for _, cut := range []int{0, 1, 7, 8, len(raw) / 2, len(raw) - 1} {
@@ -246,12 +274,13 @@ func FuzzReadSnapshot(f *testing.F) {
 			runtime.ReadMemStats(&before)
 			snap, err := decode(raw)
 			runtime.ReadMemStats(&after)
-			// 16 bytes a byte covers the widest sections twice over: a
-			// table's bytes read into scratch that may double as it grows,
-			// then copied into the table's arrays, each bitmap word adding a
-			// rank word (under 4), and the shortest table a 136-byte
-			// core.Table over 44 bytes at least (its length word, the
-			// smallest encoding's five words and two paddings: about 3 a
+			// 16 bytes a byte covers the widest sections: a table's bytes
+			// read into scratch that may double as it grows (2), then
+			// copied into the table's arrays (1) — or, from version 4,
+			// its items copied and its directory rebuilt in blocks that
+			// core.DecodeTableV4 holds to 8 — and the shortest table an
+			// 88-byte core.Table over 44 bytes at least (its length word,
+			// the smallest encoding's five words and two paddings: 2 a
 			// byte). The constant is the runtime's own background
 			// allocation.
 			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+16*len(raw)); got > limit {

@@ -24,8 +24,9 @@
 // the magic, version, CRC, and structural shape (via sparse.FromRaw,
 // core.DecodeTable and core.ValidateTables) and refuse to load anything
 // that fails — a corrupt file is an error, never garbage in the index. The
-// version read is the one written: a file of any other, older ones
-// included, is refused with its version named, never converted.
+// version written is the one read, and the one before it is read too, its
+// tables converted as they load; a file of any other version is refused
+// with its version named.
 package persist
 
 import (
@@ -53,16 +54,22 @@ const snapshotName = "snapshot.plsh"
 // version field below covers compatible evolution).
 var snapshotMagic = [8]byte{'P', 'L', 'S', 'H', 'S', 'N', 'P', '1'}
 
-// snapshotVersion is the format version WriteSnapshot emits and the only
-// one ReadSnapshot loads: version 4 stores each table as a byte length and
-// core.Table.AppendEncoded's bytes — the key bits its items carry, then the
-// bitmap and the two packed arrays verbatim, no rank words — and
-// ReadSnapshot hands those bytes to core.DecodeTable. What a table holds is
-// ValidateTables' to judge, after the CRC. Every other version, version 3
-// (the same bytes without the key bits) included, is ErrCorrupt naming it:
-// a version-3 directory is opened and saved once by a binary that reads
-// both before this one opens it.
-const snapshotVersion = 4
+// snapshotVersion is the format version WriteSnapshot emits: version 5
+// stores each table as a byte length and core.Table.AppendEncoded's bytes —
+// the key bits its items carry, then the directory's 64-bucket blocks and
+// the packed items verbatim — and ReadSnapshot hands those bytes to
+// core.DecodeTable. ReadSnapshot also loads version 4, whose tables are the
+// same but for a directory of the occupied buckets (a bitmap and an entry a
+// set bit), through core.DecodeTableV4, which rebuilds that directory in
+// blocks; a version-4 directory is rewritten as version 5 at its next
+// checkpoint. What a table holds is ValidateTables' to judge, after the
+// CRC. Every other version, version 3 (version 4 without the key bits)
+// included, is ErrCorrupt naming it: a version-3 directory is opened and
+// saved once by a binary that reads both before this one opens it.
+const snapshotVersion = 5
+
+// snapshotVersion4 is the one older version ReadSnapshot loads.
+const snapshotVersion4 = 4
 
 // castagnoli is the CRC-32C table used for both snapshot and WAL framing.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -197,7 +204,8 @@ func ReadSnapshot(dir string) (*Snapshot, error) {
 // it, so a decode allocates in proportion to size whatever the bytes say,
 // and everything it returns has passed sparse.FromRaw and
 // core.ValidateTables: the error is ErrCorrupt-wrapped or the snapshot
-// loads.
+// loads. (A version-4 table's directory is rebuilt in blocks, which
+// DecodeTableV4 holds to eight times the table's bytes.)
 func readSnapshot(src io.Reader, size int64) (*Snapshot, error) {
 	r := newCRCReader(src, size)
 
@@ -207,8 +215,12 @@ func readSnapshot(src io.Reader, size int64) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	version := r.u32()
-	if r.err == nil && version != snapshotVersion {
+	if r.err == nil && version != snapshotVersion && version != snapshotVersion4 {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, version)
+	}
+	decodeTable := core.DecodeTable
+	if version == snapshotVersion4 {
+		decodeTable = core.DecodeTableV4
 	}
 	s := &Snapshot{}
 	s.Params.Dim = int(r.u32())
@@ -243,7 +255,7 @@ func readSnapshot(src io.Reader, size int64) (*Snapshot, error) {
 		if r.bytes(enc); r.err != nil {
 			break
 		}
-		t, err := core.DecodeTable(enc)
+		t, err := decodeTable(enc)
 		if err != nil {
 			r.fail(fmt.Errorf("%w: %v", ErrCorrupt, err))
 		}

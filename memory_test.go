@@ -318,16 +318,16 @@ func TestStatsMemoryCountsDeltaBitmaps(t *testing.T) {
 
 // TestStatsMemoryCountsStaticDirectory pins both sides of what the static
 // tables add to Stats.MemoryBytes. An empty index is all directory — per
-// table a bitmap over the k/2 key bits the smallest directory indexes, and
-// its rank words — and reports it. Merging 4097 copies of one document then
-// fills one bucket a table: the directory now indexes ⌈log2 4097⌉ − 2 = 11
-// key bits (core.DirectoryBits), so the bitmap and rank words grow to 2^11
-// bits' worth; the items take the 13 bits an id needs and the 5 key bits the
-// directory does not index (the 8 bytes of padding after them the empty
-// table had already);
-// one more offset each; the sign-bit column gains the rows' 16 bytes each;
-// and nothing sized by the buckets that stay empty past their bitmap bits
-// (a dense 2^k+1 offsets array per table would be 31 MB here).
+// table the four 64-bucket blocks over the k/2 key bits the smallest
+// directory indexes, each a 32-bit base and offsets of no bits — and
+// reports it. Merging 4097 copies of one document then fills one bucket a
+// table: the directory now indexes ⌈log2 4097⌉ − 2 = 11 key bits
+// (core.DirectoryBits), so it grows to 32 blocks whose offsets take the 13
+// bits of the one block's 4097-item span; the items take the 13 bits an id
+// needs and the 5 key bits the directory does not index (the 8 bytes of
+// padding after each array the empty table had already); the sign-bit
+// column gains the rows' 16 bytes each; and nothing else the size of the
+// buckets (a dense 2^k+1 offsets array per table would be 31 MB here).
 func TestStatsMemoryCountsStaticDirectory(t *testing.T) {
 	const n, k, m = 4097, 16, 16
 	const tables = m * (m - 1) / 2
@@ -340,10 +340,13 @@ func TestStatsMemoryCountsStaticDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The bitmap and rank words of a directory over b key bits.
-	directory := func(b int) int64 { return int64(tables * (1<<b/8 + (1<<b+63)/64*4)) }
-	if empty[0].MemoryBytes < directory(k/2) {
-		t.Errorf("an empty index reports %d bytes, under the %d of its bitmaps and rank words", empty[0].MemoryBytes, directory(k/2))
+	// The blocks of a directory over b key bits whose widest block spans
+	// span items, padding included.
+	directory := func(b, span int) int64 {
+		return int64(tables * (((1<<b+63)/64*(32+65*bits.Len(uint(span)))+7)/8 + 8))
+	}
+	if empty[0].MemoryBytes < directory(k/2, 0) {
+		t.Errorf("an empty index reports %d bytes, under the %d of its directory blocks", empty[0].MemoryBytes, directory(k/2, 0))
 	}
 	doc := SyntheticTweets(1, 2000, 5)[0]
 	batch := make([]Vector, n)
@@ -369,14 +372,14 @@ func TestStatsMemoryCountsStaticDirectory(t *testing.T) {
 		t.Fatalf("fixture: %d rows index %d key bits, want 11", n, b)
 	}
 	items := int64(tables * ((n*(bits.Len(n-1)+k-b) + 7) / 8))
-	grown := directory(b) - directory(k/2)
+	grown := directory(b, n) - directory(k/2, 0)
 	column := int64(n * 16) // each row's 128 sign bits, beside the tables
 	got := merged[0].MemoryBytes - empty[0].MemoryBytes - column
 	if got < arena+items+grown {
-		t.Errorf("merging %d rows adds %d bytes to Stats.MemoryBytes beside the %d of the sign-bit column; arena %d + items %d + bitmap growth %d = %d", n, got, column, arena, items, grown, arena+items+grown)
+		t.Errorf("merging %d rows adds %d bytes to Stats.MemoryBytes beside the %d of the sign-bit column; arena %d + items %d + directory growth %d = %d", n, got, column, arena, items, grown, arena+items+grown)
 	}
 	if over := got - arena - items - grown; over > tables*64 {
-		t.Errorf("merging %d rows into one bucket a table adds %d bytes beyond arena, items and bitmap: the directory grew with something other than its occupied buckets", n, over)
+		t.Errorf("merging %d rows into one bucket a table adds %d bytes beyond arena, items and directory: the directory grew with something other than its blocks", n, over)
 	}
 }
 
