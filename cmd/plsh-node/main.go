@@ -11,11 +11,11 @@
 //	plsh-node -addr :7070 -dim 500000 -k 16 -m 16 -capacity 1000000 -data /var/lib/plsh
 //
 // -dim is the vocabulary the node can address, not one it pays for: the
-// M·K/2 hyperplane coefficients of a word (512 bytes at the defaults) are
-// drawn when the word is first hashed, so the default 500 000 costs a 4 MB
-// pointer table at boot — not the 256 MB of the whole matrix — and then
-// 512 bytes per distinct word the node's documents and queries have used
-// (Stats.FamilyBytes).
+// M·K/2 hyperplane coefficients of a word, a byte each (128 bytes at the
+// defaults), are drawn when the word is first hashed, so the default
+// 500 000 costs a 4 MB pointer table at boot — not the 64 MB of the whole
+// matrix — and then 128 bytes per distinct word the node's documents and
+// queries have used (Stats.FamilyBytes).
 //
 // Without -data all state is in memory and terminating the process
 // discards it, exactly as retiring the node would. With -data the node is
@@ -83,7 +83,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":7070", "listen address")
-	dim := flag.Int("dim", 500000, "vector-space dimensionality; costs 8 bytes a word up front, a word's hyperplane row (m·k/2 floats) when it is first seen")
+	dim := flag.Int("dim", 500000, "vector-space dimensionality; costs 8 bytes a word up front, then M·K/2 bytes a word seen (its hyperplane row)")
 	k := flag.Int("k", 16, "bits per hash table (even, 2 to 32)")
 	m := flag.Int("m", 16, "half-width hash functions (L = m(m-1)/2)")
 	capacity := flag.Int("capacity", 1<<20, "maximum documents held")

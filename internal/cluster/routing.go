@@ -19,14 +19,22 @@
 // seed: a bijective scramble of the B-bit signature followed by a
 // balanced range reduction onto the group count, so mirrored replicas,
 // a restarted coordinator, and WAL-recovered nodes all agree on where a
-// document lives without any state exchange.
+// document lives without any state exchange. They agree only under one
+// family: rounding the routing planes to one byte a coefficient gave
+// about 0.6 % of documents another two-bit signature than the four-byte
+// planes had, so a partitioned fleet persisted under the four-byte
+// family holds that share of its documents on a group other than the one
+// the router now computes for them, where a routed query may miss them,
+// until they are re-inserted.
 //
 // Probing is confidence-ordered multiprobe (Lv et al.'s query-directed
 // probing, applied to the routing bits): for a query with per-bit
 // margins s_j, a document at angle t flips bit j with probability
 // ε_j(t) = Φ(−|s_j|·cot t) — exact for the sign-random-projection
 // family, since a·d = s·cos t + z·sin t with z ~ N(0,1) independent
-// across hyperplanes — and ε_j is increasing in t on (0, π/2), so
+// across hyperplanes; exact to within the 1/32 rounding for lshhash's,
+// whose coefficients are Gaussians rounded to 1/32 and whose scores keep
+// the N(0, ‖v‖²) scale — and ε_j is increasing in t on (0, π/2), so
 // evaluating it at the search radius R bounds every in-radius document.
 // Signatures are enumerated in decreasing collision probability until
 // the accumulated mass reaches the recall target; the visited set is

@@ -14,9 +14,9 @@
 //	vectors = n uvarint, n × (len(Idx) uvarint, len(Val) uvarint),
 //	          the words of every Idx, then the words of every Val
 //
-// Every word array the process writes or reads — the vectors block, a
-// version-4 table's bitmap, the wire's insert IDs and a snapshot's arrays —
-// goes through AppendWords and DecodeWords.
+// Every word array the process writes or reads — the vectors block, the
+// wire's insert IDs and a snapshot's arrays — goes through AppendWords and
+// DecodeWords.
 //
 // A Decoder checks every length and count against the bytes left before
 // anything is sized by it, and its callers refuse trailing bytes (Done), so

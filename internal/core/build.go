@@ -46,7 +46,7 @@ func BuildTimed(fam *lshhash.Family, mat *sparse.Matrix, opts BuildOptions) (*St
 	t0 := now()
 	sk := fam.SketchAll(mat, pool)
 	tm.HashNS = now() - t0
-	return buildShared(fam, sk, uint(k-DirectoryBits(mat.Rows(), k)), pool, &tm), tm, nil
+	return buildOn(fam, sk, uint(k-DirectoryBits(mat.Rows(), k)), pool, &tm), tm, nil
 }
 
 // MustBuild is Build for callers whose dimensions are statically known to
@@ -71,15 +71,30 @@ func BuildFromSketches(fam *lshhash.Family, sk *lshhash.Sketches, workers int) *
 
 // buildSketches is BuildFromSketches at a given r.
 func buildSketches(fam *lshhash.Family, sk *lshhash.Sketches, r uint, workers int) *Static {
-	return buildShared(fam, sk, r, sched.NewPool(workers), new(BuildTimings))
+	return buildOn(fam, sk, r, sched.NewPool(workers), new(BuildTimings))
 }
 
-// buildShared returns the index over sk's rows, its items carrying r key
-// bits and its sign-bit column sk's words, built by the paper's full
-// algorithm (Steps I1–I3 of §5.1.2): one first-level partition per hash
-// function u_a, shared by all tables (a, ·), then per-table second-level
-// refinement by u_b's top k/2 − r bits — m−1 first-level passes + L
-// second-level passes instead of 2L.
+// buildOn returns the index over sk's rows, its items carrying r key bits
+// and its sign-bit column sk's words, each table packed as buildShared
+// hands it over.
+func buildOn(fam *lshhash.Family, sk *lshhash.Sketches, r uint, pool *sched.Pool, tm *BuildTimings) *Static {
+	st := &Static{fam: fam, n: sk.N(), tables: make([]Table, fam.Params().L()), signs: sk.Data}
+	buildShared(fam.Params(), sk, r, pool, tm, func(l, _ int, t flatTable) {
+		st.tables[l] = TableFromWords(t.starts, t.items, r)
+	})
+	return st
+}
+
+// buildShared buckets sk's rows into every table, its items carrying r key
+// bits, by the paper's full algorithm (Steps I1–I3 of §5.1.2): one
+// first-level partition per hash function u_a, shared by all tables (a, ·),
+// then per-table second-level refinement by u_b's top k/2 − r bits — m−1
+// first-level passes + L second-level passes instead of 2L. Each table
+// leaves flat — one start a directory bucket, whole blocks of them, then
+// the end; and the items — through emit(l, w, table), called on pool
+// worker w, which must be done with the two arrays when it returns: they
+// are the worker's scratch. Build packs them (buildOn); Merge merges them
+// with the old index's table l, never packing add's tables at all.
 //
 // Steps I1 and I2 are fused: the first-level scatter carries each row's
 // packed sketch along with the data index, so the "rearrange the hash
@@ -89,9 +104,8 @@ func buildSketches(fam *lshhash.Family, sk *lshhash.Sketches, r uint, workers in
 // moved rows into its second-level keys. A packed row is SketchWords words
 // (16 B at K = M = 16), so the scatter writes one stream of rows, not one
 // stream per remaining half-key.
-func buildShared(fam *lshhash.Family, sk *lshhash.Sketches, r uint, pool *sched.Pool, tm *BuildTimings) *Static {
-	p, n := fam.Params(), sk.N()
-	st := &Static{fam: fam, n: n, tables: make([]Table, p.L()), signs: sk.Data}
+func buildShared(p lshhash.Params, sk *lshhash.Sketches, r uint, pool *sched.Pool, tm *BuildTimings, emit func(l, w int, t flatTable)) {
+	n := sk.N()
 	halfB := p.HalfBuckets()
 	m := p.M
 
@@ -178,12 +192,11 @@ func buildShared(fam *lshhash.Family, sk *lshhash.Sketches, r uint, pool *sched.
 			for k := range s.keys {
 				s.keys[k] = moved.At(k, b)
 			}
-			l := lshhash.TableForPair(a, b, m)
-			st.tables[l] = SecondLevel(&s.tb, perm, s.keys, offs, s.hist, s.items, p, r)
+			starts := secondLevel(&s.tb, perm, s.keys, offs, s.hist, s.items, p, r)
+			emit(lshhash.TableForPair(a, b, m), wkr, flatTable{starts: starts, items: s.items})
 		})
 		tm.I3NS += now() - t2
 	}
-	return st
 }
 
 // SecondLevel refines each first-level segment of perm1 by the top k/2 − r
@@ -196,6 +209,12 @@ func buildShared(fam *lshhash.Family, sk *lshhash.Sketches, r uint, pool *sched.
 // scattered into before Finish packs them. Step I3 of the shared build calls
 // it per table, and so does Fig. 4's unshared two-level arm (internal/expr).
 func SecondLevel(tb *TableBuilder, perm1, keys2, offs1, hist, items []uint32, p lshhash.Params, r uint) Table {
+	return TableFromWords(secondLevel(tb, perm1, keys2, offs1, hist, items, p, r), items[:len(perm1)], r)
+}
+
+// secondLevel is SecondLevel with the table left flat: it fills items and
+// returns every bucket's start, tb's scratch (TableBuilder.seal).
+func secondLevel(tb *TableBuilder, perm1, keys2, offs1, hist, items []uint32, p lshhash.Params, r uint) []uint32 {
 	n := len(perm1)
 	halfB := p.HalfBuckets()
 	hist = hist[:halfB>>r]
@@ -223,5 +242,5 @@ func SecondLevel(tb *TableBuilder, perm1, keys2, offs1, hist, items []uint32, p 
 			hist[d]++
 		}
 	}
-	return tb.Finish(items)
+	return tb.seal()
 }

@@ -207,9 +207,9 @@ func TestOffsetsAtEveryWidth(t *testing.T) {
 // K = 16 the directory follows the rows across the power of two
 // (DirectoryBits, ⌈log2 n⌉ − 2): 4 000 rows index 10 key bits, and a merge
 // to 4 400 refines them to 11, tombstones on both sides, into the buckets a
-// build over the live rows holds; a static whose tables index all 16 bits —
-// as a snapshot of version 3, which stored no key bits, loaded, and a node
-// that loaded one still writes — keeps them through a merge.
+// build over the live rows holds; a static whose tables index all 16 bits,
+// more than the rule gives its rows — as tables built before the directory
+// followed N did — keeps them through a merge.
 func TestMergeCrossesAPowerOfTwo(t *testing.T) {
 	p := lshhash.Params{Dim: 64, K: 8, M: 4, Seed: 5}
 	fam, err := lshhash.NewFamily(p)
@@ -269,8 +269,8 @@ func TestMergeCrossesAPowerOfTwo(t *testing.T) {
 		dead[w] |= word
 	}
 	want := rebuildReference(fam16, concatSketches(fam16, skOld, skAdd), dead)
-	// The same rows at b = K, as a node that once loaded a version-3
-	// snapshot still holds them and writes them to version 4.
+	// The same rows at b = K, as tables built before the directory
+	// followed N were.
 	full := buildSketches(fam16, skOld, 0, 2)
 	for _, c := range []struct {
 		name         string

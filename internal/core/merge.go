@@ -11,8 +11,9 @@ import (
 
 // Merge returns the index over old's documents followed by the rows add
 // sketches — the streaming merge of §6.2 as a copy, not a rebuild. No row is
-// hashed: add's tables are built from its sketches (as BuildFromSketches
-// builds them), at the directory bits of the merged index, and old already
+// hashed: add's tables are bucketed from its sketches (as BuildFromSketches
+// buckets them), at the directory bits of the merged index, each handed to
+// the merge flat as it is bucketed and never packed, and old already
 // holds its items grouped by key behind its directory, so the bucket of a
 // key is old's items, then add's with old.Len()
 // added to every id, without the ids whose bit is set in dead. Bucket(key)
@@ -50,12 +51,11 @@ func Merge(old *Static, add *lshhash.Sketches, dead []uint64, workers int) *Stat
 	k := p.K
 	n := old.n + add.N()
 	r := min(uint(k-DirectoryBits(n, k)), old.tables[0].r)
-	delta := buildSketches(old.fam, add, r, workers)
 	st := &Static{fam: old.fam, n: n, tables: make([]Table, len(old.tables)), signs: mergeSigns(p, old.signs, add.Data, dead, n)}
 	pool := sched.NewPool(workers)
 	scratch := make([]mergeScratch, pool.Workers())
-	pool.Run(len(st.tables), func(l, w int) {
-		st.tables[l] = mergeTable(&old.tables[l], &delta.tables[l], uint32(old.n), k, r, dead, &scratch[w])
+	buildShared(p, add, r, pool, new(BuildTimings), func(l, w int, t flatTable) {
+		st.tables[l] = mergeTable(&old.tables[l], t, uint32(old.n), k, r, dead, &scratch[w])
 	})
 	return st
 }
@@ -76,15 +76,14 @@ func mergeSigns(p lshhash.Params, old, add []uint64, dead []uint64, n int) []uin
 }
 
 // mergeScratch is what one worker keeps from table to table: where the
-// tombstoned items of old sit, and old's, add's and the result's bucket
-// starts and items as plain 32-bit words — the merge shifts and copies them
-// by the block, which packed arrays do not allow, so it reads the inputs
-// through one unpacking pass each and packs the result's once they are
-// final — add's occupied buckets, and what refine splits old's buckets with.
+// tombstoned items of old sit, and old's and the result's bucket starts and
+// items as plain 32-bit words — the merge shifts and copies them by the
+// block, which packed arrays do not allow, so it reads old's through one
+// unpacking pass and packs the result's once they are final — add's
+// occupied buckets, and what refine splits old's buckets with.
 type mergeScratch struct {
 	deadAt              []uint32
 	oldStarts, oldItems []uint32
-	addStarts, addItems []uint32
 	addOcc              []uint64
 	starts, items       []uint32
 
@@ -102,16 +101,16 @@ type flatTable struct {
 func isDead(dead []uint64, id uint32) bool { return dead[id>>6]>>(id&63)&1 != 0 }
 
 // mergeTable merges one table under k-bit keys, its items carrying r of
-// them: add's do already, and old's are refined to r first if they carry
-// more. Both then have the same buckets, and so does the result.
-func mergeTable(old, add *Table, shift uint32, k int, r uint, dead []uint64, scratch *mergeScratch) Table {
+// them: add's — flat, as buildShared hands them over — do already, and
+// old's are refined to r first if they carry more. Both then have the same
+// buckets, and so does the result.
+func mergeTable(old *Table, add flatTable, shift uint32, k int, r uint, dead []uint64, scratch *mergeScratch) Table {
 	from := flatTable{starts: old.appendStarts(scratch.oldStarts[:0]), items: old.AppendItems(scratch.oldItems[:0])}
 	scratch.oldStarts, scratch.oldItems = from.starts, from.items
 	if old.r != r {
 		from = refine(from, k, old.r, r, scratch)
 	}
-	addStarts := add.appendStarts(scratch.addStarts[:0])
-	addItems := add.AppendItems(scratch.addItems[:0])
+	addStarts, addItems := add.starts, add.items
 	shift <<= r // added to an item, the shift moves its id
 	// An item's id is the high word of the item times mul, as in
 	// Table.keyMatch: a multiply, where a shift by r would take CL from the
@@ -173,7 +172,7 @@ func mergeTable(old, add *Table, shift uint32, k int, r uint, dead []uint64, scr
 	}
 	c = moveOld(&to, &from, c, uint32(buckets))
 	to.starts[buckets] = c.n
-	scratch.deadAt, scratch.addStarts, scratch.addItems, scratch.addOcc = deadAt, addStarts, addItems, occ
+	scratch.deadAt, scratch.addOcc = deadAt, occ
 	scratch.starts, scratch.items = to.starts, to.items
 	return TableFromWords(to.starts, to.items, r)
 }

@@ -66,10 +66,9 @@ import (
 // load), Bucket, AppendItems and appendStarts are the readers.
 //
 // A Table is written once. Its fields are unexported, only the functions
-// that return a Table (TableFromWords, DecodeTable, DecodeTableV4,
-// TableBuilder's Finish and GroupByKey, Merge's per-table copy) set them,
-// and no method writes them, so the tables of a published index are
-// scanned lock-free.
+// that return a Table (TableFromWords, DecodeTable, TableBuilder's Finish
+// and GroupByKey, Merge's per-table copy) set them, and no method writes
+// them, so the tables of a published index are scanned lock-free.
 type Table struct {
 	dir     packed // the blocks; its width is w, the offsets'
 	nBlocks uint32
@@ -300,11 +299,10 @@ func TableFromWords(starts, items []uint32, r uint) Table {
 // block returns them: each block stored as its first start and the 65
 // starts less it, in the bits the union of those differences needs. The
 // width follows the values, not their count, and a difference that wraps
-// below 0 stays as large as it wrapped to, so a decoder may pack what it
-// read and let ValidateTables judge it (as pack does). block is called
-// twice a block, for the width and then for the bits, in order of i each
-// time. TableFromWords and DecodeTableV4 are the callers: the one directory
-// constructor.
+// below 0 stays as large as it wrapped to, so starts that decrease make a
+// table ValidateTables refuses, not a wrong one (as pack does). block is
+// called twice a block, for the width and then for the bits, in order of i
+// each time. TableFromWords is the caller.
 func newDirectory(blocks uint, block func(i int) *[65]uint32) packed {
 	var union uint32
 	for i := range int(blocks) {
@@ -395,71 +393,6 @@ func decodeArray(d *codec.Decoder, size func(count, width uint) int) (uint32, pa
 	buf := make([]byte, len(raw))
 	copy(buf, raw)
 	return n, packed{buf: buf, width: width}
-}
-
-// DecodeTableV4 returns the table a version-4 snapshot stored as b, a
-// directory of the occupied buckets only: r, a bitmap (its word count, then
-// its words) with bit d set when directory bucket d has an entry, the
-// entries — where each such bucket starts in the items, then the item
-// count — and the items, both packed arrays as appendEncoded writes them.
-// The items are copied as they are; the directory is rebuilt in blocks by
-// newDirectory, one bitmap word a block, an empty bucket starting where the
-// next occupied one does. The old directory must be whole first — one
-// entry a set bit and the closing one, running from 0 up to the item
-// count — and its blocks no more than eight times b's bytes, so that what
-// a decode allocates stays in proportion to what it reads: a table any
-// writer made takes fewer bytes in blocks than in its bitmap and entries.
-// Otherwise, and for bytes not shaped as an encoding, it is an error; the
-// rest is ValidateTables' to judge, as for any table.
-func DecodeTableV4(b []byte) (Table, error) {
-	d := codec.NewDecoder(b, errEncoding)
-	r := uint(d.U32("r"))
-	words := int(d.U32("bitmap words"))
-	raw := d.Take(8*words, "bitmap")
-	nEntries, entries := decodeArray(&d, packedBytes)
-	n, items := decodeArray(&d, packedBytes)
-	if err := d.Done(); err != nil {
-		return Table{}, err
-	}
-	occ := make([]uint64, words)
-	codec.DecodeWords(occ, raw)
-	set := 0
-	for _, word := range occ {
-		set += bits.OnesCount64(word)
-	}
-	if int(nEntries) != set+1 {
-		return Table{}, errEncoding
-	}
-	ebase, emask := entries.span(uint(nEntries))
-	entry := func(e uint) uint32 { return load(ebase, e*entries.width, emask) }
-	for e := uint(1); e < uint(nEntries); e++ {
-		if entry(e) < entry(e-1) {
-			return Table{}, errEncoding
-		}
-	}
-	var widest, rank uint32
-	for _, word := range occ {
-		next := rank + uint32(bits.OnesCount64(word))
-		widest = max(widest, entry(uint(next))-entry(uint(rank)))
-		rank = next
-	}
-	if entry(0) != 0 || entry(uint(set)) != n || dirBytes(uint(words), uint(bits.Len32(widest))) > 8*len(b) {
-		return Table{}, errEncoding
-	}
-	var s [65]uint32
-	dir := newDirectory(uint(words), func(i int) *[65]uint32 {
-		if i == 0 {
-			rank = 0 // each pass takes the blocks in order
-		}
-		word := occ[i]
-		for j := range s[:64] {
-			s[j] = entry(uint(rank) + uint(bits.OnesCount64(word&(1<<j-1))))
-		}
-		rank += uint32(bits.OnesCount64(word))
-		s[64] = entry(uint(rank))
-		return &s
-	})
-	return Table{dir: dir, nBlocks: uint32(words), r: r, items: items, n: n}, nil
 }
 
 // TableBuilder assembles Tables from per-bucket item counts presented in

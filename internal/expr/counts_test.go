@@ -25,16 +25,16 @@ func TestTinyScaleCountsArePinned(t *testing.T) {
 		{func(o Options, w *bytes.Buffer) error { return Table2(o, w) }, []string{
 			`(?m)^exhaustive\s+1500\.0\s`,
 			`(?m)^inverted index\s+979\.6\s`,
-			`(?m)^plsh\s+94\.4\s`,
-			`(?m)^plsh\s+94\.4\s+93\.4\s`,
+			`(?m)^plsh\s+94\.2\s`,
+			`(?m)^plsh\s+94\.2\s+93\.2\s`,
 		}},
 		{func(o Options, w *bytes.Buffer) error { return Fig5(o, w) }, []string{
-			`(?m)^no optimizations\s+\S+\s+\S+\s+94\.40\s+1\.25$`,
-			`(?m)^\+bitvector\s+\S+\s+\S+\s+94\.40\s+1\.25$`,
-			`(?m)^\+optimized sparse DP\s+\S+\s+\S+\s+94\.40\s+1\.25$`,
-			`(?m)^\+sw prefetch \(extract\)\s+\S+\s+\S+\s+94\.40\s+1\.25$`,
-			`(?m)^\+large pages \(arena\)\s+\S+\s+\S+\s+94\.40\s+1\.25$`,
-			`(?m)^\+sign-bit check\s+\S+\s+\S+\s+94\.40\s+1\.25$`,
+			`(?m)^no optimizations\s+\S+\s+\S+\s+94\.17\s+1\.25$`,
+			`(?m)^\+bitvector\s+\S+\s+\S+\s+94\.17\s+1\.25$`,
+			`(?m)^\+optimized sparse DP\s+\S+\s+\S+\s+94\.17\s+1\.25$`,
+			`(?m)^\+sw prefetch \(extract\)\s+\S+\s+\S+\s+94\.17\s+1\.25$`,
+			`(?m)^\+large pages \(arena\)\s+\S+\s+\S+\s+94\.17\s+1\.25$`,
+			`(?m)^\+sign-bit check\s+\S+\s+\S+\s+94\.17\s+1\.25$`,
 		}},
 		{func(o Options, w *bytes.Buffer) error { return Recall(o, w) }, []string{
 			`(?m)^true R-near neighbor pairs\s+51$`,

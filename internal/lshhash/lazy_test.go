@@ -2,6 +2,7 @@ package lshhash
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -13,13 +14,13 @@ import (
 
 // eagerFamily is the family as NewFamily built it before rows were drawn on
 // demand: every row seed taken from the master stream in order, every row
-// drawn from its seed, the matrix one row-major slab. It lives in test files
-// only, as the specification the on-demand rows are checked against and the
-// other arm of BenchmarkSketchInto.
+// drawn from its seed and rounded to its bytes, the matrix one row-major
+// slab. It lives in test files only, as the specification the on-demand
+// rows are checked against and the other arm of BenchmarkSketchInto.
 type eagerFamily struct {
 	p        Params
 	rowSeeds []uint64
-	planes   []float32 // nil until drawAll
+	planes   []int8 // nil until drawAll
 }
 
 func newEagerFamily(p Params) *eagerFamily {
@@ -31,39 +32,49 @@ func newEagerFamily(p Params) *eagerFamily {
 	return e
 }
 
-func (e *eagerFamily) drawRow(c int, row []float32) {
+// drawRow fills row with word c's coefficients: each draw times 32, rounded
+// half away from zero and held to ±127.
+func (e *eagerFamily) drawRow(c int, row []int8) {
 	src := rng.New(e.rowSeeds[c])
 	for j := range row {
-		row[j] = float32(src.Norm())
+		x := math.Round(32 * src.Norm())
+		switch {
+		case x > 127:
+			x = 127
+		case x < -127:
+			x = -127
+		}
+		row[j] = int8(x)
 	}
 }
 
 func (e *eagerFamily) drawAll() {
 	nf := e.p.NumFuncs()
-	e.planes = make([]float32, e.p.Dim*nf)
+	e.planes = make([]int8, e.p.Dim*nf)
 	for c := 0; c < e.p.Dim; c++ {
 		e.drawRow(c, e.planes[c*nf:(c+1)*nf])
 	}
 }
 
 // sketchInto is SketchInto over the slab, with the kernel it ran
-// (sparse.DotSparseDenseStride, since replaced by sparse.Axpy over rows).
+// (sparse.DotSparseDenseStride, since replaced by axpy over rows), each
+// value scaled by 1/32 first.
 func (e *eagerFamily) sketchInto(v sparse.Vector, scores []float32, out []uint32) {
 	nf := e.p.NumFuncs()
 	scores = scores[:nf]
 	clear(scores)
 	for i, c := range v.Idx {
-		a := v.Val[i]
+		a := v.Val[i] / 32
 		row := e.planes[int(c)*nf : int(c)*nf+nf]
 		j := 0
 		for ; j+4 <= nf; j += 4 {
-			scores[j] += a * row[j]
-			scores[j+1] += a * row[j+1]
-			scores[j+2] += a * row[j+2]
-			scores[j+3] += a * row[j+3]
+			scores[j] += a * float32(row[j])
+			scores[j+1] += a * float32(row[j+1])
+			scores[j+2] += a * float32(row[j+2])
+			scores[j+3] += a * float32(row[j+3])
 		}
 		for ; j < nf; j++ {
-			scores[j] += a * row[j]
+			scores[j] += a * float32(row[j])
 		}
 	}
 	packSigns(scores, e.p.K/2, out[:e.p.M])
@@ -76,7 +87,7 @@ func routerParams(dim int, seed uint64) Params {
 }
 
 // TestLazyRowsMatchEagerDraw: a row drawn on first use holds exactly the
-// floats the draw-everything loop put there — every row of a small
+// bytes the draw-everything loop put there — every row of a small
 // vocabulary, a sample of the suite's, two seeds, the table and the router
 // geometries — and asking again returns the same row.
 func TestLazyRowsMatchEagerDraw(t *testing.T) {
@@ -97,7 +108,7 @@ func TestLazyRowsMatchEagerDraw(t *testing.T) {
 			if p.Dim > 2000 {
 				words = words[:1000]
 			}
-			want := make([]float32, p.NumFuncs())
+			want := make([]int8, p.NumFuncs())
 			for _, c := range words {
 				ref.drawRow(c, want)
 				got := f.row(uint32(c))
@@ -108,7 +119,7 @@ func TestLazyRowsMatchEagerDraw(t *testing.T) {
 					t.Fatalf("%+v: row %d drawn twice", p, c)
 				}
 			}
-			wantBytes := int64(len(words))*int64(p.NumFuncs())*4 + int64(p.Dim)*8
+			wantBytes := int64(len(words))*int64(p.NumFuncs()) + int64(p.Dim)*8
 			if got := f.MemoryBytes(); got != wantBytes {
 				t.Fatalf("%+v: MemoryBytes = %d after %d rows, want %d", p, got, len(words), wantBytes)
 			}
@@ -205,7 +216,7 @@ func BenchmarkNewFamily(b *testing.B) {
 				f, _ = NewFamily(Params{Dim: dim, K: 16, M: 16, Seed: 1})
 			}
 			b.ReportMetric(float64(f.MemoryBytes()), "family-bytes")
-			b.ReportMetric(float64(dim)*float64(f.p.NumFuncs())*4, "eager-bytes")
+			b.ReportMetric(float64(dim)*float64(f.p.NumFuncs()), "eager-bytes")
 		})
 	}
 }

@@ -13,8 +13,10 @@
 // The hyperplanes are a Dim × M·k/2 matrix by definition, but a Family holds
 // only the rows of the words it has hashed: each vocabulary row is its own
 // random stream off the seed, drawn the first time a sketch touches the word
-// (Family). A family over a 500 000-word vocabulary costs a pointer a word
-// until documents arrive, and then 2·M·k bytes per distinct word seen.
+// (Family), and each coefficient is held as one signed byte, the Gaussian
+// draw rounded to 1/32 of its standard deviation. A family over a
+// 500 000-word vocabulary costs a pointer a word until documents arrive,
+// and then M·k/2 bytes per distinct word seen.
 package lshhash
 
 import (
@@ -126,6 +128,15 @@ func Pairs(m int) []Pair {
 // argument: the sparse matrix is read consecutively and at least one dense
 // row is read consecutively).
 //
+// A coefficient is one int8: the standard normal draw g rounded to
+// quantize(g) = clamp(round(32·g), −127, 127), so a row is M·K/2 bytes.
+// The sketch kernels scale each document value by 1/32 — a power of two,
+// so exact — which puts a score back on the scale of a float hyperplane's,
+// N(0, ‖v‖²) to within the rounding: the router's flip model reads the
+// scores as margins (internal/cluster, routing.go). A sign bit differs from
+// the unrounded family's for about 0.3 % of bits over the tweet corpus
+// (TestQuantizedFamilyMatchesGaussian).
+//
 // A row exists once some sketch has touched its word. Row c is the stream
 // rng.New(rowSeed(Seed, c)) whoever draws it and whenever, so two families
 // of equal Params hash identically whatever each has seen; rows holds one
@@ -134,8 +145,33 @@ func Pairs(m int) []Pair {
 type Family struct {
 	p     Params
 	pairs []Pair
-	rows  []atomic.Pointer[float32] // first coefficient of each drawn row
-	drawn atomic.Int64              // rows drawn, for MemoryBytes
+	rows  []atomic.Pointer[int8] // first coefficient of each drawn row
+	drawn atomic.Int64           // rows drawn, for MemoryBytes
+}
+
+// coefScale is the steps a coefficient takes per standard deviation, and
+// valueScale its inverse, which the sketch kernels multiply each document
+// value by.
+const (
+	coefScale  = 32
+	valueScale = 1.0 / coefScale
+)
+
+// quantize returns the stored coefficient of the Gaussian draw g,
+// clamp(round(32·g), −127, 127) with halves rounded away from zero, as
+// math.Round rounds. It rounds in integers: with t = trunc(64·g), which is
+// exact, round(32·g) is (t + sign(t)) / 2 truncated toward zero, so
+// nothing branches on the draw but the clamp, which one draw in 14 000
+// takes. (math.Round and float clamps took a third of drawing a row.)
+func quantize(g float64) int8 {
+	x := 2 * coefScale * g
+	if x > 254 {
+		x = 254
+	} else if x < -254 {
+		x = -254
+	}
+	t := int64(x)
+	return int8((t + (t>>63 | 1)) / 2)
 }
 
 // NewFamily returns the Family of p. It draws nothing: see Family.
@@ -143,7 +179,7 @@ func NewFamily(p Params) (*Family, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &Family{p: p, pairs: Pairs(p.M), rows: make([]atomic.Pointer[float32], p.Dim)}, nil
+	return &Family{p: p, pairs: Pairs(p.M), rows: make([]atomic.Pointer[int8], p.Dim)}, nil
 }
 
 // rowSeed is the seed of vocabulary row c's stream: output c of the master
@@ -156,7 +192,7 @@ func rowSeed(seed uint64, c uint32) uint64 {
 }
 
 // row returns the NumFuncs coefficients of word c.
-func (f *Family) row(c uint32) []float32 {
+func (f *Family) row(c uint32) []int8 {
 	first := f.rows[c].Load()
 	if first == nil {
 		first = f.drawRow(c)
@@ -170,11 +206,11 @@ func (f *Family) row(c uint32) []float32 {
 // the other's copy is garbage.
 //
 //go:noinline
-func (f *Family) drawRow(c uint32) *float32 {
-	row := make([]float32, f.p.NumFuncs())
+func (f *Family) drawRow(c uint32) *int8 {
+	row := make([]int8, f.p.NumFuncs())
 	src := rng.New(rowSeed(f.p.Seed, c))
 	for j := range row {
-		row[j] = float32(src.Norm())
+		row[j] = quantize(src.Norm())
 	}
 	if f.rows[c].CompareAndSwap(nil, &row[0]) {
 		f.drawn.Add(1)
@@ -192,38 +228,69 @@ func (f *Family) Params() Params { return f.p }
 func (f *Family) Pairs() []Pair { return f.pairs }
 
 // MemoryBytes reports the hyperplane storage footprint: the rows drawn so
-// far and the pointer per vocabulary word that finds them. It grows with the
-// distinct words hashed — documents' and queries' alike — up to the
-// Dim·NumFuncs·4 of the whole matrix.
+// far, a byte a coefficient, and the pointer per vocabulary word that finds
+// them. It grows with the distinct words hashed — documents' and queries'
+// alike — up to the Dim·NumFuncs of the whole matrix.
 func (f *Family) MemoryBytes() int64 {
-	return f.drawn.Load()*int64(f.p.NumFuncs())*4 + int64(len(f.rows))*8
+	return f.drawn.Load()*int64(f.p.NumFuncs()) + int64(len(f.rows))*8
 }
 
 // SketchInto computes the m half-hashes u_1..u_m of v into out (length ≥ M),
-// using scores (length ≥ NumFuncs) as scratch. The vectorized kernel
-// accumulates all hyperplane columns per non-zero, 4-way unrolled
-// (sparse.Axpy).
+// using scores (length ≥ NumFuncs) as scratch, which it leaves holding each
+// hyperplane's score. The vectorized kernel accumulates all hyperplane
+// columns per non-zero, 4-way unrolled (axpy).
 func (f *Family) SketchInto(v sparse.Vector, scores []float32, out []uint32) {
 	scores = scores[:f.p.NumFuncs()]
 	clear(scores)
 	for i, c := range v.Idx {
-		sparse.Axpy(v.Val[i], f.row(c), scores)
+		axpy(v.Val[i]*valueScale, f.row(c), scores)
 	}
 	packSigns(scores, f.p.K/2, out[:f.p.M])
 }
+
+// axpy adds a·x to y element by element (len(y) ≥ len(x)): one non-zero's
+// contribution to every hash function's score at once. x is the non-zero's
+// row of the hyperplane matrix, contiguous — the spatial locality §5.1.1
+// prescribes ("at least one row of the dense matrix is read consecutively")
+// — and the four-way unroll across columns is the portable stand-in for the
+// paper's SIMD hashing (Fig. 4, "+vectorization"). A coefficient becomes a
+// float through coefValue, a load from one cache-resident kilobyte, which
+// measured faster than converting it (DESIGN "What the heap holds…").
+func axpy(a float32, x []int8, y []float32) {
+	y = y[:len(x)]
+	j := 0
+	for ; j+4 <= len(x); j += 4 {
+		y[j] += a * coefValue[uint8(x[j])]
+		y[j+1] += a * coefValue[uint8(x[j+1])]
+		y[j+2] += a * coefValue[uint8(x[j+2])]
+		y[j+3] += a * coefValue[uint8(x[j+3])]
+	}
+	for ; j < len(x); j++ {
+		y[j] += a * coefValue[uint8(x[j])]
+	}
+}
+
+// coefValue[uint8(c)] is float32(c) for every int8 c.
+var coefValue = func() (v [256]float32) {
+	for i := range v {
+		v[i] = float32(int8(i))
+	}
+	return v
+}()
 
 // SketchScalarInto is the unoptimized hashing kernel: one pass over the
 // document per elementary hash function, reading a single coefficient of
 // each row, exactly how a naive implementation computes each dot product
 // independently. It exists as the pre-"+vectorization" arm of the Fig. 4
 // ablation (internal/expr), and lives here because only this package can
-// read a row, drawing it on first use.
+// read a row, drawing it on first use. Its sums are SketchInto's, term for
+// term, so its sketches are too.
 func (f *Family) SketchScalarInto(v sparse.Vector, scores []float32, out []uint32) {
 	nf := f.p.NumFuncs()
 	for j := 0; j < nf; j++ {
 		var s float32
 		for i, c := range v.Idx {
-			s += v.Val[i] * f.row(c)[j]
+			s += v.Val[i] * valueScale * float32(f.row(c)[j])
 		}
 		scores[j] = s
 	}

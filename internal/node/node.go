@@ -350,7 +350,10 @@ func (n *Node) recover(ctx context.Context) error {
 		words := n.deleted.Words()
 		copy(words[:len(snap.Deleted)], snap.Deleted)
 		n.nStatic = snap.Rows
-		if snap.Rows == 0 {
+		if len(snap.Tables) == 0 {
+			// No rows, or a file older than the hash family (versions 4
+			// and 5), whose tables persist dropped: build them over the
+			// arena. The next checkpoint writes them.
 			n.initStaticLocked()
 		} else {
 			// The serialized buckets go straight back into a Static — no
@@ -424,12 +427,13 @@ func (n *Node) applyRecordLocked(rec *persist.Record) error {
 	return nil
 }
 
-// initStaticLocked installs the static index and engine of a node with no
-// merged rows — at construction and retirement, when nStatic is 0. It is the
-// one place a node bulk-builds; every later index is a merge into this one.
-// Callers hold mu (or are in New).
+// initStaticLocked installs the static index and engine built over the
+// first nStatic rows — at construction and retirement, when nStatic is 0,
+// and at recovery from a snapshot that holds no tables. It is the one place
+// a node bulk-builds; every later index is a merge into this one. Callers
+// hold mu (or are in Open).
 func (n *Node) initStaticLocked() {
-	prefix := n.store.Prefix(0)
+	prefix := n.store.Prefix(n.nStatic)
 	// The store and family share Dim by construction, so MustBuild cannot
 	// fail absent memory corruption.
 	st := core.MustBuild(n.fam, prefix, n.cfg.Build)

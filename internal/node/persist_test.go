@@ -709,113 +709,71 @@ func TestDocOutOfRange(t *testing.T) {
 }
 
 // TestReadsVersion4Snapshot: a data directory holding the committed 60-row
-// version-4 fixture of internal/persist/testdata (tables at b = K, as a
-// node that once loaded version 3 still writes them) opens, answers every
-// self-query exactly as a node rebuilt from the same documents does, and
-// its next checkpoint writes the committed version-5 fixture byte for byte.
+// version-4 or version-5 fixture of internal/persist/testdata, whose tables
+// an older hash family hashed, opens with its tables built over its arena
+// under this family, answers every query as internal/oracle does over the
+// same live rows — before and after growing past 64 rows with a tombstone
+// among the new ones and merging — and its next checkpoint, taken before
+// any of that, writes the committed version-6 fixture byte for byte.
 func TestReadsVersion4Snapshot(t *testing.T) {
-	v4 := persistFixture(t, "snapshot-v4.plsh")
-	if v := binary.LittleEndian.Uint32(v4[8:]); v != 4 {
-		t.Fatalf("fixture is version %d", v)
-	}
-	want := persistFixture(t, "snapshot-v5.plsh")
-	dir := t.TempDir()
-	if err := os.WriteFile(persist.SnapshotPath(dir), v4, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cfg := fixtureConfig()
-	rebuilt, err := Open(bg, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Dir = dir
-	n, err := Open(bg, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-	if n.Len() != 60 || n.StaticLen() != 60 {
-		t.Fatalf("opened %d rows, %d static; the fixture holds 60", n.Len(), n.StaticLen())
-	}
-
-	docs := make([]sparse.Vector, n.Len())
-	for i := range docs {
-		docs[i], _ = n.Doc(uint32(i))
-	}
-	if _, err := rebuilt.Insert(bg, docs); err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []uint32{7, 41} { // the fixture's tombstones
-		if err := rebuilt.Delete(id); err != nil {
+	want := persistFixture(t, "snapshot-v6.plsh")
+	for version, name := range map[uint32]string{4: "snapshot-v4.plsh", 5: "snapshot-v5.plsh"} {
+		old := persistFixture(t, name)
+		if v := binary.LittleEndian.Uint32(old[8:]); v != version {
+			t.Fatalf("%s is version %d", name, v)
+		}
+		cfg := fixtureConfig()
+		cfg.Dir = t.TempDir()
+		if err := os.WriteFile(persist.SnapshotPath(cfg.Dir), old, 0o644); err != nil {
 			t.Fatal(err)
 		}
-	}
-	mustMerge(t, rebuilt)
-	answers := 0
-	for i, q := range docs {
-		got := mustQuery(t, n, q)
-		sameNeighbors(t, fmt.Sprintf("query %d", i), mustQuery(t, rebuilt, q), got)
-		answers += len(got)
-	}
-	if answers < len(docs)-2 {
-		t.Fatalf("%d answers over %d self-queries: the loaded tables find nothing", answers, len(docs))
-	}
+		n, err := Open(bg, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.Close()
+		if n.Len() != 60 || n.StaticLen() != 60 {
+			t.Fatalf("%s: opened %d rows, %d static; the fixture holds 60", name, n.Len(), n.StaticLen())
+		}
+		docs := make([]sparse.Vector, n.Len())
+		for i := range docs {
+			docs[i], _ = n.Doc(uint32(i))
+		}
+		o := oracle.New(n.fam, docs...)
+		for _, id := range []uint32{7, 41} { // the fixture's tombstones
+			o.Delete(id)
+		}
+		requireMatchesOracle(t, name+" opened", n, o, docs)
 
-	if err := n.Save(bg); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(persist.SnapshotPath(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(raw, want) {
-		t.Fatal("the checkpoint of testdata/snapshot-v4.plsh is not testdata/snapshot-v5.plsh")
-	}
-}
+		if err := n.Save(bg); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(persist.SnapshotPath(cfg.Dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(raw, want) {
+			t.Fatalf("the checkpoint of testdata/%s is not testdata/snapshot-v6.plsh", name)
+		}
 
-// TestVersion4SnapshotMergesPastAPowerOfTwo: the committed version-4
-// fixture holds 60 rows in tables that index all K = 6 key bits, more than
-// core.DirectoryBits gives a build of 60 rows (4). Opened, grown past 64
-// rows with a tombstone among the new ones, and merged, it answers every
-// query as internal/oracle does over the same live rows: the merge keeps
-// the loaded tables' key bits, since a merge's b never shrinks, and
-// buckets the new rows at them.
-func TestVersion4SnapshotMergesPastAPowerOfTwo(t *testing.T) {
-	cfg := fixtureConfig()
-	cfg.Dir = t.TempDir()
-	if err := os.WriteFile(persist.SnapshotPath(cfg.Dir), persistFixture(t, "snapshot-v4.plsh"), 0o644); err != nil {
-		t.Fatal(err)
+		more := corpus.Generate(corpus.Twitter(40, cfg.Params.Dim, 9)).Mat
+		for i := range more.Rows() {
+			docs = append(docs, more.Row(i))
+		}
+		if _, err := n.Insert(bg, docs[60:]); err != nil {
+			t.Fatal(err)
+		}
+		o.Add(docs[60:]...)
+		if err := n.Delete(70); err != nil {
+			t.Fatal(err)
+		}
+		o.Delete(70)
+		mustMerge(t, n)
+		if n.StaticLen() != len(docs) {
+			t.Fatalf("%s: %d static rows after the merge, want %d", name, n.StaticLen(), len(docs))
+		}
+		requireMatchesOracle(t, name+" merged past 64 rows", n, o, docs)
 	}
-	n, err := Open(bg, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-	docs := make([]sparse.Vector, n.Len())
-	for i := range docs {
-		docs[i], _ = n.Doc(uint32(i))
-	}
-	o := oracle.New(n.fam, docs...)
-	for _, id := range []uint32{7, 41} { // the fixture's tombstones
-		o.Delete(id)
-	}
-	more := corpus.Generate(corpus.Twitter(40, cfg.Params.Dim, 9)).Mat
-	for i := range more.Rows() {
-		docs = append(docs, more.Row(i))
-	}
-	if _, err := n.Insert(bg, docs[60:]); err != nil {
-		t.Fatal(err)
-	}
-	o.Add(docs[60:]...)
-	if err := n.Delete(70); err != nil {
-		t.Fatal(err)
-	}
-	o.Delete(70)
-	mustMerge(t, n)
-	if n.StaticLen() != len(docs) {
-		t.Fatalf("%d static rows after the merge, want %d", n.StaticLen(), len(docs))
-	}
-	requireMatchesOracle(t, "merged past 64 rows", n, o, docs)
 }
 
 // TestOpenRefusesVersion3Snapshot: a data directory holding the committed

@@ -18,12 +18,14 @@ import (
 )
 
 // The committed fixtures are one 60-row node (Dim 256, K 6, M 4, two
-// tombstones) saved three times: snapshot-v3.plsh by the last commit that
+// tombstones) saved four times: snapshot-v3.plsh by the last commit that
 // wrote tables without the key bits their items carry, snapshot-v4.plsh by
-// reading that file back and writing it as version 4, and snapshot-v5.plsh
-// by reading the version-4 file back and writing it as version 5, the
-// directory in 64-bucket blocks. Version 3 is no longer read; its file is
-// the input the refusal test reads.
+// reading that file back and writing it as version 4, snapshot-v5.plsh by
+// reading the version-4 file back and writing it as version 5, the
+// directory in 64-bucket blocks, and snapshot-v6.plsh by opening the
+// version-5 file in a node, which builds the tables over its arena under
+// the family of one-byte coefficients, and saving it. Version 3 is no
+// longer read; its file is the input the refusal test reads.
 func fixture(t testing.TB, name string) []byte {
 	t.Helper()
 	raw, err := os.ReadFile(filepath.Join("testdata", name))
@@ -37,10 +39,9 @@ func decode(raw []byte) (*Snapshot, error) {
 	return readSnapshot(bytes.NewReader(raw), int64(len(raw)))
 }
 
-// loadsAsRebuilt checks that the committed fixture name, of the given
-// version, loads as the tables a build over its arena produces, bucket for
-// bucket, with the tombstones left out, and returns what it loaded.
-func loadsAsRebuilt(t *testing.T, name string, version uint32) *Snapshot {
+// loadFixture decodes the committed fixture name, which must be of the
+// given version and hold the fixture node's 60 rows.
+func loadFixture(t *testing.T, name string, version uint32) *Snapshot {
 	t.Helper()
 	raw := fixture(t, name)
 	if v := binary.LittleEndian.Uint32(raw[8:]); v != version {
@@ -50,8 +51,21 @@ func loadsAsRebuilt(t *testing.T, name string, version uint32) *Snapshot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Rows != 60 || len(snap.Tables) != snap.Params.L() {
-		t.Fatalf("%s: %d rows, %d tables", name, snap.Rows, len(snap.Tables))
+	if snap.Rows != 60 || snap.Arena.Rows() != 60 {
+		t.Fatalf("%s: %d rows over a %d-row arena", name, snap.Rows, snap.Arena.Rows())
+	}
+	return snap
+}
+
+// TestReadsVersion6Fixture: the committed version-6 file loads as a build
+// over its arena does, bucket for bucket, tombstoned rows included (the
+// node that wrote it built its tables on open and merged nothing since),
+// and writing it back out yields exactly its own bytes — which pins the
+// format against accidental change.
+func TestReadsVersion6Fixture(t *testing.T) {
+	snap := loadFixture(t, "snapshot-v6.plsh", 6)
+	if len(snap.Tables) != snap.Params.L() {
+		t.Fatalf("%d tables, want %d", len(snap.Tables), snap.Params.L())
 	}
 	fam, err := lshhash.NewFamily(snap.Params)
 	if err != nil {
@@ -61,39 +75,58 @@ func loadsAsRebuilt(t *testing.T, name string, version uint32) *Snapshot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	built, err := core.Build(fam, snap.Arena, core.Defaults())
+	want, err := core.Build(fam, snap.Arena, core.Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A merge that adds no rows is the build with the tombstones left out.
-	want := core.Merge(built, snap.Params.NewSketches(0), snap.Deleted, 1)
 	for l := 0; l < got.NumTables(); l++ {
 		for key := 0; key < snap.Params.Buckets(); key++ {
 			if g, w := got.Table(l).Bucket(nil, uint32(key)), want.Table(l).Bucket(nil, uint32(key)); !slices.Equal(g, w) {
-				t.Fatalf("%s: table %d bucket %d: loaded %v, rebuilt %v", name, l, key, g, w)
+				t.Fatalf("table %d bucket %d: loaded %v, built %v", l, key, g, w)
 			}
 		}
 	}
-	return snap
-}
-
-// TestReadsVersion4Fixture: the committed version-4 file loads as a build
-// over its arena does, and writing it back out yields exactly the
-// committed version-5 file — the conversion its directory goes through.
-func TestReadsVersion4Fixture(t *testing.T) {
-	snap := loadsAsRebuilt(t, "snapshot-v4.plsh", 4)
-	if !bytes.Equal(encode(t, snap), fixture(t, "snapshot-v5.plsh")) {
-		t.Fatal("rewriting testdata/snapshot-v4.plsh does not yield testdata/snapshot-v5.plsh")
+	if !bytes.Equal(encode(t, snap), fixture(t, "snapshot-v6.plsh")) {
+		t.Fatal("rewriting testdata/snapshot-v6.plsh changes its bytes: the on-disk format changed")
 	}
 }
 
-// TestReadsVersion5Fixture: the committed version-5 file loads as a build
-// over its arena does, and writing it back out yields exactly its own bytes
-// — which pins the format against accidental change.
-func TestReadsVersion5Fixture(t *testing.T) {
-	snap := loadsAsRebuilt(t, "snapshot-v5.plsh", 5)
-	if !bytes.Equal(encode(t, snap), fixture(t, "snapshot-v5.plsh")) {
-		t.Fatal("rewriting testdata/snapshot-v5.plsh changes its bytes: the on-disk format changed")
+// TestReadsVersion4Fixture and TestReadsVersion5Fixture: a file written
+// before the family of one-byte coefficients loads without its tables —
+// an older family hashed them — and with everything else the version-6
+// file of the same node holds.
+func TestReadsVersion4Fixture(t *testing.T) { loadsWithoutTables(t, "snapshot-v4.plsh", 4) }
+
+func TestReadsVersion5Fixture(t *testing.T) { loadsWithoutTables(t, "snapshot-v5.plsh", 5) }
+
+func loadsWithoutTables(t *testing.T, name string, version uint32) {
+	snap, v6 := loadFixture(t, name, version), loadFixture(t, "snapshot-v6.plsh", 6)
+	if snap.Tables != nil {
+		t.Fatalf("%s loaded %d tables an older family hashed", name, len(snap.Tables))
+	}
+	if snap.Params != v6.Params || snap.Capacity != v6.Capacity || !slices.Equal(snap.Deleted, v6.Deleted) {
+		t.Fatalf("%s: params %+v capacity %d tombstones %x; version 6 holds %+v %d %x",
+			name, snap.Params, snap.Capacity, snap.Deleted, v6.Params, v6.Capacity, v6.Deleted)
+	}
+	for i := range snap.Rows {
+		if g, w := snap.Arena.Row(i), v6.Arena.Row(i); !slices.Equal(g.Idx, w.Idx) || !slices.Equal(g.Val, w.Val) {
+			t.Fatalf("%s: row %d is %v, version 6 holds %v", name, i, g, w)
+		}
+	}
+}
+
+// TestDroppedTablesStayUnderTheChecksum: the tables of a version-5 file
+// are read past, not trusted blind — a flipped byte inside one fails the
+// CRC as it would anywhere else in the file.
+func TestDroppedTablesStayUnderTheChecksum(t *testing.T) {
+	raw := slices.Clone(fixture(t, "snapshot-v5.plsh"))
+	// The header's 48 bytes, the arena (its non-zero count, the row
+	// offsets, the columns and the values), the table count and the first
+	// table's length word: then its first byte.
+	nnz := int(binary.LittleEndian.Uint64(raw[48:]))
+	raw[56+61*4+8*nnz+4+8] ^= 1
+	if _, err := decode(raw); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("a flipped table byte in a version-5 file: err = %v, want a checksum mismatch", err)
 	}
 }
 
@@ -257,7 +290,7 @@ func withChecksum(raw []byte) []byte {
 // input, not to the lengths the input claims. Each input is tried as given
 // and with a corrected checksum.
 func FuzzReadSnapshot(f *testing.F) {
-	for _, name := range []string{"snapshot-v3.plsh", "snapshot-v4.plsh", "snapshot-v5.plsh"} {
+	for _, name := range []string{"snapshot-v3.plsh", "snapshot-v4.plsh", "snapshot-v5.plsh", "snapshot-v6.plsh"} {
 		raw := fixture(f, name)
 		f.Add(raw)
 		for _, cut := range []int{0, 1, 7, 8, len(raw) / 2, len(raw) - 1} {
@@ -276,13 +309,12 @@ func FuzzReadSnapshot(f *testing.F) {
 			runtime.ReadMemStats(&after)
 			// 16 bytes a byte covers the widest sections: a table's bytes
 			// read into scratch that may double as it grows (2), then
-			// copied into the table's arrays (1) — or, from version 4,
-			// its items copied and its directory rebuilt in blocks that
-			// core.DecodeTableV4 holds to 8 — and the shortest table an
-			// 88-byte core.Table over 44 bytes at least (its length word,
-			// the smallest encoding's five words and two paddings: 2 a
-			// byte). The constant is the runtime's own background
-			// allocation.
+			// copied into the table's arrays (1), and the shortest table
+			// an 88-byte core.Table over 44 bytes at least (its length
+			// word, the smallest encoding's five words and two paddings:
+			// 2 a byte); the tables of versions 4 and 5 are read through
+			// a fixed chunk and allocate nothing. The constant is the
+			// runtime's own background allocation.
 			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+16*len(raw)); got > limit {
 				t.Fatalf("decoding %d bytes allocated %d, over %d", len(raw), got, limit)
 			}

@@ -24,9 +24,9 @@
 // the magic, version, CRC, and structural shape (via sparse.FromRaw,
 // core.DecodeTable and core.ValidateTables) and refuse to load anything
 // that fails — a corrupt file is an error, never garbage in the index. The
-// version written is the one read, and the one before it is read too, its
-// tables converted as they load; a file of any other version is refused
-// with its version named.
+// version written is the one read; the two before it, whose tables an
+// older hash family hashed, are read without their tables; a file of any
+// other version is refused with its version named.
 package persist
 
 import (
@@ -54,22 +54,19 @@ const snapshotName = "snapshot.plsh"
 // version field below covers compatible evolution).
 var snapshotMagic = [8]byte{'P', 'L', 'S', 'H', 'S', 'N', 'P', '1'}
 
-// snapshotVersion is the format version WriteSnapshot emits: version 5
+// snapshotVersion is the format version WriteSnapshot emits: version 6
 // stores each table as a byte length and core.Table.AppendEncoded's bytes —
 // the key bits its items carry, then the directory's 64-bucket blocks and
 // the packed items verbatim — and ReadSnapshot hands those bytes to
-// core.DecodeTable. ReadSnapshot also loads version 4, whose tables are the
-// same but for a directory of the occupied buckets (a bitmap and an entry a
-// set bit), through core.DecodeTableV4, which rebuilds that directory in
-// blocks; a version-4 directory is rewritten as version 5 at its next
-// checkpoint. What a table holds is ValidateTables' to judge, after the
-// CRC. Every other version, version 3 (version 4 without the key bits)
-// included, is ErrCorrupt naming it: a version-3 directory is opened and
-// saved once by a binary that reads both before this one opens it.
-const snapshotVersion = 5
-
-// snapshotVersion4 is the one older version ReadSnapshot loads.
-const snapshotVersion4 = 4
+// core.DecodeTable. What a table holds is ValidateTables' to judge, after
+// the CRC. The tables are the hash family's: version 6 is version 5's
+// layout over tables hashed by the family of one-byte coefficients
+// (lshhash.Family). ReadSnapshot still loads versions 4 and 5, whose tables
+// an older family hashed, without them: their bytes are read under the CRC
+// and dropped, and the node that opens the file rebuilds its tables from
+// the arena and writes version 6 at its next checkpoint. Every other
+// version, version 3 included, is ErrCorrupt naming it.
+const snapshotVersion = 6
 
 // castagnoli is the CRC-32C table used for both snapshot and WAL framing.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -99,7 +96,8 @@ type Snapshot struct {
 	Arena *sparse.Matrix
 	// Tables are the static PLSH buckets over the arena. Empty when
 	// Rows == 0 (rebuilding an empty index is cheaper than serializing
-	// L empty bitmaps).
+	// L empty directories), and when the file predates the hash family
+	// (versions 4 and 5): the opener builds them over the arena.
 	Tables []core.Table
 	// Deleted is the tombstone bitvector's backing words, trimmed to
 	// ⌈Rows/64⌉ words with bits ≥ Rows masked off.
@@ -204,8 +202,7 @@ func ReadSnapshot(dir string) (*Snapshot, error) {
 // it, so a decode allocates in proportion to size whatever the bytes say,
 // and everything it returns has passed sparse.FromRaw and
 // core.ValidateTables: the error is ErrCorrupt-wrapped or the snapshot
-// loads. (A version-4 table's directory is rebuilt in blocks, which
-// DecodeTableV4 holds to eight times the table's bytes.)
+// loads.
 func readSnapshot(src io.Reader, size int64) (*Snapshot, error) {
 	r := newCRCReader(src, size)
 
@@ -215,12 +212,9 @@ func readSnapshot(src io.Reader, size int64) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	version := r.u32()
-	if r.err == nil && version != snapshotVersion && version != snapshotVersion4 {
+	drop := version == 4 || version == 5 // tables an older hash family hashed
+	if r.err == nil && version != snapshotVersion && !drop {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, version)
-	}
-	decodeTable := core.DecodeTable
-	if version == snapshotVersion4 {
-		decodeTable = core.DecodeTableV4
 	}
 	s := &Snapshot{}
 	s.Params.Dim = int(r.u32())
@@ -242,7 +236,7 @@ func readSnapshot(src io.Reader, size int64) (*Snapshot, error) {
 	if r.err == nil && nTables > 1<<20 {
 		return nil, fmt.Errorf("%w: impossible table count", ErrCorrupt)
 	}
-	if nTables > 0 && r.checkLen(nTables, 3*8) { // a length word and more than 16 bytes of encoding a table
+	if nTables > 0 && r.checkLen(nTables, 3*8) && !drop { // a length word and more than 16 bytes of encoding a table
 		s.Tables = make([]core.Table, 0, nTables)
 	}
 	var enc []byte // each table's encoding in turn; scratch
@@ -251,11 +245,15 @@ func readSnapshot(src io.Reader, size int64) (*Snapshot, error) {
 		if !r.checkLen(n, 1) {
 			break
 		}
+		if drop {
+			r.skip(n)
+			continue
+		}
 		enc = slices.Grow(enc[:0], n)[:n]
 		if r.bytes(enc); r.err != nil {
 			break
 		}
-		t, err := decodeTable(enc)
+		t, err := core.DecodeTable(enc)
 		if err != nil {
 			r.fail(fmt.Errorf("%w: %v", ErrCorrupt, err))
 		}
@@ -406,6 +404,16 @@ func (c *crcReader) u64() uint64 {
 		return 0
 	}
 	return binary.LittleEndian.Uint64(c.tmp[:8])
+}
+
+// skip reads n bytes, which checkLen has allowed, through c.chunk: folded
+// into the CRC and dropped.
+func (c *crcReader) skip(n int) {
+	for n > 0 && c.err == nil {
+		m := min(n, len(c.chunk))
+		c.bytes(c.chunk[:m])
+		n -= m
+	}
 }
 
 // checkLen validates a section length against the bytes actually left in

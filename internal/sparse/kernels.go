@@ -56,23 +56,3 @@ func (qm *QueryMask) Dot(idx []uint32, val []float32) float64 {
 	}
 	return s
 }
-
-// Axpy adds a·x to y element by element (len(y) ≥ len(x)): one non-zero's
-// contribution to every hash function's score at once. x is the non-zero's
-// row of the hyperplane matrix, contiguous — the spatial locality §5.1.1
-// prescribes ("at least one row of the dense matrix is read consecutively")
-// — and the four-way unroll across columns is the portable stand-in for the
-// paper's SIMD hashing (Fig. 4, "+vectorization").
-func Axpy(a float32, x, y []float32) {
-	y = y[:len(x)]
-	j := 0
-	for ; j+4 <= len(x); j += 4 {
-		y[j] += a * x[j]
-		y[j+1] += a * x[j+1]
-		y[j+2] += a * x[j+2]
-		y[j+3] += a * x[j+3]
-	}
-	for ; j < len(x); j++ {
-		y[j] += a * x[j]
-	}
-}

@@ -118,31 +118,6 @@ func TestQueryMaskRescatterReplaces(t *testing.T) {
 	}
 }
 
-func TestAxpyRowsMatchScalar(t *testing.T) {
-	src := rng.New(4)
-	dim, nCols := 300, 7
-	plane := make([]float32, dim*nCols)
-	for i := range plane {
-		plane[i] = float32(src.Norm())
-	}
-	for trial := 0; trial < 30; trial++ {
-		v := randVector(src, dim, 1+src.Intn(10))
-		out := make([]float32, nCols)
-		for i, c := range v.Idx {
-			Axpy(v.Val[i], plane[int(c)*nCols:(int(c)+1)*nCols], out)
-		}
-		for j := 0; j < nCols; j++ {
-			var want float32
-			for i, c := range v.Idx {
-				want += v.Val[i] * plane[int(c)*nCols+j]
-			}
-			if math.Abs(float64(out[j]-want)) > 1e-4 {
-				t.Fatalf("col %d: got %v want %v", j, out[j], want)
-			}
-		}
-	}
-}
-
 func TestMatrixRoundTrip(t *testing.T) {
 	m := NewMatrix(100, 4, 16)
 	rows := []Vector{vec(1, 0.5, 7, 0.5), vec(), vec(99, 1)}

@@ -390,7 +390,7 @@ func TestStatsMemoryCountsStaticDirectory(t *testing.T) {
 // state.
 func TestStatsFamilyBytes(t *testing.T) {
 	const dim, k, m = 2000, 16, 16
-	const rowBytes = m * k / 2 * 4
+	const rowBytes = m * k / 2 // one byte a coefficient
 	s, err := NewStore(Config{Dim: dim, K: k, M: m, Capacity: 2000, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
