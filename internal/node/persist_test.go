@@ -712,9 +712,8 @@ func TestDocOutOfRange(t *testing.T) {
 // version-4 or version-5 fixture of internal/persist/testdata, whose tables
 // an older hash family hashed, opens with its tables built over its arena
 // under this family, answers every query as internal/oracle does over the
-// same live rows — before and after growing past 64 rows with a tombstone
-// among the new ones and merging — and its next checkpoint, taken before
-// any of that, writes the committed version-6 fixture byte for byte.
+// same live rows, and its next checkpoint writes the committed version-6
+// fixture byte for byte.
 func TestReadsVersion4Snapshot(t *testing.T) {
 	want := persistFixture(t, "snapshot-v6.plsh")
 	for version, name := range map[uint32]string{4: "snapshot-v4.plsh", 5: "snapshot-v5.plsh"} {
@@ -722,41 +721,31 @@ func TestReadsVersion4Snapshot(t *testing.T) {
 		if v := binary.LittleEndian.Uint32(old[8:]); v != version {
 			t.Fatalf("%s is version %d", name, v)
 		}
-		cfg := fixtureConfig()
-		cfg.Dir = t.TempDir()
-		if err := os.WriteFile(persist.SnapshotPath(cfg.Dir), old, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		n, err := Open(bg, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer n.Close()
-		if n.Len() != 60 || n.StaticLen() != 60 {
-			t.Fatalf("%s: opened %d rows, %d static; the fixture holds 60", name, n.Len(), n.StaticLen())
-		}
-		docs := make([]sparse.Vector, n.Len())
-		for i := range docs {
-			docs[i], _ = n.Doc(uint32(i))
-		}
-		o := oracle.New(n.fam, docs...)
-		for _, id := range []uint32{7, 41} { // the fixture's tombstones
-			o.Delete(id)
-		}
+		n, o, docs := openOldFixture(t, name)
 		requireMatchesOracle(t, name+" opened", n, o, docs)
 
 		if err := n.Save(bg); err != nil {
 			t.Fatal(err)
 		}
-		raw, err := os.ReadFile(persist.SnapshotPath(cfg.Dir))
+		raw, err := os.ReadFile(persist.SnapshotPath(n.cfg.Dir))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(raw, want) {
 			t.Fatalf("the checkpoint of testdata/%s is not testdata/snapshot-v6.plsh", name)
 		}
+	}
+}
 
-		more := corpus.Generate(corpus.Twitter(40, cfg.Params.Dim, 9)).Mat
+// TestVersion4SnapshotMergesPastAPowerOfTwo: the committed version-4 and
+// version-5 fixtures hold 60 rows, whose tables the node builds on open at
+// the key bits core.DirectoryBits gives 60 rows. Opened, grown past 64
+// rows with a tombstone among the new ones, and merged, each answers every
+// query as internal/oracle does over the same live rows.
+func TestVersion4SnapshotMergesPastAPowerOfTwo(t *testing.T) {
+	for _, name := range []string{"snapshot-v4.plsh", "snapshot-v5.plsh"} {
+		n, o, docs := openOldFixture(t, name)
+		more := corpus.Generate(corpus.Twitter(40, n.cfg.Params.Dim, 9)).Mat
 		for i := range more.Rows() {
 			docs = append(docs, more.Row(i))
 		}
@@ -774,6 +763,35 @@ func TestReadsVersion4Snapshot(t *testing.T) {
 		}
 		requireMatchesOracle(t, name+" merged past 64 rows", n, o, docs)
 	}
+}
+
+// openOldFixture opens a durable node over a copy of the committed 60-row
+// snapshot name and returns it with an oracle over its live rows and its
+// documents. The node is closed when the test ends.
+func openOldFixture(t *testing.T, name string) (*Node, *oracle.Oracle, []sparse.Vector) {
+	t.Helper()
+	cfg := fixtureConfig()
+	cfg.Dir = t.TempDir()
+	if err := os.WriteFile(persist.SnapshotPath(cfg.Dir), persistFixture(t, name), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	n, err := Open(bg, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	if n.Len() != 60 || n.StaticLen() != 60 {
+		t.Fatalf("%s: opened %d rows, %d static; the fixture holds 60", name, n.Len(), n.StaticLen())
+	}
+	docs := make([]sparse.Vector, n.Len())
+	for i := range docs {
+		docs[i], _ = n.Doc(uint32(i))
+	}
+	o := oracle.New(n.fam, docs...)
+	for _, id := range []uint32{7, 41} { // the fixture's tombstones
+		o.Delete(id)
+	}
+	return n, o, docs
 }
 
 // TestOpenRefusesVersion3Snapshot: a data directory holding the committed
