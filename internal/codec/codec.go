@@ -1,8 +1,7 @@
 // Package codec is the one bounded reader, and the one layout of a batch of
 // sparse vectors, for bytes that come from outside the process: the wire's
-// frames (internal/transport), the journal's records (internal/persist) and
-// the encoded static tables (internal/core) all read through a Decoder, and
-// the wire and the journal both lay a batch out as a vectors block.
+// frames (internal/transport) and the journal's records (internal/persist)
+// both read through a Decoder and lay a batch out as a vectors block.
 //
 // Integers are fixed-width little-endian or varints (encoding/binary's
 // Uvarint, and Varint for signed values); floats travel as their IEEE bits.

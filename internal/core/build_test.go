@@ -21,14 +21,14 @@ func testSetup(t *testing.T, nDocs int) (*lshhash.Family, *sparse.Matrix) {
 }
 
 // checkTableInvariants asserts that every table is a valid partition: the
-// directory passes ValidateTables and covers [0, N], and the items are a
+// directory passes validateTables and covers [0, N], and the items are a
 // permutation of 0..N-1 whose bucket assignment matches the brute-force key
 // computation.
 func checkTableInvariants(t *testing.T, st *Static, sk *lshhash.Sketches) {
 	t.Helper()
 	p := st.fam.Params()
 	n := st.Len()
-	if err := ValidateTables(p, n, st.tables); err != nil {
+	if err := validateTables(p, n, st.tables); err != nil {
 		t.Fatal(err)
 	}
 	for l := 0; l < st.NumTables(); l++ {
@@ -56,29 +56,6 @@ func checkTableInvariants(t *testing.T, st *Static, sk *lshhash.Sketches) {
 			}
 		}
 	}
-}
-
-// oneLevel builds the tables over sk the unoptimized way: every table
-// partitions all items by its full key in one TableBuilder.GroupByKey pass.
-func oneLevel(t *testing.T, fam *lshhash.Family, sk *lshhash.Sketches) *Static {
-	t.Helper()
-	p := fam.Params()
-	keys := make([]uint32, sk.N())
-	hist := make([]uint32, p.Buckets())
-	tables := make([]Table, p.L())
-	var tb TableBuilder
-	for l := range tables {
-		a, b := lshhash.PairForTable(l, p.M)
-		for i := range keys {
-			keys[i] = sk.TableKey(i, a, b)
-		}
-		tables[l] = tb.GroupByKey(keys, p.K, hist)
-	}
-	st, err := StaticFromTables(fam, sk.N(), tables, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st
 }
 
 // scalarSketches sketches every row of mat with the scalar kernel.
@@ -109,7 +86,7 @@ func TestBuildStrategiesProduceValidTables(t *testing.T) {
 	}{
 		{"Build", built},
 		{"BuildFromSketches(scalar)", BuildFromSketches(fam, scalarSketches(fam, mat), 3)},
-		{"GroupByKey", oneLevel(t, fam, sk)},
+		{"GroupByKey", groupByKey(fam, sk)},
 	} {
 		if c.st.Len() != 500 {
 			t.Fatalf("%s: Len = %d", c.name, c.st.Len())
@@ -123,7 +100,7 @@ func TestBuildStrategiesProduceValidTables(t *testing.T) {
 // kernel fed it (order within a bucket may differ).
 func TestBuildStrategiesEquivalentBuckets(t *testing.T) {
 	fam, mat := testSetup(t, 400)
-	ref := oneLevel(t, fam, fam.SketchAll(mat, sched.NewPool(1)))
+	ref := groupByKey(fam, fam.SketchAll(mat, sched.NewPool(1)))
 	built, err := Build(fam, mat, Defaults())
 	if err != nil {
 		t.Fatal(err)

@@ -74,7 +74,7 @@ func TestStaticCompact(t *testing.T) {
 	if st.Len() != n {
 		t.Fatalf("Compact changed Len: %d", st.Len())
 	}
-	if err := ValidateTables(fam.Params(), n, st.tables); err != nil {
+	if err := validateTables(fam.Params(), n, st.tables); err != nil {
 		t.Fatal(err)
 	}
 	for l := 0; l < st.NumTables(); l++ {

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math/bits"
 	"reflect"
 	"slices"
 	"testing"
@@ -172,7 +170,7 @@ func TestLayoutMatchesDenseReference(t *testing.T) {
 				what := fmt.Sprintf("%s n=%d skewed=%v", arm.name, n, skewed)
 				check := func(step string, st *Static, ref []denseTable) {
 					t.Helper()
-					if err := ValidateTables(p, n, st.tables); err != nil {
+					if err := validateTables(p, n, st.tables); err != nil {
 						t.Fatalf("%s, %s: %v", what, step, err)
 					}
 					sameBuckets(t, what+", "+step, st, ref)
@@ -207,220 +205,6 @@ func TestLayoutMatchesDenseReference(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestStaticFromTablesRejectsBadDirectory: each way a table can disagree
-// with itself or with the index's geometry, edited into the table or into
-// its encoding, is an error from DecodeTable or from StaticFromTables over
-// what it decodes — the path a snapshot's tables take — never a panic and
-// never an index: over 1 100 rows, whose directory indexes all 8 key bits,
-// and over 80, whose directory indexes 5 and whose items carry 3. Arbitrary
-// low key bits on an item are not an error: they only decide which key of
-// its directory bucket it answers.
-func TestStaticFromTablesRejectsBadDirectory(t *testing.T) {
-	p := lshhash.Params{Dim: 64, K: 8, M: 4, Seed: 5}
-	fam, err := lshhash.NewFamily(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		n int
-		r uint // the key bits DirectoryBits leaves the items
-	}{{1100, 0}, {80, 3}} {
-		n := c.n
-		sk := layoutSketches(p, n, true, 3)
-		r := uint(p.K - DirectoryBits(n, p.K))
-		if r != c.r {
-			t.Fatalf("fixture: the items of %d rows carry %d key bits, want %d", n, r, c.r)
-		}
-		good := func() []Table {
-			st := BuildFromSketches(fam, sk, 1)
-			return st.tables
-		}
-		// load is what a snapshot reader does with the encoding of table 0
-		// of tables, the one the others are held to: decode it, then
-		// reassemble the index.
-		load := func(tables []Table, enc []byte) error {
-			var err error
-			if tables[0], err = DecodeTable(enc); err != nil {
-				return err
-			}
-			_, err = StaticFromTables(fam, n, tables, 1)
-			return err
-		}
-		tables := good()
-		if err := load(tables, tables[0].AppendEncoded(nil)); err != nil {
-			t.Fatalf("n=%d: valid tables rejected: %v", n, err)
-		}
-		// Validation reads the arrays where they lie.
-		if allocs := testing.AllocsPerRun(10, func() { _ = ValidateTables(p, n, tables) }); allocs != 0 {
-			t.Fatalf("n=%d: ValidateTables allocates %v times over valid tables", n, allocs)
-		}
-		// starts edits the table's directory as one start a bucket, which
-		// TableFromWords packs as it finds them.
-		starts := func(edit func(starts []uint32) []uint32) func(tb *Table) {
-			return func(tb *Table) {
-				*tb = TableFromWords(edit(tb.appendStarts(nil)), tb.AppendItems(nil), tb.r)
-			}
-		}
-		// items does the same to the items.
-		items := func(edit func(items []uint32) []uint32) func(tb *Table) {
-			return func(tb *Table) {
-				*tb = TableFromWords(tb.appendStarts(nil), edit(tb.AppendItems(nil)), tb.r)
-			}
-		}
-		// dirValue edits the value of width bits at bit of the directory's
-		// packed bytes, width(tb) being the table's offset width or 32.
-		dirValue := func(bit func(tb *Table) uint, width func(tb *Table) uint, edit func(uint32) uint32) func(tb *Table) {
-			return func(tb *Table) {
-				tb.dir.buf = slices.Clone(tb.dir.buf)
-				at, w := bit(tb), width(tb)
-				setBits(tb.dir.buf, at, w, edit(getBits(tb.dir.buf, at, w)))
-			}
-		}
-		offsetWidth := func(tb *Table) uint { return tb.dir.width }
-		baseWidth := func(*Table) uint { return 32 }
-		// at returns table 0 built over the same rows with its items carrying
-		// rAt key bits: a table valid in itself.
-		at := func(rAt uint) func(tb *Table) {
-			return func(tb *Table) {
-				a, b := lshhash.PairForTable(0, p.M)
-				keys := make([]uint32, n)
-				for i := range keys {
-					keys[i] = sk.TableKey(i, a, b)
-				}
-				*tb = groupAt(keys, p.K, rAt)
-			}
-		}
-		type row struct {
-			name    string
-			corrupt func(tb *Table)                    // the table, before it is encoded
-			encoded func(tb *Table, enc []byte) []byte // or its encoding
-		}
-		rows := []row{
-			{name: "one block more", corrupt: starts(func(s []uint32) []uint32 {
-				end := s[len(s)-1]
-				for range 64 {
-					s = append(s, end)
-				}
-				return s
-			})},
-			{name: "no blocks", corrupt: starts(func(s []uint32) []uint32 { return s[len(s)-1:] })},
-			{name: "blocks past the bytes", encoded: func(_ *Table, enc []byte) []byte {
-				binary.LittleEndian.PutUint32(enc[4:], 1<<29)
-				return enc
-			}},
-			{name: "offsets decrease", corrupt: starts(func(s []uint32) []uint32 { s[2] = s[1] - 1; return s })},
-			{name: "first offset not zero", corrupt: dirValue(func(*Table) uint { return 32 }, offsetWidth, func(uint32) uint32 { return 1 })},
-			{name: "first base not zero", corrupt: dirValue(func(*Table) uint { return 0 }, baseWidth, func(uint32) uint32 { return 1 })},
-			{name: "last block short of items", corrupt: starts(func(s []uint32) []uint32 { s[len(s)-1]--; return s })},
-			{name: "last block past items", corrupt: items(func(items []uint32) []uint32 { return items[:len(items)-1] })},
-			{name: "item id out of range", corrupt: items(func(items []uint32) []uint32 { items[7] = uint32(n) << r; return items })},
-			// One past the ids ⌈log2 n⌉ bits hold: packed at the width n needs,
-			// it would wrap to 0, which is in range.
-			{name: "item id 2^⌈log2 n⌉", corrupt: items(func(items []uint32) []uint32 {
-				items[7] = 1 << bits.Len(uint(n-1)) << r
-				return items
-			})},
-			{name: "no item array", corrupt: func(tb *Table) { tb.items = packed{} }},
-			{name: "item array one byte short", encoded: func(_ *Table, enc []byte) []byte { return enc[:len(enc)-1] }},
-			{name: "item array one byte long", encoded: func(_ *Table, enc []byte) []byte { return append(enc, 0) }},
-			{name: "directory one byte short", corrupt: func(tb *Table) { tb.dir.buf = tb.dir.buf[:len(tb.dir.buf)-1] }},
-			{name: "directory one byte long", corrupt: func(tb *Table) { tb.dir.buf = append(tb.dir.buf, 0) }},
-			{name: "offset width past its bytes", corrupt: func(tb *Table) { tb.dir.width++ }},
-			// An all-zero directory as long as 33-bit offsets take: only the
-			// width is wrong.
-			{name: "offset width 33", corrupt: func(tb *Table) {
-				tb.dir = packed{buf: make([]byte, dirBytes(uint(tb.nBlocks), 33)), width: 33}
-			}},
-			// The items' width, the word just before their bytes, read as 33
-			// and the array lengthened to what 33 bits an item take.
-			{name: "item width 33", encoded: func(tb *Table, enc []byte) []byte {
-				binary.LittleEndian.PutUint32(enc[len(enc)-len(tb.items.buf)-4:], 33)
-				return append(enc, make([]byte, packedBytes(uint(tb.n), 33)-len(tb.items.buf))...)
-			}},
-			// A table valid in itself whose directory indexes one key bit
-			// fewer than the other tables'.
-			{name: "tables with different b, one fewer", corrupt: at(r + 1)},
-			// A table valid in itself at b = K/2 − 1.
-			{name: "b below K/2", corrupt: at(uint(p.K/2 + 1))},
-			// r read as 2^32 − 1: b = K − r is K + 1 in 32 bits, and the
-			// directory's 2^b buckets no block count can hold.
-			{name: "b above K", encoded: func(_ *Table, enc []byte) []byte {
-				binary.LittleEndian.PutUint32(enc, 1<<32-1)
-				return enc
-			}},
-		}
-		if r > 0 {
-			// Or one more: no table indexes more than K.
-			rows = append(rows, row{name: "tables with different b, one more", corrupt: at(r - 1)})
-		}
-		if blocks := (1<<(uint(p.K)-r) + 63) / 64; blocks > 1 {
-			// Block 1 starting one past where block 0 closes.
-			rows = append(rows, row{name: "a base not where the block before closes", corrupt: dirValue(
-				func(tb *Table) uint { return blockBits(tb.dir.width) }, baseWidth, func(v uint32) uint32 { return v + 1 })})
-		}
-		if b := uint(p.K) - r; b < 6 {
-			// The last item moved into bucket 2^b, past the directory's
-			// buckets but inside its one block: only where it lies is wrong.
-			rows = append(rows, row{name: "a bucket past 2^b holds items", corrupt: starts(func(s []uint32) []uint32 {
-				last := uint32(n) - 1
-				for j := 1 << b; j > 0 && s[j] > last; j-- {
-					s[j] = last
-				}
-				return s
-			})})
-		}
-		for _, bad := range rows {
-			tables := good()
-			tb := &tables[0]
-			if bad.corrupt != nil {
-				bad.corrupt(tb)
-			}
-			enc := tb.AppendEncoded(nil)
-			if bad.encoded != nil {
-				enc = bad.encoded(tb, enc)
-			}
-			if err := load(tables, enc); err == nil {
-				t.Errorf("n=%d: %s: accepted", n, bad.name)
-			}
-		}
-		if _, err := StaticFromTables(fam, n, good()[:p.L()-1], 1); err == nil {
-			t.Errorf("n=%d: missing table: accepted", n)
-		}
-		// Every item of table 0 given other low key bits: a valid table whose
-		// items answer other keys.
-		tables = good()
-		low := uint32(1)<<r - 1
-		items(func(items []uint32) []uint32 {
-			for i := range items {
-				items[i] ^= uint32(i) & low
-			}
-			return items
-		})(&tables[0])
-		if err := load(tables, tables[0].AppendEncoded(nil)); err != nil {
-			t.Errorf("n=%d: items with other low key bits rejected: %v", n, err)
-		}
-	}
-}
-
-// groupAt is GroupByKey at a given r: the table of items 0..len(keys)-1
-// under k-bit keys whose directory indexes k − r bits.
-func groupAt(keys []uint32, k int, r uint) Table {
-	low := uint32(1)<<r - 1
-	hist := make([]uint32, 1<<(uint(k)-r))
-	for _, key := range keys {
-		hist[key>>r]++
-	}
-	var tb TableBuilder
-	tb.Reset(len(hist), r)
-	tb.Add(hist)
-	items := make([]uint32, len(keys))
-	for i, key := range keys {
-		items[hist[key>>r]] = uint32(i)<<r | key&low
-		hist[key>>r]++
-	}
-	return tb.Finish(items)
 }
 
 // sliceBytes sums cap × element size over every slice reachable from v.

@@ -11,24 +11,6 @@ import (
 	"plsh/internal/rng"
 )
 
-// getBits reads the value of width bits at bit of the packed bytes buf.
-func getBits(buf []byte, bit, width uint) uint32 {
-	var v uint32
-	for i := range width {
-		at := bit + i
-		v |= uint32(buf[at>>3]>>(at&7)&1) << i
-	}
-	return v
-}
-
-// setBits writes the low width bits of v at bit of the packed bytes buf.
-func setBits(buf []byte, bit, width uint, v uint32) {
-	for i := range width {
-		at := bit + i
-		buf[at>>3] = buf[at>>3]&^(1<<(at&7)) | byte(v>>i&1)<<(at&7)
-	}
-}
-
 // directoryCase is a table of one key per item under k-bit keys, and where
 // each of its directory buckets starts and ends, counted from the keys.
 type directoryCase struct {
@@ -58,9 +40,8 @@ func refBounds(keys []uint32, k int, r uint) (lo, hi []uint32) {
 // table, every item in one bucket, blocks with no items, N on both sides of
 // a power of two and b held at K/2 — every key's bounds, read through the
 // probe's bounds and through Bucket's, are its directory bucket's [lo, hi)
-// as counted from the keys, in the table a build makes and in the one
-// DecodeTable makes of its encoding; the table validates; and the offsets
-// are as wide as the widest block's span needs.
+// as counted from the keys, in the table a build makes; the table
+// validates; and the offsets are as wide as the widest block's span needs.
 func TestDirectoryBoundsMatchReference(t *testing.T) {
 	src := rng.New(7)
 	random := func(n, k int) []uint32 {
@@ -99,7 +80,7 @@ func TestDirectoryBoundsMatchReference(t *testing.T) {
 	}
 	for _, c := range cases {
 		var tb TableBuilder
-		built := tb.GroupByKey(c.keys, c.k, make([]uint32, 1<<c.k))
+		tab := tb.GroupByKey(c.keys, c.k, make([]uint32, 1<<c.k))
 		r := uint(c.k - DirectoryBits(len(c.keys), c.k))
 		lo, hi := refBounds(c.keys, c.k, r)
 		widest := uint32(0)
@@ -109,94 +90,109 @@ func TestDirectoryBoundsMatchReference(t *testing.T) {
 		if len(c.keys) > 0 && strings.HasPrefix(c.name, "one bucket") && widest != uint32(len(c.keys)) {
 			t.Fatalf("%s: fixture's widest block spans %d", c.name, widest)
 		}
-		for what, tab := range packedAndDecoded(t, c.name, built) {
-			p := lshhash.Params{Dim: 1, K: c.k, M: 2}
-			if err := ValidateTables(p, len(c.keys), []Table{tab}); err != nil {
-				t.Fatalf("%s: %v", what, err)
+		p := lshhash.Params{Dim: 1, K: c.k, M: 2}
+		if err := validateTables(p, len(c.keys), []Table{tab}); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if want := uint(bits.Len32(widest)); tab.dir.width != want {
+			t.Fatalf("%s: offsets of %d bits, the widest block's span %d takes %d", c.name, tab.dir.width, widest, want)
+		}
+		if want := uint32(len(lo)+63) / 64; tab.nBlocks != want {
+			t.Fatalf("%s: %d blocks over %d buckets", c.name, tab.nBlocks, len(lo))
+		}
+		for key := range uint32(1 << c.k) {
+			d := key >> r
+			if l, h := tab.bounds(key); l != lo[d] || h != hi[d] {
+				t.Fatalf("%s: key %d bounds [%d, %d), want [%d, %d)", c.name, key, l, h, lo[d], hi[d])
 			}
-			if want := uint(bits.Len32(widest)); tab.dir.width != want {
-				t.Fatalf("%s: offsets of %d bits, the widest block's span %d takes %d", what, tab.dir.width, widest, want)
-			}
-			if want := uint32(len(lo)+63) / 64; tab.nBlocks != want {
-				t.Fatalf("%s: %d blocks over %d buckets", what, tab.nBlocks, len(lo))
-			}
-			for key := range uint32(1 << c.k) {
-				d := key >> r
-				if l, h := tab.bounds(key); l != lo[d] || h != hi[d] {
-					t.Fatalf("%s: key %d bounds [%d, %d), want [%d, %d)", what, key, l, h, lo[d], hi[d])
+		}
+		for d := range lo {
+			key := uint32(d) << r
+			var want []uint32
+			for i := lo[d]; i < hi[d]; i++ {
+				if item := tab.items.at(i); item&(1<<r-1) == 0 {
+					want = append(want, item>>r)
 				}
 			}
-			for d := range lo {
-				key := uint32(d) << r
-				var want []uint32
-				for i := lo[d]; i < hi[d]; i++ {
-					if item := tab.items.at(i); item&(1<<r-1) == 0 {
-						want = append(want, item>>r)
-					}
-				}
-				if got := tab.Bucket(nil, key); fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Fatalf("%s: Bucket(%d) = %v, the items in its bounds %v", what, key, got, want)
-				}
+			if got := tab.Bucket(nil, key); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s: Bucket(%d) = %v, the items in its bounds %v", c.name, key, got, want)
 			}
 		}
 	}
 }
 
-// TestValidateTablesNamesDirectoryFaults: each way a directory block can
-// disagree with its neighbours or its bytes — an offset below the one
-// before it, a closing offset that is not the next block's base, a last
-// block that does not close at the item count, and an offset width the
-// bytes cannot hold — is a *TableError naming the table and the fault,
-// never a panic, edited into the bits of a table that validates.
-func TestValidateTablesNamesDirectoryFaults(t *testing.T) {
-	const k, n = 16, 4000 // 10 key bits: 16 blocks
-	p := lshhash.Params{Dim: 1, K: k, M: 2}
-	src := rng.New(9)
-	keys := make([]uint32, n)
-	for i := range keys {
-		keys[i] = src.Uint32() & (1<<k - 1)
+// validateTables reports whether tables describe n documents under p's
+// geometry: L = m(m−1)/2 tables, all indexing the same b key bits with
+// K/2 ≤ b ≤ K, each with ⌈2^b/64⌉ directory blocks and each packed array as
+// long as its count and width take, no width past 32; block by block, the
+// first base 0 and each next one where the block before it closes, every
+// block's offsets running up from 0, any buckets past 2^b empty, and the
+// last block closing at the item count; and every item's id below n. Every
+// way core writes a table — the builds, Merge, Compact — is held to it.
+func validateTables(p lshhash.Params, n int, tables []Table) error {
+	if len(tables) != p.L() {
+		return fmt.Errorf("%d tables, want %d", len(tables), p.L())
 	}
-	var tb TableBuilder
-	good := tb.GroupByKey(keys, k, make([]uint32, 1<<k))
-	if err := ValidateTables(p, n, []Table{good}); err != nil {
-		t.Fatal(err)
+	r := tables[0].r
+	if r > uint(p.K/2) {
+		return errors.New("table 0: directory indexes fewer than K/2 key bits")
 	}
-	w := good.dir.width
-	offset := func(blk, j uint) uint { return blk*blockBits(w) + 32 + j*w }
-	// A block whose last bucket holds items: its closing offset less one is
-	// still no less than the offset before it.
-	full := uint(0)
-	for getBits(good.dir.buf, offset(full, 64), w) == getBits(good.dir.buf, offset(full, 63), w) {
-		full++
-	}
-	last := uint(good.nBlocks) - 1
-	for _, c := range []struct {
-		name, reason string
-		edit         func(tb *Table)
-	}{
-		{"a decreasing offset", "offsets decrease", func(tb *Table) {
-			setBits(tb.dir.buf, offset(5, 1), w, 1<<w-1)
-		}},
-		{"a closing offset short of the next block's base", "does not start where the one before it closes", func(tb *Table) {
-			setBits(tb.dir.buf, offset(full, 64), w, getBits(tb.dir.buf, offset(full, 64), w)-1)
-		}},
-		{"a last block closing short of the item count", "does not close at the item count", func(tb *Table) {
-			at := offset(last, 64)
-			for getBits(tb.dir.buf, at, w) == getBits(tb.dir.buf, at-w, w) {
-				at -= w // the last non-empty bucket's end, and every empty one's after it
-				setBits(tb.dir.buf, at+w, w, getBits(tb.dir.buf, at+w, w)-1)
+	buckets := uint(1) << (uint(p.K) - r)
+	blocks := (buckets + 63) / 64
+	for l := range tables {
+		t := &tables[l]
+		bad := func(reason string) error { return fmt.Errorf("table %d: %s", l, reason) }
+		switch {
+		case t.r != r:
+			return bad("tables index different key bits")
+		case uint(t.nBlocks) != blocks:
+			return bad("directory block count does not match its key bits")
+		case t.dir.width > 32 || len(t.dir.buf) != dirBytes(blocks, t.dir.width):
+			return bad("directory bytes do not hold its blocks at its width")
+		case t.items.width > 32 || len(t.items.buf) != packedBytes(uint(t.n), t.items.width):
+			return bad("item bytes do not hold its items at their width")
+		}
+		w := t.dir.width
+		var next uint64 // where the next block must start
+		for at := uint(0); at < blocks*blockBits(w); at += blockBits(w) {
+			base := uint64(getBits(t.dir.buf, at, 32))
+			if base != next {
+				return bad("a block does not start where the one before it closes")
 			}
-			setBits(tb.dir.buf, at, w, getBits(tb.dir.buf, at, w)-1)
-		}},
-		{"a width the bytes cannot hold", "directory bytes do not hold", func(tb *Table) { tb.dir.width++ }},
-	} {
-		tab := good
-		tab.dir.buf = append([]byte(nil), good.dir.buf...)
-		c.edit(&tab)
-		err := ValidateTables(p, n, []Table{tab})
-		var te *TableError
-		if !errors.As(err, &te) || te.Table != 0 || !strings.Contains(te.Reason, c.reason) {
-			t.Errorf("%s: err = %v, want a *TableError for table 0: %q", c.name, err, c.reason)
+			off := getBits(t.dir.buf, at+32, w)
+			if off != 0 {
+				return bad("a block's first offset is not 0")
+			}
+			for j := uint(1); j <= 64; j++ {
+				o := getBits(t.dir.buf, at+32+j*w, w)
+				if o < off {
+					return bad("offsets decrease")
+				}
+				if j > buckets && o != off {
+					return bad("a bucket past 2^b holds items")
+				}
+				off = o
+			}
+			next = base + uint64(off)
+		}
+		if next != uint64(t.n) {
+			return bad("the last block does not close at the item count")
+		}
+		for i := range t.n {
+			if uint64(t.items.at(i)) >= uint64(n)<<r {
+				return bad("item id out of range")
+			}
 		}
 	}
+	return nil
+}
+
+// getBits reads the value of width bits at bit of the packed bytes buf.
+func getBits(buf []byte, bit, width uint) uint32 {
+	var v uint32
+	for i := range width {
+		at := bit + i
+		v |= uint32(buf[at>>3]>>(at&7)&1) << i
+	}
+	return v
 }

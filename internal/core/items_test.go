@@ -66,38 +66,25 @@ func checkPacked(t *testing.T, what string, p packed, vals []uint32, width uint)
 	}
 }
 
-// packedAndDecoded returns tb and the table DecodeTable makes of its
-// encoding, each with its name: the two every width test checks alike.
-func packedAndDecoded(t *testing.T, what string, tb Table) map[string]Table {
-	t.Helper()
-	decoded, err := DecodeTable(tb.AppendEncoded(nil))
-	if err != nil {
-		t.Fatalf("%s: decoding its encoding: %v", what, err)
-	}
-	return map[string]Table{what: tb, what + ", encoded and decoded": decoded}
-}
-
 // TestItemsAtEveryWidth: at every width from 1 to 32 bits, ids up to
 // 2^w − 1 pack in w bits and 2^w takes one more; every id reads back through
 // the probe's accessor and through AppendItems, the last one included
 // whatever bit of its byte it starts at; the array is exactly the packed bits
-// plus the zero padding, and so is the array DecodeTable makes of the
-// table's encoding. An empty table and a table of id 0 alone hold no bits at
-// all.
+// plus the zero padding. An empty table and a table of id 0 alone hold no
+// bits at all.
 func TestItemsAtEveryWidth(t *testing.T) {
 	check := func(what string, ids []uint32, width uint) {
 		t.Helper()
-		for what, tb := range packedAndDecoded(t, what, TableFromWords([]uint32{0, uint32(len(ids))}, ids, 0)) {
-			if tb.n != uint32(len(ids)) {
-				t.Fatalf("%s: %d items, want %d", what, tb.n, len(ids))
-			}
-			checkPacked(t, what, tb.items, ids, width)
-			if got := tb.AppendItems(nil); !slices.Equal(got, ids) {
-				t.Fatalf("%s: AppendItems = %v, want %v", what, got, ids)
-			}
-			if got := tb.AppendItems([]uint32{7}); len(got) != len(ids)+1 || got[0] != 7 {
-				t.Fatalf("%s: AppendItems does not append", what)
-			}
+		tb := TableFromWords([]uint32{0, uint32(len(ids))}, ids, 0)
+		if tb.n != uint32(len(ids)) {
+			t.Fatalf("%s: %d items, want %d", what, tb.n, len(ids))
+		}
+		checkPacked(t, what, tb.items, ids, width)
+		if got := tb.AppendItems(nil); !slices.Equal(got, ids) {
+			t.Fatalf("%s: AppendItems = %v, want %v", what, got, ids)
+		}
+		if got := tb.AppendItems([]uint32{7}); len(got) != len(ids)+1 || got[0] != 7 {
+			t.Fatalf("%s: AppendItems does not append", what)
 		}
 	}
 	check("empty", nil, 0)
@@ -131,31 +118,29 @@ func TestItemsAtEveryWidth(t *testing.T) {
 // whose widest block spans 2^w − 1 items packs its offsets in w bits and one
 // spanning 2^w in one more; every bucket's bounds read back through bounds,
 // an empty one's as two equal ones, and the whole directory through
-// appendStarts; all of it again in the table DecodeTable makes of the
-// table's encoding. The spans sit in the first, a middle or the last of
+// appendStarts. The spans sit in the first, a middle or the last of
 // three blocks, and the buckets before and after the widest one are empty
 // or not, so the base each bucket adds is 0, below the span or near 2^32.
 func TestOffsetsAtEveryWidth(t *testing.T) {
 	check := func(what string, starts []uint32, width uint) {
 		t.Helper()
-		for what, tb := range packedAndDecoded(t, what, TableFromWords(starts, nil, 0)) {
-			if tb.nBlocks != uint32(len(starts)-1)/64 || tb.dir.width != width {
-				t.Fatalf("%s: %d blocks of %d-bit offsets, want %d of %d", what, tb.nBlocks, tb.dir.width, (len(starts)-1)/64, width)
+		tb := TableFromWords(starts, nil, 0)
+		if tb.nBlocks != uint32(len(starts)-1)/64 || tb.dir.width != width {
+			t.Fatalf("%s: %d blocks of %d-bit offsets, want %d of %d", what, tb.nBlocks, tb.dir.width, (len(starts)-1)/64, width)
+		}
+		if want := dirBytes(uint(tb.nBlocks), width); len(tb.dir.buf) != want || cap(tb.dir.buf) != want {
+			t.Fatalf("%s: directory of %d bytes (cap %d), want %d", what, len(tb.dir.buf), cap(tb.dir.buf), want)
+		}
+		for d := range len(starts) - 1 {
+			if lo, hi := tb.bounds(uint32(d)); lo != starts[d] || hi != starts[d+1] {
+				t.Fatalf("%s: bucket %d bounds [%d, %d), want [%d, %d)", what, d, lo, hi, starts[d], starts[d+1])
 			}
-			if want := dirBytes(uint(tb.nBlocks), width); len(tb.dir.buf) != want || cap(tb.dir.buf) != want {
-				t.Fatalf("%s: directory of %d bytes (cap %d), want %d", what, len(tb.dir.buf), cap(tb.dir.buf), want)
-			}
-			for d := range len(starts) - 1 {
-				if lo, hi := tb.bounds(uint32(d)); lo != starts[d] || hi != starts[d+1] {
-					t.Fatalf("%s: bucket %d bounds [%d, %d), want [%d, %d)", what, d, lo, hi, starts[d], starts[d+1])
-				}
-			}
-			if got := tb.appendStarts(nil); !slices.Equal(got, starts) {
-				t.Fatalf("%s: appendStarts = %v, want %v", what, got, starts)
-			}
-			if got := tb.appendStarts([]uint32{7}); len(got) != len(starts)+1 || got[0] != 7 {
-				t.Fatalf("%s: appendStarts does not append", what)
-			}
+		}
+		if got := tb.appendStarts(nil); !slices.Equal(got, starts) {
+			t.Fatalf("%s: appendStarts = %v, want %v", what, got, starts)
+		}
+		if got := tb.appendStarts([]uint32{7}); len(got) != len(starts)+1 || got[0] != 7 {
+			t.Fatalf("%s: appendStarts does not append", what)
 		}
 	}
 
@@ -238,7 +223,7 @@ func TestMergeCrossesAPowerOfTwo(t *testing.T) {
 		{"new rows all tombstoned", addDead, 10},
 	} {
 		merged := Merge(old, skAdd, c.dead, 2)
-		if err := ValidateTables(p, nOld+nAdd, merged.tables); err != nil {
+		if err := validateTables(p, nOld+nAdd, merged.tables); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		for l := range merged.tables {
@@ -284,7 +269,7 @@ func TestMergeCrossesAPowerOfTwo(t *testing.T) {
 			t.Fatalf("%s: fixture's items carry %d key bits, want %d", c.name, c.old.tables[0].r, c.rOld)
 		}
 		merged := Merge(c.old, skAdd, dead, 2)
-		if err := ValidateTables(p16, nOld16+nAdd16, merged.tables); err != nil {
+		if err := validateTables(p16, nOld16+nAdd16, merged.tables); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		for l := range merged.tables {

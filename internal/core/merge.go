@@ -41,8 +41,8 @@ import (
 // the query path's to filter, as it is for any published index.
 //
 // The sign-bit column is old's followed by add's, in a new array, with the
-// entry of every row dead drops zeroed: the column StaticFromTables derives
-// from the merged tables.
+// entry of every row dead drops zeroed: every row the merged tables hold
+// keeps its sketch, and no other row has one.
 //
 // The inputs are read, never written: old stays published while the merge
 // runs.

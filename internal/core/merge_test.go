@@ -92,7 +92,7 @@ func TestMergeMatchesRebuild(t *testing.T) {
 						dead[w] |= word
 					}
 					got := Merge(old, skAdd, dead, 3).tables
-					if err := ValidateTables(p, n, got); err != nil {
+					if err := validateTables(p, n, got); err != nil {
 						t.Fatalf("%s: %v", what, err)
 					}
 					want := rebuildReference(fam, concatSketches(fam, skOld, skAdd), dead)
@@ -129,7 +129,7 @@ func TestMergeMatchesBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := Merge(old, rowsOf(fam, sk, head, sk.N()), dead, 2)
-	if err := ValidateTables(fam.Params(), n, got.tables); err != nil {
+	if err := validateTables(fam.Params(), n, got.tables); err != nil {
 		t.Fatal(err)
 	}
 	if got.Len() != n || got.Family() != fam {

@@ -98,7 +98,7 @@ func spanWidth(offs []uint32) uint {
 func checkAgainst32(t *testing.T, what string, st *Static, ref []ref32) {
 	t.Helper()
 	p := st.fam.Params()
-	if err := ValidateTables(p, st.n, st.tables); err != nil {
+	if err := validateTables(p, st.n, st.tables); err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
 	mem := int64(st.n*p.SketchWords()) * 8 // the sign-bit column
@@ -139,21 +139,6 @@ func deadFunc(dead []uint64) func(uint32) bool {
 	return func(id uint32) bool { return isDead(dead, id) }
 }
 
-// reread is st as a node that reads its snapshot back: each table encoded as
-// a snapshot stores it and decoded (AppendEncoded, DecodeTable).
-func reread(t *testing.T, st *Static) *Static {
-	t.Helper()
-	out := &Static{fam: st.fam, n: st.n, tables: make([]Table, len(st.tables))}
-	for l := range st.tables {
-		var err error
-		if out.tables[l], err = DecodeTable(st.tables[l].AppendEncoded(nil)); err != nil {
-			t.Fatalf("table %d: %v", l, err)
-		}
-	}
-	out.signs = signsFromTables(st.fam.Params(), st.n, out.tables, 1)
-	return out
-}
-
 // refSizes are the row counts TestPackedMatches32BitReference builds at
 // under k-bit keys: one row, and 2^j − 1, 2^j and 2^j + 1 rows for j =
 // k/2 + 2, 3k/4 + 2 and k + 1, so that the directory (⌈log2 n⌉ − 2 key bits,
@@ -176,8 +161,7 @@ func refSizes(k int) []int {
 
 // TestPackedMatches32BitReference: out of every writer — Build, hashing
 // included (TableBuilder.Finish), BuildFromSketches, the one-level build
-// (GroupByKey), Merge under tombstones, Compact, and the snapshot reader's
-// DecodeTable — at 4, 8 and 16 key bits, at row counts that put the
+// (GroupByKey), Merge under tombstones and Compact — at 4, 8 and 16 key bits, at row counts that put the
 // directory at K/2 key bits, between, and at K, the packed directory and
 // items answer every key as the 32-bit reference does, bucket bounds for
 // bucket bounds and item for item.
@@ -208,7 +192,6 @@ func TestPackedMatches32BitReference(t *testing.T) {
 			checkAgainst32(t, what+" Build", built, reference32(sk, p, n))
 			checkAgainst32(t, what+" BuildFromSketches", BuildFromSketches(fam, sk, 2), reference32(sk, p, n))
 			checkAgainst32(t, what+" GroupByKey", groupByKey(fam, sk), reference32(sk, p, n))
-			checkAgainst32(t, what+" snapshot reader", reread(t, built), reference32(sk, p, n))
 
 			dead := randomDead(n, 3, uint64(n)+9)
 			ref := reference32(sk, p, n)
@@ -218,7 +201,6 @@ func TestPackedMatches32BitReference(t *testing.T) {
 			compacted := BuildFromSketches(fam, sk, 2)
 			compacted.Compact(deadFunc(dead), 2)
 			checkAgainst32(t, what+" Compact", compacted, ref)
-			checkAgainst32(t, what+" Compact, snapshot reader", reread(t, compacted), ref)
 
 			// Merge: the first two thirds as the static side, at their own
 			// directory bits, the rest as the delta, tombstones on both. The
@@ -227,7 +209,6 @@ func TestPackedMatches32BitReference(t *testing.T) {
 			old := BuildFromSketches(fam, rowsOf(fam, sk, 0, head), 2)
 			merged := Merge(old, rowsOf(fam, sk, head, sk.N()), dead, 2)
 			checkAgainst32(t, what+" Merge", merged, ref)
-			checkAgainst32(t, what+" Merge, snapshot reader", reread(t, merged), ref)
 		}
 	}
 }

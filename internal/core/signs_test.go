@@ -39,10 +39,8 @@ func checkColumn(t *testing.T, what string, st *Static, mat *sparse.Matrix, dead
 
 // TestSignColumnMatchesSketches: the column every constructor derives
 // equals each row's sketch packed for every row the tables hold — after
-// Build, after Merge with tombstones at r > 0 and at r = 0, and after the
-// tables pass through a snapshot's encoding into StaticFromTables on 1 and
-// on 3 workers — at K = 8, 12 and 16 and at odd M, one of whose rows ends
-// in a word of one lane.
+// Build and after Merge with tombstones at r > 0 and at r = 0 — at K = 8,
+// 12 and 16 and at odd M, one of whose rows ends in a word of one lane.
 func TestSignColumnMatchesSketches(t *testing.T) {
 	for _, p := range []lshhash.Params{
 		{Dim: 2000, K: 8, M: 6, Seed: 3},
@@ -75,35 +73,7 @@ func TestSignColumnMatchesSketches(t *testing.T) {
 			t.Fatalf("%s: the merge's items carry %d key bits", what, r)
 		}
 		checkColumn(t, fmt.Sprintf("%s Merge at r=%d", what, r), merged, mat, dead)
-
-		for _, workers := range []int{1, 3} {
-			reread, err := StaticFromTables(fam, built.n, decodeAll(t, built), workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkColumn(t, fmt.Sprintf("%s built, encoded, decoded on %d workers", what, workers), reread, mat.Prefix(nOld), nil)
-			if reread, err = StaticFromTables(fam, merged.n, decodeAll(t, merged), workers); err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(reread.signs, merged.signs) {
-				t.Fatalf("%s: StaticFromTables on %d workers derives another column from the merged tables than the merge's", what, workers)
-			}
-		}
 	}
-}
-
-// decodeAll is st's tables through AppendEncoded and DecodeTable, as a
-// snapshot stores and reads them.
-func decodeAll(t *testing.T, st *Static) []Table {
-	t.Helper()
-	out := make([]Table, len(st.tables))
-	for l := range st.tables {
-		var err error
-		if out[l], err = DecodeTable(st.tables[l].AppendEncoded(nil)); err != nil {
-			t.Fatalf("table %d: %v", l, err)
-		}
-	}
-	return out
 }
 
 // TestSignCheckRejectsInRadiusAsTheOracleDoes: at K = 2 and M = 32 a

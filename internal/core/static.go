@@ -22,14 +22,11 @@ package core
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math/bits"
 	"slices"
 	"unsafe"
 
-	"plsh/internal/codec"
 	"plsh/internal/lshhash"
-	"plsh/internal/sched"
 	"plsh/internal/sparse"
 )
 
@@ -61,14 +58,15 @@ import (
 // The items are a packed array as wide as its largest value needs: ⌈log2 N⌉
 // + r bits in a table over N documents — k + 2 from 2^(k/2+2) documents up
 // to 2^(k+2), 24 at the paper's 10.5 M. TableFromWords packs the directory
-// (newDirectory) and the items (pack), DecodeTable copies both as
-// AppendEncoded wrote them; the probe kernels (through bounds, span and
-// load), Bucket, AppendItems and appendStarts are the readers.
+// (newDirectory) and the items (pack); the probe kernels (through bounds,
+// span and load), Bucket, AppendItems and appendStarts are the readers.
 //
 // A Table is written once. Its fields are unexported, only the functions
-// that return a Table (TableFromWords, DecodeTable, TableBuilder's Finish
-// and GroupByKey, Merge's per-table copy) set them, and no method writes
-// them, so the tables of a published index are scanned lock-free.
+// that return a Table (TableFromWords, TableBuilder's Finish and
+// GroupByKey, Merge's per-table copy) set them, and no method writes them,
+// so the tables of a published index are scanned lock-free. A table is
+// never stored: a snapshot holds the documents, and the node that opens it
+// builds the index over them.
 type Table struct {
 	dir     packed // the blocks; its width is w, the offsets'
 	nBlocks uint32
@@ -103,10 +101,8 @@ type packed struct {
 const packedPad = 8
 
 // pack returns vals packed in as many bits as the largest of them needs. The
-// width follows the values, not their count, and nothing of them is lost
-// whatever they hold: a decoder may pack what it read and let ValidateTables
-// judge it, since a value out of range stays out of range rather than
-// wrapping into it.
+// width follows the values, not their count, so nothing of them is lost
+// whatever they hold.
 func pack(vals []uint32) packed {
 	// The union of the values, its highest bit the largest value's, in four
 	// running ORs: one waits on the OR before it, four do not.
@@ -273,8 +269,7 @@ func (t *Table) appendStarts(dst []uint32) []uint32 {
 // ending at starts[len(starts)−1], the directory packed in blocks
 // (newDirectory) and the items in the bits the largest of them needs (see
 // pack); neither slice is kept. A last block that starts leave short holds
-// empty buckets at the end. Every builder and in-place rewrite ends here;
-// what the words say is ValidateTables' to judge.
+// empty buckets at the end. Every builder and in-place rewrite ends here.
 func TableFromWords(starts, items []uint32, r uint) Table {
 	buckets := max(len(starts), 1) - 1
 	blocks := (buckets + 63) / 64
@@ -298,9 +293,7 @@ func TableFromWords(starts, items []uint32, r uint) Table {
 // — where each of its 64 buckets starts, then where the last one ends — as
 // block returns them: each block stored as its first start and the 65
 // starts less it, in the bits the union of those differences needs. The
-// width follows the values, not their count, and a difference that wraps
-// below 0 stays as large as it wrapped to, so starts that decrease make a
-// table ValidateTables refuses, not a wrong one (as pack does). block is
+// width follows the values, not their count (as pack's does). block is
 // called twice a block, for the width and then for the bits, in order of i
 // each time. TableFromWords is the caller.
 func newDirectory(blocks uint, block func(i int) *[65]uint32) packed {
@@ -337,62 +330,6 @@ func newDirectory(blocks uint, block func(i int) *[65]uint32) packed {
 	}
 	binary.LittleEndian.PutUint64(buf[at:], acc) // the last word, begun
 	return packed{buf: buf, width: w}
-}
-
-// AppendEncoded appends the table's encoding to dst: the key bits its items
-// carry (r), then the directory, as its block count, its offset width and
-// its packed bytes verbatim, padding included, then the items, as their
-// count, their width and their packed bytes verbatim — every integer
-// little-endian, the byte order pack lays values out in. A snapshot stores a
-// table as this, so the file holds a table at the bits it takes in memory.
-func (t *Table) AppendEncoded(dst []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(t.r))
-	dst = t.dir.appendEncoded(dst, t.nBlocks)
-	return t.items.appendEncoded(dst, t.n)
-}
-
-// appendEncoded appends n, the width and the array to dst.
-func (p packed) appendEncoded(dst []byte, n uint32) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, n)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(p.width))
-	return append(dst, p.buf...)
-}
-
-// errEncoding is DecodeTable's error for bytes that are not shaped as a
-// table's encoding.
-var errEncoding = errors.New("core: table encoding is malformed")
-
-// DecodeTable returns the table AppendEncoded encoded as b. Each array is
-// copied into an allocation of exactly its size, so b is not kept. It checks
-// the shape: each array as long as its count and width say, no width past
-// 32, nothing after the items. What the arrays and r hold is
-// ValidateTables' to judge.
-func DecodeTable(b []byte) (Table, error) {
-	d := codec.NewDecoder(b, errEncoding)
-	t := Table{r: uint(d.U32("r"))}
-	t.nBlocks, t.dir = decodeArray(&d, dirBytes)
-	t.n, t.items = decodeArray(&d, packedBytes)
-	if err := d.Done(); err != nil {
-		return Table{}, err
-	}
-	return t, nil
-}
-
-// decodeArray reads the count, the width and the array appendEncoded wrote,
-// the array as long as size says count values of that width take.
-func decodeArray(d *codec.Decoder, size func(count, width uint) int) (uint32, packed) {
-	n, width := d.U32("count"), uint(d.U32("width"))
-	if width > 32 {
-		d.Fail("%d-bit values", width)
-		return 0, packed{}
-	}
-	raw := d.Take(size(uint(n), width), "packed array")
-	if d.Err() != nil {
-		return 0, packed{}
-	}
-	buf := make([]byte, len(raw))
-	copy(buf, raw)
-	return n, packed{buf: buf, width: width}
 }
 
 // TableBuilder assembles Tables from per-bucket item counts presented in
@@ -498,14 +435,13 @@ func TableMemoryBound(n, k, l int) int64 {
 
 // Static is an immutable PLSH index over n documents. Its fields are
 // unexported and set only by the functions that return one — Build,
-// BuildFromSketches, Merge and StaticFromTables — so the index a node's
-// snapshot publishes is scanned lock-free by every query.
+// BuildFromSketches and Merge — so the index a node's snapshot publishes is
+// scanned lock-free by every query.
 //
 // Beside the tables it keeps every row's packed sketch (lshhash.Sketches),
 // the sign-bit column Verify reads before a document. The column is
-// derived, never stored: a build keeps the packed sketches it
-// hashed, a merge appends its added rows' to the old column, and
-// StaticFromTables reads it back out of the tables. A row the tables do not
+// derived, never stored: a build keeps the packed sketches it hashed, and a
+// merge appends its added rows' to the old column. A row the tables do not
 // hold — one a merge dropped for its tombstone — has a zero entry; it is
 // never a candidate.
 type Static struct {
@@ -527,160 +463,12 @@ func (s *Static) NumTables() int { return len(s.tables) }
 // Table returns table l.
 func (s *Static) Table(l int) *Table { return &s.tables[l] }
 
-// Tables exposes the full table slice for serialization. Callers must
-// treat it as read-only.
+// Tables returns the full table slice. Callers must treat it as read-only.
 func (s *Static) Tables() []Table { return s.tables }
 
 // Signs returns the sign-bit column: row i's packed sketch is words
 // [i·w, (i+1)·w) for w = SketchWords. Callers must treat it as read-only.
 func (s *Static) Signs() []uint64 { return s.signs }
-
-// StaticFromTables reassembles a Static index from previously serialized
-// tables (see internal/persist), taking ownership of the slice, and derives
-// its sign-bit column from them on workers workers (signsFromTables). The
-// tables must pass ValidateTables for n documents under fam's geometry.
-func StaticFromTables(fam *lshhash.Family, n int, tables []Table, workers int) (*Static, error) {
-	if err := ValidateTables(fam.Params(), n, tables); err != nil {
-		return nil, err
-	}
-	return &Static{fam: fam, n: n, tables: tables, signs: signsFromTables(fam.Params(), n, tables, workers)}, nil
-}
-
-// signsFromTables returns the packed sketches of the n rows tables hold. The
-// tables of the disjoint pairs (0, 1), (2, 3), … hold every half-key between
-// them — the last of an odd M in the table (M−2, M−1) — and an item's full
-// key is its directory bucket shifted left by r, OR the r key bits it
-// carries: the pair's two half-keys, side by side. A packed word holds whole
-// pairs of lanes (WordLanes), so one task a word walks the tables of its
-// pairs, placing each item's key in that word of its row. The task fills a
-// column of its own — the word's lanes as a sketch of their own — which
-// one pass then interleaves: two tasks writing the words of one row would
-// share its cache line at every item. A row no table holds keeps a zero
-// entry. Each table is walked once, in key order, its directory unpacked
-// to one start a bucket and its items read where they lie.
-func signsFromTables(p lshhash.Params, n int, tables []Table, workers int) []uint64 {
-	words := p.SketchWords()
-	parts := make([]*lshhash.Sketches, words)
-	sched.NewPool(workers).Run(words, func(w, _ int) {
-		var scratch []uint32 // a table's bucket starts
-		lo, hi := p.WordLanes(w)
-		part := lshhash.Params{K: p.K, M: hi - lo}.NewSketches(n)
-		parts[w] = part
-		for a := lo; a < hi; a += 2 {
-			// u_a and u_(a+1) from the pair's table — or, for an odd M's
-			// last half-key, u_(M−1) alone from (M−2, M−1), the key's low
-			// half moved up to where OrKey reads u_a.
-			pair, keep, up := a, ^uint32(0), uint(0)
-			if a == p.M-1 {
-				pair, keep, up = a-1, uint32(1)<<(p.K/2)-1, uint(p.K/2)
-			}
-			t := &tables[lshhash.TableForPair(pair, pair+1, p.M)]
-			r, low := t.r, uint32(1)<<t.r-1
-			ibase, imask := t.items.span(uint(t.n))
-			starts := t.appendStarts(scratch[:0])
-			scratch = starts
-			for d, start := range starts[:len(starts)-1] {
-				key := uint32(d) << r
-				for i := start; i < starts[d+1]; i++ {
-					item := load(ibase, uint(i)*t.items.width, imask)
-					part.OrKey(int(item>>r), a-lo, (key|item&low)&keep<<up)
-				}
-			}
-		}
-	})
-	signs := make([]uint64, n*words)
-	for w, part := range parts {
-		for id, v := range part.Data {
-			signs[id*words+w] = v
-		}
-	}
-	return signs
-}
-
-// TableError is ValidateTables' error for a table that does not describe
-// the index: which table, and what is wrong with it.
-type TableError struct {
-	Table  int
-	Reason string
-}
-
-func (e *TableError) Error() string { return fmt.Sprintf("core: table %d: %s", e.Table, e.Reason) }
-
-// ValidateTables reports whether tables describe n documents under p's
-// geometry: L = m(m−1)/2 tables, all indexing the same b key bits with
-// K/2 ≤ b ≤ K, each with ⌈2^b/64⌉ directory blocks and each packed array as
-// long as its count and width take, no width past 32; block by block, the
-// first base 0 and each next one where the block before it closes, every
-// block's offsets running up from 0, any buckets past 2^b empty, and the
-// last block closing at the item count; and every item's id
-// below n — the checks that keep a corrupt snapshot from becoming an index
-// that reads out of bounds, each failing as a *TableError. An item's low
-// key bits may hold anything: they only decide which key of its directory
-// bucket it answers. The directory and the items are read where they lie,
-// so validating allocates nothing but a failure's error.
-func ValidateTables(p lshhash.Params, n int, tables []Table) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	if len(tables) != p.L() {
-		return errors.New("core: table count does not match family")
-	}
-	r := tables[0].r
-	if r > uint(p.K/2) {
-		return &TableError{0, "directory indexes fewer than K/2 key bits"}
-	}
-	buckets := uint(1) << (uint(p.K) - r)
-	blocks := (buckets + 63) / 64
-	for l := range tables {
-		t := &tables[l]
-		bad := func(reason string) error { return &TableError{l, reason} }
-		switch {
-		case t.r != r:
-			return bad("tables index different key bits")
-		case uint(t.nBlocks) != blocks:
-			return bad("directory block count does not match its key bits")
-		case t.dir.width > 32 || len(t.dir.buf) != dirBytes(blocks, t.dir.width):
-			return bad("directory bytes do not hold its blocks at its width")
-		case t.items.width > 32 || len(t.items.buf) != packedBytes(uint(t.n), t.items.width):
-			return bad("item bytes do not hold its items at their width")
-		}
-		w := t.dir.width
-		dir, mask := unsafe.Pointer(unsafe.SliceData(t.dir.buf)), uint64(1)<<(w&63)-1
-		var next uint64 // where the next block must start
-		for at := uint(0); at < blocks*blockBits(w); at += blockBits(w) {
-			base := load(dir, at, 1<<32-1)
-			if uint64(base) != next {
-				return bad("a block does not start where the one before it closes")
-			}
-			off := load(dir, at+32, mask)
-			if off != 0 {
-				return bad("a block's first offset is not 0")
-			}
-			for j := uint(1); j <= 64; j++ {
-				o := load(dir, at+32+j*w, mask)
-				if o < off {
-					return bad("offsets decrease")
-				}
-				if j > buckets && o != off {
-					return bad("a bucket past 2^b holds items")
-				}
-				off = o
-			}
-			next = uint64(base) + uint64(off)
-		}
-		if next != uint64(t.n) {
-			return bad("the last block does not close at the item count")
-		}
-		items, limit := t.items, uint64(n)<<r // an item's id is below n when the item is below n<<r
-		base, imask := items.span(uint(t.n))
-		for i := range uint(t.n) {
-			if uint64(load(base, i*items.width, imask)) >= limit {
-				return bad("item id out of range")
-			}
-		}
-	}
-	return nil
-}
 
 // MemoryBytes reports the bytes the index holds: every table's packed items
 // (the L·N·4 of Eq. 7.4's memory constraint, at ⌈log2 N⌉ + r bits an item) and

@@ -62,8 +62,8 @@ func Fig4(o Options, w io.Writer) error {
 const fig4NoteN, fig4NoteK, fig4NoteM = 20000, 12, 10
 
 // buildArm is one row of Fig. 4: a construction of the L tables over a
-// matrix. An arm returns the tables, not an index: StaticFromTables would
-// validate every item serially, which no arm's timing should carry.
+// matrix. An arm returns the tables alone, which is what the figure times
+// and what TestFig4ArmsBuildTheServingTables compares with core.Build's.
 type buildArm struct {
 	name  string
 	build func() []core.Table

@@ -349,14 +349,6 @@ func (p Params) Pack(dst []uint64, sketch []uint32) {
 	}
 }
 
-// WordLanes returns the half-keys [lo, hi) whose lanes sit in word w of a
-// packed sketch. lo is even: at most 16 bits a lane, a word holds a whole
-// number of lane pairs.
-func (p Params) WordLanes(w int) (lo, hi int) {
-	per := 64 / p.LaneBits()
-	return w * per, min((w+1)*per, p.M)
-}
-
 // Sketches stores the packed sketches of N items contiguously: item n is
 // Data[n·W : (n+1)·W], W = SketchWords. Make one with Params.NewSketches,
 // SketchAll or AppendSketches; the geometry it reads its lanes by is fixed
@@ -394,15 +386,6 @@ func (s *Sketches) TableKey(n, a, b int) uint32 {
 
 // Put packs sketch (M half-keys) into item n.
 func (s *Sketches) Put(n int, sketch []uint32) { s.p.Pack(s.Row(n), sketch) }
-
-// OrKey sets the bits of key, a K-bit key of the table of the pair (a,
-// a+1), in item n: its high K/2 bits in u_a, its low K/2 in u_(a+1). a must
-// be even, so both lanes lie in one word (WordLanes), which one OR writes.
-func (s *Sketches) OrKey(n, a int, key uint32) {
-	bit := uint(a) * s.lane
-	lanes := uint64(key>>s.half) | uint64(key)&s.mask<<s.lane
-	s.Data[n*s.words+int(bit/64)] |= lanes << (bit % 64)
-}
 
 // SketchAll hashes every row of mat in parallel over the pool with
 // SketchInto, packing each sketch as it is hashed. Rows are independent, so

@@ -561,9 +561,6 @@ func requireStaticMatchesRebuild(t *testing.T, what string, n *Node, dead *bitve
 	if st.Len() != nStatic {
 		t.Fatalf("%s: static index covers %d rows, node says %d", what, st.Len(), nStatic)
 	}
-	if err := core.ValidateTables(n.fam.Params(), nStatic, st.Tables()); err != nil {
-		t.Fatalf("%s: %v", what, err)
-	}
 	want := n.rebuilt(prefix, dead)
 	for l := 0; l < st.NumTables(); l++ {
 		for key := 0; key < n.fam.Params().Buckets(); key++ {
@@ -755,9 +752,6 @@ func TestMergeUsesTombstonesOfItsStart(t *testing.T) {
 	n.mu.Lock()
 	st := n.static
 	n.mu.Unlock()
-	if err := core.ValidateTables(n.fam.Params(), 3000, st.Tables()); err != nil {
-		t.Fatal(err)
-	}
 	floor := n.rebuilt(n.store.Prefix(3000), n.deleted)
 	ceil := n.rebuilt(n.store.Prefix(3000), before)
 	for l := 0; l < st.NumTables(); l++ {

@@ -35,8 +35,9 @@
 //
 // A node becomes durable by setting Config.Dir: every acknowledged
 // Insert/Delete is journaled to a write-ahead log before it is
-// acknowledged, and Open recovers the node — snapshot load plus
-// journal-tail replay — so every acknowledged write survives a crash.
+// acknowledged, and Open recovers the node — snapshot load, an index built
+// over the snapshot's documents, then journal-tail replay — so every
+// acknowledged write survives a crash.
 // Snapshots come from one pipeline, the merge run, and one run is in flight
 // at a time: rotate the journal, merge the rotated-out segments if there
 // are any, install and publish, checkpoint the result (truncating the
@@ -350,23 +351,10 @@ func (n *Node) recover(ctx context.Context) error {
 		words := n.deleted.Words()
 		copy(words[:len(snap.Deleted)], snap.Deleted)
 		n.nStatic = snap.Rows
-		if len(snap.Tables) == 0 {
-			// No rows, or a file older than the hash family (versions 4
-			// and 5), whose tables persist dropped: build them over the
-			// arena. The next checkpoint writes them.
-			n.initStaticLocked()
-		} else {
-			// The serialized buckets go straight back into a Static — no
-			// rehashing; this is what makes recovery O(bytes), not O(build).
-			st, err := core.StaticFromTables(n.fam, snap.Rows, snap.Tables, n.cfg.Build.Workers)
-			if err != nil {
-				return fmt.Errorf("node: %w", err)
-			}
-			prefix := n.store.Prefix(snap.Rows)
-			eng := core.NewEngine(st, prefix, cfg.Query)
-			eng.SetDeleted(n.deleted)
-			n.static, n.eng = st, eng
-		}
+		// A snapshot holds no index: build it over the arena. Tombstoned
+		// rows are indexed too, and filtered per query, until the next
+		// merge drops them.
+		n.initStaticLocked()
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -429,9 +417,9 @@ func (n *Node) applyRecordLocked(rec *persist.Record) error {
 
 // initStaticLocked installs the static index and engine built over the
 // first nStatic rows — at construction and retirement, when nStatic is 0,
-// and at recovery from a snapshot that holds no tables. It is the one place
-// a node bulk-builds; every later index is a merge into this one. Callers
-// hold mu (or are in Open).
+// and at recovery, over the snapshot's arena. It is the one place a node
+// bulk-builds; every later index is a merge into this one. Callers hold mu
+// (or are in Open).
 func (n *Node) initStaticLocked() {
 	prefix := n.store.Prefix(n.nStatic)
 	// The store and family share Dim by construction, so MustBuild cannot
@@ -719,9 +707,9 @@ func (n *Node) runMerge(run *mergeRun, old *core.Static, segs []segment, prefix 
 		n.mu.Unlock()
 	}
 	if token > 0 {
-		// st, prefix and the tombstones are immutable/atomic, so the
+		// prefix and the tombstones are immutable/atomic, so the
 		// checkpoint serializes them without any lock.
-		if run.err = n.checkpoint(makeSnapshot(n.cfg, prefix, st, del, upTo), token); run.err != nil {
+		if run.err = n.checkpoint(makeSnapshot(n.cfg, prefix, del, upTo), token); run.err != nil {
 			n.notePersistErr(run.err)
 		}
 	}
@@ -735,23 +723,15 @@ func (n *Node) runMerge(run *mergeRun, old *core.Static, segs []segment, prefix 
 }
 
 // makeSnapshot assembles the durable image of a merged state: rows
-// documents, their static buckets, and the tombstone words trimmed and
-// masked to exactly rows bits (stale bits past the row count would
-// otherwise pre-delete future inserts on recovery).
-func makeSnapshot(cfg Config, prefix *sparse.Matrix, st *core.Static, del *bitvec.Vector, rows int) *persist.Snapshot {
-	var tables []core.Table
-	if rows > 0 {
-		// An empty index's tables are all directory and no items;
-		// rebuilding them on load is cheaper than serializing L empty
-		// bitmaps.
-		tables = st.Tables()
-	}
+// documents and the tombstone words trimmed and masked to exactly rows bits
+// (stale bits past the row count would otherwise pre-delete future inserts
+// on recovery).
+func makeSnapshot(cfg Config, prefix *sparse.Matrix, del *bitvec.Vector, rows int) *persist.Snapshot {
 	return &persist.Snapshot{
 		Params:   cfg.Params,
 		Capacity: cfg.Capacity,
 		Rows:     rows,
 		Arena:    prefix,
-		Tables:   tables,
 		Deleted:  tombstoneWords(del, rows),
 	}
 }
@@ -1012,7 +992,7 @@ func (n *Node) SaveTo(ctx context.Context, dir string) error {
 	}
 	// Quiesced under the lock: every row is static and no run is in
 	// flight, so the captured state is the whole node.
-	snap := makeSnapshot(n.cfg, n.store.Prefix(n.nStatic), n.static, n.deleted, n.nStatic)
+	snap := makeSnapshot(n.cfg, n.store.Prefix(n.nStatic), n.deleted, n.nStatic)
 	n.mu.Unlock()
 	return persist.WriteSnapshot(dir, snap)
 }

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"fmt"
 	"os"
 	"testing"
 
@@ -69,26 +70,33 @@ func BenchmarkSave(b *testing.B) {
 	b.ReportMetric(float64(fi.Size())/suiteRows, "B/row")
 }
 
-// BenchmarkReadSnapshot measures loading what BenchmarkSave writes: the
-// file read, checked and decoded (persist.ReadSnapshot) and its tables
-// reassembled into an index (core.StaticFromTables), reported as the time a
-// row takes — megabytes per second would reward a larger file.
+// BenchmarkReadSnapshot measures what Open does with what BenchmarkSave
+// writes: the file read, checked and decoded (persist.ReadSnapshot), then a
+// fresh hash family and the index built over the snapshot's arena
+// (core.MustBuild), at the suite's 52 000 rows and at 222 000, reported as
+// the time a row takes — megabytes per second would reward a larger file.
 func BenchmarkReadSnapshot(b *testing.B) {
-	n := suiteNode(b, suiteRows)
-	dir := b.TempDir()
-	if err := n.SaveTo(bg, dir); err != nil {
-		b.Fatal(err)
+	for _, rows := range []int{suiteRows, 222000} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			n := suiteNode(b, rows)
+			dir := b.TempDir()
+			if err := n.SaveTo(bg, dir); err != nil {
+				b.Fatal(err)
+			}
+			for b.Loop() {
+				snap, err := persist.ReadSnapshot(dir)
+				if err != nil {
+					b.Fatal(err)
+				}
+				fam, err := lshhash.NewFamily(snap.Params)
+				if err != nil {
+					b.Fatal(err)
+				}
+				core.MustBuild(fam, snap.Arena, n.cfg.Build)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+		})
 	}
-	for b.Loop() {
-		snap, err := persist.ReadSnapshot(dir)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := core.StaticFromTables(n.fam, snap.Rows, snap.Tables, n.cfg.Build.Workers); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*suiteRows), "ns/row")
 }
 
 // BenchmarkRecover measures crash recovery when everything lives in the

@@ -708,20 +708,22 @@ func TestDocOutOfRange(t *testing.T) {
 	}
 }
 
-// TestReadsVersion4Snapshot: a data directory holding the committed 60-row
-// version-4 or version-5 fixture of internal/persist/testdata, whose tables
-// an older hash family hashed, opens with its tables built over its arena
-// under this family, answers every query as internal/oracle does over the
-// same live rows, and its next checkpoint writes the committed version-6
-// fixture byte for byte.
+// TestReadsVersion4Snapshot: a data directory holding any of the committed
+// 60-row fixtures of internal/persist/testdata that opens — versions 4, 5
+// and 6, whose tables are read past, and version 7, which holds none — opens
+// into a build over its arena, tombstoned rows included, answers every query
+// as internal/oracle does over the same live rows, and its next checkpoint
+// writes the committed version-7 fixture byte for byte.
 func TestReadsVersion4Snapshot(t *testing.T) {
-	want := persistFixture(t, "snapshot-v6.plsh")
-	for version, name := range map[uint32]string{4: "snapshot-v4.plsh", 5: "snapshot-v5.plsh"} {
+	want := persistFixture(t, "snapshot-v7.plsh")
+	for version := uint32(4); version <= 7; version++ {
+		name := fmt.Sprintf("snapshot-v%d.plsh", version)
 		old := persistFixture(t, name)
 		if v := binary.LittleEndian.Uint32(old[8:]); v != version {
 			t.Fatalf("%s is version %d", name, v)
 		}
 		n, o, docs := openOldFixture(t, name)
+		requireStaticIsABuild(t, name+" opened", n)
 		requireMatchesOracle(t, name+" opened", n, o, docs)
 
 		if err := n.Save(bg); err != nil {
@@ -732,18 +734,91 @@ func TestReadsVersion4Snapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(raw, want) {
-			t.Fatalf("the checkpoint of testdata/%s is not testdata/snapshot-v6.plsh", name)
+			t.Fatalf("the checkpoint of testdata/%s is not testdata/snapshot-v7.plsh", name)
 		}
 	}
 }
 
-// TestVersion4SnapshotMergesPastAPowerOfTwo: the committed version-4 and
-// version-5 fixtures hold 60 rows, whose tables the node builds on open at
-// the key bits core.DirectoryBits gives 60 rows. Opened, grown past 64
-// rows with a tombstone among the new ones, and merged, each answers every
-// query as internal/oracle does over the same live rows.
+// requireStaticIsABuild checks an opened node's static index against
+// core.Build over the same rows, tombstoned ones included — what Open
+// builds, the dead rows staying until the next merge drops them: bucket
+// for bucket over every key of every table, and byte for byte in
+// MemoryBytes.
+func requireStaticIsABuild(t *testing.T, what string, n *Node) {
+	t.Helper()
+	n.mu.Lock()
+	st, prefix := n.static, n.store.Prefix(n.nStatic)
+	n.mu.Unlock()
+	want := core.MustBuild(n.fam, prefix, n.cfg.Build)
+	if st.Len() != want.Len() {
+		t.Fatalf("%s: static index covers %d rows, a build %d", what, st.Len(), want.Len())
+	}
+	var got, ref []uint32
+	for l := 0; l < st.NumTables(); l++ {
+		for key := 0; key < n.fam.Params().Buckets(); key++ {
+			got, ref = st.Table(l).Bucket(got[:0], uint32(key)), want.Table(l).Bucket(ref[:0], uint32(key))
+			if !slices.Equal(got, ref) {
+				t.Fatalf("%s: table %d bucket %d = %v, a build has %v", what, l, key, got, ref)
+			}
+		}
+	}
+	if got, want := st.MemoryBytes(), want.MemoryBytes(); got != want {
+		t.Fatalf("%s: static MemoryBytes %d, a build's %d", what, got, want)
+	}
+}
+
+// TestSnapshotBytesPerRow: a checkpoint holds the documents and nothing
+// else — its size is exactly the 48-byte header, the arena (its non-zero
+// count, rows+1 offsets of 4 bytes, and a 4-byte column and a 4-byte value
+// a non-zero), the tombstone words and their count, and the 4-byte CRC — so
+// no index can creep back into the file. The node is one of the suite's
+// geometry (K 16, M 16), with tombstones.
+func TestSnapshotBytesPerRow(t *testing.T) {
+	const rows = 3000
+	cfg := durableConfig(t.TempDir(), rows)
+	cfg.Params = lshhash.Params{Dim: 50000, K: 16, M: 16, Seed: 1}
+	cfg.AutoMerge = false
+	n, err := Open(bg, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	c := corpus.Generate(corpus.Twitter(rows, cfg.Params.Dim, 1))
+	docs := make([]sparse.Vector, rows)
+	for i := range docs {
+		docs[i] = c.Mat.Row(i)
+	}
+	if _, err := n.Insert(bg, docs); err != nil {
+		t.Fatal(err)
+	}
+	for id := 0; id < rows; id += 97 {
+		if err := n.Delete(uint32(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := n.Save(bg); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(persist.SnapshotPath(cfg.Dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const header, crc = 48, 4
+	arena := 8 + 4*(rows+1) + 8*c.Mat.NNZ()
+	tombstones := 8 + 8*((rows+63)/64)
+	if want := int64(header + arena + tombstones + crc); fi.Size() != want {
+		t.Fatalf("a %d-row snapshot is %d bytes; header, arena, tombstones and CRC are %d", rows, fi.Size(), want)
+	}
+	t.Logf("%.1f B/row", float64(fi.Size())/rows)
+}
+
+// TestVersion4SnapshotMergesPastAPowerOfTwo: the committed fixtures of
+// versions 4 to 7 hold 60 rows, whose tables the node builds on open at the
+// key bits core.DirectoryBits gives 60 rows. Opened, grown past 64 rows
+// with a tombstone among the new ones, and merged, each answers every query
+// as internal/oracle does over the same live rows.
 func TestVersion4SnapshotMergesPastAPowerOfTwo(t *testing.T) {
-	for _, name := range []string{"snapshot-v4.plsh", "snapshot-v5.plsh"} {
+	for _, name := range []string{"snapshot-v4.plsh", "snapshot-v5.plsh", "snapshot-v6.plsh", "snapshot-v7.plsh"} {
 		n, o, docs := openOldFixture(t, name)
 		more := corpus.Generate(corpus.Twitter(40, n.cfg.Params.Dim, 9)).Mat
 		for i := range more.Rows() {
@@ -831,9 +906,9 @@ func fixtureConfig() Config {
 // TestSnapshotRoundTripAtSuiteGeometry: a node of the benchmark suite's
 // geometry (K 16, M 16: 120 tables over the tweet corpus), with tombstones,
 // at a fleet node's 8 000 rows and static_query's 32 000, goes through Save
-// and Open into a node that answers every query as it did and reports the
-// same Stats.MemoryBytes — which a reader that sliced every table's arrays
-// out of one shared buffer would over-report.
+// and Open into a node that answers every query as it did, whose index is
+// a build over the rows it opened, tombstoned ones included, bucket for
+// bucket and in MemoryBytes.
 func TestSnapshotRoundTripAtSuiteGeometry(t *testing.T) {
 	rows := []int{8000, 32000}
 	if testing.Short() || israce.Enabled {
@@ -874,7 +949,6 @@ func TestSnapshotRoundTripAtSuiteGeometry(t *testing.T) {
 			if answers < queries/2-queries/97-1 {
 				t.Fatalf("%d answers to %d queries, half of them stored rows", answers, queries)
 			}
-			mem := n.Stats().MemoryBytes
 			if err := n.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -887,9 +961,7 @@ func TestSnapshotRoundTripAtSuiteGeometry(t *testing.T) {
 			if re.StaticLen() != nRows || re.DeltaLen() != 0 {
 				t.Fatalf("reopened %d static + %d delta rows, want %d + 0", re.StaticLen(), re.DeltaLen(), nRows)
 			}
-			if got := re.Stats().MemoryBytes; got != mem {
-				t.Fatalf("MemoryBytes %d after Save → Open, %d before", got, mem)
-			}
+			requireStaticIsABuild(t, "reopened", re)
 			for i, want := range before {
 				sameNeighbors(t, fmt.Sprintf("query %d", i), want, mustQuery(t, re, c.Mat.Row(nRows-queries/2+i)))
 			}
@@ -898,12 +970,12 @@ func TestSnapshotRoundTripAtSuiteGeometry(t *testing.T) {
 }
 
 // TestReplayedDeltaMergesLikeARebuild: a recovered node's delta is the
-// segments journal replay built, its static index the tables the snapshot
-// held — neither came out of this process's own merges. Merging one into
-// the other yields the rebuild's buckets; the snapshot that merge
-// checkpoints re-opens into the same index, with nothing left to replay; and
-// every stage answers like an in-memory node that bulk-merged the same rows
-// in one go.
+// segments journal replay built, its static index the build over the rows
+// the snapshot held — neither came out of this process's own merges.
+// Merging one into the other yields the rebuild's buckets; the snapshot that
+// merge checkpoints re-opens into a build over its rows, tombstoned ones
+// included, with nothing left to replay; and every stage answers like an
+// in-memory node that bulk-merged the same rows in one go.
 func TestReplayedDeltaMergesLikeARebuild(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableConfig(dir, 3000)
@@ -938,7 +1010,7 @@ func TestReplayedDeltaMergesLikeARebuild(t *testing.T) {
 	if _, err := n.Insert(bg, docs[:600]); err != nil {
 		t.Fatal(err)
 	}
-	mustMerge(t, n) // checkpoint: 600 rows of tables on disk
+	mustMerge(t, n) // checkpoint: 600 rows on disk
 	for at := 600; at < 1500; at += 45 {
 		if _, err := n.Insert(bg, docs[at:at+45]); err != nil {
 			t.Fatal(err)
@@ -960,9 +1032,10 @@ func TestReplayedDeltaMergesLikeARebuild(t *testing.T) {
 	if re.StaticLen() != 600 || re.DeltaLen() != 900 {
 		t.Fatalf("recovered split %d/%d, want 600/900", re.StaticLen(), re.DeltaLen())
 	}
+	requireStaticIsABuild(t, "recovered", re)
 	sameAsOracle("recovered, unmerged", re)
 	mustMerge(t, re)
-	requireStaticMatchesRebuild(t, "replayed delta into loaded tables", re, re.deleted)
+	requireStaticMatchesRebuild(t, "replayed delta into the opened index", re, re.deleted)
 	sameAsOracle("recovered, merged", re)
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
@@ -976,6 +1049,6 @@ func TestReplayedDeltaMergesLikeARebuild(t *testing.T) {
 	if again.StaticLen() != 1500 || again.DeltaLen() != 0 {
 		t.Fatalf("re-opened split %d/%d, want 1500/0", again.StaticLen(), again.DeltaLen())
 	}
-	requireStaticMatchesRebuild(t, "snapshot of a merged index", again, again.deleted)
+	requireStaticIsABuild(t, "snapshot of a merged index", again)
 	sameAsOracle("re-opened", again)
 }

@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -10,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"plsh/internal/core"
 	"plsh/internal/corpus"
 	"plsh/internal/israce"
 	"plsh/internal/lshhash"
@@ -21,20 +19,12 @@ func testParams() lshhash.Params {
 	return lshhash.Params{Dim: 500, K: 8, M: 4, Seed: 7}
 }
 
-// testSnapshot builds a small but fully populated snapshot: real documents,
-// real static tables, and a few tombstones.
+// testSnapshot builds a small but fully populated snapshot: real documents
+// and a few tombstones.
 func testSnapshot(t testing.TB, n int) *Snapshot {
 	t.Helper()
 	p := testParams()
-	fam, err := lshhash.NewFamily(p)
-	if err != nil {
-		t.Fatal(err)
-	}
 	c := corpus.Generate(corpus.Twitter(n, p.Dim, 3))
-	st, err := core.Build(fam, c.Mat, core.Defaults())
-	if err != nil {
-		t.Fatal(err)
-	}
 	del := make([]uint64, (n+63)/64)
 	if n > 2 {
 		del[0] |= 1 << 2
@@ -44,7 +34,6 @@ func testSnapshot(t testing.TB, n int) *Snapshot {
 		Capacity: 4 * n,
 		Rows:     n,
 		Arena:    c.Mat,
-		Tables:   st.Tables(),
 		Deleted:  del,
 	}
 }
@@ -76,21 +65,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if len(got.Tables) != len(s.Tables) {
-		t.Fatalf("table count %d vs %d", len(got.Tables), len(s.Tables))
-	}
-	for l := range s.Tables {
-		if !bytes.Equal(s.Tables[l].AppendEncoded(nil), got.Tables[l].AppendEncoded(nil)) {
-			t.Fatalf("table %d mismatch", l)
-		}
-	}
 	if len(got.Deleted) != len(s.Deleted) || got.Deleted[0] != s.Deleted[0] {
 		t.Fatalf("tombstones mismatch")
-	}
-	// The loaded tables must reassemble into a valid Static.
-	fam, _ := lshhash.NewFamily(got.Params)
-	if _, err := core.StaticFromTables(fam, got.Rows, got.Tables, 1); err != nil {
-		t.Fatalf("StaticFromTables: %v", err)
 	}
 }
 
@@ -100,8 +76,8 @@ func TestSnapshotMissing(t *testing.T) {
 	}
 }
 
-// TestReadSnapshotAllocatesEachArrayOnce: loading a snapshot that holds an
-// arena and no tables allocates the arena's arrays, the tombstone words and
+// TestReadSnapshotAllocatesEachArrayOnce: loading a snapshot allocates the
+// arena's arrays, the tombstone words and
 // the read buffer, and next to nothing else — each array is decoded
 // straight into its one allocation. A reader that decoded the offsets and
 // values as []uint32 and then converted them would allocate both twice,

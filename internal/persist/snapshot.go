@@ -6,27 +6,25 @@
 // restart silently loses its ~10.5M documents. This package makes a node
 // durable without touching the hot read path:
 //
-//   - A snapshot is the serialized image of a fully merged node — the
-//     document arena (CSR), the static PLSH buckets, the tombstone
-//     bitvector, and the hash-family parameters — behind a versioned
-//     header and a whole-file CRC. It is exactly the immutable state a
-//     copy-on-write publish produces, so writing one needs no locks and
-//     loading one needs no rehashing: each table is stored as core.Table
-//     encodes itself, its arrays as it holds them in memory, and goes
-//     straight back into a core.Static. This package knows nothing of a
-//     table's layout.
+//   - A snapshot is the serialized image of a fully merged node's
+//     documents — the hash-family parameters, the document arena (CSR)
+//     and the tombstone bitvector — behind a versioned header and a
+//     whole-file CRC. It is the immutable state a copy-on-write publish
+//     produces, so writing one needs no locks. It holds no index: the
+//     static tables are a function of the arena and the family, and the
+//     node that opens a snapshot builds them (node.Open), so this package
+//     knows nothing of a table.
 //   - The WAL (wal.go) journals every acknowledged Insert/Delete between
 //     checkpoints; replaying it on top of the latest snapshot recovers
 //     every acknowledged write after a crash.
 //
 // Snapshots are written to a temporary file and atomically renamed, so a
 // crash mid-checkpoint leaves the previous snapshot intact. Readers verify
-// the magic, version, CRC, and structural shape (via sparse.FromRaw,
-// core.DecodeTable and core.ValidateTables) and refuse to load anything
-// that fails — a corrupt file is an error, never garbage in the index. The
-// version written is the one read; the two before it, whose tables an
-// older hash family hashed, are read without their tables; a file of any
-// other version is refused with its version named.
+// the magic, version, CRC, and structural shape (via sparse.FromRaw) and
+// refuse to load anything that fails — a corrupt file is an error, never
+// garbage in the index. The version written is the one read; the three
+// before it, which also stored the tables, are read without them; a file
+// of any other version is refused with its version named.
 package persist
 
 import (
@@ -38,10 +36,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 
 	"plsh/internal/codec"
-	"plsh/internal/core"
 	"plsh/internal/lshhash"
 	"plsh/internal/sparse"
 )
@@ -54,19 +50,19 @@ const snapshotName = "snapshot.plsh"
 // version field below covers compatible evolution).
 var snapshotMagic = [8]byte{'P', 'L', 'S', 'H', 'S', 'N', 'P', '1'}
 
-// snapshotVersion is the format version WriteSnapshot emits: version 6
-// stores each table as a byte length and core.Table.AppendEncoded's bytes —
-// the key bits its items carry, then the directory's 64-bucket blocks and
-// the packed items verbatim — and ReadSnapshot hands those bytes to
-// core.DecodeTable. What a table holds is ValidateTables' to judge, after
-// the CRC. The tables are the hash family's: version 6 is version 5's
-// layout over tables hashed by the family of one-byte coefficients
-// (lshhash.Family). ReadSnapshot still loads versions 4 and 5, whose tables
-// an older family hashed, without them: their bytes are read under the CRC
-// and dropped, and the node that opens the file rebuilds its tables from
-// the arena and writes version 6 at its next checkpoint. Every other
-// version, version 3 included, is ErrCorrupt naming it.
-const snapshotVersion = 6
+// snapshotVersion is the format version WriteSnapshot emits. Version 7 is
+// the header (params, capacity, rows), the arena and the tombstone words,
+// and nothing else. Versions 4 to 6 stored the static tables between the
+// arena and the tombstones, a count and then each table as a byte length
+// and its bytes; ReadSnapshot still loads them, reading the tables under
+// the CRC and dropping them, and the node that opens the file builds its
+// index over the arena, as it does for version 7, and writes version 7 at
+// its next checkpoint. Every other version, version 3 included, is
+// ErrCorrupt naming it.
+const snapshotVersion = 7
+
+// oldestVersion is the oldest version ReadSnapshot loads.
+const oldestVersion = 4
 
 // castagnoli is the CRC-32C table used for both snapshot and WAL framing.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -82,9 +78,10 @@ var ErrCorrupt = errors.New("persist: corrupt snapshot")
 // Snapshot is the durable image of a fully merged node: every document is
 // covered by the static index, so no delta segments need serializing.
 type Snapshot struct {
-	// Params is the hash family the static tables were built under; a node
-	// opening the snapshot must be configured identically, or the bucket
-	// contents would be meaningless.
+	// Params is the hash family the writing node indexed the documents
+	// under; a node opening the snapshot must be configured identically,
+	// so that a restart never re-indexes them under another family, whose
+	// answers and routing differ.
 	Params lshhash.Params
 	// Capacity is the node capacity at save time (recorded for
 	// diagnostics; an opening node may use a larger capacity).
@@ -94,11 +91,6 @@ type Snapshot struct {
 	Rows int
 	// Arena holds the documents, rows [0, Rows).
 	Arena *sparse.Matrix
-	// Tables are the static PLSH buckets over the arena. Empty when
-	// Rows == 0 (rebuilding an empty index is cheaper than serializing
-	// L empty directories), and when the file predates the hash family
-	// (versions 4 and 5): the opener builds them over the arena.
-	Tables []core.Table
 	// Deleted is the tombstone bitvector's backing words, trimmed to
 	// ⌈Rows/64⌉ words with bits ≥ Rows masked off.
 	Deleted []uint64
@@ -147,14 +139,6 @@ func WriteSnapshot(dir string, s *Snapshot) (err error) {
 	writeWords(w, cols)
 	writeWords(w, vals)
 
-	w.u32(uint32(len(s.Tables)))
-	var enc []byte // each table's encoding in turn
-	for i := range s.Tables {
-		enc = s.Tables[i].AppendEncoded(enc[:0])
-		w.u64(uint64(len(enc)))
-		w.bytes(enc)
-	}
-
 	w.u64(uint64(len(s.Deleted)))
 	writeWords(w, s.Deleted)
 
@@ -200,9 +184,8 @@ func ReadSnapshot(dir string) (*Snapshot, error) {
 // readSnapshot decodes a snapshot of size bytes from r. Every section
 // length is checked against the bytes left before anything is allocated for
 // it, so a decode allocates in proportion to size whatever the bytes say,
-// and everything it returns has passed sparse.FromRaw and
-// core.ValidateTables: the error is ErrCorrupt-wrapped or the snapshot
-// loads.
+// and the arena it returns has passed sparse.FromRaw: the error is
+// ErrCorrupt-wrapped or the snapshot loads.
 func readSnapshot(src io.Reader, size int64) (*Snapshot, error) {
 	r := newCRCReader(src, size)
 
@@ -212,8 +195,7 @@ func readSnapshot(src io.Reader, size int64) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	version := r.u32()
-	drop := version == 4 || version == 5 // tables an older hash family hashed
-	if r.err == nil && version != snapshotVersion && !drop {
+	if r.err == nil && (version < oldestVersion || version > snapshotVersion) {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, version)
 	}
 	s := &Snapshot{}
@@ -232,32 +214,14 @@ func readSnapshot(src io.Reader, size int64) (*Snapshot, error) {
 	cols := readWords[uint32](r, nnz)
 	vals := readWords[float32](r, nnz)
 
-	nTables := int(r.u32())
-	if r.err == nil && nTables > 1<<20 {
-		return nil, fmt.Errorf("%w: impossible table count", ErrCorrupt)
-	}
-	if nTables > 0 && r.checkLen(nTables, 3*8) && !drop { // a length word and more than 16 bytes of encoding a table
-		s.Tables = make([]core.Table, 0, nTables)
-	}
-	var enc []byte // each table's encoding in turn; scratch
-	for i := 0; i < nTables && r.err == nil; i++ {
-		n := int(r.u64())
-		if !r.checkLen(n, 1) {
-			break
+	if version < snapshotVersion {
+		// The tables of versions 4 to 6: read under the CRC and dropped.
+		nTables := int(r.u32())
+		for i := 0; i < nTables && r.err == nil; i++ {
+			if n := int(r.u64()); r.checkLen(n, 1) {
+				r.skip(n)
+			}
 		}
-		if drop {
-			r.skip(n)
-			continue
-		}
-		enc = slices.Grow(enc[:0], n)[:n]
-		if r.bytes(enc); r.err != nil {
-			break
-		}
-		t, err := core.DecodeTable(enc)
-		if err != nil {
-			r.fail(fmt.Errorf("%w: %v", ErrCorrupt, err))
-		}
-		s.Tables = append(s.Tables, t)
 	}
 
 	s.Deleted = readWords[uint64](r, int(r.u64()))
@@ -272,11 +236,6 @@ func readSnapshot(src io.Reader, size int64) (*Snapshot, error) {
 	s.Arena = arena
 	if want := (s.Rows + 63) / 64; len(s.Deleted) != want {
 		return nil, fmt.Errorf("%w: tombstone words do not cover rows", ErrCorrupt)
-	}
-	if len(s.Tables) > 0 {
-		if err := core.ValidateTables(s.Params, s.Rows, s.Tables); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
 	}
 	return s, nil
 }

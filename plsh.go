@@ -244,10 +244,10 @@ func NewStore(cfg Config) (*Store, error) {
 
 // Open opens a durable Store rooted at dir (overriding cfg.Dir): the
 // latest snapshot is loaded — checksum and hash-parameter mismatches are
-// rejected, never loaded as garbage — and the write-ahead journal's tail
-// is replayed on top, so every write acknowledged before a crash is
-// queryable again, without rehashing the snapshotted documents. A fresh
-// or empty dir opens an empty durable Store. ctx bounds the recovery.
+// rejected, never loaded as garbage — the index is built over its
+// documents, and the write-ahead journal's tail is replayed on top, so
+// every write acknowledged before a crash is queryable again. A fresh or
+// empty dir opens an empty durable Store. ctx bounds the recovery.
 //
 // With dir (and cfg.Dir) empty, Open returns a plain in-memory Store.
 func Open(ctx context.Context, dir string, cfg Config) (*Store, error) {
@@ -397,11 +397,12 @@ func (s *Store) Save(ctx context.Context) error {
 
 // SaveTo writes a quiesced snapshot of the Store into dir: every document
 // is driven into the static structure (like Merge), then the arena,
-// static buckets, tombstones, and hash parameters are serialized behind a
-// versioned, checksummed header. Open on that dir reproduces the Store
-// bit-identically, without rehashing. When dir is the Store's own
-// Config.Dir this is exactly Save, journal truncation included; any other
-// dir is an export/backup and leaves the journal alone.
+// tombstones, and hash parameters are serialized behind a versioned,
+// checksummed header. Open on that dir builds the index over those
+// documents and answers every query as the Store did. When dir is the
+// Store's own Config.Dir this is exactly Save, journal truncation
+// included; any other dir is an export/backup and leaves the journal
+// alone.
 func (s *Store) SaveTo(ctx context.Context, dir string) error {
 	return s.n.SaveTo(ctx, dir)
 }
